@@ -28,6 +28,7 @@
 //! assert_eq!(subtree.finalize(Agg::Avg), Some(62.5 / 3.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

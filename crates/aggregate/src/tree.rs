@@ -455,13 +455,21 @@ mod tests {
             .collect()
     }
 
-    fn run(n: usize, mode: Mode, epoch_ms: u32, rounds: u16, seed: u64) -> (World, Vec<NodeId>) {
-        let wc = SimConfig::default().seed(seed);
-        let mut w = World::new(wc);
+    /// CSMA aggregation nodes on a 20 m line; ids in position order.
+    fn line_sim(seed: u64, cfg: AggConfig) -> (Sim, Vec<NodeId>) {
+        let n = cfg.parents.len();
+        let w = SimBuilder::new()
+            .seed(seed)
+            .nodes(Topology::line(n, 20.0), move |_| {
+                Box::new(AggregationNode::new(CsmaMac::default(), cfg.clone()))
+            })
+            .build();
+        (w, (0..n as u32).map(NodeId).collect())
+    }
+
+    fn run(n: usize, mode: Mode, epoch_ms: u32, rounds: u16, seed: u64) -> (Sim, Vec<NodeId>) {
         let cfg = AggConfig::new(line_parents(n), mode, epoch_ms, rounds);
-        let ids = w.add_nodes(&Topology::line(n, 20.0), move |_| {
-            Box::new(AggregationNode::new(CsmaMac::default(), cfg.clone())) as Box<dyn Proto>
-        });
+        let (mut w, ids) = line_sim(seed, cfg);
         let horizon = 2_000 + epoch_ms as u64 * (rounds as u64 + 2);
         w.run_for(SimDuration::from_millis(horizon));
         (w, ids)
@@ -532,13 +540,9 @@ mod tests {
             (Agg::Sum, 2),
             (Agg::Count, 3),
         ] {
-            let wc = SimConfig::default().seed(10 + check as u64);
-            let mut w = World::new(wc);
             let mut cfg = AggConfig::new(line_parents(4), Mode::Aggregate, 4_000, 2);
             cfg.query.agg = agg;
-            let ids = w.add_nodes(&Topology::line(4, 20.0), move |_| {
-                Box::new(AggregationNode::new(CsmaMac::default(), cfg.clone())) as Box<dyn Proto>
-            });
+            let (mut w, ids) = line_sim(10 + check as u64, cfg);
             w.run_for(SimDuration::from_secs(12));
             let root = w.proto::<Node>(ids[0]);
             assert!(!root.results().is_empty());
@@ -560,12 +564,8 @@ mod tests {
 
     #[test]
     fn dead_subtree_undercounts_gracefully() {
-        let wc = SimConfig::default().seed(20);
-        let mut w = World::new(wc);
         let cfg = AggConfig::new(line_parents(5), Mode::Aggregate, 4_000, 4);
-        let ids = w.add_nodes(&Topology::line(5, 20.0), move |_| {
-            Box::new(AggregationNode::new(CsmaMac::default(), cfg.clone())) as Box<dyn Proto>
-        });
+        let (mut w, ids) = line_sim(20, cfg);
         // Kill node 3 after the first epoch: nodes 3 and 4 disappear
         // from subsequent epochs (static tree, no repair — by design).
         w.kill_at(SimTime::from_secs(7), NodeId(3));

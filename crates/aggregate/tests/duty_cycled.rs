@@ -21,17 +21,19 @@ fn aggregation_over_lpl_delivers_and_sleeps() {
             }
         })
         .collect();
-    let wc = SimConfig::default().seed(0xA99);
-    let mut w = World::new(wc);
     let mut cfg = AggConfig::new(parents, Mode::Aggregate, 20_000, 5);
     cfg.dissemination_delay = SimDuration::from_secs(3);
-    let ids = w.add_nodes(&Topology::line(n, 20.0), move |_| {
-        let mac = LplMac::new(LplConfig {
-            wake_interval: SimDuration::from_millis(256),
-            ..LplConfig::default()
-        });
-        Box::new(AggregationNode::new(mac, cfg.clone())) as Box<dyn Proto>
-    });
+    let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+    let mut w = SimBuilder::new()
+        .seed(0xA99)
+        .nodes(Topology::line(n, 20.0), move |_| {
+            let mac = LplMac::new(LplConfig {
+                wake_interval: SimDuration::from_millis(256),
+                ..LplConfig::default()
+            });
+            Box::new(AggregationNode::new(mac, cfg.clone()))
+        })
+        .build();
     w.run_for(SimDuration::from_secs(130));
 
     let root = w.proto::<Node>(ids[0]);

@@ -1,5 +1,5 @@
-//! The kernel perf harness: spatial index vs exhaustive scan on
-//! growing CSMA/LPL grids, the sharded-kernel scaling curves, the
+//! The kernel perf harness: kernel throughput on growing bcast/CSMA/LPL
+//! grids, the sharded-kernel scaling curves, the
 //! cloud ingest load curves, and the named-data star (see
 //! [`iiot_bench::exp_perf`], [`iiot_bench::exp_cloud`] and
 //! [`iiot_bench::exp_icn`]).
@@ -106,8 +106,8 @@ fn main() {
         }
     }
 
-    // Full mode is the committed-artifact run: index matrix on 10x10
-    // to 40x40 grids, scaling curves at N in {400, 1600, 6400}, cloud
+    // Full mode is the committed-artifact run: throughput matrix on
+    // 10x10 to 40x40 grids, scaling curves at N in {400, 1600, 6400}, cloud
     // load points at 25k/100k/250k sessions (devices x 4 tenants);
     // --quick bounds CI smoke to a few seconds.
     let sides = sides.unwrap_or_else(|| if quick { vec![4, 8] } else { vec![10, 20, 40] });
@@ -146,7 +146,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let points = exp_perf::perf_matrix(&rc, &sides, secs);
     eprintln!(
-        "[measured {} index points in {:.1}s]",
+        "[measured {} throughput points in {:.1}s]",
         points.len(),
         t0.elapsed().as_secs_f64()
     );

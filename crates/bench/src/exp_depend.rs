@@ -391,13 +391,13 @@ pub fn e11_maintainability(rc: &RunConfig) -> Table {
                         SimTime::from_secs(550),
                         &[],
                     );
-                    plan.apply(&mut d.world);
+                    plan.apply(&mut d.sim);
                 }
                 d.run_for(SimDuration::from_secs(600));
                 let r = d.report();
-                let switches = d.world.stats().node_total("parent_switch");
-                let drops = d.world.stats().node_total("data_drop_retries")
-                    + d.world.stats().node_total("data_drop_queue");
+                let switches = d.sim.stats().node_total("parent_switch");
+                let drops = d.sim.stats().node_total("data_drop_retries")
+                    + d.sim.stats().node_total("data_drop_queue");
                 vec![vec![
                     Cell::label(if mtbf == 0 {
                         "none".into()
@@ -443,11 +443,11 @@ pub fn e11_diagnosis() -> Table {
     let victim = d.nodes[7];
     // Snapshot the per-origin delivery baseline before the fault.
     let baseline: Vec<usize> = d.nodes.iter().map(|&n| d.collected_from(n)).collect();
-    d.world.kill(victim);
+    d.sim.kill(victim);
     let window = SimDuration::from_secs(120);
     d.run_for(window);
 
-    let stats = d.world.stats();
+    let stats = d.sim.stats();
     let root_receiving = stats.get("data_rx_root") > 0.0;
     // Expectation comes from the traffic *contract* over the window,
     // not from what the node happened to generate: a silent node is
@@ -468,7 +468,7 @@ pub fn e11_diagnosis() -> Table {
                 // The operator sees the last-reported routing state:
                 // from the outside, a crashed node and a partitioned
                 // one are indistinguishable until someone walks over.
-                has_route: d.world.is_alive(n) && d.has_route(n),
+                has_route: d.sim.is_alive(n) && d.has_route(n),
                 mac_fail_ratio: stats.get_node(n, "mac_tx_fail") / attempts,
                 queue_drops: stats.get_node(n, "data_drop_queue") as u32,
                 root_receiving,

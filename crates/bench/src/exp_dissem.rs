@@ -317,7 +317,7 @@ pub fn e14_resume_with(
                 at: SimTime::from_secs(crash_s),
                 down_for: down,
             });
-            plan.apply_with_state_loss(w.world_mut(), loss);
+            plan.apply_with_state_loss(&mut w, loss);
             // Sample the victim's flash just before it comes back.
             w.run_until(SimTime::from_secs(crash_s) + down - SimDuration::from_millis(1));
             let kept = w.proto::<DissemNode<CsmaMac>>(victim).store().have_pages();
@@ -427,7 +427,7 @@ pub fn e14_rollout_with(rc: &RunConfig, side: usize, cap_s: u64) -> Table {
                 };
                 // The gateway itself (cohort zero of any rollout) is
                 // always enabled: it holds the trusted image.
-                rollout::drive::<CsmaMac>(w.world_mut(), ids[0], plan, SimTime::from_secs(2));
+                rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
                 w.run_for(SimDuration::from_secs(cap_s));
                 let poisoned = ids
                     .iter()

@@ -200,7 +200,7 @@ fn drive_star<M: Mac>(
 }
 
 /// Collects the [`Observed`] metrics from a finished star run.
-fn observe<M: Mac>(mut w: Sim, consumers: usize) -> Observed {
+fn observe<M: Mac>(w: Sim, consumers: usize) -> Observed {
     let ids: Vec<NodeId> = (0..(consumers + 2) as u32).map(NodeId).collect();
     let model = *w.energy_model();
     let radio_mj: f64 = ids.iter().map(|&id| w.energy(id).energy_mj(&model)).sum();
@@ -652,7 +652,7 @@ pub fn e15_partition_with(
                     at: SimTime::from_secs(cut_s),
                     heal_at: SimTime::from_secs(heal_s),
                 });
-                plan.apply(w.world_mut());
+                plan.apply(&mut w);
                 w.run(SimDuration::from_secs(run_s));
 
                 let cut = SimTime::from_secs(cut_s);

@@ -4,9 +4,9 @@
 //! Unlike E1-E14 this harness measures the *simulator*, not the
 //! simulated protocols. Two matrices come out of it:
 //!
-//! * the **index matrix** — square grids of broadcast-chatty nodes
-//!   (10x10 up to 40x40) run once with the radio medium's spatial
-//!   candidate index and once with the exhaustive O(nodes) scan;
+//! * the **throughput matrix** — square grids of broadcast-chatty
+//!   nodes (10x10 up to 40x40) under each of [`MACS`], on the serial
+//!   kernel;
 //! * the **scaling curves** — the transmit-heavy broadcast workload at
 //!   N ∈ {400, 1600, 6400} run at `--shards 1/2/4`, measuring how the
 //!   sharded kernel's per-shard medium (smaller active-record scans,
@@ -19,16 +19,11 @@
 //!
 //! * **`events`** — how many kernel events the workload dispatches.
 //!   A pure function of the workload, seed and shard count: byte-stable
-//!   across worker counts, machines and index on/off. This is what CI
-//!   *gates* on (`scripts/perf_gate.sh`).
+//!   across worker counts and machines. This is what CI *gates* on
+//!   (`scripts/perf_gate.sh`).
 //! * **wall-clock / events-per-second** — recorded into
 //!   `BENCH_perf.json` for trajectory tracking, never gated (CI
 //!   machines are noisy; timing thresholds make flaky gates).
-//!
-//! The harness also asserts, per index-matrix point, that the indexed
-//! and exhaustive runs dispatch the *same* event count — the scaled-up
-//! version of the per-call equivalence property test in
-//! `iiot_sim::radio`.
 
 use crate::{RunConfig, Table};
 use iiot_mac::csma::CsmaMac;
@@ -44,8 +39,8 @@ use std::time::{Duration, Instant};
 pub const SPACING_M: f64 = 20.0;
 
 /// The workload flavours: `bcast` is a raw periodic broadcaster (no
-/// MAC — the purest transmit-heavy stress of the begin-tx path, where
-/// the candidate scan dominates), `csma` and `lpl` run the real MACs.
+/// MAC — the purest transmit-heavy stress of the begin-tx path),
+/// `csma` and `lpl` run the real MACs.
 pub const MACS: [&str; 3] = ["bcast", "csma", "lpl"];
 
 /// Bare periodic broadcaster: transmit as often as the radio allows,
@@ -94,7 +89,7 @@ fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Send + Sync)
         .collect()
 }
 
-/// One measured point of the index matrix.
+/// One measured point of the throughput matrix.
 #[derive(Clone, Copy, Debug)]
 pub struct PerfPoint {
     /// Grid side (the deployment has `side * side` nodes).
@@ -105,24 +100,16 @@ pub struct PerfPoint {
     pub mac: &'static str,
     /// Simulated seconds of the workload.
     pub secs: u64,
-    /// Events dispatched (identical for indexed and exhaustive runs —
-    /// asserted by the harness; byte-stable across worker counts).
+    /// Events dispatched (byte-stable across worker counts).
     pub events: u64,
-    /// Wall-clock time of the indexed run, microseconds.
-    pub wall_indexed_us: u64,
-    /// Wall-clock time of the exhaustive-scan run, microseconds.
-    pub wall_exhaustive_us: u64,
+    /// Wall-clock time, microseconds.
+    pub wall_us: u64,
 }
 
 impl PerfPoint {
-    /// Exhaustive wall time over indexed wall time.
-    pub fn speedup(&self) -> f64 {
-        self.wall_exhaustive_us as f64 / (self.wall_indexed_us as f64).max(1.0)
-    }
-
-    /// Dispatched events per wall-clock second, indexed run.
+    /// Dispatched events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.wall_indexed_us as f64 / 1e6).max(1e-9)
+        self.events as f64 / (self.wall_us as f64 / 1e6).max(1e-9)
     }
 }
 
@@ -167,9 +154,7 @@ impl ScalePoint {
 fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim {
     // Log-distance pathloss with a sigmoid gray zone: the realistic —
     // and computationally heaviest — link model, where every node the
-    // candidate scan visits costs a sqrt and a log10. This is the
-    // regime the spatial index exists for; an exhaustive scan pays
-    // that price for all N nodes on every transmission.
+    // candidate scan visits costs a sqrt and a log10.
     let link = LinkModel::LogDistance {
         path_loss_exp: 3.5,
         ref_loss_db: 45.0,
@@ -178,7 +163,7 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
     };
     let topo = Topology::grid(side as usize, side as usize, SPACING_M);
     let builder = SimBuilder::new().seed(seed).link(link).sharding(shard);
-    let mut sim = match mac {
+    match mac {
         "bcast" => {
             // 20 broadcasts per node-second, staggered at microsecond
             // granularity: the medium is never idle.
@@ -236,40 +221,21 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
             sim
         }
         other => panic!("unknown mac flavour {other:?}"),
-    };
-    debug_assert_eq!(sim.shards(), shard.shards);
-    let _ = &mut sim;
-    sim
+    }
 }
 
-/// Runs one workload in one medium mode; returns (events, wall).
-fn measure(
-    side: u32,
-    mac: &str,
-    secs: u64,
-    seed: u64,
-    indexed: bool,
-    shard: ShardConfig,
-) -> (u64, Duration) {
+/// Runs one workload; returns (events, wall).
+fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> (u64, Duration) {
     let mut sim = build(side, mac, secs, seed, shard);
-    sim.set_spatial_index(indexed);
     let started = Instant::now();
     sim.run(SimDuration::from_secs(secs));
     let wall = started.elapsed();
     (sim.events_dispatched(), wall)
 }
 
-/// Measures the index matrix: `sides` x [`MACS`], each point indexed
-/// and exhaustive, on the serial kernel. Points fan out over the
-/// runner's worker pool (results come back in matrix order regardless
-/// of `--jobs`); the two modes of one point run back to back on one
-/// worker so their timing ratio is meaningful.
-///
-/// # Panics
-///
-/// Panics if any point's indexed and exhaustive runs dispatch a
-/// different number of events — that would mean the spatial index is
-/// *not* equivalent to the exhaustive scan.
+/// Measures the throughput matrix: `sides` x [`MACS`] on the serial
+/// kernel, one run per point. Points fan out over the runner's worker
+/// pool (results come back in matrix order regardless of `--jobs`).
 pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     let points: Vec<(u32, &'static str)> = sides
         .iter()
@@ -278,20 +244,14 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     fan_out(rc.runner.jobs(), points.len(), |i| {
         let (side, mac) = points[i];
         let seed = 0xBE2C_0000 + i as u64;
-        let (ev_idx, wall_idx) = measure(side, mac, secs, seed, true, ShardConfig::default());
-        let (ev_ex, wall_ex) = measure(side, mac, secs, seed, false, ShardConfig::default());
-        assert_eq!(
-            ev_idx, ev_ex,
-            "{side}x{side}/{mac}: indexed and exhaustive runs diverged"
-        );
+        let (events, wall) = measure(side, mac, secs, seed, ShardConfig::default());
         PerfPoint {
             side,
             nodes: side * side,
             mac,
             secs,
-            events: ev_idx,
-            wall_indexed_us: wall_idx.as_micros() as u64,
-            wall_exhaustive_us: wall_ex.as_micros() as u64,
+            events,
+            wall_us: wall.as_micros() as u64,
         }
     })
 }
@@ -319,7 +279,7 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
             } else {
                 ShardConfig::threaded(shards as usize)
             };
-            let (events, wall) = measure(side, "bcast", secs, seed, true, shard);
+            let (events, wall) = measure(side, "bcast", secs, seed, shard);
             out.push(ScalePoint {
                 side,
                 nodes: side * side,
@@ -334,29 +294,19 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
     out
 }
 
-/// Renders the index matrix as a human-readable table. Timing cells
-/// vary run to run; only `events` is deterministic.
+/// Renders the throughput matrix as a human-readable table. Timing
+/// cells vary run to run; only `events` is deterministic.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
-        "PERF: kernel throughput, spatial index vs exhaustive scan (20 m grid, broadcast-heavy)",
-        &[
-            "nodes",
-            "mac",
-            "events",
-            "indexed (ms)",
-            "exhaustive (ms)",
-            "speedup",
-            "Mev/s",
-        ],
+        "PERF: kernel throughput (20 m grid, broadcast-heavy, serial kernel)",
+        &["nodes", "mac", "events", "wall (ms)", "Mev/s"],
     );
     for p in points {
         t.row(vec![
             p.nodes.to_string(),
             p.mac.to_string(),
             p.events.to_string(),
-            format!("{:.1}", p.wall_indexed_us as f64 / 1e3),
-            format!("{:.1}", p.wall_exhaustive_us as f64 / 1e3),
-            format!("{:.1}x", p.speedup()),
+            format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
         ]);
     }
@@ -417,22 +367,19 @@ pub fn to_json(
     stream: &[crate::exp_stream::StreamPoint],
     icn: &[crate::exp_icn::IcnPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v5\",\n");
+    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v6\",\n");
     out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"mac\": \"{}\", \"nodes\": {}, \
              \"secs\": {}, \"events\": {}}}, \
-             \"timing\": {{\"wall_indexed_us\": {}, \"wall_exhaustive_us\": {}, \
-             \"speedup\": {:.2}, \"events_per_sec\": {:.0}}}}}{}\n",
+             \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}}}}}{}\n",
             p.side,
             p.mac,
             p.nodes,
             p.secs,
             p.events,
-            p.wall_indexed_us,
-            p.wall_exhaustive_us,
-            p.speedup(),
+            p.wall_us,
             p.events_per_sec(),
             if i + 1 == points.len() { "" } else { "," }
         ));
@@ -528,7 +475,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_counts_are_jobs_invariant_and_modes_agree() {
+    fn matrix_counts_are_jobs_invariant() {
         let one = RunConfig {
             runner: crate::Runner::new(1),
             trials: 1,
@@ -568,8 +515,7 @@ mod tests {
             mac: "csma",
             secs: 5,
             events: 1234,
-            wall_indexed_us: 1000,
-            wall_exhaustive_us: 5000,
+            wall_us: 1000,
         };
         let s = ScalePoint {
             side: 20,
@@ -619,14 +565,14 @@ mod tests {
             wall_us: 42_000,
         };
         let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v5\""));
+        assert!(j.contains("\"schema\": \"iiot-bench/perf/v6\""));
         assert!(j.contains("\"cache_hits\": 80"));
         assert!(j.contains("\"verify_fails\": 0"));
         assert!(j.contains("\"log_records\": 400000"));
         assert!(j.contains("\"replay_wall_us\": 450000"));
         assert!(j.contains("\"window_obs\": 380000"));
         assert!(j.contains("\"events\": 1234"));
-        assert!(j.contains("\"speedup\": 5.00"));
+        assert!(j.contains("\"timing\": {\"wall_us\": 1000, \"events_per_sec\": 1234000}"));
         assert!(j.contains("\"shards\": 4"));
         assert!(j.contains("\"events\": 9876"));
         assert!(j.contains("\"mode\": \"serial\""));
@@ -635,7 +581,7 @@ mod tests {
         assert!(j.contains("\"msgs_per_sec\": 1600000"));
         let t = table(&[p]);
         assert_eq!(t.rows().len(), 1);
-        assert_eq!(t.rows()[0][5], "5.0x");
+        assert_eq!(t.rows()[0][4], "1.23");
         let st = scaling_table(&[s]);
         assert_eq!(st.rows().len(), 1);
         assert_eq!(st.rows()[0][1], "4");

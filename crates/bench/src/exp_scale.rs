@@ -59,8 +59,8 @@ pub fn e2_latency_vs_hops_with(rc: &RunConfig, secs: u64) -> Table {
                     .traffic(SimDuration::from_secs(30), 10, SimDuration::from_secs(60))
                     .build();
                 d.run_for(SimDuration::from_secs(secs));
-                let lats = d.world.stats().samples("collect_latency_s").to_vec();
-                let hops = d.world.stats().samples("collect_hops").to_vec();
+                let lats = d.sim.stats().samples("collect_latency_s").to_vec();
+                let hops = d.sim.stats().samples("collect_hops").to_vec();
                 let mean_for = |h: u32| -> f64 {
                     let vals: Vec<f64> = lats
                         .iter()
@@ -144,7 +144,7 @@ pub fn e3_funneling(rc: &RunConfig) -> Table {
                 } else {
                     "agg_tx"
                 };
-                let mut w = run_agg(mode, 5_000, rounds, n, seed);
+                let w = run_agg(mode, 5_000, rounds, n, seed);
                 (1..n)
                     .map(|i| {
                         let id = NodeId(i as u32);
@@ -190,7 +190,7 @@ pub fn e3_epoch_ablation(rc: &RunConfig) -> Table {
         .map(|epoch_s| {
             Trial::new(format!("e3a/epoch{epoch_s}"), 0xE3A, move |seed| {
                 let rounds = (60 / epoch_s) as u16;
-                let mut w = run_agg(Mode::Aggregate, epoch_s * 1000, rounds, 8, seed);
+                let w = run_agg(Mode::Aggregate, epoch_s * 1000, rounds, 8, seed);
                 vec![vec![
                     Cell::label(epoch_s.to_string()),
                     Cell::label(rounds.to_string()),
@@ -229,8 +229,7 @@ pub fn e5_size_scaling_with(rc: &RunConfig, sides: &[usize], secs: u64) -> Table
                     .build();
                 d.run_for(SimDuration::from_secs(secs));
                 let r = d.report();
-                let dio_rate =
-                    d.world.stats().node_total("dio_tx") / n as f64 / (secs as f64 / 60.0);
+                let dio_rate = d.sim.stats().node_total("dio_tx") / n as f64 / (secs as f64 / 60.0);
 
                 // Centralized: everyone unicasts straight to the sink.
                 let parents: Vec<Option<NodeId>> = (0..n)
@@ -352,16 +351,16 @@ pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
                     SimTime::from_secs(350),
                     &[],
                 );
-                plan.apply(&mut d.world);
+                plan.apply(&mut d.sim);
                 let secs = 400u64;
                 d.run_for(SimDuration::from_secs(secs));
                 let r = d.report();
-                let dio_rate = d.world.stats().node_total("dio_tx") / 25.0 / (secs as f64 / 60.0);
+                let dio_rate = d.sim.stats().node_total("dio_tx") / 25.0 / (secs as f64 / 60.0);
                 vec![vec![
                     Cell::label(k.to_string()),
                     Cell::f1(dio_rate),
                     Cell::pct(r.delivery_ratio),
-                    Cell::f1(d.world.stats().node_total("parent_switch")),
+                    Cell::f1(d.sim.stats().node_total("parent_switch")),
                 ]]
             })
         })

@@ -128,7 +128,7 @@ mod tests {
             .traffic(SimDuration::from_secs(5), 8, SimDuration::from_secs(10))
             .build();
         d.run_for(SimDuration::from_secs(40));
-        d.world.kill(d.nodes[3]);
+        d.sim.kill(d.nodes[3]);
         let mut gw = Gateway::new(ReplicaId(1));
         gw.add_adapter(Box::new(ModbusAdapter::new(
             "plc",

@@ -172,7 +172,7 @@ mod tests {
     fn refresh_absorbs_and_serves() {
         let d = deployment();
         let mut br = BorderRouter::new(1);
-        let fresh = br.refresh(&d, d.world.now());
+        let fresh = br.refresh(&d, d.sim.now());
         assert_eq!(fresh, 2, "one latest reading per origin");
         assert!(br.latest(NodeId(2)).is_some());
         assert!(br.latest(NodeId(0)).is_none(), "the root is not a sensor");
@@ -201,7 +201,7 @@ mod tests {
     fn observers_notified_on_new_readings() {
         let mut d = deployment();
         let mut br = BorderRouter::new(2);
-        br.refresh(&d, d.world.now());
+        br.refresh(&d, d.sim.now());
 
         let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 9);
         client.observe(0, "nodes/1/latest", SimTime::ZERO);
@@ -215,7 +215,7 @@ mod tests {
 
         // More readings arrive over the air.
         d.run_for(SimDuration::from_secs(20));
-        let fresh = br.refresh(&d, d.world.now());
+        let fresh = br.refresh(&d, d.sim.now());
         assert!(fresh >= 1);
         for (_, dgram) in br.coap_mut().take_outbox() {
             client.handle_datagram(0, &dgram, SimTime::ZERO);
@@ -237,7 +237,7 @@ mod tests {
     fn idempotent_refresh() {
         let d = deployment();
         let mut br = BorderRouter::new(3);
-        assert!(br.refresh(&d, d.world.now()) > 0);
-        assert_eq!(br.refresh(&d, d.world.now()), 0, "nothing new");
+        assert!(br.refresh(&d, d.sim.now()) > 0);
+        assert_eq!(br.refresh(&d, d.sim.now()), 0, "nothing new");
     }
 }

@@ -103,7 +103,7 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Builds the world and instantiates all nodes.
+    /// Builds the simulation and instantiates all nodes.
     ///
     /// # Panics
     ///
@@ -114,17 +114,11 @@ impl DeploymentBuilder {
             .seed(self.seed)
             .radio(self.radio.clone());
 
-        // For TDMA we must know the collection tree up front: compute
-        // BFS parents on a throwaway world with the same geometry. The
-        // tree then doubles as the static routing state (Dozer-style:
-        // the schedule *is* the route).
+        // For TDMA we must know the collection tree up front: the BFS
+        // parents over the geometry double as the static routing state
+        // (Dozer-style: the schedule *is* the route).
         let schedule = if let MacChoice::Tdma(slot) = self.mac {
-            let probe = SimBuilder::new()
-                .config(wc.clone())
-                .nodes(self.topology.clone(), |_| Box::new(Idle) as Box<dyn Proto>)
-                .build()
-                .into_world();
-            let parents = graph::parents_bfs(&probe, NodeId(0));
+            let parents = graph::parents_bfs(&self.topology, &self.radio, |_| true, NodeId(0));
             // Superframe padding: three idle slots per active slot
             // drops the duty cycle ~4x at ~4x the per-frame latency.
             let active = parents.iter().filter(|p| p.is_some()).count();
@@ -137,18 +131,14 @@ impl DeploymentBuilder {
         let mac = self.mac;
         let dodag = self.dodag.clone();
         let nodes: Vec<NodeId> = (0..self.topology.len() as u32).map(NodeId).collect();
-        // `extend` adds nodes to a running world, so the deployment owns
-        // a bare `World` rather than a `Sim`: build through the builder
-        // and unwrap the serial kernel.
-        let world = SimBuilder::new()
+        let sim = SimBuilder::new()
             .config(wc)
             .nodes(self.topology, move |i| {
                 make_node(mac, &dodag, schedule.as_ref(), i == 0)
             })
-            .build()
-            .into_world();
+            .build();
         Deployment {
-            world,
+            sim,
             root: nodes[0],
             nodes,
             mac,
@@ -214,10 +204,10 @@ pub struct CollectionReport {
     pub alive_fraction: f64,
 }
 
-/// A built deployment: the world plus its roster.
+/// A built deployment: the simulation plus its roster.
 pub struct Deployment {
-    /// The simulated world.
-    pub world: World,
+    /// The running simulation.
+    pub sim: Sim,
     /// The border router.
     pub root: NodeId,
     /// All nodes, in id order (including later rollout stages).
@@ -239,7 +229,7 @@ impl Deployment {
 
     /// Runs the deployment for `d` of simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        self.world.run_for(d);
+        self.sim.run_for(d);
     }
 
     /// Incremental rollout (§IV): adds another batch of nodes at the
@@ -258,23 +248,19 @@ impl Deployment {
         );
         let mac = self.mac;
         let dodag = self.dodag.clone();
-        let added: Vec<NodeId> = extra
-            .iter()
-            .map(|pos| {
-                self.world
-                    .add_node(pos, make_node(mac, &dodag, None, false))
-            })
-            .collect();
+        let added = self
+            .sim
+            .add_nodes(extra.clone(), move |_| make_node(mac, &dodag, None, false));
         self.nodes.extend(added.iter().copied());
         added
     }
 
     fn per_node<R>(&self, f: impl Fn(&dyn ReportableNode) -> R, node: NodeId) -> R {
         match self.mac {
-            MacChoice::Csma => f(self.world.proto::<DodagNode<CsmaMac>>(node)),
-            MacChoice::Lpl(_) => f(self.world.proto::<DodagNode<LplMac>>(node)),
-            MacChoice::Rimac(_) => f(self.world.proto::<DodagNode<RimacMac>>(node)),
-            MacChoice::Tdma(_) => f(self.world.proto::<StaticCollection<TdmaMac>>(node)),
+            MacChoice::Csma => f(self.sim.proto::<DodagNode<CsmaMac>>(node)),
+            MacChoice::Lpl(_) => f(self.sim.proto::<DodagNode<LplMac>>(node)),
+            MacChoice::Rimac(_) => f(self.sim.proto::<DodagNode<RimacMac>>(node)),
+            MacChoice::Tdma(_) => f(self.sim.proto::<StaticCollection<TdmaMac>>(node)),
         }
     }
 
@@ -300,7 +286,7 @@ impl Deployment {
 
     /// Builds the collection report at the current time.
     pub fn report(&self) -> CollectionReport {
-        let stats = self.world.stats();
+        let stats = self.sim.stats();
         let generated = stats.node_total("data_origin") as u64;
         let delivered = stats.get("data_rx_root") as u64;
         let mut duty = 0.0;
@@ -308,13 +294,13 @@ impl Deployment {
         let mut orphans = 0;
         let mut alive = 0;
         for &n in &self.nodes {
-            if self.world.is_alive(n) {
+            if self.sim.is_alive(n) {
                 alive += 1;
             }
             if n != self.root {
-                duty += self.world.energy(n).duty_cycle();
+                duty += self.sim.energy(n).duty_cycle();
                 non_root += 1;
-                if self.world.is_alive(n) && !self.has_route(n) {
+                if self.sim.is_alive(n) && !self.has_route(n) {
                     orphans += 1;
                 }
             }

@@ -41,6 +41,7 @@
 //! assert_eq!(historian.latest("plant/boiler/temp"), Some(92.3));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

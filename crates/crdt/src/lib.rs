@@ -37,6 +37,7 @@
 //! assert_eq!(east.get(&"line-3/rpm"), Some(&1250.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

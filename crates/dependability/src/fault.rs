@@ -1,7 +1,7 @@
 //! Fault injection plans: declarative schedules of crashes, recoveries,
-//! link failures and partitions applied to a simulated world.
+//! link failures and partitions applied to a simulation.
 
-use iiot_sim::{NodeId, SimDuration, SimTime, StateLoss, World};
+use iiot_sim::{NodeId, Sim, SimDuration, SimTime, StateLoss};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +47,7 @@ pub enum Fault {
     },
 }
 
-/// An ordered set of faults to apply to a world.
+/// An ordered set of faults to apply to a [`Sim`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
@@ -117,7 +117,7 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Like [`apply`](FaultPlan::apply), but first sets the world's
+    /// Like [`apply`](FaultPlan::apply), but first sets the sim's
     /// crash [`StateLoss`] policy: `StateLoss::Ram` (the default) means
     /// a [`Fault::CrashRecover`]'d node keeps whatever its protocol
     /// treats as flash-persisted; `StateLoss::Full` makes every crash
@@ -125,31 +125,31 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if any fault is scheduled before the world's current time.
-    pub fn apply_with_state_loss(&self, world: &mut World, loss: StateLoss) {
-        world.set_state_loss(loss);
-        self.apply(world);
+    /// Panics if any fault is scheduled before the sim's current time.
+    pub fn apply_with_state_loss(&self, sim: &mut Sim, loss: StateLoss) {
+        sim.set_state_loss(loss);
+        self.apply(sim);
     }
 
-    /// Installs every fault into the world's event queue.
+    /// Schedules every fault on `sim`, serial or sharded, through its
+    /// replayable fault operations: the sim stays checkpointable and
+    /// each fault shows up as a structured `Fault` event in traces.
     ///
     /// # Panics
     ///
-    /// Panics if any fault is scheduled before the world's current time.
-    pub fn apply(&self, world: &mut World) {
+    /// Panics if any fault is scheduled before the sim's current time.
+    pub fn apply(&self, sim: &mut Sim) {
         for f in &self.faults {
             match f.clone() {
-                Fault::Crash { node, at } => world.kill_at(at, node),
+                Fault::Crash { node, at } => sim.kill_at(at, node),
                 Fault::CrashRecover { node, at, down_for } => {
-                    world.kill_at(at, node);
-                    world.revive_at(at + down_for, node);
+                    sim.kill_at(at, node);
+                    sim.revive_at(at + down_for, node);
                 }
                 Fault::LinkDown { a, b, at, heal_at } => {
-                    // The World wrappers (rather than raw medium calls)
-                    // emit structured `Fault` events for trace dumps.
-                    world.schedule(at, move |w| w.block_link(a, b));
+                    sim.block_link_at(at, a, b);
                     if let Some(h) = heal_at {
-                        world.schedule(h, move |w| w.unblock_link(a, b));
+                        sim.unblock_link_at(h, a, b);
                     }
                 }
                 Fault::Partition {
@@ -157,13 +157,8 @@ impl FaultPlan {
                     at,
                     heal_at,
                 } => {
-                    world.schedule(at, move |w| {
-                        for (i, &g) in groups.iter().enumerate() {
-                            w.medium_mut().set_group(NodeId(i as u32), g);
-                        }
-                        w.set_partitioned(true);
-                    });
-                    world.schedule(heal_at, |w| w.set_partitioned(false));
+                    sim.partition_at(at, groups);
+                    sim.heal_at(heal_at);
                 }
             }
         }
@@ -173,16 +168,15 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iiot_sim::obs::{JsonlRecorder, RingRecorder};
     use iiot_sim::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn idle_world(n: usize) -> World {
-        let mut w = World::new(SimConfig::default());
-        w.add_nodes(&Topology::line(n, 10.0), |_| {
-            Box::new(Idle) as Box<dyn Proto>
-        });
-        w
+    fn idle_world(n: usize) -> Sim {
+        SimBuilder::new()
+            .nodes(Topology::line(n, 10.0), |_| Box::new(Idle))
+            .build()
     }
 
     #[test]
@@ -219,8 +213,10 @@ mod tests {
             }
         }
         let run = |loss| {
-            let mut w = World::new(SimConfig::default());
-            let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Probe::default()));
+            let mut w = SimBuilder::new()
+                .nodes(Topology::line(1, 10.0), |_| Box::new(Probe::default()))
+                .build();
+            let n = NodeId(0);
             let mut plan = FaultPlan::new();
             plan.push(Fault::CrashRecover {
                 node: n,
@@ -252,6 +248,7 @@ mod tests {
     #[test]
     fn partition_window() {
         let mut w = idle_world(4);
+        w.set_recorder(Box::new(RingRecorder::new(8)));
         let mut plan = FaultPlan::new();
         plan.push(Fault::Partition {
             groups: vec![0, 0, 1, 1],
@@ -259,10 +256,174 @@ mod tests {
             heal_at: SimTime::from_secs(5),
         });
         plan.apply(&mut w);
-        w.run_until(SimTime::from_secs(2));
-        assert!(w.medium().is_partitioned());
         w.run_until(SimTime::from_secs(6));
-        assert!(!w.medium().is_partitioned());
+        let faults: Vec<_> = w
+            .recorder_as::<RingRecorder>()
+            .expect("ring")
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::Fault { kind, .. } => Some((e.t, kind)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            faults,
+            [
+                (SimTime::from_secs(1), "partition"),
+                (SimTime::from_secs(5), "heal")
+            ]
+        );
+    }
+
+    /// Every node beacons ten times a second and logs who it heard when.
+    #[derive(Default)]
+    struct Beacon {
+        heard: Vec<(SimTime, NodeId)>,
+    }
+    impl Proto for Beacon {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.radio_on().expect("radio");
+            ctx.set_timer(SimDuration::from_millis(10 + 20 * ctx.id().0 as u64), 0);
+        }
+        fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+            ctx.transmit(Dst::Broadcast, 0, vec![0; 8]).ok();
+            ctx.set_timer(SimDuration::from_millis(100), 0);
+        }
+        fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+            self.heard.push((ctx.now(), frame.src));
+        }
+        fn crashed(&mut self) {}
+    }
+
+    /// Nodes 0,1 | 2,3 on a 20 m line: at `shards = 2` the 1–2 link
+    /// crosses the stripe border.
+    fn beacon_line(shard: ShardConfig) -> Sim {
+        SimBuilder::new()
+            .seed(11)
+            .nodes(Topology::line(4, 20.0), |_| Box::new(Beacon::default()))
+            .recorder(Box::new(JsonlRecorder::new(Vec::new())))
+            .sharding(shard)
+            .build()
+    }
+
+    /// LinkDown on the border link over [1 s, 2 s), node 3 down over
+    /// [1.5 s, 2.5 s), a 0,1 | 2,3 partition over [3 s, 4 s).
+    fn border_plan() -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        plan.push(Fault::LinkDown {
+            a: NodeId(1),
+            b: NodeId(2),
+            at: SimTime::from_secs(1),
+            heal_at: Some(SimTime::from_secs(2)),
+        });
+        plan.push(Fault::CrashRecover {
+            node: NodeId(3),
+            at: SimTime::from_millis(1500),
+            down_for: SimDuration::from_secs(1),
+        });
+        plan.push(Fault::Partition {
+            groups: vec![0, 0, 1, 1],
+            at: SimTime::from_secs(3),
+            heal_at: SimTime::from_secs(4),
+        });
+        plan
+    }
+
+    fn trace_bytes(sim: &mut Sim) -> Vec<u8> {
+        let mut rec = sim.take_recorder().expect("recorder");
+        // Through the deref: on the box itself `AsAny` would answer.
+        let jsonl = (*rec)
+            .as_any_mut()
+            .downcast_mut::<JsonlRecorder<Vec<u8>>>()
+            .expect("jsonl");
+        std::mem::replace(jsonl, JsonlRecorder::new(Vec::new())).into_inner()
+    }
+
+    #[test]
+    fn plan_on_a_sharded_sim_blocks_both_sides_heals_and_checkpoints() {
+        let run = |shard| {
+            let mut sim = beacon_line(shard);
+            border_plan().apply(&mut sim);
+            sim.run_until(SimTime::from_secs(5));
+            sim
+        };
+        let mut sim = run(ShardConfig::serial(2));
+        assert_eq!(sim.shards(), 2);
+
+        // How often `at` heard `from` within [lo, hi) milliseconds.
+        let heard = |sim: &Sim, at: u32, from: u32, lo: u64, hi: u64| {
+            let log = &sim.proto::<Beacon>(NodeId(at)).heard;
+            log.iter()
+                .filter(|&&(t, src)| {
+                    src == NodeId(from)
+                        && t >= SimTime::from_millis(lo)
+                        && t < SimTime::from_millis(hi)
+                })
+                .count()
+        };
+        for (at, from) in [(1, 2), (2, 1)] {
+            assert!(heard(&sim, at, from, 0, 1000) > 0, "{at}<-{from} up");
+            assert_eq!(heard(&sim, at, from, 1000, 2000), 0, "{at}<-{from} down");
+            assert!(heard(&sim, at, from, 2000, 3000) > 0, "{at}<-{from} healed");
+            assert_eq!(heard(&sim, at, from, 3000, 4000), 0, "{at}<-{from} split");
+            assert!(heard(&sim, at, from, 4000, 5000) > 0, "{at}<-{from} merged");
+        }
+        // Inside a group the partition changes nothing; the crash does.
+        assert!(heard(&sim, 0, 1, 3000, 4000) > 0);
+        assert_eq!(heard(&sim, 2, 3, 1600, 2500), 0, "node 3 is down");
+        assert!(heard(&sim, 2, 3, 2600, 3000) > 0, "node 3 is back");
+
+        // Replayable operations only: the sim still checkpoints, and
+        // the replay lands in the same state.
+        let resumed = sim.checkpoint().resume();
+        assert_eq!(resumed.events_dispatched(), sim.events_dispatched());
+        assert_eq!(resumed.medium_stats(), sim.medium_stats());
+        for n in 0..4 {
+            let n = NodeId(n);
+            assert_eq!(
+                resumed.proto::<Beacon>(n).heard,
+                sim.proto::<Beacon>(n).heard
+            );
+        }
+
+        // A pure function of (workload, seed, k), not of thread count.
+        let mut threaded = run(ShardConfig::threaded(2));
+        assert_eq!(threaded.events_dispatched(), sim.events_dispatched());
+        assert_eq!(trace_bytes(&mut threaded), trace_bytes(&mut sim));
+    }
+
+    #[test]
+    fn plan_on_the_serial_kernel_matches_hand_scheduled_closures() {
+        let mut planned = beacon_line(ShardConfig::default());
+        border_plan().apply(&mut planned);
+        planned.checkpoint(); // still replayable
+
+        // The closures `apply` used to schedule, in its order.
+        let mut by_hand = beacon_line(ShardConfig::default());
+        let (a, b) = (NodeId(1), NodeId(2));
+        by_hand.schedule_at(SimTime::from_secs(1), a, move |w| w.block_link(a, b));
+        by_hand.schedule_at(SimTime::from_secs(2), a, move |w| w.unblock_link(a, b));
+        by_hand.schedule_at(SimTime::from_millis(1500), NodeId(3), |w| w.kill(NodeId(3)));
+        by_hand.schedule_at(SimTime::from_millis(2500), NodeId(3), |w| {
+            w.revive(NodeId(3))
+        });
+        by_hand.schedule_at(SimTime::from_secs(3), NodeId(0), |w| {
+            for (i, g) in [0, 0, 1, 1].into_iter().enumerate() {
+                w.medium_mut().set_group(NodeId(i as u32), g);
+            }
+            w.set_partitioned(true);
+        });
+        by_hand.schedule_at(SimTime::from_secs(4), NodeId(0), |w| {
+            w.set_partitioned(false)
+        });
+
+        for sim in [&mut planned, &mut by_hand] {
+            sim.run_until(SimTime::from_secs(5));
+        }
+        assert_eq!(planned.events_dispatched(), by_hand.events_dispatched());
+        let bytes = trace_bytes(&mut planned);
+        assert!(!bytes.is_empty());
+        assert_eq!(bytes, trace_bytes(&mut by_hand));
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! assert!(ap.convergence_rounds.is_some(), "anti-entropy heals the divergence");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -53,30 +53,32 @@
 //!
 //! type Node = DissemNode<CsmaMac>;
 //!
-//! let mut w = World::new(SimConfig::default().seed(5));
-//! let ids = w.add_nodes(&Topology::line(3, 20.0), |_| {
-//!     Box::new(DissemNode::new(
-//!         CsmaMac::new(CsmaConfig::default()),
-//!         DissemConfig::default(),
-//!     )) as Box<dyn Proto>
-//! });
+//! let mut sim = SimBuilder::new()
+//!     .seed(5)
+//!     .nodes(Topology::line(3, 20.0), |_| {
+//!         Box::new(DissemNode::new(
+//!             CsmaMac::new(CsmaConfig::default()),
+//!             DissemConfig::default(),
+//!         ))
+//!     })
+//!     .build();
 //!
 //! // Version 1: 240 bytes in 2 pages of 4 chunks of 30 bytes.
 //! let img = Image::build(1, (0..240u32).map(|i| i as u8).collect(), 30, 4);
-//! let gw = ids[0];
-//! w.schedule(SimTime::from_secs(1), move |w| {
-//!     let image = img.clone();
+//! let gw = NodeId(0);
+//! sim.schedule_at(SimTime::from_secs(1), gw, move |w| {
 //!     w.with_ctx(gw, move |p, ctx| {
-//!         p.as_any_mut().downcast_mut::<Node>().unwrap().install(ctx, &image);
+//!         p.as_any_mut().downcast_mut::<Node>().unwrap().install(ctx, &img);
 //!     });
 //! });
 //!
-//! w.run_for(SimDuration::from_secs(60));
-//! for &id in &ids {
-//!     assert!(w.proto::<Node>(id).complete_ok(), "{id:?} incomplete");
+//! sim.run(SimDuration::from_secs(60));
+//! for id in (0..3).map(NodeId) {
+//!     assert!(sim.proto::<Node>(id).complete_ok(), "{id:?} incomplete");
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -2,7 +2,7 @@
 //! with a fleet-wide halt the moment any node quarantines the image.
 //!
 //! The controller models the *backend* side of reprogramming: it is
-//! driven from outside the radio network (scheduled world actions, the
+//! driven from outside the radio network (scheduled kernel actions, the
 //! way a management plane acts over the backbone), not as an in-network
 //! protocol. Cohorts must respect the radio topology — a disabled node
 //! holds no pages and therefore cannot relay the image past itself —
@@ -11,7 +11,8 @@
 use crate::node::DissemNode;
 use iiot_mac::Mac;
 use iiot_sim::obs::EventKind;
-use iiot_sim::{NodeId, SimDuration, SimTime, World};
+use iiot_sim::world::World;
+use iiot_sim::{NodeId, Sim, SimDuration, SimTime};
 
 /// A staged-rollout schedule: cohorts are enabled in order, each wave
 /// gated on the previous one completing cleanly.
@@ -65,22 +66,24 @@ struct RolloutState {
     active: Vec<NodeId>,
 }
 
-/// Installs the rollout controller into `world`, starting at `at`.
+/// Installs the rollout controller into `sim`, starting at `at`.
 /// The gateway (which already holds the image) is the observer the
-/// controller's stage events are attributed to.
+/// controller's stage events are attributed to. On a sharded sim the
+/// controller runs in the gateway's shard and sees only that shard's
+/// nodes (see [`Sim::schedule_at`]).
 ///
 /// Stages emitted: `canary` on the first wave, `wave` on each further
 /// one, `done` when every cohort completed, `halted` (with the number
 /// of activated nodes as the cohort payload — the blast radius) when
 /// any activated node quarantines the image.
-pub fn drive<M: Mac>(world: &mut World, gateway: NodeId, plan: RolloutPlan, at: SimTime) {
+pub fn drive<M: Mac>(sim: &mut Sim, gateway: NodeId, plan: RolloutPlan, at: SimTime) {
     let st = RolloutState {
         plan,
         gateway,
         next: 0,
         active: Vec::new(),
     };
-    world.schedule(at, move |w| step::<M>(w, st));
+    sim.schedule_at(at, gateway, move |w| step::<M>(w, st));
 }
 
 fn step<M: Mac>(w: &mut World, mut st: RolloutState) {

@@ -22,23 +22,25 @@ fn image(version: u32, len: usize) -> Image {
     )
 }
 
-fn csma_line(n: usize, seed: u64, enabled: bool) -> (World, Vec<NodeId>) {
-    let mut w = World::new(SimConfig::default().seed(seed));
-    let ids = w.add_nodes(&Topology::line(n, 20.0), move |_| {
-        Box::new(DissemNode::new(
-            CsmaMac::new(CsmaConfig::default()),
-            DissemConfig {
-                enabled,
-                ..DissemConfig::default()
-            },
-        )) as Box<dyn Proto>
-    });
-    (w, ids)
+fn csma_line(n: usize, seed: u64, enabled: bool) -> (Sim, Vec<NodeId>) {
+    let w = SimBuilder::new()
+        .seed(seed)
+        .nodes(Topology::line(n, 20.0), move |_| {
+            Box::new(DissemNode::new(
+                CsmaMac::new(CsmaConfig::default()),
+                DissemConfig {
+                    enabled,
+                    ..DissemConfig::default()
+                },
+            ))
+        })
+        .build();
+    (w, (0..n as u32).map(NodeId).collect())
 }
 
-fn install_at(w: &mut World, node: NodeId, img: &Image, at: SimTime) {
+fn install_at(w: &mut Sim, node: NodeId, img: &Image, at: SimTime) {
     let img = img.clone();
-    w.schedule(at, move |w| {
+    w.schedule_at(at, node, move |w| {
         w.with_ctx(node, move |p, ctx| {
             p.as_any_mut()
                 .downcast_mut::<CsmaNode>()
@@ -65,10 +67,11 @@ fn coap_injection_reaches_the_gateway() {
     let (mut w, ids) = csma_line(3, 12, true);
     // The backend sits off-grid: only the wired backbone connects it.
     let img = image(2, 400);
-    let backend = w.add_node(
-        Pos::new(1000.0, 1000.0),
-        Box::new(BlockInjector::new(ids[0], &img, 64)),
-    );
+    let gw = ids[0];
+    let off_grid: Topology = [Pos::new(1000.0, 1000.0)].into_iter().collect();
+    let backend = w.add_nodes(off_grid, move |_| {
+        Box::new(BlockInjector::new(gw, &img, 64))
+    })[0];
     w.run_for(SimDuration::from_secs(90));
     assert!(
         w.proto::<BlockInjector>(backend).done(),
@@ -195,9 +198,9 @@ fn tdma_tree_schedule_carries_the_image() {
         .collect();
     let sched = TdmaSchedule::tree_edges(&parents, SimDuration::from_millis(20));
     let frame = sched.frame_len();
-    let mut w = World::new(SimConfig::default().seed(17));
+    let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     let p2 = parents.clone();
-    let ids = w.add_nodes(&Topology::line(n, 20.0), move |i| {
+    let make = move |i: usize| -> Box<dyn Proto> {
         // Each node advertises to its tree neighbours by unicast: the
         // schedule has no broadcast slots.
         let me = NodeId(i as u32);
@@ -223,11 +226,15 @@ fn tdma_tree_schedule_carries_the_image() {
                 req_backoff: frame,
                 ..DissemConfig::default()
             },
-        )) as Box<dyn Proto>
-    });
+        ))
+    };
+    let mut w = SimBuilder::new()
+        .seed(17)
+        .nodes(Topology::line(n, 20.0), make)
+        .build();
     let img = Image::build(7, (0..240u32).map(|i| i as u8).collect(), 30, 4);
     let gw = ids[0];
-    w.schedule(SimTime::from_secs(2), move |w| {
+    w.schedule_at(SimTime::from_secs(2), gw, move |w| {
         w.with_ctx(gw, move |p, ctx| {
             p.as_any_mut()
                 .downcast_mut::<TdmaNode>()

@@ -532,7 +532,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                             RolloutPlan::flat(net.ids[1..].to_vec(), SimDuration::from_secs(10))
                         };
                         rollout::drive::<CsmaMac>(
-                            net.sim.world_mut(),
+                            &mut net.sim,
                             net.ids[0],
                             plan,
                             now + SimDuration::from_millis(100),
@@ -559,7 +559,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                                 at: now + SimDuration::from_secs(crash_after),
                                 down_for: SimDuration::from_secs(20),
                             });
-                            plan.apply_with_state_loss(net.sim.world_mut(), loss);
+                            plan.apply_with_state_loss(&mut net.sim, loss);
                         }
                         net.activated = true;
                     }

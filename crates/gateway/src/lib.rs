@@ -46,6 +46,7 @@
 //! assert!((m.value - 21.5).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

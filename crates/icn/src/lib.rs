@@ -72,6 +72,7 @@
 //! assert!(sim.stats().node_total("icn_cache_hit") > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

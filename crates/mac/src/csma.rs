@@ -390,20 +390,16 @@ impl Default for CsmaMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::MacDriver;
+    use crate::driver::{driver_sim, MacDriver};
     use iiot_sim::prelude::*;
 
-    fn two_node_world() -> (World, NodeId, NodeId) {
-        let mut w = World::new(SimConfig::default());
-        let a = w.add_node(
-            Pos::new(0.0, 0.0),
-            Box::new(MacDriver::new(CsmaMac::default())),
-        );
-        let b = w.add_node(
-            Pos::new(10.0, 0.0),
-            Box::new(MacDriver::new(CsmaMac::default())),
-        );
-        (w, a, b)
+    fn csma_sim(config: SimConfig, topo: Topology) -> (Sim, Vec<NodeId>) {
+        driver_sim(config, topo, CsmaMac::default)
+    }
+
+    fn two_node_world() -> (Sim, NodeId, NodeId) {
+        let (w, ids) = csma_sim(SimConfig::default(), Topology::line(2, 10.0));
+        (w, ids[0], ids[1])
     }
 
     #[test]
@@ -426,11 +422,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_neighbours_without_ack() {
-        let mut w = World::new(SimConfig::default());
-        let topo = Topology::line(3, 12.0);
-        let ids = w.add_nodes(&topo, |_| {
-            Box::new(MacDriver::new(CsmaMac::default())) as Box<dyn Proto>
-        });
+        let (mut w, ids) = csma_sim(SimConfig::default(), Topology::line(3, 12.0));
         w.proto_mut::<MacDriver<CsmaMac>>(ids[1]).push_send(
             SimTime::from_millis(5),
             Dst::Broadcast,
@@ -471,15 +463,8 @@ mod tests {
             interference_range_m: 45.0,
             prr: 0.6,
         });
-        let mut w = World::new(cfg);
-        let a = w.add_node(
-            Pos::new(0.0, 0.0),
-            Box::new(MacDriver::new(CsmaMac::default())),
-        );
-        let b = w.add_node(
-            Pos::new(10.0, 0.0),
-            Box::new(MacDriver::new(CsmaMac::default())),
-        );
+        let (mut w, ids) = csma_sim(cfg, Topology::line(2, 10.0));
+        let (a, b) = (ids[0], ids[1]);
         for i in 0..20u64 {
             w.proto_mut::<MacDriver<CsmaMac>>(a).push_send(
                 SimTime::from_millis(100 * (i + 1)),
@@ -533,11 +518,7 @@ mod tests {
     fn contention_resolved_by_backoff() {
         // Ten nodes all in range broadcast at the same instant; CSMA
         // backoff spreads them out so most frames get through.
-        let mut w = World::new(SimConfig::default());
-        let topo = Topology::grid(5, 2, 5.0);
-        let ids = w.add_nodes(&topo, |_| {
-            Box::new(MacDriver::new(CsmaMac::default())) as Box<dyn Proto>
-        });
+        let (mut w, ids) = csma_sim(SimConfig::default(), Topology::grid(5, 2, 5.0));
         for (i, &id) in ids.iter().enumerate() {
             w.proto_mut::<MacDriver<CsmaMac>>(id).push_send(
                 SimTime::from_millis(50),

@@ -37,14 +37,14 @@ struct Scripted {
 /// use iiot_mac::driver::MacDriver;
 /// use iiot_sim::prelude::*;
 ///
-/// let mut world = World::new(SimConfig::default());
-/// let a = world.add_node(Pos::new(0.0, 0.0), Box::new(MacDriver::new(CsmaMac::default())));
-/// let b = world.add_node(Pos::new(10.0, 0.0), Box::new(MacDriver::new(CsmaMac::default())));
-/// world
-///     .proto_mut::<MacDriver<CsmaMac>>(a)
+/// let mut sim = SimBuilder::new()
+///     .nodes(Topology::line(2, 10.0), |_| Box::new(MacDriver::new(CsmaMac::default())))
+///     .build();
+/// let (a, b) = (NodeId(0), NodeId(1));
+/// sim.proto_mut::<MacDriver<CsmaMac>>(a)
 ///     .push_send(SimTime::from_millis(5), Dst::Unicast(b), 9, vec![1, 2, 3]);
-/// world.run_for(SimDuration::from_secs(1));
-/// assert_eq!(world.proto::<MacDriver<CsmaMac>>(b).delivered.len(), 1);
+/// sim.run(SimDuration::from_secs(1));
+/// assert_eq!(sim.proto::<MacDriver<CsmaMac>>(b).delivered.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct MacDriver<M: Mac> {
@@ -57,6 +57,22 @@ pub struct MacDriver<M: Mac> {
     pub send_done: Vec<(SendHandle, bool)>,
     /// Errors returned by `Mac::send` for scripted sends.
     pub send_errors: Vec<MacError>,
+}
+
+/// Scaffolding of the MAC unit tests: one driver per position of
+/// `topo`, each over a fresh `mac()`; ids in position order.
+#[cfg(test)]
+pub(crate) fn driver_sim<M: Mac>(
+    config: iiot_sim::SimConfig,
+    topo: iiot_sim::Topology,
+    mac: impl Fn() -> M + Send + Sync + 'static,
+) -> (iiot_sim::Sim, Vec<NodeId>) {
+    let ids = (0..topo.len() as u32).map(NodeId).collect();
+    let sim = iiot_sim::SimBuilder::new()
+        .config(config)
+        .nodes(topo, move |_| Box::new(MacDriver::new(mac())))
+        .build();
+    (sim, ids)
 }
 
 /// Timer tag used by the driver for its script (safely below
@@ -93,7 +109,7 @@ impl<M: Mac> MacDriver<M> {
     }
 
     /// Submits a send immediately (for use inside
-    /// [`World::with_ctx`](iiot_sim::World::with_ctx), e.g. to react to
+    /// [`Sim::with_ctx`](iiot_sim::Sim::with_ctx), e.g. to react to
     /// an earlier delivery from test code).
     pub fn send_now(
         &mut self,

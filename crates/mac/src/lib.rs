@@ -41,6 +41,7 @@
 //! assert_eq!(hopping.expected_overlap(a, b), 1.0 / 16.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -390,18 +390,14 @@ impl Default for LplMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::MacDriver;
+    use crate::driver::{driver_sim, MacDriver};
     use iiot_sim::prelude::*;
 
     type Drv = MacDriver<LplMac>;
 
-    fn lpl_world(n: usize, spacing: f64, seed: u64) -> (World, Vec<NodeId>) {
+    fn lpl_world(n: usize, spacing: f64, seed: u64) -> (Sim, Vec<NodeId>) {
         let cfg = SimConfig::default().seed(seed);
-        let mut w = World::new(cfg);
-        let ids = w.add_nodes(&Topology::line(n, spacing), |_| {
-            Box::new(MacDriver::new(LplMac::default())) as Box<dyn Proto>
-        });
-        (w, ids)
+        driver_sim(cfg, Topology::line(n, spacing), LplMac::default)
     }
 
     #[test]

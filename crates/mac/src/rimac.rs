@@ -419,18 +419,14 @@ impl Default for RimacMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::MacDriver;
+    use crate::driver::{driver_sim, MacDriver};
     use iiot_sim::prelude::*;
 
     type Drv = MacDriver<RimacMac>;
 
-    fn rimac_world(n: usize, spacing: f64, seed: u64) -> (World, Vec<NodeId>) {
+    fn rimac_world(n: usize, spacing: f64, seed: u64) -> (Sim, Vec<NodeId>) {
         let cfg = SimConfig::default().seed(seed);
-        let mut w = World::new(cfg);
-        let ids = w.add_nodes(&Topology::line(n, spacing), |_| {
-            Box::new(MacDriver::new(RimacMac::default())) as Box<dyn Proto>
-        });
-        (w, ids)
+        driver_sim(cfg, Topology::line(n, spacing), RimacMac::default)
     }
 
     #[test]
@@ -513,7 +509,6 @@ mod tests {
     #[test]
     fn two_senders_to_one_receiver_both_succeed() {
         let cfg = SimConfig::default().seed(15);
-        let mut w = World::new(cfg);
         // Star: receiver in the middle.
         let topo: Topology = [
             Pos::new(10.0, 10.0),
@@ -522,9 +517,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let ids = w.add_nodes(&topo, |_| {
-            Box::new(MacDriver::new(RimacMac::default())) as Box<dyn Proto>
-        });
+        let (mut w, ids) = driver_sim(cfg, topo, RimacMac::default);
         w.proto_mut::<Drv>(ids[1]).push_send(
             SimTime::from_secs(1),
             Dst::Unicast(ids[0]),

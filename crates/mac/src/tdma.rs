@@ -954,13 +954,13 @@ impl Mac for TdmaMac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::MacDriver;
+    use crate::driver::{driver_sim, MacDriver};
     use iiot_sim::prelude::*;
 
     type Drv = MacDriver<TdmaMac>;
 
     /// Line 0<-1<-2<-...: schedule pipelines toward node 0.
-    fn line_world(n: usize, slot_ms: u64, seed: u64) -> (World, Vec<NodeId>, TdmaSchedule) {
+    fn line_world(n: usize, slot_ms: u64, seed: u64) -> (Sim, Vec<NodeId>, TdmaSchedule) {
         let parents: Vec<Option<NodeId>> = (0..n)
             .map(|i| {
                 if i == 0 {
@@ -972,13 +972,9 @@ mod tests {
             .collect();
         let sched = TdmaSchedule::pipeline_to_root(&parents, SimDuration::from_millis(slot_ms));
         let cfg = SimConfig::default().seed(seed);
-        let mut w = World::new(cfg);
         let s2 = sched.clone();
-        let ids = w.add_nodes(&Topology::line(n, 10.0), move |_| {
-            Box::new(MacDriver::new(TdmaMac::new(
-                TdmaConfig::default(),
-                s2.clone(),
-            ))) as Box<dyn Proto>
+        let (w, ids) = driver_sim(cfg, Topology::line(n, 10.0), move || {
+            TdmaMac::new(TdmaConfig::default(), s2.clone())
         });
         (w, ids, sched)
     }
@@ -1040,13 +1036,9 @@ mod tests {
     fn tree_edges_carries_traffic_both_ways() {
         let parents: Vec<Option<NodeId>> = vec![None, Some(NodeId(0)), Some(NodeId(1))];
         let sched = TdmaSchedule::tree_edges(&parents, SimDuration::from_millis(10));
-        let mut w = World::new(SimConfig::default().seed(31));
-        let s2 = sched.clone();
-        let ids = w.add_nodes(&Topology::line(3, 10.0), move |_| {
-            Box::new(MacDriver::new(TdmaMac::new(
-                TdmaConfig::default(),
-                s2.clone(),
-            ))) as Box<dyn Proto>
+        let cfg = SimConfig::default().seed(31);
+        let (mut w, ids) = driver_sim(cfg, Topology::line(3, 10.0), move || {
+            TdmaMac::new(TdmaConfig::default(), sched.clone())
         });
         // The relay queues an upward packet first, then a downward one:
         // slot-aware selection must dispatch each in its matching slot
@@ -1232,8 +1224,8 @@ mod tests {
         ppm: f64,
         seed: u64,
         sends: u64,
-        build: impl Fn(TdmaSchedule) -> TdmaMac + 'static,
-    ) -> (World, Vec<NodeId>) {
+        build: impl Fn(TdmaSchedule) -> TdmaMac + Send + Sync + 'static,
+    ) -> (Sim, Vec<NodeId>) {
         let parents: Vec<Option<NodeId>> = (0..n)
             .map(|i| {
                 if i == 0 {
@@ -1249,10 +1241,7 @@ mod tests {
         let cfg = SimConfig::default()
             .seed(seed)
             .clock(ClockModel::drifting(ppm));
-        let mut w = World::new(cfg);
-        let ids = w.add_nodes(&Topology::line(n, 10.0), move |_| {
-            Box::new(MacDriver::new(build(sched.clone()))) as Box<dyn Proto>
-        });
+        let (mut w, ids) = driver_sim(cfg, Topology::line(n, 10.0), move || build(sched.clone()));
         for k in 0..sends {
             w.proto_mut::<Drv>(ids[1]).push_send(
                 SimTime::from_secs(10 + k),

@@ -49,15 +49,16 @@ fn tdma_idle_padding_lowers_duty_cycle() {
     let padded = tight.clone().with_idle(9);
 
     let duty = |sched: TdmaSchedule| {
-        let mut w = World::new(SimConfig::default());
-        let ids = w.add_nodes(&Topology::line(2, 10.0), move |_| {
-            Box::new(MacDriver::new(iiot_mac::tdma::TdmaMac::new(
-                iiot_mac::tdma::TdmaConfig::default(),
-                sched.clone(),
-            ))) as Box<dyn Proto>
-        });
+        let mut w = SimBuilder::new()
+            .nodes(Topology::line(2, 10.0), move |_| {
+                Box::new(MacDriver::new(iiot_mac::tdma::TdmaMac::new(
+                    iiot_mac::tdma::TdmaConfig::default(),
+                    sched.clone(),
+                )))
+            })
+            .build();
         w.run_for(SimDuration::from_secs(10));
-        w.energy(ids[0]).duty_cycle()
+        w.energy(NodeId(0)).duty_cycle()
     };
     let d_tight = duty(tight);
     let d_padded = duty(padded);
@@ -70,15 +71,13 @@ fn tdma_idle_padding_lowers_duty_cycle() {
 
 #[test]
 fn oversized_payload_rejected_by_every_mac() {
-    let mut w = World::new(SimConfig::default());
-    let a = w.add_node(
-        Pos::new(0.0, 0.0),
-        Box::new(MacDriver::new(CsmaMac::default())),
-    );
-    let b = w.add_node(
-        Pos::new(10.0, 0.0),
-        Box::new(MacDriver::new(LplMac::default())),
-    );
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut w = SimBuilder::new()
+        .nodes(Topology::line(2, 10.0), |i| match i {
+            0 => Box::new(MacDriver::new(CsmaMac::default())),
+            _ => Box::new(MacDriver::new(LplMac::default())),
+        })
+        .build();
     w.run_for(SimDuration::from_millis(1));
     for node in [a, b] {
         w.with_ctx(node, |p, ctx| {
@@ -103,15 +102,14 @@ fn oversized_payload_rejected_by_every_mac() {
 #[test]
 fn lpl_unicast_out_of_range_reports_failure() {
     let cfg = SimConfig::default().seed(77);
-    let mut w = World::new(cfg);
-    let a = w.add_node(
-        Pos::new(0.0, 0.0),
-        Box::new(MacDriver::new(LplMac::default())),
-    );
-    let b = w.add_node(
-        Pos::new(500.0, 0.0), // far out of range
-        Box::new(MacDriver::new(LplMac::default())),
-    );
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut w = SimBuilder::new()
+        .config(cfg)
+        // 500 m apart: far out of range
+        .nodes(Topology::line(2, 500.0), |_| {
+            Box::new(MacDriver::new(LplMac::default()))
+        })
+        .build();
     w.proto_mut::<MacDriver<LplMac>>(a).push_send(
         SimTime::from_secs(1),
         Dst::Unicast(b),
@@ -127,15 +125,12 @@ fn lpl_unicast_out_of_range_reports_failure() {
 
 #[test]
 fn csma_distinct_payloads_not_confused_by_dedup() {
-    let mut w = World::new(SimConfig::default());
-    let a = w.add_node(
-        Pos::new(0.0, 0.0),
-        Box::new(MacDriver::new(CsmaMac::default())),
-    );
-    let b = w.add_node(
-        Pos::new(10.0, 0.0),
-        Box::new(MacDriver::new(CsmaMac::default())),
-    );
+    let (a, b) = (NodeId(0), NodeId(1));
+    let mut w = SimBuilder::new()
+        .nodes(Topology::line(2, 10.0), |_| {
+            Box::new(MacDriver::new(CsmaMac::default()))
+        })
+        .build();
     for i in 0..5u8 {
         w.proto_mut::<MacDriver<CsmaMac>>(a).push_send(
             SimTime::from_millis(10 + i as u64 * 20),

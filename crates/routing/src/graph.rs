@@ -7,57 +7,66 @@
 //! schedule or to know the true hop distance when evaluating a routing
 //! protocol's choices.
 
-use iiot_sim::{NodeId, World};
+use iiot_sim::{NodeId, RadioConfig, Topology};
 use std::collections::VecDeque;
 
-/// Distance below which a link is considered usable: the largest
-/// distance with packet reception ratio at least 0.5.
-fn usable(world: &World, a: NodeId, b: NodeId) -> bool {
-    let m = world.medium();
-    let d = m.pos(a).distance(m.pos(b));
-    match m.config().rssi_at(d) {
-        Some(rssi) => m.config().prr(d, rssi) >= 0.5,
-        None => false,
-    }
+/// Whether two nodes `d` meters apart have a usable link: a packet
+/// reception ratio of at least 0.5.
+fn usable(radio: &RadioConfig, d: f64) -> bool {
+    radio
+        .rssi_at(d)
+        .is_some_and(|rssi| radio.prr(d, rssi) >= 0.5)
 }
 
-/// Adjacency lists under the world's link model (symmetric).
-///
-/// Dead nodes are included in the vector (with their usual links) so
-/// indices equal node ids; filter by [`World::is_alive`] if needed.
-pub fn neighbors(world: &World) -> Vec<Vec<NodeId>> {
-    let n = world.node_count();
+/// Adjacency lists of `topo` under `radio`'s link model (symmetric).
+/// Indices equal node ids.
+pub fn neighbors(topo: &Topology, radio: &RadioConfig) -> Vec<Vec<NodeId>> {
+    let n = topo.len();
     let mut adj = vec![Vec::new(); n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-            if usable(world, a, b) {
-                adj[i].push(b);
-                adj[j].push(a);
+            if usable(radio, topo.pos(i).distance(topo.pos(j))) {
+                adj[i].push(NodeId(j as u32));
+                adj[j].push(NodeId(i as u32));
             }
         }
     }
     adj
 }
 
-/// BFS hop distance of every *alive* node from `root` (`None` if
-/// unreachable or dead).
-pub fn hops_from(world: &World, root: NodeId) -> Vec<Option<u32>> {
-    bfs(world, root).0
+/// BFS hop distance of every node `alive` accepts from `root` (`None`
+/// if unreachable or dead). Pass `|n| sim.is_alive(n)` to follow a
+/// running simulation, `|_| true` when planning a deployment.
+pub fn hops_from(
+    topo: &Topology,
+    radio: &RadioConfig,
+    alive: impl Fn(NodeId) -> bool,
+    root: NodeId,
+) -> Vec<Option<u32>> {
+    bfs(topo, radio, alive, root).0
 }
 
 /// BFS parent of every alive node on a shortest-hop tree rooted at
 /// `root` (`None` for the root itself and for unreachable/dead nodes).
-pub fn parents_bfs(world: &World, root: NodeId) -> Vec<Option<NodeId>> {
-    bfs(world, root).1
+pub fn parents_bfs(
+    topo: &Topology,
+    radio: &RadioConfig,
+    alive: impl Fn(NodeId) -> bool,
+    root: NodeId,
+) -> Vec<Option<NodeId>> {
+    bfs(topo, radio, alive, root).1
 }
 
-fn bfs(world: &World, root: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
-    let n = world.node_count();
-    let adj = neighbors(world);
-    let mut hops = vec![None; n];
-    let mut parent = vec![None; n];
-    if !world.is_alive(root) {
+fn bfs(
+    topo: &Topology,
+    radio: &RadioConfig,
+    alive: impl Fn(NodeId) -> bool,
+    root: NodeId,
+) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
+    let adj = neighbors(topo, radio);
+    let mut hops = vec![None; topo.len()];
+    let mut parent = vec![None; topo.len()];
+    if !alive(root) {
         return (hops, parent);
     }
     hops[root.index()] = Some(0);
@@ -65,7 +74,7 @@ fn bfs(world: &World, root: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
     while let Some(u) = q.pop_front() {
         let hu = hops[u.index()].expect("visited");
         for &v in &adj[u.index()] {
-            if world.is_alive(v) && hops[v.index()].is_none() {
+            if alive(v) && hops[v.index()].is_none() {
                 hops[v.index()] = Some(hu + 1);
                 parent[v.index()] = Some(u);
                 q.push_back(v);
@@ -76,64 +85,66 @@ fn bfs(world: &World, root: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
 }
 
 /// Whether every alive node can reach `root` (the partition oracle).
-pub fn all_connected(world: &World, root: NodeId) -> bool {
-    let hops = hops_from(world, root);
-    (0..world.node_count()).all(|i| !world.is_alive(NodeId(i as u32)) || hops[i].is_some())
+pub fn all_connected(
+    topo: &Topology,
+    radio: &RadioConfig,
+    alive: impl Fn(NodeId) -> bool,
+    root: NodeId,
+) -> bool {
+    let hops = hops_from(topo, radio, &alive, root);
+    (0..topo.len()).all(|i| !alive(NodeId(i as u32)) || hops[i].is_some())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiot_sim::prelude::*;
 
-    fn line_world(n: usize, spacing: f64) -> World {
-        let mut w = World::new(SimConfig::default());
-        w.add_nodes(&Topology::line(n, spacing), |_| {
-            Box::new(Idle) as Box<dyn Proto>
-        });
-        w
+    /// The oracles over an `n`-node line under the default radio, with
+    /// the nodes in `dead` crashed.
+    fn line(n: usize, spacing: f64, dead: &[u32]) -> (Vec<Option<u32>>, Vec<Option<NodeId>>, bool) {
+        let (topo, radio) = (Topology::line(n, spacing), RadioConfig::default());
+        let alive = |v: NodeId| !dead.contains(&v.0);
+        (
+            hops_from(&topo, &radio, alive, NodeId(0)),
+            parents_bfs(&topo, &radio, alive, NodeId(0)),
+            all_connected(&topo, &radio, alive, NodeId(0)),
+        )
     }
 
     #[test]
     fn line_hops_are_sequential() {
-        let w = line_world(5, 20.0); // 20m spacing, 30m range: chain only
-        let hops = hops_from(&w, NodeId(0));
+        // 20m spacing, 30m range: chain only
+        let (hops, parents, connected) = line(5, 20.0, &[]);
         assert_eq!(hops, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
-        let parents = parents_bfs(&w, NodeId(0));
         assert_eq!(parents[0], None);
         assert_eq!(parents[3], Some(NodeId(2)));
-        assert!(all_connected(&w, NodeId(0)));
+        assert!(connected);
     }
 
     #[test]
     fn dense_spacing_shortcuts_hops() {
-        let w = line_world(5, 10.0); // 10m spacing: 30m range spans 3 nodes
-        let hops = hops_from(&w, NodeId(0));
+        // 10m spacing: 30m range spans 3 nodes
+        let (hops, ..) = line(5, 10.0, &[]);
         assert_eq!(hops[4], Some(2), "two 30m jumps cover 40m");
     }
 
     #[test]
     fn dead_node_breaks_the_chain() {
-        let mut w = line_world(5, 20.0);
-        w.kill(NodeId(2));
-        let hops = hops_from(&w, NodeId(0));
+        let (hops, _, connected) = line(5, 20.0, &[2]);
         assert_eq!(hops[1], Some(1));
         assert_eq!(hops[2], None, "dead");
         assert_eq!(hops[3], None, "beyond the break");
-        assert!(!all_connected(&w, NodeId(0)));
+        assert!(!connected);
     }
 
     #[test]
     fn dead_root_reaches_nothing() {
-        let mut w = line_world(3, 20.0);
-        w.kill(NodeId(0));
-        assert_eq!(hops_from(&w, NodeId(0)), vec![None, None, None]);
+        assert_eq!(line(3, 20.0, &[0]).0, vec![None, None, None]);
     }
 
     #[test]
     fn neighbors_symmetric() {
-        let w = line_world(4, 20.0);
-        let adj = neighbors(&w);
+        let adj = neighbors(&Topology::line(4, 20.0), &RadioConfig::default());
         for (i, list) in adj.iter().enumerate() {
             for &j in list {
                 assert!(

@@ -38,6 +38,7 @@
 //! assert_eq!(reset.end, first.end);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -269,13 +269,7 @@ mod tests {
 
     /// Star: root at the center, `s` sentinels around it, all in range
     /// of each other.
-    fn star(
-        s: usize,
-        seed: u64,
-        prr: f64,
-        miss_threshold: u32,
-        solo: bool,
-    ) -> (World, Vec<NodeId>) {
+    fn star(s: usize, seed: u64, prr: f64, miss_threshold: u32, solo: bool) -> (Sim, Vec<NodeId>) {
         let mut wc = SimConfig::default().seed(seed);
         if prr < 1.0 {
             wc.radio.link = LinkModel::LossyDisk {
@@ -284,7 +278,6 @@ mod tests {
                 prr,
             };
         }
-        let mut w = World::new(wc);
         let mut topo = Topology::new();
         topo.push(Pos::new(0.0, 0.0));
         for k in 0..s {
@@ -302,13 +295,16 @@ mod tests {
             miss_threshold,
             sentinels,
         };
-        let cfg2 = config.clone();
-        let ids = w.add_nodes(&topo, move |_| {
-            Box::new(RnfdNode::new(
-                CsmaMac::new(CsmaConfig::default()),
-                cfg2.clone(),
-            )) as Box<dyn Proto>
-        });
+        let ids = (0..topo.len() as u32).map(NodeId).collect();
+        let w = SimBuilder::new()
+            .config(wc)
+            .nodes(topo, move |_| {
+                Box::new(RnfdNode::new(
+                    CsmaMac::new(CsmaConfig::default()),
+                    config.clone(),
+                ))
+            })
+            .build();
         (w, ids)
     }
 

@@ -270,24 +270,24 @@ mod tests {
             })
             .collect();
         let sched = TdmaSchedule::pipeline_to_root(&parents, SimDuration::from_millis(20));
-        let wc = SimConfig::default().seed(8);
-        let mut w = World::new(wc);
         let mut cfg = StaticConfig::new(parents);
         cfg.traffic = Some(Traffic {
             period: SimDuration::from_secs(5),
             payload_len: 8,
             start_after: SimDuration::from_secs(2),
         });
-        let ids = w.add_nodes(&Topology::line(n, 20.0), move |_| {
-            Box::new(StaticCollection::new(
-                TdmaMac::new(TdmaConfig::default(), sched.clone()),
-                cfg.clone(),
-            )) as Box<dyn Proto>
-        });
+        let mut w = SimBuilder::new()
+            .seed(8)
+            .nodes(Topology::line(n, 20.0), move |_| {
+                Box::new(StaticCollection::new(
+                    TdmaMac::new(TdmaConfig::default(), sched.clone()),
+                    cfg.clone(),
+                ))
+            })
+            .build();
         w.run_for(SimDuration::from_secs(60));
-        let root = w.proto::<Node>(ids[0]);
         let generated = w.stats().node_total("data_origin");
-        let delivered = root.collected().len() as f64;
+        let delivered = w.proto::<Node>(NodeId(0)).collected().len() as f64;
         assert!(generated >= 40.0, "generated {generated}");
         assert!(
             delivered / generated > 0.9,

@@ -37,6 +37,7 @@
 //! assert!(unprotect(&key, SecLevel::Mic32, 7, &frame, &mut replay).is_err());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

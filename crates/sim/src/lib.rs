@@ -23,14 +23,15 @@
 //! * [`topology`] generators for the deployment shapes industrial IoT
 //!   dictates (lines, grids, uniform scatters, machine clusters);
 //! * fault injection (node crash/recovery, link failures, partitions)
-//!   via [`World::kill`](world::World::kill) and friends;
+//!   via [`Sim::kill`](sim::Sim::kill) and friends;
 //! * [`trace`] counters and sample series for experiment reporting;
 //! * structured [`obs`] events, spans and recorders: zero-cost when
 //!   disabled, and the substrate of `--trace` dumps and `trace_report`.
 //!
 //! Protocols implement [`node::Proto`] and act through [`world::Ctx`];
-//! experiments assemble worlds through [`sim::SimBuilder`], which also
-//! selects sharded multi-core execution via [`sim::ShardConfig`].
+//! [`sim::SimBuilder`] → [`sim::Sim`] is the only way to build, fault
+//! and drive a simulation, on one thread or sharded across cores via
+//! [`sim::ShardConfig`].
 //!
 //! # Examples
 //!
@@ -74,6 +75,7 @@
 //! worker threads under conservative-lookahead synchronization, with
 //! results deterministic in `(workload, seed, shard count)`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -99,7 +101,7 @@ pub use radio::{Dst, Frame, RadioConfig, RadioError, RadioState, RxInfo, TxOutco
 pub use sim::{Checkpoint, ShardConfig, Sim, SimBuilder};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Pos, Topology};
-pub use world::{Ctx, SimConfig, World};
+pub use world::{Ctx, SimConfig};
 
 /// Convenient glob import for building simulations.
 pub mod prelude {
@@ -115,5 +117,5 @@ pub mod prelude {
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Pos, Topology};
     pub use crate::trace::{Stats, Summary};
-    pub use crate::world::{Ctx, SimConfig, World};
+    pub use crate::world::{Ctx, SimConfig};
 }

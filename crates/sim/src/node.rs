@@ -18,11 +18,11 @@ pub struct Timer {
 ///
 /// Blanket-implemented for every `'static` type, so [`Proto`]
 /// implementations get `as_any`/`as_any_mut` for free: the supertrait
-/// bound on [`Proto`] is what lets [`World::proto`] downcast a
+/// bound on [`Proto`] is what lets [`Sim::proto`] downcast a
 /// `dyn Proto` back to its concrete type without each protocol writing
 /// the two-line boilerplate by hand.
 ///
-/// [`World::proto`]: crate::world::World::proto
+/// [`Sim::proto`]: crate::sim::Sim::proto
 pub trait AsAny: Any {
     /// Upcast for downcasting to the concrete type.
     fn as_any(&self) -> &dyn Any;
@@ -77,7 +77,7 @@ impl<T: Any> AsAny for T {
 /// ```
 pub trait Proto: AsAny + Send {
     /// Called once when the node boots (time of node creation) and again
-    /// after every crash-recovery ([`World::revive`](crate::world::World::revive)).
+    /// after every crash-recovery ([`Sim::revive`](crate::sim::Sim::revive)).
     fn start(&mut self, ctx: &mut Ctx<'_>);
 
     /// A timer set through [`Ctx::set_timer`](crate::world::Ctx::set_timer)
@@ -116,14 +116,14 @@ pub trait Proto: AsAny + Send {
     /// dissemination page store) must discard it here too. The default
     /// delegates to `crashed`, which is correct for protocols that keep
     /// nothing in "flash". Selected per-world with
-    /// [`World::set_state_loss`](crate::world::World::set_state_loss).
+    /// [`Sim::set_state_loss`](crate::sim::Sim::set_state_loss).
     fn wiped(&mut self) {
         self.crashed();
     }
 }
 
 /// What a crashed node retains, applied by
-/// [`World::kill`](crate::world::World::kill) when dispatching to the
+/// [`Sim::kill`](crate::sim::Sim::kill) when dispatching to the
 /// protocol.
 ///
 /// Real motes lose RAM on every reboot but keep external flash; a

@@ -23,7 +23,7 @@
 //! The module also owns the *global trace sink* used by `--trace` on the
 //! experiments binary: worker threads tag themselves with a scope
 //! ([`set_scope`]) before running a trial, every
-//! [`World`](crate::world::World) created under
+//! [`Sim`](crate::sim::Sim) built under
 //! an active scope captures its events, and [`drain_traces`] returns all
 //! captured traces in a canonical order that does not depend on thread
 //! scheduling — which is what makes `--trace` output byte-identical for
@@ -44,12 +44,13 @@
 //!     }
 //! }
 //!
-//! let mut w = World::new(SimConfig::default());
-//! w.set_recorder(Box::new(RingRecorder::new(64)));
-//! w.add_node(Pos::new(0.0, 0.0), Box::new(Chirp));
-//! w.run_for(SimDuration::from_secs(1));
+//! let mut sim = SimBuilder::new()
+//!     .nodes(Topology::line(1, 10.0), |_| Box::new(Chirp))
+//!     .recorder(Box::new(RingRecorder::new(64)))
+//!     .build();
+//! sim.run(SimDuration::from_secs(1));
 //!
-//! let ring = w.recorder_as::<RingRecorder>().unwrap();
+//! let ring = sim.recorder_as::<RingRecorder>().unwrap();
 //! let kinds: Vec<&str> = ring.events().map(|e| e.kind.name()).collect();
 //! assert_eq!(kinds, ["custom", "tx_start", "tx_end"]);
 //! ```
@@ -959,14 +960,14 @@ fn intern(s: &str) -> &'static str {
 }
 
 /// Receives every emitted [`Event`]. Installed into a
-/// [`World`](crate::world::World) via
-/// [`set_recorder`](crate::world::World::set_recorder); when no recorder
+/// [`Sim`](crate::sim::Sim) via
+/// [`SimBuilder::recorder`](crate::sim::SimBuilder::recorder); when no recorder
 /// is installed, emission is a no-op.
 pub trait Recorder: Send + 'static {
     /// Called once per emitted event, in simulation order.
     fn record(&mut self, ev: &Event);
     /// Downcasting support (see
-    /// [`World::recorder_as`](crate::world::World::recorder_as)).
+    /// [`Sim::recorder_as`](crate::sim::Sim::recorder_as)).
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcasting support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
@@ -1381,7 +1382,7 @@ pub fn clear_scope() {
     SCOPE.with(|s| *s.borrow_mut() = None);
 }
 
-/// Built by `World::new` when tracing is on and the thread has a scope.
+/// Built by `SimBuilder::build` when tracing is on and the thread has a scope.
 struct TrialCapture {
     section: u32,
     trial: u32,
@@ -1447,7 +1448,7 @@ pub(crate) fn capture_recorder(seed: u64) -> Option<Box<dyn Recorder>> {
 }
 
 /// Builds a capture recorder for a trial that records events without
-/// constructing a [`World`](crate::world::World) (e.g. the replicated-
+/// building a [`Sim`](crate::sim::Sim) (e.g. the replicated-
 /// store engine): when tracing is on and the thread has an active scope,
 /// returns a recorder whose events land in the global sink on drop,
 /// under the same deterministic scope key a world would get. Returns

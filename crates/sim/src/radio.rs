@@ -512,12 +512,9 @@ pub struct Medium {
     active: Vec<u32>,
     /// Spatial index over node positions with cell size =
     /// [`RadioConfig::max_range`]; `None` when the link model has no
-    /// finite cutoff.
+    /// finite cutoff — candidate enumeration then falls back to the
+    /// exhaustive O(nodes) scan.
     grid: Option<SpatialGrid>,
-    /// When `false`, candidate enumeration falls back to the exhaustive
-    /// O(nodes) scan (the pre-index baseline, kept for benchmarking and
-    /// equivalence tests).
-    use_index: bool,
     /// Reused candidate-id gather buffer for `start_tx`.
     scratch: Vec<u32>,
     /// Per-source cached neighbour lists (sorted ascending), built
@@ -567,7 +564,6 @@ impl Medium {
             free: Vec::new(),
             active: Vec::new(),
             grid,
-            use_index: true,
             scratch: Vec::new(),
             neigh: Vec::new(),
             neigh_built: Vec::new(),
@@ -680,21 +676,14 @@ impl Medium {
         id
     }
 
-    /// Enables or disables the spatial candidate index (enabled by
-    /// default). Disabling falls back to the exhaustive O(nodes) scan;
-    /// both modes produce byte-identical simulations — the index only
-    /// changes how candidates are *found*, never which candidates are
-    /// found or in which order the per-candidate RNG draws happen. The
-    /// switch exists for benchmarking the win and property-testing the
-    /// equivalence.
-    pub fn set_spatial_index(&mut self, on: bool) {
-        self.use_index = on;
-    }
-
-    /// Whether the spatial candidate index is in use (it may be
-    /// unavailable if the link model has no finite range cutoff).
-    pub fn spatial_index_active(&self) -> bool {
-        self.use_index && self.grid.is_some()
+    /// Drops the spatial candidate index, forcing the exhaustive
+    /// O(nodes) scan: the oracle the equivalence tests compare the
+    /// indexed path against. Both produce byte-identical simulations —
+    /// the index only changes how candidates are *found*, never which
+    /// are found or in which order the per-candidate RNG draws happen.
+    #[cfg(test)]
+    pub(crate) fn drop_spatial_index(&mut self) {
+        self.grid = None;
     }
 
     /// The radio configuration.
@@ -1000,7 +989,7 @@ impl Medium {
         // ids into the same filter.
         let mut scratch = std::mem::take(&mut self.scratch);
         match &self.grid {
-            Some(grid) if self.use_index => {
+            Some(grid) => {
                 if !self.neigh_built[src.index()] {
                     let mut list = std::mem::take(&mut self.neigh[src.index()]);
                     grid.gather(src_pos, &mut list);
@@ -1018,7 +1007,7 @@ impl Medium {
                 scratch.clear();
                 scratch.extend_from_slice(&self.neigh[src.index()]);
             }
-            _ => {
+            None => {
                 scratch.clear();
                 scratch.extend(0..self.nodes.len() as u32);
             }
@@ -1489,6 +1478,50 @@ mod tests {
         m.end_tx(tx2, end2);
     }
 
+    /// The whole-simulation face of the per-call property below: two
+    /// identical worlds, one on the exhaustive O(nodes) scan — every
+    /// observable (medium stats, dispatched event count, counters) must
+    /// agree exactly.
+    #[test]
+    fn spatial_index_is_invisible_to_simulations() {
+        use crate::node::{Proto, Timer};
+        use crate::topology::Topology;
+        use crate::world::{Ctx, SimConfig, World};
+
+        struct Gossip;
+        impl Proto for Gossip {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.radio_on().expect("on");
+                let stagger = 5 + ctx.id().0 as u64 * 7;
+                ctx.set_timer(SimDuration::from_millis(stagger), 0);
+            }
+            fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+                ctx.transmit(Dst::Broadcast, 0, vec![ctx.id().0 as u8; 12])
+                    .ok();
+                ctx.set_timer(SimDuration::from_millis(40), 0);
+            }
+            fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+                ctx.count("heard", 1.0);
+                ctx.count_node("heard", frame.payload.len() as f64);
+            }
+        }
+        let run = |indexed: bool| {
+            let mut w = World::new(SimConfig::default().seed(7));
+            if !indexed {
+                w.medium_mut().drop_spatial_index();
+            }
+            w.add_nodes(&Topology::grid(6, 6, 20.0), |_| Box::new(Gossip));
+            assert_eq!(w.medium().grid.is_some(), indexed);
+            w.run_for(SimDuration::from_secs(5));
+            (
+                w.medium().stats(),
+                w.events_dispatched(),
+                w.stats().get("heard"),
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
@@ -1515,7 +1548,9 @@ mod tests {
             pts.push(Pos::new(37.5, 75.0));
             let build = |indexed: bool| {
                 let mut m = Medium::new(RadioConfig::default());
-                m.set_spatial_index(indexed);
+                if !indexed {
+                    m.drop_spatial_index();
+                }
                 for (i, &p) in pts.iter().enumerate() {
                     let id = m.add_node(p);
                     if off_mask >> (i % 64) & 1 == 0 {
@@ -1526,8 +1561,8 @@ mod tests {
             };
             let mut with_index = build(true);
             let mut exhaustive = build(false);
-            prop_assert!(with_index.spatial_index_active());
-            prop_assert!(!exhaustive.spatial_index_active());
+            prop_assert!(with_index.grid.is_some());
+            prop_assert!(exhaustive.grid.is_none());
             for i in 0..pts.len() {
                 let src = NodeId(i as u32);
                 let mut rng_a = SmallRng::seed_from_u64(0xC0FFEE ^ i as u64);

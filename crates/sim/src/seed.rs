@@ -9,9 +9,8 @@
 //! well-mixed, stable, distinct seeds for distinct streams.
 //!
 //! The same construction (golden-ratio increment + avalanching
-//! finalizer) is what seeds the per-node RNGs inside
-//! [`World`](crate::world::World); this module exposes it for the layer
-//! above, where one experiment seed has to split into per-trial seeds.
+//! finalizer) is what seeds the per-node RNGs inside the kernel; this
+//! module exposes it for the layer above, where one experiment seed has to split into per-trial seeds.
 
 /// SplitMix64's avalanching finalizer: a bijective mix of 64 bits.
 fn mix(mut z: u64) -> u64 {

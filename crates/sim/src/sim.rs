@@ -1,18 +1,13 @@
 //! The composable front door of the simulator: [`SimBuilder`] → [`Sim`].
 //!
-//! Earlier revisions of this crate accreted parallel entry points — a
-//! config struct here, an `add_nodes` loop there, fan-out helpers in the
-//! bench crate — and every new kernel capability (spatial index, crash
-//! state-loss policy, now sharding) grew another knob on another
-//! surface. [`SimBuilder`] folds them into one declarative builder:
-//! topology, radio, clocks, faults, observability and
-//! [`ShardConfig`] compose in a single place and [`SimBuilder::build`]
-//! yields a [`Sim`] handle that runs the same API whether the kernel
+//! [`SimBuilder`] is the one place a simulation is described —
+//! topology, radio, clocks, crash policy, observability and
+//! [`ShardConfig`] — and [`SimBuilder::build`] yields a [`Sim`], the one
+//! handle that runs, inspects, grows and faults it, whether the kernel
 //! executes on one thread or on one worker per shard.
 //!
-//! With `shards = 1` (the default) a [`Sim`] *is* the classic serial
-//! [`World`] — byte-identical schedules, RNG streams and traces — and
-//! [`Sim::world`] exposes it for tests that poke kernel internals. With
+//! With `shards = 1` (the default) a [`Sim`] drives the classic serial
+//! kernel — byte-identical schedules, RNG streams and traces. With
 //! `shards = k ≥ 2` the nodes are partitioned into `k` spatial stripes
 //! advanced by the conservative-lookahead engine (see the `shard`
 //! module's docs for the synchronization protocol and its semantics).
@@ -69,7 +64,7 @@ use crate::shard::{EngineOp, ShardEngine, MAX_SHARDS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::Stats;
-use crate::world::{Ctx, SimConfig, World};
+use crate::world::{Ctx, FaultOp, SimConfig, World};
 use std::sync::Arc;
 
 pub use crate::shard::ProtoFactory;
@@ -137,25 +132,18 @@ struct SimSpec {
     config: SimConfig,
     groups: Vec<Group>,
     shard: ShardConfig,
-    spatial_index: Option<bool>,
     state_loss: Option<StateLoss>,
 }
 
 /// A replayable operation, logged by [`Sim`] mutators in call order so
 /// [`Checkpoint::resume`] can reproduce the run.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 enum OpRec {
     RunUntil(SimTime),
-    Kill(NodeId),
-    Revive(NodeId),
-    KillAt(SimTime, NodeId),
-    ReviveAt(SimTime, NodeId),
-    BlockLink(NodeId, NodeId),
-    UnblockLink(NodeId, NodeId),
-    SetPartitioned(bool),
-    SetGroup(NodeId, u16),
+    AddNodes(Topology, ProtoFactory),
+    Fault(FaultOp),
+    FaultAt(SimTime, FaultOp),
     SetStateLoss(StateLoss),
-    SetSpatialIndex(bool),
 }
 
 /// Builder for a [`Sim`]: one composable surface for topology, radio,
@@ -165,7 +153,6 @@ pub struct SimBuilder {
     config: SimConfig,
     groups: Vec<Group>,
     shard: ShardConfig,
-    spatial_index: Option<bool>,
     state_loss: Option<StateLoss>,
     recorder: Option<Box<dyn Recorder>>,
 }
@@ -183,7 +170,6 @@ impl SimBuilder {
             config: SimConfig::default(),
             groups: Vec::new(),
             shard: ShardConfig::default(),
-            spatial_index: None,
             state_loss: None,
             recorder: None,
         }
@@ -266,16 +252,8 @@ impl SimBuilder {
 
     /// Shorthand for [`sharding`](Self::sharding) with `shards` threaded
     /// shards and default lookahead.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shard.shards = shards;
-        self
-    }
-
-    /// Forces the spatial candidate index on or off (defaults to the
-    /// kernel's own heuristic).
-    pub fn spatial_index(mut self, on: bool) -> Self {
-        self.spatial_index = Some(on);
-        self
+    pub fn shards(self, shards: usize) -> Self {
+        self.sharding(ShardConfig::threaded(shards))
     }
 
     /// Sets what crashed nodes lose (see [`StateLoss`]).
@@ -302,7 +280,6 @@ impl SimBuilder {
             config,
             groups,
             shard,
-            spatial_index,
             state_loss,
             recorder,
         } = self;
@@ -314,13 +291,12 @@ impl SimBuilder {
             config: config.clone(),
             groups: groups.clone(),
             shard,
-            spatial_index,
             state_loss,
         };
         let mut inner = if shard.shards == 1 {
             let mut world = World::new(config);
             for (topo, make) in &groups {
-                world.add_nodes(topo, |i| make(i));
+                world.add_nodes(topo, make.as_ref());
             }
             Inner::Single(Box::new(world))
         } else {
@@ -332,12 +308,6 @@ impl SimBuilder {
                 shard.serial,
             )))
         };
-        if let Some(on) = spatial_index {
-            match &mut inner {
-                Inner::Single(w) => w.set_spatial_index(on),
-                Inner::Sharded(e) => e.set_spatial_index(on),
-            }
-        }
         if let Some(loss) = state_loss {
             match &mut inner {
                 Inner::Single(w) => w.set_state_loss(loss),
@@ -373,7 +343,7 @@ pub struct Sim {
     spec: SimSpec,
     ops: Vec<OpRec>,
     /// Set when a non-replayable mutation happened (closures, direct
-    /// protocol/world access); [`Sim::checkpoint`] then refuses.
+    /// protocol access); [`Sim::checkpoint`] then refuses.
     opaque: bool,
 }
 
@@ -383,13 +353,13 @@ impl Sim {
         self.run_until(self.now() + d);
     }
 
-    /// Alias of [`run`](Self::run), matching [`World::run_for`].
+    /// Alias of [`run`](Self::run).
     pub fn run_for(&mut self, d: SimDuration) {
         self.run(d);
     }
 
-    /// Advances the simulation to `deadline` (inclusive of events at
-    /// `deadline`, like [`World::run_until`]).
+    /// Advances the simulation to `deadline`, inclusive of events at
+    /// `deadline`; afterwards `now() == deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ops.push(OpRec::RunUntil(deadline));
         match &mut self.inner {
@@ -449,8 +419,8 @@ impl Sim {
     }
 
     /// Experiment statistics (merged across shards in shard order).
-    pub fn stats(&mut self) -> &Stats {
-        match &mut self.inner {
+    pub fn stats(&self) -> &Stats {
+        match &self.inner {
             Inner::Single(w) => w.stats(),
             Inner::Sharded(e) => e.stats(),
         }
@@ -549,76 +519,111 @@ impl Sim {
         }
     }
 
-    /// Crashes `node` immediately (see [`World::kill`]).
-    pub fn kill(&mut self, node: NodeId) {
-        self.ops.push(OpRec::Kill(node));
+    /// Adds one node per position in `topo` to the running simulation,
+    /// `make(i)` building the protocol stack of the `i`-th; each boots
+    /// through [`Proto::start`] at the current time. Returns the new
+    /// ids, which continue the existing numbering. The factory must be
+    /// pure, as for [`SimBuilder::nodes`].
+    pub fn add_nodes<F>(&mut self, topo: Topology, make: F) -> Vec<NodeId>
+    where
+        F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
+    {
+        self.add_nodes_shared(topo, Arc::new(make))
+    }
+
+    fn add_nodes_shared(&mut self, topo: Topology, make: ProtoFactory) -> Vec<NodeId> {
+        let ids = match &mut self.inner {
+            Inner::Single(w) => w.add_nodes(&topo, make.as_ref()),
+            Inner::Sharded(e) => e.add_nodes(&topo, &make),
+        };
+        self.ops.push(OpRec::AddNodes(topo, make));
+        ids
+    }
+
+    fn fault(&mut self, op: FaultOp) {
         match &mut self.inner {
-            Inner::Single(w) => w.kill(node),
-            Inner::Sharded(e) => e.kill_now(node),
+            Inner::Single(w) => w.apply_fault(&op, true),
+            Inner::Sharded(e) => e.apply_fault(&op),
+        }
+        self.ops.push(OpRec::Fault(op));
+    }
+
+    fn fault_at(&mut self, at: SimTime, op: FaultOp) {
+        self.ops.push(OpRec::FaultAt(at, op.clone()));
+        match &mut self.inner {
+            Inner::Single(w) => w.schedule_fault(at, op),
+            Inner::Sharded(e) => e.schedule_op(at, EngineOp::Fault(op)),
         }
     }
 
-    /// Revives `node` immediately (see [`World::revive`]).
+    /// Crashes `node` immediately: radio off, pending behaviour stops,
+    /// volatile protocol state is cleared via [`Proto::crashed`] (or,
+    /// under [`StateLoss::Full`], everything via [`Proto::wiped`]).
+    pub fn kill(&mut self, node: NodeId) {
+        self.fault(FaultOp::Kill(node));
+    }
+
+    /// Revives a dead `node` immediately: it boots again through
+    /// [`Proto::start`].
     pub fn revive(&mut self, node: NodeId) {
-        self.ops.push(OpRec::Revive(node));
-        match &mut self.inner {
-            Inner::Single(w) => w.revive(node),
-            Inner::Sharded(e) => e.revive_now(node),
-        }
+        self.fault(FaultOp::Revive(node));
     }
 
     /// Schedules a crash of `node` at `at`.
     pub fn kill_at(&mut self, at: SimTime, node: NodeId) {
-        self.ops.push(OpRec::KillAt(at, node));
-        match &mut self.inner {
-            Inner::Single(w) => w.kill_at(at, node),
-            Inner::Sharded(e) => e.schedule_op(at, EngineOp::Kill(node)),
-        }
+        self.fault_at(at, FaultOp::Kill(node));
     }
 
     /// Schedules a revival of `node` at `at`.
     pub fn revive_at(&mut self, at: SimTime, node: NodeId) {
-        self.ops.push(OpRec::ReviveAt(at, node));
-        match &mut self.inner {
-            Inner::Single(w) => w.revive_at(at, node),
-            Inner::Sharded(e) => e.schedule_op(at, EngineOp::Revive(node)),
-        }
+        self.fault_at(at, FaultOp::Revive(node));
     }
 
     /// Severs the bidirectional `a`–`b` link.
     pub fn block_link(&mut self, a: NodeId, b: NodeId) {
-        self.ops.push(OpRec::BlockLink(a, b));
-        match &mut self.inner {
-            Inner::Single(w) => w.block_link(a, b),
-            Inner::Sharded(e) => e.block_link(a, b),
-        }
+        self.fault(FaultOp::BlockLink(a, b));
     }
 
     /// Restores the `a`–`b` link.
     pub fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        self.ops.push(OpRec::UnblockLink(a, b));
-        match &mut self.inner {
-            Inner::Single(w) => w.unblock_link(a, b),
-            Inner::Sharded(e) => e.unblock_link(a, b),
-        }
+        self.fault(FaultOp::UnblockLink(a, b));
     }
 
-    /// Enables or disables the administrative partition.
+    /// Schedules the `a`–`b` link to fail at `at`.
+    pub fn block_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
+        self.fault_at(at, FaultOp::BlockLink(a, b));
+    }
+
+    /// Schedules the `a`–`b` link to heal at `at`.
+    pub fn unblock_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
+        self.fault_at(at, FaultOp::UnblockLink(a, b));
+    }
+
+    /// Enables or disables the administrative partition: while enabled,
+    /// nodes in different groups cannot hear each other.
     pub fn set_partitioned(&mut self, on: bool) {
-        self.ops.push(OpRec::SetPartitioned(on));
-        match &mut self.inner {
-            Inner::Single(w) => w.set_partitioned(on),
-            Inner::Sharded(e) => e.set_partitioned(on),
-        }
+        self.fault(if on {
+            FaultOp::Partition(Vec::new())
+        } else {
+            FaultOp::Heal
+        });
     }
 
     /// Assigns `node` to partition `group`.
     pub fn set_group(&mut self, node: NodeId, group: u16) {
-        self.ops.push(OpRec::SetGroup(node, group));
-        match &mut self.inner {
-            Inner::Single(w) => w.medium_mut().set_group(node, group),
-            Inner::Sharded(e) => e.set_group(node, group),
-        }
+        self.fault(FaultOp::SetGroup(node, group));
+    }
+
+    /// Schedules a partition at `at`: node `i` joins `groups[i]` (nodes
+    /// beyond the list keep their group) and cross-group communication
+    /// stops until [`heal_at`](Self::heal_at).
+    pub fn partition_at(&mut self, at: SimTime, groups: Vec<u16>) {
+        self.fault_at(at, FaultOp::Partition(groups));
+    }
+
+    /// Schedules the partition to heal at `at`.
+    pub fn heal_at(&mut self, at: SimTime) {
+        self.fault_at(at, FaultOp::Heal);
     }
 
     /// Sets what crashed nodes lose (see [`StateLoss`]).
@@ -627,23 +632,6 @@ impl Sim {
         match &mut self.inner {
             Inner::Single(w) => w.set_state_loss(loss),
             Inner::Sharded(e) => e.set_state_loss(loss),
-        }
-    }
-
-    /// Forces the spatial candidate index on or off.
-    pub fn set_spatial_index(&mut self, on: bool) {
-        self.ops.push(OpRec::SetSpatialIndex(on));
-        match &mut self.inner {
-            Inner::Single(w) => w.set_spatial_index(on),
-            Inner::Sharded(e) => e.set_spatial_index(on),
-        }
-    }
-
-    /// Whether the spatial candidate index is active.
-    pub fn spatial_index_active(&self) -> bool {
-        match &self.inner {
-            Inner::Single(w) => w.spatial_index_active(),
-            Inner::Sharded(e) => e.spatial_index_active(),
         }
     }
 
@@ -687,47 +675,6 @@ impl Sim {
         }
     }
 
-    /// The underlying serial [`World`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for sharded sims — there is no single world to hand out.
-    /// Kernel-internal tests that need this bridge run at `shards = 1`.
-    pub fn world(&self) -> &World {
-        match &self.inner {
-            Inner::Single(w) => w,
-            Inner::Sharded(_) => panic!("Sim::world: sharded sims have no single World"),
-        }
-    }
-
-    /// Mutable access to the underlying serial [`World`]. Marks the sim
-    /// non-checkpointable.
-    ///
-    /// # Panics
-    ///
-    /// Panics for sharded sims, like [`world`](Self::world).
-    pub fn world_mut(&mut self) -> &mut World {
-        self.opaque = true;
-        match &mut self.inner {
-            Inner::Single(w) => w,
-            Inner::Sharded(_) => panic!("Sim::world_mut: sharded sims have no single World"),
-        }
-    }
-
-    /// Consumes the sim and returns the underlying serial [`World`]
-    /// (the bridge for code that owns a long-lived world, e.g.
-    /// deployments that add nodes at runtime).
-    ///
-    /// # Panics
-    ///
-    /// Panics for sharded sims, like [`world`](Self::world).
-    pub fn into_world(self) -> World {
-        match self.inner {
-            Inner::Single(w) => *w,
-            Inner::Sharded(_) => panic!("Sim::into_world: sharded sims have no single World"),
-        }
-    }
-
     /// Captures a replayable checkpoint: the build spec plus every
     /// logged operation. [`Checkpoint::resume`] reruns them into a
     /// fresh `Sim` in the same state — cheap to store, deterministic to
@@ -737,13 +684,13 @@ impl Sim {
     ///
     /// Panics when the run used non-replayable mutations
     /// ([`proto_mut`](Self::proto_mut), [`with_ctx`](Self::with_ctx),
-    /// [`schedule_at`](Self::schedule_at), [`world_mut`](Self::world_mut),
+    /// [`schedule_at`](Self::schedule_at),
     /// [`run_until_idle`](Self::run_until_idle)).
     pub fn checkpoint(&self) -> Checkpoint {
         assert!(
             !self.opaque,
             "Sim::checkpoint: the run used non-replayable mutations \
-             (closures or direct world/protocol access)"
+             (closures or direct protocol access)"
         );
         Checkpoint {
             spec: self.spec.clone(),
@@ -773,28 +720,38 @@ impl Checkpoint {
         for (topo, make) in &self.spec.groups {
             b = b.nodes_shared(topo.clone(), make.clone());
         }
-        if let Some(on) = self.spec.spatial_index {
-            b = b.spatial_index(on);
-        }
         if let Some(loss) = self.spec.state_loss {
             b = b.state_loss(loss);
         }
         let mut sim = b.build();
-        for op in &self.ops {
-            match *op {
+        for op in self.ops.iter().cloned() {
+            match op {
                 OpRec::RunUntil(t) => sim.run_until(t),
-                OpRec::Kill(n) => sim.kill(n),
-                OpRec::Revive(n) => sim.revive(n),
-                OpRec::KillAt(t, n) => sim.kill_at(t, n),
-                OpRec::ReviveAt(t, n) => sim.revive_at(t, n),
-                OpRec::BlockLink(a, b) => sim.block_link(a, b),
-                OpRec::UnblockLink(a, b) => sim.unblock_link(a, b),
-                OpRec::SetPartitioned(on) => sim.set_partitioned(on),
-                OpRec::SetGroup(n, g) => sim.set_group(n, g),
+                OpRec::AddNodes(topo, make) => {
+                    sim.add_nodes_shared(topo, make);
+                }
+                OpRec::Fault(op) => sim.fault(op),
+                OpRec::FaultAt(t, op) => sim.fault_at(t, op),
                 OpRec::SetStateLoss(loss) => sim.set_state_loss(loss),
-                OpRec::SetSpatialIndex(on) => sim.set_spatial_index(on),
             }
         }
         sim
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shards_replaces_the_whole_shard_config() {
+        let b = SimBuilder::new()
+            .sharding(ShardConfig {
+                shards: 2,
+                lookahead: Some(SimDuration::from_micros(5)),
+                serial: true,
+            })
+            .shards(3);
+        assert_eq!(b.shard, ShardConfig::threaded(3));
     }
 }

@@ -54,8 +54,8 @@ impl SimConfig {
     /// use iiot_sim::prelude::*;
     ///
     /// let cfg = SimConfig::default().seed(7).radius(30.0);
-    /// let w = World::new(cfg);
-    /// assert_eq!(w.now(), SimTime::ZERO);
+    /// let sim = SimBuilder::new().config(cfg).build();
+    /// assert_eq!(sim.now(), SimTime::ZERO);
     /// ```
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -149,6 +149,28 @@ enum Ev {
     Action(usize),
 }
 
+/// A replayable fault-injection operation: what [`Sim`](crate::sim::Sim)
+/// logs for checkpoints, schedules on the serial kernel and mirrors to
+/// every replica of the sharded engine.
+#[derive(Clone, Debug)]
+pub(crate) enum FaultOp {
+    /// Crash a node (see [`World::kill`]).
+    Kill(NodeId),
+    /// Reboot a crashed node (see [`World::revive`]).
+    Revive(NodeId),
+    /// Sever the bidirectional link between two nodes.
+    BlockLink(NodeId, NodeId),
+    /// Restore a severed link.
+    UnblockLink(NodeId, NodeId),
+    /// Assign a node to a partition group.
+    SetGroup(NodeId, u16),
+    /// Assign node `i` to `groups[i]` (nodes beyond the list keep their
+    /// group), then enable the partition.
+    Partition(Vec<u16>),
+    /// Disable the partition.
+    Heal,
+}
+
 /// A cross-shard event captured by the routing hook instead of being
 /// queued locally; delivered to the owning shard at the next lookahead
 /// barrier (see [`crate::shard`]).
@@ -182,6 +204,7 @@ pub(crate) enum StagedEv {
 /// When present, [`Kernel::push`] diverts events targeting foreign
 /// nodes into `out_events` and notes border transmissions whose record
 /// must be echoed to audible neighbour shards.
+#[derive(Default)]
 pub(crate) struct ShardRoute {
     /// `own[i]` — node `i` is owned (dispatched) by this shard.
     pub(crate) own: Vec<bool>,
@@ -339,20 +362,28 @@ impl Kernel {
     }
 }
 
-/// The world: a set of nodes with protocol stacks, a shared radio
-/// medium, an event queue and fault-injection hooks.
+/// The serial kernel: a set of nodes with protocol stacks, a shared
+/// radio medium, an event queue and fault-injection hooks.
+///
+/// Built and driven only through [`SimBuilder`](crate::sim::SimBuilder)
+/// and [`Sim`](crate::sim::Sim) (which own one `World`, or one replica
+/// per shard); the type is public because closures passed to
+/// [`Sim::schedule_at`](crate::sim::Sim::schedule_at) run against it.
 ///
 /// # Examples
 ///
 /// ```
 /// use iiot_sim::prelude::*;
 ///
-/// let mut world = World::new(SimConfig::default());
-/// let a = world.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-/// let b = world.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
-/// world.run_for(SimDuration::from_secs(1));
-/// assert_eq!(world.now(), SimTime::from_secs(1));
-/// assert_ne!(a, b);
+/// let mut sim = SimBuilder::new()
+///     .nodes(Topology::line(2, 10.0), |_| Box::new(Idle))
+///     .build();
+/// sim.schedule_at(SimTime::from_secs(1), NodeId(1), |world| {
+///     assert_eq!(world.now(), SimTime::from_secs(1));
+///     world.kill(NodeId(1));
+/// });
+/// sim.run(SimDuration::from_secs(2));
+/// assert!(!sim.is_alive(NodeId(1)));
 /// ```
 pub struct World {
     kernel: Kernel,
@@ -367,7 +398,7 @@ type DeferredAction = Option<Box<dyn FnOnce(&mut World) + Send>>;
 
 impl World {
     /// Creates an empty world.
-    pub fn new(config: SimConfig) -> Self {
+    pub(crate) fn new(config: SimConfig) -> Self {
         // Under `--trace` (global capture enabled + an active worker
         // scope on this thread) new worlds record into the global sink;
         // otherwise emission stays disabled.
@@ -417,21 +448,38 @@ impl World {
 
     /// Adds a node at `pos` running `proto`. Its [`Proto::start`] runs at
     /// the current simulation time, before any later event.
-    pub fn add_node(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
+    pub(crate) fn add_node(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
         let id = self.add_node_silent(pos, proto);
         let now = self.kernel.now;
         self.kernel.push(now, Ev::Start { node: id });
         id
     }
 
-    /// Adds a node without scheduling its [`Proto::start`]. Shard
-    /// replicas register *foreign* nodes this way: their position,
-    /// radio state, RNG and clock must exist (candidate enumeration
-    /// and CCA read them) but their protocol never runs here — the
-    /// owning shard dispatches it. Keeping construction otherwise
-    /// identical to [`World::add_node`] makes per-node seeds and clock
-    /// draws byte-identical across replicas by construction.
-    pub(crate) fn add_node_silent(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
+    /// Adds a node to a shard replica and grows its routing table. A
+    /// node this shard does not own is *foreign*: its position, radio
+    /// state, RNG and clock must exist (candidate enumeration and CCA
+    /// read them) but its protocol never starts here — the owning
+    /// shard dispatches it. Construction is otherwise identical, so
+    /// per-node seeds and clock draws are byte-identical across
+    /// replicas.
+    pub(crate) fn add_shard_node(
+        &mut self,
+        pos: Pos,
+        proto: Box<dyn Proto>,
+        owned: bool,
+        echo_mask: u64,
+    ) -> NodeId {
+        let route = self.kernel.shard.as_deref_mut().expect("shard replica");
+        route.own.push(owned);
+        route.echo_mask.push(echo_mask);
+        if owned {
+            self.add_node(pos, proto)
+        } else {
+            self.add_node_silent(pos, proto)
+        }
+    }
+
+    fn add_node_silent(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
         let id = self.kernel.medium.add_node(pos);
         debug_assert_eq!(id.index(), self.protos.len());
         self.protos.push(proto);
@@ -462,10 +510,11 @@ impl World {
 
     /// Adds one node per position in `topo`, all running protocols
     /// produced by `make`. Returns the ids in order.
-    pub fn add_nodes<F>(&mut self, topo: &Topology, mut make: F) -> Vec<NodeId>
-    where
-        F: FnMut(usize) -> Box<dyn Proto>,
-    {
+    pub(crate) fn add_nodes(
+        &mut self,
+        topo: &Topology,
+        make: impl Fn(usize) -> Box<dyn Proto>,
+    ) -> Vec<NodeId> {
         (0..topo.len())
             .map(|i| self.add_node(topo.pos(i), make(i)))
             .collect()
@@ -487,21 +536,6 @@ impl World {
     /// count must not drift) as opposed to perf *tracking* (timings).
     pub fn events_dispatched(&self) -> u64 {
         self.kernel.dispatched
-    }
-
-    /// Enables or disables the radio medium's spatial candidate index
-    /// (on by default when the link model has a finite range).
-    ///
-    /// Both settings produce byte-identical simulations; the switch
-    /// exists so benchmarks can measure the exhaustive O(nodes) scan
-    /// against the O(neighbours) grid on the same workload.
-    pub fn set_spatial_index(&mut self, on: bool) {
-        self.kernel.medium.set_spatial_index(on);
-    }
-
-    /// Whether the spatial candidate index is currently in use.
-    pub fn spatial_index_active(&self) -> bool {
-        self.kernel.medium.spatial_index_active()
     }
 
     /// Shared medium (read access: stats, radio states, positions).
@@ -689,16 +723,6 @@ impl World {
         self.kernel.push(now, Ev::Start { node });
     }
 
-    /// Schedules a kill at `at`.
-    pub fn kill_at(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, move |w| w.kill(node));
-    }
-
-    /// Schedules a revive at `at`.
-    pub fn revive_at(&mut self, at: SimTime, node: NodeId) {
-        self.schedule(at, move |w| w.revive(node));
-    }
-
     /// Administratively severs the link between `a` and `b` (both
     /// ways), emitting a `link_down` fault event. Prefer this over
     /// [`Medium::block_link`] via [`World::medium_mut`] so the fault
@@ -845,6 +869,43 @@ impl World {
         payload: Vec<u8>,
     ) {
         self.kernel.push(time, Ev::Wire { to, from, payload });
+    }
+
+    /// Applies a fault operation. The `primary` replica gives it full
+    /// semantics (fault event, meter transition, protocol callbacks);
+    /// every other shard replica only mirrors the medium state, so a
+    /// fault is traced and acted on exactly once. A standalone world is
+    /// always primary.
+    pub(crate) fn apply_fault(&mut self, op: &FaultOp, primary: bool) {
+        let medium = &mut self.kernel.medium;
+        match *op {
+            FaultOp::Kill(n) if primary => self.kill(n),
+            FaultOp::Kill(n) => self.set_foreign_alive(n, false),
+            FaultOp::Revive(n) if primary => self.revive(n),
+            FaultOp::Revive(n) => self.set_foreign_alive(n, true),
+            FaultOp::BlockLink(a, b) if primary => self.block_link(a, b),
+            FaultOp::BlockLink(a, b) => medium.block_link(a, b),
+            FaultOp::UnblockLink(a, b) if primary => self.unblock_link(a, b),
+            FaultOp::UnblockLink(a, b) => medium.unblock_link(a, b),
+            FaultOp::SetGroup(n, g) => medium.set_group(n, g),
+            FaultOp::Partition(ref groups) => {
+                for (i, &g) in groups.iter().enumerate() {
+                    medium.set_group(NodeId(i as u32), g);
+                }
+                if primary {
+                    self.set_partitioned(true);
+                } else {
+                    medium.set_partitioned(true);
+                }
+            }
+            FaultOp::Heal if primary => self.set_partitioned(false),
+            FaultOp::Heal => medium.set_partitioned(false),
+        }
+    }
+
+    /// Schedules `op` at `at` as one queued action.
+    pub(crate) fn schedule_fault(&mut self, at: SimTime, op: FaultOp) {
+        self.schedule(at, move |w| w.apply_fault(&op, true));
     }
 
     /// Mirrors a foreign node's liveness without side effects (no fault
@@ -1322,7 +1383,7 @@ mod tests {
             if record {
                 w.set_recorder(Box::new(obs::RingRecorder::new(256)));
             }
-            w.kill_at(SimTime::from_millis(500), NodeId(1));
+            w.schedule_fault(SimTime::from_millis(500), FaultOp::Kill(NodeId(1)));
             w.run_for(SimDuration::from_secs(1));
             let events = w
                 .take_recorder()
@@ -1368,8 +1429,8 @@ mod tests {
         }
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Beacons { fired: 0 }));
-        w.kill_at(SimTime::from_millis(550), n);
-        w.revive_at(SimTime::from_secs(2), n);
+        w.schedule_fault(SimTime::from_millis(550), FaultOp::Kill(n));
+        w.schedule_fault(SimTime::from_secs(2), FaultOp::Revive(n));
         w.run_until(SimTime::from_millis(1900));
         // 5 fires before the kill, none after, reset on crash.
         assert_eq!(w.proto::<Beacons>(n).fired, 0);
@@ -1406,8 +1467,8 @@ mod tests {
             let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Flashy { ram: 0, flash: 0 }));
             w.set_state_loss(loss);
             assert_eq!(w.state_loss(), loss);
-            w.kill_at(SimTime::from_millis(100), n);
-            w.revive_at(SimTime::from_millis(200), n);
+            w.schedule_fault(SimTime::from_millis(100), FaultOp::Kill(n));
+            w.schedule_fault(SimTime::from_millis(200), FaultOp::Revive(n));
             w.run_for(SimDuration::from_secs(1));
             w.proto::<Flashy>(n).flash
         };

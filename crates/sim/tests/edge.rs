@@ -35,13 +35,12 @@ fn custom_energy_model_changes_projection() {
         tx_ma: 5.0,
         voltage_v: 1.8,
     };
-    let mut w = World::new(SimConfig {
-        energy: stingy,
-        ..SimConfig::default()
-    });
-    let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
+    let mut w = SimBuilder::new()
+        .energy(stingy)
+        .nodes(Topology::line(1, 10.0), |_| Box::new(Idle))
+        .build();
     w.run_for(SimDuration::from_secs(100));
-    let u = w.energy(n);
+    let u = w.energy(NodeId(0));
     assert_eq!(u.sleep, SimDuration::from_secs(100));
     let days_default = u.lifetime_days(&EnergyModel::default(), 1000.0);
     let days_stingy = u.lifetime_days(w.energy_model(), 1000.0);
@@ -67,12 +66,11 @@ fn medium_stats_accumulate() {
             ctx.set_timer(SimDuration::from_millis(50), 0);
         }
     }
-    let mut w = World::new(SimConfig::default());
-    w.add_nodes(&Topology::line(2, 10.0), |_| {
-        Box::new(Chatter) as Box<dyn Proto>
-    });
+    let mut w = SimBuilder::new()
+        .nodes(Topology::line(2, 10.0), |_| Box::new(Chatter))
+        .build();
     w.run_for(SimDuration::from_secs(1));
-    let s = w.medium().stats();
+    let s = w.medium_stats();
     assert!(s.tx_started >= 19);
     // The final transmission may still be in the air at the horizon.
     assert!(
@@ -98,22 +96,27 @@ fn run_until_idle_stops_at_quiescence() {
             }
         }
     }
-    let mut w = World::new(SimConfig::default());
-    w.add_node(Pos::new(0.0, 0.0), Box::new(Finite { left: 5 }));
+    let finite = |left| {
+        SimBuilder::new()
+            .nodes(Topology::line(1, 10.0), move |_| Box::new(Finite { left }))
+            .build()
+    };
+    let mut w = finite(5);
     assert!(w.run_until_idle(SimTime::from_secs(10)), "queue drains");
     assert_eq!(w.now(), SimTime::from_millis(60));
 
     // An infinite ticker never drains: deadline wins.
-    let mut w2 = World::new(SimConfig::default());
-    w2.add_node(Pos::new(0.0, 0.0), Box::new(Finite { left: u32::MAX }));
+    let mut w2 = finite(u32::MAX);
     assert!(!w2.run_until_idle(SimTime::from_millis(95)));
     assert_eq!(w2.now(), SimTime::from_millis(95));
 }
 
 #[test]
 fn kill_then_revive_is_idempotent() {
-    let mut w = World::new(SimConfig::default());
-    let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
+    let mut w = SimBuilder::new()
+        .nodes(Topology::line(1, 10.0), |_| Box::new(Idle))
+        .build();
+    let n = NodeId(0);
     w.kill(n);
     w.kill(n); // no-op
     assert!(!w.is_alive(n));
@@ -143,54 +146,13 @@ fn lossy_disk_drops_roughly_at_rate() {
         interference_range_m: 45.0,
         prr: 0.7,
     });
-    let mut w = World::new(cfg);
-    w.add_nodes(&Topology::line(2, 10.0), |_| {
-        Box::new(Sender) as Box<dyn Proto>
-    });
+    let mut w = SimBuilder::new()
+        .config(cfg)
+        .nodes(Topology::line(2, 10.0), |_| Box::new(Sender))
+        .build();
     w.run_for(SimDuration::from_secs(20));
-    let s = w.medium().stats();
+    let s = w.medium_stats();
     let rate = s.delivered as f64 / s.tx_started as f64;
     assert!((rate - 0.7).abs() < 0.05, "measured PRR {rate}");
     assert!(s.lost_prr > 0);
-}
-
-#[test]
-fn spatial_index_is_invisible_to_simulations() {
-    // Two identical worlds, one with the spatial candidate index
-    // disabled (the exhaustive O(nodes) baseline): every observable —
-    // medium stats, dispatched event count, per-node counters — must
-    // agree exactly. This is the world-level face of the per-call
-    // equivalence property test in the radio module.
-    struct Gossip;
-    impl Proto for Gossip {
-        fn start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.radio_on().expect("on");
-            let stagger = 5 + ctx.id().0 as u64 * 7;
-            ctx.set_timer(SimDuration::from_millis(stagger), 0);
-        }
-        fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
-            ctx.transmit(Dst::Broadcast, 0, vec![ctx.id().0 as u8; 12])
-                .ok();
-            ctx.set_timer(SimDuration::from_millis(40), 0);
-        }
-        fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
-            ctx.count("heard", 1.0);
-            ctx.count_node("heard", frame.payload.len() as f64);
-        }
-    }
-    let run = |indexed: bool| {
-        let mut w = World::new(SimConfig::default().seed(7));
-        w.add_nodes(&Topology::grid(6, 6, 20.0), |_| {
-            Box::new(Gossip) as Box<dyn Proto>
-        });
-        w.set_spatial_index(indexed);
-        assert_eq!(w.spatial_index_active(), indexed);
-        w.run_for(SimDuration::from_secs(5));
-        (
-            w.medium().stats(),
-            w.events_dispatched(),
-            w.stats().get("heard"),
-        )
-    };
-    assert_eq!(run(true), run(false));
 }

@@ -222,6 +222,54 @@ fn checkpoint_resume_reproduces_state() {
     }
 }
 
+/// A running sim grows through `Sim::add_nodes` on either kernel: the
+/// newcomers (one inside the build-time bounding box, one beyond it,
+/// across the stripe border from each other's neighbours) join the
+/// radio network, thread count still changes nothing, and the growth
+/// is part of the replayable log.
+#[test]
+fn nodes_added_at_runtime_join_on_either_kernel() {
+    let run = |shard: ShardConfig| {
+        let mut sim = SimBuilder::new()
+            .seed(21)
+            .nodes(Topology::line(4, 20.0), Chatter::boxed)
+            .sharding(shard)
+            .recorder(Box::new(VecRec::default()))
+            .build();
+        sim.run(SimDuration::from_millis(300));
+        let extra: Topology = [Pos::new(30.0, 10.0), Pos::new(80.0, 0.0)]
+            .into_iter()
+            .collect();
+        let added = sim.add_nodes(extra, |i| Chatter::boxed(4 + i));
+        assert_eq!(added, [NodeId(4), NodeId(5)]);
+        assert_eq!(sim.node_count(), 6);
+        sim.run(SimDuration::from_millis(700));
+        sim
+    };
+    for &k in &[1usize, 2] {
+        let sim = run(ShardConfig::serial(k));
+        for n in 0..6 {
+            assert!(
+                sim.proto::<Chatter>(NodeId(n)).heard > 0,
+                "k={k}: node {n} heard nothing"
+            );
+        }
+        let heard_before = sim.stats().get_node(NodeId(3), "heard");
+        let resumed = sim.checkpoint().resume();
+        assert_eq!(resumed.node_count(), 6, "k={k}: resumed roster");
+        assert_eq!(resumed.events_dispatched(), sim.events_dispatched());
+        assert_eq!(resumed.stats().get_node(NodeId(3), "heard"), heard_before);
+
+        let threaded = run(ShardConfig::threaded(k));
+        assert_eq!(threaded.events_dispatched(), sim.events_dispatched());
+        assert_eq!(
+            threaded.recorder_as::<VecRec>().expect("VecRec").0,
+            sim.recorder_as::<VecRec>().expect("VecRec").0,
+            "k={k}: thread count changed the trace"
+        );
+    }
+}
+
 /// Engine fault injection shows up in the trace like the serial
 /// kernel's (kill/revive emit events; cross-shard mirrors stay silent).
 #[test]

@@ -37,26 +37,29 @@
 //! let cfg = SimConfig::default()
 //!     .seed(7)
 //!     .clock(ClockModel::drifting(50.0)); // ±50 ppm crystals
-//! let mut world = World::new(cfg);
-//! let cfg = FtspConfig::default().with_period(SimDuration::from_millis(500));
-//! let ids = world.add_nodes(&Topology::line(4, 25.0), |_| {
-//!     Box::new(FtspNode::new(cfg.clone())) as Box<dyn Proto>
-//! });
-//! world.run_for(SimDuration::from_secs(20));
+//! let ftsp = FtspConfig::default().with_period(SimDuration::from_millis(500));
+//! let mut sim = SimBuilder::new()
+//!     .config(cfg)
+//!     .nodes(Topology::line(4, 25.0), move |_| Box::new(FtspNode::new(ftsp.clone())))
+//!     .build();
+//! sim.run(SimDuration::from_secs(20));
 //!
 //! // Node 0 won the election; everyone is synced to it.
-//! let root_now = world.local_time_of(ids[0]);
-//! for (hops, &id) in ids.iter().enumerate().skip(1) {
-//!     let node = world.proto::<FtspNode>(id);
+//! let root = NodeId(0);
+//! let root_now = sim.local_time_of(root);
+//! for hops in 1..4 {
+//!     let id = NodeId(hops);
+//!     let node = sim.proto::<FtspNode>(id);
 //!     assert!(node.engine().is_synced());
-//!     assert_eq!(node.engine().root(), ids[0]);
-//!     assert_eq!(node.engine().depth() as usize, hops);
-//!     let err = node.clock().global(world.local_time_of(id)).as_micros() as i64
+//!     assert_eq!(node.engine().root(), root);
+//!     assert_eq!(u32::from(node.engine().depth()), hops);
+//!     let err = node.clock().global(sim.local_time_of(id)).as_micros() as i64
 //!         - root_now.as_micros() as i64;
 //!     assert!(err.abs() < 500, "{hops} hops out by {err} us");
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -148,13 +148,13 @@ fn main() {
         "  churn plan: {} crash/recovery events on sentinels",
         plan.len()
     );
-    plan.apply(w.world_mut());
+    plan.apply(&mut w);
     let mut killer = FaultPlan::new();
     killer.push(Fault::Crash {
         node: ids[0],
         at: SimTime::from_secs(90),
     });
-    killer.apply(w.world_mut());
+    killer.apply(&mut w);
     w.run_for(SimDuration::from_secs(150));
 
     let mut detections = 0;

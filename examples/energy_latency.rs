@@ -39,7 +39,7 @@ fn main() {
 
         // Project lifetime from the median non-root node.
         let mid = d.nodes[d.nodes.len() / 2];
-        let lifetime = d.world.energy(mid).lifetime_days(&model, battery_mah);
+        let lifetime = d.sim.energy(mid).lifetime_days(&model, battery_mah);
 
         println!(
             "{:>6} | {:>8.1}% | {:>9.3} s | {:>9.3} s | {:>9.2}% | {:>9.0} days",

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""The BENCH_perf.json schema (iiot-bench/perf/v6), checked in one place.
+
+    perf_schema.py check FILE              schema asserts
+    perf_schema.py check --committed FILE  ... plus how far the committed curves reach
+    perf_schema.py same A B                schema on both, deterministic blocks equal
+
+Every point is {"deterministic": ..., "timing": ...}: the first is a pure
+function of (workload, seed, shard count) and is what CI compares; the
+second is wall clock, recorded for the trajectory and never gated.
+"""
+import json
+import sys
+
+BLOCKS = ("points", "scaling", "cloud", "stream", "icn")
+
+# block -> (deterministic keys, timing keys)
+KEYS = {
+    "points": (
+        {"side", "mac", "nodes", "secs", "events"},
+        {"wall_us", "events_per_sec"},
+    ),
+    "scaling": (
+        {"side", "nodes", "shards", "secs", "events"},
+        {"wall_us", "events_per_sec", "mode"},
+    ),
+    "cloud": (
+        {"sessions", "tenants", "shards", "msgs", "accepted", "shed",
+         "p50_us", "p99_us", "fairness_milli"},
+        {"wall_us", "msgs_per_sec", "mode"},
+    ),
+    "stream": (
+        {"sessions", "tenants", "msgs", "accepted", "shed", "log_records",
+         "log_bytes", "segments", "windows", "window_obs"},
+        {"wall_us", "replay_wall_us", "msgs_per_sec"},
+    ),
+    "icn": (
+        {"consumers", "nodes", "interests", "data", "cache_hits",
+         "verifies", "verify_fails", "delivered"},
+        {"wall_us"},
+    ),
+}
+
+
+def check(path, committed=False):
+    """Asserts the schema; returns {block: [deterministic, ...]}."""
+    doc = json.load(open(path))
+    assert doc["schema"] == "iiot-bench/perf/v6", doc.get("schema")
+    assert isinstance(doc["spacing_m"], (int, float))
+    for block in BLOCKS:
+        assert doc[block], f"{path}: no {block} points"
+        det_keys, timing_keys = KEYS[block]
+        for p in doc[block]:
+            d, t = p["deterministic"], p["timing"]
+            assert set(d) == det_keys, (block, sorted(d))
+            assert set(t) == timing_keys, (block, sorted(t))
+    for p in doc["points"] + doc["scaling"]:
+        d = p["deterministic"]
+        assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d
+    for p in doc["scaling"] + doc["cloud"]:
+        assert p["timing"]["mode"] in {"threaded", "serial"}, p["timing"]
+    shard_counts = {p["deterministic"]["shards"] for p in doc["scaling"]}
+    assert {1, 2, 4} <= shard_counts, f"scaling must cover shards 1/2/4: {shard_counts}"
+    for p in doc["cloud"] + doc["stream"]:
+        d = p["deterministic"]
+        assert d["msgs"] == d["accepted"] + d["shed"], d
+        assert d["msgs"] > 0 and d["sessions"] > 0, d
+    for p in doc["cloud"]:
+        assert 0 < p["deterministic"]["fairness_milli"] <= 1000, p
+    for p in doc["stream"]:
+        d = p["deterministic"]
+        assert d["log_records"] == d["msgs"], "WAL must hold every offered uplink"
+        assert d["log_bytes"] > 0 and d["segments"] > 0 and d["windows"] > 0, d
+    for p in doc["icn"]:
+        d = p["deterministic"]
+        assert d["nodes"] == d["consumers"] + 2, d
+        assert d["verify_fails"] == 0, "honest workload must verify clean"
+        assert d["delivered"] > 0 and d["interests"] > 0 and d["data"] > 0, d
+    if committed:
+        assert max(p["deterministic"]["sessions"] for p in doc["cloud"]) >= 100_000, \
+            "committed cloud curve must reach 1e5 sessions"
+        assert max(p["deterministic"]["consumers"] for p in doc["icn"]) >= 16, \
+            "committed icn curve must reach 16 consumers"
+    return {b: [p["deterministic"] for p in doc[b]] for b in BLOCKS}
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "same":
+        a, b = check(argv[1]), check(argv[2])
+        for block in BLOCKS:
+            assert a[block] == b[block], \
+                f"{block}: deterministic blocks differ between {argv[1]} and {argv[2]}"
+        sizes = ", ".join(f"{len(a[b])} {b}" for b in BLOCKS)
+        print(f"perf schema: deterministic blocks identical ({sizes})")
+    elif argv and argv[0] == "check" and len(argv) == 2 + ("--committed" in argv):
+        check(argv[-1], committed="--committed" in argv)
+    else:
+        sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

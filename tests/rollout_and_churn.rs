@@ -42,11 +42,11 @@ fn staged_rollout_with_churn_keeps_collecting() {
         &victims,
         SimDuration::from_secs(300),
         SimDuration::from_secs(20),
-        d.world.now(),
-        d.world.now() + SimDuration::from_secs(250),
+        d.sim.now(),
+        d.sim.now() + SimDuration::from_secs(250),
         &[],
     );
-    plan.apply(&mut d.world);
+    plan.apply(&mut d.sim);
     let before = d.report();
     d.run_for(SimDuration::from_secs(300));
     let after = d.report();
