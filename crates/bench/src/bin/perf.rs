@@ -160,7 +160,7 @@ fn main() {
     );
 
     let t2 = std::time::Instant::now();
-    let cloud = exp_cloud::cloud_matrix(&cloud_devices, true);
+    let cloud = exp_cloud::cloud_matrix(&cloud_devices);
     eprintln!(
         "[measured {} cloud points in {:.1}s]",
         cloud.len(),

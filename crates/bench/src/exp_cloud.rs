@@ -501,8 +501,6 @@ pub struct CloudPoint {
     pub fairness_milli: u64,
     /// Wall-clock time of the whole run, µs.
     pub wall_us: u128,
-    /// `"threaded"` or `"serial"` drain.
-    pub mode: &'static str,
 }
 
 impl CloudPoint {
@@ -514,16 +512,12 @@ impl CloudPoint {
 
 /// Runs the ingest-scaling workload once per device count and measures
 /// it: virtual-time statistics in the deterministic block, wall clock
-/// in timing. `threaded` picks the drain mode (both produce identical
-/// deterministic blocks — that is the point of the contract).
-pub fn cloud_matrix(devices_axis: &[u32], threaded: bool) -> Vec<CloudPoint> {
+/// in timing.
+pub fn cloud_matrix(devices_axis: &[u32]) -> Vec<CloudPoint> {
     devices_axis
         .iter()
         .map(|&devices| {
-            let config = IngestConfig {
-                threaded,
-                ..IngestConfig::default()
-            };
+            let config = IngestConfig::default();
             let started = std::time::Instant::now();
             let pipe = run_fleet(devices, SessionPlan::default(), config, SEED);
             let wall_us = started.elapsed().as_micros();
@@ -541,7 +535,6 @@ pub fn cloud_matrix(devices_axis: &[u32], threaded: bool) -> Vec<CloudPoint> {
                 p99_us: lat.quantile(0.99).round() as u64,
                 fairness_milli: (fairness * 1000.0).round() as u64,
                 wall_us,
-                mode: if threaded { "threaded" } else { "serial" },
             }
         })
         .collect()
@@ -553,15 +546,13 @@ pub fn cloud_table(points: &[CloudPoint]) -> Table {
     let mut t = Table::new(
         "PERF: cloud ingest scaling (multi-tenant pipeline, sharded drain)",
         &[
-            "sessions", "shards", "mode", "msgs", "shed", "p50 (ms)", "p99 (ms)", "fairness",
-            "Mmsg/s",
+            "sessions", "shards", "msgs", "shed", "p50 (ms)", "p99 (ms)", "fairness", "Mmsg/s",
         ],
     );
     for p in points {
         t.row(vec![
             p.sessions.to_string(),
             p.shards.to_string(),
-            p.mode.to_string(),
             p.msgs.to_string(),
             p.shed.to_string(),
             format!("{:.3}", p.p50_us as f64 / 1e3),
@@ -679,35 +670,6 @@ mod tests {
             "rho 2.0 must shed hard: {:?}",
             rows[3]
         );
-    }
-
-    #[test]
-    fn cloud_matrix_deterministic_blocks_are_mode_invariant() {
-        let a = cloud_matrix(&[100, 300], true);
-        let b = cloud_matrix(&[100, 300], false);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                (
-                    x.sessions,
-                    x.msgs,
-                    x.accepted,
-                    x.shed,
-                    x.p50_us,
-                    x.p99_us,
-                    x.fairness_milli
-                ),
-                (
-                    y.sessions,
-                    y.msgs,
-                    y.accepted,
-                    y.shed,
-                    y.p50_us,
-                    y.p99_us,
-                    y.fairness_milli
-                ),
-                "threaded and serial cloud runs must agree exactly"
-            );
-        }
     }
 
     #[test]

@@ -367,7 +367,7 @@ pub fn to_json(
     stream: &[crate::exp_stream::StreamPoint],
     icn: &[crate::exp_icn::IcnPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v6\",\n");
+    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v7\",\n");
     out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
@@ -407,7 +407,7 @@ pub fn to_json(
             "    {{\"deterministic\": {{\"sessions\": {}, \"tenants\": {}, \"shards\": {}, \
              \"msgs\": {}, \"accepted\": {}, \"shed\": {}, \"p50_us\": {}, \"p99_us\": {}, \
              \"fairness_milli\": {}}}, \
-             \"timing\": {{\"wall_us\": {}, \"msgs_per_sec\": {:.0}, \"mode\": \"{}\"}}}}{}\n",
+             \"timing\": {{\"wall_us\": {}, \"msgs_per_sec\": {:.0}}}}}{}\n",
             p.sessions,
             p.tenants,
             p.shards,
@@ -419,7 +419,6 @@ pub fn to_json(
             p.fairness_milli,
             p.wall_us,
             p.msgs_per_sec(),
-            p.mode,
             if i + 1 == cloud.len() { "" } else { "," }
         ));
     }
@@ -537,7 +536,6 @@ mod tests {
             p99_us: 12_000,
             fairness_milli: 998,
             wall_us: 250_000,
-            mode: "threaded",
         };
         let sp = crate::exp_stream::StreamPoint {
             sessions: 100_000,
@@ -565,7 +563,7 @@ mod tests {
             wall_us: 42_000,
         };
         let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v6\""));
+        assert!(j.contains("\"schema\": \"iiot-bench/perf/v7\""));
         assert!(j.contains("\"cache_hits\": 80"));
         assert!(j.contains("\"verify_fails\": 0"));
         assert!(j.contains("\"log_records\": 400000"));

@@ -211,7 +211,6 @@ pub fn e18_replay_with(rc: &RunConfig, devices: u32) -> Table {
         // equalities below have teeth.
         let config = IngestConfig {
             drain_batch: 8,
-            threaded: false,
             ..IngestConfig::default()
         };
         let stream = StreamConfig::logged(LogConfig {
@@ -301,10 +300,7 @@ pub fn e18_replay(rc: &RunConfig) -> Table {
 /// before the damage and that replay offers exactly those records.
 pub fn e18_recovery_with(rc: &RunConfig, devices: u32) -> Table {
     let trials = vec![Trial::new("e18/recovery", SEED, move |s| {
-        let config = IngestConfig {
-            threaded: false,
-            ..IngestConfig::default()
-        };
+        let config = IngestConfig::default();
         let stream = StreamConfig::logged(LogConfig {
             segment_bytes: 4096,
         });

@@ -20,14 +20,13 @@
 //!
 //! *Drain* ([`IngestPipeline::drain_until`]) advances virtual time in
 //! fixed ticks. Each tick, every shard drains up to `drain_batch`
-//! messages per queue — one scoped worker thread per shard when
-//! `threaded`, or a plain loop when not. Delivery latency is measured
-//! in **virtual time** (drain-tick instant minus arrival instant), so
-//! the numbers a run reports are a pure function of workload and
-//! configuration: threaded and serial drains, and any `--jobs` value
-//! above them, produce byte-identical statistics. Wall-clock throughput
-//! is measured by callers and reported separately as informational
-//! timing.
+//! messages per queue, in shard order on the calling thread (a tick's
+//! work is microseconds; a thread per shard per tick cost more than it
+//! drained). Delivery latency is measured in **virtual time**
+//! (drain-tick instant minus arrival instant), so the numbers a run
+//! reports are a pure function of workload and configuration, whatever
+//! `--jobs` value runs above them. Wall-clock throughput is measured
+//! by callers and reported separately as informational timing.
 
 use crate::registry::DeviceRegistry;
 use crate::stream::{encode_uplink, StreamAttachment, StreamConfig};
@@ -68,9 +67,11 @@ pub struct IngestConfig {
     pub policy: ShedPolicy,
     /// Queue-per-tenant or shared-per-shard (E16's fairness control).
     pub isolation: Isolation,
-    /// Drain shards on scoped worker threads (`true`) or serially.
-    /// Both modes produce identical statistics; this only changes
-    /// wall-clock behavior.
+    /// Ignored. It used to pick a thread-per-shard drain with, by
+    /// contract, the same statistics as the serial one, which is now the
+    /// only one. The name stays because the frozen
+    /// `benchmark/tests/alloc_repeat.rs` writes it in a struct literal;
+    /// delete it together with that line.
     pub threaded: bool,
 }
 
@@ -83,7 +84,7 @@ impl Default for IngestConfig {
             tick: SimDuration::from_millis(10),
             policy: ShedPolicy::RejectNew,
             isolation: Isolation::PerTenant,
-            threaded: true,
+            threaded: false,
         }
     }
 }
@@ -470,10 +471,6 @@ impl IngestPipeline {
     /// their queue latency at the boundary instant. Call this with the
     /// next arrival's timestamp *before* offering it, so the drain
     /// side keeps pace with the front door.
-    ///
-    /// With `threaded`, shards drain on scoped worker threads; results
-    /// are merged in shard order, so statistics are byte-identical to
-    /// the serial mode.
     pub fn drain_until(&mut self, until: SimTime) {
         let tick = self.config.tick.as_micros().max(1);
         let mut next = (self.now.as_micros() / tick + 1) * tick;
@@ -486,41 +483,20 @@ impl IngestPipeline {
         self.now = self.now.max(until);
     }
 
-    /// One drain tick at instant `t`.
+    /// One drain tick at instant `t`: up to `drain_batch` messages per
+    /// queue, shards and queues in index order.
     fn drain_tick(&mut self, t: SimTime) {
-        if self.shards.iter().flatten().all(|q| q.rx.is_empty()) {
-            return;
-        }
-        let batch = self.config.drain_batch;
-        // Per-shard results: (tenant, latencies of drained messages).
-        let results: Vec<Vec<(TenantId, Vec<u64>)>> = if self.config.threaded {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| scope.spawn(move |_| drain_shard(shard, t, batch)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("drain worker panicked"))
-                    .collect()
-            })
-            .expect("drain scope")
-        } else {
-            self.shards
-                .iter_mut()
-                .map(|shard| drain_shard(shard, t, batch))
-                .collect()
-        };
-        // Merge in shard order — identical regardless of which worker
-        // finished first.
-        for shard_result in results {
-            for (tenant, latencies) in shard_result {
-                let st = self.stats.entry(tenant).or_default();
-                st.drained += latencies.len() as u64;
-                for us in latencies {
-                    st.latency_us.observe(us as f64);
-                }
+        for q in self.shards.iter_mut().flatten() {
+            for _ in 0..self.config.drain_batch {
+                let Ok(msg) = q.rx.try_recv() else { break };
+                // Latency is attributed to the drained *message's*
+                // tenant — under shared isolation a queue serves several
+                // tenants, and the quiet ones must see the queueing
+                // delay the noisy one inflicts.
+                let st = self.stats.entry(msg.tenant).or_default();
+                st.drained += 1;
+                st.latency_us
+                    .observe(t.as_micros().saturating_sub(msg.t.as_micros()) as f64);
             }
         }
     }
@@ -563,31 +539,6 @@ impl IngestPipeline {
     pub fn queued(&self) -> usize {
         self.shards.iter().flatten().map(|q| q.rx.len()).sum()
     }
-}
-
-/// Drains one shard's queues for one tick; runs on a worker thread in
-/// threaded mode. Pure function of queue contents, tick instant and
-/// batch budget — no shared mutable state, no ordering races.
-fn drain_shard(shard: &mut [TenantQueue], t: SimTime, batch: usize) -> Vec<(TenantId, Vec<u64>)> {
-    // Latency is attributed to the drained *message's* tenant — under
-    // shared isolation a queue serves several tenants, and the quiet
-    // ones must see the queueing delay the noisy one inflicts.
-    let mut out: Vec<(TenantId, Vec<u64>)> = Vec::with_capacity(shard.len());
-    for q in shard {
-        for _ in 0..batch {
-            match q.rx.try_recv() {
-                Ok(msg) => {
-                    let lat = t.as_micros().saturating_sub(msg.t.as_micros());
-                    match out.iter_mut().find(|(tid, _)| *tid == msg.tenant) {
-                        Some((_, v)) => v.push(lat),
-                        None => out.push((msg.tenant, vec![lat])),
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -665,49 +616,10 @@ mod tests {
         assert_eq!((st.offered, st.shed_auth, st.accepted), (1, 1, 0));
     }
 
-    /// (accepted, shed, drained, p50, p99) per tenant.
-    type DrainSummary = (u64, u64, u64, f64, f64);
-
-    #[test]
-    fn threaded_and_serial_drain_agree_exactly() {
-        let runs: Vec<Vec<DrainSummary>> = [false, true]
-            .iter()
-            .map(|&threaded| {
-                let mut p = pipeline(IngestConfig {
-                    shards: 4,
-                    queue_cap: 64,
-                    drain_batch: 16,
-                    tick: SimDuration::from_millis(1),
-                    threaded,
-                    ..IngestConfig::default()
-                });
-                for i in 0..4000u64 {
-                    let m = msg(&p, (i % 4) as u16, (i % 50) as u32, i * 17);
-                    p.drain_until(m.t);
-                    p.offer(m);
-                }
-                p.drain_remaining();
-                p.stats()
-                    .map(|(_, s)| {
-                        (
-                            s.accepted,
-                            s.shed(),
-                            s.drained,
-                            s.latency_us.quantile(0.5),
-                            s.latency_us.quantile(0.99),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "threaded drain must match serial drain");
-    }
-
     #[test]
     fn latency_is_virtual_time_from_arrival_to_drain_tick() {
         let mut p = pipeline(IngestConfig {
             tick: SimDuration::from_millis(10),
-            threaded: false,
             ..IngestConfig::default()
         });
         let m = msg(&p, 0, 0, 0);
@@ -745,10 +657,7 @@ mod tests {
     #[test]
     fn windows_aggregate_accepted_uplinks_per_tenant() {
         use iiot_stream::WindowSpec;
-        let mut p = pipeline(IngestConfig {
-            threaded: false,
-            ..IngestConfig::default()
-        });
+        let mut p = pipeline(IngestConfig::default());
         p.attach_stream(
             StreamConfig::default()
                 .with_windows(WindowSpec::tumbling(SimDuration::from_millis(10))),

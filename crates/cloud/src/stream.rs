@@ -229,7 +229,6 @@ mod tests {
         let config = IngestConfig {
             queue_cap: 16,
             drain_batch: 4,
-            threaded: false,
             ..IngestConfig::default()
         };
         let stream = StreamConfig::logged(iiot_stream::LogConfig {
@@ -296,7 +295,6 @@ mod tests {
     fn replay_after_a_torn_crash_matches_a_live_run_over_the_prefix() {
         let config = IngestConfig {
             queue_cap: 16,
-            threaded: false,
             ..IngestConfig::default()
         };
         let stream = StreamConfig::logged(iiot_stream::LogConfig {

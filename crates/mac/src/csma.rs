@@ -2,8 +2,8 @@
 //! unslotted 802.15.4-style channel access. Latency baseline; energy
 //! worst case (the radio never sleeps).
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache, MAC_HEADER_LEN};
-use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
+use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, RxInfo, SimDuration, Timer, TimerId, TxOutcome};
 use rand::Rng;
@@ -236,31 +236,25 @@ impl Mac for CsmaMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        if payload.len() + MAC_HEADER_LEN > ctx.radio().max_payload {
-            return Err(MacError::TooLarge);
-        }
-        if self.queue.len() >= self.config.queue_cap {
-            return Err(MacError::QueueFull);
-        }
-        let handle = SendHandle(self.next_handle);
-        self.next_handle += 1;
-        self.seq = self.seq.wrapping_add(1);
-        self.queue.push_back(Pending {
-            handle,
-            dst,
-            upper_port,
-            payload,
-            seq: self.seq,
-            retries: 0,
-            backoffs: 0,
-            be: self.config.min_be,
-        });
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::QueueDepth {
-                queue: "mac",
-                depth: self.queue.len() as u32,
-            });
-        }
+        let min_be = self.config.min_be;
+        let handle = admit(
+            ctx,
+            &mut self.queue,
+            self.config.queue_cap,
+            &mut self.next_handle,
+            &mut self.seq,
+            payload.len(),
+            |handle, seq| Pending {
+                handle,
+                dst,
+                upper_port,
+                payload,
+                seq,
+                retries: 0,
+                backoffs: 0,
+                be: min_be,
+            },
+        )?;
         self.try_begin(ctx);
         Ok(handle)
     }

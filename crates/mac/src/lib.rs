@@ -119,6 +119,38 @@ pub const fn is_mac_tag(tag: u64) -> bool {
     tag >= MAC_TAG_BASE
 }
 
+/// The admission step of every [`Mac::send`]: refuses a payload that
+/// does not fit a frame or a full queue, else allocates the handle and
+/// the link sequence number, enqueues what `pending` builds from them
+/// and samples the queue depth. The caller then kicks its own pipeline.
+pub(crate) fn admit<P>(
+    ctx: &mut Ctx<'_>,
+    queue: &mut std::collections::VecDeque<P>,
+    queue_cap: usize,
+    next_handle: &mut u64,
+    seq: &mut u8,
+    payload_len: usize,
+    pending: impl FnOnce(SendHandle, u8) -> P,
+) -> Result<SendHandle, MacError> {
+    if payload_len + header::MAC_HEADER_LEN > ctx.radio().max_payload {
+        return Err(MacError::TooLarge);
+    }
+    if queue.len() >= queue_cap {
+        return Err(MacError::QueueFull);
+    }
+    let handle = SendHandle(*next_handle);
+    *next_handle += 1;
+    *seq = seq.wrapping_add(1);
+    queue.push_back(pending(handle, *seq));
+    if ctx.obs_enabled() {
+        ctx.emit(iiot_sim::obs::EventKind::QueueDepth {
+            queue: "mac",
+            depth: queue.len() as u32,
+        });
+    }
+    Ok(handle)
+}
+
 /// A medium-access protocol.
 ///
 /// Upper layers own a `Mac` value, forward the raw

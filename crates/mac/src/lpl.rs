@@ -14,8 +14,8 @@
 //! synchronization, so clock drift merely shifts the unsynchronized
 //! wake phases it already tolerates by design.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache, MAC_HEADER_LEN};
-use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
+use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use rand::Rng;
@@ -231,29 +231,22 @@ impl Mac for LplMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        if payload.len() + MAC_HEADER_LEN > ctx.radio().max_payload {
-            return Err(MacError::TooLarge);
-        }
-        if self.queue.len() >= self.config.queue_cap {
-            return Err(MacError::QueueFull);
-        }
-        let handle = SendHandle(self.next_handle);
-        self.next_handle += 1;
-        self.seq = self.seq.wrapping_add(1);
-        self.queue.push_back(Pending {
-            handle,
-            dst,
-            upper_port,
-            payload,
-            seq: self.seq,
-            strobes: 0,
-        });
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::QueueDepth {
-                queue: "mac",
-                depth: self.queue.len() as u32,
-            });
-        }
+        let handle = admit(
+            ctx,
+            &mut self.queue,
+            self.config.queue_cap,
+            &mut self.next_handle,
+            &mut self.seq,
+            payload.len(),
+            |handle, seq| Pending {
+                handle,
+                dst,
+                upper_port,
+                payload,
+                seq,
+                strobes: 0,
+            },
+        )?;
         self.begin_strobe(ctx);
         Ok(handle)
     }

@@ -7,8 +7,8 @@
 //! receivers (who sleep ~99% of the time) to active senders, and copes
 //! better with dynamic traffic than sender-initiated LPL.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache, MAC_HEADER_LEN};
-use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
+use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use rand::Rng;
@@ -202,31 +202,24 @@ impl Mac for RimacMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        if payload.len() + MAC_HEADER_LEN > ctx.radio().max_payload {
-            return Err(MacError::TooLarge);
-        }
-        if self.queue.len() >= self.config.queue_cap {
-            return Err(MacError::QueueFull);
-        }
-        let handle = SendHandle(self.next_handle);
-        self.next_handle += 1;
-        self.seq = self.seq.wrapping_add(1);
         let deadline =
             ctx.now() + self.config.wake_interval * self.config.send_timeout_intervals as u64;
-        self.queue.push_back(Pending {
-            handle,
-            dst,
-            upper_port,
-            payload,
-            seq: self.seq,
-            deadline,
-        });
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::QueueDepth {
-                queue: "mac",
-                depth: self.queue.len() as u32,
-            });
-        }
+        let handle = admit(
+            ctx,
+            &mut self.queue,
+            self.config.queue_cap,
+            &mut self.next_handle,
+            &mut self.seq,
+            payload.len(),
+            |handle, seq| Pending {
+                handle,
+                dst,
+                upper_port,
+                payload,
+                seq,
+                deadline,
+            },
+        )?;
         self.begin_hunt(ctx);
         Ok(handle)
     }

@@ -26,8 +26,8 @@
 //! The guard time is therefore not a hand-wave but a measurable sync
 //! tax: experiment E13 sweeps drift and guard to price it.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache, MAC_HEADER_LEN};
-use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
+use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TimerId, TxOutcome};
 use iiot_timesync::{FtspConfig, FtspEngine, SyncedClock};
@@ -581,30 +581,22 @@ impl Mac for TdmaMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        if payload.len() + MAC_HEADER_LEN > ctx.radio().max_payload {
-            return Err(MacError::TooLarge);
-        }
-        if self.queue.len() >= self.config.queue_cap {
-            return Err(MacError::QueueFull);
-        }
-        let handle = SendHandle(self.next_handle);
-        self.next_handle += 1;
-        self.seq = self.seq.wrapping_add(1);
-        self.queue.push_back(Pending {
-            handle,
-            dst,
-            upper_port,
-            payload,
-            seq: self.seq,
-            attempts: 0,
-        });
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::QueueDepth {
-                queue: "mac",
-                depth: self.queue.len() as u32,
-            });
-        }
-        Ok(handle)
+        admit(
+            ctx,
+            &mut self.queue,
+            self.config.queue_cap,
+            &mut self.next_handle,
+            &mut self.seq,
+            payload.len(),
+            |handle, seq| Pending {
+                handle,
+                dst,
+                upper_port,
+                payload,
+                seq,
+                attempts: 0,
+            },
+        )
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer, out: &mut Vec<MacEvent>) -> bool {

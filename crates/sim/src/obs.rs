@@ -29,6 +29,15 @@
 //! scheduling — which is what makes `--trace` output byte-identical for
 //! any `--jobs` count.
 //!
+//! # Adding an event kind
+//!
+//! One entry in the `event_kinds!` table below — rustdoc, then
+//! `Variant = "wire_name" { field: Type, .. }`, with `field as "key"`
+//! only where the wire key differs from the field name — yields the
+//! variant, its [`EventKind::name`]/[`EventKind::NAMES`] entry and both
+//! codec directions; then give the kind a line in
+//! `tests/golden/events.jsonl` (the round-trip test insists).
+//!
 //! # Examples
 //!
 //! ```
@@ -59,7 +68,8 @@ use crate::ids::NodeId;
 use crate::time::SimTime;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -138,341 +148,443 @@ impl std::fmt::Display for SpanId {
     }
 }
 
-/// What happened. Every variant is `Copy` and allocation-free so that
-/// constructing one on a hot path costs a few register moves even when
-/// no recorder is installed.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum EventKind {
+/// One value type of the JSONL wire format. The codec is written once
+/// per field *type* here; [`event_kinds!`] applies it per field.
+trait Wire: Sized {
+    /// Appends the value's JSON text.
+    fn put(&self, out: &mut String);
+    /// Parses the raw value text; `None` when malformed or out of range
+    /// for the type (never truncated to fit).
+    fn get(raw: &str) -> Option<Self>;
+}
+
+macro_rules! wire_number {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn get(raw: &str) -> Option<Self> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+wire_number!(u8, u16, u32, u64, i64, f64);
+
+/// Booleans travel as `0`/`1`.
+impl Wire for bool {
+    fn put(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+    fn get(raw: &str) -> Option<Self> {
+        match raw {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for NodeId {
+    fn put(&self, out: &mut String) {
+        self.0.put(out);
+    }
+    fn get(raw: &str) -> Option<Self> {
+        u32::get(raw).map(NodeId)
+    }
+}
+
+/// An absent node travels as `-1`.
+impl Wire for Option<NodeId> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(n) => n.put(out),
+            None => out.push_str("-1"),
+        }
+    }
+    fn get(raw: &str) -> Option<Self> {
+        if raw == "-1" {
+            Some(None)
+        } else {
+            NodeId::get(raw).map(Some)
+        }
+    }
+}
+
+/// Emitters only use identifier-like literals, so strings are quoted
+/// but not escaped; parsing interns them back to `&'static str`.
+impl Wire for &'static str {
+    fn put(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+    fn get(raw: &str) -> Option<Self> {
+        Some(intern(raw))
+    }
+}
+
+fn put_field<T: Wire>(out: &mut String, key: &str, v: &T) {
+    let _ = write!(out, ",\"{key}\":");
+    v.put(out);
+}
+
+/// Reads field `key` of a flat JSON object; an `Err` names the field
+/// that is missing, malformed or out of range.
+fn get_field<T: Wire>(line: &str, key: &str) -> Result<T, String> {
+    let raw = json_raw(line, key).ok_or_else(|| format!("missing field '{key}': {line}"))?;
+    T::get(raw).ok_or_else(|| format!("field '{key}' malformed or out of range: {line}"))
+}
+
+/// A field's wire key: its own name unless the table says `as "key"`.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident, $key:literal) => {
+        $key
+    };
+}
+
+/// The one table of event kinds. Each entry states the variant, its
+/// rustdoc, its wire name and its typed fields (`field as "key": Type`
+/// where the wire key differs from the field name); the enum,
+/// [`EventKind::name`], [`EventKind::NAMES`] and both directions of the
+/// JSONL codec are derived from it.
+macro_rules! event_kinds {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $wire:literal {
+            $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )*
+        }
+    )*) => {
+        /// What happened. Every variant is `Copy` and allocation-free so that
+        /// constructing one on a hot path costs a few register moves even when
+        /// no recorder is installed.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        pub enum EventKind {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl EventKind {
+            /// Every kind's wire name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($wire),*];
+
+            /// Stable kind name used in JSONL dumps and counters.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// Appends `,"key":value` for every field, in table order.
+            fn put_fields(&self, out: &mut String) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        $( put_field(out, wire_key!($field $(, $key)?), $field); )*
+                    } )*
+                }
+            }
+
+            /// Rebuilds the kind named `name` from the fields of `line`.
+            fn get_fields(name: &str, line: &str) -> Result<EventKind, String> {
+                Ok(match name {
+                    $( $wire => EventKind::$variant {
+                        $( $field: get_field(line, wire_key!($field $(, $key)?))?, )*
+                    }, )*
+                    other => return Err(format!("unknown event kind '{other}'")),
+                })
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A transmission left a node's radio (kernel-level, every frame).
-    TxStart {
+    TxStart = "tx_start" {
         /// Unicast destination, `None` for broadcast.
         dst: Option<NodeId>,
         /// Radio demux port.
         port: u8,
         /// Payload length in bytes.
         bytes: u32,
-    },
+    }
     /// A transmission finished at the sender.
-    TxEnd {
+    TxEnd = "tx_end" {
         /// Oracle count of candidates that actually received the frame.
         receivers: u32,
-    },
+    }
     /// A frame was delivered to the node's protocol stack.
-    RxDeliver {
+    RxDeliver = "rx_deliver" {
         /// Link-layer source of the frame.
         src: NodeId,
         /// Radio demux port.
         port: u8,
-    },
+    }
     /// A candidate reception was lost, with the medium's drop cause.
-    RxDrop {
+    RxDrop = "rx_drop" {
         /// Drop cause name (see [`crate::radio::DropReason`]).
         cause: &'static str,
         /// Link-layer source, when the medium still knows it.
         src: Option<NodeId>,
-    },
+    }
     /// A MAC transmit pipeline changed state.
-    MacState {
+    MacState = "mac_state" {
         /// Which MAC (`"csma"`, `"lpl"`, `"rimac"`, `"tdma"`).
         mac: &'static str,
         /// The state entered.
         state: &'static str,
-    },
+    }
     /// A Trickle timer was reset to its minimum interval.
-    TrickleReset {
+    TrickleReset = "trickle_reset" {
         /// Why (`"inconsistent"`, `"new_version"`, ...).
         cause: &'static str,
-    },
+    }
     /// A DIO control message was sent.
-    DioSent {
+    DioSent = "dio" {
         /// The advertised rank.
         rank: u16,
-    },
+    }
     /// The node's rank and/or preferred parent changed.
-    RankChange {
+    RankChange = "rank_change" {
         /// Rank before the change.
         old: u16,
         /// Rank after the change.
         new: u16,
         /// The new preferred parent, if any.
         parent: Option<NodeId>,
-    },
+    }
     /// An RNFD node-failure-detection verdict was reached.
-    RnfdVerdict {
+    RnfdVerdict = "rnfd_verdict" {
         /// The node being judged.
         target: NodeId,
         /// The verdict (`"dead"` or `"alive"`).
         verdict: &'static str,
-    },
+    }
     /// A confirmable CoAP message was retransmitted.
-    CoapRetx {
+    CoapRetx = "coap_retx" {
         /// Retransmission attempt number (1-based).
         attempt: u32,
-    },
+    }
     /// Two CRDT replicas merged state.
-    CrdtMerge {
+    CrdtMerge = "crdt_merge" {
         /// Number of keys in the merged-in state.
         keys: u32,
-    },
+    }
     /// A fault was injected (or healed) by the harness.
-    Fault {
+    Fault = "fault" {
         /// `"crash"`, `"recover"`, `"link_down"`, `"link_up"`,
         /// `"partition"`, `"heal"`.
-        kind: &'static str,
+        kind as "fault": &'static str,
         /// The peer node for link faults.
         peer: Option<NodeId>,
-    },
+    }
     /// A data packet was created at its origin (span anchor).
-    DataOrigin {
+    DataOrigin = "data_origin" {
         /// Origin-assigned sequence number.
         seq: u32,
-    },
+    }
     /// A data packet was forwarded one hop closer to the sink.
-    DataHop {
+    DataHop = "data_hop" {
         /// The previous hop.
         from: NodeId,
         /// Hop count so far.
         hops: u8,
-    },
+    }
     /// A data packet arrived at the sink (span end).
-    DataArrive {
+    DataArrive = "data_arrive" {
         /// Total hop count.
         hops: u8,
-    },
+    }
     /// A queue depth sample (taken on enqueue).
-    QueueDepth {
+    QueueDepth = "queue_depth" {
         /// Which queue (`"mac"`, `"dodag"`).
         queue: &'static str,
         /// Depth after the enqueue.
         depth: u32,
-    },
+    }
     /// A time-synchronization beacon was transmitted (FTSP-style
     /// flooding).
-    SyncBeacon {
+    SyncBeacon = "sync_beacon" {
         /// The reference (root) node whose timebase the beacon carries.
         root: NodeId,
         /// Flood sequence number of the beacon.
         seq: u32,
         /// Hop distance of the sender from the reference.
         hops: u8,
-    },
+    }
     /// A node re-estimated its offset/skew against the global timebase.
-    OffsetEstimate {
+    OffsetEstimate = "offset_estimate" {
         /// Estimated local-to-global offset, in microseconds.
         offset_us: i64,
         /// Estimated skew relative to the global timebase, in ppm.
         skew_ppm: f64,
-    },
+    }
     /// Slot timing discipline was violated (TDMA under clock drift):
     /// a transmission overran its slot or a frame arrived outside the
     /// receiver's slot.
-    GuardViolation {
+    GuardViolation = "guard_violation" {
         /// What went wrong (`"tx_overrun"`, `"late_frame"`,
         /// `"tx_busy"`).
         cause: &'static str,
-    },
+    }
     /// A dissemination summary advertisement (Deluge-style `ADV`) was
     /// broadcast.
-    DissemAdv {
+    DissemAdv = "dissem_adv" {
         /// The advertised image version.
         version: u32,
         /// Number of complete pages the advertiser holds.
         have: u32,
-    },
+    }
     /// A dissemination page request (`REQ`) was sent to a neighbor that
     /// advertised more pages.
-    DissemReq {
+    DissemReq = "dissem_req" {
         /// The image version being fetched.
         version: u32,
         /// The page index requested.
         page: u32,
-    },
+    }
     /// A node completed reassembling one image page (all chunks held,
     /// page CRC verified).
-    DissemPage {
+    DissemPage = "dissem_page" {
         /// The page index completed.
         page: u32,
         /// Number of complete pages held after this one.
         have: u32,
-    },
+    }
     /// A node finished (or rejected) a whole image: every page held and
     /// the image CRC checked.
-    DissemComplete {
+    DissemComplete = "dissem_complete" {
         /// The image version.
         version: u32,
         /// Whether the whole-image CRC verified (`false` quarantines
         /// the version).
         ok: bool,
-    },
+    }
     /// A staged-rollout controller changed stage.
-    RolloutStage {
+    RolloutStage = "rollout_stage" {
         /// The stage entered (`"canary"`, `"wave"`, `"fleet"`,
         /// `"done"`, `"halted"`).
         stage: &'static str,
         /// Number of nodes enabled by (or implicated in) this stage.
         cohort: u32,
-    },
+    }
     /// A northbound uplink message was accepted by the cloud ingest
     /// pipeline (the node is the reporting shard, not a sim node).
-    CloudIngest {
+    CloudIngest = "cloud_ingest" {
         /// The accepting tenant's numeric id.
         tenant: u32,
         /// Tenant queue depth right after the enqueue.
         depth: u32,
-    },
+    }
     /// A northbound uplink message was shed at the cloud's front door.
-    CloudShed {
+    CloudShed = "cloud_shed" {
         /// The tenant whose message was shed.
         tenant: u32,
         /// Shed cause (`"auth"`, `"queue_full"`, `"drop_oldest"`).
         cause: &'static str,
-    },
+    }
     /// A downlink command-and-control attempt completed.
-    CloudCommand {
+    CloudCommand = "cloud_command" {
         /// The issuing tenant.
         tenant: u32,
         /// Whether the gateway acknowledged the command.
         ok: bool,
-    },
+    }
     /// A northbound uplink was shed by per-tenant token-bucket
     /// admission control *before* reaching any queue — distinct from
     /// [`CloudShed`](EventKind::CloudShed) so admission shed and
     /// backpressure shed stay separately countable (the node is the
     /// reporting shard).
-    CloudRateLimit {
+    CloudRateLimit = "cloud_ratelimit" {
         /// The throttled tenant's numeric id.
         tenant: u32,
-    },
+    }
     /// The cloud event log sealed a segment (it filled to the
     /// configured byte budget and is immutable from here on).
-    StreamSeal {
+    StreamSeal = "stream_seal" {
         /// Index of the segment just sealed (0-based, append order).
         segment: u32,
         /// Records the sealed segment holds.
         records: u32,
-    },
+    }
     /// A windowed aggregate closed: the watermark passed the window's
     /// end plus the allowed lateness.
-    StreamWindow {
+    StreamWindow = "stream_window" {
         /// The owning tenant's numeric id.
         tenant: u32,
         /// The metric key inside the tenant's namespace.
         metric: u32,
         /// Observations attributed to the closed window.
         count: u32,
-    },
+    }
     /// A fleet-level campaign controller changed phase (the node is
     /// the network index the action applies to, or 0 for fleet-wide
     /// transitions).
-    FleetPhase {
+    FleetPhase = "fleet_phase" {
         /// The phase entered (`"canary"`, `"wave"`, `"fleet"`,
         /// `"done"`, `"halted"`).
         stage: &'static str,
         /// Networks activated by (or implicated in) this phase — for
         /// `"halted"`, the blast radius in networks.
         networks: u32,
-    },
+    }
     /// Desired-vs-reported configuration drift detected on a device
     /// twin (emitted once when the device *enters* the drifted state).
-    FleetDrift {
+    FleetDrift = "fleet_drift" {
         /// The drifting device (registry index).
         device: u32,
         /// Number of config keys out of sync.
         keys: u32,
-    },
+    }
     /// A drift-remediation push (config write through the C&C CoAP
     /// path) completed.
-    FleetRemediate {
+    FleetRemediate = "fleet_remediate" {
         /// The remediated device (registry index).
         device: u32,
         /// Whether the config write was acknowledged.
         ok: bool,
-    },
+    }
     /// An ICN Interest (named-data request) left a node — issued
     /// locally by a consumer or forwarded upstream toward the producer.
-    IcnInterest {
+    IcnInterest = "icn_interest" {
         /// Stable 32-bit hash of the requested name.
         name: u32,
         /// Minimum acceptable content version (`0` accepts any).
         min_version: u32,
-    },
+    }
     /// A signed content object was sent — a producer answer, a cache
     /// answer, or a PIT fan-out hop back toward the requesters.
-    IcnData {
+    IcnData = "icn_data" {
         /// Stable 32-bit hash of the object's name.
         name: u32,
         /// The object's version.
         version: u32,
-    },
+    }
     /// An Interest was answered from a node-local content store
     /// instead of travelling on toward the producer.
-    IcnCacheHit {
+    IcnCacheHit = "icn_cache_hit" {
         /// Stable 32-bit hash of the answered name.
         name: u32,
         /// Version of the cached object served.
         version: u32,
-    },
+    }
     /// A consumer rejected a delivered content object at verification
     /// time (content-object security validates at the consumer, not
     /// per hop).
-    IcnVerifyFail {
+    IcnVerifyFail = "icn_verify_fail" {
         /// Stable 32-bit hash of the rejected object's name.
         name: u32,
         /// Rejection cause (`"forged"`, `"stale"`).
         cause: &'static str,
-    },
+    }
     /// Escape hatch for one-off instrumentation.
-    Custom {
+    Custom = "custom" {
         /// Metric name.
         name: &'static str,
         /// Metric value.
         value: f64,
-    },
-}
-
-impl EventKind {
-    /// Stable kind name used in JSONL dumps and counters.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::TxStart { .. } => "tx_start",
-            EventKind::TxEnd { .. } => "tx_end",
-            EventKind::RxDeliver { .. } => "rx_deliver",
-            EventKind::RxDrop { .. } => "rx_drop",
-            EventKind::MacState { .. } => "mac_state",
-            EventKind::TrickleReset { .. } => "trickle_reset",
-            EventKind::DioSent { .. } => "dio",
-            EventKind::RankChange { .. } => "rank_change",
-            EventKind::RnfdVerdict { .. } => "rnfd_verdict",
-            EventKind::CoapRetx { .. } => "coap_retx",
-            EventKind::CrdtMerge { .. } => "crdt_merge",
-            EventKind::Fault { .. } => "fault",
-            EventKind::DataOrigin { .. } => "data_origin",
-            EventKind::DataHop { .. } => "data_hop",
-            EventKind::DataArrive { .. } => "data_arrive",
-            EventKind::QueueDepth { .. } => "queue_depth",
-            EventKind::SyncBeacon { .. } => "sync_beacon",
-            EventKind::OffsetEstimate { .. } => "offset_estimate",
-            EventKind::GuardViolation { .. } => "guard_violation",
-            EventKind::DissemAdv { .. } => "dissem_adv",
-            EventKind::DissemReq { .. } => "dissem_req",
-            EventKind::DissemPage { .. } => "dissem_page",
-            EventKind::DissemComplete { .. } => "dissem_complete",
-            EventKind::RolloutStage { .. } => "rollout_stage",
-            EventKind::CloudIngest { .. } => "cloud_ingest",
-            EventKind::CloudShed { .. } => "cloud_shed",
-            EventKind::CloudCommand { .. } => "cloud_command",
-            EventKind::CloudRateLimit { .. } => "cloud_ratelimit",
-            EventKind::StreamSeal { .. } => "stream_seal",
-            EventKind::StreamWindow { .. } => "stream_window",
-            EventKind::FleetPhase { .. } => "fleet_phase",
-            EventKind::FleetDrift { .. } => "fleet_drift",
-            EventKind::FleetRemediate { .. } => "fleet_remediate",
-            EventKind::IcnInterest { .. } => "icn_interest",
-            EventKind::IcnData { .. } => "icn_data",
-            EventKind::IcnCacheHit { .. } => "icn_cache_hit",
-            EventKind::IcnVerifyFail { .. } => "icn_verify_fail",
-            EventKind::Custom { .. } => "custom",
-        }
     }
 }
 
@@ -489,320 +601,36 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-fn json_opt_node(n: Option<NodeId>) -> i64 {
-    n.map(|n| n.0 as i64).unwrap_or(-1)
-}
-
 impl Event {
     /// Serializes the event as one flat JSON object (no external JSON
     /// dependency; the workspace vendors no `serde_json`).
     pub fn to_json(&self) -> String {
-        let head = format!(
+        let mut out = format!(
             "{{\"t_us\":{},\"node\":{},\"span\":{},\"kind\":\"{}\"",
             self.t.as_micros(),
             self.node.0,
             self.span.0,
             self.kind.name()
         );
-        let tail = match self.kind {
-            EventKind::TxStart { dst, port, bytes } => {
-                format!(
-                    ",\"dst\":{},\"port\":{},\"bytes\":{}",
-                    json_opt_node(dst),
-                    port,
-                    bytes
-                )
-            }
-            EventKind::TxEnd { receivers } => format!(",\"receivers\":{receivers}"),
-            EventKind::RxDeliver { src, port } => {
-                format!(",\"src\":{},\"port\":{}", src.0, port)
-            }
-            EventKind::RxDrop { cause, src } => {
-                format!(",\"cause\":\"{}\",\"src\":{}", cause, json_opt_node(src))
-            }
-            EventKind::MacState { mac, state } => {
-                format!(",\"mac\":\"{mac}\",\"state\":\"{state}\"")
-            }
-            EventKind::TrickleReset { cause } => format!(",\"cause\":\"{cause}\""),
-            EventKind::DioSent { rank } => format!(",\"rank\":{rank}"),
-            EventKind::RankChange { old, new, parent } => {
-                format!(
-                    ",\"old\":{},\"new\":{},\"parent\":{}",
-                    old,
-                    new,
-                    json_opt_node(parent)
-                )
-            }
-            EventKind::RnfdVerdict { target, verdict } => {
-                format!(",\"target\":{},\"verdict\":\"{}\"", target.0, verdict)
-            }
-            EventKind::CoapRetx { attempt } => format!(",\"attempt\":{attempt}"),
-            EventKind::CrdtMerge { keys } => format!(",\"keys\":{keys}"),
-            EventKind::Fault { kind, peer } => {
-                format!(",\"fault\":\"{}\",\"peer\":{}", kind, json_opt_node(peer))
-            }
-            EventKind::DataOrigin { seq } => format!(",\"seq\":{seq}"),
-            EventKind::DataHop { from, hops } => {
-                format!(",\"from\":{},\"hops\":{}", from.0, hops)
-            }
-            EventKind::DataArrive { hops } => format!(",\"hops\":{hops}"),
-            EventKind::QueueDepth { queue, depth } => {
-                format!(",\"queue\":\"{queue}\",\"depth\":{depth}")
-            }
-            EventKind::SyncBeacon { root, seq, hops } => {
-                format!(",\"root\":{},\"seq\":{},\"hops\":{}", root.0, seq, hops)
-            }
-            EventKind::OffsetEstimate {
-                offset_us,
-                skew_ppm,
-            } => {
-                format!(",\"offset_us\":{offset_us},\"skew_ppm\":{skew_ppm}")
-            }
-            EventKind::GuardViolation { cause } => format!(",\"cause\":\"{cause}\""),
-            EventKind::DissemAdv { version, have } => {
-                format!(",\"version\":{version},\"have\":{have}")
-            }
-            EventKind::DissemReq { version, page } => {
-                format!(",\"version\":{version},\"page\":{page}")
-            }
-            EventKind::DissemPage { page, have } => {
-                format!(",\"page\":{page},\"have\":{have}")
-            }
-            EventKind::DissemComplete { version, ok } => {
-                format!(",\"version\":{},\"ok\":{}", version, ok as u8)
-            }
-            EventKind::RolloutStage { stage, cohort } => {
-                format!(",\"stage\":\"{stage}\",\"cohort\":{cohort}")
-            }
-            EventKind::CloudIngest { tenant, depth } => {
-                format!(",\"tenant\":{tenant},\"depth\":{depth}")
-            }
-            EventKind::CloudShed { tenant, cause } => {
-                format!(",\"tenant\":{tenant},\"cause\":\"{cause}\"")
-            }
-            EventKind::CloudCommand { tenant, ok } => {
-                format!(",\"tenant\":{},\"ok\":{}", tenant, ok as u8)
-            }
-            EventKind::CloudRateLimit { tenant } => {
-                format!(",\"tenant\":{tenant}")
-            }
-            EventKind::StreamSeal { segment, records } => {
-                format!(",\"segment\":{segment},\"records\":{records}")
-            }
-            EventKind::StreamWindow {
-                tenant,
-                metric,
-                count,
-            } => {
-                format!(",\"tenant\":{tenant},\"metric\":{metric},\"count\":{count}")
-            }
-            EventKind::FleetPhase { stage, networks } => {
-                format!(",\"stage\":\"{stage}\",\"networks\":{networks}")
-            }
-            EventKind::FleetDrift { device, keys } => {
-                format!(",\"device\":{device},\"keys\":{keys}")
-            }
-            EventKind::FleetRemediate { device, ok } => {
-                format!(",\"device\":{},\"ok\":{}", device, ok as u8)
-            }
-            EventKind::IcnInterest { name, min_version } => {
-                format!(",\"name\":{name},\"min_version\":{min_version}")
-            }
-            EventKind::IcnData { name, version } => {
-                format!(",\"name\":{name},\"version\":{version}")
-            }
-            EventKind::IcnCacheHit { name, version } => {
-                format!(",\"name\":{name},\"version\":{version}")
-            }
-            EventKind::IcnVerifyFail { name, cause } => {
-                format!(",\"name\":{name},\"cause\":\"{cause}\"")
-            }
-            EventKind::Custom { name, value } => {
-                format!(",\"name\":\"{name}\",\"value\":{value}")
-            }
-        };
-        format!("{head}{tail}}}")
+        self.kind.put_fields(&mut out);
+        out.push('}');
+        out
     }
 
     /// Parses an event back from its [`Event::to_json`] form.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or missing field.
+    /// Returns a description of the first malformed, missing or
+    /// out-of-range field.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let num = |key: &str| -> Result<i64, String> {
-            json_num(line, key).ok_or_else(|| format!("missing numeric field '{key}': {line}"))
-        };
-        let fnum = |key: &str| -> Result<f64, String> {
-            json_f64(line, key).ok_or_else(|| format!("missing numeric field '{key}': {line}"))
-        };
-        let s = |key: &str| -> Result<&str, String> {
-            json_str(line, key).ok_or_else(|| format!("missing string field '{key}': {line}"))
-        };
-        let opt_node = |key: &str| -> Result<Option<NodeId>, String> {
-            let v = num(key)?;
-            Ok(if v < 0 { None } else { Some(NodeId(v as u32)) })
-        };
-        let kind = match s("kind")? {
-            "tx_start" => EventKind::TxStart {
-                dst: opt_node("dst")?,
-                port: num("port")? as u8,
-                bytes: num("bytes")? as u32,
-            },
-            "tx_end" => EventKind::TxEnd {
-                receivers: num("receivers")? as u32,
-            },
-            "rx_deliver" => EventKind::RxDeliver {
-                src: NodeId(num("src")? as u32),
-                port: num("port")? as u8,
-            },
-            "rx_drop" => EventKind::RxDrop {
-                cause: intern(s("cause")?),
-                src: opt_node("src")?,
-            },
-            "mac_state" => EventKind::MacState {
-                mac: intern(s("mac")?),
-                state: intern(s("state")?),
-            },
-            "trickle_reset" => EventKind::TrickleReset {
-                cause: intern(s("cause")?),
-            },
-            "dio" => EventKind::DioSent {
-                rank: num("rank")? as u16,
-            },
-            "rank_change" => EventKind::RankChange {
-                old: num("old")? as u16,
-                new: num("new")? as u16,
-                parent: opt_node("parent")?,
-            },
-            "rnfd_verdict" => EventKind::RnfdVerdict {
-                target: NodeId(num("target")? as u32),
-                verdict: intern(s("verdict")?),
-            },
-            "coap_retx" => EventKind::CoapRetx {
-                attempt: num("attempt")? as u32,
-            },
-            "crdt_merge" => EventKind::CrdtMerge {
-                keys: num("keys")? as u32,
-            },
-            "fault" => EventKind::Fault {
-                kind: intern(s("fault")?),
-                peer: opt_node("peer")?,
-            },
-            "data_origin" => EventKind::DataOrigin {
-                seq: num("seq")? as u32,
-            },
-            "data_hop" => EventKind::DataHop {
-                from: NodeId(num("from")? as u32),
-                hops: num("hops")? as u8,
-            },
-            "data_arrive" => EventKind::DataArrive {
-                hops: num("hops")? as u8,
-            },
-            "queue_depth" => EventKind::QueueDepth {
-                queue: intern(s("queue")?),
-                depth: num("depth")? as u32,
-            },
-            "sync_beacon" => EventKind::SyncBeacon {
-                root: NodeId(num("root")? as u32),
-                seq: num("seq")? as u32,
-                hops: num("hops")? as u8,
-            },
-            "offset_estimate" => EventKind::OffsetEstimate {
-                offset_us: num("offset_us")?,
-                skew_ppm: fnum("skew_ppm")?,
-            },
-            "guard_violation" => EventKind::GuardViolation {
-                cause: intern(s("cause")?),
-            },
-            "dissem_adv" => EventKind::DissemAdv {
-                version: num("version")? as u32,
-                have: num("have")? as u32,
-            },
-            "dissem_req" => EventKind::DissemReq {
-                version: num("version")? as u32,
-                page: num("page")? as u32,
-            },
-            "dissem_page" => EventKind::DissemPage {
-                page: num("page")? as u32,
-                have: num("have")? as u32,
-            },
-            "dissem_complete" => EventKind::DissemComplete {
-                version: num("version")? as u32,
-                ok: num("ok")? != 0,
-            },
-            "rollout_stage" => EventKind::RolloutStage {
-                stage: intern(s("stage")?),
-                cohort: num("cohort")? as u32,
-            },
-            "cloud_ingest" => EventKind::CloudIngest {
-                tenant: num("tenant")? as u32,
-                depth: num("depth")? as u32,
-            },
-            "cloud_shed" => EventKind::CloudShed {
-                tenant: num("tenant")? as u32,
-                cause: intern(s("cause")?),
-            },
-            "cloud_command" => EventKind::CloudCommand {
-                tenant: num("tenant")? as u32,
-                ok: num("ok")? != 0,
-            },
-            "cloud_ratelimit" => EventKind::CloudRateLimit {
-                tenant: num("tenant")? as u32,
-            },
-            "stream_seal" => EventKind::StreamSeal {
-                segment: num("segment")? as u32,
-                records: num("records")? as u32,
-            },
-            "stream_window" => EventKind::StreamWindow {
-                tenant: num("tenant")? as u32,
-                metric: num("metric")? as u32,
-                count: num("count")? as u32,
-            },
-            "fleet_phase" => EventKind::FleetPhase {
-                stage: intern(s("stage")?),
-                networks: num("networks")? as u32,
-            },
-            "fleet_drift" => EventKind::FleetDrift {
-                device: num("device")? as u32,
-                keys: num("keys")? as u32,
-            },
-            "fleet_remediate" => EventKind::FleetRemediate {
-                device: num("device")? as u32,
-                ok: num("ok")? != 0,
-            },
-            "icn_interest" => EventKind::IcnInterest {
-                name: num("name")? as u32,
-                min_version: num("min_version")? as u32,
-            },
-            "icn_data" => EventKind::IcnData {
-                name: num("name")? as u32,
-                version: num("version")? as u32,
-            },
-            "icn_cache_hit" => EventKind::IcnCacheHit {
-                name: num("name")? as u32,
-                version: num("version")? as u32,
-            },
-            "icn_verify_fail" => EventKind::IcnVerifyFail {
-                name: num("name")? as u32,
-                cause: intern(s("cause")?),
-            },
-            "custom" => EventKind::Custom {
-                name: intern(s("name")?),
-                value: fnum("value")?,
-            },
-            other => return Err(format!("unknown event kind '{other}'")),
-        };
+        let name = json_raw(line, "kind").ok_or_else(|| format!("missing field 'kind': {line}"))?;
         Ok(Event {
-            t: SimTime::from_micros(num("t_us")? as u64),
-            node: NodeId(num("node")? as u32),
-            // Episode spans set bit 63, so the value exceeds `i64::MAX`
-            // and must be parsed as an unsigned integer.
-            span: SpanId(
-                json_u64(line, "span")
-                    .ok_or_else(|| format!("missing numeric field 'span': {line}"))?,
-            ),
-            kind,
+            t: SimTime::from_micros(get_field(line, "t_us")?),
+            node: get_field(line, "node")?,
+            // Episode spans set bit 63: `span` needs the full `u64` range.
+            span: SpanId(get_field(line, "span")?),
+            kind: EventKind::get_fields(name, line)?,
         })
     }
 }
@@ -833,24 +661,6 @@ fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     }
 }
 
-fn json_num(line: &str, key: &str) -> Option<i64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-/// Full-range unsigned parse: seeds are arbitrary `u64`s, which `i64`
-/// would reject above `2^63`.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    json_raw(line, key)
-}
-
 /// Reverses [`json_escape`] in a single left-to-right pass, so a literal
 /// backslash followed by a quote (`\\\"` on the wire) is decoded
 /// correctly — sequential `str::replace` calls would mangle it.
@@ -869,93 +679,22 @@ fn json_unescape(s: &str) -> String {
     out
 }
 
-/// Maps a parsed string back to the `&'static str` the emitters used.
-/// Strings outside the common hardcoded set (e.g. a `Custom` metric name
-/// introduced after this list was written) are interned by leaking, via a
-/// bounded side table so parsing stays lossless without unbounded memory
-/// growth on adversarial dumps; only past that cap does a string collapse
-/// to the `"other"` marker.
+/// Maps a parsed string back to a `&'static str`, as the emitters use,
+/// by leaking each distinct string once into a bounded table: parsing
+/// stays lossless without unbounded memory growth on adversarial dumps,
+/// and only past the cap does a string collapse to the `"other"` marker.
 fn intern(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        // drop causes
-        "prr",
-        "collision",
-        "radio_moved",
-        "filtered",
-        "dead",
-        // MAC names and states
-        "csma",
-        "lpl",
-        "rimac",
-        "tdma",
-        "idle",
-        "backoff",
-        "send_data",
-        "send_ack",
-        "wait_ack",
-        "strobe",
-        "sample",
-        "sleep",
-        "hunt",
-        "dwell",
-        "probe",
-        "slot_tx",
-        "slot_rx",
-        // trickle causes
-        "inconsistent",
-        "new_version",
-        "parent_lost",
-        "repair",
-        // verdicts and fault kinds
-        "alive",
-        "crash",
-        "recover",
-        "link_down",
-        "link_up",
-        "partition",
-        "heal",
-        // guard-violation causes
-        "tx_overrun",
-        "late_frame",
-        "tx_busy",
-        // rollout stages and wipe crashes
-        "inject",
-        "canary",
-        "wave",
-        "fleet",
-        "done",
-        "halted",
-        "crash_wipe",
-        // cloud shed causes
-        "auth",
-        "queue_full",
-        "drop_oldest",
-        // icn verification-failure causes
-        "forged",
-        "stale",
-        // queues and common custom metric names
-        "mac",
-        "dodag",
-        "boot",
-        "duty_cycle",
-        "merge_round",
-    ];
-    if let Some(k) = KNOWN.iter().find(|k| **k == s) {
-        return k;
-    }
     const CAP: usize = 1024;
-    static EXTRA: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
-    let mut extra = EXTRA
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(k) = extra.iter().find(|k| **k == s) {
+    static TABLE: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(k) = table.get(s) {
         return k;
     }
-    if extra.len() >= CAP {
+    if table.len() >= CAP {
         return "other";
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    extra.push(leaked);
+    table.insert(leaked);
     leaked
 }
 
@@ -1327,12 +1066,6 @@ pub struct ScopeTrace {
     pub events: Vec<Event>,
 }
 
-impl ScopeTrace {
-    fn key(&self) -> (u32, u32, u32, u32) {
-        (self.section, self.trial, self.replica, self.world)
-    }
-}
-
 static TRACING: AtomicBool = AtomicBool::new(false);
 static SECTION: AtomicU32 = AtomicU32::new(0);
 static SINK: Mutex<Vec<ScopeTrace>> = Mutex::new(Vec::new());
@@ -1382,20 +1115,12 @@ pub fn clear_scope() {
     SCOPE.with(|s| *s.borrow_mut() = None);
 }
 
-/// Built by `SimBuilder::build` when tracing is on and the thread has a scope.
-struct TrialCapture {
-    section: u32,
-    trial: u32,
-    replica: u32,
-    world: u32,
-    label: String,
-    seed: u64,
-    events: Vec<Event>,
-}
+/// A [`ScopeTrace`] being filled; lands in the sink when dropped.
+struct TrialCapture(ScopeTrace);
 
 impl Recorder for TrialCapture {
     fn record(&mut self, ev: &Event) {
-        self.events.push(*ev);
+        self.0.events.push(*ev);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -1407,34 +1132,29 @@ impl Recorder for TrialCapture {
 
 impl Drop for TrialCapture {
     fn drop(&mut self) {
-        SINK.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ScopeTrace {
-                section: self.section,
-                trial: self.trial,
-                replica: self.replica,
-                world: self.world,
-                label: std::mem::take(&mut self.label),
-                seed: self.seed,
-                events: std::mem::take(&mut self.events),
-            });
+        let trace = ScopeTrace {
+            label: std::mem::take(&mut self.0.label),
+            events: std::mem::take(&mut self.0.events),
+            ..self.0
+        };
+        SINK.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
     }
 }
 
-/// The recorder a new world should install: a capture buffer when
-/// tracing is enabled and this thread has an active scope, else `None`.
-pub(crate) fn capture_recorder(seed: u64) -> Option<Box<dyn Recorder>> {
+/// The capture recorder for whatever is built next on this thread — a
+/// [`Sim`](crate::sim::Sim), or a trial that records events without one
+/// (e.g. the replicated-store engine): when tracing is on and the thread
+/// has an active scope, returns a recorder whose events land in the
+/// global sink on drop, under the next deterministic scope key. Returns
+/// `None` otherwise, so callers pay nothing when `--trace` is off.
+pub fn scope_capture(seed: u64) -> Option<Box<dyn Recorder>> {
     if !tracing_enabled() {
         return None;
     }
     SCOPE.with(|s| {
         s.borrow().as_ref().map(|(section, trial, replica, label)| {
-            let world = WORLD_SEQ.with(|w| {
-                let n = w.get();
-                w.set(n + 1);
-                n
-            });
-            Box::new(TrialCapture {
+            let world = WORLD_SEQ.with(|w| w.replace(w.get() + 1));
+            Box::new(TrialCapture(ScopeTrace {
                 section: *section,
                 trial: *trial,
                 replica: *replica,
@@ -1442,19 +1162,9 @@ pub(crate) fn capture_recorder(seed: u64) -> Option<Box<dyn Recorder>> {
                 label: label.clone(),
                 seed,
                 events: Vec::new(),
-            }) as Box<dyn Recorder>
+            })) as Box<dyn Recorder>
         })
     })
-}
-
-/// Builds a capture recorder for a trial that records events without
-/// building a [`Sim`](crate::sim::Sim) (e.g. the replicated-
-/// store engine): when tracing is on and the thread has an active scope,
-/// returns a recorder whose events land in the global sink on drop,
-/// under the same deterministic scope key a world would get. Returns
-/// `None` otherwise, so callers pay nothing when `--trace` is off.
-pub fn scope_capture(seed: u64) -> Option<Box<dyn Recorder>> {
-    capture_recorder(seed)
 }
 
 /// Drains every captured trace from the sink, sorted by scope key —
@@ -1462,7 +1172,7 @@ pub fn scope_capture(seed: u64) -> Option<Box<dyn Recorder>> {
 /// what, when.
 pub fn drain_traces() -> Vec<ScopeTrace> {
     let mut traces = std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
-    traces.sort_by_key(|t| t.key());
+    traces.sort_by_key(|t| (t.section, t.trial, t.replica, t.world));
     traces
 }
 
@@ -1527,13 +1237,17 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<ScopeTrace>, String> {
             continue;
         }
         if line.starts_with("{\"label\"") {
+            let header = |e: String| format!("line {}: header: {e}", i + 1);
             traces.push(ScopeTrace {
-                section: json_num(line, "section").ok_or("header missing 'section'")? as u32,
-                trial: json_num(line, "trial").ok_or("header missing 'trial'")? as u32,
-                replica: json_num(line, "replica").ok_or("header missing 'replica'")? as u32,
-                world: json_num(line, "world").ok_or("header missing 'world'")? as u32,
-                label: json_unescape(json_str(line, "label").ok_or("header missing 'label'")?),
-                seed: json_u64(line, "seed").ok_or("header missing 'seed'")?,
+                section: get_field(line, "section").map_err(header)?,
+                trial: get_field(line, "trial").map_err(header)?,
+                replica: get_field(line, "replica").map_err(header)?,
+                world: get_field(line, "world").map_err(header)?,
+                label: json_unescape(
+                    json_raw(line, "label")
+                        .ok_or_else(|| header("missing field 'label'".into()))?,
+                ),
+                seed: get_field(line, "seed").map_err(header)?,
                 events: Vec::new(),
             });
         } else {
@@ -1552,7 +1266,6 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<ScopeTrace>, String> {
 /// per-scope totals, top talkers, drop causes, span latency and the
 /// repair timeline. This is the engine of the `trace_report` binary.
 pub fn report(traces: &[ScopeTrace]) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let total_events: usize = traces.iter().map(|t| t.events.len()).sum();
     let _ = writeln!(out, "traces: {}   events: {}", traces.len(), total_events);
@@ -1946,197 +1659,168 @@ mod tests {
         assert!(SpanId::NONE.is_none());
     }
 
+    /// Written by `to_json` at the commit before the codec became
+    /// table-derived: one line per kind plus the `None`/`Some`, `0`/`1`
+    /// and extreme-value variants. Pins the wire format across commits.
+    const GOLDEN: &str = include_str!("../tests/golden/events.jsonl");
+
     #[test]
     fn every_event_kind_round_trips_through_json() {
-        let kinds = vec![
-            EventKind::TxStart {
-                dst: Some(NodeId(3)),
-                port: 1,
-                bytes: 40,
-            },
-            EventKind::TxStart {
-                dst: None,
-                port: 2,
-                bytes: 0,
-            },
-            EventKind::TxEnd { receivers: 4 },
-            EventKind::RxDeliver {
-                src: NodeId(9),
-                port: 7,
-            },
-            EventKind::RxDrop {
-                cause: "collision",
-                src: Some(NodeId(1)),
-            },
+        let mut unseen: BTreeSet<&str> = EventKind::NAMES.iter().copied().collect();
+        let parsed: Vec<Event> = GOLDEN
+            .lines()
+            .map(|line| {
+                let e = Event::from_json(line).expect(line);
+                assert_eq!(e.to_json(), line);
+                unseen.remove(e.kind.name());
+                e
+            })
+            .collect();
+        assert!(unseen.is_empty(), "kinds without a golden line: {unseen:?}");
+        // The bytes round-trip; spot-check that the typed values are the
+        // ones the lines were written from.
+        assert_eq!(
+            parsed[0],
+            Event {
+                t: SimTime::from_micros(1000),
+                node: NodeId(0),
+                span: SpanId::packet(NodeId(0), 42),
+                kind: EventKind::TxStart {
+                    dst: Some(NodeId(3)),
+                    port: 1,
+                    bytes: 40,
+                },
+            }
+        );
+        let kinds: Vec<EventKind> = parsed.iter().map(|e| e.kind).collect();
+        for expected in [
             EventKind::RxDrop {
                 cause: "prr",
                 src: None,
             },
-            EventKind::MacState {
-                mac: "csma",
-                state: "backoff",
-            },
-            EventKind::TrickleReset {
-                cause: "inconsistent",
-            },
-            EventKind::DioSent { rank: 512 },
-            EventKind::RankChange {
-                old: 65535,
-                new: 768,
-                parent: Some(NodeId(2)),
-            },
-            EventKind::RnfdVerdict {
-                target: NodeId(5),
-                verdict: "dead",
-            },
-            EventKind::CoapRetx { attempt: 2 },
-            EventKind::CrdtMerge { keys: 17 },
             EventKind::Fault {
                 kind: "link_down",
                 peer: Some(NodeId(8)),
-            },
-            EventKind::Fault {
-                kind: "partition",
-                peer: None,
-            },
-            EventKind::DataOrigin { seq: 11 },
-            EventKind::DataHop {
-                from: NodeId(4),
-                hops: 2,
-            },
-            EventKind::DataArrive { hops: 3 },
-            EventKind::QueueDepth {
-                queue: "dodag",
-                depth: 6,
-            },
-            EventKind::SyncBeacon {
-                root: NodeId(0),
-                seq: 99,
-                hops: 4,
-            },
-            EventKind::OffsetEstimate {
-                offset_us: -1234,
-                skew_ppm: -12.5,
-            },
-            EventKind::GuardViolation {
-                cause: "tx_overrun",
-            },
-            EventKind::DissemAdv {
-                version: 3,
-                have: 7,
-            },
-            EventKind::DissemReq {
-                version: 3,
-                page: 2,
-            },
-            EventKind::DissemPage { page: 2, have: 3 },
-            EventKind::DissemComplete {
-                version: 3,
-                ok: true,
             },
             EventKind::DissemComplete {
                 version: 4,
                 ok: false,
             },
-            EventKind::RolloutStage {
-                stage: "canary",
-                cohort: 5,
+            EventKind::OffsetEstimate {
+                offset_us: i64::MIN,
+                skew_ppm: 1e-7,
             },
-            EventKind::CloudIngest {
-                tenant: 2,
-                depth: 17,
-            },
-            EventKind::CloudShed {
-                tenant: 2,
-                cause: "queue_full",
-            },
-            EventKind::CloudShed {
-                tenant: 0,
-                cause: "auth",
-            },
-            EventKind::CloudCommand {
-                tenant: 1,
-                ok: true,
-            },
-            EventKind::CloudCommand {
-                tenant: 3,
-                ok: false,
-            },
-            EventKind::CloudRateLimit { tenant: 2 },
-            EventKind::StreamSeal {
-                segment: 4,
-                records: 1833,
-            },
-            EventKind::StreamWindow {
-                tenant: 1,
-                metric: 7,
-                count: 250,
-            },
-            EventKind::FleetPhase {
-                stage: "canary",
-                networks: 2,
-            },
-            EventKind::FleetPhase {
-                stage: "halted",
-                networks: 8,
-            },
-            EventKind::FleetDrift {
-                device: 42,
-                keys: 3,
-            },
-            EventKind::FleetRemediate {
-                device: 42,
-                ok: true,
-            },
-            EventKind::FleetRemediate {
-                device: 7,
-                ok: false,
-            },
-            EventKind::IcnInterest {
-                name: 0xDEAD_BEEF,
-                min_version: 0,
-            },
-            EventKind::IcnInterest {
-                name: 17,
-                min_version: 3,
-            },
-            EventKind::IcnData {
-                name: 17,
-                version: 3,
-            },
-            EventKind::IcnCacheHit {
-                name: 17,
-                version: 2,
-            },
-            EventKind::IcnVerifyFail {
-                name: 17,
-                cause: "forged",
-            },
-            EventKind::IcnVerifyFail {
-                name: 17,
-                cause: "stale",
-            },
-            EventKind::Custom {
-                name: "boot",
-                value: 1.5,
-            },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            // Alternate packet and episode spans: episode ids set bit 63,
-            // so they exercise the full-u64 parse path.
-            let span = if i % 2 == 0 {
-                SpanId::packet(NodeId(i as u32), 42)
-            } else {
-                SpanId::episode(NodeId(i as u32), 42)
-            };
-            let e = Event {
-                t: SimTime::from_micros(1000 + i as u64),
-                node: NodeId(i as u32),
-                span,
-                kind,
-            };
-            let back = Event::from_json(&e.to_json()).expect("parse");
-            assert_eq!(e, back, "json: {}", e.to_json());
+        ] {
+            assert!(kinds.contains(&expected), "{expected:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_errors_naming_the_field() {
+        let head = "{\"t_us\":1,\"node\":2,\"span\":0,";
+        for (tail, field) in [
+            (
+                "\"kind\":\"tx_start\",\"dst\":3,\"port\":256,\"bytes\":1}",
+                "port",
+            ),
+            (
+                "\"kind\":\"tx_start\",\"dst\":-2,\"port\":1,\"bytes\":1}",
+                "dst",
+            ),
+            (
+                "\"kind\":\"tx_start\",\"dst\":3,\"port\":1,\"bytes\":4294967296}",
+                "bytes",
+            ),
+            ("\"kind\":\"dio\",\"rank\":65536}", "rank"),
+            ("\"kind\":\"data_arrive\",\"hops\":-1}", "hops"),
+            ("\"kind\":\"cloud_command\",\"tenant\":1,\"ok\":2}", "ok"),
+            ("\"kind\":\"tx_end\"}", "receivers"),
+        ] {
+            let err = Event::from_json(&format!("{head}{tail}")).expect_err(tail);
+            assert!(err.contains(&format!("'{field}'")), "{err}");
+        }
+        for bad_head in [
+            "{\"t_us\":-1,\"node\":2,\"span\":0,",
+            "{\"t_us\":1,\"node\":4294967296,\"span\":0,",
+            "{\"t_us\":1,\"node\":2,\"span\":-5,",
+        ] {
+            let line = format!("{bad_head}\"kind\":\"tx_end\",\"receivers\":0}}");
+            assert!(Event::from_json(&line).is_err(), "{line}");
+        }
+        let dump = "{\"label\":\"x\",\"section\":4294967296,\"trial\":0,\"replica\":0,\
+                    \"world\":0,\"seed\":1,\"events\":0}";
+        let err = parse_jsonl(dump).expect_err("section out of range");
+        assert!(err.contains("line 1") && err.contains("'section'"), "{err}");
+    }
+
+    /// Every `"key":<integer>` value position in `line`, as
+    /// `(start, end)` byte offsets — the float-valued keys excluded.
+    fn integer_fields(line: &str) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        while let Some(at) = line[from..].find("\":") {
+            let start = from + at + 2;
+            from = start;
+            let key_is_float = ["\"skew_ppm", "\"value"]
+                .iter()
+                .any(|k| line[..start - 2].ends_with(k));
+            let len = line[start..]
+                .find(|c: char| c != '-' && !c.is_ascii_digit())
+                .unwrap_or(line.len() - start);
+            if len > 0 && !key_is_float {
+                out.push((start, start + len));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn readers_are_total_over_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..200),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = Event::from_json(&text);
+            let _ = parse_jsonl(&text);
+        }
+
+        #[test]
+        fn truncated_valid_lines_never_panic(
+            line in 0usize..GOLDEN.lines().count(),
+            cut in 0usize..200,
+        ) {
+            let line = GOLDEN.lines().nth(line).expect("in range");
+            let cut = &line[..cut.min(line.len())];
+            let _ = Event::from_json(cut);
+            let _ = parse_jsonl(&format!("{{\"label\":\"t\",\"section\":0,{cut}"));
+        }
+
+        /// Whatever integer a dump claims, the reader either refuses it
+        /// or holds exactly that value — it never narrows it to fit.
+        #[test]
+        fn integers_are_refused_or_kept_exactly(
+            line in 0usize..GOLDEN.lines().count(),
+            field in 0usize..8,
+            edge in proptest::prop_oneof![
+                proptest::Just(0i128),
+                proptest::Just(u16::MAX as i128),
+                proptest::Just(u32::MAX as i128),
+                proptest::Just(i64::MIN as i128),
+                proptest::Just(i64::MAX as i128),
+                proptest::Just(u64::MAX as i128),
+            ],
+            offset in -300i64..300,
+        ) {
+            let value = edge + offset as i128;
+            let line = GOLDEN.lines().nth(line).expect("in range");
+            let fields = integer_fields(line);
+            let (start, end) = fields[field % fields.len()];
+            let mutated = format!("{}{}{}", &line[..start], value, &line[end..]);
+            if let Ok(e) = Event::from_json(&mutated) {
+                proptest::prop_assert_eq!(e.to_json(), mutated);
+            }
         }
     }
 

@@ -221,7 +221,7 @@ impl ShardEngine {
             .collect();
         let (shard_of, stripes) = partition_x(&xs, shards);
 
-        let recorder = obs::capture_recorder(config.seed);
+        let recorder = obs::scope_capture(config.seed);
         let worlds = (0..shards)
             .map(|_| {
                 let mut w = World::new_uncaptured(config.clone());

@@ -1,8 +1,6 @@
-//! Metric collection: counters, sample series and bounded histograms
-//! for experiments.
+//! Metric collection: counters and sample series for experiments.
 
 use crate::ids::NodeId;
-use crate::obs::Histogram;
 use std::collections::BTreeMap;
 
 /// Summary statistics over one sample series.
@@ -27,7 +25,9 @@ pub struct Summary {
 /// Counters and sample series collected during a simulation.
 ///
 /// Counters are keyed by name (and optionally node); series accumulate
-/// raw samples, e.g. per-packet latencies, and can be summarized.
+/// raw samples, e.g. per-packet latencies, and can be summarized. Names
+/// are written as `&'static str` (every writer passes a literal, so a
+/// bump allocates nothing) and read back by any `&str`.
 ///
 /// # Examples
 ///
@@ -45,10 +45,9 @@ pub struct Summary {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
-    counters: BTreeMap<String, f64>,
-    node_counters: BTreeMap<(String, NodeId), f64>,
-    series: BTreeMap<String, Vec<f64>>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<&'static str, f64>,
+    node_counters: BTreeMap<(&'static str, NodeId), f64>,
+    series: BTreeMap<&'static str, Vec<f64>>,
 }
 
 impl Stats {
@@ -58,16 +57,13 @@ impl Stats {
     }
 
     /// Adds `v` to the global counter `name`.
-    pub fn inc(&mut self, name: &str, v: f64) {
-        *self.counters.entry(name.to_owned()).or_insert(0.0) += v;
+    pub fn inc(&mut self, name: &'static str, v: f64) {
+        *self.counters.entry(name).or_insert(0.0) += v;
     }
 
     /// Adds `v` to the per-node counter `name` for `node`.
-    pub fn inc_node(&mut self, node: NodeId, name: &str, v: f64) {
-        *self
-            .node_counters
-            .entry((name.to_owned(), node))
-            .or_insert(0.0) += v;
+    pub fn inc_node(&mut self, node: NodeId, name: &'static str, v: f64) {
+        *self.node_counters.entry((name, node)).or_insert(0.0) += v;
     }
 
     /// Value of the global counter `name`, or 0 if never touched.
@@ -78,32 +74,31 @@ impl Stats {
     /// Value of the per-node counter, or 0 if never touched.
     pub fn get_node(&self, node: NodeId, name: &str) -> f64 {
         self.node_counters
-            .get(&(name.to_owned(), node))
+            .get(&(name, node))
             .copied()
             .unwrap_or(0.0)
     }
 
+    /// The entries of per-node counter `name`, in node-id order.
+    fn per_node<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (NodeId, f64)> + 'a {
+        self.node_counters
+            .range((name, NodeId(0))..=(name, NodeId(u32::MAX)))
+            .map(|((_, id), v)| (*id, *v))
+    }
+
     /// Sum of the per-node counter `name` over all nodes.
     pub fn node_total(&self, name: &str) -> f64 {
-        self.node_counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v)
-            .sum()
+        self.per_node(name).map(|(_, v)| v).sum()
     }
 
     /// Per-node values of counter `name`, in node-id order.
     pub fn node_values(&self, name: &str) -> Vec<(NodeId, f64)> {
-        self.node_counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|((_, id), v)| (*id, *v))
-            .collect()
+        self.per_node(name).collect()
     }
 
     /// Appends a raw sample to the series `name`.
-    pub fn record(&mut self, name: &str, v: f64) {
-        self.series.entry(name.to_owned()).or_default().push(v);
+    pub fn record(&mut self, name: &'static str, v: f64) {
+        self.series.entry(name).or_default().push(v);
     }
 
     /// The raw samples of series `name` (empty slice if absent).
@@ -114,51 +109,6 @@ impl Stats {
     /// Summary statistics of series `name`.
     pub fn summary(&self, name: &str) -> Summary {
         summarize(self.samples(name))
-    }
-
-    /// Records `v` into the bounded log-scale histogram `name`. Unlike
-    /// [`Stats::record`], memory stays constant no matter how many
-    /// samples arrive — the right choice for hot-path metrics such as
-    /// queue depths and per-packet latencies.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use iiot_sim::trace::Stats;
-    ///
-    /// let mut s = Stats::new();
-    /// for depth in [1.0, 2.0, 4.0] {
-    ///     s.observe("queue_depth", depth);
-    /// }
-    /// let h = s.histogram("queue_depth").unwrap();
-    /// assert_eq!(h.count(), 3);
-    /// assert_eq!(h.max(), 4.0);
-    /// ```
-    pub fn observe(&mut self, name: &str, v: f64) {
-        // Allocate the key only on first use; steady state is a lookup.
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(v);
-        } else {
-            self.histograms
-                .entry(name.to_owned())
-                .or_default()
-                .observe(v);
-        }
-    }
-
-    /// The histogram `name`, if any sample was observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Names of all histograms, in name order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// Names of all global counters, for debugging dumps.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
     }
 
     /// All global counters as `(name, value)` pairs, in name order.
@@ -175,38 +125,20 @@ impl Stats {
     /// let all: Vec<_> = s.counters().collect();
     /// assert_eq!(all, vec![("rx", 2.0), ("tx", 5.0)]);
     /// ```
-    pub fn counters(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Names of all sample series, in name order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use iiot_sim::trace::Stats;
-    ///
-    /// let mut s = Stats::new();
-    /// s.record("latency_s", 0.2);
-    /// assert_eq!(s.series_names().collect::<Vec<_>>(), vec!["latency_s"]);
-    /// ```
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Merges another `Stats` into this one (counters add, series append).
     pub fn merge(&mut self, other: &Stats) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0.0) += v;
+            *self.counters.entry(k).or_insert(0.0) += v;
         }
         for (k, v) in &other.node_counters {
-            *self.node_counters.entry(k.clone()).or_insert(0.0) += v;
+            *self.node_counters.entry(*k).or_insert(0.0) += v;
         }
         for (k, v) in &other.series {
-            self.series.entry(k.clone()).or_default().extend(v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(v);
+            self.series.entry(k).or_default().extend(v);
         }
     }
 }
@@ -254,6 +186,11 @@ mod tests {
         s.inc_node(NodeId(1), "other", 9.0);
         assert_eq!(s.get_node(NodeId(1), "fwd"), 3.0);
         assert_eq!(s.node_total("fwd"), 5.0);
+        // Writers pass literals; readers may hold any `&str`.
+        let built = ["f", "wd"].concat();
+        assert_eq!(s.get_node(NodeId(1), &built), 3.0);
+        assert_eq!(s.node_total(&built), 5.0);
+        assert_eq!(s.node_values(&built).len(), 2);
         assert_eq!(
             s.node_values("fwd"),
             vec![(NodeId(0), 2.0), (NodeId(1), 3.0)]

@@ -402,7 +402,7 @@ impl World {
         // Under `--trace` (global capture enabled + an active worker
         // scope on this thread) new worlds record into the global sink;
         // otherwise emission stays disabled.
-        let recorder = obs::capture_recorder(config.seed);
+        let recorder = obs::scope_capture(config.seed);
         Self::with_recorder(config, recorder)
     }
 
@@ -1245,25 +1245,18 @@ impl Ctx<'_> {
     }
 
     /// Adds `v` to the global counter `name`.
-    pub fn count(&mut self, name: &str, v: f64) {
+    pub fn count(&mut self, name: &'static str, v: f64) {
         self.kernel.stats.inc(name, v);
     }
 
     /// Adds `v` to this node's counter `name`.
-    pub fn count_node(&mut self, name: &str, v: f64) {
+    pub fn count_node(&mut self, name: &'static str, v: f64) {
         self.kernel.stats.inc_node(self.node, name, v);
     }
 
     /// Appends a raw sample to the series `name`.
-    pub fn record(&mut self, name: &str, v: f64) {
+    pub fn record(&mut self, name: &'static str, v: f64) {
         self.kernel.stats.record(name, v);
-    }
-
-    /// Records `v` into the bounded histogram `name` (see
-    /// [`Stats::observe`]).
-    #[inline]
-    pub fn observe(&mut self, name: &str, v: f64) {
-        self.kernel.stats.observe(name, v);
     }
 
     /// Read access to all statistics.
@@ -1394,12 +1387,7 @@ mod tests {
                         .len()
                 })
                 .unwrap_or(0);
-            let mut counters: Vec<(String, f64)> = w
-                .stats()
-                .counter_names()
-                .map(|k| (k.to_string(), w.stats().get(k)))
-                .collect();
-            counters.sort_by(|x, y| x.0.cmp(&y.0));
+            let counters: Vec<(&'static str, f64)> = w.stats().counters().collect();
             (w.proto::<Ping>(a).rtts.clone(), counters, events)
         };
         let (rtts_off, counters_off, events_off) = run(false);

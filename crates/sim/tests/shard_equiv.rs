@@ -51,9 +51,11 @@ impl Chatter {
 impl Proto for Chatter {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.radio_on().expect("radio");
+        ctx.record("period_ms", self.period_ms as f64);
         ctx.set_timer(SimDuration::from_millis(1 + self.period_ms / 2), 0);
     }
     fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+        ctx.count("chirps", 1.0);
         ctx.transmit(Dst::Broadcast, 0, vec![0xA5; 12]).ok();
         ctx.set_timer(SimDuration::from_millis(self.period_ms), 0);
     }
@@ -155,6 +157,20 @@ fn serial_and_threaded_drivers_agree() {
         let t = fingerprint(&topo, 0xC0FFEE, 2, ShardConfig::threaded(k));
         assert_same(&s, &t, &format!("k={k}"));
     }
+}
+
+/// The merged `Stats` of an E5-shaped run (a grid, every node
+/// chattering) on two shards, against the `{:?}` text of the commit
+/// whose keys were still `String`s (minus its deleted `histograms`
+/// field): `&'static str` keys must order, sum and append identically.
+#[test]
+fn sharded_stats_merge_matches_the_string_keyed_golden() {
+    let topo = Topology::grid(6, 6, 18.0);
+    let (_, stats, ..) = fingerprint(&topo, 5, 2, ShardConfig::serial(2));
+    assert_eq!(
+        stats,
+        include_str!("golden/stats_grid6_shards2.txt").trim_end()
+    );
 }
 
 /// Two radio clusters far outside each other's range, split by the

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The BENCH_perf.json schema (iiot-bench/perf/v6), checked in one place.
+"""The BENCH_perf.json schema (iiot-bench/perf/v7), checked in one place.
 
     perf_schema.py check FILE              schema asserts
     perf_schema.py check --committed FILE  ... plus how far the committed curves reach
@@ -27,7 +27,7 @@ KEYS = {
     "cloud": (
         {"sessions", "tenants", "shards", "msgs", "accepted", "shed",
          "p50_us", "p99_us", "fairness_milli"},
-        {"wall_us", "msgs_per_sec", "mode"},
+        {"wall_us", "msgs_per_sec"},
     ),
     "stream": (
         {"sessions", "tenants", "msgs", "accepted", "shed", "log_records",
@@ -45,7 +45,7 @@ KEYS = {
 def check(path, committed=False):
     """Asserts the schema; returns {block: [deterministic, ...]}."""
     doc = json.load(open(path))
-    assert doc["schema"] == "iiot-bench/perf/v6", doc.get("schema")
+    assert doc["schema"] == "iiot-bench/perf/v7", doc.get("schema")
     assert isinstance(doc["spacing_m"], (int, float))
     for block in BLOCKS:
         assert doc[block], f"{path}: no {block} points"
@@ -57,7 +57,7 @@ def check(path, committed=False):
     for p in doc["points"] + doc["scaling"]:
         d = p["deterministic"]
         assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d
-    for p in doc["scaling"] + doc["cloud"]:
+    for p in doc["scaling"]:
         assert p["timing"]["mode"] in {"threaded", "serial"}, p["timing"]
     shard_counts = {p["deterministic"]["shards"] for p in doc["scaling"]}
     assert {1, 2, 4} <= shard_counts, f"scaling must cover shards 1/2/4: {shard_counts}"
