@@ -130,10 +130,11 @@ fn main() {
     let icn_consumers =
         icn_consumers.unwrap_or_else(|| if quick { vec![2] } else { vec![2, 8, 16] });
     let secs = secs.unwrap_or(if quick { 2 } else { 5 });
+    // One worker unless told otherwise: points that race their siblings
+    // for cores time each other, not the kernel. `--jobs N` is for
+    // comparing counts (`scripts/perf_gate.sh`), never timings.
     let rc = RunConfig {
-        runner: jobs
-            .map(Runner::new)
-            .unwrap_or_else(Runner::available_parallelism),
+        runner: jobs.map_or_else(Runner::sequential, Runner::new),
         trials: 1,
     };
     eprintln!(

@@ -41,6 +41,7 @@ pub mod exp_perf;
 pub mod exp_scale;
 pub mod exp_stream;
 pub mod exp_sync;
+pub mod report;
 pub mod runner;
 pub mod table;
 

@@ -6,6 +6,7 @@
 //! the trace sink is process-global state, and everything here runs in
 //! one `#[test]` so no parallel test can interleave with it.
 
+use iiot_bench::report::summarize;
 use iiot_bench::{Cell, MetricRows, Runner, Trial};
 use iiot_sim::obs;
 use iiot_sim::prelude::*;
@@ -79,9 +80,9 @@ fn jsonl_is_identical_across_jobs_and_round_trips() {
     assert_eq!(parsed.len(), 8, "4 trials x 2 replicas");
     assert_eq!(obs::traces_to_jsonl(&parsed), a, "lossless round trip");
 
-    // And the report over the parsed dump is stable under fixed seeds.
-    let report = obs::report(&parsed);
-    assert_eq!(report, obs::report(&obs::parse_jsonl(&b).expect("parse")));
+    // And the report over the dump is stable under fixed seeds.
+    let report = summarize(a.as_bytes()).expect("report");
+    assert_eq!(report, summarize(b.as_bytes()).expect("report"));
     assert!(report.contains("== drop causes =="), "{report}");
     assert!(
         report.contains("fault: crash"),

@@ -2,7 +2,7 @@
 //! gateway's northbound CoAP surface.
 //!
 //! Tenants submit [`Command`]s into a bounded downlink queue (same
-//! explicit-backpressure discipline as ingest: `try_send`, shed on
+//! explicit-backpressure discipline as ingest: a capped queue, shed on
 //! full). [`CommandRouter::flush`] then plays the queue against a
 //! gateway CoAP endpoint as confirmable PUTs, shuttling datagrams both
 //! ways in virtual time and classifying each response: `2.04 Changed`
@@ -12,9 +12,9 @@
 //! tier adds no second write authority.
 
 use crate::tenant::TenantId;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use iiot_coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
 use iiot_sim::SimTime;
+use std::collections::VecDeque;
 
 /// The router's own peer address on the two-endpoint CoAP link.
 const CLOUD_PEER: u64 = 0xC10D;
@@ -45,8 +45,10 @@ pub struct CommandOutcome {
 
 /// Bounded downlink queue + CoAP client; see the [module docs](self).
 pub struct CommandRouter {
-    tx: Sender<Command>,
-    rx: Receiver<Command>,
+    queue: VecDeque<Command>,
+    /// Most commands `queue` may hold; 0 still holds one, as it always
+    /// has.
+    cap: usize,
     client: CoapEndpoint<u64>,
     shed: u64,
 }
@@ -56,10 +58,9 @@ impl CommandRouter {
     /// commands; `seed` feeds the CoAP endpoint's retransmission
     /// jitter (deterministic per seed).
     pub fn new(cap: usize, seed: u64) -> Self {
-        let (tx, rx) = bounded(cap);
         CommandRouter {
-            tx,
-            rx,
+            queue: VecDeque::new(),
+            cap: cap.max(1),
             client: CoapEndpoint::new(EndpointConfig::default(), seed),
             shed: 0,
         }
@@ -68,21 +69,17 @@ impl CommandRouter {
     /// Enqueues a command; sheds it (returning `false`) when the
     /// downlink queue is full. Never blocks.
     pub fn submit(&mut self, cmd: Command) -> bool {
-        match self.tx.try_send(cmd) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                self.shed += 1;
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                unreachable!("router owns both channel halves")
-            }
+        if self.queue.len() >= self.cap {
+            self.shed += 1;
+            return false;
         }
+        self.queue.push_back(cmd);
+        true
     }
 
     /// Commands currently queued for downlink.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.queue.len()
     }
 
     /// Commands shed to downlink backpressure so far.
@@ -95,7 +92,7 @@ impl CommandRouter {
     /// returning one outcome per command in submission order.
     pub fn flush(&mut self, gateway: &mut CoapEndpoint<u64>, now: SimTime) -> Vec<CommandOutcome> {
         let mut sent: Vec<(Vec<u8>, Command)> = Vec::new();
-        while let Ok(cmd) = self.rx.try_recv() {
+        for cmd in self.queue.drain(..) {
             let payload = format!("{}", cmd.value).into_bytes();
             let token = self.client.put(GATEWAY_PEER, &cmd.point, payload, now);
             sent.push((token, cmd));

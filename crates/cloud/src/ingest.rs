@@ -1,17 +1,17 @@
-//! The northbound ingest pipeline: per-tenant bounded queues, sharded
-//! batch-drain workers, explicit backpressure.
+//! The northbound ingest pipeline: per-tenant bounded queues, a sharded
+//! batch drain, explicit backpressure.
 //!
 //! # Architecture
 //!
 //! ```text
-//!   uplinks ──► front door ──► tenant queues (bounded) ──► drain workers
-//!              (auth + shed)        shard 0: t0 t2 …          1/shard
+//!   uplinks ──► front door ──► tenant queues (bounded) ──► drain tick
+//!              (auth + shed)        shard 0: t0 t2 …       shard by shard
 //!                                   shard 1: t1 t3 …
 //! ```
 //!
-//! The *front door* ([`IngestPipeline::offer`]) is single-threaded: it
-//! authenticates each message against the [`DeviceRegistry`], then
-//! `try_send`s it into the owning tenant's bounded crossbeam channel.
+//! The *front door* ([`IngestPipeline::offer`]) authenticates each
+//! message against the [`DeviceRegistry`], then pushes it onto the
+//! owning tenant's capped queue. Everything runs on the caller's thread.
 //! A full queue triggers the tenant's [`ShedPolicy`] — reject the
 //! arrival or evict the oldest — and either way the shed is counted
 //! and (when tracing) emitted as a `CloudShed` event. Nothing ever
@@ -20,22 +20,20 @@
 //!
 //! *Drain* ([`IngestPipeline::drain_until`]) advances virtual time in
 //! fixed ticks. Each tick, every shard drains up to `drain_batch`
-//! messages per queue, in shard order on the calling thread (a tick's
-//! work is microseconds; a thread per shard per tick cost more than it
-//! drained). Delivery latency is measured in **virtual time**
-//! (drain-tick instant minus arrival instant), so the numbers a run
-//! reports are a pure function of workload and configuration, whatever
-//! `--jobs` value runs above them. Wall-clock throughput is measured
-//! by callers and reported separately as informational timing.
+//! messages per queue, in shard order. Delivery latency is measured in
+//! **virtual time** (drain-tick instant minus arrival instant), so the
+//! numbers a run reports are a pure function of workload and
+//! configuration, whatever `--jobs` value runs above them. Wall-clock
+//! throughput is measured by callers and reported separately as
+//! informational timing.
 
 use crate::registry::DeviceRegistry;
 use crate::stream::{encode_uplink, StreamAttachment, StreamConfig};
 use crate::tenant::{Isolation, ShedPolicy, TenantId};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use iiot_sim::obs::{Event, EventKind, Histogram, Recorder, SpanId};
 use iiot_sim::{NodeId, SimDuration, SimTime};
 use iiot_stream::{AdmissionControl, EventLog, WindowAggregator, WindowKey, WindowResult};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One northbound uplink message, as the cloud's front door sees it.
 #[derive(Clone, Copy, Debug)]
@@ -103,7 +101,7 @@ pub struct TenantStats {
     pub shed_ratelimit: u64,
     /// Messages shed to backpressure (either policy).
     pub shed_full: u64,
-    /// Messages delivered by drain workers.
+    /// Messages delivered by the drain.
     pub drained: u64,
     /// Highest queue depth observed after an enqueue.
     pub max_depth: u32,
@@ -118,13 +116,11 @@ impl TenantStats {
     }
 }
 
-/// One tenant's bounded queue: the front door holds the sender, the
-/// drain side borrows the receiver. Both halves stay in this struct;
-/// the pipeline's phase discipline (offer, then drain) makes that safe.
+/// One tenant's queue: the front door pushes at the back and never past
+/// the pipeline's cap, the drain pops from the front.
 struct TenantQueue {
     tenant: TenantId,
-    tx: Sender<UplinkMsg>,
-    rx: Receiver<UplinkMsg>,
+    buf: VecDeque<UplinkMsg>,
 }
 
 /// The multi-tenant ingest pipeline; see the [module docs](self).
@@ -151,11 +147,14 @@ impl IngestPipeline {
     pub fn new(registry: DeviceRegistry, config: IngestConfig) -> Self {
         let shards_n = config.shards.max(1);
         let mut shards: Vec<Vec<TenantQueue>> = (0..shards_n).map(|_| Vec::new()).collect();
+        let queue = |tenant| TenantQueue {
+            tenant,
+            buf: VecDeque::with_capacity(config.queue_cap.max(1)),
+        };
         match config.isolation {
             Isolation::PerTenant => {
                 for tenant in registry.tenants() {
-                    let (tx, rx) = bounded(config.queue_cap);
-                    shards[tenant.shard(shards_n)].push(TenantQueue { tenant, tx, rx });
+                    shards[tenant.shard(shards_n)].push(queue(tenant));
                 }
             }
             Isolation::Shared => {
@@ -164,12 +163,7 @@ impl IngestPipeline {
                 for (s, shard) in shards.iter_mut().enumerate() {
                     let mut tenants = registry.tenants().filter(|t| t.shard(shards_n) == s);
                     if let Some(first) = tenants.next() {
-                        let (tx, rx) = bounded(config.queue_cap);
-                        shard.push(TenantQueue {
-                            tenant: first,
-                            tx,
-                            rx,
-                        });
+                        shard.push(queue(first));
                     }
                 }
             }
@@ -326,93 +320,68 @@ impl IngestPipeline {
             .authenticate(tenant, msg.device, msg.token)
             .is_err()
         {
-            if let Some(st) = self.stats.get_mut(&tenant) {
-                st.shed_auth += 1;
-            }
-            let shard = tenant.shard(self.shards.len());
-            self.emit(
-                shard,
-                EventKind::CloudShed {
-                    tenant: tenant.0 as u32,
-                    cause: "auth",
-                },
-            );
+            self.shed(tenant, "auth", |st| &mut st.shed_auth);
             return false;
         }
         let (s, i) = self.queue_index(tenant);
-        let q = &self.shards[s][i];
-        match q.tx.try_send(msg) {
-            Ok(()) => {
-                let depth = q.tx.len() as u32;
-                let st = self
-                    .stats
-                    .get_mut(&tenant)
-                    .expect("authenticated tenant has stats");
-                st.accepted += 1;
-                st.max_depth = st.max_depth.max(depth);
-                self.emit(
-                    s,
-                    EventKind::CloudIngest {
-                        tenant: tenant.0 as u32,
-                        depth,
-                    },
-                );
-                self.observe_window(&msg);
-                true
-            }
-            Err(TrySendError::Full(msg)) => match self.config.policy {
+        // A cap of 0 still buffers one message, as it always has.
+        let cap = self.config.queue_cap.max(1);
+        let q = &mut self.shards[s][i].buf;
+        if q.len() >= cap {
+            match self.config.policy {
                 ShedPolicy::RejectNew => {
-                    let st = self.stats.get_mut(&tenant).expect("stats");
-                    st.shed_full += 1;
-                    self.emit(
-                        s,
-                        EventKind::CloudShed {
-                            tenant: tenant.0 as u32,
-                            cause: "queue_full",
-                        },
-                    );
-                    false
+                    self.shed(tenant, "queue_full", |st| &mut st.shed_full);
+                    return false;
                 }
                 ShedPolicy::DropOldest => {
                     // Evict the head to admit the tail. The evicted
                     // message's tenant eats the shed (under shared
                     // isolation that may be a different tenant —
                     // exactly the cross-tenant damage E16 measures).
-                    let victim = self.shards[s][i].rx.try_recv().ok();
-                    let q = &self.shards[s][i];
-                    let admitted = q.tx.try_send(msg).is_ok();
-                    let victim_tenant = victim.map(|v| v.tenant).unwrap_or(tenant);
-                    if let Some(st) = self.stats.get_mut(&victim_tenant) {
-                        st.shed_full += 1;
-                    }
-                    self.emit(
-                        s,
-                        EventKind::CloudShed {
-                            tenant: victim_tenant.0 as u32,
-                            cause: "drop_oldest",
-                        },
-                    );
-                    if admitted {
-                        let depth = self.shards[s][i].tx.len() as u32;
-                        let st = self.stats.get_mut(&tenant).expect("stats");
-                        st.accepted += 1;
-                        st.max_depth = st.max_depth.max(depth);
-                        self.emit(
-                            s,
-                            EventKind::CloudIngest {
-                                tenant: tenant.0 as u32,
-                                depth,
-                            },
-                        );
-                        self.observe_window(&msg);
-                    }
-                    admitted
+                    let victim = q.pop_front().map_or(tenant, |v| v.tenant);
+                    self.shed(victim, "drop_oldest", |st| &mut st.shed_full);
                 }
-            },
-            Err(TrySendError::Disconnected(_)) => {
-                unreachable!("pipeline owns both channel halves")
             }
         }
+        let q = &mut self.shards[s][i].buf;
+        q.push_back(msg);
+        let depth = q.len() as u32;
+        let st = self
+            .stats
+            .get_mut(&tenant)
+            .expect("authenticated tenant has stats");
+        st.accepted += 1;
+        st.max_depth = st.max_depth.max(depth);
+        self.emit(
+            s,
+            EventKind::CloudIngest {
+                tenant: tenant.0 as u32,
+                depth,
+            },
+        );
+        self.observe_window(&msg);
+        true
+    }
+
+    /// Counts one message shed for `cause` against `tenant` (a tenant
+    /// the registry does not know has no counters) and emits its
+    /// `CloudShed` from the tenant's shard.
+    fn shed(
+        &mut self,
+        tenant: TenantId,
+        cause: &'static str,
+        counter: fn(&mut TenantStats) -> &mut u64,
+    ) {
+        if let Some(st) = self.stats.get_mut(&tenant) {
+            *counter(st) += 1;
+        }
+        self.emit(
+            tenant.shard(self.shards.len()),
+            EventKind::CloudShed {
+                tenant: tenant.0 as u32,
+                cause,
+            },
+        );
     }
 
     /// Advances the window watermark to the current virtual instant,
@@ -488,7 +457,7 @@ impl IngestPipeline {
     fn drain_tick(&mut self, t: SimTime) {
         for q in self.shards.iter_mut().flatten() {
             for _ in 0..self.config.drain_batch {
-                let Ok(msg) = q.rx.try_recv() else { break };
+                let Some(msg) = q.buf.pop_front() else { break };
                 // Latency is attributed to the drained *message's*
                 // tenant — under shared isolation a queue serves several
                 // tenants, and the quiet ones must see the queueing
@@ -505,7 +474,7 @@ impl IngestPipeline {
     /// current instant until every queue is empty.
     pub fn drain_remaining(&mut self) {
         let tick = self.config.tick.as_micros().max(1);
-        while self.shards.iter().flatten().any(|q| !q.rx.is_empty()) {
+        while self.shards.iter().flatten().any(|q| !q.buf.is_empty()) {
             let next = (self.now.as_micros() / tick + 1) * tick;
             let t = SimTime::from_micros(next);
             self.now = t;
@@ -537,7 +506,7 @@ impl IngestPipeline {
 
     /// Messages currently queued across all shards.
     pub fn queued(&self) -> usize {
-        self.shards.iter().flatten().map(|q| q.rx.len()).sum()
+        self.shards.iter().flatten().map(|q| q.buf.len()).sum()
     }
 }
 

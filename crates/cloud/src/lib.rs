@@ -9,9 +9,9 @@
 //!   per-tenant namespace and checks an XTEA-CBC-MAC credential on
 //!   every uplink, O(1) per message ([`registry`]);
 //! * **capacity** — [`IngestPipeline`] runs per-tenant *bounded*
-//!   crossbeam queues behind a single-threaded front door, with an
-//!   explicit [`ShedPolicy`] for overload and sharded batch-drain
-//!   workers behind it ([`ingest`]). No queue ever grows past its cap;
+//!   queues behind a front door, with an explicit [`ShedPolicy`] for
+//!   overload and a sharded batch drain behind it ([`ingest`]), all on
+//!   the caller's thread. No queue ever grows past its cap;
 //!   backpressure is a counted, observable event, not an OOM;
 //! * **control** — [`CommandRouter`] plays tenant-issued writes back
 //!   down through a gateway's northbound CoAP server as confirmable

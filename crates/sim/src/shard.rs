@@ -6,8 +6,8 @@
 //! heap inside lookahead windows. The window bound is
 //! `min(segment_end, m + L)` where `m` is the globally earliest pending
 //! event and `L` the lookahead, so empty simulated time is skipped
-//! automatically. `L` never exceeds the minimum cross-shard event
-//! delay, `min(minimum frame airtime, wire latency)`: every event a
+//! automatically. `L` is the minimum cross-shard event delay,
+//! `min(minimum frame airtime, wire latency)`: every event a
 //! shard can address to another shard lands at least `L` after the
 //! moment it is created, hence always at or beyond the current window
 //! edge — delivering staged events at the barrier can never violate
@@ -52,7 +52,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::Stats;
 use crate::world::{FaultOp, SimConfig, StagedEv, World};
-use std::any::Any;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,12 +84,6 @@ pub(crate) struct ShardBuf {
 impl Recorder for ShardBuf {
     fn record(&mut self, ev: &Event) {
         self.events.push(*ev);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -197,23 +190,17 @@ impl ShardEngine {
         config: SimConfig,
         groups: &[(Topology, ProtoFactory)],
         shards: usize,
-        lookahead: Option<SimDuration>,
         serial: bool,
     ) -> Self {
         assert!(
             (2..=MAX_SHARDS).contains(&shards),
             "shard count must be in 2..={MAX_SHARDS} (1 runs the serial kernel)"
         );
-        let min_airtime = config.radio.airtime(0);
-        let l_max = min_airtime.min(config.wire_latency);
+        let lookahead = config.radio.airtime(0).min(config.wire_latency);
         assert!(
-            l_max >= SimDuration::from_micros(1),
+            lookahead >= SimDuration::from_micros(1),
             "sharded execution needs a nonzero minimum frame airtime and wire latency"
         );
-        let lookahead = lookahead
-            .unwrap_or(l_max)
-            .min(l_max)
-            .max(SimDuration::from_micros(1));
 
         let xs: Vec<f64> = groups
             .iter()
@@ -308,11 +295,6 @@ impl ShardEngine {
     /// Number of shards.
     pub(crate) fn shard_count(&self) -> usize {
         self.worlds.len()
-    }
-
-    /// The configured lookahead.
-    pub(crate) fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Total nodes across all shards.

@@ -80,10 +80,6 @@ pub use crate::shard::ProtoFactory;
 pub struct ShardConfig {
     /// Number of shards (1 = serial kernel, max 64).
     pub shards: usize,
-    /// Synchronization lookahead. `None` uses the largest safe value,
-    /// `min(minimum frame airtime, wire latency)`; explicit values are
-    /// clamped into `[1 µs, that bound]`.
-    pub lookahead: Option<SimDuration>,
     /// Drive shard windows from the calling thread instead of one
     /// worker thread per shard. Same results either way; useful for
     /// debugging, for the equivalence tests, and on single-core
@@ -96,18 +92,17 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 1,
-            lookahead: None,
             serial: false,
         }
     }
 }
 
 impl ShardConfig {
-    /// A config running `shards` threaded shards with default lookahead.
+    /// A config running `shards` threaded shards.
     pub fn threaded(shards: usize) -> Self {
         ShardConfig {
             shards,
-            ..Self::default()
+            serial: false,
         }
     }
 
@@ -116,7 +111,6 @@ impl ShardConfig {
         ShardConfig {
             shards,
             serial: true,
-            ..Self::default()
         }
     }
 }
@@ -251,7 +245,7 @@ impl SimBuilder {
     }
 
     /// Shorthand for [`sharding`](Self::sharding) with `shards` threaded
-    /// shards and default lookahead.
+    /// shards.
     pub fn shards(self, shards: usize) -> Self {
         self.sharding(ShardConfig::threaded(shards))
     }
@@ -304,7 +298,6 @@ impl SimBuilder {
                 config,
                 &groups,
                 shard.shards,
-                shard.lookahead,
                 shard.serial,
             )))
         };
@@ -399,14 +392,6 @@ impl Sim {
         match &self.inner {
             Inner::Single(_) => 1,
             Inner::Sharded(e) => e.shard_count(),
-        }
-    }
-
-    /// The effective synchronization lookahead (`None` when serial).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        match &self.inner {
-            Inner::Single(_) => None,
-            Inner::Sharded(e) => Some(e.lookahead()),
         }
     }
 
@@ -745,13 +730,7 @@ mod tests {
 
     #[test]
     fn shards_replaces_the_whole_shard_config() {
-        let b = SimBuilder::new()
-            .sharding(ShardConfig {
-                shards: 2,
-                lookahead: Some(SimDuration::from_micros(5)),
-                serial: true,
-            })
-            .shards(3);
+        let b = SimBuilder::new().sharding(ShardConfig::serial(2)).shards(3);
         assert_eq!(b.shard, ShardConfig::threaded(3));
     }
 }

@@ -14,7 +14,6 @@
 use iiot_sim::obs::{Event, EventKind, Recorder};
 use iiot_sim::prelude::*;
 use proptest::prelude::*;
-use std::any::Any;
 
 /// A recorder that keeps every event for byte comparison.
 #[derive(Debug, Default)]
@@ -23,12 +22,6 @@ struct VecRec(Vec<Event>);
 impl Recorder for VecRec {
     fn record(&mut self, ev: &Event) {
         self.0.push(*ev);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
