@@ -104,12 +104,7 @@ fn campaign<M: Mac>(mut w: Sim, ids: &[NodeId], img: &Image, cap_s: u64) -> Camp
     let gw = ids[0];
     let img2 = img.clone();
     w.schedule_at(SimTime::from_secs(1), gw, move |w| {
-        w.with_ctx(gw, move |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<DissemNode<M>>()
-                .expect("dissem node")
-                .install(ctx, &img2);
-        });
+        w.with(gw, |n: &mut DissemNode<M>, ctx| n.install(ctx, &img2));
     });
     let mut done_at = 0u64;
     loop {
@@ -304,12 +299,7 @@ pub fn e14_resume_with(
             let gw = ids[0];
             let img2 = img.clone();
             w.schedule_at(SimTime::from_secs(1), gw, move |w| {
-                w.with_ctx(gw, move |p, ctx| {
-                    p.as_any_mut()
-                        .downcast_mut::<DissemNode<CsmaMac>>()
-                        .expect("dissem node")
-                        .install(ctx, &img2);
-                });
+                w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
             });
             let mut plan = FaultPlan::new();
             plan.push(Fault::CrashRecover {

@@ -187,11 +187,8 @@ fn drive_star<M: Mac>(
     for v in 1..=publishes {
         let at = SimTime::from_secs(1) + republish * u64::from(v - 1);
         w.schedule_at(at, NodeId(0), move |w| {
-            w.with_ctx(NodeId(0), move |p, ctx| {
-                p.as_any_mut()
-                    .downcast_mut::<IcnNode<M>>()
-                    .expect("icn node")
-                    .publish(ctx, name(), v, vec![v as u8; PAYLOAD]);
+            w.with(NodeId(0), |n: &mut IcnNode<M>, ctx| {
+                n.publish(ctx, name(), v, vec![v as u8; PAYLOAD]);
             });
         });
     }
@@ -510,11 +507,7 @@ pub fn e15_poison(rc: &RunConfig) -> Table {
                 for v in 1..=3u32 {
                     let at = SimTime::from_secs(1 + 8 * u64::from(v - 1));
                     w.schedule_at(at, NodeId(0), move |w| {
-                        w.with_ctx(NodeId(0), move |p, ctx| {
-                            let node = p
-                                .as_any_mut()
-                                .downcast_mut::<IcnNode<CsmaMac>>()
-                                .expect("icn node");
+                        w.with(NodeId(0), |node: &mut IcnNode<CsmaMac>, ctx| {
                             if poison == Poison::ForgedKey && v > 1 {
                                 node.publish_object(
                                     ctx,
@@ -637,11 +630,8 @@ pub fn e15_partition_with(
                     })
                     .build();
                 w.schedule_at(SimTime::from_secs(1), NodeId(0), move |w| {
-                    w.with_ctx(NodeId(0), move |p, ctx| {
-                        p.as_any_mut()
-                            .downcast_mut::<IcnNode<CsmaMac>>()
-                            .expect("icn node")
-                            .publish(ctx, name(), 1, vec![1; PAYLOAD]);
+                    w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+                        n.publish(ctx, name(), 1, vec![1; PAYLOAD]);
                     });
                 });
                 let mut groups = vec![0u16; consumers + 2];

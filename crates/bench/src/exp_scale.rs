@@ -403,7 +403,7 @@ fn run_tenants(plan: ChannelPlan, tenants: usize, seed: u64) -> (usize, usize) {
             for epoch in 0..40u64 {
                 let ch = plan.channel_for(TenantId(t as u16), epoch);
                 w.schedule_at(SimTime::from_millis(epoch * 1000 + 1), node, move |w2| {
-                    w2.with_ctx(node, |_p, ctx| {
+                    w2.with(node, |_: &mut MacDriver<CsmaMac>, ctx| {
                         let _ = ctx.set_channel(ch);
                     });
                 });

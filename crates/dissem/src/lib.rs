@@ -67,9 +67,7 @@
 //! let img = Image::build(1, (0..240u32).map(|i| i as u8).collect(), 30, 4);
 //! let gw = NodeId(0);
 //! sim.schedule_at(SimTime::from_secs(1), gw, move |w| {
-//!     w.with_ctx(gw, move |p, ctx| {
-//!         p.as_any_mut().downcast_mut::<Node>().unwrap().install(ctx, &img);
-//!     });
+//!     w.with(gw, |n: &mut Node, ctx| n.install(ctx, &img));
 //! });
 //!
 //! sim.run(SimDuration::from_secs(60));

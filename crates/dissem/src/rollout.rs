@@ -95,13 +95,7 @@ fn step<M: Mac>(w: &mut World, mut st: RolloutState) {
         .filter(|&&n| w.is_alive(n) && w.proto::<DissemNode<M>>(n).poisoned())
         .count();
     if blast > 0 {
-        let radius = st.active.len() as u32;
-        w.with_ctx(st.gateway, |_, ctx| {
-            ctx.emit(EventKind::RolloutStage {
-                stage: "halted",
-                cohort: radius,
-            });
-        });
+        emit_stage::<M>(w, st.gateway, "halted", st.active.len() as u32);
         return;
     }
     let wave_done = st
@@ -110,28 +104,15 @@ fn step<M: Mac>(w: &mut World, mut st: RolloutState) {
         .all(|&n| !w.is_alive(n) || w.proto::<DissemNode<M>>(n).complete_ok());
     if wave_done {
         if st.next >= st.plan.cohorts.len() {
-            w.with_ctx(st.gateway, |_, ctx| {
-                ctx.emit(EventKind::RolloutStage {
-                    stage: "done",
-                    cohort: st.next as u32,
-                });
-            });
+            emit_stage::<M>(w, st.gateway, "done", st.next as u32);
             return;
         }
         let cohort = st.plan.cohorts[st.next].clone();
         let stage = if st.next == 0 { "canary" } else { "wave" };
-        let num = st.next as u32;
-        w.with_ctx(st.gateway, |_, ctx| {
-            ctx.emit(EventKind::RolloutStage { stage, cohort: num });
-        });
+        emit_stage::<M>(w, st.gateway, stage, st.next as u32);
         for &n in &cohort {
             if w.is_alive(n) {
-                w.with_ctx(n, |p, ctx| {
-                    p.as_any_mut()
-                        .downcast_mut::<DissemNode<M>>()
-                        .expect("dissem node")
-                        .enable(ctx);
-                });
+                w.with(n, |node: &mut DissemNode<M>, ctx| node.enable(ctx));
             }
         }
         st.active.extend(cohort);
@@ -139,6 +120,13 @@ fn step<M: Mac>(w: &mut World, mut st: RolloutState) {
     }
     let again = w.now() + st.plan.check_period;
     w.schedule(again, move |w| step::<M>(w, st));
+}
+
+/// Records a rollout stage, attributed to the gateway.
+fn emit_stage<M: Mac>(w: &mut World, gateway: NodeId, stage: &'static str, cohort: u32) {
+    w.with(gateway, |_: &mut DissemNode<M>, ctx| {
+        ctx.emit(EventKind::RolloutStage { stage, cohort });
+    });
 }
 
 #[cfg(test)]

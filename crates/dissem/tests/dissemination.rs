@@ -41,12 +41,7 @@ fn csma_line(n: usize, seed: u64, enabled: bool) -> (Sim, Vec<NodeId>) {
 fn install_at(w: &mut Sim, node: NodeId, img: &Image, at: SimTime) {
     let img = img.clone();
     w.schedule_at(at, node, move |w| {
-        w.with_ctx(node, move |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<CsmaNode>()
-                .unwrap()
-                .install(ctx, &img);
-        });
+        w.with(node, |n: &mut CsmaNode, ctx| n.install(ctx, &img));
     });
 }
 
@@ -235,12 +230,7 @@ fn tdma_tree_schedule_carries_the_image() {
     let img = Image::build(7, (0..240u32).map(|i| i as u8).collect(), 30, 4);
     let gw = ids[0];
     w.schedule_at(SimTime::from_secs(2), gw, move |w| {
-        w.with_ctx(gw, move |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<TdmaNode>()
-                .unwrap()
-                .install(ctx, &img);
-        });
+        w.with(gw, |n: &mut TdmaNode, ctx| n.install(ctx, &img));
     });
     w.run_for(SimDuration::from_secs(240));
     for &id in &ids {

@@ -269,12 +269,7 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
     let gw = ids[0];
     let img2 = img.clone();
     sim.schedule_at(SimTime::from_secs(1), gw, move |w| {
-        w.with_ctx(gw, move |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<DissemNode<CsmaMac>>()
-                .expect("dissem node")
-                .install(ctx, &img2);
-        });
+        w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
     });
 
     let device_cfg: Arc<Mutex<BTreeMap<u32, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));

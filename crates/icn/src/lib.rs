@@ -60,11 +60,8 @@
 //!     })
 //!     .build();
 //! let n = name.clone();
-//! sim.with_ctx(NodeId(0), |p, ctx| {
-//!     p.as_any_mut()
-//!         .downcast_mut::<IcnNode<CsmaMac>>()
-//!         .unwrap()
-//!         .publish(ctx, n, 1, vec![0xAB; 24]);
+//! sim.with(NodeId(0), |producer: &mut IcnNode<CsmaMac>, ctx| {
+//!     producer.publish(ctx, n, 1, vec![0xAB; 24]);
 //! });
 //! sim.run(SimDuration::from_secs(6));
 //! let consumer = sim.proto::<IcnNode<CsmaMac>>(NodeId(2));

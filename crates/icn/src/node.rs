@@ -610,11 +610,8 @@ mod tests {
             },
             _ => consumer_cfg(1, false),
         });
-        w.with_ctx(NodeId(0), |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<IcnNode<CsmaMac>>()
-                .expect("icn node")
-                .publish(ctx, Name::new("/plant/temp"), 1, vec![0xAB; 24]);
+        w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+            n.publish(ctx, Name::new("/plant/temp"), 1, vec![0xAB; 24]);
         });
         w.run(SimDuration::from_secs(5));
         let consumer = w.proto::<IcnNode<CsmaMac>>(NodeId(2));
@@ -638,11 +635,8 @@ mod tests {
         });
         let name = Name::new("/plant/temp");
         let good = name.clone();
-        w.with_ctx(NodeId(0), |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<IcnNode<CsmaMac>>()
-                .expect("icn node")
-                .publish(ctx, good, 1, vec![1; 16]);
+        w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+            n.publish(ctx, good, 1, vec![1; 16]);
         });
         w.run(SimDuration::from_secs(4));
         // The publisher is compromised: v2 arrives signed with the
@@ -654,11 +648,8 @@ mod tests {
             SimDuration::from_secs(60),
             vec![2; 16],
         );
-        w.with_ctx(NodeId(0), |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<IcnNode<CsmaMac>>()
-                .expect("icn node")
-                .publish_object(ctx, forged);
+        w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+            n.publish_object(ctx, forged);
         });
         w.run(SimDuration::from_secs(6));
         let consumer = w.proto::<IcnNode<CsmaMac>>(NodeId(1));
@@ -682,11 +673,8 @@ mod tests {
         });
         let name = Name::new("/plant/temp");
         let n2 = name.clone();
-        w.with_ctx(NodeId(0), |p, ctx| {
-            p.as_any_mut()
-                .downcast_mut::<IcnNode<CsmaMac>>()
-                .expect("icn node")
-                .publish(ctx, n2, 1, vec![1; 16]);
+        w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+            n.publish(ctx, n2, 1, vec![1; 16]);
         });
         w.run(SimDuration::from_secs(3));
         w.kill(NodeId(0));

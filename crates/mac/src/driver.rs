@@ -109,7 +109,7 @@ impl<M: Mac> MacDriver<M> {
     }
 
     /// Submits a send immediately (for use inside
-    /// [`Sim::with_ctx`](iiot_sim::Sim::with_ctx), e.g. to react to
+    /// [`Sim::with`](iiot_sim::Sim::with), e.g. to react to
     /// an earlier delivery from test code).
     pub fn send_now(
         &mut self,

@@ -489,16 +489,14 @@ mod tests {
         w.run_for(SimDuration::from_secs(2));
         assert_eq!(w.proto::<Drv>(ids[1]).delivered.len(), 1, "hop 1");
         let next = ids[2];
-        w.with_ctx(ids[1], |p, ctx| {
-            let d = p.as_any_mut().downcast_mut::<Drv>().expect("driver");
+        w.with(ids[1], |d: &mut Drv, ctx| {
             d.send_now(ctx, Dst::Unicast(next), 0, vec![1])
                 .expect("send");
         });
         w.run_for(SimDuration::from_secs(2));
         assert_eq!(w.proto::<Drv>(ids[2]).delivered.len(), 1, "hop 2");
         let next = ids[3];
-        w.with_ctx(ids[2], |p, ctx| {
-            let d = p.as_any_mut().downcast_mut::<Drv>().expect("driver");
+        w.with(ids[2], |d: &mut Drv, ctx| {
             d.send_now(ctx, Dst::Unicast(next), 0, vec![2])
                 .expect("send");
         });

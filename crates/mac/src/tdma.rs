@@ -1158,8 +1158,7 @@ mod tests {
             if hop > 0 {
                 let next = ids[hop - 1];
                 sent_at = w.now();
-                w.with_ctx(ids[hop], |p, ctx| {
-                    let drv = p.as_any_mut().downcast_mut::<Drv>().expect("driver");
+                w.with(ids[hop], |drv: &mut Drv, ctx| {
                     drv.send_now(ctx, Dst::Unicast(next), 0, vec![42])
                         .expect("send");
                 });

@@ -79,24 +79,14 @@ fn oversized_payload_rejected_by_every_mac() {
         })
         .build();
     w.run_for(SimDuration::from_millis(1));
-    for node in [a, b] {
-        w.with_ctx(node, |p, ctx| {
-            let err = if node == a {
-                p.as_any_mut()
-                    .downcast_mut::<MacDriver<CsmaMac>>()
-                    .expect("csma")
-                    .send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
-                    .unwrap_err()
-            } else {
-                p.as_any_mut()
-                    .downcast_mut::<MacDriver<LplMac>>()
-                    .expect("lpl")
-                    .send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
-                    .unwrap_err()
-            };
-            assert_eq!(err, MacError::TooLarge);
-        });
-    }
+    let csma = w.with(a, |d: &mut MacDriver<CsmaMac>, ctx| {
+        d.send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
+    });
+    let lpl = w.with(b, |d: &mut MacDriver<LplMac>, ctx| {
+        d.send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
+    });
+    assert_eq!(csma.unwrap_err(), MacError::TooLarge);
+    assert_eq!(lpl.unwrap_err(), MacError::TooLarge);
 }
 
 #[test]

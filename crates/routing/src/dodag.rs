@@ -15,21 +15,22 @@
 //! code runs over always-on CSMA, duty-cycled LPL/RI-MAC or pipelined
 //! TDMA — exactly the layering §IV-B's latency analysis compares.
 
+use crate::collect::{DataPlane, TAG_PUMP, TAG_TRAFFIC};
 use crate::trickle::{Trickle, TrickleConfig};
-use iiot_mac::{Mac, MacError, MacEvent, SendHandle};
-use iiot_sim::obs::{EventKind, SpanId};
+use iiot_mac::{Mac, MacEvent};
+use iiot_sim::obs::EventKind;
 use iiot_sim::{
     Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TimerId, TxOutcome,
 };
 use rand::Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+
+pub use crate::collect::{Collected, Traffic, PORT_DATA};
 
 /// Upper-layer port of DIO beacons.
 pub const PORT_DIO: u8 = 10;
 /// Upper-layer port of DIS solicitations.
 pub const PORT_DIS: u8 = 11;
-/// Upper-layer port of collection data.
-pub const PORT_DATA: u8 = 12;
 
 /// Rank of the DODAG root.
 pub const ROOT_RANK: u16 = 256;
@@ -46,19 +47,6 @@ const TAG_TRICKLE_T: u64 = 0x100;
 const TAG_TRICKLE_END: u64 = 0x101;
 const TAG_DIS: u64 = 0x102;
 const TAG_SWEEP: u64 = 0x103;
-const TAG_TRAFFIC: u64 = 0x104;
-const TAG_PUMP: u64 = 0x105;
-
-/// Periodic application traffic generated by every non-root node.
-#[derive(Clone, Copy, Debug)]
-pub struct Traffic {
-    /// Mean period between readings (jittered ±10%).
-    pub period: SimDuration,
-    /// Payload size in bytes.
-    pub payload_len: usize,
-    /// Quiet time before the first reading (lets the DODAG form).
-    pub start_after: SimDuration,
-}
 
 /// Configuration of a [`DodagNode`].
 #[derive(Clone, Debug)]
@@ -108,30 +96,6 @@ impl Default for DodagConfig {
     }
 }
 
-/// A datum received at the root.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Collected {
-    /// Originating node.
-    pub origin: NodeId,
-    /// Origin-local sequence number.
-    pub seq: u16,
-    /// Hops travelled.
-    pub hops: u8,
-    /// When the origin generated it.
-    pub sent_at: SimTime,
-    /// When the root received it.
-    pub received_at: SimTime,
-    /// Application payload.
-    pub payload: Vec<u8>,
-}
-
-impl Collected {
-    /// End-to-end collection latency.
-    pub fn latency(&self) -> SimDuration {
-        self.received_at.duration_since(self.sent_at)
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Neighbor {
     rank: u16,
@@ -139,54 +103,9 @@ struct Neighbor {
     last_heard: SimTime,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct Datum {
-    pub(crate) origin: NodeId,
-    pub(crate) seq: u16,
-    pub(crate) hops: u8,
-    pub(crate) sent_at: SimTime,
-    pub(crate) payload: Vec<u8>,
-    pub(crate) attempts: u32,
-}
-
-pub(crate) fn encode_data(d: &Datum) -> Vec<u8> {
-    let mut out = Vec::with_capacity(15 + d.payload.len());
-    out.extend_from_slice(&d.origin.0.to_be_bytes());
-    out.extend_from_slice(&d.seq.to_be_bytes());
-    out.push(d.hops);
-    out.extend_from_slice(&d.sent_at.as_micros().to_be_bytes());
-    out.extend_from_slice(&d.payload);
-    out
-}
-
-pub(crate) fn decode_data(bytes: &[u8]) -> Option<Datum> {
-    if bytes.len() < 15 {
-        return None;
-    }
-    Some(Datum {
-        origin: NodeId(u32::from_be_bytes(bytes[0..4].try_into().ok()?)),
-        seq: u16::from_be_bytes(bytes[4..6].try_into().ok()?),
-        hops: bytes[6],
-        sent_at: SimTime::from_micros(u64::from_be_bytes(bytes[7..15].try_into().ok()?)),
-        payload: bytes[15..].to_vec(),
-        attempts: 0,
-    })
-}
-
 /// `a` is a strictly newer version than `b` (serial-number arithmetic).
 fn version_newer(a: u8, b: u8) -> bool {
     a != b && a.wrapping_sub(b) < 128
-}
-
-/// How a data packet sighting is classified at a relay.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Sighting {
-    /// First time this `(origin, seq)` is seen.
-    New,
-    /// Same packet from the same neighbour: a link-layer retry.
-    RetryDuplicate,
-    /// Same packet from a different neighbour: it looped back.
-    Looped,
 }
 
 /// An RPL-style collection node; see the [module docs](self).
@@ -208,15 +127,7 @@ pub struct DodagNode<M: Mac> {
     trickle: Trickle,
     trickle_t: TimerId,
     trickle_end: TimerId,
-    queue: VecDeque<Datum>,
-    inflight: Option<SendHandle>,
-    seq: u16,
-    /// Recently handled data: `(origin, seq, link-layer src first seen
-    /// from)`. The source disambiguates link-layer retry duplicates
-    /// (same src: drop) from packets that looped back through a
-    /// different neighbour after a parent switch (re-forward).
-    seen: VecDeque<(NodeId, u16, NodeId)>,
-    collected: Vec<Collected>,
+    data: DataPlane,
     /// Count of parent switches (diagnostics for E11).
     parent_switches: u64,
 }
@@ -232,6 +143,12 @@ impl<M: Mac> DodagNode<M> {
              suppressed beacons get mistaken for dead neighbours"
         );
         let trickle = Trickle::new(config.trickle);
+        let data = DataPlane::new(
+            "dodag",
+            config.queue_cap,
+            config.pump_period,
+            config.max_data_attempts,
+        );
         DodagNode {
             mac,
             config,
@@ -247,11 +164,7 @@ impl<M: Mac> DodagNode<M> {
             trickle,
             trickle_t: TimerId::NONE,
             trickle_end: TimerId::NONE,
-            queue: VecDeque::new(),
-            inflight: None,
-            seq: 0,
-            seen: VecDeque::new(),
-            collected: Vec::new(),
+            data,
             parent_switches: 0,
         }
     }
@@ -278,12 +191,12 @@ impl<M: Mac> DodagNode<M> {
 
     /// Data collected so far (meaningful at the root).
     pub fn collected(&self) -> &[Collected] {
-        &self.collected
+        self.data.collected()
     }
 
     /// Number of data items buffered locally (store-and-forward).
     pub fn buffered(&self) -> usize {
-        self.queue.len()
+        self.data.buffered()
     }
 
     /// Number of parent switches performed (repair diagnostics).
@@ -297,24 +210,11 @@ impl<M: Mac> DodagNode<M> {
     }
 
     /// Injects one application datum originating here, for manual use
-    /// via [`Sim::with_ctx`](iiot_sim::Sim::with_ctx). Returns
-    /// `false` if the buffer is full.
+    /// via [`Sim::with`](iiot_sim::Sim::with). Returns `false` if the
+    /// buffer is full.
     pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
-        self.seq = self.seq.wrapping_add(1);
-        let d = Datum {
-            origin: ctx.id(),
-            seq: self.seq,
-            hops: 0,
-            sent_at: ctx.now(),
-            payload,
-            attempts: 0,
-        };
-        ctx.count_node("data_origin", 1.0);
-        ctx.emit_span(
-            SpanId::packet(d.origin, d.seq as u32),
-            EventKind::DataOrigin { seq: d.seq as u32 },
-        );
-        self.enqueue(ctx, d)
+        self.data
+            .originate(&mut self.mac, ctx, self.parent, payload)
     }
 
     /// Root-only: starts a global repair by bumping the DODAG version.
@@ -464,65 +364,9 @@ impl<M: Mac> DodagNode<M> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Data plane
-    // ------------------------------------------------------------------
-
-    fn enqueue(&mut self, ctx: &mut Ctx<'_>, d: Datum) -> bool {
-        if self.queue.len() >= self.config.queue_cap {
-            ctx.count_node("data_drop_queue", 1.0);
-            return false;
-        }
-        self.queue.push_back(d);
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::QueueDepth {
-                queue: "dodag",
-                depth: self.queue.len() as u32,
-            });
-        }
-        self.pump(ctx);
-        true
-    }
-
+    /// Offers the head of the data queue to the current parent.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        if self.inflight.is_some() || self.queue.is_empty() {
-            return;
-        }
-        let Some(parent) = self.parent else {
-            return; // orphaned: store and forward later
-        };
-        let head = self.queue.front().expect("nonempty");
-        let bytes = encode_data(head);
-        match self.mac.send(ctx, Dst::Unicast(parent), PORT_DATA, bytes) {
-            Ok(h) => self.inflight = Some(h),
-            Err(MacError::QueueFull) => {
-                ctx.set_timer(self.config.pump_period, TAG_PUMP);
-            }
-            Err(MacError::TooLarge) => {
-                self.queue.pop_front();
-                ctx.count_node("data_drop_size", 1.0);
-            }
-        }
-    }
-
-    /// Classifies a datum sighting; see the `seen` field docs.
-    fn sighting(&mut self, origin: NodeId, seq: u16, src: NodeId) -> Sighting {
-        if let Some(&(_, _, first_src)) =
-            self.seen.iter().find(|&&(o, s, _)| o == origin && s == seq)
-        {
-            // A duplicate handed to us by our own parent came *down*
-            // the tree: it is looping, whatever its original source.
-            return if self.parent == Some(src) || first_src != src {
-                Sighting::Looped
-            } else {
-                Sighting::RetryDuplicate
-            };
-        }
-        if self.seen.len() >= 256 {
-            self.seen.pop_front();
-        }
-        self.seen.push_back((origin, seq, src));
-        Sighting::New
+        self.data.pump(&mut self.mac, ctx, self.parent);
     }
 
     // ------------------------------------------------------------------
@@ -589,69 +433,6 @@ impl<M: Mac> DodagNode<M> {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<'_>, src: NodeId, payload: &[u8]) {
-        let Some(mut d) = decode_data(payload) else {
-            return;
-        };
-        match self.sighting(d.origin, d.seq, src) {
-            Sighting::New => {}
-            Sighting::RetryDuplicate => {
-                ctx.count_node("data_dup", 1.0);
-                return;
-            }
-            Sighting::Looped => {
-                // The packet came back through a different neighbour: a
-                // transient loop after a parent switch. Re-forward it
-                // toward the (new) parent instead of black-holing it;
-                // the root still deduplicates. The TTL below breaks
-                // persistent loops.
-                if self.is_root {
-                    ctx.count_node("data_dup", 1.0);
-                    return;
-                }
-                ctx.count_node("data_looped", 1.0);
-                d.hops = d.hops.saturating_add(1);
-                if d.hops > 64 {
-                    ctx.count_node("data_drop_ttl", 1.0);
-                    return;
-                }
-                self.enqueue(ctx, d);
-                return;
-            }
-        }
-        if self.is_root {
-            ctx.count("data_rx_root", 1.0);
-            ctx.record(
-                "collect_latency_s",
-                ctx.now().duration_since(d.sent_at).as_secs_f64(),
-            );
-            ctx.record("collect_hops", d.hops as f64 + 1.0);
-            ctx.emit_span(
-                SpanId::packet(d.origin, d.seq as u32),
-                EventKind::DataArrive { hops: d.hops + 1 },
-            );
-            self.collected.push(Collected {
-                origin: d.origin,
-                seq: d.seq,
-                hops: d.hops + 1,
-                sent_at: d.sent_at,
-                received_at: ctx.now(),
-                payload: d.payload,
-            });
-        } else {
-            d.hops = d.hops.saturating_add(1);
-            ctx.count_node("data_fwd", 1.0);
-            ctx.emit_span(
-                SpanId::packet(d.origin, d.seq as u32),
-                EventKind::DataHop {
-                    from: src,
-                    hops: d.hops,
-                },
-            );
-            self.enqueue(ctx, d);
-        }
-    }
-
     fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
         for ev in events {
             match ev {
@@ -663,32 +444,23 @@ impl<M: Mac> DodagNode<M> {
                 } => match upper_port {
                     PORT_DIO => self.on_dio(ctx, src, &payload),
                     PORT_DIS => self.on_dis(ctx),
-                    PORT_DATA => self.on_data(ctx, src, &payload),
+                    PORT_DATA => {
+                        let (mac, up, root) = (&mut self.mac, self.parent, self.is_root);
+                        self.data.on_data(mac, ctx, up, root, src, &payload);
+                    }
                     _ => {}
                 },
                 MacEvent::SendDone { handle, acked } => {
-                    if self.inflight == Some(handle) {
-                        self.inflight = None;
-                        if acked {
-                            self.queue.pop_front();
-                            self.parent_failures = 0;
-                            self.pump(ctx);
-                        } else {
-                            self.parent_failures += 1;
-                            if let Some(head) = self.queue.front_mut() {
-                                head.attempts += 1;
-                                if head.attempts >= self.config.max_data_attempts {
-                                    self.queue.pop_front();
-                                    ctx.count_node("data_drop_retries", 1.0);
-                                }
-                            }
-                            if self.parent_failures >= self.config.max_parent_failures {
-                                ctx.count_node("parent_evict", 1.0);
-                                self.parent_lost(ctx);
-                            } else {
-                                self.pump(ctx);
-                            }
-                        }
+                    if !self.data.settle(ctx, handle, acked) {
+                        continue;
+                    }
+                    // A failed unicast is evidence against the parent.
+                    self.parent_failures = if acked { 0 } else { self.parent_failures + 1 };
+                    if !acked && self.parent_failures >= self.config.max_parent_failures {
+                        ctx.count_node("parent_evict", 1.0);
+                        self.parent_lost(ctx);
+                    } else {
+                        self.pump(ctx);
                     }
                 }
             }
@@ -711,14 +483,8 @@ impl<M: Mac> Proto for DodagNode<M> {
         }
         self.trickle_begin(ctx);
         ctx.set_timer(self.config.neighbor_timeout / 4, TAG_SWEEP);
-        if let Some(tr) = self.config.traffic {
-            if !self.is_root {
-                let jitter = ctx.rng().gen_range(0..tr.period.as_micros().max(1));
-                ctx.set_timer(
-                    tr.start_after + SimDuration::from_micros(jitter),
-                    TAG_TRAFFIC,
-                );
-            }
+        if let Some(tr) = self.config.traffic.filter(|_| !self.is_root) {
+            tr.arm_first(ctx);
         }
     }
 
@@ -767,11 +533,8 @@ impl<M: Mac> Proto for DodagNode<M> {
             }
             TAG_TRAFFIC => {
                 if let Some(tr) = self.config.traffic {
-                    let len = tr.payload_len;
-                    self.send_datum(ctx, vec![0xAB; len]);
-                    let p = tr.period.as_micros();
-                    let jittered = p * 9 / 10 + ctx.rng().gen_range(0..=(p / 5).max(1));
-                    ctx.set_timer(SimDuration::from_micros(jittered), TAG_TRAFFIC);
+                    self.send_datum(ctx, vec![0xAB; tr.payload_len]);
+                    tr.arm_next(ctx);
                 }
             }
             TAG_PUMP => self.pump(ctx),
@@ -806,9 +569,7 @@ impl<M: Mac> Proto for DodagNode<M> {
         self.quarantine_until = SimTime::ZERO;
         self.quarantine_rank = INFINITE_RANK;
         self.neighbors.clear();
-        self.queue.clear();
-        self.inflight = None;
-        self.seen.clear();
+        self.data.crashed();
         self.trickle = Trickle::new(self.config.trickle);
         self.trickle_t = TimerId::NONE;
         self.trickle_end = TimerId::NONE;
@@ -818,6 +579,7 @@ impl<M: Mac> Proto for DodagNode<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect::{decode_data, encode_data, Datum};
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
 
@@ -947,10 +709,7 @@ mod tests {
             let at = w.now() + SimDuration::from_secs(k);
             let ids3 = NodeId(3);
             w.schedule_at(at, ids3, move |w2| {
-                w2.with_ctx(ids3, |p, ctx| {
-                    let n = p.as_any_mut().downcast_mut::<Node>().expect("node");
-                    n.send_datum(ctx, vec![9]);
-                });
+                w2.with(ids3, |n: &mut Node, ctx| n.send_datum(ctx, vec![9]));
             });
         }
         w.run_for(SimDuration::from_secs(40));
@@ -986,9 +745,8 @@ mod tests {
         for k in 0..5u64 {
             let at = w.now() + SimDuration::from_secs(2 + k * 2);
             w.schedule_at(at, NodeId(2), move |w2| {
-                w2.with_ctx(NodeId(2), |p, ctx| {
-                    let n = p.as_any_mut().downcast_mut::<Node>().expect("node");
-                    n.send_datum(ctx, vec![k as u8]);
+                w2.with(NodeId(2), |n: &mut Node, ctx| {
+                    n.send_datum(ctx, vec![k as u8])
                 });
             });
         }
@@ -1012,10 +770,7 @@ mod tests {
     fn global_repair_moves_everyone_to_new_version() {
         let (mut w, ids) = build(&Topology::line(4, 20.0), 6, DodagConfig::default());
         w.run_for(SimDuration::from_secs(15));
-        w.with_ctx(ids[0], |p, ctx| {
-            let n = p.as_any_mut().downcast_mut::<Node>().expect("node");
-            n.trigger_global_repair(ctx);
-        });
+        w.with(ids[0], |n: &mut Node, ctx| n.trigger_global_repair(ctx));
         w.run_for(SimDuration::from_secs(30));
         for &id in &ids {
             let n = w.proto::<Node>(id);

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod collect;
 pub mod dodag;
 pub mod graph;
 pub mod rnfd;

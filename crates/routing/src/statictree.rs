@@ -9,14 +9,9 @@
 //! and energy, but the resulting design must be re-derived when the
 //! deployment grows (see `Deployment::extend` in `iiot-core`).
 
-use crate::dodag::{decode_data, encode_data, Collected, Datum, Traffic, PORT_DATA};
-use iiot_mac::{Mac, MacEvent, SendHandle};
-use iiot_sim::{Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, Timer, TxOutcome};
-use rand::Rng;
-use std::collections::VecDeque;
-
-const TAG_TRAFFIC: u64 = 0x180;
-const TAG_PUMP: u64 = 0x181;
+use crate::collect::{Collected, DataPlane, Traffic, PORT_DATA, TAG_PUMP, TAG_TRAFFIC};
+use iiot_mac::{Mac, MacEvent};
+use iiot_sim::{Ctx, Frame, NodeId, Proto, RxInfo, SimDuration, Timer, TxOutcome};
 
 /// Configuration of a [`StaticCollection`] node.
 #[derive(Clone, Debug)]
@@ -48,31 +43,21 @@ impl StaticConfig {
 pub struct StaticCollection<M: Mac> {
     mac: M,
     config: StaticConfig,
-    queue: VecDeque<Datum>,
-    inflight: Option<SendHandle>,
-    seq: u16,
-    seen: VecDeque<(NodeId, u16)>,
-    collected: Vec<Collected>,
+    data: DataPlane,
 }
 
 impl<M: Mac> StaticCollection<M> {
     /// Creates a node; the node whose parent entry is `None` is the
     /// root.
     pub fn new(mac: M, config: StaticConfig) -> Self {
-        StaticCollection {
-            mac,
-            config,
-            queue: VecDeque::new(),
-            inflight: None,
-            seq: 0,
-            seen: VecDeque::new(),
-            collected: Vec::new(),
-        }
+        // Five transmission attempts per datum, then it is dropped.
+        let data = DataPlane::new("static", config.queue_cap, config.pump_period, 5);
+        StaticCollection { mac, config, data }
     }
 
     /// Data collected so far (meaningful at the root).
     pub fn collected(&self) -> &[Collected] {
-        &self.collected
+        self.data.collected()
     }
 
     /// Whether this node has a path to the root (statically always
@@ -87,107 +72,27 @@ impl<M: Mac> StaticCollection<M> {
 
     /// Injects one application datum originating here.
     pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
-        self.seq = self.seq.wrapping_add(1);
-        let d = Datum {
-            origin: ctx.id(),
-            seq: self.seq,
-            hops: 0,
-            sent_at: ctx.now(),
-            payload,
-            attempts: 0,
-        };
-        ctx.count_node("data_origin", 1.0);
-        self.enqueue(ctx, d)
-    }
-
-    fn enqueue(&mut self, ctx: &mut Ctx<'_>, d: Datum) -> bool {
-        if self.queue.len() >= self.config.queue_cap {
-            ctx.count_node("data_drop_queue", 1.0);
-            return false;
-        }
-        self.queue.push_back(d);
-        self.pump(ctx);
-        true
-    }
-
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        if self.inflight.is_some() || self.queue.is_empty() {
-            return;
-        }
-        let Some(parent) = self.parent(ctx.id()) else {
-            return;
-        };
-        let head = self.queue.front().expect("nonempty");
-        let bytes = encode_data(head);
-        match self.mac.send(ctx, Dst::Unicast(parent), PORT_DATA, bytes) {
-            Ok(h) => self.inflight = Some(h),
-            Err(_) => {
-                ctx.set_timer(self.config.pump_period, TAG_PUMP);
-            }
-        }
-    }
-
-    fn already_seen(&mut self, origin: NodeId, seq: u16) -> bool {
-        if self.seen.iter().any(|&(o, s)| o == origin && s == seq) {
-            return true;
-        }
-        if self.seen.len() >= 256 {
-            self.seen.pop_front();
-        }
-        self.seen.push_back((origin, seq));
-        false
+        let parent = self.parent(ctx.id());
+        self.data.originate(&mut self.mac, ctx, parent, payload)
     }
 
     fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
+        let parent = self.parent(ctx.id());
+        let (mac, data) = (&mut self.mac, &mut self.data);
         for ev in events {
             match ev {
                 MacEvent::Delivered {
-                    upper_port,
+                    src,
+                    upper_port: PORT_DATA,
                     payload,
                     ..
-                } if upper_port == PORT_DATA => {
-                    let Some(mut d) = decode_data(&payload) else {
-                        continue;
-                    };
-                    if self.already_seen(d.origin, d.seq) {
-                        ctx.count_node("data_dup", 1.0);
-                        continue;
-                    }
-                    if self.parent(ctx.id()).is_none() {
-                        ctx.count("data_rx_root", 1.0);
-                        ctx.record(
-                            "collect_latency_s",
-                            ctx.now().duration_since(d.sent_at).as_secs_f64(),
-                        );
-                        ctx.record("collect_hops", d.hops as f64 + 1.0);
-                        self.collected.push(Collected {
-                            origin: d.origin,
-                            seq: d.seq,
-                            hops: d.hops + 1,
-                            sent_at: d.sent_at,
-                            received_at: ctx.now(),
-                            payload: d.payload,
-                        });
-                    } else {
-                        d.hops = d.hops.saturating_add(1);
-                        ctx.count_node("data_fwd", 1.0);
-                        self.enqueue(ctx, d);
-                    }
-                }
+                } => data.on_data(mac, ctx, parent, parent.is_none(), src, &payload),
                 MacEvent::Delivered { .. } => {}
+                // The tree is fixed: a failed unicast changes nothing
+                // but the datum's attempt count.
                 MacEvent::SendDone { handle, acked } => {
-                    if self.inflight == Some(handle) {
-                        self.inflight = None;
-                        if acked {
-                            self.queue.pop_front();
-                        } else if let Some(head) = self.queue.front_mut() {
-                            head.attempts += 1;
-                            if head.attempts >= 5 {
-                                self.queue.pop_front();
-                                ctx.count_node("data_drop_retries", 1.0);
-                            }
-                        }
-                        self.pump(ctx);
+                    if data.settle(ctx, handle, acked) {
+                        data.pump(mac, ctx, parent);
                     }
                 }
             }
@@ -198,14 +103,9 @@ impl<M: Mac> StaticCollection<M> {
 impl<M: Mac> Proto for StaticCollection<M> {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         self.mac.start(ctx);
-        if let Some(tr) = self.config.traffic {
-            if self.parent(ctx.id()).is_some() {
-                let jitter = ctx.rng().gen_range(0..tr.period.as_micros().max(1));
-                ctx.set_timer(
-                    tr.start_after + SimDuration::from_micros(jitter),
-                    TAG_TRAFFIC,
-                );
-            }
+        let root = self.parent(ctx.id()).is_none();
+        if let Some(tr) = self.config.traffic.filter(|_| !root) {
+            tr.arm_first(ctx);
         }
     }
 
@@ -219,12 +119,13 @@ impl<M: Mac> Proto for StaticCollection<M> {
             TAG_TRAFFIC => {
                 if let Some(tr) = self.config.traffic {
                     self.send_datum(ctx, vec![0xAB; tr.payload_len]);
-                    let p = tr.period.as_micros();
-                    let jittered = p * 9 / 10 + ctx.rng().gen_range(0..=(p / 5).max(1));
-                    ctx.set_timer(SimDuration::from_micros(jittered), TAG_TRAFFIC);
+                    tr.arm_next(ctx);
                 }
             }
-            TAG_PUMP => self.pump(ctx),
+            TAG_PUMP => {
+                let parent = self.parent(ctx.id());
+                self.data.pump(&mut self.mac, ctx, parent);
+            }
             _ => {}
         }
     }
@@ -243,9 +144,7 @@ impl<M: Mac> Proto for StaticCollection<M> {
 
     fn crashed(&mut self) {
         self.mac.crashed();
-        self.queue.clear();
-        self.inflight = None;
-        self.seen.clear();
+        self.data.crashed();
     }
 }
 
@@ -256,6 +155,33 @@ mod tests {
     use iiot_sim::prelude::*;
 
     type Node = StaticCollection<TdmaMac>;
+
+    #[test]
+    fn oversized_datum_is_dropped_not_retried_forever() {
+        use iiot_mac::csma::CsmaMac;
+        type Csma = StaticCollection<CsmaMac>;
+        let cfg = StaticConfig::new(vec![None, Some(NodeId(0))]);
+        let mut w = SimBuilder::new()
+            .nodes(Topology::line(2, 10.0), move |_| {
+                Box::new(Csma::new(CsmaMac::default(), cfg.clone()))
+            })
+            .build();
+        w.run_for(SimDuration::from_millis(100));
+        let before = w.events_dispatched();
+        w.with(NodeId(1), |n: &mut Csma, ctx| {
+            // One byte past what a frame carries after the MAC and
+            // collection headers, then a datum that fits.
+            assert!(n.send_datum(ctx, vec![0; 93]));
+            assert!(n.send_datum(ctx, vec![1; 8]));
+        });
+        w.run_for(SimDuration::from_secs(10));
+        assert_eq!(w.stats().get_node(NodeId(1), "data_drop_size"), 1.0);
+        let root = w.proto::<Csma>(NodeId(0));
+        assert_eq!(root.collected().len(), 1, "the datum behind it arrives");
+        assert_eq!(root.collected()[0].payload, vec![1; 8]);
+        let spent = w.events_dispatched() - before;
+        assert!(spent < 20, "{spent} events: the pump timer is spinning");
+    }
 
     #[test]
     fn tdma_collection_over_static_tree() {

@@ -98,7 +98,7 @@ pub use clock::ClockModel;
 pub use ids::{NodeId, TimerId};
 pub use node::{AsAny, Idle, Proto, StateLoss, Timer};
 pub use radio::{Dst, Frame, RadioConfig, RadioError, RadioState, RxInfo, TxOutcome};
-pub use sim::{Checkpoint, ShardConfig, Sim, SimBuilder};
+pub use sim::{ShardConfig, Sim, SimBuilder};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Pos, Topology};
 pub use world::{Ctx, SimConfig};
@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::radio::{
         Dst, Frame, LinkModel, RadioConfig, RadioError, RadioState, RxInfo, TxOutcome,
     };
-    pub use crate::sim::{Checkpoint, ShardConfig, Sim, SimBuilder};
+    pub use crate::sim::{ShardConfig, Sim, SimBuilder};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Pos, Topology};
     pub use crate::trace::{Stats, Summary};

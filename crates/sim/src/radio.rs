@@ -753,25 +753,25 @@ impl Medium {
     }
 
     /// Administratively severs the link between `a` and `b` (both ways).
-    pub fn block_link(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) {
         let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
         self.blocked_links.insert((x, y));
     }
 
     /// Restores a previously severed link.
-    pub fn unblock_link(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) {
         let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
         self.blocked_links.remove(&(x, y));
     }
 
     /// Assigns `node` to a partition group (see [`Medium::set_partitioned`]).
-    pub fn set_group(&mut self, node: NodeId, group: u16) {
+    pub(crate) fn set_group(&mut self, node: NodeId, group: u16) {
         self.nodes[node.index()].group = group;
     }
 
     /// Enables or disables the partition: while enabled, nodes in
     /// different groups cannot hear each other at all.
-    pub fn set_partitioned(&mut self, on: bool) {
+    pub(crate) fn set_partitioned(&mut self, on: bool) {
         self.partitioned = on;
     }
 

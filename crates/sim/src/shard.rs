@@ -55,12 +55,12 @@ use crate::world::{FaultOp, SimConfig, StagedEv, World};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
-/// Shared constructor for the protocol stack of node `i`. Shard
+/// Constructor for the protocol stack of a group's node `i`. Shard
 /// replicas instantiate every node (foreign ones stay inert), so the
 /// factory must be pure: same `i`, same protocol.
-pub type ProtoFactory = Arc<dyn Fn(usize) -> Box<dyn Proto> + Send + Sync>;
+pub(crate) type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto> + Send + Sync>;
 
 /// Most shards an engine supports (shard audibility masks are `u64`).
 pub(crate) const MAX_SHARDS: usize = 64;
@@ -269,7 +269,11 @@ impl ShardEngine {
     /// bounding box joins the nearest edge stripe, which keeps every
     /// audibility mask a superset (stripes are closed x-intervals and
     /// the newcomer lies on the far side of its own).
-    pub(crate) fn add_nodes(&mut self, topo: &Topology, make: &ProtoFactory) -> Vec<NodeId> {
+    pub(crate) fn add_nodes(
+        &mut self,
+        topo: &Topology,
+        make: impl Fn(usize) -> Box<dyn Proto>,
+    ) -> Vec<NodeId> {
         let last = self.stripes.len() - 1;
         (0..topo.len())
             .map(|g| {
@@ -353,28 +357,6 @@ impl ShardEngine {
             self.exchange();
         }
         self.run_windows(deadline, true);
-    }
-
-    /// Runs until every shard's queue drains or `deadline` passes;
-    /// `true` when the engine went idle.
-    pub(crate) fn run_until_idle(&mut self, deadline: SimTime) -> bool {
-        loop {
-            let m = self.worlds.iter().filter_map(World::next_event_time).min();
-            match m {
-                None if self.actions.is_empty() => {
-                    self.exchange();
-                    // The exchange may have unblocked cross-shard work.
-                    if self.worlds.iter().all(|w| w.next_event_time().is_none()) {
-                        return true;
-                    }
-                }
-                Some(t) if t > deadline => return false,
-                _ => {
-                    let t = m.unwrap_or(deadline).min(deadline);
-                    self.run_until(t);
-                }
-            }
-        }
     }
 
     /// Schedules `f` to run against `node`'s replica at `at`. The
@@ -489,23 +471,11 @@ impl ShardEngine {
         self.recorder.take()
     }
 
-    /// Whether an engine-level recorder is installed.
-    pub(crate) fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// The engine recorder downcast to `T`.
     pub(crate) fn recorder_as<T: Recorder>(&self) -> Option<&T> {
         self.recorder
             .as_deref()
             .and_then(|r| r.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable engine recorder downcast to `T`.
-    pub(crate) fn recorder_as_mut<T: Recorder>(&mut self) -> Option<&mut T> {
-        self.recorder
-            .as_deref_mut()
-            .and_then(|r| r.as_any_mut().downcast_mut::<T>())
     }
 
     /// Drains per-shard observability buffers into the engine recorder

@@ -12,10 +12,11 @@
 //! advanced by the conservative-lookahead engine (see the `shard`
 //! module's docs for the synchronization protocol and its semantics).
 //!
-//! [`Sim::checkpoint`] captures a replayable description of the run so
-//! far — the build spec plus the timestamped operation log — and
-//! [`Checkpoint::resume`] replays it into a fresh `Sim`, the enabler
-//! for snapshot/fork experiment designs.
+//! There is one way to act on a node from outside its callbacks:
+//! [`Sim::with`] hands a closure the node's protocol, already downcast
+//! to the type the caller names, and a live [`Ctx`]. To act *later*,
+//! [`Sim::schedule_at`] queues a closure over the in-run handle
+//! [`World`], whose own [`World::with`] is the same call.
 //!
 //! # Examples
 //!
@@ -60,14 +61,11 @@ use crate::ids::NodeId;
 use crate::node::{Proto, StateLoss};
 use crate::obs::Recorder;
 use crate::radio::{LinkModel, MediumStats, RadioConfig};
-use crate::shard::{EngineOp, ShardEngine, MAX_SHARDS};
+use crate::shard::{EngineOp, ProtoFactory, ShardEngine, MAX_SHARDS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::Stats;
 use crate::world::{Ctx, FaultOp, SimConfig, World};
-use std::sync::Arc;
-
-pub use crate::shard::ProtoFactory;
 
 /// How a [`Sim`] is split across worker threads.
 ///
@@ -118,27 +116,6 @@ impl ShardConfig {
 /// One node group: a topology plus the factory that builds each node's
 /// protocol stack.
 type Group = (Topology, ProtoFactory);
-
-/// The cloneable description a [`Sim`] is built from; kept by the sim
-/// for [`Sim::checkpoint`].
-#[derive(Clone)]
-struct SimSpec {
-    config: SimConfig,
-    groups: Vec<Group>,
-    shard: ShardConfig,
-    state_loss: Option<StateLoss>,
-}
-
-/// A replayable operation, logged by [`Sim`] mutators in call order so
-/// [`Checkpoint::resume`] can reproduce the run.
-#[derive(Clone)]
-enum OpRec {
-    RunUntil(SimTime),
-    AddNodes(Topology, ProtoFactory),
-    Fault(FaultOp),
-    FaultAt(SimTime, FaultOp),
-    SetStateLoss(StateLoss),
-}
 
 /// Builder for a [`Sim`]: one composable surface for topology, radio,
 /// clocks, energy, faults, observability and sharding. See the
@@ -227,14 +204,7 @@ impl SimBuilder {
     where
         F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
     {
-        self.groups.push((topo, Arc::new(make)));
-        self
-    }
-
-    /// Adds a node group with an already-shared factory (useful when one
-    /// factory serves several groups or is reused across trials).
-    pub fn nodes_shared(mut self, topo: Topology, make: ProtoFactory) -> Self {
-        self.groups.push((topo, make));
+        self.groups.push((topo, Box::new(make)));
         self
     }
 
@@ -281,16 +251,10 @@ impl SimBuilder {
             (1..=MAX_SHARDS).contains(&shard.shards),
             "shard count must be in 1..={MAX_SHARDS}"
         );
-        let spec = SimSpec {
-            config: config.clone(),
-            groups: groups.clone(),
-            shard,
-            state_loss,
-        };
         let mut inner = if shard.shards == 1 {
             let mut world = World::new(config);
             for (topo, make) in &groups {
-                world.add_nodes(topo, make.as_ref());
+                world.add_nodes(topo, make);
             }
             Inner::Single(Box::new(world))
         } else {
@@ -307,12 +271,7 @@ impl SimBuilder {
                 Inner::Sharded(e) => e.set_state_loss(loss),
             }
         }
-        let mut sim = Sim {
-            inner,
-            spec,
-            ops: Vec::new(),
-            opaque: false,
-        };
+        let mut sim = Sim { inner };
         if let Some(r) = recorder {
             sim.set_recorder(r);
         }
@@ -333,11 +292,6 @@ enum Inner {
 /// (`shards = 1`) and the sharded engine (`shards ≥ 2`).
 pub struct Sim {
     inner: Inner,
-    spec: SimSpec,
-    ops: Vec<OpRec>,
-    /// Set when a non-replayable mutation happened (closures, direct
-    /// protocol access); [`Sim::checkpoint`] then refuses.
-    opaque: bool,
 }
 
 impl Sim {
@@ -354,20 +308,9 @@ impl Sim {
     /// Advances the simulation to `deadline`, inclusive of events at
     /// `deadline`; afterwards `now() == deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.ops.push(OpRec::RunUntil(deadline));
         match &mut self.inner {
             Inner::Single(w) => w.run_until(deadline),
             Inner::Sharded(e) => e.run_until(deadline),
-        }
-    }
-
-    /// Runs until the event queue drains or `deadline` passes; `true`
-    /// when the simulation went idle.
-    pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
-        self.opaque = true; // idle time depends on the queue, not the log
-        match &mut self.inner {
-            Inner::Single(w) => w.run_until_idle(deadline),
-            Inner::Sharded(e) => e.run_until_idle(deadline),
         }
     }
 
@@ -451,10 +394,10 @@ impl Sim {
         }
     }
 
-    /// Mutable access to `node`'s protocol. Marks the sim
-    /// non-checkpointable (the mutation cannot be replayed).
+    /// `node`'s protocol downcast to a mutable `T`, for state that
+    /// needs no [`Ctx`] (queueing work a protocol picks up on its next
+    /// callback); panics on a type mismatch.
     pub fn proto_mut<T: Proto>(&mut self, node: NodeId) -> &mut T {
-        self.opaque = true;
         match &mut self.inner {
             Inner::Single(w) => w.proto_mut(node),
             Inner::Sharded(e) => e.owner_world_mut(node).proto_mut(node),
@@ -469,18 +412,23 @@ impl Sim {
         }
     }
 
-    /// Runs `f` with `node`'s protocol and a live [`Ctx`], outside any
-    /// event dispatch. Marks the sim non-checkpointable.
-    pub fn with_ctx<R>(
+    /// Runs `f` with `node`'s protocol, downcast to `T`, and a live
+    /// [`Ctx`], outside any event dispatch: `sim.with(gw, |n: &mut Node,
+    /// ctx| n.install(ctx, &img))`. On a sharded sim the owning replica
+    /// runs it and whatever it sent is exchanged before `with` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `T`, if the protocol of `node` is not a `T`.
+    pub fn with<T: Proto, R>(
         &mut self,
         node: NodeId,
-        f: impl FnOnce(&mut dyn Proto, &mut Ctx<'_>) -> R,
+        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        self.opaque = true;
         match &mut self.inner {
-            Inner::Single(w) => w.with_ctx(node, f),
+            Inner::Single(w) => w.with(node, f),
             Inner::Sharded(e) => {
-                let r = e.owner_world_mut(node).with_ctx(node, f);
+                let r = e.owner_world_mut(node).with(node, f);
                 e.sync();
                 r
             }
@@ -488,16 +436,13 @@ impl Sim {
     }
 
     /// Schedules `f` to run against `node`'s [`World`] at `at`. Under
-    /// sharding the closure sees the owning shard's replica; mutations
-    /// other shards must observe should use the dedicated `Sim` methods.
-    /// Marks the sim non-checkpointable.
+    /// sharding the closure sees the owning shard's replica.
     pub fn schedule_at(
         &mut self,
         at: SimTime,
         node: NodeId,
         f: impl FnOnce(&mut World) + Send + 'static,
     ) {
-        self.opaque = true;
         match &mut self.inner {
             Inner::Single(w) => w.schedule(at, f),
             Inner::Sharded(e) => e.schedule_closure(at, node, Box::new(f)),
@@ -513,16 +458,10 @@ impl Sim {
     where
         F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
     {
-        self.add_nodes_shared(topo, Arc::new(make))
-    }
-
-    fn add_nodes_shared(&mut self, topo: Topology, make: ProtoFactory) -> Vec<NodeId> {
-        let ids = match &mut self.inner {
-            Inner::Single(w) => w.add_nodes(&topo, make.as_ref()),
-            Inner::Sharded(e) => e.add_nodes(&topo, &make),
-        };
-        self.ops.push(OpRec::AddNodes(topo, make));
-        ids
+        match &mut self.inner {
+            Inner::Single(w) => w.add_nodes(&topo, make),
+            Inner::Sharded(e) => e.add_nodes(&topo, make),
+        }
     }
 
     fn fault(&mut self, op: FaultOp) {
@@ -530,11 +469,9 @@ impl Sim {
             Inner::Single(w) => w.apply_fault(&op, true),
             Inner::Sharded(e) => e.apply_fault(&op),
         }
-        self.ops.push(OpRec::Fault(op));
     }
 
     fn fault_at(&mut self, at: SimTime, op: FaultOp) {
-        self.ops.push(OpRec::FaultAt(at, op.clone()));
         match &mut self.inner {
             Inner::Single(w) => w.schedule_fault(at, op),
             Inner::Sharded(e) => e.schedule_op(at, EngineOp::Fault(op)),
@@ -613,7 +550,6 @@ impl Sim {
 
     /// Sets what crashed nodes lose (see [`StateLoss`]).
     pub fn set_state_loss(&mut self, loss: StateLoss) {
-        self.ops.push(OpRec::SetStateLoss(loss));
         match &mut self.inner {
             Inner::Single(w) => w.set_state_loss(loss),
             Inner::Sharded(e) => e.set_state_loss(loss),
@@ -636,91 +572,12 @@ impl Sim {
         }
     }
 
-    /// Whether a recorder is installed.
-    pub fn has_recorder(&self) -> bool {
-        match &self.inner {
-            Inner::Single(w) => w.has_recorder(),
-            Inner::Sharded(e) => e.has_recorder(),
-        }
-    }
-
     /// The recorder downcast to `T`.
     pub fn recorder_as<T: Recorder>(&self) -> Option<&T> {
         match &self.inner {
             Inner::Single(w) => w.recorder_as::<T>(),
             Inner::Sharded(e) => e.recorder_as::<T>(),
         }
-    }
-
-    /// The recorder downcast to a mutable `T`.
-    pub fn recorder_as_mut<T: Recorder>(&mut self) -> Option<&mut T> {
-        match &mut self.inner {
-            Inner::Single(w) => w.recorder_as_mut::<T>(),
-            Inner::Sharded(e) => e.recorder_as_mut::<T>(),
-        }
-    }
-
-    /// Captures a replayable checkpoint: the build spec plus every
-    /// logged operation. [`Checkpoint::resume`] reruns them into a
-    /// fresh `Sim` in the same state — cheap to store, deterministic to
-    /// restore, and forkable (resume twice, diverge the copies).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the run used non-replayable mutations
-    /// ([`proto_mut`](Self::proto_mut), [`with_ctx`](Self::with_ctx),
-    /// [`schedule_at`](Self::schedule_at),
-    /// [`run_until_idle`](Self::run_until_idle)).
-    pub fn checkpoint(&self) -> Checkpoint {
-        assert!(
-            !self.opaque,
-            "Sim::checkpoint: the run used non-replayable mutations \
-             (closures or direct protocol access)"
-        );
-        Checkpoint {
-            spec: self.spec.clone(),
-            ops: self.ops.clone(),
-        }
-    }
-}
-
-/// A replayable snapshot of a [`Sim`], produced by [`Sim::checkpoint`].
-///
-/// Holds the build spec and the operation log, not kernel state: resume
-/// rebuilds the sim and replays the log, which the deterministic kernel
-/// turns into the identical state. Recorders are not part of a
-/// checkpoint; install one on the resumed sim if needed.
-#[derive(Clone)]
-pub struct Checkpoint {
-    spec: SimSpec,
-    ops: Vec<OpRec>,
-}
-
-impl Checkpoint {
-    /// Rebuilds a [`Sim`] and replays the logged operations.
-    pub fn resume(&self) -> Sim {
-        let mut b = SimBuilder::new()
-            .config(self.spec.config.clone())
-            .sharding(self.spec.shard);
-        for (topo, make) in &self.spec.groups {
-            b = b.nodes_shared(topo.clone(), make.clone());
-        }
-        if let Some(loss) = self.spec.state_loss {
-            b = b.state_loss(loss);
-        }
-        let mut sim = b.build();
-        for op in self.ops.iter().cloned() {
-            match op {
-                OpRec::RunUntil(t) => sim.run_until(t),
-                OpRec::AddNodes(topo, make) => {
-                    sim.add_nodes_shared(topo, make);
-                }
-                OpRec::Fault(op) => sim.fault(op),
-                OpRec::FaultAt(t, op) => sim.fault_at(t, op),
-                OpRec::SetStateLoss(loss) => sim.set_state_loss(loss),
-            }
-        }
-        sim
     }
 }
 

@@ -123,7 +123,6 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug)]
 enum Ev {
     Start {
         node: NodeId,
@@ -146,13 +145,13 @@ enum Ev {
         from: NodeId,
         payload: Vec<u8>,
     },
-    Action(usize),
+    Action(Box<dyn FnOnce(&mut World) + Send>),
 }
 
-/// A replayable fault-injection operation: what [`Sim`](crate::sim::Sim)
-/// logs for checkpoints, schedules on the serial kernel and mirrors to
-/// every replica of the sharded engine.
-#[derive(Clone, Debug)]
+/// A fault-injection operation: what [`Sim`](crate::sim::Sim) schedules
+/// on the serial kernel and mirrors to every replica of the sharded
+/// engine.
+#[derive(Debug)]
 pub(crate) enum FaultOp {
     /// Crash a node (see [`World::kill`]).
     Kill(NodeId),
@@ -367,34 +366,40 @@ impl Kernel {
 ///
 /// Built and driven only through [`SimBuilder`](crate::sim::SimBuilder)
 /// and [`Sim`](crate::sim::Sim) (which own one `World`, or one replica
-/// per shard); the type is public because closures passed to
-/// [`Sim::schedule_at`](crate::sim::Sim::schedule_at) run against it.
+/// per shard). The type is public as the *in-run handle*: a closure
+/// passed to [`Sim::schedule_at`](crate::sim::Sim::schedule_at) runs
+/// against it from inside the event loop, where it may read the clock
+/// and the roster, act on a node through [`World::with`] and
+/// [`World::schedule`] a follow-up — nothing else. Faults, recorders
+/// and the run loop belong to `Sim`.
 ///
 /// # Examples
 ///
 /// ```
 /// use iiot_sim::prelude::*;
 ///
+/// /// Counts the pokes it gets.
+/// struct Poked(u32);
+/// impl Proto for Poked {
+///     fn start(&mut self, _ctx: &mut Ctx<'_>) {}
+/// }
+///
 /// let mut sim = SimBuilder::new()
-///     .nodes(Topology::line(2, 10.0), |_| Box::new(Idle))
+///     .nodes(Topology::line(2, 10.0), |_| Box::new(Poked(0)))
 ///     .build();
 /// sim.schedule_at(SimTime::from_secs(1), NodeId(1), |world| {
 ///     assert_eq!(world.now(), SimTime::from_secs(1));
-///     world.kill(NodeId(1));
+///     world.with(NodeId(1), |p: &mut Poked, _ctx| p.0 += 1);
 /// });
 /// sim.run(SimDuration::from_secs(2));
-/// assert!(!sim.is_alive(NodeId(1)));
+/// assert_eq!(sim.proto::<Poked>(NodeId(1)).0, 1);
 /// ```
 pub struct World {
     kernel: Kernel,
     protos: Vec<Box<dyn Proto>>,
     alive: Vec<bool>,
-    actions: Vec<DeferredAction>,
     state_loss: StateLoss,
 }
-
-/// A deferred world mutation scheduled from inside the event loop.
-type DeferredAction = Option<Box<dyn FnOnce(&mut World) + Send>>;
 
 impl World {
     /// Creates an empty world.
@@ -439,7 +444,6 @@ impl World {
             },
             protos: Vec::new(),
             alive: Vec::new(),
-            actions: Vec::new(),
             state_loss: StateLoss::default(),
         };
         w.kernel.obs_on = w.kernel.recorder.is_some();
@@ -534,50 +538,40 @@ impl World {
     /// work. Deterministic per seed and workload, independent of wall
     /// clock, which makes it the right quantity for perf *gates* (the
     /// count must not drift) as opposed to perf *tracking* (timings).
-    pub fn events_dispatched(&self) -> u64 {
+    pub(crate) fn events_dispatched(&self) -> u64 {
         self.kernel.dispatched
     }
 
     /// Shared medium (read access: stats, radio states, positions).
-    pub fn medium(&self) -> &Medium {
+    pub(crate) fn medium(&self) -> &Medium {
         &self.kernel.medium
     }
 
     /// Mutable medium access for link fault injection and partitions.
-    pub fn medium_mut(&mut self) -> &mut Medium {
+    pub(crate) fn medium_mut(&mut self) -> &mut Medium {
         &mut self.kernel.medium
     }
 
     /// Collected statistics.
-    pub fn stats(&self) -> &Stats {
+    pub(crate) fn stats(&self) -> &Stats {
         &self.kernel.stats
-    }
-
-    /// Mutable statistics (for experiment bookkeeping outside protocols).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.kernel.stats
     }
 
     /// Installs `recorder` as the structured-event sink. Replaces any
     /// previous recorder (the old one is dropped).
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
+    pub(crate) fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.kernel.recorder = Some(recorder);
         self.kernel.obs_on = true;
     }
 
     /// Removes and returns the installed recorder, disabling emission.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
+    pub(crate) fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
         self.kernel.obs_on = false;
         self.kernel.recorder.take()
     }
 
-    /// Whether a recorder is installed.
-    pub fn has_recorder(&self) -> bool {
-        self.kernel.recorder.is_some()
-    }
-
     /// The installed recorder downcast to `T`, if its type matches.
-    pub fn recorder_as<T: Recorder>(&self) -> Option<&T> {
+    pub(crate) fn recorder_as<T: Recorder>(&self) -> Option<&T> {
         self.kernel
             .recorder
             .as_deref()
@@ -585,7 +579,7 @@ impl World {
     }
 
     /// Mutable access to the installed recorder downcast to `T`.
-    pub fn recorder_as_mut<T: Recorder>(&mut self) -> Option<&mut T> {
+    pub(crate) fn recorder_as_mut<T: Recorder>(&mut self) -> Option<&mut T> {
         self.kernel
             .recorder
             .as_deref_mut()
@@ -593,12 +587,12 @@ impl World {
     }
 
     /// Energy usage of `node` as of the current time.
-    pub fn energy(&self, node: NodeId) -> EnergyUsage {
+    pub(crate) fn energy(&self, node: NodeId) -> EnergyUsage {
         self.kernel.meters[node.index()].snapshot(self.kernel.now)
     }
 
     /// The world energy model.
-    pub fn energy_model(&self) -> &EnergyModel {
+    pub(crate) fn energy_model(&self) -> &EnergyModel {
         &self.kernel.energy_model
     }
 
@@ -611,45 +605,47 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the protocol of `node` is not a `T`.
+    /// Panics, naming `T`, if the protocol of `node` is not a `T`.
     pub fn proto<T: Proto>(&self, node: NodeId) -> &T {
-        self.protos[node.index()]
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("protocol type mismatch")
+        let p = self.protos[node.index()].as_any().downcast_ref::<T>();
+        p.unwrap_or_else(|| wrong_type::<T>(node))
     }
 
     /// Mutable access to a node's protocol, downcast to `T`.
     ///
     /// # Panics
     ///
-    /// Panics if the protocol of `node` is not a `T`.
-    pub fn proto_mut<T: Proto>(&mut self, node: NodeId) -> &mut T {
-        self.protos[node.index()]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("protocol type mismatch")
+    /// Panics, naming `T`, if the protocol of `node` is not a `T`.
+    pub(crate) fn proto_mut<T: Proto>(&mut self, node: NodeId) -> &mut T {
+        let p = self.protos[node.index()].as_any_mut().downcast_mut::<T>();
+        p.unwrap_or_else(|| wrong_type::<T>(node))
     }
 
     /// The local (drifting) clock reading of `node` at the current
     /// simulation time — the oracle view of what [`Ctx::local_time`]
     /// would return, for measuring synchronization error from outside.
-    pub fn local_time_of(&mut self, node: NodeId) -> SimTime {
+    pub(crate) fn local_time_of(&mut self, node: NodeId) -> SimTime {
         let now = self.kernel.now;
         self.kernel.clocks[node.index()].read(now)
     }
 
-    /// Runs a closure with a [`Ctx`] for `node`, e.g. to inject an
-    /// application-level request from a test.
-    pub fn with_ctx<R>(
+    /// Runs `f` with `node`'s protocol, downcast to `T`, and a live
+    /// [`Ctx`], outside any event dispatch: the way to inject an
+    /// application-level request (`w.with(gw, |n: &mut Node, ctx|
+    /// n.install(ctx, &img))`).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `T`, if the protocol of `node` is not a `T`.
+    pub fn with<T: Proto, R>(
         &mut self,
         node: NodeId,
-        f: impl FnOnce(&mut dyn Proto, &mut Ctx<'_>) -> R,
+        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
         let kernel = &mut self.kernel;
-        let proto = &mut self.protos[node.index()];
-        let mut ctx = Ctx { kernel, node };
-        f(proto.as_mut(), &mut ctx)
+        let proto = self.protos[node.index()].as_any_mut().downcast_mut::<T>();
+        let proto = proto.unwrap_or_else(|| wrong_type::<T>(node));
+        f(proto, &mut Ctx { kernel, node })
     }
 
     /// Schedules `f` to run on the world at time `at`.
@@ -659,26 +655,19 @@ impl World {
     /// Panics if `at` is in the past.
     pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
         assert!(at >= self.kernel.now, "cannot schedule into the past");
-        let idx = self.actions.len();
-        self.actions.push(Some(Box::new(f)));
-        self.kernel.push(at, Ev::Action(idx));
+        self.kernel.push(at, Ev::Action(Box::new(f)));
     }
 
     /// What crashed nodes retain: RAM loss only (the default) or a full
     /// wipe including "flash". See [`StateLoss`].
-    pub fn set_state_loss(&mut self, loss: StateLoss) {
+    pub(crate) fn set_state_loss(&mut self, loss: StateLoss) {
         self.state_loss = loss;
-    }
-
-    /// The current crash [`StateLoss`] policy.
-    pub fn state_loss(&self) -> StateLoss {
-        self.state_loss
     }
 
     /// Kills `node` now: radio off, pending behaviour stops, volatile
     /// protocol state is cleared via [`Proto::crashed`] (or, under
     /// [`StateLoss::Full`], everything via [`Proto::wiped`]).
-    pub fn kill(&mut self, node: NodeId) {
+    pub(crate) fn kill(&mut self, node: NodeId) {
         if !self.alive[node.index()] {
             return;
         }
@@ -704,7 +693,7 @@ impl World {
     }
 
     /// Revives a dead node: it boots again through [`Proto::start`].
-    pub fn revive(&mut self, node: NodeId) {
+    pub(crate) fn revive(&mut self, node: NodeId) {
         if self.alive[node.index()] {
             return;
         }
@@ -727,7 +716,7 @@ impl World {
     /// ways), emitting a `link_down` fault event. Prefer this over
     /// [`Medium::block_link`] via [`World::medium_mut`] so the fault
     /// shows up in traces.
-    pub fn block_link(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) {
         self.kernel.emit(
             a,
             SpanId::NONE,
@@ -741,7 +730,7 @@ impl World {
 
     /// Restores a previously severed link, emitting a `link_up` fault
     /// event.
-    pub fn unblock_link(&mut self, a: NodeId, b: NodeId) {
+    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) {
         self.kernel.emit(
             a,
             SpanId::NONE,
@@ -757,7 +746,7 @@ impl World {
     /// [`Medium::set_partitioned`]), emitting a `partition`/`heal`
     /// fault event. The event is attributed to node 0 because the
     /// partition is a global condition.
-    pub fn set_partitioned(&mut self, on: bool) {
+    pub(crate) fn set_partitioned(&mut self, on: bool) {
         self.kernel.emit(
             NodeId(0),
             SpanId::NONE,
@@ -771,7 +760,7 @@ impl World {
 
     /// Runs the simulation until `deadline` (inclusive of events at the
     /// deadline); afterwards `now() == deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
         while let Some(Reverse(front)) = self.kernel.queue.peek() {
             if front.time > deadline {
                 break;
@@ -785,26 +774,10 @@ impl World {
     }
 
     /// Runs the simulation for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
+    #[cfg(test)]
+    pub(crate) fn run_for(&mut self, d: SimDuration) {
         let deadline = self.kernel.now + d;
         self.run_until(deadline);
-    }
-
-    /// Runs until the event queue drains or `deadline` passes, whichever
-    /// comes first. Returns `true` if the queue drained.
-    pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
-        loop {
-            let Some(Reverse(front)) = self.kernel.queue.peek() else {
-                return true;
-            };
-            if front.time > deadline {
-                self.kernel.now = deadline;
-                return false;
-            }
-            let Reverse(entry) = self.kernel.queue.pop().expect("peeked");
-            self.kernel.now = entry.time;
-            self.dispatch(entry.ev);
-        }
     }
 
     // ---- shard-engine surface (crate-private) -------------------------
@@ -928,11 +901,7 @@ impl World {
     fn dispatch(&mut self, ev: Ev) {
         self.kernel.dispatched += 1;
         match ev {
-            Ev::Action(idx) => {
-                if let Some(f) = self.actions[idx].take() {
-                    f(self);
-                }
-            }
+            Ev::Action(f) => f(self),
             Ev::Start { node } => {
                 if self.alive[node.index()] {
                     self.call(node, |p, ctx| p.start(ctx));
@@ -1023,6 +992,15 @@ impl World {
         let mut ctx = Ctx { kernel, node };
         f(proto.as_mut(), &mut ctx);
     }
+}
+
+/// The panic behind [`World::proto`] and [`World::with`] on a node that
+/// runs something other than a `T`.
+fn wrong_type<T>(node: NodeId) -> ! {
+    panic!(
+        "node {node}'s protocol is not a {}",
+        std::any::type_name::<T>()
+    )
 }
 
 impl std::fmt::Debug for World {
@@ -1454,7 +1432,6 @@ mod tests {
             let mut w = World::new(SimConfig::default());
             let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Flashy { ram: 0, flash: 0 }));
             w.set_state_loss(loss);
-            assert_eq!(w.state_loss(), loss);
             w.schedule_fault(SimTime::from_millis(100), FaultOp::Kill(n));
             w.schedule_fault(SimTime::from_millis(200), FaultOp::Revive(n));
             w.run_for(SimDuration::from_secs(1));
@@ -1548,19 +1525,12 @@ mod tests {
     }
 
     #[test]
-    fn run_until_idle_drains() {
-        let mut w = World::new(SimConfig::default());
-        w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-        assert!(w.run_until_idle(SimTime::from_secs(5)));
-    }
-
-    #[test]
     fn scheduled_actions_run_in_order() {
         let mut w = World::new(SimConfig::default());
         w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-        w.schedule(SimTime::from_secs(1), |w| w.stats_mut().record("o", 1.0));
-        w.schedule(SimTime::from_secs(2), |w| w.stats_mut().record("o", 2.0));
-        w.schedule(SimTime::from_secs(1), |w| w.stats_mut().record("o", 1.5));
+        w.schedule(SimTime::from_secs(1), |w| w.kernel.stats.record("o", 1.0));
+        w.schedule(SimTime::from_secs(2), |w| w.kernel.stats.record("o", 2.0));
+        w.schedule(SimTime::from_secs(1), |w| w.kernel.stats.record("o", 1.5));
         w.run_for(SimDuration::from_secs(3));
         assert_eq!(w.stats().samples("o"), &[1.0, 1.5, 2.0]);
     }

@@ -81,34 +81,18 @@ fn medium_stats_accumulate() {
 }
 
 #[test]
-fn run_until_idle_stops_at_quiescence() {
-    struct Finite {
-        left: u32,
+#[should_panic(
+    expected = "n0's protocol is not a edge::with_on_the_wrong_type_panics_naming_it::Other"
+)]
+fn with_on_the_wrong_type_panics_naming_it() {
+    struct Other;
+    impl Proto for Other {
+        fn start(&mut self, _ctx: &mut Ctx<'_>) {}
     }
-    impl Proto for Finite {
-        fn start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::from_millis(10), 0);
-        }
-        fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
-            if self.left > 0 {
-                self.left -= 1;
-                ctx.set_timer(SimDuration::from_millis(10), 0);
-            }
-        }
-    }
-    let finite = |left| {
-        SimBuilder::new()
-            .nodes(Topology::line(1, 10.0), move |_| Box::new(Finite { left }))
-            .build()
-    };
-    let mut w = finite(5);
-    assert!(w.run_until_idle(SimTime::from_secs(10)), "queue drains");
-    assert_eq!(w.now(), SimTime::from_millis(60));
-
-    // An infinite ticker never drains: deadline wins.
-    let mut w2 = finite(u32::MAX);
-    assert!(!w2.run_until_idle(SimTime::from_millis(95)));
-    assert_eq!(w2.now(), SimTime::from_millis(95));
+    let mut w = SimBuilder::new()
+        .nodes(Topology::line(1, 10.0), |_| Box::new(Idle))
+        .build();
+    w.with(NodeId(0), |_: &mut Other, _ctx| ());
 }
 
 #[test]

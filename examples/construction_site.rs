@@ -42,7 +42,9 @@ fn run_tenants(plan: ChannelPlan, seed: u64) -> Vec<(usize, usize)> {
         let channel = plan.channel_for(TenantId(t as u16), 0);
         for &node in batch {
             w.schedule_at(SimTime::from_millis(1), node, move |w2| {
-                w2.with_ctx(node, |_p, ctx| ctx.set_channel(channel).expect("channel"));
+                w2.with(node, |_: &mut MacDriver<CsmaMac>, ctx| {
+                    ctx.set_channel(channel).expect("channel")
+                });
             });
         }
     }

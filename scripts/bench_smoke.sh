@@ -19,6 +19,8 @@ bin=target/release/experiments
 # traces run to gigabytes) while driving the same code paths.
 #
 #   e5   the plain trial fan-out: per-trial seeds, table assembly
+#   e13  the static-tree collection path (StaticCollection over TDMA):
+#        its packet spans exist only through the shared data plane
 #   e14  world stepping interleaved with oracle sampling (mid-campaign
 #        flash inspection, rollout polling) inside trials
 #   e15  duty-cycled radios polled with per-round jitter from each
@@ -45,12 +47,18 @@ while IFS='|' read -r exp flags section; do
     grep -q "== $section ==" "$out/$exp-report-j1.txt"
 done <<'EOF'
 e5||drop causes
+e13||packet spans
 e14|--quick|dissemination campaign
 e15|--quick|icn
 e16|--quick|cloud tier
 e17|--quick|fleet
 e18|--quick|stream
 EOF
+
+# E13's section alone proves little: the MAC's own queue samples open
+# it even when no packet span was recorded. The static tree's queue
+# being in it is what shows the shared data plane is instrumented.
+grep -q "queue 'static'" "$out/e13-report-j1.txt"
 
 # trace_report folds its input line by line; a dump piped in must
 # summarize exactly like the same dump opened by path.
@@ -116,4 +124,4 @@ grep -q '"shards": 2' "$out/perf-s2-j1.det"
 # --release --bin perf -- --json`) must parse under the perf schema.
 python3 scripts/perf_schema.py check --committed BENCH_perf.json
 
-echo "bench smoke OK: e5 + e14 + e15 + e16 + e17 + e18 (replay==live) + shards-2 runs byte-identical at --jobs 1/2"
+echo "bench smoke OK: e5 + e13 + e14 + e15 + e16 + e17 + e18 (replay==live) + shards-2 runs byte-identical at --jobs 1/2"

@@ -32,10 +32,8 @@ fn build(n: usize, seed: u64) -> (Sim, Vec<NodeId>) {
 /// Origin `node` sends `reading` protected under the network key.
 fn send_secured(w: &mut Sim, node: NodeId, counter: u32, reading: &[u8]) {
     let frame = protect(&NETWORK_KEY, LEVEL, node.0, counter, reading);
-    w.with_ctx(node, |p, ctx| {
-        let n = p.as_any_mut().downcast_mut::<Node>().expect("dodag node");
-        assert!(n.send_datum(ctx, frame), "buffer accepts the datum");
-    });
+    let queued = w.with(node, |n: &mut Node, ctx| n.send_datum(ctx, frame));
+    assert!(queued, "buffer accepts the datum");
 }
 
 #[test]
@@ -96,10 +94,7 @@ fn policy_floor_rejects_unprotected_traffic() {
     w.run_for(SimDuration::from_secs(15));
     // A mis-configured origin sends an unprotected reading.
     let naked = protect(&NETWORK_KEY, SecLevel::None, ids[2].0, 1, b"temp=9");
-    w.with_ctx(ids[2], |p, ctx| {
-        let n = p.as_any_mut().downcast_mut::<Node>().expect("node");
-        n.send_datum(ctx, naked);
-    });
+    w.with(ids[2], |n: &mut Node, ctx| n.send_datum(ctx, naked));
     w.run_for(SimDuration::from_secs(10));
     let root = w.proto::<Node>(ids[0]);
     let c = &root.collected()[0];
