@@ -9,17 +9,17 @@
 //!   cargo run -p iiot-bench --release --bin perf -- --quick         # small grids, for CI smoke
 //!   cargo run -p iiot-bench --release --bin perf -- --json          # also write BENCH_perf.json
 //!   cargo run -p iiot-bench --release --bin perf -- --jobs 2 --sides 10,20 --secs 5
-//!   cargo run -p iiot-bench --release --bin perf -- --shards 1,2,4 --scale-sides 20,40,80
+//!   cargo run -p iiot-bench --release --bin perf -- --shards 1,2,4 --scale-sides 20,40,80,160
 //!   cargo run -p iiot-bench --release --bin perf -- --cloud-devices 6250,25000,62500
 //!   cargo run -p iiot-bench --release --bin perf -- --stream-devices 6250,25000
 //!   cargo run -p iiot-bench --release --bin perf -- --icn-consumers 2,8,16
 //!
 //! The printed tables and the JSON's `timing` blocks vary run to run;
-//! the JSON's `deterministic` blocks (workload shape + dispatched
-//! event counts) are byte-stable across worker counts and machines —
-//! that subset is what `scripts/perf_gate.sh` gates on. Scaling-point
-//! event counts are stable *per shard count* (each shard count is its
-//! own deterministic model).
+//! the JSON's `deterministic` blocks (workload shape, dispatched event
+//! counts, transmission records examined) are byte-stable across
+//! worker counts and machines — that subset is what
+//! `scripts/perf_gate.sh` gates on. Scaling-point counts are stable
+//! *per shard count* (each shard count is its own deterministic model).
 
 use iiot_bench::{exp_cloud, exp_icn, exp_perf, exp_stream, RunConfig, Runner};
 
@@ -107,11 +107,17 @@ fn main() {
     }
 
     // Full mode is the committed-artifact run: throughput matrix on
-    // 10x10 to 40x40 grids, scaling curves at N in {400, 1600, 6400}, cloud
-    // load points at 25k/100k/250k sessions (devices x 4 tenants);
-    // --quick bounds CI smoke to a few seconds.
+    // 10x10 to 40x40 grids, scaling curves at N in {400, 1600, 6400,
+    // 25600}, cloud load points at 25k/100k/250k sessions (devices x 4
+    // tenants); --quick bounds CI smoke to a few seconds.
     let sides = sides.unwrap_or_else(|| if quick { vec![4, 8] } else { vec![10, 20, 40] });
-    let scale_sides = scale_sides.unwrap_or_else(|| if quick { vec![8] } else { vec![20, 40, 80] });
+    let scale_sides = scale_sides.unwrap_or_else(|| {
+        if quick {
+            vec![8]
+        } else {
+            vec![20, 40, 80, 160]
+        }
+    });
     let shards = shards.unwrap_or_else(|| vec![1, 2, 4]);
     let cloud_devices = cloud_devices.unwrap_or_else(|| {
         if quick {

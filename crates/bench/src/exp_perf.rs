@@ -8,19 +8,22 @@
 //!   nodes (10x10 up to 40x40) under each of [`MACS`], on the serial
 //!   kernel;
 //! * the **scaling curves** — the transmit-heavy broadcast workload at
-//!   N ∈ {400, 1600, 6400} run at `--shards 1/2/4`, measuring how the
-//!   sharded kernel's per-shard medium (smaller active-record scans,
-//!   one worker thread per shard where cores exist, cooperative serial
-//!   shards on a single core — see [`scaling_curves`]) changes
-//!   aggregate events per second.
+//!   N ∈ {400, 1600, 6400, 25600} run at `--shards 1/2/4`, measuring
+//!   how the serial kernel's per-event cost holds up as the deployment
+//!   grows and what the sharded kernel (one worker thread per shard
+//!   where cores exist, cooperative serial shards on a single core —
+//!   see [`scaling_curves`]) makes of it.
 //!
 //! Each point carries two kinds of quantities with very different
 //! contracts:
 //!
-//! * **`events`** — how many kernel events the workload dispatches.
-//!   A pure function of the workload, seed and shard count: byte-stable
-//!   across worker counts and machines. This is what CI *gates* on
-//!   (`scripts/perf_gate.sh`).
+//! * **`events`** and **`air_visits`** — how many kernel events the
+//!   workload dispatches, and how many transmission records the medium
+//!   examines doing so ([`Sim::air_visits`]). Pure functions of the
+//!   workload, seed and shard count: byte-stable across worker counts
+//!   and machines. This is what CI *gates* on (`scripts/perf_gate.sh`
+//!   for stability, `scripts/perf_schema.py check --committed` for the
+//!   visits per event staying flat as the grid grows).
 //! * **wall-clock / events-per-second** — recorded into
 //!   `BENCH_perf.json` for trajectory tracking, never gated (CI
 //!   machines are noisy; timing thresholds make flaky gates).
@@ -102,6 +105,8 @@ pub struct PerfPoint {
     pub secs: u64,
     /// Events dispatched (byte-stable across worker counts).
     pub events: u64,
+    /// Transmission records the medium examined (equally stable).
+    pub air_visits: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
 }
@@ -129,13 +134,15 @@ pub struct ScalePoint {
     /// machines *per shard count* — shard counts are distinct models,
     /// so counts are not comparable across them.
     pub events: u64,
+    /// Transmission records examined, summed across the shards' media;
+    /// stable and comparable exactly like `events`.
+    pub air_visits: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
     /// How the shards executed: `"threaded"` (one worker thread per
     /// shard — machines with ≥ 2 cores) or `"serial"` (all shards
     /// driven cooperatively from one thread — single-core machines,
-    /// where extra threads are pure overhead and the measurable win is
-    /// the per-shard medium's smaller scans). Machine-dependent like
+    /// where extra threads are pure overhead). Machine-dependent like
     /// wall clock, so it lives in the `timing` block; the event count
     /// is identical either way.
     pub mode: &'static str,
@@ -224,13 +231,13 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
     }
 }
 
-/// Runs one workload; returns (events, wall).
-fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> (u64, Duration) {
+/// Runs one workload; returns (events, air visits, wall).
+fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> (u64, u64, Duration) {
     let mut sim = build(side, mac, secs, seed, shard);
     let started = Instant::now();
     sim.run(SimDuration::from_secs(secs));
     let wall = started.elapsed();
-    (sim.events_dispatched(), wall)
+    (sim.events_dispatched(), sim.air_visits(), wall)
 }
 
 /// Measures the throughput matrix: `sides` x [`MACS`] on the serial
@@ -244,13 +251,14 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     fan_out(rc.runner.jobs(), points.len(), |i| {
         let (side, mac) = points[i];
         let seed = 0xBE2C_0000 + i as u64;
-        let (events, wall) = measure(side, mac, secs, seed, ShardConfig::default());
+        let (events, air_visits, wall) = measure(side, mac, secs, seed, ShardConfig::default());
         PerfPoint {
             side,
             nodes: side * side,
             mac,
             secs,
             events,
+            air_visits,
             wall_us: wall.as_micros() as u64,
         }
     })
@@ -264,8 +272,7 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
 /// On machines with ≥ 2 cores shards run threaded (one worker per
 /// shard); on a single core they run serially from the calling thread,
 /// because spawning threads a core cannot execute in parallel only
-/// adds barrier/context-switch overhead on top of the per-shard
-/// medium's algorithmic win. Event counts are identical either way
+/// adds barrier/context-switch overhead. Counts are identical either way
 /// (the sharded model is thread-count invariant); the chosen mode is
 /// recorded in each point's `timing` block.
 pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<ScalePoint> {
@@ -279,13 +286,14 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
             } else {
                 ShardConfig::threaded(shards as usize)
             };
-            let (events, wall) = measure(side, "bcast", secs, seed, shard);
+            let (events, air_visits, wall) = measure(side, "bcast", secs, seed, shard);
             out.push(ScalePoint {
                 side,
                 nodes: side * side,
                 shards,
                 secs,
                 events,
+                air_visits,
                 wall_us: wall.as_micros() as u64,
                 mode: if serial { "serial" } else { "threaded" },
             });
@@ -295,11 +303,11 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
 }
 
 /// Renders the throughput matrix as a human-readable table. Timing
-/// cells vary run to run; only `events` is deterministic.
+/// cells vary run to run; `events` and `visits/ev` are deterministic.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
         "PERF: kernel throughput (20 m grid, broadcast-heavy, serial kernel)",
-        &["nodes", "mac", "events", "wall (ms)", "Mev/s"],
+        &["nodes", "mac", "events", "wall (ms)", "Mev/s", "visits/ev"],
     );
     for p in points {
         t.row(vec![
@@ -308,6 +316,7 @@ pub fn table(points: &[PerfPoint]) -> Table {
             p.events.to_string(),
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
+            format!("{:.2}", p.air_visits as f64 / p.events.max(1) as f64),
         ]);
     }
     t
@@ -326,6 +335,7 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             "wall (ms)",
             "Mev/s",
             "vs 1 shard",
+            "visits/ev",
         ],
     );
     for p in points {
@@ -347,6 +357,7 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
             rel,
+            format!("{:.2}", p.air_visits as f64 / p.events.max(1) as f64),
         ]);
     }
     t
@@ -367,18 +378,19 @@ pub fn to_json(
     stream: &[crate::exp_stream::StreamPoint],
     icn: &[crate::exp_icn::IcnPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v7\",\n");
+    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v8\",\n");
     out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"mac\": \"{}\", \"nodes\": {}, \
-             \"secs\": {}, \"events\": {}}}, \
+             \"secs\": {}, \"events\": {}, \"air_visits\": {}}}, \
              \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}}}}}{}\n",
             p.side,
             p.mac,
             p.nodes,
             p.secs,
             p.events,
+            p.air_visits,
             p.wall_us,
             p.events_per_sec(),
             if i + 1 == points.len() { "" } else { "," }
@@ -388,13 +400,14 @@ pub fn to_json(
     for (i, p) in scaling.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"nodes\": {}, \"shards\": {}, \
-             \"secs\": {}, \"events\": {}}}, \
+             \"secs\": {}, \"events\": {}, \"air_visits\": {}}}, \
              \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}, \"mode\": \"{}\"}}}}{}\n",
             p.side,
             p.nodes,
             p.shards,
             p.secs,
             p.events,
+            p.air_visits,
             p.wall_us,
             p.events_per_sec(),
             p.mode,
@@ -488,10 +501,10 @@ mod tests {
         assert_eq!(a.len(), 6);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
-                (x.side, x.mac, x.nodes, x.events),
-                (y.side, y.mac, y.nodes, y.events)
+                (x.side, x.mac, x.nodes, x.events, x.air_visits),
+                (y.side, y.mac, y.nodes, y.events, y.air_visits)
             );
-            assert!(x.events > 0);
+            assert!(x.events > 0 && x.air_visits > 0);
         }
     }
 
@@ -501,8 +514,11 @@ mod tests {
         let b = scaling_curves(&[4], 1, &[1, 2]);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.side, x.shards, x.events), (y.side, y.shards, y.events));
-            assert!(x.events > 0);
+            assert_eq!(
+                (x.side, x.shards, x.events, x.air_visits),
+                (y.side, y.shards, y.events, y.air_visits)
+            );
+            assert!(x.events > 0 && x.air_visits > 0);
         }
     }
 
@@ -514,6 +530,7 @@ mod tests {
             mac: "csma",
             secs: 5,
             events: 1234,
+            air_visits: 617,
             wall_us: 1000,
         };
         let s = ScalePoint {
@@ -522,6 +539,7 @@ mod tests {
             shards: 4,
             secs: 5,
             events: 9876,
+            air_visits: 4321,
             wall_us: 2000,
             mode: "serial",
         };
@@ -563,16 +581,16 @@ mod tests {
             wall_us: 42_000,
         };
         let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v7\""));
+        assert!(j.contains("\"schema\": \"iiot-bench/perf/v8\""));
         assert!(j.contains("\"cache_hits\": 80"));
         assert!(j.contains("\"verify_fails\": 0"));
         assert!(j.contains("\"log_records\": 400000"));
         assert!(j.contains("\"replay_wall_us\": 450000"));
         assert!(j.contains("\"window_obs\": 380000"));
-        assert!(j.contains("\"events\": 1234"));
+        assert!(j.contains("\"events\": 1234, \"air_visits\": 617}"));
         assert!(j.contains("\"timing\": {\"wall_us\": 1000, \"events_per_sec\": 1234000}"));
         assert!(j.contains("\"shards\": 4"));
-        assert!(j.contains("\"events\": 9876"));
+        assert!(j.contains("\"events\": 9876, \"air_visits\": 4321}"));
         assert!(j.contains("\"mode\": \"serial\""));
         assert!(j.contains("\"sessions\": 100000"));
         assert!(j.contains("\"fairness_milli\": 998"));
@@ -580,6 +598,7 @@ mod tests {
         let t = table(&[p]);
         assert_eq!(t.rows().len(), 1);
         assert_eq!(t.rows()[0][4], "1.23");
+        assert_eq!(t.rows()[0][5], "0.50");
         let st = scaling_table(&[s]);
         assert_eq!(st.rows().len(), 1);
         assert_eq!(st.rows()[0][1], "4");

@@ -48,12 +48,27 @@ impl From<u32> for NodeId {
 /// Handle for a pending timer, used to cancel it.
 ///
 /// Each timer fires at most once; periodic behaviour is built by re-arming.
+/// An id stays unique to its timer after that timer fired or was
+/// cancelled: it names a slot of the kernel's timer slab plus the
+/// generation of that slot the timer occupied.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(pub(crate) u64);
 
 impl TimerId {
     /// A timer id that is never allocated; useful as an initial placeholder.
     pub const NONE: TimerId = TimerId(u64::MAX);
+
+    pub(crate) fn compose(slot: u32, generation: u32) -> Self {
+        TimerId(((generation as u64) << 32) | slot as u64)
+    }
+
+    pub(crate) fn slot(self) -> usize {
+        (self.0 & 0xFFFF_FFFF) as usize
+    }
+
+    pub(crate) fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
 
     /// Whether this is the [`TimerId::NONE`] placeholder.
     pub const fn is_none(self) -> bool {

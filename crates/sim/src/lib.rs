@@ -12,9 +12,10 @@
 //!   per-node seeded RNG — runs are bit-for-bit reproducible per seed;
 //! * a [`radio`] medium with unit-disk, lossy-disk and log-distance/
 //!   sigmoid-PRR link models, collisions with capture, CCA, channels and
-//!   administrative partitions — candidate receivers are found through a
-//!   [`spatial`] grid index, so per-transmission cost is O(neighbours)
-//!   rather than O(nodes);
+//!   administrative partitions — candidate receivers, audible carriers
+//!   and colliding frames are all found through a [`spatial`] grid
+//!   index, so per-transmission cost is O(neighbours) rather than
+//!   O(nodes) or O(frames in the air);
 //! * per-node [`energy`] accounting (sleep/listen/transmit residency,
 //!   charge, projected battery lifetime);
 //! * per-node drifting oscillators ([`clock`]): protocols read

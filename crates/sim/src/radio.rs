@@ -7,6 +7,22 @@
 //! interference all have the right *shape*. Three link models are
 //! provided, from fully deterministic (for unit tests) to lossy sigmoid
 //! PRR curves (for experiments).
+//!
+//! # Cost
+//!
+//! Radio is local, and so is every per-frame cost of the [`Medium`]. A
+//! [`SpatialGrid`] with cell side [`RadioConfig::max_range`] indexes
+//! both the nodes and the air: a transmitter's candidate receivers come
+//! from the 3x3 cells around it, every live transmission record is
+//! filed under the cell of its *source*, and carrier sensing and the
+//! collision check at a listener visit only the records filed in the
+//! 3x3 cells around the *listener* — a source farther away than one
+//! cell side has no signal there ([`RadioConfig::rssi_at`] is `None`),
+//! so the skipped records could not have mattered. Records retire from
+//! the front of one filing-order queue. None of the three depends on
+//! how many nodes or transmissions the rest of the deployment holds;
+//! [`Sim::air_visits`](crate::sim::Sim::air_visits) counts the records
+//! examined, so tests can hold that to account without a clock.
 
 use crate::ids::NodeId;
 use crate::spatial::SpatialGrid;
@@ -14,7 +30,8 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Pos;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::cell::Cell;
+use std::collections::{HashSet, VecDeque};
 
 /// Destination of a frame at the link layer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -251,7 +268,7 @@ impl RadioConfig {
     /// The distance in meters beyond which [`RadioConfig::rssi_at`] is
     /// guaranteed to return `None` — the radius the medium's spatial
     /// index must cover. `None` if the link model has no finite cutoff
-    /// (the medium then falls back to exhaustive candidate scans).
+    /// (the medium's index is then a single cell holding everything).
     pub fn max_range(&self) -> Option<f64> {
         match &self.link {
             LinkModel::UnitDisk {
@@ -340,6 +357,8 @@ impl TxId {
 #[derive(Clone, Debug)]
 struct NodeRadio {
     pos: Pos,
+    /// The grid cell `pos` lies in.
+    cell: u32,
     alive: bool,
     state: RadioState,
     channel: u8,
@@ -376,8 +395,8 @@ impl Default for TxRecord {
 /// One slab slot of the medium's transmission store. Slots are reused
 /// (bumping `generation`) once their record is both fully evaluated
 /// (`pending == 0`) and old enough to never matter for collision
-/// checks again; the candidate and payload buffers inside are recycled
-/// across transmissions.
+/// checks again (see [`Medium::evict`]); the candidate and payload
+/// buffers inside are recycled across transmissions.
 #[derive(Clone, Debug, Default)]
 struct TxSlot {
     generation: u32,
@@ -507,23 +526,29 @@ pub struct Medium {
     slots: Vec<TxSlot>,
     /// Free slot indices available for reuse.
     free: Vec<u32>,
-    /// Live slot indices, for the (small) scans that genuinely need
-    /// every in-flight/recent transmission: CCA and collision checks.
-    active: Vec<u32>,
-    /// Spatial index over node positions with cell size =
-    /// [`RadioConfig::max_range`]; `None` when the link model has no
-    /// finite cutoff — candidate enumeration then falls back to the
-    /// exhaustive O(nodes) scan.
-    grid: Option<SpatialGrid>,
-    /// Reused candidate-id gather buffer for `start_tx`.
-    scratch: Vec<u32>,
+    /// Every live slot, in filing order. Records retire from the front
+    /// only (see [`Medium::evict`]), so retiring costs O(retired), not
+    /// O(live), per transmission.
+    filed: VecDeque<u32>,
+    /// The same live slots per grid cell of their *source*, each list
+    /// in filing order too — the record at the front of `filed` is
+    /// therefore at the front of its cell's list. CCA and collision
+    /// checks read the lists of the cells around the listener.
+    air: Vec<VecDeque<u32>>,
+    /// Spatial index over node positions with cell side =
+    /// [`RadioConfig::max_range`]; a link model without a finite cutoff
+    /// gets an infinite side, i.e. one cell and exhaustive scans out of
+    /// the same code.
+    grid: SpatialGrid,
     /// Per-source cached neighbour lists (sorted ascending), built
     /// lazily from the grid on a node's first transmission. Positions
     /// are static, so a node's 3x3-cell gather never changes — caching
-    /// it turns the per-transmission cost into a straight copy.
+    /// it turns the per-transmission cost into a straight walk. A built
+    /// list holds at least its own node; an empty one is not built.
     neigh: Vec<Vec<u32>>,
-    /// Which `neigh` entries are built; all invalidated by `add_node`.
-    neigh_built: Vec<bool>,
+    /// Whether any `neigh` list is built (`add_node` must then forget
+    /// them all: the newcomer may be in range of any existing node).
+    neigh_cached: bool,
     /// Recycled payload buffers backing delivered frame clones.
     payload_pool: Vec<Vec<u8>>,
     /// How long a fully evaluated record can still matter: a record
@@ -544,6 +569,11 @@ pub struct Medium {
     /// the hot paths pay a single branch; the sharded engine enables it
     /// to ship state deltas to neighbour shards at barriers.
     dirty: Option<Vec<u32>>,
+    /// Transmission records examined so far by eviction, CCA and
+    /// collision checks: the medium's deterministic cost counter. Not a
+    /// [`MediumStats`] field — it measures the simulator, not the
+    /// simulated network. A `Cell` because CCA reads the medium.
+    air_visits: Cell<u64>,
 }
 
 /// Most payload buffers the delivery pool will hold on to.
@@ -552,27 +582,28 @@ const PAYLOAD_POOL_CAP: usize = 64;
 impl Medium {
     /// Creates a medium with the given radio configuration.
     pub fn new(config: RadioConfig) -> Self {
-        let grid = config
+        let cell = config
             .max_range()
             .filter(|r| r.is_finite() && *r > 0.0)
-            .map(|r| SpatialGrid::new(r.max(1.0)));
+            .map_or(f64::INFINITY, |r| r.max(1.0));
         let history = config.airtime(config.max_payload) * 2;
         Medium {
             config,
             nodes: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            active: Vec::new(),
-            grid,
-            scratch: Vec::new(),
+            filed: VecDeque::new(),
+            air: Vec::new(),
+            grid: SpatialGrid::new(cell),
             neigh: Vec::new(),
-            neigh_built: Vec::new(),
+            neigh_cached: false,
             payload_pool: Vec::new(),
             history,
             blocked_links: HashSet::new(),
             partitioned: false,
             stats: MediumStats::default(),
             dirty: None,
+            air_visits: Cell::new(0),
         }
     }
 
@@ -654,14 +685,7 @@ impl Medium {
     /// foreign source's radio state (snapshots carry that) and does not
     /// count in `tx_started` (the origin shard already did).
     pub(crate) fn adopt_echo(&mut self, echo: &EchoTx, pending: u32) -> TxId {
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(TxSlot::default());
-                self.slots.len() - 1
-            }
-        };
-        let id = TxId::compose(slot as u32, self.slots[slot].generation);
+        let (slot, id) = self.claim_slot();
         let s = &mut self.slots[slot];
         s.live = true;
         s.pending = pending;
@@ -672,18 +696,27 @@ impl Medium {
         s.rec.frame = echo.frame.clone();
         s.rec.candidates.clear();
         s.rec.candidates.extend_from_slice(&echo.candidates);
-        self.active.push(slot as u32);
+        self.file(slot, echo.src);
         id
     }
 
-    /// Drops the spatial candidate index, forcing the exhaustive
-    /// O(nodes) scan: the oracle the equivalence tests compare the
-    /// indexed path against. Both produce byte-identical simulations —
-    /// the index only changes how candidates are *found*, never which
-    /// are found or in which order the per-candidate RNG draws happen.
+    /// Collapses the spatial index of a still-empty medium to a single
+    /// cell, forcing exhaustive scans over every node and every live
+    /// record: the oracle the equivalence tests compare the bucketed
+    /// medium against. Both produce byte-identical simulations — the
+    /// index only changes how candidates and interferers are *found*,
+    /// never which are found or in which order the per-candidate RNG
+    /// draws happen.
     #[cfg(test)]
     pub(crate) fn drop_spatial_index(&mut self) {
-        self.grid = None;
+        assert!(self.nodes.is_empty(), "drop the index before adding nodes");
+        self.grid = SpatialGrid::new(f64::INFINITY);
+    }
+
+    /// Transmission records examined so far by eviction, CCA and
+    /// collision checks.
+    pub(crate) fn air_visits(&self) -> u64 {
+        self.air_visits.get()
     }
 
     /// The radio configuration.
@@ -696,18 +729,27 @@ impl Medium {
         self.stats
     }
 
+    /// Makes room for `additional` more nodes.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.neigh.reserve(additional);
+    }
+
     pub(crate) fn add_node(&mut self, pos: Pos) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        if let Some(grid) = &mut self.grid {
-            grid.insert(id.0, pos);
+        let cell = self.grid.insert(id.0, pos);
+        if cell as usize == self.air.len() {
+            self.air.push(VecDeque::new());
         }
         // A new node may be in range of any existing one: every cached
         // neighbour list is stale.
-        self.neigh_built.iter_mut().for_each(|b| *b = false);
+        if std::mem::take(&mut self.neigh_cached) {
+            self.neigh.iter_mut().for_each(Vec::clear);
+        }
         self.neigh.push(Vec::new());
-        self.neigh_built.push(false);
         self.nodes.push(NodeRadio {
             pos,
+            cell,
             alive: true,
             state: RadioState::Off,
             channel: 0,
@@ -849,19 +891,32 @@ impl Medium {
     /// above the CCA threshold)?
     pub(crate) fn cca_busy(&self, node: NodeId, now: SimTime) -> bool {
         let me = &self.nodes[node.index()];
-        self.active
+        self.audible_at(node).any(|(_, tx)| {
+            tx.start <= now
+                && now < tx.end
+                && tx.channel == me.channel
+                && tx.src != node
+                && self.link_open(tx.src, node)
+                && self
+                    .config
+                    .rssi_at(self.nodes[tx.src.index()].pos.distance(me.pos))
+                    .is_some_and(|r| r >= self.config.cca_threshold_dbm)
+        })
+    }
+
+    /// Every live record `node` could possibly hear, as `(slot,
+    /// record)`: those filed in the 3x3 cells around it. A superset —
+    /// callers still check time overlap, channel, link and signal — but
+    /// a complete one: a source outside these cells is more than one
+    /// cell side (the maximum range) away.
+    fn audible_at(&self, node: NodeId) -> impl Iterator<Item = (usize, &TxRecord)> {
+        self.grid
+            .neighbourhood(self.nodes[node.index()].cell)
             .iter()
-            .map(|&s| &self.slots[s as usize].rec)
-            .any(|tx| {
-                tx.start <= now
-                    && now < tx.end
-                    && tx.channel == me.channel
-                    && tx.src != node
-                    && self.link_open(tx.src, node)
-                    && self
-                        .config
-                        .rssi_at(self.nodes[tx.src.index()].pos.distance(me.pos))
-                        .is_some_and(|r| r >= self.config.cca_threshold_dbm)
+            .flat_map(|&cell| &self.air[cell as usize])
+            .map(|&slot| {
+                self.air_visits.set(self.air_visits.get() + 1);
+                (slot as usize, &self.slots[slot as usize].rec)
             })
     }
 
@@ -872,13 +927,42 @@ impl Medium {
         (s.live && s.generation == tx.generation()).then_some(slot)
     }
 
-    /// Drops every record that can no longer matter: fully evaluated
-    /// (no pending `TxEnd`/`RxEnd` events) *and* past the collision
-    /// horizon. The retain rule is explicit: any record still in
-    /// flight (`end >= now`) or with pending evaluations survives,
-    /// regardless of its age — eviction can never turn a scheduled
-    /// reception into a dangling [`TxId`].
-    fn prune(&mut self, now: SimTime) {
+    /// Takes a free slab slot (or grows the slab) and composes the id
+    /// its next record will answer to.
+    fn claim_slot(&mut self) -> (usize, TxId) {
+        let slot = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                self.slots.push(TxSlot::default());
+                self.slots.len() - 1
+            }
+        };
+        (
+            slot,
+            TxId::compose(slot as u32, self.slots[slot].generation),
+        )
+    }
+
+    /// Files the freshly written record in `slot` as live, under the
+    /// cell of its source.
+    fn file(&mut self, slot: usize, src: NodeId) {
+        self.filed.push_back(slot as u32);
+        self.air[self.nodes[src.index()].cell as usize].push_back(slot as u32);
+    }
+
+    /// Retires, oldest filing first, records that can no longer matter:
+    /// fully evaluated (no pending `TxEnd`/`RxEnd` events) *and* past
+    /// the collision horizon. The retain rule is explicit: any record
+    /// still in flight (`end >= now`) or with pending evaluations
+    /// survives, regardless of its age — eviction can never turn a
+    /// scheduled reception into a dangling [`TxId`].
+    ///
+    /// Stopping at the first record that stays keeps this O(retired)
+    /// instead of O(live). A long frame at the head can hold back
+    /// shorter ones filed after it, for at most its own airtime: that
+    /// only delays the reuse of their slots, since every reader of a
+    /// record checks exact time overlap itself.
+    fn evict(&mut self, now: SimTime) {
         // `history` (two max-size airtimes) bounds how long a fully
         // evaluated record can still overlap a future evaluation; see
         // the field doc for the argument.
@@ -887,25 +971,22 @@ impl Medium {
         } else {
             SimTime::ZERO
         };
-        let mut i = 0;
-        while i < self.active.len() {
-            let slot = self.active[i] as usize;
-            let s = &mut self.slots[slot];
-            if s.pending == 0 && s.rec.end < cutoff && s.rec.end < now {
-                s.live = false;
-                s.generation = s.generation.wrapping_add(1);
-                s.rec.candidates.clear();
-                // Recycle the payload allocation into the delivery pool.
-                let mut payload = std::mem::take(&mut s.rec.frame.payload);
-                if self.payload_pool.len() < PAYLOAD_POOL_CAP && payload.capacity() > 0 {
-                    payload.clear();
-                    self.payload_pool.push(payload);
-                }
-                self.free.push(slot as u32);
-                self.active.swap_remove(i);
-            } else {
-                i += 1;
+        while let Some(&slot) = self.filed.front() {
+            *self.air_visits.get_mut() += 1;
+            let s = &mut self.slots[slot as usize];
+            if !(s.pending == 0 && s.rec.end < cutoff && s.rec.end < now) {
+                break;
             }
+            s.live = false;
+            s.generation = s.generation.wrapping_add(1);
+            s.rec.candidates.clear();
+            let cell = self.nodes[s.rec.src.index()].cell;
+            let payload = std::mem::take(&mut s.rec.frame.payload);
+            self.recycle_payload(payload);
+            let unfiled = self.air[cell as usize].pop_front();
+            debug_assert_eq!(unfiled, Some(slot), "cell lists follow filing order");
+            self.filed.pop_front();
+            self.free.push(slot);
         }
     }
 
@@ -938,9 +1019,9 @@ impl Medium {
     ///
     /// Candidates are visited in ascending node-id order and the
     /// per-candidate PRR draw happens only for nodes passing the
-    /// sensitivity check — with or without the spatial index, so both
-    /// paths consume the RNG identically and simulations are
-    /// byte-identical by construction.
+    /// sensitivity check — whatever the index's cell side, so a
+    /// bucketed and a one-cell medium consume the RNG identically and
+    /// simulations are byte-identical by construction.
     pub(crate) fn start_tx_into<R: Rng>(
         &mut self,
         frame: Frame,
@@ -968,51 +1049,32 @@ impl Medium {
         let channel = self.nodes[src.index()].channel;
         let src_pos = self.nodes[src.index()].pos;
 
-        self.prune(now);
+        self.evict(now);
 
-        // Allocate (or recycle) the record slot up front so its
-        // candidate buffer can be filled in place.
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(TxSlot::default());
-                self.slots.len() - 1
-            }
-        };
-        let id = TxId::compose(slot as u32, self.slots[slot].generation);
+        // Claim the record slot up front so its candidate buffer can be
+        // filled in place.
+        let (slot, id) = self.claim_slot();
         let mut candidates = std::mem::take(&mut self.slots[slot].rec.candidates);
         candidates.clear();
 
-        // Candidate enumeration: the spatial grid confines the scan to
-        // the 3x3 cell neighbourhood that covers max_range; the
-        // exhaustive fallback visits every node. Both yield ascending
-        // ids into the same filter.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        match &self.grid {
-            Some(grid) => {
-                if !self.neigh_built[src.index()] {
-                    let mut list = std::mem::take(&mut self.neigh[src.index()]);
-                    grid.gather(src_pos, &mut list);
-                    // Tighten the 3x3-cell superset to the exact
-                    // audibility disk: beyond `cell_size` (= max
-                    // range) `rssi_at` is guaranteed `None`, so these
-                    // nodes can never become candidates or draw RNG —
-                    // dropping them here is invisible to simulations.
-                    let cutoff = grid.cell_size();
-                    let nodes = &self.nodes;
-                    list.retain(|&i| src_pos.distance(nodes[i as usize].pos) <= cutoff);
-                    self.neigh[src.index()] = list;
-                    self.neigh_built[src.index()] = true;
-                }
-                scratch.clear();
-                scratch.extend_from_slice(&self.neigh[src.index()]);
-            }
-            None => {
-                scratch.clear();
-                scratch.extend(0..self.nodes.len() as u32);
-            }
+        // Candidate enumeration: the grid confines the scan to the 3x3
+        // cell neighbourhood that covers max_range, cached per source
+        // in ascending id order.
+        if self.neigh[src.index()].is_empty() {
+            let mut list = std::mem::take(&mut self.neigh[src.index()]);
+            self.grid.gather(src_pos, &mut list);
+            // Tighten the 3x3-cell superset to the exact audibility
+            // disk: beyond `cell_size` (= max range) `rssi_at` is
+            // guaranteed `None`, so these nodes can never become
+            // candidates or draw RNG — dropping them here is invisible
+            // to simulations.
+            let cutoff = self.grid.cell_size();
+            let nodes = &self.nodes;
+            list.retain(|&i| src_pos.distance(nodes[i as usize].pos) <= cutoff);
+            self.neigh[src.index()] = list;
+            self.neigh_cached = true;
         }
-        for &i in &scratch {
+        for &i in &self.neigh[src.index()] {
             let n = &self.nodes[i as usize];
             let r = NodeId(i);
             if r == src
@@ -1034,7 +1096,6 @@ impl Medium {
             candidates.push((r, rssi, ok));
             schedule.push(r);
         }
-        self.scratch = scratch;
 
         self.nodes[src.index()].state = RadioState::Transmitting;
         self.mark_dirty(src.0);
@@ -1047,7 +1108,7 @@ impl Medium {
         s.rec.end = end;
         s.rec.frame = frame;
         s.rec.candidates = candidates;
-        self.active.push(slot as u32);
+        self.file(slot, src);
         self.stats.tx_started += 1;
         Ok((id, end))
     }
@@ -1114,29 +1175,24 @@ impl Medium {
             return RxEval::Dropped(DropReason::Prr, Some(rec_src));
         }
         // Collision check: any other overlapping audible transmission
-        // strong enough to defeat capture destroys the frame. Only the
-        // (few) live records can overlap, so this scan is O(active).
+        // strong enough to defeat capture destroys the frame. Only
+        // records filed around this listener can be audible here.
         let my_pos = n.pos;
-        for &other_slot in &self.active {
-            if other_slot as usize == rec_idx {
-                continue;
-            }
-            let other = &self.slots[other_slot as usize].rec;
-            if other.channel != rec_channel
-                || other.end <= rec_start
-                || other.start >= rec_end
-                || other.src == node
-                || !self.link_open(other.src, node)
-            {
-                continue;
-            }
-            let d = self.nodes[other.src.index()].pos.distance(my_pos);
-            if let Some(int_rssi) = self.config.rssi_at(d) {
-                if rssi < int_rssi + self.config.capture_db {
-                    self.stats.lost_collision += 1;
-                    return RxEval::Dropped(DropReason::Collision, Some(rec_src));
-                }
-            }
+        let jammed = self.audible_at(node).any(|(slot, other)| {
+            slot != rec_idx
+                && other.channel == rec_channel
+                && other.end > rec_start
+                && other.start < rec_end
+                && other.src != node
+                && self.link_open(other.src, node)
+                && self
+                    .config
+                    .rssi_at(self.nodes[other.src.index()].pos.distance(my_pos))
+                    .is_some_and(|int_rssi| rssi < int_rssi + self.config.capture_db)
+        });
+        if jammed {
+            self.stats.lost_collision += 1;
+            return RxEval::Dropped(DropReason::Collision, Some(rec_src));
         }
         let rec = &self.slots[rec_idx].rec;
         if !rec.frame.dst.accepts(node) && !n.promiscuous {
@@ -1478,10 +1534,10 @@ mod tests {
         m.end_tx(tx2, end2);
     }
 
-    /// The whole-simulation face of the per-call property below: two
-    /// identical worlds, one on the exhaustive O(nodes) scan — every
-    /// observable (medium stats, dispatched event count, counters) must
-    /// agree exactly.
+    /// The whole-simulation face of the per-call properties below: two
+    /// identical worlds, one with the index collapsed to a single cell
+    /// (exhaustive scans) — every observable (medium stats, dispatched
+    /// event count, counters) must agree exactly.
     #[test]
     fn spatial_index_is_invisible_to_simulations() {
         use crate::node::{Proto, Timer};
@@ -1511,7 +1567,7 @@ mod tests {
                 w.medium_mut().drop_spatial_index();
             }
             w.add_nodes(&Topology::grid(6, 6, 20.0), |_| Box::new(Gossip));
-            assert_eq!(w.medium().grid.is_some(), indexed);
+            assert_eq!(w.medium().grid.cell_count() > 1, indexed);
             w.run_for(SimDuration::from_secs(5));
             (
                 w.medium().stats(),
@@ -1522,21 +1578,81 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    /// The complexity the air index exists for, pinned without a clock:
+    /// on the perf harness's broadcaster grid, the records the medium
+    /// examines per transmission must not grow with the deployment, and
+    /// the slab must hold what is live, not what was ever sent. (A
+    /// medium that scans every live record per frame examines ~300 per
+    /// transmission at 40x40 and ~1,200 at 80x80.)
+    #[test]
+    fn air_visits_per_tx_do_not_grow_with_the_grid() {
+        use crate::node::{Proto, Timer};
+        use crate::topology::Topology;
+        use crate::world::{Ctx, SimConfig, World};
+
+        const PERIOD: SimDuration = SimDuration::from_millis(50);
+        struct Blaster;
+        impl Proto for Blaster {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.radio_on().expect("on");
+                let stagger = 1 + ctx.id().0 as u64 * 37 % PERIOD.as_micros();
+                ctx.set_timer(SimDuration::from_micros(stagger), 0);
+            }
+            fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+                ctx.transmit(Dst::Broadcast, 1, vec![0xEE; 24]).ok();
+                ctx.set_timer(PERIOD, 0);
+            }
+        }
+        let link = LinkModel::LogDistance {
+            path_loss_exp: 3.5,
+            ref_loss_db: 45.0,
+            rssi50_dbm: -88.0,
+            spread_db: 3.0,
+        };
+        // 20x20 would be the wrong small point: its stagger spans only
+        // 14.8 of the 50 ms period, nobody listens when a neighbour
+        // transmits, and the count is low for that reason alone.
+        let visits_per_tx = |side: usize| {
+            let mut w = World::new(SimConfig::default().seed(side as u64).link(link.clone()));
+            w.add_nodes(&Topology::grid(side, side, 20.0), |_| Box::new(Blaster));
+            w.run_for(SimDuration::from_secs(1));
+            let m = w.medium();
+            let started = m.stats().tx_started;
+            assert!(started >= 19 * (side * side) as u64, "{started} frames");
+            // Live at once: the frames of the last airtime + history,
+            // (1.3 + 8.1) / 50 per node on average and, where the
+            // stagger wraps around the period, up to twice that. A slab
+            // that never retired would hold 20 per node by now.
+            assert!(
+                m.slots.len() < side * side / 2 && m.filed.len() <= m.slots.len(),
+                "{} slots for {started} transmissions of {} nodes",
+                m.slots.len(),
+                side * side
+            );
+            m.air_visits() as f64 / started as f64
+        };
+        let (small, large) = (visits_per_tx(40), visits_per_tx(80));
+        assert!(
+            small > 4.0 && large <= 1.25 * small,
+            "visits per transmission: {small:.2} at 1,600 nodes, {large:.2} at 6,400"
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// The spatial index must be invisible: on any topology —
         /// including cell-boundary-straddling and co-located nodes —
         /// the indexed medium yields the exact candidate set, in the
-        /// same order, consuming the RNG identically, as the
-        /// exhaustive O(nodes) scan.
+        /// same order, consuming the RNG identically, as the one-cell
+        /// medium's exhaustive O(nodes) scan.
         #[test]
         fn grid_index_matches_exhaustive_scan(
             raw in proptest::collection::vec((-45.0f64..95.0, -45.0f64..95.0), 2..24),
             dup in proptest::any::<bool>(),
             off_mask in proptest::any::<u64>(),
         ) {
-            use proptest::{prop_assert, prop_assert_eq};
+            use proptest::prop_assert_eq;
             let mut pts: Vec<Pos> = raw.iter().map(|&(x, y)| Pos::new(x, y)).collect();
             if dup {
                 // Co-located pair (same cell, same distance).
@@ -1561,8 +1677,7 @@ mod tests {
             };
             let mut with_index = build(true);
             let mut exhaustive = build(false);
-            prop_assert!(with_index.grid.is_some());
-            prop_assert!(exhaustive.grid.is_none());
+            prop_assert_eq!(exhaustive.grid.cell_count(), 1);
             for i in 0..pts.len() {
                 let src = NodeId(i as u32);
                 let mut rng_a = SmallRng::seed_from_u64(0xC0FFEE ^ i as u64);
@@ -1584,6 +1699,119 @@ mod tests {
                     (a, b) => panic!("diverged: indexed={a:?} exhaustive={b:?}"),
                 }
             }
+        }
+
+        /// Filing the air by cell and retiring it in filing order must
+        /// be invisible too. Three media live through one random
+        /// history — mixed frame lengths (a long frame at the head of
+        /// the queue holds back short ones behind it), two channels, a
+        /// blocked link, a partition, a node killed mid-frame and one
+        /// joining mid-run in a cell of its own: the bucketed medium,
+        /// the one-cell oracle, and a one-cell medium that never retires
+        /// a record. Every reception, every CCA answer, every RNG draw
+        /// and the final statistics must agree.
+        #[test]
+        fn bucketed_air_matches_exhaustive_scans(
+            raw in proptest::collection::vec((-45.0f64..95.0, -45.0f64..95.0), 4..20),
+            steps in proptest::collection::vec(
+                (proptest::any::<u16>(), 0usize..4, 0u64..1_500),
+                40..120,
+            ),
+            chan_mask in proptest::any::<u64>(),
+            group_mask in proptest::any::<u64>(),
+        ) {
+            use proptest::prop_assert_eq;
+            const LENS: [usize; 4] = [0, 10, 60, 110];
+            let mut pts: Vec<Pos> = raw.iter().map(|&(x, y)| Pos::new(x, y)).collect();
+            // The one node in reach of the late joiner at (136, 50),
+            // which opens cell (3, 1) of the default 45 m grid.
+            pts.push(Pos::new(120.0, 50.0));
+            let join = |m: &mut Medium, pos: Pos, now: SimTime| {
+                let id = m.add_node(pos);
+                m.radio_on(id, now).unwrap();
+                m.set_channel(id, (chan_mask >> (id.0 % 64) & 1) as u8, now).unwrap();
+                m.set_group(id, (group_mask >> (id.0 % 64) & 1) as u16);
+            };
+            let mut media: Vec<Medium> = (0..3)
+                .map(|k| {
+                    let mut m = Medium::new(RadioConfig::default());
+                    if k > 0 {
+                        m.drop_spatial_index();
+                    }
+                    if k == 2 {
+                        m.history = SimDuration::from_secs(3600);
+                    }
+                    pts.iter().for_each(|&p| join(&mut m, p, SimTime::ZERO));
+                    m.block_link(NodeId(0), NodeId(1));
+                    m
+                })
+                .collect();
+            let mut rngs = vec![SmallRng::seed_from_u64(chan_mask ^ group_mask); 3];
+            // Frames on the air: (end, id per medium, receivers to evaluate).
+            let mut flying: Vec<(SimTime, Vec<TxId>, Vec<NodeId>)> = Vec::new();
+            let land = |media: &mut [Medium], flying: &mut Vec<_>, until: SimTime| {
+                flying.sort_by_key(|f: &(SimTime, Vec<TxId>, Vec<NodeId>)| f.0);
+                let landed = flying.iter().take_while(|f| f.0 <= until).count();
+                for (end, ids, receivers) in flying.drain(..landed) {
+                    let outcomes: Vec<(TxOutcome, Vec<RxEval>)> = media
+                        .iter_mut()
+                        .zip(&ids)
+                        .map(|(m, &tx)| {
+                            let done = m.end_tx(tx, end);
+                            (done, receivers.iter().map(|&r| m.eval_rx(tx, r, end)).collect())
+                        })
+                        .collect();
+                    assert_eq!(outcomes[0], outcomes[1], "one-cell oracle, frame ending {end}");
+                    assert_eq!(outcomes[0], outcomes[2], "never-retiring oracle, frame ending {end}");
+                }
+            };
+            let mut now = SimTime::ZERO;
+            for (step, &(who, len, dt)) in steps.iter().enumerate() {
+                now += SimDuration::from_micros(dt);
+                land(&mut media, &mut flying, now);
+                if step == steps.len() / 4 {
+                    media.iter_mut().for_each(|m| m.set_partitioned(true));
+                } else if step == steps.len() / 3 {
+                    // Someone still owed a reception, if anyone is.
+                    let victim = flying.iter().find_map(|f| f.2.first().copied());
+                    let victim = victim.unwrap_or(NodeId(2));
+                    media.iter_mut().for_each(|m| m.set_alive(victim, false));
+                } else if step == steps.len() / 2 {
+                    media.iter_mut().for_each(|m| join(m, Pos::new(136.0, 50.0), now));
+                } else if step == 2 * steps.len() / 3 {
+                    media.iter_mut().for_each(|m| m.set_partitioned(false));
+                }
+                let n = media[0].node_count();
+                let src = NodeId(who as u32 % n as u32);
+                let frame = Frame::new(src, Dst::Broadcast, 0, vec![step as u8; LENS[len]]);
+                let started: Vec<_> = media
+                    .iter_mut()
+                    .zip(&mut rngs)
+                    .map(|(m, rng)| m.start_tx(frame.clone(), now, rng))
+                    .collect();
+                let shape = |s: &Result<(TxId, SimTime, Vec<NodeId>), RadioError>| {
+                    s.clone().map(|(_, end, receivers)| (end, receivers))
+                };
+                prop_assert_eq!(shape(&started[0]), shape(&started[1]));
+                prop_assert_eq!(shape(&started[0]), shape(&started[2]));
+                if let Ok((_, end, receivers)) = &started[0] {
+                    let ids = started.iter().map(|s| s.as_ref().expect("all start").0);
+                    flying.push((*end, ids.collect(), receivers.clone()));
+                }
+                for i in 0..n as u32 {
+                    let busy = media[0].cca_busy(NodeId(i), now);
+                    prop_assert_eq!(busy, media[1].cca_busy(NodeId(i), now));
+                    prop_assert_eq!(busy, media[2].cca_busy(NodeId(i), now));
+                }
+            }
+            land(&mut media, &mut flying, SimTime::from_secs(3600));
+            assert!(media[0].grid.cell_count() > media[1].grid.cell_count());
+            prop_assert_eq!(media[0].stats(), media[1].stats());
+            prop_assert_eq!(media[0].stats(), media[2].stats());
+            prop_assert_eq!(media[2].slots.len() as u64, media[2].stats().tx_started);
+            let draws: Vec<u64> = rngs.iter_mut().map(|r| r.gen()).collect();
+            prop_assert_eq!(draws[0], draws[1]);
+            prop_assert_eq!(draws[0], draws[2]);
         }
     }
 }

@@ -239,6 +239,7 @@ impl ShardEngine {
         for s in 0..shards {
             let mut i = 0;
             for (topo, make) in groups {
+                engine.worlds[s].reserve_nodes(topo.len());
                 for g in 0..topo.len() {
                     let own = engine.shard_of[i] as usize;
                     let mask = engine.echo_mask(topo.pos(g).x, own);
@@ -448,6 +449,12 @@ impl ShardEngine {
     /// Events dispatched, summed across shards.
     pub(crate) fn events_dispatched(&self) -> u64 {
         self.worlds.iter().map(World::events_dispatched).sum()
+    }
+
+    /// Transmission records examined, summed across the replicas'
+    /// media.
+    pub(crate) fn air_visits(&self) -> u64 {
+        self.worlds.iter().map(|w| w.medium().air_visits()).sum()
     }
 
     /// Installs an engine-level recorder (and per-shard buffers).

@@ -81,8 +81,8 @@ pub struct ShardConfig {
     /// Drive shard windows from the calling thread instead of one
     /// worker thread per shard. Same results either way; useful for
     /// debugging, for the equivalence tests, and on single-core
-    /// machines, where the per-shard medium's smaller scans still pay
-    /// but extra threads would only add scheduling overhead.
+    /// machines, where extra threads would only add scheduling
+    /// overhead.
     pub serial: bool,
 }
 
@@ -343,6 +343,19 @@ impl Sim {
         match &self.inner {
             Inner::Single(w) => w.events_dispatched(),
             Inner::Sharded(e) => e.events_dispatched(),
+        }
+    }
+
+    /// How many transmission records the radio medium has examined so
+    /// far — retiring old ones, sensing carriers, checking receptions
+    /// for collisions — summed across shards. A deterministic measure
+    /// of what the medium *costs*, where [`Sim::medium_stats`] says what
+    /// it *did*: per transmission it should depend on how many nodes
+    /// are in radio range, not on how many the deployment holds.
+    pub fn air_visits(&self) -> u64 {
+        match &self.inner {
+            Inner::Single(w) => w.medium().air_visits(),
+            Inner::Sharded(e) => e.air_visits(),
         }
     }
 

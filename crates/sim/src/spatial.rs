@@ -1,23 +1,43 @@
 //! Uniform spatial hashing over node positions.
 //!
-//! The radio medium's hot path — candidate enumeration in
-//! `begin_tx` — is O(N) with an exhaustive scan, even though radio
-//! range covers only a handful of neighbours in a large deployment.
+//! Everything the radio medium does per frame is local: only nodes
+//! within radio range of a transmitter can receive it, and only
+//! transmitters within radio range of a listener can jam it.
 //! [`SpatialGrid`] buckets node positions into square cells whose side
-//! equals the maximum radio range, so the nodes possibly in range of a
-//! transmitter are confined to the 3x3 cell neighbourhood around it:
-//! candidate enumeration becomes O(neighbours).
+//! equals the maximum radio range, so whatever is possibly in range of a
+//! point is confined to the 3x3 cell neighbourhood around it. The medium
+//! uses the grid twice:
 //!
-//! The grid is an *over-approximation by construction*: [`SpatialGrid::
-//! gather`] returns every id within `cell_size` meters of the query
-//! point (and possibly a few farther ones, which the caller's exact
-//! range check filters out). Gathered ids come back sorted ascending,
-//! so a caller that draws random numbers per candidate visits them in
+//! * [`SpatialGrid::gather`] enumerates the *nodes* around a
+//!   transmitter — candidate enumeration is O(neighbours), not O(N);
+//! * every cell has a dense id ([`SpatialGrid::insert`] returns it) and
+//!   [`SpatialGrid::neighbourhood`] lists the occupied cells around one,
+//!   so the medium can file each live *transmission* under its source's
+//!   cell and have carrier sensing and collision checks visit only the
+//!   cells around the listener — O(audible transmissions), not O(all
+//!   transmissions in the air).
+//!
+//! The grid is an *over-approximation by construction*: both queries
+//! cover every position within `cell_size` meters of the query point
+//! (and possibly a few farther ones, which the caller's exact range
+//! check filters out). Gathered ids come back sorted ascending, so a
+//! caller that draws random numbers per candidate visits them in
 //! exactly the same order as an exhaustive scan over ascending ids —
 //! the property the deterministic radio medium relies on.
+//!
+//! A grid whose cell side is infinite has one cell holding everything:
+//! the exhaustive scan, as the same data structure.
 
 use crate::topology::Pos;
-use std::collections::HashMap;
+use std::cell::{Cell, OnceCell};
+use std::collections::hash_map::{Entry, HashMap};
+
+/// The occupied cells of one 3x3 neighbourhood, stored inline.
+#[derive(Clone, Copy, Debug, Default)]
+struct Hood {
+    len: u8,
+    cells: [u32; 9],
+}
 
 /// A uniform grid index over 2D positions, keyed by integer cell
 /// coordinates. Positions are static once inserted (the medium never
@@ -30,34 +50,49 @@ use std::collections::HashMap;
 /// use iiot_sim::topology::Pos;
 ///
 /// let mut g = SpatialGrid::new(45.0);
-/// g.insert(0, Pos::new(0.0, 0.0));
-/// g.insert(1, Pos::new(30.0, 0.0));
-/// g.insert(2, Pos::new(500.0, 500.0)); // far away: a different cell
+/// let near = g.insert(0, Pos::new(0.0, 0.0));
+/// assert_eq!(g.insert(1, Pos::new(30.0, 0.0)), near); // same cell
+/// let far = g.insert(2, Pos::new(500.0, 500.0)); // a different cell
+/// assert_eq!((near, far, g.cell_count()), (0, 1, 2)); // ids are dense
 ///
-/// let mut near = Vec::new();
-/// g.gather(Pos::new(10.0, 0.0), &mut near);
-/// assert_eq!(near, vec![0, 1]); // sorted ascending, far node excluded
+/// let mut ids = Vec::new();
+/// g.gather(Pos::new(10.0, 0.0), &mut ids);
+/// assert_eq!(ids, vec![0, 1]); // sorted ascending, far node excluded
+/// assert_eq!(g.neighbourhood(near), [near]); // no occupied cell adjoins it
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpatialGrid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<u32>>,
+    /// Cell coordinates → dense cell id; the only hashed structure.
+    ids: HashMap<(i64, i64), u32>,
+    /// Per cell id: its coordinates, and the ids inserted into it.
+    keys: Vec<(i64, i64)>,
+    cells: Vec<Vec<u32>>,
+    /// Per cell id: its occupied 3x3 neighbourhood, filled on first
+    /// query (nine hash probes each, which a build that never asks —
+    /// or has not asked yet — does not pay).
+    hoods: Vec<OnceCell<Hood>>,
+    /// Whether any `hoods` entry is filled; a cell created afterwards
+    /// makes its neighbours' entries stale.
+    hoods_filled: Cell<bool>,
 }
 
 impl SpatialGrid {
-    /// Creates a grid with square cells of side `cell` meters.
+    /// Creates a grid with square cells of side `cell` meters. An
+    /// infinite side yields a single cell covering the plane.
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is not finite and positive.
+    /// Panics if `cell` is not positive.
     pub fn new(cell: f64) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "cell size must be finite and positive"
-        );
+        assert!(cell > 0.0, "cell size must be positive");
         SpatialGrid {
             cell,
-            cells: HashMap::new(),
+            ids: HashMap::new(),
+            keys: Vec::new(),
+            cells: Vec::new(),
+            hoods: Vec::new(),
+            hoods_filled: Cell::new(false),
         }
     }
 
@@ -68,12 +103,18 @@ impl SpatialGrid {
 
     /// Number of ids inserted.
     pub fn len(&self) -> usize {
-        self.cells.values().map(Vec::len).sum()
+        self.cells.iter().map(Vec::len).sum()
     }
 
     /// Whether the grid holds no ids.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
+    }
+
+    /// Number of occupied cells; cell ids are `0..cell_count()`, in
+    /// order of first insertion.
+    pub fn cell_count(&self) -> usize {
+        self.cells.len()
     }
 
     fn key(&self, p: Pos) -> (i64, i64) {
@@ -83,10 +124,58 @@ impl SpatialGrid {
         )
     }
 
-    /// Inserts `id` at `pos`. Ids need not be unique or dense; the
-    /// medium uses node indices, inserted in ascending order.
-    pub fn insert(&mut self, id: u32, pos: Pos) {
-        self.cells.entry(self.key(pos)).or_default().push(id);
+    /// Inserts `id` at `pos` and returns the dense id of the cell it
+    /// landed in. Ids need not be unique or dense; the medium uses node
+    /// indices, inserted in ascending order.
+    pub fn insert(&mut self, id: u32, pos: Pos) -> u32 {
+        let key = self.key(pos);
+        let cell = match self.ids.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let cell = u32::try_from(self.cells.len()).expect("cell count fits u32");
+                e.insert(cell);
+                self.keys.push(key);
+                self.cells.push(Vec::new());
+                self.hoods.push(OnceCell::new());
+                // A cell that appears after neighbourhoods were handed
+                // out belongs in up to eight of them. Runtime growth is
+                // rare: forget them all and let queries refill.
+                if self.hoods_filled.replace(false) {
+                    self.hoods.fill_with(OnceCell::new);
+                }
+                cell
+            }
+        };
+        self.cells[cell as usize].push(id);
+        cell
+    }
+
+    /// The occupied cells among the 3x3 around coordinates `(cx, cy)`.
+    fn around(&self, (cx, cy): (i64, i64)) -> impl Iterator<Item = u32> + '_ {
+        (-1..=1)
+            .flat_map(move |dx| (-1..=1).map(move |dy| (cx + dx, cy + dy)))
+            .filter_map(|key| self.ids.get(&key).copied())
+    }
+
+    /// The ids of the occupied cells in the 3x3 neighbourhood of `cell`
+    /// (itself included): every position within `cell_size` meters of
+    /// any position in `cell` lies in one of them. Stays correct as
+    /// later insertions open new cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is not an id returned by [`SpatialGrid::insert`].
+    pub fn neighbourhood(&self, cell: u32) -> &[u32] {
+        let hood = self.hoods[cell as usize].get_or_init(|| {
+            self.hoods_filled.set(true);
+            let mut hood = Hood::default();
+            for c in self.around(self.keys[cell as usize]) {
+                hood.cells[hood.len as usize] = c;
+                hood.len += 1;
+            }
+            hood
+        });
+        &hood.cells[..hood.len as usize]
     }
 
     /// Collects into `out` (cleared first) every id whose position is
@@ -96,13 +185,8 @@ impl SpatialGrid {
     /// ascending.
     pub fn gather(&self, center: Pos, out: &mut Vec<u32>) {
         out.clear();
-        let (cx, cy) = self.key(center);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(ids) = self.cells.get(&(cx + dx, cy + dy)) {
-                    out.extend_from_slice(ids);
-                }
-            }
+        for c in self.around(self.key(center)) {
+            out.extend_from_slice(&self.cells[c as usize]);
         }
         // Each cell holds ids in insertion (ascending) order, but the
         // cells themselves are visited in neighbourhood order; one sort
@@ -157,6 +241,59 @@ mod tests {
         let mut out = Vec::new();
         g.gather(Pos::new(0.0, 0.0), &mut out);
         assert_eq!(out, vec![0]);
+    }
+
+    #[test]
+    fn cell_ids_are_dense_and_neighbourhoods_cover_the_3x3() {
+        let mut g = SpatialGrid::new(10.0);
+        let a = g.insert(0, Pos::new(5.0, 5.0));
+        let b = g.insert(1, Pos::new(15.0, 5.0)); // east of a
+        let c = g.insert(2, Pos::new(-5.0, -5.0)); // diagonal to a, two from b
+        let d = g.insert(3, Pos::new(45.0, 5.0)); // adjoins none
+        assert_eq!(g.insert(4, Pos::new(9.9, 0.0)), a);
+        assert_eq!((a, b, c, d, g.cell_count()), (0, 1, 2, 3, 4));
+        let sorted = |cells: &[u32]| {
+            let mut v = cells.to_vec();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(g.neighbourhood(a)), [a, b, c]);
+        assert_eq!(sorted(g.neighbourhood(b)), [a, b]);
+        assert_eq!(sorted(g.neighbourhood(c)), [a, c]);
+        assert_eq!(g.neighbourhood(d), [d]);
+    }
+
+    #[test]
+    fn neighbourhoods_survive_cells_opened_after_a_query() {
+        let mut g = SpatialGrid::new(10.0);
+        let a = g.insert(0, Pos::new(5.0, 5.0));
+        assert_eq!(g.neighbourhood(a), [a]);
+        // A cell next to `a` opens after its neighbourhood was handed
+        // out; an insertion into an existing cell changes nothing.
+        let b = g.insert(1, Pos::new(15.0, 15.0));
+        g.insert(2, Pos::new(6.0, 6.0));
+        assert_eq!(g.neighbourhood(a), [a, b]);
+        assert_eq!(g.neighbourhood(b), [a, b]);
+        // And again, once those answers were cached.
+        let c = g.insert(3, Pos::new(-5.0, 5.0));
+        assert_eq!(g.neighbourhood(a), [c, a, b]);
+        assert_eq!(g.neighbourhood(b), [a, b]);
+    }
+
+    #[test]
+    fn infinite_cell_side_is_one_cell_holding_everything() {
+        let mut g = SpatialGrid::new(f64::INFINITY);
+        for (id, &(x, y)) in [(0.0, 0.0), (-1e6, 3.0), (7.0, -1e9), (1e12, 1e12)]
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(g.insert(id as u32, Pos::new(x, y)), 0);
+        }
+        assert_eq!(g.cell_count(), 1);
+        assert_eq!(g.neighbourhood(0), [0]);
+        let mut out = Vec::new();
+        g.gather(Pos::new(-4e3, 4e3), &mut out);
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

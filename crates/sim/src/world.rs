@@ -14,7 +14,7 @@ use crate::trace::Stats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Static world parameters.
 #[derive(Clone, Debug)]
@@ -129,7 +129,7 @@ enum Ev {
     },
     Timer {
         node: NodeId,
-        id: u64,
+        id: TimerId,
         tag: u64,
     },
     TxEnd {
@@ -275,6 +275,64 @@ impl Ord for QEntry {
     }
 }
 
+/// The kernel's timers: a slab of slots, each reused by one pending
+/// timer after another. A [`TimerId`] is `generation << 32 | slot`, so
+/// arming, cancelling and firing are array accesses, an id outlives
+/// its timer harmlessly (the slot's generation has moved on), and the
+/// slab never holds more slots than timers were pending at once.
+/// [`TimerId::NONE`] would need slot `u32::MAX` and is never issued.
+#[derive(Default)]
+struct TimerSlab {
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+}
+
+#[derive(Default)]
+struct TimerSlot {
+    /// Bumped every time the slot's timer leaves the queue.
+    generation: u32,
+    /// Whether the pending timer still fires when it is popped.
+    armed: bool,
+}
+
+impl TimerSlab {
+    /// Claims a slot for a timer about to be queued.
+    fn arm(&mut self) -> TimerId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            assert!(self.slots.len() < u32::MAX as usize, "timer slab full");
+            self.slots.push(TimerSlot::default());
+            self.slots.len() as u32 - 1
+        });
+        let s = &mut self.slots[slot as usize];
+        s.armed = true;
+        TimerId::compose(slot, s.generation)
+    }
+
+    /// The slot `id` names, while `id` is still its current tenant.
+    fn tenant(&mut self, id: TimerId) -> Option<&mut TimerSlot> {
+        let s = self.slots.get_mut(id.slot())?;
+        (s.generation == id.generation()).then_some(s)
+    }
+
+    /// Disarms `id` if it is still pending; anything else — fired,
+    /// cancelled before, [`TimerId::NONE`] — is a no-op.
+    fn cancel(&mut self, id: TimerId) {
+        if let Some(s) = self.tenant(id) {
+            s.armed = false;
+        }
+    }
+
+    /// Retires `id` as its event leaves the queue, freeing the slot;
+    /// returns whether the timer fires (it was not cancelled).
+    fn pop(&mut self, id: TimerId) -> bool {
+        let s = self.tenant(id).expect("a queued timer holds its slot");
+        s.generation = s.generation.wrapping_add(1);
+        let fires = std::mem::take(&mut s.armed);
+        self.free.push(id.slot() as u32);
+        fires
+    }
+}
+
 /// Everything the engine owns besides the protocol objects. Split out so
 /// a node's protocol can be borrowed mutably at the same time as the
 /// kernel (via [`Ctx`]).
@@ -294,10 +352,11 @@ pub(crate) struct Kernel {
     meters: Vec<EnergyMeter>,
     rngs: Vec<SmallRng>,
     stats: Stats,
-    cancelled: HashSet<u64>,
-    next_timer: u64,
+    timers: TimerSlab,
     wire_latency: SimDuration,
     seed: u64,
+    /// Master seed of the oscillators' own stream, derived once.
+    clock_seed: u64,
     clock_model: ClockModel,
     /// Per-node oscillators. Clock state survives crashes: hardware
     /// oscillators keep ticking while the MCU reboots.
@@ -430,10 +489,14 @@ impl World {
                 meters: Vec::new(),
                 rngs: Vec::new(),
                 stats: Stats::new(),
-                cancelled: HashSet::new(),
-                next_timer: 0,
+                timers: TimerSlab::default(),
                 wire_latency: config.wire_latency,
                 seed: config.seed,
+                // The oscillators draw from their own seed stream so
+                // enabling drift never perturbs protocol RNG sequences
+                // (and an ideal model reproduces pre-clock-model runs
+                // bit for bit).
+                clock_seed: crate::seed::derive_labeled(config.seed, "clock"),
                 clock_model: config.clock,
                 clocks: Vec::new(),
                 recorder,
@@ -496,13 +559,7 @@ impl World {
             .seed
             .wrapping_add((id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.kernel.rngs.push(SmallRng::seed_from_u64(node_seed));
-        // The oscillator draws from its own seed stream so enabling
-        // drift never perturbs protocol RNG sequences (and an ideal
-        // model reproduces pre-clock-model runs bit for bit).
-        let clock_seed = crate::seed::derive(
-            crate::seed::derive_labeled(self.kernel.seed, "clock"),
-            id.0 as u64,
-        );
+        let clock_seed = crate::seed::derive(self.kernel.clock_seed, id.0 as u64);
         let born_at = self.kernel.now;
         self.kernel.clocks.push(LocalClock::new(
             &self.kernel.clock_model,
@@ -519,9 +576,23 @@ impl World {
         topo: &Topology,
         make: impl Fn(usize) -> Box<dyn Proto>,
     ) -> Vec<NodeId> {
+        self.reserve_nodes(topo.len());
         (0..topo.len())
             .map(|i| self.add_node(topo.pos(i), make(i)))
             .collect()
+    }
+
+    /// Makes room for `additional` more nodes in every per-node table
+    /// and for their `Start` events, so adding a group grows each once.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        self.protos.reserve(additional);
+        self.alive.reserve(additional);
+        let k = &mut self.kernel;
+        k.medium.reserve_nodes(additional);
+        k.meters.reserve(additional);
+        k.rngs.reserve(additional);
+        k.clocks.reserve(additional);
+        k.queue.reserve(additional);
     }
 
     /// Current simulation time.
@@ -908,19 +979,8 @@ impl World {
                 }
             }
             Ev::Timer { node, id, tag } => {
-                if self.kernel.cancelled.remove(&id) {
-                    return;
-                }
-                if self.alive[node.index()] {
-                    self.call(node, |p, ctx| {
-                        p.timer(
-                            ctx,
-                            Timer {
-                                id: TimerId(id),
-                                tag,
-                            },
-                        )
-                    });
+                if self.kernel.timers.pop(id) && self.alive[node.index()] {
+                    self.call(node, |p, ctx| p.timer(ctx, Timer { id, tag }));
                 }
             }
             Ev::TxEnd { node, tx } => {
@@ -1087,25 +1147,16 @@ impl Ctx<'_> {
     /// Panics if `at` is in the past.
     pub fn set_timer_at(&mut self, at: SimTime, tag: u64) -> TimerId {
         assert!(at >= self.kernel.now, "timer in the past");
-        let id = self.kernel.next_timer;
-        self.kernel.next_timer += 1;
-        self.kernel.push(
-            at,
-            Ev::Timer {
-                node: self.node,
-                id,
-                tag,
-            },
-        );
-        TimerId(id)
+        let id = self.kernel.timers.arm();
+        let node = self.node;
+        self.kernel.push(at, Ev::Timer { node, id, tag });
+        id
     }
 
-    /// Cancels a pending timer. Cancelling an already-fired or
-    /// [`TimerId::NONE`] timer is a no-op.
+    /// Cancels a pending timer. Cancelling an already-fired, already
+    /// cancelled or [`TimerId::NONE`] timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if !id.is_none() {
-            self.kernel.cancelled.insert(id.0);
-        }
+        self.kernel.timers.cancel(id);
     }
 
     /// Powers the radio on (listening).
@@ -1463,6 +1514,53 @@ mod tests {
         let n = w.add_node(Pos::new(0.0, 0.0), Box::new(C { fired: false }));
         w.run_for(SimDuration::from_secs(1));
         assert!(!w.proto::<C>(n).fired);
+    }
+
+    #[test]
+    fn timer_ids_outlive_their_timers_harmlessly() {
+        let mut slab = TimerSlab::default();
+        let a = slab.arm();
+        assert!(slab.pop(a), "an armed timer fires");
+        // Cancel-after-fire is a no-op, and the slot's next tenant is a
+        // different id that the stale one cannot touch.
+        slab.cancel(a);
+        let b = slab.arm();
+        assert_eq!((a.slot(), a.generation() + 1), (b.slot(), b.generation()));
+        slab.cancel(a);
+        assert!(
+            slab.pop(b),
+            "a stale id must not cancel the slot's next tenant"
+        );
+        // Cancel-twice is one cancel; the pop still frees the slot.
+        let c = slab.arm();
+        slab.cancel(c);
+        slab.cancel(c);
+        assert!(!slab.pop(c), "a cancelled timer does not fire");
+        slab.cancel(TimerId::NONE);
+        assert_eq!((slab.slots.len(), slab.free.len()), (1, 1));
+    }
+
+    #[test]
+    fn timer_slab_stays_at_peak_concurrent_size() {
+        // 10^5 arm/fire/cancel cycles with at most eight timers
+        // pending: a set of cancelled ids would hold an entry per
+        // cancel-after-fire by now; the slab holds eight slots.
+        let mut slab = TimerSlab::default();
+        let mut pending = std::collections::VecDeque::new();
+        for i in 0..100_000u32 {
+            let id = slab.arm();
+            assert!(!id.is_none(), "NONE is never issued");
+            if i % 3 == 0 {
+                slab.cancel(id);
+            }
+            pending.push_back((id, i % 3 != 0));
+            if pending.len() == 8 {
+                let (old, fires) = pending.pop_front().expect("eight pending");
+                assert_eq!(slab.pop(old), fires);
+                slab.cancel(old); // what Trickle does every interval
+            }
+        }
+        assert_eq!(slab.slots.len(), 8);
     }
 
     #[test]

@@ -223,6 +223,58 @@ fn with_on_another_shards_node_is_exchanged_before_it_returns() {
     assert_eq!(sim.proto::<Listener>(NodeId(2)).0, [NodeId(1)]);
 }
 
+/// A border transmitter's records are adopted, in the neighbour's
+/// replica, into a cell from which no node that replica owns ever
+/// transmits. They must retire like any others (one filing-order queue
+/// per medium, whatever cell a record is filed under): the listener's
+/// collision checks would otherwise walk every echo since the start of
+/// the run, and `air_visits` would grow with simulated time.
+#[test]
+fn echoes_into_a_cell_no_owned_node_transmits_from_are_retired() {
+    struct Ear(u64);
+    impl Proto for Ear {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.radio_on().expect("radio");
+        }
+        fn frame(&mut self, _ctx: &mut Ctx<'_>, _frame: &Frame, _info: RxInfo) {
+            self.0 += 1;
+        }
+    }
+    // x = 0, 390 | 410, 800. The stripe border at x = 400 separates the
+    // ear from the only node in its range, and the 45 m grid puts the
+    // two in different cells; the outer chatterers hear nobody.
+    let topo: Topology = [0.0, 390.0, 410.0, 800.0]
+        .iter()
+        .map(|&x| Pos::new(x, 0.0))
+        .collect();
+    let mut sim = SimBuilder::new()
+        .seed(3)
+        .nodes(topo, |i| match i {
+            1 => Box::new(Ear(0)),
+            _ => Chatter::boxed(i),
+        })
+        .sharding(ShardConfig::serial(2))
+        .build();
+    let visits_during = |sim: &mut Sim, secs: u64| {
+        let before = sim.air_visits();
+        sim.run(SimDuration::from_secs(secs));
+        sim.air_visits() - before
+    };
+    visits_during(&mut sim, 1);
+    let early = visits_during(&mut sim, 2);
+    visits_during(&mut sim, 20);
+    let late = visits_during(&mut sim, 2);
+    let heard = sim.proto::<Ear>(NodeId(1)).0;
+    assert!(
+        heard > 400,
+        "the ear heard {heard} frames across the border"
+    );
+    assert!(
+        early > 0 && late <= early + early / 10,
+        "records examined per 2 s: {early} early, {late} after 23 s"
+    );
+}
+
 /// A running sim grows through `Sim::add_nodes` on either kernel: the
 /// newcomers (one inside the build-time bounding box, one beyond it,
 /// across the stripe border from each other's neighbours) join the

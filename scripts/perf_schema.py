@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""The BENCH_perf.json schema (iiot-bench/perf/v7), checked in one place.
+"""The BENCH_perf.json schema (iiot-bench/perf/v8), checked in one place.
 
     perf_schema.py check FILE              schema asserts
     perf_schema.py check --committed FILE  ... plus how far the committed curves reach
+                                           and that the medium's cost per event stays flat
     perf_schema.py same A B                schema on both, deterministic blocks equal
 
 Every point is {"deterministic": ..., "timing": ...}: the first is a pure
@@ -17,11 +18,11 @@ BLOCKS = ("points", "scaling", "cloud", "stream", "icn")
 # block -> (deterministic keys, timing keys)
 KEYS = {
     "points": (
-        {"side", "mac", "nodes", "secs", "events"},
+        {"side", "mac", "nodes", "secs", "events", "air_visits"},
         {"wall_us", "events_per_sec"},
     ),
     "scaling": (
-        {"side", "nodes", "shards", "secs", "events"},
+        {"side", "nodes", "shards", "secs", "events", "air_visits"},
         {"wall_us", "events_per_sec", "mode"},
     ),
     "cloud": (
@@ -45,7 +46,7 @@ KEYS = {
 def check(path, committed=False):
     """Asserts the schema; returns {block: [deterministic, ...]}."""
     doc = json.load(open(path))
-    assert doc["schema"] == "iiot-bench/perf/v7", doc.get("schema")
+    assert doc["schema"] == "iiot-bench/perf/v8", doc.get("schema")
     assert isinstance(doc["spacing_m"], (int, float))
     for block in BLOCKS:
         assert doc[block], f"{path}: no {block} points"
@@ -57,6 +58,7 @@ def check(path, committed=False):
     for p in doc["points"] + doc["scaling"]:
         d = p["deterministic"]
         assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d
+        assert d["air_visits"] > 0, d
     for p in doc["scaling"]:
         assert p["timing"]["mode"] in {"threaded", "serial"}, p["timing"]
     shard_counts = {p["deterministic"]["shards"] for p in doc["scaling"]}
@@ -81,6 +83,24 @@ def check(path, committed=False):
             "committed cloud curve must reach 1e5 sessions"
         assert max(p["deterministic"]["consumers"] for p in doc["icn"]) >= 16, \
             "committed icn curve must reach 16 consumers"
+        # The serial kernel's size scalability, as a count: the records
+        # the medium examines per event must not grow with the grid. The
+        # base is the 1,600-node point; at 400 nodes the workload's
+        # stagger covers a third of its period, next to nobody listens
+        # while a neighbour transmits, and the ratio is low for that
+        # reason alone.
+        serial = {p["deterministic"]["nodes"]: p["deterministic"]
+                  for p in doc["scaling"] if p["deterministic"]["shards"] == 1}
+        assert max(serial) >= 25_600, \
+            "committed scaling curve must reach 25,600 nodes at shards = 1"
+        assert 1_600 in serial, "committed scaling curve needs its 1,600-node base"
+        base = serial[1_600]["air_visits"] / serial[1_600]["events"]
+        for nodes, d in serial.items():
+            per_event = d["air_visits"] / d["events"]
+            if nodes > 1_600:
+                assert per_event <= 1.25 * base, \
+                    f"air_visits/event at {nodes} nodes is {per_event:.2f}, over 1.25x " \
+                    f"the 1,600-node {base:.2f}: the medium's cost grows with the grid"
     return {b: [p["deterministic"] for p in doc[b]] for b in BLOCKS}
 
 
