@@ -16,8 +16,8 @@
 //!
 //! The printed tables and the JSON's `timing` blocks vary run to run;
 //! the JSON's `deterministic` blocks (workload shape, dispatched event
-//! counts, transmission records examined) are byte-stable across
-//! worker counts and machines — that subset is what
+//! counts, transmission records examined, event-heap pushes) are
+//! byte-stable across worker counts and machines — that subset is what
 //! `scripts/perf_gate.sh` gates on. Scaling-point counts are stable
 //! *per shard count* (each shard count is its own deterministic model).
 

@@ -17,13 +17,15 @@
 //! Each point carries two kinds of quantities with very different
 //! contracts:
 //!
-//! * **`events`** and **`air_visits`** — how many kernel events the
-//!   workload dispatches, and how many transmission records the medium
-//!   examines doing so ([`Sim::air_visits`]). Pure functions of the
-//!   workload, seed and shard count: byte-stable across worker counts
-//!   and machines. This is what CI *gates* on (`scripts/perf_gate.sh`
-//!   for stability, `scripts/perf_schema.py check --committed` for the
-//!   visits per event staying flat as the grid grows).
+//! * **`events`**, **`air_visits`** and **`queue_pushes`** — how many
+//!   kernel events the workload dispatches, and how many transmission
+//!   records the medium examines ([`Sim::air_visits`]) and event-heap
+//!   entries the kernel pushes ([`Sim::queue_pushes`]) doing so. Pure
+//!   functions of the workload, seed and shard count: byte-stable
+//!   across worker counts and machines. This is what CI *gates* on
+//!   (`scripts/perf_gate.sh` for stability, `scripts/perf_schema.py
+//!   check --committed` for the visits per event staying flat as the
+//!   grid grows and the pushes per event staying under their ceiling).
 //! * **wall-clock / events-per-second** — recorded into
 //!   `BENCH_perf.json` for trajectory tracking, never gated (CI
 //!   machines are noisy; timing thresholds make flaky gates).
@@ -107,6 +109,8 @@ pub struct PerfPoint {
     pub events: u64,
     /// Transmission records the medium examined (equally stable).
     pub air_visits: u64,
+    /// Event-heap entries the kernel pushed (equally stable).
+    pub queue_pushes: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
 }
@@ -137,6 +141,9 @@ pub struct ScalePoint {
     /// Transmission records examined, summed across the shards' media;
     /// stable and comparable exactly like `events`.
     pub air_visits: u64,
+    /// Event-heap entries pushed, summed across the shards' kernels;
+    /// stable and comparable exactly like `events`.
+    pub queue_pushes: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
     /// How the shards executed: `"threaded"` (one worker thread per
@@ -160,8 +167,9 @@ impl ScalePoint {
 /// always has traffic in the air).
 fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim {
     // Log-distance pathloss with a sigmoid gray zone: the realistic —
-    // and computationally heaviest — link model, where every node the
-    // candidate scan visits costs a sqrt and a log10.
+    // and computationally heaviest — link model, where every
+    // overlapping record a CCA or collision check visits costs a sqrt
+    // and a log10.
     let link = LinkModel::LogDistance {
         path_loss_exp: 3.5,
         ref_loss_db: 45.0,
@@ -231,13 +239,18 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
     }
 }
 
-/// Runs one workload; returns (events, air visits, wall).
-fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> (u64, u64, Duration) {
+/// Runs one workload; returns ([events, air visits, queue pushes], wall).
+fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> ([u64; 3], Duration) {
     let mut sim = build(side, mac, secs, seed, shard);
     let started = Instant::now();
     sim.run(SimDuration::from_secs(secs));
     let wall = started.elapsed();
-    (sim.events_dispatched(), sim.air_visits(), wall)
+    let counts = [
+        sim.events_dispatched(),
+        sim.air_visits(),
+        sim.queue_pushes(),
+    ];
+    (counts, wall)
 }
 
 /// Measures the throughput matrix: `sides` x [`MACS`] on the serial
@@ -251,7 +264,8 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     fan_out(rc.runner.jobs(), points.len(), |i| {
         let (side, mac) = points[i];
         let seed = 0xBE2C_0000 + i as u64;
-        let (events, air_visits, wall) = measure(side, mac, secs, seed, ShardConfig::default());
+        let ([events, air_visits, queue_pushes], wall) =
+            measure(side, mac, secs, seed, ShardConfig::default());
         PerfPoint {
             side,
             nodes: side * side,
@@ -259,6 +273,7 @@ pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
             secs,
             events,
             air_visits,
+            queue_pushes,
             wall_us: wall.as_micros() as u64,
         }
     })
@@ -286,7 +301,8 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
             } else {
                 ShardConfig::threaded(shards as usize)
             };
-            let (events, air_visits, wall) = measure(side, "bcast", secs, seed, shard);
+            let ([events, air_visits, queue_pushes], wall) =
+                measure(side, "bcast", secs, seed, shard);
             out.push(ScalePoint {
                 side,
                 nodes: side * side,
@@ -294,6 +310,7 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
                 secs,
                 events,
                 air_visits,
+                queue_pushes,
                 wall_us: wall.as_micros() as u64,
                 mode: if serial { "serial" } else { "threaded" },
             });
@@ -302,12 +319,26 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Sca
     out
 }
 
+/// A deterministic cost counter as a table cell: its count per event.
+fn per_event(count: u64, events: u64) -> String {
+    format!("{:.2}", count as f64 / events.max(1) as f64)
+}
+
 /// Renders the throughput matrix as a human-readable table. Timing
-/// cells vary run to run; `events` and `visits/ev` are deterministic.
+/// cells vary run to run; `events`, `visits/ev` and `pushes/ev` are
+/// deterministic.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
         "PERF: kernel throughput (20 m grid, broadcast-heavy, serial kernel)",
-        &["nodes", "mac", "events", "wall (ms)", "Mev/s", "visits/ev"],
+        &[
+            "nodes",
+            "mac",
+            "events",
+            "wall (ms)",
+            "Mev/s",
+            "visits/ev",
+            "pushes/ev",
+        ],
     );
     for p in points {
         t.row(vec![
@@ -316,7 +347,8 @@ pub fn table(points: &[PerfPoint]) -> Table {
             p.events.to_string(),
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
-            format!("{:.2}", p.air_visits as f64 / p.events.max(1) as f64),
+            per_event(p.air_visits, p.events),
+            per_event(p.queue_pushes, p.events),
         ]);
     }
     t
@@ -336,6 +368,7 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             "Mev/s",
             "vs 1 shard",
             "visits/ev",
+            "pushes/ev",
         ],
     );
     for p in points {
@@ -357,7 +390,8 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
             rel,
-            format!("{:.2}", p.air_visits as f64 / p.events.max(1) as f64),
+            per_event(p.air_visits, p.events),
+            per_event(p.queue_pushes, p.events),
         ]);
     }
     t
@@ -378,12 +412,12 @@ pub fn to_json(
     stream: &[crate::exp_stream::StreamPoint],
     icn: &[crate::exp_icn::IcnPoint],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v8\",\n");
+    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v9\",\n");
     out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"mac\": \"{}\", \"nodes\": {}, \
-             \"secs\": {}, \"events\": {}, \"air_visits\": {}}}, \
+             \"secs\": {}, \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}, \
              \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}}}}}{}\n",
             p.side,
             p.mac,
@@ -391,6 +425,7 @@ pub fn to_json(
             p.secs,
             p.events,
             p.air_visits,
+            p.queue_pushes,
             p.wall_us,
             p.events_per_sec(),
             if i + 1 == points.len() { "" } else { "," }
@@ -400,7 +435,7 @@ pub fn to_json(
     for (i, p) in scaling.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"deterministic\": {{\"side\": {}, \"nodes\": {}, \"shards\": {}, \
-             \"secs\": {}, \"events\": {}, \"air_visits\": {}}}, \
+             \"secs\": {}, \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}, \
              \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}, \"mode\": \"{}\"}}}}{}\n",
             p.side,
             p.nodes,
@@ -408,6 +443,7 @@ pub fn to_json(
             p.secs,
             p.events,
             p.air_visits,
+            p.queue_pushes,
             p.wall_us,
             p.events_per_sec(),
             p.mode,
@@ -500,11 +536,10 @@ mod tests {
         let b = perf_matrix(&two, &[3, 4], 2);
         assert_eq!(a.len(), 6);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                (x.side, x.mac, x.nodes, x.events, x.air_visits),
-                (y.side, y.mac, y.nodes, y.events, y.air_visits)
-            );
-            assert!(x.events > 0 && x.air_visits > 0);
+            assert_eq!((x.side, x.mac, x.nodes), (y.side, y.mac, y.nodes));
+            let counts = [x.events, x.air_visits, x.queue_pushes];
+            assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
+            assert!(counts.iter().all(|&c| c > 0));
         }
     }
 
@@ -514,11 +549,10 @@ mod tests {
         let b = scaling_curves(&[4], 1, &[1, 2]);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                (x.side, x.shards, x.events, x.air_visits),
-                (y.side, y.shards, y.events, y.air_visits)
-            );
-            assert!(x.events > 0 && x.air_visits > 0);
+            assert_eq!((x.side, x.shards), (y.side, y.shards));
+            let counts = [x.events, x.air_visits, x.queue_pushes];
+            assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
+            assert!(counts.iter().all(|&c| c > 0));
         }
     }
 
@@ -531,6 +565,7 @@ mod tests {
             secs: 5,
             events: 1234,
             air_visits: 617,
+            queue_pushes: 494,
             wall_us: 1000,
         };
         let s = ScalePoint {
@@ -540,6 +575,7 @@ mod tests {
             secs: 5,
             events: 9876,
             air_visits: 4321,
+            queue_pushes: 5555,
             wall_us: 2000,
             mode: "serial",
         };
@@ -581,16 +617,16 @@ mod tests {
             wall_us: 42_000,
         };
         let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v8\""));
+        assert!(j.contains("\"schema\": \"iiot-bench/perf/v9\""));
         assert!(j.contains("\"cache_hits\": 80"));
         assert!(j.contains("\"verify_fails\": 0"));
         assert!(j.contains("\"log_records\": 400000"));
         assert!(j.contains("\"replay_wall_us\": 450000"));
         assert!(j.contains("\"window_obs\": 380000"));
-        assert!(j.contains("\"events\": 1234, \"air_visits\": 617}"));
+        assert!(j.contains("\"events\": 1234, \"air_visits\": 617, \"queue_pushes\": 494}"));
         assert!(j.contains("\"timing\": {\"wall_us\": 1000, \"events_per_sec\": 1234000}"));
         assert!(j.contains("\"shards\": 4"));
-        assert!(j.contains("\"events\": 9876, \"air_visits\": 4321}"));
+        assert!(j.contains("\"events\": 9876, \"air_visits\": 4321, \"queue_pushes\": 5555}"));
         assert!(j.contains("\"mode\": \"serial\""));
         assert!(j.contains("\"sessions\": 100000"));
         assert!(j.contains("\"fairness_milli\": 998"));
@@ -599,6 +635,7 @@ mod tests {
         assert_eq!(t.rows().len(), 1);
         assert_eq!(t.rows()[0][4], "1.23");
         assert_eq!(t.rows()[0][5], "0.50");
+        assert_eq!(t.rows()[0][6], "0.40");
         let st = scaling_table(&[s]);
         assert_eq!(st.rows().len(), 1);
         assert_eq!(st.rows()[0][1], "4");

@@ -12,17 +12,23 @@
 //!
 //! Radio is local, and so is every per-frame cost of the [`Medium`]. A
 //! [`SpatialGrid`] with cell side [`RadioConfig::max_range`] indexes
-//! both the nodes and the air: a transmitter's candidate receivers come
-//! from the 3x3 cells around it, every live transmission record is
-//! filed under the cell of its *source*, and carrier sensing and the
-//! collision check at a listener visit only the records filed in the
-//! 3x3 cells around the *listener* — a source farther away than one
-//! cell side has no signal there ([`RadioConfig::rssi_at`] is `None`),
-//! so the skipped records could not have mattered. Records retire from
-//! the front of one filing-order queue. None of the three depends on
-//! how many nodes or transmissions the rest of the deployment holds;
-//! [`Sim::air_visits`](crate::sim::Sim::air_visits) counts the records
-//! examined, so tests can hold that to account without a clock.
+//! both the nodes and the air. Positions and the [`RadioConfig`] never
+//! change after a node is added, so the first transmission of a source
+//! gathers the 3x3 cells around it once and keeps, per node it can
+//! reach above [`RadioConfig::sensitivity_dbm`], the link budget (RSSI
+//! and PRR): every later frame walks that list with four state checks
+//! and one RNG draw per listener — no distance, `log10` or `exp`. Every
+//! live transmission record is filed under the cell of its *source*,
+//! and carrier sensing and the collision check at a listener visit only
+//! the records filed in the 3x3 cells around the *listener* — a source
+//! farther away than one cell side has no signal there
+//! ([`RadioConfig::rssi_at`] is `None`), so the skipped records could
+//! not have mattered; each record that does overlap still costs one
+//! `rssi_at`. Records retire from the front of one filing-order queue.
+//! None of this depends on how many nodes or transmissions the rest of
+//! the deployment holds; [`Sim::air_visits`](crate::sim::Sim::air_visits)
+//! counts the records examined, so tests can hold that to account
+//! without a clock.
 
 use crate::ids::NodeId;
 use crate::spatial::SpatialGrid;
@@ -392,19 +398,32 @@ impl Default for TxRecord {
     }
 }
 
+/// The link budget from a source to one node it can reach at or above
+/// the sensitivity threshold: fixed once both are placed.
+#[derive(Clone, Debug, PartialEq)]
+struct Link {
+    to: NodeId,
+    rssi: f64,
+    /// Packet reception ratio, ignoring collisions.
+    prr: f64,
+}
+
 /// One slab slot of the medium's transmission store. Slots are reused
 /// (bumping `generation`) once their record is both fully evaluated
-/// (`pending == 0`) and old enough to never matter for collision
+/// (not `pending`) and old enough to never matter for collision
 /// checks again (see [`Medium::evict`]); the candidate and payload
 /// buffers inside are recycled across transmissions.
 #[derive(Clone, Debug, Default)]
 struct TxSlot {
     generation: u32,
     live: bool,
-    /// Outstanding kernel events referencing this record: one `TxEnd`
-    /// plus one `RxEnd` per scheduled candidate. A record with pending
-    /// events is never evicted, whatever its age.
-    pending: u32,
+    /// Whether the kernel still holds this record's queue entry — the
+    /// frame's one `TxEnd`, or on an adopting shard replica the entry
+    /// that evaluates the receptions it owns — or is part-way through
+    /// the candidate walk that entry starts (see
+    /// [`Medium::set_pending`]). A pending record is never evicted,
+    /// whatever its age.
+    pending: bool,
     rec: TxRecord,
 }
 
@@ -540,15 +559,20 @@ pub struct Medium {
     /// gets an infinite side, i.e. one cell and exhaustive scans out of
     /// the same code.
     grid: SpatialGrid,
-    /// Per-source cached neighbour lists (sorted ascending), built
-    /// lazily from the grid on a node's first transmission. Positions
-    /// are static, so a node's 3x3-cell gather never changes — caching
-    /// it turns the per-transmission cost into a straight walk. A built
-    /// list holds at least its own node; an empty one is not built.
-    neigh: Vec<Vec<u32>>,
+    /// Per source, the nodes that can ever be its candidates — those it
+    /// reaches at or above the sensitivity threshold — with the link
+    /// budget towards each, in ascending id order. Built from the grid
+    /// on the source's first transmission (`None` until then; a source
+    /// nobody hears gets an empty list, which is still built).
+    /// Positions and the radio configuration are static, so neither
+    /// the set nor the numbers ever change: a frame walks the list and
+    /// does no float math.
+    neigh: Vec<Option<Box<[Link]>>>,
     /// Whether any `neigh` list is built (`add_node` must then forget
     /// them all: the newcomer may be in range of any existing node).
     neigh_cached: bool,
+    /// Reused buffer for the grid gather behind a `neigh` build.
+    gathered: Vec<u32>,
     /// Recycled payload buffers backing delivered frame clones.
     payload_pool: Vec<Vec<u8>>,
     /// How long a fully evaluated record can still matter: a record
@@ -597,6 +621,7 @@ impl Medium {
             grid: SpatialGrid::new(cell),
             neigh: Vec::new(),
             neigh_cached: false,
+            gathered: Vec::new(),
             payload_pool: Vec::new(),
             history,
             blocked_links: HashSet::new(),
@@ -653,13 +678,13 @@ impl Medium {
         n.listen_since = s.listen_since;
     }
 
-    /// Releases one pending evaluation of `tx` without evaluating it —
-    /// the shard router claims receptions destined for foreign nodes,
-    /// which evaluate against the adopted copy in the owning shard.
-    pub(crate) fn release_pending(&mut self, tx: TxId) {
+    /// Pins `tx` against eviction or lets it age out again. A local
+    /// record is born pending; the kernel pins an adopted one when it
+    /// queues its reception walk, and unpins either after the last
+    /// candidate.
+    pub(crate) fn set_pending(&mut self, tx: TxId, pending: bool) {
         if let Some(slot) = self.lookup(tx) {
-            let s = &mut self.slots[slot];
-            s.pending = s.pending.saturating_sub(1);
+            self.slots[slot].pending = pending;
         }
     }
 
@@ -680,15 +705,16 @@ impl Medium {
     }
 
     /// Adopts a foreign transmission record into the local slab so CCA
-    /// and collision scans see it; returns the local id under which
-    /// `pending` reception evaluations will arrive. Does not touch the
-    /// foreign source's radio state (snapshots carry that) and does not
-    /// count in `tx_started` (the origin shard already did).
-    pub(crate) fn adopt_echo(&mut self, echo: &EchoTx, pending: u32) -> TxId {
+    /// and collision scans see it; returns the local id, under which
+    /// the receptions this replica owns (if any: it is not pending
+    /// yet) will be evaluated. Does not touch the foreign source's radio
+    /// state (snapshots carry that) and does not count in `tx_started`
+    /// (the origin shard already did).
+    pub(crate) fn adopt_echo(&mut self, echo: &EchoTx) -> TxId {
         let (slot, id) = self.claim_slot();
         let s = &mut self.slots[slot];
         s.live = true;
-        s.pending = pending;
+        s.pending = false;
         s.rec.src = echo.src;
         s.rec.channel = echo.channel;
         s.rec.start = echo.start;
@@ -744,9 +770,9 @@ impl Medium {
         // A new node may be in range of any existing one: every cached
         // neighbour list is stale.
         if std::mem::take(&mut self.neigh_cached) {
-            self.neigh.iter_mut().for_each(Vec::clear);
+            self.neigh.fill(None);
         }
-        self.neigh.push(Vec::new());
+        self.neigh.push(None);
         self.nodes.push(NodeRadio {
             pos,
             cell,
@@ -951,9 +977,9 @@ impl Medium {
     }
 
     /// Retires, oldest filing first, records that can no longer matter:
-    /// fully evaluated (no pending `TxEnd`/`RxEnd` events) *and* past
-    /// the collision horizon. The retain rule is explicit: any record
-    /// still in flight (`end >= now`) or with pending evaluations
+    /// fully evaluated (no queue entry or candidate walk pending) *and*
+    /// past the collision horizon. The retain rule is explicit: any
+    /// record still in flight (`end >= now`) or with pending evaluations
     /// survives, regardless of its age — eviction can never turn a
     /// scheduled reception into a dangling [`TxId`].
     ///
@@ -974,7 +1000,7 @@ impl Medium {
         while let Some(&slot) = self.filed.front() {
             *self.air_visits.get_mut() += 1;
             let s = &mut self.slots[slot as usize];
-            if !(s.pending == 0 && s.rec.end < cutoff && s.rec.end < now) {
+            if s.pending || s.rec.end >= cutoff || s.rec.end >= now {
                 break;
             }
             s.live = false;
@@ -999,8 +1025,8 @@ impl Medium {
         }
     }
 
-    /// Test/compat convenience around [`Medium::start_tx_into`] that
-    /// allocates a fresh schedule vector.
+    /// [`Medium::start_tx_into`], also returning the candidate receivers
+    /// it recorded.
     #[cfg(test)]
     fn start_tx<R: Rng>(
         &mut self,
@@ -1008,14 +1034,40 @@ impl Medium {
         now: SimTime,
         rng: &mut R,
     ) -> Result<(TxId, SimTime, Vec<NodeId>), RadioError> {
-        let mut schedule = Vec::new();
-        let (id, end) = self.start_tx_into(frame, now, rng, &mut schedule)?;
-        Ok((id, end, schedule))
+        let (id, end) = self.start_tx_into(frame, now, rng)?;
+        let candidates = self.candidates(id).iter().map(|c| c.0);
+        Ok((id, end, candidates.collect()))
     }
 
-    /// Starts a transmission. Returns the tx id and its end time, and
-    /// fills `schedule` (cleared first) with the candidate receivers for
-    /// which `RxEnd` events must be scheduled.
+    /// The nodes `src` can reach at or above the sensitivity threshold,
+    /// each with its link budget, in ascending id order: the `neigh`
+    /// entry of a source. Only here are distances, `rssi_at` and `prr`
+    /// computed for candidate enumeration.
+    fn audible_from(&mut self, src: NodeId) -> Box<[Link]> {
+        let src_pos = self.nodes[src.index()].pos;
+        // The 3x3 cells around the source cover `max_range`, beyond
+        // which `rssi_at` is `None`.
+        let mut near = std::mem::take(&mut self.gathered);
+        self.grid.gather(src_pos, &mut near);
+        let budget = |&i: &u32| {
+            let d = src_pos.distance(self.nodes[i as usize].pos);
+            let rssi = self.config.rssi_at(d)?;
+            (i != src.0 && rssi >= self.config.sensitivity_dbm).then(|| Link {
+                to: NodeId(i),
+                rssi,
+                prr: self.config.prr(d, rssi),
+            })
+        };
+        // Sized exactly: the list lives as long as the medium.
+        let mut list = Vec::with_capacity(near.iter().filter_map(budget).count());
+        list.extend(near.iter().filter_map(budget));
+        self.gathered = near;
+        list.into_boxed_slice()
+    }
+
+    /// Starts a transmission: claims a record, fills in its candidate
+    /// receivers in place and returns the tx id and its end time. The
+    /// record is born pending: the caller queues its one `TxEnd`.
     ///
     /// Candidates are visited in ascending node-id order and the
     /// per-candidate PRR draw happens only for nodes passing the
@@ -1027,9 +1079,7 @@ impl Medium {
         frame: Frame,
         now: SimTime,
         rng: &mut R,
-        schedule: &mut Vec<NodeId>,
     ) -> Result<(TxId, SimTime), RadioError> {
-        schedule.clear();
         let src = frame.src;
         {
             let n = &self.nodes[src.index()];
@@ -1047,7 +1097,6 @@ impl Medium {
         }
         let end = now + self.config.airtime(frame.payload.len());
         let channel = self.nodes[src.index()].channel;
-        let src_pos = self.nodes[src.index()].pos;
 
         self.evict(now);
 
@@ -1057,51 +1106,32 @@ impl Medium {
         let mut candidates = std::mem::take(&mut self.slots[slot].rec.candidates);
         candidates.clear();
 
-        // Candidate enumeration: the grid confines the scan to the 3x3
-        // cell neighbourhood that covers max_range, cached per source
-        // in ascending id order.
-        if self.neigh[src.index()].is_empty() {
-            let mut list = std::mem::take(&mut self.neigh[src.index()]);
-            self.grid.gather(src_pos, &mut list);
-            // Tighten the 3x3-cell superset to the exact audibility
-            // disk: beyond `cell_size` (= max range) `rssi_at` is
-            // guaranteed `None`, so these nodes can never become
-            // candidates or draw RNG — dropping them here is invisible
-            // to simulations.
-            let cutoff = self.grid.cell_size();
-            let nodes = &self.nodes;
-            list.retain(|&i| src_pos.distance(nodes[i as usize].pos) <= cutoff);
-            self.neigh[src.index()] = list;
-            self.neigh_cached = true;
-        }
-        for &i in &self.neigh[src.index()] {
-            let n = &self.nodes[i as usize];
-            let r = NodeId(i);
-            if r == src
-                || !n.alive
+        // Candidate enumeration: whoever the source can reach is cached
+        // with the signal it arrives at and its PRR, so what is left
+        // per frame is what changes — who is up, listening on this
+        // channel, and not cut off — and the draw.
+        let links = self.neigh[src.index()].take();
+        let links = links.unwrap_or_else(|| self.audible_from(src));
+        for link in links.iter() {
+            let n = &self.nodes[link.to.index()];
+            if !n.alive
                 || n.state != RadioState::Listening
                 || n.channel != channel
-                || !self.link_open(src, r)
+                || !self.link_open(src, link.to)
             {
                 continue;
             }
-            let d = src_pos.distance(n.pos);
-            let Some(rssi) = self.config.rssi_at(d) else {
-                continue;
-            };
-            if rssi < self.config.sensitivity_dbm {
-                continue;
-            }
-            let ok = rng.gen::<f64>() < self.config.prr(d, rssi);
-            candidates.push((r, rssi, ok));
-            schedule.push(r);
+            let ok = rng.gen::<f64>() < link.prr;
+            candidates.push((link.to, link.rssi, ok));
         }
+        self.neigh[src.index()] = Some(links);
+        self.neigh_cached = true;
 
         self.nodes[src.index()].state = RadioState::Transmitting;
         self.mark_dirty(src.0);
         let s = &mut self.slots[slot];
         s.live = true;
-        s.pending = 1 + schedule.len() as u32; // TxEnd + one RxEnd each
+        s.pending = true;
         s.rec.src = src;
         s.rec.channel = channel;
         s.rec.start = now;
@@ -1117,7 +1147,7 @@ impl Medium {
     ///
     /// A stale or unknown `tx` yields a zero-receiver outcome instead
     /// of panicking; by construction the kernel's `TxEnd` event always
-    /// finds its record (pending events pin records in the slab).
+    /// finds its record (a pending record is never evicted).
     pub(crate) fn end_tx(&mut self, tx: TxId, now: SimTime) -> TxOutcome {
         let Some(slot) = self.lookup(tx) else {
             self.stats.lost_expired += 1;
@@ -1125,10 +1155,9 @@ impl Medium {
                 oracle_receivers: 0,
             };
         };
-        let s = &mut self.slots[slot];
-        s.pending = s.pending.saturating_sub(1);
-        let src = s.rec.src;
-        let oracle = s.rec.candidates.iter().filter(|c| c.2).count();
+        let rec = &self.slots[slot].rec;
+        let src = rec.src;
+        let oracle = rec.candidates.iter().filter(|c| c.2).count();
         let n = &mut self.nodes[src.index()];
         if n.alive && n.state == RadioState::Transmitting {
             n.state = RadioState::Listening;
@@ -1140,22 +1169,27 @@ impl Medium {
         }
     }
 
-    /// Evaluates the candidate reception of `tx` at `node`, at the end of
-    /// the transmission.
-    pub(crate) fn eval_rx(&mut self, tx: TxId, node: NodeId, _now: SimTime) -> RxEval {
-        let Some(rec_idx) = self.lookup(tx) else {
+    /// The candidate receptions of `tx` in the order
+    /// [`Medium::start_tx_into`] recorded them, as `(receiver, rssi,
+    /// passed-PRR-draw)`; none for an id the medium no longer knows.
+    pub(crate) fn candidates(&self, tx: TxId) -> &[(NodeId, f64, bool)] {
+        let slot = self.lookup(tx);
+        slot.map_or(&[], |slot| &self.slots[slot].rec.candidates)
+    }
+
+    /// Evaluates the reception of `tx` at its `i`-th candidate, at the
+    /// end of the transmission.
+    pub(crate) fn eval_rx(&mut self, tx: TxId, i: usize) -> RxEval {
+        let found = (self.lookup(tx), self.candidates(tx).get(i));
+        let (Some(rec_idx), Some(&(node, rssi, prr_ok))) = found else {
             self.stats.lost_expired += 1;
             return RxEval::Dropped(DropReason::Expired, None);
         };
-        self.slots[rec_idx].pending = self.slots[rec_idx].pending.saturating_sub(1);
         let rec = &self.slots[rec_idx].rec;
         let rec_start = rec.start;
         let rec_end = rec.end;
         let rec_channel = rec.channel;
         let rec_src = rec.src;
-        let Some(&(_, rssi, prr_ok)) = rec.candidates.iter().find(|c| c.0 == node) else {
-            return RxEval::Dropped(DropReason::RadioMoved, Some(rec_src));
-        };
         let n = &self.nodes[node.index()];
         if !n.alive {
             self.stats.lost_radio_moved += 1;
@@ -1227,6 +1261,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// Evaluates `tx` at `node`, found by its place among the candidates
+    /// (a node that is none, or a stale `tx`, evaluates as expired).
+    fn eval_at(m: &mut Medium, tx: TxId, node: NodeId) -> RxEval {
+        let i = m.candidates(tx).iter().position(|c| c.0 == node);
+        m.eval_rx(tx, i.unwrap_or(usize::MAX))
+    }
+
     fn medium_with_line(n: usize, spacing: f64) -> Medium {
         let mut m = Medium::new(RadioConfig::default());
         for i in 0..n {
@@ -1291,7 +1332,7 @@ mod tests {
         let out = m.end_tx(tx, end);
         assert_eq!(out.oracle_receivers, 1);
         assert_eq!(m.state(NodeId(0)), RadioState::Listening);
-        match m.eval_rx(tx, NodeId(1), end) {
+        match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Deliver(got, info) => {
                 assert_eq!(got, f);
                 assert_eq!(info.channel, 0);
@@ -1325,10 +1366,13 @@ mod tests {
         assert_eq!(sched.len(), 2);
         m.end_tx(tx, end);
         assert!(matches!(
-            m.eval_rx(tx, NodeId(2), end),
+            eval_at(&mut m, tx, NodeId(2)),
             RxEval::Dropped(DropReason::Filtered, _)
         ));
-        assert!(matches!(m.eval_rx(tx, NodeId(1), end), RxEval::Deliver(..)));
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(1)),
+            RxEval::Deliver(..)
+        ));
     }
 
     #[test]
@@ -1342,7 +1386,10 @@ mod tests {
         let f = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 0, vec![]);
         let (tx, end, _) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
         m.end_tx(tx, end);
-        assert!(matches!(m.eval_rx(tx, NodeId(2), end), RxEval::Deliver(..)));
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(2)),
+            RxEval::Deliver(..)
+        ));
     }
 
     #[test]
@@ -1358,7 +1405,7 @@ mod tests {
         m.radio_on(NodeId(1), SimTime::from_micros(100)).unwrap();
         m.end_tx(tx, end);
         assert!(matches!(
-            m.eval_rx(tx, NodeId(1), end),
+            eval_at(&mut m, tx, NodeId(1)),
             RxEval::Dropped(DropReason::RadioMoved, _)
         ));
     }
@@ -1377,7 +1424,7 @@ mod tests {
         let (_tx2, _, _) = m.start_tx(f2, SimTime::from_micros(50), &mut rng).unwrap();
         m.end_tx(tx0, end0);
         assert!(matches!(
-            m.eval_rx(tx0, NodeId(1), end0),
+            eval_at(&mut m, tx0, NodeId(1)),
             RxEval::Dropped(DropReason::Collision, _)
         ));
         assert_eq!(m.stats().lost_collision, 1);
@@ -1400,7 +1447,7 @@ mod tests {
         m.start_tx(f2, SimTime::from_micros(10), &mut rng).unwrap();
         m.end_tx(tx0, end0);
         assert!(matches!(
-            m.eval_rx(tx0, NodeId(1), end0),
+            eval_at(&mut m, tx0, NodeId(1)),
             RxEval::Deliver(..)
         ));
     }
@@ -1495,14 +1542,18 @@ mod tests {
         let (tx, end, sched) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
         m.end_tx(tx, end);
-        assert!(matches!(m.eval_rx(tx, NodeId(1), end), RxEval::Deliver(..)));
+        assert!(matches!(
+            eval_at(&mut m, tx, NodeId(1)),
+            RxEval::Deliver(..)
+        ));
+        m.set_pending(tx, false);
         // All pending evaluations drained; a transmission far past the
         // horizon triggers pruning and recycles the slot.
         let later = SimTime::from_secs(3);
         let (tx2, end2, _) = m.start_tx(f, later, &mut rng).unwrap();
         assert_ne!(tx, tx2, "recycled slot must carry a new generation");
         assert_eq!(m.end_tx(tx, later).oracle_receivers, 0);
-        match m.eval_rx(tx, NodeId(1), later) {
+        match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Dropped(DropReason::Expired, None) => {}
             other => panic!("expected Expired drop, got {other:?}"),
         }
@@ -1512,9 +1563,9 @@ mod tests {
 
     #[test]
     fn pending_evaluations_pin_records_past_horizon() {
-        // A record with an un-dispatched RxEnd must survive pruning no
-        // matter how old it is: eviction may never turn a scheduled
-        // reception into a dangling id.
+        // A record whose candidate walk has not finished must survive
+        // pruning no matter how old it is: eviction may never turn a
+        // scheduled reception into a dangling id.
         let mut m = medium_with_line(2, 10.0);
         let mut rng = SmallRng::seed_from_u64(2);
         let t0 = SimTime::ZERO;
@@ -1526,12 +1577,59 @@ mod tests {
         // Deliberately do NOT eval_rx yet. 10 s later a new
         // transmission prunes history — the pinned record survives.
         let later = SimTime::from_secs(10);
-        let (tx2, end2, _) = m.start_tx(f, later, &mut rng).unwrap();
-        match m.eval_rx(tx, NodeId(1), later) {
+        let (tx2, end2, _) = m.start_tx(f.clone(), later, &mut rng).unwrap();
+        match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Deliver(got, _) => assert_eq!(got.payload, vec![7]),
             other => panic!("pinned record must still deliver, got {other:?}"),
         }
         m.end_tx(tx2, end2);
+        // Once the walk is over the record ages out like any other.
+        m.set_pending(tx, false);
+        m.set_pending(tx2, false);
+        m.start_tx(f, SimTime::from_secs(20), &mut rng).unwrap();
+        assert!(m.candidates(tx).is_empty());
+        assert_eq!(m.stats().lost_expired, 0);
+
+        // The walk in the kernel: node 0's frame reaches nodes 1, 2 and
+        // 3, and each answers from inside `frame`. Every answer claims
+        // a slot while the walk's own record is the only one and live,
+        // so the slab grows under the walk three times — which must
+        // still find its record for the receptions that remain.
+        use crate::node::{Proto, Timer};
+        use crate::world::{Ctx, SimConfig, World};
+        struct Answer {
+            heard_node_0: bool,
+        }
+        impl Proto for Answer {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.radio_on().expect("on");
+                if ctx.id() == NodeId(0) {
+                    ctx.set_timer(SimDuration::from_millis(1), 0);
+                }
+            }
+            fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+                ctx.transmit(Dst::Broadcast, 0, vec![7]).expect("tx");
+            }
+            fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+                if frame.src == NodeId(0) {
+                    self.heard_node_0 = true;
+                    ctx.transmit(Dst::Broadcast, 0, vec![8]).expect("listening");
+                }
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        for (x, y) in [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (-10.0, 0.0)] {
+            let heard_node_0 = false;
+            w.add_node(Pos::new(x, y), Box::new(Answer { heard_node_0 }));
+        }
+        w.run_until(SimTime::from_millis(1));
+        assert_eq!(w.medium().slots.len(), 1);
+        w.run_until(SimTime::from_millis(10));
+        assert_eq!(w.medium().slots.len(), 4);
+        assert_eq!(w.medium().stats().lost_expired, 0);
+        for n in 1..4 {
+            assert!(w.proto::<Answer>(NodeId(n)).heard_node_0, "node {n}");
+        }
     }
 
     /// The whole-simulation face of the per-call properties below: two
@@ -1641,35 +1739,60 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// The spatial index must be invisible: on any topology —
-        /// including cell-boundary-straddling and co-located nodes —
-        /// the indexed medium yields the exact candidate set, in the
-        /// same order, consuming the RNG identically, as the one-cell
-        /// medium's exhaustive O(nodes) scan.
+        /// The spatial index and the cached link budget must be
+        /// invisible: on any topology — including cell-boundary-
+        /// straddling and co-located nodes, a node nobody hears and a
+        /// pair exactly one maximum range apart — and under every link
+        /// model, the indexed medium, the one-cell medium's exhaustive
+        /// scan and a brute-force pass over all nodes that calls
+        /// `rssi_at` and `prr` itself record the exact same candidates,
+        /// in the same order, at the same signal bit for bit, consuming
+        /// the RNG identically; and again after a node joins within
+        /// range of lists that were already built.
         #[test]
         fn grid_index_matches_exhaustive_scan(
             raw in proptest::collection::vec((-45.0f64..95.0, -45.0f64..95.0), 2..24),
             dup in proptest::any::<bool>(),
             off_mask in proptest::any::<u64>(),
+            model in 0usize..3,
         ) {
-            use proptest::prop_assert_eq;
+            use proptest::{prop_assert, prop_assert_eq};
+            let link = [
+                LinkModel::default(),
+                LinkModel::LossyDisk { range_m: 30.0, interference_range_m: 45.0, prr: 0.6 },
+                LinkModel::LogDistance {
+                    path_loss_exp: 3.5,
+                    ref_loss_db: 45.0,
+                    rssi50_dbm: -88.0,
+                    spread_db: 3.0,
+                },
+            ][model].clone();
+            let config = RadioConfig { link, ..RadioConfig::default() };
+            let reach = config.max_range().expect("all three are finite");
             let mut pts: Vec<Pos> = raw.iter().map(|&(x, y)| Pos::new(x, y)).collect();
             if dup {
                 // Co-located pair (same cell, same distance).
                 let p = pts[0];
                 pts.push(p);
             }
-            // Drop one node exactly on a cell boundary of the default
-            // 37.5 m grid.
-            pts.push(Pos::new(37.5, 75.0));
+            // One node exactly on a cell boundary of the disk models'
+            // 45 m grid, one nobody can hear, and a pair exactly
+            // `reach` apart (its x difference and distance are exact).
+            pts.push(Pos::new(45.0, 90.0));
+            let loner = NodeId(pts.len() as u32);
+            pts.push(Pos::new(1000.0, 1000.0));
+            pts.push(Pos::new(0.0, -200.0));
+            pts.push(Pos::new(reach, -200.0));
+            prop_assert_eq!(pts[pts.len() - 2].distance(pts[pts.len() - 1]), reach);
+            let on = |i: usize| off_mask >> (i % 64) & 1 == 0 || i >= loner.index();
             let build = |indexed: bool| {
-                let mut m = Medium::new(RadioConfig::default());
+                let mut m = Medium::new(config.clone());
                 if !indexed {
                     m.drop_spatial_index();
                 }
                 for (i, &p) in pts.iter().enumerate() {
                     let id = m.add_node(p);
-                    if off_mask >> (i % 64) & 1 == 0 {
+                    if on(i) {
                         m.radio_on(id, SimTime::ZERO).unwrap();
                     }
                 }
@@ -1678,27 +1801,67 @@ mod tests {
             let mut with_index = build(true);
             let mut exhaustive = build(false);
             prop_assert_eq!(exhaustive.grid.cell_count(), 1);
-            for i in 0..pts.len() {
-                let src = NodeId(i as u32);
-                let mut rng_a = SmallRng::seed_from_u64(0xC0FFEE ^ i as u64);
-                let mut rng_b = rng_a.clone();
-                let f = Frame::new(src, Dst::Broadcast, 0, vec![i as u8]);
-                let res_a = with_index.start_tx(f.clone(), SimTime::ZERO, &mut rng_a);
-                let res_b = exhaustive.start_tx(f, SimTime::ZERO, &mut rng_b);
-                match (res_a, res_b) {
-                    (Ok((tx_a, end_a, sched_a)), Ok((tx_b, end_b, sched_b))) => {
-                        prop_assert_eq!(&sched_a, &sched_b);
-                        prop_assert_eq!(end_a, end_b);
-                        // Identical RNG consumption — the invariant
-                        // byte-identical simulations rest on.
-                        prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-                        with_index.end_tx(tx_a, end_a);
-                        exhaustive.end_tx(tx_b, end_b);
+            // Every node transmits once; `pts` may have grown since the
+            // media were built, and whoever joined is listening.
+            let pass = |with_index: &mut Medium, exhaustive: &mut Medium, pts: &[Pos]| {
+                for i in 0..pts.len() {
+                    let src = NodeId(i as u32);
+                    let mut rng_a = SmallRng::seed_from_u64(0xC0FFEE ^ i as u64);
+                    let mut rng_b = rng_a.clone();
+                    let mut rng_c = rng_a.clone();
+                    let f = Frame::new(src, Dst::Broadcast, 0, vec![i as u8]);
+                    let res_a = with_index.start_tx_into(f.clone(), SimTime::ZERO, &mut rng_a);
+                    let res_b = exhaustive.start_tx_into(f, SimTime::ZERO, &mut rng_b);
+                    prop_assert_eq!(res_a.is_ok(), on(i));
+                    match (res_a, res_b) {
+                        (Ok((tx_a, end_a)), Ok((tx_b, end_b))) => {
+                            let brute: Vec<(NodeId, u64, bool)> = (0..pts.len())
+                                .filter(|&r| r != i && on(r))
+                                .filter_map(|r| {
+                                    let d = pts[i].distance(pts[r]);
+                                    let rssi = config.rssi_at(d)?;
+                                    (rssi >= config.sensitivity_dbm).then(|| {
+                                        let ok = rng_c.gen::<f64>() < config.prr(d, rssi);
+                                        (NodeId(r as u32), rssi.to_bits(), ok)
+                                    })
+                                })
+                                .collect();
+                            let recorded = |m: &Medium, tx: TxId| -> Vec<(NodeId, u64, bool)> {
+                                let candidates = m.candidates(tx).iter();
+                                candidates.map(|c| (c.0, c.1.to_bits(), c.2)).collect()
+                            };
+                            prop_assert_eq!(&recorded(with_index, tx_a), &brute);
+                            prop_assert_eq!(&recorded(exhaustive, tx_b), &brute);
+                            prop_assert_eq!(end_a, end_b);
+                            // Identical RNG consumption — the invariant
+                            // byte-identical simulations rest on.
+                            let draw = rng_a.gen::<u64>();
+                            prop_assert_eq!(draw, rng_b.gen::<u64>());
+                            prop_assert_eq!(draw, rng_c.gen::<u64>());
+                            with_index.end_tx(tx_a, end_a);
+                            exhaustive.end_tx(tx_b, end_b);
+                        }
+                        (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
+                        (a, b) => panic!("diverged: indexed={a:?} exhaustive={b:?}"),
                     }
-                    (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb),
-                    (a, b) => panic!("diverged: indexed={a:?} exhaustive={b:?}"),
                 }
+            };
+            pass(&mut with_index, &mut exhaustive, &pts);
+            // A list is built by its source's first frame, an empty one
+            // included: the loner's must not read as "not built yet".
+            for m in [&with_index, &exhaustive] {
+                prop_assert_eq!(m.neigh[loner.index()].as_deref(), Some(&[][..]));
+                prop_assert_eq!(m.neigh[0].is_some(), on(0));
             }
+            // A node joins 5 m from node 0, inside lists built above.
+            let joined = Pos::new(pts[0].x + 5.0, pts[0].y);
+            pts.push(joined);
+            for m in [&mut with_index, &mut exhaustive] {
+                let id = m.add_node(joined);
+                prop_assert!(m.neigh.iter().all(Option::is_none));
+                m.radio_on(id, SimTime::ZERO).unwrap();
+            }
+            pass(&mut with_index, &mut exhaustive, &pts);
         }
 
         /// Filing the air by cell and retiring it in filing order must
@@ -1758,7 +1921,9 @@ mod tests {
                         .zip(&ids)
                         .map(|(m, &tx)| {
                             let done = m.end_tx(tx, end);
-                            (done, receivers.iter().map(|&r| m.eval_rx(tx, r, end)).collect())
+                            let evals = (0..receivers.len()).map(|i| m.eval_rx(tx, i)).collect();
+                            m.set_pending(tx, false);
+                            (done, evals)
                         })
                         .collect();
                     assert_eq!(outcomes[0], outcomes[1], "one-cell oracle, frame ending {end}");

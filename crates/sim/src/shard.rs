@@ -91,8 +91,8 @@ impl Recorder for ShardBuf {
 #[derive(Default)]
 struct TargetBatch {
     snaps: Vec<NodeStateSnap>,
-    /// `(origin tx id, record, pending local receptions)`.
-    adopts: Vec<(TxId, EchoTx, u32)>,
+    /// `(origin tx id, record)`.
+    adopts: Vec<(TxId, EchoTx)>,
     events: Vec<StagedEv>,
 }
 
@@ -457,6 +457,11 @@ impl ShardEngine {
         self.worlds.iter().map(|w| w.medium().air_visits()).sum()
     }
 
+    /// Event-heap pushes, summed across the replicas.
+    pub(crate) fn queue_pushes(&self) -> u64 {
+        self.worlds.iter().map(World::queue_pushes).sum()
+    }
+
     /// Installs an engine-level recorder (and per-shard buffers).
     pub(crate) fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.flush_obs();
@@ -675,24 +680,15 @@ fn drain_outbox(w: &mut World, i: usize, shard_of: &[u8], k: usize) -> Outbox {
         }
     }
 
-    // Echo records for border transmissions, with the number of
-    // receptions each target will evaluate against its adopted copy.
+    // Echo records for border transmissions.
     for (tx, mask) in echo_notes {
         let Some(echo) = w.medium().export_echo(tx) else {
             continue; // structurally unreachable: records outlive their window
         };
         for (j, tb) in per_target.iter_mut().enumerate() {
-            if j == i || mask & (1 << j) == 0 {
-                continue;
+            if j != i && mask & (1 << j) != 0 {
+                tb.adopts.push((tx, echo.clone()));
             }
-            let pending = events
-                .iter()
-                .filter(|e| {
-                    matches!(e, StagedEv::RxEnd { node, tx: etx, .. }
-                        if *etx == tx && shard_of[node.index()] as usize == j)
-                })
-                .count() as u32;
-            tb.adopts.push((tx, echo.clone(), pending));
         }
     }
 
@@ -702,7 +698,17 @@ fn drain_outbox(w: &mut World, i: usize, shard_of: &[u8], k: usize) -> Outbox {
             StagedEv::RxEnd { node, .. } => shard_of[node.index()],
             StagedEv::Wire { to, .. } => shard_of[to.index()],
         } as usize;
-        per_target[j].events.push(ev);
+        let batch = &mut per_target[j].events;
+        // The receptions one frame has in one shard are staged back to
+        // back and evaluated there from one queue entry, which takes the
+        // place of the first: the rest need not travel.
+        let again = matches!(
+            (&ev, batch.last()),
+            (StagedEv::RxEnd { tx, .. }, Some(StagedEv::RxEnd { tx: prev, .. })) if tx == prev
+        );
+        if !again {
+            batch.push(ev);
+        }
     }
 
     let obs = w
@@ -721,19 +727,19 @@ fn apply_inbox(w: &mut World, batches: Vec<TargetBatch>) {
             w.apply_foreign_snap(s);
         }
         let mut map: Vec<(TxId, TxId)> = Vec::with_capacity(b.adopts.len());
-        for (otx, echo, pending) in &b.adopts {
-            let ltx = w.medium_mut().adopt_echo(echo, *pending);
+        for (otx, echo) in &b.adopts {
+            let ltx = w.medium_mut().adopt_echo(echo);
             map.push((*otx, ltx));
         }
         for ev in b.events {
             match ev {
-                StagedEv::RxEnd { time, node, tx } => {
+                StagedEv::RxEnd { time, tx, .. } => {
                     let ltx = map
                         .iter()
                         .find(|(o, _)| *o == tx)
                         .map(|(_, l)| *l)
                         .expect("staged reception without an adopted record");
-                    w.inject_rx_end(time, node, ltx);
+                    w.inject_rx_end(time, ltx);
                 }
                 StagedEv::Wire {
                     time,

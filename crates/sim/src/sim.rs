@@ -338,7 +338,10 @@ impl Sim {
         }
     }
 
-    /// Events dispatched so far (summed across shards).
+    /// Events dispatched so far, summed across shards: one per node
+    /// start, timer, wire message, scheduled action and frame end, plus
+    /// one per candidate reception evaluated — the simulator's unit of
+    /// work, not its heap pops (see [`Sim::queue_pushes`]).
     pub fn events_dispatched(&self) -> u64 {
         match &self.inner {
             Inner::Single(w) => w.events_dispatched(),
@@ -356,6 +359,19 @@ impl Sim {
         match &self.inner {
             Inner::Single(w) => w.medium().air_visits(),
             Inner::Sharded(e) => e.air_visits(),
+        }
+    }
+
+    /// How many entries the kernel has pushed onto its event heap so
+    /// far, summed across shards (an event staged for another shard
+    /// counts where it is queued, not where it is staged). The
+    /// deterministic measure of what the *queue* costs, as
+    /// [`Sim::air_visits`] is of the medium: a frame is one entry
+    /// however many receptions [`Sim::events_dispatched`] counts for it.
+    pub fn queue_pushes(&self) -> u64 {
+        match &self.inner {
+            Inner::Single(w) => w.queue_pushes(),
+            Inner::Sharded(e) => e.queue_pushes(),
         }
     }
 

@@ -132,12 +132,15 @@ enum Ev {
         id: TimerId,
         tag: u64,
     },
+    /// The end of a frame: the sender's `tx_done`, then every candidate
+    /// reception this kernel owns, in candidate order.
     TxEnd {
         node: NodeId,
         tx: TxId,
     },
+    /// The same moment on a shard replica that adopted the frame's
+    /// record from another shard: the receptions alone.
     RxEnd {
-        node: NodeId,
         tx: TxId,
     },
     Wire {
@@ -175,9 +178,11 @@ pub(crate) enum FaultOp {
 /// barrier (see [`crate::shard`]).
 #[derive(Debug)]
 pub(crate) enum StagedEv {
-    /// A scheduled reception at a node owned by another shard. `tx` is
+    /// A candidate reception at a node owned by another shard. `tx` is
     /// the *origin* shard's transmission id; the receiving shard
-    /// rewrites it to its adopted copy of the record.
+    /// rewrites it to its adopted copy of the record and evaluates all
+    /// of a frame's receptions there from one queue entry, so only the
+    /// first staged per frame and shard travels.
     RxEnd {
         /// When the reception evaluates (transmission end).
         time: SimTime,
@@ -202,7 +207,8 @@ pub(crate) enum StagedEv {
 /// Per-replica shard routing state, installed by the sharded engine.
 /// When present, [`Kernel::push`] diverts events targeting foreign
 /// nodes into `out_events` and notes border transmissions whose record
-/// must be echoed to audible neighbour shards.
+/// must be echoed to audible neighbour shards, and the reception walk
+/// skips the candidates this shard does not own.
 #[derive(Default)]
 pub(crate) struct ShardRoute {
     /// `own[i]` — node `i` is owned (dispatched) by this shard.
@@ -219,24 +225,23 @@ pub(crate) struct ShardRoute {
 
 impl ShardRoute {
     /// Routes `ev`: returns it unchanged when it stays in this shard,
-    /// or stages it (releasing its pending slot in the medium, for
-    /// receptions) and returns `None`.
-    fn route(&mut self, medium: &mut Medium, time: SimTime, ev: Ev) -> Option<Ev> {
+    /// or stages it and returns `None`. A frame's `TxEnd` stays, and
+    /// stages on its way the receptions at foreign candidates, which
+    /// evaluate against the *adopted* copy of the record instead.
+    fn route(&mut self, medium: &Medium, time: SimTime, ev: Ev) -> Option<Ev> {
         match ev {
             Ev::TxEnd { node, tx } => {
+                // No mask, no foreign node in range: every candidate is
+                // this shard's own.
                 let mask = self.echo_mask[node.index()];
                 if mask != 0 {
                     self.out_echoes.push((tx, mask));
+                    let foreign = medium.candidates(tx).iter().map(|c| c.0);
+                    let foreign = foreign.filter(|r| !self.own[r.index()]);
+                    self.out_events
+                        .extend(foreign.map(|node| StagedEv::RxEnd { time, node, tx }));
                 }
                 Some(Ev::TxEnd { node, tx })
-            }
-            Ev::RxEnd { node, tx } if !self.own[node.index()] => {
-                // The origin record counts one pending RxEnd per
-                // candidate; the foreign reception evaluates against
-                // the *adopted* copy instead.
-                medium.release_pending(tx);
-                self.out_events.push(StagedEv::RxEnd { time, node, tx });
-                None
             }
             Ev::Wire { to, from, payload } if !self.own[to.index()] => {
                 self.out_events.push(StagedEv::Wire {
@@ -364,11 +369,9 @@ pub(crate) struct Kernel {
     /// Structured-event sink; `None` (the default) makes every
     /// emission a single branch on `obs_on`.
     recorder: Option<Box<dyn Recorder>>,
-    /// Reused scratch for per-transmission receiver schedules, so the
-    /// hot transmit path allocates nothing in steady state.
-    tx_schedule: Vec<NodeId>,
     /// Total events dispatched since construction (the simulator's
-    /// natural unit of work, reported by perf harnesses).
+    /// natural unit of work, reported by perf harnesses): see
+    /// [`World::events_dispatched`].
     dispatched: u64,
     /// Shard routing table, installed only by the sharded engine.
     /// `None` in every standalone world: the hot path pays one branch.
@@ -379,7 +382,7 @@ impl Kernel {
     fn push(&mut self, time: SimTime, ev: Ev) {
         debug_assert!(time >= self.now, "scheduling into the past");
         let ev = if let Some(route) = self.shard.as_deref_mut() {
-            match route.route(&mut self.medium, time, ev) {
+            match route.route(&self.medium, time, ev) {
                 Some(ev) => ev,
                 None => return, // staged for a foreign shard
             }
@@ -389,6 +392,12 @@ impl Kernel {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(QEntry { time, seq, ev }));
+    }
+
+    /// Whether this kernel dispatches `node`'s events: always, unless it
+    /// is a shard replica and `node` another shard's.
+    fn owns(&self, node: NodeId) -> bool {
+        self.shard.as_deref().is_none_or(|r| r.own[node.index()])
     }
 
     fn sync_meter(&mut self, node: NodeId) {
@@ -501,7 +510,6 @@ impl World {
                 clocks: Vec::new(),
                 recorder,
                 obs_on: false, // synced below from `recorder`
-                tx_schedule: Vec::new(),
                 dispatched: 0,
                 shard: None,
             },
@@ -606,11 +614,21 @@ impl World {
     }
 
     /// Total events dispatched so far — the simulator's natural unit of
-    /// work. Deterministic per seed and workload, independent of wall
-    /// clock, which makes it the right quantity for perf *gates* (the
-    /// count must not drift) as opposed to perf *tracking* (timings).
+    /// work: one per node start, timer, wire message, scheduled action
+    /// and frame end, plus one per candidate reception evaluated (a
+    /// frame's receptions share its queue entry, so this is not one per
+    /// heap pop). Deterministic per seed and workload, independent of
+    /// wall clock, which makes it the right quantity for perf *gates*
+    /// (the count must not drift) as opposed to perf *tracking*
+    /// (timings).
     pub(crate) fn events_dispatched(&self) -> u64 {
         self.kernel.dispatched
+    }
+
+    /// Entries pushed onto the event heap so far (see
+    /// [`Sim::queue_pushes`](crate::sim::Sim::queue_pushes)).
+    pub(crate) fn queue_pushes(&self) -> u64 {
+        self.kernel.seq
     }
 
     /// Shared medium (read access: stats, radio states, positions).
@@ -898,10 +916,13 @@ impl World {
         )
     }
 
-    /// Queues a reception delivered from another shard. `tx` must
-    /// already be rewritten to this replica's adopted record id.
-    pub(crate) fn inject_rx_end(&mut self, time: SimTime, node: NodeId, tx: TxId) {
-        self.kernel.push(time, Ev::RxEnd { node, tx });
+    /// Queues the receptions of a frame adopted from another shard:
+    /// one entry, at the place of the first reception the origin
+    /// staged. `tx` must already be rewritten to this replica's adopted
+    /// record id.
+    pub(crate) fn inject_rx_end(&mut self, time: SimTime, tx: TxId) {
+        self.kernel.medium.set_pending(tx, true);
+        self.kernel.push(time, Ev::RxEnd { tx });
     }
 
     /// Queues a backhaul message delivered from another shard.
@@ -970,7 +991,11 @@ impl World {
     // -------------------------------------------------------------------
 
     fn dispatch(&mut self, ev: Ev) {
-        self.kernel.dispatched += 1;
+        // An adopted frame's entry is not work of its own: only the
+        // receptions it stands for count.
+        if !matches!(ev, Ev::RxEnd { .. }) {
+            self.kernel.dispatched += 1;
+        }
         match ev {
             Ev::Action(f) => f(self),
             Ev::Start { node } => {
@@ -1003,47 +1028,62 @@ impl World {
                 if self.alive[node.index()] {
                     self.call(node, |p, ctx| p.tx_done(ctx, outcome));
                 }
+                self.receptions(tx);
             }
-            Ev::RxEnd { node, tx } => {
-                let eval = self.kernel.medium.eval_rx(tx, node, self.kernel.now);
-                match eval {
-                    RxEval::Deliver(frame, info) => {
-                        self.kernel.emit(
-                            node,
-                            SpanId::NONE,
-                            EventKind::RxDeliver {
-                                src: frame.src,
-                                port: frame.port,
-                            },
-                        );
-                        if self.alive[node.index()] {
-                            self.call(node, |p, ctx| p.frame(ctx, &frame, info));
-                        }
-                        // The delivered clone is dead now; hand its
-                        // payload buffer back to the medium's pool.
-                        self.kernel.medium.recycle_payload(frame.payload);
-                    }
-                    RxEval::Dropped(reason, src) => {
-                        if reason == crate::radio::DropReason::Expired {
-                            self.kernel.stats.inc_node(node, "expired_txid", 1.0);
-                        }
-                        self.kernel.emit(
-                            node,
-                            SpanId::NONE,
-                            EventKind::RxDrop {
-                                cause: reason.name(),
-                                src,
-                            },
-                        );
-                    }
-                }
-            }
+            Ev::RxEnd { tx } => self.receptions(tx),
             Ev::Wire { to, from, payload } => {
                 if self.alive[to.index()] {
                     self.call(to, |p, ctx| p.wire(ctx, from, &payload));
                 }
             }
         }
+    }
+
+    /// Evaluates the receptions of `tx` at the candidates this kernel
+    /// owns, in candidate order, each one a dispatched event. They all
+    /// happen at the frame's end and nothing can be queued between
+    /// them, so they run from the frame's one queue entry.
+    fn receptions(&mut self, tx: TxId) {
+        // The record is looked up by id at every step, never held: a
+        // `frame` callback may transmit, which can move the slab.
+        for i in 0.. {
+            let Some(&(node, ..)) = self.kernel.medium.candidates(tx).get(i) else {
+                break;
+            };
+            if !self.kernel.owns(node) {
+                continue;
+            }
+            self.kernel.dispatched += 1;
+            match self.kernel.medium.eval_rx(tx, i) {
+                RxEval::Deliver(frame, info) => {
+                    self.kernel.emit(
+                        node,
+                        SpanId::NONE,
+                        EventKind::RxDeliver {
+                            src: frame.src,
+                            port: frame.port,
+                        },
+                    );
+                    if self.alive[node.index()] {
+                        self.call(node, |p, ctx| p.frame(ctx, &frame, info));
+                    }
+                    // The delivered clone is dead now; hand its
+                    // payload buffer back to the medium's pool.
+                    self.kernel.medium.recycle_payload(frame.payload);
+                }
+                RxEval::Dropped(reason, src) => {
+                    self.kernel.emit(
+                        node,
+                        SpanId::NONE,
+                        EventKind::RxDrop {
+                            cause: reason.name(),
+                            src,
+                        },
+                    );
+                }
+            }
+        }
+        self.kernel.medium.set_pending(tx, false);
     }
 
     fn call(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Proto, &mut Ctx<'_>)) {
@@ -1224,23 +1264,12 @@ impl Ctx<'_> {
         let bytes = payload.len() as u32;
         let frame = Frame::new(self.node, dst, port, payload);
         let node = self.node;
-        // Borrow dance: rng and medium are both in the kernel.
-        // The schedule lands in a kernel-owned scratch vector that is
-        // reused across transmissions (taken while the medium borrow is
-        // live, put back after the events are queued).
-        let mut schedule = std::mem::take(&mut self.kernel.tx_schedule);
-        let res = {
+        let (tx, end) = {
+            // Borrow dance: rng and medium are both in the kernel.
             let Kernel {
                 medium, rngs, now, ..
             } = &mut *self.kernel;
-            medium.start_tx_into(frame, *now, &mut rngs[node.index()], &mut schedule)
-        };
-        let (tx, end) = match res {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.kernel.tx_schedule = schedule;
-                return Err(e);
-            }
+            medium.start_tx_into(frame, *now, &mut rngs[node.index()])?
         };
         self.kernel.sync_meter(node);
         self.kernel.emit(
@@ -1255,11 +1284,9 @@ impl Ctx<'_> {
                 bytes,
             },
         );
+        // The frame's one queue entry: its receptions are evaluated
+        // from it, in candidate order (see `World::receptions`).
         self.kernel.push(end, Ev::TxEnd { node, tx });
-        for &r in &schedule {
-            self.kernel.push(end, Ev::RxEnd { node: r, tx });
-        }
-        self.kernel.tx_schedule = schedule;
         Ok(())
     }
 
@@ -1652,19 +1679,117 @@ mod tests {
         assert_eq!(w.stats().samples("x"), &[7.0]);
     }
 
+    /// Logs every callback into the `order` series: `tx_done` as 1,
+    /// `frame` as 2 at node 1 and 3 elsewhere, timers by their tag.
+    /// Node 0 transmits at 10 ms and arms timer 4 for the frame's end
+    /// right after; node 1 arms the zero-delay timer 5 from `frame`.
+    struct Ordered;
+
+    impl Proto for Ordered {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.radio_on().expect("radio");
+            if ctx.id() == NodeId(0) {
+                ctx.set_timer(SimDuration::from_millis(10), 0);
+            }
+        }
+        fn timer(&mut self, ctx: &mut Ctx<'_>, t: Timer) {
+            if t.tag == 0 {
+                ctx.transmit(Dst::Broadcast, 0, vec![1]).expect("tx");
+                ctx.set_timer(ctx.radio().airtime(1), 4);
+            } else {
+                ctx.record("order", t.tag as f64);
+            }
+        }
+        fn tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: crate::radio::TxOutcome) {
+            ctx.record("order", 1.0);
+        }
+        fn frame(&mut self, ctx: &mut Ctx<'_>, _frame: &Frame, _info: RxInfo) {
+            if ctx.id() == NodeId(1) {
+                ctx.record("order", 2.0);
+                ctx.set_timer(SimDuration::ZERO, 5);
+            } else {
+                ctx.record("order", 3.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_frames_end_runs_in_queue_order_from_one_entry() {
+        // What evaluating receptions from their TxEnd relies on: at the
+        // frame's end, events queued for that instant before the
+        // transmission run first, then the sender's tx_done and the
+        // receptions in candidate order, then whatever was queued for
+        // that instant after the transmission — a timer the sender
+        // armed, one a receiver armed from inside `frame` — in arming
+        // order.
+        let run = |kill_c: bool| {
+            let mut w = World::new(SimConfig::default());
+            w.set_recorder(Box::new(obs::RingRecorder::new(64)));
+            for x in [0.0, 10.0, 20.0] {
+                w.add_node(Pos::new(x, 0.0), Box::new(Ordered));
+            }
+            let end = SimTime::from_millis(10) + w.medium().config().airtime(1);
+            if kill_c {
+                // Queued long before the transmission: first at `end`.
+                w.schedule_fault(end, FaultOp::Kill(NodeId(2)));
+            }
+            w.run_for(SimDuration::from_secs(1));
+            let ring = w.take_recorder().expect("installed");
+            let ring = ring.as_any().downcast_ref::<obs::RingRecorder>();
+            let drops: Vec<(NodeId, &'static str)> = ring
+                .expect("ring")
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::RxDrop { cause, .. } => Some((e.node, cause)),
+                    _ => None,
+                })
+                .collect();
+            (w.stats().samples("order").to_vec(), drops)
+        };
+        assert_eq!(run(false), (vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![]));
+        assert_eq!(
+            run(true),
+            (vec![1.0, 2.0, 4.0, 5.0], vec![(NodeId(2), "dead")])
+        );
+    }
+
+    #[test]
+    fn a_frame_is_one_queue_entry_and_one_event_per_reception() {
+        let mut w = World::new(SimConfig::default());
+        for x in [0.0, 10.0, 20.0, -10.0] {
+            w.add_node(Pos::new(x, 0.0), Box::new(Ordered));
+        }
+        w.run_for(SimDuration::from_millis(1)); // radios on
+        let (pushes, events) = (w.queue_pushes(), w.events_dispatched());
+        w.with(NodeId(0), |_: &mut Ordered, ctx| {
+            ctx.transmit(Dst::Broadcast, 0, vec![1]).expect("tx");
+        });
+        assert_eq!(w.queue_pushes(), pushes + 1, "the TxEnd, no reception");
+        w.run_for(SimDuration::from_millis(1));
+        // The TxEnd, three receptions, and node 1's zero-delay timer.
+        assert_eq!(w.medium().stats().delivered, 3);
+        assert_eq!(w.events_dispatched(), events + 1 + 3 + 1);
+        assert_eq!(w.queue_pushes(), pushes + 2);
+    }
+
     #[test]
     fn expired_txid_drop_counts_per_node() {
-        // A reception whose transmission record aged out of the slab is
-        // dropped as Expired — the global medium stat says how many, the
-        // per-node counter says at which receivers.
+        // A frame end whose transmission record aged out of the slab
+        // is counted — the global medium stat says how many, the
+        // per-node counter says whose — and finds no reception to
+        // evaluate, on either kind of queue entry.
         let mut w = World::new(SimConfig::default());
         let _a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
         let b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
         w.run_for(SimDuration::from_millis(1));
         // A TxId no slab record ever matched (generation 7 of slot 0).
         let stale = crate::radio::TxId(7u64 << 32);
-        w.inject_rx_end(w.now() + SimDuration::from_millis(1), b, stale);
+        let at = w.now() + SimDuration::from_millis(1);
+        w.kernel.push(at, Ev::TxEnd { node: b, tx: stale });
+        w.inject_rx_end(at, stale);
+        let before = w.events_dispatched();
         w.run_for(SimDuration::from_millis(2));
+        assert_eq!(w.events_dispatched(), before + 1, "the TxEnd alone");
         assert_eq!(w.medium().stats().lost_expired, 1);
         assert_eq!(w.stats().get_node(b, "expired_txid"), 1.0);
     }

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""The BENCH_perf.json schema (iiot-bench/perf/v8), checked in one place.
+"""The BENCH_perf.json schema (iiot-bench/perf/v9), checked in one place.
 
     perf_schema.py check FILE              schema asserts
-    perf_schema.py check --committed FILE  ... plus how far the committed curves reach
-                                           and that the medium's cost per event stays flat
+    perf_schema.py check --committed FILE  ... plus how far the committed curves reach,
+                                           that the medium's cost per event stays flat
+                                           and that a frame stays one queue entry
     perf_schema.py same A B                schema on both, deterministic blocks equal
 
 Every point is {"deterministic": ..., "timing": ...}: the first is a pure
@@ -18,11 +19,11 @@ BLOCKS = ("points", "scaling", "cloud", "stream", "icn")
 # block -> (deterministic keys, timing keys)
 KEYS = {
     "points": (
-        {"side", "mac", "nodes", "secs", "events", "air_visits"},
+        {"side", "mac", "nodes", "secs", "events", "air_visits", "queue_pushes"},
         {"wall_us", "events_per_sec"},
     ),
     "scaling": (
-        {"side", "nodes", "shards", "secs", "events", "air_visits"},
+        {"side", "nodes", "shards", "secs", "events", "air_visits", "queue_pushes"},
         {"wall_us", "events_per_sec", "mode"},
     ),
     "cloud": (
@@ -46,7 +47,7 @@ KEYS = {
 def check(path, committed=False):
     """Asserts the schema; returns {block: [deterministic, ...]}."""
     doc = json.load(open(path))
-    assert doc["schema"] == "iiot-bench/perf/v8", doc.get("schema")
+    assert doc["schema"] == "iiot-bench/perf/v9", doc.get("schema")
     assert isinstance(doc["spacing_m"], (int, float))
     for block in BLOCKS:
         assert doc[block], f"{path}: no {block} points"
@@ -58,7 +59,7 @@ def check(path, committed=False):
     for p in doc["points"] + doc["scaling"]:
         d = p["deterministic"]
         assert d["nodes"] == d["side"] ** 2 and d["events"] > 0, d
-        assert d["air_visits"] > 0, d
+        assert d["air_visits"] > 0 and d["queue_pushes"] > 0, d
     for p in doc["scaling"]:
         assert p["timing"]["mode"] in {"threaded", "serial"}, p["timing"]
     shard_counts = {p["deterministic"]["shards"] for p in doc["scaling"]}
@@ -101,6 +102,17 @@ def check(path, committed=False):
                 assert per_event <= 1.25 * base, \
                     f"air_visits/event at {nodes} nodes is {per_event:.2f}, over 1.25x " \
                     f"the 1,600-node {base:.2f}: the medium's cost grows with the grid"
+        # The queue's cost, as a count: the broadcaster's events are a
+        # timer, a frame end and about three receptions per frame, and
+        # only the first two are heap entries (0.41-0.53 per event). One
+        # entry per reception would read 1.0.
+        bcast = [p["deterministic"] for p in doc["points"]
+                 if p["deterministic"]["mac"] == "bcast"]
+        for d in bcast + list(serial.values()):
+            per_event = d["queue_pushes"] / d["events"]
+            assert per_event <= 0.6, \
+                f"queue_pushes/event at {d['nodes']} bcast nodes is {per_event:.2f}, " \
+                f"over 0.6: a frame's receptions are queued again"
     return {b: [p["deterministic"] for p in doc[b]] for b in BLOCKS}
 
 
