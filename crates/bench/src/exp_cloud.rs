@@ -23,69 +23,20 @@
 //! All reported quantities are virtual-time statistics — pure
 //! functions of `(plan, config, seed)` — so every table is
 //! byte-identical at any `--jobs`, like the rest of the suite. Wall
-//! clock is measured only by the `perf` binary's cloud points
-//! ([`cloud_matrix`]) and reported as informational timing.
+//! clock for this tier is `benchmark/`'s `cloud_stream` workload.
 
+use crate::exp_stream::{fleet, merged_latency, run_streamed, TENANTS};
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
 use iiot_cloud::{
-    metrics, DeviceRegistry, IngestConfig, IngestPipeline, Isolation, SessionGen, SessionPlan,
-    ShedPolicy, TenantId,
+    metrics, IngestConfig, IngestPipeline, Isolation, SessionPlan, ShedPolicy, TenantId,
 };
-use iiot_security::Key;
-use iiot_sim::obs::{Event, EventKind, Histogram, SpanId};
-use iiot_sim::{seed, NodeId, SimDuration, SimTime};
+use iiot_sim::obs::{Event, EventKind, SpanId};
+use iiot_sim::{NodeId, SimDuration, SimTime};
 
-/// Tenants in every synthetic fleet.
-const TENANTS: u16 = 4;
 /// E16's base seed (experiment id, like `0xE14` for dissemination).
 const SEED: u64 = 0xE16;
-
-/// A registry with `TENANTS` tenants of `devices` devices each, keys
-/// derived from `seed_val`.
-fn fleet(devices: u32, seed_val: u64) -> DeviceRegistry {
-    let mut reg = DeviceRegistry::new();
-    for i in 0..TENANTS {
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed::derive(seed_val, i as u64).to_le_bytes());
-        key[8..].copy_from_slice(&seed::derive(seed_val ^ 0xA5, i as u64).to_le_bytes());
-        let t = reg.create_tenant(&format!("tenant-{i}"), Key(key));
-        reg.register_fleet(t, devices);
-    }
-    reg
-}
-
-/// Drives one full load-generation run: sessions in, drain ticks
-/// between arrivals, everything drained at the end. Returns the
-/// pipeline for metric extraction.
-fn run_fleet(
-    devices: u32,
-    plan: SessionPlan,
-    config: IngestConfig,
-    seed_val: u64,
-) -> IngestPipeline {
-    let reg = fleet(devices, seed_val);
-    let mut gen = SessionGen::new(&reg, plan, seed_val);
-    let mut pipe = IngestPipeline::new(reg, config);
-    pipe.set_recorder(iiot_sim::obs::scope_capture(seed_val));
-    while let Some(msg) = gen.next_msg(pipe.registry()) {
-        pipe.drain_until(msg.t);
-        pipe.offer(msg);
-    }
-    pipe.drain_remaining();
-    drop(pipe.take_recorder());
-    pipe
-}
-
-/// Fleet-wide latency distribution: every tenant's histogram merged.
-fn merged_latency(pipe: &IngestPipeline) -> Histogram {
-    let mut h = Histogram::new();
-    for (_, st) in pipe.stats() {
-        h.merge(&st.latency_us);
-    }
-    h
-}
 
 /// The standard drain configuration's capacity in messages per
 /// virtual second: `queues × drain_batch / tick`.
@@ -108,7 +59,7 @@ pub fn e16_ingest_with(rc: &RunConfig, devices_axis: &[u32]) -> Table {
                 format!("e16/ingest/{}", devices * TENANTS as u32),
                 SEED,
                 move |s| {
-                    let pipe = run_fleet(devices, SessionPlan::default(), config, s);
+                    let pipe = run_streamed(devices, SessionPlan::default(), config, None, s);
                     let (offered, accepted, shed, drained) = pipe.totals();
                     assert_eq!(accepted, drained, "drain must account for every admission");
                     let lat = merged_latency(&pipe);
@@ -190,7 +141,7 @@ fn fairness_point(devices: u32, multiplier: u32, isolation: Isolation, s: u64) -
             ..IngestConfig::default()
         },
     };
-    let pipe = run_fleet(devices, plan, config, s);
+    let pipe = run_streamed(devices, plan, config, None, s);
     let summaries = metrics::summarize(&pipe);
     let quiet: Vec<_> = summaries
         .iter()
@@ -295,7 +246,8 @@ pub fn e16_overload_with(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
                         jitter: SimDuration::from_micros((interval_us / 5).max(1)),
                         ..SessionPlan::default()
                     };
-                    let pipe = run_fleet(devices, plan, IngestConfig { policy, ..config }, s);
+                    let pipe =
+                        run_streamed(devices, plan, IngestConfig { policy, ..config }, None, s);
                     let (offered, accepted, shed, _) = pipe.totals();
                     let lat = merged_latency(&pipe);
                     let max_depth = pipe.stats().map(|(_, st)| st.max_depth).max().unwrap_or(0);
@@ -469,97 +421,6 @@ pub fn e16_bridge(rc: &RunConfig) -> Table {
     );
     for o in &out {
         t.row(o.rows[0].clone());
-    }
-    t
-}
-
-// ------------------------------------------------------- perf harness
-
-/// One cloud load point for `BENCH_perf.json`: the deterministic block
-/// is a pure function of the workload (virtual-time statistics); wall
-/// clock and derived throughput are informational timing.
-#[derive(Clone, Debug)]
-pub struct CloudPoint {
-    /// Simulated device sessions.
-    pub sessions: u64,
-    /// Tenants sharing the pipeline.
-    pub tenants: u16,
-    /// Drain shards.
-    pub shards: usize,
-    /// Messages offered.
-    pub msgs: u64,
-    /// Messages admitted past auth + backpressure.
-    pub accepted: u64,
-    /// Messages shed.
-    pub shed: u64,
-    /// Median virtual-time queue latency, µs (rounded).
-    pub p50_us: u64,
-    /// p99 virtual-time queue latency, µs (rounded).
-    pub p99_us: u64,
-    /// Jain service fairness × 1000, rounded (kept integral so the
-    /// deterministic block contains no floats).
-    pub fairness_milli: u64,
-    /// Wall-clock time of the whole run, µs.
-    pub wall_us: u128,
-}
-
-impl CloudPoint {
-    /// Offered messages per wall-clock second.
-    pub fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / (self.wall_us.max(1) as f64 / 1e6)
-    }
-}
-
-/// Runs the ingest-scaling workload once per device count and measures
-/// it: virtual-time statistics in the deterministic block, wall clock
-/// in timing.
-pub fn cloud_matrix(devices_axis: &[u32]) -> Vec<CloudPoint> {
-    devices_axis
-        .iter()
-        .map(|&devices| {
-            let config = IngestConfig::default();
-            let started = std::time::Instant::now();
-            let pipe = run_fleet(devices, SessionPlan::default(), config, SEED);
-            let wall_us = started.elapsed().as_micros();
-            let (offered, accepted, shed, _) = pipe.totals();
-            let lat = merged_latency(&pipe);
-            let fairness = metrics::service_fairness(&metrics::summarize(&pipe));
-            CloudPoint {
-                sessions: devices as u64 * TENANTS as u64,
-                tenants: TENANTS,
-                shards: config.shards,
-                msgs: offered,
-                accepted,
-                shed,
-                p50_us: lat.quantile(0.5).round() as u64,
-                p99_us: lat.quantile(0.99).round() as u64,
-                fairness_milli: (fairness * 1000.0).round() as u64,
-                wall_us,
-            }
-        })
-        .collect()
-}
-
-/// Renders cloud points as the table the `perf` binary prints next to
-/// the index and scaling matrices.
-pub fn cloud_table(points: &[CloudPoint]) -> Table {
-    let mut t = Table::new(
-        "PERF: cloud ingest scaling (multi-tenant pipeline, sharded drain)",
-        &[
-            "sessions", "shards", "msgs", "shed", "p50 (ms)", "p99 (ms)", "fairness", "Mmsg/s",
-        ],
-    );
-    for p in points {
-        t.row(vec![
-            p.sessions.to_string(),
-            p.shards.to_string(),
-            p.msgs.to_string(),
-            p.shed.to_string(),
-            format!("{:.3}", p.p50_us as f64 / 1e3),
-            format!("{:.3}", p.p99_us as f64 / 1e3),
-            format!("{:.3}", p.fairness_milli as f64 / 1e3),
-            format!("{:.2}", p.msgs_per_sec() / 1e6),
-        ]);
     }
     t
 }

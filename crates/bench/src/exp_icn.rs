@@ -159,16 +159,6 @@ struct Observed {
     fwd_interest_rx: f64,
     /// Interests the producer answered from its repo.
     repo_serves: f64,
-    /// Interests put on the air, network-wide.
-    interest_tx: f64,
-    /// Data objects put on the air, network-wide.
-    data_tx: f64,
-    /// Content-store hits, network-wide.
-    cache_hits: f64,
-    /// Consumer signature verifications, network-wide.
-    verifies: f64,
-    /// Verification failures, network-wide.
-    verify_fails: f64,
     /// Mean radio duty cycle across all nodes.
     duty: f64,
     /// Lowest verified version across consumers at the end.
@@ -225,11 +215,6 @@ fn observe<M: Mac>(w: Sim, consumers: usize) -> Observed {
         fwd_hits: s.get_node(NodeId(1), "icn_cache_hit"),
         fwd_interest_rx: s.get_node(NodeId(1), "icn_interest_rx"),
         repo_serves: s.node_total("icn_repo_serve"),
-        interest_tx: s.node_total("icn_interest_tx"),
-        data_tx: s.node_total("icn_data_tx"),
-        cache_hits: s.node_total("icn_cache_hit"),
-        verifies: s.node_total("icn_verify"),
-        verify_fails: s.node_total("icn_verify_fail"),
         duty,
         min_latest,
     }
@@ -702,99 +687,6 @@ pub fn e15_partition(rc: &RunConfig) -> Table {
     e15_partition_with(rc, 4, 20, 40, 60)
 }
 
-// ------------------------------------------------------- perf harness
-
-/// One ICN load point for `BENCH_perf.json`: the E15a object-security
-/// star on CSMA. The deterministic block is a pure function of
-/// `(plan, seed)` — the perf gate asserts it identical across
-/// `--jobs`; wall clock is informational timing.
-#[derive(Clone, Debug)]
-pub struct IcnPoint {
-    /// Consumers polling the star.
-    pub consumers: u64,
-    /// Total simulated nodes.
-    pub nodes: u64,
-    /// Interests put on the air.
-    pub interests: u64,
-    /// Data objects put on the air.
-    pub data: u64,
-    /// Content-store hits (forwarder + any other caching node).
-    pub cache_hits: u64,
-    /// Consumer signature verifications.
-    pub verifies: u64,
-    /// Verification failures (must be 0 on the honest workload).
-    pub verify_fails: u64,
-    /// Poll answers accepted across all consumers.
-    pub delivered: u64,
-    /// Wall-clock time of the run, µs.
-    pub wall_us: u128,
-}
-
-/// Runs the honest E15a object-security workload once per consumer
-/// count and measures it; see [`IcnPoint`].
-pub fn icn_matrix(consumers_axis: &[usize]) -> Vec<IcnPoint> {
-    consumers_axis
-        .iter()
-        .map(|&consumers| {
-            let republish = SimDuration::from_secs(10);
-            let period = SimDuration::from_secs(2);
-            let started = std::time::Instant::now();
-            let w = SimBuilder::new()
-                .seed(SEED)
-                .nodes(star_topology(consumers), move |id| {
-                    let cfg = star_cfg(ICN, consumers, id as u32, republish, period, false);
-                    Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
-                })
-                .build();
-            let o = drive_star::<CsmaMac>(w, consumers, 6, republish, 60);
-            let wall_us = started.elapsed().as_micros();
-            assert_eq!(o.min_latest, 6, "honest workload must converge");
-            IcnPoint {
-                consumers: consumers as u64,
-                nodes: consumers as u64 + 2,
-                interests: o.interest_tx as u64,
-                data: o.data_tx as u64,
-                cache_hits: o.cache_hits as u64,
-                verifies: o.verifies as u64,
-                verify_fails: o.verify_fails as u64,
-                delivered: o.delivered,
-                wall_us,
-            }
-        })
-        .collect()
-}
-
-/// Renders ICN points as the table the `perf` binary prints next to
-/// the other load curves.
-pub fn icn_table(points: &[IcnPoint]) -> Table {
-    let mut t = Table::new(
-        "PERF: named-data star (object security + caching, honest workload)",
-        &[
-            "consumers",
-            "nodes",
-            "interests",
-            "data",
-            "cache hits",
-            "verifies",
-            "delivered",
-            "wall (ms)",
-        ],
-    );
-    for p in points {
-        t.row(vec![
-            p.consumers.to_string(),
-            p.nodes.to_string(),
-            p.interests.to_string(),
-            p.data.to_string(),
-            p.cache_hits.to_string(),
-            p.verifies.to_string(),
-            p.delivered.to_string(),
-            format!("{:.1}", p.wall_us as f64 / 1e3),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,34 +736,5 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][2], "0", "channel arm starves in the cut");
         assert_ne!(rows[1][2], "0", "covered cache serves through the cut");
-    }
-
-    #[test]
-    fn icn_matrix_is_stable() {
-        let a = icn_matrix(&[2]);
-        let b = icn_matrix(&[2]);
-        let key = |p: &IcnPoint| {
-            (
-                p.consumers,
-                p.nodes,
-                p.interests,
-                p.data,
-                p.cache_hits,
-                p.verifies,
-                p.verify_fails,
-                p.delivered,
-            )
-        };
-        assert_eq!(
-            key(&a[0]),
-            key(&b[0]),
-            "deterministic block must be run-to-run stable"
-        );
-        assert_eq!(
-            a[0].verify_fails, 0,
-            "honest workload never fails verification"
-        );
-        assert!(a[0].cache_hits > 0 && a[0].delivered > 0);
-        assert_eq!(icn_table(&a).rows().len(), 1);
     }
 }

@@ -1,43 +1,36 @@
-//! Perf workload: kernel throughput on growing CSMA/LPL grids, plus
-//! the sharded-kernel scaling curves.
+//! Perf workload: what the kernel does per simulated event, on growing
+//! broadcast/CSMA/LPL grids and on the sharded kernel.
 //!
-//! Unlike E1-E14 this harness measures the *simulator*, not the
-//! simulated protocols. Two matrices come out of it:
+//! Unlike E1-E18 this harness measures the *simulator*, not the
+//! simulated protocols. Every row is one workload run once:
 //!
-//! * the **throughput matrix** — square grids of broadcast-chatty
-//!   nodes (10x10 up to 40x40) under each of [`MACS`], on the serial
-//!   kernel;
-//! * the **scaling curves** — the transmit-heavy broadcast workload at
-//!   N ∈ {400, 1600, 6400, 25600} run at `--shards 1/2/4`, measuring
-//!   how the serial kernel's per-event cost holds up as the deployment
-//!   grows and what the sharded kernel (one worker thread per shard
-//!   where cores exist, cooperative serial shards on a single core —
-//!   see [`scaling_curves`]) makes of it.
+//! * the **matrix** — square grids of broadcast-chatty nodes (10x10 up
+//!   to 40x40) under each of [`MACS`], on the serial kernel;
+//! * the **scaling curves** — the transmit-heavy `bcast` workload at
+//!   N ∈ {400, 1600, 6400, 25600} on 1, 2 and 4 shards. Shard counts
+//!   are distinct deterministic models: counts compare within one,
+//!   never across. (The 400- and 1,600-node serial `bcast` rows appear
+//!   in both, under the seed of each.)
 //!
-//! Each point carries two kinds of quantities with very different
-//! contracts:
-//!
-//! * **`events`**, **`air_visits`** and **`queue_pushes`** — how many
-//!   kernel events the workload dispatches, and how many transmission
-//!   records the medium examines ([`Sim::air_visits`]) and event-heap
-//!   entries the kernel pushes ([`Sim::queue_pushes`]) doing so. Pure
-//!   functions of the workload, seed and shard count: byte-stable
-//!   across worker counts and machines. This is what CI *gates* on
-//!   (`scripts/perf_gate.sh` for stability, `scripts/perf_schema.py
-//!   check --committed` for the visits per event staying flat as the
-//!   grid grows and the pushes per event staying under their ceiling).
-//! * **wall-clock / events-per-second** — recorded into
-//!   `BENCH_perf.json` for trajectory tracking, never gated (CI
-//!   machines are noisy; timing thresholds make flaky gates).
+//! A row carries **`events`**, **`air_visits`** and **`queue_pushes`**:
+//! how many kernel events the workload dispatches, how many
+//! transmission records the medium examines ([`Sim::air_visits`]) and
+//! how many event-heap entries the kernel pushes
+//! ([`Sim::queue_pushes`]) doing so. All three are pure functions of
+//! the workload, seed and shard count, so [`to_json`]'s document is a
+//! pure function of the source tree: `scripts/perf_gate.sh` regenerates
+//! it and `cmp`s it with the committed `BENCH_perf.json`, and a change
+//! that moves a count commits the new file in the same diff. [`check`]
+//! holds the bounds a regenerated file may not cross. Wall clock is
+//! printed beside the counts and never written; wall-clock claims belong
+//! to `benchmark/`.
 
-use crate::{RunConfig, Table};
+use crate::Table;
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_sim::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Grid spacing in meters (default unit-disk range 30 m: 4-neighbour
 /// connectivity, 8 audible neighbours within interference range).
@@ -67,52 +60,30 @@ impl Proto for Blaster {
     }
 }
 
-/// Fans `f(0)..f(n-1)` out over `jobs` scoped workers and returns the
-/// results in index order. `f` must be a pure function of its index;
-/// collecting by slot then makes the output independent of the worker
-/// count and of scheduling.
-fn fan_out<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Send + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..jobs.clamp(1, n.max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                slots.lock().expect("slots")[i] = Some(v);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("slots")
-        .into_iter()
-        .map(|s| s.expect("job ran"))
-        .collect()
-}
-
-/// One measured point of the throughput matrix.
+/// One workload, run once: a row of `BENCH_perf.json`, plus how this
+/// host executed it (`wall_us` and `mode` are printed, never written).
 #[derive(Clone, Copy, Debug)]
 pub struct PerfPoint {
-    /// Grid side (the deployment has `side * side` nodes).
-    pub side: u32,
-    /// Node count (`side * side`).
+    /// Workload flavour: `"bcast"`, `"csma"` or `"lpl"`.
+    pub workload: &'static str,
+    /// Node count (a square grid).
     pub nodes: u32,
-    /// MAC flavour: `"bcast"`, `"csma"` or `"lpl"`.
-    pub mac: &'static str,
+    /// Shard count the point ran at (1 = serial kernel).
+    pub shards: u32,
     /// Simulated seconds of the workload.
     pub secs: u64,
-    /// Events dispatched (byte-stable across worker counts).
+    /// Events dispatched, summed across shards.
     pub events: u64,
-    /// Transmission records the medium examined (equally stable).
+    /// Transmission records the medium examined, summed across shards.
     pub air_visits: u64,
-    /// Event-heap entries the kernel pushed (equally stable).
+    /// Event-heap entries the kernel pushed, summed across shards.
     pub queue_pushes: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
+    /// `"threaded"` (one worker thread per shard) or `"serial"` (one
+    /// thread drives everything: the serial kernel, or all shards on a
+    /// single-core host).
+    pub mode: &'static str,
 }
 
 impl PerfPoint {
@@ -120,45 +91,10 @@ impl PerfPoint {
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / (self.wall_us as f64 / 1e6).max(1e-9)
     }
-}
 
-/// One measured point of the shard-scaling curves.
-#[derive(Clone, Copy, Debug)]
-pub struct ScalePoint {
-    /// Grid side (the deployment has `side * side` nodes).
-    pub side: u32,
-    /// Node count (`side * side`).
-    pub nodes: u32,
-    /// Shard count the point ran at (1 = serial kernel).
-    pub shards: u32,
-    /// Simulated seconds of the workload.
-    pub secs: u64,
-    /// Events dispatched, summed across shards. A pure function of
-    /// (workload, seed, shards): byte-stable across worker counts and
-    /// machines *per shard count* — shard counts are distinct models,
-    /// so counts are not comparable across them.
-    pub events: u64,
-    /// Transmission records examined, summed across the shards' media;
-    /// stable and comparable exactly like `events`.
-    pub air_visits: u64,
-    /// Event-heap entries pushed, summed across the shards' kernels;
-    /// stable and comparable exactly like `events`.
-    pub queue_pushes: u64,
-    /// Wall-clock time, microseconds.
-    pub wall_us: u64,
-    /// How the shards executed: `"threaded"` (one worker thread per
-    /// shard — machines with ≥ 2 cores) or `"serial"` (all shards
-    /// driven cooperatively from one thread — single-core machines,
-    /// where extra threads are pure overhead). Machine-dependent like
-    /// wall clock, so it lives in the `timing` block; the event count
-    /// is identical either way.
-    pub mode: &'static str,
-}
-
-impl ScalePoint {
-    /// Aggregate dispatched events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.wall_us as f64 / 1e6).max(1e-9)
+    /// A deterministic cost counter as its count per dispatched event.
+    fn per_event(&self, count: u64) -> f64 {
+        count as f64 / self.events.max(1) as f64
     }
 }
 
@@ -239,127 +175,65 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
     }
 }
 
-/// Runs one workload; returns ([events, air visits, queue pushes], wall).
-fn measure(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> ([u64; 3], Duration) {
-    let mut sim = build(side, mac, secs, seed, shard);
+/// Runs one workload once.
+fn measure(workload: &'static str, side: u32, shards: u32, secs: u64, seed: u64) -> PerfPoint {
+    // Threads that a single core cannot run in parallel only add
+    // barrier and context-switch cost; the counts are the same either
+    // way (the sharded model is invariant to thread count).
+    let threaded = shards > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+    let shard = if threaded {
+        ShardConfig::threaded(shards as usize)
+    } else {
+        ShardConfig::serial(shards as usize)
+    };
+    let mut sim = build(side, workload, secs, seed, shard);
     let started = Instant::now();
     sim.run(SimDuration::from_secs(secs));
-    let wall = started.elapsed();
-    let counts = [
-        sim.events_dispatched(),
-        sim.air_visits(),
-        sim.queue_pushes(),
-    ];
-    (counts, wall)
+    let wall_us = started.elapsed().as_micros() as u64;
+    PerfPoint {
+        workload,
+        nodes: side * side,
+        shards,
+        secs,
+        events: sim.events_dispatched(),
+        air_visits: sim.air_visits(),
+        queue_pushes: sim.queue_pushes(),
+        wall_us,
+        mode: if threaded { "threaded" } else { "serial" },
+    }
 }
 
-/// Measures the throughput matrix: `sides` x [`MACS`] on the serial
-/// kernel, one run per point. Points fan out over the runner's worker
-/// pool (results come back in matrix order regardless of `--jobs`).
-pub fn perf_matrix(rc: &RunConfig, sides: &[u32], secs: u64) -> Vec<PerfPoint> {
-    let points: Vec<(u32, &'static str)> = sides
+/// Measures the matrix: `sides` x [`MACS`] on the serial kernel. Points
+/// run one after another so they do not time each other.
+pub fn perf_matrix(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
+    sides
         .iter()
         .flat_map(|&s| MACS.iter().map(move |&m| (s, m)))
-        .collect();
-    fan_out(rc.runner.jobs(), points.len(), |i| {
-        let (side, mac) = points[i];
-        let seed = 0xBE2C_0000 + i as u64;
-        let ([events, air_visits, queue_pushes], wall) =
-            measure(side, mac, secs, seed, ShardConfig::default());
-        PerfPoint {
-            side,
-            nodes: side * side,
-            mac,
-            secs,
-            events,
-            air_visits,
-            queue_pushes,
-            wall_us: wall.as_micros() as u64,
-        }
-    })
+        .enumerate()
+        .map(|(i, (side, mac))| measure(mac, side, 1, secs, 0xBE2C_0000 + i as u64))
+        .collect()
 }
 
 /// Measures the shard-scaling curves: the `bcast` workload at every
-/// `sides` x `shard_counts` combination. Points run sequentially —
-/// each one may itself use one worker thread per shard, and sharing
-/// cores between points would corrupt the timing.
-///
-/// On machines with ≥ 2 cores shards run threaded (one worker per
-/// shard); on a single core they run serially from the calling thread,
-/// because spawning threads a core cannot execute in parallel only
-/// adds barrier/context-switch overhead. Counts are identical either way
-/// (the sharded model is thread-count invariant); the chosen mode is
-/// recorded in each point's `timing` block.
-pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<ScalePoint> {
-    let serial = std::thread::available_parallelism().map_or(true, |p| p.get() < 2);
+/// `sides` x `shard_counts` combination, one after another.
+pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<PerfPoint> {
     let mut out = Vec::new();
     for (i, &side) in sides.iter().enumerate() {
         for &shards in shard_counts {
-            let seed = 0x5CA1_0000 + i as u64;
-            let shard = if serial {
-                ShardConfig::serial(shards as usize)
-            } else {
-                ShardConfig::threaded(shards as usize)
-            };
-            let ([events, air_visits, queue_pushes], wall) =
-                measure(side, "bcast", secs, seed, shard);
-            out.push(ScalePoint {
-                side,
-                nodes: side * side,
-                shards,
-                secs,
-                events,
-                air_visits,
-                queue_pushes,
-                wall_us: wall.as_micros() as u64,
-                mode: if serial { "serial" } else { "threaded" },
-            });
+            out.push(measure("bcast", side, shards, secs, 0x5CA1_0000 + i as u64));
         }
     }
     out
 }
 
-/// A deterministic cost counter as a table cell: its count per event.
-fn per_event(count: u64, events: u64) -> String {
-    format!("{:.2}", count as f64 / events.max(1) as f64)
-}
-
-/// Renders the throughput matrix as a human-readable table. Timing
-/// cells vary run to run; `events`, `visits/ev` and `pushes/ev` are
-/// deterministic.
+/// Renders the points as a human-readable table. `events`, `visits/ev`
+/// and `pushes/ev` are deterministic; the timing cells vary run to run,
+/// and `vs 1 shard` relates a sharded point to the serial one above it.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
-        "PERF: kernel throughput (20 m grid, broadcast-heavy, serial kernel)",
+        "PERF: kernel cost per event (20 m grid, broadcast-heavy; wall clock is this host's)",
         &[
-            "nodes",
-            "mac",
-            "events",
-            "wall (ms)",
-            "Mev/s",
-            "visits/ev",
-            "pushes/ev",
-        ],
-    );
-    for p in points {
-        t.row(vec![
-            p.nodes.to_string(),
-            p.mac.to_string(),
-            p.events.to_string(),
-            format!("{:.1}", p.wall_us as f64 / 1e3),
-            format!("{:.2}", p.events_per_sec() / 1e6),
-            per_event(p.air_visits, p.events),
-            per_event(p.queue_pushes, p.events),
-        ]);
-    }
-    t
-}
-
-/// Renders the scaling curves as a human-readable table, with each
-/// point's aggregate events/s relative to its `shards = 1` baseline.
-pub fn scaling_table(points: &[ScalePoint]) -> Table {
-    let mut t = Table::new(
-        "PERF: sharded-kernel scaling (bcast workload, conservative-lookahead shards)",
-        &[
+            "workload",
             "nodes",
             "shards",
             "mode",
@@ -371,18 +245,19 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             "pushes/ev",
         ],
     );
+    let mut base: Option<&PerfPoint> = None;
     for p in points {
-        let base = points
-            .iter()
-            .find(|q| q.side == p.side && q.shards == 1)
-            .map(|q| q.events_per_sec())
-            .unwrap_or(0.0);
-        let rel = if base > 0.0 {
-            format!("{:.2}x", p.events_per_sec() / base)
-        } else {
-            "-".to_string()
+        if p.shards == 1 {
+            base = Some(p);
+        }
+        let rel = match base {
+            Some(b) if p.shards > 1 && (b.workload, b.nodes) == (p.workload, p.nodes) => {
+                format!("{:.2}x", p.events_per_sec() / b.events_per_sec())
+            }
+            _ => "-".to_string(),
         };
         t.row(vec![
+            p.workload.to_string(),
             p.nodes.to_string(),
             p.shards.to_string(),
             p.mode.to_string(),
@@ -390,157 +265,112 @@ pub fn scaling_table(points: &[ScalePoint]) -> Table {
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
             rel,
-            per_event(p.air_visits, p.events),
-            per_event(p.queue_pushes, p.events),
+            format!("{:.2}", p.per_event(p.air_visits)),
+            format!("{:.2}", p.per_event(p.queue_pushes)),
         ]);
     }
     t
 }
 
-/// Serializes all five matrices as the `BENCH_perf.json` document.
-/// The `deterministic` block of each point is byte-stable across
-/// worker counts and machines (per shard count, for scaling points) —
-/// CI's perf gate compares exactly that subset; `timing` is
-/// informational. Cloud points come from
-/// [`cloud_matrix`](crate::exp_cloud::cloud_matrix), stream points
-/// from [`stream_matrix`](crate::exp_stream::stream_matrix), icn
-/// points from [`icn_matrix`](crate::exp_icn::icn_matrix).
-pub fn to_json(
-    points: &[PerfPoint],
-    scaling: &[ScalePoint],
-    cloud: &[crate::exp_cloud::CloudPoint],
-    stream: &[crate::exp_stream::StreamPoint],
-    icn: &[crate::exp_icn::IcnPoint],
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"iiot-bench/perf/v9\",\n");
-    out.push_str(&format!("  \"spacing_m\": {SPACING_M},\n  \"points\": [\n"));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"deterministic\": {{\"side\": {}, \"mac\": \"{}\", \"nodes\": {}, \
-             \"secs\": {}, \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}, \
-             \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}}}}}{}\n",
-            p.side,
-            p.mac,
-            p.nodes,
-            p.secs,
-            p.events,
-            p.air_visits,
-            p.queue_pushes,
-            p.wall_us,
-            p.events_per_sec(),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
+/// Serializes the points as the `BENCH_perf.json` document: the
+/// deterministic fields only, so the same source tree writes the same
+/// bytes on any machine.
+pub fn to_json(points: &[PerfPoint]) -> String {
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"workload\": \"{}\", \"nodes\": {}, \"shards\": {}, \"secs\": {}, \
+                 \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}",
+                p.workload, p.nodes, p.shards, p.secs, p.events, p.air_visits, p.queue_pushes
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"iiot-bench/perf/v10\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
+/// What a committed document must show, over the serial `bcast` rows:
+/// the curve reaches 25,600 nodes, the medium's cost per event stays
+/// flat as the grid grows, and a frame stays one queue entry.
+pub fn check(points: &[PerfPoint]) -> Result<(), String> {
+    let serial: Vec<&PerfPoint> = points
+        .iter()
+        .filter(|p| p.workload == "bcast" && p.shards == 1)
+        .collect();
+    if !serial.iter().any(|p| p.nodes >= 25_600) {
+        return Err("no shards = 1 bcast row reaches 25,600 nodes".into());
     }
-    out.push_str("  ],\n  \"scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"deterministic\": {{\"side\": {}, \"nodes\": {}, \"shards\": {}, \
-             \"secs\": {}, \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}, \
-             \"timing\": {{\"wall_us\": {}, \"events_per_sec\": {:.0}, \"mode\": \"{}\"}}}}{}\n",
-            p.side,
-            p.nodes,
-            p.shards,
-            p.secs,
-            p.events,
-            p.air_visits,
-            p.queue_pushes,
-            p.wall_us,
-            p.events_per_sec(),
-            p.mode,
-            if i + 1 == scaling.len() { "" } else { "," }
-        ));
+    // The base is the 1,600-node point: at 400 nodes the stagger covers
+    // a third of the period, next to nobody listens while a neighbour
+    // transmits, and the ratio is low for that reason alone.
+    let Some(base) = serial.iter().find(|p| p.nodes == 1_600) else {
+        return Err("no shards = 1 bcast row at the 1,600-node base".into());
+    };
+    let base = base.per_event(base.air_visits);
+    for p in serial {
+        let visits = p.per_event(p.air_visits);
+        if p.nodes > 1_600 && visits > 1.25 * base {
+            return Err(format!(
+                "air_visits/event at {} nodes is {visits:.2}, over 1.25x the 1,600-node \
+                 {base:.2}: the medium's cost grows with the grid",
+                p.nodes
+            ));
+        }
+        // The broadcaster's events are a timer, a frame end and about
+        // three receptions per frame, and only the first two are heap
+        // entries (0.40-0.53 per event); one per reception reads 1.0.
+        let pushes = p.per_event(p.queue_pushes);
+        if pushes > 0.6 {
+            return Err(format!(
+                "queue_pushes/event at {} bcast nodes is {pushes:.2}, over 0.6: a frame's \
+                 receptions are queued again",
+                p.nodes
+            ));
+        }
     }
-    out.push_str("  ],\n  \"cloud\": [\n");
-    for (i, p) in cloud.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"deterministic\": {{\"sessions\": {}, \"tenants\": {}, \"shards\": {}, \
-             \"msgs\": {}, \"accepted\": {}, \"shed\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"fairness_milli\": {}}}, \
-             \"timing\": {{\"wall_us\": {}, \"msgs_per_sec\": {:.0}}}}}{}\n",
-            p.sessions,
-            p.tenants,
-            p.shards,
-            p.msgs,
-            p.accepted,
-            p.shed,
-            p.p50_us,
-            p.p99_us,
-            p.fairness_milli,
-            p.wall_us,
-            p.msgs_per_sec(),
-            if i + 1 == cloud.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"stream\": [\n");
-    for (i, p) in stream.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"deterministic\": {{\"sessions\": {}, \"tenants\": {}, \"msgs\": {}, \
-             \"accepted\": {}, \"shed\": {}, \"log_records\": {}, \"log_bytes\": {}, \
-             \"segments\": {}, \"windows\": {}, \"window_obs\": {}}}, \
-             \"timing\": {{\"wall_us\": {}, \"replay_wall_us\": {}, \
-             \"msgs_per_sec\": {:.0}}}}}{}\n",
-            p.sessions,
-            p.tenants,
-            p.msgs,
-            p.accepted,
-            p.shed,
-            p.log_records,
-            p.log_bytes,
-            p.segments,
-            p.windows,
-            p.window_obs,
-            p.wall_us,
-            p.replay_wall_us,
-            p.msgs_per_sec(),
-            if i + 1 == stream.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"icn\": [\n");
-    for (i, p) in icn.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"deterministic\": {{\"consumers\": {}, \"nodes\": {}, \"interests\": {}, \
-             \"data\": {}, \"cache_hits\": {}, \"verifies\": {}, \"verify_fails\": {}, \
-             \"delivered\": {}}}, \
-             \"timing\": {{\"wall_us\": {}}}}}{}\n",
-            p.consumers,
-            p.nodes,
-            p.interests,
-            p.data,
-            p.cache_hits,
-            p.verifies,
-            p.verify_fails,
-            p.delivered,
-            p.wall_us,
-            if i + 1 == icn.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn small_document() -> String {
+        let mut points = perf_matrix(&[3, 4], 1);
+        points.extend(scaling_curves(&[4], 1, &[1, 2]));
+        to_json(&points)
+    }
+
     #[test]
-    fn matrix_counts_are_jobs_invariant() {
-        let one = RunConfig {
-            runner: crate::Runner::new(1),
-            trials: 1,
-        };
-        let two = RunConfig {
-            runner: crate::Runner::new(2),
-            trials: 1,
-        };
-        let a = perf_matrix(&one, &[3, 4], 2);
-        let b = perf_matrix(&two, &[3, 4], 2);
-        assert_eq!(a.len(), 6);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.side, x.mac, x.nodes), (y.side, y.mac, y.nodes));
-            let counts = [x.events, x.air_visits, x.queue_pushes];
-            assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
-            assert!(counts.iter().all(|&c| c > 0));
-        }
+    fn document_repeats_and_holds_row_keys_only() {
+        let doc = small_document();
+        assert_eq!(doc, small_document());
+        assert!(doc.contains("\"schema\": \"iiot-bench/perf/v10\""));
+        assert_eq!(doc.matches("\"workload\"").count(), 8);
+        // Quoted strings are the odd pieces; a key is one a colon follows.
+        let pieces: Vec<&str> = doc.split('"').collect();
+        let keys: std::collections::BTreeSet<&str> = pieces
+            .windows(2)
+            .skip(1)
+            .step_by(2)
+            .filter(|w| w[1].starts_with(':'))
+            .map(|w| w[0])
+            .collect();
+        let schema = [
+            "air_visits",
+            "events",
+            "nodes",
+            "queue_pushes",
+            "rows",
+            "schema",
+            "secs",
+            "shards",
+            "workload",
+        ];
+        assert_eq!(keys.into_iter().collect::<Vec<_>>(), schema);
     }
 
     #[test]
@@ -549,96 +379,65 @@ mod tests {
         let b = scaling_curves(&[4], 1, &[1, 2]);
         assert_eq!(a.len(), 2);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.side, x.shards), (y.side, y.shards));
+            assert_eq!((x.nodes, x.shards), (y.nodes, y.shards));
             let counts = [x.events, x.air_visits, x.queue_pushes];
             assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
             assert!(counts.iter().all(|&c| c > 0));
         }
     }
 
-    #[test]
-    fn json_has_schema_and_deterministic_blocks() {
-        let p = PerfPoint {
-            side: 10,
-            nodes: 100,
-            mac: "csma",
+    fn row(workload: &'static str, nodes: u32, shards: u32, counts: [u64; 3]) -> PerfPoint {
+        PerfPoint {
+            workload,
+            nodes,
+            shards,
             secs: 5,
-            events: 1234,
-            air_visits: 617,
-            queue_pushes: 494,
-            wall_us: 1000,
-        };
-        let s = ScalePoint {
-            side: 20,
-            nodes: 400,
-            shards: 4,
-            secs: 5,
-            events: 9876,
-            air_visits: 4321,
-            queue_pushes: 5555,
-            wall_us: 2000,
+            events: counts[0],
+            air_visits: counts[1],
+            queue_pushes: counts[2],
+            wall_us: 1_000 * shards as u64,
             mode: "serial",
-        };
-        let c = crate::exp_cloud::CloudPoint {
-            sessions: 100_000,
-            tenants: 4,
-            shards: 4,
-            msgs: 400_000,
-            accepted: 390_000,
-            shed: 10_000,
-            p50_us: 5_000,
-            p99_us: 12_000,
-            fairness_milli: 998,
-            wall_us: 250_000,
-        };
-        let sp = crate::exp_stream::StreamPoint {
-            sessions: 100_000,
-            tenants: 4,
-            msgs: 400_000,
-            accepted: 380_000,
-            shed: 20_000,
-            log_records: 400_000,
-            log_bytes: 14_400_000,
-            segments: 219,
-            windows: 1_200,
-            window_obs: 380_000,
-            wall_us: 500_000,
-            replay_wall_us: 450_000,
-        };
-        let ip = crate::exp_icn::IcnPoint {
-            consumers: 4,
-            nodes: 6,
-            interests: 120,
-            data: 110,
-            cache_hits: 80,
-            verifies: 100,
-            verify_fails: 0,
-            delivered: 100,
-            wall_us: 42_000,
-        };
-        let j = to_json(&[p], &[s], &[c], &[sp], &[ip]);
-        assert!(j.contains("\"schema\": \"iiot-bench/perf/v9\""));
-        assert!(j.contains("\"cache_hits\": 80"));
-        assert!(j.contains("\"verify_fails\": 0"));
-        assert!(j.contains("\"log_records\": 400000"));
-        assert!(j.contains("\"replay_wall_us\": 450000"));
-        assert!(j.contains("\"window_obs\": 380000"));
-        assert!(j.contains("\"events\": 1234, \"air_visits\": 617, \"queue_pushes\": 494}"));
-        assert!(j.contains("\"timing\": {\"wall_us\": 1000, \"events_per_sec\": 1234000}"));
-        assert!(j.contains("\"shards\": 4"));
-        assert!(j.contains("\"events\": 9876, \"air_visits\": 4321, \"queue_pushes\": 5555}"));
-        assert!(j.contains("\"mode\": \"serial\""));
-        assert!(j.contains("\"sessions\": 100000"));
-        assert!(j.contains("\"fairness_milli\": 998"));
-        assert!(j.contains("\"msgs_per_sec\": 1600000"));
-        let t = table(&[p]);
-        assert_eq!(t.rows().len(), 1);
-        assert_eq!(t.rows()[0][4], "1.23");
-        assert_eq!(t.rows()[0][5], "0.50");
-        assert_eq!(t.rows()[0][6], "0.40");
-        let st = scaling_table(&[s]);
-        assert_eq!(st.rows().len(), 1);
-        assert_eq!(st.rows()[0][1], "4");
-        assert_eq!(st.rows()[0][2], "serial");
+        }
+    }
+
+    /// The serial `bcast` curve with the ratios committed after PR 18,
+    /// and two rows outside `check`'s scope that break its bounds.
+    fn committed_shape() -> Vec<PerfPoint> {
+        vec![
+            row("bcast", 400, 1, [156_400, 79_644, 80_800]),
+            row("bcast", 1_600, 1, [789_458, 1_662_458, 323_200]),
+            row("bcast", 6_400, 1, [3_181_832, 5_142_365, 1_292_800]),
+            row("bcast", 6_400, 2, [3_000_000, 9_000_000, 3_000_000]),
+            row("bcast", 25_600, 1, [12_775_066, 15_692_959, 5_171_200]),
+            row("lpl", 6_400, 1, [1_000_000, 3_000_000, 700_000]),
+        ]
+    }
+
+    #[test]
+    fn check_holds_reach_flatness_and_one_entry_per_frame() {
+        let good = committed_shape();
+        assert_eq!(check(&good), Ok(()));
+
+        let mut grows = good.clone();
+        grows[2].air_visits = (1.3 * 1_662_458.0 / 789_458.0 * 3_181_832.0) as u64;
+        let err = check(&grows).unwrap_err();
+        assert!(err.contains("air_visits/event at 6400 nodes"), "{err}");
+
+        let mut requeued = good.clone();
+        requeued[0].queue_pushes = requeued[0].events * 7 / 10;
+        let err = check(&requeued).unwrap_err();
+        assert!(err.contains("queue_pushes/event at 400 bcast"), "{err}");
+
+        let err = check(&good[..4]).unwrap_err();
+        assert!(err.contains("25,600"), "{err}");
+    }
+
+    #[test]
+    fn table_relates_a_sharded_row_to_the_serial_row_above_it() {
+        let t = table(&committed_shape());
+        let rel: Vec<&str> = t.rows().iter().map(|r| r[7].as_str()).collect();
+        // 3.0 M events in 2 ms against 3.18 M in 1 ms.
+        assert_eq!(rel, ["-", "-", "-", "0.47x", "-", "-"]);
+        assert_eq!(t.rows()[0][8..], ["0.51", "0.52"]);
     }
 }

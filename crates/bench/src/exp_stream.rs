@@ -32,8 +32,8 @@
 //!
 //! All reported quantities are virtual-time statistics — pure
 //! functions of `(plan, config, seed)` — so every table is
-//! byte-identical at any `--jobs`. Wall clock is measured only by the
-//! `perf` binary's stream points ([`stream_matrix`]).
+//! byte-identical at any `--jobs`. Wall clock for this plane is
+//! `benchmark/`'s `cloud_stream` workload.
 
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
@@ -48,17 +48,17 @@ use iiot_sim::obs::Histogram;
 use iiot_sim::{seed, SimDuration, SimTime};
 use iiot_stream::{LogConfig, RateLimit, WindowAggregator, WindowResult, WindowSpec, FRAME_HEADER};
 
-/// Tenants in every synthetic fleet.
-const TENANTS: u16 = 4;
+/// Tenants in every synthetic fleet, E16's included.
+pub(crate) const TENANTS: u16 = 4;
 /// E18's base seed (experiment id, like `0xE16` for the cloud tier).
 const SEED: u64 = 0xE18;
 /// Persisted size of one logged uplink: log frame header + wire record.
 const FRAME: u64 = (FRAME_HEADER + UPLINK_FRAME) as u64;
 
 /// A registry with `TENANTS` tenants of `devices` devices each, keys
-/// derived from `seed_val` (the same construction as E16's fleets, so
-/// replay can rebuild a byte-identical registry from the seed alone).
-fn fleet(devices: u32, seed_val: u64) -> DeviceRegistry {
+/// derived from `seed_val` (so replay can rebuild a byte-identical
+/// registry from the seed alone).
+pub(crate) fn fleet(devices: u32, seed_val: u64) -> DeviceRegistry {
     let mut reg = DeviceRegistry::new();
     for i in 0..TENANTS {
         let mut key = [0u8; 16];
@@ -72,8 +72,9 @@ fn fleet(devices: u32, seed_val: u64) -> DeviceRegistry {
 
 /// Drives one full load-generation run with an optional stream-plane
 /// attachment: sessions in, drain ticks between arrivals, everything
-/// drained and all windows flushed at the end.
-fn run_streamed(
+/// drained and all windows flushed at the end. Returns the pipeline
+/// for metric extraction.
+pub(crate) fn run_streamed(
     devices: u32,
     plan: SessionPlan,
     config: IngestConfig,
@@ -98,7 +99,7 @@ fn run_streamed(
 }
 
 /// Fleet-wide latency distribution: every tenant's histogram merged.
-fn merged_latency(pipe: &IngestPipeline) -> Histogram {
+pub(crate) fn merged_latency(pipe: &IngestPipeline) -> Histogram {
     let mut h = Histogram::new();
     for (_, st) in pipe.stats() {
         h.merge(&st.latency_us);
@@ -650,141 +651,6 @@ pub fn e18_windows(rc: &RunConfig) -> Table {
     t
 }
 
-// ------------------------------------------------------- perf harness
-
-/// One stream load point for `BENCH_perf.json`: the full stream plane
-/// (log + admission + windows) attached to the default pipeline, then
-/// replayed from its own log. The deterministic block is a pure
-/// function of the workload; wall clock (live and replay) is
-/// informational timing. [`stream_matrix`] asserts replay equality per
-/// point, so a committed artifact proves the determinism contract held
-/// on the machine that produced it.
-#[derive(Clone, Debug)]
-pub struct StreamPoint {
-    /// Simulated device sessions.
-    pub sessions: u64,
-    /// Tenants sharing the pipeline.
-    pub tenants: u16,
-    /// Messages offered (== log records).
-    pub msgs: u64,
-    /// Messages admitted past admission + auth + backpressure.
-    pub accepted: u64,
-    /// Messages shed, all causes.
-    pub shed: u64,
-    /// Records in the write-ahead log.
-    pub log_records: u64,
-    /// Total log size in bytes.
-    pub log_bytes: u64,
-    /// Sealed (immutable) segments.
-    pub segments: u64,
-    /// Aggregation windows closed.
-    pub windows: u64,
-    /// Samples attributed to windows.
-    pub window_obs: u64,
-    /// Wall-clock time of the live run, µs.
-    pub wall_us: u128,
-    /// Wall-clock time of the replay run, µs.
-    pub replay_wall_us: u128,
-}
-
-impl StreamPoint {
-    /// Offered messages per wall-clock second, live run.
-    pub fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / (self.wall_us.max(1) as f64 / 1e6)
-    }
-}
-
-/// Runs the streamed ingest workload once per device count and
-/// measures it; see [`StreamPoint`].
-///
-/// # Panics
-///
-/// Panics if the replayed pipeline's per-tenant summaries or
-/// re-persisted log bytes differ from the live run's — that would mean
-/// the replay determinism contract broke.
-pub fn stream_matrix(devices_axis: &[u32]) -> Vec<StreamPoint> {
-    devices_axis
-        .iter()
-        .map(|&devices| {
-            let config = IngestConfig::default();
-            let stream = StreamConfig::logged(LogConfig::default())
-                .with_admission(RateLimit::per_sec(25_600, 1024))
-                .with_windows(WindowSpec::tumbling(SimDuration::from_secs(1)));
-            let started = std::time::Instant::now();
-            let pipe = run_streamed(
-                devices,
-                SessionPlan::default(),
-                config,
-                Some(stream.clone()),
-                SEED,
-            );
-            let wall_us = started.elapsed().as_micros();
-            let wal = pipe.wal().expect("wal attached").as_bytes().to_vec();
-            let started = std::time::Instant::now();
-            let (replayed, report) = replay(&wal, fleet(devices, SEED), config, stream, None);
-            let replay_wall_us = started.elapsed().as_micros();
-            assert_eq!(report.truncated_bytes, 0, "pristine log loses nothing");
-            assert_eq!(
-                metrics::summarize(&pipe),
-                metrics::summarize(&replayed),
-                "replay must reproduce the live run"
-            );
-            assert_eq!(
-                replayed.wal().expect("wal").as_bytes(),
-                wal.as_slice(),
-                "replay must re-persist identical log bytes"
-            );
-            let (offered, accepted, shed, _) = pipe.totals();
-            let log = pipe.wal().expect("wal attached");
-            StreamPoint {
-                sessions: devices as u64 * TENANTS as u64,
-                tenants: TENANTS,
-                msgs: offered,
-                accepted,
-                shed,
-                log_records: log.records(),
-                log_bytes: log.len_bytes(),
-                segments: log.sealed_segments() as u64,
-                windows: pipe.closed_windows().len() as u64,
-                window_obs: pipe.windows().map_or(0, |w| w.observed()),
-                wall_us,
-                replay_wall_us,
-            }
-        })
-        .collect()
-}
-
-/// Renders stream points as the table the `perf` binary prints next to
-/// the cloud load curves.
-pub fn stream_table(points: &[StreamPoint]) -> Table {
-    let mut t = Table::new(
-        "PERF: stream plane (write-ahead log + admission + windows, replay asserted identical)",
-        &[
-            "sessions",
-            "msgs",
-            "log MiB",
-            "segments",
-            "windows",
-            "live (ms)",
-            "replay (ms)",
-            "Mmsg/s",
-        ],
-    );
-    for p in points {
-        t.row(vec![
-            p.sessions.to_string(),
-            p.msgs.to_string(),
-            format!("{:.2}", p.log_bytes as f64 / (1024.0 * 1024.0)),
-            p.segments.to_string(),
-            p.windows.to_string(),
-            format!("{:.1}", p.wall_us as f64 / 1e3),
-            format!("{:.1}", p.replay_wall_us as f64 / 1e3),
-            format!("{:.2}", p.msgs_per_sec() / 1e6),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,41 +754,5 @@ mod tests {
             rows[0][3], rows[1][3],
             "covered arm attributes every sample"
         );
-    }
-
-    #[test]
-    fn stream_matrix_asserts_replay_and_is_stable() {
-        let a = stream_matrix(&[100]);
-        let b = stream_matrix(&[100]);
-        assert_eq!(a.len(), 1);
-        let (x, y) = (&a[0], &b[0]);
-        assert_eq!(
-            (
-                x.msgs,
-                x.accepted,
-                x.shed,
-                x.log_records,
-                x.log_bytes,
-                x.segments,
-                x.windows,
-                x.window_obs
-            ),
-            (
-                y.msgs,
-                y.accepted,
-                y.shed,
-                y.log_records,
-                y.log_bytes,
-                y.segments,
-                y.windows,
-                y.window_obs
-            ),
-            "stream deterministic blocks must be run-to-run stable"
-        );
-        assert_eq!(x.msgs, x.log_records, "every offer is logged");
-        assert_eq!(x.log_bytes, x.msgs * FRAME);
-        assert!(x.windows > 0 && x.window_obs > 0);
-        let t = stream_table(&a);
-        assert_eq!(t.rows().len(), 1);
     }
 }

@@ -221,15 +221,15 @@ impl Runner {
             .collect();
 
         let next = AtomicUsize::new(0);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let trials_ref: &[Trial] = &trials;
         let jobs_ref: &[(usize, u32, u64)] = &jobs;
         let workers = self.jobs.min(jobs.len().max(1));
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&(t, r, seed)) = jobs_ref.get(i) else {
@@ -260,7 +260,6 @@ impl Runner {
             }
             slots
         })
-        .expect("worker panicked")
         .into_iter()
         .zip(&trials)
         .map(|(reps, trial)| {

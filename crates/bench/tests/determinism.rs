@@ -277,7 +277,7 @@ fn sharded_metric(shards: usize, seed: u64) -> (u64, String) {
     (sim.events_dispatched(), format!("{:?}", sim.medium_stats()))
 }
 
-/// The `--jobs` x `--shards` cross-product: every shard count is its
+/// The worker-count x shard-count cross-product: every shard count is its
 /// own deterministic model, so each (shard count) row must be
 /// byte-identical whether the trials ran on 1 worker or 2 — including
 /// the threaded sharded engine nested inside runner worker threads.

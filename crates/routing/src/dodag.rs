@@ -582,6 +582,7 @@ mod tests {
     use crate::collect::{decode_data, encode_data, Datum};
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
+    use proptest::prelude::*;
 
     type Node = DodagNode<CsmaMac>;
 
@@ -612,6 +613,75 @@ mod tests {
         assert_eq!(dec.sent_at, d.sent_at);
         assert_eq!(dec.payload, d.payload);
         assert!(decode_data(&[0; 10]).is_none());
+    }
+
+    /// Hands `payload` to `to` as a DATA frame from a neighbour that
+    /// is not its parent, below the MAC (which carries any payload).
+    fn deliver_data(w: &mut Sim, to: NodeId, payload: Vec<u8>) {
+        w.with(to, |n: &mut Node, ctx| {
+            let info = RxInfo {
+                rssi_dbm: -60.0,
+                channel: 0,
+                started: ctx.now(),
+            };
+            let ev = MacEvent::Delivered {
+                src: NodeId(2),
+                upper_port: PORT_DATA,
+                payload,
+                info,
+            };
+            n.handle_mac_events(ctx, vec![ev]);
+        });
+    }
+
+    proptest! {
+        /// `cargo test` is a debug build, so integer overflow and
+        /// `duration_since`'s ordering assert are live: a forged
+        /// `hops = 255` or a `sent_at` in the future must never panic.
+        /// The root collects what is stamped in the past, counting hops
+        /// saturating; a relay forwards it only under the TTL.
+        #[test]
+        fn data_off_the_wire_never_panics_and_valid_frames_are_collected(
+            raw in proptest::collection::vec(any::<u8>(), 0..64),
+            hops in prop_oneof![Just(63u8), Just(64u8), Just(255u8), any::<u8>()],
+            sent_at_us in prop_oneof![0u64..5_000_000, any::<u64>()],
+            seq in any::<u16>(),
+        ) {
+            let (mut w, ids) = build(&Topology::line(3, 20.0), 9, DodagConfig::default());
+            w.run_for(SimDuration::from_secs(5));
+            let (root, relay) = (ids[0], ids[1]);
+            prop_assert_eq!(w.proto::<Node>(relay).parent(), Some(root));
+            let d = Datum {
+                origin: NodeId(77),
+                seq,
+                hops,
+                sent_at: SimTime::from_micros(sent_at_us),
+                payload: raw.clone(),
+                attempts: 0,
+            };
+            let in_past = d.sent_at <= w.now();
+            deliver_data(&mut w, root, raw.clone());
+            deliver_data(&mut w, relay, raw);
+            let before = w.proto::<Node>(root).collected().len();
+            deliver_data(&mut w, root, encode_data(&d));
+            let got = &w.proto::<Node>(root).collected()[before..];
+            if in_past {
+                prop_assert_eq!(got.len(), 1);
+                prop_assert_eq!(
+                    (got[0].origin, got[0].seq, got[0].hops, got[0].sent_at, &got[0].payload),
+                    (d.origin, seq, hops.saturating_add(1), d.sent_at, &d.payload)
+                );
+            } else {
+                prop_assert!(got.is_empty(), "frame from the future collected: {got:?}");
+            }
+            // The relay's copy (one more seq, so the root has not seen
+            // it) goes over the air and arrives one hop older.
+            let fwd = Datum { seq: seq.wrapping_add(1), ..d };
+            deliver_data(&mut w, relay, encode_data(&fwd));
+            w.run_for(SimDuration::from_secs(2));
+            let at_root = w.proto::<Node>(root).collected().iter().find(|c| c.seq == fwd.seq);
+            prop_assert_eq!(at_root.map(|c| c.hops), (in_past && hops < 64).then(|| hops + 2));
+        }
     }
 
     #[test]

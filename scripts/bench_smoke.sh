@@ -95,33 +95,4 @@ assert worlds[0] == worlds[1], "replayed event stream diverged from live"
 print(f"replay-equals-live: {len(worlds[0])} events byte-identical")
 EOF
 
-# The sharded kernel's determinism contract, trace-diff style: a tiny
-# --shards 2 perf run at --jobs 1 and --jobs 2 must agree byte-for-byte
-# on every deterministic block (workload shape + simulated event
-# counts). shards=2 is its own deterministic model — counts need not
-# match shards=1 — but it must be invariant to how many OS threads
-# execute it.
-target/release/perf --quick --sides 4 --scale-sides 6 --secs 1 --shards 2 \
-    --jobs 1 --json "$out/perf-s2-j1.json" > /dev/null 2> /dev/null
-target/release/perf --quick --sides 4 --scale-sides 6 --secs 1 --shards 2 \
-    --jobs 2 --json "$out/perf-s2-j2.json" > /dev/null 2> /dev/null
-python3 - "$out/perf-s2-j1.json" > "$out/perf-s2-j1.det" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for p in doc["points"] + doc["scaling"]:
-    print(json.dumps(p["deterministic"], sort_keys=True))
-EOF
-python3 - "$out/perf-s2-j2.json" > "$out/perf-s2-j2.det" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for p in doc["points"] + doc["scaling"]:
-    print(json.dumps(p["deterministic"], sort_keys=True))
-EOF
-diff -u "$out/perf-s2-j1.det" "$out/perf-s2-j2.det"
-grep -q '"shards": 2' "$out/perf-s2-j1.det"
-
-# The committed perf artifact (regenerated by `cargo run -p iiot-bench
-# --release --bin perf -- --json`) must parse under the perf schema.
-python3 scripts/perf_schema.py check --committed BENCH_perf.json
-
-echo "bench smoke OK: e5 + e13 + e14 + e15 + e16 + e17 + e18 (replay==live) + shards-2 runs byte-identical at --jobs 1/2"
+echo "bench smoke OK: e5 + e13 + e14 + e15 + e16 + e17 + e18 (replay==live) byte-identical at --jobs 1/2"
