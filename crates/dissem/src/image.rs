@@ -9,17 +9,61 @@
 //! and let a node start serving its neighbours before it holds the
 //! whole image.
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`), computed
-/// bitwise — slow but table-free, which is what a flash bootloader
-/// would ship.
+/// The reflected IEEE 802.3 generator polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time. `TABLES[0][b]` is
+/// the CRC register after shifting byte `b` through eight bitwise
+/// steps; `TABLES[k][b]` is the same byte followed by `k` zero bytes,
+/// which is what lets eight input bytes be folded in one step.
+static TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`). The
+/// *value* is the one a flash bootloader's table-free bitwise loop
+/// produces (`crc32(b"123456789") == 0xCBF4_3926`); the host computes
+/// it eight bytes at a time from an 8 KiB table built at compile time.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][(lo >> 8 & 0xFF) as usize]
+            ^ TABLES[5][(lo >> 16 & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][c[4] as usize]
+            ^ TABLES[2][c[5] as usize]
+            ^ TABLES[1][c[6] as usize]
+            ^ TABLES[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -369,10 +413,52 @@ mod tests {
         (0..len).map(|i| (i * 31 % 251) as u8).collect()
     }
 
+    /// The bootloader's form: one shift/xor step per bit, no table.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_reference_at_every_length() {
+        // 0..=200 covers the empty input, every remainder length after
+        // the 8-byte body, and 25 full bodies.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..200)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "length {len}"
+            );
+            // An unaligned start shifts which bytes land in the body.
+            assert_eq!(
+                crc32(&bytes[len..]),
+                crc32_bitwise(&bytes[len..]),
+                "tail from {len}"
+            );
+        }
     }
 
     #[test]

@@ -866,7 +866,8 @@ impl Histogram {
         if v <= 0.0 {
             return 0;
         }
-        let idx = (v.log10() * 5.0).floor() as i64 + 36;
+        // `+inf` casts to `i64::MAX`; NaN casts to 0 (bucket 36).
+        let idx = ((v.log10() * 5.0).floor() as i64).saturating_add(36);
         idx.clamp(1, 63) as usize
     }
 
@@ -935,6 +936,12 @@ impl Histogram {
         }
         if q >= 1.0 {
             return self.max();
+        }
+        if self.min > self.max {
+            // Every observation was NaN (`f64::min`/`max` skip NaN, so
+            // the bounds never left their empty values): so is any
+            // quantile, and `clamp` below would panic on the bounds.
+            return f64::NAN;
         }
         let target = (q * self.count as f64).ceil() as u64;
         let mut seen = 0;
@@ -1479,6 +1486,22 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.count(), 101);
         assert_eq!(h.max(), 10.0);
+    }
+
+    #[test]
+    fn histogram_is_total_over_non_finite_observations() {
+        // Values arrive from device payloads; none may panic a reader.
+        let mut nan_only = Histogram::new();
+        nan_only.observe(f64::NAN);
+        assert!(nan_only.quantile(0.99).is_nan());
+        let mut h = Histogram::new();
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.0] {
+            h.observe(v);
+        }
+        assert_eq!(h.count(), 4);
+        assert!(h.quantile(0.99) > 1e5, "+inf sits in the top bucket");
+        assert_eq!(h.quantile(0.01), 0.0, "-inf sits with the non-positives");
+        assert_eq!((h.min(), h.max()), (f64::NEG_INFINITY, f64::INFINITY));
     }
 
     #[test]

@@ -12,14 +12,15 @@
 //!   └────────────┴───────────┴─────────────────┘
 //! ```
 //!
-//! `crc` is the bitwise CRC-32 of the payload ([`iiot_dissem::crc32`] —
-//! the same IEEE 802.3 polynomial the OTA image pipeline ships). The
-//! stream divides into *segments* at deterministic byte boundaries:
-//! once the active segment holds at least [`LogConfig::segment_bytes`],
-//! it is **sealed** (immutable forever after) and a fresh tail segment
-//! opens. Sealing is a pure function of the record sizes appended, so a
-//! log rebuilt from the same payload sequence reproduces the same
-//! segment boundaries — and therefore the same bytes.
+//! `crc` is the CRC-32 of the payload ([`iiot_dissem::crc32`] — the
+//! same IEEE 802.3 value the OTA image pipeline's bootloader checks,
+//! computed on the host from an 8 KiB table). The stream divides into
+//! *segments* at deterministic byte boundaries: once the active segment
+//! holds at least [`LogConfig::segment_bytes`], it is **sealed**
+//! (immutable forever after) and a fresh tail segment opens. Sealing is
+//! a pure function of the record sizes appended, so a log rebuilt from
+//! the same payload sequence reproduces the same segment boundaries —
+//! and therefore the same bytes.
 //!
 //! # Crash recovery
 //!
@@ -185,11 +186,18 @@ impl EventLog {
             payload.len() <= u16::MAX as usize,
             "record exceeds frame length"
         );
+        self.push_frame(payload, crc32(payload))
+    }
+
+    /// Files one frame whose `crc` the caller has computed
+    /// ([`append`](Self::append)) or verified ([`recover`](Self::recover))
+    /// over `payload`, which fits the `u16` frame length.
+    fn push_frame(&mut self, payload: &[u8], crc: u32) -> AppendInfo {
         let seq = self.frames.len() as u64;
         self.frames.push(self.bytes.len() as u64);
         self.bytes
             .extend_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.bytes.extend_from_slice(&crc.to_le_bytes());
         self.bytes.extend_from_slice(payload);
         self.tail_records += 1;
         let seg_start = self.seals.last().copied().unwrap_or(0);
@@ -314,12 +322,12 @@ impl EventLog {
             if crc32(payload) != crc {
                 break; // corrupt record
             }
-            log.append(payload);
+            log.push_frame(payload, crc);
             pos = body + len;
             valid_end = pos;
         }
-        // A re-appended prefix is byte-identical to the original prefix
-        // by construction; the assertion pins that invariant.
+        // A re-filed prefix is byte-identical to the original prefix by
+        // construction; the assertion pins that invariant.
         debug_assert_eq!(log.bytes.len(), valid_end);
         // Sealing fires once a segment's fill reaches `segment_bytes`,
         // so if the damaged stream extends a full segment's worth past
@@ -394,6 +402,29 @@ mod tests {
             full.as_slice(),
             "resume reproduces the original bytes"
         );
+    }
+
+    #[test]
+    fn recovery_of_a_pristine_stream_reproduces_the_log() {
+        // `recover` files verified frames without re-hashing them; the
+        // rebuilt log must still be the original in every observable.
+        let mut log = EventLog::new(LogConfig { segment_bytes: 96 });
+        for i in 0..50 {
+            log.append(&payload(i));
+        }
+        log.append(b"");
+        let (recovered, report) = EventLog::recover(log.as_bytes(), log.config());
+        assert_eq!(report.records, 51);
+        assert_eq!(report.bytes, log.len_bytes());
+        assert_eq!(report.truncated_bytes, 0);
+        assert!(!report.corrupt_sealed);
+        assert_eq!(recovered.as_bytes(), log.as_bytes());
+        assert_eq!(recovered.segments(), log.segments());
+        assert!(log.sealed_segments() >= 5);
+        for seq in 0..=log.records() {
+            assert_eq!(recovered.get(seq), log.get(seq), "record {seq}");
+        }
+        assert_eq!(recovered, log);
     }
 
     #[test]
