@@ -52,7 +52,8 @@ impl Partial {
 
     /// Merges another record into this one.
     pub fn merge(&mut self, other: &Partial) {
-        self.count += other.count;
+        // A forged count must not overflow the sum.
+        self.count = self.count.saturating_add(other.count);
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);

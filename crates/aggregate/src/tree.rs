@@ -18,7 +18,7 @@
 
 use crate::partial::Partial;
 use crate::query::{Agg, Query};
-use iiot_mac::{Mac, MacEvent, SendHandle};
+use iiot_mac::{Mac, SendHandle, Service, Stack};
 use iiot_sim::{Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use std::collections::VecDeque;
 
@@ -34,6 +34,11 @@ const TAG_SAMPLE: u64 = 0x301;
 const TAG_SEND: u64 = 0x302;
 const TAG_EPOCH_END: u64 = 0x303;
 const TAG_PUMP: u64 = 0x304;
+
+/// How far past a node's clock a flooded query may place epoch 0. The
+/// root's is one dissemination delay ahead; anything beyond this is
+/// forged, and would overflow the epoch arithmetic.
+const EPOCH0_HORIZON: SimDuration = SimDuration::from_secs(3600);
 
 /// Collection mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -122,7 +127,12 @@ pub struct EpochResult {
 
 /// One node of the epoch-based collection protocol.
 pub struct AggregationNode<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    agg: Aggregation,
+}
+
+/// The service: one node's share of the query and its epochs.
+struct Aggregation {
     config: AggConfig,
     depth: u8,
     query: Option<Query>,
@@ -145,31 +155,35 @@ impl<M: Mac> AggregationNode<M> {
     /// the root (border router).
     pub fn new(mac: M, config: AggConfig) -> Self {
         AggregationNode {
-            mac,
-            config,
-            depth: 0,
-            query: None,
-            epoch0: SimTime::ZERO,
-            acc: Partial::EMPTY,
-            acc_epoch: 0,
-            raw_acc: Partial::EMPTY,
-            relay: VecDeque::new(),
-            inflight: None,
-            results: Vec::new(),
-            seen_query: false,
+            stack: Stack::new(mac),
+            agg: Aggregation {
+                config,
+                depth: 0,
+                query: None,
+                epoch0: SimTime::ZERO,
+                acc: Partial::EMPTY,
+                acc_epoch: 0,
+                raw_acc: Partial::EMPTY,
+                relay: VecDeque::new(),
+                inflight: None,
+                results: Vec::new(),
+                seen_query: false,
+            },
         }
     }
 
     /// Epoch results finalized so far (meaningful at the root).
     pub fn results(&self) -> &[EpochResult] {
-        &self.results
+        &self.agg.results
     }
 
     /// The underlying MAC.
     pub fn mac(&self) -> &M {
-        &self.mac
+        self.stack.mac()
     }
+}
 
+impl Aggregation {
     fn is_root(&self, me: NodeId) -> bool {
         self.config.parents[me.index()].is_none()
     }
@@ -182,11 +196,11 @@ impl<M: Mac> AggregationNode<M> {
         SimDuration::from_millis(q.epoch_ms as u64) / (q.max_depth as u64 + 2)
     }
 
-    fn epoch_start(&self, q: &Query, epoch: u16) -> SimTime {
-        self.epoch0 + SimDuration::from_millis(q.epoch_ms as u64) * epoch as u64
+    fn epoch_start(&self, q: &Query, epoch: u64) -> SimTime {
+        self.epoch0 + SimDuration::from_millis(q.epoch_ms as u64) * epoch
     }
 
-    fn adopt_query(&mut self, ctx: &mut Ctx<'_>, q: Query, epoch0: SimTime) {
+    fn adopt_query<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, q: Query, epoch0: SimTime) {
         if self.seen_query {
             return;
         }
@@ -197,15 +211,13 @@ impl<M: Mac> AggregationNode<M> {
         if !self.is_root(ctx.id()) {
             let mut payload = q.encode();
             payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
-            let _ = self.mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
+            let _ = mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
             ctx.count_node("query_fwd", 1.0);
         }
         // First epoch at or after now.
-        let mut first = 0u16;
-        while self.epoch_start(&q, first) < ctx.now() {
-            first += 1;
-        }
-        if q.rounds == 0 || first < q.rounds {
+        let behind = ctx.now().as_micros().saturating_sub(epoch0.as_micros());
+        let first = behind.div_ceil(q.epoch_ms as u64 * 1000);
+        if q.rounds == 0 || first < q.rounds as u64 {
             let at = self.epoch_start(&q, first);
             ctx.set_timer_at(at, TAG_SAMPLE);
         }
@@ -215,12 +227,13 @@ impl<M: Mac> AggregationNode<M> {
         let Some(q) = self.query else { return };
         let now = ctx.now();
         let epoch_ms = SimDuration::from_millis(q.epoch_ms as u64);
-        let epoch = (now.duration_since(self.epoch0).as_micros() / epoch_ms.as_micros()) as u16;
+        let epoch = now.duration_since(self.epoch0).as_micros() / epoch_ms.as_micros();
         let me = ctx.id();
         let value = (self.config.sensor)(me, now, q.attr);
 
         self.acc = Partial::of(value);
-        self.acc_epoch = epoch;
+        // The wire carries sixteen bits of it.
+        self.acc_epoch = epoch as u16;
         if self.is_root(me) {
             self.raw_acc = Partial::of(value);
             // Finalize just before the next epoch boundary.
@@ -229,15 +242,15 @@ impl<M: Mac> AggregationNode<M> {
                 TAG_EPOCH_END,
             );
         } else {
-            let d = self.depth as u64;
-            let send_at =
-                self.epoch_start(&q, epoch) + self.slot(&q) * (q.max_depth as u64 + 1 - d);
+            // `max_depth` is off the wire and may understate our depth.
+            let slots = (q.max_depth as u64 + 1).saturating_sub(self.depth as u64);
+            let send_at = self.epoch_start(&q, epoch) + self.slot(&q) * slots;
             ctx.set_timer_at(send_at, TAG_SEND);
             if self.config.mode == Mode::Raw {
                 // The raw reading leaves immediately at the send slot;
                 // encode now.
                 let mut payload = vec![q.id];
-                payload.extend_from_slice(&epoch.to_be_bytes());
+                payload.extend_from_slice(&self.acc_epoch.to_be_bytes());
                 payload.extend_from_slice(&me.0.to_be_bytes());
                 payload.extend_from_slice(&value.to_be_bytes());
                 self.relay.push_back(payload);
@@ -245,12 +258,12 @@ impl<M: Mac> AggregationNode<M> {
         }
         // Next epoch.
         let next = epoch + 1;
-        if q.rounds == 0 || next < q.rounds {
+        if q.rounds == 0 || next < q.rounds as u64 {
             ctx.set_timer_at(self.epoch_start(&q, next), TAG_SAMPLE);
         }
     }
 
-    fn on_send_slot(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_send_slot<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         let Some(q) = self.query else { return };
         let me = ctx.id();
         let Some(parent) = self.parent(me) else {
@@ -261,16 +274,14 @@ impl<M: Mac> AggregationNode<M> {
                 let mut payload = vec![q.id];
                 payload.extend_from_slice(&self.acc_epoch.to_be_bytes());
                 payload.extend_from_slice(&self.acc.encode());
-                let _ = self
-                    .mac
-                    .send(ctx, Dst::Unicast(parent), PORT_PARTIAL, payload);
+                let _ = mac.send(ctx, Dst::Unicast(parent), PORT_PARTIAL, payload);
                 ctx.count_node("agg_tx", 1.0);
             }
-            Mode::Raw => self.pump(ctx),
+            Mode::Raw => self.pump(mac, ctx),
         }
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         if self.inflight.is_some() || self.relay.is_empty() {
             return;
         }
@@ -279,7 +290,7 @@ impl<M: Mac> AggregationNode<M> {
             return;
         };
         let head = self.relay.front().expect("nonempty").clone();
-        match self.mac.send(ctx, Dst::Unicast(parent), PORT_RAW, head) {
+        match mac.send(ctx, Dst::Unicast(parent), PORT_RAW, head) {
             Ok(h) => {
                 self.inflight = Some(h);
                 ctx.count_node("raw_tx", 1.0);
@@ -303,81 +314,10 @@ impl<M: Mac> AggregationNode<M> {
         });
         ctx.count("epochs_finalized", 1.0);
     }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    upper_port,
-                    payload,
-                    ..
-                } => match upper_port {
-                    PORT_QUERY if payload.len() >= Query::WIRE_LEN + 8 => {
-                        if let Some(q) = Query::decode(&payload) {
-                            let e0 = u64::from_be_bytes(
-                                payload[Query::WIRE_LEN..Query::WIRE_LEN + 8]
-                                    .try_into()
-                                    .expect("checked len"),
-                            );
-                            self.adopt_query(ctx, q, SimTime::from_micros(e0));
-                        }
-                    }
-                    PORT_PARTIAL if payload.len() >= 3 + Partial::WIRE_LEN => {
-                        let epoch = u16::from_be_bytes([payload[1], payload[2]]);
-                        if let Some(p) = Partial::decode(&payload[3..]) {
-                            if epoch == self.acc_epoch {
-                                self.acc.merge(&p);
-                            } else {
-                                ctx.count_node("partial_late", 1.0);
-                            }
-                        }
-                    }
-                    PORT_RAW => {
-                        let me = ctx.id();
-                        if self.is_root(me) {
-                            if payload.len() >= 15 {
-                                let epoch = u16::from_be_bytes([payload[1], payload[2]]);
-                                let value = f64::from_be_bytes(
-                                    payload[7..15].try_into().expect("checked len"),
-                                );
-                                if epoch == self.acc_epoch {
-                                    self.raw_acc.merge(&Partial::of(value));
-                                } else {
-                                    ctx.count_node("raw_late", 1.0);
-                                }
-                            }
-                        } else {
-                            ctx.count_node("raw_fwd", 1.0);
-                            if self.relay.len() < 64 {
-                                self.relay.push_back(payload);
-                            } else {
-                                ctx.count_node("raw_drop", 1.0);
-                            }
-                            self.pump(ctx);
-                        }
-                    }
-                    _ => {}
-                },
-                MacEvent::SendDone { handle, acked } => {
-                    if self.inflight == Some(handle) {
-                        self.inflight = None;
-                        if acked {
-                            self.relay.pop_front();
-                        } else {
-                            ctx.count_node("raw_send_fail", 1.0);
-                            self.relay.pop_front();
-                        }
-                        self.pump(ctx);
-                    }
-                }
-            }
-        }
-    }
 }
 
-impl<M: Mac> Proto for AggregationNode<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
+impl<M: Mac> Service<M> for Aggregation {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         let me = ctx.id();
         self.depth = AggConfig::depth_table(&self.config.parents)[me.index()];
         if self.is_root(me) {
@@ -385,12 +325,81 @@ impl<M: Mac> Proto for AggregationNode<M> {
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
-            return;
+    fn delivered(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        _src: NodeId,
+        port: u8,
+        payload: &[u8],
+    ) {
+        match port {
+            PORT_QUERY if payload.len() >= Query::WIRE_LEN + 8 => {
+                if let Some(q) = Query::decode(payload) {
+                    let e0 = u64::from_be_bytes(
+                        payload[Query::WIRE_LEN..Query::WIRE_LEN + 8]
+                            .try_into()
+                            .expect("checked len"),
+                    );
+                    // Both come off the wire: a zero period divides by
+                    // zero, a far-future epoch 0 overflows `SimTime`.
+                    let horizon = (ctx.now() + EPOCH0_HORIZON).as_micros();
+                    if q.epoch_ms == 0 || e0 > horizon {
+                        ctx.count_node("query_bad", 1.0);
+                        return;
+                    }
+                    self.adopt_query(mac, ctx, q, SimTime::from_micros(e0));
+                }
+            }
+            PORT_PARTIAL if payload.len() >= 3 + Partial::WIRE_LEN => {
+                let epoch = u16::from_be_bytes([payload[1], payload[2]]);
+                if let Some(p) = Partial::decode(&payload[3..]) {
+                    if epoch == self.acc_epoch {
+                        self.acc.merge(&p);
+                    } else {
+                        ctx.count_node("partial_late", 1.0);
+                    }
+                }
+            }
+            PORT_RAW => {
+                let me = ctx.id();
+                if self.is_root(me) {
+                    if payload.len() >= 15 {
+                        let epoch = u16::from_be_bytes([payload[1], payload[2]]);
+                        let value =
+                            f64::from_be_bytes(payload[7..15].try_into().expect("checked len"));
+                        if epoch == self.acc_epoch {
+                            self.raw_acc.merge(&Partial::of(value));
+                        } else {
+                            ctx.count_node("raw_late", 1.0);
+                        }
+                    }
+                } else {
+                    ctx.count_node("raw_fwd", 1.0);
+                    if self.relay.len() < 64 {
+                        self.relay.push_back(payload.to_vec());
+                    } else {
+                        ctx.count_node("raw_drop", 1.0);
+                    }
+                    self.pump(mac, ctx);
+                }
+            }
+            _ => {}
         }
+    }
+
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, handle: SendHandle, acked: bool) {
+        if self.inflight == Some(handle) {
+            self.inflight = None;
+            if !acked {
+                ctx.count_node("raw_send_fail", 1.0);
+            }
+            self.relay.pop_front();
+            self.pump(mac, ctx);
+        }
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_DISSEMINATE => {
                 let q = self.config.query;
@@ -400,38 +409,47 @@ impl<M: Mac> Proto for AggregationNode<M> {
                 self.seen_query = false; // adopt ourselves
                 let mut payload = q.encode();
                 payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
-                let _ = self.mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
+                let _ = mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
                 ctx.count_node("query_tx", 1.0);
-                self.adopt_query(ctx, q, epoch0);
+                self.adopt_query(mac, ctx, q, epoch0);
             }
             TAG_SAMPLE => self.on_sample(ctx),
-            TAG_SEND => self.on_send_slot(ctx),
+            TAG_SEND => self.on_send_slot(mac, ctx),
             TAG_EPOCH_END => self.on_epoch_end(ctx),
-            TAG_PUMP => self.pump(ctx),
+            TAG_PUMP => self.pump(mac, ctx),
             _ => {}
         }
     }
 
-    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
-    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
     fn crashed(&mut self) {
-        self.mac.crashed();
         self.query = None;
         self.seen_query = false;
         self.acc = Partial::EMPTY;
         self.raw_acc = Partial::EMPTY;
         self.relay.clear();
         self.inflight = None;
+    }
+}
+
+impl<M: Mac> Proto for AggregationNode<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.agg, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.agg, ctx, timer);
+    }
+
+    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
+        self.stack.frame(&mut self.agg, ctx, frame, info);
+    }
+
+    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
+        self.stack.tx_done(&mut self.agg, ctx, outcome);
+    }
+
+    fn crashed(&mut self) {
+        self.stack.crashed(&mut self.agg);
     }
 }
 
@@ -588,5 +606,57 @@ mod tests {
         assert_eq!(root.results()[0].count, 4);
         // No further traffic after the round: total partials == 3.
         assert_eq!(w.stats().node_total("agg_tx"), 3.0);
+    }
+
+    /// Hands node 1 of a two-node line a QUERY flood `query` with epoch
+    /// 0 at `epoch0`, as its MAC would, 10 s into the run; returns the
+    /// sim after another 10 s.
+    fn forged_query(query: Query, epoch0: SimTime) -> Sim {
+        let mut cfg = AggConfig::new(line_parents(2), Mode::Aggregate, 4_000, 0);
+        // The honest flood never comes: the forged one is the first.
+        cfg.dissemination_delay = SimDuration::from_secs(3_000);
+        let (mut w, ids) = line_sim(3, cfg);
+        w.run_for(SimDuration::from_secs(10));
+        w.with(ids[1], |n: &mut Node, ctx| {
+            let mut payload = query.encode();
+            payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
+            n.agg
+                .delivered(n.stack.mac_mut(), ctx, NodeId(0), PORT_QUERY, &payload);
+        });
+        w.run_for(SimDuration::from_secs(10));
+        w
+    }
+
+    fn query(epoch_ms: u32) -> Query {
+        Query {
+            epoch_ms,
+            rounds: 0,
+            ..AggConfig::new(line_parents(2), Mode::Aggregate, 1, 0).query
+        }
+    }
+
+    #[test]
+    fn forged_query_with_a_zero_epoch_is_rejected() {
+        let w = forged_query(query(0), SimTime::from_secs(1));
+        assert_eq!(w.stats().get_node(NodeId(1), "query_bad"), 1.0);
+        assert_eq!(w.stats().get_node(NodeId(1), "query_fwd"), 0.0);
+    }
+
+    #[test]
+    fn forged_query_with_a_far_future_epoch0_is_rejected() {
+        let w = forged_query(query(4_000), SimTime::MAX);
+        assert_eq!(w.stats().get_node(NodeId(1), "query_bad"), 1.0);
+        let w = forged_query(query(4_000), SimTime::from_secs(3_000));
+        assert_eq!(w.stats().get_node(NodeId(1), "query_bad"), 0.0);
+    }
+
+    #[test]
+    fn forged_query_far_in_the_past_starts_at_the_next_epoch_without_spinning() {
+        // Ten million 1 ms epochs have passed: far more than the old
+        // sixteen-bit loop counter could reach.
+        let w = forged_query(query(1), SimTime::ZERO);
+        assert_eq!(w.stats().get_node(NodeId(1), "query_fwd"), 1.0);
+        let sent = w.stats().get_node(NodeId(1), "agg_tx");
+        assert!((9_000.0..=10_000.0).contains(&sent), "{sent} partials");
     }
 }

@@ -241,6 +241,9 @@ pub fn missing_mask(meta: &ImageMeta, page: u32, have: impl Fn(u8) -> bool) -> u
     mask
 }
 
+/// Bytes of external flash a mote sets aside for one image.
+const FLASH_CAPACITY: u32 = 1 << 20;
+
 /// Per-node flash image store: survives [`Proto::crashed`] (RAM loss)
 /// but is erased by [`Proto::wiped`] (full state loss).
 ///
@@ -261,12 +264,19 @@ impl PageStore {
     }
 
     /// Begins (or restarts) a download of the described image,
-    /// discarding any previous content.
-    pub fn begin(&mut self, meta: ImageMeta) {
+    /// discarding any previous content. An image larger than the flash
+    /// is refused — `false`, the store untouched: `meta` may be a
+    /// forged advertisement, and its `len` sizes two allocations.
+    #[must_use]
+    pub fn begin(&mut self, meta: ImageMeta) -> bool {
+        if meta.len > FLASH_CAPACITY {
+            return false;
+        }
         self.meta = Some(meta);
         self.data = vec![0; meta.len as usize];
         self.page_done = vec![false; meta.pages() as usize];
         self.verdict = None;
+        true
     }
 
     /// Installs a complete image wholesale, *trusting* it (the
@@ -274,9 +284,12 @@ impl PageStore {
     /// build, so the store serves it without re-verification — which
     /// is exactly how a poisoned build escapes into the network).
     /// Returns whether the declared CRC actually matches, purely as
-    /// information for the caller.
+    /// information for the caller; a build that does not fit the flash
+    /// is not installed at all.
     pub fn install(&mut self, image: &Image) -> bool {
-        self.begin(image.meta());
+        if !self.begin(image.meta()) {
+            return false;
+        }
         self.data.copy_from_slice(image.data());
         for p in self.page_done.iter_mut() {
             *p = true;
@@ -488,7 +501,7 @@ mod tests {
     fn store_reassembles_and_verifies() {
         let img = Image::build(3, sample(100), 8, 4);
         let mut st = PageStore::new();
-        st.begin(img.meta());
+        assert!(st.begin(img.meta()));
         for page in 0..img.meta().pages() {
             assert_eq!(st.first_missing_page(), Some(page));
             for c in 0..img.meta().chunks_in_page(page) {
@@ -505,7 +518,7 @@ mod tests {
     fn corrupt_page_is_rejected_then_refetched() {
         let img = Image::build(3, sample(64), 8, 4);
         let mut st = PageStore::new();
-        st.begin(img.meta());
+        assert!(st.begin(img.meta()));
         let mut bad = img.chunk(0, 0).unwrap().to_vec();
         bad[0] ^= 1;
         st.write_chunk(0, 0, &bad);
@@ -522,7 +535,7 @@ mod tests {
     fn poisoned_image_passes_pages_but_fails_finalize() {
         let img = Image::build(9, sample(64), 8, 4).poisoned();
         let mut st = PageStore::new();
-        st.begin(img.meta());
+        assert!(st.begin(img.meta()));
         for page in 0..img.meta().pages() {
             for c in 0..img.meta().chunks_in_page(page) {
                 st.write_chunk(page, c, img.chunk(page, c).unwrap());

@@ -87,5 +87,5 @@ pub mod rollout;
 
 pub use image::{crc32, Image, ImageMeta, PageStore};
 pub use inject::BlockInjector;
-pub use node::{DissemConfig, DissemNode};
+pub use node::{Dissem, DissemConfig, DissemNode};
 pub use rollout::{drive, RolloutPlan};

@@ -5,7 +5,7 @@
 use crate::image::{missing_mask, Image, ImageMeta, PageStore};
 use iiot_coap::block::{BlockAssembler, BlockOpt, BlockProgress};
 use iiot_coap::message::{option, Code, Message};
-use iiot_mac::{Mac, MacError, MacEvent};
+use iiot_mac::{Mac, MacError, SendHandle, Service, Stack};
 use iiot_routing::trickle::{Trickle, TrickleConfig};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{
@@ -76,13 +76,20 @@ struct Fetch {
     page_crc: Option<u32>,
 }
 
-/// A dissemination node: advertises its image state under Trickle,
-/// requests missing pages in order, serves verified pages to
-/// neighbours, and persists progress in a [`PageStore`] so a
-/// crash-recovered node resumes mid-image; see the
-/// [crate docs](crate) for the protocol walkthrough.
+/// A dissemination node: a [`Dissem`] hosted alone on a MAC, plus the
+/// gateway's backbone side.
 pub struct DissemNode<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    dissem: Dissem,
+    blk: BlockAssembler,
+}
+
+/// The dissemination protocol as a [`Service`]: advertises its image
+/// state under Trickle, requests missing pages in order, serves
+/// verified pages to neighbours, and persists progress in a
+/// [`PageStore`] so a crash-recovered node resumes mid-image; see the
+/// [crate docs](crate) for the protocol walkthrough.
+pub struct Dissem {
     cfg: DissemConfig,
     /// Flash: survives `crashed`, erased by `wiped`.
     store: PageStore,
@@ -96,7 +103,6 @@ pub struct DissemNode<M: Mac> {
     source: Option<NodeId>,
     outq: VecDeque<(Dst, u8, Vec<u8>)>,
     queued: Vec<(u64, u32, u8)>,
-    blk: BlockAssembler,
     /// Oracle metric for experiments: first time this node held a
     /// verified copy. Deliberately not flash — it is measurement
     /// harness state, not protocol state.
@@ -188,10 +194,61 @@ fn dst_key(dst: Dst) -> u64 {
 impl<M: Mac> DissemNode<M> {
     /// Creates a node over `mac`.
     pub fn new(mac: M, cfg: DissemConfig) -> Self {
+        DissemNode {
+            stack: Stack::new(mac),
+            dissem: Dissem::new(cfg),
+            blk: BlockAssembler::new(),
+        }
+    }
+
+    /// The flash image store (inspection).
+    pub fn store(&self) -> &PageStore {
+        &self.dissem.store
+    }
+
+    /// First time this node held a verified image, if ever. The value
+    /// is an experiment oracle: it survives crashes and wipes.
+    pub fn complete_at(&self) -> Option<SimTime> {
+        self.dissem.complete_at
+    }
+
+    /// Whether the node currently holds a verified image.
+    pub fn complete_ok(&self) -> bool {
+        self.dissem.store.complete_ok()
+    }
+
+    /// Whether the node finalized a bad image (quarantined).
+    pub fn poisoned(&self) -> bool {
+        self.dissem.store.poisoned()
+    }
+
+    /// Whether the node participates in downloads.
+    pub fn is_enabled(&self) -> bool {
+        self.dissem.enabled
+    }
+
+    /// Seeds this node with a trusted image; see [`Dissem::install`].
+    pub fn install(&mut self, ctx: &mut Ctx<'_>, image: &Image) {
+        self.dissem.install(ctx, image);
+    }
+
+    /// Flips the node into the download-enabled state (staged-rollout
+    /// cohort activation) and restarts Trickle so its out-of-date
+    /// advertisement goes out promptly.
+    pub fn enable(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.dissem.enabled {
+            self.dissem.enabled = true;
+            self.dissem.reset_trickle(ctx, true);
+        }
+    }
+}
+
+impl Dissem {
+    /// Creates the service.
+    pub fn new(cfg: DissemConfig) -> Self {
         let enabled = cfg.enabled;
         let trickle = Trickle::new(cfg.trickle);
-        DissemNode {
-            mac,
+        Dissem {
             cfg,
             store: PageStore::new(),
             enabled,
@@ -203,35 +260,13 @@ impl<M: Mac> DissemNode<M> {
             source: None,
             outq: VecDeque::new(),
             queued: Vec::new(),
-            blk: BlockAssembler::new(),
             complete_at: None,
         }
     }
 
-    /// The flash image store (inspection).
-    pub fn store(&self) -> &PageStore {
-        &self.store
-    }
-
-    /// First time this node held a verified image, if ever. The value
-    /// is an experiment oracle: it survives crashes and wipes.
+    /// First time this node held a verified image, if ever.
     pub fn complete_at(&self) -> Option<SimTime> {
         self.complete_at
-    }
-
-    /// Whether the node currently holds a verified image.
-    pub fn complete_ok(&self) -> bool {
-        self.store.complete_ok()
-    }
-
-    /// Whether the node finalized a bad image (quarantined).
-    pub fn poisoned(&self) -> bool {
-        self.store.poisoned()
-    }
-
-    /// Whether the node participates in downloads.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Seeds this node with a complete, *trusted* image (the gateway
@@ -248,16 +283,6 @@ impl<M: Mac> DissemNode<M> {
             self.complete_at = Some(ctx.now());
         }
         self.reset_trickle(ctx, true);
-    }
-
-    /// Flips the node into the download-enabled state (staged-rollout
-    /// cohort activation) and restarts Trickle so its out-of-date
-    /// advertisement goes out promptly.
-    pub fn enable(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.enabled {
-            self.enabled = true;
-            self.reset_trickle(ctx, true);
-        }
     }
 
     fn restart_interval(&mut self, ctx: &mut Ctx<'_>) {
@@ -277,7 +302,7 @@ impl<M: Mac> DissemNode<M> {
         }
     }
 
-    fn send_adv(&mut self, ctx: &mut Ctx<'_>) {
+    fn send_adv<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         let meta = self.store.meta();
         let have = self.store.have_pages();
         let body = encode_adv(meta, have);
@@ -287,10 +312,10 @@ impl<M: Mac> DissemNode<M> {
         });
         ctx.count_node("dissem_adv_tx", 1.0);
         match &self.cfg.adv_peers {
-            None => self.enqueue(ctx, Dst::Broadcast, PORT_ADV, body),
+            None => self.enqueue(mac, ctx, Dst::Broadcast, PORT_ADV, body),
             Some(peers) => {
                 for &p in &peers.clone() {
-                    self.enqueue(ctx, Dst::Unicast(p), PORT_ADV, body.clone());
+                    self.enqueue(mac, ctx, Dst::Unicast(p), PORT_ADV, body.clone());
                 }
             }
         }
@@ -310,7 +335,7 @@ impl<M: Mac> DissemNode<M> {
             && self.store.first_missing_page().is_some()
     }
 
-    fn fire_req(&mut self, ctx: &mut Ctx<'_>) {
+    fn fire_req<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         if !self.wants_pages() {
             return;
         }
@@ -330,6 +355,7 @@ impl<M: Mac> DissemNode<M> {
         });
         ctx.count_node("dissem_req_tx", 1.0);
         self.enqueue(
+            mac,
             ctx,
             Dst::Unicast(src),
             PORT_REQ,
@@ -340,15 +366,22 @@ impl<M: Mac> DissemNode<M> {
         self.arm_req(ctx, self.cfg.req_backoff * 4);
     }
 
-    fn enqueue(&mut self, ctx: &mut Ctx<'_>, dst: Dst, port: u8, body: Vec<u8>) {
+    fn enqueue<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        dst: Dst,
+        port: u8,
+        body: Vec<u8>,
+    ) {
         self.outq.push_back((dst, port, body));
-        self.pump(ctx);
+        self.pump(mac, ctx);
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         while let Some((dst, port, body)) = self.outq.front() {
             let (dst, port, body) = (*dst, *port, body.clone());
-            match self.mac.send(ctx, dst, port, body) {
+            match mac.send(ctx, dst, port, body) {
                 Ok(_) => {
                     if port == PORT_DATA {
                         ctx.count_node("dissem_data_tx", 1.0);
@@ -389,7 +422,10 @@ impl<M: Mac> DissemNode<M> {
             }
         } else if meta.version > my_v {
             if self.enabled {
-                self.store.begin(meta);
+                if !self.store.begin(meta) {
+                    ctx.count_node("dissem_adv_oversize", 1.0);
+                    return;
+                }
                 self.fetch = None;
                 self.source = Some(src);
                 self.reset_trickle(ctx, true);
@@ -403,8 +439,9 @@ impl<M: Mac> DissemNode<M> {
         }
     }
 
-    fn handle_req(
+    fn handle_req<M: Mac>(
         &mut self,
+        mac: &mut M,
         ctx: &mut Ctx<'_>,
         src: NodeId,
         version: u32,
@@ -442,6 +479,7 @@ impl<M: Mac> DissemNode<M> {
             };
             self.queued.push((key_dst, page, c));
             self.enqueue(
+                mac,
                 ctx,
                 dst,
                 PORT_DATA,
@@ -523,42 +561,10 @@ impl<M: Mac> DissemNode<M> {
             ctx.count_node("dissem_page_bad", 1.0);
         }
     }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    src,
-                    upper_port,
-                    payload,
-                    ..
-                } => match upper_port {
-                    PORT_ADV => {
-                        if let Some((meta, have)) = decode_adv(&payload) {
-                            self.handle_adv(ctx, src, meta, have);
-                        }
-                    }
-                    PORT_REQ => {
-                        if let Some((v, page, missing)) = decode_req(&payload) {
-                            self.handle_req(ctx, src, v, page, missing);
-                        }
-                    }
-                    PORT_DATA => {
-                        if let Some((v, page, chunk, crc, bytes)) = decode_data(&payload) {
-                            self.handle_data(ctx, v, page, chunk, crc, bytes);
-                        }
-                    }
-                    _ => {}
-                },
-                MacEvent::SendDone { .. } => self.pump(ctx),
-            }
-        }
-    }
 }
 
-impl<M: Mac> Proto for DissemNode<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
+impl<M: Mac> Service<M> for Dissem {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         self.restart_interval(ctx);
         if self.wants_pages() {
             // Crash recovery with partial flash: ask around once the
@@ -567,17 +573,38 @@ impl<M: Mac> Proto for DissemNode<M> {
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
-            return;
+    fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        match port {
+            PORT_ADV => {
+                if let Some((meta, have)) = decode_adv(payload) {
+                    self.handle_adv(ctx, src, meta, have);
+                }
+            }
+            PORT_REQ => {
+                if let Some((v, page, missing)) = decode_req(payload) {
+                    self.handle_req(mac, ctx, src, v, page, missing);
+                }
+            }
+            PORT_DATA => {
+                if let Some((v, page, chunk, crc, bytes)) = decode_data(payload) {
+                    self.handle_data(ctx, v, page, chunk, crc, bytes);
+                }
+            }
+            _ => {}
         }
+    }
+
+    /// Any completion frees a MAC queue slot, whoever sent it.
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, _: SendHandle, _acked: bool) {
+        self.pump(mac, ctx);
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_TRICKLE_T if timer.id == self.t_timer => {
                 self.t_timer = TimerId::NONE;
                 if self.trickle.should_transmit() {
-                    self.send_adv(ctx);
+                    self.send_adv(mac, ctx);
                 } else {
                     ctx.count_node("dissem_adv_suppressed", 1.0);
                 }
@@ -587,25 +614,44 @@ impl<M: Mac> Proto for DissemNode<M> {
                 self.trickle.interval_expired();
                 self.restart_interval(ctx);
             }
-            TAG_PUMP => self.pump(ctx),
+            TAG_PUMP => self.pump(mac, ctx),
             TAG_REQ if timer.id == self.req_timer => {
                 self.req_timer = TimerId::NONE;
-                self.fire_req(ctx);
+                self.fire_req(mac, ctx);
             }
             _ => {}
         }
     }
 
+    fn crashed(&mut self) {
+        self.trickle = Trickle::new(self.cfg.trickle);
+        self.t_timer = TimerId::NONE;
+        self.end_timer = TimerId::NONE;
+        self.req_timer = TimerId::NONE;
+        self.fetch = None;
+        self.source = None;
+        self.outq.clear();
+        self.queued.clear();
+        // self.store survives: it is flash. self.enabled survives too —
+        // cohort activation is a backend decision, not RAM.
+    }
+}
+
+impl<M: Mac> Proto for DissemNode<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.dissem, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.dissem, ctx, timer);
+    }
+
     fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
+        self.stack.frame(&mut self.dissem, ctx, frame, info);
     }
 
     fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
+        self.stack.tx_done(&mut self.dissem, ctx, outcome);
     }
 
     fn wire(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
@@ -629,7 +675,7 @@ impl<M: Mac> Proto for DissemNode<M> {
             }
             BlockProgress::Done(bytes) => {
                 if let Some(image) = Image::decode(&bytes) {
-                    self.install(ctx, &image);
+                    self.dissem.install(ctx, &image);
                     Message::response_to(&msg, Code::Changed)
                         .with_option(option::BLOCK1, blk.to_bytes())
                 } else {
@@ -645,22 +691,12 @@ impl<M: Mac> Proto for DissemNode<M> {
     }
 
     fn crashed(&mut self) {
-        self.mac.crashed();
-        self.trickle = Trickle::new(self.cfg.trickle);
-        self.t_timer = TimerId::NONE;
-        self.end_timer = TimerId::NONE;
-        self.req_timer = TimerId::NONE;
-        self.fetch = None;
-        self.source = None;
-        self.outq.clear();
-        self.queued.clear();
+        self.stack.crashed(&mut self.dissem);
         self.blk = BlockAssembler::new();
-        // self.store survives: it is flash. self.enabled survives too —
-        // cohort activation is a backend decision, not RAM.
     }
 
     fn wiped(&mut self) {
         self.crashed();
-        self.store.wipe();
+        self.dissem.store.wipe();
     }
 }

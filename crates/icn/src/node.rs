@@ -5,7 +5,7 @@
 use crate::object::{decode_interest, encode_interest, ContentObject, Name, SIG_LEN};
 use crate::pit::{Pit, Requester};
 use crate::store::ContentStore;
-use iiot_mac::{Mac, MacError, MacEvent};
+use iiot_mac::{Mac, MacError, SendHandle, Service, Stack};
 use iiot_security::{CostModel, Key, SecLevel};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{
@@ -110,7 +110,12 @@ pub struct Delivery {
 /// one state machine, the role picked by [`IcnConfig`]. See the
 /// [crate docs](crate) for the protocol walkthrough.
 pub struct IcnNode<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    icn: Icn,
+}
+
+/// The service: everything of an [`IcnNode`] but its MAC.
+struct Icn {
     cfg: IcnConfig,
     cost: CostModel,
     /// Flash: the producer's authoritative objects. Survives `crashed`.
@@ -140,57 +145,60 @@ impl<M: Mac> IcnNode<M> {
         let store = ContentStore::new(cfg.store_cap);
         let pit = Pit::new(cfg.pit_ttl);
         IcnNode {
-            mac,
-            cfg,
-            cost: CostModel::default(),
-            repo: Vec::new(),
-            store,
-            pit,
-            pending: Vec::new(),
-            latest: Vec::new(),
-            outq: VecDeque::new(),
-            poll_timer: TimerId::NONE,
-            poll_nominal: SimTime::ZERO,
-            deliveries: Vec::new(),
-            rejected_forged: 0,
-            rejected_stale: 0,
+            stack: Stack::new(mac),
+            icn: Icn {
+                cfg,
+                cost: CostModel::default(),
+                repo: Vec::new(),
+                store,
+                pit,
+                pending: Vec::new(),
+                latest: Vec::new(),
+                outq: VecDeque::new(),
+                poll_timer: TimerId::NONE,
+                poll_nominal: SimTime::ZERO,
+                deliveries: Vec::new(),
+                rejected_forged: 0,
+                rejected_stale: 0,
+            },
         }
     }
 
     /// The node's configuration.
     pub fn config(&self) -> &IcnConfig {
-        &self.cfg
+        &self.icn.cfg
     }
 
     /// The content store (inspection).
     pub fn store(&self) -> &ContentStore {
-        &self.store
+        &self.icn.store
     }
 
     /// The pending-interest table (inspection).
     pub fn pit(&self) -> &Pit {
-        &self.pit
+        &self.icn.pit
     }
 
     /// Successful deliveries at this node, in acceptance order.
     pub fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
+        &self.icn.deliveries
     }
 
     /// Objects rejected at verification: `(forged, stale)`.
     pub fn rejected(&self) -> (u32, u32) {
-        (self.rejected_forged, self.rejected_stale)
+        (self.icn.rejected_forged, self.icn.rejected_stale)
     }
 
     /// Highest verified version of `name` this node accepted, if any.
     pub fn latest_version(&self, name: &Name) -> Option<u32> {
-        self.latest.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.icn.latest_version(name)
     }
 
     /// Version of `name` in the local authoritative repo, if published
     /// here.
     pub fn repo_version(&self, name: &Name) -> Option<u32> {
-        self.repo
+        self.icn
+            .repo
             .iter()
             .find(|o| o.name == *name)
             .map(|o| o.version)
@@ -201,6 +209,39 @@ impl<M: Mac> IcnNode<M> {
     /// it to any requester already waiting in the PIT — the long-poll
     /// half of pub/sub.
     pub fn publish(&mut self, ctx: &mut Ctx<'_>, name: Name, version: u32, payload: Vec<u8>) {
+        self.icn
+            .publish(self.stack.mac_mut(), ctx, name, version, payload);
+    }
+
+    /// Publishes a pre-built object verbatim — the hook experiments
+    /// use to model a poisoned publisher signing with the wrong key.
+    pub fn publish_object(&mut self, ctx: &mut Ctx<'_>, obj: ContentObject) {
+        self.icn.publish_object(self.stack.mac_mut(), ctx, obj);
+    }
+
+    /// Expresses an Interest from the local application: answer from
+    /// the local repo or cache if possible, else forward upstream.
+    /// Re-expressing an outstanding Interest keeps its original issue
+    /// time (latency measures first-ask to delivery).
+    pub fn express_interest(&mut self, ctx: &mut Ctx<'_>, name: Name, min_version: u32) {
+        self.icn
+            .express_interest(self.stack.mac_mut(), ctx, name, min_version);
+    }
+}
+
+impl Icn {
+    fn latest_version(&self, name: &Name) -> Option<u32> {
+        self.latest.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    fn publish<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        name: Name,
+        version: u32,
+        payload: Vec<u8>,
+    ) {
         let obj = if self.cfg.object_sec {
             let o =
                 ContentObject::signed(&self.cfg.key, name, version, self.cfg.freshness, payload);
@@ -213,12 +254,10 @@ impl<M: Mac> IcnNode<M> {
         } else {
             ContentObject::unsigned(name, version, self.cfg.freshness, payload)
         };
-        self.publish_object(ctx, obj);
+        self.publish_object(mac, ctx, obj);
     }
 
-    /// Publishes a pre-built object verbatim — the hook experiments
-    /// use to model a poisoned publisher signing with the wrong key.
-    pub fn publish_object(&mut self, ctx: &mut Ctx<'_>, obj: ContentObject) {
+    fn publish_object<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, obj: ContentObject) {
         match self.repo.iter_mut().find(|o| o.name == obj.name) {
             Some(slot) => *slot = obj.clone(),
             None => self.repo.push(obj.clone()),
@@ -226,7 +265,7 @@ impl<M: Mac> IcnNode<M> {
         // Push to everyone long-polling for this name.
         for req in self.pit.satisfy(ctx.now(), &obj.name.clone(), obj.version) {
             if let Requester::Node(dst) = req {
-                self.answer_node(ctx, dst, obj.clone());
+                self.answer_node(mac, ctx, dst, obj.clone());
             }
         }
         if self.has_pending(&obj.name) {
@@ -234,11 +273,13 @@ impl<M: Mac> IcnNode<M> {
         }
     }
 
-    /// Expresses an Interest from the local application: answer from
-    /// the local repo or cache if possible, else forward upstream.
-    /// Re-expressing an outstanding Interest keeps its original issue
-    /// time (latency measures first-ask to delivery).
-    pub fn express_interest(&mut self, ctx: &mut Ctx<'_>, name: Name, min_version: u32) {
+    fn express_interest<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        name: Name,
+        min_version: u32,
+    ) {
         let now = ctx.now();
         match self.pending.iter_mut().find(|(n, _, _)| *n == name) {
             Some(p) => p.1 = min_version,
@@ -268,7 +309,7 @@ impl<M: Mac> IcnNode<M> {
             // Local Interests always go out (each poll tick doubles as
             // the loss-recovery retry); only *remote* Interests are
             // aggregation-gated through the PIT.
-            self.send_interest(ctx, up, &name, min_version);
+            self.send_interest(mac, ctx, up, &name, min_version);
         }
     }
 
@@ -276,13 +317,21 @@ impl<M: Mac> IcnNode<M> {
         self.pending.iter().any(|(n, _, _)| n == name)
     }
 
-    fn send_interest(&mut self, ctx: &mut Ctx<'_>, up: NodeId, name: &Name, min_version: u32) {
+    fn send_interest<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        up: NodeId,
+        name: &Name,
+        min_version: u32,
+    ) {
         ctx.emit(EventKind::IcnInterest {
             name: name.id(),
             min_version,
         });
         ctx.count_node("icn_interest_tx", 1.0);
         self.enqueue(
+            mac,
             ctx,
             Dst::Unicast(up),
             PORT_INTEREST,
@@ -290,7 +339,13 @@ impl<M: Mac> IcnNode<M> {
         );
     }
 
-    fn answer_node(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, obj: ContentObject) {
+    fn answer_node<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        dst: NodeId,
+        obj: ContentObject,
+    ) {
         ctx.emit(EventKind::IcnData {
             name: obj.name.id(),
             version: obj.version,
@@ -300,7 +355,7 @@ impl<M: Mac> IcnNode<M> {
             // The signature is the object arm's only extra airtime.
             ctx.count_node("icn_sec_bytes", SIG_LEN as f64);
         }
-        self.enqueue(ctx, Dst::Unicast(dst), PORT_DATA, obj.encode());
+        self.enqueue(mac, ctx, Dst::Unicast(dst), PORT_DATA, obj.encode());
     }
 
     /// Runs the consumer acceptance pipeline on `obj` against this
@@ -352,7 +407,14 @@ impl<M: Mac> IcnNode<M> {
         true
     }
 
-    fn on_interest(&mut self, ctx: &mut Ctx<'_>, src: NodeId, name: Name, min_version: u32) {
+    fn on_interest<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        src: NodeId,
+        name: Name,
+        min_version: u32,
+    ) {
         ctx.count_node("icn_interest_rx", 1.0);
         let now = ctx.now();
         if let Some(obj) = self
@@ -362,7 +424,7 @@ impl<M: Mac> IcnNode<M> {
         {
             let obj = obj.clone();
             ctx.count_node("icn_repo_serve", 1.0);
-            self.answer_node(ctx, src, obj);
+            self.answer_node(mac, ctx, src, obj);
             return;
         }
         if self.cfg.replay {
@@ -371,7 +433,7 @@ impl<M: Mac> IcnNode<M> {
             if let Some(obj) = self.store.lookup_any(&name) {
                 let obj = obj.clone();
                 ctx.count_node("icn_replay_serve", 1.0);
-                self.answer_node(ctx, src, obj);
+                self.answer_node(mac, ctx, src, obj);
                 return;
             }
         }
@@ -382,13 +444,13 @@ impl<M: Mac> IcnNode<M> {
                 version: obj.version,
             });
             ctx.count_node("icn_cache_hit", 1.0);
-            self.answer_node(ctx, src, obj);
+            self.answer_node(mac, ctx, src, obj);
             return;
         }
         ctx.count_node("icn_cache_miss", 1.0);
         if self.pit.add(now, &name, min_version, Requester::Node(src)) {
             if let Some(up) = self.cfg.upstream {
-                self.send_interest(ctx, up, &name, min_version);
+                self.send_interest(mac, ctx, up, &name, min_version);
             }
             // Without an upstream this node *is* the origin: the entry
             // waits in the PIT until a matching publish (long-poll).
@@ -397,7 +459,7 @@ impl<M: Mac> IcnNode<M> {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<'_>, obj: ContentObject) {
+    fn on_data<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, obj: ContentObject) {
         ctx.count_node("icn_data_rx", 1.0);
         let now = ctx.now();
         let accepted_or_no_pending = self.try_deliver(ctx, &obj) || !self.has_pending(&obj.name);
@@ -417,12 +479,19 @@ impl<M: Mac> IcnNode<M> {
         // Fan the data out to every downstream requester it satisfies.
         for req in self.pit.satisfy(now, &obj.name, obj.version) {
             if let Requester::Node(dst) = req {
-                self.answer_node(ctx, dst, obj.clone());
+                self.answer_node(mac, ctx, dst, obj.clone());
             }
         }
     }
 
-    fn enqueue(&mut self, ctx: &mut Ctx<'_>, dst: Dst, port: u8, mut body: Vec<u8>) {
+    fn enqueue<M: Mac>(
+        &mut self,
+        mac: &mut M,
+        ctx: &mut Ctx<'_>,
+        dst: Dst,
+        port: u8,
+        mut body: Vec<u8>,
+    ) {
         if let Some(level) = self.cfg.link_sec {
             // Channel security: the auxiliary header + MIC ride on
             // every frame, and the sender pays the per-hop protect.
@@ -433,13 +502,13 @@ impl<M: Mac> IcnNode<M> {
             ctx.count_node("icn_crypto_uj", self.cost.cpu_energy_uj(level, body.len()));
         }
         self.outq.push_back((dst, port, body));
-        self.pump(ctx);
+        self.pump(mac, ctx);
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         while let Some((dst, port, body)) = self.outq.front() {
             let (dst, port, body) = (*dst, *port, body.clone());
-            match self.mac.send(ctx, dst, port, body) {
+            match mac.send(ctx, dst, port, body) {
                 Ok(_) => {
                     self.outq.pop_front();
                 }
@@ -461,64 +530,51 @@ impl<M: Mac> IcnNode<M> {
             0
         }
     }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    src,
-                    upper_port,
-                    payload,
-                    ..
-                } => {
-                    if let Some(level) = self.cfg.link_sec {
-                        // Per-hop unprotect on every received frame.
-                        ctx.count_node("icn_link_crypto", 1.0);
-                        ctx.count_node(
-                            "icn_crypto_uj",
-                            self.cost.cpu_energy_uj(level, payload.len()),
-                        );
-                    }
-                    match upper_port {
-                        PORT_INTEREST => {
-                            if let Some((name, min)) = decode_interest(&payload) {
-                                self.on_interest(ctx, src, name, min);
-                            }
-                        }
-                        PORT_DATA => {
-                            if let Some(obj) = ContentObject::decode(&payload) {
-                                self.on_data(ctx, obj);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                MacEvent::SendDone { .. } => self.pump(ctx),
-            }
-        }
-    }
 }
 
-impl<M: Mac> Proto for IcnNode<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
+impl<M: Mac> Service<M> for Icn {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         if let Some(plan) = &self.cfg.poll {
             self.poll_nominal = ctx.now() + plan.start;
             self.poll_timer = ctx.set_timer(plan.start, TAG_POLL);
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
-            return;
+    fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        if let Some(level) = self.cfg.link_sec {
+            // Per-hop unprotect on every received frame.
+            ctx.count_node("icn_link_crypto", 1.0);
+            ctx.count_node(
+                "icn_crypto_uj",
+                self.cost.cpu_energy_uj(level, payload.len()),
+            );
         }
+        match port {
+            PORT_INTEREST => {
+                if let Some((name, min)) = decode_interest(payload) {
+                    self.on_interest(mac, ctx, src, name, min);
+                }
+            }
+            PORT_DATA => {
+                if let Some(obj) = ContentObject::decode(payload) {
+                    self.on_data(mac, ctx, obj);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Any completion frees a MAC queue slot, whoever sent it.
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, _: SendHandle, _acked: bool) {
+        self.pump(mac, ctx);
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_POLL if timer.id == self.poll_timer => {
                 if let Some(plan) = self.cfg.poll.clone() {
                     let min = self.poll_min(&plan);
-                    self.express_interest(ctx, plan.name.clone(), min);
+                    self.express_interest(mac, ctx, plan.name.clone(), min);
                     // Jitter each round by up to period/8 — capped at
                     // 200 ms — *around the nominal schedule*: fixed-phase
                     // polls over an unslotted MAC would repeat the same
@@ -536,25 +592,12 @@ impl<M: Mac> Proto for IcnNode<M> {
                         ctx.set_timer(self.poll_nominal + jitter - ctx.now(), TAG_POLL);
                 }
             }
-            TAG_PUMP => self.pump(ctx),
+            TAG_PUMP => self.pump(mac, ctx),
             _ => {}
         }
     }
 
-    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
-    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
     fn crashed(&mut self) {
-        self.mac.crashed();
         self.store = ContentStore::new(self.cfg.store_cap);
         self.pit = Pit::new(self.cfg.pit_ttl);
         self.pending.clear();
@@ -565,10 +608,32 @@ impl<M: Mac> Proto for IcnNode<M> {
         // delivery/rejection oracles survive too — they are harness
         // state, not protocol state.
     }
+}
+
+impl<M: Mac> Proto for IcnNode<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.icn, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.icn, ctx, timer);
+    }
+
+    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
+        self.stack.frame(&mut self.icn, ctx, frame, info);
+    }
+
+    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
+        self.stack.tx_done(&mut self.icn, ctx, outcome);
+    }
+
+    fn crashed(&mut self) {
+        self.stack.crashed(&mut self.icn);
+    }
 
     fn wiped(&mut self) {
         self.crashed();
-        self.repo.clear();
+        self.icn.repo.clear();
     }
 }
 

@@ -2,8 +2,9 @@
 //! records deliveries and completions. Used by unit tests, integration
 //! tests and the experiment harness.
 
-use crate::{is_mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::{Mac, MacError, SendHandle, Service, Stack};
 use iiot_sim::{Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimTime, Timer, TxOutcome};
+use std::ops::Deref;
 
 /// One recorded delivery.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,9 +49,16 @@ struct Scripted {
 /// ```
 #[derive(Debug)]
 pub struct MacDriver<M: Mac> {
-    mac: M,
-    script: Vec<Scripted>,
-    next_script: usize,
+    stack: Stack<M>,
+    script: Script,
+}
+
+/// The service a [`MacDriver`] hosts (and dereferences to): the send
+/// script and everything the MAC reported.
+#[derive(Debug, Default)]
+pub struct Script {
+    sends: Vec<Scripted>,
+    next: usize,
     /// Deliveries observed, in order.
     pub delivered: Vec<Delivery>,
     /// `(handle, acked)` completions, in order.
@@ -83,12 +91,8 @@ impl<M: Mac> MacDriver<M> {
     /// Wraps `mac` with an empty script.
     pub fn new(mac: M) -> Self {
         MacDriver {
-            mac,
-            script: Vec::new(),
-            next_script: 0,
-            delivered: Vec::new(),
-            send_done: Vec::new(),
-            send_errors: Vec::new(),
+            stack: Stack::new(mac),
+            script: Script::default(),
         }
     }
 
@@ -97,10 +101,10 @@ impl<M: Mac> MacDriver<M> {
     /// order.
     pub fn push_send(&mut self, at: SimTime, dst: Dst, upper_port: u8, payload: Vec<u8>) {
         debug_assert!(
-            self.script.last().is_none_or(|s| s.at <= at),
+            self.script.sends.last().is_none_or(|s| s.at <= at),
             "script must be time-ordered"
         );
-        self.script.push(Scripted {
+        self.script.sends.push(Scripted {
             at,
             dst,
             upper_port,
@@ -118,47 +122,67 @@ impl<M: Mac> MacDriver<M> {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        let r = self.mac.send(ctx, dst, upper_port, payload);
+        let r = self.stack.mac_mut().send(ctx, dst, upper_port, payload);
         if let Err(e) = &r {
-            self.send_errors.push(*e);
+            self.script.send_errors.push(*e);
         }
         r
     }
 
     /// The wrapped MAC.
     pub fn mac(&self) -> &M {
-        &self.mac
+        self.stack.mac()
     }
 
     /// The wrapped MAC, mutably.
     pub fn mac_mut(&mut self) -> &mut M {
-        &mut self.mac
+        self.stack.mac_mut()
     }
+}
 
-    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(s) = self.script.get(self.next_script) {
+impl<M: Mac> Deref for MacDriver<M> {
+    type Target = Script;
+
+    fn deref(&self) -> &Script {
+        &self.script
+    }
+}
+
+impl Script {
+    fn arm_next(&self, ctx: &mut Ctx<'_>) {
+        if let Some(s) = self.sends.get(self.next) {
             let at = s.at.max(ctx.now());
             ctx.set_timer_at(at, TAG_SCRIPT);
         }
     }
+}
 
-    fn consume(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    src,
-                    upper_port,
-                    payload,
-                    ..
-                } => self.delivered.push(Delivery {
-                    at: ctx.now(),
-                    src,
-                    upper_port,
-                    payload,
-                }),
-                MacEvent::SendDone { handle, acked } => {
-                    self.send_done.push((handle, acked));
+impl<M: Mac> Service<M> for Script {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
+        self.arm_next(ctx);
+    }
+
+    fn delivered(&mut self, _: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        self.delivered.push(Delivery {
+            at: ctx.now(),
+            src,
+            upper_port: port,
+            payload: payload.to_vec(),
+        });
+    }
+
+    fn send_done(&mut self, _: &mut M, _: &mut Ctx<'_>, handle: SendHandle, acked: bool) {
+        self.send_done.push((handle, acked));
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
+        if timer.tag == TAG_SCRIPT {
+            if let Some(s) = self.sends.get(self.next).cloned() {
+                self.next += 1;
+                if let Err(e) = mac.send(ctx, s.dst, s.upper_port, s.payload) {
+                    self.send_errors.push(e);
                 }
+                self.arm_next(ctx);
             }
         }
     }
@@ -166,42 +190,22 @@ impl<M: Mac> MacDriver<M> {
 
 impl<M: Mac> Proto for MacDriver<M> {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
-        self.arm_next(ctx);
+        self.stack.start(&mut self.script, ctx);
     }
 
     fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        if is_mac_tag(timer.tag) {
-            let mut out = Vec::new();
-            self.mac.on_timer(ctx, timer, &mut out);
-            self.consume(ctx, out);
-            return;
-        }
-        if timer.tag == TAG_SCRIPT {
-            if let Some(s) = self.script.get(self.next_script).cloned() {
-                self.next_script += 1;
-                match self.mac.send(ctx, s.dst, s.upper_port, s.payload) {
-                    Ok(_) => {}
-                    Err(e) => self.send_errors.push(e),
-                }
-                self.arm_next(ctx);
-            }
-        }
+        self.stack.timer(&mut self.script, ctx, timer);
     }
 
     fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.consume(ctx, out);
+        self.stack.frame(&mut self.script, ctx, frame, info);
     }
 
     fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.consume(ctx, out);
+        self.stack.tx_done(&mut self.script, ctx, outcome);
     }
 
     fn crashed(&mut self) {
-        self.mac.crashed();
+        self.stack.crashed(&mut self.script);
     }
 }

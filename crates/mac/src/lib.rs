@@ -20,8 +20,11 @@
 //!   managed by different parties (administrative scalability, §IV-C).
 //!
 //! Every MAC implements the [`Mac`] trait so upper layers (routing,
-//! aggregation) are generic over the link layer. The [`driver`] module
-//! provides a scriptable host used by tests and experiments.
+//! aggregation) are generic over the link layer. They do not own the
+//! MAC: a node holds a [`Stack`], which makes the MAC calls, and each
+//! protocol is a [`Service`] the stack lends the MAC to — see [`stack`]
+//! for a runnable host. The [`driver`] module is the scriptable service
+//! used by tests and experiments.
 //!
 //! # Examples
 //!
@@ -51,7 +54,10 @@ pub mod driver;
 pub mod header;
 pub mod lpl;
 pub mod rimac;
+pub mod stack;
 pub mod tdma;
+
+pub use stack::{Service, Stack};
 
 use iiot_sim::{Ctx, Dst, Frame, RxInfo, Timer, TxOutcome};
 
@@ -153,11 +159,12 @@ pub(crate) fn admit<P>(
 
 /// A medium-access protocol.
 ///
-/// Upper layers own a `Mac` value, forward the raw
-/// [`Proto`](iiot_sim::Proto) callbacks to it, and consume the
-/// [`MacEvent`]s it pushes into the `out` vector. Timer demultiplexing
-/// uses the tag space: tags `>=` [`MAC_TAG_BASE`] belong to the MAC
-/// ([`Mac::on_timer`] returns `false` for foreign timers).
+/// A [`Stack`] owns the `Mac` value, forwards the raw
+/// [`Proto`](iiot_sim::Proto) callbacks to it, and hands the
+/// [`MacEvent`]s it pushes into the `out` vector to the hosted
+/// [`Service`], which calls [`Mac::send`] on the MAC it is lent. Timer
+/// demultiplexing uses the tag space: tags `>=` [`MAC_TAG_BASE`] belong
+/// to the MAC ([`Mac::on_timer`] returns `false` for foreign timers).
 ///
 /// `Send` is required because protocol stacks (and the MACs inside
 /// them) move to worker threads under the sharded kernel.

@@ -17,7 +17,7 @@
 
 use crate::collect::{DataPlane, TAG_PUMP, TAG_TRAFFIC};
 use crate::trickle::{Trickle, TrickleConfig};
-use iiot_mac::{Mac, MacEvent};
+use iiot_mac::{Mac, SendHandle, Service, Stack};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{
     Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TimerId, TxOutcome,
@@ -108,9 +108,16 @@ fn version_newer(a: u8, b: u8) -> bool {
     a != b && a.wrapping_sub(b) < 128
 }
 
-/// An RPL-style collection node; see the [module docs](self).
+/// An RPL-style collection node: a [`Dodag`] hosted alone on a MAC;
+/// see the [module docs](self).
 pub struct DodagNode<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    dodag: Dodag,
+}
+
+/// The DODAG protocol as a [`Service`]: one node's routing state and
+/// collection data plane, lent a MAC per call.
+pub struct Dodag {
     config: DodagConfig,
     is_root: bool,
     version: u8,
@@ -136,6 +143,73 @@ impl<M: Mac> DodagNode<M> {
     /// Creates a node. Exactly one node per DODAG should be the root
     /// (the border router).
     pub fn new(mac: M, config: DodagConfig, is_root: bool) -> Self {
+        DodagNode {
+            stack: Stack::new(mac),
+            dodag: Dodag::new(config, is_root),
+        }
+    }
+
+    /// The node's current rank ([`INFINITE_RANK`] when orphaned).
+    pub fn rank(&self) -> u16 {
+        self.dodag.rank
+    }
+
+    /// The current preferred parent.
+    pub fn parent(&self) -> Option<NodeId> {
+        self.dodag.parent
+    }
+
+    /// Whether the node currently has a route to the root.
+    pub fn has_route(&self) -> bool {
+        self.dodag.is_root || self.dodag.parent.is_some()
+    }
+
+    /// The DODAG version this node is on.
+    pub fn version(&self) -> u8 {
+        self.dodag.version
+    }
+
+    /// Data collected so far (meaningful at the root).
+    pub fn collected(&self) -> &[Collected] {
+        self.dodag.collected()
+    }
+
+    /// Number of data items buffered locally (store-and-forward).
+    pub fn buffered(&self) -> usize {
+        self.dodag.data.buffered()
+    }
+
+    /// Number of parent switches performed (repair diagnostics).
+    pub fn parent_switches(&self) -> u64 {
+        self.dodag.parent_switches
+    }
+
+    /// The underlying MAC.
+    pub fn mac(&self) -> &M {
+        self.stack.mac()
+    }
+
+    /// Injects one application datum originating here, for manual use
+    /// via [`Sim::with`](iiot_sim::Sim::with). Returns `false` if the
+    /// buffer is full.
+    pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
+        self.dodag.send_datum(self.stack.mac_mut(), ctx, payload)
+    }
+
+    /// Root-only: starts a global repair by bumping the DODAG version.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called on a non-root node.
+    pub fn trigger_global_repair(&mut self, ctx: &mut Ctx<'_>) {
+        self.dodag.trigger_global_repair(ctx);
+    }
+}
+
+impl Dodag {
+    /// Creates the service. Exactly one node per DODAG should be the
+    /// root (the border router).
+    pub fn new(config: DodagConfig, is_root: bool) -> Self {
         let imax = config.trickle.imin * (1 << config.trickle.doublings);
         assert!(
             config.neighbor_timeout > imax * 2,
@@ -149,8 +223,7 @@ impl<M: Mac> DodagNode<M> {
             config.pump_period,
             config.max_data_attempts,
         );
-        DodagNode {
-            mac,
+        Dodag {
             config,
             is_root,
             version: 0,
@@ -169,60 +242,16 @@ impl<M: Mac> DodagNode<M> {
         }
     }
 
-    /// The node's current rank ([`INFINITE_RANK`] when orphaned).
-    pub fn rank(&self) -> u16 {
-        self.rank
-    }
-
-    /// The current preferred parent.
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
-    }
-
-    /// Whether the node currently has a route to the root.
-    pub fn has_route(&self) -> bool {
-        self.is_root || self.parent.is_some()
-    }
-
-    /// The DODAG version this node is on.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// Data collected so far (meaningful at the root).
     pub fn collected(&self) -> &[Collected] {
         self.data.collected()
     }
 
-    /// Number of data items buffered locally (store-and-forward).
-    pub fn buffered(&self) -> usize {
-        self.data.buffered()
+    fn send_datum<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
+        self.data.originate(mac, ctx, self.parent, payload)
     }
 
-    /// Number of parent switches performed (repair diagnostics).
-    pub fn parent_switches(&self) -> u64 {
-        self.parent_switches
-    }
-
-    /// The underlying MAC.
-    pub fn mac(&self) -> &M {
-        &self.mac
-    }
-
-    /// Injects one application datum originating here, for manual use
-    /// via [`Sim::with`](iiot_sim::Sim::with). Returns `false` if the
-    /// buffer is full.
-    pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
-        self.data
-            .originate(&mut self.mac, ctx, self.parent, payload)
-    }
-
-    /// Root-only: starts a global repair by bumping the DODAG version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a non-root node.
-    pub fn trigger_global_repair(&mut self, ctx: &mut Ctx<'_>) {
+    fn trigger_global_repair(&mut self, ctx: &mut Ctx<'_>) {
         assert!(self.is_root, "global repair starts at the root");
         self.version = self.version.wrapping_add(1);
         ctx.count("global_repairs", 1.0);
@@ -247,13 +276,9 @@ impl<M: Mac> DodagNode<M> {
         self.trickle_begin(ctx);
     }
 
-    fn send_dio(&mut self, ctx: &mut Ctx<'_>, rank: u16) {
+    fn send_dio<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, rank: u16) {
         let payload = vec![self.version, (rank >> 8) as u8, (rank & 0xFF) as u8];
-        if self
-            .mac
-            .send(ctx, Dst::Broadcast, PORT_DIO, payload)
-            .is_ok()
-        {
+        if mac.send(ctx, Dst::Broadcast, PORT_DIO, payload).is_ok() {
             ctx.emit(EventKind::DioSent { rank });
             ctx.count_node("dio_tx", 1.0);
         }
@@ -274,7 +299,7 @@ impl<M: Mac> DodagNode<M> {
             .map(|(rank, id)| (id, rank))
     }
 
-    fn reselect_parent(&mut self, ctx: &mut Ctx<'_>) {
+    fn reselect_parent<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         if self.is_root {
             return;
         }
@@ -303,7 +328,7 @@ impl<M: Mac> DodagNode<M> {
                         .saturating_add(RANK_INCREASE);
                     if follow > self.rank_at_attach.saturating_add(MAX_RANK_STRETCH) {
                         ctx.count_node("rank_stretch_break", 1.0);
-                        self.parent_lost(ctx);
+                        self.parent_lost(mac, ctx);
                         return;
                     }
                     self.rank = follow;
@@ -332,11 +357,11 @@ impl<M: Mac> DodagNode<M> {
             if self.parent.is_none() {
                 // Freshly orphaned: poison our sub-DODAG and solicit.
                 ctx.count_node("orphaned", 1.0);
-                self.send_dio(ctx, INFINITE_RANK);
+                self.send_dio(mac, ctx, INFINITE_RANK);
                 ctx.set_timer(self.config.dis_period, TAG_DIS);
                 self.trickle_reset(ctx, "parent_lost");
             } else {
-                self.pump(ctx);
+                self.pump(mac, ctx);
                 self.trickle_reset(ctx, "inconsistent");
             }
         } else if self.rank != old_rank {
@@ -344,7 +369,7 @@ impl<M: Mac> DodagNode<M> {
         }
     }
 
-    fn parent_lost(&mut self, ctx: &mut Ctx<'_>) {
+    fn parent_lost<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         if let Some(p) = self.parent.take() {
             self.neighbors.remove(&p);
         }
@@ -355,7 +380,7 @@ impl<M: Mac> DodagNode<M> {
             self.quarantine_until = ctx.now() + self.config.reattach_quarantine;
         }
         self.rank = INFINITE_RANK;
-        self.reselect_parent(ctx);
+        self.reselect_parent(mac, ctx);
         if self.parent.is_none() {
             // reselect_parent only emits orphan actions on a parent
             // *change*; entering here we already cleared it, so make
@@ -365,15 +390,15 @@ impl<M: Mac> DodagNode<M> {
     }
 
     /// Offers the head of the data queue to the current parent.
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        self.data.pump(&mut self.mac, ctx, self.parent);
+    fn pump<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
+        self.data.pump(mac, ctx, self.parent);
     }
 
     // ------------------------------------------------------------------
     // Control plane handlers
     // ------------------------------------------------------------------
 
-    fn on_dio(&mut self, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
+    fn on_dio<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, from: NodeId, payload: &[u8]) {
         if payload.len() < 3 {
             return;
         }
@@ -400,7 +425,7 @@ impl<M: Mac> DodagNode<M> {
         if rank == INFINITE_RANK {
             // Poison: our parent lost its route.
             if self.parent == Some(from) {
-                self.parent_lost(ctx);
+                self.parent_lost(mac, ctx);
             }
             return;
         }
@@ -413,13 +438,13 @@ impl<M: Mac> DodagNode<M> {
                 || self.parent.is_none()
                 || self.parent == Some(from)
             {
-                self.reselect_parent(ctx);
+                self.reselect_parent(mac, ctx);
             }
             if self.rank == old_rank && had_route {
                 self.trickle.heard_consistent();
             }
             if !had_route && self.parent.is_some() {
-                self.pump(ctx);
+                self.pump(mac, ctx);
             }
         } else {
             self.trickle.heard_consistent();
@@ -432,45 +457,10 @@ impl<M: Mac> DodagNode<M> {
             self.trickle_reset(ctx, "inconsistent");
         }
     }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    src,
-                    upper_port,
-                    payload,
-                    ..
-                } => match upper_port {
-                    PORT_DIO => self.on_dio(ctx, src, &payload),
-                    PORT_DIS => self.on_dis(ctx),
-                    PORT_DATA => {
-                        let (mac, up, root) = (&mut self.mac, self.parent, self.is_root);
-                        self.data.on_data(mac, ctx, up, root, src, &payload);
-                    }
-                    _ => {}
-                },
-                MacEvent::SendDone { handle, acked } => {
-                    if !self.data.settle(ctx, handle, acked) {
-                        continue;
-                    }
-                    // A failed unicast is evidence against the parent.
-                    self.parent_failures = if acked { 0 } else { self.parent_failures + 1 };
-                    if !acked && self.parent_failures >= self.config.max_parent_failures {
-                        ctx.count_node("parent_evict", 1.0);
-                        self.parent_lost(ctx);
-                    } else {
-                        self.pump(ctx);
-                    }
-                }
-            }
-        }
-    }
 }
 
-impl<M: Mac> Proto for DodagNode<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
+impl<M: Mac> Service<M> for Dodag {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         if self.is_root {
             self.rank = ROOT_RANK;
         } else {
@@ -488,12 +478,33 @@ impl<M: Mac> Proto for DodagNode<M> {
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
+    fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        match port {
+            PORT_DIO => self.on_dio(mac, ctx, src, payload),
+            PORT_DIS => self.on_dis(ctx),
+            PORT_DATA => {
+                let (up, root) = (self.parent, self.is_root);
+                self.data.on_data(mac, ctx, up, root, src, payload);
+            }
+            _ => {}
+        }
+    }
+
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, handle: SendHandle, acked: bool) {
+        if !self.data.settle(ctx, handle, acked) {
             return;
         }
+        // A failed unicast is evidence against the parent.
+        self.parent_failures = if acked { 0 } else { self.parent_failures + 1 };
+        if !acked && self.parent_failures >= self.config.max_parent_failures {
+            ctx.count_node("parent_evict", 1.0);
+            self.parent_lost(mac, ctx);
+        } else {
+            self.pump(mac, ctx);
+        }
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_TRICKLE_T
                 if timer.id == self.trickle_t
@@ -501,14 +512,14 @@ impl<M: Mac> Proto for DodagNode<M> {
                     && self.rank != INFINITE_RANK =>
             {
                 let rank = self.rank;
-                self.send_dio(ctx, rank);
+                self.send_dio(mac, ctx, rank);
             }
             TAG_TRICKLE_END if timer.id == self.trickle_end => {
                 self.trickle.interval_expired();
                 self.trickle_begin(ctx);
             }
             TAG_DIS if !self.is_root && self.parent.is_none() => {
-                if self.mac.send(ctx, Dst::Broadcast, PORT_DIS, vec![]).is_ok() {
+                if mac.send(ctx, Dst::Broadcast, PORT_DIS, vec![]).is_ok() {
                     ctx.count_node("dis_tx", 1.0);
                 }
                 ctx.set_timer(self.config.dis_period, TAG_DIS);
@@ -527,35 +538,22 @@ impl<M: Mac> Proto for DodagNode<M> {
                     self.neighbors.remove(&id);
                 }
                 if lost_parent {
-                    self.parent_lost(ctx);
+                    self.parent_lost(mac, ctx);
                 }
                 ctx.set_timer(self.config.neighbor_timeout / 4, TAG_SWEEP);
             }
             TAG_TRAFFIC => {
                 if let Some(tr) = self.config.traffic {
-                    self.send_datum(ctx, vec![0xAB; tr.payload_len]);
+                    self.send_datum(mac, ctx, vec![0xAB; tr.payload_len]);
                     tr.arm_next(ctx);
                 }
             }
-            TAG_PUMP => self.pump(ctx),
+            TAG_PUMP => self.pump(mac, ctx),
             _ => {}
         }
     }
 
-    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
-    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
     fn crashed(&mut self) {
-        self.mac.crashed();
         // RAM state is lost; the node rejoins from scratch on revive.
         self.version = 0;
         self.rank = if self.is_root {
@@ -573,6 +571,28 @@ impl<M: Mac> Proto for DodagNode<M> {
         self.trickle = Trickle::new(self.config.trickle);
         self.trickle_t = TimerId::NONE;
         self.trickle_end = TimerId::NONE;
+    }
+}
+
+impl<M: Mac> Proto for DodagNode<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.dodag, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.dodag, ctx, timer);
+    }
+
+    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
+        self.stack.frame(&mut self.dodag, ctx, frame, info);
+    }
+
+    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
+        self.stack.tx_done(&mut self.dodag, ctx, outcome);
+    }
+
+    fn crashed(&mut self) {
+        self.stack.crashed(&mut self.dodag);
     }
 }
 
@@ -619,18 +639,8 @@ mod tests {
     /// is not its parent, below the MAC (which carries any payload).
     fn deliver_data(w: &mut Sim, to: NodeId, payload: Vec<u8>) {
         w.with(to, |n: &mut Node, ctx| {
-            let info = RxInfo {
-                rssi_dbm: -60.0,
-                channel: 0,
-                started: ctx.now(),
-            };
-            let ev = MacEvent::Delivered {
-                src: NodeId(2),
-                upper_port: PORT_DATA,
-                payload,
-                info,
-            };
-            n.handle_mac_events(ctx, vec![ev]);
+            n.dodag
+                .delivered(n.stack.mac_mut(), ctx, NodeId(2), PORT_DATA, &payload);
         });
     }
 

@@ -49,7 +49,7 @@ pub mod rnfd;
 pub mod statictree;
 pub mod trickle;
 
-pub use dodag::{Collected, DodagConfig, DodagNode, Traffic};
+pub use dodag::{Collected, Dodag, DodagConfig, DodagNode, Traffic};
 pub use rnfd::{RnfdConfig, RnfdNode};
 pub use statictree::{StaticCollection, StaticConfig};
 pub use trickle::{Trickle, TrickleConfig};

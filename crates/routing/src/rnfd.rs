@@ -17,7 +17,7 @@
 //! quorum protocol, and — by configuring a singleton sentinel set — the
 //! solo-detector baseline the experiment compares against.
 
-use iiot_mac::{Mac, MacEvent};
+use iiot_mac::{Mac, Service, Stack};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use rand::Rng;
@@ -63,7 +63,12 @@ impl Default for RnfdConfig {
 /// One participant of the RNFD protocol: the root (when `ctx.id() ==
 /// config.root`) emits heartbeats; sentinels run the quorum.
 pub struct RnfdNode<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    rnfd: Rnfd,
+}
+
+/// The service: one participant's detector state.
+struct Rnfd {
     config: RnfdConfig,
     /// Heartbeats seen since the last check tick.
     hb_since_check: u32,
@@ -78,50 +83,44 @@ impl<M: Mac> RnfdNode<M> {
     /// Creates a participant.
     pub fn new(mac: M, config: RnfdConfig) -> Self {
         RnfdNode {
-            mac,
-            config,
-            hb_since_check: 0,
-            misses: 0,
-            suspected: false,
-            votes: BTreeMap::new(),
-            verdict_at: None,
-            hb_seq: 0,
+            stack: Stack::new(mac),
+            rnfd: Rnfd {
+                config,
+                hb_since_check: 0,
+                misses: 0,
+                suspected: false,
+                votes: BTreeMap::new(),
+                verdict_at: None,
+                hb_seq: 0,
+            },
         }
     }
 
     /// Whether this sentinel currently suspects the router.
     pub fn suspected(&self) -> bool {
-        self.suspected
+        self.rnfd.suspected
     }
 
     /// When this node concluded the router is dead, if it has.
     pub fn verdict_at(&self) -> Option<SimTime> {
-        self.verdict_at
+        self.rnfd.verdict_at
     }
 
     /// Current consecutive miss count.
     pub fn misses(&self) -> u32 {
-        self.misses
+        self.rnfd.misses
     }
+}
 
-    fn is_root(&self, ctx: &Ctx<'_>) -> bool {
-        ctx.id() == self.config.root
-    }
-
-    fn is_sentinel(&self, ctx: &Ctx<'_>) -> bool {
-        self.config.sentinels.contains(&ctx.id())
-    }
-
-    fn broadcast_vote(&mut self, ctx: &mut Ctx<'_>, suspect: bool) {
-        let _ = self
-            .mac
-            .send(ctx, Dst::Broadcast, PORT_VOTE, vec![suspect as u8]);
+impl Rnfd {
+    fn broadcast_vote<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, suspect: bool) {
+        let _ = mac.send(ctx, Dst::Broadcast, PORT_VOTE, vec![suspect as u8]);
         ctx.count_node("rnfd_vote_tx", 1.0);
         self.votes.insert(ctx.id(), suspect);
-        self.check_quorum(ctx);
+        self.check_quorum(mac, ctx);
     }
 
-    fn check_quorum(&mut self, ctx: &mut Ctx<'_>) {
+    fn check_quorum<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>) {
         if self.verdict_at.is_some() || !self.suspected {
             return;
         }
@@ -138,55 +137,16 @@ impl<M: Mac> RnfdNode<M> {
             });
             ctx.count("rnfd_verdicts", 1.0);
             ctx.record("rnfd_verdict_time_s", ctx.now().as_secs_f64());
-            let _ = self.mac.send(ctx, Dst::Broadcast, PORT_VERDICT, vec![]);
-        }
-    }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        for ev in events {
-            let MacEvent::Delivered {
-                src,
-                upper_port,
-                payload,
-                ..
-            } = ev
-            else {
-                continue;
-            };
-            match upper_port {
-                PORT_HEARTBEAT => {
-                    self.hb_since_check += 1;
-                    self.misses = 0;
-                    if self.suspected {
-                        // The router is alive after all: retract.
-                        self.suspected = false;
-                        ctx.emit(EventKind::RnfdVerdict {
-                            target: self.config.root,
-                            verdict: "alive",
-                        });
-                        ctx.count_node("rnfd_retract", 1.0);
-                        self.broadcast_vote(ctx, false);
-                    }
-                }
-                PORT_VOTE if self.config.sentinels.contains(&src) && !payload.is_empty() => {
-                    self.votes.insert(src, payload[0] != 0);
-                    self.check_quorum(ctx);
-                }
-                PORT_VERDICT if self.verdict_at.is_none() => {
-                    self.verdict_at = Some(ctx.now());
-                }
-                _ => {}
-            }
+            let _ = mac.send(ctx, Dst::Broadcast, PORT_VERDICT, vec![]);
         }
     }
 }
 
-impl<M: Mac> Proto for RnfdNode<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
-        if self.is_root(ctx) {
+impl<M: Mac> Service<M> for Rnfd {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
+        if ctx.id() == self.config.root {
             ctx.set_timer(self.config.heartbeat, TAG_HEARTBEAT);
-        } else if self.is_sentinel(ctx) {
+        } else if self.config.sentinels.contains(&ctx.id()) {
             // Random phase so sentinel checks are unsynchronized, plus
             // 1.5 periods of grace for the first heartbeat.
             let jitter = ctx.rng().gen_range(0..self.config.heartbeat.as_micros());
@@ -199,16 +159,38 @@ impl<M: Mac> Proto for RnfdNode<M> {
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
-            return;
+    fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        match port {
+            PORT_HEARTBEAT => {
+                self.hb_since_check += 1;
+                self.misses = 0;
+                if self.suspected {
+                    // The router is alive after all: retract.
+                    self.suspected = false;
+                    ctx.emit(EventKind::RnfdVerdict {
+                        target: self.config.root,
+                        verdict: "alive",
+                    });
+                    ctx.count_node("rnfd_retract", 1.0);
+                    self.broadcast_vote(mac, ctx, false);
+                }
+            }
+            PORT_VOTE if self.config.sentinels.contains(&src) && !payload.is_empty() => {
+                self.votes.insert(src, payload[0] != 0);
+                self.check_quorum(mac, ctx);
+            }
+            PORT_VERDICT if self.verdict_at.is_none() => {
+                self.verdict_at = Some(ctx.now());
+            }
+            _ => {}
         }
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_HEARTBEAT => {
                 self.hb_seq = self.hb_seq.wrapping_add(1);
-                let _ = self.mac.send(
+                let _ = mac.send(
                     ctx,
                     Dst::Broadcast,
                     PORT_HEARTBEAT,
@@ -223,7 +205,7 @@ impl<M: Mac> Proto for RnfdNode<M> {
                     if self.misses >= self.config.miss_threshold && !self.suspected {
                         self.suspected = true;
                         ctx.count_node("rnfd_suspect", 1.0);
-                        self.broadcast_vote(ctx, true);
+                        self.broadcast_vote(mac, ctx, true);
                     }
                 } else {
                     self.misses = 0;
@@ -235,20 +217,7 @@ impl<M: Mac> Proto for RnfdNode<M> {
         }
     }
 
-    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
-    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
-    }
-
     fn crashed(&mut self) {
-        self.mac.crashed();
         self.hb_since_check = 0;
         self.misses = 0;
         self.suspected = false;
@@ -256,6 +225,28 @@ impl<M: Mac> Proto for RnfdNode<M> {
         self.hb_seq = 0;
         // verdict_at is kept: a recovered node remembering its verdict
         // models operator notification having already fired.
+    }
+}
+
+impl<M: Mac> Proto for RnfdNode<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.rnfd, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.rnfd, ctx, timer);
+    }
+
+    fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
+        self.stack.frame(&mut self.rnfd, ctx, frame, info);
+    }
+
+    fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
+        self.stack.tx_done(&mut self.rnfd, ctx, outcome);
+    }
+
+    fn crashed(&mut self) {
+        self.stack.crashed(&mut self.rnfd);
     }
 }
 

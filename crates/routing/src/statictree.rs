@@ -10,7 +10,7 @@
 //! deployment grows (see `Deployment::extend` in `iiot-core`).
 
 use crate::collect::{Collected, DataPlane, Traffic, PORT_DATA, TAG_PUMP, TAG_TRAFFIC};
-use iiot_mac::{Mac, MacEvent};
+use iiot_mac::{Mac, SendHandle, Service, Stack};
 use iiot_sim::{Ctx, Frame, NodeId, Proto, RxInfo, SimDuration, Timer, TxOutcome};
 
 /// Configuration of a [`StaticCollection`] node.
@@ -41,7 +41,12 @@ impl StaticConfig {
 
 /// A collection node over a fixed tree; see the [module docs](self).
 pub struct StaticCollection<M: Mac> {
-    mac: M,
+    stack: Stack<M>,
+    tree: StaticTree,
+}
+
+/// The service: the configured tree and the data plane it feeds.
+struct StaticTree {
     config: StaticConfig,
     data: DataPlane,
 }
@@ -52,12 +57,15 @@ impl<M: Mac> StaticCollection<M> {
     pub fn new(mac: M, config: StaticConfig) -> Self {
         // Five transmission attempts per datum, then it is dropped.
         let data = DataPlane::new("static", config.queue_cap, config.pump_period, 5);
-        StaticCollection { mac, config, data }
+        StaticCollection {
+            stack: Stack::new(mac),
+            tree: StaticTree { config, data },
+        }
     }
 
     /// Data collected so far (meaningful at the root).
     pub fn collected(&self) -> &[Collected] {
-        self.data.collected()
+        self.tree.data.collected()
     }
 
     /// Whether this node has a path to the root (statically always
@@ -66,85 +74,88 @@ impl<M: Mac> StaticCollection<M> {
         true
     }
 
+    /// Injects one application datum originating here.
+    pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
+        self.tree.send_datum(self.stack.mac_mut(), ctx, payload)
+    }
+}
+
+impl StaticTree {
     fn parent(&self, me: NodeId) -> Option<NodeId> {
         self.config.parents[me.index()]
     }
 
-    /// Injects one application datum originating here.
-    pub fn send_datum(&mut self, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
+    fn send_datum<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, payload: Vec<u8>) -> bool {
         let parent = self.parent(ctx.id());
-        self.data.originate(&mut self.mac, ctx, parent, payload)
-    }
-
-    fn handle_mac_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<MacEvent>) {
-        let parent = self.parent(ctx.id());
-        let (mac, data) = (&mut self.mac, &mut self.data);
-        for ev in events {
-            match ev {
-                MacEvent::Delivered {
-                    src,
-                    upper_port: PORT_DATA,
-                    payload,
-                    ..
-                } => data.on_data(mac, ctx, parent, parent.is_none(), src, &payload),
-                MacEvent::Delivered { .. } => {}
-                // The tree is fixed: a failed unicast changes nothing
-                // but the datum's attempt count.
-                MacEvent::SendDone { handle, acked } => {
-                    if data.settle(ctx, handle, acked) {
-                        data.pump(mac, ctx, parent);
-                    }
-                }
-            }
-        }
+        self.data.originate(mac, ctx, parent, payload)
     }
 }
 
-impl<M: Mac> Proto for StaticCollection<M> {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        self.mac.start(ctx);
+impl<M: Mac> Service<M> for StaticTree {
+    fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         let root = self.parent(ctx.id()).is_none();
         if let Some(tr) = self.config.traffic.filter(|_| !root) {
             tr.arm_first(ctx);
         }
     }
 
-    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
-        let mut out = Vec::new();
-        if self.mac.on_timer(ctx, timer, &mut out) {
-            self.handle_mac_events(ctx, out);
-            return;
+    fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
+        if port == PORT_DATA {
+            let parent = self.parent(ctx.id());
+            self.data
+                .on_data(mac, ctx, parent, parent.is_none(), src, payload);
         }
+    }
+
+    /// The tree is fixed: a failed unicast changes nothing but the
+    /// datum's attempt count.
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, handle: SendHandle, acked: bool) {
+        if self.data.settle(ctx, handle, acked) {
+            let parent = self.parent(ctx.id());
+            self.data.pump(mac, ctx, parent);
+        }
+    }
+
+    fn timer(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, timer: Timer) {
         match timer.tag {
             TAG_TRAFFIC => {
                 if let Some(tr) = self.config.traffic {
-                    self.send_datum(ctx, vec![0xAB; tr.payload_len]);
+                    self.send_datum(mac, ctx, vec![0xAB; tr.payload_len]);
                     tr.arm_next(ctx);
                 }
             }
             TAG_PUMP => {
                 let parent = self.parent(ctx.id());
-                self.data.pump(&mut self.mac, ctx, parent);
+                self.data.pump(mac, ctx, parent);
             }
             _ => {}
         }
     }
 
+    fn crashed(&mut self) {
+        self.data.crashed();
+    }
+}
+
+impl<M: Mac> Proto for StaticCollection<M> {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.start(&mut self.tree, ctx);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer) {
+        self.stack.timer(&mut self.tree, ctx, timer);
+    }
+
     fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, info: RxInfo) {
-        let mut out = Vec::new();
-        self.mac.on_frame(ctx, frame, info, &mut out);
-        self.handle_mac_events(ctx, out);
+        self.stack.frame(&mut self.tree, ctx, frame, info);
     }
 
     fn tx_done(&mut self, ctx: &mut Ctx<'_>, outcome: TxOutcome) {
-        let mut out = Vec::new();
-        self.mac.on_tx_done(ctx, outcome, &mut out);
-        self.handle_mac_events(ctx, out);
+        self.stack.tx_done(&mut self.tree, ctx, outcome);
     }
 
     fn crashed(&mut self) {
-        self.mac.crashed();
-        self.data.crashed();
+        self.stack.crashed(&mut self.tree);
     }
 }
 
