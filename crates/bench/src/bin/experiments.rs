@@ -17,17 +17,22 @@
 //! array (default path `BENCH_experiments.json`). `--trace PATH` turns
 //! on structured event capture ([`iiot_sim::obs`]) and dumps every
 //! simulated world's events as JSONL — byte-identical for any `--jobs`
-//! — which `trace_report` summarizes. `--quick` swaps the heavyweight
-//! experiments (E5, E14, E15, E16, E17, E18) for reduced-scale variants through the
-//! same code paths — what CI's smoke script traces.
+//! — which `trace_report` summarizes. `--quick` runs the heavyweight
+//! experiments at the reduced axes [`iiot_bench::all_experiments`]
+//! lists beside their full ones — what CI's smoke script traces.
+//!
+//! An unknown experiment id prints the usage and the known ids and
+//! exits 2.
 
-use iiot_bench::{all_experiments, quick_experiments, RunConfig, Runner};
+use iiot_bench::{all_experiments, RunConfig, Runner};
 use iiot_sim::obs;
 
 fn usage() -> ! {
+    let ids: Vec<&str> = all_experiments().iter().map(|(id, _)| *id).collect();
     eprintln!(
-        "usage: experiments [e1..e18]... [--markdown] [--quick] [--jobs N] [--trials N] \
-         [--json [PATH]] [--trace PATH]"
+        "usage: experiments [ID]... [--markdown] [--quick] [--jobs N] [--trials N] \
+         [--json [PATH]] [--trace PATH]\nIDs: {}",
+        ids.join(" ")
     );
     std::process::exit(2);
 }
@@ -89,6 +94,15 @@ fn main() {
         }
     }
 
+    let registry = all_experiments();
+    if let Some(bad) = selected
+        .iter()
+        .find(|s| !registry.iter().any(|(id, _)| id == s))
+    {
+        eprintln!("unknown experiment '{bad}'");
+        usage();
+    }
+
     let rc = RunConfig {
         runner: jobs
             .map(Runner::new)
@@ -100,11 +114,6 @@ fn main() {
         obs::enable_tracing();
     }
 
-    let registry = if quick {
-        quick_experiments()
-    } else {
-        all_experiments()
-    };
     let mut json_tables: Vec<String> = Vec::new();
     let total = std::time::Instant::now();
     for (id, run) in registry {
@@ -113,7 +122,7 @@ fn main() {
         }
         eprintln!("[running {id} ...]");
         let t0 = std::time::Instant::now();
-        for table in run(&rc) {
+        for table in run(&rc, quick) {
             if markdown {
                 println!("{}", table.to_markdown());
             } else {

@@ -25,7 +25,9 @@
 //! byte-identical at any `--jobs`, like the rest of the suite. Wall
 //! clock for this tier is `benchmark/`'s `cloud_stream` workload.
 
-use crate::exp_stream::{fleet, merged_latency, run_streamed, TENANTS};
+use crate::exp_stream::{
+    capacity_per_sec, fleet, merged_latency, noisy_point, queue_config, run_streamed, TENANTS,
+};
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
@@ -38,252 +40,146 @@ use iiot_sim::{NodeId, SimDuration, SimTime};
 /// E16's base seed (experiment id, like `0xE14` for dissemination).
 const SEED: u64 = 0xE16;
 
-/// The standard drain configuration's capacity in messages per
-/// virtual second: `queues × drain_batch / tick`.
-fn capacity_per_sec(config: &IngestConfig, queues: u64) -> f64 {
-    let per_tick = queues as f64 * config.drain_batch as f64;
-    per_tick / (config.tick.as_micros() as f64 / 1e6)
-}
-
 // ---------------------------------------------------------------- E16a
 
-/// E16a over an explicit per-tenant device axis: ingest scaling at
-/// fixed capacity. Total sessions per point = `4 × devices`.
-pub fn e16_ingest_with(rc: &RunConfig, devices_axis: &[u32]) -> Table {
+/// E16a over a per-tenant device axis: ingest scaling at fixed
+/// capacity. Total sessions per point = `4 × devices`.
+pub fn e16_ingest(rc: &RunConfig, devices_axis: &[u32]) -> Table {
     let config = IngestConfig::default();
     let cap = capacity_per_sec(&config, TENANTS as u64);
-    let trials: Vec<Trial> = devices_axis
-        .iter()
-        .map(|&devices| {
-            Trial::new(
-                format!("e16/ingest/{}", devices * TENANTS as u32),
-                SEED,
-                move |s| {
-                    let pipe = run_streamed(devices, SessionPlan::default(), config, None, s);
-                    let (offered, accepted, shed, drained) = pipe.totals();
-                    assert_eq!(accepted, drained, "drain must account for every admission");
-                    let lat = merged_latency(&pipe);
-                    let fairness = metrics::service_fairness(&metrics::summarize(&pipe));
-                    // Mean offered rate over the run's horizon.
-                    let horizon_s = pipe.now().as_micros() as f64 / 1e6;
-                    let rho = offered as f64 / horizon_s / cap;
-                    vec![vec![
-                        Cell::int((devices * TENANTS as u32) as f64),
-                        Cell::int(offered as f64),
-                        Cell::f3(rho),
-                        Cell::pct(accepted as f64 / offered as f64),
-                        Cell::pct(shed as f64 / offered as f64),
-                        Cell::f1(lat.quantile(0.5) / 1000.0),
-                        Cell::f1(lat.quantile(0.99) / 1000.0),
-                        Cell::f3(fairness),
-                    ]]
-                },
-            )
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E16a: cloud ingest scaling at fixed drain capacity (4 tenants, 4 msgs/session, 1 s interval)",
         &[
             "sessions", "msgs", "utilization", "accepted", "shed",
             "p50 (ms)", "p99 (ms)", "fairness",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E16a production axis: 25k, 100k and 250k device sessions (100k–1M
-/// messages) through one fixed pipeline.
-pub fn e16_ingest(rc: &RunConfig) -> Table {
-    e16_ingest_with(rc, &[6_250, 25_000, 62_500])
+        devices_axis
+            .iter()
+            .map(|&devices| {
+                Trial::new(
+                    format!("e16/ingest/{}", devices * TENANTS as u32),
+                    SEED,
+                    move |s| {
+                        let pipe = run_streamed(devices, SessionPlan::default(), config, None, s);
+                        let (offered, accepted, shed, drained) = pipe.totals();
+                        assert_eq!(accepted, drained, "drain must account for every admission");
+                        let lat = merged_latency(&pipe);
+                        let fairness = metrics::service_fairness(&metrics::summarize(&pipe));
+                        // Mean offered rate over the run's horizon.
+                        let horizon_s = pipe.now().as_micros() as f64 / 1e6;
+                        let rho = offered as f64 / horizon_s / cap;
+                        vec![vec![
+                            Cell::int((devices * TENANTS as u32) as f64),
+                            Cell::int(offered as f64),
+                            Cell::f3(rho),
+                            Cell::pct(accepted as f64 / offered as f64),
+                            Cell::pct(shed as f64 / offered as f64),
+                            Cell::f1(lat.quantile(0.5) / 1000.0),
+                            Cell::f1(lat.quantile(0.99) / 1000.0),
+                            Cell::f3(fairness),
+                        ]]
+                    },
+                )
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E16b
 
-/// One fairness observation: the quiet tenants' worst-case experience
-/// next to a noisy neighbor.
-struct FairnessPoint {
-    quiet_p99_ms: f64,
-    quiet_shed_pct: f64,
-    /// Quiet tenants' sheds by cause: (auth, rate limit, queue full).
-    quiet_shed_causes: (u64, u64, u64),
-    noisy_accept_pct: f64,
-    fairness: f64,
-}
-
-fn fairness_point(devices: u32, multiplier: u32, isolation: Isolation, s: u64) -> FairnessPoint {
-    // Long-lived sessions (32 msgs each): the noisy tenant's burst must
-    // outlast what the shared buffer can absorb before the damage to
-    // the quiet tenants becomes visible.
-    let plan = SessionPlan {
-        msgs_per_device: 32,
-        noisy: Some((TenantId(0), multiplier)),
-        ..SessionPlan::default()
-    };
-    // Both arms get identical aggregate drain capacity and buffer:
-    // 4 queues × (cap, batch) vs 1 shared queue × 4·(cap, batch).
-    let config = match isolation {
-        Isolation::PerTenant => IngestConfig {
-            shards: TENANTS as usize,
-            queue_cap: 1024,
-            drain_batch: 256,
-            isolation,
-            ..IngestConfig::default()
-        },
-        Isolation::Shared => IngestConfig {
-            shards: 1,
-            queue_cap: 4 * 1024,
-            drain_batch: 4 * 256,
-            isolation,
-            ..IngestConfig::default()
-        },
-    };
-    let pipe = run_streamed(devices, plan, config, None, s);
-    let summaries = metrics::summarize(&pipe);
-    let quiet: Vec<_> = summaries
-        .iter()
-        .filter(|x| x.tenant != TenantId(0))
-        .collect();
-    let noisy = summaries
-        .iter()
-        .find(|x| x.tenant == TenantId(0))
-        .expect("noisy tenant");
-    FairnessPoint {
-        quiet_p99_ms: quiet.iter().map(|x| x.p99_us).max().unwrap_or(0) as f64 / 1000.0,
-        quiet_shed_pct: {
-            let (shed, offered) = quiet
-                .iter()
-                .fold((0u64, 0u64), |(s, o), x| (s + x.shed, o + x.offered));
-            shed as f64 / offered.max(1) as f64
-        },
-        quiet_shed_causes: quiet.iter().fold((0, 0, 0), |(a, r, f), x| {
-            (a + x.shed_auth, r + x.shed_ratelimit, f + x.shed_full)
-        }),
-        noisy_accept_pct: noisy.accepted as f64 / noisy.offered.max(1) as f64,
-        fairness: metrics::service_fairness(&summaries),
-    }
-}
-
-/// E16b over explicit noisy-rate multipliers and fleet size: per-tenant
-/// isolation vs a shared queue under a noisy neighbor.
-pub fn e16_fairness_with(rc: &RunConfig, multipliers: &[u32], devices: u32) -> Table {
-    let trials: Vec<Trial> = multipliers
-        .iter()
-        .flat_map(|&m| {
-            [
-                (Isolation::PerTenant, "per-tenant"),
-                (Isolation::Shared, "shared"),
-            ]
-            .into_iter()
-            .map(move |(iso, name)| {
-                Trial::new(format!("e16/fairness/x{m}/{name}"), SEED, move |s| {
-                    let p = fairness_point(devices, m, iso, s);
-                    let (auth, ratelimit, full) = p.quiet_shed_causes;
-                    vec![vec![
-                        Cell::label(format!("{m}x")),
-                        Cell::label(name),
-                        Cell::f1(p.quiet_p99_ms),
-                        Cell::pct(p.quiet_shed_pct),
-                        Cell::pct(p.noisy_accept_pct),
-                        Cell::f3(p.fairness),
-                        Cell::label(format!("{auth}/{ratelimit}/{full}")),
-                    ]]
-                })
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+/// E16b over noisy-rate multipliers at `devices` devices per tenant:
+/// per-tenant isolation vs a shared queue under a noisy neighbor.
+pub fn e16_fairness(rc: &RunConfig, multipliers: &[u32], devices: u32) -> Table {
+    rc.table(
         "E16b: noisy-neighbor fairness — per-tenant queues vs one shared queue (equal aggregate capacity)",
         &[
             "noisy rate", "isolation", "quiet p99 (ms)", "quiet shed",
             "noisy accepted", "fairness", "quiet sheds a/r/f",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E16b production axis: noisy tenant at 1–64× the quiet rate, 8k
-/// sessions.
-pub fn e16_fairness(rc: &RunConfig) -> Table {
-    e16_fairness_with(rc, &[1, 4, 16, 64], 2_000)
+        multipliers
+            .iter()
+            .flat_map(|&m| {
+                [
+                    (Isolation::PerTenant, "per-tenant"),
+                    (Isolation::Shared, "shared"),
+                ]
+                .into_iter()
+                .map(move |(iso, name)| {
+                    Trial::new(format!("e16/fairness/x{m}/{name}"), SEED, move |s| {
+                        let p = noisy_point(devices, m, queue_config(iso), None, s);
+                        let (auth, ratelimit, full) = p.quiet_shed_causes;
+                        vec![vec![
+                            Cell::label(format!("{m}x")),
+                            Cell::label(name),
+                            Cell::f1(p.quiet_p99_ms),
+                            Cell::pct(p.quiet_shed_pct),
+                            Cell::pct(p.noisy_accept_pct),
+                            Cell::f3(p.fairness),
+                            Cell::label(format!("{auth}/{ratelimit}/{full}")),
+                        ]]
+                    })
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E16c
 
-/// E16c over explicit target utilizations: overload behavior of both
-/// shed policies around and past saturation.
-pub fn e16_overload_with(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
+/// E16c over target utilizations at `devices` devices per tenant:
+/// overload behavior of both shed policies around and past saturation.
+pub fn e16_overload(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
     let config = IngestConfig::default();
     let cap = capacity_per_sec(&config, TENANTS as u64);
-    let trials: Vec<Trial> = rhos
-        .iter()
-        .flat_map(|&rho| {
-            [
-                (ShedPolicy::RejectNew, "reject-new"),
-                (ShedPolicy::DropOldest, "drop-oldest"),
-            ]
-            .into_iter()
-            .map(move |(policy, name)| {
-                Trial::new(format!("e16/overload/rho{rho:.1}/{name}"), SEED, move |s| {
-                    let sessions = (devices * TENANTS as u32) as f64;
-                    // Hit the target utilization by compressing the
-                    // reporting interval, not growing the fleet:
-                    // rate = sessions / interval, rho = rate / cap.
-                    let interval_us = (sessions / (rho * cap) * 1e6) as u64;
-                    // Long-lived sessions (16 msgs each) so the
-                    // overload is sustained well past what the
-                    // queue buffer can absorb.
-                    let plan = SessionPlan {
-                        msgs_per_device: 16,
-                        interval: SimDuration::from_micros(interval_us.max(1)),
-                        jitter: SimDuration::from_micros((interval_us / 5).max(1)),
-                        ..SessionPlan::default()
-                    };
-                    let pipe =
-                        run_streamed(devices, plan, IngestConfig { policy, ..config }, None, s);
-                    let (offered, accepted, shed, _) = pipe.totals();
-                    let lat = merged_latency(&pipe);
-                    let max_depth = pipe.stats().map(|(_, st)| st.max_depth).max().unwrap_or(0);
-                    assert!(
-                        max_depth as usize <= config.queue_cap,
-                        "bounded queue exceeded its cap"
-                    );
-                    vec![vec![
-                        Cell::f1(rho),
-                        Cell::label(name),
-                        Cell::pct(accepted as f64 / offered as f64),
-                        Cell::pct(shed as f64 / offered as f64),
-                        Cell::f1(lat.quantile(0.5) / 1000.0),
-                        Cell::f1(lat.quantile(0.99) / 1000.0),
-                        Cell::int(max_depth as f64),
-                    ]]
-                })
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E16c: overload and shed policy (10k sessions, utilization swept by interval compression, queue cap 1024)",
         &[
             "utilization", "policy", "accepted", "shed", "p50 (ms)", "p99 (ms)", "max depth",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E16c production axis: utilization 0.5 → 2.0.
-pub fn e16_overload(rc: &RunConfig) -> Table {
-    e16_overload_with(rc, &[0.5, 0.9, 1.2, 2.0], 2_500)
+        rhos
+            .iter()
+            .flat_map(|&rho| {
+                [
+                    (ShedPolicy::RejectNew, "reject-new"),
+                    (ShedPolicy::DropOldest, "drop-oldest"),
+                ]
+                .into_iter()
+                .map(move |(policy, name)| {
+                    Trial::new(format!("e16/overload/rho{rho:.1}/{name}"), SEED, move |s| {
+                        let sessions = (devices * TENANTS as u32) as f64;
+                        // Hit the target utilization by compressing the
+                        // reporting interval, not growing the fleet:
+                        // rate = sessions / interval, rho = rate / cap.
+                        let interval_us = (sessions / (rho * cap) * 1e6) as u64;
+                        // Long-lived sessions (16 msgs each) so the
+                        // overload is sustained well past what the
+                        // queue buffer can absorb.
+                        let plan = SessionPlan {
+                            msgs_per_device: 16,
+                            interval: SimDuration::from_micros(interval_us.max(1)),
+                            jitter: SimDuration::from_micros((interval_us / 5).max(1)),
+                            ..SessionPlan::default()
+                        };
+                        let pipe =
+                            run_streamed(devices, plan, IngestConfig { policy, ..config }, None, s);
+                        let (offered, accepted, shed, _) = pipe.totals();
+                        let lat = merged_latency(&pipe);
+                        let max_depth = pipe.stats().map(|(_, st)| st.max_depth).max().unwrap_or(0);
+                        assert!(
+                            max_depth as usize <= config.queue_cap,
+                            "bounded queue exceeded its cap"
+                        );
+                        vec![vec![
+                            Cell::f1(rho),
+                            Cell::label(name),
+                            Cell::pct(accepted as f64 / offered as f64),
+                            Cell::pct(shed as f64 / offered as f64),
+                            Cell::f1(lat.quantile(0.5) / 1000.0),
+                            Cell::f1(lat.quantile(0.99) / 1000.0),
+                            Cell::int(max_depth as f64),
+                        ]]
+                    })
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E16d
@@ -344,85 +240,80 @@ pub fn e16_bridge(rc: &RunConfig) -> Table {
         gw
     }
 
-    let trials = vec![Trial::new("e16/bridge", SEED, |s| {
-        const POLLS: u64 = 50;
-        let mut gw = plant_gateway();
-        let tenant = TenantId(0);
-        let uplink = CloudUplink::new(&gw, tenant.0, "plant/");
-        // One registry device per gateway point, mapped on first sight
-        // (poll order is deterministic).
-        let mut point_dev: std::collections::BTreeMap<String, u32> =
-            std::collections::BTreeMap::new();
-        let mut pipe = IngestPipeline::new(fleet(16, s), IngestConfig::default());
-        pipe.set_recorder(iiot_sim::obs::scope_capture(s));
-
-        for i in 0..POLLS {
-            let now_us = i * 100_000;
-            gw.poll_all(now_us);
-            for rec in uplink.drain() {
-                let next = point_dev.len() as u32;
-                let device = *point_dev.entry(rec.point.clone()).or_insert(next);
-                let msg = UplinkMsg {
-                    tenant,
-                    device,
-                    token: pipe.registry().token(tenant, device).unwrap_or(0),
-                    value: rec.value,
-                    t: SimTime::from_micros(rec.timestamp_us),
-                };
-                pipe.drain_until(msg.t);
-                pipe.offer(msg);
-            }
-        }
-        pipe.drain_remaining();
-
-        // Downlink: a tenant-issued setpoint write, routed through the
-        // gateway's CoAP server and applied at its next poll.
-        let mut router = CommandRouter::new(16, s);
-        router.submit(Command {
-            tenant,
-            point: "plant/boiler/setpoint".into(),
-            value: 65.0,
-        });
-        let now = SimTime::from_micros(POLLS * 100_000);
-        let outcomes = router.flush(gw.coap_mut(), now);
-        let ok = outcomes.iter().filter(|o| o.ok).count();
-        if let Some(mut rec) = pipe.take_recorder() {
-            for o in &outcomes {
-                rec.record(&Event {
-                    t: now,
-                    node: NodeId(0),
-                    span: SpanId::NONE,
-                    kind: EventKind::CloudCommand {
-                        tenant: o.tenant.0 as u32,
-                        ok: o.ok,
-                    },
-                });
-            }
-        }
-        gw.poll_all(now.as_micros() + 100_000);
-        let setpoint = gw
-            .last("plant/boiler/setpoint")
-            .map(|m| m.value)
-            .unwrap_or(f64::NAN);
-
-        let (offered, accepted, _, _) = pipe.totals();
-        vec![vec![
-            Cell::int(POLLS as f64),
-            Cell::int(offered as f64),
-            Cell::pct(accepted as f64 / offered.max(1) as f64),
-            Cell::int(ok as f64),
-            Cell::f1(setpoint),
-        ]]
-    })];
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E16d: gateway -> cloud bridge round trip (Modbus/GATT/TLV southbound, CoAP downlink command)",
         &["polls", "uplinks", "accepted", "commands ok", "setpoint after"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        [Trial::new("e16/bridge", SEED, |s| {
+            const POLLS: u64 = 50;
+            let mut gw = plant_gateway();
+            let tenant = TenantId(0);
+            let uplink = CloudUplink::new(&gw, tenant.0, "plant/");
+            // One registry device per gateway point, mapped on first sight
+            // (poll order is deterministic).
+            let mut point_dev: std::collections::BTreeMap<String, u32> =
+                std::collections::BTreeMap::new();
+            let mut pipe = IngestPipeline::new(fleet(16, s), IngestConfig::default());
+            pipe.set_recorder(iiot_sim::obs::scope_capture(s));
+
+            for i in 0..POLLS {
+                let now_us = i * 100_000;
+                gw.poll_all(now_us);
+                for rec in uplink.drain() {
+                    let next = point_dev.len() as u32;
+                    let device = *point_dev.entry(rec.point.clone()).or_insert(next);
+                    let msg = UplinkMsg {
+                        tenant,
+                        device,
+                        token: pipe.registry().token(tenant, device).unwrap_or(0),
+                        value: rec.value,
+                        t: SimTime::from_micros(rec.timestamp_us),
+                    };
+                    pipe.drain_until(msg.t);
+                    pipe.offer(msg);
+                }
+            }
+            pipe.drain_remaining();
+
+            // Downlink: a tenant-issued setpoint write, routed through the
+            // gateway's CoAP server and applied at its next poll.
+            let mut router = CommandRouter::new(16, s);
+            router.submit(Command {
+                tenant,
+                point: "plant/boiler/setpoint".into(),
+                value: 65.0,
+            });
+            let now = SimTime::from_micros(POLLS * 100_000);
+            let outcomes = router.flush(gw.coap_mut(), now);
+            let ok = outcomes.iter().filter(|o| o.ok).count();
+            if let Some(mut rec) = pipe.take_recorder() {
+                for cmd in &outcomes {
+                    rec.record(&Event {
+                        t: now,
+                        node: NodeId(0),
+                        span: SpanId::NONE,
+                        kind: EventKind::CloudCommand {
+                            tenant: cmd.tenant.0 as u32,
+                            ok: cmd.ok,
+                        },
+                    });
+                }
+            }
+            gw.poll_all(now.as_micros() + 100_000);
+            let setpoint = gw
+                .last("plant/boiler/setpoint")
+                .map(|m| m.value)
+                .unwrap_or(f64::NAN);
+
+            let (offered, accepted, _, _) = pipe.totals();
+            vec![vec![
+                Cell::int(POLLS as f64),
+                Cell::int(offered as f64),
+                Cell::pct(accepted as f64 / offered.max(1) as f64),
+                Cell::int(ok as f64),
+                Cell::f1(setpoint),
+            ]]
+        })],
+    )
 }
 
 #[cfg(test)]
@@ -439,8 +330,8 @@ mod tests {
 
     #[test]
     fn ingest_tables_are_jobs_invariant() {
-        let a = e16_ingest_with(&rc(1), &[50, 150]);
-        let b = e16_ingest_with(&rc(4), &[50, 150]);
+        let a = e16_ingest(&rc(1), &[50, 150]);
+        let b = e16_ingest(&rc(4), &[50, 150]);
         assert_eq!(a.rows(), b.rows());
     }
 
@@ -449,7 +340,7 @@ mod tests {
         // 2000 devices at 64x saturates the shared queue (the noisy
         // tenant alone offers ~116k msg/s against 102.4k msg/s of
         // aggregate capacity), so the arms genuinely diverge here.
-        let point = |iso| fairness_point(2_000, 64, iso, SEED);
+        let point = |iso| noisy_point(2_000, 64, queue_config(iso), None, SEED);
         let iso = point(Isolation::PerTenant);
         let shared = point(Isolation::Shared);
         // Isolation bounds the quiet tenants' damage: no shed, and p99
@@ -511,7 +402,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_past_saturation_but_never_below() {
-        let t = e16_overload_with(&rc(2), &[0.5, 2.0], 250);
+        let t = e16_overload(&rc(2), &[0.5, 2.0], 250);
         // rows: [rho, policy, accepted, shed, p50, p99, max_depth]
         let shed_pct = |row: &Vec<String>| {
             row[3]

@@ -94,47 +94,7 @@ pub fn e4_rnfd(rc: &RunConfig) -> Table {
     // One trial per (detector, threshold) cell; the 8-seed loop inside
     // IS the measurement, so each trial derives its seeds from the
     // replica seed it is handed.
-    let trials: Vec<Trial> = [(true, "solo"), (false, "quorum-6")]
-        .into_iter()
-        .flat_map(|(solo, name)| {
-            [2u32, 4, 8].into_iter().map(move |m| {
-                Trial::new(format!("e4/{name}/m{m}"), 0xE4, move |seed| {
-                    let mut fps = 0u32;
-                    let mut detected = 0u32;
-                    let mut lat_sum = 0.0;
-                    for k in 1..=8u64 {
-                        let s = iiot_sim::seed::derive(seed, k);
-                        let (fp, _) = rnfd_star(6, 0.7, m, solo, None, s);
-                        if fp {
-                            fps += 1;
-                        }
-                        let (ok, lat) = rnfd_star(6, 0.7, m, solo, Some(SimTime::from_secs(60)), s);
-                        if ok {
-                            if let Some(l) = lat {
-                                detected += 1;
-                                lat_sum += l;
-                            }
-                        }
-                    }
-                    let mean_lat = if detected > 0 {
-                        lat_sum / detected as f64
-                    } else {
-                        0.0
-                    };
-                    vec![vec![
-                        Cell::label(name),
-                        Cell::label(m.to_string()),
-                        Cell::int(fps as f64),
-                        Cell::int(detected as f64),
-                        Cell::f3(mean_lat),
-                    ]]
-                })
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
+    rc.table(
         "E4: failure detection at PRR 0.7 (6 sentinels, heartbeat 1 s, 8 seeds per cell)",
         &[
             "detector",
@@ -143,11 +103,45 @@ pub fn e4_rnfd(rc: &RunConfig) -> Table {
             "detections (of 8)",
             "mean latency (s)",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        [(true, "solo"), (false, "quorum-6")]
+            .into_iter()
+            .flat_map(|(solo, name)| {
+                [2u32, 4, 8].into_iter().map(move |m| {
+                    Trial::new(format!("e4/{name}/m{m}"), 0xE4, move |seed| {
+                        let mut fps = 0u32;
+                        let mut detected = 0u32;
+                        let mut lat_sum = 0.0;
+                        for k in 1..=8u64 {
+                            let s = iiot_sim::seed::derive(seed, k);
+                            let (fp, _) = rnfd_star(6, 0.7, m, solo, None, s);
+                            if fp {
+                                fps += 1;
+                            }
+                            let (ok, lat) =
+                                rnfd_star(6, 0.7, m, solo, Some(SimTime::from_secs(60)), s);
+                            if ok {
+                                if let Some(l) = lat {
+                                    detected += 1;
+                                    lat_sum += l;
+                                }
+                            }
+                        }
+                        let mean_lat = if detected > 0 {
+                            lat_sum / detected as f64
+                        } else {
+                            0.0
+                        };
+                        vec![vec![
+                            Cell::label(name),
+                            Cell::label(m.to_string()),
+                            Cell::int(fps as f64),
+                            Cell::int(detected as f64),
+                            Cell::f3(mean_lat),
+                        ]]
+                    })
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -165,9 +159,17 @@ pub fn e7_partition(rc: &RunConfig) -> Table {
     // One trial per (duration, design). The replica engine is
     // deterministic — the seed is unused — but the grid of 8 store
     // simulations still fans out over the worker pool.
-    let trials: Vec<Trial> = [0u64, 20, 40, 60]
-        .into_iter()
-        .flat_map(|dur| {
+    rc.table(
+        "E7: replicated store under a 2|3 partition (5 replicas, 100 rounds)",
+        &[
+            "partition rounds",
+            "design",
+            "availability",
+            "rejected",
+            "max divergence",
+            "converge (rounds)",
+        ],
+        [0u64, 20, 40, 60].into_iter().flat_map(|dur| {
             [Design::Ap, Design::Cp].into_iter().map(move |design| {
                 Trial::new(format!("e7/d{dur}/{design:?}"), 0xE7, move |_seed| {
                     let windows = if dur == 0 {
@@ -199,25 +201,8 @@ pub fn e7_partition(rc: &RunConfig) -> Table {
                     ]]
                 })
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E7: replicated store under a 2|3 partition (5 replicas, 100 rounds)",
-        &[
-            "partition rounds",
-            "design",
-            "availability",
-            "rejected",
-            "max divergence",
-            "converge (rounds)",
-        ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
 /// Structural wire size of a full [`GCounter`] state: one `(replica,
@@ -260,68 +245,61 @@ pub fn e7_delta_ablation() -> Table {
 /// (Monte Carlo over the actual mechanisms) against the analytic models.
 pub fn e8_redundancy(rc: &RunConfig) -> Table {
     const MC: usize = 2000;
-    let trials: Vec<Trial> = [0.05f64, 0.1, 0.2, 0.3, 0.5]
-        .into_iter()
-        .map(|p| {
-            Trial::new(format!("e8/p{p}"), 0xE8, move |seed| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut parity_ok = 0;
-                let mut retry_ok = 0;
-                let mut vote_ok = 0;
-                for _ in 0..MC {
-                    // Information: 4 data + 1 parity shards, each lost
-                    // with p.
-                    let data = b"28 bytes of sensor payload!!".to_vec();
-                    let shards = parity_encode(&data, 4);
-                    let got: Vec<Option<Vec<u8>>> = shards
-                        .into_iter()
-                        .map(|s| if rng.gen::<f64>() < p { None } else { Some(s) })
-                        .collect();
-                    if parity_decode(&got, data.len()).as_deref() == Some(data.as_slice()) {
-                        parity_ok += 1;
-                    }
-                    // Time: up to 3 attempts.
-                    if (0..3).any(|_| rng.gen::<f64>() >= p) {
-                        retry_ok += 1;
-                    }
-                    // Physical: 3 replicated sensors, each failed-silent
-                    // with p.
-                    let readings: Vec<Option<f64>> = (0..3)
-                        .map(|_| {
-                            if rng.gen::<f64>() < p {
-                                None
-                            } else {
-                                Some(21.0 + rng.gen::<f64>() * 0.1)
-                            }
-                        })
-                        .collect();
-                    if matches!(vote(&readings, 0.5), Vote::Agreed(_)) {
-                        vote_ok += 1;
-                    }
-                }
-                vec![vec![
-                    Cell::label(f3(p)),
-                    Cell::pct(1.0 - p),
-                    Cell::pct(parity_ok as f64 / MC as f64),
-                    Cell::pct(parity_success_prob(4, p)),
-                    Cell::pct(retry_ok as f64 / MC as f64),
-                    Cell::pct(retry_success_prob(p, 3)),
-                    Cell::pct(vote_ok as f64 / MC as f64),
-                    Cell::pct(k_of_n_prob(3, 2, 1.0 - p)),
-                ]]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
+    rc.table(
         "E8: task success under loss p (2000 trials): none vs information (4+1 parity) vs time (3 tries) vs physical (2-of-3)",
         &["loss p", "none", "parity mc", "parity model", "retry mc", "retry model", "vote mc", "vote model"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        [0.05f64, 0.1, 0.2, 0.3, 0.5]
+            .into_iter()
+            .map(|p| {
+                Trial::new(format!("e8/p{p}"), 0xE8, move |seed| {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut parity_ok = 0;
+                    let mut retry_ok = 0;
+                    let mut vote_ok = 0;
+                    for _ in 0..MC {
+                        // Information: 4 data + 1 parity shards, each lost
+                        // with p.
+                        let data = b"28 bytes of sensor payload!!".to_vec();
+                        let shards = parity_encode(&data, 4);
+                        let got: Vec<Option<Vec<u8>>> = shards
+                            .into_iter()
+                            .map(|s| if rng.gen::<f64>() < p { None } else { Some(s) })
+                            .collect();
+                        if parity_decode(&got, data.len()).as_deref() == Some(data.as_slice()) {
+                            parity_ok += 1;
+                        }
+                        // Time: up to 3 attempts.
+                        if (0..3).any(|_| rng.gen::<f64>() >= p) {
+                            retry_ok += 1;
+                        }
+                        // Physical: 3 replicated sensors, each failed-silent
+                        // with p.
+                        let readings: Vec<Option<f64>> = (0..3)
+                            .map(|_| {
+                                if rng.gen::<f64>() < p {
+                                    None
+                                } else {
+                                    Some(21.0 + rng.gen::<f64>() * 0.1)
+                                }
+                            })
+                            .collect();
+                        if matches!(vote(&readings, 0.5), Vote::Agreed(_)) {
+                            vote_ok += 1;
+                        }
+                    }
+                    vec![vec![
+                        Cell::label(f3(p)),
+                        Cell::pct(1.0 - p),
+                        Cell::pct(parity_ok as f64 / MC as f64),
+                        Cell::pct(parity_success_prob(4, p)),
+                        Cell::pct(retry_ok as f64 / MC as f64),
+                        Cell::pct(retry_success_prob(p, 3)),
+                        Cell::pct(vote_ok as f64 / MC as f64),
+                        Cell::pct(k_of_n_prob(3, 2, 1.0 - p)),
+                    ]]
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -368,9 +346,16 @@ pub fn e9_safety_hvac() -> Table {
 /// Paper claim (§V-D): routing self-organizes and repairs, but
 /// automated diagnosis of components is the neglected piece.
 pub fn e11_maintainability(rc: &RunConfig) -> Table {
-    let trials: Vec<Trial> = [0u64, 600, 300, 150]
-        .into_iter()
-        .map(|mtbf| {
+    rc.table(
+        "E11: 5x5 grid under crash-recovery churn (600 s, MTTR 30 s)",
+        &[
+            "node MTBF (s)",
+            "delivery",
+            "parent switches",
+            "data drops",
+            "orphans at end",
+        ],
+        [0u64, 600, 300, 150].into_iter().map(|mtbf| {
             Trial::new(format!("e11/mtbf{mtbf}"), 0xE11, move |seed| {
                 let mut d = Deployment::builder(Topology::grid(5, 5, 20.0))
                     .mac(MacChoice::Csma)
@@ -410,24 +395,8 @@ pub fn e11_maintainability(rc: &RunConfig) -> Table {
                     Cell::int(r.orphans as f64),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E11: 5x5 grid under crash-recovery churn (600 s, MTTR 30 s)",
-        &[
-            "node MTBF (s)",
-            "delivery",
-            "parent switches",
-            "data drops",
-            "orphans at end",
-        ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
 /// E11-diagnosis: the automated diagnoser pinpoints an injected dead

@@ -31,6 +31,7 @@ use iiot_mac::csma::{CsmaConfig, CsmaMac};
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
 use iiot_mac::Mac;
+use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_routing::trickle::TrickleConfig;
 use iiot_sim::prelude::*;
 
@@ -50,25 +51,6 @@ impl MacArm {
             MacArm::Tdma => "tdma",
         }
     }
-}
-
-/// First-hop parent tree of a `cols x rows` grid: west neighbour if
-/// any, else north — a spanning tree rooted at node 0 whose edges are
-/// all one grid hop.
-fn grid_parents(cols: usize, rows: usize) -> Vec<Option<NodeId>> {
-    (0..rows)
-        .flat_map(|r| {
-            (0..cols).map(move |c| {
-                if c > 0 {
-                    Some(NodeId((r * cols + c - 1) as u32))
-                } else if r > 0 {
-                    Some(NodeId(((r - 1) * cols + c) as u32))
-                } else {
-                    None
-                }
-            })
-        })
-        .collect()
 }
 
 fn tree_peers(parents: &[Option<NodeId>], i: usize) -> Vec<NodeId> {
@@ -222,237 +204,181 @@ fn e14_image(version: u32, len: usize) -> Image {
     )
 }
 
-/// E14a over explicit grid sides and a time cap (test-sized variants
-/// shrink both).
-pub fn e14_completion_with(rc: &RunConfig, sides: &[usize], cap_s: u64) -> Table {
-    let trials: Vec<Trial> = sides
-        .iter()
-        .flat_map(|&side| {
-            [MacArm::Csma, MacArm::Lpl, MacArm::Tdma]
-                .into_iter()
-                .map(move |arm| {
-                    Trial::new(
-                        format!("e14/completion/{}x{side}/{}", side, arm.name()),
-                        0xE14,
-                        move |seed| {
-                            let img = e14_image(1, 960);
-                            let c = run_arm(arm, side, side, &img, seed, cap_s);
-                            vec![vec![
-                                Cell::int((side * side) as f64),
-                                Cell::label(arm.name()),
-                                Cell::f1(c.completion_s),
-                                Cell::pct(c.coverage),
-                                Cell::f1(c.energy_mj),
-                                Cell::int(c.data_tx),
-                            ]]
-                        },
-                    )
-                })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
+/// E14a: image completion time, coverage and energy per MAC over
+/// `side x side` grids, each campaign capped at `cap_s`.
+pub fn e14_completion(rc: &RunConfig, sides: &[usize], cap_s: u64) -> Table {
+    rc.table(
         "E14: image dissemination vs network size (960 B image, 3 pages, 20 m grid), CSMA vs LPL vs TDMA tree schedule",
         &["nodes", "mac", "completion (s)", "coverage", "energy (mJ/node)", "data tx"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        sides
+            .iter()
+            .flat_map(|&side| {
+                [MacArm::Csma, MacArm::Lpl, MacArm::Tdma]
+                    .into_iter()
+                    .map(move |arm| {
+                        Trial::new(
+                            format!("e14/completion/{}x{side}/{}", side, arm.name()),
+                            0xE14,
+                            move |seed| {
+                                let img = e14_image(1, 960);
+                                let c = run_arm(arm, side, side, &img, seed, cap_s);
+                                vec![vec![
+                                    Cell::int((side * side) as f64),
+                                    Cell::label(arm.name()),
+                                    Cell::f1(c.completion_s),
+                                    Cell::pct(c.coverage),
+                                    Cell::f1(c.energy_mj),
+                                    Cell::int(c.data_tx),
+                                ]]
+                            },
+                        )
+                    })
+            }),
+    )
 }
 
-/// E14a production axis: 4x4, 5x5 and 6x6 grids.
-pub fn e14_completion(rc: &RunConfig) -> Table {
-    e14_completion_with(rc, &[4, 5, 6], 1800)
-}
-
-/// E14b over an explicit grid side, image size and crash schedule.
-pub fn e14_resume_with(
-    rc: &RunConfig,
-    side: usize,
-    img_len: usize,
-    crash_s: u64,
-    cap_s: u64,
-) -> Table {
-    let trials: Vec<Trial> = [
-        ("resume (flash kept)", StateLoss::Ram),
-        ("restart (wiped)", StateLoss::Full),
-    ]
-    .into_iter()
-    .map(|(name, loss)| {
-        Trial::new(format!("e14/resume/{name}"), 0xE14, move |seed| {
-            let img = e14_image(2, img_len);
-            let victim = NodeId((side * side - 1) as u32);
-            let down = SimDuration::from_secs(5);
-            let topo = Topology::grid(side, side, 20.0);
-            let ids: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
-            let mut w = SimBuilder::new()
-                .seed(seed)
-                .nodes(topo, |_| {
-                    Box::new(DissemNode::new(
-                        CsmaMac::new(CsmaConfig::default()),
-                        DissemConfig::default(),
-                    )) as Box<dyn Proto>
-                })
-                .build();
-            let gw = ids[0];
-            let img2 = img.clone();
-            w.schedule_at(SimTime::from_secs(1), gw, move |w| {
-                w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
-            });
-            let mut plan = FaultPlan::new();
-            plan.push(Fault::CrashRecover {
-                node: victim,
-                at: SimTime::from_secs(crash_s),
-                down_for: down,
-            });
-            plan.apply_with_state_loss(&mut w, loss);
-            // Sample the victim's flash just before it comes back.
-            w.run_until(SimTime::from_secs(crash_s) + down - SimDuration::from_millis(1));
-            let kept = w.proto::<DissemNode<CsmaMac>>(victim).store().have_pages();
-            let mut t = crash_s + 5;
-            loop {
-                w.run_for(SimDuration::from_secs(5));
-                t += 5;
-                let all = ids
-                    .iter()
-                    .all(|&id| w.proto::<DissemNode<CsmaMac>>(id).complete_ok());
-                if all || t >= cap_s {
-                    break;
-                }
-            }
-            let at = |id: NodeId| {
-                w.proto::<DissemNode<CsmaMac>>(id)
-                    .complete_at()
-                    .map_or(cap_s as f64, |t| t.as_secs_f64())
-            };
-            let network = ids.iter().map(|&id| at(id)).fold(0.0, f64::max);
-            let coverage = ids
-                .iter()
-                .filter(|&&id| w.proto::<DissemNode<CsmaMac>>(id).complete_ok())
-                .count() as f64
-                / ids.len() as f64;
-            vec![vec![
-                Cell::label(name),
-                Cell::int(kept as f64),
-                Cell::f1(at(victim)),
-                Cell::f1(network),
-                Cell::pct(coverage),
-            ]]
-        })
-    })
-    .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
+/// E14b: the far-corner node of a `side x side` CSMA grid crashes
+/// `crash_s` into an `img_len`-byte campaign, keeping or losing its
+/// flash.
+pub fn e14_resume(rc: &RunConfig, side: usize, img_len: usize, crash_s: u64, cap_s: u64) -> Table {
+    rc.table(
         "E14b: crash mid-download at the far corner (CSMA grid, 5 s outage) — flash resume vs full reimage",
         &["recovery", "pages kept", "victim done (s)", "network done (s)", "coverage"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E14b production point: 7x7 grid, 5120 B image (16 pages), crash at
-/// 6 s into the campaign — mid-download at the far corner.
-pub fn e14_resume(rc: &RunConfig) -> Table {
-    e14_resume_with(rc, 7, 5120, 6, 600)
-}
-
-/// E14c over an explicit grid side and cap.
-pub fn e14_rollout_with(rc: &RunConfig, side: usize, cap_s: u64) -> Table {
-    let trials: Vec<Trial> = [("staged (canary)", true), ("flat (all at once)", false)]
+        [
+            ("resume (flash kept)", StateLoss::Ram),
+            ("restart (wiped)", StateLoss::Full),
+        ]
         .into_iter()
-        .map(|(name, staged)| {
-            Trial::new(format!("e14/rollout/{name}"), 0xE14, move |seed| {
-                let img = e14_image(3, 960).poisoned();
+        .map(|(name, loss)| {
+            Trial::new(format!("e14/resume/{name}"), 0xE14, move |seed| {
+                let img = e14_image(2, img_len);
+                let victim = NodeId((side * side - 1) as u32);
+                let down = SimDuration::from_secs(5);
                 let topo = Topology::grid(side, side, 20.0);
                 let ids: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
-                let gw = ids[0];
-                let inj_img = img.clone();
                 let mut w = SimBuilder::new()
                     .seed(seed)
                     .nodes(topo, |_| {
                         Box::new(DissemNode::new(
                             CsmaMac::new(CsmaConfig::default()),
-                            DissemConfig {
-                                enabled: false,
-                                ..DissemConfig::default()
-                            },
+                            DissemConfig::default(),
                         )) as Box<dyn Proto>
                     })
-                    .nodes(
-                        std::iter::once(Pos::new(-100.0, -100.0)).collect::<Topology>(),
-                        move |_| Box::new(BlockInjector::new(gw, &inj_img, 64)),
-                    )
                     .build();
-                // Wireless cohorts by tree depth from the gateway:
-                // disabled nodes relay nothing, so waves must grow
-                // outward for the image to reach them at all.
-                let parents = grid_parents(side, side);
-                let depth_of = |i: usize| {
-                    let mut d = 0;
-                    let mut j = i;
-                    while let Some(p) = parents[j] {
-                        j = p.index();
-                        d += 1;
+                let gw = ids[0];
+                let img2 = img.clone();
+                w.schedule_at(SimTime::from_secs(1), gw, move |w| {
+                    w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
+                });
+                let mut plan = FaultPlan::new();
+                plan.push(Fault::CrashRecover {
+                    node: victim,
+                    at: SimTime::from_secs(crash_s),
+                    down_for: down,
+                });
+                plan.apply_with_state_loss(&mut w, loss);
+                // Sample the victim's flash just before it comes back.
+                w.run_until(SimTime::from_secs(crash_s) + down - SimDuration::from_millis(1));
+                let kept = w.proto::<DissemNode<CsmaMac>>(victim).store().have_pages();
+                let mut t = crash_s + 5;
+                loop {
+                    w.run_for(SimDuration::from_secs(5));
+                    t += 5;
+                    let all = ids
+                        .iter()
+                        .all(|&id| w.proto::<DissemNode<CsmaMac>>(id).complete_ok());
+                    if all || t >= cap_s {
+                        break;
                     }
-                    d
+                }
+                let at = |id: NodeId| {
+                    w.proto::<DissemNode<CsmaMac>>(id)
+                        .complete_at()
+                        .map_or(cap_s as f64, |t| t.as_secs_f64())
                 };
-                let max_d = (0..ids.len()).map(depth_of).max().unwrap_or(0);
-                let rings: Vec<Vec<NodeId>> = (1..=max_d)
-                    .map(|d| {
-                        (0..ids.len())
-                            .filter(|&i| depth_of(i) == d)
-                            .map(|i| ids[i])
-                            .collect()
-                    })
-                    .collect();
-                let plan = if staged {
-                    RolloutPlan::new(rings, SimDuration::from_secs(10))
-                } else {
-                    RolloutPlan::flat(ids[1..].to_vec(), SimDuration::from_secs(10))
-                };
-                // The gateway itself (cohort zero of any rollout) is
-                // always enabled: it holds the trusted image.
-                rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
-                w.run_for(SimDuration::from_secs(cap_s));
-                let poisoned = ids
+                let network = ids.iter().map(|&id| at(id)).fold(0.0, f64::max);
+                let coverage = ids
                     .iter()
-                    .filter(|&&id| w.proto::<DissemNode<CsmaMac>>(id).poisoned())
-                    .count();
-                // The fleet under rollout: everyone but the (trusted)
-                // gateway.
-                let fleet = (ids.len() - 1) as f64;
-                let outcome = if poisoned as f64 / fleet < 0.5 {
-                    "halted at canary"
-                } else {
-                    "fleet-wide"
-                };
+                    .filter(|&&id| w.proto::<DissemNode<CsmaMac>>(id).complete_ok())
+                    .count() as f64
+                    / ids.len() as f64;
                 vec![vec![
                     Cell::label(name),
-                    Cell::int(poisoned as f64),
-                    Cell::pct(poisoned as f64 / fleet),
-                    Cell::label(outcome),
+                    Cell::int(kept as f64),
+                    Cell::f1(at(victim)),
+                    Cell::f1(network),
+                    Cell::pct(coverage),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E14c: poisoned image blast radius — staged canary-first rollout vs flat activation (CSMA grid, CoAP-injected build)",
-        &["rollout", "poisoned nodes", "% of fleet", "outcome"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
-/// E14c production point: 7x7 grid.
-pub fn e14_rollout(rc: &RunConfig) -> Table {
-    e14_rollout_with(rc, 7, 600)
+/// E14c: a poisoned build rolled out staged vs flat over a `side x
+/// side` CSMA grid, observed for `cap_s`.
+pub fn e14_rollout(rc: &RunConfig, side: usize, cap_s: u64) -> Table {
+    rc.table(
+        "E14c: poisoned image blast radius — staged canary-first rollout vs flat activation (CSMA grid, CoAP-injected build)",
+        &["rollout", "poisoned nodes", "% of fleet", "outcome"],
+        [("staged (canary)", true), ("flat (all at once)", false)]
+            .into_iter()
+            .map(|(name, staged)| {
+                Trial::new(format!("e14/rollout/{name}"), 0xE14, move |seed| {
+                    let img = e14_image(3, 960).poisoned();
+                    let topo = Topology::grid(side, side, 20.0);
+                    let ids: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
+                    let gw = ids[0];
+                    let inj_img = img.clone();
+                    let mut w = SimBuilder::new()
+                        .seed(seed)
+                        .nodes(topo, |_| {
+                            Box::new(DissemNode::new(
+                                CsmaMac::new(CsmaConfig::default()),
+                                DissemConfig {
+                                    enabled: false,
+                                    ..DissemConfig::default()
+                                },
+                            )) as Box<dyn Proto>
+                        })
+                        .nodes(
+                            std::iter::once(Pos::new(-100.0, -100.0)).collect::<Topology>(),
+                            move |_| Box::new(BlockInjector::new(gw, &inj_img, 64)),
+                        )
+                        .build();
+                    // Wireless cohorts by tree depth from the gateway:
+                    // disabled nodes relay nothing, so waves must grow
+                    // outward for the image to reach them at all.
+                    let plan = if staged {
+                        RolloutPlan::new(
+                            depth_rings(&grid_parents(side, side)),
+                            SimDuration::from_secs(10),
+                        )
+                    } else {
+                        RolloutPlan::flat(ids[1..].to_vec(), SimDuration::from_secs(10))
+                    };
+                    // The gateway itself (cohort zero of any rollout) is
+                    // always enabled: it holds the trusted image.
+                    rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
+                    w.run_for(SimDuration::from_secs(cap_s));
+                    let poisoned = ids
+                        .iter()
+                        .filter(|&&id| w.proto::<DissemNode<CsmaMac>>(id).poisoned())
+                        .count();
+                    // The fleet under rollout: everyone but the (trusted)
+                    // gateway.
+                    let fleet = (ids.len() - 1) as f64;
+                    let outcome = if poisoned as f64 / fleet < 0.5 {
+                        "halted at canary"
+                    } else {
+                        "fleet-wide"
+                    };
+                    vec![vec![
+                        Cell::label(name),
+                        Cell::int(poisoned as f64),
+                        Cell::pct(poisoned as f64 / fleet),
+                        Cell::label(outcome),
+                    ]]
+                })
+            }),
+    )
 }

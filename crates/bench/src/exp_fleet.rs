@@ -31,145 +31,86 @@ use iiot_sim::{SimDuration, SimTime};
 
 const SEED: u64 = 0xE17;
 
-/// E17a over explicit fleet sizes.
-pub fn e17_blast_with(rc: &RunConfig, sizes: &[u32]) -> Table {
-    let trials: Vec<Trial> = sizes
-        .iter()
-        .flat_map(|&networks| {
-            [
-                ("staged (canary net)", true),
-                ("flat (all networks)", false),
-            ]
-            .into_iter()
-            .map(move |(name, staged)| {
-                Trial::new(format!("e17/blast/{networks}/{name}"), SEED, move |seed| {
-                    let cfg = FleetConfig {
-                        networks,
-                        staged,
-                        poisoned: true,
-                        ..FleetConfig::default()
-                    };
-                    let o = run_fleet(&cfg, seed);
-                    let outcome = if f64::from(o.nodes_poisoned) / f64::from(o.fleet_nodes) < 0.5 {
-                        "halted at canary net"
-                    } else {
-                        "fleet-wide"
-                    };
-                    vec![vec![
-                        Cell::int(f64::from(networks)),
-                        Cell::label(name),
-                        Cell::int(f64::from(o.networks_activated)),
-                        Cell::int(f64::from(o.nodes_poisoned)),
-                        Cell::pct(f64::from(o.nodes_poisoned) / f64::from(o.fleet_nodes)),
-                        Cell::label(outcome),
-                    ]]
-                })
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+/// E17a over fleet sizes (networks): a poisoned build, staged vs flat.
+pub fn e17_blast(rc: &RunConfig, sizes: &[u32]) -> Table {
+    rc.table(
         "E17a: poisoned build blast radius — staged fleet campaign (canary network first) vs flat fleet-wide activation",
         &["networks", "rollout", "nets activated", "poisoned nodes", "% of fleet", "outcome"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E17a production axis: 4, 16 and 32 networks.
-pub fn e17_blast(rc: &RunConfig) -> Table {
-    e17_blast_with(rc, &[4, 16, 32])
-}
-
-/// E17b over explicit fleet sizes and fault arms.
-pub fn e17_converge_with(rc: &RunConfig, sizes: &[u32], faults: &[FaultArm]) -> Table {
-    let trials: Vec<Trial> = sizes
-        .iter()
-        .flat_map(|&networks| {
-            faults.iter().map(move |&fault| {
-                Trial::new(
-                    format!("e17/converge/{networks}/{}", fault.name()),
-                    SEED,
-                    move |seed| {
+        sizes
+            .iter()
+            .flat_map(|&networks| {
+                [
+                    ("staged (canary net)", true),
+                    ("flat (all networks)", false),
+                ]
+                .into_iter()
+                .map(move |(name, staged)| {
+                    Trial::new(format!("e17/blast/{networks}/{name}"), SEED, move |seed| {
                         let cfg = FleetConfig {
                             networks,
-                            fault,
+                            staged,
+                            poisoned: true,
                             ..FleetConfig::default()
                         };
                         let o = run_fleet(&cfg, seed);
+                        let share = f64::from(o.nodes_poisoned) / f64::from(o.fleet_nodes);
+                        let outcome = if share < 0.5 {
+                            "halted at canary net"
+                        } else {
+                            "fleet-wide"
+                        };
                         vec![vec![
                             Cell::int(f64::from(networks)),
-                            Cell::int(f64::from(o.fleet_nodes)),
-                            Cell::label(fault.name()),
-                            Cell::f1(o.done_at_s),
-                            Cell::pct(o.coverage),
+                            Cell::label(name),
+                            Cell::int(f64::from(o.networks_activated)),
+                            Cell::int(f64::from(o.nodes_poisoned)),
+                            Cell::pct(share),
+                            Cell::label(outcome),
                         ]]
-                    },
-                )
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
-        "E17b: staged fleet campaign time-to-converge vs fleet size, with a crash/wipe fault per network during the rollout",
-        &["networks", "fleet nodes", "fault", "fleet done (s)", "coverage"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E17b production axis: 4, 16 and 32 networks x none/crash/wipe.
-pub fn e17_converge(rc: &RunConfig) -> Table {
-    e17_converge_with(
-        rc,
-        &[4, 16, 32],
-        &[FaultArm::None, FaultArm::Crash, FaultArm::Wipe],
+                    })
+                })
+            }),
     )
 }
 
-/// E17c over an explicit fleet size and partition window.
-pub fn e17_twins_with(rc: &RunConfig, networks: u32, part_from_s: u64, part_until_s: u64) -> Table {
-    let trials: Vec<Trial> = [("backhaul up", false), ("half fleet partitioned", true)]
-        .into_iter()
-        .map(|(name, partitioned)| {
-            Trial::new(format!("e17/twins/{name}"), SEED, move |seed| {
-                let partition = partitioned.then(|| PartitionSpec {
-                    from: SimTime::from_secs(part_from_s),
-                    until: SimTime::from_secs(part_until_s),
-                    networks: (0..networks / 2).collect(),
-                });
-                let cfg = FleetConfig {
-                    networks,
-                    staged: false,
-                    partition,
-                    ..FleetConfig::default()
-                };
-                let o = run_fleet(&cfg, seed);
-                let half = (networks / 2) as usize;
-                let mean = |s: &[f64]| {
-                    if s.is_empty() {
-                        0.0
-                    } else {
-                        s.iter().sum::<f64>() / s.len() as f64
-                    }
-                };
-                vec![vec![
-                    Cell::label(name),
-                    Cell::f1(o.done_at_s),
-                    Cell::f1(mean(&o.twin_lag_s[half..])),
-                    Cell::f1(mean(&o.twin_lag_s[..half])),
-                    Cell::int(o.cloud_twins as f64),
-                    Cell::int(o.twin_events as f64),
-                ]]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+/// E17b over fleet sizes and per-network fault arms: a staged campaign's
+/// time-to-converge.
+pub fn e17_converge(rc: &RunConfig, sizes: &[u32], faults: &[FaultArm]) -> Table {
+    rc.table(
+        "E17b: staged fleet campaign time-to-converge vs fleet size, with a crash/wipe fault per network during the rollout",
+        &["networks", "fleet nodes", "fault", "fleet done (s)", "coverage"],
+        sizes
+            .iter()
+            .flat_map(|&networks| {
+                faults.iter().map(move |&fault| {
+                    Trial::new(
+                        format!("e17/converge/{networks}/{}", fault.name()),
+                        SEED,
+                        move |seed| {
+                            let cfg = FleetConfig {
+                                networks,
+                                fault,
+                                ..FleetConfig::default()
+                            };
+                            let o = run_fleet(&cfg, seed);
+                            vec![vec![
+                                Cell::int(f64::from(networks)),
+                                Cell::int(f64::from(o.fleet_nodes)),
+                                Cell::label(fault.name()),
+                                Cell::f1(o.done_at_s),
+                                Cell::pct(o.coverage),
+                            ]]
+                        },
+                    )
+                })
+            }),
+    )
+}
+
+/// E17c: twin lag of a `networks`-network flat campaign whose first
+/// half loses its backhaul over `[part_from_s, part_until_s)`.
+pub fn e17_twins(rc: &RunConfig, networks: u32, part_from_s: u64, part_until_s: u64) -> Table {
+    rc.table(
         "E17c: CRDT twin convergence lag — half the fleet's backhaul partitioned mid-campaign, cloud catches up at the heal",
         &[
             "arm",
@@ -179,67 +120,77 @@ pub fn e17_twins_with(rc: &RunConfig, networks: u32, part_from_s: u64, part_unti
             "cloud twins",
             "twin writes",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        [("backhaul up", false), ("half fleet partitioned", true)]
+            .into_iter()
+            .map(|(name, partitioned)| {
+                Trial::new(format!("e17/twins/{name}"), SEED, move |seed| {
+                    let partition = partitioned.then(|| PartitionSpec {
+                        from: SimTime::from_secs(part_from_s),
+                        until: SimTime::from_secs(part_until_s),
+                        networks: (0..networks / 2).collect(),
+                    });
+                    let cfg = FleetConfig {
+                        networks,
+                        staged: false,
+                        partition,
+                        ..FleetConfig::default()
+                    };
+                    let o = run_fleet(&cfg, seed);
+                    let half = (networks / 2) as usize;
+                    let mean = |s: &[f64]| {
+                        if s.is_empty() {
+                            0.0
+                        } else {
+                            s.iter().sum::<f64>() / s.len() as f64
+                        }
+                    };
+                    vec![vec![
+                        Cell::label(name),
+                        Cell::f1(o.done_at_s),
+                        Cell::f1(mean(&o.twin_lag_s[half..])),
+                        Cell::f1(mean(&o.twin_lag_s[..half])),
+                        Cell::int(o.cloud_twins as f64),
+                        Cell::int(o.twin_events as f64),
+                    ]]
+                })
+            }),
+    )
 }
 
-/// E17c production point: 8 networks, partition open [5 s, 160 s).
-///
-/// The window opens at the activation tick — before any node finishes
-/// its download — so every partitioned network's twin reports queue at
-/// the gateway replica and only reach the cloud at the heal. A later
-/// window would miss the campaign entirely (flat activation converges
-/// in seconds) and measure zero lag on both arms.
-pub fn e17_twins(rc: &RunConfig) -> Table {
-    e17_twins_with(rc, 8, 5, 160)
-}
-
-/// E17d over an explicit fleet size and partition window.
-pub fn e17_drift_with(rc: &RunConfig, networks: u32, part_from_s: u64, part_until_s: u64) -> Table {
-    let trials: Vec<Trial> = [("backhaul up", false), ("half fleet partitioned", true)]
-        .into_iter()
-        .map(|(name, partitioned)| {
-            Trial::new(format!("e17/drift/{name}"), SEED, move |seed| {
-                let partition = partitioned.then(|| PartitionSpec {
-                    from: SimTime::from_secs(part_from_s),
-                    until: SimTime::from_secs(part_until_s),
-                    networks: (0..networks / 2).collect(),
-                });
-                let cfg = FleetConfig {
-                    networks,
-                    partition,
-                    desired_change: Some((SimTime::from_secs(60), 10.0)),
-                    horizon: SimDuration::from_secs(900),
-                    ..FleetConfig::default()
-                };
-                let o = run_fleet(&cfg, seed);
-                vec![vec![
-                    Cell::label(name),
-                    Cell::int(f64::from(o.drift_detected)),
-                    Cell::int(f64::from(o.remediations_ok)),
-                    Cell::int(f64::from(o.remediations_failed)),
-                    Cell::f1(o.drift_cleared_at_s),
-                ]]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+/// E17d: a fleet-wide desired-config change at 60 s on `networks`
+/// networks whose first half loses its backhaul over `[part_from_s,
+/// part_until_s)`.
+pub fn e17_drift(rc: &RunConfig, networks: u32, part_from_s: u64, part_until_s: u64) -> Table {
+    rc.table(
         "E17d: config drift round trip — fleet-wide desired change, detection on converged twins, CoAP remediation push",
         &["arm", "drifted devices", "remediations ok", "failed", "drift cleared (s)"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E17d production point: 4 networks, partition open [50 s, 200 s).
-pub fn e17_drift(rc: &RunConfig) -> Table {
-    e17_drift_with(rc, 4, 50, 200)
+        [("backhaul up", false), ("half fleet partitioned", true)]
+            .into_iter()
+            .map(|(name, partitioned)| {
+                Trial::new(format!("e17/drift/{name}"), SEED, move |seed| {
+                    let partition = partitioned.then(|| PartitionSpec {
+                        from: SimTime::from_secs(part_from_s),
+                        until: SimTime::from_secs(part_until_s),
+                        networks: (0..networks / 2).collect(),
+                    });
+                    let cfg = FleetConfig {
+                        networks,
+                        partition,
+                        desired_change: Some((SimTime::from_secs(60), 10.0)),
+                        horizon: SimDuration::from_secs(900),
+                        ..FleetConfig::default()
+                    };
+                    let o = run_fleet(&cfg, seed);
+                    vec![vec![
+                        Cell::label(name),
+                        Cell::int(f64::from(o.drift_detected)),
+                        Cell::int(f64::from(o.remediations_ok)),
+                        Cell::int(f64::from(o.remediations_failed)),
+                        Cell::f1(o.drift_cleared_at_s),
+                    ]]
+                })
+            }),
+    )
 }
 
 #[cfg(test)]
@@ -260,7 +211,7 @@ mod tests {
 
     #[test]
     fn e17a_staged_bounds_the_blast_radius() {
-        let t = e17_blast_with(&rc(1), &[4]);
+        let t = e17_blast(&rc(1), &[4]);
         assert_eq!(t.rows().len(), 2);
         let staged = num(&t, 0, 3);
         let flat = num(&t, 1, 3);
@@ -272,7 +223,7 @@ mod tests {
 
     #[test]
     fn e17b_wipe_costs_a_redownload_but_resume_is_free() {
-        let t = e17_converge_with(
+        let t = e17_converge(
             &rc(1),
             &[4],
             &[FaultArm::None, FaultArm::Crash, FaultArm::Wipe],
@@ -289,17 +240,17 @@ mod tests {
 
     #[test]
     fn e17_tables_are_jobs_invariant() {
-        let a = e17_twins_with(&rc(1), 4, 5, 90);
-        let b = e17_twins_with(&rc(2), 4, 5, 90);
+        let a = e17_twins(&rc(1), 4, 5, 90);
+        let b = e17_twins(&rc(2), 4, 5, 90);
         assert_eq!(a.rows(), b.rows());
-        let a = e17_drift_with(&rc(1), 2, 30, 90);
-        let b = e17_drift_with(&rc(2), 2, 30, 90);
+        let a = e17_drift(&rc(1), 2, 30, 90);
+        let b = e17_drift(&rc(2), 2, 30, 90);
         assert_eq!(a.rows(), b.rows());
     }
 
     #[test]
     fn e17c_partition_shows_up_as_twin_lag() {
-        let t = e17_twins_with(&rc(2), 4, 5, 90);
+        let t = e17_twins(&rc(2), 4, 5, 90);
         // Row 0 = backhaul up, row 1 = half fleet partitioned. Clean
         // networks stay near-live on both arms; partitioned networks
         // only converge at the heal, so their lag dominates.
@@ -317,7 +268,7 @@ mod tests {
     fn e17d_partition_stretches_but_never_breaks_the_loop() {
         // The partition window must already be open when the desired
         // change lands at t=60 s, or remediation sneaks out before it.
-        let t = e17_drift_with(&rc(2), 2, 30, 150);
+        let t = e17_drift(&rc(2), 2, 30, 150);
         let clean_cleared = num(&t, 0, 4);
         let part_cleared = num(&t, 1, 4);
         assert!(part_cleared > clean_cleared, "partition delays clearing");

@@ -257,159 +257,129 @@ fn run_star_lpl(
 
 // ---------------------------------------------------------------- E15a
 
-/// E15a over an explicit consumer axis: both security architectures
+/// E15a over a consumer axis, `run_s` each: both security architectures
 /// on the same workload, at equal (8-byte-MIC) strength. The trial
 /// runs both arms and, from 4 consumers up, asserts the paper's
 /// direction — content-object security plus caching costs less total
 /// (radio + crypto) energy and puts fewer security bytes on the air.
-pub fn e15_arch_with(rc: &RunConfig, consumers_axis: &[usize], run_s: u64) -> Table {
+pub fn e15_arch(rc: &RunConfig, consumers_axis: &[usize], run_s: u64) -> Table {
     let republish = SimDuration::from_secs(10);
     // Stop publishing 10 s before the horizon so the last version has
     // a full republish interval of polls to reach every consumer.
     let publishes = (run_s.saturating_sub(10) / 10).max(1) as u32;
-    let trials: Vec<Trial> = consumers_axis
-        .iter()
-        .map(|&consumers| {
-            Trial::new(format!("e15/arch/c{consumers}"), SEED, move |s| {
-                let ch = run_star_lpl(CHANNEL, consumers, publishes, republish, run_s, s);
-                let icn = run_star_lpl(ICN, consumers, publishes, republish, run_s, s);
-                for o in [&ch, &icn] {
-                    // LPL strobes carrier-sense nothing, so at high
-                    // consumer counts the last version can still be in
-                    // flight when the horizon hits: every consumer must
-                    // hold the final version or the one before it.
-                    assert!(
-                        o.min_latest + 1 >= publishes,
-                        "a consumer fell behind the publish stream: \
-                         slowest at v{} of v{publishes}",
-                        o.min_latest,
-                    );
-                }
-                assert_eq!(ch.fwd_hits, 0.0, "an uncacheable copy can never be served");
-                if consumers >= 4 {
-                    assert!(
-                        icn.radio_mj + icn.crypto_mj < ch.radio_mj + ch.crypto_mj,
-                        "object security + caching must cost less total energy \
-                         at {consumers} consumers: icn {:.1}+{:.1} vs channel {:.1}+{:.1} mJ",
-                        icn.radio_mj,
-                        icn.crypto_mj,
-                        ch.radio_mj,
-                        ch.crypto_mj,
-                    );
-                    assert!(
-                        icn.sec_bytes < ch.sec_bytes,
-                        "one signature per object must beat per-frame MICs on the air"
-                    );
-                }
-                let row = |arm: &'static str, o: &Observed| {
-                    vec![
-                        Cell::int(consumers as f64),
-                        Cell::label(arm),
-                        Cell::f1(o.radio_mj),
-                        Cell::f3(o.crypto_mj),
-                        Cell::f1(o.radio_mj + o.crypto_mj),
-                        Cell::int(o.sec_bytes),
-                        Cell::int(o.delivered as f64),
-                        Cell::f1(o.latency_ms),
-                    ]
-                };
-                vec![row(CHANNEL.label, &ch), row(ICN.label, &icn)]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E15a: content-object security + caching vs per-channel security (equal 8 B MIC, LPL star, 2 polls/s aggregate, 10 s republish)",
         &[
             "consumers", "arm", "radio (mJ)", "crypto (mJ)", "total (mJ)", "sec bytes",
             "delivered", "latency (ms)",
         ],
-    );
-    for o in &out {
-        for r in &o.rows {
-            t.row(r.clone());
-        }
-    }
-    t
-}
-
-/// E15a production axis: 1 to 16 consumers over a 60 s window.
-pub fn e15_arch(rc: &RunConfig) -> Table {
-    e15_arch_with(rc, &[1, 2, 4, 8, 16], 60)
+        consumers_axis
+            .iter()
+            .map(|&consumers| {
+                Trial::new(format!("e15/arch/c{consumers}"), SEED, move |s| {
+                    let ch = run_star_lpl(CHANNEL, consumers, publishes, republish, run_s, s);
+                    let icn = run_star_lpl(ICN, consumers, publishes, republish, run_s, s);
+                    for o in [&ch, &icn] {
+                        // LPL strobes carrier-sense nothing, so at high
+                        // consumer counts the last version can still be in
+                        // flight when the horizon hits: every consumer must
+                        // hold the final version or the one before it.
+                        assert!(
+                            o.min_latest + 1 >= publishes,
+                            "a consumer fell behind the publish stream: \
+                             slowest at v{} of v{publishes}",
+                            o.min_latest,
+                        );
+                    }
+                    assert_eq!(ch.fwd_hits, 0.0, "an uncacheable copy can never be served");
+                    if consumers >= 4 {
+                        assert!(
+                            icn.radio_mj + icn.crypto_mj < ch.radio_mj + ch.crypto_mj,
+                            "object security + caching must cost less total energy \
+                             at {consumers} consumers: icn {:.1}+{:.1} vs channel {:.1}+{:.1} mJ",
+                            icn.radio_mj,
+                            icn.crypto_mj,
+                            ch.radio_mj,
+                            ch.crypto_mj,
+                        );
+                        assert!(
+                            icn.sec_bytes < ch.sec_bytes,
+                            "one signature per object must beat per-frame MICs on the air"
+                        );
+                    }
+                    let row = |arm: &'static str, o: &Observed| {
+                        vec![
+                            Cell::int(consumers as f64),
+                            Cell::label(arm),
+                            Cell::f1(o.radio_mj),
+                            Cell::f3(o.crypto_mj),
+                            Cell::f1(o.radio_mj + o.crypto_mj),
+                            Cell::int(o.sec_bytes),
+                            Cell::int(o.delivered as f64),
+                            Cell::f1(o.latency_ms),
+                        ]
+                    };
+                    vec![row(CHANNEL.label, &ch), row(ICN.label, &icn)]
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E15b
 
-/// E15b over explicit republish intervals: what the content store
+/// E15b over republish intervals (`consumers` polling for `run_s`):
+/// what the content store
 /// buys as versions live longer. Freshness tracks the republish
 /// cadence, so a slower publisher lets the forwarder answer more of
 /// each version's polls locally — the hit ratio climbs and the radio
 /// duty (and producer load) falls relative to the cache-less arm.
-pub fn e15_cache_with(
-    rc: &RunConfig,
-    republish_axis_s: &[u64],
-    consumers: usize,
-    run_s: u64,
-) -> Table {
-    let trials: Vec<Trial> = republish_axis_s
-        .iter()
-        .map(|&rs| {
-            Trial::new(format!("e15/cache/r{rs}"), SEED, move |s| {
-                let republish = SimDuration::from_secs(rs);
-                let publishes = (run_s / rs).max(1) as u32;
-                let nocache = Arm {
-                    label: "no cache",
-                    store_cap: 0,
-                    ..ICN
-                };
-                let nc = run_star_lpl(nocache, consumers, publishes, republish, run_s, s);
-                let ca = run_star_lpl(ICN, consumers, publishes, republish, run_s, s);
-                assert_eq!(nc.fwd_hits, 0.0, "no store, no hits");
-                assert!(ca.fwd_hits > 0.0, "repeat polls must hit the store");
-                assert!(
-                    ca.repo_serves < nc.repo_serves,
-                    "the store must shield the producer: {} vs {}",
-                    ca.repo_serves,
-                    nc.repo_serves
-                );
-                assert!(
-                    ca.radio_mj < nc.radio_mj,
-                    "served-from-cache polls must save radio energy"
-                );
-                let row = |o: &Observed, label: &'static str| {
-                    vec![
-                        Cell::int(rs as f64),
-                        Cell::label(label),
-                        Cell::int(o.fwd_hits),
-                        Cell::pct(o.fwd_hits / o.fwd_interest_rx.max(1.0)),
-                        Cell::int(o.repo_serves),
-                        Cell::f1(o.radio_mj / (consumers + 2) as f64),
-                        Cell::pct(o.duty),
-                    ]
-                };
-                vec![row(&nc, "no cache"), row(&ca, "cache")]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+pub fn e15_cache(rc: &RunConfig, republish_axis_s: &[u64], consumers: usize, run_s: u64) -> Table {
+    rc.table(
         "E15b: content-store payoff vs republish cadence (LPL star, freshness = republish interval)",
         &[
             "republish (s)", "arm", "fwd hits", "hit ratio", "producer serves",
             "radio (mJ/node)", "duty",
         ],
-    );
-    for o in &out {
-        for r in &o.rows {
-            t.row(r.clone());
-        }
-    }
-    t
-}
-
-/// E15b production axis: 4 s to 16 s republish, 8 consumers, 64 s.
-pub fn e15_cache(rc: &RunConfig) -> Table {
-    e15_cache_with(rc, &[4, 8, 16], 8, 64)
+        republish_axis_s
+            .iter()
+            .map(|&rs| {
+                Trial::new(format!("e15/cache/r{rs}"), SEED, move |s| {
+                    let republish = SimDuration::from_secs(rs);
+                    let publishes = (run_s / rs).max(1) as u32;
+                    let nocache = Arm {
+                        label: "no cache",
+                        store_cap: 0,
+                        ..ICN
+                    };
+                    let nc = run_star_lpl(nocache, consumers, publishes, republish, run_s, s);
+                    let ca = run_star_lpl(ICN, consumers, publishes, republish, run_s, s);
+                    assert_eq!(nc.fwd_hits, 0.0, "no store, no hits");
+                    assert!(ca.fwd_hits > 0.0, "repeat polls must hit the store");
+                    assert!(
+                        ca.repo_serves < nc.repo_serves,
+                        "the store must shield the producer: {} vs {}",
+                        ca.repo_serves,
+                        nc.repo_serves
+                    );
+                    assert!(
+                        ca.radio_mj < nc.radio_mj,
+                        "served-from-cache polls must save radio energy"
+                    );
+                    let row = |o: &Observed, label: &'static str| {
+                        vec![
+                            Cell::int(rs as f64),
+                            Cell::label(label),
+                            Cell::int(o.fwd_hits),
+                            Cell::pct(o.fwd_hits / o.fwd_interest_rx.max(1.0)),
+                            Cell::int(o.repo_serves),
+                            Cell::f1(o.radio_mj / (consumers + 2) as f64),
+                            Cell::pct(o.duty),
+                        ]
+                    };
+                    vec![row(&nc, "no cache"), row(&ca, "cache")]
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E15c
@@ -458,135 +428,130 @@ fn branch_topology() -> Topology {
 /// no consumer ever accepts a forged object and that the stale-replay
 /// attacker's blast radius stops at its own subtree.
 pub fn e15_poison(rc: &RunConfig) -> Table {
-    let trials: Vec<Trial> = [Poison::None, Poison::ForgedKey, Poison::StaleReplay]
-        .into_iter()
-        .map(|poison| {
-            Trial::new(format!("e15/poison/{}", poison.label()), SEED, move |s| {
-                let mut w = SimBuilder::new()
-                    .seed(s)
-                    .nodes(branch_topology(), move |id| {
-                        let mut cfg = match id {
-                            0 => IcnConfig::default(),
-                            1 | 2 => IcnConfig {
-                                upstream: Some(NodeId(0)),
-                                ..IcnConfig::default()
-                            },
-                            _ => IcnConfig {
-                                upstream: Some(NodeId(if id <= 4 { 1 } else { 2 })),
-                                store_cap: 0,
-                                poll: Some(PollPlan {
-                                    name: name(),
-                                    start: SimDuration::from_millis(500 + 137 * id as u64),
-                                    period: SimDuration::from_secs(2),
-                                    updates: true,
-                                }),
-                                ..IcnConfig::default()
-                            },
-                        };
-                        if poison == Poison::StaleReplay && id == 2 {
-                            cfg.replay = true;
-                        }
-                        Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
-                    })
-                    .build();
-                for v in 1..=3u32 {
-                    let at = SimTime::from_secs(1 + 8 * u64::from(v - 1));
-                    w.schedule_at(at, NodeId(0), move |w| {
-                        w.with(NodeId(0), |node: &mut IcnNode<CsmaMac>, ctx| {
-                            if poison == Poison::ForgedKey && v > 1 {
-                                node.publish_object(
-                                    ctx,
-                                    ContentObject::signed(
-                                        &Key([0x66; 16]),
-                                        name(),
-                                        v,
-                                        SimDuration::from_secs(60),
-                                        vec![v as u8; PAYLOAD],
-                                    ),
-                                );
-                            } else {
-                                node.publish(ctx, name(), v, vec![v as u8; PAYLOAD]);
-                            }
-                        });
-                    });
-                }
-                w.run(SimDuration::from_secs(30));
-                let latest = |id: u32| {
-                    w.proto::<IcnNode<CsmaMac>>(NodeId(id))
-                        .latest_version(&name())
-                        .unwrap_or(0)
-                };
-                let west = latest(3).min(latest(4));
-                let east = latest(5).min(latest(6));
-                let (mut forged, mut stale) = (0u32, 0u32);
-                for id in 3..=6 {
-                    let (f, st) = w.proto::<IcnNode<CsmaMac>>(NodeId(id)).rejected();
-                    forged += f;
-                    stale += st;
-                }
-                // The consumer verification step is the whole defence:
-                // nothing forged may ever be *accepted*, whichever arm.
-                let good = match poison {
-                    Poison::ForgedKey => 1,
-                    _ => 3,
-                };
-                assert!(
-                    west <= good && east <= good,
-                    "no consumer may outrun the honest versions"
-                );
-                match poison {
-                    Poison::None => {
-                        assert_eq!((west, east), (3, 3), "honest arm converges everywhere");
-                        assert_eq!((forged, stale), (0, 0));
-                    }
-                    Poison::ForgedKey => {
-                        assert_eq!((west, east), (1, 1), "only the honest v1 is ever accepted");
-                        assert!(forged > 0, "forged rejections must be counted");
-                    }
-                    Poison::StaleReplay => {
-                        assert_eq!(west, 3, "the honest subtree is untouched");
-                        assert_eq!(east, 1, "the attacker pins its subtree to the replayed v1");
-                        assert!(stale > 0, "stale rejections must be counted");
-                    }
-                }
-                vec![vec![
-                    Cell::label(poison.label()),
-                    Cell::int(good as f64),
-                    Cell::int(west as f64),
-                    Cell::int(east as f64),
-                    Cell::int(forged as f64),
-                    Cell::int(stale as f64),
-                    Cell::label(if west == 3 && east == 3 {
-                        "none"
-                    } else {
-                        "attacked subtree"
-                    }),
-                ]]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E15c: poisoned publisher vs consumer verification (two-branch tree, long-polling consumers, 3 versions)",
         &[
             "arm", "good versions", "west latest", "east latest", "forged rejects",
             "stale rejects", "blast radius",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        [Poison::None, Poison::ForgedKey, Poison::StaleReplay]
+            .into_iter()
+            .map(|poison| {
+                Trial::new(format!("e15/poison/{}", poison.label()), SEED, move |s| {
+                    let mut w = SimBuilder::new()
+                        .seed(s)
+                        .nodes(branch_topology(), move |id| {
+                            let mut cfg = match id {
+                                0 => IcnConfig::default(),
+                                1 | 2 => IcnConfig {
+                                    upstream: Some(NodeId(0)),
+                                    ..IcnConfig::default()
+                                },
+                                _ => IcnConfig {
+                                    upstream: Some(NodeId(if id <= 4 { 1 } else { 2 })),
+                                    store_cap: 0,
+                                    poll: Some(PollPlan {
+                                        name: name(),
+                                        start: SimDuration::from_millis(500 + 137 * id as u64),
+                                        period: SimDuration::from_secs(2),
+                                        updates: true,
+                                    }),
+                                    ..IcnConfig::default()
+                                },
+                            };
+                            if poison == Poison::StaleReplay && id == 2 {
+                                cfg.replay = true;
+                            }
+                            Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
+                        })
+                        .build();
+                    for v in 1..=3u32 {
+                        let at = SimTime::from_secs(1 + 8 * u64::from(v - 1));
+                        w.schedule_at(at, NodeId(0), move |w| {
+                            w.with(NodeId(0), |node: &mut IcnNode<CsmaMac>, ctx| {
+                                if poison == Poison::ForgedKey && v > 1 {
+                                    node.publish_object(
+                                        ctx,
+                                        ContentObject::signed(
+                                            &Key([0x66; 16]),
+                                            name(),
+                                            v,
+                                            SimDuration::from_secs(60),
+                                            vec![v as u8; PAYLOAD],
+                                        ),
+                                    );
+                                } else {
+                                    node.publish(ctx, name(), v, vec![v as u8; PAYLOAD]);
+                                }
+                            });
+                        });
+                    }
+                    w.run(SimDuration::from_secs(30));
+                    let latest = |id: u32| {
+                        w.proto::<IcnNode<CsmaMac>>(NodeId(id))
+                            .latest_version(&name())
+                            .unwrap_or(0)
+                    };
+                    let west = latest(3).min(latest(4));
+                    let east = latest(5).min(latest(6));
+                    let (mut forged, mut stale) = (0u32, 0u32);
+                    for id in 3..=6 {
+                        let (f, st) = w.proto::<IcnNode<CsmaMac>>(NodeId(id)).rejected();
+                        forged += f;
+                        stale += st;
+                    }
+                    // The consumer verification step is the whole defence:
+                    // nothing forged may ever be *accepted*, whichever arm.
+                    let good = match poison {
+                        Poison::ForgedKey => 1,
+                        _ => 3,
+                    };
+                    assert!(
+                        west <= good && east <= good,
+                        "no consumer may outrun the honest versions"
+                    );
+                    match poison {
+                        Poison::None => {
+                            assert_eq!((west, east), (3, 3), "honest arm converges everywhere");
+                            assert_eq!((forged, stale), (0, 0));
+                        }
+                        Poison::ForgedKey => {
+                            assert_eq!((west, east), (1, 1), "only the honest v1 is ever accepted");
+                            assert!(forged > 0, "forged rejections must be counted");
+                        }
+                        Poison::StaleReplay => {
+                            assert_eq!(west, 3, "the honest subtree is untouched");
+                            assert_eq!(east, 1, "the attacker pins its subtree to the replayed v1");
+                            assert!(stale > 0, "stale rejections must be counted");
+                        }
+                    }
+                    vec![vec![
+                        Cell::label(poison.label()),
+                        Cell::int(good as f64),
+                        Cell::int(west as f64),
+                        Cell::int(east as f64),
+                        Cell::int(forged as f64),
+                        Cell::int(stale as f64),
+                        Cell::label(if west == 3 && east == 3 {
+                            "none"
+                        } else {
+                            "attacked subtree"
+                        }),
+                    ]]
+                })
+            }),
+    )
 }
 
 // ---------------------------------------------------------------- E15d
 
-/// E15d over an explicit outage window: the producer partitioned away
+/// E15d over an outage window `[cut_s, heal_s)` of a `run_s` run with
+/// `consumers` consumers: the producer partitioned away
 /// from the star (E11's fault machinery) while consumers keep
 /// polling. Cached copies answer for as long as their freshness
 /// budget lasts; the channel arm — uncacheable by construction —
 /// starves the moment the partition lands.
-pub fn e15_partition_with(
+pub fn e15_partition(
     rc: &RunConfig,
     consumers: usize,
     cut_s: u64,
@@ -601,90 +566,81 @@ pub fn e15_partition_with(
         ("icn, fresh 60 s", ICN, 60),
         ("icn, fresh 10 s", ICN, 10),
     ];
-    let trials: Vec<Trial> = arms
-        .into_iter()
-        .map(|(label, arm, fresh_s)| {
-            Trial::new(format!("e15/partition/{label}"), SEED, move |s| {
-                let period = SimDuration::from_secs(2);
-                let freshness = SimDuration::from_secs(fresh_s);
-                let mut w = SimBuilder::new()
-                    .seed(s)
-                    .nodes(star_topology(consumers), move |id| {
-                        let cfg = star_cfg(arm, consumers, id as u32, freshness, period, false);
-                        Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
-                    })
-                    .build();
-                w.schedule_at(SimTime::from_secs(1), NodeId(0), move |w| {
-                    w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
-                        n.publish(ctx, name(), 1, vec![1; PAYLOAD]);
-                    });
-                });
-                let mut groups = vec![0u16; consumers + 2];
-                groups[0] = 1; // the producer alone on the far side
-                let mut plan = FaultPlan::new();
-                plan.push(Fault::Partition {
-                    groups,
-                    at: SimTime::from_secs(cut_s),
-                    heal_at: SimTime::from_secs(heal_s),
-                });
-                plan.apply(&mut w);
-                w.run(SimDuration::from_secs(run_s));
-
-                let cut = SimTime::from_secs(cut_s);
-                let heal = SimTime::from_secs(heal_s);
-                let (mut before, mut during, mut after) = (0u64, 0u64, 0u64);
-                let mut served_in_outage = 0usize;
-                for id in 2..(consumers + 2) as u32 {
-                    let d = w.proto::<IcnNode<CsmaMac>>(NodeId(id)).deliveries();
-                    before += d.iter().filter(|x| x.at < cut).count() as u64;
-                    let outage = d.iter().filter(|x| x.at >= cut && x.at < heal).count() as u64;
-                    during += outage;
-                    served_in_outage += usize::from(outage > 0);
-                    after += d.iter().filter(|x| x.at >= heal).count() as u64;
-                }
-                assert!(
-                    before > 0 && after > 0,
-                    "service must run outside the outage"
-                );
-                match (arm.store_cap, fresh_s >= heal_s) {
-                    (0, _) => assert_eq!(during, 0, "no cache, nothing to serve in the cut"),
-                    (_, true) => assert_eq!(
-                        served_in_outage, consumers,
-                        "a covering freshness budget must carry every consumer"
-                    ),
-                    (_, false) => assert!(
-                        during > 0,
-                        "the cache must serve until its freshness budget runs out"
-                    ),
-                }
-                vec![vec![
-                    Cell::label(label),
-                    Cell::int(before as f64),
-                    Cell::int(during as f64),
-                    Cell::int(after as f64),
-                    Cell::int(served_in_outage as f64),
-                    Cell::pct(during as f64 / (consumers as f64 * ((heal_s - cut_s) / 2) as f64)),
-                ]]
-            })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E15d: consumers across a producer partition (CSMA star, 2 s polls; outage between cut and heal)",
         &[
             "arm", "dlv before", "dlv in outage", "dlv after", "consumers served in outage",
             "outage poll success",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
+        arms
+            .into_iter()
+            .map(|(label, arm, fresh_s)| {
+                Trial::new(format!("e15/partition/{label}"), SEED, move |s| {
+                    let period = SimDuration::from_secs(2);
+                    let freshness = SimDuration::from_secs(fresh_s);
+                    let mut w = SimBuilder::new()
+                        .seed(s)
+                        .nodes(star_topology(consumers), move |id| {
+                            let cfg = star_cfg(arm, consumers, id as u32, freshness, period, false);
+                            Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
+                        })
+                        .build();
+                    w.schedule_at(SimTime::from_secs(1), NodeId(0), move |w| {
+                        w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
+                            n.publish(ctx, name(), 1, vec![1; PAYLOAD]);
+                        });
+                    });
+                    let mut groups = vec![0u16; consumers + 2];
+                    groups[0] = 1; // the producer alone on the far side
+                    let mut plan = FaultPlan::new();
+                    plan.push(Fault::Partition {
+                        groups,
+                        at: SimTime::from_secs(cut_s),
+                        heal_at: SimTime::from_secs(heal_s),
+                    });
+                    plan.apply(&mut w);
+                    w.run(SimDuration::from_secs(run_s));
 
-/// E15d production point: 4 consumers, a 20 s outage in a 60 s run.
-pub fn e15_partition(rc: &RunConfig) -> Table {
-    e15_partition_with(rc, 4, 20, 40, 60)
+                    let cut = SimTime::from_secs(cut_s);
+                    let heal = SimTime::from_secs(heal_s);
+                    let (mut before, mut during, mut after) = (0u64, 0u64, 0u64);
+                    let mut served_in_outage = 0usize;
+                    for id in 2..(consumers + 2) as u32 {
+                        let d = w.proto::<IcnNode<CsmaMac>>(NodeId(id)).deliveries();
+                        before += d.iter().filter(|x| x.at < cut).count() as u64;
+                        let outage = d.iter().filter(|x| x.at >= cut && x.at < heal).count() as u64;
+                        during += outage;
+                        served_in_outage += usize::from(outage > 0);
+                        after += d.iter().filter(|x| x.at >= heal).count() as u64;
+                    }
+                    assert!(
+                        before > 0 && after > 0,
+                        "service must run outside the outage"
+                    );
+                    match (arm.store_cap, fresh_s >= heal_s) {
+                        (0, _) => assert_eq!(during, 0, "no cache, nothing to serve in the cut"),
+                        (_, true) => assert_eq!(
+                            served_in_outage, consumers,
+                            "a covering freshness budget must carry every consumer"
+                        ),
+                        (_, false) => assert!(
+                            during > 0,
+                            "the cache must serve until its freshness budget runs out"
+                        ),
+                    }
+                    vec![vec![
+                        Cell::label(label),
+                        Cell::int(before as f64),
+                        Cell::int(during as f64),
+                        Cell::int(after as f64),
+                        Cell::int(served_in_outage as f64),
+                        Cell::pct(
+                            during as f64 / (consumers as f64 * ((heal_s - cut_s) / 2) as f64),
+                        ),
+                    ]]
+                })
+            }),
+    )
 }
 
 #[cfg(test)]
@@ -701,8 +657,8 @@ mod tests {
 
     #[test]
     fn arch_table_is_jobs_invariant_and_direction_holds() {
-        let a = e15_arch_with(&rc(1), &[1, 4], 30);
-        let b = e15_arch_with(&rc(2), &[1, 4], 30);
+        let a = e15_arch(&rc(1), &[1, 4], 30);
+        let b = e15_arch(&rc(2), &[1, 4], 30);
         assert_eq!(a.rows(), b.rows());
         // Rows alternate channel/icn per consumer count; the 4-consumer
         // direction assert already ran inside the trial.
@@ -711,7 +667,7 @@ mod tests {
 
     #[test]
     fn cache_table_shows_the_store_paying_off() {
-        let t = e15_cache_with(&rc(2), &[8], 4, 32);
+        let t = e15_cache(&rc(2), &[8], 4, 32);
         let rows = t.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][2], "0", "cache-less arm reports zero hits");
@@ -731,7 +687,7 @@ mod tests {
 
     #[test]
     fn partition_table_shape() {
-        let t = e15_partition_with(&rc(2), 2, 10, 20, 30);
+        let t = e15_partition(&rc(2), 2, 10, 20, 30);
         let rows = t.rows();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][2], "0", "channel arm starves in the cut");

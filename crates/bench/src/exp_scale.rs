@@ -4,8 +4,10 @@
 //!
 //! The sweeps here are the harness's hot spots, so each configuration
 //! point becomes one [`Trial`] fanned out over the [`RunConfig`]'s
-//! worker pool; tables are assembled from outcomes in submission order
-//! and are byte-identical for any worker count.
+//! worker pool. Most tables go through [`RunConfig::table`]; E2, E3 and
+//! E6 pivot their trials' rows (transpose, zip, regroup), so they read
+//! [`Runner::run`](crate::Runner::run)'s per-trial rows themselves —
+//! still in submission order, still byte-identical for any worker count.
 
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
@@ -16,6 +18,7 @@ use iiot_mac::coex::{ChannelPlan, TenantId};
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
 use iiot_routing::dodag::Traffic;
+use iiot_routing::graph::{line_parents, star_parents};
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_sim::prelude::*;
 use rand::rngs::SmallRng;
@@ -27,14 +30,10 @@ use rand::SeedableRng;
 /// seconds to be transmitted over few wireless hops", while synchronous
 /// coordination (TDMA) minimizes latency; always-on CSMA is the
 /// baseline that buys latency with energy.
-pub fn e2_latency_vs_hops(rc: &RunConfig) -> Table {
-    e2_latency_vs_hops_with(rc, 460)
-}
-
-/// E2 core, parameterized over simulated length so the determinism and
-/// golden tests can run a cheap sweep; [`e2_latency_vs_hops`] passes
-/// the full experiment horizon.
-pub fn e2_latency_vs_hops_with(rc: &RunConfig, secs: u64) -> Table {
+///
+/// `secs` is the simulated horizon, so the golden test can run a cheap
+/// sweep of the same code.
+pub fn e2_latency_vs_hops(rc: &RunConfig, secs: u64) -> Table {
     let macs = [
         ("csma", MacChoice::Csma),
         ("lpl-512ms", MacChoice::Lpl(SimDuration::from_millis(512))),
@@ -89,29 +88,20 @@ pub fn e2_latency_vs_hops_with(rc: &RunConfig, secs: u64) -> Table {
     for (i, h) in buckets.iter().enumerate() {
         t.row(
             std::iter::once(h.to_string())
-                .chain(out.iter().map(|o| o.rows[0][i].clone()))
+                .chain(out.iter().map(|rows| rows[0][i].clone()))
                 .collect(),
         );
     }
     t.row(
         std::iter::once("duty".to_string())
-            .chain(out.iter().map(|o| o.rows[0][buckets.len()].clone()))
+            .chain(out.iter().map(|rows| rows[0][buckets.len()].clone()))
             .collect(),
     );
     t
 }
 
 fn run_agg(mode: Mode, epoch_ms: u32, rounds: u16, n: usize, seed: u64) -> Sim {
-    let parents: Vec<Option<NodeId>> = (0..n)
-        .map(|i| {
-            if i == 0 {
-                None
-            } else {
-                Some(NodeId(i as u32 - 1))
-            }
-        })
-        .collect();
-    let cfg = AggConfig::new(parents, mode, epoch_ms, rounds);
+    let cfg = AggConfig::new(line_parents(n), mode, epoch_ms, rounds);
     let mut w = SimBuilder::new()
         .seed(seed)
         .nodes(Topology::line(n, 20.0), move |_| {
@@ -170,7 +160,7 @@ pub fn e3_funneling(rc: &RunConfig) -> Table {
         ],
     );
     for i in 1..n {
-        let (raw, agg) = (&out[0].rows[i - 1], &out[1].rows[i - 1]);
+        let (raw, agg) = (&out[0][i - 1], &out[1][i - 1]);
         t.row(vec![
             format!("n{i} ({i})"),
             raw[0].clone(),
@@ -185,9 +175,10 @@ pub fn e3_funneling(rc: &RunConfig) -> Table {
 /// E3 ablation: aggregation epoch length vs. root-adjacent load and
 /// result freshness.
 pub fn e3_epoch_ablation(rc: &RunConfig) -> Table {
-    let trials: Vec<Trial> = [5u32, 10, 20]
-        .into_iter()
-        .map(|epoch_s| {
+    rc.table(
+        "E3-ablation: epoch length vs root-adjacent load (aggregate mode, line of 8, 60 s)",
+        &["epoch (s)", "epochs run", "n1 msgs", "n1 tx ms"],
+        [5u32, 10, 20].into_iter().map(|epoch_s| {
             Trial::new(format!("e3a/epoch{epoch_s}"), 0xE3A, move |seed| {
                 let rounds = (60 / epoch_s) as u16;
                 let w = run_agg(Mode::Aggregate, epoch_s * 1000, rounds, 8, seed);
@@ -198,27 +189,27 @@ pub fn e3_epoch_ablation(rc: &RunConfig) -> Table {
                     Cell::f3(w.energy(NodeId(1)).tx.as_secs_f64() * 1e3),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E3-ablation: epoch length vs root-adjacent load (aggregate mode, line of 8, 60 s)",
-        &["epoch (s)", "epochs run", "n1 msgs", "n1 tx ms"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
-/// E5 core, parameterized over grid sides and sim length so the
-/// determinism tests can run a cheap sweep; [`e5_size_scaling`] passes
-/// the full experiment axis.
-pub fn e5_size_scaling_with(rc: &RunConfig, sides: &[usize], secs: u64) -> Table {
-    let trials: Vec<Trial> = sides
-        .iter()
-        .map(|&side| {
+/// E5: size scalability — delivery as the deployment grows, for the
+/// decentralized DODAG vs. a "direct to the sink" centralized design,
+/// over `side x side` grids run for `secs` each.
+///
+/// Paper claim (§IV-A): systems must tolerate orders-of-magnitude
+/// growth; scaling usually forces decentralized designs.
+pub fn e5_size_scaling(rc: &RunConfig, sides: &[usize], secs: u64) -> Table {
+    rc.table(
+        "E5: delivery vs deployment size (20 m grid), decentralized DODAG vs direct-to-sink",
+        &[
+            "nodes",
+            "dodag delivery",
+            "dodag lat p95 (s)",
+            "dio/node/min",
+            "direct delivery",
+        ],
+        sides.iter().map(|&side| {
             Trial::new(format!("e5/{side}x{side}"), 0xE5, move |seed| {
                 let n = side * side;
                 // Decentralized: self-organizing DODAG over CSMA.
@@ -232,10 +223,7 @@ pub fn e5_size_scaling_with(rc: &RunConfig, sides: &[usize], secs: u64) -> Table
                 let dio_rate = d.sim.stats().node_total("dio_tx") / n as f64 / (secs as f64 / 60.0);
 
                 // Centralized: everyone unicasts straight to the sink.
-                let parents: Vec<Option<NodeId>> = (0..n)
-                    .map(|i| if i == 0 { None } else { Some(NodeId(0)) })
-                    .collect();
-                let mut cfg = StaticConfig::new(parents);
+                let mut cfg = StaticConfig::new(star_parents(n));
                 cfg.traffic = Some(Traffic {
                     period: SimDuration::from_secs(30),
                     payload_len: 10,
@@ -260,40 +248,16 @@ pub fn e5_size_scaling_with(rc: &RunConfig, sides: &[usize], secs: u64) -> Table
                     Cell::pct(if gen == 0.0 { 1.0 } else { del / gen }),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E5: delivery vs deployment size (20 m grid), decentralized DODAG vs direct-to-sink",
-        &[
-            "nodes",
-            "dodag delivery",
-            "dodag lat p95 (s)",
-            "dio/node/min",
-            "direct delivery",
-        ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E5: size scalability — delivery as the deployment grows, for the
-/// decentralized DODAG vs. a "direct to the sink" centralized design.
-///
-/// Paper claim (§IV-A): systems must tolerate orders-of-magnitude
-/// growth; scaling usually forces decentralized designs.
-pub fn e5_size_scaling(rc: &RunConfig) -> Table {
-    e5_size_scaling_with(rc, &[3, 5, 8, 12, 17], 400)
+        }),
+    )
 }
 
 /// E2 ablation: the LPL wake interval is the §IV-B energy/latency knob.
 pub fn e2_wake_ablation(rc: &RunConfig) -> Table {
-    let trials: Vec<Trial> = [128u64, 256, 512, 1024]
-        .into_iter()
-        .map(|wake_ms| {
+    rc.table(
+        "E2-ablation: LPL wake interval vs latency and duty cycle (7-node line, 300 s)",
+        &["wake (ms)", "delivery", "mean latency (s)", "duty cycle"],
+        [128u64, 256, 512, 1024].into_iter().map(|wake_ms| {
             Trial::new(format!("e2a/wake{wake_ms}"), 0xE2A, move |seed| {
                 let mut d = Deployment::builder(Topology::line(7, 20.0))
                     .mac(MacChoice::Lpl(SimDuration::from_millis(wake_ms)))
@@ -309,27 +273,18 @@ pub fn e2_wake_ablation(rc: &RunConfig) -> Table {
                     Cell::pct(r.mean_duty_cycle),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E2-ablation: LPL wake interval vs latency and duty cycle (7-node line, 300 s)",
-        &["wake (ms)", "delivery", "mean latency (s)", "duty cycle"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
 /// E11 ablation: the Trickle redundancy constant `k` trades control
 /// overhead against repair responsiveness (DESIGN.md §3).
 pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
     use iiot_routing::dodag::DodagConfig;
-    let trials: Vec<Trial> = [1u32, 3, 10]
-        .into_iter()
-        .map(|k| {
+    rc.table(
+        "E11-ablation: trickle k vs control overhead and delivery under churn (5x5 grid, 400 s, MTBF 200 s)",
+        &["k", "dio/node/min", "delivery", "parent switches"],
+        [1u32, 3, 10].into_iter().map(|k| {
             Trial::new(format!("e11a/k{k}"), 0xE11A, move |seed| {
                 let mut cfg = DodagConfig::default();
                 cfg.trickle.k = k;
@@ -363,18 +318,8 @@ pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
                     Cell::f1(d.sim.stats().node_total("parent_switch")),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E11-ablation: trickle k vs control overhead and delivery under churn (5x5 grid, 400 s, MTBF 200 s)",
-        &["k", "dio/node/min", "delivery", "parent switches"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
+        }),
+    )
 }
 
 /// Shared E6 engine: `tenants` co-located clusters under a channel
@@ -496,7 +441,7 @@ pub fn e6_admin_scaling(rc: &RunConfig) -> Table {
         let base = i * plans.len();
         t.row(
             std::iter::once(tenants.to_string())
-                .chain((0..plans.len()).map(|p| out[base + p].rows[0][0].clone()))
+                .chain((0..plans.len()).map(|p| out[base + p][0][0].clone()))
                 .collect(),
         );
     }

@@ -112,17 +112,108 @@ fn shed_sum(pipe: &IngestPipeline, f: fn(&iiot_cloud::TenantStats) -> u64) -> u6
     pipe.stats().map(|(_, st)| f(st)).sum()
 }
 
+/// The drain capacity of `queues` queues of `config`, in messages per
+/// virtual second: `queues × drain_batch / tick`.
+pub(crate) fn capacity_per_sec(config: &IngestConfig, queues: u64) -> f64 {
+    let per_tick = queues as f64 * config.drain_batch as f64;
+    per_tick / (config.tick.as_micros() as f64 / 1e6)
+}
+
+/// E16b's two queue arms, at identical aggregate drain capacity and
+/// buffer: `TENANTS` queues × (cap, batch) vs one shared queue ×
+/// 4·(cap, batch). E18d runs on the shared one.
+pub(crate) fn queue_config(isolation: Isolation) -> IngestConfig {
+    match isolation {
+        Isolation::PerTenant => IngestConfig {
+            shards: TENANTS as usize,
+            queue_cap: 1024,
+            drain_batch: 256,
+            isolation,
+            ..IngestConfig::default()
+        },
+        Isolation::Shared => IngestConfig {
+            shards: 1,
+            queue_cap: 4 * 1024,
+            drain_batch: 4 * 256,
+            isolation,
+            ..IngestConfig::default()
+        },
+    }
+}
+
+/// One noisy-neighbour observation (E16b, E18d): the quiet tenants'
+/// worst-case experience next to tenant 0, and how tenant 0 was shed.
+pub(crate) struct NoisyPoint {
+    pub(crate) quiet_p99_ms: f64,
+    pub(crate) quiet_shed_pct: f64,
+    /// Quiet tenants' sheds by cause: (auth, rate limit, queue full).
+    pub(crate) quiet_shed_causes: (u64, u64, u64),
+    pub(crate) noisy_ratelimited: u64,
+    pub(crate) noisy_queue_shed: u64,
+    pub(crate) noisy_accept_pct: f64,
+    pub(crate) fairness: f64,
+}
+
+/// Runs `devices` devices per tenant with tenant 0 reporting
+/// `multiplier`× faster through `config`, with an optional stream plane
+/// (E18d's admission control).
+pub(crate) fn noisy_point(
+    devices: u32,
+    multiplier: u32,
+    config: IngestConfig,
+    stream: Option<StreamConfig>,
+    s: u64,
+) -> NoisyPoint {
+    // Long-lived sessions (32 msgs each): the noisy tenant's burst must
+    // outlast what the shared buffer can absorb before the damage to
+    // the quiet tenants becomes visible.
+    let plan = SessionPlan {
+        msgs_per_device: 32,
+        noisy: Some((TenantId(0), multiplier)),
+        ..SessionPlan::default()
+    };
+    let pipe = run_streamed(devices, plan, config, stream, s);
+    let summaries = metrics::summarize(&pipe);
+    let quiet: Vec<_> = summaries
+        .iter()
+        .filter(|x| x.tenant != TenantId(0))
+        .collect();
+    let noisy = summaries
+        .iter()
+        .find(|x| x.tenant == TenantId(0))
+        .expect("noisy tenant");
+    NoisyPoint {
+        quiet_p99_ms: quiet.iter().map(|x| x.p99_us).max().unwrap_or(0) as f64 / 1000.0,
+        quiet_shed_pct: {
+            let (shed, offered) = quiet
+                .iter()
+                .fold((0u64, 0u64), |(sh, o), x| (sh + x.shed, o + x.offered));
+            shed as f64 / offered.max(1) as f64
+        },
+        quiet_shed_causes: quiet.iter().fold((0, 0, 0), |(a, r, f), x| {
+            (a + x.shed_auth, r + x.shed_ratelimit, f + x.shed_full)
+        }),
+        noisy_ratelimited: noisy.shed_ratelimit,
+        noisy_queue_shed: noisy.shed_full,
+        noisy_accept_pct: noisy.accepted as f64 / noisy.offered.max(1) as f64,
+        fairness: metrics::service_fairness(&summaries),
+    }
+}
+
 // ---------------------------------------------------------------- E18a
 
-/// E18a over an explicit per-tenant device axis: the write-ahead
+/// E18a over a per-tenant device axis: the write-ahead
 /// logging tax. Both arms of each point run the identical workload;
 /// the trial asserts their per-tenant summaries are equal, so the log
 /// provably costs bytes, not behaviour.
-pub fn e18_tax_with(rc: &RunConfig, devices_axis: &[u32]) -> Table {
+pub fn e18_tax(rc: &RunConfig, devices_axis: &[u32]) -> Table {
     let config = IngestConfig::default();
-    let trials: Vec<Trial> = devices_axis
-        .iter()
-        .map(|&devices| {
+    rc.table(
+        "E18a: write-ahead logging tax (identical virtual stats asserted; 64 KiB segments)",
+        &[
+            "msgs", "log", "accepted", "p50 (ms)", "p99 (ms)", "log KiB", "B/msg", "seals",
+        ],
+        devices_axis.iter().map(|&devices| {
             Trial::new(
                 format!("e18/tax/{}", devices * TENANTS as u32),
                 SEED,
@@ -173,318 +264,229 @@ pub fn e18_tax_with(rc: &RunConfig, devices_axis: &[u32]) -> Table {
                     vec![row("off", &off), row("on", &on)]
                 },
             )
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
-        "E18a: write-ahead logging tax (identical virtual stats asserted; 64 KiB segments)",
-        &[
-            "msgs", "log", "accepted", "p50 (ms)", "p99 (ms)", "log KiB", "B/msg", "seals",
-        ],
-    );
-    for o in &out {
-        for r in &o.rows {
-            t.row(r.clone());
-        }
-    }
-    t
-}
-
-/// E18a production axis: 10k and 50k sessions through the default
-/// pipeline, logged and unlogged.
-pub fn e18_tax(rc: &RunConfig) -> Table {
-    e18_tax_with(rc, &[2_500, 12_500])
+        }),
+    )
 }
 
 // ---------------------------------------------------------------- E18b
 
-/// E18b: replay fidelity. One run exercising admission sheds, queue
+/// E18b: replay fidelity at `devices` devices per tenant. One run
+/// exercising admission sheds, queue
 /// sheds, segment sealing and window closes is replayed from its own
 /// write-ahead log; the trial asserts per-tenant summaries, closed
 /// windows and the replayed pipeline's re-persisted log bytes all
 /// equal the live run's. Live and replay both record under the trace
 /// scope (worlds 0 and 1 of the trial), so `--trace` dumps carry both
 /// event streams for CI to diff.
-pub fn e18_replay_with(rc: &RunConfig, devices: u32) -> Table {
-    let trials = vec![Trial::new("e18/replay", SEED, move |s| {
-        // A slow drain plus a sub-offered-rate admission contract for
-        // the noisy tenant: both shed paths fire, so the replay
-        // equalities below have teeth.
-        let config = IngestConfig {
-            drain_batch: 8,
-            ..IngestConfig::default()
-        };
-        let stream = StreamConfig::logged(LogConfig {
-            segment_bytes: 16 * 1024,
-        })
-        .with_admission(RateLimit::per_sec(4 * devices as u64, 64))
-        .with_windows(WindowSpec::tumbling(SimDuration::from_millis(500)));
-        let plan = SessionPlan {
-            msgs_per_device: 16,
-            noisy: Some((TenantId(0), 16)),
-            ..SessionPlan::default()
-        };
-        let live = run_streamed(devices, plan, config, Some(stream.clone()), s);
-        let wal = live.wal().expect("wal attached").as_bytes().to_vec();
-
-        let (mut replayed, report) = replay(
-            &wal,
-            fleet(devices, s),
-            config,
-            stream,
-            iiot_sim::obs::scope_capture(s),
-        );
-        drop(replayed.take_recorder());
-        let (offered, _, _, _) = live.totals();
-        assert_eq!(
-            report.records, offered,
-            "the log holds the complete offer sequence"
-        );
-        assert_eq!(report.truncated_bytes, 0, "a pristine log loses nothing");
-        assert_eq!(
-            metrics::summarize(&live),
-            metrics::summarize(&replayed),
-            "per-tenant stats must replay identically"
-        );
-        assert_eq!(
-            live.closed_windows(),
-            replayed.closed_windows(),
-            "closed windows must replay identically"
-        );
-        assert_eq!(
-            replayed.wal().expect("wal").as_bytes(),
-            wal.as_slice(),
-            "the replayed pipeline re-persists a byte-identical log"
-        );
-
-        let wal_log = live.wal().expect("wal");
-        let ratelimited = shed_sum(&live, |st| st.shed_ratelimit);
-        let queue_shed = shed_sum(&live, |st| st.shed_full);
-        assert!(ratelimited > 0, "admission shed path exercised");
-        vec![vec![
-            Cell::int(offered as f64),
-            Cell::int(wal_log.records() as f64),
-            Cell::int(wal_log.sealed_segments() as f64),
-            Cell::f1(wal_log.len_bytes() as f64 / 1024.0),
-            Cell::int(ratelimited as f64),
-            Cell::int(queue_shed as f64),
-            Cell::int(live.closed_windows().len() as f64),
-            Cell::label("byte-identical"),
-        ]]
-    })];
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+pub fn e18_replay(rc: &RunConfig, devices: u32) -> Table {
+    rc.table(
         "E18b: log replay fidelity (stats, windows, events and re-persisted log bytes asserted equal)",
         &[
             "msgs", "log records", "seals", "log KiB", "ratelimited", "queue shed",
             "windows", "replay vs live",
         ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
+        [Trial::new("e18/replay", SEED, move |s| {
+            // A slow drain plus a sub-offered-rate admission contract for
+            // the noisy tenant: both shed paths fire, so the replay
+            // equalities below have teeth.
+            let config = IngestConfig {
+                drain_batch: 8,
+                ..IngestConfig::default()
+            };
+            let stream = StreamConfig::logged(LogConfig {
+                segment_bytes: 16 * 1024,
+            })
+            .with_admission(RateLimit::per_sec(4 * devices as u64, 64))
+            .with_windows(WindowSpec::tumbling(SimDuration::from_millis(500)));
+            let plan = SessionPlan {
+                msgs_per_device: 16,
+                noisy: Some((TenantId(0), 16)),
+                ..SessionPlan::default()
+            };
+            let live = run_streamed(devices, plan, config, Some(stream.clone()), s);
+            let wal = live.wal().expect("wal attached").as_bytes().to_vec();
 
-/// E18b production scale: 32k messages with a 16x noisy neighbor.
-pub fn e18_replay(rc: &RunConfig) -> Table {
-    e18_replay_with(rc, 500)
+            let (mut replayed, report) = replay(
+                &wal,
+                fleet(devices, s),
+                config,
+                stream,
+                iiot_sim::obs::scope_capture(s),
+            );
+            drop(replayed.take_recorder());
+            let (offered, _, _, _) = live.totals();
+            assert_eq!(
+                report.records, offered,
+                "the log holds the complete offer sequence"
+            );
+            assert_eq!(report.truncated_bytes, 0, "a pristine log loses nothing");
+            assert_eq!(
+                metrics::summarize(&live),
+                metrics::summarize(&replayed),
+                "per-tenant stats must replay identically"
+            );
+            assert_eq!(
+                live.closed_windows(),
+                replayed.closed_windows(),
+                "closed windows must replay identically"
+            );
+            assert_eq!(
+                replayed.wal().expect("wal").as_bytes(),
+                wal.as_slice(),
+                "the replayed pipeline re-persists a byte-identical log"
+            );
+
+            let wal_log = live.wal().expect("wal");
+            let ratelimited = shed_sum(&live, |st| st.shed_ratelimit);
+            let queue_shed = shed_sum(&live, |st| st.shed_full);
+            assert!(ratelimited > 0, "admission shed path exercised");
+            vec![vec![
+                Cell::int(offered as f64),
+                Cell::int(wal_log.records() as f64),
+                Cell::int(wal_log.sealed_segments() as f64),
+                Cell::f1(wal_log.len_bytes() as f64 / 1024.0),
+                Cell::int(ratelimited as f64),
+                Cell::int(queue_shed as f64),
+                Cell::int(live.closed_windows().len() as f64),
+                Cell::label("byte-identical"),
+            ]]
+        })],
+    )
 }
 
 // ---------------------------------------------------------------- E18c
 
-/// E18c: crash recovery at adversarial offsets. A live run's log is
+/// E18c: crash recovery at adversarial offsets, on the log of a run at
+/// `devices` devices per tenant. A live run's log is
 /// truncated inside the last frame's header, CRC and payload, exactly
 /// on a frame boundary, and bit-flipped mid-log inside a sealed
 /// segment; each damaged image is recovered and replayed. The trial
 /// asserts the recovered prefix is exactly the CRC-verified frames
 /// before the damage and that replay offers exactly those records.
-pub fn e18_recovery_with(rc: &RunConfig, devices: u32) -> Table {
-    let trials = vec![Trial::new("e18/recovery", SEED, move |s| {
-        let config = IngestConfig::default();
-        let stream = StreamConfig::logged(LogConfig {
-            segment_bytes: 4096,
-        });
-        let logged = run_streamed(
-            devices,
-            SessionPlan::default(),
-            config,
-            Some(stream.clone()),
-            s,
-        );
-        let wal = logged.wal().expect("wal attached").as_bytes().to_vec();
-        let (offered, _, _, _) = logged.totals();
-        let len = wal.len() as u64;
-        assert_eq!(len, offered * FRAME);
-
-        // Crash points: how far into the byte stream the image survives
-        // (`cut`), or a single flipped bit mid-log (`flip`).
-        let frame = FRAME;
-        let mid = (offered / 2) * frame + frame / 2; // mid-payload, mid-log
-        let arms: Vec<(&'static str, u64, Option<u64>)> = vec![
-            ("frame boundary", len - frame, None),
-            ("torn header", len - frame + 3, None),
-            ("torn crc", len - frame + 5, None),
-            ("torn payload", len - 7, None),
-            ("mid-log tear", mid, None),
-            // Flip one payload bit a quarter of the way in: the frame
-            // fails its CRC inside a *sealed* segment, and recovery
-            // must refuse everything from that frame on.
-            (
-                "sealed bit flip",
-                len,
-                Some((offered / 4) * frame + (frame - 1)),
-            ),
-        ];
-        arms.into_iter()
-            .map(|(label, cut, flip)| {
-                let mut image = wal[..cut as usize].to_vec();
-                if let Some(at) = flip {
-                    image[at as usize] ^= 0x10;
-                }
-                let expect_records = match flip {
-                    Some(at) => at / frame,
-                    None => cut / frame,
-                };
-                let (replayed, report) =
-                    replay(&image, fleet(devices, s), config, stream.clone(), None);
-                assert_eq!(
-                    report.records, expect_records,
-                    "{label}: recovery must keep exactly the intact prefix"
-                );
-                assert_eq!(report.bytes, expect_records * frame, "{label}: kept bytes");
-                assert_eq!(
-                    report.truncated_bytes,
-                    image.len() as u64 - expect_records * frame,
-                    "{label}: everything after the damage is dropped"
-                );
-                assert_eq!(
-                    report.corrupt_sealed,
-                    flip.is_some(),
-                    "{label}: sealed-damage flag"
-                );
-                let (r_offered, r_accepted, _, _) = replayed.totals();
-                assert_eq!(
-                    r_offered, expect_records,
-                    "{label}: replay offers the prefix"
-                );
-                vec![
-                    Cell::label(label),
-                    Cell::int(report.records as f64),
-                    Cell::int(report.truncated_bytes as f64),
-                    Cell::label(if report.corrupt_sealed { "yes" } else { "no" }),
-                    Cell::int(r_offered as f64),
-                    Cell::pct(r_accepted as f64 / r_offered.max(1) as f64),
-                ]
-            })
-            .collect()
-    })];
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+pub fn e18_recovery(rc: &RunConfig, devices: u32) -> Table {
+    rc.table(
         "E18c: crash recovery at adversarial offsets (36 B frames, 4 KiB segments; prefix arithmetic asserted)",
         &["crash point", "records kept", "truncated B", "sealed hit", "replay msgs", "accepted"],
-    );
-    for o in &out {
-        for r in &o.rows {
-            t.row(r.clone());
-        }
-    }
-    t
-}
+        [Trial::new("e18/recovery", SEED, move |s| {
+            let config = IngestConfig::default();
+            let stream = StreamConfig::logged(LogConfig {
+                segment_bytes: 4096,
+            });
+            let logged = run_streamed(
+                devices,
+                SessionPlan::default(),
+                config,
+                Some(stream.clone()),
+                s,
+            );
+            let wal = logged.wal().expect("wal attached").as_bytes().to_vec();
+            let (offered, _, _, _) = logged.totals();
+            let len = wal.len() as u64;
+            assert_eq!(len, offered * FRAME);
 
-/// E18c production scale: a 4k-record log (144 KiB, ~36 sealed
-/// segments).
-pub fn e18_recovery(rc: &RunConfig) -> Table {
-    e18_recovery_with(rc, 250)
+            // Crash points: how far into the byte stream the image survives
+            // (`cut`), or a single flipped bit mid-log (`flip`).
+            let frame = FRAME;
+            let mid = (offered / 2) * frame + frame / 2; // mid-payload, mid-log
+            let arms: Vec<(&'static str, u64, Option<u64>)> = vec![
+                ("frame boundary", len - frame, None),
+                ("torn header", len - frame + 3, None),
+                ("torn crc", len - frame + 5, None),
+                ("torn payload", len - 7, None),
+                ("mid-log tear", mid, None),
+                // Flip one payload bit a quarter of the way in: the frame
+                // fails its CRC inside a *sealed* segment, and recovery
+                // must refuse everything from that frame on.
+                (
+                    "sealed bit flip",
+                    len,
+                    Some((offered / 4) * frame + (frame - 1)),
+                ),
+            ];
+            arms.into_iter()
+                .map(|(label, cut, flip)| {
+                    let mut image = wal[..cut as usize].to_vec();
+                    if let Some(at) = flip {
+                        image[at as usize] ^= 0x10;
+                    }
+                    let expect_records = match flip {
+                        Some(at) => at / frame,
+                        None => cut / frame,
+                    };
+                    let (replayed, report) =
+                        replay(&image, fleet(devices, s), config, stream.clone(), None);
+                    assert_eq!(
+                        report.records, expect_records,
+                        "{label}: recovery must keep exactly the intact prefix"
+                    );
+                    assert_eq!(report.bytes, expect_records * frame, "{label}: kept bytes");
+                    assert_eq!(
+                        report.truncated_bytes,
+                        image.len() as u64 - expect_records * frame,
+                        "{label}: everything after the damage is dropped"
+                    );
+                    assert_eq!(
+                        report.corrupt_sealed,
+                        flip.is_some(),
+                        "{label}: sealed-damage flag"
+                    );
+                    let (r_offered, r_accepted, _, _) = replayed.totals();
+                    assert_eq!(
+                        r_offered, expect_records,
+                        "{label}: replay offers the prefix"
+                    );
+                    vec![
+                        Cell::label(label),
+                        Cell::int(report.records as f64),
+                        Cell::int(report.truncated_bytes as f64),
+                        Cell::label(if report.corrupt_sealed { "yes" } else { "no" }),
+                        Cell::int(r_offered as f64),
+                        Cell::pct(r_accepted as f64 / r_offered.max(1) as f64),
+                    ]
+                })
+                .collect()
+        })],
+    )
 }
 
 // ---------------------------------------------------------------- E18d
 
-/// One admission observation: the quiet tenants' experience and the
-/// noisy tenant's shed-cause split on the shared queue.
-struct AdmissionPoint {
-    quiet_p99_ms: f64,
-    quiet_shed_pct: f64,
-    noisy_ratelimited: u64,
-    noisy_queue_shed: u64,
-    noisy_accept_pct: f64,
-    fairness: f64,
+/// E18d's token bucket: every tenant's fair share of the shared
+/// queue's drain capacity.
+fn fair_share_limit() -> RateLimit {
+    let cap = capacity_per_sec(&queue_config(Isolation::Shared), 1);
+    RateLimit::per_sec((cap / TENANTS as f64) as u64, 1024)
 }
 
-/// The shared-queue drain capacity of [`shared_config`] in messages
-/// per virtual second.
-fn shared_capacity_per_sec() -> f64 {
-    let c = shared_config();
-    c.drain_batch as f64 / (c.tick.as_micros() as f64 / 1e6)
-}
-
-/// E16b's shared-queue arm: one queue with the four per-tenant queues'
-/// aggregate buffer and drain capacity.
-fn shared_config() -> IngestConfig {
-    IngestConfig {
-        shards: 1,
-        queue_cap: 4 * 1024,
-        drain_batch: 4 * 256,
-        isolation: Isolation::Shared,
-        ..IngestConfig::default()
-    }
-}
-
-fn admission_point(
-    devices: u32,
-    multiplier: u32,
-    admission: Option<RateLimit>,
-    s: u64,
-) -> AdmissionPoint {
-    let plan = SessionPlan {
-        msgs_per_device: 32,
-        noisy: Some((TenantId(0), multiplier)),
-        ..SessionPlan::default()
-    };
-    let stream = admission.map(|limit| StreamConfig::default().with_admission(limit));
-    let pipe = run_streamed(devices, plan, shared_config(), stream, s);
-    let summaries = metrics::summarize(&pipe);
-    let quiet: Vec<_> = summaries
-        .iter()
-        .filter(|x| x.tenant != TenantId(0))
-        .collect();
-    let noisy = summaries
-        .iter()
-        .find(|x| x.tenant == TenantId(0))
-        .expect("noisy tenant");
-    AdmissionPoint {
-        quiet_p99_ms: quiet.iter().map(|x| x.p99_us).max().unwrap_or(0) as f64 / 1000.0,
-        quiet_shed_pct: {
-            let (shed, offered) = quiet
-                .iter()
-                .fold((0u64, 0u64), |(sh, o), x| (sh + x.shed, o + x.offered));
-            shed as f64 / offered.max(1) as f64
-        },
-        noisy_ratelimited: noisy.shed_ratelimit,
-        noisy_queue_shed: noisy.shed_full,
-        noisy_accept_pct: noisy.accepted as f64 / noisy.offered.max(1) as f64,
-        fairness: metrics::service_fairness(&summaries),
-    }
-}
-
-/// E18d over explicit noisy-rate multipliers: the shared queue with
+/// E18d over noisy-rate multipliers at `devices` devices per tenant
+/// (E16b's scale): the shared queue with
 /// and without per-tenant admission control. The token bucket grants
 /// every tenant its fair share of the drain capacity; loss the queue
 /// used to take (hurting everyone behind the burst) moves to the front
 /// door (hurting only the offender).
-pub fn e18_admission_with(rc: &RunConfig, multipliers: &[u32], devices: u32) -> Table {
-    let fair_share = (shared_capacity_per_sec() / TENANTS as f64) as u64;
-    let trials: Vec<Trial> = multipliers
-        .iter()
-        .flat_map(|&m| {
+pub fn e18_admission(rc: &RunConfig, multipliers: &[u32], devices: u32) -> Table {
+    rc.table(
+        "E18d: admission control vs queue shedding on the shared queue (fair-share token buckets)",
+        &[
+            "noisy rate",
+            "arm",
+            "quiet p99 (ms)",
+            "quiet shed",
+            "noisy ratelimited",
+            "noisy queue shed",
+            "noisy accepted",
+            "fairness",
+        ],
+        multipliers.iter().flat_map(|&m| {
             [
                 (None, "queues-only"),
-                (Some(RateLimit::per_sec(fair_share, 1024)), "admission"),
+                (Some(fair_share_limit()), "admission"),
             ]
             .into_iter()
             .map(move |(limit, name)| {
                 Trial::new(format!("e18/admission/x{m}/{name}"), SEED, move |s| {
-                    let p = admission_point(devices, m, limit, s);
+                    let stream = limit.map(|l| StreamConfig::default().with_admission(l));
+                    let p = noisy_point(devices, m, queue_config(Isolation::Shared), stream, s);
                     vec![vec![
                         Cell::label(format!("{m}x")),
                         Cell::label(name),
@@ -497,32 +499,8 @@ pub fn e18_admission_with(rc: &RunConfig, multipliers: &[u32], devices: u32) -> 
                     ]]
                 })
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
-        "E18d: admission control vs queue shedding on the shared queue (fair-share token buckets)",
-        &[
-            "noisy rate",
-            "arm",
-            "quiet p99 (ms)",
-            "quiet shed",
-            "noisy ratelimited",
-            "noisy queue shed",
-            "noisy accepted",
-            "fairness",
-        ],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E18d production axis: noisy tenant at 4x and 64x the quiet rate, 8k
-/// sessions (E16b's fairness scale).
-pub fn e18_admission(rc: &RunConfig) -> Table {
-    e18_admission_with(rc, &[4, 64], 2_000)
+        }),
+    )
 }
 
 // ---------------------------------------------------------------- E18e
@@ -589,66 +567,59 @@ fn windowed_backhaul(
 /// baseline exactly (asserted), while zero lateness counts the
 /// buffered samples late-dropped instead of mis-binning them.
 pub fn e18_windows(rc: &RunConfig) -> Table {
-    let trials = vec![Trial::new("e18/windows", SEED, |_| {
-        let outage = (SimTime::from_secs(10), SimTime::from_secs(30));
-        let outage_len = SimDuration::from_secs(20);
-        let (base_agg, base) = windowed_backhaul(None, SimDuration::ZERO);
-        let (covered_agg, covered) = windowed_backhaul(Some(outage), outage_len);
-        let (dropped_agg, dropped) = windowed_backhaul(Some(outage), SimDuration::ZERO);
-
-        assert_eq!(base_agg.late_total(), 0, "no outage, nothing late");
-        assert_eq!(
-            covered, base,
-            "lateness covering the outage must reproduce the baseline windows"
-        );
-        assert_eq!(
-            covered_agg.late_total(),
-            0,
-            "covered lateness drops nothing"
-        );
-        assert!(
-            dropped_agg.late_total() > 0,
-            "zero lateness must count late drops"
-        );
-        assert!(
-            dropped_agg.observed() < base_agg.observed(),
-            "late-dropped samples never reach a window"
-        );
-        assert_eq!(
-            dropped_agg.observed() + dropped_agg.late_total(),
-            base_agg.observed(),
-            "every sample is either attributed or counted late — none vanish"
-        );
-
-        let row = |arm: &'static str,
-                   lateness_s: f64,
-                   agg: &WindowAggregator,
-                   closed: &[WindowResult]| {
-            vec![
-                Cell::label(arm),
-                Cell::f1(lateness_s),
-                Cell::int(closed.len() as f64),
-                Cell::int(agg.observed() as f64),
-                Cell::int(agg.late_total() as f64),
-            ]
-        };
-        vec![
-            row("no outage", 0.0, &base_agg, &base),
-            row("outage, covered", 20.0, &covered_agg, &covered),
-            row("outage, uncovered", 0.0, &dropped_agg, &dropped),
-        ]
-    })];
-    let out = rc.runner.run(trials, rc.trials);
-    let mut t = Table::new(
+    rc.table(
         "E18e: event-time windows across a 20 s backhaul partition (10 s tumbling; baseline equality asserted)",
         &["arm", "lateness (s)", "windows", "samples", "late dropped"],
-    );
-    for o in &out {
-        for r in &o.rows {
-            t.row(r.clone());
-        }
-    }
-    t
+        [Trial::new("e18/windows", SEED, |_| {
+            let outage = (SimTime::from_secs(10), SimTime::from_secs(30));
+            let outage_len = SimDuration::from_secs(20);
+            let (base_agg, base) = windowed_backhaul(None, SimDuration::ZERO);
+            let (covered_agg, covered) = windowed_backhaul(Some(outage), outage_len);
+            let (dropped_agg, dropped) = windowed_backhaul(Some(outage), SimDuration::ZERO);
+
+            assert_eq!(base_agg.late_total(), 0, "no outage, nothing late");
+            assert_eq!(
+                covered, base,
+                "lateness covering the outage must reproduce the baseline windows"
+            );
+            assert_eq!(
+                covered_agg.late_total(),
+                0,
+                "covered lateness drops nothing"
+            );
+            assert!(
+                dropped_agg.late_total() > 0,
+                "zero lateness must count late drops"
+            );
+            assert!(
+                dropped_agg.observed() < base_agg.observed(),
+                "late-dropped samples never reach a window"
+            );
+            assert_eq!(
+                dropped_agg.observed() + dropped_agg.late_total(),
+                base_agg.observed(),
+                "every sample is either attributed or counted late — none vanish"
+            );
+
+            let row = |arm: &'static str,
+                       lateness_s: f64,
+                       agg: &WindowAggregator,
+                       closed: &[WindowResult]| {
+                vec![
+                    Cell::label(arm),
+                    Cell::f1(lateness_s),
+                    Cell::int(closed.len() as f64),
+                    Cell::int(agg.observed() as f64),
+                    Cell::int(agg.late_total() as f64),
+                ]
+            };
+            vec![
+                row("no outage", 0.0, &base_agg, &base),
+                row("outage, covered", 20.0, &covered_agg, &covered),
+                row("outage, uncovered", 0.0, &dropped_agg, &dropped),
+            ]
+        })],
+    )
 }
 
 #[cfg(test)]
@@ -665,8 +636,8 @@ mod tests {
 
     #[test]
     fn tax_table_is_jobs_invariant_and_log_is_pure_overhead() {
-        let a = e18_tax_with(&rc(1), &[50, 150]);
-        let b = e18_tax_with(&rc(4), &[50, 150]);
+        let a = e18_tax(&rc(1), &[50, 150]);
+        let b = e18_tax(&rc(4), &[50, 150]);
         assert_eq!(a.rows(), b.rows());
         // Rows alternate off/on per point; the in-trial assert already
         // proved the stats identical, so off/on rows differ only in
@@ -683,8 +654,8 @@ mod tests {
 
     #[test]
     fn replay_and_recovery_tables_are_jobs_invariant() {
-        let a = (e18_replay_with(&rc(1), 125), e18_recovery_with(&rc(1), 100));
-        let b = (e18_replay_with(&rc(2), 125), e18_recovery_with(&rc(2), 100));
+        let a = (e18_replay(&rc(1), 125), e18_recovery(&rc(1), 100));
+        let b = (e18_replay(&rc(2), 125), e18_recovery(&rc(2), 100));
         assert_eq!(a.0.rows(), b.0.rows());
         assert_eq!(a.1.rows(), b.1.rows());
         // Every adversarial crash point produced a row and the bit-flip
@@ -705,10 +676,11 @@ mod tests {
         // 2000 noisy devices x 64x multiplier ~= 128k msg/s against the
         // shared queue's 102.4k msg/s of aggregate drain capacity, so the
         // queues-only arm genuinely overflows (matches the E16b scale).
-        let point = |limit| admission_point(2_000, 64, limit, SEED);
+        let point = |stream| noisy_point(2_000, 64, queue_config(Isolation::Shared), stream, SEED);
         let queues = point(None);
-        let fair = (shared_capacity_per_sec() / TENANTS as f64) as u64;
-        let admitted = point(Some(RateLimit::per_sec(fair, 1024)));
+        let admitted = point(Some(
+            StreamConfig::default().with_admission(fair_share_limit()),
+        ));
         // Queue-only shedding: the offender's burst sits in the shared
         // queue, so quiet tenants wait behind it.
         assert_eq!(

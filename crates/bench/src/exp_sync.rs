@@ -24,6 +24,7 @@ use crate::table::Table;
 use crate::RunConfig;
 use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule, TdmaSync};
 use iiot_routing::dodag::Traffic;
+use iiot_routing::graph::line_parents;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_sim::prelude::*;
 use iiot_timesync::{FtspConfig, FtspNode};
@@ -56,15 +57,7 @@ fn tdma_line_run(
     seed: u64,
     secs: u64,
 ) -> TdmaRun {
-    let parents: Vec<Option<NodeId>> = (0..n)
-        .map(|i| {
-            if i == 0 {
-                None
-            } else {
-                Some(NodeId(i as u32 - 1))
-            }
-        })
-        .collect();
+    let parents = line_parents(n);
     let sched = TdmaSchedule::pipeline_to_root(&parents, SimDuration::from_millis(20))
         .with_sync_slots(1)
         .with_idle(8)
@@ -110,11 +103,14 @@ fn tdma_line_run(
 }
 
 /// E13 drift sweep over an explicit ppm axis, `secs` of simulated time
-/// per point (test-sized variants use a short axis).
-pub fn e13_drift_sweep_with(rc: &RunConfig, ppms: &[u32], secs: u64) -> Table {
-    let trials: Vec<Trial> = ppms
-        .iter()
-        .flat_map(|&ppm| {
+/// per point: delivery collapses for free-running clocks as ppm grows;
+/// the FTSP arm holds near the ppm=0 baseline for a measurable beacon
+/// duty tax.
+pub fn e13_drift_sweep(rc: &RunConfig, ppms: &[u32], secs: u64) -> Table {
+    rc.table(
+        "E13: TDMA collection under oscillator drift (8-node line, 20 ms slots, 1 ms guard), free-running vs FTSP-synced",
+        &["drift (ppm)", "clock", "delivery", "guard violations", "sync beacons", "duty cycle"],
+        ppms.iter().flat_map(|&ppm| {
             [
                 ("unsynced", SyncMode::Unsynced),
                 (
@@ -140,97 +136,70 @@ pub fn e13_drift_sweep_with(rc: &RunConfig, ppms: &[u32], secs: u64) -> Table {
                     ]]
                 })
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E13: TDMA collection under oscillator drift (8-node line, 20 ms slots, 1 ms guard), free-running vs FTSP-synced",
-        &["drift (ppm)", "clock", "delivery", "guard violations", "sync beacons", "duty cycle"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E13 drift sweep: delivery collapses for free-running clocks as ppm
-/// grows; the FTSP arm holds near the ppm=0 baseline for a measurable
-/// beacon duty tax.
-pub fn e13_drift_sweep(rc: &RunConfig) -> Table {
-    e13_drift_sweep_with(rc, &[0, 10, 50, 100, 200], 240)
+        }),
+    )
 }
 
 /// E13 sync error vs hop distance on a standalone FTSP flood (no MAC):
 /// `n` nodes in a line spaced one radio hop apart, 50 ppm oscillators,
 /// dynamic reference election, `secs` of simulated time.
-pub fn e13_sync_error_with(rc: &RunConfig, n: usize, secs: u64) -> Table {
-    let trials = vec![Trial::new("e13/hops", 0xE13, move |seed| {
-        let cfg = FtspConfig::default().with_period(SimDuration::from_secs(2));
-        let mut w = SimBuilder::new()
-            .seed(seed)
-            .clock(ClockModel::drifting(50.0))
-            .nodes(Topology::line(n, 25.0), move |_| {
-                Box::new(FtspNode::new(cfg.clone())) as Box<dyn Proto>
-            })
-            .build();
-        let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        // Settle, then time-average |error| over the tail: a single
-        // snapshot is dominated by where each node sits in its
-        // beacon/regression cycle.
-        let settle = secs * 4 / 5;
-        w.run_for(SimDuration::from_secs(settle));
-        let mut err_sum = vec![0.0f64; n];
-        let mut samples = 0u32;
-        for _ in settle..secs {
-            w.run_for(SimDuration::from_secs(1));
-            samples += 1;
-            let root_local = w.local_time_of(ids[0]);
-            for (i, &id) in ids.iter().enumerate().skip(1) {
-                let local = w.local_time_of(id);
-                let est = w.proto::<FtspNode>(id).clock().global(local);
-                let err = est.as_micros() as i64 - root_local.as_micros() as i64;
-                err_sum[i] += err.unsigned_abs() as f64;
-            }
-        }
-        ids.iter()
-            .enumerate()
-            .skip(1)
-            .map(|(hops, &id)| {
-                let depth = w.proto::<FtspNode>(id).engine().depth() as f64;
-                vec![
-                    Cell::label(hops.to_string()),
-                    Cell::int(depth),
-                    Cell::f1(err_sum[hops] / samples.max(1) as f64),
-                ]
-            })
-            .collect()
-    })];
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
+pub fn e13_sync_error(rc: &RunConfig, n: usize, secs: u64) -> Table {
+    rc.table(
         "E13: FTSP sync error vs hop distance (line, one hop per link, 50 ppm, 2 s beacons, elected reference)",
         &["hops from reference", "depth", "mean sync error (us)"],
-    );
-    for row in &out[0].rows {
-        t.row(row.clone());
-    }
-    t
-}
-
-/// E13 sync error vs hop distance: 12 hops, 300 s.
-pub fn e13_sync_error(rc: &RunConfig) -> Table {
-    e13_sync_error_with(rc, 13, 300)
+        [Trial::new("e13/hops", 0xE13, move |seed| {
+            let cfg = FtspConfig::default().with_period(SimDuration::from_secs(2));
+            let mut w = SimBuilder::new()
+                .seed(seed)
+                .clock(ClockModel::drifting(50.0))
+                .nodes(Topology::line(n, 25.0), move |_| {
+                    Box::new(FtspNode::new(cfg.clone())) as Box<dyn Proto>
+                })
+                .build();
+            let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            // Settle, then time-average |error| over the tail: a single
+            // snapshot is dominated by where each node sits in its
+            // beacon/regression cycle.
+            let settle = secs * 4 / 5;
+            w.run_for(SimDuration::from_secs(settle));
+            let mut err_sum = vec![0.0f64; n];
+            let mut samples = 0u32;
+            for _ in settle..secs {
+                w.run_for(SimDuration::from_secs(1));
+                samples += 1;
+                let root_local = w.local_time_of(ids[0]);
+                for (i, &id) in ids.iter().enumerate().skip(1) {
+                    let local = w.local_time_of(id);
+                    let est = w.proto::<FtspNode>(id).clock().global(local);
+                    let err = est.as_micros() as i64 - root_local.as_micros() as i64;
+                    err_sum[i] += err.unsigned_abs() as f64;
+                }
+            }
+            ids.iter()
+                .enumerate()
+                .skip(1)
+                .map(|(hops, &id)| {
+                    let depth = w.proto::<FtspNode>(id).engine().depth() as f64;
+                    vec![
+                        Cell::label(hops.to_string()),
+                        Cell::int(depth),
+                        Cell::f1(err_sum[hops] / samples.max(1) as f64),
+                    ]
+                })
+                .collect()
+        })],
+    )
 }
 
 /// E13 guard ablation over an explicit guard axis (µs), with sync
 /// deliberately weakened to offset-only estimation (window 1) and
 /// sparse resync (every 8 frames) at 200 ppm, so a residual error of
 /// up to ~1 ms accrues between beacons for the guard to absorb.
-pub fn e13_guard_ablation_with(rc: &RunConfig, guards_us: &[u64], secs: u64) -> Table {
-    let trials: Vec<Trial> = guards_us
-        .iter()
-        .map(|&g| {
+pub fn e13_guard_ablation(rc: &RunConfig, guards_us: &[u64], secs: u64) -> Table {
+    rc.table(
+        "E13-ablation: guard time vs delivery under weakened sync (offset-only, resync every 8 frames, 200 ppm)",
+        &["guard (us)", "delivery", "guard violations", "duty cycle"],
+        guards_us.iter().map(|&g| {
             Trial::new(format!("e13/guard/{g}us"), 0xE13, move |seed| {
                 let r = tdma_line_run(
                     8,
@@ -250,21 +219,6 @@ pub fn e13_guard_ablation_with(rc: &RunConfig, guards_us: &[u64], secs: u64) -> 
                     Cell::pct(r.duty),
                 ]]
             })
-        })
-        .collect();
-    let out = rc.runner.run(trials, rc.trials);
-
-    let mut t = Table::new(
-        "E13-ablation: guard time vs delivery under weakened sync (offset-only, resync every 8 frames, 200 ppm)",
-        &["guard (us)", "delivery", "guard violations", "duty cycle"],
-    );
-    for o in &out {
-        t.row(o.rows[0].clone());
-    }
-    t
-}
-
-/// E13 guard ablation: the production axis.
-pub fn e13_guard_ablation(rc: &RunConfig) -> Table {
-    e13_guard_ablation_with(rc, &[0, 100, 500, 1000, 4000], 240)
+        }),
+    )
 }

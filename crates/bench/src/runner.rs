@@ -16,13 +16,12 @@
 //!   replicas positionally (mean and p95), with replica seeds split
 //!   from the trial seed.
 //!
-//! Wall-clock time is recorded per trial (summed over its replicas), so
-//! the harness can report where the time went.
+//! Experiments reach the runner through [`RunConfig::table`](crate::RunConfig::table),
+//! which turns one batch of trials into one table.
 
 use crate::table::{f1, f3, pct};
 use iiot_sim::seed::replica_seeds;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// How a [`Cell::Value`] renders in a table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,32 +120,6 @@ impl Trial {
             run: Box::new(run),
         }
     }
-
-    /// The trial's display label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The trial's base seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-/// A completed trial: formatted rows (aggregated over replicas) plus
-/// bookkeeping.
-#[derive(Clone, Debug)]
-pub struct TrialOutcome {
-    /// The trial's label.
-    pub label: String,
-    /// The trial's base seed.
-    pub seed: u64,
-    /// Formatted rows, ready to append to a [`Table`](crate::Table).
-    pub rows: Vec<Vec<String>>,
-    /// Busy wall-clock time, summed over the trial's replicas.
-    pub wall: Duration,
-    /// How many replicas were aggregated.
-    pub replicas: u32,
 }
 
 /// Fans trials out over a scoped worker pool and collects results in
@@ -188,8 +161,9 @@ impl Runner {
         self.jobs
     }
 
-    /// Runs every trial `replicas` times and returns one aggregated
-    /// outcome per trial, in the order the trials were passed in.
+    /// Runs every trial `replicas` times and returns each trial's rows,
+    /// formatted and aggregated over its replicas, in the order the
+    /// trials were passed in.
     ///
     /// Replica seeds are split from each trial's base seed with
     /// [`iiot_sim::seed::replica_seeds`], so the work plan is fixed
@@ -201,7 +175,7 @@ impl Runner {
     /// Panics if a trial's replicas disagree on row shape or label
     /// cells (a trial closure that is not a pure function of its seed),
     /// or if a trial closure panics.
-    pub fn run(&self, trials: Vec<Trial>, replicas: u32) -> Vec<TrialOutcome> {
+    pub fn run(&self, trials: Vec<Trial>, replicas: u32) -> Vec<Vec<Vec<String>>> {
         let replicas = replicas.max(1);
         // Section ids are allocated here, in submission order, before
         // any worker runs: trace scope keys depend only on the call
@@ -235,48 +209,42 @@ impl Runner {
                         let Some(&(t, r, seed)) = jobs_ref.get(i) else {
                             break;
                         };
-                        let started = Instant::now();
                         // Tag the worker thread so any worlds the trial
                         // builds record into the trace sink under a
                         // deterministic (section, trial, replica) key.
                         if iiot_sim::obs::tracing_enabled() {
-                            iiot_sim::obs::set_scope(section, t as u32, r, trials_ref[t].label());
+                            iiot_sim::obs::set_scope(section, t as u32, r, &trials_ref[t].label);
                         }
                         let rows = (trials_ref[t].run)(seed);
                         iiot_sim::obs::clear_scope();
-                        tx.send((t, r, rows, started.elapsed()))
-                            .expect("collector alive");
+                        tx.send((t, r, rows)).expect("collector alive");
                     }
                 });
             }
             drop(tx);
             // Collect by (trial, replica) index: arrival order is
             // scheduling-dependent, the slots are not.
-            let mut slots: Vec<Vec<Option<(MetricRows, Duration)>>> = (0..trials.len())
+            let mut slots: Vec<Vec<Option<MetricRows>>> = (0..trials.len())
                 .map(|_| (0..replicas as usize).map(|_| None).collect())
                 .collect();
-            for (t, r, rows, wall) in rx.iter() {
-                slots[t][r as usize] = Some((rows, wall));
+            for (t, r, rows) in rx.iter() {
+                slots[t][r as usize] = Some(rows);
             }
             slots
         })
         .into_iter()
         .zip(&trials)
         .map(|(reps, trial)| {
-            let reps: Vec<(MetricRows, Duration)> =
-                reps.into_iter().map(|r| r.expect("job ran")).collect();
-            aggregate(trial, reps)
+            let reps: Vec<MetricRows> = reps.into_iter().map(|r| r.expect("job ran")).collect();
+            aggregate(trial, &reps)
         })
         .collect()
     }
 }
 
-/// Folds a trial's replicas into one formatted outcome.
-fn aggregate(trial: &Trial, reps: Vec<(MetricRows, Duration)>) -> TrialOutcome {
-    let replicas = reps.len() as u32;
-    let wall = reps.iter().map(|(_, w)| *w).sum();
-    let first = &reps[0].0;
-    let rows = first
+/// Folds a trial's replicas into its formatted rows.
+fn aggregate(trial: &Trial, reps: &[MetricRows]) -> Vec<Vec<String>> {
+    reps[0]
         .iter()
         .enumerate()
         .map(|(i, row)| {
@@ -284,7 +252,7 @@ fn aggregate(trial: &Trial, reps: Vec<(MetricRows, Duration)>) -> TrialOutcome {
                 .enumerate()
                 .map(|(j, cell)| match cell {
                     Cell::Label(s) => {
-                        for (other, _) in &reps[1..] {
+                        for other in &reps[1..] {
                             assert_eq!(
                                 Some(cell),
                                 other.get(i).and_then(|r| r.get(j)),
@@ -297,7 +265,7 @@ fn aggregate(trial: &Trial, reps: Vec<(MetricRows, Duration)>) -> TrialOutcome {
                     Cell::Value(_, unit) => {
                         let vals: Vec<f64> = reps
                             .iter()
-                            .map(|(rows, _)| match rows.get(i).and_then(|r| r.get(j)) {
+                            .map(|rows| match rows.get(i).and_then(|r| r.get(j)) {
                                 Some(Cell::Value(v, u)) if u == unit => *v,
                                 other => panic!(
                                     "trial '{}': replica value cell mismatch at \
@@ -306,7 +274,7 @@ fn aggregate(trial: &Trial, reps: Vec<(MetricRows, Duration)>) -> TrialOutcome {
                                 ),
                             })
                             .collect();
-                        if replicas == 1 {
+                        if reps.len() == 1 {
                             unit.format(vals[0])
                         } else {
                             let s = iiot_sim::trace::summarize(&vals);
@@ -316,14 +284,7 @@ fn aggregate(trial: &Trial, reps: Vec<(MetricRows, Duration)>) -> TrialOutcome {
                 })
                 .collect()
         })
-        .collect();
-    TrialOutcome {
-        label: trial.label.clone(),
-        seed: trial.seed,
-        rows,
-        wall,
-        replicas,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -348,18 +309,13 @@ mod tests {
         let seq = Runner::new(1).run(toy_trials(9), 1);
         let par = Runner::new(4).run(toy_trials(9), 1);
         assert_eq!(seq.len(), 9);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.seed, b.seed);
-        }
+        assert_eq!(seq, par);
     }
 
     #[test]
     fn single_replica_formats_plainly() {
         let out = Runner::sequential().run(toy_trials(1), 1);
-        assert_eq!(out[0].rows, vec![vec!["t0".to_string(), "100.0".into()]]);
-        assert_eq!(out[0].replicas, 1);
+        assert_eq!(out[0], vec![vec!["t0".to_string(), "100.0".into()]]);
     }
 
     #[test]
@@ -374,9 +330,8 @@ mod tests {
         };
         let a = Runner::new(1).run(mk(), 3);
         let b = Runner::new(3).run(mk(), 3);
-        assert_eq!(a[0].rows, b[0].rows);
-        assert_eq!(a[0].replicas, 3);
-        assert!(a[0].rows[0][0].contains("(p95 "), "{:?}", a[0].rows);
+        assert_eq!(a, b);
+        assert!(a[0][0][0].contains("(p95 "), "{a:?}");
     }
 
     #[test]

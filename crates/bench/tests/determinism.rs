@@ -2,7 +2,7 @@
 //! worker count, and replica seeds are stable, distinct splits of the
 //! trial seed.
 
-use iiot_bench::exp_scale::e5_size_scaling_with;
+use iiot_bench::exp_scale::e5_size_scaling;
 use iiot_bench::{RunConfig, Runner};
 use iiot_sim::seed;
 
@@ -15,7 +15,7 @@ fn e5_jobs1_and_jobs4_tables_are_identical() {
             runner: Runner::new(jobs),
             trials: 1,
         };
-        e5_size_scaling_with(&rc, &[2, 3], 60)
+        e5_size_scaling(&rc, &[2, 3], 60)
     };
     let seq = run(1);
     let par = run(4);
@@ -33,7 +33,7 @@ fn e5_replicated_tables_are_identical_across_jobs() {
             runner: Runner::new(jobs),
             trials: 3,
         };
-        e5_size_scaling_with(&rc, &[2], 40)
+        e5_size_scaling(&rc, &[2], 40)
     };
     let seq = run(1);
     let par = run(4);
@@ -56,9 +56,9 @@ fn e13_jobs1_and_jobs2_tables_are_identical() {
             trials: 1,
         };
         (
-            iiot_bench::exp_sync::e13_drift_sweep_with(&rc, &[0, 300], 60),
-            iiot_bench::exp_sync::e13_sync_error_with(&rc, 4, 60),
-            iiot_bench::exp_sync::e13_guard_ablation_with(&rc, &[0, 2000], 60),
+            iiot_bench::exp_sync::e13_drift_sweep(&rc, &[0, 300], 60),
+            iiot_bench::exp_sync::e13_sync_error(&rc, 4, 60),
+            iiot_bench::exp_sync::e13_guard_ablation(&rc, &[0, 2000], 60),
         )
     };
     let seq = run(1);
@@ -80,9 +80,9 @@ fn e14_jobs1_and_jobs2_tables_are_identical() {
             trials: 1,
         };
         (
-            iiot_bench::exp_dissem::e14_completion_with(&rc, &[3], 600),
-            iiot_bench::exp_dissem::e14_resume_with(&rc, 3, 4800, 3, 240),
-            iiot_bench::exp_dissem::e14_rollout_with(&rc, 3, 240),
+            iiot_bench::exp_dissem::e14_completion(&rc, &[3], 600),
+            iiot_bench::exp_dissem::e14_resume(&rc, 3, 4800, 3, 240),
+            iiot_bench::exp_dissem::e14_rollout(&rc, 3, 240),
         )
     };
     let seq = run(1);
@@ -105,10 +105,10 @@ fn e15_jobs1_and_jobs2_tables_are_identical() {
             trials: 1,
         };
         (
-            iiot_bench::exp_icn::e15_arch_with(&rc, &[1, 4], 30),
-            iiot_bench::exp_icn::e15_cache_with(&rc, &[8], 4, 32),
+            iiot_bench::exp_icn::e15_arch(&rc, &[1, 4], 30),
+            iiot_bench::exp_icn::e15_cache(&rc, &[8], 4, 32),
             iiot_bench::exp_icn::e15_poison(&rc),
-            iiot_bench::exp_icn::e15_partition_with(&rc, 2, 10, 20, 30),
+            iiot_bench::exp_icn::e15_partition(&rc, 2, 10, 20, 30),
         )
     };
     let seq = run(1);
@@ -131,9 +131,9 @@ fn e16_jobs1_and_jobs2_tables_are_identical() {
             trials: 1,
         };
         (
-            iiot_bench::exp_cloud::e16_ingest_with(&rc, &[50, 150]),
-            iiot_bench::exp_cloud::e16_fairness_with(&rc, &[1, 16], 150),
-            iiot_bench::exp_cloud::e16_overload_with(&rc, &[0.5, 2.0], 250),
+            iiot_bench::exp_cloud::e16_ingest(&rc, &[50, 150]),
+            iiot_bench::exp_cloud::e16_fairness(&rc, &[1, 16], 150),
+            iiot_bench::exp_cloud::e16_overload(&rc, &[0.5, 2.0], 250),
             iiot_bench::exp_cloud::e16_bridge(&rc),
         )
     };
@@ -159,10 +159,10 @@ fn e18_jobs1_and_jobs2_tables_are_identical() {
             trials: 1,
         };
         (
-            iiot_bench::exp_stream::e18_tax_with(&rc, &[250]),
-            iiot_bench::exp_stream::e18_replay_with(&rc, 125),
-            iiot_bench::exp_stream::e18_recovery_with(&rc, 100),
-            iiot_bench::exp_stream::e18_admission_with(&rc, &[16], 500),
+            iiot_bench::exp_stream::e18_tax(&rc, &[250]),
+            iiot_bench::exp_stream::e18_replay(&rc, 125),
+            iiot_bench::exp_stream::e18_recovery(&rc, 100),
+            iiot_bench::exp_stream::e18_admission(&rc, &[16], 500),
             iiot_bench::exp_stream::e18_windows(&rc),
         )
     };
@@ -213,9 +213,9 @@ nodes |  mac | completion (s) | coverage | energy (mJ/node) | data tx
             runner: Runner::new(jobs),
             trials: 1,
         };
-        let e2 = iiot_bench::exp_scale::e2_latency_vs_hops_with(&rc, 160);
-        let e5 = e5_size_scaling_with(&rc, &[2, 3], 60);
-        let e14 = iiot_bench::exp_dissem::e14_completion_with(&rc, &[3], 600);
+        let e2 = iiot_bench::exp_scale::e2_latency_vs_hops(&rc, 160);
+        let e5 = e5_size_scaling(&rc, &[2, 3], 60);
+        let e14 = iiot_bench::exp_dissem::e14_completion(&rc, &[3], 600);
         assert_eq!(format!("{e2}"), GOLDEN_E2, "E2 drifted at jobs={jobs}");
         assert_eq!(format!("{e5}"), GOLDEN_E5, "E5 drifted at jobs={jobs}");
         assert_eq!(format!("{e14}"), GOLDEN_E14, "E14 drifted at jobs={jobs}");
@@ -303,8 +303,8 @@ fn shards_jobs_cross_product_is_deterministic() {
     let seq = run(1);
     let par = run(2);
     assert_eq!(seq.len(), 3);
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.rows, b.rows, "{} differs between --jobs 1 and 2", a.label);
-        assert!(a.rows[0][1] != "0", "workload dispatched no events");
+    for (k, (a, b)) in seq.iter().zip(&par).enumerate() {
+        assert_eq!(a, b, "trial {k} differs between --jobs 1 and 2");
+        assert!(a[0][1] != "0", "workload dispatched no events");
     }
 }

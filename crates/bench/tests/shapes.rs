@@ -30,6 +30,28 @@ fn e3_shape_aggregation_flattens_the_funnel() {
     assert!(cell(&t, 0, 3) > 4.0 * cell(&t, 0, 4));
 }
 
+/// E3 is pure arithmetic, so it has an exact oracle: on the line of 8
+/// over 8 epochs, node i relays one raw message per epoch for itself
+/// and each of the 7 − i nodes behind it, 8·(8 − i) in all, while
+/// aggregation sends one per epoch; in the ablation n1 sends one
+/// aggregate per epoch run.
+#[test]
+fn e3_oracle_message_counts_are_exact() {
+    let t = exp_scale::e3_funneling(&RunConfig::default());
+    assert_eq!(t.rows.len(), 7);
+    for (r, row) in t.rows.iter().enumerate() {
+        let i = r + 1;
+        assert_eq!(row[0], format!("n{i} ({i})"));
+        assert_eq!(cell(&t, r, 1), (8 * (8 - i)) as f64, "raw msgs at n{i}");
+        assert_eq!(cell(&t, r, 2), 8.0, "agg msgs at n{i}");
+    }
+    let t = exp_scale::e3_epoch_ablation(&RunConfig::default());
+    for (r, epochs) in [12.0, 6.0, 3.0].into_iter().enumerate() {
+        assert_eq!(cell(&t, r, 1), epochs, "60 s / epoch");
+        assert_eq!(cell(&t, r, 2), epochs, "n1 sends once per epoch");
+    }
+}
+
 #[test]
 fn e3_shape_epoch_is_the_load_knob() {
     let t = exp_scale::e3_epoch_ablation(&RunConfig::default());
@@ -164,7 +186,7 @@ fn e13_shape_unsynced_collapses_ftsp_holds() {
     // Reduced drift sweep: free-running TDMA collapses under drift,
     // the FTSP arm stays near the perfect-clock baseline and pays a
     // visible beacon duty tax (the three-regime claim of §IV-B).
-    let t = exp_sync::e13_drift_sweep_with(&RunConfig::default(), &[0, 300], 90);
+    let t = exp_sync::e13_drift_sweep(&RunConfig::default(), &[0, 300], 90);
     // Rows: (0, unsynced), (0, ftsp), (300, unsynced), (300, ftsp).
     // The tail of the run leaves a frame or two in flight, so the
     // ideal-clock baseline sits just under 100%.
@@ -189,7 +211,7 @@ fn e13_shape_unsynced_collapses_ftsp_holds() {
 
 #[test]
 fn e13_shape_sync_error_grows_with_hops() {
-    let t = exp_sync::e13_sync_error_with(&RunConfig::default(), 6, 120);
+    let t = exp_sync::e13_sync_error(&RunConfig::default(), 6, 120);
     // Depth mirrors hop distance on a one-hop-per-link line.
     for r in 0..t.rows.len() {
         assert_eq!(cell(&t, r, 1), (r + 1) as f64, "depth == hops");
@@ -204,7 +226,7 @@ fn e13_shape_sync_error_grows_with_hops() {
 fn e13_shape_guard_buys_back_delivery() {
     // Weakened sync + no guard loses frames; a generous guard absorbs
     // the residual error.
-    let t = exp_sync::e13_guard_ablation_with(&RunConfig::default(), &[0, 2000], 90);
+    let t = exp_sync::e13_guard_ablation(&RunConfig::default(), &[0, 2000], 90);
     assert!(
         cell(&t, 1, 1) > cell(&t, 0, 1) + 20.0,
         "guard must buy delivery: {} -> {}",
@@ -226,7 +248,7 @@ fn e11_shape_diagnosis_finds_the_victim() {
 
 #[test]
 fn e14_shape_dissemination_covers_everyone() {
-    let t = exp_dissem::e14_completion_with(&RunConfig::default(), &[3], 900);
+    let t = exp_dissem::e14_completion(&RunConfig::default(), &[3], 900);
     // Rows: csma, lpl, tdma on a 3x3 grid; every arm reaches the
     // whole fleet within the cap.
     assert_eq!(t.rows.len(), 3);
@@ -241,7 +263,7 @@ fn e14_shape_dissemination_covers_everyone() {
 
 #[test]
 fn e14_shape_flash_resume_beats_reimage() {
-    let t = exp_dissem::e14_resume_with(&RunConfig::default(), 3, 4800, 3, 300);
+    let t = exp_dissem::e14_resume(&RunConfig::default(), 3, 4800, 3, 300);
     // Row 0 resumes from flash, row 1 was wiped. The crash bites
     // mid-download (pages kept > 0 only in the resume arm) and the
     // resumed victim finishes strictly earlier.
@@ -262,7 +284,7 @@ fn e16_shape_underload_is_lossless_and_fair() {
     // Well under drain capacity nothing sheds, every message is
     // admitted, tenants are served near-perfectly evenly and the p99
     // queue latency stays within a few drain ticks.
-    let t = exp_cloud::e16_ingest_with(&RunConfig::default(), &[50, 200]);
+    let t = exp_cloud::e16_ingest(&RunConfig::default(), &[50, 200]);
     for r in 0..t.rows.len() {
         assert_eq!(cell(&t, r, 3), 100.0, "row {r} must accept everything");
         assert_eq!(cell(&t, r, 4), 0.0, "row {r} must shed nothing");
@@ -279,7 +301,7 @@ fn e16_shape_isolation_bounds_the_quiet_tenants_p99() {
     // quiet tenants never shed. The shared-queue arm has the same
     // aggregate capacity, so any damage it shows is the coupling's
     // doing, not a capacity difference.
-    let t = exp_cloud::e16_fairness_with(&RunConfig::default(), &[1, 16, 64], 200);
+    let t = exp_cloud::e16_fairness(&RunConfig::default(), &[1, 16, 64], 200);
     // Rows alternate per-tenant / shared per multiplier.
     for r in 0..t.rows.len() {
         if t.rows[r][1] == "per-tenant" {
@@ -311,7 +333,7 @@ fn e16_shape_isolation_bounds_the_quiet_tenants_p99() {
 fn e16_shape_overload_crosses_saturation() {
     // Both shed policies barely shed at rho = 0.5 and shed hard at
     // rho = 2.0, and the bounded queue never overflows its cap.
-    let t = exp_cloud::e16_overload_with(&RunConfig::default(), &[0.5, 2.0], 250);
+    let t = exp_cloud::e16_overload(&RunConfig::default(), &[0.5, 2.0], 250);
     for r in 0..2 {
         assert!(cell(&t, r, 3) < 1.0, "sub-saturation row {r} barely sheds");
     }
@@ -323,7 +345,7 @@ fn e16_shape_overload_crosses_saturation() {
 
 #[test]
 fn e14_shape_canary_contains_the_blast() {
-    let t = exp_dissem::e14_rollout_with(&RunConfig::default(), 3, 300);
+    let t = exp_dissem::e14_rollout(&RunConfig::default(), 3, 300);
     // Row 0 staged, row 1 flat: the canary cohort absorbs the poisoned
     // build, the flat rollout spreads it fleet-wide.
     assert!(

@@ -37,6 +37,7 @@ use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout::{self, RolloutPlan};
 use iiot_mac::csma::{CsmaConfig, CsmaMac};
+use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
 use iiot_sim::{seed, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss, Topology};
 use std::collections::{BTreeMap, BTreeSet};
@@ -190,50 +191,6 @@ struct Network {
     last_reported: BTreeMap<(u32, &'static str), f64>,
     /// When each device (global id) completed locally.
     local_done: BTreeMap<u32, SimTime>,
-}
-
-/// First-hop parent (west else north) of each node in a `side x side`
-/// grid — the same spanning tree `iiot-bench` E14 uses.
-fn grid_parents(side: usize) -> Vec<Option<NodeId>> {
-    (0..side)
-        .flat_map(|r| {
-            (0..side).map(move |c| {
-                if c > 0 {
-                    Some(NodeId((r * side + c - 1) as u32))
-                } else if r > 0 {
-                    Some(NodeId(((r - 1) * side + c) as u32))
-                } else {
-                    None
-                }
-            })
-        })
-        .collect()
-}
-
-/// Tree-depth rings of the grid (ring 1 first); the within-network
-/// staged cohorts. Disabled nodes relay nothing, so waves must grow
-/// outward from the gateway.
-fn grid_rings(side: usize) -> Vec<Vec<NodeId>> {
-    let parents = grid_parents(side);
-    let depth_of = |i: usize| {
-        let mut d = 0;
-        let mut j = i;
-        while let Some(p) = parents[j] {
-            j = p.index();
-            d += 1;
-        }
-        d
-    };
-    let n = side * side;
-    let max_d = (0..n).map(depth_of).max().unwrap_or(0);
-    (1..=max_d)
-        .map(|d| {
-            (0..n)
-                .filter(|&i| depth_of(i) == d)
-                .map(|i| NodeId(i as u32))
-                .collect()
-        })
-        .collect()
 }
 
 fn emit(rec: &mut Option<Box<dyn Recorder>>, t: SimTime, node: u32, kind: EventKind) {
@@ -522,7 +479,13 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                     for nid in networks {
                         let net = &mut nets[nid.0 as usize];
                         let plan = if cfg.staged {
-                            RolloutPlan::new(grid_rings(cfg.side), SimDuration::from_secs(10))
+                            // Within-network cohorts by tree depth: disabled
+                            // nodes relay nothing, so waves grow outward from
+                            // the gateway.
+                            RolloutPlan::new(
+                                depth_rings(&grid_parents(cfg.side, cfg.side)),
+                                SimDuration::from_secs(10),
+                            )
                         } else {
                             RolloutPlan::flat(net.ids[1..].to_vec(), SimDuration::from_secs(10))
                         };

@@ -1,5 +1,7 @@
 //! Connectivity oracles over a simulated deployment: breadth-first hop
-//! counts, BFS parent trees and reachability.
+//! counts, BFS parent trees and reachability — plus the fixed line,
+//! star and grid parent trees that static schedules and rollouts are
+//! laid over.
 //!
 //! These are *deployment-planning* utilities (and test oracles), not
 //! protocol components: they look at node positions and the link model
@@ -95,6 +97,61 @@ pub fn all_connected(
     (0..topo.len()).all(|i| !alive(NodeId(i as u32)) || hops[i].is_some())
 }
 
+/// Parent tree of an `n`-node line rooted at node 0: node `i` hangs
+/// off node `i - 1`.
+pub fn line_parents(n: usize) -> Vec<Option<NodeId>> {
+    (0..n)
+        .map(|i| i.checked_sub(1).map(|p| NodeId(p as u32)))
+        .collect()
+}
+
+/// Parent tree of an `n`-node star rooted at node 0: every other node
+/// hangs off the root directly.
+pub fn star_parents(n: usize) -> Vec<Option<NodeId>> {
+    (0..n).map(|i| (i > 0).then_some(NodeId(0))).collect()
+}
+
+/// First-hop spanning tree of a `cols x rows` grid numbered row by row
+/// (as [`Topology::grid`] numbers it), rooted at node 0: each node's
+/// parent is its west neighbour if it has one, else its north one, so
+/// every edge is one grid hop.
+pub fn grid_parents(cols: usize, rows: usize) -> Vec<Option<NodeId>> {
+    (0..rows)
+        .flat_map(|r| {
+            (0..cols).map(move |c| {
+                if c > 0 {
+                    Some(NodeId((r * cols + c - 1) as u32))
+                } else if r > 0 {
+                    Some(NodeId(((r - 1) * cols + c) as u32))
+                } else {
+                    None
+                }
+            })
+        })
+        .collect()
+}
+
+/// The non-root nodes of a parent tree grouped by depth, depth 1 first,
+/// each ring in id order — the cohorts of a rollout that must grow
+/// outward from the root because disabled nodes relay nothing.
+pub fn depth_rings(parents: &[Option<NodeId>]) -> Vec<Vec<NodeId>> {
+    let mut rings: Vec<Vec<NodeId>> = Vec::new();
+    for i in 0..parents.len() {
+        let (mut depth, mut j) = (0, i);
+        while let Some(p) = parents[j] {
+            j = p.index();
+            depth += 1;
+        }
+        if depth > 0 {
+            if rings.len() < depth {
+                rings.resize(depth, Vec::new());
+            }
+            rings[depth - 1].push(NodeId(i as u32));
+        }
+    }
+    rings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +197,23 @@ mod tests {
     #[test]
     fn dead_root_reaches_nothing() {
         assert_eq!(line(3, 20.0, &[0]).0, vec![None, None, None]);
+    }
+
+    #[test]
+    fn fixed_trees() {
+        let n = |i: u32| Some(NodeId(i));
+        assert_eq!(line_parents(3), vec![None, n(0), n(1)]);
+        assert_eq!(star_parents(3), vec![None, n(0), n(0)]);
+        // 3 x 2: row 0 chains west, row 1 hangs its first node north.
+        let grid = grid_parents(3, 2);
+        assert_eq!(grid, vec![None, n(0), n(1), n(0), n(3), n(4)]);
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(
+            depth_rings(&grid),
+            vec![ids(&[1, 3]), ids(&[2, 4]), ids(&[5])]
+        );
+        assert!(depth_rings(&[None]).is_empty());
+        assert_eq!(depth_rings(&star_parents(4)), vec![ids(&[1, 2, 3])]);
     }
 
     #[test]

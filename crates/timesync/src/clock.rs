@@ -32,17 +32,15 @@ impl ClockEstimate {
 
     /// Converts a local clock reading to estimated global time.
     pub fn global(&self, local: SimTime) -> SimTime {
-        let d = local.as_micros() as i64 - self.base_local.as_micros() as i64;
-        let g = self.base_global.as_micros() as i64 + (d as f64 * self.rate).round() as i64;
-        SimTime::from_micros(g.max(0) as u64)
+        let d = i128::from(local.as_micros()) - i128::from(self.base_local.as_micros());
+        shift(self.base_global, d as f64 * self.rate)
     }
 
     /// Converts an estimated global time back to the local clock
     /// reading at which it occurs.
     pub fn local(&self, global: SimTime) -> SimTime {
-        let d = global.as_micros() as i64 - self.base_global.as_micros() as i64;
-        let l = self.base_local.as_micros() as i64 + (d as f64 / self.rate).round() as i64;
-        SimTime::from_micros(l.max(0) as u64)
+        let d = i128::from(global.as_micros()) - i128::from(self.base_global.as_micros());
+        shift(self.base_local, d as f64 / self.rate)
     }
 
     /// Estimated skew of the local clock against the global timebase,
@@ -51,10 +49,20 @@ impl ClockEstimate {
         (self.rate - 1.0) * 1e6
     }
 
-    /// Estimated `global - local` offset at local time `local`, in µs.
+    /// Estimated `global - local` offset at local time `local`, in µs
+    /// (saturating at the `i64` range).
     pub fn offset_us(&self, local: SimTime) -> i64 {
-        self.global(local).as_micros() as i64 - local.as_micros() as i64
+        let off = i128::from(self.global(local).as_micros()) - i128::from(local.as_micros());
+        off.clamp(i64::MIN.into(), i64::MAX.into()) as i64
     }
+}
+
+/// `base + delta` µs, rounded and held to the instants a [`SimTime`]
+/// can name. The map's anchors and rate come off the air, so a forged
+/// beacon can make `delta` anything — a rate of 0 makes it infinite.
+fn shift(base: SimTime, delta: f64) -> SimTime {
+    let t = i128::from(base.as_micros()).saturating_add(delta.round() as i128);
+    SimTime::from_micros(t.clamp(0, u64::MAX.into()) as u64)
 }
 
 /// A cheaply clonable handle to a node's current synchronization
@@ -141,6 +149,7 @@ impl SyncedClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn identity_round_trips() {
@@ -165,6 +174,31 @@ mod tests {
         let back = e.local(g).as_micros() as i64;
         assert!((back - l.as_micros() as i64).abs() <= 1);
         assert!((e.skew_ppm() - 80.0).abs() < 1e-9);
+    }
+
+    proptest! {
+        /// Every conversion is total over any map a beacon can install:
+        /// anchors anywhere in `u64`, rates of 0, ±inf, NaN or 4.6e12.
+        #[test]
+        fn conversions_are_total(
+            (base_local, base_global, t) in (any::<u64>(), any::<u64>(), any::<u64>()),
+            rate in prop_oneof![
+                Just(0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(4.6e12),
+                -2.0f64..2.0,
+            ],
+        ) {
+            let e = ClockEstimate {
+                base_local: SimTime::from_micros(base_local),
+                base_global: SimTime::from_micros(base_global),
+                rate,
+            };
+            let t = SimTime::from_micros(t);
+            let _ = (e.global(t), e.local(t), e.offset_us(t));
+        }
     }
 
     #[test]

@@ -68,13 +68,14 @@ impl DriftEstimator {
     }
 
     /// Records one `(local, global)` timestamp pair, evicting the
-    /// oldest sample once the window is full.
+    /// oldest sample once the window is full. Times past `i64::MAX` µs
+    /// are held at `i64::MAX`.
     pub fn add_sample(&mut self, local: SimTime, global: SimTime) {
         if self.samples.len() == self.window {
             self.samples.pop_front();
         }
-        self.samples
-            .push_back((local.as_micros() as i64, global.as_micros() as i64));
+        let us = |t: SimTime| i64::try_from(t.as_micros()).unwrap_or(i64::MAX);
+        self.samples.push_back((us(local), us(global)));
     }
 
     /// The current linear fit, or `None` without samples. One sample
@@ -102,8 +103,10 @@ impl DriftEstimator {
         }
         // Offset-only fallback: a single sample, or duplicate x values.
         let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-        let base_local = l0 + mx.round() as i64;
-        let base_global = base_local + my.round() as i64;
+        // Samples lie in [0, i64::MAX], so the differences above cannot
+        // overflow; these sums can, by a rounding, at the very top.
+        let base_local = l0.saturating_add(mx.round() as i64);
+        let base_global = base_local.saturating_add(my.round() as i64);
         Some(ClockEstimate {
             base_local: SimTime::from_micros(base_local.max(0) as u64),
             base_global: SimTime::from_micros(base_global.max(0) as u64),

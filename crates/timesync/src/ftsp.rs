@@ -249,10 +249,18 @@ impl FtspEngine {
     /// sender stamped transmission *start*, the receiver sees the frame
     /// at transmission *end*, one airtime later). Returns `true` if the
     /// beacon was accepted as a new sync sample.
+    ///
+    /// A beacon whose global time does not fit the estimator's `i64`
+    /// microseconds (past 2^63 µs, ~292,000 years) can only be forged or
+    /// corrupt: it is counted as `ftsp_beacon_bad` and changes no state.
     pub fn on_beacon(&mut self, ctx: &mut Ctx<'_>, payload: &[u8], radio_len: usize) -> bool {
         let Some(b) = decode_beacon(payload) else {
             return false;
         };
+        if i64::try_from(b.global_us).is_err() {
+            ctx.count("ftsp_beacon_bad", 1.0);
+            return false;
+        }
         if b.root.0 > self.root.0 {
             // Worse (higher-id) reference: ignore; our flood will
             // eventually reach and demote it.

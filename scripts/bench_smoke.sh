@@ -18,8 +18,24 @@ if grep -rn '\.on_timer(\|\.on_frame(\|\.on_tx_done(' crates src tests examples 
     exit 1
 fi
 
+# One experiment shape: trials go to `RunConfig::table`, which makes
+# the one runner call a table needs; only the harness itself and E2/E3/
+# E6's pivots (exp_scale) call the runner by hand. A new hand-built
+# table tail is printed here.
+if grep -rn '\.runner\.run(' crates src tests examples --include='*.rs' |
+    grep -v '^crates/bench/src/\(lib\|runner\|exp_scale\)\.rs:'; then
+    echo "Runner::run called outside RunConfig::table and exp_scale's pivots" >&2
+    exit 1
+fi
+
 cargo build -p iiot-bench --release --offline --bins
 bin=target/release/experiments
+
+# An unknown experiment id is a usage error, not an empty run.
+if "$bin" e99 > /dev/null 2>&1; then
+    echo "experiments e99 exited 0" >&2
+    exit 1
+fi
 
 # One row per experiment: name | flags | the trace_report section its
 # trace must produce. Tables, JSON dumps and JSONL traces must be
