@@ -1,6 +1,6 @@
 //! The kernel perf harness: what the simulator does per event on growing
-//! bcast/CSMA/LPL grids and on 1, 2 and 4 shards (see
-//! [`iiot_bench::exp_perf`]).
+//! bcast/CSMA/LPL grids, on 1, 2 and 4 shards and under a DODAG over
+//! LPL (see [`iiot_bench::exp_perf`]).
 //!
 //! Usage:
 //!   cargo run -p iiot-bench --release --bin perf                    # print the table (~20 s)
@@ -22,6 +22,10 @@ const SCALE_SIDES: [u32; 4] = [20, 40, 80, 160];
 const SHARDS: [u32; 3] = [1, 2, 4];
 /// Simulated seconds per point.
 const SECS: u64 = 5;
+/// Grid sides of the collection rows (100 and 400 nodes).
+const COLLECT_SIDES: [u32; 2] = [10, 20];
+/// Simulated seconds per collection row: past the traffic's 60 s start.
+const COLLECT_SECS: u64 = 90;
 
 fn usage() -> ! {
     eprintln!("usage: perf [--json [PATH]] [--markdown]");
@@ -49,6 +53,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut points = exp_perf::perf_matrix(&SIDES, SECS);
     points.extend(exp_perf::scaling_curves(&SCALE_SIDES, SECS, &SHARDS));
+    points.extend(exp_perf::collection_rows(&COLLECT_SIDES, COLLECT_SECS));
     eprintln!(
         "[measured {} points in {:.1}s]",
         points.len(),

@@ -1,5 +1,6 @@
 //! Perf workload: what the kernel does per simulated event, on growing
-//! broadcast/CSMA/LPL grids and on the sharded kernel.
+//! broadcast/CSMA/LPL grids, on the sharded kernel and under a
+//! collection tree.
 //!
 //! Unlike E1-E18 this harness measures the *simulator*, not the
 //! simulated protocols. Every row is one workload run once:
@@ -11,6 +12,10 @@
 //!   are distinct deterministic models: counts compare within one,
 //!   never across. (The 400- and 1,600-node serial `bcast` rows appear
 //!   in both, under the seed of each.)
+//! * the **collection rows** — the `collect` flavour at 100 and 400
+//!   nodes: the benchmark's `plant` battery tier (a DODAG over LPL with
+//!   its traffic and wake interval) on the same grid, so the MAC's
+//!   strobe trains and the routing layer above them are priced too.
 //!
 //! A row carries **`events`**, **`air_visits`** and **`queue_pushes`**:
 //! how many kernel events the workload dispatches, how many
@@ -29,6 +34,7 @@ use crate::Table;
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
 use iiot_mac::lpl::{LplConfig, LplMac};
+use iiot_routing::{DodagConfig, DodagNode, Traffic};
 use iiot_sim::prelude::*;
 use std::time::Instant;
 
@@ -36,9 +42,10 @@ use std::time::Instant;
 /// connectivity, 8 audible neighbours within interference range).
 pub const SPACING_M: f64 = 20.0;
 
-/// The workload flavours: `bcast` is a raw periodic broadcaster (no
-/// MAC — the purest transmit-heavy stress of the begin-tx path),
-/// `csma` and `lpl` run the real MACs.
+/// The matrix's workload flavours: `bcast` is a raw periodic broadcaster
+/// (no MAC — the purest transmit-heavy stress of the begin-tx path),
+/// `csma` and `lpl` run the real MACs. The fourth, `collect`, has rows
+/// of its own ([`collection_rows`]).
 pub const MACS: [&str; 3] = ["bcast", "csma", "lpl"];
 
 /// Bare periodic broadcaster: transmit as often as the radio allows,
@@ -64,7 +71,7 @@ impl Proto for Blaster {
 /// host executed it (`wall_us` and `mode` are printed, never written).
 #[derive(Clone, Copy, Debug)]
 pub struct PerfPoint {
-    /// Workload flavour: `"bcast"`, `"csma"` or `"lpl"`.
+    /// Workload flavour: `"bcast"`, `"csma"`, `"lpl"` or `"collect"`.
     pub workload: &'static str,
     /// Node count (a square grid).
     pub nodes: u32,
@@ -171,6 +178,31 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
             }
             sim
         }
+        "collect" => {
+            // `plant`'s battery tier: every node but the root (mid-grid)
+            // reports 10 B every 30 s from t = 60 s, up a DODAG over
+            // LPL waking every 256 ms.
+            let traffic = Traffic {
+                period: SimDuration::from_secs(30),
+                payload_len: 10,
+                start_after: SimDuration::from_secs(60),
+            };
+            let config = DodagConfig {
+                traffic: Some(traffic),
+                ..DodagConfig::default()
+            };
+            let lpl = LplConfig {
+                wake_interval: SimDuration::from_millis(256),
+                ..LplConfig::default()
+            };
+            let root = (side * (side / 2) + side / 2) as usize;
+            builder
+                .nodes(topo, move |i| {
+                    let mac = LplMac::new(lpl.clone());
+                    Box::new(DodagNode::new(mac, config.clone(), i == root))
+                })
+                .build()
+        }
         other => panic!("unknown mac flavour {other:?}"),
     }
 }
@@ -224,6 +256,14 @@ pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<Per
         }
     }
     out
+}
+
+/// Measures the `collect` flavour at every `sides`, one after another;
+/// `secs` must pass the traffic's 60 s start for data to flow.
+pub fn collection_rows(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
+    let seeds = (0xC011_0000..).zip(sides);
+    let points = seeds.map(|(seed, &side)| measure("collect", side, 1, secs, seed));
+    points.collect()
 }
 
 /// Renders the points as a human-readable table. `events`, `visits/ev`
@@ -384,6 +424,15 @@ mod tests {
             assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
             assert!(counts.iter().all(|&c| c > 0));
         }
+    }
+
+    #[test]
+    fn collection_rows_repeat() {
+        let [a, b] = [(); 2].map(|()| collection_rows(&[4], 65));
+        let counts = |p: &PerfPoint| [p.events, p.air_visits, p.queue_pushes];
+        assert_eq!((a[0].workload, a[0].nodes, a[0].secs), ("collect", 16, 65));
+        assert_eq!(counts(&a[0]), counts(&b[0]));
+        assert!(counts(&a[0]).iter().all(|&c| c > 0));
     }
 
     fn row(workload: &'static str, nodes: u32, shards: u32, counts: [u64; 3]) -> PerfPoint {

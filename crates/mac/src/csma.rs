@@ -155,13 +155,15 @@ impl CsmaMac {
         }
         // A pending ACK has priority over our own data.
         if let Some((dst, seq)) = self.ack_due.take() {
-            let bytes = encode(
+            let mut bytes = ctx.frame_buf();
+            encode(
                 MacHeader {
                     kind: MacKind::Ack,
                     seq,
                     upper_port: 0,
                 },
                 &[],
+                &mut bytes,
             );
             if ctx
                 .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)
@@ -178,13 +180,15 @@ impl CsmaMac {
 
     fn transmit_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>) {
         let head = self.queue.front().expect("transmit without head");
-        let bytes = encode(
+        let mut bytes = ctx.frame_buf();
+        encode(
             MacHeader {
                 kind: MacKind::Data,
                 seq: head.seq,
                 upper_port: head.upper_port,
             },
             &head.payload,
+            &mut bytes,
         );
         match ctx.transmit(head.dst, self.config.radio_port, bytes) {
             Ok(()) => {

@@ -54,14 +54,14 @@ pub struct MacHeader {
 /// Number of bytes the MAC header occupies.
 pub const MAC_HEADER_LEN: usize = 3;
 
-/// Encodes a MAC frame: header followed by `payload`.
-pub fn encode(header: MacHeader, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAC_HEADER_LEN + payload.len());
-    out.push(header.kind.to_byte());
-    out.push(header.seq);
-    out.push(header.upper_port);
+/// Encodes a MAC frame — header followed by `payload` — at the end of
+/// `out`. MACs build their frames in
+/// [`Ctx::frame_buf`](iiot_sim::Ctx::frame_buf), so a frame reuses the
+/// memory of one that left the air.
+pub fn encode(header: MacHeader, payload: &[u8], out: &mut Vec<u8>) {
+    out.reserve(MAC_HEADER_LEN + payload.len());
+    out.extend_from_slice(&[header.kind.to_byte(), header.seq, header.upper_port]);
     out.extend_from_slice(payload);
-    out
 }
 
 /// Decodes a MAC frame into its header and upper payload.
@@ -130,7 +130,8 @@ mod tests {
             seq: 250,
             upper_port: 7,
         };
-        let enc = encode(h, b"hello");
+        let mut enc = Vec::new();
+        encode(h, b"hello", &mut enc);
         let (dec, payload) = decode(&enc).expect("decodes");
         assert_eq!(dec, h);
         assert_eq!(payload, b"hello");
@@ -175,7 +176,8 @@ mod tests {
         fn encode_decode_inverse(seq in any::<u8>(), port in any::<u8>(), payload in proptest::collection::vec(any::<u8>(), 0..64)) {
             for kind in [MacKind::Data, MacKind::Ack, MacKind::Probe] {
                 let h = MacHeader { kind, seq, upper_port: port };
-                let enc = encode(h, &payload);
+                let mut enc = Vec::new();
+                encode(h, &payload, &mut enc);
                 let (dec, p) = decode(&enc).expect("round trip");
                 prop_assert_eq!(dec, h);
                 prop_assert_eq!(p, &payload[..]);

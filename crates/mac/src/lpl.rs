@@ -143,13 +143,15 @@ impl LplMac {
         let Some(head) = self.queue.front() else {
             return;
         };
-        let bytes = encode(
+        let mut bytes = ctx.frame_buf();
+        encode(
             MacHeader {
                 kind: MacKind::Data,
                 seq: head.seq,
                 upper_port: head.upper_port,
             },
             &head.payload,
+            &mut bytes,
         );
         if ctx
             .transmit(head.dst, self.config.radio_port, bytes)
@@ -193,13 +195,15 @@ impl LplMac {
             return;
         }
         if let Some((dst, seq)) = self.ack_due.take() {
-            let bytes = encode(
+            let mut bytes = ctx.frame_buf();
+            encode(
                 MacHeader {
                     kind: MacKind::Ack,
                     seq,
                     upper_port: 0,
                 },
                 &[],
+                &mut bytes,
             );
             if ctx
                 .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)

@@ -152,13 +152,15 @@ impl RimacMac {
         let Some(head) = self.queue.front() else {
             return;
         };
-        let bytes = encode(
+        let mut bytes = ctx.frame_buf();
+        encode(
             MacHeader {
                 kind: MacKind::Data,
                 seq: head.seq,
                 upper_port: head.upper_port,
             },
             &head.payload,
+            &mut bytes,
         );
         if ctx
             .transmit(head.dst, self.config.radio_port, bytes)
@@ -231,13 +233,15 @@ impl Mac for RimacMac {
                 // Probe only when not busy with our own traffic.
                 if self.tx == TxKind::None && !self.answer_armed {
                     ctx.radio_on().expect("rimac: radio on to probe");
-                    let bytes = encode(
+                    let mut bytes = ctx.frame_buf();
+                    encode(
                         MacHeader {
                             kind: MacKind::Probe,
                             seq: 0,
                             upper_port: 0,
                         },
                         &[],
+                        &mut bytes,
                     );
                     if ctx
                         .transmit(Dst::Broadcast, self.config.radio_port, bytes)
@@ -320,13 +324,15 @@ impl Mac for RimacMac {
                     self.ack_due = Some((frame.src, header.seq));
                     if self.tx == TxKind::None {
                         if let Some((dst, seq)) = self.ack_due.take() {
-                            let bytes = encode(
+                            let mut bytes = ctx.frame_buf();
+                            encode(
                                 MacHeader {
                                     kind: MacKind::Ack,
                                     seq,
                                     upper_port: 0,
                                 },
                                 &[],
+                                &mut bytes,
                             );
                             if ctx
                                 .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)

@@ -688,13 +688,15 @@ impl Mac for TdmaMac {
                         if !eligible {
                             return true;
                         }
-                        let bytes = encode(
+                        let mut bytes = ctx.frame_buf();
+                        encode(
                             MacHeader {
                                 kind: MacKind::Data,
                                 seq: head.seq,
                                 upper_port: head.upper_port,
                             },
                             &head.payload,
+                            &mut bytes,
                         );
                         // The schedule fixes the receiver; the head's
                         // logical dst rides along for address filtering.
@@ -785,13 +787,15 @@ impl Mac for TdmaMac {
                 if self.in_sync_slot && self.tx == TxKind::None {
                     let payload = self.sync.as_mut().and_then(|st| st.engine.beat(ctx));
                     if let Some(p) = payload {
-                        let bytes = encode(
+                        let mut bytes = ctx.frame_buf();
+                        encode(
                             MacHeader {
                                 kind: MacKind::Probe,
                                 seq: 0,
                                 upper_port: 0,
                             },
                             &p,
+                            &mut bytes,
                         );
                         if ctx
                             .transmit(Dst::Broadcast, self.config.radio_port, bytes)
@@ -840,13 +844,15 @@ impl Mac for TdmaMac {
                     self.guard_violation(ctx, "late_frame");
                 }
                 if frame.dst == Dst::Unicast(ctx.id()) && self.tx == TxKind::None {
-                    let bytes = encode(
+                    let mut bytes = ctx.frame_buf();
+                    encode(
                         MacHeader {
                             kind: MacKind::Ack,
                             seq: header.seq,
                             upper_port: 0,
                         },
                         &[],
+                        &mut bytes,
                     );
                     if ctx
                         .transmit(Dst::Unicast(frame.src), self.config.radio_port, bytes)

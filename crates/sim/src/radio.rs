@@ -573,7 +573,9 @@ pub struct Medium {
     neigh_cached: bool,
     /// Reused buffer for the grid gather behind a `neigh` build.
     gathered: Vec<u32>,
-    /// Recycled payload buffers backing delivered frame clones.
+    /// Recycled payload buffers, cleared: the records' frames once
+    /// evicted and the delivered clones once consumed. Delivered clones
+    /// and frames built through [`Medium::frame_buf`] draw from it.
     payload_pool: Vec<Vec<u8>>,
     /// How long a fully evaluated record can still matter: a record
     /// whose end is older than this can no longer overlap any
@@ -1016,8 +1018,14 @@ impl Medium {
         }
     }
 
-    /// Hands a payload buffer back to the delivery pool (called by the
-    /// kernel once a delivered frame clone has been consumed).
+    /// An empty payload buffer from the pool (a new one if the pool is
+    /// dry).
+    pub(crate) fn frame_buf(&mut self) -> Vec<u8> {
+        self.payload_pool.pop().unwrap_or_default()
+    }
+
+    /// Hands a payload buffer back to the pool (called by the kernel
+    /// once a delivered frame clone has been consumed).
     pub(crate) fn recycle_payload(&mut self, mut payload: Vec<u8>) {
         if self.payload_pool.len() < PAYLOAD_POOL_CAP && payload.capacity() > 0 {
             payload.clear();
@@ -1145,15 +1153,14 @@ impl Medium {
 
     /// Finishes a transmission at the sender side; returns the outcome.
     ///
-    /// A stale or unknown `tx` yields a zero-receiver outcome instead
-    /// of panicking; by construction the kernel's `TxEnd` event always
-    /// finds its record (a pending record is never evicted).
-    pub(crate) fn end_tx(&mut self, tx: TxId, now: SimTime) -> TxOutcome {
+    /// A stale or unknown `tx` counts in `lost_expired` and yields
+    /// `None` instead of panicking; by construction the kernel's
+    /// `TxEnd` event always finds its record (a pending record is never
+    /// evicted).
+    pub(crate) fn end_tx(&mut self, tx: TxId, now: SimTime) -> Option<TxOutcome> {
         let Some(slot) = self.lookup(tx) else {
             self.stats.lost_expired += 1;
-            return TxOutcome {
-                oracle_receivers: 0,
-            };
+            return None;
         };
         let rec = &self.slots[slot].rec;
         let src = rec.src;
@@ -1164,9 +1171,9 @@ impl Medium {
             n.listen_since = now;
             self.mark_dirty(src.0);
         }
-        TxOutcome {
+        Some(TxOutcome {
             oracle_receivers: oracle,
-        }
+        })
     }
 
     /// The candidate receptions of `tx` in the order
@@ -1236,8 +1243,8 @@ impl Medium {
         self.stats.delivered += 1;
         // Clone the frame for delivery, backing the payload with a
         // pooled buffer so steady-state delivery allocates nothing.
-        let mut payload = self.payload_pool.pop().unwrap_or_default();
-        payload.clear();
+        let mut payload = self.frame_buf();
+        let rec = &self.slots[rec_idx].rec;
         payload.extend_from_slice(&rec.frame.payload);
         RxEval::Deliver(
             Frame {
@@ -1329,7 +1336,7 @@ mod tests {
         let (tx, end, sched) = m.start_tx(f.clone(), t0, &mut rng).unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
         assert_eq!(m.state(NodeId(0)), RadioState::Transmitting);
-        let out = m.end_tx(tx, end);
+        let out = m.end_tx(tx, end).expect("a live record");
         assert_eq!(out.oracle_receivers, 1);
         assert_eq!(m.state(NodeId(0)), RadioState::Listening);
         match eval_at(&mut m, tx, NodeId(1)) {
@@ -1552,7 +1559,7 @@ mod tests {
         let later = SimTime::from_secs(3);
         let (tx2, end2, _) = m.start_tx(f, later, &mut rng).unwrap();
         assert_ne!(tx, tx2, "recycled slot must carry a new generation");
-        assert_eq!(m.end_tx(tx, later).oracle_receivers, 0);
+        assert_eq!(m.end_tx(tx, later), None, "an aged-out record");
         match eval_at(&mut m, tx, NodeId(1)) {
             RxEval::Dropped(DropReason::Expired, None) => {}
             other => panic!("expected Expired drop, got {other:?}"),
@@ -1916,7 +1923,7 @@ mod tests {
                 flying.sort_by_key(|f: &(SimTime, Vec<TxId>, Vec<NodeId>)| f.0);
                 let landed = flying.iter().take_while(|f| f.0 <= until).count();
                 for (end, ids, receivers) in flying.drain(..landed) {
-                    let outcomes: Vec<(TxOutcome, Vec<RxEval>)> = media
+                    let outcomes: Vec<(Option<TxOutcome>, Vec<RxEval>)> = media
                         .iter_mut()
                         .zip(&ids)
                         .map(|(m, &tx)| {

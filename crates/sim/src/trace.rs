@@ -29,6 +29,11 @@ pub struct Summary {
 /// are written as `&'static str` (every writer passes a literal, so a
 /// bump allocates nothing) and read back by any `&str`.
 ///
+/// Per-node counters are stored as one column per name, indexed by
+/// node id, so a bump finds its name in a short list and its node by
+/// index; a column's memory grows with the highest node id that
+/// touched it.
+///
 /// # Examples
 ///
 /// ```
@@ -46,8 +51,55 @@ pub struct Summary {
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     counters: BTreeMap<&'static str, f64>,
-    node_counters: BTreeMap<(&'static str, NodeId), f64>,
+    node_counters: NodeCounters,
     series: BTreeMap<&'static str, Vec<f64>>,
+}
+
+/// The per-node counters, one column per name in first-touch order.
+#[derive(Clone, Default)]
+struct NodeCounters(Vec<NodeColumn>);
+
+/// The per-node counter `name`: `values[i]` is node `i`'s value, `None`
+/// until that node first touches it.
+#[derive(Clone)]
+struct NodeColumn {
+    name: &'static str,
+    values: Vec<Option<f64>>,
+}
+
+impl NodeCounters {
+    /// The column of counter `name`, if any node touched it.
+    fn column(&self, name: &str) -> Option<&[Option<f64>]> {
+        let col = self.0.iter().find(|c| c.name == name)?;
+        Some(&col.values)
+    }
+
+    /// The column of counter `name`, created empty if absent.
+    fn column_mut(&mut self, name: &'static str) -> &mut Vec<Option<f64>> {
+        let i = match self.0.iter().position(|c| c.name == name) {
+            Some(i) => i,
+            None => {
+                let values = Vec::new();
+                self.0.push(NodeColumn { name, values });
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i].values
+    }
+}
+
+/// Prints the map the columns model, keyed `(name, node)` in that
+/// order, so a `{:?}` dump of [`Stats`] reads as it always has.
+impl std::fmt::Debug for NodeCounters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut cols: Vec<&NodeColumn> = self.0.iter().collect();
+        cols.sort_by_key(|c| c.name);
+        let entries = cols.into_iter().flat_map(|c| {
+            let values = c.values.iter().enumerate();
+            values.filter_map(|(i, v)| Some(((c.name, NodeId(i as u32)), (*v)?)))
+        });
+        f.debug_map().entries(entries).finish()
+    }
 }
 
 impl Stats {
@@ -63,7 +115,12 @@ impl Stats {
 
     /// Adds `v` to the per-node counter `name` for `node`.
     pub fn inc_node(&mut self, node: NodeId, name: &'static str, v: f64) {
-        *self.node_counters.entry((name, node)).or_insert(0.0) += v;
+        let values = self.node_counters.column_mut(name);
+        let i = node.index();
+        if i >= values.len() {
+            values.resize(i + 1, None);
+        }
+        *values[i].get_or_insert(0.0) += v;
     }
 
     /// Value of the global counter `name`, or 0 if never touched.
@@ -73,17 +130,15 @@ impl Stats {
 
     /// Value of the per-node counter, or 0 if never touched.
     pub fn get_node(&self, node: NodeId, name: &str) -> f64 {
-        self.node_counters
-            .get(&(name, node))
-            .copied()
-            .unwrap_or(0.0)
+        let column = self.node_counters.column(name).unwrap_or_default();
+        column.get(node.index()).copied().flatten().unwrap_or(0.0)
     }
 
     /// The entries of per-node counter `name`, in node-id order.
-    fn per_node<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (NodeId, f64)> + 'a {
-        self.node_counters
-            .range((name, NodeId(0))..=(name, NodeId(u32::MAX)))
-            .map(|((_, id), v)| (*id, *v))
+    fn per_node(&self, name: &str) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let values = self.node_counters.column(name).unwrap_or_default().iter();
+        let entries = values.enumerate();
+        entries.filter_map(|(i, v)| Some((NodeId(i as u32), (*v)?)))
     }
 
     /// Sum of the per-node counter `name` over all nodes.
@@ -134,8 +189,16 @@ impl Stats {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0.0) += v;
         }
-        for (k, v) in &other.node_counters {
-            *self.node_counters.entry(*k).or_insert(0.0) += v;
+        for col in &other.node_counters.0 {
+            let values = self.node_counters.column_mut(col.name);
+            if values.len() < col.values.len() {
+                values.resize(col.values.len(), None);
+            }
+            for (mine, theirs) in values.iter_mut().zip(&col.values) {
+                if let Some(v) = theirs {
+                    *mine.get_or_insert(0.0) += v;
+                }
+            }
         }
         for (k, v) in &other.series {
             self.series.entry(k).or_default().extend(v);
@@ -149,7 +212,9 @@ pub fn summarize(samples: &[f64]) -> Summary {
         return Summary::default();
     }
     let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    // A total order with every NaN last, whatever its sign: a NaN
+    // sample sorts instead of panicking.
+    sorted.sort_by(|a, b| a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(b)));
     let pct = |p: f64| -> f64 {
         let idx = ((sorted.len() as f64 - 1.0) * p).floor() as usize;
         sorted[idx]
@@ -222,6 +287,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_samples_sort_last_instead_of_panicking() {
+        let neg_nan = -f64::NAN;
+        let sum = summarize(&[3.0, f64::NAN, 1.0, neg_nan, 2.0]);
+        assert_eq!(sum.count, 5);
+        assert_eq!((sum.min, sum.p50), (1.0, 3.0));
+        assert!(sum.max.is_nan() && sum.p99.is_nan() && sum.mean.is_nan());
+        let mut s = Stats::new();
+        s.record("lat", f64::NAN);
+        assert!(s.summary("lat").p50.is_nan());
+    }
+
+    #[test]
     fn merge_combines() {
         let mut a = Stats::new();
         a.inc("x", 1.0);
@@ -234,5 +311,91 @@ mod tests {
         assert_eq!(a.get("x"), 3.0);
         assert_eq!(a.samples("r"), &[1.0, 2.0]);
         assert_eq!(a.get_node(NodeId(0), "n"), 1.0);
+    }
+
+    mod columns_against_a_map {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What `Stats` kept per-node counters in before they became
+        /// columns, and what they must still behave like.
+        type Model = BTreeMap<(&'static str, NodeId), f64>;
+
+        const NAMES: [&str; 4] = ["fwd", "mac_tx_data", "mac_tx_fail", "x"];
+
+        fn node() -> impl Strategy<Value = NodeId> {
+            // Dense low ids and sparse high ones.
+            prop_oneof![0u32..8, 1_000u32..5_000].prop_map(NodeId)
+        }
+
+        fn value() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(1.0),
+                Just(0.1),
+                Just(-2.5),
+                Just(1e300),
+                -1e6f64..1e6,
+            ]
+        }
+
+        fn bumps() -> impl Strategy<Value = Vec<(usize, NodeId, f64)>> {
+            proptest::collection::vec((0..NAMES.len(), node(), value()), 0..40)
+        }
+
+        fn apply(bumps: &[(usize, NodeId, f64)]) -> (Stats, Model) {
+            let (mut stats, mut model) = (Stats::new(), Model::new());
+            for &(name, node, v) in bumps {
+                stats.inc_node(node, NAMES[name], v);
+                *model.entry((NAMES[name], node)).or_insert(0.0) += v;
+            }
+            (stats, model)
+        }
+
+        /// Compares every reader, by a name built at runtime and by the
+        /// literal, bit for bit.
+        fn same(stats: &Stats, model: &Model) {
+            for name in NAMES {
+                let built = String::from_utf8(name.as_bytes().to_vec()).expect("utf-8");
+                let want: Vec<(NodeId, u64)> = model
+                    .range((name, NodeId(0))..=(name, NodeId(u32::MAX)))
+                    .map(|(&(_, n), v)| (n, v.to_bits()))
+                    .collect();
+                let total: f64 = want.iter().map(|&(_, v)| f64::from_bits(v)).sum();
+                for key in [name, built.as_str()] {
+                    let got = stats.node_values(key);
+                    let got: Vec<(NodeId, u64)> =
+                        got.into_iter().map(|(n, v)| (n, v.to_bits())).collect();
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(stats.node_total(key).to_bits(), total.to_bits());
+                    for &(n, v) in &want {
+                        prop_assert_eq!(stats.get_node(n, key).to_bits(), v);
+                    }
+                    for n in [NodeId(3), NodeId(4_999), NodeId(u32::MAX)] {
+                        let v = model.get(&(name, n)).copied().unwrap_or(0.0);
+                        prop_assert_eq!(stats.get_node(n, key).to_bits(), v.to_bits());
+                    }
+                }
+            }
+            let dump = format!("{:?}", stats.node_counters);
+            prop_assert_eq!(dump, format!("{model:?}"));
+            prop_assert_eq!(stats.node_total("absent"), 0.0);
+            prop_assert!(stats.node_values("absent").is_empty());
+        }
+
+        proptest! {
+            #[test]
+            fn bumps_and_merges_read_as_the_map_did(a in bumps(), b in bumps()) {
+                let (mut stats, mut model) = apply(&a);
+                same(&stats, &model);
+                let (other, other_model) = apply(&b);
+                stats.merge(&other);
+                for (k, v) in &other_model {
+                    *model.entry(*k).or_insert(0.0) += v;
+                }
+                same(&stats, &model);
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use crate::ids::{NodeId, TimerId};
 use crate::node::{Proto, StateLoss, Timer};
 use crate::obs::{self, Event, EventKind, Recorder, SpanId};
 use crate::radio::{
-    Dst, Frame, LinkModel, Medium, RadioConfig, RadioError, RadioState, RxEval, TxId,
+    Dst, Frame, LinkModel, Medium, RadioConfig, RadioError, RadioState, RxEval, TxId, TxOutcome,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Pos, Topology};
@@ -123,6 +123,9 @@ impl SimConfig {
     }
 }
 
+/// A queued event. Sixteen bytes: the hot variants hold two ids, a
+/// timer's tag waits in its [`TimerSlab`] slot, and the cold variants
+/// are boxed so they do not set the size of every entry.
 enum Ev {
     Start {
         node: NodeId,
@@ -130,7 +133,6 @@ enum Ev {
     Timer {
         node: NodeId,
         id: TimerId,
-        tag: u64,
     },
     /// The end of a frame: the sender's `tx_done`, then every candidate
     /// reception this kernel owns, in candidate order.
@@ -143,13 +145,19 @@ enum Ev {
     RxEnd {
         tx: TxId,
     },
-    Wire {
-        to: NodeId,
-        from: NodeId,
-        payload: Vec<u8>,
-    },
-    Action(Box<dyn FnOnce(&mut World) + Send>),
+    Wire(Box<WireMsg>),
+    Action(Box<Action>),
 }
+
+/// A backhaul message in flight (see [`Ctx::wire_send`]).
+struct WireMsg {
+    to: NodeId,
+    from: NodeId,
+    payload: Vec<u8>,
+}
+
+/// A closure scheduled on the world (see [`World::schedule`]).
+type Action = Box<dyn FnOnce(&mut World) + Send>;
 
 /// A fault-injection operation: what [`Sim`](crate::sim::Sim) schedules
 /// on the serial kernel and mirrors to every replica of the sharded
@@ -243,7 +251,8 @@ impl ShardRoute {
                 }
                 Some(Ev::TxEnd { node, tx })
             }
-            Ev::Wire { to, from, payload } if !self.own[to.index()] => {
+            Ev::Wire(msg) if !self.own[msg.to.index()] => {
+                let WireMsg { to, from, payload } = *msg;
                 self.out_events.push(StagedEv::Wire {
                     time,
                     to,
@@ -284,7 +293,9 @@ impl Ord for QEntry {
 /// timer after another. A [`TimerId`] is `generation << 32 | slot`, so
 /// arming, cancelling and firing are array accesses, an id outlives
 /// its timer harmlessly (the slot's generation has moved on), and the
-/// slab never holds more slots than timers were pending at once.
+/// slab never holds more slots than timers were pending at once. A
+/// slot also keeps its timer's tag, which the queue entry therefore
+/// need not carry: the slot is freed only when that entry is popped.
 /// [`TimerId::NONE`] would need slot `u32::MAX` and is never issued.
 #[derive(Default)]
 struct TimerSlab {
@@ -298,11 +309,13 @@ struct TimerSlot {
     generation: u32,
     /// Whether the pending timer still fires when it is popped.
     armed: bool,
+    /// The pending timer's tag.
+    tag: u64,
 }
 
 impl TimerSlab {
-    /// Claims a slot for a timer about to be queued.
-    fn arm(&mut self) -> TimerId {
+    /// Claims a slot for a timer about to be queued, carrying `tag`.
+    fn arm(&mut self, tag: u64) -> TimerId {
         let slot = self.free.pop().unwrap_or_else(|| {
             assert!(self.slots.len() < u32::MAX as usize, "timer slab full");
             self.slots.push(TimerSlot::default());
@@ -310,6 +323,7 @@ impl TimerSlab {
         });
         let s = &mut self.slots[slot as usize];
         s.armed = true;
+        s.tag = tag;
         TimerId::compose(slot, s.generation)
     }
 
@@ -328,11 +342,11 @@ impl TimerSlab {
     }
 
     /// Retires `id` as its event leaves the queue, freeing the slot;
-    /// returns whether the timer fires (it was not cancelled).
-    fn pop(&mut self, id: TimerId) -> bool {
+    /// returns its tag if the timer fires (it was not cancelled).
+    fn pop(&mut self, id: TimerId) -> Option<u64> {
         let s = self.tenant(id).expect("a queued timer holds its slot");
         s.generation = s.generation.wrapping_add(1);
-        let fires = std::mem::take(&mut s.armed);
+        let fires = std::mem::take(&mut s.armed).then_some(s.tag);
         self.free.push(id.slot() as u32);
         fires
     }
@@ -744,7 +758,7 @@ impl World {
     /// Panics if `at` is in the past.
     pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
         assert!(at >= self.kernel.now, "cannot schedule into the past");
-        self.kernel.push(at, Ev::Action(Box::new(f)));
+        self.kernel.push(at, Ev::Action(Box::new(Box::new(f))));
     }
 
     /// What crashed nodes retain: RAM loss only (the default) or a full
@@ -933,7 +947,8 @@ impl World {
         from: NodeId,
         payload: Vec<u8>,
     ) {
-        self.kernel.push(time, Ev::Wire { to, from, payload });
+        let msg = WireMsg { to, from, payload };
+        self.kernel.push(time, Ev::Wire(Box::new(msg)));
     }
 
     /// Applies a fault operation. The `primary` replica gives it full
@@ -1003,20 +1018,24 @@ impl World {
                     self.call(node, |p, ctx| p.start(ctx));
                 }
             }
-            Ev::Timer { node, id, tag } => {
-                if self.kernel.timers.pop(id) && self.alive[node.index()] {
-                    self.call(node, |p, ctx| p.timer(ctx, Timer { id, tag }));
+            Ev::Timer { node, id } => {
+                if let Some(tag) = self.kernel.timers.pop(id) {
+                    if self.alive[node.index()] {
+                        self.call(node, |p, ctx| p.timer(ctx, Timer { id, tag }));
+                    }
                 }
             }
             Ev::TxEnd { node, tx } => {
-                let expired_before = self.kernel.medium.stats().lost_expired;
                 let outcome = self.kernel.medium.end_tx(tx, self.kernel.now);
-                if self.kernel.medium.stats().lost_expired != expired_before {
+                let outcome = outcome.unwrap_or_else(|| {
                     // The record was pruned before its own TxEnd — the
                     // global `lost_expired` bump alone cannot say *whose*
                     // transmission aged out.
                     self.kernel.stats.inc_node(node, "expired_txid", 1.0);
-                }
+                    TxOutcome {
+                        oracle_receivers: 0,
+                    }
+                });
                 self.kernel.sync_meter(node);
                 self.kernel.emit(
                     node,
@@ -1031,7 +1050,8 @@ impl World {
                 self.receptions(tx);
             }
             Ev::RxEnd { tx } => self.receptions(tx),
-            Ev::Wire { to, from, payload } => {
+            Ev::Wire(msg) => {
+                let WireMsg { to, from, payload } = *msg;
                 if self.alive[to.index()] {
                     self.call(to, |p, ctx| p.wire(ctx, from, &payload));
                 }
@@ -1187,9 +1207,9 @@ impl Ctx<'_> {
     /// Panics if `at` is in the past.
     pub fn set_timer_at(&mut self, at: SimTime, tag: u64) -> TimerId {
         assert!(at >= self.kernel.now, "timer in the past");
-        let id = self.kernel.timers.arm();
+        let id = self.kernel.timers.arm(tag);
         let node = self.node;
-        self.kernel.push(at, Ev::Timer { node, id, tag });
+        self.kernel.push(at, Ev::Timer { node, id });
         id
     }
 
@@ -1290,6 +1310,14 @@ impl Ctx<'_> {
         Ok(())
     }
 
+    /// An empty buffer to build a frame in for [`Ctx::transmit`], lent
+    /// from the medium's pool of recycled payloads: frames that left
+    /// the air hand their memory to the next ones, so a steady stream
+    /// of transmissions allocates nothing.
+    pub fn frame_buf(&mut self) -> Vec<u8> {
+        self.kernel.medium.frame_buf()
+    }
+
     /// Sends `payload` over the backhaul wire to `to`, arriving after the
     /// configured wire latency. Only meaningful between nodes that are
     /// conceptually wired (border routers, servers); the medium does not
@@ -1297,7 +1325,8 @@ impl Ctx<'_> {
     pub fn wire_send(&mut self, to: NodeId, payload: Vec<u8>) {
         let at = self.kernel.now + self.kernel.wire_latency;
         let from = self.node;
-        self.kernel.push(at, Ev::Wire { to, from, payload });
+        let msg = WireMsg { to, from, payload };
+        self.kernel.push(at, Ev::Wire(Box::new(msg)));
     }
 
     /// Adds `v` to the global counter `name`.
@@ -1546,25 +1575,64 @@ mod tests {
     #[test]
     fn timer_ids_outlive_their_timers_harmlessly() {
         let mut slab = TimerSlab::default();
-        let a = slab.arm();
-        assert!(slab.pop(a), "an armed timer fires");
+        let a = slab.arm(1);
+        assert_eq!(slab.pop(a), Some(1), "an armed timer fires");
         // Cancel-after-fire is a no-op, and the slot's next tenant is a
         // different id that the stale one cannot touch.
         slab.cancel(a);
-        let b = slab.arm();
+        let b = slab.arm(2);
         assert_eq!((a.slot(), a.generation() + 1), (b.slot(), b.generation()));
         slab.cancel(a);
-        assert!(
+        assert_eq!(
             slab.pop(b),
+            Some(2),
             "a stale id must not cancel the slot's next tenant"
         );
         // Cancel-twice is one cancel; the pop still frees the slot.
-        let c = slab.arm();
+        let c = slab.arm(3);
         slab.cancel(c);
         slab.cancel(c);
-        assert!(!slab.pop(c), "a cancelled timer does not fire");
+        assert_eq!(slab.pop(c), None, "a cancelled timer does not fire");
         slab.cancel(TimerId::NONE);
         assert_eq!((slab.slots.len(), slab.free.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_queue_entry_is_32_bytes() {
+        assert!(std::mem::size_of::<Ev>() <= 16);
+        assert!(std::mem::size_of::<QEntry>() <= 32);
+    }
+
+    #[test]
+    fn a_reused_timer_slot_fires_with_its_own_tag() {
+        /// Arms tag 7 and cancels it at start; a later action arms tag
+        /// 9, into the slot the cancelled timer's pop freed.
+        #[derive(Default)]
+        struct Reuse {
+            cancelled: TimerId,
+            rearmed: TimerId,
+            fired: Vec<u64>,
+        }
+        impl Proto for Reuse {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                self.cancelled = ctx.set_timer(SimDuration::from_millis(10), 7);
+                ctx.cancel_timer(self.cancelled);
+            }
+            fn timer(&mut self, _ctx: &mut Ctx<'_>, t: Timer) {
+                self.fired.push(t.tag);
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Reuse::default()));
+        w.schedule(SimTime::from_millis(20), move |w| {
+            w.with(n, |r: &mut Reuse, ctx| {
+                r.rearmed = ctx.set_timer(SimDuration::from_millis(10), 9);
+            });
+        });
+        w.run_for(SimDuration::from_secs(1));
+        let r = w.proto::<Reuse>(n);
+        assert_eq!(r.rearmed.slot(), r.cancelled.slot(), "the slot was reused");
+        assert_eq!(r.fired, vec![9]);
     }
 
     #[test]
@@ -1575,12 +1643,12 @@ mod tests {
         let mut slab = TimerSlab::default();
         let mut pending = std::collections::VecDeque::new();
         for i in 0..100_000u32 {
-            let id = slab.arm();
+            let id = slab.arm(i.into());
             assert!(!id.is_none(), "NONE is never issued");
             if i % 3 == 0 {
                 slab.cancel(id);
             }
-            pending.push_back((id, i % 3 != 0));
+            pending.push_back((id, (i % 3 != 0).then_some(u64::from(i))));
             if pending.len() == 8 {
                 let (old, fires) = pending.pop_front().expect("eight pending");
                 assert_eq!(slab.pop(old), fires);
@@ -1770,6 +1838,40 @@ mod tests {
         assert_eq!(w.medium().stats().delivered, 3);
         assert_eq!(w.events_dispatched(), events + 1 + 3 + 1);
         assert_eq!(w.queue_pushes(), pushes + 2);
+    }
+
+    #[test]
+    fn a_frame_built_in_a_recycled_buffer_carries_only_its_own_bytes() {
+        /// Listens and keeps every payload it hears.
+        struct Keep(Vec<Vec<u8>>);
+        impl Proto for Keep {
+            fn start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.radio_on().expect("radio");
+            }
+            fn frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+                self.0.push(frame.payload.clone());
+            }
+        }
+        let mut w = World::new(SimConfig::default());
+        for x in [0.0, 10.0] {
+            w.add_node(Pos::new(x, 0.0), Box::new(Keep(Vec::new())));
+        }
+        w.run_for(SimDuration::from_millis(1));
+        let long = vec![0xAA; 100];
+        let sent = long.clone();
+        w.with(NodeId(0), |_: &mut Keep, ctx| {
+            ctx.transmit(Dst::Broadcast, 0, sent).expect("tx");
+        });
+        w.run_for(SimDuration::from_secs(1));
+        w.with(NodeId(0), |_: &mut Keep, ctx| {
+            let mut buf = ctx.frame_buf();
+            assert!(buf.is_empty(), "a lent buffer starts empty");
+            assert!(buf.capacity() >= 100, "the long frame's buffer was lent");
+            buf.extend_from_slice(&[1, 2]);
+            ctx.transmit(Dst::Broadcast, 0, buf).expect("tx");
+        });
+        w.run_for(SimDuration::from_secs(1));
+        assert_eq!(w.proto::<Keep>(NodeId(1)).0, vec![long, vec![1, 2]]);
     }
 
     #[test]
