@@ -1,9 +1,9 @@
 //! The kernel perf harness: what the simulator does per event on growing
-//! bcast/CSMA/LPL grids, on 1, 2 and 4 shards and under a DODAG over
-//! LPL (see [`iiot_bench::exp_perf`]).
+//! bcast/CSMA/LPL grids, up to 102,400 nodes, and under a DODAG over LPL
+//! (see [`iiot_bench::exp_perf`]).
 //!
 //! Usage:
-//!   cargo run -p iiot-bench --release --bin perf                    # print the table (~20 s)
+//!   cargo run -p iiot-bench --release --bin perf                    # print the table (~15 s)
 //!   cargo run -p iiot-bench --release --bin perf -- --json          # also write BENCH_perf.json
 //!   cargo run -p iiot-bench --release --bin perf -- --json PATH --markdown
 //!
@@ -16,10 +16,8 @@ use iiot_bench::exp_perf;
 
 /// Grid sides of the workload x MAC matrix (100 to 1,600 nodes).
 const SIDES: [u32; 3] = [10, 20, 40];
-/// Grid sides of the shard-scaling curves (400 to 25,600 nodes).
-const SCALE_SIDES: [u32; 4] = [20, 40, 80, 160];
-/// Shard counts each scaling size runs at.
-const SHARDS: [u32; 3] = [1, 2, 4];
+/// Grid sides of the scaling curve (400 to 102,400 nodes).
+const SCALE_SIDES: [u32; 5] = [20, 40, 80, 160, 320];
 /// Simulated seconds per point.
 const SECS: u64 = 5;
 /// Grid sides of the collection rows (100 and 400 nodes).
@@ -52,7 +50,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let mut points = exp_perf::perf_matrix(&SIDES, SECS);
-    points.extend(exp_perf::scaling_curves(&SCALE_SIDES, SECS, &SHARDS));
+    points.extend(exp_perf::scaling_curve(&SCALE_SIDES, SECS));
     points.extend(exp_perf::collection_rows(&COLLECT_SIDES, COLLECT_SECS));
     eprintln!(
         "[measured {} points in {:.1}s]",

@@ -85,7 +85,7 @@ struct Campaign {
 fn campaign<M: Mac>(mut w: Sim, ids: &[NodeId], img: &Image, cap_s: u64) -> Campaign {
     let gw = ids[0];
     let img2 = img.clone();
-    w.schedule_at(SimTime::from_secs(1), gw, move |w| {
+    w.schedule_at(SimTime::from_secs(1), move |w| {
         w.with(gw, |n: &mut DissemNode<M>, ctx| n.install(ctx, &img2));
     });
     let mut done_at = 0u64;
@@ -267,7 +267,7 @@ pub fn e14_resume(rc: &RunConfig, side: usize, img_len: usize, crash_s: u64, cap
                     .build();
                 let gw = ids[0];
                 let img2 = img.clone();
-                w.schedule_at(SimTime::from_secs(1), gw, move |w| {
+                w.schedule_at(SimTime::from_secs(1), move |w| {
                     w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
                 });
                 let mut plan = FaultPlan::new();

@@ -176,7 +176,7 @@ fn drive_star<M: Mac>(
 ) -> Observed {
     for v in 1..=publishes {
         let at = SimTime::from_secs(1) + republish * u64::from(v - 1);
-        w.schedule_at(at, NodeId(0), move |w| {
+        w.schedule_at(at, move |w| {
             w.with(NodeId(0), |n: &mut IcnNode<M>, ctx| {
                 n.publish(ctx, name(), v, vec![v as u8; PAYLOAD]);
             });
@@ -467,7 +467,7 @@ pub fn e15_poison(rc: &RunConfig) -> Table {
                         .build();
                     for v in 1..=3u32 {
                         let at = SimTime::from_secs(1 + 8 * u64::from(v - 1));
-                        w.schedule_at(at, NodeId(0), move |w| {
+                        w.schedule_at(at, move |w| {
                             w.with(NodeId(0), |node: &mut IcnNode<CsmaMac>, ctx| {
                                 if poison == Poison::ForgedKey && v > 1 {
                                     node.publish_object(
@@ -585,7 +585,7 @@ pub fn e15_partition(
                             Box::new(IcnNode::new(CsmaMac::default(), cfg)) as Box<dyn Proto>
                         })
                         .build();
-                    w.schedule_at(SimTime::from_secs(1), NodeId(0), move |w| {
+                    w.schedule_at(SimTime::from_secs(1), move |w| {
                         w.with(NodeId(0), |n: &mut IcnNode<CsmaMac>, ctx| {
                             n.publish(ctx, name(), 1, vec![1; PAYLOAD]);
                         });

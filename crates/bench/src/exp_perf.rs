@@ -1,17 +1,16 @@
 //! Perf workload: what the kernel does per simulated event, on growing
-//! broadcast/CSMA/LPL grids, on the sharded kernel and under a
-//! collection tree.
+//! broadcast/CSMA/LPL grids and under a collection tree.
 //!
 //! Unlike E1-E18 this harness measures the *simulator*, not the
 //! simulated protocols. Every row is one workload run once:
 //!
 //! * the **matrix** — square grids of broadcast-chatty nodes (10x10 up
-//!   to 40x40) under each of [`MACS`], on the serial kernel;
-//! * the **scaling curves** — the transmit-heavy `bcast` workload at
-//!   N ∈ {400, 1600, 6400, 25600} on 1, 2 and 4 shards. Shard counts
-//!   are distinct deterministic models: counts compare within one,
-//!   never across. (The 400- and 1,600-node serial `bcast` rows appear
-//!   in both, under the seed of each.)
+//!   to 40x40) under each of [`MACS`];
+//! * the **scaling curve** — the transmit-heavy `bcast` workload at
+//!   N ∈ {400, 1600, 6400, 25600, 102400}: the paper's size claim
+//!   (§IV), carried by a kernel whose cost per event stays flat. (The
+//!   400- and 1,600-node `bcast` rows appear in both, under the seed of
+//!   each.)
 //! * the **collection rows** — the `collect` flavour at 100 and 400
 //!   nodes: the benchmark's `plant` battery tier (a DODAG over LPL with
 //!   its traffic and wake interval) on the same grid, so the MAC's
@@ -22,7 +21,7 @@
 //! transmission records the medium examines ([`Sim::air_visits`]) and
 //! how many event-heap entries the kernel pushes
 //! ([`Sim::queue_pushes`]) doing so. All three are pure functions of
-//! the workload, seed and shard count, so [`to_json`]'s document is a
+//! the workload and seed, so [`to_json`]'s document is a
 //! pure function of the source tree: `scripts/perf_gate.sh` regenerates
 //! it and `cmp`s it with the committed `BENCH_perf.json`, and a change
 //! that moves a count commits the new file in the same diff. [`check`]
@@ -67,30 +66,24 @@ impl Proto for Blaster {
     }
 }
 
-/// One workload, run once: a row of `BENCH_perf.json`, plus how this
-/// host executed it (`wall_us` and `mode` are printed, never written).
+/// One workload, run once: a row of `BENCH_perf.json`, plus how long
+/// this host took (`wall_us` is printed, never written).
 #[derive(Clone, Copy, Debug)]
 pub struct PerfPoint {
     /// Workload flavour: `"bcast"`, `"csma"`, `"lpl"` or `"collect"`.
     pub workload: &'static str,
     /// Node count (a square grid).
     pub nodes: u32,
-    /// Shard count the point ran at (1 = serial kernel).
-    pub shards: u32,
     /// Simulated seconds of the workload.
     pub secs: u64,
-    /// Events dispatched, summed across shards.
+    /// Events dispatched.
     pub events: u64,
-    /// Transmission records the medium examined, summed across shards.
+    /// Transmission records the medium examined.
     pub air_visits: u64,
-    /// Event-heap entries the kernel pushed, summed across shards.
+    /// Event-heap entries the kernel pushed.
     pub queue_pushes: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
-    /// `"threaded"` (one worker thread per shard) or `"serial"` (one
-    /// thread drives everything: the serial kernel, or all shards on a
-    /// single-core host).
-    pub mode: &'static str,
 }
 
 impl PerfPoint {
@@ -108,7 +101,7 @@ impl PerfPoint {
 /// Builds the transmit-heavy workload: a `side x side` grid where every
 /// node broadcasts periodically (staggered by node index so the medium
 /// always has traffic in the air).
-fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim {
+fn build(side: u32, mac: &str, secs: u64, seed: u64) -> Sim {
     // Log-distance pathloss with a sigmoid gray zone: the realistic —
     // and computationally heaviest — link model, where every
     // overlapping record a CCA or collision check visits costs a sqrt
@@ -120,7 +113,7 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
         spread_db: 3.0,
     };
     let topo = Topology::grid(side as usize, side as usize, SPACING_M);
-    let builder = SimBuilder::new().seed(seed).link(link).sharding(shard);
+    let builder = SimBuilder::new().seed(seed).link(link);
     match mac {
         "bcast" => {
             // 20 broadcasts per node-second, staggered at microsecond
@@ -208,103 +201,71 @@ fn build(side: u32, mac: &str, secs: u64, seed: u64, shard: ShardConfig) -> Sim 
 }
 
 /// Runs one workload once.
-fn measure(workload: &'static str, side: u32, shards: u32, secs: u64, seed: u64) -> PerfPoint {
-    // Threads that a single core cannot run in parallel only add
-    // barrier and context-switch cost; the counts are the same either
-    // way (the sharded model is invariant to thread count).
-    let threaded = shards > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
-    let shard = if threaded {
-        ShardConfig::threaded(shards as usize)
-    } else {
-        ShardConfig::serial(shards as usize)
-    };
-    let mut sim = build(side, workload, secs, seed, shard);
+fn measure(workload: &'static str, side: u32, secs: u64, seed: u64) -> PerfPoint {
+    let mut sim = build(side, workload, secs, seed);
     let started = Instant::now();
     sim.run(SimDuration::from_secs(secs));
     let wall_us = started.elapsed().as_micros() as u64;
     PerfPoint {
         workload,
         nodes: side * side,
-        shards,
         secs,
         events: sim.events_dispatched(),
         air_visits: sim.air_visits(),
         queue_pushes: sim.queue_pushes(),
         wall_us,
-        mode: if threaded { "threaded" } else { "serial" },
     }
 }
 
-/// Measures the matrix: `sides` x [`MACS`] on the serial kernel. Points
-/// run one after another so they do not time each other.
+/// Measures the matrix: `sides` x [`MACS`]. Points run one after
+/// another so they do not time each other.
 pub fn perf_matrix(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     sides
         .iter()
         .flat_map(|&s| MACS.iter().map(move |&m| (s, m)))
         .enumerate()
-        .map(|(i, (side, mac))| measure(mac, side, 1, secs, 0xBE2C_0000 + i as u64))
+        .map(|(i, (side, mac))| measure(mac, side, secs, 0xBE2C_0000 + i as u64))
         .collect()
 }
 
-/// Measures the shard-scaling curves: the `bcast` workload at every
-/// `sides` x `shard_counts` combination, one after another.
-pub fn scaling_curves(sides: &[u32], secs: u64, shard_counts: &[u32]) -> Vec<PerfPoint> {
-    let mut out = Vec::new();
-    for (i, &side) in sides.iter().enumerate() {
-        for &shards in shard_counts {
-            out.push(measure("bcast", side, shards, secs, 0x5CA1_0000 + i as u64));
-        }
-    }
-    out
+/// Measures the scaling curve: the `bcast` workload at every `sides`,
+/// one after another.
+pub fn scaling_curve(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
+    let seeds = (0x5CA1_0000..).zip(sides);
+    let points = seeds.map(|(seed, &side)| measure("bcast", side, secs, seed));
+    points.collect()
 }
 
 /// Measures the `collect` flavour at every `sides`, one after another;
 /// `secs` must pass the traffic's 60 s start for data to flow.
 pub fn collection_rows(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     let seeds = (0xC011_0000..).zip(sides);
-    let points = seeds.map(|(seed, &side)| measure("collect", side, 1, secs, seed));
+    let points = seeds.map(|(seed, &side)| measure("collect", side, secs, seed));
     points.collect()
 }
 
 /// Renders the points as a human-readable table. `events`, `visits/ev`
-/// and `pushes/ev` are deterministic; the timing cells vary run to run,
-/// and `vs 1 shard` relates a sharded point to the serial one above it.
+/// and `pushes/ev` are deterministic; the timing cells vary run to run.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
         "PERF: kernel cost per event (20 m grid, broadcast-heavy; wall clock is this host's)",
         &[
             "workload",
             "nodes",
-            "shards",
-            "mode",
             "events",
             "wall (ms)",
             "Mev/s",
-            "vs 1 shard",
             "visits/ev",
             "pushes/ev",
         ],
     );
-    let mut base: Option<&PerfPoint> = None;
     for p in points {
-        if p.shards == 1 {
-            base = Some(p);
-        }
-        let rel = match base {
-            Some(b) if p.shards > 1 && (b.workload, b.nodes) == (p.workload, p.nodes) => {
-                format!("{:.2}x", p.events_per_sec() / b.events_per_sec())
-            }
-            _ => "-".to_string(),
-        };
         t.row(vec![
             p.workload.to_string(),
             p.nodes.to_string(),
-            p.shards.to_string(),
-            p.mode.to_string(),
             p.events.to_string(),
             format!("{:.1}", p.wall_us as f64 / 1e3),
             format!("{:.2}", p.events_per_sec() / 1e6),
-            rel,
             format!("{:.2}", p.per_event(p.air_visits)),
             format!("{:.2}", p.per_event(p.queue_pushes)),
         ]);
@@ -320,37 +281,34 @@ pub fn to_json(points: &[PerfPoint]) -> String {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"workload\": \"{}\", \"nodes\": {}, \"shards\": {}, \"secs\": {}, \
+                "    {{\"workload\": \"{}\", \"nodes\": {}, \"secs\": {}, \
                  \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}",
-                p.workload, p.nodes, p.shards, p.secs, p.events, p.air_visits, p.queue_pushes
+                p.workload, p.nodes, p.secs, p.events, p.air_visits, p.queue_pushes
             )
         })
         .collect();
     format!(
-        "{{\n  \"schema\": \"iiot-bench/perf/v10\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"iiot-bench/perf/v11\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }
 
-/// What a committed document must show, over the serial `bcast` rows:
-/// the curve reaches 25,600 nodes, the medium's cost per event stays
-/// flat as the grid grows, and a frame stays one queue entry.
+/// What a committed document must show, over the `bcast` rows: the
+/// curve reaches 102,400 nodes, the medium's cost per event stays flat
+/// as the grid grows, and a frame stays one queue entry.
 pub fn check(points: &[PerfPoint]) -> Result<(), String> {
-    let serial: Vec<&PerfPoint> = points
-        .iter()
-        .filter(|p| p.workload == "bcast" && p.shards == 1)
-        .collect();
-    if !serial.iter().any(|p| p.nodes >= 25_600) {
-        return Err("no shards = 1 bcast row reaches 25,600 nodes".into());
+    let bcast: Vec<&PerfPoint> = points.iter().filter(|p| p.workload == "bcast").collect();
+    if !bcast.iter().any(|p| p.nodes >= 102_400) {
+        return Err("no bcast row reaches 102,400 nodes".into());
     }
     // The base is the 1,600-node point: at 400 nodes the stagger covers
     // a third of the period, next to nobody listens while a neighbour
     // transmits, and the ratio is low for that reason alone.
-    let Some(base) = serial.iter().find(|p| p.nodes == 1_600) else {
-        return Err("no shards = 1 bcast row at the 1,600-node base".into());
+    let Some(base) = bcast.iter().find(|p| p.nodes == 1_600) else {
+        return Err("no bcast row at the 1,600-node base".into());
     };
     let base = base.per_event(base.air_visits);
-    for p in serial {
+    for p in bcast {
         let visits = p.per_event(p.air_visits);
         if p.nodes > 1_600 && visits > 1.25 * base {
             return Err(format!(
@@ -380,7 +338,7 @@ mod tests {
 
     fn small_document() -> String {
         let mut points = perf_matrix(&[3, 4], 1);
-        points.extend(scaling_curves(&[4], 1, &[1, 2]));
+        points.extend(scaling_curve(&[4], 1));
         to_json(&points)
     }
 
@@ -388,8 +346,8 @@ mod tests {
     fn document_repeats_and_holds_row_keys_only() {
         let doc = small_document();
         assert_eq!(doc, small_document());
-        assert!(doc.contains("\"schema\": \"iiot-bench/perf/v10\""));
-        assert_eq!(doc.matches("\"workload\"").count(), 8);
+        assert!(doc.contains("\"schema\": \"iiot-bench/perf/v11\""));
+        assert_eq!(doc.matches("\"workload\"").count(), 7);
         // Quoted strings are the odd pieces; a key is one a colon follows.
         let pieces: Vec<&str> = doc.split('"').collect();
         let keys: std::collections::BTreeSet<&str> = pieces
@@ -407,58 +365,56 @@ mod tests {
             "rows",
             "schema",
             "secs",
-            "shards",
             "workload",
         ];
         assert_eq!(keys.into_iter().collect::<Vec<_>>(), schema);
     }
 
+    fn counts(p: &PerfPoint) -> [u64; 3] {
+        [p.events, p.air_visits, p.queue_pushes]
+    }
+
     #[test]
-    fn scaling_counts_are_stable_per_shard_count() {
-        let a = scaling_curves(&[4], 1, &[1, 2]);
-        let b = scaling_curves(&[4], 1, &[1, 2]);
-        assert_eq!(a.len(), 2);
+    fn scaling_counts_repeat() {
+        let [a, b] = [(); 2].map(|()| scaling_curve(&[4, 5], 1));
+        let nodes: Vec<u32> = a.iter().map(|p| p.nodes).collect();
+        assert_eq!(nodes, [16, 25]);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.nodes, x.shards), (y.nodes, y.shards));
-            let counts = [x.events, x.air_visits, x.queue_pushes];
-            assert_eq!(counts, [y.events, y.air_visits, y.queue_pushes]);
-            assert!(counts.iter().all(|&c| c > 0));
+            assert_eq!(counts(x), counts(y));
+            assert!(counts(x).iter().all(|&c| c > 0));
         }
     }
 
     #[test]
     fn collection_rows_repeat() {
         let [a, b] = [(); 2].map(|()| collection_rows(&[4], 65));
-        let counts = |p: &PerfPoint| [p.events, p.air_visits, p.queue_pushes];
         assert_eq!((a[0].workload, a[0].nodes, a[0].secs), ("collect", 16, 65));
         assert_eq!(counts(&a[0]), counts(&b[0]));
         assert!(counts(&a[0]).iter().all(|&c| c > 0));
     }
 
-    fn row(workload: &'static str, nodes: u32, shards: u32, counts: [u64; 3]) -> PerfPoint {
+    fn row(workload: &'static str, nodes: u32, counts: [u64; 3]) -> PerfPoint {
         PerfPoint {
             workload,
             nodes,
-            shards,
             secs: 5,
             events: counts[0],
             air_visits: counts[1],
             queue_pushes: counts[2],
-            wall_us: 1_000 * shards as u64,
-            mode: "serial",
+            wall_us: 1_000,
         }
     }
 
-    /// The serial `bcast` curve with the ratios committed after PR 18,
-    /// and two rows outside `check`'s scope that break its bounds.
+    /// The `bcast` curve as committed, and a row outside `check`'s
+    /// scope that breaks its bounds.
     fn committed_shape() -> Vec<PerfPoint> {
         vec![
-            row("bcast", 400, 1, [156_400, 79_644, 80_800]),
-            row("bcast", 1_600, 1, [789_458, 1_662_458, 323_200]),
-            row("bcast", 6_400, 1, [3_181_832, 5_142_365, 1_292_800]),
-            row("bcast", 6_400, 2, [3_000_000, 9_000_000, 3_000_000]),
-            row("bcast", 25_600, 1, [12_775_066, 15_692_959, 5_171_200]),
-            row("lpl", 6_400, 1, [1_000_000, 3_000_000, 700_000]),
+            row("bcast", 400, [156_400, 79_644, 80_800]),
+            row("bcast", 1_600, [789_458, 1_662_458, 323_200]),
+            row("bcast", 6_400, [3_181_832, 5_142_365, 1_292_800]),
+            row("bcast", 25_600, [12_775_066, 15_692_959, 5_171_200]),
+            row("bcast", 102_400, [51_195_843, 42_560_990, 20_684_800]),
+            row("lpl", 6_400, [1_000_000, 3_000_000, 700_000]),
         ]
     }
 
@@ -467,10 +423,16 @@ mod tests {
         let good = committed_shape();
         assert_eq!(check(&good), Ok(()));
 
-        let mut grows = good.clone();
-        grows[2].air_visits = (1.3 * 1_662_458.0 / 789_458.0 * 3_181_832.0) as u64;
-        let err = check(&grows).unwrap_err();
-        assert!(err.contains("air_visits/event at 6400 nodes"), "{err}");
+        for (i, nodes) in [(2, 6_400), (4, 102_400)] {
+            let mut grows = good.clone();
+            let events = grows[i].events as f64;
+            grows[i].air_visits = (1.3 * 1_662_458.0 / 789_458.0 * events) as u64;
+            let err = check(&grows).unwrap_err();
+            assert!(
+                err.contains(&format!("air_visits/event at {nodes} nodes")),
+                "{err}"
+            );
+        }
 
         let mut requeued = good.clone();
         requeued[0].queue_pushes = requeued[0].events * 7 / 10;
@@ -478,15 +440,17 @@ mod tests {
         assert!(err.contains("queue_pushes/event at 400 bcast"), "{err}");
 
         let err = check(&good[..4]).unwrap_err();
-        assert!(err.contains("25,600"), "{err}");
+        assert!(err.contains("102,400"), "{err}");
     }
 
     #[test]
-    fn table_relates_a_sharded_row_to_the_serial_row_above_it() {
+    fn table_prints_per_event_costs() {
         let t = table(&committed_shape());
-        let rel: Vec<&str> = t.rows().iter().map(|r| r[7].as_str()).collect();
-        // 3.0 M events in 2 ms against 3.18 M in 1 ms.
-        assert_eq!(rel, ["-", "-", "-", "0.47x", "-", "-"]);
-        assert_eq!(t.rows()[0][8..], ["0.51", "0.52"]);
+        assert_eq!(t.rows().len(), 6);
+        // 156,400 events in 1 ms of wall clock.
+        assert_eq!(
+            t.rows()[0][2..],
+            ["156400", "1.0", "156.40", "0.51", "0.52"]
+        );
     }
 }

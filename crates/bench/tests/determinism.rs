@@ -246,65 +246,3 @@ fn trial_seeds_are_distinct_and_stable() {
     uniq.dedup();
     assert_eq!(uniq.len(), 4);
 }
-
-/// One sharded broadcast workload run as a trial metric: 16 CSMA nodes
-/// on a grid, everyone broadcasting, fingerprinted by dispatched events
-/// and medium stats.
-fn sharded_metric(shards: usize, seed: u64) -> (u64, String) {
-    use iiot_mac::csma::CsmaMac;
-    use iiot_mac::driver::MacDriver;
-    use iiot_sim::prelude::*;
-    let side = 4usize;
-    let mut sim = SimBuilder::new()
-        .seed(seed)
-        .nodes(Topology::grid(side, side, 20.0), |_| {
-            Box::new(MacDriver::new(CsmaMac::default())) as Box<dyn Proto>
-        })
-        .shards(shards)
-        .build();
-    for k in 0..(side * side) as u64 {
-        let d = sim.proto_mut::<MacDriver<CsmaMac>>(NodeId(k as u32));
-        for s in 0..8u64 {
-            d.push_send(
-                SimTime::from_millis(s * 250 + k % 250),
-                Dst::Broadcast,
-                1,
-                vec![0xAA; 16],
-            );
-        }
-    }
-    sim.run(SimDuration::from_secs(2));
-    (sim.events_dispatched(), format!("{:?}", sim.medium_stats()))
-}
-
-/// The worker-count x shard-count cross-product: every shard count is its
-/// own deterministic model, so each (shard count) row must be
-/// byte-identical whether the trials ran on 1 worker or 2 — including
-/// the threaded sharded engine nested inside runner worker threads.
-#[test]
-fn shards_jobs_cross_product_is_deterministic() {
-    use iiot_bench::{Cell, Trial};
-    let run = |jobs: usize| {
-        let trials: Vec<Trial> = [1usize, 2, 4]
-            .into_iter()
-            .map(|k| {
-                Trial::new(format!("shards{k}"), 0x5EED + k as u64, move |seed| {
-                    let (ev, medium) = sharded_metric(k, seed);
-                    vec![vec![
-                        Cell::label(k.to_string()),
-                        Cell::int(ev as f64),
-                        Cell::label(medium),
-                    ]]
-                })
-            })
-            .collect();
-        Runner::new(jobs).run(trials, 1)
-    };
-    let seq = run(1);
-    let par = run(2);
-    assert_eq!(seq.len(), 3);
-    for (k, (a, b)) in seq.iter().zip(&par).enumerate() {
-        assert_eq!(a, b, "trial {k} differs between --jobs 1 and 2");
-        assert!(a[0][1] != "0", "workload dispatched no events");
-    }
-}

@@ -131,9 +131,8 @@ impl FaultPlan {
         self.apply(sim);
     }
 
-    /// Schedules every fault on `sim`, serial or sharded, through its
-    /// fault operations: every shard replica sees the fault and it
-    /// shows up once as a structured `Fault` event in traces.
+    /// Schedules every fault on `sim` through its fault operations:
+    /// each shows up once as a structured `Fault` event in traces.
     ///
     /// # Panics
     ///
@@ -295,18 +294,16 @@ mod tests {
         fn crashed(&mut self) {}
     }
 
-    /// Nodes 0,1 | 2,3 on a 20 m line: at `shards = 2` the 1–2 link
-    /// crosses the stripe border.
-    fn beacon_line(shard: ShardConfig) -> Sim {
+    /// Nodes 0, 1, 2, 3 on a 20 m line: each hears its neighbours only.
+    fn beacon_line() -> Sim {
         SimBuilder::new()
             .seed(11)
             .nodes(Topology::line(4, 20.0), |_| Box::new(Beacon::default()))
             .recorder(Box::new(JsonlRecorder::new(Vec::new())))
-            .sharding(shard)
             .build()
     }
 
-    /// LinkDown on the border link over [1 s, 2 s), node 3 down over
+    /// LinkDown on the middle link over [1 s, 2 s), node 3 down over
     /// [1.5 s, 2.5 s), a 0,1 | 2,3 partition over [3 s, 4 s).
     fn border_plan() -> FaultPlan {
         let mut plan = FaultPlan::new();
@@ -340,15 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_on_a_sharded_sim_blocks_both_sides_and_heals() {
-        let run = |shard| {
-            let mut sim = beacon_line(shard);
-            border_plan().apply(&mut sim);
-            sim.run_until(SimTime::from_secs(5));
-            sim
-        };
-        let mut sim = run(ShardConfig::serial(2));
-        assert_eq!(sim.shards(), 2);
+    fn plan_blocks_both_sides_and_heals() {
+        let mut sim = beacon_line();
+        border_plan().apply(&mut sim);
+        sim.run_until(SimTime::from_secs(5));
 
         // How often `at` heard `from` within [lo, hi) milliseconds.
         let heard = |sim: &Sim, at: u32, from: u32, lo: u64, hi: u64| {
@@ -372,11 +364,6 @@ mod tests {
         assert!(heard(&sim, 0, 1, 3000, 4000) > 0);
         assert_eq!(heard(&sim, 2, 3, 1600, 2500), 0, "node 3 is down");
         assert!(heard(&sim, 2, 3, 2600, 3000) > 0, "node 3 is back");
-
-        // A pure function of (workload, seed, k), not of thread count.
-        let mut threaded = run(ShardConfig::threaded(2));
-        assert_eq!(threaded.events_dispatched(), sim.events_dispatched());
-        assert_eq!(trace_bytes(&mut threaded), trace_bytes(&mut sim));
     }
 
     /// The golden is the trace of this plan at the commit where `apply`
@@ -386,7 +373,7 @@ mod tests {
     /// JSONL.
     #[test]
     fn plan_on_the_serial_kernel_matches_hand_scheduled_closures() {
-        let mut planned = beacon_line(ShardConfig::default());
+        let mut planned = beacon_line();
         border_plan().apply(&mut planned);
         planned.run_until(SimTime::from_secs(5));
         let golden = include_str!("../tests/golden/border_plan_serial.jsonl");

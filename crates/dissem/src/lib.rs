@@ -66,7 +66,7 @@
 //! // Version 1: 240 bytes in 2 pages of 4 chunks of 30 bytes.
 //! let img = Image::build(1, (0..240u32).map(|i| i as u8).collect(), 30, 4);
 //! let gw = NodeId(0);
-//! sim.schedule_at(SimTime::from_secs(1), gw, move |w| {
+//! sim.schedule_at(SimTime::from_secs(1), move |w| {
 //!     w.with(gw, |n: &mut Node, ctx| n.install(ctx, &img));
 //! });
 //!

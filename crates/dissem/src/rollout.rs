@@ -68,9 +68,9 @@ struct RolloutState {
 
 /// Installs the rollout controller into `sim`, starting at `at`.
 /// The gateway (which already holds the image) is the observer the
-/// controller's stage events are attributed to. On a sharded sim the
-/// controller runs in the gateway's shard and sees only that shard's
-/// nodes (see [`Sim::schedule_at`]).
+/// controller's stage events are attributed to. The controller runs as
+/// an action queued through [`Sim::schedule_at`] and re-queues itself
+/// every check period until the rollout is done or halted.
 ///
 /// Stages emitted: `canary` on the first wave, `wave` on each further
 /// one, `done` when every cohort completed, `halted` (with the number
@@ -83,7 +83,7 @@ pub fn drive<M: Mac>(sim: &mut Sim, gateway: NodeId, plan: RolloutPlan, at: SimT
         next: 0,
         active: Vec::new(),
     };
-    sim.schedule_at(at, gateway, move |w| step::<M>(w, st));
+    sim.schedule_at(at, move |w| step::<M>(w, st));
 }
 
 fn step<M: Mac>(w: &mut World, mut st: RolloutState) {

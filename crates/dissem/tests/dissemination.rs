@@ -40,7 +40,7 @@ fn csma_line(n: usize, seed: u64, enabled: bool) -> (Sim, Vec<NodeId>) {
 
 fn install_at(w: &mut Sim, node: NodeId, img: &Image, at: SimTime) {
     let img = img.clone();
-    w.schedule_at(at, node, move |w| {
+    w.schedule_at(at, move |w| {
         w.with(node, |n: &mut CsmaNode, ctx| n.install(ctx, &img));
     });
 }
@@ -229,7 +229,7 @@ fn tdma_tree_schedule_carries_the_image() {
         .build();
     let img = Image::build(7, (0..240u32).map(|i| i as u8).collect(), 30, 4);
     let gw = ids[0];
-    w.schedule_at(SimTime::from_secs(2), gw, move |w| {
+    w.schedule_at(SimTime::from_secs(2), move |w| {
         w.with(gw, |n: &mut TdmaNode, ctx| n.install(ctx, &img));
     });
     w.run_for(SimDuration::from_secs(240));

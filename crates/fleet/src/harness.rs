@@ -225,7 +225,7 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
         .build();
     let gw = ids[0];
     let img2 = img.clone();
-    sim.schedule_at(SimTime::from_secs(1), gw, move |w| {
+    sim.schedule_at(SimTime::from_secs(1), move |w| {
         w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
     });
 

@@ -166,8 +166,8 @@ pub(crate) fn admit<P>(
 /// demultiplexing uses the tag space: tags `>=` [`MAC_TAG_BASE`] belong
 /// to the MAC ([`Mac::on_timer`] returns `false` for foreign timers).
 ///
-/// `Send` is required because protocol stacks (and the MACs inside
-/// them) move to worker threads under the sharded kernel.
+/// `Send` is required because [`Proto`](iiot_sim::Proto) is `Send`: a
+/// MAC lives inside a node's protocol stack.
 pub trait Mac: Send + 'static {
     /// Boots the MAC (asks for the radio, arms periodic timers).
     fn start(&mut self, ctx: &mut Ctx<'_>);

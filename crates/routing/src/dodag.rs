@@ -788,7 +788,7 @@ mod tests {
         for k in 1..20u64 {
             let at = w.now() + SimDuration::from_secs(k);
             let ids3 = NodeId(3);
-            w.schedule_at(at, ids3, move |w2| {
+            w.schedule_at(at, move |w2| {
                 w2.with(ids3, |n: &mut Node, ctx| n.send_datum(ctx, vec![9]));
             });
         }
@@ -824,7 +824,7 @@ mod tests {
         // It generates data while partitioned.
         for k in 0..5u64 {
             let at = w.now() + SimDuration::from_secs(2 + k * 2);
-            w.schedule_at(at, NodeId(2), move |w2| {
+            w.schedule_at(at, move |w2| {
                 w2.with(NodeId(2), |n: &mut Node, ctx| {
                     n.send_datum(ctx, vec![k as u8])
                 });

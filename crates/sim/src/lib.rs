@@ -31,8 +31,7 @@
 //!
 //! Protocols implement [`node::Proto`] and act through [`world::Ctx`];
 //! [`sim::SimBuilder`] → [`sim::Sim`] is the only way to build, fault
-//! and drive a simulation, on one thread or sharded across cores via
-//! [`sim::ShardConfig`].
+//! and drive a simulation, one serial kernel on the calling thread.
 //!
 //! # Examples
 //!
@@ -70,11 +69,6 @@
 //! // Only the immediate neighbour is in the 30 m unit-disk range.
 //! assert_eq!(sim.proto::<Hello>(NodeId(0)).replies, 1);
 //! ```
-//!
-//! The same build scales out by adding `.sharding(ShardConfig::threaded(4))`:
-//! the deployment is split into four spatial stripes advanced by four
-//! worker threads under conservative-lookahead synchronization, with
-//! results deterministic in `(workload, seed, shard count)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,7 +81,6 @@ pub mod node;
 pub mod obs;
 pub mod radio;
 pub mod seed;
-pub(crate) mod shard;
 pub mod sim;
 pub mod spatial;
 pub mod time;
@@ -99,7 +92,7 @@ pub use clock::ClockModel;
 pub use ids::{NodeId, TimerId};
 pub use node::{AsAny, Idle, Proto, StateLoss, Timer};
 pub use radio::{Dst, Frame, RadioConfig, RadioError, RadioState, RxInfo, TxOutcome};
-pub use sim::{ShardConfig, Sim, SimBuilder};
+pub use sim::{Sim, SimBuilder};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Pos, Topology};
 pub use world::{Ctx, SimConfig};

@@ -417,12 +417,10 @@ struct Link {
 struct TxSlot {
     generation: u32,
     live: bool,
-    /// Whether the kernel still holds this record's queue entry — the
-    /// frame's one `TxEnd`, or on an adopting shard replica the entry
-    /// that evaluates the receptions it owns — or is part-way through
-    /// the candidate walk that entry starts (see
-    /// [`Medium::set_pending`]). A pending record is never evicted,
-    /// whatever its age.
+    /// Whether the kernel still holds this record's queue entry, the
+    /// frame's one `TxEnd`, or is part-way through the candidate walk
+    /// that entry starts (see [`Medium::unpin`]). A pending record is
+    /// never evicted, whatever its age.
     pending: bool,
     rec: TxRecord,
 }
@@ -492,46 +490,6 @@ pub struct MediumStats {
     pub lost_expired: u64,
 }
 
-/// A radio-state snapshot of one node, exchanged between shard
-/// replicas at lookahead barriers. Only the fields that *remote*
-/// evaluations read (candidate filtering in `start_tx_into`, CCA and
-/// collision scans): energy meters and promiscuous flags stay local to
-/// the owning shard, which is the only place receptions evaluate.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct NodeStateSnap {
-    /// Node index.
-    pub(crate) node: u32,
-    /// Liveness under fault injection.
-    pub(crate) alive: bool,
-    /// Radio power/TX state.
-    pub(crate) state: RadioState,
-    /// Tuned channel.
-    pub(crate) channel: u8,
-    /// When the radio last entered `Listening`.
-    pub(crate) listen_since: SimTime,
-}
-
-/// A border transmission's record as shipped to an audible neighbour
-/// shard, which adopts it into its own slab so local CCA and collision
-/// scans see the foreign traffic.
-#[derive(Clone, Debug)]
-pub(crate) struct EchoTx {
-    /// Transmitting node.
-    pub(crate) src: NodeId,
-    /// Channel transmitted on.
-    pub(crate) channel: u8,
-    /// Transmission start time.
-    pub(crate) start: SimTime,
-    /// Transmission end time.
-    pub(crate) end: SimTime,
-    /// The frame on the air.
-    pub(crate) frame: Frame,
-    /// Candidate receivers with their origin-side PRR draws, so the
-    /// adopting shard evaluates its own nodes' receptions against
-    /// exactly the draws the origin's deterministic RNG produced.
-    pub(crate) candidates: Vec<(NodeId, f64, bool)>,
-}
-
 /// The shared wireless medium.
 ///
 /// Owned by the [`World`](crate::world::World); protocols interact with it
@@ -590,11 +548,6 @@ pub struct Medium {
     /// When `true`, nodes in different groups cannot hear each other.
     partitioned: bool,
     stats: MediumStats,
-    /// Indices of nodes whose radio state changed since the last drain.
-    /// `None` (the default, every standalone world) disables tracking so
-    /// the hot paths pay a single branch; the sharded engine enables it
-    /// to ship state deltas to neighbour shards at barriers.
-    dirty: Option<Vec<u32>>,
     /// Transmission records examined so far by eviction, CCA and
     /// collision checks: the medium's deterministic cost counter. Not a
     /// [`MediumStats`] field — it measures the simulator, not the
@@ -629,103 +582,17 @@ impl Medium {
             blocked_links: HashSet::new(),
             partitioned: false,
             stats: MediumStats::default(),
-            dirty: None,
             air_visits: Cell::new(0),
         }
     }
 
-    /// Enables dirty-node tracking (sharded engine only).
-    pub(crate) fn enable_dirty_tracking(&mut self) {
-        self.dirty = Some(Vec::new());
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, node: u32) {
-        if let Some(d) = &mut self.dirty {
-            d.push(node);
-        }
-    }
-
-    /// Drains the dirty set, sorted and deduplicated.
-    pub(crate) fn drain_dirty(&mut self) -> Vec<u32> {
-        let Some(d) = &mut self.dirty else {
-            return Vec::new();
-        };
-        let mut out = std::mem::take(d);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Snapshot of `node`'s remotely-visible radio state.
-    pub(crate) fn snap(&self, node: u32) -> NodeStateSnap {
-        let n = &self.nodes[node as usize];
-        NodeStateSnap {
-            node,
-            alive: n.alive,
-            state: n.state,
-            channel: n.channel,
-            listen_since: n.listen_since,
-        }
-    }
-
-    /// Applies a foreign node's state snapshot verbatim. No meter sync,
-    /// no dirty marking: the local copy of a foreign node is a mirror,
-    /// never a source of truth.
-    pub(crate) fn apply_snap(&mut self, s: &NodeStateSnap) {
-        let n = &mut self.nodes[s.node as usize];
-        n.alive = s.alive;
-        n.state = s.state;
-        n.channel = s.channel;
-        n.listen_since = s.listen_since;
-    }
-
-    /// Pins `tx` against eviction or lets it age out again. A local
-    /// record is born pending; the kernel pins an adopted one when it
-    /// queues its reception walk, and unpins either after the last
-    /// candidate.
-    pub(crate) fn set_pending(&mut self, tx: TxId, pending: bool) {
+    /// Lets `tx` age out once its reception walk is over: a record is
+    /// born pending, pinned against eviction until the kernel has
+    /// evaluated its last candidate.
+    pub(crate) fn unpin(&mut self, tx: TxId) {
         if let Some(slot) = self.lookup(tx) {
-            self.slots[slot].pending = pending;
+            self.slots[slot].pending = false;
         }
-    }
-
-    /// Clones the record of `tx` for export to an audible neighbour
-    /// shard. `None` only for stale ids (cannot happen for records
-    /// exported in the window they were created).
-    pub(crate) fn export_echo(&self, tx: TxId) -> Option<EchoTx> {
-        let slot = self.lookup(tx)?;
-        let rec = &self.slots[slot].rec;
-        Some(EchoTx {
-            src: rec.src,
-            channel: rec.channel,
-            start: rec.start,
-            end: rec.end,
-            frame: rec.frame.clone(),
-            candidates: rec.candidates.clone(),
-        })
-    }
-
-    /// Adopts a foreign transmission record into the local slab so CCA
-    /// and collision scans see it; returns the local id, under which
-    /// the receptions this replica owns (if any: it is not pending
-    /// yet) will be evaluated. Does not touch the foreign source's radio
-    /// state (snapshots carry that) and does not count in `tx_started`
-    /// (the origin shard already did).
-    pub(crate) fn adopt_echo(&mut self, echo: &EchoTx) -> TxId {
-        let (slot, id) = self.claim_slot();
-        let s = &mut self.slots[slot];
-        s.live = true;
-        s.pending = false;
-        s.rec.src = echo.src;
-        s.rec.channel = echo.channel;
-        s.rec.start = echo.start;
-        s.rec.end = echo.end;
-        s.rec.frame = echo.frame.clone();
-        s.rec.candidates.clear();
-        s.rec.candidates.extend_from_slice(&echo.candidates);
-        self.file(slot, echo.src);
-        id
     }
 
     /// Collapses the spatial index of a still-empty medium to a single
@@ -814,7 +681,6 @@ impl Medium {
         if !alive {
             n.state = RadioState::Off;
         }
-        self.mark_dirty(node.0);
     }
 
     /// Whether `node` is alive (not killed by fault injection).
@@ -873,7 +739,6 @@ impl Medium {
         if n.state == RadioState::Off {
             n.state = RadioState::Listening;
             n.listen_since = now;
-            self.mark_dirty(node.0);
         }
         Ok(())
     }
@@ -887,7 +752,6 @@ impl Medium {
             return Err(RadioError::Busy);
         }
         n.state = RadioState::Off;
-        self.mark_dirty(node.0);
         Ok(())
     }
 
@@ -910,7 +774,6 @@ impl Medium {
             if n.state == RadioState::Listening {
                 n.listen_since = now;
             }
-            self.mark_dirty(node.0);
         }
         Ok(())
     }
@@ -953,29 +816,6 @@ impl Medium {
         let slot = tx.slot();
         let s = self.slots.get(slot)?;
         (s.live && s.generation == tx.generation()).then_some(slot)
-    }
-
-    /// Takes a free slab slot (or grows the slab) and composes the id
-    /// its next record will answer to.
-    fn claim_slot(&mut self) -> (usize, TxId) {
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(TxSlot::default());
-                self.slots.len() - 1
-            }
-        };
-        (
-            slot,
-            TxId::compose(slot as u32, self.slots[slot].generation),
-        )
-    }
-
-    /// Files the freshly written record in `slot` as live, under the
-    /// cell of its source.
-    fn file(&mut self, slot: usize, src: NodeId) {
-        self.filed.push_back(slot as u32);
-        self.air[self.nodes[src.index()].cell as usize].push_back(slot as u32);
     }
 
     /// Retires, oldest filing first, records that can no longer matter:
@@ -1073,6 +913,22 @@ impl Medium {
         list.into_boxed_slice()
     }
 
+    /// Why `frame` may not go on the air now, if it may not.
+    fn may_transmit(&self, frame: &Frame) -> Result<(), RadioError> {
+        let n = &self.nodes[frame.src.index()];
+        if !n.alive {
+            return Err(RadioError::NodeDead);
+        }
+        match n.state {
+            RadioState::Off => Err(RadioError::Off),
+            RadioState::Transmitting => Err(RadioError::Busy),
+            RadioState::Listening if frame.payload.len() > self.config.max_payload => {
+                Err(RadioError::FrameTooLarge)
+            }
+            RadioState::Listening => Ok(()),
+        }
+    }
+
     /// Starts a transmission: claims a record, fills in its candidate
     /// receivers in place and returns the tx id and its end time. The
     /// record is born pending: the caller queues its one `TxEnd`.
@@ -1089,19 +945,10 @@ impl Medium {
         rng: &mut R,
     ) -> Result<(TxId, SimTime), RadioError> {
         let src = frame.src;
-        {
-            let n = &self.nodes[src.index()];
-            if !n.alive {
-                return Err(RadioError::NodeDead);
-            }
-            match n.state {
-                RadioState::Off => return Err(RadioError::Off),
-                RadioState::Transmitting => return Err(RadioError::Busy),
-                RadioState::Listening => {}
-            }
-            if frame.payload.len() > self.config.max_payload {
-                return Err(RadioError::FrameTooLarge);
-            }
+        if let Err(e) = self.may_transmit(&frame) {
+            // A refused frame's buffer is as reusable as a delivered one.
+            self.recycle_payload(frame.payload);
+            return Err(e);
         }
         let end = now + self.config.airtime(frame.payload.len());
         let channel = self.nodes[src.index()].channel;
@@ -1110,7 +957,14 @@ impl Medium {
 
         // Claim the record slot up front so its candidate buffer can be
         // filled in place.
-        let (slot, id) = self.claim_slot();
+        let slot = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                self.slots.push(TxSlot::default());
+                self.slots.len() - 1
+            }
+        };
+        let id = TxId::compose(slot as u32, self.slots[slot].generation);
         let mut candidates = std::mem::take(&mut self.slots[slot].rec.candidates);
         candidates.clear();
 
@@ -1136,7 +990,6 @@ impl Medium {
         self.neigh_cached = true;
 
         self.nodes[src.index()].state = RadioState::Transmitting;
-        self.mark_dirty(src.0);
         let s = &mut self.slots[slot];
         s.live = true;
         s.pending = true;
@@ -1146,7 +999,8 @@ impl Medium {
         s.rec.end = end;
         s.rec.frame = frame;
         s.rec.candidates = candidates;
-        self.file(slot, src);
+        self.filed.push_back(slot as u32);
+        self.air[self.nodes[src.index()].cell as usize].push_back(slot as u32);
         self.stats.tx_started += 1;
         Ok((id, end))
     }
@@ -1169,7 +1023,6 @@ impl Medium {
         if n.alive && n.state == RadioState::Transmitting {
             n.state = RadioState::Listening;
             n.listen_since = now;
-            self.mark_dirty(src.0);
         }
         Some(TxOutcome {
             oracle_receivers: oracle,
@@ -1553,7 +1406,7 @@ mod tests {
             eval_at(&mut m, tx, NodeId(1)),
             RxEval::Deliver(..)
         ));
-        m.set_pending(tx, false);
+        m.unpin(tx);
         // All pending evaluations drained; a transmission far past the
         // horizon triggers pruning and recycles the slot.
         let later = SimTime::from_secs(3);
@@ -1591,8 +1444,8 @@ mod tests {
         }
         m.end_tx(tx2, end2);
         // Once the walk is over the record ages out like any other.
-        m.set_pending(tx, false);
-        m.set_pending(tx2, false);
+        m.unpin(tx);
+        m.unpin(tx2);
         m.start_tx(f, SimTime::from_secs(20), &mut rng).unwrap();
         assert!(m.candidates(tx).is_empty());
         assert_eq!(m.stats().lost_expired, 0);
@@ -1929,7 +1782,7 @@ mod tests {
                         .map(|(m, &tx)| {
                             let done = m.end_tx(tx, end);
                             let evals = (0..receivers.len()).map(|i| m.eval_rx(tx, i)).collect();
-                            m.set_pending(tx, false);
+                            m.unpin(tx);
                             (done, evals)
                         })
                         .collect();

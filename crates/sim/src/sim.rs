@@ -1,16 +1,10 @@
 //! The composable front door of the simulator: [`SimBuilder`] → [`Sim`].
 //!
 //! [`SimBuilder`] is the one place a simulation is described —
-//! topology, radio, clocks, crash policy, observability and
-//! [`ShardConfig`] — and [`SimBuilder::build`] yields a [`Sim`], the one
-//! handle that runs, inspects, grows and faults it, whether the kernel
-//! executes on one thread or on one worker per shard.
-//!
-//! With `shards = 1` (the default) a [`Sim`] drives the classic serial
-//! kernel — byte-identical schedules, RNG streams and traces. With
-//! `shards = k ≥ 2` the nodes are partitioned into `k` spatial stripes
-//! advanced by the conservative-lookahead engine (see the `shard`
-//! module's docs for the synchronization protocol and its semantics).
+//! topology, radio, clocks, crash policy and observability — and
+//! [`SimBuilder::build`] yields a [`Sim`], the one handle that runs,
+//! inspects, grows and faults it. A `Sim` drives one serial kernel, a
+//! [`World`], on the calling thread.
 //!
 //! There is one way to act on a node from outside its callbacks:
 //! [`Sim::with`] hands a closure the node's protocol, already downcast
@@ -61,69 +55,43 @@ use crate::ids::NodeId;
 use crate::node::{Proto, StateLoss};
 use crate::obs::Recorder;
 use crate::radio::{LinkModel, MediumStats, RadioConfig};
-use crate::shard::{EngineOp, ProtoFactory, ShardEngine, MAX_SHARDS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::Stats;
-use crate::world::{Ctx, FaultOp, SimConfig, World};
+use crate::world::{Ctx, SimConfig, World};
 
-/// How a [`Sim`] is split across worker threads.
+/// Accepted and ignored: there is one kernel, the serial one.
 ///
-/// `shards = 1` (the default) runs the classic serial kernel,
-/// byte-identical to pre-sharding builds. `shards = k ≥ 2` partitions
-/// the deployment into `k` spatial stripes synchronized at
-/// conservative-lookahead barriers; the result is deterministic in
-/// `(workload, seed, k)` and independent of `serial`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Number of shards (1 = serial kernel, max 64).
-    pub shards: usize,
-    /// Drive shard windows from the calling thread instead of one
-    /// worker thread per shard. Same results either way; useful for
-    /// debugging, for the equivalence tests, and on single-core
-    /// machines, where extra threads would only add scheduling
-    /// overhead.
-    pub serial: bool,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            shards: 1,
-            serial: false,
-        }
-    }
-}
+/// This type and [`SimBuilder::sharding`] exist only because the
+/// standalone `benchmark/` package, which is frozen, still names them;
+/// the change that unfreezes it deletes both. Nothing else may call
+/// them.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardConfig(());
 
 impl ShardConfig {
-    /// A config running `shards` threaded shards.
+    /// The serial kernel, whatever `shards` says.
     pub fn threaded(shards: usize) -> Self {
-        ShardConfig {
-            shards,
-            serial: false,
-        }
+        let _ = shards;
+        ShardConfig(())
     }
 
-    /// A config running `shards` shards serially on the calling thread.
+    /// The serial kernel, whatever `shards` says.
     pub fn serial(shards: usize) -> Self {
-        ShardConfig {
-            shards,
-            serial: true,
-        }
+        let _ = shards;
+        ShardConfig(())
     }
 }
 
-/// One node group: a topology plus the factory that builds each node's
-/// protocol stack.
-type Group = (Topology, ProtoFactory);
+/// Constructor for the protocol stack of a group's node `i`.
+type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto> + Send + Sync>;
 
 /// Builder for a [`Sim`]: one composable surface for topology, radio,
-/// clocks, energy, faults, observability and sharding. See the
+/// clocks, energy, faults and observability. See the
 /// [module docs](self) for a quickstart.
 pub struct SimBuilder {
     config: SimConfig,
-    groups: Vec<Group>,
-    shard: ShardConfig,
+    groups: Vec<(Topology, ProtoFactory)>,
     state_loss: Option<StateLoss>,
     recorder: Option<Box<dyn Recorder>>,
 }
@@ -140,7 +108,6 @@ impl SimBuilder {
         SimBuilder {
             config: SimConfig::default(),
             groups: Vec::new(),
-            shard: ShardConfig::default(),
             state_loss: None,
             recorder: None,
         }
@@ -197,9 +164,6 @@ impl SimBuilder {
     /// Adds a group of nodes: one per position in `topo`, with `make(i)`
     /// building the protocol stack of the group's `i`-th node. Node ids
     /// are assigned in position order, groups in the order added.
-    ///
-    /// The factory must be pure (same `i` → same protocol): sharded
-    /// builds call it once per shard replica.
     pub fn nodes<F>(mut self, topo: Topology, make: F) -> Self
     where
         F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
@@ -208,16 +172,11 @@ impl SimBuilder {
         self
     }
 
-    /// Configures sharded execution (see [`ShardConfig`]).
-    pub fn sharding(mut self, shard: ShardConfig) -> Self {
-        self.shard = shard;
+    /// Accepts and ignores `shard`: see [`ShardConfig`], which exists
+    /// only for the frozen `benchmark/` package and goes with it.
+    pub fn sharding(self, shard: ShardConfig) -> Self {
+        let _ = shard;
         self
-    }
-
-    /// Shorthand for [`sharding`](Self::sharding) with `shards` threaded
-    /// shards.
-    pub fn shards(self, shards: usize) -> Self {
-        self.sharding(ShardConfig::threaded(shards))
     }
 
     /// Sets what crashed nodes lose (see [`StateLoss`]).
@@ -233,65 +192,29 @@ impl SimBuilder {
     }
 
     /// Builds the [`Sim`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is 0 or exceeds 64, or when a sharded build
-    /// has a zero minimum frame airtime or wire latency (the lookahead
-    /// would be empty).
     pub fn build(self) -> Sim {
-        let SimBuilder {
-            config,
-            groups,
-            shard,
-            state_loss,
-            recorder,
-        } = self;
-        assert!(
-            (1..=MAX_SHARDS).contains(&shard.shards),
-            "shard count must be in 1..={MAX_SHARDS}"
-        );
-        let mut inner = if shard.shards == 1 {
-            let mut world = World::new(config);
-            for (topo, make) in &groups {
-                world.add_nodes(topo, make);
-            }
-            Inner::Single(Box::new(world))
-        } else {
-            Inner::Sharded(Box::new(ShardEngine::new(
-                config,
-                &groups,
-                shard.shards,
-                shard.serial,
-            )))
-        };
-        if let Some(loss) = state_loss {
-            match &mut inner {
-                Inner::Single(w) => w.set_state_loss(loss),
-                Inner::Sharded(e) => e.set_state_loss(loss),
-            }
+        let mut world = World::new(self.config);
+        for (topo, make) in &self.groups {
+            world.add_nodes(topo, make);
         }
-        let mut sim = Sim { inner };
-        if let Some(r) = recorder {
-            sim.set_recorder(r);
+        if let Some(loss) = self.state_loss {
+            world.set_state_loss(loss);
         }
-        sim
+        if let Some(r) = self.recorder {
+            world.set_recorder(r);
+        }
+        Sim {
+            world: Box::new(world),
+        }
     }
 }
 
-enum Inner {
-    // Both variants boxed: a serial World is ~1 kB and the shard
-    // engine a few hundred bytes, while Sim moves by value through
-    // builders and fan-out closures.
-    Single(Box<World>),
-    Sharded(Box<ShardEngine>),
-}
-
-/// A running simulation built by [`SimBuilder`]: the same control,
-/// inspection and fault-injection API over the serial kernel
-/// (`shards = 1`) and the sharded engine (`shards ≥ 2`).
+/// A running simulation built by [`SimBuilder`]: control, inspection
+/// and fault injection over one serial kernel.
 pub struct Sim {
-    inner: Inner,
+    // Boxed: a `World` is large, and a `Sim` moves by value through
+    // builders and fan-out closures.
+    world: Box<World>,
 }
 
 impl Sim {
@@ -308,143 +231,90 @@ impl Sim {
     /// Advances the simulation to `deadline`, inclusive of events at
     /// `deadline`; afterwards `now() == deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        match &mut self.inner {
-            Inner::Single(w) => w.run_until(deadline),
-            Inner::Sharded(e) => e.run_until(deadline),
-        }
+        self.world.run_until(deadline);
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            Inner::Single(w) => w.now(),
-            Inner::Sharded(e) => e.now(),
-        }
+        self.world.now()
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        match &self.inner {
-            Inner::Single(w) => w.node_count(),
-            Inner::Sharded(e) => e.node_count(),
-        }
+        self.world.node_count()
     }
 
-    /// Number of shards (1 for the serial kernel).
-    pub fn shards(&self) -> usize {
-        match &self.inner {
-            Inner::Single(_) => 1,
-            Inner::Sharded(e) => e.shard_count(),
-        }
-    }
-
-    /// Events dispatched so far, summed across shards: one per node
-    /// start, timer, wire message, scheduled action and frame end, plus
-    /// one per candidate reception evaluated — the simulator's unit of
-    /// work, not its heap pops (see [`Sim::queue_pushes`]).
+    /// Events dispatched so far: one per node start, timer, wire
+    /// message, scheduled action and frame end, plus one per candidate
+    /// reception evaluated — the simulator's unit of work, not its heap
+    /// pops (see [`Sim::queue_pushes`]).
     pub fn events_dispatched(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(w) => w.events_dispatched(),
-            Inner::Sharded(e) => e.events_dispatched(),
-        }
+        self.world.events_dispatched()
     }
 
     /// How many transmission records the radio medium has examined so
     /// far — retiring old ones, sensing carriers, checking receptions
-    /// for collisions — summed across shards. A deterministic measure
-    /// of what the medium *costs*, where [`Sim::medium_stats`] says what
-    /// it *did*: per transmission it should depend on how many nodes
-    /// are in radio range, not on how many the deployment holds.
+    /// for collisions. A deterministic measure of what the medium
+    /// *costs*, where [`Sim::medium_stats`] says what it *did*: per
+    /// transmission it should depend on how many nodes are in radio
+    /// range, not on how many the deployment holds.
     pub fn air_visits(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(w) => w.medium().air_visits(),
-            Inner::Sharded(e) => e.air_visits(),
-        }
+        self.world.medium().air_visits()
     }
 
     /// How many entries the kernel has pushed onto its event heap so
-    /// far, summed across shards (an event staged for another shard
-    /// counts where it is queued, not where it is staged). The
-    /// deterministic measure of what the *queue* costs, as
+    /// far. The deterministic measure of what the *queue* costs, as
     /// [`Sim::air_visits`] is of the medium: a frame is one entry
     /// however many receptions [`Sim::events_dispatched`] counts for it.
     pub fn queue_pushes(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(w) => w.queue_pushes(),
-            Inner::Sharded(e) => e.queue_pushes(),
-        }
+        self.world.queue_pushes()
     }
 
-    /// Experiment statistics (merged across shards in shard order).
+    /// Experiment statistics.
     pub fn stats(&self) -> &Stats {
-        match &self.inner {
-            Inner::Single(w) => w.stats(),
-            Inner::Sharded(e) => e.stats(),
-        }
+        self.world.stats()
     }
 
-    /// Medium-level delivery statistics (summed across shards).
+    /// Medium-level delivery statistics.
     pub fn medium_stats(&self) -> MediumStats {
-        match &self.inner {
-            Inner::Single(w) => w.medium().stats(),
-            Inner::Sharded(e) => e.medium_stats(),
-        }
+        self.world.medium().stats()
     }
 
     /// Energy usage of `node` so far.
     pub fn energy(&self, node: NodeId) -> EnergyUsage {
-        match &self.inner {
-            Inner::Single(w) => w.energy(node),
-            Inner::Sharded(e) => e.owner_world(node).energy(node),
-        }
+        self.world.energy(node)
     }
 
     /// The energy model in force.
     pub fn energy_model(&self) -> &EnergyModel {
-        match &self.inner {
-            Inner::Single(w) => w.energy_model(),
-            Inner::Sharded(e) => e.owner_world(NodeId(0)).energy_model(),
-        }
+        self.world.energy_model()
     }
 
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        match &self.inner {
-            Inner::Single(w) => w.is_alive(node),
-            Inner::Sharded(e) => e.owner_world(node).is_alive(node),
-        }
+        self.world.is_alive(node)
     }
 
     /// `node`'s protocol downcast to `T`; panics on a type mismatch.
     pub fn proto<T: Proto>(&self, node: NodeId) -> &T {
-        match &self.inner {
-            Inner::Single(w) => w.proto(node),
-            Inner::Sharded(e) => e.owner_world(node).proto(node),
-        }
+        self.world.proto(node)
     }
 
     /// `node`'s protocol downcast to a mutable `T`, for state that
     /// needs no [`Ctx`] (queueing work a protocol picks up on its next
     /// callback); panics on a type mismatch.
     pub fn proto_mut<T: Proto>(&mut self, node: NodeId) -> &mut T {
-        match &mut self.inner {
-            Inner::Single(w) => w.proto_mut(node),
-            Inner::Sharded(e) => e.owner_world_mut(node).proto_mut(node),
-        }
+        self.world.proto_mut(node)
     }
 
     /// `node`'s drifting local clock reading at the current time.
     pub fn local_time_of(&mut self, node: NodeId) -> SimTime {
-        match &mut self.inner {
-            Inner::Single(w) => w.local_time_of(node),
-            Inner::Sharded(e) => e.owner_world_mut(node).local_time_of(node),
-        }
+        self.world.local_time_of(node)
     }
 
     /// Runs `f` with `node`'s protocol, downcast to `T`, and a live
     /// [`Ctx`], outside any event dispatch: `sim.with(gw, |n: &mut Node,
-    /// ctx| n.install(ctx, &img))`. On a sharded sim the owning replica
-    /// runs it and whatever it sent is exchanged before `with` returns.
+    /// ctx| n.install(ctx, &img))`.
     ///
     /// # Panics
     ///
@@ -454,169 +324,117 @@ impl Sim {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
     ) -> R {
-        match &mut self.inner {
-            Inner::Single(w) => w.with(node, f),
-            Inner::Sharded(e) => {
-                let r = e.owner_world_mut(node).with(node, f);
-                e.sync();
-                r
-            }
-        }
+        self.world.with(node, f)
     }
 
-    /// Schedules `f` to run against `node`'s [`World`] at `at`. Under
-    /// sharding the closure sees the owning shard's replica.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        f: impl FnOnce(&mut World) + Send + 'static,
-    ) {
-        match &mut self.inner {
-            Inner::Single(w) => w.schedule(at, f),
-            Inner::Sharded(e) => e.schedule_closure(at, node, Box::new(f)),
-        }
+    /// Schedules `f` to run against the [`World`] at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
+        self.world.schedule(at, f);
     }
 
     /// Adds one node per position in `topo` to the running simulation,
     /// `make(i)` building the protocol stack of the `i`-th; each boots
     /// through [`Proto::start`] at the current time. Returns the new
-    /// ids, which continue the existing numbering. The factory must be
-    /// pure, as for [`SimBuilder::nodes`].
+    /// ids, which continue the existing numbering.
     pub fn add_nodes<F>(&mut self, topo: Topology, make: F) -> Vec<NodeId>
     where
         F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
     {
-        match &mut self.inner {
-            Inner::Single(w) => w.add_nodes(&topo, make),
-            Inner::Sharded(e) => e.add_nodes(&topo, make),
-        }
-    }
-
-    fn fault(&mut self, op: FaultOp) {
-        match &mut self.inner {
-            Inner::Single(w) => w.apply_fault(&op, true),
-            Inner::Sharded(e) => e.apply_fault(&op),
-        }
-    }
-
-    fn fault_at(&mut self, at: SimTime, op: FaultOp) {
-        match &mut self.inner {
-            Inner::Single(w) => w.schedule_fault(at, op),
-            Inner::Sharded(e) => e.schedule_op(at, EngineOp::Fault(op)),
-        }
+        self.world.add_nodes(&topo, make)
     }
 
     /// Crashes `node` immediately: radio off, pending behaviour stops,
     /// volatile protocol state is cleared via [`Proto::crashed`] (or,
     /// under [`StateLoss::Full`], everything via [`Proto::wiped`]).
     pub fn kill(&mut self, node: NodeId) {
-        self.fault(FaultOp::Kill(node));
+        self.world.kill(node);
     }
 
     /// Revives a dead `node` immediately: it boots again through
     /// [`Proto::start`].
     pub fn revive(&mut self, node: NodeId) {
-        self.fault(FaultOp::Revive(node));
+        self.world.revive(node);
     }
 
     /// Schedules a crash of `node` at `at`.
     pub fn kill_at(&mut self, at: SimTime, node: NodeId) {
-        self.fault_at(at, FaultOp::Kill(node));
+        self.schedule_at(at, move |w| w.kill(node));
     }
 
     /// Schedules a revival of `node` at `at`.
     pub fn revive_at(&mut self, at: SimTime, node: NodeId) {
-        self.fault_at(at, FaultOp::Revive(node));
+        self.schedule_at(at, move |w| w.revive(node));
     }
 
     /// Severs the bidirectional `a`–`b` link.
     pub fn block_link(&mut self, a: NodeId, b: NodeId) {
-        self.fault(FaultOp::BlockLink(a, b));
+        self.world.block_link(a, b);
     }
 
     /// Restores the `a`–`b` link.
     pub fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        self.fault(FaultOp::UnblockLink(a, b));
+        self.world.unblock_link(a, b);
     }
 
     /// Schedules the `a`–`b` link to fail at `at`.
     pub fn block_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.fault_at(at, FaultOp::BlockLink(a, b));
+        self.schedule_at(at, move |w| w.block_link(a, b));
     }
 
     /// Schedules the `a`–`b` link to heal at `at`.
     pub fn unblock_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.fault_at(at, FaultOp::UnblockLink(a, b));
+        self.schedule_at(at, move |w| w.unblock_link(a, b));
     }
 
     /// Enables or disables the administrative partition: while enabled,
     /// nodes in different groups cannot hear each other.
     pub fn set_partitioned(&mut self, on: bool) {
-        self.fault(if on {
-            FaultOp::Partition(Vec::new())
-        } else {
-            FaultOp::Heal
-        });
+        self.world.set_partitioned(on);
     }
 
     /// Assigns `node` to partition `group`.
     pub fn set_group(&mut self, node: NodeId, group: u16) {
-        self.fault(FaultOp::SetGroup(node, group));
+        self.world.medium_mut().set_group(node, group);
     }
 
     /// Schedules a partition at `at`: node `i` joins `groups[i]` (nodes
     /// beyond the list keep their group) and cross-group communication
     /// stops until [`heal_at`](Self::heal_at).
     pub fn partition_at(&mut self, at: SimTime, groups: Vec<u16>) {
-        self.fault_at(at, FaultOp::Partition(groups));
+        self.schedule_at(at, move |w| {
+            for (i, &g) in groups.iter().enumerate() {
+                w.medium_mut().set_group(NodeId(i as u32), g);
+            }
+            w.set_partitioned(true);
+        });
     }
 
     /// Schedules the partition to heal at `at`.
     pub fn heal_at(&mut self, at: SimTime) {
-        self.fault_at(at, FaultOp::Heal);
+        self.schedule_at(at, |w| w.set_partitioned(false));
     }
 
     /// Sets what crashed nodes lose (see [`StateLoss`]).
     pub fn set_state_loss(&mut self, loss: StateLoss) {
-        match &mut self.inner {
-            Inner::Single(w) => w.set_state_loss(loss),
-            Inner::Sharded(e) => e.set_state_loss(loss),
-        }
+        self.world.set_state_loss(loss);
     }
 
     /// Installs a structured-event recorder.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        match &mut self.inner {
-            Inner::Single(w) => w.set_recorder(recorder),
-            Inner::Sharded(e) => e.set_recorder(recorder),
-        }
+        self.world.set_recorder(recorder);
     }
 
-    /// Removes and returns the recorder, flushing buffered events.
+    /// Removes and returns the recorder.
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        match &mut self.inner {
-            Inner::Single(w) => w.take_recorder(),
-            Inner::Sharded(e) => e.take_recorder(),
-        }
+        self.world.take_recorder()
     }
 
     /// The recorder downcast to `T`.
     pub fn recorder_as<T: Recorder>(&self) -> Option<&T> {
-        match &self.inner {
-            Inner::Single(w) => w.recorder_as::<T>(),
-            Inner::Sharded(e) => e.recorder_as::<T>(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shards_replaces_the_whole_shard_config() {
-        let b = SimBuilder::new().sharding(ShardConfig::serial(2)).shards(3);
-        assert_eq!(b.shard, ShardConfig::threaded(3));
+        self.world.recorder_as::<T>()
     }
 }

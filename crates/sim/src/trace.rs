@@ -183,27 +183,6 @@ impl Stats {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
-
-    /// Merges another `Stats` into this one (counters add, series append).
-    pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0.0) += v;
-        }
-        for col in &other.node_counters.0 {
-            let values = self.node_counters.column_mut(col.name);
-            if values.len() < col.values.len() {
-                values.resize(col.values.len(), None);
-            }
-            for (mine, theirs) in values.iter_mut().zip(&col.values) {
-                if let Some(v) = theirs {
-                    *mine.get_or_insert(0.0) += v;
-                }
-            }
-        }
-        for (k, v) in &other.series {
-            self.series.entry(k).or_default().extend(v);
-        }
-    }
 }
 
 /// Summarizes an arbitrary sample slice.
@@ -298,21 +277,6 @@ mod tests {
         assert!(s.summary("lat").p50.is_nan());
     }
 
-    #[test]
-    fn merge_combines() {
-        let mut a = Stats::new();
-        a.inc("x", 1.0);
-        a.record("r", 1.0);
-        let mut b = Stats::new();
-        b.inc("x", 2.0);
-        b.record("r", 2.0);
-        b.inc_node(NodeId(0), "n", 1.0);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3.0);
-        assert_eq!(a.samples("r"), &[1.0, 2.0]);
-        assert_eq!(a.get_node(NodeId(0), "n"), 1.0);
-    }
-
     mod columns_against_a_map {
         use super::*;
         use proptest::prelude::*;
@@ -386,14 +350,8 @@ mod tests {
 
         proptest! {
             #[test]
-            fn bumps_and_merges_read_as_the_map_did(a in bumps(), b in bumps()) {
-                let (mut stats, mut model) = apply(&a);
-                same(&stats, &model);
-                let (other, other_model) = apply(&b);
-                stats.merge(&other);
-                for (k, v) in &other_model {
-                    *model.entry(*k).or_insert(0.0) += v;
-                }
+            fn bumps_read_as_the_map_did(a in bumps()) {
+                let (stats, model) = apply(&a);
                 same(&stats, &model);
             }
         }

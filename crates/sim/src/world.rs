@@ -135,14 +135,9 @@ enum Ev {
         id: TimerId,
     },
     /// The end of a frame: the sender's `tx_done`, then every candidate
-    /// reception this kernel owns, in candidate order.
+    /// reception, in candidate order.
     TxEnd {
         node: NodeId,
-        tx: TxId,
-    },
-    /// The same moment on a shard replica that adopted the frame's
-    /// record from another shard: the receptions alone.
-    RxEnd {
         tx: TxId,
     },
     Wire(Box<WireMsg>),
@@ -158,113 +153,6 @@ struct WireMsg {
 
 /// A closure scheduled on the world (see [`World::schedule`]).
 type Action = Box<dyn FnOnce(&mut World) + Send>;
-
-/// A fault-injection operation: what [`Sim`](crate::sim::Sim) schedules
-/// on the serial kernel and mirrors to every replica of the sharded
-/// engine.
-#[derive(Debug)]
-pub(crate) enum FaultOp {
-    /// Crash a node (see [`World::kill`]).
-    Kill(NodeId),
-    /// Reboot a crashed node (see [`World::revive`]).
-    Revive(NodeId),
-    /// Sever the bidirectional link between two nodes.
-    BlockLink(NodeId, NodeId),
-    /// Restore a severed link.
-    UnblockLink(NodeId, NodeId),
-    /// Assign a node to a partition group.
-    SetGroup(NodeId, u16),
-    /// Assign node `i` to `groups[i]` (nodes beyond the list keep their
-    /// group), then enable the partition.
-    Partition(Vec<u16>),
-    /// Disable the partition.
-    Heal,
-}
-
-/// A cross-shard event captured by the routing hook instead of being
-/// queued locally; delivered to the owning shard at the next lookahead
-/// barrier (see [`crate::shard`]).
-#[derive(Debug)]
-pub(crate) enum StagedEv {
-    /// A candidate reception at a node owned by another shard. `tx` is
-    /// the *origin* shard's transmission id; the receiving shard
-    /// rewrites it to its adopted copy of the record and evaluates all
-    /// of a frame's receptions there from one queue entry, so only the
-    /// first staged per frame and shard travels.
-    RxEnd {
-        /// When the reception evaluates (transmission end).
-        time: SimTime,
-        /// The foreign receiver.
-        node: NodeId,
-        /// Origin-shard transmission id.
-        tx: TxId,
-    },
-    /// A backhaul message to a node owned by another shard.
-    Wire {
-        /// Arrival time (send time + wire latency).
-        time: SimTime,
-        /// The foreign destination.
-        to: NodeId,
-        /// The sender.
-        from: NodeId,
-        /// Message bytes.
-        payload: Vec<u8>,
-    },
-}
-
-/// Per-replica shard routing state, installed by the sharded engine.
-/// When present, [`Kernel::push`] diverts events targeting foreign
-/// nodes into `out_events` and notes border transmissions whose record
-/// must be echoed to audible neighbour shards, and the reception walk
-/// skips the candidates this shard does not own.
-#[derive(Default)]
-pub(crate) struct ShardRoute {
-    /// `own[i]` — node `i` is owned (dispatched) by this shard.
-    pub(crate) own: Vec<bool>,
-    /// Per-node bitmask of *other* shards with at least one node within
-    /// the medium's maximum audible range (conservative superset).
-    pub(crate) echo_mask: Vec<u64>,
-    /// Cross-shard events staged during the current window.
-    pub(crate) out_events: Vec<StagedEv>,
-    /// Border transmissions of this window: `(tx, foreign-shard mask)`.
-    /// The engine exports each record once at the barrier.
-    pub(crate) out_echoes: Vec<(TxId, u64)>,
-}
-
-impl ShardRoute {
-    /// Routes `ev`: returns it unchanged when it stays in this shard,
-    /// or stages it and returns `None`. A frame's `TxEnd` stays, and
-    /// stages on its way the receptions at foreign candidates, which
-    /// evaluate against the *adopted* copy of the record instead.
-    fn route(&mut self, medium: &Medium, time: SimTime, ev: Ev) -> Option<Ev> {
-        match ev {
-            Ev::TxEnd { node, tx } => {
-                // No mask, no foreign node in range: every candidate is
-                // this shard's own.
-                let mask = self.echo_mask[node.index()];
-                if mask != 0 {
-                    self.out_echoes.push((tx, mask));
-                    let foreign = medium.candidates(tx).iter().map(|c| c.0);
-                    let foreign = foreign.filter(|r| !self.own[r.index()]);
-                    self.out_events
-                        .extend(foreign.map(|node| StagedEv::RxEnd { time, node, tx }));
-                }
-                Some(Ev::TxEnd { node, tx })
-            }
-            Ev::Wire(msg) if !self.own[msg.to.index()] => {
-                let WireMsg { to, from, payload } = *msg;
-                self.out_events.push(StagedEv::Wire {
-                    time,
-                    to,
-                    from,
-                    payload,
-                });
-                None
-            }
-            other => Some(other),
-        }
-    }
-}
 
 struct QEntry {
     time: SimTime,
@@ -387,31 +275,14 @@ pub(crate) struct Kernel {
     /// natural unit of work, reported by perf harnesses): see
     /// [`World::events_dispatched`].
     dispatched: u64,
-    /// Shard routing table, installed only by the sharded engine.
-    /// `None` in every standalone world: the hot path pays one branch.
-    shard: Option<Box<ShardRoute>>,
 }
 
 impl Kernel {
     fn push(&mut self, time: SimTime, ev: Ev) {
         debug_assert!(time >= self.now, "scheduling into the past");
-        let ev = if let Some(route) = self.shard.as_deref_mut() {
-            match route.route(&self.medium, time, ev) {
-                Some(ev) => ev,
-                None => return, // staged for a foreign shard
-            }
-        } else {
-            ev
-        };
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(QEntry { time, seq, ev }));
-    }
-
-    /// Whether this kernel dispatches `node`'s events: always, unless it
-    /// is a shard replica and `node` another shard's.
-    fn owns(&self, node: NodeId) -> bool {
-        self.shard.as_deref().is_none_or(|r| r.own[node.index()])
     }
 
     fn sync_meter(&mut self, node: NodeId) {
@@ -447,8 +318,8 @@ impl Kernel {
 /// radio medium, an event queue and fault-injection hooks.
 ///
 /// Built and driven only through [`SimBuilder`](crate::sim::SimBuilder)
-/// and [`Sim`](crate::sim::Sim) (which own one `World`, or one replica
-/// per shard). The type is public as the *in-run handle*: a closure
+/// and [`Sim`](crate::sim::Sim), which owns one `World`. The type is
+/// public as the *in-run handle*: a closure
 /// passed to [`Sim::schedule_at`](crate::sim::Sim::schedule_at) runs
 /// against it from inside the event loop, where it may read the clock
 /// and the roster, act on a node through [`World::with`] and
@@ -469,7 +340,7 @@ impl Kernel {
 /// let mut sim = SimBuilder::new()
 ///     .nodes(Topology::line(2, 10.0), |_| Box::new(Poked(0)))
 ///     .build();
-/// sim.schedule_at(SimTime::from_secs(1), NodeId(1), |world| {
+/// sim.schedule_at(SimTime::from_secs(1), |world| {
 ///     assert_eq!(world.now(), SimTime::from_secs(1));
 ///     world.with(NodeId(1), |p: &mut Poked, _ctx| p.0 += 1);
 /// });
@@ -490,18 +361,6 @@ impl World {
         // scope on this thread) new worlds record into the global sink;
         // otherwise emission stays disabled.
         let recorder = obs::scope_capture(config.seed);
-        Self::with_recorder(config, recorder)
-    }
-
-    /// Creates an empty world that does *not* register with the global
-    /// trace-capture sink. Shard replicas use this: a sharded `Sim` is
-    /// one logical world and must consume exactly one capture slot,
-    /// which the engine claims itself.
-    pub(crate) fn new_uncaptured(config: SimConfig) -> Self {
-        Self::with_recorder(config, None)
-    }
-
-    fn with_recorder(config: SimConfig, recorder: Option<Box<dyn Recorder>>) -> Self {
         let mut w = World {
             kernel: Kernel {
                 now: SimTime::ZERO,
@@ -525,7 +384,6 @@ impl World {
                 recorder,
                 obs_on: false, // synced below from `recorder`
                 dispatched: 0,
-                shard: None,
             },
             protos: Vec::new(),
             alive: Vec::new(),
@@ -538,37 +396,6 @@ impl World {
     /// Adds a node at `pos` running `proto`. Its [`Proto::start`] runs at
     /// the current simulation time, before any later event.
     pub(crate) fn add_node(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
-        let id = self.add_node_silent(pos, proto);
-        let now = self.kernel.now;
-        self.kernel.push(now, Ev::Start { node: id });
-        id
-    }
-
-    /// Adds a node to a shard replica and grows its routing table. A
-    /// node this shard does not own is *foreign*: its position, radio
-    /// state, RNG and clock must exist (candidate enumeration and CCA
-    /// read them) but its protocol never starts here — the owning
-    /// shard dispatches it. Construction is otherwise identical, so
-    /// per-node seeds and clock draws are byte-identical across
-    /// replicas.
-    pub(crate) fn add_shard_node(
-        &mut self,
-        pos: Pos,
-        proto: Box<dyn Proto>,
-        owned: bool,
-        echo_mask: u64,
-    ) -> NodeId {
-        let route = self.kernel.shard.as_deref_mut().expect("shard replica");
-        route.own.push(owned);
-        route.echo_mask.push(echo_mask);
-        if owned {
-            self.add_node(pos, proto)
-        } else {
-            self.add_node_silent(pos, proto)
-        }
-    }
-
-    fn add_node_silent(&mut self, pos: Pos, proto: Box<dyn Proto>) -> NodeId {
         let id = self.kernel.medium.add_node(pos);
         debug_assert_eq!(id.index(), self.protos.len());
         self.protos.push(proto);
@@ -588,6 +415,7 @@ impl World {
             clock_seed,
             born_at,
         ));
+        self.kernel.push(born_at, Ev::Start { node: id });
         id
     }
 
@@ -606,7 +434,7 @@ impl World {
 
     /// Makes room for `additional` more nodes in every per-node table
     /// and for their `Start` events, so adding a group grows each once.
-    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+    fn reserve_nodes(&mut self, additional: usize) {
         self.protos.reserve(additional);
         self.alive.reserve(additional);
         let k = &mut self.kernel;
@@ -679,14 +507,6 @@ impl World {
             .recorder
             .as_deref()
             .and_then(|r| r.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable access to the installed recorder downcast to `T`.
-    pub(crate) fn recorder_as_mut<T: Recorder>(&mut self) -> Option<&mut T> {
-        self.kernel
-            .recorder
-            .as_deref_mut()
-            .and_then(|r| r.as_any_mut().downcast_mut::<T>())
     }
 
     /// Energy usage of `node` as of the current time.
@@ -883,134 +703,8 @@ impl World {
         self.run_until(deadline);
     }
 
-    // ---- shard-engine surface (crate-private) -------------------------
-    //
-    // The sharded engine in `crate::shard` drives replicas through these
-    // hooks. None of them is reachable from a standalone `World`.
-
-    /// Installs (or removes) the shard routing table.
-    pub(crate) fn set_shard_route(&mut self, route: Option<Box<ShardRoute>>) {
-        self.kernel.shard = route;
-    }
-
-    /// Timestamp of the earliest queued event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.kernel.queue.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Runs every event strictly *before* `bound`, then advances the
-    /// clock to `bound`. The exclusive counterpart of
-    /// [`World::run_until`], used for lookahead windows: events at the
-    /// window edge belong to the next window, after the barrier has
-    /// delivered any cross-shard events carrying that same timestamp.
-    pub(crate) fn run_until_before(&mut self, bound: SimTime) {
-        while let Some(Reverse(front)) = self.kernel.queue.peek() {
-            if front.time >= bound {
-                break;
-            }
-            let Reverse(entry) = self.kernel.queue.pop().expect("peeked");
-            debug_assert!(entry.time >= self.kernel.now);
-            self.kernel.now = entry.time;
-            self.dispatch(entry.ev);
-        }
-        self.kernel.now = bound;
-    }
-
-    /// Drains the events and border-transmission notes staged by the
-    /// routing hook during the last window.
-    pub(crate) fn take_staged(&mut self) -> (Vec<StagedEv>, Vec<(TxId, u64)>) {
-        let route = self
-            .kernel
-            .shard
-            .as_deref_mut()
-            .expect("take_staged on unsharded world");
-        (
-            std::mem::take(&mut route.out_events),
-            std::mem::take(&mut route.out_echoes),
-        )
-    }
-
-    /// Queues the receptions of a frame adopted from another shard:
-    /// one entry, at the place of the first reception the origin
-    /// staged. `tx` must already be rewritten to this replica's adopted
-    /// record id.
-    pub(crate) fn inject_rx_end(&mut self, time: SimTime, tx: TxId) {
-        self.kernel.medium.set_pending(tx, true);
-        self.kernel.push(time, Ev::RxEnd { tx });
-    }
-
-    /// Queues a backhaul message delivered from another shard.
-    pub(crate) fn inject_wire(
-        &mut self,
-        time: SimTime,
-        to: NodeId,
-        from: NodeId,
-        payload: Vec<u8>,
-    ) {
-        let msg = WireMsg { to, from, payload };
-        self.kernel.push(time, Ev::Wire(Box::new(msg)));
-    }
-
-    /// Applies a fault operation. The `primary` replica gives it full
-    /// semantics (fault event, meter transition, protocol callbacks);
-    /// every other shard replica only mirrors the medium state, so a
-    /// fault is traced and acted on exactly once. A standalone world is
-    /// always primary.
-    pub(crate) fn apply_fault(&mut self, op: &FaultOp, primary: bool) {
-        let medium = &mut self.kernel.medium;
-        match *op {
-            FaultOp::Kill(n) if primary => self.kill(n),
-            FaultOp::Kill(n) => self.set_foreign_alive(n, false),
-            FaultOp::Revive(n) if primary => self.revive(n),
-            FaultOp::Revive(n) => self.set_foreign_alive(n, true),
-            FaultOp::BlockLink(a, b) if primary => self.block_link(a, b),
-            FaultOp::BlockLink(a, b) => medium.block_link(a, b),
-            FaultOp::UnblockLink(a, b) if primary => self.unblock_link(a, b),
-            FaultOp::UnblockLink(a, b) => medium.unblock_link(a, b),
-            FaultOp::SetGroup(n, g) => medium.set_group(n, g),
-            FaultOp::Partition(ref groups) => {
-                for (i, &g) in groups.iter().enumerate() {
-                    medium.set_group(NodeId(i as u32), g);
-                }
-                if primary {
-                    self.set_partitioned(true);
-                } else {
-                    medium.set_partitioned(true);
-                }
-            }
-            FaultOp::Heal if primary => self.set_partitioned(false),
-            FaultOp::Heal => medium.set_partitioned(false),
-        }
-    }
-
-    /// Schedules `op` at `at` as one queued action.
-    pub(crate) fn schedule_fault(&mut self, at: SimTime, op: FaultOp) {
-        self.schedule(at, move |w| w.apply_fault(&op, true));
-    }
-
-    /// Mirrors a foreign node's liveness without side effects (no fault
-    /// event, no meter transition, no protocol callback — all of that
-    /// happens in the owning shard).
-    pub(crate) fn set_foreign_alive(&mut self, node: NodeId, alive: bool) {
-        self.alive[node.index()] = alive;
-        self.kernel.medium.set_alive(node, alive);
-    }
-
-    /// Applies a foreign node's radio-state snapshot received at a
-    /// shard barrier (see [`crate::radio::NodeStateSnap`]).
-    pub(crate) fn apply_foreign_snap(&mut self, snap: &crate::radio::NodeStateSnap) {
-        self.alive[snap.node as usize] = snap.alive;
-        self.kernel.medium.apply_snap(snap);
-    }
-
-    // -------------------------------------------------------------------
-
     fn dispatch(&mut self, ev: Ev) {
-        // An adopted frame's entry is not work of its own: only the
-        // receptions it stands for count.
-        if !matches!(ev, Ev::RxEnd { .. }) {
-            self.kernel.dispatched += 1;
-        }
+        self.kernel.dispatched += 1;
         match ev {
             Ev::Action(f) => f(self),
             Ev::Start { node } => {
@@ -1049,7 +743,6 @@ impl World {
                 }
                 self.receptions(tx);
             }
-            Ev::RxEnd { tx } => self.receptions(tx),
             Ev::Wire(msg) => {
                 let WireMsg { to, from, payload } = *msg;
                 if self.alive[to.index()] {
@@ -1059,8 +752,8 @@ impl World {
         }
     }
 
-    /// Evaluates the receptions of `tx` at the candidates this kernel
-    /// owns, in candidate order, each one a dispatched event. They all
+    /// Evaluates the receptions of `tx` at its candidates, in candidate
+    /// order, each one a dispatched event. They all
     /// happen at the frame's end and nothing can be queued between
     /// them, so they run from the frame's one queue entry.
     fn receptions(&mut self, tx: TxId) {
@@ -1070,9 +763,6 @@ impl World {
             let Some(&(node, ..)) = self.kernel.medium.candidates(tx).get(i) else {
                 break;
             };
-            if !self.kernel.owns(node) {
-                continue;
-            }
             self.kernel.dispatched += 1;
             match self.kernel.medium.eval_rx(tx, i) {
                 RxEval::Deliver(frame, info) => {
@@ -1103,7 +793,7 @@ impl World {
                 }
             }
         }
-        self.kernel.medium.set_pending(tx, false);
+        self.kernel.medium.unpin(tx);
     }
 
     fn call(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Proto, &mut Ctx<'_>)) {
@@ -1461,7 +1151,7 @@ mod tests {
             if record {
                 w.set_recorder(Box::new(obs::RingRecorder::new(256)));
             }
-            w.schedule_fault(SimTime::from_millis(500), FaultOp::Kill(NodeId(1)));
+            w.schedule(SimTime::from_millis(500), move |w| w.kill(NodeId(1)));
             w.run_for(SimDuration::from_secs(1));
             let events = w
                 .take_recorder()
@@ -1502,8 +1192,8 @@ mod tests {
         }
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Beacons { fired: 0 }));
-        w.schedule_fault(SimTime::from_millis(550), FaultOp::Kill(n));
-        w.schedule_fault(SimTime::from_secs(2), FaultOp::Revive(n));
+        w.schedule(SimTime::from_millis(550), move |w| w.kill(n));
+        w.schedule(SimTime::from_secs(2), move |w| w.revive(n));
         w.run_until(SimTime::from_millis(1900));
         // 5 fires before the kill, none after, reset on crash.
         assert_eq!(w.proto::<Beacons>(n).fired, 0);
@@ -1539,8 +1229,8 @@ mod tests {
             let mut w = World::new(SimConfig::default());
             let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Flashy { ram: 0, flash: 0 }));
             w.set_state_loss(loss);
-            w.schedule_fault(SimTime::from_millis(100), FaultOp::Kill(n));
-            w.schedule_fault(SimTime::from_millis(200), FaultOp::Revive(n));
+            w.schedule(SimTime::from_millis(100), move |w| w.kill(n));
+            w.schedule(SimTime::from_millis(200), move |w| w.revive(n));
             w.run_for(SimDuration::from_secs(1));
             w.proto::<Flashy>(n).flash
         };
@@ -1799,7 +1489,7 @@ mod tests {
             let end = SimTime::from_millis(10) + w.medium().config().airtime(1);
             if kill_c {
                 // Queued long before the transmission: first at `end`.
-                w.schedule_fault(end, FaultOp::Kill(NodeId(2)));
+                w.schedule(end, move |w| w.kill(NodeId(2)));
             }
             w.run_for(SimDuration::from_secs(1));
             let ring = w.take_recorder().expect("installed");
@@ -1875,11 +1565,34 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_frame_hands_its_buffer_back_to_the_pool() {
+        /// Asks for `len` bytes to be sent, expects `err`, and then
+        /// expects the refused payload's buffer as the next one lent.
+        fn refused(ctx: &mut Ctx<'_>, len: usize, err: RadioError) {
+            assert_eq!(ctx.transmit(Dst::Broadcast, 0, vec![0; len]), Err(err));
+            let buf = ctx.frame_buf();
+            assert!(buf.capacity() >= len, "{err:?}: lent {buf:?}");
+        }
+        let mut w = World::new(SimConfig::default());
+        let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
+        w.run_for(SimDuration::from_millis(1));
+        w.with(n, |_: &mut Idle, ctx| {
+            refused(ctx, 8, RadioError::Off);
+            ctx.radio_on().expect("radio");
+            refused(ctx, 200, RadioError::FrameTooLarge);
+            ctx.transmit(Dst::Broadcast, 0, vec![1]).expect("tx");
+            refused(ctx, 8, RadioError::Busy);
+        });
+        w.kill(n);
+        w.with(n, |_: &mut Idle, ctx| refused(ctx, 8, RadioError::NodeDead));
+    }
+
+    #[test]
     fn expired_txid_drop_counts_per_node() {
         // A frame end whose transmission record aged out of the slab
         // is counted — the global medium stat says how many, the
         // per-node counter says whose — and finds no reception to
-        // evaluate, on either kind of queue entry.
+        // evaluate.
         let mut w = World::new(SimConfig::default());
         let _a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
         let b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
@@ -1888,7 +1601,6 @@ mod tests {
         let stale = crate::radio::TxId(7u64 << 32);
         let at = w.now() + SimDuration::from_millis(1);
         w.kernel.push(at, Ev::TxEnd { node: b, tx: stale });
-        w.inject_rx_end(at, stale);
         let before = w.events_dispatched();
         w.run_for(SimDuration::from_millis(2));
         assert_eq!(w.events_dispatched(), before + 1, "the TxEnd alone");

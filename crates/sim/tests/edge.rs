@@ -140,3 +140,48 @@ fn lossy_disk_drops_roughly_at_rate() {
     assert!((rate - 0.7).abs() < 0.05, "measured PRR {rate}");
     assert!(s.lost_prr > 0);
 }
+
+/// Nodes added to a running sim boot, hear and are heard like those it
+/// was built with: one inside the build-time extent, and one beyond it
+/// in a grid cell no node occupied, so the spatial index grows under a
+/// run whose neighbour lists are already built.
+#[test]
+fn nodes_added_at_runtime_join_the_radio_network() {
+    /// Broadcasts every 50 ms, staggered by id, and logs whom it heard.
+    #[derive(Default)]
+    struct Chatter(Vec<NodeId>);
+    impl Proto for Chatter {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.radio_on().expect("on");
+            ctx.set_timer(SimDuration::from_millis(1 + 7 * ctx.id().0 as u64), 0);
+        }
+        fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+            ctx.transmit(Dst::Broadcast, 0, vec![0xA5; 12]).expect("tx");
+            ctx.set_timer(SimDuration::from_millis(50), 0);
+        }
+        fn frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+            self.0.push(frame.src);
+        }
+    }
+    let mut sim = SimBuilder::new()
+        .nodes(Topology::line(4, 20.0), |_| Box::<Chatter>::default())
+        .build();
+    sim.run(SimDuration::from_millis(300));
+    // The line spans x = 0..60, cells [0, 45) and [45, 90) of the 45 m
+    // grid: x = 30 joins the first, x = -20 opens a third.
+    let extra: Topology = [Pos::new(30.0, 10.0), Pos::new(-20.0, 0.0)]
+        .into_iter()
+        .collect();
+    let added = sim.add_nodes(extra, |_| Box::<Chatter>::default());
+    assert_eq!(added, [NodeId(4), NodeId(5)]);
+    assert_eq!(sim.node_count(), 6);
+    sim.run(SimDuration::from_millis(700));
+    let heard = |at: u32, from: u32| {
+        let log = &sim.proto::<Chatter>(NodeId(at)).0;
+        log.contains(&NodeId(from))
+    };
+    for (a, b) in [(4, 1), (4, 2), (5, 0)] {
+        assert!(heard(a, b) && heard(b, a), "nodes {a} and {b}");
+    }
+    assert!(!heard(5, 1), "node 5 is 40 m from node 1");
+}

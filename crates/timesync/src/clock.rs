@@ -95,9 +95,8 @@ fn shift(base: SimTime, delta: f64) -> SimTime {
 #[derive(Clone, Debug, Default)]
 pub struct SyncedClock {
     // An Arc<Mutex> rather than Rc<Cell> only so protocols holding a
-    // handle stay `Send` (the sharded kernel moves nodes to worker
-    // threads); both handles still live on one node, so the lock is
-    // never contended.
+    // handle stay `Send`, as `Proto` requires; both handles live on one
+    // node, so the lock is never contended.
     inner: Arc<Mutex<Option<ClockEstimate>>>,
 }
 
