@@ -7,8 +7,8 @@
 //!   cargo run -p iiot-bench --release --bin perf -- --json          # also write BENCH_perf.json
 //!   cargo run -p iiot-bench --release --bin perf -- --json PATH --markdown
 //!
-//! The workloads are fixed, so the JSON — event, air-visit and
-//! queue-push counts per row, no wall clock — is a pure function of the
+//! The workloads are fixed, so the JSON — event, air-visit, queue-push
+//! and queue-spill counts per row, no wall clock — is a pure function of the
 //! source tree: `scripts/perf_gate.sh` regenerates it and `cmp`s it with
 //! the committed copy. The printed table adds this host's timings.
 

@@ -16,11 +16,13 @@
 //!   its traffic and wake interval) on the same grid, so the MAC's
 //!   strobe trains and the routing layer above them are priced too.
 //!
-//! A row carries **`events`**, **`air_visits`** and **`queue_pushes`**:
-//! how many kernel events the workload dispatches, how many
-//! transmission records the medium examines ([`Sim::air_visits`]) and
-//! how many event-heap entries the kernel pushes
-//! ([`Sim::queue_pushes`]) doing so. All three are pure functions of
+//! A row carries **`events`**, **`air_visits`**, **`queue_pushes`** and
+//! **`queue_spills`**: how many kernel events the workload dispatches,
+//! how many transmission records the medium examines
+//! ([`Sim::air_visits`]), how many event-queue entries the kernel pushes
+//! ([`Sim::queue_pushes`]) and how many of those land beyond the
+//! queue's ring of time buckets, in its overflow heap
+//! ([`Sim::queue_spills`]). All four are pure functions of
 //! the workload and seed, so [`to_json`]'s document is a
 //! pure function of the source tree: `scripts/perf_gate.sh` regenerates
 //! it and `cmp`s it with the committed `BENCH_perf.json`, and a change
@@ -80,8 +82,10 @@ pub struct PerfPoint {
     pub events: u64,
     /// Transmission records the medium examined.
     pub air_visits: u64,
-    /// Event-heap entries the kernel pushed.
+    /// Event-queue entries the kernel pushed.
     pub queue_pushes: u64,
+    /// Of those, pushes beyond the queue's horizon.
+    pub queue_spills: u64,
     /// Wall-clock time, microseconds.
     pub wall_us: u64,
 }
@@ -95,6 +99,11 @@ impl PerfPoint {
     /// A deterministic cost counter as its count per dispatched event.
     fn per_event(&self, count: u64) -> f64 {
         count as f64 / self.events.max(1) as f64
+    }
+
+    /// Spills per queue push.
+    fn spills_per_push(&self) -> f64 {
+        self.queue_spills as f64 / self.queue_pushes.max(1) as f64
     }
 }
 
@@ -213,6 +222,7 @@ fn measure(workload: &'static str, side: u32, secs: u64, seed: u64) -> PerfPoint
         events: sim.events_dispatched(),
         air_visits: sim.air_visits(),
         queue_pushes: sim.queue_pushes(),
+        queue_spills: sim.queue_spills(),
         wall_us,
     }
 }
@@ -244,8 +254,9 @@ pub fn collection_rows(sides: &[u32], secs: u64) -> Vec<PerfPoint> {
     points.collect()
 }
 
-/// Renders the points as a human-readable table. `events`, `visits/ev`
-/// and `pushes/ev` are deterministic; the timing cells vary run to run.
+/// Renders the points as a human-readable table. `events`, `visits/ev`,
+/// `pushes/ev` and `spills/push` are deterministic; the timing cells vary
+/// run to run.
 pub fn table(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
         "PERF: kernel cost per event (20 m grid, broadcast-heavy; wall clock is this host's)",
@@ -257,6 +268,7 @@ pub fn table(points: &[PerfPoint]) -> Table {
             "Mev/s",
             "visits/ev",
             "pushes/ev",
+            "spills/push",
         ],
     );
     for p in points {
@@ -268,6 +280,7 @@ pub fn table(points: &[PerfPoint]) -> Table {
             format!("{:.2}", p.events_per_sec() / 1e6),
             format!("{:.2}", p.per_event(p.air_visits)),
             format!("{:.2}", p.per_event(p.queue_pushes)),
+            format!("{:.4}", p.spills_per_push()),
         ]);
     }
     t
@@ -282,21 +295,41 @@ pub fn to_json(points: &[PerfPoint]) -> String {
         .map(|p| {
             format!(
                 "    {{\"workload\": \"{}\", \"nodes\": {}, \"secs\": {}, \
-                 \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}}}",
-                p.workload, p.nodes, p.secs, p.events, p.air_visits, p.queue_pushes
+                 \"events\": {}, \"air_visits\": {}, \"queue_pushes\": {}, \
+                 \"queue_spills\": {}}}",
+                p.workload, p.nodes, p.secs, p.events, p.air_visits, p.queue_pushes, p.queue_spills
             )
         })
         .collect();
     format!(
-        "{{\n  \"schema\": \"iiot-bench/perf/v11\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"iiot-bench/perf/v12\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }
 
-/// What a committed document must show, over the `bcast` rows: the
-/// curve reaches 102,400 nodes, the medium's cost per event stays flat
-/// as the grid grows, and a frame stays one queue entry.
+/// The largest share of a row's queue pushes that may spill past the
+/// event queue's horizon: the committed rows spill at most 0.0057 (LPL's
+/// two-second send script), the benchmark's `plant` 0.0085. Most pushes
+/// spilling means the buckets no longer fit the workload's timer delays.
+const MAX_SPILLS_PER_PUSH: f64 = 0.05;
+
+/// What a committed document must show: on every row, few queue pushes
+/// spill past the queue's horizon; over the `bcast` rows, the curve
+/// reaches 102,400 nodes, the medium's cost per event stays flat as the
+/// grid grows, and a frame stays one queue entry.
 pub fn check(points: &[PerfPoint]) -> Result<(), String> {
+    if let Some(p) = points
+        .iter()
+        .find(|p| p.spills_per_push() > MAX_SPILLS_PER_PUSH)
+    {
+        return Err(format!(
+            "queue_spills/push at {} {} nodes is {:.4}, over {MAX_SPILLS_PER_PUSH}: most \
+             timers land beyond the event queue's horizon",
+            p.nodes,
+            p.workload,
+            p.spills_per_push()
+        ));
+    }
     let bcast: Vec<&PerfPoint> = points.iter().filter(|p| p.workload == "bcast").collect();
     if !bcast.iter().any(|p| p.nodes >= 102_400) {
         return Err("no bcast row reaches 102,400 nodes".into());
@@ -318,7 +351,7 @@ pub fn check(points: &[PerfPoint]) -> Result<(), String> {
             ));
         }
         // The broadcaster's events are a timer, a frame end and about
-        // three receptions per frame, and only the first two are heap
+        // three receptions per frame, and only the first two are queue
         // entries (0.40-0.53 per event); one per reception reads 1.0.
         let pushes = p.per_event(p.queue_pushes);
         if pushes > 0.6 {
@@ -346,7 +379,7 @@ mod tests {
     fn document_repeats_and_holds_row_keys_only() {
         let doc = small_document();
         assert_eq!(doc, small_document());
-        assert!(doc.contains("\"schema\": \"iiot-bench/perf/v11\""));
+        assert!(doc.contains("\"schema\": \"iiot-bench/perf/v12\""));
         assert_eq!(doc.matches("\"workload\"").count(), 7);
         // Quoted strings are the odd pieces; a key is one a colon follows.
         let pieces: Vec<&str> = doc.split('"').collect();
@@ -362,6 +395,7 @@ mod tests {
             "events",
             "nodes",
             "queue_pushes",
+            "queue_spills",
             "rows",
             "schema",
             "secs",
@@ -370,8 +404,8 @@ mod tests {
         assert_eq!(keys.into_iter().collect::<Vec<_>>(), schema);
     }
 
-    fn counts(p: &PerfPoint) -> [u64; 3] {
-        [p.events, p.air_visits, p.queue_pushes]
+    fn counts(p: &PerfPoint) -> [u64; 4] {
+        [p.events, p.air_visits, p.queue_pushes, p.queue_spills]
     }
 
     #[test]
@@ -381,7 +415,7 @@ mod tests {
         assert_eq!(nodes, [16, 25]);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(counts(x), counts(y));
-            assert!(counts(x).iter().all(|&c| c > 0));
+            assert!(counts(x)[..3].iter().all(|&c| c > 0));
         }
     }
 
@@ -390,10 +424,10 @@ mod tests {
         let [a, b] = [(); 2].map(|()| collection_rows(&[4], 65));
         assert_eq!((a[0].workload, a[0].nodes, a[0].secs), ("collect", 16, 65));
         assert_eq!(counts(&a[0]), counts(&b[0]));
-        assert!(counts(&a[0]).iter().all(|&c| c > 0));
+        assert!(counts(&a[0]).iter().all(|&c| c > 0), "DODAG timers spill");
     }
 
-    fn row(workload: &'static str, nodes: u32, counts: [u64; 3]) -> PerfPoint {
+    fn row(workload: &'static str, nodes: u32, counts: [u64; 4]) -> PerfPoint {
         PerfPoint {
             workload,
             nodes,
@@ -401,6 +435,7 @@ mod tests {
             events: counts[0],
             air_visits: counts[1],
             queue_pushes: counts[2],
+            queue_spills: counts[3],
             wall_us: 1_000,
         }
     }
@@ -409,12 +444,12 @@ mod tests {
     /// scope that breaks its bounds.
     fn committed_shape() -> Vec<PerfPoint> {
         vec![
-            row("bcast", 400, [156_400, 79_644, 80_800]),
-            row("bcast", 1_600, [789_458, 1_662_458, 323_200]),
-            row("bcast", 6_400, [3_181_832, 5_142_365, 1_292_800]),
-            row("bcast", 25_600, [12_775_066, 15_692_959, 5_171_200]),
-            row("bcast", 102_400, [51_195_843, 42_560_990, 20_684_800]),
-            row("lpl", 6_400, [1_000_000, 3_000_000, 700_000]),
+            row("bcast", 400, [156_400, 79_644, 80_800, 0]),
+            row("bcast", 1_600, [789_458, 1_662_458, 323_200, 0]),
+            row("bcast", 6_400, [3_181_832, 5_142_365, 1_292_800, 0]),
+            row("bcast", 25_600, [12_775_066, 15_692_959, 5_171_200, 0]),
+            row("bcast", 102_400, [51_195_843, 42_560_990, 20_684_800, 0]),
+            row("lpl", 6_400, [1_000_000, 3_000_000, 700_000, 3_000]),
         ]
     }
 
@@ -444,13 +479,27 @@ mod tests {
     }
 
     #[test]
+    fn check_refuses_a_row_whose_pushes_spill() {
+        // Any row counts, not only `bcast`: a queue whose buckets are
+        // too narrow for LPL's wake timers spills them.
+        let mut spilling = committed_shape();
+        assert_eq!(check(&spilling), Ok(()));
+        spilling[5].queue_spills = 35_001; // just over 0.05 of 700,000
+        let err = check(&spilling).unwrap_err();
+        assert!(err.contains("queue_spills/push at 6400 lpl"), "{err}");
+        spilling[5].queue_spills = 35_000;
+        assert_eq!(check(&spilling), Ok(()));
+    }
+
+    #[test]
     fn table_prints_per_event_costs() {
         let t = table(&committed_shape());
         assert_eq!(t.rows().len(), 6);
         // 156,400 events in 1 ms of wall clock.
         assert_eq!(
             t.rows()[0][2..],
-            ["156400", "1.0", "156.40", "0.51", "0.52"]
+            ["156400", "1.0", "156.40", "0.51", "0.52", "0.0000"]
         );
+        assert_eq!(t.rows()[5][7], "0.0043");
     }
 }

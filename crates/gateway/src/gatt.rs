@@ -10,13 +10,24 @@ use std::collections::BTreeMap;
 /// Well-known characteristic UUIDs (Bluetooth SIG assigned numbers).
 pub mod uuid {
     /// Temperature (org.bluetooth.characteristic.temperature):
-    /// `sint16`, hundredths of a degree Celsius.
+    /// `sint16`, hundredths of a degree Celsius, -273.15 to 327.67;
+    /// [`TEMPERATURE_UNKNOWN`](super::TEMPERATURE_UNKNOWN) when the
+    /// value is not known.
     pub const TEMPERATURE: u16 = 0x2A6E;
-    /// Humidity: `uint16`, hundredths of a percent.
+    /// Humidity: `uint16`, hundredths of a percent, 0 to 100.00;
+    /// [`HUMIDITY_UNKNOWN`](super::HUMIDITY_UNKNOWN) when the value is
+    /// not known.
     pub const HUMIDITY: u16 = 0x2A6F;
     /// Battery level: `uint8`, percent.
     pub const BATTERY: u16 = 0x2A19;
 }
+
+/// The Temperature characteristic's "value is not known" (0x8000), per
+/// the GATT Specification Supplement.
+pub const TEMPERATURE_UNKNOWN: i16 = i16::MIN;
+/// The Humidity characteristic's "value is not known" (0xFFFF), per the
+/// GATT Specification Supplement.
+pub const HUMIDITY_UNKNOWN: u16 = u16::MAX;
 
 /// A simulated GATT server: handle -> (uuid, value bytes).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -79,16 +90,29 @@ impl GattDevice {
     }
 
     /// Plant-simulation helper: sets a temperature characteristic from
-    /// degrees Celsius.
+    /// degrees Celsius. A reading the characteristic cannot carry — not
+    /// finite, or outside -273.15 to 327.67 — is written as
+    /// [`TEMPERATURE_UNKNOWN`], never as a clamped or zeroed value.
     pub fn set_temperature(&mut self, handle: u16, celsius: f64) {
-        let raw = (celsius * 100.0).round() as i16;
+        let hundredths = (celsius * 100.0).round();
+        let raw = if (-27_315.0..=32_767.0).contains(&hundredths) {
+            hundredths as i16
+        } else {
+            TEMPERATURE_UNKNOWN
+        };
         let _ = self.write(handle, &raw.to_le_bytes());
     }
 
     /// Plant-simulation helper: sets a humidity characteristic from
-    /// percent.
+    /// percent. A reading outside 0 to 100.00 or not finite is written
+    /// as [`HUMIDITY_UNKNOWN`].
     pub fn set_humidity(&mut self, handle: u16, percent: f64) {
-        let raw = (percent * 100.0).round() as u16;
+        let hundredths = (percent * 100.0).round();
+        let raw = if (0.0..=10_000.0).contains(&hundredths) {
+            hundredths as u16
+        } else {
+            HUMIDITY_UNKNOWN
+        };
         let _ = self.write(handle, &raw.to_le_bytes());
     }
 }
@@ -125,17 +149,22 @@ impl GattAdapter {
         &mut self.device
     }
 
-    fn decode(uuid: u16, bytes: &[u8]) -> Option<(f64, Unit)> {
-        match uuid {
-            uuid::TEMPERATURE if bytes.len() == 2 => Some((
-                i16::from_le_bytes([bytes[0], bytes[1]]) as f64 / 100.0,
-                Unit::Celsius,
-            )),
-            uuid::HUMIDITY if bytes.len() == 2 => Some((
-                u16::from_le_bytes([bytes[0], bytes[1]]) as f64 / 100.0,
-                Unit::Percent,
-            )),
-            uuid::BATTERY if bytes.len() == 1 => Some((bytes[0] as f64, Unit::Percent)),
+    /// The unit of a characteristic this adapter understands, and its
+    /// value unless the device reports it as not known. `None` for an
+    /// unknown UUID or a value of the wrong length.
+    fn decode(uuid: u16, bytes: &[u8]) -> Option<(Unit, Option<f64>)> {
+        match (uuid, bytes) {
+            (uuid::TEMPERATURE, &[a, b]) => {
+                let raw = i16::from_le_bytes([a, b]);
+                let known = raw != TEMPERATURE_UNKNOWN;
+                Some((Unit::Celsius, known.then(|| f64::from(raw) / 100.0)))
+            }
+            (uuid::HUMIDITY, &[a, b]) => {
+                let raw = u16::from_le_bytes([a, b]);
+                let known = raw != HUMIDITY_UNKNOWN;
+                Some((Unit::Percent, known.then(|| f64::from(raw) / 100.0)))
+            }
+            (uuid::BATTERY, &[level]) => Some((Unit::Percent, Some(f64::from(level)))),
             _ => None,
         }
     }
@@ -155,7 +184,7 @@ impl Adapter for GattAdapter {
             .iter()
             .filter_map(|m| {
                 let &(uuid, ref v) = self.device.attributes.get(&m.handle)?;
-                let (_, unit) = Self::decode(uuid, v)?;
+                let (unit, _) = Self::decode(uuid, v)?;
                 Some(PointInfo {
                     point: m.point.clone(),
                     unit,
@@ -171,24 +200,20 @@ impl Adapter for GattAdapter {
             let Some(&(uuid, ref bytes)) = self.device.attributes.get(&m.handle) else {
                 continue;
             };
-            match Self::decode(uuid, bytes) {
-                Some((value, unit)) => out.push(Measurement {
-                    point: m.point.clone(),
-                    value,
-                    unit,
-                    quality: Quality::Good,
-                    timestamp_us: now_us,
-                    device: self.id.clone(),
-                }),
-                None => out.push(Measurement {
-                    point: m.point.clone(),
-                    value: f64::NAN,
-                    unit: Unit::Raw,
-                    quality: Quality::Bad,
-                    timestamp_us: now_us,
-                    device: self.id.clone(),
-                }),
-            }
+            // Undecodable, or decoded as "not known": a Bad NaN.
+            let (unit, value) = Self::decode(uuid, bytes).unwrap_or((Unit::Raw, None));
+            out.push(Measurement {
+                point: m.point.clone(),
+                value: value.unwrap_or(f64::NAN),
+                unit,
+                quality: if value.is_some() {
+                    Quality::Good
+                } else {
+                    Quality::Bad
+                },
+                timestamp_us: now_us,
+                device: self.id.clone(),
+            });
         }
         out
     }
@@ -254,6 +279,45 @@ mod tests {
         assert!((ms[1].value - 56.78).abs() < 1e-9);
         assert_eq!(ms[1].unit, Unit::Percent);
         assert_eq!(ms[2].value, 100.0);
+        assert!(ms.iter().all(|m| m.quality == Quality::Good));
+    }
+
+    #[test]
+    fn readings_the_characteristic_cannot_carry_are_not_known() {
+        let mut d = device();
+        let map = vec![
+            CharMap {
+                handle: 0x0010,
+                point: "t".into(),
+            },
+            CharMap {
+                handle: 0x0012,
+                point: "h".into(),
+            },
+        ];
+        let mut a = GattAdapter::new("tag-5", d.clone(), map.clone());
+        assert_eq!(a.points().len(), 2, "an unknown value keeps its point");
+        for (t, h) in [(f64::NAN, f64::NAN), (400.0, 100.01), (-300.0, -1.0)] {
+            d.set_temperature(0x0010, t);
+            d.set_humidity(0x0012, h);
+            assert_eq!(d.read(0x0010), Ok(&[0x00, 0x80][..]), "{t}");
+            assert_eq!(d.read(0x0012), Ok(&[0xFF, 0xFF][..]), "{h}");
+            a = GattAdapter::new("tag-5", d.clone(), map.clone());
+            let ms = a.poll(0);
+            assert!(ms
+                .iter()
+                .all(|m| m.quality == Quality::Bad && m.value.is_nan()));
+            assert_eq!((ms[0].unit, ms[1].unit), (Unit::Celsius, Unit::Percent));
+        }
+        // The ends of each range are readings, not sentinels.
+        d.set_temperature(0x0010, -273.15);
+        d.set_humidity(0x0012, 100.0);
+        let ms = GattAdapter::new("tag-5", d.clone(), map.clone()).poll(0);
+        assert_eq!((ms[0].value, ms[1].value), (-273.15, 100.0));
+        d.set_temperature(0x0010, 327.67);
+        d.set_humidity(0x0012, 0.0);
+        let ms = GattAdapter::new("tag-5", d, map).poll(0);
+        assert_eq!((ms[0].value, ms[1].value), (327.67, 0.0));
         assert!(ms.iter().all(|m| m.quality == Quality::Good));
     }
 

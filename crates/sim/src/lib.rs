@@ -79,6 +79,7 @@ pub mod energy;
 pub mod ids;
 pub mod node;
 pub mod obs;
+mod queue;
 pub mod radio;
 pub mod seed;
 pub mod sim;

@@ -229,7 +229,9 @@ impl Sim {
     }
 
     /// Advances the simulation to `deadline`, inclusive of events at
-    /// `deadline`; afterwards `now() == deadline`.
+    /// `deadline`; afterwards `now() == deadline`. A deadline before
+    /// `now()` is a no-op instead, leaving `now()` where it was: the
+    /// clock never runs backwards.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.world.run_until(deadline);
     }
@@ -246,7 +248,7 @@ impl Sim {
 
     /// Events dispatched so far: one per node start, timer, wire
     /// message, scheduled action and frame end, plus one per candidate
-    /// reception evaluated — the simulator's unit of work, not its heap
+    /// reception evaluated — the simulator's unit of work, not its queue
     /// pops (see [`Sim::queue_pushes`]).
     pub fn events_dispatched(&self) -> u64 {
         self.world.events_dispatched()
@@ -262,12 +264,24 @@ impl Sim {
         self.world.medium().air_visits()
     }
 
-    /// How many entries the kernel has pushed onto its event heap so
+    /// How many entries the kernel has pushed onto its event queue so
     /// far. The deterministic measure of what the *queue* costs, as
     /// [`Sim::air_visits`] is of the medium: a frame is one entry
     /// however many receptions [`Sim::events_dispatched`] counts for it.
     pub fn queue_pushes(&self) -> u64 {
         self.world.queue_pushes()
+    }
+
+    /// How many of [`Sim::queue_pushes`] landed beyond the event queue's
+    /// horizon. The queue is a calendar of 1,024 buckets, each 1,024 µs
+    /// wide: a push due within about 1.05 s of the current bucket is
+    /// filed in its bucket's list at constant cost, and one due later
+    /// *spills* into an overflow heap, paying a heap push and pop and a
+    /// move into the ring when the horizon reaches it. Spills per push
+    /// is the deterministic measure of how well the buckets fit the
+    /// workload's timer delays.
+    pub fn queue_spills(&self) -> u64 {
+        self.world.queue_spills()
     }
 
     /// Experiment statistics.

@@ -5,6 +5,7 @@ use crate::energy::{EnergyMeter, EnergyModel, EnergyUsage};
 use crate::ids::{NodeId, TimerId};
 use crate::node::{Proto, StateLoss, Timer};
 use crate::obs::{self, Event, EventKind, Recorder, SpanId};
+use crate::queue::{Calendar, Timed};
 use crate::radio::{
     Dst, Frame, LinkModel, Medium, RadioConfig, RadioError, RadioState, RxEval, TxId, TxOutcome,
 };
@@ -13,8 +14,6 @@ use crate::topology::{Pos, Topology};
 use crate::trace::Stats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Static world parameters.
 #[derive(Clone, Debug)]
@@ -176,6 +175,11 @@ impl Ord for QEntry {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
+impl Timed for QEntry {
+    fn at(&self) -> SimTime {
+        self.time
+    }
+}
 
 /// The kernel's timers: a slab of slots, each reused by one pending
 /// timer after another. A [`TimerId`] is `generation << 32 | slot`, so
@@ -253,7 +257,7 @@ pub(crate) struct Kernel {
     /// Mirror of `recorder.is_some()`, kept hot; the recorder box
     /// itself lives with the cold fields below.
     obs_on: bool,
-    queue: BinaryHeap<Reverse<QEntry>>,
+    queue: Calendar<QEntry>,
     medium: Medium,
     energy_model: EnergyModel,
     meters: Vec<EnergyMeter>,
@@ -282,7 +286,7 @@ impl Kernel {
         debug_assert!(time >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QEntry { time, seq, ev }));
+        self.queue.push(QEntry { time, seq, ev });
     }
 
     fn sync_meter(&mut self, node: NodeId) {
@@ -364,7 +368,7 @@ impl World {
         let mut w = World {
             kernel: Kernel {
                 now: SimTime::ZERO,
-                queue: BinaryHeap::new(),
+                queue: Calendar::new(),
                 seq: 0,
                 medium: Medium::new(config.radio),
                 energy_model: config.energy,
@@ -459,7 +463,7 @@ impl World {
     /// work: one per node start, timer, wire message, scheduled action
     /// and frame end, plus one per candidate reception evaluated (a
     /// frame's receptions share its queue entry, so this is not one per
-    /// heap pop). Deterministic per seed and workload, independent of
+    /// queue pop). Deterministic per seed and workload, independent of
     /// wall clock, which makes it the right quantity for perf *gates*
     /// (the count must not drift) as opposed to perf *tracking*
     /// (timings).
@@ -467,10 +471,16 @@ impl World {
         self.kernel.dispatched
     }
 
-    /// Entries pushed onto the event heap so far (see
+    /// Entries pushed onto the event queue so far (see
     /// [`Sim::queue_pushes`](crate::sim::Sim::queue_pushes)).
     pub(crate) fn queue_pushes(&self) -> u64 {
         self.kernel.seq
+    }
+
+    /// Pushes filed beyond the event queue's horizon (see
+    /// [`Sim::queue_spills`](crate::sim::Sim::queue_spills)).
+    pub(crate) fn queue_spills(&self) -> u64 {
+        self.kernel.queue.spills()
     }
 
     /// Shared medium (read access: stats, radio states, positions).
@@ -682,13 +692,13 @@ impl World {
     }
 
     /// Runs the simulation until `deadline` (inclusive of events at the
-    /// deadline); afterwards `now() == deadline`.
+    /// deadline); afterwards `now() == deadline`. A deadline before
+    /// `now()` is a no-op instead: the clock never runs backwards.
     pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(front)) = self.kernel.queue.peek() {
-            if front.time > deadline {
-                break;
-            }
-            let Reverse(entry) = self.kernel.queue.pop().expect("peeked");
+        if deadline < self.kernel.now {
+            return;
+        }
+        while let Some(entry) = self.kernel.queue.pop_until(deadline) {
             debug_assert!(entry.time >= self.kernel.now);
             self.kernel.now = entry.time;
             self.dispatch(entry.ev);

@@ -185,3 +185,32 @@ fn nodes_added_at_runtime_join_the_radio_network() {
     }
     assert!(!heard(5, 1), "node 5 is 40 m from node 1");
 }
+
+/// A deadline in the past is a no-op: the clock never runs backwards,
+/// so the energy meters never book a negative interval and a timer set
+/// afterwards counts from the real `now`.
+#[test]
+fn run_until_a_past_deadline_leaves_the_clock_alone() {
+    /// Logs when each of its timers fires.
+    #[derive(Default)]
+    struct Fires(Vec<SimTime>);
+    impl Proto for Fires {
+        fn start(&mut self, _ctx: &mut Ctx<'_>) {}
+        fn timer(&mut self, ctx: &mut Ctx<'_>, _t: Timer) {
+            self.0.push(ctx.now());
+        }
+    }
+    let mut sim = SimBuilder::new()
+        .nodes(Topology::line(1, 10.0), |_| Box::<Fires>::default())
+        .build();
+    sim.run(SimDuration::from_secs(5));
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(sim.now(), SimTime::from_secs(5));
+    sim.with(NodeId(0), |_: &mut Fires, ctx| {
+        ctx.radio_on().expect("radio");
+        ctx.set_timer(SimDuration::from_secs(1), 0);
+    });
+    sim.run(SimDuration::from_secs(2));
+    assert_eq!(sim.proto::<Fires>(NodeId(0)).0, [SimTime::from_secs(6)]);
+    assert_eq!(sim.energy(NodeId(0)).sleep, SimDuration::from_secs(5));
+}

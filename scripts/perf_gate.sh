@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Perf gate — the CI contract is in README.md, "Performance & CI".
 # Specific to this file: BENCH_perf.json holds deterministic counts only
-# (events, air visits and queue pushes per workload, size and shard
-# count), so the document regenerated from this tree must be the
+# (events, air visits, queue pushes and queue spills per workload and
+# size), so the document regenerated from this tree must be the
 # committed one, byte for byte. The binary checks its own bounds
 # (exp_perf::check) before it writes.
 set -eu
