@@ -37,7 +37,9 @@ pub struct LplConfig {
     pub sample: SimDuration,
     /// Listen gap between strobe copies (ACK opportunity).
     pub strobe_gap: SimDuration,
-    /// How many full strobes to attempt for an unacknowledged unicast.
+    /// Full strobes repeated after the first for an unacknowledged
+    /// unicast: one makes up to `1 + max_retries` strobes, as CSMA and
+    /// TDMA make up to `1 + max_retries` transmissions.
     pub max_retries: u32,
     /// Transmit queue capacity.
     pub queue_cap: usize,
@@ -466,19 +468,35 @@ mod tests {
 
     #[test]
     fn unicast_to_dead_node_fails_after_strobes() {
-        let (mut w, ids) = lpl_world(2, 10.0, 7);
-        w.kill(ids[1]);
-        w.proto_mut::<Drv>(ids[0]).push_send(
-            SimTime::from_secs(1),
-            Dst::Unicast(ids[1]),
-            0,
-            vec![1],
-        );
-        w.run_for(SimDuration::from_secs(5));
-        assert_eq!(
-            w.proto::<Drv>(ids[0]).send_done,
-            vec![(SendHandle(0), false)]
-        );
+        // Copies of one unanswered unicast under `max_retries` retries:
+        // it fails after `1 + max_retries` whole strobes.
+        let copies = |max_retries| {
+            let cfg = SimConfig::default().seed(7);
+            let (mut w, ids) = driver_sim(cfg, Topology::line(2, 10.0), move || {
+                LplMac::new(LplConfig {
+                    max_retries,
+                    ..LplConfig::default()
+                })
+            });
+            w.kill(ids[1]);
+            w.proto_mut::<Drv>(ids[0]).push_send(
+                SimTime::from_secs(1),
+                Dst::Unicast(ids[1]),
+                0,
+                vec![1],
+            );
+            w.run_for(SimDuration::from_secs(5));
+            assert_eq!(
+                w.proto::<Drv>(ids[0]).send_done,
+                vec![(SendHandle(0), false)]
+            );
+            w.stats().get_node(ids[0], "mac_tx_data")
+        };
+        let one_strobe = copies(0);
+        assert!(one_strobe > 100.0, "{one_strobe} copies in a strobe");
+        assert_eq!(LplConfig::default().max_retries, 1);
+        assert_eq!(copies(1), 2.0 * one_strobe);
+        assert_eq!(copies(2), 3.0 * one_strobe);
     }
 
     #[test]

@@ -3,17 +3,23 @@
 //! pops them, without sifting through every pending entry per push.
 //!
 //! Time is cut into buckets [`WIDTH_US`] µs wide. The *current* bucket —
-//! the one the last popped entry came from — is a small binary heap; the
-//! next `RING - 1` buckets are lists threaded through one entry slab and
-//! found through an occupancy bitmap; an entry a whole ring or more ahead
-//! waits in an overflow heap (a *spill*) and moves into the ring when the
-//! ring's horizon reaches it. When the current bucket runs dry, the next
-//! occupied bucket's list is heapified in one pass and becomes current.
+//! the one the last popped entry came from — is a run sorted ascending
+//! and popped from the front; the next `RING - 1` buckets are lists
+//! threaded through one entry slab and found through an occupancy
+//! bitmap; an entry a whole ring or more ahead waits in an overflow heap
+//! (a *spill*) and moves into the ring when the ring's horizon reaches
+//! it. When the current bucket runs dry, the next occupied bucket's list
+//! is sorted once and becomes the current run.
+//!
+//! A push into the current bucket at or after the run's tail — the
+//! `Start` burst, and a follow-up at the instant just popped when nothing
+//! later is filed there — appends in O(1). Only a push before the tail
+//! searches for its place and inserts there; the run is a bucket's worth
+//! of entries, so that is short.
 //!
 //! Every entry of a later bucket is later than every entry of the current
-//! one, so the current heap's least entry is the queue's least entry, and
-//! ties inside a bucket keep the entries' own order. Two invariants keep
-//! that true:
+//! one, so the run's front is the queue's least entry, and ties inside a
+//! bucket keep the entries' own order. Two invariants keep that true:
 //!
 //! 1. **No push lands before the current bucket.** The kernel pushes at
 //!    or after `now`, and `now` never falls behind the current bucket
@@ -24,26 +30,34 @@
 //!    at the deadline after it returns `None` still lands at or after the
 //!    current bucket, even when that is before the next occupied one.
 //!
-//! The constants come from the push-delay histogram of the benchmark's
-//! `plant` deployment: 67.5 % of pushes land 0.5–1 ms ahead (the LPL
-//! strobe gap), 16.8 % 1–2 ms (frame ends), 7.7 % 4–8 ms (the LPL sample
-//! end), 6.4 % 131–262 ms (the LPL wake) and 1.1 % 0.26–134 s (DODAG,
-//! Trickle and traffic timers); 0.06 % land at `now`. A bucket of about a
-//! millisecond holds a strobe gap's worth of events, and a ring of about
-//! a second keeps everything but the last group out of the overflow heap.
+//! The ring's horizon, `RING * WIDTH_US` = 2^20 µs ≈ 1.05 s, comes from
+//! the push-delay histogram of the benchmark's `plant` deployment: 67.5 %
+//! of pushes land 0.5–1 ms ahead (the LPL strobe gap), 16.8 % 1–2 ms
+//! (frame ends), 7.7 % 4–8 ms (the LPL sample end), 6.4 % 131–262 ms (the
+//! LPL wake) and 1.1 % 0.26–134 s (DODAG, Trickle and traffic timers);
+//! 0.06 % land at `now`. A ring of about a second keeps everything but
+//! the last group out of the overflow heap.
+//!
+//! The width sets how long a run is. At 1,024 µs a `plant` run held 24
+//! entries on average and a `field_dense` one (6,400 broadcasters) 262,
+//! and 6.5 % of `plant`'s pushes landed before the run's tail; at 256 µs
+//! they hold 6.8 and 66, and 0.03 % of pushes insert. A sorted run beat
+//! the heap at every width tried, 64–1,024 µs, while a heap gained little
+//! from narrower buckets; 64, 128 and 256 µs measured within a few per
+//! cent of each other, and 256 µs was the fastest on `plant` with the
+//! smallest ring of the three.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of a bucket's width in microseconds.
-const SHIFT: u32 = 10;
-/// A bucket's width: 1,024 µs.
+const SHIFT: u32 = 8;
+/// A bucket's width: 256 µs.
 const WIDTH_US: u64 = 1 << SHIFT;
 /// Buckets in the ring, the current one included: the ring's horizon is
-/// `RING * WIDTH_US` ≈ 1.05 s past the current bucket's start.
-const RING: u64 = 1 << 10;
+/// `RING * WIDTH_US` = 2^20 µs ≈ 1.05 s past the current bucket's start.
+const RING: u64 = 1 << (20 - SHIFT);
 const MASK: usize = RING as usize - 1;
 /// Words of the occupancy bitmap, one bit per ring bucket.
 const WORDS: usize = RING as usize / 64;
@@ -74,8 +88,8 @@ struct Link<E> {
 pub(crate) struct Calendar<E> {
     /// Number of the current bucket (time / [`WIDTH_US`]).
     cur: u64,
-    /// Everything filed in the current bucket.
-    current: BinaryHeap<Reverse<E>>,
+    /// Everything filed in the current bucket, least first.
+    current: VecDeque<E>,
     /// Head cell of each ring bucket's list, at `bucket & MASK`.
     heads: [u32; RING as usize],
     /// Bit `b & MASK` is set while bucket `b`'s list is non-empty.
@@ -90,6 +104,9 @@ pub(crate) struct Calendar<E> {
     overflow: BinaryHeap<Reverse<E>>,
     /// Pushes filed into `overflow`.
     spills: u64,
+    /// Pushes that went into the current run before its tail.
+    #[cfg(test)]
+    inserts: u64,
 }
 
 impl<E: Timed> Calendar<E> {
@@ -97,7 +114,7 @@ impl<E: Timed> Calendar<E> {
     pub(crate) fn new() -> Self {
         Calendar {
             cur: 0,
-            current: BinaryHeap::new(),
+            current: VecDeque::new(),
             heads: [NIL; RING as usize],
             occupied: [0; WORDS],
             ring_len: 0,
@@ -105,6 +122,8 @@ impl<E: Timed> Calendar<E> {
             free: NIL,
             overflow: BinaryHeap::new(),
             spills: 0,
+            #[cfg(test)]
+            inserts: 0,
         }
     }
 
@@ -130,7 +149,7 @@ impl<E: Timed> Calendar<E> {
         let b = bucket(e.at());
         debug_assert!(b >= self.cur, "pushed before the current bucket");
         if b <= self.cur {
-            self.current.push(Reverse(e));
+            self.push_current(e);
         } else if b - self.cur < RING {
             self.file(b, e);
         } else {
@@ -150,11 +169,26 @@ impl<E: Timed> Calendar<E> {
             }
             self.advance(next);
         }
-        let top = self.current.peek_mut()?;
-        if top.0.at() > deadline {
+        if self.current.front()?.at() > deadline {
             return None;
         }
-        Some(PeekMut::pop(top).0)
+        self.current.pop_front()
+    }
+
+    /// Puts `e` in its place in the current run: appended when it is not
+    /// before the run's tail, else inserted after every lesser entry.
+    fn push_current(&mut self, e: E) {
+        match self.current.back() {
+            Some(tail) if e < *tail => {
+                let at = self.current.partition_point(|x| *x < e);
+                self.current.insert(at, e);
+                #[cfg(test)]
+                {
+                    self.inserts += 1;
+                }
+            }
+            _ => self.current.push_back(e),
+        }
     }
 
     /// Files `e` in ring bucket `b`, which is ahead of the current one
@@ -212,12 +246,13 @@ impl<E: Timed> Calendar<E> {
     }
 
     /// Makes bucket `b` — the next occupied one — current: its ring list
-    /// and any overflow entries due in it become the current heap, and
-    /// overflow entries the moved horizon now reaches go into the ring.
+    /// and any overflow entries due in it, sorted, become the current
+    /// run, and overflow entries the moved horizon now reaches go into
+    /// the ring.
     fn advance(&mut self, b: u64) {
         debug_assert!(self.current.is_empty() && b > self.cur);
         self.cur = b;
-        let mut due = std::mem::take(&mut self.current).into_vec();
+        let mut run = Vec::from(std::mem::take(&mut self.current));
         let slot = b as usize & MASK;
         let mut cell = std::mem::replace(&mut self.heads[slot], NIL);
         if cell != NIL {
@@ -225,9 +260,7 @@ impl<E: Timed> Calendar<E> {
         }
         while cell != NIL {
             let link = &mut self.slab[cell as usize];
-            due.push(Reverse(
-                link.entry.take().expect("a listed cell holds an entry"),
-            ));
+            run.push(link.entry.take().expect("a listed cell holds an entry"));
             let next = std::mem::replace(&mut link.next, self.free);
             self.free = cell;
             self.ring_len -= 1;
@@ -239,12 +272,15 @@ impl<E: Timed> Calendar<E> {
             }
             let Reverse(e) = self.overflow.pop().expect("peeked");
             if fb == b {
-                due.push(Reverse(e));
+                run.push(e);
             } else {
                 self.file(fb, e);
             }
         }
-        self.current = BinaryHeap::from(due);
+        // No two entries are equal (`seq` is unique), so an unstable sort
+        // orders them exactly.
+        run.sort_unstable();
+        self.current = VecDeque::from(run);
     }
 }
 
@@ -317,6 +353,17 @@ mod tests {
             assert_eq!(self.cal.len(), self.model.len());
         }
 
+        /// Pops one entry, whenever it is due.
+        fn pop_one(&mut self) {
+            match self.model.peek() {
+                Some(Reverse((t, _))) => {
+                    let t = *t;
+                    self.run_until(t);
+                }
+                None => assert_eq!(self.cal.pop_until(SimTime::MAX), None),
+            }
+        }
+
         /// The one time `kind` names, from the draw `a`.
         fn time(&self, kind: u8, a: u64) -> u64 {
             let now = self.now.as_micros();
@@ -339,7 +386,18 @@ mod tests {
                 // Near the end of time.
                 6 => u64::MAX - a % 4_096,
                 // Anywhere in the next four horizons.
-                _ => now.saturating_add(a % (4 * HORIZON_US)),
+                7 => now.saturating_add(a % (4 * HORIZON_US)),
+                // Between `now` and the current bucket's last µs, so
+                // often before the run's tail: the insert path.
+                8 => {
+                    let last = (self.cal.cur + 1).saturating_mul(WIDTH_US) - 1;
+                    now + a % (last.saturating_sub(now) + 1)
+                }
+                // Exactly on a bucket boundary a few buckets on, or the
+                // µs before it.
+                _ => (bucket(self.now) + 1 + a % 4)
+                    .saturating_mul(WIDTH_US)
+                    .saturating_sub(a / 4 % 2),
             }
         }
     }
@@ -351,27 +409,19 @@ mod tests {
         /// binary heap over `(time, seq)` pops, in the same order.
         #[test]
         fn pops_in_binary_heap_order(
-            steps in proptest::collection::vec((0u8..12, any::<u64>()), 1..300),
+            steps in proptest::collection::vec((0u8..15, any::<u64>()), 1..300),
         ) {
             let mut p = Pair::new();
             for (op, a) in steps {
                 match op {
                     // A push of one to three entries at one time, so
                     // equal-µs ties are common.
-                    0..=7 => p.push(p.time(op, a), 1 + a % 3),
-                    // Pop one entry, whenever it is due.
-                    8 => {
-                        if let Some(Reverse((t, _))) = p.model.peek() {
-                            let t = *t;
-                            p.run_until(t);
-                        } else {
-                            prop_assert_eq!(p.cal.pop_until(SimTime::MAX), None);
-                        }
-                    }
+                    0..=9 => p.push(p.time(op, a), 1 + a % 3),
+                    10 => p.pop_one(),
                     // A run that stops in the empty stretch before the
                     // next entry (a peek that finds nothing due), then
                     // pushes at and just after its deadline.
-                    9 => {
+                    11 => {
                         let next = p.model.peek().map_or(u64::MAX, |e| e.0 .0.as_micros());
                         let gap = next - p.now.as_micros();
                         let deadline = p.now.as_micros() + a % gap.max(1);
@@ -381,9 +431,20 @@ mod tests {
                         p.push(now.saturating_add(a % (3 * WIDTH_US)), 1);
                     }
                     // A run to a deadline up to two horizons out.
-                    10 => {
+                    12 => {
                         let deadline = p.now.as_micros().saturating_add(a % (2 * HORIZON_US));
                         p.run_until(SimTime::from_micros(deadline));
+                    }
+                    // A burst of 1,000–1,999 pushes at `now`, with pops
+                    // between some of them.
+                    13 => {
+                        let now = p.now.as_micros();
+                        for i in 0..1_000 + a % 1_000 {
+                            p.push(now, 1);
+                            if i % 97 == a % 97 {
+                                p.pop_one();
+                            }
+                        }
                     }
                     // A deadline in the past leaves the clock alone.
                     _ => p.run_until(SimTime::from_micros(p.now.as_micros() / 2)),
@@ -405,6 +466,27 @@ mod tests {
     }
 
     #[test]
+    fn overflow_entries_migrate_into_the_ring_bucket_by_bucket() {
+        // Spills one to three horizons out, on and either side of bucket
+        // boundaries, with ties; each pop moves the horizon over some of
+        // them, which must then pop in turn with entries filed later.
+        let mut p = Pair::new();
+        for k in 1..=3 {
+            for off in [0, 1, WIDTH_US - 1, WIDTH_US, 5 * WIDTH_US] {
+                p.push(k * HORIZON_US + off, 2);
+            }
+        }
+        assert_eq!(p.cal.spills(), 30);
+        for _ in 0..200 {
+            p.pop_one();
+            let now = p.now.as_micros();
+            p.push(now + WIDTH_US, 1);
+            p.push(now + HORIZON_US - 1, 1);
+        }
+        p.run_until(SimTime::MAX);
+    }
+
+    #[test]
     fn a_stopped_run_leaves_room_for_a_push_at_its_deadline() {
         // The next entry is 10 ms out; a run to 5 ms finds nothing due,
         // and a push at 5 ms must still pop before the 10 ms entry.
@@ -414,6 +496,28 @@ mod tests {
         assert!(p.cal.cur <= bucket(p.now));
         p.push(5_000, 1);
         p.push(7_500, 1);
+        p.run_until(SimTime::MAX);
+    }
+
+    #[test]
+    fn pushes_at_now_in_seq_order_append_at_the_tail() {
+        // The `Start` burst, and follow-ups at the instant just popped:
+        // each one is the run's greatest entry, so a push that searched
+        // and inserted would make a 10^5-node start quadratic.
+        let mut p = Pair::new();
+        p.push(0, 100_000);
+        for _ in 0..1_000 {
+            p.pop_one();
+            p.push(0, 1);
+        }
+        p.push(3 * WIDTH_US + 5, 1);
+        p.run_until(SimTime::from_micros(3 * WIDTH_US + 5));
+        p.push(3 * WIDTH_US + 5, 1_000);
+        assert_eq!(p.cal.inserts, 0);
+        // An entry before the tail does take the insert path.
+        p.push(3 * WIDTH_US + 7, 1);
+        p.push(3 * WIDTH_US + 6, 1);
+        assert_eq!(p.cal.inserts, 1);
         p.run_until(SimTime::MAX);
     }
 
