@@ -440,21 +440,31 @@ impl IngestPipeline {
     /// their queue latency at the boundary instant. Call this with the
     /// next arrival's timestamp *before* offering it, so the drain
     /// side keeps pace with the front door.
+    ///
+    /// An idle tick changes nothing but [`now`](Self::now), so ticking
+    /// stops once every queue is empty: a far-future `until` costs
+    /// nothing more than a near one. Tick instants saturate at the end
+    /// of representable time.
     pub fn drain_until(&mut self, until: SimTime) {
         let tick = self.config.tick.as_micros().max(1);
-        let mut next = (self.now.as_micros() / tick + 1) * tick;
-        while next <= until.as_micros() {
+        let mut next = (self.now.as_micros() / tick)
+            .saturating_add(1)
+            .saturating_mul(tick);
+        let mut busy = self.queued() > 0;
+        while busy && next <= until.as_micros() {
             let t = SimTime::from_micros(next);
             self.now = t;
-            self.drain_tick(t);
-            next += tick;
+            busy = self.drain_tick(t);
+            next = next.saturating_add(tick);
         }
         self.now = self.now.max(until);
     }
 
     /// One drain tick at instant `t`: up to `drain_batch` messages per
-    /// queue, shards and queues in index order.
-    fn drain_tick(&mut self, t: SimTime) {
+    /// queue, shards and queues in index order. Returns whether any
+    /// queue still holds messages.
+    fn drain_tick(&mut self, t: SimTime) -> bool {
+        let mut busy = false;
         for q in self.shards.iter_mut().flatten() {
             for _ in 0..self.config.drain_batch {
                 let Some(msg) = q.buf.pop_front() else { break };
@@ -467,18 +477,23 @@ impl IngestPipeline {
                 st.latency_us
                     .observe(t.as_micros().saturating_sub(msg.t.as_micros()) as f64);
             }
+            busy |= !q.buf.is_empty();
         }
+        busy
     }
 
     /// Drains everything still queued, ticking forward from the
     /// current instant until every queue is empty.
     pub fn drain_remaining(&mut self) {
         let tick = self.config.tick.as_micros().max(1);
-        while self.shards.iter().flatten().any(|q| !q.buf.is_empty()) {
-            let next = (self.now.as_micros() / tick + 1) * tick;
+        let mut busy = self.queued() > 0;
+        while busy {
+            let next = (self.now.as_micros() / tick)
+                .saturating_add(1)
+                .saturating_mul(tick);
             let t = SimTime::from_micros(next);
             self.now = t;
-            self.drain_tick(t);
+            busy = self.drain_tick(t);
         }
     }
 
@@ -597,6 +612,39 @@ mod tests {
         let st = p.tenant_stats(TenantId(0)).expect("stats");
         assert_eq!(st.drained, 1);
         assert!((st.latency_us.mean() - 10_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn drain_until_a_far_future_instant_stops_ticking_once_idle() {
+        let far = SimTime::from_micros(1 << 62);
+        let mut p = pipeline(IngestConfig {
+            drain_batch: 2,
+            ..IngestConfig::default()
+        });
+        for device in 0..5 {
+            let m = msg(&p, 0, device, 0);
+            p.offer(m);
+        }
+        // Three busy ticks drain the queue; the ~4.6e14 idle ones that
+        // would follow change nothing but the clock.
+        p.drain_until(far);
+        assert_eq!(p.now(), far);
+        assert_eq!(p.queued(), 0);
+        let st = p.tenant_stats(TenantId(0)).expect("stats");
+        assert_eq!(st.drained, 5);
+        assert!((st.latency_us.mean() - 18_000.0).abs() < 1e-9);
+
+        // At the end of representable time the tick instant saturates.
+        let last = SimTime::from_micros(u64::MAX);
+        let m = msg(&p, 1, 0, u64::MAX - 1);
+        p.offer(m);
+        p.drain_until(last);
+        assert_eq!((p.now(), p.queued()), (last, 0));
+        let m = msg(&p, 1, 1, u64::MAX);
+        p.offer(m);
+        p.drain_remaining();
+        assert_eq!((p.now(), p.queued()), (last, 0));
+        assert_eq!(p.tenant_stats(TenantId(1)).expect("stats").drained, 2);
     }
 
     #[test]

@@ -137,9 +137,10 @@ impl StreamAttachment {
     }
 }
 
-/// Recovers a persisted uplink log and replays it through a fresh
-/// pipeline under the same configuration; see the [module docs](self).
-/// Returns the drained pipeline and the log recovery report.
+/// Replays a persisted uplink log, walked where it lies by
+/// [`walk_frames`](iiot_stream::walk_frames), through a fresh pipeline
+/// under the same configuration; see the [module docs](self). Returns
+/// the drained pipeline and the log recovery report.
 ///
 /// The replayed pipeline runs with its own stream attachment built
 /// from the same `stream` config, so its write-ahead log re-persists
@@ -153,19 +154,18 @@ pub fn replay(
     recorder: Option<Box<dyn Recorder>>,
 ) -> (IngestPipeline, RecoveryReport) {
     let log_config = stream.log.unwrap_or_default();
-    let (log, report) = EventLog::recover(bytes, log_config);
     let mut pipeline = IngestPipeline::new(registry, config);
     pipeline.attach_stream(StreamConfig {
         log: Some(log_config),
         ..stream
     });
     pipeline.set_recorder(recorder);
-    for (_, payload) in log.iter_from(0) {
+    let report = iiot_stream::walk_frames(bytes, log_config, |_, payload, _| {
         if let Some(msg) = decode_uplink(payload) {
             pipeline.drain_until(msg.t);
             pipeline.offer(msg);
         }
-    }
+    });
     pipeline.drain_remaining();
     pipeline.flush_windows();
     (pipeline, report)
@@ -326,6 +326,38 @@ mod tests {
             crate::metrics::summarize(&recovered),
             crate::metrics::summarize(&fresh)
         );
+    }
+
+    #[test]
+    fn replay_of_a_far_future_record_returns_promptly() {
+        // A CRC-valid record stamped 2^62 µs must not make the drive
+        // loop tick through every idle 10 ms up to it.
+        let reg = registry();
+        let far = SimTime::from_micros(1 << 62);
+        let mut wal = EventLog::new(LogConfig::default());
+        for (t, token) in [
+            (SimTime::from_millis(1), reg.token(TenantId(0), 0).unwrap()),
+            (far, 0),
+        ] {
+            wal.append(&encode_uplink(&UplinkMsg {
+                tenant: TenantId(0),
+                device: 0,
+                token,
+                value: 1.0,
+                t,
+            }));
+        }
+        let (p, report) = replay(
+            wal.as_bytes(),
+            reg,
+            IngestConfig::default(),
+            StreamConfig::default(),
+            None,
+        );
+        assert_eq!((report.records, report.truncated_bytes), (2, 0));
+        assert_eq!(p.now(), far);
+        assert_eq!(p.totals(), (2, 1, 1, 1), "offered, accepted, shed, drained");
+        assert_eq!(p.wal().expect("wal").as_bytes(), wal.as_bytes());
     }
 
     #[test]

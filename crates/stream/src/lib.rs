@@ -73,6 +73,7 @@ pub mod window;
 
 pub use admission::{AdmissionControl, RateLimit, TokenBucket};
 pub use log::{
-    AppendInfo, EventLog, LogConfig, LogCursor, RecoveryReport, SegmentInfo, FRAME_HEADER,
+    walk_frames, AppendInfo, EventLog, LogConfig, LogCursor, RecoveryReport, SegmentInfo,
+    FRAME_HEADER,
 };
 pub use window::{WindowAggregator, WindowKey, WindowResult, WindowSpec};

@@ -32,7 +32,8 @@
 //! and an append after recovery resumes exactly where the surviving
 //! prefix ends. The [`RecoveryReport`] says what was dropped and
 //! whether the damage reached into sealed territory (which indicates
-//! storage corruption rather than a torn write).
+//! storage corruption rather than a torn write). The scan is
+//! [`walk_frames`], which a reader of the records alone can drive.
 //!
 //! # Cursors
 //!
@@ -186,18 +187,11 @@ impl EventLog {
             payload.len() <= u16::MAX as usize,
             "record exceeds frame length"
         );
-        self.push_frame(payload, crc32(payload))
-    }
-
-    /// Files one frame whose `crc` the caller has computed
-    /// ([`append`](Self::append)) or verified ([`recover`](Self::recover))
-    /// over `payload`, which fits the `u16` frame length.
-    fn push_frame(&mut self, payload: &[u8], crc: u32) -> AppendInfo {
         let seq = self.frames.len() as u64;
         self.frames.push(self.bytes.len() as u64);
         self.bytes
             .extend_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.bytes.extend_from_slice(&crc.to_le_bytes());
+        self.bytes.extend_from_slice(&crc32(payload).to_le_bytes());
         self.bytes.extend_from_slice(payload);
         self.tail_records += 1;
         let seg_start = self.seals.last().copied().unwrap_or(0);
@@ -301,48 +295,57 @@ impl EventLog {
     /// prefix (sealing is deterministic in the record sizes).
     pub fn recover(bytes: &[u8], config: LogConfig) -> (EventLog, RecoveryReport) {
         let mut log = EventLog::new(config);
-        let mut pos = 0usize;
-        let mut valid_end = 0usize;
-        loop {
-            if bytes.len() - pos < FRAME_HEADER {
-                break; // short header: torn tail
+        let report = walk_frames(bytes, config, |offset, payload, sealed| {
+            log.frames.push(offset);
+            log.tail_records += 1;
+            if sealed {
+                log.seals
+                    .push(offset + (FRAME_HEADER + payload.len()) as u64);
+                log.seal_records.push(log.tail_records);
+                log.tail_records = 0;
             }
-            let len = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]) as usize;
-            let crc = u32::from_le_bytes([
-                bytes[pos + 2],
-                bytes[pos + 3],
-                bytes[pos + 4],
-                bytes[pos + 5],
-            ]);
-            let body = pos + FRAME_HEADER;
-            if bytes.len() - body < len {
-                break; // short payload: torn tail
-            }
-            let payload = &bytes[body..body + len];
-            if crc32(payload) != crc {
-                break; // corrupt record
-            }
-            log.push_frame(payload, crc);
-            pos = body + len;
-            valid_end = pos;
-        }
-        // A re-filed prefix is byte-identical to the original prefix by
-        // construction; the assertion pins that invariant.
-        debug_assert_eq!(log.bytes.len(), valid_end);
-        // Sealing fires once a segment's fill reaches `segment_bytes`,
-        // so if the damaged stream extends a full segment's worth past
-        // the recovered tail's start, the original must have sealed over
-        // the damaged span: that is storage corruption, not a torn
-        // tail-segment write.
-        let seg_start = log.seals.last().copied().unwrap_or(0) as usize;
-        let report = RecoveryReport {
-            records: log.records(),
-            bytes: valid_end as u64,
-            truncated_bytes: (bytes.len() - valid_end) as u64,
-            corrupt_sealed: bytes.len() > valid_end
-                && bytes.len() >= seg_start + config.segment_bytes + FRAME_HEADER,
-        };
+        });
+        log.bytes.extend_from_slice(&bytes[..report.bytes as usize]);
         (log, report)
+    }
+}
+
+/// Walks the CRC-verified frames of a persisted byte stream in order
+/// and reports what [`EventLog::recover`] would keep, without building
+/// a log. The walk stops where recovery truncates: at a short header, a
+/// short payload or a CRC mismatch. `visit(offset, payload, sealed)`
+/// gets each frame's byte offset, its verified payload and whether the
+/// segment seals after it, exactly as [`EventLog::append`] sealed it.
+pub fn walk_frames(
+    bytes: &[u8],
+    config: LogConfig,
+    mut visit: impl FnMut(u64, &[u8], bool),
+) -> RecoveryReport {
+    let (mut pos, mut seg_start, mut records) = (0usize, 0usize, 0u64);
+    while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
+        let len = u16::from_le_bytes([header[0], header[1]]) as usize;
+        let crc = u32::from_le_bytes([header[2], header[3], header[4], header[5]]);
+        let end = pos + FRAME_HEADER + len;
+        let payload = match bytes.get(pos + FRAME_HEADER..end) {
+            Some(payload) if crc32(payload) == crc => payload,
+            _ => break, // short payload (torn tail) or corrupt record
+        };
+        let sealed = end - seg_start >= config.segment_bytes;
+        seg_start = if sealed { end } else { seg_start };
+        visit(pos as u64, payload, sealed);
+        records += 1;
+        pos = end;
+    }
+    // Sealing fires once a segment's fill reaches `segment_bytes`, so if
+    // the damaged stream extends a full segment's worth past the
+    // surviving tail's start, the original must have sealed over the
+    // damaged span: that is storage corruption, not a torn tail write.
+    RecoveryReport {
+        records,
+        bytes: pos as u64,
+        truncated_bytes: (bytes.len() - pos) as u64,
+        corrupt_sealed: bytes.len() > pos
+            && bytes.len() >= seg_start + config.segment_bytes + FRAME_HEADER,
     }
 }
 
@@ -406,8 +409,9 @@ mod tests {
 
     #[test]
     fn recovery_of_a_pristine_stream_reproduces_the_log() {
-        // `recover` files verified frames without re-hashing them; the
-        // rebuilt log must still be the original in every observable.
+        // `recover` copies the verified prefix in one piece and files
+        // its frames from the walk; the rebuilt log must still be the
+        // original in every observable.
         let mut log = EventLog::new(LogConfig { segment_bytes: 96 });
         for i in 0..50 {
             log.append(&payload(i));

@@ -102,7 +102,8 @@ pub struct WindowResult {
     pub key: WindowKey,
     /// Window start (inclusive).
     pub start: SimTime,
-    /// Window end (exclusive).
+    /// Window end (exclusive; saturates at the end of representable
+    /// time).
     pub end: SimTime,
     /// Observations attributed.
     pub count: u64,
@@ -239,10 +240,13 @@ impl WindowAggregator {
     }
 
     /// Whether the window starting at `start_us` has already closed
-    /// under the current watermark.
+    /// under the current watermark. The close instant saturates, so a
+    /// window that would close past the end of representable time
+    /// closes only at it.
     fn closed(&self, start_us: u64) -> bool {
-        let close_at =
-            start_us + self.spec.width.as_micros() + self.spec.allowed_lateness.as_micros();
+        let close_at = start_us
+            .saturating_add(self.spec.width.as_micros())
+            .saturating_add(self.spec.allowed_lateness.as_micros());
         close_at <= self.watermark.as_micros()
     }
 
@@ -271,7 +275,7 @@ impl WindowAggregator {
                     .observe(value);
                 counted = true;
             }
-            if start < slide || start + width - slide <= t {
+            if start < slide || t - start >= width - slide {
                 break;
             }
             start -= slide;
@@ -322,7 +326,7 @@ impl WindowAggregator {
             WindowResult {
                 key,
                 start: SimTime::from_micros(start_us),
-                end: SimTime::from_micros(start_us + self.spec.width.as_micros()),
+                end: SimTime::from_micros(start_us.saturating_add(self.spec.width.as_micros())),
                 count: hist.count(),
                 sum: hist.sum(),
                 min: hist.min(),
@@ -349,6 +353,29 @@ mod tests {
 
     fn at(s: f64) -> SimTime {
         SimTime::from_micros((s * 1e6) as u64)
+    }
+
+    #[test]
+    fn far_future_event_times_are_attributed_not_overflowed() {
+        // Windows near `u64::MAX` would close past the end of
+        // representable time: their close instant and `end` saturate,
+        // and nothing is late-dropped by a wrapped close instant.
+        for spec in [
+            WindowSpec::tumbling(secs(10)),
+            WindowSpec::sliding(secs(10), secs(3)).with_lateness(secs(5)),
+        ] {
+            let mut w = WindowAggregator::new(spec);
+            let t = SimTime::from_micros(u64::MAX - 5);
+            w.observe(k(0, 0), 1.5, t);
+            assert_eq!((w.observed(), w.late_total()), (1, 0));
+            assert!(w.advance_watermark(t).is_empty(), "still open at {t:?}");
+            let closed = w.flush();
+            assert!(!closed.is_empty());
+            for r in &closed {
+                assert!(r.start <= t && t < r.end, "{r:?} covers {t:?}");
+                assert_eq!((r.count, r.sum), (1, 1.5));
+            }
+        }
     }
 
     #[test]

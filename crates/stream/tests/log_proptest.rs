@@ -1,11 +1,12 @@
 //! Property tests for the event log (satellite of E18): for *any*
 //! payload sequence, segment size, torn-tail truncation point or
 //! single-bit corruption, recovery keeps only CRC-verified records,
-//! the surviving prefix is byte-identical to what was written, and
-//! consumer cursors never regress a committed offset.
+//! the surviving prefix is byte-identical to what was written,
+//! recovery and the bare frame walk agree with a frame-by-frame
+//! reference, and consumer cursors never regress a committed offset.
 
 use iiot_dissem::crc32;
-use iiot_stream::{EventLog, LogConfig, LogCursor, FRAME_HEADER};
+use iiot_stream::{walk_frames, EventLog, LogConfig, LogCursor, RecoveryReport, FRAME_HEADER};
 use proptest::prelude::*;
 
 /// Random payload batch: 1..40 records of 0..64 bytes each.
@@ -50,6 +51,73 @@ fn assert_recovered_prefix(recovered: &EventLog, originals: &[Vec<u8>]) {
     assert_eq!(pos, bytes.len(), "no trailing garbage survives recovery");
 }
 
+/// Recovery as a frame-by-frame scan that re-appends every verified
+/// payload to a fresh log: the oracle `EventLog::recover` and
+/// `walk_frames` must agree with.
+fn reference_recover(bytes: &[u8], config: LogConfig) -> (EventLog, RecoveryReport) {
+    let mut log = EventLog::new(config);
+    let mut pos = 0usize;
+    while bytes.len() - pos >= FRAME_HEADER {
+        let len = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]) as usize;
+        let crc = u32::from_le_bytes([
+            bytes[pos + 2],
+            bytes[pos + 3],
+            bytes[pos + 4],
+            bytes[pos + 5],
+        ]);
+        let body = pos + FRAME_HEADER;
+        if bytes.len() - body < len || crc32(&bytes[body..body + len]) != crc {
+            break;
+        }
+        log.append(&bytes[body..body + len]);
+        pos = body + len;
+    }
+    // The tail segment starts where the last sealed one ended.
+    let tail_start = match log.segments().last() {
+        Some(s) if !s.sealed => s.start as usize,
+        _ => pos,
+    };
+    let report = RecoveryReport {
+        records: log.records(),
+        bytes: pos as u64,
+        truncated_bytes: (bytes.len() - pos) as u64,
+        corrupt_sealed: bytes.len() > pos
+            && bytes.len() >= tail_start + config.segment_bytes + FRAME_HEADER,
+    };
+    (log, report)
+}
+
+/// `recover` equals the reference in every field of the log and the
+/// report, and the bare walk reports the same and visits exactly the
+/// recovered payloads, offsets and seals, in order.
+fn assert_walk_and_recover_agree(bytes: &[u8], config: LogConfig) {
+    let (recovered, report) = EventLog::recover(bytes, config);
+    let (reference, want) = reference_recover(bytes, config);
+    assert_eq!(report, want, "recover's report");
+    assert_eq!(recovered, reference, "recover's log");
+    let mut visited = Vec::new();
+    let walked = walk_frames(bytes, config, |offset, payload, sealed| {
+        visited.push((offset, payload.to_vec(), sealed));
+    });
+    assert_eq!(walked, report, "the walk's report");
+    // Record by record: its offset, its payload, and whether the
+    // reference sealed its segment right after it.
+    let seals = reference
+        .segments()
+        .into_iter()
+        .flat_map(|s| (1..=s.records).map(move |i| s.sealed && i == s.records));
+    let want: Vec<_> = reference
+        .iter_from(0)
+        .zip(seals)
+        .scan(0u64, |pos, ((_, payload), sealed)| {
+            let offset = *pos;
+            *pos += (FRAME_HEADER + payload.len()) as u64;
+            Some((offset, payload.to_vec(), sealed))
+        })
+        .collect();
+    assert_eq!(visited, want, "the walk's frames");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,6 +131,7 @@ proptest! {
         let full = log.as_bytes().to_vec();
         let cut = (full.len() as f64 * cut_frac) as usize;
         let (recovered, report) = EventLog::recover(&full[..cut], log.config());
+        assert_walk_and_recover_agree(&full[..cut], log.config());
 
         prop_assert_eq!(report.records, recovered.records());
         prop_assert_eq!(report.bytes + report.truncated_bytes, cut as u64);
@@ -94,6 +163,7 @@ proptest! {
 
         let (recovered, report) = EventLog::recover(&bytes, log.config());
         assert_recovered_prefix(&recovered, &ps);
+        assert_walk_and_recover_agree(&bytes, log.config());
 
         // Index of the frame containing the flipped bit: frames before
         // it parse untouched; the damaged one fails its length or CRC

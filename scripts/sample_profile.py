@@ -16,6 +16,11 @@ under the sampler, or attach to one that is running:
         --workload plant --seed 1 --seconds 20 --trace 0
     python3 scripts/sample_profile.py --pid 1234
 
+Three tables: by innermost inlined frame, by symbol, and by the first
+three inlined frames from this repository's own crates/ and benchmark/
+sources (`authenticate <- IngestPipeline::offer`), which tells a hot
+callee's callers apart where the other two cannot.
+
 Only the thread the PID names is sampled (a launched command's main
 thread). The report goes to stderr, so a launched command's stdout stays
 its own. Where the kernel refuses perf_event_open (kernel.perf_event_paranoid
@@ -163,9 +168,44 @@ def tidy(name):
     return name
 
 
+def split_path(name):
+    """`name` split at the `::` separators outside angle brackets."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(name):
+        depth += {"<": 1, ">": -1}.get(ch, 0)
+        if depth == 0 and name.startswith("::", i):
+            parts.append(name[start:i])
+            start = i + 2
+    parts.append(name[start:])
+    return [p for p in parts if p]
+
+
+def short(name):
+    """A function's name with its type or enclosing function, without
+    the module path: `iiot_cloud::ingest::IngestPipeline::offer` becomes
+    `IngestPipeline::offer`."""
+    parts = split_path(name) or [name]
+    fn = parts[-1]
+    if len(parts) < 2:
+        return fn
+    owner = parts[-2]
+    if owner.startswith("<") and owner.endswith(">"):
+        owner = (split_path(owner[1:-1].split(" as ")[0]) or [owner])[-1]
+    if owner[:1].isupper() or fn.startswith("{"):
+        return f"{owner}::{fn}"
+    return fn
+
+
+# A source file of this repository: under crates/ or benchmark/, and not
+# the standard library, a registry crate or a vendored stand-in.
+FIRST_PARTY = re.compile(r"(^|/)(crates|benchmark)/")
+THIRD_PARTY = re.compile(r"(^|/)(vendor|\.cargo|rustc)/")
+
+
 def symbolize(path, addrs):
-    """{address: [frame, ...]} for `path`, innermost inlined frame first;
-    an inlined frame is named with the source file it came from."""
+    """{address: [(frame, first-party short name or None), ...]} for
+    `path`, innermost inlined frame first; an inlined frame is named
+    with the source file it came from."""
     tool = shutil.which("llvm-symbolizer")
     if tool is None or not addrs:
         return {}
@@ -174,18 +214,25 @@ def symbolize(path, addrs):
         input="".join(f"0x{a:x}\n" for a in addrs), capture_output=True, text=True,
     ).stdout
     frames = {}
+    unknown = (f"?? [{os.path.basename(path)}]", None)
     for addr, block in zip(addrs, out.split("\n\n")):
         lines = block.strip("\n").split("\n")
         chain = []
         for fn, loc in zip(lines[::2], lines[1::2]):
-            src = "/".join(loc.rsplit(":", 2)[0].split("/")[-2:])
-            chain.append(f"{tidy(fn)}  ({src})" if fn != "??" else f"?? [{os.path.basename(path)}]")
-        frames[addr] = chain or [f"?? [{os.path.basename(path)}]"]
+            if fn == "??":
+                chain.append(unknown)
+                continue
+            file = loc.rsplit(":", 2)[0]
+            src = "/".join(file.split("/")[-2:])
+            ours = FIRST_PARTY.search(file) and not THIRD_PARTY.search(file)
+            chain.append((f"{tidy(fn)}  ({src})", short(tidy(fn)) if ours else None))
+        frames[addr] = chain or [unknown]
     return frames
 
 
 def fold(ips, maps):
-    """Sample counts by innermost frame and by symbol (outermost frame)."""
+    """Sample counts by innermost frame, by symbol (outermost frame) and
+    by the first three first-party frames, innermost first."""
     by_file = collections.defaultdict(collections.Counter)
     unmapped = collections.Counter()
     for ip in ips:
@@ -196,6 +243,7 @@ def fold(ips, maps):
         else:
             unmapped["[unmapped]"] += 1
     inner, outer = collections.Counter(unmapped), collections.Counter(unmapped)
+    ours = collections.Counter(unmapped)
     for path, offsets in by_file.items():
         try:
             segs = load_segments(path)
@@ -209,10 +257,15 @@ def fold(ips, maps):
         frames = symbolize(path, sorted(set(vaddr.values())))
         name = os.path.basename(path)
         for o, n in offsets.items():
-            chain = frames.get(vaddr.get(o), [f"[{name}]"])
-            inner[chain[0]] += n
-            outer[chain[-1].split("  (")[0]] += n
-    return inner, outer
+            chain = frames.get(vaddr.get(o), [(f"[{name}]", None)])
+            symbol = chain[-1][0].split("  (")[0]
+            inner[chain[0][0]] += n
+            outer[symbol] += n
+            # No first-party frame: the symbol, bracketed as not ours.
+            first_party = [s for _, s in chain if s][:3]
+            fallback = symbol if symbol.startswith(("?", "[")) else f"[{short(symbol)}]"
+            ours[" <- ".join(first_party) or fallback] += n
+    return inner, outer, ours
 
 
 def report(title, counts, total, top):
@@ -284,12 +337,13 @@ def main():
     if not ips:
         log("sample_profile: no samples (the process ran too briefly or never ran user code).")
         return status
-    inner, outer = fold(ips, maps)
+    inner, outer, ours = fold(ips, maps)
     total = len(ips)
     log(f"sample_profile: {total} task-clock samples at {args.hz} Hz of PID {pid}"
         f" ({total / args.hz:.2f} CPU-s; {ring.lost} lost){'; interrupted' if interrupted else ''}")
     report("self, by innermost (inlined) frame", inner, total, args.top)
     report("self, by symbol (outermost frame)", outer, total, args.top)
+    report("self, by first three first-party frames (crates/, benchmark/)", ours, total, args.top)
     return status
 
 
