@@ -7,10 +7,9 @@
 //! associative and has an identity, verified by property tests.
 
 use crate::query::Agg;
-use serde::{Deserialize, Serialize};
 
 /// A mergeable summary of a set of readings.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Partial {
     /// Number of readings summarized.
     pub count: u32,

@@ -1,10 +1,8 @@
 //! Acquisitional queries in the TinyDB style: `SELECT agg(attr) FROM
 //! sensors SAMPLE PERIOD e` (paper §IV-B, citing Madden et al.).
 
-use serde::{Deserialize, Serialize};
-
 /// An aggregation operator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Agg {
     /// Minimum value.
     Min,
@@ -59,7 +57,7 @@ impl Agg {
 /// let bytes = q.encode();
 /// assert_eq!(Query::decode(&bytes), Some(q));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Query {
     /// Query identifier (epochs and partials carry it).
     pub id: u8,

@@ -59,10 +59,9 @@
 //! ```
 
 use crate::message::{uint_bytes, uint_value};
-use serde::{Deserialize, Serialize};
 
 /// A Block1/Block2 option value: `NUM | M | SZX`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlockOpt {
     /// Block number.
     pub num: u32,

@@ -12,13 +12,11 @@
 //! +-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+-+
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// CoAP protocol version (always 1).
 pub const VERSION: u8 = 1;
 
 /// Message type (RFC 7252 §4.2/§4.3).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MsgType {
     /// Confirmable: retransmitted until acknowledged.
     Confirmable,
@@ -51,7 +49,7 @@ impl MsgType {
 }
 
 /// Message code: `class.detail` (RFC 7252 §12.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Code {
     /// 0.00 — empty message (ping / pure ACK / RST).
     Empty,
@@ -222,7 +220,7 @@ impl std::error::Error for DecodeError {}
 /// assert_eq!(back.uri_path(), "sensors/temp");
 /// assert_eq!(back.code, Code::Get);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Message {
     /// Message type.
     pub mtype: MsgType,

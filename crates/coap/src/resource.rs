@@ -61,7 +61,7 @@ impl Response {
 }
 
 /// A resource handler: invoked per matching request.
-pub type Handler = Box<dyn FnMut(&Request) -> Response + Send>;
+pub type Handler = Box<dyn FnMut(&Request) -> Response>;
 
 /// The server's resource tree (exact-path dispatch).
 ///

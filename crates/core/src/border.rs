@@ -9,9 +9,9 @@ use crate::deployment::Deployment;
 use iiot_coap::resource::Response;
 use iiot_coap::{CoapEndpoint, Code, EndpointConfig};
 use iiot_sim::{NodeId, SimTime};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Latest per-origin reading, as served northbound.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,7 +26,7 @@ pub struct NodeReading {
     pub payload: Vec<u8>,
 }
 
-type Cache = Arc<Mutex<BTreeMap<u32, NodeReading>>>;
+type Cache = Rc<RefCell<BTreeMap<u32, NodeReading>>>;
 
 /// A CoAP server publishing a deployment's collected readings at
 /// `nodes/<id>/latest`, with Observe support for push updates.
@@ -47,7 +47,7 @@ impl BorderRouter {
     pub fn new(seed: u64) -> Self {
         BorderRouter {
             ep: CoapEndpoint::new(EndpointConfig::default(), seed),
-            cache: Arc::new(Mutex::new(BTreeMap::new())),
+            cache: Cache::default(),
             absorbed: 0,
             registered: Vec::new(),
         }
@@ -60,7 +60,7 @@ impl BorderRouter {
 
     /// The latest reading of `origin`, if any arrived.
     pub fn latest(&self, origin: NodeId) -> Option<NodeReading> {
-        self.cache.lock().get(&origin.0).cloned()
+        self.cache.borrow().get(&origin.0).cloned()
     }
 
     fn register(&mut self, origin: u32) {
@@ -68,14 +68,14 @@ impl BorderRouter {
             return;
         }
         self.registered.push(origin);
-        let cache = Arc::clone(&self.cache);
+        let cache = Rc::clone(&self.cache);
         self.ep.add_resource(
             &format!("nodes/{origin}/latest"),
             Box::new(move |req| {
                 if req.method != Code::Get {
                     return Response::method_not_allowed();
                 }
-                match cache.lock().get(&origin) {
+                match cache.borrow().get(&origin) {
                     Some(r) => Response::content(
                         format!(
                             "seq={} hops={} at={} len={}",
@@ -116,7 +116,7 @@ impl BorderRouter {
                 continue;
             }
             let entry = deployment.latest_from(origin).expect("count > 0");
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.borrow_mut();
             let known = cache.get(&origin.0);
             if known.map(|k| k.seq) != Some(entry.seq) {
                 cache.insert(

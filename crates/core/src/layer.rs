@@ -63,7 +63,6 @@
 //! ```
 
 use iiot_gateway::{Gateway, Measurement, WriteError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The bottom tier: sources of measurements and sinks of actuation.
@@ -99,7 +98,7 @@ impl SensingActuation for Gateway {
 
 /// The middle tier: declarative rules mapping conditions on points to
 /// actuation commands.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Rule {
     /// Rule name (for audit trails).
     pub name: String,
@@ -127,7 +126,7 @@ impl Rule {
 }
 
 /// A fired rule: what the application logic decided.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Actuation {
     /// The rule that fired.
     pub rule: String,

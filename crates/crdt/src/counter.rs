@@ -3,7 +3,6 @@
 
 use crate::vclock::ReplicaId;
 use crate::Crdt;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A grow-only counter: each replica increments its own slot; the value
@@ -21,7 +20,7 @@ use std::collections::BTreeMap;
 /// a.merge(&b);
 /// assert_eq!(a.value(), 7);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct GCounter {
     slots: BTreeMap<ReplicaId, u64>,
 }
@@ -76,7 +75,7 @@ impl Crdt for GCounter {
 /// a.dec(ReplicaId(1), 3);
 /// assert_eq!(a.value(), 7);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PnCounter {
     pos: GCounter,
     neg: GCounter,

@@ -4,7 +4,6 @@
 
 use crate::vclock::{ReplicaId, VClock};
 use crate::Crdt;
-use serde::{Deserialize, Serialize};
 
 /// A last-writer-wins register ordered by `(timestamp, replica)`.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// a.merge(&b);
 /// assert_eq!(*a.get(), "auto");
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LwwRegister<T> {
     timestamp: u64,
     writer: ReplicaId,
@@ -99,7 +98,7 @@ impl<T: Clone> Crdt for LwwRegister<T> {
 /// vals.sort_by(f64::total_cmp);
 /// assert_eq!(vals, vec![19.0, 21.5], "both concurrent writes survive");
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MvRegister<T> {
     versions: Vec<(VClock, T)>,
 }

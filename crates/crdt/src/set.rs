@@ -3,7 +3,6 @@
 
 use crate::vclock::{Dot, ReplicaId, VClock};
 use crate::Crdt;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A grow-only set: elements can only be added; merge is set union.
@@ -20,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// a.merge(&b);
 /// assert!(a.contains(&"pump-1") && a.contains(&"valve-7"));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GSet<T: Ord> {
     items: BTreeSet<T>,
 }
@@ -82,7 +81,7 @@ impl<T: Ord> FromIterator<T> for GSet<T> {
 /// A two-phase set: removal wins permanently (an element, once removed,
 /// can never be re-added). Simple but often too blunt; see [`OrSet`] for
 /// add-wins semantics.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TwoPSet<T: Ord> {
     added: BTreeSet<T>,
     removed: BTreeSet<T>,
@@ -165,7 +164,7 @@ impl<T: Ord + Clone> Crdt for TwoPSet<T> {
 /// a.merge(&b);
 /// assert!(a.contains(&"sensor-a"), "add wins");
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OrSet<T: Ord> {
     entries: BTreeMap<T, BTreeSet<Dot>>,
     context: VClock,

@@ -4,7 +4,6 @@
 use crate::register::LwwRegister;
 use crate::vclock::ReplicaId;
 use crate::Crdt;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A map of independently-merged last-writer-wins registers.
@@ -28,7 +27,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(plant_a.get(&"boiler/temp"), Some(&73.0));
 /// assert_eq!(plant_a.len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct LwwMap<K: Ord, V> {
     entries: BTreeMap<K, LwwRegister<V>>,
 }

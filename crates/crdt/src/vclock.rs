@@ -1,14 +1,11 @@
 //! Vector clocks and dots: the causality substrate for the CRDTs.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a replica (a node holding a copy of the shared state).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ReplicaId(pub u64);
 
 impl fmt::Display for ReplicaId {
@@ -24,7 +21,7 @@ impl From<u64> for ReplicaId {
 }
 
 /// A single event identifier: the `counter`-th event of `replica`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Dot {
     /// The replica that produced the event.
     pub replica: ReplicaId,
@@ -47,7 +44,7 @@ pub struct Dot {
 /// assert!(b.dominates(&a));
 /// assert!(!a.concurrent(&b));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct VClock {
     counts: BTreeMap<ReplicaId, u64>,
 }

@@ -5,10 +5,9 @@
 //! findings an operator can act on.
 
 use iiot_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Per-node symptoms over an observation window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Symptoms {
     /// The node under diagnosis.
     pub node: NodeId,
@@ -30,7 +29,7 @@ pub struct Symptoms {
 }
 
 /// Diagnosed root cause, most severe first.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Cause {
     /// The border router itself is down (nothing arrives from anyone).
     BorderRouterDown,
@@ -49,7 +48,7 @@ pub enum Cause {
 }
 
 /// One diagnosis finding.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Finding {
     /// The node concerned.
     pub node: NodeId,

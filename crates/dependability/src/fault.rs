@@ -3,10 +3,9 @@
 
 use iiot_sim::{NodeId, Sim, SimDuration, SimTime, StateLoss};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Fault {
     /// Node crashes permanently at `at`.
     Crash {
@@ -48,7 +47,7 @@ pub enum Fault {
 }
 
 /// An ordered set of faults to apply to a [`Sim`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
 }

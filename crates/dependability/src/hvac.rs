@@ -4,11 +4,10 @@
 
 use crate::safety::{SafetyEnvelope, SafetyMonitor};
 use iiot_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A first-order RC thermal model of one zone:
 /// `dT/dt = (T_out - T)/tau + gain * u`, heater input `u` in `[0, 1]`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Zone {
     /// Current zone temperature, degrees C.
     pub temp_c: f64,

@@ -1,8 +1,6 @@
 //! The three redundancy types of §V-A — information, time, physical —
 //! as working mechanisms plus their analytic success models.
 
-use serde::{Deserialize, Serialize};
-
 // ---------------------------------------------------------------------
 // Information redundancy: erasure coding (XOR parity).
 // ---------------------------------------------------------------------
@@ -110,7 +108,7 @@ pub fn attempts_within_deadline(deadline_ms: f64, rtt_ms: f64) -> u32 {
 // ---------------------------------------------------------------------
 
 /// Result of voting over replicated sensor readings.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Vote {
     /// A majority agreed (within tolerance); the value is their median.
     Agreed(f64),

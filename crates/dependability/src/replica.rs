@@ -11,10 +11,9 @@
 use iiot_crdt::{Crdt, LwwMap, ReplicaId};
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
 use iiot_sim::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which consistency design the store runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Design {
     /// Always-available CRDT store with anti-entropy.
     Ap,
@@ -24,7 +23,7 @@ pub enum Design {
 
 /// A partition schedule over rounds: `groups[i]` is replica `i`'s group
 /// during `start..end`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionWindow {
     /// First round of the partition (inclusive).
     pub start: u64,

@@ -7,11 +7,10 @@
 //! energy, and provider revenue depending on both.
 
 use iiot_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A nested pair of bands: the hard band must never be left; the soft
 /// band is the comfort target.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SafetyEnvelope {
     /// Absolute lower limit (equipment/health).
     pub hard_min: f64,
@@ -73,7 +72,7 @@ impl SafetyEnvelope {
 }
 
 /// Classification of a monitored value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SafetyState {
     /// Inside the comfort band.
     Safe,
@@ -166,7 +165,7 @@ impl SafetyMonitor {
 
 /// The provider's contract: bonuses for comfort, penalties for
 /// violations, and the electricity bill.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RevenueModel {
     /// Payment per hour spent in the comfort band.
     pub comfort_bonus_per_hour: f64,

@@ -40,8 +40,9 @@ use iiot_mac::csma::{CsmaConfig, CsmaMac};
 use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
 use iiot_sim::{seed, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss, Topology};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The single fleet tenant every twin and command runs under.
 pub const TENANT: TenantId = TenantId(0);
@@ -183,7 +184,7 @@ struct Network {
     /// in `device_cfg`.
     cfg_server: CoapEndpoint<u64>,
     /// What each device (global id) is actually configured to run.
-    device_cfg: Arc<Mutex<BTreeMap<u32, f64>>>,
+    device_cfg: Rc<RefCell<BTreeMap<u32, f64>>>,
     /// Downlink queue for this network's remediation pushes.
     router: CommandRouter,
     activated: bool,
@@ -229,14 +230,14 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
         w.with(gw, |n: &mut DissemNode<CsmaMac>, ctx| n.install(ctx, &img2));
     });
 
-    let device_cfg: Arc<Mutex<BTreeMap<u32, f64>>> = Arc::new(Mutex::new(BTreeMap::new()));
+    let device_cfg: Rc<RefCell<BTreeMap<u32, f64>>> = Rc::default();
     let mut cfg_server: CoapEndpoint<u64> = CoapEndpoint::new(
         EndpointConfig::default(),
         seed::derive(seed_val, 1_000 + u64::from(net)),
     );
     for i in 0..per_net {
         let gid = net * per_net + i;
-        let store = Arc::clone(&device_cfg);
+        let store = Rc::clone(&device_cfg);
         cfg_server.add_resource(
             &drift::point_path(gid, INTERVAL_KEY),
             Box::new(move |req| match req.method {
@@ -245,7 +246,7 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
                     .and_then(|s| s.parse::<f64>().ok())
                 {
                     Some(v) => {
-                        store.lock().expect("single-threaded").insert(gid, v);
+                        store.borrow_mut().insert(gid, v);
                         Response::changed()
                     }
                     None => Response::not_found(),
@@ -347,8 +348,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                 }
                 let interval = net
                     .device_cfg
-                    .lock()
-                    .expect("single-threaded")
+                    .borrow()
                     .get(&gid)
                     .copied()
                     .unwrap_or(DEFAULT_INTERVAL);

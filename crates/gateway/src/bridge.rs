@@ -3,26 +3,26 @@
 //! exposes the unified namespace northbound over CoAP — the middleware
 //! integration §III-B argues for.
 
-use crate::bus::Bus;
+use crate::bus::{Bus, Receiver};
 use crate::model::{Adapter, DeviceInfo, Measurement, WriteError};
 use iiot_coap::resource::Response;
 use iiot_coap::{CoapEndpoint, Code, EndpointConfig};
 use iiot_crdt::{Crdt, LwwMap, ReplicaId};
 use iiot_sim::SimTime;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Shared last-value cache, readable from CoAP resource handlers.
-type CacheHandle = Arc<Mutex<BTreeMap<String, Measurement>>>;
+type CacheHandle = Rc<RefCell<BTreeMap<String, Measurement>>>;
 /// Writes accepted northbound, pending application to adapters.
-type WriteQueue = Arc<Mutex<Vec<(String, f64)>>>;
+type WriteQueue = Rc<RefCell<Vec<(String, f64)>>>;
 
 /// The gateway; see the [module docs](self).
 pub struct Gateway {
     replica: ReplicaId,
     adapters: Vec<Box<dyn Adapter>>,
-    bus: Arc<Bus>,
+    bus: Bus,
     /// CRDT cache: point -> value, mergeable with a redundant gateway.
     crdt_cache: LwwMap<String, f64>,
     /// Rich cache for northbound reads.
@@ -40,10 +40,10 @@ impl Gateway {
         Gateway {
             replica,
             adapters: Vec::new(),
-            bus: Arc::new(Bus::new()),
+            bus: Bus::new(),
             crdt_cache: LwwMap::new(),
-            cache: Arc::new(Mutex::new(BTreeMap::new())),
-            writes: Arc::new(Mutex::new(Vec::new())),
+            cache: CacheHandle::default(),
+            writes: WriteQueue::default(),
             coap: CoapEndpoint::new(EndpointConfig::default(), replica.0),
             registered_points: Vec::new(),
             measurements_processed: 0,
@@ -64,13 +64,13 @@ impl Gateway {
             return;
         }
         self.registered_points.push(point.to_owned());
-        let cache = Arc::clone(&self.cache);
-        let writes = Arc::clone(&self.writes);
+        let cache = Rc::clone(&self.cache);
+        let writes = Rc::clone(&self.writes);
         let point_owned = point.to_owned();
         self.coap.add_resource(
             point,
             Box::new(move |req| match req.method {
-                Code::Get => match cache.lock().get(&point_owned) {
+                Code::Get => match cache.borrow().get(&point_owned) {
                     Some(m) => Response::content(
                         format!("{:.3} {:?} {:?}", m.value, m.unit, m.quality).into_bytes(),
                     ),
@@ -83,7 +83,7 @@ impl Gateway {
                     let text = String::from_utf8_lossy(&req.payload);
                     match text.trim().parse::<f64>() {
                         Ok(v) => {
-                            writes.lock().push((point_owned.clone(), v));
+                            writes.borrow_mut().push((point_owned.clone(), v));
                             Response::changed()
                         }
                         Err(_) => Response {
@@ -98,7 +98,7 @@ impl Gateway {
     }
 
     /// The pub/sub bus (subscribe before polling).
-    pub fn bus(&self) -> &Arc<Bus> {
+    pub fn bus(&self) -> &Bus {
         &self.bus
     }
 
@@ -121,7 +121,7 @@ impl Gateway {
 
     /// Last normalized value of `point`, if any.
     pub fn last(&self, point: &str) -> Option<Measurement> {
-        self.cache.lock().get(point).cloned()
+        self.cache.borrow().get(point).cloned()
     }
 
     /// Total measurements normalized so far.
@@ -164,7 +164,7 @@ impl Gateway {
     /// observers. Returns the number of measurements processed.
     pub fn poll_all(&mut self, now_us: u64) -> usize {
         // Apply accepted actuation writes.
-        let pending: Vec<(String, f64)> = std::mem::take(&mut *self.writes.lock());
+        let pending: Vec<(String, f64)> = self.writes.take();
         for (point, value) in pending {
             let mut result = Err(WriteError::NoSuchPoint);
             for a in &mut self.adapters {
@@ -200,7 +200,7 @@ impl Gateway {
                         .insert(m.timestamp_us, self.replica, m.point.clone(), m.value);
                 }
                 updated_points.push(m.point.clone());
-                self.cache.lock().insert(m.point.clone(), m);
+                self.cache.borrow_mut().insert(m.point.clone(), m);
                 count += 1;
             }
         }
@@ -248,7 +248,7 @@ pub struct UplinkRecord {
 #[derive(Debug)]
 pub struct CloudUplink {
     tenant: u16,
-    rx: crossbeam::channel::Receiver<Measurement>,
+    rx: Receiver,
     forwarded: std::cell::Cell<u64>,
 }
 

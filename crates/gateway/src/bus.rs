@@ -3,17 +3,20 @@
 //! northbound consumers (and from each other).
 
 use crate::model::Measurement;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::{Rc, Weak};
+
+type Queue = RefCell<VecDeque<Measurement>>;
 
 struct Sub {
     prefix: String,
-    tx: Sender<Measurement>,
+    queue: Weak<Queue>,
 }
 
 /// A topic bus: subscribers register a point-name prefix; every
 /// published measurement is fanned out to all matching subscribers.
-/// Thread-safe; receivers may live on other threads.
+/// The bus and its receivers live on the gateway's thread.
 ///
 /// # Examples
 ///
@@ -35,7 +38,7 @@ struct Sub {
 /// ```
 #[derive(Default)]
 pub struct Bus {
-    subs: Mutex<Vec<Sub>>,
+    subs: RefCell<Vec<Sub>>,
 }
 
 impl Bus {
@@ -46,39 +49,58 @@ impl Bus {
 
     /// Subscribes to all points whose name starts with `prefix`
     /// (empty prefix = everything).
-    pub fn subscribe(&self, prefix: &str) -> Receiver<Measurement> {
-        let (tx, rx) = unbounded();
-        self.subs.lock().push(Sub {
+    pub fn subscribe(&self, prefix: &str) -> Receiver {
+        let queue = Rc::default();
+        self.subs.borrow_mut().push(Sub {
             prefix: prefix.to_owned(),
-            tx,
+            queue: Rc::downgrade(&queue),
         });
-        rx
+        Receiver { queue }
     }
 
     /// Publishes a measurement; returns how many subscribers received
-    /// it. Disconnected subscribers are pruned.
+    /// it. Subscriptions whose receiver was dropped are pruned.
     pub fn publish(&self, m: &Measurement) -> usize {
-        let mut subs = self.subs.lock();
         let mut delivered = 0;
-        subs.retain(|s| {
+        self.subs.borrow_mut().retain(|s| {
+            let Some(queue) = s.queue.upgrade() else {
+                return false;
+            };
             if m.point.starts_with(&s.prefix) {
-                match s.tx.send(m.clone()) {
-                    Ok(()) => {
-                        delivered += 1;
-                        true
-                    }
-                    Err(_) => false, // receiver dropped
-                }
-            } else {
-                true
+                queue.borrow_mut().push_back(m.clone());
+                delivered += 1;
             }
+            true
         });
         delivered
     }
 
     /// Number of live subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.lock().len()
+        self.subs
+            .borrow()
+            .iter()
+            .filter(|s| s.queue.strong_count() > 0)
+            .count()
+    }
+}
+
+/// The receiving end of a [`Bus::subscribe`]: measurements queue here
+/// in publication order until taken. Dropping it ends the subscription.
+#[derive(Debug)]
+pub struct Receiver {
+    queue: Rc<Queue>,
+}
+
+impl Receiver {
+    /// Takes the oldest queued measurement, if any.
+    pub fn try_recv(&self) -> Option<Measurement> {
+        self.queue.borrow_mut().pop_front()
+    }
+
+    /// Takes every queued measurement, oldest first.
+    pub fn try_iter(&self) -> impl Iterator<Item = Measurement> + '_ {
+        std::iter::from_fn(|| self.try_recv())
     }
 }
 
@@ -125,22 +147,17 @@ mod tests {
         let rx = bus.subscribe("a");
         assert_eq!(bus.subscriber_count(), 1);
         drop(rx);
-        // Pruning happens on the next matching publish.
         assert_eq!(bus.publish(&m("a/x", 1.0)), 0);
         assert_eq!(bus.subscriber_count(), 0);
     }
 
     #[test]
-    fn cross_thread_delivery() {
-        let bus = std::sync::Arc::new(Bus::new());
-        let rx = bus.subscribe("t");
-        let b2 = bus.clone();
-        let h = std::thread::spawn(move || {
-            for i in 0..100 {
-                b2.publish(&m("t/x", i as f64));
-            }
-        });
-        h.join().expect("publisher thread");
-        assert_eq!(rx.try_iter().count(), 100);
+    fn dropped_subscriber_pruned_by_unmatched_publish() {
+        let bus = Bus::new();
+        drop(bus.subscribe("a"));
+        // A publish its prefix never matches still prunes it.
+        assert_eq!(bus.publish(&m("b/x", 1.0)), 0);
+        assert_eq!(bus.subscriber_count(), 0);
+        assert!(bus.subs.borrow().is_empty());
     }
 }

@@ -4,7 +4,6 @@
 //! the application layer").
 
 use crate::model::{Adapter, Measurement, PointInfo, Quality, Unit, WriteError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Well-known characteristic UUIDs (Bluetooth SIG assigned numbers).
@@ -30,7 +29,7 @@ pub const TEMPERATURE_UNKNOWN: i16 = i16::MIN;
 pub const HUMIDITY_UNKNOWN: u16 = u16::MAX;
 
 /// A simulated GATT server: handle -> (uuid, value bytes).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GattDevice {
     attributes: BTreeMap<u16, (u16, Vec<u8>)>,
 }
@@ -118,7 +117,7 @@ impl GattDevice {
 }
 
 /// Maps one characteristic to a normalized point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CharMap {
     /// Attribute handle.
     pub handle: u16,

@@ -8,7 +8,6 @@
 //! (write single register), with the standard CRC-16/MODBUS.
 
 use crate::model::{Adapter, Measurement, PointInfo, Quality, Unit, WriteError};
-use serde::{Deserialize, Serialize};
 
 /// CRC-16/MODBUS (poly 0xA001 reflected, init 0xFFFF).
 pub fn crc16(data: &[u8]) -> u16 {
@@ -63,7 +62,7 @@ pub enum ModbusError {
 }
 
 /// A simulated legacy device holding a register bank.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModbusDevice {
     /// RTU station address.
     pub station: u8,
@@ -185,7 +184,7 @@ pub mod client {
 }
 
 /// How one register maps to a normalized point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegisterMap {
     /// Register address.
     pub addr: u16,

@@ -2,10 +2,8 @@
 //! into: the "illusion of a single coherent system" (§II-A) at the data
 //! level.
 
-use serde::{Deserialize, Serialize};
-
 /// Engineering unit of a measurement.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Unit {
     /// Degrees Celsius.
     Celsius,
@@ -24,7 +22,7 @@ pub enum Unit {
 }
 
 /// Quality flag in the OPC tradition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Quality {
     /// Trustworthy value.
     Good,
@@ -35,7 +33,7 @@ pub enum Quality {
 }
 
 /// One normalized measurement flowing through the gateway.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Measurement {
     /// Hierarchical point name, e.g. `plant/line1/boiler/temp`.
     pub point: String,
@@ -52,7 +50,7 @@ pub struct Measurement {
 }
 
 /// Static description of one point a device exposes.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PointInfo {
     /// Point name (relative to the device).
     pub point: String,
@@ -63,7 +61,7 @@ pub struct PointInfo {
 }
 
 /// Static description of a southbound device.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DeviceInfo {
     /// Device identifier.
     pub device: String,
@@ -98,7 +96,7 @@ impl std::error::Error for WriteError {}
 
 /// A southbound protocol adapter: translates one device's native
 /// protocol into the normalized model.
-pub trait Adapter: Send {
+pub trait Adapter {
     /// The device identifier.
     fn device(&self) -> &str;
 
@@ -133,9 +131,7 @@ mod tests {
             timestamp_us: 123,
             device: "dev-1".into(),
         };
-        // serde round trip through the derive (JSON-free: use a
-        // compact self-describing format via serde's test-friendly
-        // tokens is overkill; assert Debug and equality semantics).
+        // Measurements are plain values: a clone compares equal.
         let copy = m.clone();
         assert_eq!(m, copy);
         assert_eq!(WriteError::ReadOnly.to_string(), "point is read-only");

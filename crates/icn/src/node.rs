@@ -643,7 +643,7 @@ mod tests {
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
 
-    fn line_world(n: usize, mk: impl Fn(u32) -> IcnConfig + Send + Sync + 'static) -> Sim {
+    fn line_world(n: usize, mk: impl Fn(u32) -> IcnConfig + 'static) -> Sim {
         SimBuilder::new()
             .seed(0x1C9)
             .nodes(Topology::line(n, 20.0), move |id| {

@@ -8,13 +8,9 @@
 //! uncoordinated default), static per-tenant channels, and pseudo-random
 //! hopping (which degrades gracefully when tenants outnumber channels).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a tenant: an administrative domain operating one of the
 /// co-located networks.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TenantId(pub u16);
 
 impl core::fmt::Display for TenantId {
@@ -24,7 +20,7 @@ impl core::fmt::Display for TenantId {
 }
 
 /// A channel-assignment strategy for co-located tenant networks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChannelPlan {
     /// Every tenant shares a single channel: maximal interference, the
     /// state of nature without coordination.

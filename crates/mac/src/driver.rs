@@ -73,7 +73,7 @@ pub struct Script {
 pub(crate) fn driver_sim<M: Mac>(
     config: iiot_sim::SimConfig,
     topo: iiot_sim::Topology,
-    mac: impl Fn() -> M + Send + Sync + 'static,
+    mac: impl Fn() -> M + 'static,
 ) -> (iiot_sim::Sim, Vec<NodeId>) {
     let ids = (0..topo.len() as u32).map(NodeId).collect();
     let sim = iiot_sim::SimBuilder::new()

@@ -8,10 +8,8 @@
 //! +------+------+------------+
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// MAC frame kind.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MacKind {
     /// An upper-layer data frame.
     Data,

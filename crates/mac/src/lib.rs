@@ -165,10 +165,7 @@ pub(crate) fn admit<P>(
 /// [`Service`], which calls [`Mac::send`] on the MAC it is lent. Timer
 /// demultiplexing uses the tag space: tags `>=` [`MAC_TAG_BASE`] belong
 /// to the MAC ([`Mac::on_timer`] returns `false` for foreign timers).
-///
-/// `Send` is required because [`Proto`](iiot_sim::Proto) is `Send`: a
-/// MAC lives inside a node's protocol stack.
-pub trait Mac: Send + 'static {
+pub trait Mac: 'static {
     /// Boots the MAC (asks for the radio, arms periodic timers).
     fn start(&mut self, ctx: &mut Ctx<'_>);
 

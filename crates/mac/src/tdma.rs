@@ -1221,7 +1221,7 @@ mod tests {
         ppm: f64,
         seed: u64,
         sends: u64,
-        build: impl Fn(TdmaSchedule) -> TdmaMac + Send + Sync + 'static,
+        build: impl Fn(TdmaSchedule) -> TdmaMac + 'static,
     ) -> (Sim, Vec<NodeId>) {
         let parents: Vec<Option<NodeId>> = (0..n)
             .map(|i| {

@@ -4,10 +4,9 @@
 //! implemented" — because they cost, §V-E).
 
 use crate::frame::SecLevel;
-use serde::{Deserialize, Serialize};
 
 /// MCU cost parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// CPU clock in MHz (16 MHz: MSP430/Cortex-M0 class).
     pub mcu_mhz: f64,

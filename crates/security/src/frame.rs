@@ -9,10 +9,9 @@
 
 use crate::crypto::{cbc_mac, cbc_mac_wide, ctr_xor, mac_eq, Key};
 use crate::replay::ReplayGuard;
-use serde::{Deserialize, Serialize};
 
 /// 802.15.4-style security level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SecLevel {
     /// No protection.
     None,

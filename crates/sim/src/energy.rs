@@ -8,10 +8,9 @@
 
 use crate::radio::RadioState;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Current draw (mA) of the radio in each state, plus supply voltage.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// Current in deep sleep, mA.
     pub sleep_ma: f64,

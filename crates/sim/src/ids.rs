@@ -1,7 +1,6 @@
 //! Identifiers for simulated entities.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node in the simulated deployment.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(root.index(), 0);
 /// assert_eq!(format!("{root}"), "n0");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -75,7 +75,7 @@ impl<T: Any> AsAny for T {
 ///     }
 /// }
 /// ```
-pub trait Proto: AsAny + Send {
+pub trait Proto: AsAny {
     /// Called once when the node boots (time of node creation) and again
     /// after every crash-recovery ([`Sim::revive`](crate::sim::Sim::revive)).
     fn start(&mut self, ctx: &mut Ctx<'_>);

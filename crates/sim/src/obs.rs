@@ -707,7 +707,7 @@ fn intern(s: &str) -> &'static str {
 ///
 /// `as_any`/`as_any_mut` come for free through the [`AsAny`] supertrait
 /// (see [`Sim::recorder_as`](crate::sim::Sim::recorder_as)).
-pub trait Recorder: AsAny + Send {
+pub trait Recorder: AsAny {
     /// Called once per emitted event, in simulation order.
     fn record(&mut self, ev: &Event);
 }
@@ -800,12 +800,12 @@ impl Recorder for CountingRecorder {
 }
 
 /// Streams every event as one JSON line to a writer.
-pub struct JsonlRecorder<W: Write + Send + 'static> {
+pub struct JsonlRecorder<W: Write + 'static> {
     w: W,
     lines: u64,
 }
 
-impl<W: Write + Send + 'static> JsonlRecorder<W> {
+impl<W: Write + 'static> JsonlRecorder<W> {
     /// Wraps `w`; each recorded event becomes one line.
     pub fn new(w: W) -> Self {
         JsonlRecorder { w, lines: 0 }
@@ -822,7 +822,7 @@ impl<W: Write + Send + 'static> JsonlRecorder<W> {
     }
 }
 
-impl<W: Write + Send + 'static> Recorder for JsonlRecorder<W> {
+impl<W: Write + 'static> Recorder for JsonlRecorder<W> {
     fn record(&mut self, ev: &Event) {
         // An I/O error aborts recording, not the simulation.
         if writeln!(self.w, "{}", ev.to_json()).is_ok() {

@@ -35,12 +35,11 @@ use crate::spatial::SpatialGrid;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Pos;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
 /// Destination of a frame at the link layer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Dst {
     /// A single link-layer destination.
     Unicast(NodeId),
@@ -64,7 +63,7 @@ impl Dst {
 /// `port` is a one-byte demultiplexing field (similar in role to an
 /// EtherType or an 802.15.4 payload dispatch byte) that lets several
 /// protocols share one radio.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Frame {
     /// Link-layer source.
     pub src: NodeId,
@@ -147,7 +146,7 @@ impl core::fmt::Display for RadioError {
 impl std::error::Error for RadioError {}
 
 /// Propagation / loss model for the medium.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum LinkModel {
     /// Perfect delivery within `range_m`; silence beyond. Interference is
     /// heard up to `interference_range_m`. The fully deterministic model
@@ -193,7 +192,7 @@ impl Default for LinkModel {
 }
 
 /// Static configuration of every radio in the deployment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RadioConfig {
     /// Radio bitrate in bits per second (802.15.4: 250 kbit/s).
     pub bitrate_bps: u64,

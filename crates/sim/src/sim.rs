@@ -84,7 +84,7 @@ impl ShardConfig {
 }
 
 /// Constructor for the protocol stack of a group's node `i`.
-type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto> + Send + Sync>;
+type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto>>;
 
 /// Builder for a [`Sim`]: one composable surface for topology, radio,
 /// clocks, energy, faults and observability. See the
@@ -166,7 +166,7 @@ impl SimBuilder {
     /// are assigned in position order, groups in the order added.
     pub fn nodes<F>(mut self, topo: Topology, make: F) -> Self
     where
-        F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
+        F: Fn(usize) -> Box<dyn Proto> + 'static,
     {
         self.groups.push((topo, Box::new(make)));
         self
@@ -346,7 +346,7 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
         self.world.schedule(at, f);
     }
 
@@ -356,7 +356,7 @@ impl Sim {
     /// ids, which continue the existing numbering.
     pub fn add_nodes<F>(&mut self, topo: Topology, make: F) -> Vec<NodeId>
     where
-        F: Fn(usize) -> Box<dyn Proto> + Send + Sync + 'static,
+        F: Fn(usize) -> Box<dyn Proto> + 'static,
     {
         self.world.add_nodes(&topo, make)
     }

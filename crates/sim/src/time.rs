@@ -8,7 +8,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
-use serde::{Deserialize, Serialize};
 
 /// An instant in simulated time, in microseconds since simulation start.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_millis(5);
 /// assert_eq!(t.as_micros(), 5_000);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -32,7 +31,7 @@ pub struct SimTime(u64);
 ///
 /// assert_eq!(SimDuration::from_secs(2) / 4, SimDuration::from_millis(500));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -8,7 +8,6 @@
 //! (machine groups on a factory floor).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A position on the deployment plane, in meters.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Pos::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Pos {
     /// X coordinate in meters.
     pub x: f64,
@@ -47,7 +46,7 @@ impl Pos {
 ///
 /// Construct via the generator methods, or collect from an iterator of
 /// [`Pos`] values for fully custom layouts.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Topology {
     positions: Vec<Pos>,
 }

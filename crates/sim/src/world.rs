@@ -151,7 +151,7 @@ struct WireMsg {
 }
 
 /// A closure scheduled on the world (see [`World::schedule`]).
-type Action = Box<dyn FnOnce(&mut World) + Send>;
+type Action = Box<dyn FnOnce(&mut World)>;
 
 struct QEntry {
     time: SimTime,
@@ -586,7 +586,7 @@ impl World {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
         assert!(at >= self.kernel.now, "cannot schedule into the past");
         self.kernel.push(at, Ev::Action(Box::new(Box::new(f))));
     }

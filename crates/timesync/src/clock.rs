@@ -2,7 +2,8 @@
 //! [`SyncedClock`] facade other protocols consult.
 
 use iiot_sim::SimTime;
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// A linear map between this node's local clock and the global (i.e.
 /// the reference node's) timebase: `global ≈ base_global +
@@ -94,10 +95,7 @@ fn shift(base: SimTime, delta: f64) -> SimTime {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SyncedClock {
-    // An Arc<Mutex> rather than Rc<Cell> only so protocols holding a
-    // handle stay `Send`, as `Proto` requires; both handles live on one
-    // node, so the lock is never contended.
-    inner: Arc<Mutex<Option<ClockEstimate>>>,
+    inner: Rc<Cell<Option<ClockEstimate>>>,
 }
 
 impl SyncedClock {
@@ -113,19 +111,19 @@ impl SyncedClock {
 
     /// The current estimate, if synced.
     pub fn estimate(&self) -> Option<ClockEstimate> {
-        *self.inner.lock().expect("clock estimate")
+        self.inner.get()
     }
 
     /// Installs a new estimate (normally only the sync engine does
     /// this).
     pub fn set(&self, est: ClockEstimate) {
-        *self.inner.lock().expect("clock estimate") = Some(est);
+        self.inner.set(Some(est));
     }
 
     /// Drops the estimate, reverting to the identity map (e.g. after a
     /// crash or a reference change).
     pub fn clear(&self) {
-        *self.inner.lock().expect("clock estimate") = None;
+        self.inner.set(None);
     }
 
     /// Local-to-global conversion; identity while unsynced.

@@ -38,6 +38,21 @@ if grep -rn 'ShardConfig\|\.sharding(' crates src tests examples --include='*.rs
     exit 1
 fi
 
+# One world per thread: a simulated world, its gateway and its cloud
+# tier never cross a thread, so they share state through Rc/RefCell,
+# not locks or channels. Only the trial runner's worker fan-out and the
+# global trace sink synchronise; the vendored crossbeam, parking_lot,
+# bytes and serde are empty placeholders no source may name.
+if grep -rn '\<crossbeam\>\|\<parking_lot\>\|\<bytes::\|\<serde\>' crates src tests examples --include='*.rs'; then
+    echo "crossbeam, parking_lot, bytes or serde named in first-party source" >&2
+    exit 1
+fi
+if grep -rn 'std::sync\|\<sync::' crates src tests examples --include='*.rs' |
+    grep -v '^crates/\(sim/src/obs\|bench/src/runner\)\.rs:'; then
+    echo "std::sync used outside crates/sim/src/obs.rs and crates/bench/src/runner.rs" >&2
+    exit 1
+fi
+
 cargo build -p iiot-bench --release --offline --bins
 bin=target/release/experiments
 

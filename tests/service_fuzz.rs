@@ -108,10 +108,7 @@ fn forged(ports: &'static [u8]) -> impl Strategy<Value = Vec<Forged>> {
 
 /// Node 1 attacks; nodes 0 (the root, sink or producer) and 2 (a leaf)
 /// are `victim(index, mac)`. Returns the most events any 100 ms took.
-fn attack(
-    frames: &[Forged],
-    victim: impl Fn(usize, Stray) -> Box<dyn Proto> + Send + Sync + 'static,
-) -> u64 {
+fn attack(frames: &[Forged], victim: impl Fn(usize, Stray) -> Box<dyn Proto> + 'static) -> u64 {
     let script: Vec<(u64, bool)> = frames.iter().map(|f| (f.2, f.3)).collect();
     let mut w = SimBuilder::new()
         .seed(frames.len() as u64)
