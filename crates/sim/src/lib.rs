@@ -8,8 +8,9 @@
 //!
 //! The kernel provides:
 //!
-//! * integer-microsecond [`time`], a totally ordered event queue, and a
-//!   per-node seeded RNG — runs are bit-for-bit reproducible per seed;
+//! * integer-microsecond [`time`], a totally ordered event queue (a
+//!   [`queue`] calendar, generic over its bucket width), and a per-node
+//!   seeded RNG — runs are bit-for-bit reproducible per seed;
 //! * a [`radio`] medium with unit-disk, lossy-disk and log-distance/
 //!   sigmoid-PRR link models, collisions with capture, CCA, channels and
 //!   administrative partitions — candidate receivers, audible carriers
@@ -79,7 +80,7 @@ pub mod energy;
 pub mod ids;
 pub mod node;
 pub mod obs;
-mod queue;
+pub mod queue;
 pub mod radio;
 pub mod seed;
 pub mod sim;

@@ -1,15 +1,17 @@
-//! The kernel's event queue: a calendar queue (Brown, CACM 1988) that
-//! pops entries in exactly the order a binary heap over `(time, seq)`
-//! pops them, without sifting through every pending entry per push.
+//! The calendar queue (Brown, CACM 1988) behind the kernel's event queue
+//! and the cloud's session generator: it pops entries in exactly the
+//! order a binary heap over their `Ord` pops them, without sifting
+//! through every pending entry per push.
 //!
-//! Time is cut into buckets [`WIDTH_US`] µs wide. The *current* bucket —
-//! the one the last popped entry came from — is a run sorted ascending
-//! and popped from the front; the next `RING - 1` buckets are lists
-//! threaded through one entry slab and found through an occupancy
-//! bitmap; an entry a whole ring or more ahead waits in an overflow heap
-//! (a *spill*) and moves into the ring when the ring's horizon reaches
-//! it. When the current bucket runs dry, the next occupied bucket's list
-//! is sorted once and becomes the current run.
+//! Time is cut into buckets 2^`SHIFT` µs wide, `SHIFT` being the
+//! calendar's type parameter. The *current* bucket — the one the last
+//! popped entry came from — is a run sorted ascending and popped from
+//! the front; the next `RING - 1` buckets are lists threaded through one
+//! entry slab and found through an occupancy bitmap; an entry a whole
+//! ring or more ahead waits in an overflow heap (a *spill*) and moves
+//! into the ring when the ring's horizon reaches it. When the current
+//! bucket runs dry, the next occupied bucket's list is sorted once and
+//! becomes the current run.
 //!
 //! A push into the current bucket at or after the run's tail — the
 //! `Start` burst, and a follow-up at the instant just popped when nothing
@@ -30,13 +32,15 @@
 //!    at the deadline after it returns `None` still lands at or after the
 //!    current bucket, even when that is before the next occupied one.
 //!
-//! The ring's horizon, `RING * WIDTH_US` = 2^20 µs ≈ 1.05 s, comes from
-//! the push-delay histogram of the benchmark's `plant` deployment: 67.5 %
-//! of pushes land 0.5–1 ms ahead (the LPL strobe gap), 16.8 % 1–2 ms
-//! (frame ends), 7.7 % 4–8 ms (the LPL sample end), 6.4 % 131–262 ms (the
-//! LPL wake) and 1.1 % 0.26–134 s (DODAG, Trickle and traffic timers);
-//! 0.06 % land at `now`. A ring of about a second keeps everything but
-//! the last group out of the overflow heap.
+//! The ring is a fixed 4,096 buckets, so its horizon is `4096 << SHIFT`
+//! µs. The kernel's instance keeps the default `SHIFT` of 8: 256 µs
+//! buckets and a 2^20 µs ≈ 1.05 s horizon, which comes from the
+//! push-delay histogram of the benchmark's `plant` deployment: 67.5 % of
+//! pushes land 0.5–1 ms ahead (the LPL strobe gap), 16.8 % 1–2 ms (frame
+//! ends), 7.7 % 4–8 ms (the LPL sample end), 6.4 % 131–262 ms (the LPL
+//! wake) and 1.1 % 0.26–134 s (DODAG, Trickle and traffic timers); 0.06 %
+//! land at `now`. A ring of about a second keeps everything but the last
+//! group out of the overflow heap.
 //!
 //! The width sets how long a run is. At 1,024 µs a `plant` run held 24
 //! entries on average and a `field_dense` one (6,400 broadcasters) 262,
@@ -45,35 +49,27 @@
 //! the heap at every width tried, 64–1,024 µs, while a heap gained little
 //! from narrower buckets; 64, 128 and 256 µs measured within a few per
 //! cent of each other, and 256 µs was the fastest on `plant` with the
-//! smallest ring of the three.
+//! smallest ring of the three. Traffic spaced by a second or more wants
+//! wider buckets, whose horizon covers its spacing: see
+//! `iiot_cloud::SessionGen`.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// log2 of a bucket's width in microseconds.
-const SHIFT: u32 = 8;
-/// A bucket's width: 256 µs.
-const WIDTH_US: u64 = 1 << SHIFT;
-/// Buckets in the ring, the current one included: the ring's horizon is
-/// `RING * WIDTH_US` = 2^20 µs ≈ 1.05 s past the current bucket's start.
-const RING: u64 = 1 << (20 - SHIFT);
+/// Buckets in the ring, the current one included, at every width.
+const RING: u64 = 1 << 12;
 const MASK: usize = RING as usize - 1;
 /// Words of the occupancy bitmap, one bit per ring bucket.
 const WORDS: usize = RING as usize / 64;
 /// The end of a bucket's list, and of the slab's free list.
 const NIL: u32 = u32::MAX;
 
-/// An entry the calendar can hold: filed by [`Timed::at`], popped least
+/// An entry a [`Calendar`] can hold: filed by [`Timed::at`], popped least
 /// first by its `Ord`, which must order by `at()` first.
-pub(crate) trait Timed: Ord {
+pub trait Timed: Ord {
     /// When the entry is due.
     fn at(&self) -> SimTime;
-}
-
-/// The bucket `t` falls in.
-fn bucket(t: SimTime) -> u64 {
-    t.as_micros() >> SHIFT
 }
 
 /// A slab cell: an entry filed in a ring bucket, or a free cell, and the
@@ -84,9 +80,10 @@ struct Link<E> {
     next: u32,
 }
 
-/// A calendar queue over entries `E` (see the [module docs](self)).
-pub(crate) struct Calendar<E> {
-    /// Number of the current bucket (time / [`WIDTH_US`]).
+/// A calendar queue over entries `E` in buckets 2^`SHIFT` µs wide (see
+/// the [module docs](self)).
+pub struct Calendar<E, const SHIFT: u32 = 8> {
+    /// Number of the current bucket (time >> `SHIFT`).
     cur: u64,
     /// Everything filed in the current bucket, least first.
     current: VecDeque<E>,
@@ -109,9 +106,15 @@ pub(crate) struct Calendar<E> {
     inserts: u64,
 }
 
-impl<E: Timed> Calendar<E> {
+impl<E: Timed, const SHIFT: u32> Default for Calendar<E, SHIFT> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E: Timed, const SHIFT: u32> Calendar<E, SHIFT> {
     /// An empty calendar whose current bucket holds time zero.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Calendar {
             cur: 0,
             current: VecDeque::new(),
@@ -128,25 +131,41 @@ impl<E: Timed> Calendar<E> {
     }
 
     /// Makes room for `additional` entries at the current time.
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    pub fn reserve(&mut self, additional: usize) {
         self.current.reserve(additional);
     }
 
+    /// Makes room for `additional` entries filed in the ring, ahead of
+    /// the current bucket but within its horizon.
+    pub fn reserve_ahead(&mut self, additional: usize) {
+        self.slab.reserve(additional);
+    }
+
     /// Entries queued.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.current.len() + self.ring_len + self.overflow.len()
+    }
+
+    /// Whether no entry is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Pushes that landed a whole ring or more ahead of the current
     /// bucket, in the overflow heap.
-    pub(crate) fn spills(&self) -> u64 {
+    pub fn spills(&self) -> u64 {
         self.spills
+    }
+
+    /// The bucket `t` falls in.
+    fn bucket(t: SimTime) -> u64 {
+        t.as_micros() >> SHIFT
     }
 
     /// Queues `e`, which must not be due before the current bucket
     /// (invariant 1 of the [module docs](self)).
-    pub(crate) fn push(&mut self, e: E) {
-        let b = bucket(e.at());
+    pub fn push(&mut self, e: E) {
+        let b = Self::bucket(e.at());
         debug_assert!(b >= self.cur, "pushed before the current bucket");
         if b <= self.cur {
             self.push_current(e);
@@ -161,10 +180,10 @@ impl<E: Timed> Calendar<E> {
     /// Removes and returns the least entry if it is due at or before
     /// `deadline`. Returning `None`, it leaves the current bucket at or
     /// before `deadline`'s (invariant 2 of the [module docs](self)).
-    pub(crate) fn pop_until(&mut self, deadline: SimTime) -> Option<E> {
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<E> {
         if self.current.is_empty() {
             let next = self.next_bucket()?;
-            if next * WIDTH_US > deadline.as_micros() {
+            if next << SHIFT > deadline.as_micros() {
                 return None;
             }
             self.advance(next);
@@ -174,7 +193,6 @@ impl<E: Timed> Calendar<E> {
         }
         self.current.pop_front()
     }
-
     /// Puts `e` in its place in the current run: appended when it is not
     /// before the run's tail, else inserted after every lesser entry.
     fn push_current(&mut self, e: E) {
@@ -215,7 +233,7 @@ impl<E: Timed> Calendar<E> {
 
     /// The earliest bucket after the current one that holds an entry.
     fn next_bucket(&self) -> Option<u64> {
-        let far = self.overflow.peek().map(|e| bucket(e.0.at()));
+        let far = self.overflow.peek().map(|e| Self::bucket(e.0.at()));
         self.next_in_ring().into_iter().chain(far).min()
     }
 
@@ -266,7 +284,7 @@ impl<E: Timed> Calendar<E> {
             self.ring_len -= 1;
             cell = next;
         }
-        while let Some(fb) = self.overflow.peek().map(|e| bucket(e.0.at())) {
+        while let Some(fb) = self.overflow.peek().map(|e| Self::bucket(e.0.at())) {
             if fb - b >= RING {
                 break;
             }
@@ -298,19 +316,25 @@ mod tests {
         }
     }
 
-    /// One horizon: a whole ring of buckets.
-    const HORIZON_US: u64 = RING * WIDTH_US;
+    /// The kernel's width, 256 µs, and the cloud session generator's,
+    /// 1,024 µs: every test below runs at both.
+    const KERNEL: u32 = 8;
+    const SESSION: u32 = 10;
 
     /// The calendar under test beside the binary heap it must match, and
     /// the clock a kernel driving them would keep.
-    struct Pair {
-        cal: Calendar<Entry>,
+    struct Pair<const SHIFT: u32> {
+        cal: Calendar<Entry, SHIFT>,
         model: BinaryHeap<Reverse<Entry>>,
         now: SimTime,
         seq: u64,
     }
 
-    impl Pair {
+    impl<const SHIFT: u32> Pair<SHIFT> {
+        const WIDTH_US: u64 = 1 << SHIFT;
+        /// One horizon: a whole ring of buckets.
+        const HORIZON_US: u64 = RING << SHIFT;
+
         fn new() -> Self {
             Pair {
                 cal: Calendar::new(),
@@ -318,6 +342,11 @@ mod tests {
                 now: SimTime::ZERO,
                 seq: 0,
             }
+        }
+
+        /// The bucket `t` falls in.
+        fn bucket(t: SimTime) -> u64 {
+            Calendar::<Entry, SHIFT>::bucket(t)
         }
 
         /// Pushes `copies` entries at `at` (clamped to `now`) into both.
@@ -366,103 +395,127 @@ mod tests {
 
         /// The one time `kind` names, from the draw `a`.
         fn time(&self, kind: u8, a: u64) -> u64 {
+            let (width, horizon_us) = (Self::WIDTH_US, Self::HORIZON_US);
             let now = self.now.as_micros();
             // The current bucket's horizon, in µs (saturating near MAX).
-            let horizon = (self.cal.cur + RING).saturating_mul(WIDTH_US);
+            let horizon = (self.cal.cur + RING).saturating_mul(width);
             match kind {
                 // Ties at `now`.
                 0 => now,
                 // Within the current bucket or just past it.
-                1 => now.saturating_add(a % WIDTH_US),
+                1 => now.saturating_add(a % width),
                 // Somewhere in the next bucket.
-                2 => (bucket(self.now) + 1)
-                    .saturating_mul(WIDTH_US)
-                    .saturating_add(a % WIDTH_US),
+                2 => (Self::bucket(self.now) + 1)
+                    .saturating_mul(width)
+                    .saturating_add(a % width),
                 // Just under, and exactly at, one horizon.
                 3 => horizon - 1,
                 4 => horizon,
                 // Many horizons ahead.
-                5 => now.saturating_add(HORIZON_US * (1 + a % 50) + a % HORIZON_US),
+                5 => now.saturating_add(horizon_us * (1 + a % 50) + a % horizon_us),
                 // Near the end of time.
                 6 => u64::MAX - a % 4_096,
                 // Anywhere in the next four horizons.
-                7 => now.saturating_add(a % (4 * HORIZON_US)),
+                7 => now.saturating_add(a % (4 * horizon_us)),
                 // Between `now` and the current bucket's last µs, so
                 // often before the run's tail: the insert path.
                 8 => {
-                    let last = (self.cal.cur + 1).saturating_mul(WIDTH_US) - 1;
+                    let last = (self.cal.cur + 1).saturating_mul(width) - 1;
                     now + a % (last.saturating_sub(now) + 1)
                 }
                 // Exactly on a bucket boundary a few buckets on, or the
                 // µs before it.
-                _ => (bucket(self.now) + 1 + a % 4)
-                    .saturating_mul(WIDTH_US)
+                _ => (Self::bucket(self.now) + 1 + a % 4)
+                    .saturating_mul(width)
                     .saturating_sub(a / 4 % 2),
             }
         }
+    }
+
+    /// Drives a calendar 2^`SHIFT` µs wide and a binary heap through
+    /// `steps`, asserting after each pop that they agree.
+    fn pops_in_heap_order<const SHIFT: u32>(steps: Vec<(u8, u64)>) {
+        let mut p = Pair::<SHIFT>::new();
+        for (op, a) in steps {
+            match op {
+                // A push of one to three entries at one time, so
+                // equal-µs ties are common.
+                0..=9 => p.push(p.time(op, a), 1 + a % 3),
+                10 => p.pop_one(),
+                // A run that stops in the empty stretch before the
+                // next entry (a peek that finds nothing due), then
+                // pushes at and just after its deadline.
+                11 => {
+                    let next = p.model.peek().map_or(u64::MAX, |e| e.0 .0.as_micros());
+                    let gap = next - p.now.as_micros();
+                    let deadline = p.now.as_micros() + a % gap.max(1);
+                    p.run_until(SimTime::from_micros(deadline.min(next.saturating_sub(1))));
+                    let now = p.now.as_micros();
+                    p.push(now, 1 + a % 2);
+                    p.push(now.saturating_add(a % (3 * Pair::<SHIFT>::WIDTH_US)), 1);
+                }
+                // A run to a deadline up to two horizons out.
+                12 => {
+                    let deadline = p
+                        .now
+                        .as_micros()
+                        .saturating_add(a % (2 * Pair::<SHIFT>::HORIZON_US));
+                    p.run_until(SimTime::from_micros(deadline));
+                }
+                // A burst of 1,000–1,999 pushes at `now`, with pops
+                // between some of them.
+                13 => {
+                    let now = p.now.as_micros();
+                    for i in 0..1_000 + a % 1_000 {
+                        p.push(now, 1);
+                        if i % 97 == a % 97 {
+                            p.pop_one();
+                        }
+                    }
+                }
+                // A deadline in the past leaves the clock alone.
+                _ => p.run_until(SimTime::from_micros(p.now.as_micros() / 2)),
+            }
+        }
+        p.run_until(SimTime::MAX);
+        assert_eq!(p.cal.len(), 0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Any interleaving of pushes, pops and stopped runs pops what a
-        /// binary heap over `(time, seq)` pops, in the same order.
+        /// binary heap over `(time, seq)` pops, in the same order, at the
+        /// kernel's width.
         #[test]
         fn pops_in_binary_heap_order(
             steps in proptest::collection::vec((0u8..15, any::<u64>()), 1..300),
         ) {
-            let mut p = Pair::new();
-            for (op, a) in steps {
-                match op {
-                    // A push of one to three entries at one time, so
-                    // equal-µs ties are common.
-                    0..=9 => p.push(p.time(op, a), 1 + a % 3),
-                    10 => p.pop_one(),
-                    // A run that stops in the empty stretch before the
-                    // next entry (a peek that finds nothing due), then
-                    // pushes at and just after its deadline.
-                    11 => {
-                        let next = p.model.peek().map_or(u64::MAX, |e| e.0 .0.as_micros());
-                        let gap = next - p.now.as_micros();
-                        let deadline = p.now.as_micros() + a % gap.max(1);
-                        p.run_until(SimTime::from_micros(deadline.min(next.saturating_sub(1))));
-                        let now = p.now.as_micros();
-                        p.push(now, 1 + a % 2);
-                        p.push(now.saturating_add(a % (3 * WIDTH_US)), 1);
-                    }
-                    // A run to a deadline up to two horizons out.
-                    12 => {
-                        let deadline = p.now.as_micros().saturating_add(a % (2 * HORIZON_US));
-                        p.run_until(SimTime::from_micros(deadline));
-                    }
-                    // A burst of 1,000–1,999 pushes at `now`, with pops
-                    // between some of them.
-                    13 => {
-                        let now = p.now.as_micros();
-                        for i in 0..1_000 + a % 1_000 {
-                            p.push(now, 1);
-                            if i % 97 == a % 97 {
-                                p.pop_one();
-                            }
-                        }
-                    }
-                    // A deadline in the past leaves the clock alone.
-                    _ => p.run_until(SimTime::from_micros(p.now.as_micros() / 2)),
-                }
-            }
-            p.run_until(SimTime::MAX);
-            prop_assert_eq!(p.cal.len(), 0);
+            pops_in_heap_order::<KERNEL>(steps);
+        }
+
+        /// The same at the session generator's width.
+        #[test]
+        fn pops_in_binary_heap_order_at_the_session_width(
+            steps in proptest::collection::vec((0u8..15, any::<u64>()), 1..300),
+        ) {
+            pops_in_heap_order::<SESSION>(steps);
         }
     }
 
     #[test]
     fn an_entry_exactly_one_horizon_ahead_spills_and_pops_in_turn() {
-        let mut p = Pair::new();
-        p.push(HORIZON_US - 1, 1); // the ring's last bucket
-        p.push(HORIZON_US, 1); // one horizon ahead: the overflow heap
-        p.push(HORIZON_US + WIDTH_US, 1);
-        assert_eq!(p.cal.spills(), 2);
-        p.run_until(SimTime::MAX);
+        fn at<const SHIFT: u32>() {
+            let (width, horizon) = (Pair::<SHIFT>::WIDTH_US, Pair::<SHIFT>::HORIZON_US);
+            let mut p = Pair::<SHIFT>::new();
+            p.push(horizon - 1, 1); // the ring's last bucket
+            p.push(horizon, 1); // one horizon ahead: the overflow heap
+            p.push(horizon + width, 1);
+            assert_eq!(p.cal.spills(), 2);
+            p.run_until(SimTime::MAX);
+        }
+        at::<KERNEL>();
+        at::<SESSION>();
     }
 
     #[test]
@@ -470,33 +523,42 @@ mod tests {
         // Spills one to three horizons out, on and either side of bucket
         // boundaries, with ties; each pop moves the horizon over some of
         // them, which must then pop in turn with entries filed later.
-        let mut p = Pair::new();
-        for k in 1..=3 {
-            for off in [0, 1, WIDTH_US - 1, WIDTH_US, 5 * WIDTH_US] {
-                p.push(k * HORIZON_US + off, 2);
+        fn at<const SHIFT: u32>() {
+            let (width, horizon) = (Pair::<SHIFT>::WIDTH_US, Pair::<SHIFT>::HORIZON_US);
+            let mut p = Pair::<SHIFT>::new();
+            for k in 1..=3 {
+                for off in [0, 1, width - 1, width, 5 * width] {
+                    p.push(k * horizon + off, 2);
+                }
             }
+            assert_eq!(p.cal.spills(), 30);
+            for _ in 0..200 {
+                p.pop_one();
+                let now = p.now.as_micros();
+                p.push(now + width, 1);
+                p.push(now + horizon - 1, 1);
+            }
+            p.run_until(SimTime::MAX);
         }
-        assert_eq!(p.cal.spills(), 30);
-        for _ in 0..200 {
-            p.pop_one();
-            let now = p.now.as_micros();
-            p.push(now + WIDTH_US, 1);
-            p.push(now + HORIZON_US - 1, 1);
-        }
-        p.run_until(SimTime::MAX);
+        at::<KERNEL>();
+        at::<SESSION>();
     }
 
     #[test]
     fn a_stopped_run_leaves_room_for_a_push_at_its_deadline() {
         // The next entry is 10 ms out; a run to 5 ms finds nothing due,
         // and a push at 5 ms must still pop before the 10 ms entry.
-        let mut p = Pair::new();
-        p.push(10_000, 1);
-        p.run_until(SimTime::from_micros(5_000));
-        assert!(p.cal.cur <= bucket(p.now));
-        p.push(5_000, 1);
-        p.push(7_500, 1);
-        p.run_until(SimTime::MAX);
+        fn at<const SHIFT: u32>() {
+            let mut p = Pair::<SHIFT>::new();
+            p.push(10_000, 1);
+            p.run_until(SimTime::from_micros(5_000));
+            assert!(p.cal.cur <= Pair::<SHIFT>::bucket(p.now));
+            p.push(5_000, 1);
+            p.push(7_500, 1);
+            p.run_until(SimTime::MAX);
+        }
+        at::<KERNEL>();
+        at::<SESSION>();
     }
 
     #[test]
@@ -504,35 +566,44 @@ mod tests {
         // The `Start` burst, and follow-ups at the instant just popped:
         // each one is the run's greatest entry, so a push that searched
         // and inserted would make a 10^5-node start quadratic.
-        let mut p = Pair::new();
-        p.push(0, 100_000);
-        for _ in 0..1_000 {
-            p.pop_one();
-            p.push(0, 1);
+        fn at<const SHIFT: u32>() {
+            let width = Pair::<SHIFT>::WIDTH_US;
+            let mut p = Pair::<SHIFT>::new();
+            p.push(0, 100_000);
+            for _ in 0..1_000 {
+                p.pop_one();
+                p.push(0, 1);
+            }
+            p.push(3 * width + 5, 1);
+            p.run_until(SimTime::from_micros(3 * width + 5));
+            p.push(3 * width + 5, 1_000);
+            assert_eq!(p.cal.inserts, 0);
+            // An entry before the tail does take the insert path.
+            p.push(3 * width + 7, 1);
+            p.push(3 * width + 6, 1);
+            assert_eq!(p.cal.inserts, 1);
+            p.run_until(SimTime::MAX);
         }
-        p.push(3 * WIDTH_US + 5, 1);
-        p.run_until(SimTime::from_micros(3 * WIDTH_US + 5));
-        p.push(3 * WIDTH_US + 5, 1_000);
-        assert_eq!(p.cal.inserts, 0);
-        // An entry before the tail does take the insert path.
-        p.push(3 * WIDTH_US + 7, 1);
-        p.push(3 * WIDTH_US + 6, 1);
-        assert_eq!(p.cal.inserts, 1);
-        p.run_until(SimTime::MAX);
+        at::<KERNEL>();
+        at::<SESSION>();
     }
 
     #[test]
     fn the_slab_holds_peak_pending_entries_only() {
         // 10^5 pushes 2 ms ahead, each popped before the next: the slab
         // never needs more cells than were ever filed at once.
-        let mut cal = Calendar::new();
-        for seq in 0..100_000u64 {
-            cal.push((SimTime::from_micros(seq * 100 + 2_000), seq));
-            if seq >= 20 {
-                assert_eq!(cal.pop_until(SimTime::MAX).map(|e| e.1), Some(seq - 20));
+        fn at<const SHIFT: u32>() {
+            let mut cal = Calendar::<Entry, SHIFT>::new();
+            for seq in 0..100_000u64 {
+                cal.push((SimTime::from_micros(seq * 100 + 2_000), seq));
+                if seq >= 20 {
+                    assert_eq!(cal.pop_until(SimTime::MAX).map(|e| e.1), Some(seq - 20));
+                }
             }
+            assert!(cal.slab.len() <= 21, "{} cells", cal.slab.len());
+            assert_eq!(cal.spills(), 0);
         }
-        assert!(cal.slab.len() <= 21, "{} cells", cal.slab.len());
-        assert_eq!(cal.spills(), 0);
+        at::<KERNEL>();
+        at::<SESSION>();
     }
 }

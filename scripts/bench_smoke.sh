@@ -53,6 +53,14 @@ if grep -rn 'std::sync\|\<sync::' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
+# One calendar: time-ordered merges run on `iiot_sim::queue::Calendar`,
+# whose overflow heap is the only binary heap in first-party source.
+if grep -rn 'BinaryHeap' crates src tests examples --include='*.rs' |
+    grep -v '^crates/sim/src/queue\.rs:'; then
+    echo "BinaryHeap named outside crates/sim/src/queue.rs" >&2
+    exit 1
+fi
+
 cargo build -p iiot-bench --release --offline --bins
 bin=target/release/experiments
 
