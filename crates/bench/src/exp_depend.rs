@@ -410,8 +410,8 @@ pub fn e11_diagnosis() -> Table {
         .build();
     d.run_for(SimDuration::from_secs(60));
     let victim = d.nodes[7];
-    // Snapshot the per-origin delivery baseline before the fault.
-    let baseline: Vec<usize> = d.nodes.iter().map(|&n| d.collected_from(n)).collect();
+    // Deliveries before the fault are the baseline; only later ones count.
+    let baseline = d.collected().len();
     d.sim.kill(victim);
     let window = SimDuration::from_secs(120);
     d.run_for(window);
@@ -422,13 +422,13 @@ pub fn e11_diagnosis() -> Table {
     // not from what the node happened to generate: a silent node is
     // exactly the symptom.
     let expected = (window.as_secs_f64() / period.as_secs_f64()).floor() as u32;
+    let fresh = &d.collected()[baseline..];
     let symptoms: Vec<Symptoms> = d
         .nodes
         .iter()
-        .enumerate()
         .skip(1)
-        .map(|(i, &n)| {
-            let received = (d.collected_from(n) - baseline[i]) as u32;
+        .map(|&n| {
+            let received = fresh.iter().filter(|c| c.origin == n).count() as u32;
             let attempts = stats.get_node(n, "mac_tx_data").max(1.0);
             Symptoms {
                 node: n,

@@ -1,8 +1,11 @@
 //! Deployment orchestration: build a simulated sensing-and-actuation
 //! deployment from a topology, a MAC choice and a traffic profile, run
-//! it, extend it (incremental rollout, §IV intro) and report collection
-//! metrics.
+//! it, extend it (incremental rollout, §IV intro), report collection
+//! metrics, and bridge its root into a [`Gateway`](iiot_gateway::Gateway)
+//! as a [`BorderAdapter`] — the sensornet-to-IP role §IV-B gives the
+//! border router, on the same northbound face as every wired device.
 
+use iiot_gateway::{Adapter, Measurement, PointInfo, Quality, Unit, WriteError};
 use iiot_mac::csma::{CsmaConfig, CsmaMac};
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_mac::rimac::{RimacConfig, RimacMac};
@@ -10,8 +13,11 @@ use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
 use iiot_routing::dodag::{DodagConfig, DodagNode, Traffic};
 use iiot_routing::graph;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
+use iiot_routing::Collected;
 use iiot_sim::prelude::*;
 use iiot_sim::trace::Summary;
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 /// Which MAC the deployment runs under the collection protocol.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,6 +149,8 @@ impl DeploymentBuilder {
             nodes,
             mac,
             dodag: self.dodag,
+            borders: Vec::new(),
+            handed_over: 0,
         }
     }
 }
@@ -214,7 +222,14 @@ pub struct Deployment {
     pub nodes: Vec<NodeId>,
     mac: MacChoice,
     dodag: DodagConfig,
+    /// The inboxes of the border adapters still alive.
+    borders: Vec<Weak<Inbox>>,
+    /// How many of the root's readings went to `borders` so far.
+    handed_over: usize,
 }
+
+/// Root readings not yet polled by one [`BorderAdapter`].
+type Inbox = RefCell<Vec<Collected>>;
 
 impl Deployment {
     /// Starts building a deployment over `topology`.
@@ -227,9 +242,54 @@ impl Deployment {
         self.mac
     }
 
-    /// Runs the deployment for `d` of simulated time.
+    /// Runs the deployment for `d` of simulated time, then hands the
+    /// readings the root collected meanwhile to every live
+    /// [`BorderAdapter`]. (Readings collected while `sim` is driven
+    /// directly are handed over by the next call.)
     pub fn run_for(&mut self, d: SimDuration) {
         self.sim.run_for(d);
+        self.hand_over();
+    }
+
+    fn hand_over(&mut self) {
+        self.borders.retain(|b| b.strong_count() > 0);
+        let fresh = &self.collected()[self.handed_over..];
+        for inbox in self.borders.iter().filter_map(Weak::upgrade) {
+            inbox.borrow_mut().extend_from_slice(fresh);
+        }
+        self.handed_over += fresh.len();
+    }
+
+    /// The border router as a gateway [`Adapter`]: one read-only point
+    /// per non-root node, `{prefix}/n{id}`, whose value is the origin's
+    /// sequence number (payloads are synthetic filler; `seq` exposes
+    /// gaps and duplicates) stamped with the reading's `sent_at`.
+    ///
+    /// Like a bus subscription, the adapter sees the readings the root
+    /// collects from the moment it is made, each exactly once, in
+    /// arrival order. Its [`points`](Adapter::points) are the nodes that
+    /// exist now: readings of nodes added later by
+    /// [`extend`](Deployment::extend) still reach the gateway's bus,
+    /// cache and uplink, but get no CoAP resource.
+    pub fn border_adapter(&mut self, prefix: &str) -> BorderAdapter {
+        self.hand_over();
+        let inbox = Rc::new(Inbox::default());
+        self.borders.push(Rc::downgrade(&inbox));
+        let points = self
+            .nodes
+            .iter()
+            .filter(|&&n| n != self.root)
+            .map(|n| PointInfo {
+                point: format!("{prefix}/n{}", n.0),
+                unit: Unit::Raw,
+                writable: false,
+            })
+            .collect();
+        BorderAdapter {
+            prefix: prefix.to_owned(),
+            points,
+            inbox,
+        }
     }
 
     /// Incremental rollout (§IV): adds another batch of nodes at the
@@ -255,33 +315,26 @@ impl Deployment {
         added
     }
 
-    fn per_node<R>(&self, f: impl Fn(&dyn ReportableNode) -> R, node: NodeId) -> R {
+    /// Whether `node` currently has a route to the root.
+    pub fn has_route(&self, node: NodeId) -> bool {
+        let sim = &self.sim;
         match self.mac {
-            MacChoice::Csma => f(self.sim.proto::<DodagNode<CsmaMac>>(node)),
-            MacChoice::Lpl(_) => f(self.sim.proto::<DodagNode<LplMac>>(node)),
-            MacChoice::Rimac(_) => f(self.sim.proto::<DodagNode<RimacMac>>(node)),
-            MacChoice::Tdma(_) => f(self.sim.proto::<StaticCollection<TdmaMac>>(node)),
+            MacChoice::Csma => sim.proto::<DodagNode<CsmaMac>>(node).has_route(),
+            MacChoice::Lpl(_) => sim.proto::<DodagNode<LplMac>>(node).has_route(),
+            MacChoice::Rimac(_) => sim.proto::<DodagNode<RimacMac>>(node).has_route(),
+            MacChoice::Tdma(_) => sim.proto::<StaticCollection<TdmaMac>>(node).has_route(),
         }
     }
 
-    /// Whether `node` currently has a route to the root.
-    pub fn has_route(&self, node: NodeId) -> bool {
-        self.per_node(|n| n.route(), node)
-    }
-
-    /// Number of readings the root has collected.
-    pub fn collected_count(&self) -> usize {
-        self.per_node(|n| n.collected_len(), self.root)
-    }
-
-    /// Number of readings the root has collected from `origin`.
-    pub fn collected_from(&self, origin: NodeId) -> usize {
-        self.per_node(|n| n.collected_from(origin), self.root)
-    }
-
-    /// The most recent reading the root collected from `origin`.
-    pub fn latest_from(&self, origin: NodeId) -> Option<iiot_routing::Collected> {
-        self.per_node(|n| n.latest_from(origin), self.root)
+    /// Every reading the root has collected, in arrival order.
+    pub fn collected(&self) -> &[Collected] {
+        let (sim, root) = (&self.sim, self.root);
+        match self.mac {
+            MacChoice::Csma => sim.proto::<DodagNode<CsmaMac>>(root).collected(),
+            MacChoice::Lpl(_) => sim.proto::<DodagNode<LplMac>>(root).collected(),
+            MacChoice::Rimac(_) => sim.proto::<DodagNode<RimacMac>>(root).collected(),
+            MacChoice::Tdma(_) => sim.proto::<StaticCollection<TdmaMac>>(root).collected(),
+        }
     }
 
     /// Builds the collection report at the current time.
@@ -325,61 +378,58 @@ impl Deployment {
     }
 }
 
-/// Object-safe view of a DODAG node used by [`Deployment`] reporting.
-trait ReportableNode {
-    fn route(&self) -> bool;
-    fn collected_len(&self) -> usize;
-    fn collected_from(&self, origin: NodeId) -> usize;
-    fn latest_from(&self, origin: NodeId) -> Option<iiot_routing::Collected>;
+/// A [`Deployment`]'s root as a gateway [`Adapter`]; made by
+/// [`Deployment::border_adapter`].
+#[derive(Debug)]
+pub struct BorderAdapter {
+    prefix: String,
+    points: Vec<PointInfo>,
+    inbox: Rc<Inbox>,
 }
 
-impl<M: iiot_mac::Mac> ReportableNode for DodagNode<M> {
-    fn route(&self) -> bool {
-        self.has_route()
+impl Adapter for BorderAdapter {
+    fn device(&self) -> &str {
+        &self.prefix
     }
-    fn collected_len(&self) -> usize {
-        self.collected().len()
-    }
-    fn collected_from(&self, origin: NodeId) -> usize {
-        self.collected()
-            .iter()
-            .filter(|c| c.origin == origin)
-            .count()
-    }
-    fn latest_from(&self, origin: NodeId) -> Option<iiot_routing::Collected> {
-        self.collected()
-            .iter()
-            .rev()
-            .find(|c| c.origin == origin)
-            .cloned()
-    }
-}
 
-impl<M: iiot_mac::Mac> ReportableNode for StaticCollection<M> {
-    fn route(&self) -> bool {
-        self.has_route()
+    fn protocol(&self) -> &'static str {
+        "sensornet"
     }
-    fn collected_len(&self) -> usize {
-        self.collected().len()
+
+    fn points(&self) -> Vec<PointInfo> {
+        self.points.clone()
     }
-    fn collected_from(&self, origin: NodeId) -> usize {
-        self.collected()
-            .iter()
-            .filter(|c| c.origin == origin)
-            .count()
+
+    fn poll(&mut self, _now_us: u64) -> Vec<Measurement> {
+        self.inbox
+            .take()
+            .into_iter()
+            .map(|c| Measurement {
+                point: format!("{}/n{}", self.prefix, c.origin.0),
+                value: f64::from(c.seq),
+                unit: Unit::Raw,
+                quality: Quality::Good,
+                timestamp_us: c.sent_at.as_micros(),
+                device: self.prefix.clone(),
+            })
+            .collect()
     }
-    fn latest_from(&self, origin: NodeId) -> Option<iiot_routing::Collected> {
-        self.collected()
-            .iter()
-            .rev()
-            .find(|c| c.origin == origin)
-            .cloned()
+
+    fn write(&mut self, point: &str, _value: f64) -> Result<(), WriteError> {
+        if self.points.iter().any(|p| p.point == point) {
+            Err(WriteError::ReadOnly)
+        } else {
+            Err(WriteError::NoSuchPoint)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iiot_coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
+    use iiot_crdt::ReplicaId;
+    use iiot_gateway::Gateway;
 
     fn line(n: usize) -> Topology {
         Topology::line(n, 20.0)
@@ -400,7 +450,7 @@ mod tests {
         assert!(r.mean_duty_cycle > 0.99, "csma never sleeps");
         assert_eq!(r.orphans, 0);
         assert_eq!(r.alive_fraction, 1.0);
-        assert_eq!(d.collected_count() as u64, r.delivered);
+        assert_eq!(d.collected().len() as u64, r.delivered);
     }
 
     #[test]
@@ -471,5 +521,99 @@ mod tests {
             .mac(MacChoice::Tdma(SimDuration::from_millis(20)))
             .build();
         d.extend(&line(1));
+    }
+
+    /// A three-node CSMA line whose root is bridged into a gateway as
+    /// `cell/n1` and `cell/n2`, with 30 s of readings handed over.
+    fn bridged() -> (Deployment, Gateway) {
+        let mut d = Deployment::builder(line(3))
+            .mac(MacChoice::Csma)
+            .seed(0xB0)
+            .traffic(SimDuration::from_secs(5), 6, SimDuration::from_secs(10))
+            .build();
+        let mut gw = Gateway::new(ReplicaId(1));
+        gw.add_adapter(Box::new(d.border_adapter("cell")));
+        d.run_for(SimDuration::from_secs(30));
+        (d, gw)
+    }
+
+    /// Carries every datagram `from` has queued to `to`.
+    fn deliver(from: &mut CoapEndpoint<u64>, to: &mut CoapEndpoint<u64>) {
+        for (_, dgram) in from.take_outbox() {
+            to.handle_datagram(0, &dgram, SimTime::ZERO);
+        }
+    }
+
+    #[test]
+    fn border_points_serve_the_latest_seq_over_coap() {
+        let (d, mut gw) = bridged();
+        let points: Vec<String> = gw.inventory()[0]
+            .points
+            .iter()
+            .map(|p| p.point.clone())
+            .collect();
+        assert_eq!(points, ["cell/n1", "cell/n2"], "the root is not a sensor");
+        assert_eq!(gw.poll_all(d.sim.now().as_micros()), d.collected().len());
+        let latest = d
+            .collected()
+            .iter()
+            .rev()
+            .find(|c| c.origin == NodeId(2))
+            .expect("node 2 reported");
+        assert_eq!(latest.hops, 2, "line of 3");
+        let m = gw.last("cell/n2").expect("cached");
+        assert_eq!(m.value, f64::from(latest.seq));
+        assert_eq!(m.timestamp_us, latest.sent_at.as_micros());
+        assert_eq!(gw.write_direct("cell/n2", 1.0), Err(WriteError::ReadOnly));
+
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 9);
+        client.get(0, "cell/n2", SimTime::ZERO);
+        deliver(&mut client, gw.coap_mut());
+        deliver(gw.coap_mut(), &mut client);
+        match &client.take_events()[..] {
+            [CoapEvent::Response { code, payload, .. }] => {
+                assert_eq!(*code, Code::Content);
+                let text = String::from_utf8_lossy(payload);
+                assert!(text.starts_with(&format!("{}.000 ", latest.seq)), "{text}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn border_observers_are_pushed_new_readings() {
+        let (mut d, mut gw) = bridged();
+        gw.poll_all(d.sim.now().as_micros());
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 9);
+        client.observe(0, "cell/n1", SimTime::ZERO);
+        deliver(&mut client, gw.coap_mut());
+        deliver(gw.coap_mut(), &mut client);
+        client.take_events();
+
+        // More readings arrive over the air.
+        d.run_for(SimDuration::from_secs(20));
+        assert!(gw.poll_all(d.sim.now().as_micros()) >= 1);
+        deliver(gw.coap_mut(), &mut client);
+        let ev = client.take_events();
+        assert!(
+            ev.iter().any(|e| matches!(
+                e,
+                CoapEvent::Response {
+                    observe: Some(_),
+                    ..
+                }
+            )),
+            "observer must be pushed the update: {ev:?}"
+        );
+    }
+
+    #[test]
+    fn an_idle_border_poll_publishes_nothing() {
+        let (d, mut gw) = bridged();
+        let bus = gw.bus().subscribe("cell/");
+        assert!(gw.poll_all(d.sim.now().as_micros()) > 0);
+        assert_eq!(bus.try_iter().count(), d.collected().len());
+        assert_eq!(gw.poll_all(d.sim.now().as_micros()), 0, "nothing new");
+        assert_eq!(bus.try_iter().count(), 0);
     }
 }

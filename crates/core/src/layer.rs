@@ -80,13 +80,11 @@ pub trait SensingActuation {
 
 impl SensingActuation for Gateway {
     fn acquire(&mut self, now_us: u64) -> Vec<Measurement> {
+        // Exactly what this poll publishes: a point with nothing new is
+        // not handed up again with its old timestamp.
+        let fresh = self.bus().subscribe("");
         self.poll_all(now_us);
-        // The gateway caches the last value per point; re-read them.
-        self.inventory()
-            .iter()
-            .flat_map(|d| d.points.clone())
-            .filter_map(|p| self.last(&p.point))
-            .collect()
+        fresh.try_iter().collect()
     }
 
     fn actuate(&mut self, point: &str, value: f64) -> Result<(), WriteError> {
@@ -326,6 +324,51 @@ mod tests {
         assert_eq!(sys.cycle(2_000), 1);
         assert_eq!(sys.actuations().len(), 1, "rule quiescent after recovery");
         assert_eq!(sys.historian.samples("boiler/temp").len(), 2);
+    }
+
+    /// A device that reports once and then has nothing new.
+    struct OneShot(bool);
+
+    impl iiot_gateway::Adapter for OneShot {
+        fn device(&self) -> &str {
+            "one-shot"
+        }
+        fn protocol(&self) -> &'static str {
+            "test"
+        }
+        fn points(&self) -> Vec<iiot_gateway::PointInfo> {
+            vec![iiot_gateway::PointInfo {
+                point: "once".into(),
+                unit: Unit::Raw,
+                writable: false,
+            }]
+        }
+        fn poll(&mut self, now_us: u64) -> Vec<Measurement> {
+            if std::mem::replace(&mut self.0, true) {
+                return Vec::new();
+            }
+            vec![Measurement {
+                point: "once".into(),
+                value: 1.0,
+                unit: Unit::Raw,
+                quality: Quality::Good,
+                timestamp_us: now_us,
+                device: "one-shot".into(),
+            }]
+        }
+        fn write(&mut self, _: &str, _: f64) -> Result<(), WriteError> {
+            Err(WriteError::ReadOnly)
+        }
+    }
+
+    #[test]
+    fn a_gateway_acquires_only_what_its_poll_published() {
+        let mut gw = Gateway::new(iiot_crdt::ReplicaId(1));
+        gw.add_adapter(Box::new(OneShot(false)));
+        let mut sys = LayeredSystem::new(gw, Vec::new(), Historian::new(100));
+        let flowed: Vec<usize> = (0..4).map(|c| sys.cycle(c)).collect();
+        assert_eq!(flowed, [1, 0, 0, 0]);
+        assert_eq!(sys.historian.samples("once"), [(0, 1.0)]);
     }
 
     #[test]

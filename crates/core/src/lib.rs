@@ -9,8 +9,10 @@
 //!   `SensingActuation` trait for the bottom
 //!   tier, closed into a loop by `LayeredSystem`;
 //! * [`deployment`] — build/run/extend simulated deployments over any
-//!   MAC (`MacChoice`), with incremental
-//!   rollout and collection reporting;
+//!   MAC (`MacChoice`), with incremental rollout, collection reporting,
+//!   and the border router as a gateway `Adapter` (`BorderAdapter`), so
+//!   wireless readings reach the same gateway, bus and cloud uplink as
+//!   wired points;
 //! * [`audit`] — the interoperability / scalability / dependability
 //!   scorecard.
 //!
@@ -46,13 +48,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod audit;
-pub mod border;
 pub mod deployment;
 pub mod layer;
 
 pub use audit::Scorecard;
-pub use border::BorderRouter;
-pub use deployment::{CollectionReport, Deployment, DeploymentBuilder, MacChoice};
+pub use deployment::{BorderAdapter, CollectionReport, Deployment, DeploymentBuilder, MacChoice};
 pub use layer::{Actuation, Historian, LayeredSystem, Rule, SensingActuation};
 
 pub use iiot_aggregate as aggregate;

@@ -134,11 +134,6 @@ impl TlvAdapter {
         }
     }
 
-    /// Plant-simulation access to the wrapped sensor.
-    pub fn sensor_mut(&mut self) -> &mut TlvSensor {
-        &mut self.sensor
-    }
-
     fn bad(&self, point: &str, now_us: u64) -> Measurement {
         Measurement {
             point: format!("{}/{}", self.prefix, point),

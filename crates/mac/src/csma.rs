@@ -126,11 +126,6 @@ impl CsmaMac {
         &self.config
     }
 
-    /// Number of queued (not yet completed) send requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn set_state(&mut self, ctx: &mut Ctx<'_>, state: TxState) {
         if self.state != state {
             ctx.emit(EventKind::MacState {

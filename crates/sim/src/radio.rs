@@ -710,11 +710,6 @@ impl Medium {
         self.partitioned = on;
     }
 
-    /// Whether the partition is currently active.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
     fn link_open(&self, a: NodeId, b: NodeId) -> bool {
         let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
         if self.blocked_links.contains(&(x, y)) {

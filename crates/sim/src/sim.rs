@@ -273,13 +273,13 @@ impl Sim {
     }
 
     /// How many of [`Sim::queue_pushes`] landed beyond the event queue's
-    /// horizon. The queue is a calendar of 1,024 buckets, each 1,024 µs
-    /// wide: a push due within about 1.05 s of the current bucket is
-    /// filed in its bucket's list at constant cost, and one due later
-    /// *spills* into an overflow heap, paying a heap push and pop and a
-    /// move into the ring when the horizon reaches it. Spills per push
-    /// is the deterministic measure of how well the buckets fit the
-    /// workload's timer delays.
+    /// horizon. The queue is a calendar (see the [`queue`](crate::queue)
+    /// module docs for its bucket width and horizon): a push due within
+    /// the horizon is filed in its bucket's list at constant cost, and
+    /// one due later *spills* into an overflow heap, paying a heap push
+    /// and pop and a move into the ring when the horizon reaches it.
+    /// Spills per push is the deterministic measure of how well the
+    /// buckets fit the workload's timer delays.
     pub fn queue_spills(&self) -> u64 {
         self.world.queue_spills()
     }

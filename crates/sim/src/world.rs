@@ -941,11 +941,6 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    /// Current radio state.
-    pub fn radio_state(&self) -> RadioState {
-        self.kernel.medium.state(self.node)
-    }
-
     /// Retunes the radio to `channel`.
     ///
     /// # Errors

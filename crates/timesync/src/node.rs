@@ -9,7 +9,7 @@ use crate::SyncedClock;
 use iiot_sim::{Ctx, Dst, Frame, Proto, RxInfo, SimDuration, Timer};
 use rand::Rng;
 
-/// Default radio demux port for standalone sync beacons.
+/// Radio demux port of standalone sync beacons.
 pub const FTSP_PORT: u8 = 9;
 
 /// Beat timer tag (below the MAC-reserved tag space).
@@ -24,7 +24,6 @@ const TAG_BEAT: u64 = 0x157;
 #[derive(Debug)]
 pub struct FtspNode {
     engine: FtspEngine,
-    port: u8,
 }
 
 impl FtspNode {
@@ -32,15 +31,7 @@ impl FtspNode {
     pub fn new(cfg: FtspConfig) -> Self {
         FtspNode {
             engine: FtspEngine::new(cfg),
-            port: FTSP_PORT,
         }
-    }
-
-    /// Overrides the radio demux port.
-    #[must_use]
-    pub fn with_port(mut self, port: u8) -> Self {
-        self.port = port;
-        self
     }
 
     /// The underlying engine (e.g. to inspect depth or sync state).
@@ -79,14 +70,14 @@ impl Proto for FtspNode {
             if let Some(payload) = self.engine.beat(ctx) {
                 // A busy radio (our previous tx still on air) only
                 // happens with absurdly short periods; drop the round.
-                let _ = ctx.transmit(Dst::Broadcast, self.port, payload);
+                let _ = ctx.transmit(Dst::Broadcast, FTSP_PORT, payload);
             }
             self.arm_beat(ctx, false);
         }
     }
 
     fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
-        if frame.port == self.port {
+        if frame.port == FTSP_PORT {
             self.engine
                 .on_beacon(ctx, &frame.payload, frame.payload.len());
         }

@@ -61,6 +61,15 @@ if grep -rn 'BinaryHeap' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
+# The examples are runnable documentation whose `assert!`s no test
+# executes: each must run to a zero exit.
+for example in quickstart construction_site partition_drill energy_latency; do
+    if ! cargo run --release --offline --example "$example" > /dev/null; then
+        echo "example $example failed" >&2
+        exit 1
+    fi
+done
+
 cargo build -p iiot-bench --release --offline --bins
 bin=target/release/experiments
 
@@ -153,4 +162,4 @@ assert worlds[0] == worlds[1], "replayed event stream diverged from live"
 print(f"replay-equals-live: {len(worlds[0])} events byte-identical")
 EOF
 
-echo "bench smoke OK: e5 + e13 + e14 + e15 + e16 + e17 + e18 (replay==live) byte-identical at --jobs 1/2"
+echo "bench smoke OK: four examples ran; e5 + e13 + e14 + e15 + e16 + e17 + e18 (replay==live) byte-identical at --jobs 1/2"

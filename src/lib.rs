@@ -21,7 +21,7 @@
 //! | [`cloud`] | `iiot-cloud` | Fig. 1 — multi-tenant northbound platform tier |
 //! | [`stream`] | `iiot-stream` | Fig. 1/§V-B — replayable event log, admission control, windowed aggregation |
 //! | [`fleet`] | `iiot-fleet` | §V-D/§VI — fleet campaigns, digital twins, config drift |
-//! | [`core`] | `iiot-core` | Fig. 1 — layers, deployments, scorecard |
+//! | [`core`] | `iiot-core` | Fig. 1 — layers, deployments and their border adapter, scorecard |
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! DESIGN.md for the experiment index.
@@ -47,8 +47,8 @@
 //! ```
 
 pub use iiot_core::{
-    audit, deployment, layer, Actuation, CollectionReport, Deployment, DeploymentBuilder,
-    Historian, LayeredSystem, MacChoice, Rule, Scorecard, SensingActuation,
+    audit, deployment, layer, Actuation, BorderAdapter, CollectionReport, Deployment,
+    DeploymentBuilder, Historian, LayeredSystem, MacChoice, Rule, Scorecard, SensingActuation,
 };
 
 pub use iiot_aggregate as aggregate;
