@@ -27,9 +27,9 @@ use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout::{self, RolloutPlan};
 use iiot_dissem::BlockInjector;
-use iiot_mac::csma::{CsmaConfig, CsmaMac};
+use iiot_mac::csma::CsmaMac;
 use iiot_mac::lpl::{LplConfig, LplMac};
-use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
+use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_mac::Mac;
 use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_routing::trickle::TrickleConfig;
@@ -105,7 +105,7 @@ fn campaign<M: Mac>(mut w: Sim, ids: &[NodeId], img: &Image, cap_s: u64) -> Camp
         .collect();
     let completion_s = complete.iter().map(|t| t.as_secs_f64()).fold(0.0, f64::max);
     let coverage = complete.len() as f64 / ids.len() as f64;
-    let model = *w.energy_model();
+    let model = EnergyModel::default();
     let energy_mj = ids
         .iter()
         .map(|&id| w.energy(id).energy_mj(&model))
@@ -132,10 +132,8 @@ fn run_arm(arm: MacArm, cols: usize, rows: usize, img: &Image, seed: u64, cap_s:
             let w = SimBuilder::new()
                 .seed(seed)
                 .nodes(topo, |_| {
-                    Box::new(DissemNode::new(
-                        CsmaMac::new(CsmaConfig::default()),
-                        DissemConfig::default(),
-                    )) as Box<dyn Proto>
+                    Box::new(DissemNode::new(CsmaMac::default(), DissemConfig::default()))
+                        as Box<dyn Proto>
                 })
                 .build();
             campaign::<CsmaMac>(w, &ids, img, cap_s)
@@ -174,7 +172,7 @@ fn run_arm(arm: MacArm, cols: usize, rows: usize, img: &Image, seed: u64, cap_s:
                 .seed(seed)
                 .nodes(topo, move |i| {
                     Box::new(DissemNode::new(
-                        TdmaMac::new(TdmaConfig::default(), sched.clone()),
+                        TdmaMac::new(sched.clone()),
                         DissemConfig {
                             trickle: TrickleConfig {
                                 imin: frame * 2,
@@ -260,7 +258,7 @@ pub fn e14_resume(rc: &RunConfig, side: usize, img_len: usize, crash_s: u64, cap
                     .seed(seed)
                     .nodes(topo, |_| {
                         Box::new(DissemNode::new(
-                            CsmaMac::new(CsmaConfig::default()),
+                            CsmaMac::default(),
                             DissemConfig::default(),
                         )) as Box<dyn Proto>
                     })
@@ -333,7 +331,7 @@ pub fn e14_rollout(rc: &RunConfig, side: usize, cap_s: u64) -> Table {
                         .seed(seed)
                         .nodes(topo, |_| {
                             Box::new(DissemNode::new(
-                                CsmaMac::new(CsmaConfig::default()),
+                                CsmaMac::default(),
                                 DissemConfig {
                                     enabled: false,
                                     ..DissemConfig::default()

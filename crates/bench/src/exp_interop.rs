@@ -3,7 +3,7 @@
 //! integration throughput and fidelity).
 
 use crate::table::{f1, f3, pct, Table};
-use iiot_coap::{CoapEndpoint, CoapEvent, EndpointConfig};
+use iiot_coap::{CoapEndpoint, CoapEvent};
 use iiot_core::{Deployment, Historian, LayeredSystem, MacChoice, Rule, Scorecard};
 use iiot_crdt::ReplicaId;
 use iiot_gateway::gatt::{uuid, CharMap, GattAdapter, GattDevice};
@@ -215,7 +215,7 @@ pub fn e12_interop() -> Table {
     ]);
 
     // Northbound CoAP round trip against the live cache.
-    let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 3);
+    let mut client: CoapEndpoint<u64> = CoapEndpoint::new(3);
     client.get(0, "plant/boiler/temp", SimTime::ZERO);
     for (_, dgram) in client.take_outbox() {
         gw.coap_mut().handle_datagram(1, &dgram, SimTime::ZERO);

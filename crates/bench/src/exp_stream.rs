@@ -113,10 +113,10 @@ fn shed_sum(pipe: &IngestPipeline, f: fn(&iiot_cloud::TenantStats) -> u64) -> u6
 }
 
 /// The drain capacity of `queues` queues of `config`, in messages per
-/// virtual second: `queues × drain_batch / tick`.
+/// virtual second: `queues × drain_batch / TICK`.
 pub(crate) fn capacity_per_sec(config: &IngestConfig, queues: u64) -> f64 {
     let per_tick = queues as f64 * config.drain_batch as f64;
-    per_tick / (config.tick.as_micros() as f64 / 1e6)
+    per_tick / (iiot_cloud::ingest::TICK.as_micros() as f64 / 1e6)
 }
 
 /// E16b's two queue arms, at identical aggregate drain capacity and

@@ -22,7 +22,7 @@
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
-use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule, TdmaSync};
+use iiot_mac::tdma::{TdmaMac, TdmaSchedule, TdmaSync};
 use iiot_routing::dodag::Traffic;
 use iiot_routing::graph::line_parents;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
@@ -72,7 +72,7 @@ fn tdma_line_run(
         .seed(seed)
         .clock(ClockModel::drifting(ppm))
         .nodes(Topology::line(n, 10.0), move |_| {
-            let mac = TdmaMac::new(TdmaConfig::default(), sched.clone());
+            let mac = TdmaMac::new(sched.clone());
             let mac = match mode {
                 SyncMode::Unsynced => mac.with_local_clock(),
                 // 2 ms stride: beacon airtime is ~1.2 ms, so cascading

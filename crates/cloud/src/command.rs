@@ -12,7 +12,7 @@
 //! tier adds no second write authority.
 
 use crate::tenant::TenantId;
-use iiot_coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
+use iiot_coap::{CoapEndpoint, CoapEvent, Code};
 use iiot_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -61,7 +61,7 @@ impl CommandRouter {
         CommandRouter {
             queue: VecDeque::new(),
             cap: cap.max(1),
-            client: CoapEndpoint::new(EndpointConfig::default(), seed),
+            client: CoapEndpoint::new(seed),
             shed: 0,
         }
     }
@@ -142,7 +142,7 @@ mod tests {
     /// A gateway-shaped CoAP server: one writable point, one
     /// read-only point.
     fn server() -> CoapEndpoint<u64> {
-        let mut s: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 7);
+        let mut s: CoapEndpoint<u64> = CoapEndpoint::new(7);
         s.add_resource(
             "plant/boiler/setpoint",
             Box::new(|req| match req.method {

@@ -50,6 +50,9 @@ pub struct UplinkMsg {
     pub t: SimTime,
 }
 
+/// Virtual-time length of one drain tick.
+pub const TICK: SimDuration = SimDuration::from_millis(10);
+
 /// Ingest pipeline configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct IngestConfig {
@@ -59,8 +62,6 @@ pub struct IngestConfig {
     pub queue_cap: usize,
     /// Messages drained per queue per tick.
     pub drain_batch: usize,
-    /// Virtual-time length of one drain tick.
-    pub tick: SimDuration,
     /// What to do when a queue is full.
     pub policy: ShedPolicy,
     /// Queue-per-tenant or shared-per-shard (E16's fairness control).
@@ -79,7 +80,6 @@ impl Default for IngestConfig {
             shards: 4,
             queue_cap: 1024,
             drain_batch: 256,
-            tick: SimDuration::from_millis(10),
             policy: ShedPolicy::RejectNew,
             isolation: Isolation::PerTenant,
             threaded: false,
@@ -435,7 +435,7 @@ impl IngestPipeline {
     }
 
     /// Runs every drain tick scheduled up to virtual instant `until`.
-    /// Ticks fire at fixed boundaries (`k · tick`); at each, every
+    /// Ticks fire at fixed boundaries (`k · TICK`); at each, every
     /// shard drains up to `drain_batch` messages per queue and records
     /// their queue latency at the boundary instant. Call this with the
     /// next arrival's timestamp *before* offering it, so the drain
@@ -446,18 +446,25 @@ impl IngestPipeline {
     /// nothing more than a near one. Tick instants saturate at the end
     /// of representable time.
     pub fn drain_until(&mut self, until: SimTime) {
-        let tick = self.config.tick.as_micros().max(1);
+        self.tick_through(until.as_micros());
+        self.now = self.now.max(until);
+    }
+
+    /// Runs the drain ticks after [`now`](Self::now) at instants up to
+    /// `until` µs, stopping at the first tick that leaves every queue
+    /// empty.
+    fn tick_through(&mut self, until: u64) {
+        let tick = TICK.as_micros();
         let mut next = (self.now.as_micros() / tick)
             .saturating_add(1)
             .saturating_mul(tick);
         let mut busy = self.queued() > 0;
-        while busy && next <= until.as_micros() {
+        while busy && next <= until {
             let t = SimTime::from_micros(next);
             self.now = t;
             busy = self.drain_tick(t);
             next = next.saturating_add(tick);
         }
-        self.now = self.now.max(until);
     }
 
     /// One drain tick at instant `t`: up to `drain_batch` messages per
@@ -485,16 +492,7 @@ impl IngestPipeline {
     /// Drains everything still queued, ticking forward from the
     /// current instant until every queue is empty.
     pub fn drain_remaining(&mut self) {
-        let tick = self.config.tick.as_micros().max(1);
-        let mut busy = self.queued() > 0;
-        while busy {
-            let next = (self.now.as_micros() / tick)
-                .saturating_add(1)
-                .saturating_mul(tick);
-            let t = SimTime::from_micros(next);
-            self.now = t;
-            busy = self.drain_tick(t);
-        }
+        self.tick_through(u64::MAX);
     }
 
     /// Per-tenant statistics, in tenant-id order.
@@ -602,10 +600,7 @@ mod tests {
 
     #[test]
     fn latency_is_virtual_time_from_arrival_to_drain_tick() {
-        let mut p = pipeline(IngestConfig {
-            tick: SimDuration::from_millis(10),
-            ..IngestConfig::default()
-        });
+        let mut p = pipeline(IngestConfig::default());
         let m = msg(&p, 0, 0, 0);
         p.offer(m);
         p.drain_until(SimTime::from_millis(10));

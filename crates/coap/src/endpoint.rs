@@ -17,7 +17,7 @@
 use crate::block::{slice_block, BlockAssembler, BlockOpt, BlockProgress};
 use crate::message::{option, Code, Message, MsgType};
 use crate::observe::{NotifyOrder, ObserveRegistry};
-use crate::reliability::{ConTracker, DedupCache, DueAction, ReliabilityConfig};
+use crate::reliability::{ConTracker, DedupCache, DueAction};
 use crate::resource::{Handler, Request, ResourceMap, Response};
 use iiot_sim::SimTime;
 use rand::rngs::SmallRng;
@@ -26,24 +26,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// Endpoint configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct EndpointConfig {
-    /// Confirmable retransmission parameters.
-    pub reliability: ReliabilityConfig,
-    /// Block2 block size for responses larger than one block
-    /// (power of two in 16..=1024).
-    pub block_size: usize,
-}
-
-impl Default for EndpointConfig {
-    fn default() -> Self {
-        EndpointConfig {
-            reliability: ReliabilityConfig::default(),
-            block_size: 64,
-        }
-    }
-}
+/// Block2 block size for responses larger than one block (a power of
+/// two in 16..=1024, RFC 7959).
+pub const BLOCK_SIZE: usize = 64;
 
 /// Application-visible endpoint events.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -78,7 +63,6 @@ struct ClientState<P> {
 
 /// A combined CoAP client/server endpoint; see the [module docs](self).
 pub struct CoapEndpoint<P> {
-    config: EndpointConfig,
     next_mid: u16,
     next_token: u32,
     tracker: ConTracker<P>,
@@ -96,12 +80,11 @@ pub struct CoapEndpoint<P> {
 
 impl<P: Copy + Eq + Hash + Debug> CoapEndpoint<P> {
     /// Creates an endpoint; `seed` drives retransmission jitter.
-    pub fn new(config: EndpointConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         CoapEndpoint {
-            config,
             next_mid: 1,
             next_token: 1,
-            tracker: ConTracker::new(config.reliability),
+            tracker: ConTracker::default(),
             dedup: DedupCache::new(64),
             resources: ResourceMap::new(),
             observers: ObserveRegistry::new(),
@@ -388,7 +371,7 @@ impl<P: Copy + Eq + Hash + Debug> CoapEndpoint<P> {
             let requested = msg.option(option::BLOCK2).and_then(BlockOpt::from_bytes);
             let szx = requested
                 .map(|b| b.szx)
-                .unwrap_or_else(|| BlockOpt::szx_for_size(self.config.block_size));
+                .unwrap_or_else(|| BlockOpt::szx_for_size(BLOCK_SIZE));
             let block = requested.unwrap_or(BlockOpt::new(0, false, szx));
             if resp.payload.len() > block.size() || block.num > 0 {
                 match slice_block(&resp.payload, block) {
@@ -529,8 +512,8 @@ mod tests {
     const SERVER: u8 = 2;
 
     fn pair() -> (Ep, Ep) {
-        let client = Ep::new(EndpointConfig::default(), 1);
-        let mut server = Ep::new(EndpointConfig::default(), 2);
+        let client = Ep::new(1);
+        let mut server = Ep::new(2);
         server.add_resource("temp", Box::new(|_| Response::content(b"21.5".to_vec())));
         let big: Vec<u8> = (0..200u16).map(|i| i as u8).collect();
         server.add_resource("blob", Box::new(move |_| Response::content(big.clone())));

@@ -21,13 +21,13 @@
 //! # Examples
 //!
 //! ```
-//! use iiot_coap::endpoint::{CoapEndpoint, CoapEvent, EndpointConfig};
+//! use iiot_coap::endpoint::{CoapEndpoint, CoapEvent};
 //! use iiot_coap::resource::Response;
 //! use iiot_sim::SimTime;
 //!
-//! let mut server: CoapEndpoint<u8> = CoapEndpoint::new(EndpointConfig::default(), 1);
+//! let mut server: CoapEndpoint<u8> = CoapEndpoint::new(1);
 //! server.add_resource("temp", Box::new(|_| Response::content(b"21.5".to_vec())));
-//! let mut client: CoapEndpoint<u8> = CoapEndpoint::new(EndpointConfig::default(), 2);
+//! let mut client: CoapEndpoint<u8> = CoapEndpoint::new(2);
 //!
 //! let token = client.get(1, "temp", SimTime::ZERO);
 //! // Transport: deliver client->server, then server->client.
@@ -57,6 +57,6 @@ pub mod observe;
 pub mod reliability;
 pub mod resource;
 
-pub use endpoint::{CoapEndpoint, CoapEvent, EndpointConfig};
+pub use endpoint::{CoapEndpoint, CoapEvent};
 pub use message::{Code, Message, MsgType};
 pub use resource::{Request, Response};

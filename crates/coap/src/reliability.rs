@@ -8,26 +8,12 @@ use rand::Rng;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Retransmission parameters (RFC 7252 §4.8 defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct ReliabilityConfig {
-    /// Initial ACK timeout (`ACK_TIMEOUT`).
-    pub ack_timeout: SimDuration,
-    /// Random factor in percent (`ACK_RANDOM_FACTOR * 100`).
-    pub ack_random_factor_pct: u32,
-    /// Maximum retransmissions (`MAX_RETRANSMIT`).
-    pub max_retransmit: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            ack_timeout: SimDuration::from_secs(2),
-            ack_random_factor_pct: 150,
-            max_retransmit: 4,
-        }
-    }
-}
+/// Initial ACK timeout (RFC 7252 §4.8 `ACK_TIMEOUT`).
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Random factor in percent (RFC 7252 §4.8 `ACK_RANDOM_FACTOR` 1.5).
+pub const ACK_RANDOM_FACTOR_PCT: u32 = 150;
+/// Maximum retransmissions (RFC 7252 §4.8 `MAX_RETRANSMIT`).
+pub const MAX_RETRANSMIT: u32 = 4;
 
 /// An in-flight confirmable exchange.
 #[derive(Clone, Debug)]
@@ -41,7 +27,8 @@ pub struct Exchange<P> {
     timeout: SimDuration,
 }
 
-/// Tracks outstanding confirmable messages per peer.
+/// Tracks outstanding confirmable messages per peer, with RFC 7252's
+/// retransmission parameters.
 ///
 /// The owner drives it: [`register`](ConTracker::register) when sending
 /// a CON, [`acked`](ConTracker::acked) on a matching ACK/RST, and
@@ -49,7 +36,6 @@ pub struct Exchange<P> {
 /// give-ups.
 #[derive(Clone, Debug)]
 pub struct ConTracker<P> {
-    config: ReliabilityConfig,
     inflight: HashMap<u16, Exchange<P>>,
     retransmissions: u64,
 }
@@ -64,16 +50,16 @@ pub enum DueAction<P> {
     GiveUp(Exchange<P>),
 }
 
-impl<P: Copy + Eq + Hash> ConTracker<P> {
-    /// An empty tracker.
-    pub fn new(config: ReliabilityConfig) -> Self {
+impl<P> Default for ConTracker<P> {
+    fn default() -> Self {
         ConTracker {
-            config,
             inflight: HashMap::new(),
             retransmissions: 0,
         }
     }
+}
 
+impl<P: Copy + Eq + Hash> ConTracker<P> {
     /// Total retransmissions performed over the tracker's lifetime.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
@@ -81,8 +67,8 @@ impl<P: Copy + Eq + Hash> ConTracker<P> {
 
     /// Registers a just-transmitted CON message.
     pub fn register<R: Rng>(&mut self, peer: P, msg: Message, now: SimTime, rng: &mut R) {
-        let base = self.config.ack_timeout.as_micros();
-        let factor = rng.gen_range(100..=self.config.ack_random_factor_pct.max(100));
+        let base = ACK_TIMEOUT.as_micros();
+        let factor = rng.gen_range(100..=ACK_RANDOM_FACTOR_PCT);
         let timeout = SimDuration::from_micros(base * factor as u64 / 100);
         let mid = msg.message_id;
         self.inflight.insert(
@@ -115,7 +101,7 @@ impl<P: Copy + Eq + Hash> ConTracker<P> {
 
     /// Collects all exchanges whose deadline passed: doubles their
     /// timeout and returns retransmissions, or gives up after
-    /// `max_retransmit` attempts.
+    /// [`MAX_RETRANSMIT`] attempts.
     pub fn due(&mut self, now: SimTime) -> Vec<DueAction<P>> {
         let mut actions = Vec::new();
         let expired: Vec<u16> = self
@@ -126,7 +112,7 @@ impl<P: Copy + Eq + Hash> ConTracker<P> {
             .collect();
         for mid in expired {
             let e = self.inflight.get_mut(&mid).expect("present");
-            if e.retries >= self.config.max_retransmit {
+            if e.retries >= MAX_RETRANSMIT {
                 let e = self.inflight.remove(&mid).expect("present");
                 actions.push(DueAction::GiveUp(e));
             } else {
@@ -213,7 +199,7 @@ mod tests {
 
     #[test]
     fn ack_settles_exchange() {
-        let mut t: ConTracker<u32> = ConTracker::new(ReliabilityConfig::default());
+        let mut t: ConTracker<u32> = ConTracker::default();
         t.register(7, msg(1), SimTime::ZERO, &mut rng());
         assert_eq!(t.outstanding(), 1);
         let e = t.acked(1).expect("settled");
@@ -224,34 +210,36 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_gives_up() {
-        let cfg = ReliabilityConfig {
-            ack_timeout: SimDuration::from_secs(2),
-            ack_random_factor_pct: 100, // deterministic
-            max_retransmit: 2,
-        };
-        let mut t: ConTracker<u32> = ConTracker::new(cfg);
+        let mut t: ConTracker<u32> = ConTracker::default();
         t.register(9, msg(1), SimTime::ZERO, &mut rng());
-        assert_eq!(t.next_deadline(), Some(SimTime::from_secs(2)));
+        let first = t.next_deadline().expect("registered");
+        assert!(first >= SimTime::ZERO + ACK_TIMEOUT, "{first}");
+        assert!(first <= SimTime::ZERO + ACK_TIMEOUT * 3 / 2, "{first}");
 
-        // First deadline: retransmit, timeout doubles to 4s.
-        let a = t.due(SimTime::from_secs(2));
-        assert!(matches!(a.as_slice(), [DueAction::Retransmit(9, _, 1)]));
-        assert_eq!(t.next_deadline(), Some(SimTime::from_secs(6)));
+        // Each deadline retransmits and doubles the wait.
+        let mut now = first;
+        let mut wait = first - SimTime::ZERO;
+        for attempt in 1..=MAX_RETRANSMIT {
+            let a = t.due(now);
+            assert!(
+                matches!(a.as_slice(), [DueAction::Retransmit(9, _, n)] if *n == attempt),
+                "attempt {attempt}: {a:?}"
+            );
+            wait = wait * 2;
+            assert_eq!(t.next_deadline(), Some(now + wait));
+            now += wait;
+        }
 
-        // Second: retransmit, doubles to 8s.
-        let a = t.due(SimTime::from_secs(6));
-        assert!(matches!(a.as_slice(), [DueAction::Retransmit(9, _, 2)]));
-
-        // Third: give up.
-        let a = t.due(SimTime::from_secs(14));
+        // The deadline after the last retransmission gives up.
+        let a = t.due(now);
         assert!(matches!(a.as_slice(), [DueAction::GiveUp(_)]));
         assert_eq!(t.outstanding(), 0);
-        assert_eq!(t.retransmissions(), 2);
+        assert_eq!(t.retransmissions(), u64::from(MAX_RETRANSMIT));
     }
 
     #[test]
     fn due_ignores_future_deadlines() {
-        let mut t: ConTracker<u32> = ConTracker::new(ReliabilityConfig::default());
+        let mut t: ConTracker<u32> = ConTracker::default();
         t.register(1, msg(1), SimTime::ZERO, &mut rng());
         assert!(t.due(SimTime::from_millis(100)).is_empty());
         assert_eq!(t.outstanding(), 1);
@@ -259,7 +247,7 @@ mod tests {
 
     #[test]
     fn random_factor_spreads_timeouts() {
-        let mut t: ConTracker<u32> = ConTracker::new(ReliabilityConfig::default());
+        let mut t: ConTracker<u32> = ConTracker::default();
         let mut r = rng();
         let mut deadlines = std::collections::BTreeSet::new();
         for mid in 0..20 {

@@ -2,13 +2,13 @@
 
 use iiot_coap::message::{option, Code, Message, MsgType};
 use iiot_coap::resource::Response;
-use iiot_coap::{CoapEndpoint, CoapEvent, EndpointConfig};
+use iiot_coap::{CoapEndpoint, CoapEvent};
 use iiot_sim::SimTime;
 
 type Ep = CoapEndpoint<u8>;
 
 fn server() -> Ep {
-    let mut s = Ep::new(EndpointConfig::default(), 1);
+    let mut s = Ep::new(1);
     s.add_resource("temp", Box::new(|_| Response::content(b"21".to_vec())));
     s
 }
@@ -33,7 +33,7 @@ fn shuttle(a: &mut Ep, b: &mut Ep, now: SimTime) {
 
 #[test]
 fn stop_observe_on_unknown_token_is_noop() {
-    let mut c = Ep::new(EndpointConfig::default(), 2);
+    let mut c = Ep::new(2);
     c.stop_observe(&[9, 9, 9], SimTime::ZERO);
     assert!(c.take_outbox().is_empty());
     assert!(c.take_events().is_empty());
@@ -41,7 +41,7 @@ fn stop_observe_on_unknown_token_is_noop() {
 
 #[test]
 fn delete_and_post_dispatch() {
-    let mut s = Ep::new(EndpointConfig::default(), 1);
+    let mut s = Ep::new(1);
     let mut log: Vec<Code> = Vec::new();
     let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     let seen2 = seen.clone();
@@ -62,7 +62,7 @@ fn delete_and_post_dispatch() {
             }
         }),
     );
-    let mut c = Ep::new(EndpointConfig::default(), 2);
+    let mut c = Ep::new(2);
     let t_post = c.post(1, "job", b"spec".to_vec(), SimTime::ZERO);
     let t_del = c.delete(1, "job", SimTime::ZERO);
     shuttle(&mut c, &mut s, SimTime::ZERO);
@@ -78,14 +78,14 @@ fn delete_and_post_dispatch() {
 
 #[test]
 fn well_known_core_served_blockwise_when_large() {
-    let mut s = Ep::new(EndpointConfig::default(), 1);
+    let mut s = Ep::new(1);
     for i in 0..20 {
         s.add_resource(
             &format!("very/long/resource/path/number/{i}"),
             Box::new(|_| Response::content(vec![])),
         );
     }
-    let mut c = Ep::new(EndpointConfig::default(), 2);
+    let mut c = Ep::new(2);
     let token = c.get(1, ".well-known/core", SimTime::ZERO);
     shuttle(&mut c, &mut s, SimTime::ZERO);
     let ev = c.take_events();
@@ -115,7 +115,7 @@ fn reset_of_unknown_mid_is_harmless() {
 
 #[test]
 fn unknown_response_token_ignored() {
-    let mut c = Ep::new(EndpointConfig::default(), 2);
+    let mut c = Ep::new(2);
     let mut bogus =
         Message::response_to(&Message::request(Code::Get, 7, vec![0xEE]), Code::Content);
     bogus.payload = b"spoof".to_vec();
@@ -125,7 +125,7 @@ fn unknown_response_token_ignored() {
 
 #[test]
 fn separate_con_response_gets_empty_ack() {
-    let mut c = Ep::new(EndpointConfig::default(), 2);
+    let mut c = Ep::new(2);
     let token = c.get(1, "temp", SimTime::ZERO);
     c.take_outbox();
     // The server answers later with a *confirmable* separate response.

@@ -6,10 +6,10 @@
 //! border router, on the same northbound face as every wired device.
 
 use iiot_gateway::{Adapter, Measurement, PointInfo, Quality, Unit, WriteError};
-use iiot_mac::csma::{CsmaConfig, CsmaMac};
+use iiot_mac::csma::CsmaMac;
 use iiot_mac::lpl::{LplConfig, LplMac};
-use iiot_mac::rimac::{RimacConfig, RimacMac};
-use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
+use iiot_mac::rimac::RimacMac;
+use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_routing::dodag::{DodagConfig, DodagNode, Traffic};
 use iiot_routing::graph;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
@@ -51,7 +51,6 @@ pub struct DeploymentBuilder {
     topology: Topology,
     mac: MacChoice,
     seed: u64,
-    radio: RadioConfig,
     dodag: DodagConfig,
 }
 
@@ -62,7 +61,6 @@ impl DeploymentBuilder {
             topology,
             mac: MacChoice::Csma,
             seed: 1,
-            radio: RadioConfig::default(),
             dodag: DodagConfig::default(),
         }
     }
@@ -76,12 +74,6 @@ impl DeploymentBuilder {
     /// Sets the world seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the radio configuration.
-    pub fn radio(mut self, radio: RadioConfig) -> Self {
-        self.radio = radio;
         self
     }
 
@@ -116,15 +108,13 @@ impl DeploymentBuilder {
     /// Panics if the topology is empty.
     pub fn build(self) -> Deployment {
         assert!(!self.topology.is_empty(), "deployment needs nodes");
-        let wc = SimConfig::default()
-            .seed(self.seed)
-            .radio(self.radio.clone());
+        let wc = SimConfig::default().seed(self.seed);
 
         // For TDMA we must know the collection tree up front: the BFS
         // parents over the geometry double as the static routing state
         // (Dozer-style: the schedule *is* the route).
         let schedule = if let MacChoice::Tdma(slot) = self.mac {
-            let parents = graph::parents_bfs(&self.topology, &self.radio, |_| true, NodeId(0));
+            let parents = graph::parents_bfs(&self.topology, &wc.radio, |_| true, NodeId(0));
             // Superframe padding: three idle slots per active slot
             // drops the duty cycle ~4x at ~4x the per-frame latency.
             let active = parents.iter().filter(|p| p.is_some()).count();
@@ -162,11 +152,7 @@ fn make_node(
     is_root: bool,
 ) -> Box<dyn Proto> {
     match mac {
-        MacChoice::Csma => Box::new(DodagNode::new(
-            CsmaMac::new(CsmaConfig::default()),
-            dodag.clone(),
-            is_root,
-        )),
+        MacChoice::Csma => Box::new(DodagNode::new(CsmaMac::default(), dodag.clone(), is_root)),
         MacChoice::Lpl(wake) => {
             let cfg = LplConfig {
                 wake_interval: wake,
@@ -175,20 +161,13 @@ fn make_node(
             Box::new(DodagNode::new(LplMac::new(cfg), dodag.clone(), is_root))
         }
         MacChoice::Rimac(wake) => {
-            let cfg = RimacConfig {
-                wake_interval: wake,
-                ..RimacConfig::default()
-            };
-            Box::new(DodagNode::new(RimacMac::new(cfg), dodag.clone(), is_root))
+            Box::new(DodagNode::new(RimacMac::new(wake), dodag.clone(), is_root))
         }
         MacChoice::Tdma(_) => {
             let (sched, parents) = schedule.expect("tdma schedule computed at build").clone();
             let mut cfg = StaticConfig::new(parents);
             cfg.traffic = dodag.traffic;
-            Box::new(StaticCollection::new(
-                TdmaMac::new(TdmaConfig::default(), sched),
-                cfg,
-            ))
+            Box::new(StaticCollection::new(TdmaMac::new(sched), cfg))
         }
     }
 }
@@ -268,9 +247,8 @@ impl Deployment {
     /// Like a bus subscription, the adapter sees the readings the root
     /// collects from the moment it is made, each exactly once, in
     /// arrival order. Its [`points`](Adapter::points) are the nodes that
-    /// exist now: readings of nodes added later by
-    /// [`extend`](Deployment::extend) still reach the gateway's bus,
-    /// cache and uplink, but get no CoAP resource.
+    /// exist now; a node added later by [`extend`](Deployment::extend)
+    /// gets its resource from the gateway at its first reading.
     pub fn border_adapter(&mut self, prefix: &str) -> BorderAdapter {
         self.hand_over();
         let inbox = Rc::new(Inbox::default());
@@ -427,7 +405,7 @@ impl Adapter for BorderAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiot_coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
+    use iiot_coap::{CoapEndpoint, CoapEvent, Code};
     use iiot_crdt::ReplicaId;
     use iiot_gateway::Gateway;
 
@@ -566,7 +544,7 @@ mod tests {
         assert_eq!(m.timestamp_us, latest.sent_at.as_micros());
         assert_eq!(gw.write_direct("cell/n2", 1.0), Err(WriteError::ReadOnly));
 
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 9);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.get(0, "cell/n2", SimTime::ZERO);
         deliver(&mut client, gw.coap_mut());
         deliver(gw.coap_mut(), &mut client);
@@ -581,10 +559,29 @@ mod tests {
     }
 
     #[test]
+    fn a_node_added_by_extend_is_served_over_coap() {
+        let (mut d, mut gw) = bridged();
+        let added = d.extend(&std::iter::once(Pos::new(60.0, 0.0)).collect());
+        assert_eq!(added, [NodeId(3)]);
+        d.run_for(SimDuration::from_secs(60));
+        gw.poll_all(d.sim.now().as_micros());
+        assert!(gw.last("cell/n3").is_some(), "the new node reported");
+
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
+        client.get(0, "cell/n3", SimTime::ZERO);
+        deliver(&mut client, gw.coap_mut());
+        deliver(gw.coap_mut(), &mut client);
+        match &client.take_events()[..] {
+            [CoapEvent::Response { code, .. }] => assert_eq!(*code, Code::Content),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn border_observers_are_pushed_new_readings() {
         let (mut d, mut gw) = bridged();
         gw.poll_all(d.sim.now().as_micros());
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 9);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.observe(0, "cell/n1", SimTime::ZERO);
         deliver(&mut client, gw.coap_mut());
         deliver(gw.coap_mut(), &mut client);

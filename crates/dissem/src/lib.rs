@@ -48,7 +48,7 @@
 //! ```
 //! use iiot_dissem::image::Image;
 //! use iiot_dissem::node::{DissemConfig, DissemNode};
-//! use iiot_mac::csma::{CsmaConfig, CsmaMac};
+//! use iiot_mac::csma::CsmaMac;
 //! use iiot_sim::prelude::*;
 //!
 //! type Node = DissemNode<CsmaMac>;
@@ -56,10 +56,7 @@
 //! let mut sim = SimBuilder::new()
 //!     .seed(5)
 //!     .nodes(Topology::line(3, 20.0), |_| {
-//!         Box::new(DissemNode::new(
-//!             CsmaMac::new(CsmaConfig::default()),
-//!             DissemConfig::default(),
-//!         ))
+//!         Box::new(DissemNode::new(CsmaMac::default(), DissemConfig::default()))
 //!     })
 //!     .build();
 //!

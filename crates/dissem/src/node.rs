@@ -26,6 +26,9 @@ const TAG_TRICKLE_END: u64 = 0x211;
 const TAG_PUMP: u64 = 0x212;
 const TAG_REQ: u64 = 0x213;
 
+/// Retry pacing when the MAC queue is full.
+pub const PUMP_PERIOD: SimDuration = SimDuration::from_millis(200);
+
 /// Configuration of a [`DissemNode`].
 #[derive(Clone, Debug)]
 pub struct DissemConfig {
@@ -46,8 +49,6 @@ pub struct DissemConfig {
     /// Base backoff before requesting a page (randomized in
     /// `[backoff, 2*backoff)`); retries every `4*backoff` of silence.
     pub req_backoff: SimDuration,
-    /// Retry pacing when the MAC queue is full.
-    pub pump_period: SimDuration,
 }
 
 impl Default for DissemConfig {
@@ -62,7 +63,6 @@ impl Default for DissemConfig {
             unicast_data: false,
             adv_peers: None,
             req_backoff: SimDuration::from_millis(100),
-            pump_period: SimDuration::from_millis(200),
         }
     }
 }
@@ -389,7 +389,7 @@ impl Dissem {
                     self.outq.pop_front();
                 }
                 Err(MacError::QueueFull) => {
-                    ctx.set_timer(self.cfg.pump_period, TAG_PUMP);
+                    ctx.set_timer(PUMP_PERIOD, TAG_PUMP);
                     return;
                 }
                 Err(MacError::TooLarge) => {

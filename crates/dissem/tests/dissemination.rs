@@ -6,8 +6,8 @@ use iiot_dissem::image::Image;
 use iiot_dissem::inject::BlockInjector;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout::{self, RolloutPlan};
-use iiot_mac::csma::{CsmaConfig, CsmaMac};
-use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
+use iiot_mac::csma::CsmaMac;
+use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_routing::trickle::TrickleConfig;
 use iiot_sim::prelude::*;
 
@@ -27,7 +27,7 @@ fn csma_line(n: usize, seed: u64, enabled: bool) -> (Sim, Vec<NodeId>) {
         .seed(seed)
         .nodes(Topology::line(n, 20.0), move |_| {
             Box::new(DissemNode::new(
-                CsmaMac::new(CsmaConfig::default()),
+                CsmaMac::default(),
                 DissemConfig {
                     enabled,
                     ..DissemConfig::default()
@@ -209,7 +209,7 @@ fn tdma_tree_schedule_carries_the_image() {
                 .map(|c| NodeId(c as u32)),
         );
         Box::new(DissemNode::new(
-            TdmaMac::new(TdmaConfig::default(), sched.clone()),
+            TdmaMac::new(sched.clone()),
             DissemConfig {
                 trickle: TrickleConfig {
                     imin: frame * 2,

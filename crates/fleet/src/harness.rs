@@ -30,13 +30,13 @@ use crate::drift::{self, DriftDetector};
 use crate::health::{HealthGate, NetworkHealth};
 use iiot_cloud::{CommandRouter, TenantId, TwinStore};
 use iiot_coap::resource::Response;
-use iiot_coap::{CoapEndpoint, Code, EndpointConfig};
+use iiot_coap::{CoapEndpoint, Code};
 use iiot_crdt::ReplicaId;
 use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout::{self, RolloutPlan};
-use iiot_mac::csma::{CsmaConfig, CsmaMac};
+use iiot_mac::csma::CsmaMac;
 use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
 use iiot_sim::{seed, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss, Topology};
@@ -89,6 +89,13 @@ pub struct PartitionSpec {
     pub networks: Vec<u32>,
 }
 
+/// Canary networks of a staged rollout.
+pub const CANARIES: u32 = 1;
+/// Waves after the canary in a staged rollout.
+pub const WAVES: u32 = 2;
+/// Lockstep slice between fleet-level control rounds.
+pub const TICK: SimDuration = SimDuration::from_secs(5);
+
 /// One fleet scenario; `Default` is a small healthy staged fleet.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -99,12 +106,6 @@ pub struct FleetConfig {
     /// Staged (canary-first) fleet rollout; `false` = everything at
     /// once, flat within each network too.
     pub staged: bool,
-    /// Canary networks (staged mode).
-    pub canaries: u32,
-    /// Waves after the canary (staged mode).
-    pub waves: u32,
-    /// The campaign's health gate.
-    pub gate: HealthGate,
     /// Distribute a poisoned build.
     pub poisoned: bool,
     /// Fault arm applied per network at activation.
@@ -114,8 +115,6 @@ pub struct FleetConfig {
     /// Optional desired-config change: at the given instant the control
     /// plane sets `report_interval` to the value for every device.
     pub desired_change: Option<(SimTime, f64)>,
-    /// Lockstep slice between fleet-level control rounds.
-    pub tick: SimDuration,
     /// Hard stop.
     pub horizon: SimDuration,
 }
@@ -126,14 +125,10 @@ impl Default for FleetConfig {
             networks: 4,
             side: 3,
             staged: true,
-            canaries: 1,
-            waves: 2,
-            gate: HealthGate::default(),
             poisoned: false,
             fault: FaultArm::None,
             partition: None,
             desired_change: None,
-            tick: SimDuration::from_secs(5),
             horizon: SimDuration::from_secs(600),
         }
     }
@@ -216,7 +211,7 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
         .seed(seed::derive(seed_val, u64::from(net)))
         .nodes(topo, |_| {
             Box::new(DissemNode::new(
-                CsmaMac::new(CsmaConfig::default()),
+                CsmaMac::default(),
                 DissemConfig {
                     enabled: false,
                     ..DissemConfig::default()
@@ -231,10 +226,8 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
     });
 
     let device_cfg: Rc<RefCell<BTreeMap<u32, f64>>> = Rc::default();
-    let mut cfg_server: CoapEndpoint<u64> = CoapEndpoint::new(
-        EndpointConfig::default(),
-        seed::derive(seed_val, 1_000 + u64::from(net)),
-    );
+    let mut cfg_server: CoapEndpoint<u64> =
+        CoapEndpoint::new(seed::derive(seed_val, 1_000 + u64::from(net)));
     for i in 0..per_net {
         let gid = net * per_net + i;
         let store = Rc::clone(&device_cfg);
@@ -296,9 +289,9 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
         .map(|n| build_network(n, cfg, seed_val, &img))
         .collect();
     let mut campaign = if cfg.staged {
-        FleetCampaign::staged(cfg.networks, cfg.canaries, cfg.waves, cfg.gate)
+        FleetCampaign::staged(cfg.networks, CANARIES, WAVES, HealthGate::default())
     } else {
-        FleetCampaign::flat(cfg.networks, cfg.gate)
+        FleetCampaign::flat(cfg.networks, HealthGate::default())
     };
     let detector = DriftDetector::default();
     let mut cloud = TwinStore::new();
@@ -324,9 +317,9 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
     while now < SimTime::ZERO + cfg.horizon {
         // 1. Everyone advances one lockstep slice of virtual time.
         for net in nets.iter_mut() {
-            net.sim.run_for(cfg.tick);
+            net.sim.run_for(TICK);
         }
-        now += cfg.tick;
+        now += TICK;
         let now_us = now.as_micros();
 
         // 2. Gateway replicas refresh their twins (write-on-change).

@@ -6,7 +6,7 @@
 use crate::bus::{Bus, Receiver};
 use crate::model::{Adapter, DeviceInfo, Measurement, WriteError};
 use iiot_coap::resource::Response;
-use iiot_coap::{CoapEndpoint, Code, EndpointConfig};
+use iiot_coap::{CoapEndpoint, Code};
 use iiot_crdt::{Crdt, LwwMap, ReplicaId};
 use iiot_sim::SimTime;
 use std::cell::RefCell;
@@ -44,7 +44,7 @@ impl Gateway {
             crdt_cache: LwwMap::new(),
             cache: CacheHandle::default(),
             writes: WriteQueue::default(),
-            coap: CoapEndpoint::new(EndpointConfig::default(), replica.0),
+            coap: CoapEndpoint::new(replica.0),
             registered_points: Vec::new(),
             measurements_processed: 0,
         }
@@ -166,17 +166,7 @@ impl Gateway {
         // Apply accepted actuation writes.
         let pending: Vec<(String, f64)> = self.writes.take();
         for (point, value) in pending {
-            let mut result = Err(WriteError::NoSuchPoint);
-            for a in &mut self.adapters {
-                match a.write(&point, value) {
-                    Ok(()) => {
-                        result = Ok(());
-                        break;
-                    }
-                    Err(e) => result = Err(e),
-                }
-            }
-            if result.is_err() {
+            if self.write_direct(&point, value).is_err() {
                 // Surface failed writes as bus traffic for diagnostics.
                 self.bus.publish(&Measurement {
                     point: format!("gateway/write-failed/{point}"),
@@ -192,6 +182,7 @@ impl Gateway {
         // Poll southbound.
         let mut count = 0;
         let mut updated_points = Vec::new();
+        let mut first_seen = Vec::new();
         for a in &mut self.adapters {
             for m in a.poll(now_us) {
                 self.bus.publish(&m);
@@ -200,9 +191,16 @@ impl Gateway {
                         .insert(m.timestamp_us, self.replica, m.point.clone(), m.value);
                 }
                 updated_points.push(m.point.clone());
-                self.cache.borrow_mut().insert(m.point.clone(), m);
+                if self.cache.borrow_mut().insert(m.point.clone(), m).is_none() {
+                    first_seen.push(updated_points.len() - 1);
+                }
                 count += 1;
             }
+        }
+        // A point no adapter declared (a node that joined after its
+        // adapter was added) is served read-only from its first reading.
+        for i in first_seen {
+            self.register_point(&updated_points[i], false);
         }
         // Notify CoAP observers of fresh values.
         for p in updated_points {
@@ -286,11 +284,6 @@ impl CloudUplink {
     /// Total records drained northbound so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded.get()
-    }
-
-    /// The tenant this bridge reports under.
-    pub fn tenant(&self) -> u16 {
-        self.tenant
     }
 }
 
@@ -387,7 +380,7 @@ mod tests {
     fn coap_northbound_read() {
         let mut gw = full_gateway();
         gw.poll_all(42);
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 99);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(99);
         let token = client.get(0, "plant/boiler/temp", SimTime::ZERO);
         // Shuttle one round trip.
         for (_, dgram) in client.take_outbox() {
@@ -417,7 +410,7 @@ mod tests {
     #[test]
     fn coap_read_before_first_poll_is_5_03() {
         let mut gw = full_gateway();
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 99);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(99);
         client.get(0, "plant/boiler/temp", SimTime::ZERO);
         for (_, dgram) in client.take_outbox() {
             gw.coap_mut().handle_datagram(1, &dgram, SimTime::ZERO);
@@ -439,7 +432,7 @@ mod tests {
     fn coap_northbound_actuation() {
         let mut gw = full_gateway();
         gw.poll_all(0);
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 99);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(99);
         client.put(0, "plant/boiler/setpoint", b"75.5".to_vec(), SimTime::ZERO);
         for (_, dgram) in client.take_outbox() {
             gw.coap_mut().handle_datagram(1, &dgram, SimTime::ZERO);
@@ -464,7 +457,7 @@ mod tests {
     fn read_only_point_rejects_put() {
         let mut gw = full_gateway();
         gw.poll_all(0);
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 99);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(99);
         client.put(0, "plant/boiler/temp", b"1".to_vec(), SimTime::ZERO);
         for (_, dgram) in client.take_outbox() {
             gw.coap_mut().handle_datagram(1, &dgram, SimTime::ZERO);
@@ -519,7 +512,7 @@ mod tests {
     fn observe_pushes_updates_northbound() {
         let mut gw = full_gateway();
         gw.poll_all(0);
-        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 99);
+        let mut client: CoapEndpoint<u64> = CoapEndpoint::new(99);
         client.observe(0, "plant/boiler/temp", SimTime::ZERO);
         for (_, dgram) in client.take_outbox() {
             gw.coap_mut().handle_datagram(1, &dgram, SimTime::ZERO);

@@ -48,7 +48,7 @@ fn write_direct_error_precision() {
 
 #[test]
 fn failed_northbound_write_surfaces_on_the_bus() {
-    use iiot_coap::{CoapEndpoint, EndpointConfig};
+    use iiot_coap::CoapEndpoint;
     use iiot_sim::SimTime;
 
     let mut gw = gw_with_plc();
@@ -60,7 +60,7 @@ fn failed_northbound_write_surfaces_on_the_bus() {
     // must surface as a diagnostic when it fails at the device.
     // The read-only rejection happens at resource level; use the rw
     // point with a device-side failure instead: value out of i16 range.
-    let mut client: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 5);
+    let mut client: CoapEndpoint<u64> = CoapEndpoint::new(5);
     client.put(0, "a/rw", b"9999999".to_vec(), SimTime::ZERO);
     for (_, d) in client.take_outbox() {
         gw.coap_mut().handle_datagram(1, &d, SimTime::ZERO);

@@ -44,6 +44,10 @@ pub struct PollPlan {
     pub updates: bool,
 }
 
+/// Interest lifetime: how long a PIT entry suppresses duplicate
+/// upstream fetches before the next request retries.
+pub const PIT_TTL: SimDuration = SimDuration::from_secs(4);
+
 /// Configuration of an [`IcnNode`].
 #[derive(Clone, Debug)]
 pub struct IcnConfig {
@@ -67,9 +71,6 @@ pub struct IcnConfig {
     pub poll: Option<PollPlan>,
     /// Freshness budget stamped on locally published objects.
     pub freshness: SimDuration,
-    /// Interest lifetime: how long a PIT entry suppresses duplicate
-    /// upstream fetches before the next request retries.
-    pub pit_ttl: SimDuration,
     /// Retry pacing when the MAC queue is full.
     pub pump_period: SimDuration,
     /// Stale-replay attacker: pin the first cached copy of each name
@@ -88,7 +89,6 @@ impl Default for IcnConfig {
             link_sec: None,
             poll: None,
             freshness: SimDuration::from_secs(60),
-            pit_ttl: SimDuration::from_secs(4),
             pump_period: SimDuration::from_millis(100),
             replay: false,
         }
@@ -143,7 +143,7 @@ impl<M: Mac> IcnNode<M> {
     /// Creates a node over `mac`.
     pub fn new(mac: M, cfg: IcnConfig) -> Self {
         let store = ContentStore::new(cfg.store_cap);
-        let pit = Pit::new(cfg.pit_ttl);
+        let pit = Pit::new(PIT_TTL);
         IcnNode {
             stack: Stack::new(mac),
             icn: Icn {
@@ -599,7 +599,7 @@ impl<M: Mac> Service<M> for Icn {
 
     fn crashed(&mut self) {
         self.store = ContentStore::new(self.cfg.store_cap);
-        self.pit = Pit::new(self.cfg.pit_ttl);
+        self.pit = Pit::new(PIT_TTL);
         self.pending.clear();
         self.latest.clear();
         self.outq.clear();

@@ -12,41 +12,23 @@ use std::collections::VecDeque;
 const TAG_BACKOFF: u64 = mac_tag(0x10);
 const TAG_ACK_TIMEOUT: u64 = mac_tag(0x11);
 
-/// Configuration of [`CsmaMac`].
-#[derive(Clone, Debug)]
-pub struct CsmaConfig {
-    /// Radio demux port claimed by this MAC instance.
-    pub radio_port: u8,
-    /// Maximum CCA backoff attempts before a channel-access failure.
-    pub max_backoffs: u32,
-    /// Minimum backoff exponent.
-    pub min_be: u32,
-    /// Maximum backoff exponent.
-    pub max_be: u32,
-    /// One backoff unit (802.15.4: 320 us).
-    pub backoff_unit: SimDuration,
-    /// Retransmissions of an unacknowledged unicast frame.
-    pub max_retries: u32,
-    /// How long to wait for an ACK after a unicast data frame.
-    pub ack_timeout: SimDuration,
-    /// Transmit queue capacity.
-    pub queue_cap: usize,
-}
-
-impl Default for CsmaConfig {
-    fn default() -> Self {
-        CsmaConfig {
-            radio_port: 1,
-            max_backoffs: 5,
-            min_be: 3,
-            max_be: 6,
-            backoff_unit: SimDuration::from_micros(320),
-            max_retries: 3,
-            ack_timeout: SimDuration::from_millis(3),
-            queue_cap: 16,
-        }
-    }
-}
+/// Radio demux port claimed by CSMA.
+pub const RADIO_PORT: u8 = 1;
+/// CCA backoff attempts before a channel-access failure (IEEE 802.15.4
+/// `macMaxCSMABackoffs`, range 0..=5).
+pub const MAX_BACKOFFS: u32 = 5;
+/// Minimum backoff exponent (IEEE 802.15.4 `macMinBE` default).
+pub const MIN_BE: u32 = 3;
+/// Maximum backoff exponent (IEEE 802.15.4 `macMaxBE`, range 3..=8).
+pub const MAX_BE: u32 = 6;
+/// One backoff unit (IEEE 802.15.4 `aUnitBackoffPeriod`: 20 symbols,
+/// 320 us at 2.4 GHz).
+pub const BACKOFF_UNIT: SimDuration = SimDuration::from_micros(320);
+/// Retransmissions of an unacknowledged unicast frame (IEEE 802.15.4
+/// `macMaxFrameRetries` default).
+pub const MAX_RETRIES: u32 = 3;
+/// How long to wait for an ACK after a unicast data frame.
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(3);
 
 #[derive(Debug)]
 struct Pending {
@@ -89,12 +71,12 @@ impl TxState {
 
 /// Always-on CSMA/CA MAC (unslotted 802.15.4 flavour).
 ///
-/// See [`CsmaConfig`] for the knobs. Unicast frames are acknowledged
-/// and retried; broadcast frames are fire-and-forget. The radio is
-/// switched on at [`start`](Mac::start) and never sleeps.
-#[derive(Debug)]
+/// Its parameters are this module's IEEE 802.15.4 constants. Unicast
+/// frames are acknowledged and retried; broadcast frames are
+/// fire-and-forget. The radio is switched on at [`start`](Mac::start)
+/// and never sleeps.
+#[derive(Debug, Default)]
 pub struct CsmaMac {
-    config: CsmaConfig,
     queue: VecDeque<Pending>,
     state: TxState,
     seq: u8,
@@ -107,25 +89,6 @@ pub struct CsmaMac {
 }
 
 impl CsmaMac {
-    /// Creates a CSMA MAC with the given configuration.
-    pub fn new(config: CsmaConfig) -> Self {
-        CsmaMac {
-            config,
-            queue: VecDeque::new(),
-            state: TxState::Idle,
-            seq: 0,
-            next_handle: 0,
-            dedup: SeqCache::new(),
-            timer: TimerId::NONE,
-            ack_due: None,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CsmaConfig {
-        &self.config
-    }
-
     fn set_state(&mut self, ctx: &mut Ctx<'_>, state: TxState) {
         if self.state != state {
             ctx.emit(EventKind::MacState {
@@ -140,7 +103,7 @@ impl CsmaMac {
         let head = self.queue.front().expect("backoff without head");
         let window = 1u64 << head.be;
         let units = ctx.rng().gen_range(0..window);
-        self.timer = ctx.set_timer(self.config.backoff_unit * units, TAG_BACKOFF);
+        self.timer = ctx.set_timer(BACKOFF_UNIT * units, TAG_BACKOFF);
         self.set_state(ctx, TxState::Backoff);
     }
 
@@ -160,10 +123,7 @@ impl CsmaMac {
                 &[],
                 &mut bytes,
             );
-            if ctx
-                .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)
-                .is_ok()
-            {
+            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
                 self.set_state(ctx, TxState::SendingAck);
                 return;
             }
@@ -185,7 +145,7 @@ impl CsmaMac {
             &head.payload,
             &mut bytes,
         );
-        match ctx.transmit(head.dst, self.config.radio_port, bytes) {
+        match ctx.transmit(head.dst, RADIO_PORT, bytes) {
             Ok(()) => {
                 self.set_state(ctx, TxState::SendingData);
                 ctx.count_node("mac_tx_data", 1.0);
@@ -210,12 +170,12 @@ impl CsmaMac {
     fn fail_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>) {
         let head = self.queue.front_mut().expect("fail without head");
         head.retries += 1;
-        if head.retries > self.config.max_retries {
+        if head.retries > MAX_RETRIES {
             ctx.count_node("mac_tx_fail", 1.0);
             self.complete_head(ctx, out, false);
         } else {
             head.backoffs = 0;
-            head.be = self.config.min_be;
+            head.be = MIN_BE;
             self.set_state(ctx, TxState::Idle);
             self.try_begin(ctx);
         }
@@ -235,11 +195,9 @@ impl Mac for CsmaMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        let min_be = self.config.min_be;
         let handle = admit(
             ctx,
             &mut self.queue,
-            self.config.queue_cap,
             &mut self.next_handle,
             &mut self.seq,
             payload.len(),
@@ -251,7 +209,7 @@ impl Mac for CsmaMac {
                 seq,
                 retries: 0,
                 backoffs: 0,
-                be: min_be,
+                be: MIN_BE,
             },
         )?;
         self.try_begin(ctx);
@@ -267,8 +225,8 @@ impl Mac for CsmaMac {
                 if ctx.cca_busy() {
                     let head = self.queue.front_mut().expect("backoff head");
                     head.backoffs += 1;
-                    head.be = (head.be + 1).min(self.config.max_be);
-                    if head.backoffs > self.config.max_backoffs {
+                    head.be = (head.be + 1).min(MAX_BE);
+                    if head.backoffs > MAX_BACKOFFS {
                         ctx.count_node("mac_cca_fail", 1.0);
                         self.set_state(ctx, TxState::Idle);
                         // Channel-access failure counts as one retry.
@@ -299,7 +257,7 @@ impl Mac for CsmaMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != self.config.radio_port {
+        if frame.port != RADIO_PORT {
             return;
         }
         let Some((header, payload)) = decode(&frame.payload) else {
@@ -349,7 +307,7 @@ impl Mac for CsmaMac {
                     Dst::Broadcast => self.complete_head(ctx, out, true),
                     Dst::Unicast(_) => {
                         self.set_state(ctx, TxState::WaitAck);
-                        self.timer = ctx.set_timer(self.config.ack_timeout, TAG_ACK_TIMEOUT);
+                        self.timer = ctx.set_timer(ACK_TIMEOUT, TAG_ACK_TIMEOUT);
                     }
                 }
             }
@@ -370,13 +328,7 @@ impl Mac for CsmaMac {
     }
 
     fn radio_port(&self) -> u8 {
-        self.config.radio_port
-    }
-}
-
-impl Default for CsmaMac {
-    fn default() -> Self {
-        CsmaMac::new(CsmaConfig::default())
+        RADIO_PORT
     }
 }
 

@@ -125,23 +125,26 @@ pub const fn is_mac_tag(tag: u64) -> bool {
     tag >= MAC_TAG_BASE
 }
 
+/// Transmit queue capacity of every MAC, in frames.
+pub const QUEUE_CAP: usize = 16;
+
 /// The admission step of every [`Mac::send`]: refuses a payload that
-/// does not fit a frame or a full queue, else allocates the handle and
-/// the link sequence number, enqueues what `pending` builds from them
-/// and samples the queue depth. The caller then kicks its own pipeline.
+/// does not fit a frame or a queue holding [`QUEUE_CAP`] frames, else
+/// allocates the handle and the link sequence number, enqueues what
+/// `pending` builds from them and samples the queue depth. The caller
+/// then kicks its own pipeline.
 pub(crate) fn admit<P>(
     ctx: &mut Ctx<'_>,
     queue: &mut std::collections::VecDeque<P>,
-    queue_cap: usize,
     next_handle: &mut u64,
     seq: &mut u8,
     payload_len: usize,
     pending: impl FnOnce(SendHandle, u8) -> P,
 ) -> Result<SendHandle, MacError> {
-    if payload_len + header::MAC_HEADER_LEN > ctx.radio().max_payload {
+    if payload_len + header::MAC_HEADER_LEN > iiot_sim::radio::MAX_PAYLOAD {
         return Err(MacError::TooLarge);
     }
-    if queue.len() >= queue_cap {
+    if queue.len() >= QUEUE_CAP {
         return Err(MacError::QueueFull);
     }
     let handle = SendHandle(*next_handle);

@@ -25,35 +25,30 @@ const TAG_WAKE: u64 = mac_tag(0x20);
 const TAG_SAMPLE_END: u64 = mac_tag(0x21);
 const TAG_GAP: u64 = mac_tag(0x22);
 
+/// Radio demux port claimed by LPL.
+pub const RADIO_PORT: u8 = 2;
+/// Length of the periodic channel sample.
+pub const SAMPLE: SimDuration = SimDuration::from_millis(6);
+/// Listen gap between strobe copies (ACK opportunity).
+pub const STROBE_GAP: SimDuration = SimDuration::from_millis(1);
+
 /// Configuration of [`LplMac`].
 #[derive(Clone, Debug)]
 pub struct LplConfig {
-    /// Radio demux port claimed by this MAC instance.
-    pub radio_port: u8,
     /// Sleep/wake period: receivers sample once per interval; senders
     /// strobe for one full interval. The energy/latency knob.
     pub wake_interval: SimDuration,
-    /// Length of the periodic channel sample.
-    pub sample: SimDuration,
-    /// Listen gap between strobe copies (ACK opportunity).
-    pub strobe_gap: SimDuration,
     /// Full strobes repeated after the first for an unacknowledged
     /// unicast: one makes up to `1 + max_retries` strobes, as CSMA and
-    /// TDMA make up to `1 + max_retries` transmissions.
+    /// TDMA make up to `1 + MAX_RETRIES` transmissions.
     pub max_retries: u32,
-    /// Transmit queue capacity.
-    pub queue_cap: usize,
 }
 
 impl Default for LplConfig {
     fn default() -> Self {
         LplConfig {
-            radio_port: 2,
             wake_interval: SimDuration::from_millis(512),
-            sample: SimDuration::from_millis(6),
-            strobe_gap: SimDuration::from_millis(1),
             max_retries: 1,
-            queue_cap: 16,
         }
     }
 }
@@ -78,7 +73,7 @@ enum TxKind {
 
 /// Low-power-listening MAC with strobed preamble (B-MAC/X-MAC style).
 ///
-/// The duty cycle is roughly `sample / wake_interval` plus the cost of
+/// The duty cycle is roughly `SAMPLE / wake_interval` plus the cost of
 /// strobing; the per-hop latency is uniform in `[0, wake_interval)`.
 #[derive(Debug)]
 pub struct LplMac {
@@ -136,7 +131,7 @@ impl LplMac {
         });
         // Strobe a little longer than one wake interval so a receiver
         // that sampled just before we started still gets a copy.
-        let margin = self.config.sample * 4;
+        let margin = SAMPLE * 4;
         self.strobe_deadline = Some(ctx.local_time() + self.config.wake_interval + margin);
         self.transmit_copy(ctx);
     }
@@ -155,15 +150,12 @@ impl LplMac {
             &head.payload,
             &mut bytes,
         );
-        if ctx
-            .transmit(head.dst, self.config.radio_port, bytes)
-            .is_ok()
-        {
+        if ctx.transmit(head.dst, RADIO_PORT, bytes).is_ok() {
             self.tx = TxKind::Copy;
             ctx.count_node("mac_tx_data", 1.0);
         } else {
             // Radio busy (e.g. ACK in flight): retry after a gap.
-            ctx.set_timer_local(self.config.strobe_gap, TAG_GAP);
+            ctx.set_timer_local(STROBE_GAP, TAG_GAP);
         }
     }
 
@@ -207,10 +199,7 @@ impl LplMac {
                 &[],
                 &mut bytes,
             );
-            if ctx
-                .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)
-                .is_ok()
-            {
+            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
                 self.tx = TxKind::Ack;
                 ctx.emit(EventKind::MacState {
                     mac: "lpl",
@@ -240,7 +229,6 @@ impl Mac for LplMac {
         let handle = admit(
             ctx,
             &mut self.queue,
-            self.config.queue_cap,
             &mut self.next_handle,
             &mut self.seq,
             payload.len(),
@@ -268,7 +256,7 @@ impl Mac for LplMac {
                         mac: "lpl",
                         state: "sample",
                     });
-                    ctx.set_timer_local(self.config.sample, TAG_SAMPLE_END);
+                    ctx.set_timer_local(SAMPLE, TAG_SAMPLE_END);
                 }
                 true
             }
@@ -276,7 +264,7 @@ impl Mac for LplMac {
                 if self.sampling {
                     if ctx.cca_busy() {
                         // Traffic in the air: keep listening for it.
-                        ctx.set_timer_local(self.config.sample, TAG_SAMPLE_END);
+                        ctx.set_timer_local(SAMPLE, TAG_SAMPLE_END);
                     } else {
                         self.sampling = false;
                         self.maybe_sleep(ctx);
@@ -305,7 +293,7 @@ impl Mac for LplMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != self.config.radio_port {
+        if frame.port != RADIO_PORT {
             return;
         }
         let Some((header, payload)) = decode(&frame.payload) else {
@@ -345,13 +333,13 @@ impl Mac for LplMac {
                 self.send_ack_if_due(ctx);
                 if self.tx == TxKind::None {
                     // Listen for an ACK during the inter-copy gap.
-                    ctx.set_timer_local(self.config.strobe_gap, TAG_GAP);
+                    ctx.set_timer_local(STROBE_GAP, TAG_GAP);
                 }
             }
             TxKind::Ack => {
                 self.tx = TxKind::None;
                 if self.strobe_deadline.is_some() {
-                    ctx.set_timer_local(self.config.strobe_gap, TAG_GAP);
+                    ctx.set_timer_local(STROBE_GAP, TAG_GAP);
                 } else {
                     self.maybe_sleep(ctx);
                 }
@@ -376,7 +364,7 @@ impl Mac for LplMac {
     }
 
     fn radio_port(&self) -> u8 {
-        self.config.radio_port
+        RADIO_PORT
     }
 }
 

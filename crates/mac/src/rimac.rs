@@ -20,40 +20,18 @@ const TAG_ANSWER: u64 = mac_tag(0x32);
 const TAG_ACK_TIMEOUT: u64 = mac_tag(0x33);
 const TAG_SEND_TIMEOUT: u64 = mac_tag(0x34);
 
-/// Configuration of [`RimacMac`].
-#[derive(Clone, Debug)]
-pub struct RimacConfig {
-    /// Radio demux port claimed by this MAC instance.
-    pub radio_port: u8,
-    /// Interval between a node's probes (receiver wake period).
-    pub wake_interval: SimDuration,
-    /// How long a receiver listens after its probe.
-    pub dwell: SimDuration,
-    /// Maximum random delay before answering a probe (collision
-    /// avoidance between competing senders).
-    pub answer_jitter: SimDuration,
-    /// How long after a data frame to wait for its ACK.
-    pub ack_timeout: SimDuration,
-    /// Overall deadline for one unicast send, as a multiple of
-    /// `wake_interval` (gives the destination several probe chances).
-    pub send_timeout_intervals: u32,
-    /// Transmit queue capacity.
-    pub queue_cap: usize,
-}
-
-impl Default for RimacConfig {
-    fn default() -> Self {
-        RimacConfig {
-            radio_port: 3,
-            wake_interval: SimDuration::from_millis(512),
-            dwell: SimDuration::from_millis(8),
-            answer_jitter: SimDuration::from_millis(2),
-            ack_timeout: SimDuration::from_millis(3),
-            send_timeout_intervals: 3,
-            queue_cap: 16,
-        }
-    }
-}
+/// Radio demux port claimed by RI-MAC.
+pub const RADIO_PORT: u8 = 3;
+/// How long a receiver listens after its probe.
+pub const DWELL: SimDuration = SimDuration::from_millis(8);
+/// Maximum random delay before answering a probe (collision avoidance
+/// between competing senders).
+pub const ANSWER_JITTER: SimDuration = SimDuration::from_millis(2);
+/// How long after a data frame to wait for its ACK.
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(3);
+/// Overall deadline for one unicast send, in wake intervals (gives the
+/// destination several probe chances).
+pub const SEND_TIMEOUT_INTERVALS: u32 = 3;
 
 #[derive(Debug)]
 struct Pending {
@@ -77,7 +55,8 @@ enum TxKind {
 /// Receiver-initiated duty-cycled MAC (RI-MAC style).
 #[derive(Debug)]
 pub struct RimacMac {
-    config: RimacConfig,
+    /// Interval between this node's probes (receiver wake period).
+    wake_interval: SimDuration,
     queue: VecDeque<Pending>,
     /// True while this node keeps its radio on waiting for a probe.
     hunting: bool,
@@ -93,10 +72,10 @@ pub struct RimacMac {
 }
 
 impl RimacMac {
-    /// Creates an RI-MAC instance with the given configuration.
-    pub fn new(config: RimacConfig) -> Self {
+    /// Creates an RI-MAC instance probing every `wake_interval`.
+    pub fn new(wake_interval: SimDuration) -> Self {
         RimacMac {
-            config,
+            wake_interval,
             queue: VecDeque::new(),
             hunting: false,
             dwelling: false,
@@ -107,11 +86,6 @@ impl RimacMac {
             dedup: SeqCache::new(),
             ack_due: None,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RimacConfig {
-        &self.config
     }
 
     fn maybe_sleep(&mut self, ctx: &mut Ctx<'_>) {
@@ -162,10 +136,7 @@ impl RimacMac {
             &head.payload,
             &mut bytes,
         );
-        if ctx
-            .transmit(head.dst, self.config.radio_port, bytes)
-            .is_ok()
-        {
+        if ctx.transmit(head.dst, RADIO_PORT, bytes).is_ok() {
             self.tx = TxKind::Data;
             ctx.count_node("mac_tx_data", 1.0);
         }
@@ -193,7 +164,7 @@ impl Mac for RimacMac {
     fn start(&mut self, ctx: &mut Ctx<'_>) {
         let phase_us = ctx
             .rng()
-            .gen_range(0..self.config.wake_interval.as_micros().max(1));
+            .gen_range(0..self.wake_interval.as_micros().max(1));
         ctx.set_timer(SimDuration::from_micros(phase_us), TAG_WAKE);
     }
 
@@ -204,12 +175,10 @@ impl Mac for RimacMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        let deadline =
-            ctx.now() + self.config.wake_interval * self.config.send_timeout_intervals as u64;
+        let deadline = ctx.now() + self.wake_interval * SEND_TIMEOUT_INTERVALS as u64;
         let handle = admit(
             ctx,
             &mut self.queue,
-            self.config.queue_cap,
             &mut self.next_handle,
             &mut self.seq,
             payload.len(),
@@ -229,7 +198,7 @@ impl Mac for RimacMac {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer, out: &mut Vec<MacEvent>) -> bool {
         match timer.tag {
             TAG_WAKE => {
-                ctx.set_timer(self.config.wake_interval, TAG_WAKE);
+                ctx.set_timer(self.wake_interval, TAG_WAKE);
                 // Probe only when not busy with our own traffic.
                 if self.tx == TxKind::None && !self.answer_armed {
                     ctx.radio_on().expect("rimac: radio on to probe");
@@ -243,10 +212,7 @@ impl Mac for RimacMac {
                         &[],
                         &mut bytes,
                     );
-                    if ctx
-                        .transmit(Dst::Broadcast, self.config.radio_port, bytes)
-                        .is_ok()
-                    {
+                    if ctx.transmit(Dst::Broadcast, RADIO_PORT, bytes).is_ok() {
                         self.tx = TxKind::Probe;
                         ctx.emit(EventKind::MacState {
                             mac: "rimac",
@@ -303,7 +269,7 @@ impl Mac for RimacMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != self.config.radio_port {
+        if frame.port != RADIO_PORT {
             return;
         }
         let Some((header, payload)) = decode(&frame.payload) else {
@@ -313,9 +279,7 @@ impl Mac for RimacMac {
             MacKind::Probe => {
                 if self.hunting && self.head_wants(frame.src) && !self.answer_armed {
                     self.answer_armed = true;
-                    let jitter_us = ctx
-                        .rng()
-                        .gen_range(0..self.config.answer_jitter.as_micros().max(1));
+                    let jitter_us = ctx.rng().gen_range(0..ANSWER_JITTER.as_micros().max(1));
                     ctx.set_timer(SimDuration::from_micros(jitter_us), TAG_ANSWER);
                 }
             }
@@ -334,10 +298,7 @@ impl Mac for RimacMac {
                                 &[],
                                 &mut bytes,
                             );
-                            if ctx
-                                .transmit(Dst::Unicast(dst), self.config.radio_port, bytes)
-                                .is_ok()
-                            {
+                            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
                                 self.tx = TxKind::Ack;
                             }
                         }
@@ -372,19 +333,19 @@ impl Mac for RimacMac {
                     mac: "rimac",
                     state: "dwell",
                 });
-                ctx.set_timer(self.config.dwell, TAG_DWELL_END);
+                ctx.set_timer(DWELL, TAG_DWELL_END);
             }
             TxKind::Data => {
                 self.tx = TxKind::None;
                 // Stay on: the ACK should arrive promptly; the overall
                 // send deadline bounds the wait.
-                ctx.set_timer(self.config.ack_timeout, TAG_ACK_TIMEOUT);
+                ctx.set_timer(ACK_TIMEOUT, TAG_ACK_TIMEOUT);
             }
             TxKind::Ack => {
                 self.tx = TxKind::None;
                 // Extend the dwell: the sender may have more traffic.
                 self.dwelling = true;
-                ctx.set_timer(self.config.dwell, TAG_DWELL_END);
+                ctx.set_timer(DWELL, TAG_DWELL_END);
             }
             TxKind::None => {}
         }
@@ -405,13 +366,13 @@ impl Mac for RimacMac {
     }
 
     fn radio_port(&self) -> u8 {
-        self.config.radio_port
+        RADIO_PORT
     }
 }
 
 impl Default for RimacMac {
     fn default() -> Self {
-        RimacMac::new(RimacConfig::default())
+        RimacMac::new(SimDuration::from_millis(512))
     }
 }
 

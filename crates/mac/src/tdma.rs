@@ -298,26 +298,11 @@ enum TxKind {
     Beacon,
 }
 
-/// Configuration of [`TdmaMac`].
-#[derive(Clone, Debug)]
-pub struct TdmaConfig {
-    /// Radio demux port claimed by this MAC instance.
-    pub radio_port: u8,
-    /// Frame (re)transmissions before giving up on a unicast.
-    pub max_retries: u32,
-    /// Transmit queue capacity.
-    pub queue_cap: usize,
-}
-
-impl Default for TdmaConfig {
-    fn default() -> Self {
-        TdmaConfig {
-            radio_port: 4,
-            max_retries: 3,
-            queue_cap: 16,
-        }
-    }
-}
+/// Radio demux port claimed by TDMA.
+pub const RADIO_PORT: u8 = 4;
+/// Retransmissions of an unacknowledged unicast frame before giving up
+/// (IEEE 802.15.4 `macMaxFrameRetries` default).
+pub const MAX_RETRIES: u32 = 3;
 
 /// Configuration of the embedded FTSP synchronization
 /// ([`TdmaMac::with_sync`]).
@@ -368,7 +353,6 @@ struct SyncState {
 /// mapping unless [`TdmaMac::with_sync`] keeps it estimated.
 #[derive(Debug)]
 pub struct TdmaMac {
-    config: TdmaConfig,
     schedule: TdmaSchedule,
     my_roles: Vec<(usize, Role)>,
     queue: VecDeque<Pending>,
@@ -407,9 +391,8 @@ pub struct TdmaMac {
 
 impl TdmaMac {
     /// Creates a TDMA MAC following `schedule`.
-    pub fn new(config: TdmaConfig, schedule: TdmaSchedule) -> Self {
+    pub fn new(schedule: TdmaSchedule) -> Self {
         TdmaMac {
-            config,
             schedule,
             my_roles: Vec::new(),
             queue: VecDeque::new(),
@@ -584,7 +567,6 @@ impl Mac for TdmaMac {
         admit(
             ctx,
             &mut self.queue,
-            self.config.queue_cap,
             &mut self.next_handle,
             &mut self.seq,
             payload.len(),
@@ -704,7 +686,7 @@ impl Mac for TdmaMac {
                             Dst::Broadcast => Dst::Broadcast,
                             Dst::Unicast(_) => Dst::Unicast(self.schedule.slots()[idx].receiver),
                         };
-                        if ctx.transmit(dst, self.config.radio_port, bytes).is_ok() {
+                        if ctx.transmit(dst, RADIO_PORT, bytes).is_ok() {
                             self.tx = TxKind::Data;
                             self.head_sent = true;
                             ctx.count_node("mac_tx_data", 1.0);
@@ -729,7 +711,7 @@ impl Mac for TdmaMac {
                                 });
                             } else {
                                 head.attempts += 1;
-                                if head.attempts > self.config.max_retries {
+                                if head.attempts > MAX_RETRIES {
                                     let head = self.queue.pop_front().expect("head");
                                     ctx.count_node("mac_tx_fail", 1.0);
                                     out.push(MacEvent::SendDone {
@@ -797,10 +779,7 @@ impl Mac for TdmaMac {
                             &p,
                             &mut bytes,
                         );
-                        if ctx
-                            .transmit(Dst::Broadcast, self.config.radio_port, bytes)
-                            .is_ok()
-                        {
+                        if ctx.transmit(Dst::Broadcast, RADIO_PORT, bytes).is_ok() {
                             self.tx = TxKind::Beacon;
                         }
                     }
@@ -829,7 +808,7 @@ impl Mac for TdmaMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != self.config.radio_port {
+        if frame.port != RADIO_PORT {
             return;
         }
         let Some((header, payload)) = decode(&frame.payload) else {
@@ -855,7 +834,7 @@ impl Mac for TdmaMac {
                         &mut bytes,
                     );
                     if ctx
-                        .transmit(Dst::Unicast(frame.src), self.config.radio_port, bytes)
+                        .transmit(Dst::Unicast(frame.src), RADIO_PORT, bytes)
                         .is_ok()
                     {
                         self.tx = TxKind::Ack;
@@ -945,7 +924,7 @@ impl Mac for TdmaMac {
     }
 
     fn radio_port(&self) -> u8 {
-        self.config.radio_port
+        RADIO_PORT
     }
 }
 
@@ -972,7 +951,7 @@ mod tests {
         let cfg = SimConfig::default().seed(seed);
         let s2 = sched.clone();
         let (w, ids) = driver_sim(cfg, Topology::line(n, 10.0), move || {
-            TdmaMac::new(TdmaConfig::default(), s2.clone())
+            TdmaMac::new(s2.clone())
         });
         (w, ids, sched)
     }
@@ -1036,7 +1015,7 @@ mod tests {
         let sched = TdmaSchedule::tree_edges(&parents, SimDuration::from_millis(10));
         let cfg = SimConfig::default().seed(31);
         let (mut w, ids) = driver_sim(cfg, Topology::line(3, 10.0), move || {
-            TdmaMac::new(TdmaConfig::default(), sched.clone())
+            TdmaMac::new(sched.clone())
         });
         // The relay queues an upward packet first, then a downward one:
         // slot-aware selection must dispatch each in its matching slot
@@ -1203,7 +1182,7 @@ mod tests {
             w.proto::<Drv>(ids[1]).send_done,
             vec![(SendHandle(0), false)]
         );
-        // 1 + max_retries attempts.
+        // 1 + MAX_RETRIES attempts.
         assert_eq!(w.stats().get_node(ids[1], "mac_tx_data"), 4.0);
     }
 
@@ -1254,9 +1233,7 @@ mod tests {
     fn unsynced_drift_collapses_delivery() {
         // Badly drifting free-running clocks slide a 10 ms slot apart
         // within tens of seconds; later unicasts miss their receiver.
-        let (mut w, ids) = drifting_world(3, 500.0, 31, 60, |s| {
-            TdmaMac::new(TdmaConfig::default(), s).with_local_clock()
-        });
+        let (mut w, ids) = drifting_world(3, 500.0, 31, 60, |s| TdmaMac::new(s).with_local_clock());
         w.run_for(SimDuration::from_secs(80));
         let got = w.proto::<Drv>(ids[0]).delivered.len();
         assert!(got < 30, "drifted TDMA still delivered {got}/60");
@@ -1265,7 +1242,7 @@ mod tests {
     #[test]
     fn ftsp_synced_tdma_survives_drift() {
         let (mut w, ids) = drifting_world(3, 200.0, 31, 20, |s| {
-            TdmaMac::new(TdmaConfig::default(), s).with_sync(TdmaSync {
+            TdmaMac::new(s).with_sync(TdmaSync {
                 ftsp: FtspConfig::default().with_reference(NodeId(0)),
                 ..TdmaSync::default()
             })
@@ -1286,7 +1263,7 @@ mod tests {
         // A synced MAC under ideal clocks still delivers everything and
         // reports zero guard violations.
         let (mut w, ids) = drifting_world(3, 0.0, 33, 10, |s| {
-            TdmaMac::new(TdmaConfig::default(), s).with_sync(TdmaSync {
+            TdmaMac::new(s).with_sync(TdmaSync {
                 ftsp: FtspConfig::default().with_reference(NodeId(0)),
                 ..TdmaSync::default()
             })

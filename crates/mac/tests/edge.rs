@@ -51,10 +51,7 @@ fn tdma_idle_padding_lowers_duty_cycle() {
     let duty = |sched: TdmaSchedule| {
         let mut w = SimBuilder::new()
             .nodes(Topology::line(2, 10.0), move |_| {
-                Box::new(MacDriver::new(iiot_mac::tdma::TdmaMac::new(
-                    iiot_mac::tdma::TdmaConfig::default(),
-                    sched.clone(),
-                )))
+                Box::new(MacDriver::new(iiot_mac::tdma::TdmaMac::new(sched.clone())))
             })
             .build();
         w.run_for(SimDuration::from_secs(10));

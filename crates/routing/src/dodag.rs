@@ -25,7 +25,7 @@ use iiot_sim::{
 use rand::Rng;
 use std::collections::BTreeMap;
 
-pub use crate::collect::{Collected, Traffic, PORT_DATA};
+pub use crate::collect::{Collected, Traffic, MAX_ATTEMPTS, PORT_DATA, PUMP_PERIOD, QUEUE_CAP};
 
 /// Upper-layer port of DIO beacons.
 pub const PORT_DIO: u8 = 10;
@@ -48,30 +48,24 @@ const TAG_TRICKLE_END: u64 = 0x101;
 const TAG_DIS: u64 = 0x102;
 const TAG_SWEEP: u64 = 0x103;
 
+/// Evict neighbours not heard for this long.
+pub const NEIGHBOR_TIMEOUT: SimDuration = SimDuration::from_secs(100);
+/// DIS solicitation period while orphaned.
+pub const DIS_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Consecutive link-layer failures before evicting the parent.
+pub const MAX_PARENT_FAILURES: u32 = 3;
+/// After losing a parent, ignore candidates at or below our old depth
+/// for this long: their low ranks are likely stale state derived from
+/// us (our own descendants), and re-attaching to them starts a
+/// count-to-infinity storm. The window gives our poison DIO time to
+/// cascade through the sub-DODAG.
+pub const REATTACH_QUARANTINE: SimDuration = SimDuration::from_secs(2);
+
 /// Configuration of a [`DodagNode`].
 #[derive(Clone, Debug)]
 pub struct DodagConfig {
     /// Trickle parameters for DIO beaconing.
     pub trickle: TrickleConfig,
-    /// Evict neighbours not heard for this long.
-    pub neighbor_timeout: SimDuration,
-    /// Solicitation period while orphaned.
-    pub dis_period: SimDuration,
-    /// Consecutive link-layer failures before evicting the parent.
-    pub max_parent_failures: u32,
-    /// Total transmission attempts per datum before dropping it.
-    pub max_data_attempts: u32,
-    /// Forwarding queue capacity (store-and-forward buffer while
-    /// partitioned).
-    pub queue_cap: usize,
-    /// Retry pacing when the MAC reports a full queue.
-    pub pump_period: SimDuration,
-    /// After losing a parent, ignore candidates at or below our old
-    /// depth for this long: their low ranks are likely stale state
-    /// derived from us (our own descendants), and re-attaching to them
-    /// starts a count-to-infinity storm. The window gives our poison
-    /// DIO time to cascade through the sub-DODAG.
-    pub reattach_quarantine: SimDuration,
     /// Optional periodic traffic generator.
     pub traffic: Option<Traffic>,
 }
@@ -84,13 +78,6 @@ impl Default for DodagConfig {
                 doublings: 6,
                 k: 3,
             },
-            neighbor_timeout: SimDuration::from_secs(100),
-            dis_period: SimDuration::from_secs(2),
-            max_parent_failures: 3,
-            max_data_attempts: 5,
-            queue_cap: 32,
-            pump_period: SimDuration::from_millis(200),
-            reattach_quarantine: SimDuration::from_secs(2),
             traffic: None,
         }
     }
@@ -212,17 +199,12 @@ impl Dodag {
     pub fn new(config: DodagConfig, is_root: bool) -> Self {
         let imax = config.trickle.imin * (1 << config.trickle.doublings);
         assert!(
-            config.neighbor_timeout > imax * 2,
+            NEIGHBOR_TIMEOUT > imax * 2,
             "neighbor_timeout must exceed 2x the trickle Imax ({imax}), or \
              suppressed beacons get mistaken for dead neighbours"
         );
         let trickle = Trickle::new(config.trickle);
-        let data = DataPlane::new(
-            "dodag",
-            config.queue_cap,
-            config.pump_period,
-            config.max_data_attempts,
-        );
+        let data = DataPlane::new("dodag");
         Dodag {
             config,
             is_root,
@@ -358,7 +340,7 @@ impl Dodag {
                 // Freshly orphaned: poison our sub-DODAG and solicit.
                 ctx.count_node("orphaned", 1.0);
                 self.send_dio(mac, ctx, INFINITE_RANK);
-                ctx.set_timer(self.config.dis_period, TAG_DIS);
+                ctx.set_timer(DIS_PERIOD, TAG_DIS);
                 self.trickle_reset(ctx, "parent_lost");
             } else {
                 self.pump(mac, ctx);
@@ -377,7 +359,7 @@ impl Dodag {
         // suspected of deriving its rank from us.
         if self.rank < INFINITE_RANK {
             self.quarantine_rank = self.rank;
-            self.quarantine_until = ctx.now() + self.config.reattach_quarantine;
+            self.quarantine_until = ctx.now() + REATTACH_QUARANTINE;
         }
         self.rank = INFINITE_RANK;
         self.reselect_parent(mac, ctx);
@@ -385,7 +367,7 @@ impl Dodag {
             // reselect_parent only emits orphan actions on a parent
             // *change*; entering here we already cleared it, so make
             // sure solicitation is armed.
-            ctx.set_timer(self.config.dis_period, TAG_DIS);
+            ctx.set_timer(DIS_PERIOD, TAG_DIS);
         }
     }
 
@@ -466,13 +448,11 @@ impl<M: Mac> Service<M> for Dodag {
         } else {
             self.rank = INFINITE_RANK;
             self.parent = None;
-            let jitter = ctx
-                .rng()
-                .gen_range(0..self.config.dis_period.as_micros().max(1));
+            let jitter = ctx.rng().gen_range(0..DIS_PERIOD.as_micros().max(1));
             ctx.set_timer(SimDuration::from_micros(jitter), TAG_DIS);
         }
         self.trickle_begin(ctx);
-        ctx.set_timer(self.config.neighbor_timeout / 4, TAG_SWEEP);
+        ctx.set_timer(NEIGHBOR_TIMEOUT / 4, TAG_SWEEP);
         if let Some(tr) = self.config.traffic.filter(|_| !self.is_root) {
             tr.arm_first(ctx);
         }
@@ -496,7 +476,7 @@ impl<M: Mac> Service<M> for Dodag {
         }
         // A failed unicast is evidence against the parent.
         self.parent_failures = if acked { 0 } else { self.parent_failures + 1 };
-        if !acked && self.parent_failures >= self.config.max_parent_failures {
+        if !acked && self.parent_failures >= MAX_PARENT_FAILURES {
             ctx.count_node("parent_evict", 1.0);
             self.parent_lost(mac, ctx);
         } else {
@@ -522,11 +502,11 @@ impl<M: Mac> Service<M> for Dodag {
                 if mac.send(ctx, Dst::Broadcast, PORT_DIS, vec![]).is_ok() {
                     ctx.count_node("dis_tx", 1.0);
                 }
-                ctx.set_timer(self.config.dis_period, TAG_DIS);
+                ctx.set_timer(DIS_PERIOD, TAG_DIS);
             }
             TAG_SWEEP => {
                 let cutoff = ctx.now();
-                let timeout = self.config.neighbor_timeout;
+                let timeout = NEIGHBOR_TIMEOUT;
                 let expired: Vec<NodeId> = self
                     .neighbors
                     .iter()
@@ -540,7 +520,7 @@ impl<M: Mac> Service<M> for Dodag {
                 if lost_parent {
                     self.parent_lost(mac, ctx);
                 }
-                ctx.set_timer(self.config.neighbor_timeout / 4, TAG_SWEEP);
+                ctx.set_timer(NEIGHBOR_TIMEOUT / 4, TAG_SWEEP);
             }
             TAG_TRAFFIC => {
                 if let Some(tr) = self.config.traffic {

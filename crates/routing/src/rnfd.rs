@@ -253,7 +253,7 @@ impl<M: Mac> Proto for RnfdNode<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiot_mac::csma::{CsmaConfig, CsmaMac};
+    use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
 
     type Node = RnfdNode<CsmaMac>;
@@ -290,10 +290,7 @@ mod tests {
         let w = SimBuilder::new()
             .config(wc)
             .nodes(topo, move |_| {
-                Box::new(RnfdNode::new(
-                    CsmaMac::new(CsmaConfig::default()),
-                    config.clone(),
-                ))
+                Box::new(RnfdNode::new(CsmaMac::default(), config.clone()))
             })
             .build();
         (w, ids)

@@ -11,7 +11,7 @@
 
 use crate::collect::{Collected, DataPlane, Traffic, PORT_DATA, TAG_PUMP, TAG_TRAFFIC};
 use iiot_mac::{Mac, SendHandle, Service, Stack};
-use iiot_sim::{Ctx, Frame, NodeId, Proto, RxInfo, SimDuration, Timer, TxOutcome};
+use iiot_sim::{Ctx, Frame, NodeId, Proto, RxInfo, Timer, TxOutcome};
 
 /// Configuration of a [`StaticCollection`] node.
 #[derive(Clone, Debug)]
@@ -21,10 +21,6 @@ pub struct StaticConfig {
     pub parents: Vec<Option<NodeId>>,
     /// Optional periodic traffic generator.
     pub traffic: Option<Traffic>,
-    /// Forwarding queue capacity.
-    pub queue_cap: usize,
-    /// Retry pacing when the MAC reports a full queue.
-    pub pump_period: SimDuration,
 }
 
 impl StaticConfig {
@@ -33,8 +29,6 @@ impl StaticConfig {
         StaticConfig {
             parents,
             traffic: None,
-            queue_cap: 32,
-            pump_period: SimDuration::from_millis(200),
         }
     }
 }
@@ -55,8 +49,7 @@ impl<M: Mac> StaticCollection<M> {
     /// Creates a node; the node whose parent entry is `None` is the
     /// root.
     pub fn new(mac: M, config: StaticConfig) -> Self {
-        // Five transmission attempts per datum, then it is dropped.
-        let data = DataPlane::new("static", config.queue_cap, config.pump_period, 5);
+        let data = DataPlane::new("static");
         StaticCollection {
             stack: Stack::new(mac),
             tree: StaticTree { config, data },
@@ -162,7 +155,7 @@ impl<M: Mac> Proto for StaticCollection<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iiot_mac::tdma::{TdmaConfig, TdmaMac, TdmaSchedule};
+    use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
     use iiot_sim::prelude::*;
 
     type Node = StaticCollection<TdmaMac>;
@@ -217,7 +210,7 @@ mod tests {
             .seed(8)
             .nodes(Topology::line(n, 20.0), move |_| {
                 Box::new(StaticCollection::new(
-                    TdmaMac::new(TdmaConfig::default(), sched.clone()),
+                    TdmaMac::new(sched.clone()),
                     cfg.clone(),
                 ))
             })

@@ -15,7 +15,7 @@
 //! both the nodes and the air. Positions and the [`RadioConfig`] never
 //! change after a node is added, so the first transmission of a source
 //! gathers the 3x3 cells around it once and keeps, per node it can
-//! reach above [`RadioConfig::sensitivity_dbm`], the link budget (RSSI
+//! reach above [`SENSITIVITY_DBM`], the link budget (RSSI
 //! and PRR): every later frame walks that list with four state checks
 //! and one RNG draw per listener — no distance, `log10` or `exp`. Every
 //! live transmission record is filed under the cell of its *source*,
@@ -71,7 +71,7 @@ pub struct Frame {
     pub dst: Dst,
     /// Protocol demultiplexing byte.
     pub port: u8,
-    /// Payload bytes (on-air length adds [`RadioConfig::overhead_bytes`]).
+    /// Payload bytes (on-air length adds [`OVERHEAD_BYTES`]).
     pub payload: Vec<u8>,
 }
 
@@ -126,7 +126,7 @@ pub enum RadioError {
     Off,
     /// The radio is already transmitting.
     Busy,
-    /// Payload exceeds [`RadioConfig::max_payload`].
+    /// Payload exceeds [`MAX_PAYLOAD`].
     FrameTooLarge,
     /// The node has been killed by fault injection.
     NodeDead,
@@ -191,48 +191,37 @@ impl Default for LinkModel {
     }
 }
 
-/// Static configuration of every radio in the deployment.
-#[derive(Clone, Debug)]
+/// Radio bitrate in bits per second (IEEE 802.15.4 2.4 GHz PHY: 250 kbit/s).
+pub const BITRATE_BPS: u64 = 250_000;
+/// Per-frame on-air overhead in bytes (preamble, SFD, length, MAC
+/// header, FCS).
+pub const OVERHEAD_BYTES: usize = 17;
+/// Largest allowed payload per frame, in bytes.
+pub const MAX_PAYLOAD: usize = 110;
+/// Transmit power in dBm.
+pub const TX_POWER_DBM: f64 = 0.0;
+/// Weakest decodable signal in dBm (CC2420-class receiver).
+pub const SENSITIVITY_DBM: f64 = -94.0;
+/// Clear-channel-assessment threshold in dBm.
+pub const CCA_THRESHOLD_DBM: f64 = -85.0;
+/// A frame survives interference if it is at least this much stronger
+/// than every interferer (capture effect), in dB.
+pub const CAPTURE_DB: f64 = 6.0;
+
+/// Static configuration of every radio in the deployment: the link
+/// model. The radio's physical constants ([`BITRATE_BPS`],
+/// [`SENSITIVITY_DBM`], ...) are the same for every deployment.
+#[derive(Clone, Debug, Default)]
 pub struct RadioConfig {
-    /// Radio bitrate in bits per second (802.15.4: 250 kbit/s).
-    pub bitrate_bps: u64,
-    /// Per-frame on-air overhead (preamble, SFD, length, MAC header, FCS).
-    pub overhead_bytes: usize,
-    /// Largest allowed payload per frame.
-    pub max_payload: usize,
-    /// Transmit power in dBm.
-    pub tx_power_dbm: f64,
-    /// Weakest decodable signal in dBm.
-    pub sensitivity_dbm: f64,
-    /// Clear-channel-assessment threshold in dBm.
-    pub cca_threshold_dbm: f64,
-    /// A frame survives interference if it is at least this much
-    /// stronger than every interferer (capture effect), in dB.
-    pub capture_db: f64,
     /// Propagation and loss model.
     pub link: LinkModel,
-}
-
-impl Default for RadioConfig {
-    fn default() -> Self {
-        RadioConfig {
-            bitrate_bps: 250_000,
-            overhead_bytes: 17,
-            max_payload: 110,
-            tx_power_dbm: 0.0,
-            sensitivity_dbm: -94.0,
-            cca_threshold_dbm: -85.0,
-            capture_db: 6.0,
-            link: LinkModel::default(),
-        }
-    }
 }
 
 impl RadioConfig {
     /// On-air duration of a frame with `payload_len` payload bytes.
     pub fn airtime(&self, payload_len: usize) -> SimDuration {
-        let bits = (self.overhead_bytes + payload_len) as u64 * 8;
-        SimDuration::from_micros(bits * 1_000_000 / self.bitrate_bps)
+        let bits = (OVERHEAD_BYTES + payload_len) as u64 * 8;
+        SimDuration::from_micros(bits * 1_000_000 / BITRATE_BPS)
     }
 
     /// Received power at distance `d` meters, in dBm, or `None` if the
@@ -249,7 +238,7 @@ impl RadioConfig {
             } => {
                 if d <= *interference_range_m {
                     // Synthetic monotone RSSI so traces remain meaningful.
-                    Some(self.tx_power_dbm - 40.0 - 20.0 * (d.max(1.0)).log10())
+                    Some(TX_POWER_DBM - 40.0 - 20.0 * (d.max(1.0)).log10())
                 } else {
                     None
                 }
@@ -259,9 +248,8 @@ impl RadioConfig {
                 ref_loss_db,
                 ..
             } => {
-                let rssi =
-                    self.tx_power_dbm - ref_loss_db - 10.0 * path_loss_exp * d.max(1.0).log10();
-                if rssi >= self.sensitivity_dbm - 10.0 {
+                let rssi = TX_POWER_DBM - ref_loss_db - 10.0 * path_loss_exp * d.max(1.0).log10();
+                if rssi >= SENSITIVITY_DBM - 10.0 {
                     Some(rssi)
                 } else {
                     None
@@ -296,7 +284,7 @@ impl RadioConfig {
                 //   tx_power - ref_loss - 10*ple*log10(max(d,1)) >= sens - 10;
                 // solve for d at equality. `rssi_at` clamps d below 1 m,
                 // so the cutoff is at least 1 m.
-                let exp = (self.tx_power_dbm - ref_loss_db - (self.sensitivity_dbm - 10.0))
+                let exp = (TX_POWER_DBM - ref_loss_db - (SENSITIVITY_DBM - 10.0))
                     / (10.0 * path_loss_exp);
                 let d = 10f64.powf(exp).max(1.0);
                 d.is_finite().then_some(d)
@@ -327,7 +315,7 @@ impl RadioConfig {
                 spread_db,
                 ..
             } => {
-                if rssi < self.sensitivity_dbm {
+                if rssi < SENSITIVITY_DBM {
                     0.0
                 } else {
                     1.0 / (1.0 + (-(rssi - rssi50_dbm) / spread_db).exp())
@@ -564,7 +552,7 @@ impl Medium {
             .max_range()
             .filter(|r| r.is_finite() && *r > 0.0)
             .map_or(f64::INFINITY, |r| r.max(1.0));
-        let history = config.airtime(config.max_payload) * 2;
+        let history = config.airtime(MAX_PAYLOAD) * 2;
         Medium {
             config,
             nodes: Vec::new(),
@@ -785,7 +773,7 @@ impl Medium {
                 && self
                     .config
                     .rssi_at(self.nodes[tx.src.index()].pos.distance(me.pos))
-                    .is_some_and(|r| r >= self.config.cca_threshold_dbm)
+                    .is_some_and(|r| r >= CCA_THRESHOLD_DBM)
         })
     }
 
@@ -894,7 +882,7 @@ impl Medium {
         let budget = |&i: &u32| {
             let d = src_pos.distance(self.nodes[i as usize].pos);
             let rssi = self.config.rssi_at(d)?;
-            (i != src.0 && rssi >= self.config.sensitivity_dbm).then(|| Link {
+            (i != src.0 && rssi >= SENSITIVITY_DBM).then(|| Link {
                 to: NodeId(i),
                 rssi,
                 prr: self.config.prr(d, rssi),
@@ -916,7 +904,7 @@ impl Medium {
         match n.state {
             RadioState::Off => Err(RadioError::Off),
             RadioState::Transmitting => Err(RadioError::Busy),
-            RadioState::Listening if frame.payload.len() > self.config.max_payload => {
+            RadioState::Listening if frame.payload.len() > MAX_PAYLOAD => {
                 Err(RadioError::FrameTooLarge)
             }
             RadioState::Listening => Ok(()),
@@ -1076,7 +1064,7 @@ impl Medium {
                 && self
                     .config
                     .rssi_at(self.nodes[other.src.index()].pos.distance(my_pos))
-                    .is_some_and(|int_rssi| rssi < int_rssi + self.config.capture_db)
+                    .is_some_and(|int_rssi| rssi < int_rssi + CAPTURE_DB)
         });
         if jammed {
             self.stats.lost_collision += 1;
@@ -1153,7 +1141,6 @@ mod tests {
                 rssi50_dbm: -88.0,
                 spread_db: 3.0,
             },
-            ..RadioConfig::default()
         };
         let r10 = c.rssi_at(10.0).unwrap();
         let r40 = c.rssi_at(40.0).unwrap();
@@ -1621,7 +1608,7 @@ mod tests {
                     spread_db: 3.0,
                 },
             ][model].clone();
-            let config = RadioConfig { link, ..RadioConfig::default() };
+            let config = RadioConfig { link };
             let reach = config.max_range().expect("all three are finite");
             let mut pts: Vec<Pos> = raw.iter().map(|&(x, y)| Pos::new(x, y)).collect();
             if dup {
@@ -1674,7 +1661,7 @@ mod tests {
                                 .filter_map(|r| {
                                     let d = pts[i].distance(pts[r]);
                                     let rssi = config.rssi_at(d)?;
-                                    (rssi >= config.sensitivity_dbm).then(|| {
+                                    (rssi >= SENSITIVITY_DBM).then(|| {
                                         let ok = rng_c.gen::<f64>() < config.prr(d, rssi);
                                         (NodeId(r as u32), rssi.to_bits(), ok)
                                     })

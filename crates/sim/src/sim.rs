@@ -50,11 +50,11 @@
 //! ```
 
 use crate::clock::ClockModel;
-use crate::energy::{EnergyModel, EnergyUsage};
+use crate::energy::EnergyUsage;
 use crate::ids::NodeId;
 use crate::node::{Proto, StateLoss};
 use crate::obs::Recorder;
-use crate::radio::{LinkModel, MediumStats, RadioConfig};
+use crate::radio::{LinkModel, MediumStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::trace::Stats;
@@ -134,24 +134,6 @@ impl SimBuilder {
     /// Sets the link model (see [`SimConfig::link`]).
     pub fn link(mut self, link: LinkModel) -> Self {
         self.config = self.config.link(link);
-        self
-    }
-
-    /// Replaces the radio configuration (see [`SimConfig::radio`]).
-    pub fn radio(mut self, radio: RadioConfig) -> Self {
-        self.config = self.config.radio(radio);
-        self
-    }
-
-    /// Replaces the energy model (see [`SimConfig::energy`]).
-    pub fn energy(mut self, energy: EnergyModel) -> Self {
-        self.config = self.config.energy(energy);
-        self
-    }
-
-    /// Sets the backhaul latency (see [`SimConfig::wire_latency`]).
-    pub fn wire_latency(mut self, latency: SimDuration) -> Self {
-        self.config = self.config.wire_latency(latency);
         self
     }
 
@@ -297,11 +279,6 @@ impl Sim {
     /// Energy usage of `node` so far.
     pub fn energy(&self, node: NodeId) -> EnergyUsage {
         self.world.energy(node)
-    }
-
-    /// The energy model in force.
-    pub fn energy_model(&self) -> &EnergyModel {
-        self.world.energy_model()
     }
 
     /// Whether `node` is currently alive.

@@ -1,7 +1,7 @@
 //! The simulation engine: event queue, node lifecycle, fault injection.
 
 use crate::clock::{ClockModel, LocalClock};
-use crate::energy::{EnergyMeter, EnergyModel, EnergyUsage};
+use crate::energy::{EnergyMeter, EnergyUsage};
 use crate::ids::{NodeId, TimerId};
 use crate::node::{Proto, StateLoss, Timer};
 use crate::obs::{self, Event, EventKind, Recorder, SpanId};
@@ -15,6 +15,10 @@ use crate::trace::Stats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// One-way latency of the backhaul "wire" between nodes (models the IP
+/// network between border routers and servers).
+pub const WIRE_LATENCY: SimDuration = SimDuration::from_millis(20);
+
 /// Static world parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -22,11 +26,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Radio configuration shared by all nodes.
     pub radio: RadioConfig,
-    /// Energy model shared by all nodes.
-    pub energy: EnergyModel,
-    /// One-way latency of the backhaul "wire" between nodes
-    /// (models the IP network between border routers and servers).
-    pub wire_latency: SimDuration,
     /// Oscillator fault model shared by all nodes (each node draws its
     /// own parameters from it). Ideal by default.
     pub clock: ClockModel,
@@ -37,8 +36,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0xD15C0,
             radio: RadioConfig::default(),
-            energy: EnergyModel::default(),
-            wire_latency: SimDuration::from_millis(20),
             clock: ClockModel::default(),
         }
     }
@@ -90,27 +87,6 @@ impl SimConfig {
     #[must_use]
     pub fn link(mut self, link: LinkModel) -> Self {
         self.radio.link = link;
-        self
-    }
-
-    /// Replaces the whole radio configuration.
-    #[must_use]
-    pub fn radio(mut self, radio: RadioConfig) -> Self {
-        self.radio = radio;
-        self
-    }
-
-    /// Replaces the energy model.
-    #[must_use]
-    pub fn energy(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// Sets the one-way backhaul latency.
-    #[must_use]
-    pub fn wire_latency(mut self, latency: SimDuration) -> Self {
-        self.wire_latency = latency;
         self
     }
 
@@ -259,12 +235,10 @@ pub(crate) struct Kernel {
     obs_on: bool,
     queue: Calendar<QEntry>,
     medium: Medium,
-    energy_model: EnergyModel,
     meters: Vec<EnergyMeter>,
     rngs: Vec<SmallRng>,
     stats: Stats,
     timers: TimerSlab,
-    wire_latency: SimDuration,
     seed: u64,
     /// Master seed of the oscillators' own stream, derived once.
     clock_seed: u64,
@@ -371,12 +345,10 @@ impl World {
                 queue: Calendar::new(),
                 seq: 0,
                 medium: Medium::new(config.radio),
-                energy_model: config.energy,
                 meters: Vec::new(),
                 rngs: Vec::new(),
                 stats: Stats::new(),
                 timers: TimerSlab::default(),
-                wire_latency: config.wire_latency,
                 seed: config.seed,
                 // The oscillators draw from their own seed stream so
                 // enabling drift never perturbs protocol RNG sequences
@@ -522,11 +494,6 @@ impl World {
     /// Energy usage of `node` as of the current time.
     pub(crate) fn energy(&self, node: NodeId) -> EnergyUsage {
         self.kernel.meters[node.index()].snapshot(self.kernel.now)
-    }
-
-    /// The world energy model.
-    pub(crate) fn energy_model(&self) -> &EnergyModel {
-        &self.kernel.energy_model
     }
 
     /// Whether `node` is currently alive.
@@ -863,7 +830,7 @@ impl Ctx<'_> {
         self.kernel.medium.node_count()
     }
 
-    /// The shared radio configuration (bitrates, frame limits, ranges).
+    /// The shared radio configuration: the link model.
     pub fn radio(&self) -> &RadioConfig {
         self.kernel.medium.config()
     }
@@ -1013,12 +980,12 @@ impl Ctx<'_> {
         self.kernel.medium.frame_buf()
     }
 
-    /// Sends `payload` over the backhaul wire to `to`, arriving after the
-    /// configured wire latency. Only meaningful between nodes that are
+    /// Sends `payload` over the backhaul wire to `to`, arriving after
+    /// [`WIRE_LATENCY`]. Only meaningful between nodes that are
     /// conceptually wired (border routers, servers); the medium does not
     /// check this.
     pub fn wire_send(&mut self, to: NodeId, payload: Vec<u8>) {
-        let at = self.kernel.now + self.kernel.wire_latency;
+        let at = self.kernel.now + WIRE_LATENCY;
         let from = self.node;
         let msg = WireMsg { to, from, payload };
         self.kernel.push(at, Ev::Wire(Box::new(msg)));

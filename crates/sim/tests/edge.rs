@@ -12,7 +12,6 @@ fn radio_config_serde_round_trip() {
             rssi50_dbm: -88.0,
             spread_db: 3.0,
         },
-        ..RadioConfig::default()
     };
     // A configured link model names itself in its `Debug` form.
     let tokens = serde_json_like(&cfg);
@@ -33,14 +32,13 @@ fn custom_energy_model_changes_projection() {
         voltage_v: 1.8,
     };
     let mut w = SimBuilder::new()
-        .energy(stingy)
         .nodes(Topology::line(1, 10.0), |_| Box::new(Idle))
         .build();
     w.run_for(SimDuration::from_secs(100));
     let u = w.energy(NodeId(0));
     assert_eq!(u.sleep, SimDuration::from_secs(100));
     let days_default = u.lifetime_days(&EnergyModel::default(), 1000.0);
-    let days_stingy = u.lifetime_days(w.energy_model(), 1000.0);
+    let days_stingy = u.lifetime_days(&stingy, 1000.0);
     assert!(
         days_stingy > days_default,
         "lower sleep current lasts longer"

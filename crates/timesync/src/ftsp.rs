@@ -54,6 +54,11 @@ pub fn decode_beacon(bytes: &[u8]) -> Option<Beacon> {
     })
 }
 
+/// Beacon rounds without hearing the reference before a node declares
+/// itself reference (ignored with a pinned reference; FTSP's
+/// `ROOT_TIMEOUT`).
+pub const ROOT_TIMEOUT: u32 = 3;
+
 /// Configuration of the [`FtspEngine`].
 #[derive(Clone, Debug)]
 pub struct FtspConfig {
@@ -64,11 +69,8 @@ pub struct FtspConfig {
     /// itself, e.g. [`crate::node::FtspNode`]).
     pub beacon_period: SimDuration,
     /// Pinned reference node, or `None` for dynamic election (lowest
-    /// node id wins after [`FtspConfig::root_timeout`] silent rounds).
+    /// node id wins after [`ROOT_TIMEOUT`] silent rounds).
     pub reference: Option<NodeId>,
-    /// Beacon rounds without hearing the reference before a node
-    /// declares itself reference (ignored with a pinned reference).
-    pub root_timeout: u32,
 }
 
 impl Default for FtspConfig {
@@ -77,7 +79,6 @@ impl Default for FtspConfig {
             window: 8,
             beacon_period: SimDuration::from_secs(10),
             reference: None,
-            root_timeout: 3,
         }
     }
 }
@@ -205,10 +206,10 @@ impl FtspEngine {
         let b = if self.is_reference() {
             if self.cfg.reference != Some(self.me) {
                 // Election: stay silent until the floor has been quiet
-                // for root_timeout rounds, then claim the reference
+                // for ROOT_TIMEOUT rounds, then claim the reference
                 // role (lowest id wins on collision, see on_beacon).
                 self.silent += 1;
-                if self.silent <= self.cfg.root_timeout {
+                if self.silent <= ROOT_TIMEOUT {
                     return None;
                 }
             }
@@ -221,7 +222,7 @@ impl FtspEngine {
             }
         } else {
             self.silent += 1;
-            if self.cfg.reference.is_none() && self.silent > self.cfg.root_timeout {
+            if self.cfg.reference.is_none() && self.silent > ROOT_TIMEOUT {
                 // Reference lost: fall back to candidacy and re-elect.
                 let me = self.me;
                 self.start(me);

@@ -61,6 +61,14 @@ if grep -rn 'BinaryHeap' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
+# One value, one constant: a protocol parameter that no two callers set
+# differently is a `pub const` beside its protocol, not a config field.
+# The config types that held nothing else stay gone.
+if grep -rn 'CsmaConfig\|TdmaConfig\|RimacConfig\|EndpointConfig\|ReliabilityConfig' crates src tests examples --include='*.rs'; then
+    echo "CsmaConfig, TdmaConfig, RimacConfig, EndpointConfig or ReliabilityConfig named in first-party source" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do

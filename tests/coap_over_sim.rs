@@ -4,7 +4,7 @@
 //! retransmission machinery under simulated time.
 
 use iiot::coap::resource::Response;
-use iiot::coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
+use iiot::coap::{CoapEndpoint, CoapEvent, Code};
 use iiot::sim::prelude::*;
 use rand::Rng;
 
@@ -25,7 +25,7 @@ struct CoapWireNode {
 impl CoapWireNode {
     fn new(seed: u64, loss: f64) -> Self {
         CoapWireNode {
-            ep: CoapEndpoint::new(EndpointConfig::default(), seed),
+            ep: CoapEndpoint::new(seed),
             loss,
             events: Vec::new(),
             gets: Vec::new(),
@@ -91,7 +91,6 @@ fn run(loss: f64, seed: u64, gets: usize) -> (usize, usize, f64) {
     let client_id = NodeId(1);
     let mut w = SimBuilder::new()
         .seed(seed)
-        .wire_latency(SimDuration::from_millis(40))
         .nodes(
             std::iter::once(Pos::new(0.0, 0.0)).collect::<Topology>(),
             move |_| {

@@ -4,7 +4,7 @@
 //! uplink — plus the northbound CoAP surface observing the same points
 //! the rules act on.
 
-use iiot::coap::{CoapEndpoint, CoapEvent, Code, EndpointConfig};
+use iiot::coap::{CoapEndpoint, CoapEvent, Code};
 use iiot::crdt::ReplicaId;
 use iiot::gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
 use iiot::gateway::tlv::{TlvAdapter, TlvSensor};
@@ -101,7 +101,7 @@ fn northbound_observer_sees_rule_driven_actuation() {
     sys.sensing.coap_mut().take_outbox();
 
     // An external SCADA client observes the valve over CoAP.
-    let mut scada: CoapEndpoint<u64> = CoapEndpoint::new(EndpointConfig::default(), 77);
+    let mut scada: CoapEndpoint<u64> = CoapEndpoint::new(77);
     scada.observe(0, "boiler/valve", SimTime::ZERO);
     for (_, d) in scada.take_outbox() {
         sys.sensing.coap_mut().handle_datagram(1, &d, SimTime::ZERO);
