@@ -2,12 +2,11 @@
 //! unslotted 802.15.4-style channel access. Latency baseline; energy
 //! worst case (the radio never sleeps).
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
-use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{Link, Rx};
+use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, RxInfo, SimDuration, Timer, TimerId, TxOutcome};
 use rand::Rng;
-use std::collections::VecDeque;
 
 const TAG_BACKOFF: u64 = mac_tag(0x10);
 const TAG_ACK_TIMEOUT: u64 = mac_tag(0x11);
@@ -30,13 +29,10 @@ pub const MAX_RETRIES: u32 = 3;
 /// How long to wait for an ACK after a unicast data frame.
 pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(3);
 
+/// Per-frame attempt state: retries so far, and the current
+/// transmission's backoff count and exponent.
 #[derive(Debug)]
-struct Pending {
-    handle: SendHandle,
-    dst: Dst,
-    upper_port: u8,
-    payload: Vec<u8>,
-    seq: u8,
+struct Attempt {
     retries: u32,
     backoffs: u32,
     be: u32,
@@ -77,15 +73,9 @@ impl TxState {
 /// and never sleeps.
 #[derive(Debug, Default)]
 pub struct CsmaMac {
-    queue: VecDeque<Pending>,
+    link: Link<Attempt, RADIO_PORT>,
     state: TxState,
-    seq: u8,
-    next_handle: u64,
-    dedup: SeqCache,
     timer: TimerId,
-    /// Set when an ACK for a received data frame should go out as soon
-    /// as the radio is free: `(dst, seq)`.
-    ack_due: Option<(iiot_sim::NodeId, u8)>,
 }
 
 impl CsmaMac {
@@ -100,8 +90,10 @@ impl CsmaMac {
     }
 
     fn start_backoff(&mut self, ctx: &mut Ctx<'_>) {
-        let head = self.queue.front().expect("backoff without head");
-        let window = 1u64 << head.be;
+        let Some(head) = self.link.head() else {
+            return;
+        };
+        let window = 1u64 << head.attempt.be;
         let units = ctx.rng().gen_range(0..window);
         self.timer = ctx.set_timer(BACKOFF_UNIT * units, TAG_BACKOFF);
         self.set_state(ctx, TxState::Backoff);
@@ -112,70 +104,30 @@ impl CsmaMac {
             return;
         }
         // A pending ACK has priority over our own data.
-        if let Some((dst, seq)) = self.ack_due.take() {
-            let mut bytes = ctx.frame_buf();
-            encode(
-                MacHeader {
-                    kind: MacKind::Ack,
-                    seq,
-                    upper_port: 0,
-                },
-                &[],
-                &mut bytes,
-            );
-            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
-                self.set_state(ctx, TxState::SendingAck);
-                return;
-            }
-        }
-        if !self.queue.is_empty() {
+        if self.link.transmit_ack(ctx) {
+            self.set_state(ctx, TxState::SendingAck);
+        } else {
             self.start_backoff(ctx);
         }
     }
 
-    fn transmit_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>) {
-        let head = self.queue.front().expect("transmit without head");
-        let mut bytes = ctx.frame_buf();
-        encode(
-            MacHeader {
-                kind: MacKind::Data,
-                seq: head.seq,
-                upper_port: head.upper_port,
-            },
-            &head.payload,
-            &mut bytes,
-        );
-        match ctx.transmit(head.dst, RADIO_PORT, bytes) {
-            Ok(()) => {
-                self.set_state(ctx, TxState::SendingData);
-                ctx.count_node("mac_tx_data", 1.0);
-            }
-            Err(_) => {
-                // Radio busy or off: treat as a failed attempt.
-                self.fail_head(ctx, out);
-            }
-        }
-    }
-
     fn complete_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>, acked: bool) {
-        let head = self.queue.pop_front().expect("complete without head");
-        out.push(MacEvent::SendDone {
-            handle: head.handle,
-            acked,
-        });
+        self.link.complete(ctx, out, acked);
         self.set_state(ctx, TxState::Idle);
         self.try_begin(ctx);
     }
 
     fn fail_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>) {
-        let head = self.queue.front_mut().expect("fail without head");
-        head.retries += 1;
-        if head.retries > MAX_RETRIES {
-            ctx.count_node("mac_tx_fail", 1.0);
+        let Some(head) = self.link.head_mut() else {
+            return;
+        };
+        let attempt = &mut head.attempt;
+        attempt.retries += 1;
+        if attempt.retries > MAX_RETRIES {
             self.complete_head(ctx, out, false);
         } else {
-            head.backoffs = 0;
-            head.be = MIN_BE;
+            attempt.backoffs = 0;
+            attempt.be = MIN_BE;
             self.set_state(ctx, TxState::Idle);
             self.try_begin(ctx);
         }
@@ -195,23 +147,12 @@ impl Mac for CsmaMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        let handle = admit(
-            ctx,
-            &mut self.queue,
-            &mut self.next_handle,
-            &mut self.seq,
-            payload.len(),
-            |handle, seq| Pending {
-                handle,
-                dst,
-                upper_port,
-                payload,
-                seq,
-                retries: 0,
-                backoffs: 0,
-                be: MIN_BE,
-            },
-        )?;
+        let first = Attempt {
+            retries: 0,
+            backoffs: 0,
+            be: MIN_BE,
+        };
+        let handle = self.link.admit(ctx, dst, upper_port, payload, first)?;
         self.try_begin(ctx);
         Ok(handle)
     }
@@ -222,20 +163,28 @@ impl Mac for CsmaMac {
                 if self.state != TxState::Backoff {
                     return true; // stale
                 }
-                if ctx.cca_busy() {
-                    let head = self.queue.front_mut().expect("backoff head");
-                    head.backoffs += 1;
-                    head.be = (head.be + 1).min(MAX_BE);
-                    if head.backoffs > MAX_BACKOFFS {
-                        ctx.count_node("mac_cca_fail", 1.0);
-                        self.set_state(ctx, TxState::Idle);
-                        // Channel-access failure counts as one retry.
-                        self.fail_head(ctx, out);
+                if !ctx.cca_busy() {
+                    if self.link.transmit_head(ctx) {
+                        self.set_state(ctx, TxState::SendingData);
                     } else {
-                        self.start_backoff(ctx);
+                        // Radio busy or off: treat as a failed attempt.
+                        self.fail_head(ctx, out);
                     }
+                    return true;
+                }
+                let Some(head) = self.link.head_mut() else {
+                    return true;
+                };
+                let attempt = &mut head.attempt;
+                attempt.backoffs += 1;
+                attempt.be = (attempt.be + 1).min(MAX_BE);
+                if attempt.backoffs > MAX_BACKOFFS {
+                    ctx.count_node("mac_cca_fail", 1.0);
+                    self.set_state(ctx, TxState::Idle);
+                    // Channel-access failure counts as one retry.
+                    self.fail_head(ctx, out);
                 } else {
-                    self.transmit_head(ctx, out);
+                    self.start_backoff(ctx);
                 }
                 true
             }
@@ -257,69 +206,36 @@ impl Mac for CsmaMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != RADIO_PORT {
-            return;
-        }
-        let Some((header, payload)) = decode(&frame.payload) else {
-            return;
-        };
-        match header.kind {
-            MacKind::Data => {
-                if frame.dst == Dst::Unicast(ctx.id()) {
-                    // Schedule the ACK; it goes out as soon as the radio
-                    // is free (usually immediately).
-                    self.ack_due = Some((frame.src, header.seq));
-                    if self.state == TxState::Idle {
-                        self.try_begin(ctx);
-                    }
-                }
-                if !self.dedup.check_and_insert(frame.src.0, header.seq) {
-                    out.push(MacEvent::Delivered {
-                        src: frame.src,
-                        upper_port: header.upper_port,
-                        payload: payload.to_vec(),
-                        info,
-                    });
-                }
+        match self.link.receive(ctx, frame, info, out) {
+            // The ACK goes out as soon as the radio is free (usually
+            // immediately).
+            Some(Rx::Data { unicast: true }) if self.state == TxState::Idle => self.try_begin(ctx),
+            Some(Rx::HeadAcked) if self.state == TxState::WaitAck => {
+                ctx.cancel_timer(self.timer);
+                self.complete_head(ctx, out, true);
             }
-            MacKind::Ack => {
-                if self.state == TxState::WaitAck {
-                    let head_seq = self.queue.front().map(|p| p.seq);
-                    if head_seq == Some(header.seq) {
-                        ctx.cancel_timer(self.timer);
-                        self.complete_head(ctx, out, true);
-                    }
-                }
-            }
-            MacKind::Probe => {}
+            _ => {}
         }
     }
 
     fn on_tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: TxOutcome, out: &mut Vec<MacEvent>) {
-        match self.state {
-            TxState::SendingAck => {
+        match (self.state, self.link.head().map(|head| head.dst)) {
+            (TxState::SendingAck, _) => {
                 self.set_state(ctx, TxState::Idle);
                 self.try_begin(ctx);
             }
-            TxState::SendingData => {
-                let head = self.queue.front().expect("tx done without head");
-                match head.dst {
-                    Dst::Broadcast => self.complete_head(ctx, out, true),
-                    Dst::Unicast(_) => {
-                        self.set_state(ctx, TxState::WaitAck);
-                        self.timer = ctx.set_timer(ACK_TIMEOUT, TAG_ACK_TIMEOUT);
-                    }
-                }
+            (TxState::SendingData, Some(Dst::Broadcast)) => self.complete_head(ctx, out, true),
+            (TxState::SendingData, Some(Dst::Unicast(_))) => {
+                self.set_state(ctx, TxState::WaitAck);
+                self.timer = ctx.set_timer(ACK_TIMEOUT, TAG_ACK_TIMEOUT);
             }
             _ => {}
         }
     }
 
     fn crashed(&mut self) {
-        self.queue.clear();
+        self.link.crashed();
         self.state = TxState::Idle;
-        self.dedup.clear();
-        self.ack_due = None;
         self.timer = TimerId::NONE;
     }
 

@@ -26,6 +26,13 @@
 //! for a runnable host. The [`driver`] module is the scriptable service
 //! used by tests and experiments.
 //!
+//! Inside, the four MACs share one private link core: the 3-byte frame
+//! header, the send queue of [`QUEUE_CAP`] frames with its handles,
+//! sequence numbers and completions, link-layer ACKs matched to the
+//! queue head, and duplicate suppression. Each MAC keeps only its
+//! channel access and its per-frame attempt state, which is where they
+//! really differ in latency, reliability and energy.
+//!
 //! # Examples
 //!
 //! Administrative scalability (§IV-C): two co-located networks on a
@@ -51,7 +58,7 @@
 pub mod coex;
 pub mod csma;
 pub mod driver;
-pub mod header;
+mod header;
 pub mod lpl;
 pub mod rimac;
 pub mod stack;
@@ -127,38 +134,6 @@ pub const fn is_mac_tag(tag: u64) -> bool {
 
 /// Transmit queue capacity of every MAC, in frames.
 pub const QUEUE_CAP: usize = 16;
-
-/// The admission step of every [`Mac::send`]: refuses a payload that
-/// does not fit a frame or a queue holding [`QUEUE_CAP`] frames, else
-/// allocates the handle and the link sequence number, enqueues what
-/// `pending` builds from them and samples the queue depth. The caller
-/// then kicks its own pipeline.
-pub(crate) fn admit<P>(
-    ctx: &mut Ctx<'_>,
-    queue: &mut std::collections::VecDeque<P>,
-    next_handle: &mut u64,
-    seq: &mut u8,
-    payload_len: usize,
-    pending: impl FnOnce(SendHandle, u8) -> P,
-) -> Result<SendHandle, MacError> {
-    if payload_len + header::MAC_HEADER_LEN > iiot_sim::radio::MAX_PAYLOAD {
-        return Err(MacError::TooLarge);
-    }
-    if queue.len() >= QUEUE_CAP {
-        return Err(MacError::QueueFull);
-    }
-    let handle = SendHandle(*next_handle);
-    *next_handle += 1;
-    *seq = seq.wrapping_add(1);
-    queue.push_back(pending(handle, *seq));
-    if ctx.obs_enabled() {
-        ctx.emit(iiot_sim::obs::EventKind::QueueDepth {
-            queue: "mac",
-            depth: queue.len() as u32,
-        });
-    }
-    Ok(handle)
-}
 
 /// A medium-access protocol.
 ///

@@ -14,12 +14,11 @@
 //! synchronization, so clock drift merely shifts the unsynchronized
 //! wake phases it already tolerates by design.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
-use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{Link, Rx};
+use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
-use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
+use iiot_sim::{Ctx, Dst, Frame, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use rand::Rng;
-use std::collections::VecDeque;
 
 const TAG_WAKE: u64 = mac_tag(0x20);
 const TAG_SAMPLE_END: u64 = mac_tag(0x21);
@@ -53,16 +52,6 @@ impl Default for LplConfig {
     }
 }
 
-#[derive(Debug)]
-struct Pending {
-    handle: SendHandle,
-    dst: Dst,
-    upper_port: u8,
-    payload: Vec<u8>,
-    seq: u8,
-    strobes: u32,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum TxKind {
     #[default]
@@ -78,15 +67,13 @@ enum TxKind {
 #[derive(Debug)]
 pub struct LplMac {
     config: LplConfig,
-    queue: VecDeque<Pending>,
+    /// Each frame's attempt state is the number of whole strobes
+    /// repeated after its first.
+    link: Link<u32, RADIO_PORT>,
     /// Deadline of the strobe in progress, if any.
     strobe_deadline: Option<SimTime>,
     sampling: bool,
     tx: TxKind,
-    seq: u8,
-    next_handle: u64,
-    dedup: SeqCache,
-    ack_due: Option<(NodeId, u8)>,
 }
 
 impl LplMac {
@@ -94,14 +81,10 @@ impl LplMac {
     pub fn new(config: LplConfig) -> Self {
         LplMac {
             config,
-            queue: VecDeque::new(),
+            link: Link::default(),
             strobe_deadline: None,
             sampling: false,
             tx: TxKind::None,
-            seq: 0,
-            next_handle: 0,
-            dedup: SeqCache::new(),
-            ack_due: None,
         }
     }
 
@@ -121,7 +104,7 @@ impl LplMac {
     }
 
     fn begin_strobe(&mut self, ctx: &mut Ctx<'_>) {
-        if self.strobe_deadline.is_some() || self.queue.is_empty() {
+        if self.strobe_deadline.is_some() || self.link.is_empty() {
             return;
         }
         ctx.radio_on().expect("lpl: radio on for strobe");
@@ -137,22 +120,8 @@ impl LplMac {
     }
 
     fn transmit_copy(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(head) = self.queue.front() else {
-            return;
-        };
-        let mut bytes = ctx.frame_buf();
-        encode(
-            MacHeader {
-                kind: MacKind::Data,
-                seq: head.seq,
-                upper_port: head.upper_port,
-            },
-            &head.payload,
-            &mut bytes,
-        );
-        if ctx.transmit(head.dst, RADIO_PORT, bytes).is_ok() {
+        if self.link.transmit_head(ctx) {
             self.tx = TxKind::Copy;
-            ctx.count_node("mac_tx_data", 1.0);
         } else {
             // Radio busy (e.g. ACK in flight): retry after a gap.
             ctx.set_timer_local(STROBE_GAP, TAG_GAP);
@@ -161,23 +130,15 @@ impl LplMac {
 
     fn finish_strobe(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>, acked: bool) {
         self.strobe_deadline = None;
-        let head = self.queue.front_mut().expect("strobe without head");
-        let done =
-            acked || matches!(head.dst, Dst::Broadcast) || head.strobes >= self.config.max_retries;
-        if done {
-            let ok = acked || matches!(head.dst, Dst::Broadcast);
-            let head = self.queue.pop_front().expect("head");
-            out.push(MacEvent::SendDone {
-                handle: head.handle,
-                acked: ok,
-            });
-            if !ok {
-                ctx.count_node("mac_tx_fail", 1.0);
+        if let Some(head) = self.link.head_mut() {
+            let ok = acked || head.dst == Dst::Broadcast;
+            if ok || head.attempt >= self.config.max_retries {
+                self.link.complete(ctx, out, ok);
+            } else {
+                head.attempt += 1;
             }
-        } else {
-            head.strobes += 1;
         }
-        if self.queue.is_empty() {
+        if self.link.is_empty() {
             self.maybe_sleep(ctx);
         } else {
             self.begin_strobe(ctx);
@@ -185,27 +146,12 @@ impl LplMac {
     }
 
     fn send_ack_if_due(&mut self, ctx: &mut Ctx<'_>) {
-        if self.tx != TxKind::None {
-            return;
-        }
-        if let Some((dst, seq)) = self.ack_due.take() {
-            let mut bytes = ctx.frame_buf();
-            encode(
-                MacHeader {
-                    kind: MacKind::Ack,
-                    seq,
-                    upper_port: 0,
-                },
-                &[],
-                &mut bytes,
-            );
-            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
-                self.tx = TxKind::Ack;
-                ctx.emit(EventKind::MacState {
-                    mac: "lpl",
-                    state: "send_ack",
-                });
-            }
+        if self.tx == TxKind::None && self.link.transmit_ack(ctx) {
+            self.tx = TxKind::Ack;
+            ctx.emit(EventKind::MacState {
+                mac: "lpl",
+                state: "send_ack",
+            });
         }
     }
 }
@@ -226,21 +172,7 @@ impl Mac for LplMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        let handle = admit(
-            ctx,
-            &mut self.queue,
-            &mut self.next_handle,
-            &mut self.seq,
-            payload.len(),
-            |handle, seq| Pending {
-                handle,
-                dst,
-                upper_port,
-                payload,
-                seq,
-                strobes: 0,
-            },
-        )?;
+        let handle = self.link.admit(ctx, dst, upper_port, payload, 0)?;
         self.begin_strobe(ctx);
         Ok(handle)
     }
@@ -293,40 +225,16 @@ impl Mac for LplMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != RADIO_PORT {
-            return;
-        }
-        let Some((header, payload)) = decode(&frame.payload) else {
-            return;
-        };
-        match header.kind {
-            MacKind::Data => {
-                if frame.dst == Dst::Unicast(ctx.id()) {
-                    self.ack_due = Some((frame.src, header.seq));
-                    self.send_ack_if_due(ctx);
-                }
-                if !self.dedup.check_and_insert(frame.src.0, header.seq) {
-                    out.push(MacEvent::Delivered {
-                        src: frame.src,
-                        upper_port: header.upper_port,
-                        payload: payload.to_vec(),
-                        info,
-                    });
-                }
+        match self.link.receive(ctx, frame, info, out) {
+            Some(Rx::Data { unicast: true }) => self.send_ack_if_due(ctx),
+            Some(Rx::HeadAcked) if self.strobe_deadline.is_some() => {
+                self.finish_strobe(ctx, out, true);
             }
-            MacKind::Ack => {
-                if self.strobe_deadline.is_some() {
-                    let head_seq = self.queue.front().map(|p| p.seq);
-                    if head_seq == Some(header.seq) {
-                        self.finish_strobe(ctx, out, true);
-                    }
-                }
-            }
-            MacKind::Probe => {}
+            _ => {}
         }
     }
 
-    fn on_tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: TxOutcome, out: &mut Vec<MacEvent>) {
+    fn on_tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: TxOutcome, _out: &mut Vec<MacEvent>) {
         match self.tx {
             TxKind::Copy => {
                 self.tx = TxKind::None;
@@ -344,19 +252,15 @@ impl Mac for LplMac {
                     self.maybe_sleep(ctx);
                 }
             }
-            TxKind::None => {
-                let _ = out;
-            }
+            TxKind::None => {}
         }
     }
 
     fn crashed(&mut self) {
-        self.queue.clear();
+        self.link.crashed();
         self.strobe_deadline = None;
         self.sampling = false;
         self.tx = TxKind::None;
-        self.dedup.clear();
-        self.ack_due = None;
     }
 
     fn name(&self) -> &'static str {

@@ -7,17 +7,15 @@
 //! receivers (who sleep ~99% of the time) to active senders, and copes
 //! better with dynamic traffic than sender-initiated LPL.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
-use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{Link, Rx};
+use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use rand::Rng;
-use std::collections::VecDeque;
 
 const TAG_WAKE: u64 = mac_tag(0x30);
 const TAG_DWELL_END: u64 = mac_tag(0x31);
 const TAG_ANSWER: u64 = mac_tag(0x32);
-const TAG_ACK_TIMEOUT: u64 = mac_tag(0x33);
 const TAG_SEND_TIMEOUT: u64 = mac_tag(0x34);
 
 /// Radio demux port claimed by RI-MAC.
@@ -27,21 +25,9 @@ pub const DWELL: SimDuration = SimDuration::from_millis(8);
 /// Maximum random delay before answering a probe (collision avoidance
 /// between competing senders).
 pub const ANSWER_JITTER: SimDuration = SimDuration::from_millis(2);
-/// How long after a data frame to wait for its ACK.
-pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(3);
 /// Overall deadline for one unicast send, in wake intervals (gives the
 /// destination several probe chances).
 pub const SEND_TIMEOUT_INTERVALS: u32 = 3;
-
-#[derive(Debug)]
-struct Pending {
-    handle: SendHandle,
-    dst: Dst,
-    upper_port: u8,
-    payload: Vec<u8>,
-    seq: u8,
-    deadline: SimTime,
-}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum TxKind {
@@ -57,7 +43,8 @@ enum TxKind {
 pub struct RimacMac {
     /// Interval between this node's probes (receiver wake period).
     wake_interval: SimDuration,
-    queue: VecDeque<Pending>,
+    /// Each frame's attempt state is its send deadline.
+    link: Link<SimTime, RADIO_PORT>,
     /// True while this node keeps its radio on waiting for a probe.
     hunting: bool,
     /// True while in the post-probe listen window.
@@ -65,10 +52,6 @@ pub struct RimacMac {
     /// Set between hearing a probe and answering it.
     answer_armed: bool,
     tx: TxKind,
-    seq: u8,
-    next_handle: u64,
-    dedup: SeqCache,
-    ack_due: Option<(NodeId, u8)>,
 }
 
 impl RimacMac {
@@ -76,15 +59,11 @@ impl RimacMac {
     pub fn new(wake_interval: SimDuration) -> Self {
         RimacMac {
             wake_interval,
-            queue: VecDeque::new(),
+            link: Link::default(),
             hunting: false,
             dwelling: false,
             answer_armed: false,
             tx: TxKind::None,
-            seq: 0,
-            next_handle: 0,
-            dedup: SeqCache::new(),
-            ack_due: None,
         }
     }
 
@@ -99,7 +78,10 @@ impl RimacMac {
     }
 
     fn begin_hunt(&mut self, ctx: &mut Ctx<'_>) {
-        if self.queue.is_empty() || self.hunting {
+        let Some(deadline) = self.link.head().map(|head| head.attempt) else {
+            return;
+        };
+        if self.hunting {
             return;
         }
         self.hunting = true;
@@ -108,51 +90,21 @@ impl RimacMac {
             state: "hunt",
         });
         ctx.radio_on().expect("rimac: radio on to hunt");
-        let head = self.queue.front().expect("hunt without head");
-        ctx.set_timer_at(head.deadline, TAG_SEND_TIMEOUT);
+        ctx.set_timer_at(deadline, TAG_SEND_TIMEOUT);
     }
 
+    /// Whether a probe from `prober` is the head's cue: it is the
+    /// destination, or the head is a broadcast.
     fn head_wants(&self, prober: NodeId) -> bool {
-        match self.queue.front() {
-            Some(p) => match p.dst {
-                Dst::Unicast(d) => d == prober,
-                Dst::Broadcast => true,
-            },
-            None => false,
-        }
-    }
-
-    fn transmit_head(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(head) = self.queue.front() else {
-            return;
-        };
-        let mut bytes = ctx.frame_buf();
-        encode(
-            MacHeader {
-                kind: MacKind::Data,
-                seq: head.seq,
-                upper_port: head.upper_port,
-            },
-            &head.payload,
-            &mut bytes,
-        );
-        if ctx.transmit(head.dst, RADIO_PORT, bytes).is_ok() {
-            self.tx = TxKind::Data;
-            ctx.count_node("mac_tx_data", 1.0);
-        }
+        self.link
+            .head()
+            .is_some_and(|head| head.dst.accepts(prober))
     }
 
     fn complete_head(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>, acked: bool) {
-        let head = self.queue.pop_front().expect("complete without head");
-        out.push(MacEvent::SendDone {
-            handle: head.handle,
-            acked,
-        });
-        if !acked {
-            ctx.count_node("mac_tx_fail", 1.0);
-        }
+        self.link.complete(ctx, out, acked);
         self.hunting = false;
-        if self.queue.is_empty() {
+        if self.link.is_empty() {
             self.maybe_sleep(ctx);
         } else {
             self.begin_hunt(ctx);
@@ -176,21 +128,7 @@ impl Mac for RimacMac {
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
         let deadline = ctx.now() + self.wake_interval * SEND_TIMEOUT_INTERVALS as u64;
-        let handle = admit(
-            ctx,
-            &mut self.queue,
-            &mut self.next_handle,
-            &mut self.seq,
-            payload.len(),
-            |handle, seq| Pending {
-                handle,
-                dst,
-                upper_port,
-                payload,
-                seq,
-                deadline,
-            },
-        )?;
+        let handle = self.link.admit(ctx, dst, upper_port, payload, deadline)?;
         self.begin_hunt(ctx);
         Ok(handle)
     }
@@ -202,17 +140,7 @@ impl Mac for RimacMac {
                 // Probe only when not busy with our own traffic.
                 if self.tx == TxKind::None && !self.answer_armed {
                     ctx.radio_on().expect("rimac: radio on to probe");
-                    let mut bytes = ctx.frame_buf();
-                    encode(
-                        MacHeader {
-                            kind: MacKind::Probe,
-                            seq: 0,
-                            upper_port: 0,
-                        },
-                        &[],
-                        &mut bytes,
-                    );
-                    if ctx.transmit(Dst::Broadcast, RADIO_PORT, bytes).is_ok() {
+                    if self.link.transmit_probe(ctx, &[]) {
                         self.tx = TxKind::Probe;
                         ctx.emit(EventKind::MacState {
                             mac: "rimac",
@@ -232,29 +160,25 @@ impl Mac for RimacMac {
             }
             TAG_ANSWER => {
                 self.answer_armed = false;
-                if self.tx == TxKind::None && !self.queue.is_empty() {
-                    if ctx.cca_busy() {
-                        // Another sender answered first; wait for the
-                        // destination's next probe.
-                        return true;
-                    }
-                    self.transmit_head(ctx);
+                // A busy channel means another sender answered first:
+                // wait for the destination's next probe.
+                if self.tx == TxKind::None
+                    && !self.link.is_empty()
+                    && !ctx.cca_busy()
+                    && self.link.transmit_head(ctx)
+                {
+                    self.tx = TxKind::Data;
                 }
                 true
             }
-            TAG_ACK_TIMEOUT => {
-                // No ACK for the answered probe; keep hunting until the
-                // overall send deadline.
-                true
-            }
             TAG_SEND_TIMEOUT => {
-                if self.hunting {
-                    if let Some(head) = self.queue.front() {
-                        if ctx.now() >= head.deadline {
-                            let acked = matches!(head.dst, Dst::Broadcast);
-                            self.complete_head(ctx, out, acked);
-                        }
-                    }
+                let expired = self
+                    .link
+                    .head()
+                    .filter(|head| self.hunting && ctx.now() >= head.attempt);
+                if let Some(head) = expired {
+                    let acked = head.dst == Dst::Broadcast;
+                    self.complete_head(ctx, out, acked);
                 }
                 true
             }
@@ -269,58 +193,21 @@ impl Mac for RimacMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != RADIO_PORT {
-            return;
-        }
-        let Some((header, payload)) = decode(&frame.payload) else {
-            return;
-        };
-        match header.kind {
-            MacKind::Probe => {
-                if self.hunting && self.head_wants(frame.src) && !self.answer_armed {
-                    self.answer_armed = true;
-                    let jitter_us = ctx.rng().gen_range(0..ANSWER_JITTER.as_micros().max(1));
-                    ctx.set_timer(SimDuration::from_micros(jitter_us), TAG_ANSWER);
-                }
+        match self.link.receive(ctx, frame, info, out) {
+            Some(Rx::Probe(_))
+                if self.hunting && !self.answer_armed && self.head_wants(frame.src) =>
+            {
+                self.answer_armed = true;
+                let jitter_us = ctx.rng().gen_range(0..ANSWER_JITTER.as_micros().max(1));
+                ctx.set_timer(SimDuration::from_micros(jitter_us), TAG_ANSWER);
             }
-            MacKind::Data => {
-                if frame.dst == Dst::Unicast(ctx.id()) {
-                    self.ack_due = Some((frame.src, header.seq));
-                    if self.tx == TxKind::None {
-                        if let Some((dst, seq)) = self.ack_due.take() {
-                            let mut bytes = ctx.frame_buf();
-                            encode(
-                                MacHeader {
-                                    kind: MacKind::Ack,
-                                    seq,
-                                    upper_port: 0,
-                                },
-                                &[],
-                                &mut bytes,
-                            );
-                            if ctx.transmit(Dst::Unicast(dst), RADIO_PORT, bytes).is_ok() {
-                                self.tx = TxKind::Ack;
-                            }
-                        }
-                    }
-                }
-                if !self.dedup.check_and_insert(frame.src.0, header.seq) {
-                    out.push(MacEvent::Delivered {
-                        src: frame.src,
-                        upper_port: header.upper_port,
-                        payload: payload.to_vec(),
-                        info,
-                    });
-                }
+            Some(Rx::Data { unicast: true })
+                if self.tx == TxKind::None && self.link.transmit_ack(ctx) =>
+            {
+                self.tx = TxKind::Ack;
             }
-            MacKind::Ack => {
-                if self.hunting {
-                    let head_seq = self.queue.front().map(|p| p.seq);
-                    if head_seq == Some(header.seq) {
-                        self.complete_head(ctx, out, true);
-                    }
-                }
-            }
+            Some(Rx::HeadAcked) if self.hunting => self.complete_head(ctx, out, true),
+            _ => {}
         }
     }
 
@@ -336,10 +223,9 @@ impl Mac for RimacMac {
                 ctx.set_timer(DWELL, TAG_DWELL_END);
             }
             TxKind::Data => {
+                // Stay on: the ACK should arrive promptly; the send
+                // deadline bounds the wait.
                 self.tx = TxKind::None;
-                // Stay on: the ACK should arrive promptly; the overall
-                // send deadline bounds the wait.
-                ctx.set_timer(ACK_TIMEOUT, TAG_ACK_TIMEOUT);
             }
             TxKind::Ack => {
                 self.tx = TxKind::None;
@@ -352,13 +238,11 @@ impl Mac for RimacMac {
     }
 
     fn crashed(&mut self) {
-        self.queue.clear();
+        self.link.crashed();
         self.hunting = false;
         self.dwelling = false;
         self.answer_armed = false;
         self.tx = TxKind::None;
-        self.dedup.clear();
-        self.ack_due = None;
     }
 
     fn name(&self) -> &'static str {

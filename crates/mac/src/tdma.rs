@@ -26,12 +26,11 @@
 //! The guard time is therefore not a hand-wave but a measurable sync
 //! tax: experiment E13 sweeps drift and guard to price it.
 
-use crate::header::{decode, encode, MacHeader, MacKind, SeqCache};
-use crate::{admit, mac_tag, Mac, MacError, MacEvent, SendHandle};
+use crate::header::{Link, Rx};
+use crate::{mac_tag, Mac, MacError, MacEvent, SendHandle};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, RxInfo, SimDuration, SimTime, Timer, TimerId, TxOutcome};
 use iiot_timesync::{FtspConfig, FtspEngine, SyncedClock};
-use std::collections::VecDeque;
 
 const TAG_SLOT: u64 = mac_tag(0x40);
 const TAG_TX_GO: u64 = mac_tag(0x41);
@@ -279,16 +278,6 @@ enum Role {
     Rx,
 }
 
-#[derive(Debug)]
-struct Pending {
-    handle: SendHandle,
-    dst: Dst,
-    upper_port: u8,
-    payload: Vec<u8>,
-    seq: u8,
-    attempts: u32,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum TxKind {
     #[default]
@@ -355,7 +344,9 @@ struct SyncState {
 pub struct TdmaMac {
     schedule: TdmaSchedule,
     my_roles: Vec<(usize, Role)>,
-    queue: VecDeque<Pending>,
+    /// Each frame's attempt state is the number of slots it went
+    /// unacknowledged in.
+    link: Link<u32, RADIO_PORT>,
     tx: TxKind,
     /// The slot currently active for this node, if any.
     active_slot: Option<(usize, Role)>,
@@ -363,9 +354,6 @@ pub struct TdmaMac {
     head_acked: bool,
     /// Whether the head frame went on the air in the current slot.
     head_sent: bool,
-    seq: u8,
-    next_handle: u64,
-    dedup: SeqCache,
     /// Local-to-global mapping (identity until synced).
     clock: SyncedClock,
     /// Enables drift instrumentation (guard-violation events/counters);
@@ -395,14 +383,11 @@ impl TdmaMac {
         TdmaMac {
             schedule,
             my_roles: Vec::new(),
-            queue: VecDeque::new(),
+            link: Link::default(),
             tx: TxKind::None,
             active_slot: None,
             head_acked: false,
             head_sent: false,
-            seq: 0,
-            next_handle: 0,
-            dedup: SeqCache::new(),
             clock: SyncedClock::new(),
             clock_aware: false,
             sync: None,
@@ -564,21 +549,7 @@ impl Mac for TdmaMac {
         upper_port: u8,
         payload: Vec<u8>,
     ) -> Result<SendHandle, MacError> {
-        admit(
-            ctx,
-            &mut self.queue,
-            &mut self.next_handle,
-            &mut self.seq,
-            payload.len(),
-            |handle, seq| Pending {
-                handle,
-                dst,
-                upper_port,
-                payload,
-                seq,
-                attempts: 0,
-            },
-        )
+        self.link.admit(ctx, dst, upper_port, payload, 0)
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: Timer, out: &mut Vec<MacEvent>) -> bool {
@@ -646,51 +617,18 @@ impl Mac for TdmaMac {
                         // small for the drift in play.
                         self.guard_violation(ctx, "tx_busy");
                     }
-                    // Pick the first queued packet this slot can carry:
+                    // Send the first queued packet this slot can carry:
                     // broadcasts go in any slot, unicasts only where
                     // the slot receiver matches (tree_edges schedules
                     // mix up- and down-slots, so the head may belong
-                    // to a later slot). Move it to the front so the
+                    // to a later slot). It moves to the head so the
                     // per-head ack/retry bookkeeping applies to it.
                     let receiver = self.schedule.slots()[idx].receiver;
-                    if let Some(j) = self.queue.iter().position(|p| match p.dst {
-                        Dst::Broadcast => true,
-                        Dst::Unicast(d) => d == receiver,
-                    }) {
-                        if j != 0 {
-                            let p = self.queue.remove(j).expect("indexed");
-                            self.queue.push_front(p);
-                        }
-                    }
-                    if let Some(head) = self.queue.front() {
-                        let eligible = match head.dst {
-                            Dst::Broadcast => true,
-                            Dst::Unicast(d) => d == receiver,
-                        };
-                        if !eligible {
-                            return true;
-                        }
-                        let mut bytes = ctx.frame_buf();
-                        encode(
-                            MacHeader {
-                                kind: MacKind::Data,
-                                seq: head.seq,
-                                upper_port: head.upper_port,
-                            },
-                            &head.payload,
-                            &mut bytes,
-                        );
-                        // The schedule fixes the receiver; the head's
-                        // logical dst rides along for address filtering.
-                        let dst = match head.dst {
-                            Dst::Broadcast => Dst::Broadcast,
-                            Dst::Unicast(_) => Dst::Unicast(self.schedule.slots()[idx].receiver),
-                        };
-                        if ctx.transmit(dst, RADIO_PORT, bytes).is_ok() {
-                            self.tx = TxKind::Data;
-                            self.head_sent = true;
-                            ctx.count_node("mac_tx_data", 1.0);
-                        }
+                    if self.link.promote(|dst| dst.accepts(receiver))
+                        && self.link.transmit_head(ctx)
+                    {
+                        self.tx = TxKind::Data;
+                        self.head_sent = true;
                     }
                 }
                 true
@@ -701,25 +639,14 @@ impl Mac for TdmaMac {
                     self.end_timer = TimerId::NONE;
                 }
                 if let Some((_, role)) = self.active_slot.take() {
-                    if role == Role::Tx && self.head_sent && !self.head_acked {
-                        if let Some(head) = self.queue.front_mut() {
-                            if matches!(head.dst, Dst::Broadcast) {
-                                let head = self.queue.pop_front().expect("head");
-                                out.push(MacEvent::SendDone {
-                                    handle: head.handle,
-                                    acked: true,
-                                });
-                            } else {
-                                head.attempts += 1;
-                                if head.attempts > MAX_RETRIES {
-                                    let head = self.queue.pop_front().expect("head");
-                                    ctx.count_node("mac_tx_fail", 1.0);
-                                    out.push(MacEvent::SendDone {
-                                        handle: head.handle,
-                                        acked: false,
-                                    });
-                                }
-                            }
+                    let unacked = role == Role::Tx && self.head_sent && !self.head_acked;
+                    if let Some(head) = self.link.head_mut().filter(|_| unacked) {
+                        // A broadcast is done once on the air; a
+                        // unicast retries in later slots.
+                        head.attempt += 1;
+                        let broadcast = head.dst == Dst::Broadcast;
+                        if broadcast || head.attempt > MAX_RETRIES {
+                            self.link.complete(ctx, out, broadcast);
                         }
                     }
                     if self.tx == TxKind::None && !self.in_sync_slot {
@@ -768,20 +695,8 @@ impl Mac for TdmaMac {
             TAG_SYNC_TX => {
                 if self.in_sync_slot && self.tx == TxKind::None {
                     let payload = self.sync.as_mut().and_then(|st| st.engine.beat(ctx));
-                    if let Some(p) = payload {
-                        let mut bytes = ctx.frame_buf();
-                        encode(
-                            MacHeader {
-                                kind: MacKind::Probe,
-                                seq: 0,
-                                upper_port: 0,
-                            },
-                            &p,
-                            &mut bytes,
-                        );
-                        if ctx.transmit(Dst::Broadcast, RADIO_PORT, bytes).is_ok() {
-                            self.tx = TxKind::Beacon;
-                        }
+                    if payload.is_some_and(|p| self.link.transmit_probe(ctx, &p)) {
+                        self.tx = TxKind::Beacon;
                     }
                 }
                 true
@@ -808,60 +723,29 @@ impl Mac for TdmaMac {
         info: RxInfo,
         out: &mut Vec<MacEvent>,
     ) {
-        if frame.port != RADIO_PORT {
-            return;
-        }
-        let Some((header, payload)) = decode(&frame.payload) else {
+        let Some(rx) = self.link.receive(ctx, frame, info, out) else {
             return;
         };
-        match header.kind {
-            MacKind::Data => {
+        match rx {
+            Rx::Data { unicast } => {
                 if !matches!(self.active_slot, Some((_, Role::Rx))) {
                     // A data frame heard outside any receive slot of
                     // ours: the sender's clock has slid off the
                     // schedule (or ours has).
                     self.guard_violation(ctx, "late_frame");
                 }
-                if frame.dst == Dst::Unicast(ctx.id()) && self.tx == TxKind::None {
-                    let mut bytes = ctx.frame_buf();
-                    encode(
-                        MacHeader {
-                            kind: MacKind::Ack,
-                            seq: header.seq,
-                            upper_port: 0,
-                        },
-                        &[],
-                        &mut bytes,
-                    );
-                    if ctx
-                        .transmit(Dst::Unicast(frame.src), RADIO_PORT, bytes)
-                        .is_ok()
-                    {
-                        self.tx = TxKind::Ack;
-                    }
-                }
-                if !self.dedup.check_and_insert(frame.src.0, header.seq) {
-                    out.push(MacEvent::Delivered {
-                        src: frame.src,
-                        upper_port: header.upper_port,
-                        payload: payload.to_vec(),
-                        info,
-                    });
+                // The ACK goes out at once, inside the slot.
+                if unicast && self.tx == TxKind::None && self.link.transmit_ack(ctx) {
+                    self.tx = TxKind::Ack;
                 }
             }
-            MacKind::Ack => {
+            Rx::HeadAcked => {
                 if let Some((_, Role::Tx)) = self.active_slot {
-                    if self.queue.front().map(|p| p.seq) == Some(header.seq) {
-                        self.head_acked = true;
-                        let head = self.queue.pop_front().expect("head");
-                        out.push(MacEvent::SendDone {
-                            handle: head.handle,
-                            acked: true,
-                        });
-                    }
+                    self.head_acked = true;
+                    self.link.complete(ctx, out, true);
                 }
             }
-            MacKind::Probe => {
+            Rx::Probe(payload) => {
                 let Some(st) = &mut self.sync else { return };
                 let accepted = st.engine.on_beacon(ctx, payload, frame.payload.len());
                 let (synced, depth, stride) = (st.engine.is_synced(), st.engine.depth(), st.stride);
@@ -905,10 +789,9 @@ impl Mac for TdmaMac {
     }
 
     fn crashed(&mut self) {
-        self.queue.clear();
+        self.link.crashed();
         self.tx = TxKind::None;
         self.active_slot = None;
-        self.dedup.clear();
         self.pending_slot = None;
         self.slot_timer = TimerId::NONE;
         self.end_timer = TimerId::NONE;

@@ -4,9 +4,11 @@ use iiot_mac::coex::{ChannelPlan, TenantId};
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
 use iiot_mac::lpl::LplMac;
-use iiot_mac::tdma::{Slot, TdmaSchedule};
-use iiot_mac::MacError;
+use iiot_mac::rimac::RimacMac;
+use iiot_mac::tdma::{Slot, TdmaMac, TdmaSchedule};
+use iiot_mac::{Mac, MacError, SendHandle, QUEUE_CAP};
 use iiot_sim::prelude::*;
+use iiot_sim::radio::MAX_PAYLOAD;
 
 #[test]
 #[should_panic(expected = "empty channel pool")]
@@ -66,24 +68,119 @@ fn tdma_idle_padding_lowers_duty_cycle() {
     assert!(d_padded < 0.15, "9 idle slots per active slot: {d_padded}");
 }
 
+/// Node 1 sends to node 0: a two-node world of `mac`s in which the
+/// TDMA schedule gives node 1 the slot to its parent, node 0.
+fn pair<M: Mac>(mac: fn() -> M) -> Sim {
+    SimBuilder::new()
+        .nodes(Topology::line(2, 10.0), move |_| {
+            Box::new(MacDriver::new(mac()))
+        })
+        .build()
+}
+
+fn tdma() -> TdmaMac {
+    let parents = [None, Some(NodeId(0))];
+    TdmaMac::new(TdmaSchedule::pipeline_to_root(
+        &parents,
+        SimDuration::from_millis(10),
+    ))
+}
+
+/// Runs `check` once per MAC of the crate, each on its own fresh world.
+macro_rules! for_every_mac {
+    ($check:ident) => {
+        $check::<CsmaMac>("csma", CsmaMac::default);
+        $check::<LplMac>("lpl", LplMac::default);
+        $check::<RimacMac>("rimac", RimacMac::default);
+        $check::<TdmaMac>("tdma", tdma);
+    };
+}
+
+/// `send_now` on node 1, from test code.
+fn send<M: Mac>(w: &mut Sim, dst: Dst, len: usize) -> Result<SendHandle, MacError> {
+    w.with(NodeId(1), |d: &mut MacDriver<M>, ctx| {
+        d.send_now(ctx, dst, 0, vec![0; len])
+    })
+}
+
+/// Admission, the same on every MAC: a payload that does not fit one
+/// frame beside the 3-byte link header is `TooLarge`, and a send beyond
+/// `QUEUE_CAP` queued frames at one instant is `QueueFull`.
 #[test]
 fn oversized_payload_rejected_by_every_mac() {
-    let (a, b) = (NodeId(0), NodeId(1));
-    let mut w = SimBuilder::new()
-        .nodes(Topology::line(2, 10.0), |i| match i {
-            0 => Box::new(MacDriver::new(CsmaMac::default())),
-            _ => Box::new(MacDriver::new(LplMac::default())),
-        })
-        .build();
-    w.run_for(SimDuration::from_millis(1));
-    let csma = w.with(a, |d: &mut MacDriver<CsmaMac>, ctx| {
-        d.send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
+    fn check<M: Mac>(name: &str, mac: fn() -> M) {
+        let mut w = pair(mac);
+        w.run_for(SimDuration::from_millis(1));
+        let over = send::<M>(&mut w, Dst::Broadcast, MAX_PAYLOAD - 2);
+        assert_eq!(over, Err(MacError::TooLarge), "{name}");
+        for i in 0..QUEUE_CAP as u64 {
+            let fits = send::<M>(&mut w, Dst::Broadcast, MAX_PAYLOAD - 3);
+            assert_eq!(fits, Ok(SendHandle(i)), "{name}");
+        }
+        let full = send::<M>(&mut w, Dst::Broadcast, 1);
+        assert_eq!(full, Err(MacError::QueueFull), "{name}");
+    }
+    for_every_mac!(check);
+}
+
+/// Hands `bytes` on radio `port`, from node 0 to node 1, straight to
+/// node 1's MAC.
+fn feed<M: Mac>(w: &mut Sim, port: u8, bytes: &[u8]) {
+    let frame = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), port, bytes.to_vec());
+    let info = RxInfo {
+        rssi_dbm: -60.0,
+        channel: 0,
+        started: w.now(),
+    };
+    w.with(NodeId(1), |d: &mut MacDriver<M>, ctx| {
+        Proto::frame(d, ctx, &frame, info)
     });
-    let lpl = w.with(b, |d: &mut MacDriver<LplMac>, ctx| {
-        d.send_now(ctx, Dst::Broadcast, 0, vec![0; 200])
-    });
-    assert_eq!(csma.unwrap_err(), MacError::TooLarge);
-    assert_eq!(lpl.unwrap_err(), MacError::TooLarge);
+}
+
+#[test]
+fn receive_path_is_the_same_under_every_mac() {
+    fn check<M: Mac>(name: &str, mac: fn() -> M) {
+        let mut w = pair(mac);
+        let (me, port) = (NodeId(1), mac().radio_port());
+        // The destination is dead, so only the frames fed below answer.
+        w.kill(NodeId(0));
+        w.run_for(SimDuration::from_millis(1));
+        send::<M>(&mut w, Dst::Unicast(NodeId(0)), 1).expect("admitted");
+        // Let the channel access put the frame on the air and wait
+        // for its ACK.
+        for _ in 0..100 {
+            if w.stats().get_node(me, "mac_tx_data") >= 1.0 {
+                break;
+            }
+            w.run_for(SimDuration::from_micros(100));
+        }
+        w.run_for(SimDuration::from_millis(1));
+
+        // Wire format: kind (0 data, 1 ack), seq, upper port, payload.
+        // A sender numbers its frames from 1.
+        feed::<M>(&mut w, port, &[1, 2, 0]);
+        assert!(
+            w.proto::<MacDriver<M>>(me).send_done.is_empty(),
+            "{name}: foreign ack"
+        );
+        feed::<M>(&mut w, port, &[1, 1, 0]);
+        let done = &w.proto::<MacDriver<M>>(me).send_done;
+        assert_eq!(done, &[(SendHandle(0), true)], "{name}: head ack");
+
+        feed::<M>(&mut w, port, &[0, 7, 9, 0xAB]);
+        feed::<M>(&mut w, port, &[0, 7, 9, 0xAB]);
+        let other_port = if port == 1 { 2 } else { 1 };
+        feed::<M>(&mut w, other_port, &[0, 8, 9, 0xCD]);
+        feed::<M>(&mut w, port, &[0, 8]);
+        let delivered = &w.proto::<MacDriver<M>>(me).delivered;
+        assert_eq!(delivered.len(), 1, "{name}: {delivered:?}");
+        let d = &delivered[0];
+        assert_eq!(
+            (d.src, d.upper_port, &d.payload[..]),
+            (NodeId(0), 9, &[0xAB][..])
+        );
+    }
+    for_every_mac!(check);
 }
 
 #[test]

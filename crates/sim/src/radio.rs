@@ -48,8 +48,7 @@ pub enum Dst {
 }
 
 impl Dst {
-    /// Whether `node` should accept a frame with this destination
-    /// (ignoring promiscuous mode).
+    /// Whether `node` should accept a frame with this destination.
     pub fn accepts(self, node: NodeId) -> bool {
         match self {
             Dst::Unicast(n) => n == node,
@@ -357,7 +356,6 @@ struct NodeRadio {
     channel: u8,
     /// When the radio last entered `Listening`.
     listen_since: SimTime,
-    promiscuous: bool,
     group: u16,
 }
 
@@ -636,7 +634,6 @@ impl Medium {
             state: RadioState::Off,
             channel: 0,
             listen_since: SimTime::ZERO,
-            promiscuous: false,
             group: 0,
         });
         id
@@ -707,10 +704,6 @@ impl Medium {
             return false;
         }
         true
-    }
-
-    pub(crate) fn set_promiscuous(&mut self, node: NodeId, on: bool) {
-        self.nodes[node.index()].promiscuous = on;
     }
 
     pub(crate) fn radio_on(&mut self, node: NodeId, now: SimTime) -> Result<(), RadioError> {
@@ -1071,7 +1064,7 @@ impl Medium {
             return RxEval::Dropped(DropReason::Collision, Some(rec_src));
         }
         let rec = &self.slots[rec_idx].rec;
-        if !rec.frame.dst.accepts(node) && !n.promiscuous {
+        if !rec.frame.dst.accepts(node) {
             self.stats.filtered += 1;
             return RxEval::Dropped(DropReason::Filtered, Some(rec_src));
         }
@@ -1212,23 +1205,6 @@ mod tests {
         ));
         assert!(matches!(
             eval_at(&mut m, tx, NodeId(1)),
-            RxEval::Deliver(..)
-        ));
-    }
-
-    #[test]
-    fn promiscuous_overhears() {
-        let mut m = medium_with_line(3, 10.0);
-        let mut rng = SmallRng::seed_from_u64(0);
-        for i in 0..3 {
-            m.radio_on(NodeId(i), SimTime::ZERO).unwrap();
-        }
-        m.set_promiscuous(NodeId(2), true);
-        let f = Frame::new(NodeId(0), Dst::Unicast(NodeId(1)), 0, vec![]);
-        let (tx, end, _) = m.start_tx(f, SimTime::ZERO, &mut rng).unwrap();
-        m.end_tx(tx, end);
-        assert!(matches!(
-            eval_at(&mut m, tx, NodeId(2)),
             RxEval::Deliver(..)
         ));
     }

@@ -924,11 +924,6 @@ impl Ctx<'_> {
         self.kernel.medium.channel(self.node)
     }
 
-    /// Enables or disables promiscuous reception (overhearing).
-    pub fn set_promiscuous(&mut self, on: bool) {
-        self.kernel.medium.set_promiscuous(self.node, on);
-    }
-
     /// Clear channel assessment: `true` if an audible transmission is in
     /// the air right now.
     pub fn cca_busy(&self) -> bool {

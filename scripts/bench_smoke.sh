@@ -18,6 +18,17 @@ if grep -rn '\.on_timer(\|\.on_frame(\|\.on_tx_done(' crates src tests examples 
     exit 1
 fi
 
+# One link layer under four MACs: the frame format, delivery and send
+# completion are written once, in the link core (crates/mac/src/header.rs).
+# A MAC that encodes or decodes a frame, or reports a delivery or a
+# completion itself, is a second copy, and its lines are printed here.
+if awk 'FNR == 1 { body = 1 } /^mod tests/ { body = 0 }
+    body && /encode[(]|decode[(]|MacEvent::(Delivered|SendDone) [{]/ { print FILENAME ":" FNR ":" $0; found = 1 }
+    END { exit !found }' crates/mac/src/csma.rs crates/mac/src/lpl.rs crates/mac/src/rimac.rs crates/mac/src/tdma.rs; then
+    echo "frame coding, Delivered or SendDone written in a MAC outside the link core" >&2
+    exit 1
+fi
+
 # One experiment shape: trials go to `RunConfig::table`, which makes
 # the one runner call a table needs; only the harness itself and E2/E3/
 # E6's pivots (exp_scale) call the runner by hand. A new hand-built
