@@ -124,6 +124,21 @@ pub fn e16_fairness(rc: &RunConfig, multipliers: &[u32], devices: u32) -> Table 
 
 // ---------------------------------------------------------------- E16c
 
+/// E16c's plan at utilization `rho` of `cap` msg/s, `devices` per
+/// tenant: the interval is compressed, not the fleet grown (rho =
+/// sessions / interval / cap), and 16-message sessions sustain the
+/// overload well past what the queue buffer absorbs.
+pub fn overload_plan(rho: f64, devices: u32, cap: f64) -> SessionPlan {
+    let sessions = (devices * TENANTS as u32) as f64;
+    let interval_us = (sessions / (rho * cap) * 1e6) as u64;
+    SessionPlan {
+        msgs_per_device: 16,
+        interval: SimDuration::from_micros(interval_us.max(1)),
+        jitter: SimDuration::from_micros((interval_us / 5).max(1)),
+        ..SessionPlan::default()
+    }
+}
+
 /// E16c over target utilizations at `devices` devices per tenant:
 /// overload behavior of both shed policies around and past saturation.
 pub fn e16_overload(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
@@ -144,20 +159,7 @@ pub fn e16_overload(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
                 .into_iter()
                 .map(move |(policy, name)| {
                     Trial::new(format!("e16/overload/rho{rho:.1}/{name}"), SEED, move |s| {
-                        let sessions = (devices * TENANTS as u32) as f64;
-                        // Hit the target utilization by compressing the
-                        // reporting interval, not growing the fleet:
-                        // rate = sessions / interval, rho = rate / cap.
-                        let interval_us = (sessions / (rho * cap) * 1e6) as u64;
-                        // Long-lived sessions (16 msgs each) so the
-                        // overload is sustained well past what the
-                        // queue buffer can absorb.
-                        let plan = SessionPlan {
-                            msgs_per_device: 16,
-                            interval: SimDuration::from_micros(interval_us.max(1)),
-                            jitter: SimDuration::from_micros((interval_us / 5).max(1)),
-                            ..SessionPlan::default()
-                        };
+                        let plan = overload_plan(rho, devices, cap);
                         let pipe =
                             run_streamed(devices, plan, IngestConfig { policy, ..config }, None, s);
                         let (offered, accepted, shed, _) = pipe.totals();

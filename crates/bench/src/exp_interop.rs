@@ -1,16 +1,17 @@
-//! Interoperability and overhead experiments: E1 (the Fig. 1 layering,
-//! end to end), E10 (security-level overheads) and E12 (gateway
+//! Interoperability and overhead experiments: E1 (Fig. 1 as one
+//! deployment, end to end), E10 (security-level overheads) and E12 (gateway
 //! integration throughput and fidelity).
 
 use crate::table::{f1, f3, pct, Table};
 use iiot_coap::{CoapEndpoint, CoapEvent};
-use iiot_core::{Deployment, Historian, LayeredSystem, MacChoice, Rule, Scorecard};
+use iiot_core::{Deployment, MacChoice, Rule, Scorecard};
 use iiot_crdt::ReplicaId;
 use iiot_gateway::gatt::{uuid, CharMap, GattAdapter, GattDevice};
 use iiot_gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
 use iiot_gateway::tlv::{TlvAdapter, TlvSensor};
 use iiot_gateway::{Gateway, Unit};
 use iiot_security::{protect, unprotect, CostModel, Key, ReplayGuard, SecLevel};
+use iiot_sim::trace::summarize;
 use iiot_sim::{SimDuration, SimTime, Topology};
 use std::time::Instant;
 
@@ -56,20 +57,12 @@ fn demo_gateway() -> Gateway {
     gw
 }
 
-/// E1: the Fig. 1 architecture, end to end — a wireless deployment plus
-/// a legacy gateway feeding the application-logic and storage tiers,
-/// with the cross-layer flow counted at every boundary.
+/// E1: the Fig. 1 architecture as one deployment — a wireless grid
+/// whose border router joins a 3-protocol gateway, an overheat rule
+/// actuating the wired PLC, and the cloud's write-ahead log and device
+/// twins on top, all on the simulation's clock — with the flow counted
+/// at every boundary.
 pub fn e1_layering() -> Table {
-    // Wireless sensing tier.
-    let mut d = Deployment::builder(Topology::grid(4, 3, 20.0))
-        .mac(MacChoice::Csma)
-        .seed(0xE1)
-        .traffic(SimDuration::from_secs(10), 8, SimDuration::from_secs(20))
-        .build();
-    d.run_for(SimDuration::from_secs(120));
-    let wireless = d.report();
-
-    // Legacy tier + upper layers.
     let rules = vec![Rule {
         name: "boiler-overheat".into(),
         input: "plant/boiler/temp".into(),
@@ -78,41 +71,44 @@ pub fn e1_layering() -> Table {
         output: "plant/boiler/valve".into(),
         command: 0.0,
     }];
-    let mut sys = LayeredSystem::new(demo_gateway(), rules, Historian::new(10_000));
-    let mut through = 0usize;
-    for cycle in 0..10u64 {
-        through += sys.cycle(cycle * 1_000_000);
-    }
-    let card = Scorecard::from_deployment(&d).with_gateway(&sys.sensing);
+    let mut d = Deployment::builder(Topology::grid(4, 3, 20.0))
+        .mac(MacChoice::Csma)
+        .seed(0xE1)
+        .traffic(SimDuration::from_secs(10), 8, SimDuration::from_secs(20))
+        .build();
+    d.attach_gateway(demo_gateway(), "plant/cell", rules);
+    d.run_for(SimDuration::from_secs(120));
+    let (wireless, card) = (d.report(), Scorecard::from_deployment(&d));
+    let north = d.north.as_ref().expect("gateway attached");
+    let to_cloud: Vec<f64> = north
+        .sample_to_cloud
+        .iter()
+        .map(|l| l.as_secs_f64())
+        .collect();
+    let s = summarize(&to_cloud);
+    let delivered = format!("{} ({})", wireless.delivered, pct(wireless.delivery_ratio));
+    let normalized = north.gateway().measurements_processed();
+    let protocols = card.interoperability.protocols;
+    let to_cloud_s = format!("{} / {}", f3(s.p50), f3(s.p95));
 
     let mut t = Table::new(
-        "E1: Fig. 1 cross-layer flow (wireless grid + 3-protocol gateway, 10 cycles)",
+        "E1: Fig. 1 cross-layer flow (CSMA grid + 3-protocol gateway -> rules -> cloud log and twins, one deployment, 120 s)",
         &["boundary", "value"],
     );
-    t.row(vec![
-        "sensing->app: wireless readings delivered".into(),
-        format!("{} ({})", wireless.delivered, pct(wireless.delivery_ratio)),
-    ]);
-    t.row(vec![
-        "sensing->app: gateway measurements".into(),
-        through.to_string(),
-    ]);
-    t.row(vec![
-        "app: rules fired (actuations)".into(),
-        sys.actuations().len().to_string(),
-    ]);
-    t.row(vec![
-        "app->storage: historian points".into(),
-        sys.historian.points().count().to_string(),
-    ]);
-    t.row(vec![
-        "scorecard: protocols integrated".into(),
-        card.interoperability.protocols.to_string(),
-    ]);
-    t.row(vec![
-        "scorecard: p95 collection latency (s)".into(),
-        f3(card.scalability.latency_p95_s),
-    ]);
+    let n = |v: usize| v.to_string();
+    let rows = [
+        ("sensing->gateway: radio readings", delivered),
+        ("gateway: measurements normalized", normalized.to_string()),
+        ("app: rules fired", n(north.actuations.len())),
+        ("gateway->cloud: radio readings logged", n(to_cloud.len())),
+        ("cloud->storage: device twins", n(north.twins.len())),
+        ("scorecard: protocols integrated", n(protocols)),
+        ("p95 collection latency (s)", f3(wireless.latency.p95)),
+        ("sample-to-cloud p50 / p95 (s)", to_cloud_s),
+    ];
+    for (boundary, value) in rows {
+        t.row(vec![boundary.into(), value]);
+    }
     t
 }
 

@@ -49,7 +49,7 @@ use iiot_sim::{seed, SimDuration, SimTime};
 use iiot_stream::{LogConfig, RateLimit, WindowAggregator, WindowResult, WindowSpec, FRAME_HEADER};
 
 /// Tenants in every synthetic fleet, E16's included.
-pub(crate) const TENANTS: u16 = 4;
+pub const TENANTS: u16 = 4;
 /// E18's base seed (experiment id, like `0xE16` for the cloud tier).
 const SEED: u64 = 0xE18;
 /// Persisted size of one logged uplink: log frame header + wire record.
@@ -114,7 +114,7 @@ fn shed_sum(pipe: &IngestPipeline, f: fn(&iiot_cloud::TenantStats) -> u64) -> u6
 
 /// The drain capacity of `queues` queues of `config`, in messages per
 /// virtual second: `queues × drain_batch / TICK`.
-pub(crate) fn capacity_per_sec(config: &IngestConfig, queues: u64) -> f64 {
+pub fn capacity_per_sec(config: &IngestConfig, queues: u64) -> f64 {
     let per_tick = queues as f64 * config.drain_batch as f64;
     per_tick / (iiot_cloud::ingest::TICK.as_micros() as f64 / 1e6)
 }

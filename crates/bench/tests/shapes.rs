@@ -5,7 +5,10 @@
 //! the slow sweeps (E2, E4) are covered by their substrates' own tests,
 //! and E13 runs reduced axes of the same sweeps.
 
-use iiot_bench::{exp_cloud, exp_depend, exp_dissem, exp_interop, exp_scale, exp_sync, RunConfig};
+use iiot_bench::{
+    exp_cloud, exp_depend, exp_dissem, exp_interop, exp_scale, exp_stream, exp_sync, RunConfig,
+};
+use iiot_cloud::IngestConfig;
 
 fn cell(t: &iiot_bench::table::Table, row: usize, col: usize) -> f64 {
     t.rows[row][col]
@@ -340,6 +343,52 @@ fn e16_shape_overload_crosses_saturation() {
     for r in 2..4 {
         assert!(cell(&t, r, 3) > 20.0, "2x overload row {r} must shed hard");
         assert!(cell(&t, r, 6) <= 1024.0, "queue cap exceeded in row {r}");
+    }
+}
+
+/// E16c's reject-new rows have a finite-horizon fluid oracle, derived
+/// from the trial's own configuration. Per tenant, `N` sessions of `M`
+/// messages report every `I` plus a uniform jitter of mean `J/2`, so
+/// once the first reports are in they arrive at `N / (I + J/2)`, and a
+/// tenant's queue drains `μ = drain_batch / TICK`. When that plateau
+/// overloads the queue, the queue fills its `B = queue_cap` buffer and
+/// stays backlogged until the last pass ends, at `T = I + (M − 1)(I +
+/// J/2)`: `μT + B` of the `MN` offered are accepted and the rest shed.
+/// A plateau below `μ` sheds nothing. The naive `1 − 1/ρ` (50 % and
+/// 16.7 % at ρ = 2.0 and 1.2) forgets both the jitter that stretches the
+/// interval and the finite horizon the buffer is drained after.
+///
+/// The fluid model smooths the first pass, which arrives at `N / I`,
+/// faster than the plateau, and the 10 ms drain ticks; one percentage
+/// point covers both.
+#[test]
+fn e16c_oracle_reject_new_shed_follows_the_finite_horizon_fluid_model() {
+    const TOLERANCE: f64 = 0.01;
+    // E16c's full-scale axis (`iiot_bench::all_experiments`).
+    let (rhos, devices) = ([0.5, 0.9, 1.2, 2.0], 2_500);
+    let t = exp_cloud::e16_overload(&RunConfig::default(), &rhos, devices);
+    let config = IngestConfig::default();
+    let cap = exp_stream::capacity_per_sec(&config, exp_stream::TENANTS as u64);
+    let mu = cap / f64::from(exp_stream::TENANTS);
+    for (i, &rho) in rhos.iter().enumerate() {
+        let plan = exp_cloud::overload_plan(rho, devices, cap);
+        let (n, m) = (f64::from(devices), f64::from(plan.msgs_per_device));
+        let interval = plan.interval.as_micros() as f64 / 1e6;
+        let gap = interval + plan.jitter.as_micros() as f64 / 2e6;
+        let horizon = interval + (m - 1.0) * gap;
+        let expected = if n / gap > mu {
+            1.0 - (mu * horizon + config.queue_cap as f64) / (m * n)
+        } else {
+            0.0
+        };
+        let row = 2 * i;
+        assert_eq!(t.rows[row][1], "reject-new");
+        let measured = cell(&t, row, 3) / 100.0;
+        assert!(
+            (measured - expected).abs() <= TOLERANCE,
+            "rho {rho}: shed {measured:.3}, oracle {expected:.3}, naive {:.3}",
+            (1.0 - 1.0 / rho).max(0.0)
+        );
     }
 }
 

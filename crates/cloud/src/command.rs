@@ -101,10 +101,12 @@ impl CommandRouter {
             return Vec::new();
         }
         // Shuttle datagrams until both sides go quiet (requests, then
-        // responses; blockwise transfers may take several rounds).
+        // responses; blockwise transfers may take several rounds). Only
+        // what the gateway addresses to the router is the router's: a
+        // notification to another observer stays in its outbox.
         loop {
             let out = self.client.take_outbox();
-            let back = gateway.take_outbox();
+            let back = gateway.take_outbox_to(CLOUD_PEER);
             if out.is_empty() && back.is_empty() {
                 break;
             }
@@ -186,6 +188,32 @@ mod tests {
         assert!(!router.submit(cmd("c", 3.0)), "third command must shed");
         assert_eq!(router.shed(), 1);
         assert_eq!(router.pending(), 2);
+    }
+
+    #[test]
+    fn flush_leaves_other_peers_datagrams_queued() {
+        let mut gw = server();
+        gw.add_resource(
+            "plant/boiler/temp/obs",
+            Box::new(|_| Response::content(b"80.5".to_vec())),
+        );
+        // A SCADA client observes a point; a notification to it is
+        // pending in the gateway's outbox when the router flushes.
+        const SCADA: u64 = 5;
+        let mut scada: CoapEndpoint<u64> = CoapEndpoint::new(9);
+        scada.observe(0, "plant/boiler/temp/obs", SimTime::ZERO);
+        for (_, d) in scada.take_outbox() {
+            gw.handle_datagram(SCADA, &d, SimTime::ZERO);
+        }
+        gw.take_outbox(); // registration response, delivered
+        gw.notify("plant/boiler/temp/obs", SimTime::ZERO);
+
+        let mut router = CommandRouter::new(16, 42);
+        router.submit(cmd("plant/boiler/setpoint", 65.0));
+        let out = router.flush(&mut gw, SimTime::ZERO);
+        assert!(out[0].ok, "{out:?}");
+        let left: Vec<u64> = gw.take_outbox().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(left, [SCADA], "the observer's notification stays queued");
     }
 
     #[test]

@@ -216,6 +216,12 @@ impl IngestPipeline {
         &self.registry
     }
 
+    /// [`DeviceRegistry::register_fleet`] on the pipeline's registry:
+    /// provisions devices while traffic flows.
+    pub fn register_fleet(&mut self, tenant: TenantId, n: u32) -> u32 {
+        self.registry.register_fleet(tenant, n)
+    }
+
     /// The pipeline's configuration.
     pub fn config(&self) -> &IngestConfig {
         &self.config

@@ -240,6 +240,16 @@ impl<P: Copy + Eq + Hash + Debug> CoapEndpoint<P> {
         std::mem::take(&mut self.outbox)
     }
 
+    /// The datagrams waiting to be sent to `peer`, in queue order; those
+    /// for other peers stay queued.
+    pub fn take_outbox_to(&mut self, peer: P) -> Vec<(P, Vec<u8>)> {
+        let (mine, rest) = std::mem::take(&mut self.outbox)
+            .into_iter()
+            .partition(|(to, _)| *to == peer);
+        self.outbox = rest;
+        mine
+    }
+
     /// Application events since the last call.
     pub fn take_events(&mut self) -> Vec<CoapEvent> {
         std::mem::take(&mut self.events)

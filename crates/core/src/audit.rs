@@ -3,7 +3,6 @@
 //! operator (or an experiment) can read off a running deployment.
 
 use crate::deployment::{CollectionReport, Deployment};
-use iiot_gateway::Gateway;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -52,11 +51,22 @@ pub struct Scorecard {
 }
 
 impl Scorecard {
-    /// Scores a running sensing deployment.
+    /// Scores a running deployment; the interoperability axis is its
+    /// attached gateway's integration inventory (empty without one).
     pub fn from_deployment(d: &Deployment) -> Self {
         let r: CollectionReport = d.report();
+        let inv = d
+            .north
+            .as_ref()
+            .map(|n| n.gateway().inventory())
+            .unwrap_or_default();
+        let protocols: BTreeSet<&str> = inv.iter().map(|d| d.protocol).collect();
         Scorecard {
-            interoperability: InteropScore::default(),
+            interoperability: InteropScore {
+                protocols: protocols.len(),
+                devices: inv.len(),
+                points: inv.iter().map(|d| d.points.len()).sum(),
+            },
             scalability: ScaleScore {
                 nodes: d.nodes.len(),
                 delivery_ratio: r.delivery_ratio,
@@ -68,19 +78,6 @@ impl Scorecard {
                 orphans: r.orphans,
             },
         }
-    }
-
-    /// Folds a gateway's integration inventory into the
-    /// interoperability axis.
-    pub fn with_gateway(mut self, gw: &Gateway) -> Self {
-        let inv = gw.inventory();
-        let protocols: BTreeSet<&str> = inv.iter().map(|d| d.protocol).collect();
-        self.interoperability = InteropScore {
-            protocols: protocols.len(),
-            devices: inv.len(),
-            points: inv.iter().map(|d| d.points.len()).sum(),
-        };
-        self
     }
 }
 
@@ -117,7 +114,7 @@ mod tests {
     use crate::deployment::MacChoice;
     use iiot_crdt::ReplicaId;
     use iiot_gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
-    use iiot_gateway::Unit;
+    use iiot_gateway::{Gateway, Unit};
     use iiot_sim::{SimDuration, Topology};
 
     #[test]
@@ -127,8 +124,6 @@ mod tests {
             .seed(7)
             .traffic(SimDuration::from_secs(5), 8, SimDuration::from_secs(10))
             .build();
-        d.run_for(SimDuration::from_secs(40));
-        d.sim.kill(d.nodes[3]);
         let mut gw = Gateway::new(ReplicaId(1));
         gw.add_adapter(Box::new(ModbusAdapter::new(
             "plc",
@@ -142,11 +137,19 @@ mod tests {
                 writable: false,
             }],
         )));
-        let card = Scorecard::from_deployment(&d).with_gateway(&gw);
+        assert_eq!(Scorecard::from_deployment(&d).interoperability.protocols, 0);
+        d.attach_gateway(gw, "cell", Vec::new());
+        d.run_for(SimDuration::from_secs(40));
+        d.sim.kill(d.nodes[3]);
+        let card = Scorecard::from_deployment(&d);
         assert_eq!(card.scalability.nodes, 4);
         assert!(card.scalability.delivery_ratio > 0.9);
-        assert_eq!(card.interoperability.protocols, 1);
-        assert_eq!(card.interoperability.points, 1);
+        assert_eq!(
+            card.interoperability.protocols, 2,
+            "modbus-rtu and sensornet"
+        );
+        assert_eq!(card.interoperability.devices, 2);
+        assert_eq!(card.interoperability.points, 1 + 3);
         assert!((card.dependability.alive_fraction - 0.75).abs() < 1e-9);
         let text = card.to_string();
         assert!(text.contains("scorecard"));

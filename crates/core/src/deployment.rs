@@ -1,11 +1,18 @@
 //! Deployment orchestration: build a simulated sensing-and-actuation
 //! deployment from a topology, a MAC choice and a traffic profile, run
-//! it, extend it (incremental rollout, §IV intro), report collection
-//! metrics, and bridge its root into a [`Gateway`](iiot_gateway::Gateway)
-//! as a [`BorderAdapter`] — the sensornet-to-IP role §IV-B gives the
-//! border router, on the same northbound face as every wired device.
+//! it, extend it (incremental rollout, §IV intro) and report collection
+//! metrics — and, with a gateway attached, carry its readings through
+//! the rest of Fig. 1 on the simulation's clock, the border router
+//! joining the gateway in the sensornet-to-IP role §IV-B gives it.
 
-use iiot_gateway::{Adapter, Measurement, PointInfo, Quality, Unit, WriteError};
+use iiot_cloud::{
+    DeviceRegistry, DeviceTwin, IngestConfig, IngestPipeline, StreamConfig, TenantId, TwinStore,
+    UplinkMsg,
+};
+use iiot_crdt::ReplicaId;
+use iiot_gateway::{
+    Adapter, CloudUplink, Gateway, Measurement, PointInfo, Quality, Unit, WriteError,
+};
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_mac::rimac::RimacMac;
@@ -14,10 +21,16 @@ use iiot_routing::dodag::{DodagConfig, DodagNode, Traffic};
 use iiot_routing::graph;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_routing::Collected;
+use iiot_security::Key;
 use iiot_sim::prelude::*;
 use iiot_sim::trace::Summary;
 use std::cell::RefCell;
-use std::rc::{Rc, Weak};
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+/// The wired poll period of an attached gateway: every adapter is
+/// polled at each whole multiple of `POLL` of simulated time.
+pub const POLL: SimDuration = SimDuration::from_secs(1);
 
 /// Which MAC the deployment runs under the collection protocol.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -139,8 +152,7 @@ impl DeploymentBuilder {
             nodes,
             mac,
             dodag: self.dodag,
-            borders: Vec::new(),
-            handed_over: 0,
+            north: None,
         }
     }
 }
@@ -199,15 +211,14 @@ pub struct Deployment {
     pub root: NodeId,
     /// All nodes, in id order (including later rollout stages).
     pub nodes: Vec<NodeId>,
+    /// The rest of Fig. 1, once [`attach_gateway`](Deployment::attach_gateway)
+    /// has been called.
+    pub north: Option<Northbound>,
     mac: MacChoice,
     dodag: DodagConfig,
-    /// The inboxes of the border adapters still alive.
-    borders: Vec<Weak<Inbox>>,
-    /// How many of the root's readings went to `borders` so far.
-    handed_over: usize,
 }
 
-/// Root readings not yet polled by one [`BorderAdapter`].
+/// Root readings the border adapter has yet to publish.
 type Inbox = RefCell<Vec<Collected>>;
 
 impl Deployment {
@@ -221,53 +232,81 @@ impl Deployment {
         self.mac
     }
 
-    /// Runs the deployment for `d` of simulated time, then hands the
-    /// readings the root collected meanwhile to every live
-    /// [`BorderAdapter`]. (Readings collected while `sim` is driven
-    /// directly are handed over by the next call.)
+    /// Runs the deployment for `d` of simulated time. With a gateway
+    /// attached, every northbound instant up to the new
+    /// [`now`](Sim::now) is then walked in time order (see
+    /// [`attach_gateway`](Deployment::attach_gateway)); readings
+    /// collected while `sim` is driven directly are carried by the next
+    /// call, at the instants they arrived.
     pub fn run_for(&mut self, d: SimDuration) {
         self.sim.run_for(d);
-        self.hand_over();
-    }
-
-    fn hand_over(&mut self) {
-        self.borders.retain(|b| b.strong_count() > 0);
-        let fresh = &self.collected()[self.handed_over..];
-        for inbox in self.borders.iter().filter_map(Weak::upgrade) {
-            inbox.borrow_mut().extend_from_slice(fresh);
+        let now = self.sim.now();
+        if let Some(north) = &mut self.north {
+            north.catch_up(root_collected(&self.sim, self.root, self.mac), now);
         }
-        self.handed_over += fresh.len();
     }
 
-    /// The border router as a gateway [`Adapter`]: one read-only point
-    /// per non-root node, `{prefix}/n{id}`, whose value is the origin's
-    /// sequence number (payloads are synthetic filler; `seq` exposes
-    /// gaps and duplicates) stamped with the reading's `sent_at`.
+    /// Attaches `gateway`, with its wired adapters already added, as the
+    /// rest of Fig. 1. The root joins it as one more adapter, protocol
+    /// `"sensornet"`: a read-only point `{prefix}/n{id}` per non-root
+    /// node (one added by [`extend`](Deployment::extend) gets its point
+    /// at its first reading), valued with the reading's sequence number
+    /// (payloads are filler; `seq` exposes gaps and duplicates) and
+    /// stamped with its `sent_at`.
     ///
-    /// Like a bus subscription, the adapter sees the readings the root
-    /// collects from the moment it is made, each exactly once, in
-    /// arrival order. Its [`points`](Adapter::points) are the nodes that
-    /// exist now; a node added later by [`extend`](Deployment::extend)
-    /// gets its resource from the gateway at its first reading.
-    pub fn border_adapter(&mut self, prefix: &str) -> BorderAdapter {
-        self.hand_over();
+    /// From then on [`run_for`](Deployment::run_for) walks, in time
+    /// order, each reading's `received_at` merged with the wired poll
+    /// grid `k ·` [`POLL`]. At an instant the border adapter takes the
+    /// readings that have arrived, and the gateway polls every adapter
+    /// on a grid instant, only the border adapter otherwise. Each rule
+    /// whose input that poll published writes through
+    /// [`Gateway::write_direct`], and becomes an [`Actuation`] if the
+    /// write lands. Every measurement published is then offered to the
+    /// cloud (write-ahead logged) at that instant, its device provisioned
+    /// on first sight, and an accepted one is reported to its twin at
+    /// its own timestamp. `gateway/write-failed/*` diagnostics reach
+    /// neither the rules nor the cloud.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gateway is already attached.
+    pub fn attach_gateway(&mut self, mut gateway: Gateway, prefix: &str, rules: Vec<Rule>) {
+        assert!(self.north.is_none(), "a deployment has one gateway");
         let inbox = Rc::new(Inbox::default());
-        self.borders.push(Rc::downgrade(&inbox));
-        let points = self
-            .nodes
-            .iter()
-            .filter(|&&n| n != self.root)
+        let points = (self.nodes.iter().filter(|&&n| n != self.root))
             .map(|n| PointInfo {
                 point: format!("{prefix}/n{}", n.0),
                 unit: Unit::Raw,
                 writable: false,
             })
             .collect();
-        BorderAdapter {
+        let border = (gateway.inventory().len(), prefix.to_owned());
+        gateway.add_adapter(Box::new(BorderAdapter {
             prefix: prefix.to_owned(),
             points,
+            inbox: Rc::clone(&inbox),
+        }));
+        let mut registry = DeviceRegistry::new();
+        let tenant = registry.create_tenant("deployment", Key(*b"deployment-cloud"));
+        let mut cloud = IngestPipeline::new(registry, IngestConfig::default());
+        cloud.attach_stream(StreamConfig::logged(Default::default()));
+        let poll_us = POLL.as_micros();
+        let next_poll = self.sim.now().as_micros().div_ceil(poll_us) * poll_us;
+        self.north = Some(Northbound {
+            uplink: CloudUplink::new(&gateway, tenant.0, ""),
+            gateway,
+            rules,
+            actuations: Vec::new(),
+            cloud,
+            tenant,
+            twins: TwinStore::new(),
+            sample_to_cloud: Vec::new(),
+            border,
             inbox,
-        }
+            handed_over: self.collected().len(),
+            next_poll: SimTime::from_micros(next_poll),
+            devices: BTreeMap::new(),
+        });
     }
 
     /// Incremental rollout (§IV): adds another batch of nodes at the
@@ -306,13 +345,7 @@ impl Deployment {
 
     /// Every reading the root has collected, in arrival order.
     pub fn collected(&self) -> &[Collected] {
-        let (sim, root) = (&self.sim, self.root);
-        match self.mac {
-            MacChoice::Csma => sim.proto::<DodagNode<CsmaMac>>(root).collected(),
-            MacChoice::Lpl(_) => sim.proto::<DodagNode<LplMac>>(root).collected(),
-            MacChoice::Rimac(_) => sim.proto::<DodagNode<RimacMac>>(root).collected(),
-            MacChoice::Tdma(_) => sim.proto::<StaticCollection<TdmaMac>>(root).collected(),
-        }
+        root_collected(&self.sim, self.root, self.mac)
     }
 
     /// Builds the collection report at the current time.
@@ -356,10 +389,180 @@ impl Deployment {
     }
 }
 
-/// A [`Deployment`]'s root as a gateway [`Adapter`]; made by
-/// [`Deployment::border_adapter`].
+/// Every reading `root` has collected, in arrival order.
+fn root_collected(sim: &Sim, root: NodeId, mac: MacChoice) -> &[Collected] {
+    match mac {
+        MacChoice::Csma => sim.proto::<DodagNode<CsmaMac>>(root).collected(),
+        MacChoice::Lpl(_) => sim.proto::<DodagNode<LplMac>>(root).collected(),
+        MacChoice::Rimac(_) => sim.proto::<DodagNode<RimacMac>>(root).collected(),
+        MacChoice::Tdma(_) => sim.proto::<StaticCollection<TdmaMac>>(root).collected(),
+    }
+}
+
+/// A declarative rule of the application-logic tier: write `command`
+/// to `output` whenever `input` is published beyond `threshold`.
+#[derive(Clone, Debug)]
+pub struct Rule {
+    /// Rule name (for audit trails).
+    pub name: String,
+    /// The observed point.
+    pub input: String,
+    /// Fire when the value compares true against `threshold`.
+    pub above: bool,
+    /// Threshold value.
+    pub threshold: f64,
+    /// The actuated point.
+    pub output: String,
+    /// Value to write when the rule fires.
+    pub command: f64,
+}
+
+impl Rule {
+    /// Whether the rule fires for `value`.
+    pub fn fires(&self, value: f64) -> bool {
+        if self.above {
+            value > self.threshold
+        } else {
+            value < self.threshold
+        }
+    }
+}
+
+/// A fired rule whose write landed: what the application logic did.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Actuation {
+    /// The rule that fired.
+    pub rule: String,
+    /// Target point.
+    pub point: String,
+    /// Commanded value.
+    pub value: f64,
+    /// The instant the triggering measurement was published, µs.
+    pub at_us: u64,
+}
+
+/// Fig. 1 above the border router; see [`Deployment::attach_gateway`].
+pub struct Northbound {
+    /// Every actuation so far, in the order the rules fired.
+    pub actuations: Vec<Actuation>,
+    /// The device twins: per point, the latest accepted value.
+    pub twins: TwinStore,
+    /// Each wireless reading's time from its sample to the cloud's front
+    /// door, in arrival order.
+    pub sample_to_cloud: Vec<SimDuration>,
+    gateway: Gateway,
+    rules: Vec<Rule>,
+    cloud: IngestPipeline,
+    tenant: TenantId,
+    /// The border adapter's index in the gateway, and its device name.
+    border: (usize, String),
+    inbox: Rc<Inbox>,
+    /// How many of the root's readings went to `inbox` so far.
+    handed_over: usize,
+    next_poll: SimTime,
+    /// Everything the gateway publishes, in publish order.
+    uplink: CloudUplink,
+    /// Each point's cloud device, provisioned on first sight.
+    devices: BTreeMap<String, u32>,
+}
+
+impl Northbound {
+    /// The gateway: the caller's wired adapters plus the border router.
+    pub fn gateway(&self) -> &Gateway {
+        &self.gateway
+    }
+
+    /// The gateway, mutably (e.g. to serve its northbound CoAP endpoint).
+    pub fn gateway_mut(&mut self) -> &mut Gateway {
+        &mut self.gateway
+    }
+
+    /// The cloud's ingest pipeline, with its write-ahead log attached.
+    pub fn cloud(&self) -> &IngestPipeline {
+        &self.cloud
+    }
+
+    /// The cloud device `point` was provisioned as, once published.
+    pub fn device(&self, point: &str) -> Option<u32> {
+        self.devices.get(point).copied()
+    }
+
+    /// The twin of `point`'s device, once a reading of it was accepted.
+    pub fn twin(&self, point: &str) -> Option<&DeviceTwin> {
+        self.twins.twin(self.tenant, self.device(point)?)
+    }
+
+    /// Walks every northbound instant up to `now`, in time order.
+    fn catch_up(&mut self, collected: &[Collected], now: SimTime) {
+        loop {
+            let fresh = &collected[self.handed_over..];
+            let t = fresh
+                .first()
+                .map_or(self.next_poll, |c| c.received_at.min(self.next_poll));
+            if t > now {
+                return;
+            }
+            let arrived = fresh.partition_point(|c| c.received_at <= t);
+            self.inbox.borrow_mut().extend_from_slice(&fresh[..arrived]);
+            self.handed_over += arrived;
+            if t == self.next_poll {
+                self.gateway.poll_all(t.as_micros());
+                self.next_poll = t + POLL;
+            } else {
+                self.gateway.poll_adapter(self.border.0, t.as_micros());
+            }
+            self.carry(t);
+        }
+    }
+
+    /// Hands each measurement the gateway just published at `t` to the
+    /// rules, then to the cloud and its twin.
+    fn carry(&mut self, t: SimTime) {
+        let (cloud, tenant) = (&mut self.cloud, self.tenant);
+        for r in self.uplink.drain() {
+            if r.point.starts_with("gateway/write-failed/") {
+                continue; // a diagnostic, not telemetry
+            }
+            for rule in self.rules.iter().filter(|rule| rule.input == r.point) {
+                let (point, value) = (&rule.output, rule.command);
+                if rule.fires(r.value) && self.gateway.write_direct(point, value).is_ok() {
+                    self.actuations.push(Actuation {
+                        rule: rule.name.clone(),
+                        point: point.clone(),
+                        value,
+                        at_us: t.as_micros(),
+                    });
+                }
+            }
+            let devices = &mut self.devices;
+            let device = *devices
+                .entry(r.point)
+                .or_insert_with(|| cloud.register_fleet(tenant, 1));
+            if r.device == self.border.1 {
+                let sampled = SimTime::from_micros(r.timestamp_us);
+                self.sample_to_cloud.push(t.duration_since(sampled));
+            }
+            let token = cloud.registry().token(tenant, device).expect("provisioned");
+            cloud.drain_until(t);
+            if cloud.offer(UplinkMsg {
+                tenant,
+                device,
+                token,
+                value: r.value,
+                t,
+            }) {
+                let writer = ReplicaId(u64::from(tenant.0));
+                self.twins
+                    .report(tenant, device, r.timestamp_us, writer, "value", r.value);
+            }
+        }
+    }
+}
+
+/// A [`Deployment`]'s root as a gateway [`Adapter`]: hands on the
+/// readings put in its inbox.
 #[derive(Debug)]
-pub struct BorderAdapter {
+struct BorderAdapter {
     prefix: String,
     points: Vec<PointInfo>,
     inbox: Rc<Inbox>,
@@ -405,9 +608,8 @@ impl Adapter for BorderAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iiot_cloud::decode_uplink;
     use iiot_coap::{CoapEndpoint, CoapEvent, Code};
-    use iiot_crdt::ReplicaId;
-    use iiot_gateway::Gateway;
 
     fn line(n: usize) -> Topology {
         Topology::line(n, 20.0)
@@ -501,18 +703,25 @@ mod tests {
         d.extend(&line(1));
     }
 
-    /// A three-node CSMA line whose root is bridged into a gateway as
-    /// `cell/n1` and `cell/n2`, with 30 s of readings handed over.
-    fn bridged() -> (Deployment, Gateway) {
+    /// A three-node CSMA line with a gateway of `wired` attached,
+    /// whose border points are `cell/n1` and `cell/n2`, after 30 s.
+    fn attached(wired: Gateway, rules: Vec<Rule>) -> Deployment {
         let mut d = Deployment::builder(line(3))
             .mac(MacChoice::Csma)
             .seed(0xB0)
             .traffic(SimDuration::from_secs(5), 6, SimDuration::from_secs(10))
             .build();
-        let mut gw = Gateway::new(ReplicaId(1));
-        gw.add_adapter(Box::new(d.border_adapter("cell")));
+        d.attach_gateway(wired, "cell", rules);
         d.run_for(SimDuration::from_secs(30));
-        (d, gw)
+        d
+    }
+
+    fn bridged() -> Deployment {
+        attached(Gateway::new(ReplicaId(1)), Vec::new())
+    }
+
+    fn gw(d: &mut Deployment) -> &mut Gateway {
+        d.north.as_mut().expect("attached").gateway_mut()
     }
 
     /// Carries every datagram `from` has queued to `to`.
@@ -524,30 +733,36 @@ mod tests {
 
     #[test]
     fn border_points_serve_the_latest_seq_over_coap() {
-        let (d, mut gw) = bridged();
-        let points: Vec<String> = gw.inventory()[0]
+        let mut d = bridged();
+        let north = d.north.as_ref().expect("attached");
+        let points: Vec<String> = north.gateway().inventory()[0]
             .points
             .iter()
             .map(|p| p.point.clone())
             .collect();
         assert_eq!(points, ["cell/n1", "cell/n2"], "the root is not a sensor");
-        assert_eq!(gw.poll_all(d.sim.now().as_micros()), d.collected().len());
+        let processed = north.gateway().measurements_processed();
+        assert_eq!(processed, d.collected().len() as u64, "each reading once");
         let latest = d
             .collected()
             .iter()
             .rev()
             .find(|c| c.origin == NodeId(2))
-            .expect("node 2 reported");
+            .expect("node 2 reported")
+            .clone();
         assert_eq!(latest.hops, 2, "line of 3");
-        let m = gw.last("cell/n2").expect("cached");
+        let m = north.gateway().last("cell/n2").expect("cached");
         assert_eq!(m.value, f64::from(latest.seq));
         assert_eq!(m.timestamp_us, latest.sent_at.as_micros());
-        assert_eq!(gw.write_direct("cell/n2", 1.0), Err(WriteError::ReadOnly));
+        assert_eq!(
+            gw(&mut d).write_direct("cell/n2", 1.0),
+            Err(WriteError::ReadOnly)
+        );
 
         let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.get(0, "cell/n2", SimTime::ZERO);
-        deliver(&mut client, gw.coap_mut());
-        deliver(gw.coap_mut(), &mut client);
+        deliver(&mut client, gw(&mut d).coap_mut());
+        deliver(gw(&mut d).coap_mut(), &mut client);
         match &client.take_events()[..] {
             [CoapEvent::Response { code, payload, .. }] => {
                 assert_eq!(*code, Code::Content);
@@ -560,17 +775,25 @@ mod tests {
 
     #[test]
     fn a_node_added_by_extend_is_served_over_coap() {
-        let (mut d, mut gw) = bridged();
+        let mut d = bridged();
         let added = d.extend(&std::iter::once(Pos::new(60.0, 0.0)).collect());
         assert_eq!(added, [NodeId(3)]);
         d.run_for(SimDuration::from_secs(60));
-        gw.poll_all(d.sim.now().as_micros());
-        assert!(gw.last("cell/n3").is_some(), "the new node reported");
+        let north = d.north.as_ref().expect("attached");
+        assert!(
+            north.gateway().last("cell/n3").is_some(),
+            "the new node reported"
+        );
+        // ... and reached the cloud's log as a device provisioned for it.
+        let device = north.device("cell/n3").expect("provisioned");
+        let wal = north.cloud().wal().expect("logged");
+        let logged = wal.iter_from(0).filter_map(|(_, r)| decode_uplink(r));
+        assert!(logged.filter(|m| m.device == device).count() >= 1);
 
         let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.get(0, "cell/n3", SimTime::ZERO);
-        deliver(&mut client, gw.coap_mut());
-        deliver(gw.coap_mut(), &mut client);
+        deliver(&mut client, gw(&mut d).coap_mut());
+        deliver(gw(&mut d).coap_mut(), &mut client);
         match &client.take_events()[..] {
             [CoapEvent::Response { code, .. }] => assert_eq!(*code, Code::Content),
             other => panic!("unexpected {other:?}"),
@@ -579,18 +802,17 @@ mod tests {
 
     #[test]
     fn border_observers_are_pushed_new_readings() {
-        let (mut d, mut gw) = bridged();
-        gw.poll_all(d.sim.now().as_micros());
+        let mut d = bridged();
         let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.observe(0, "cell/n1", SimTime::ZERO);
-        deliver(&mut client, gw.coap_mut());
-        deliver(gw.coap_mut(), &mut client);
+        deliver(&mut client, gw(&mut d).coap_mut());
+        deliver(gw(&mut d).coap_mut(), &mut client);
         client.take_events();
 
-        // More readings arrive over the air.
+        // More readings arrive over the air, and reach the gateway as
+        // they arrive.
         d.run_for(SimDuration::from_secs(20));
-        assert!(gw.poll_all(d.sim.now().as_micros()) >= 1);
-        deliver(gw.coap_mut(), &mut client);
+        deliver(gw(&mut d).coap_mut(), &mut client);
         let ev = client.take_events();
         assert!(
             ev.iter().any(|e| matches!(
@@ -606,11 +828,189 @@ mod tests {
 
     #[test]
     fn an_idle_border_poll_publishes_nothing() {
-        let (d, mut gw) = bridged();
-        let bus = gw.bus().subscribe("cell/");
-        assert!(gw.poll_all(d.sim.now().as_micros()) > 0);
-        assert_eq!(bus.try_iter().count(), d.collected().len());
-        assert_eq!(gw.poll_all(d.sim.now().as_micros()), 0, "nothing new");
+        let mut d = bridged();
+        let now = d.sim.now().as_micros();
+        let bus = gw(&mut d).bus().subscribe("cell/");
+        assert_eq!(gw(&mut d).poll_all(now), 0, "every reading already carried");
         assert_eq!(bus.try_iter().count(), 0);
+        // Thirty grid polls and one poll per arrival published each
+        // reading exactly once.
+        let processed = gw(&mut d).measurements_processed();
+        assert_eq!(processed, d.collected().len() as u64);
+    }
+
+    /// A boiler whose valve, once closed, cools it by 5 C, and whose
+    /// drain refuses every write.
+    #[derive(Debug)]
+    struct Boiler {
+        temp: f64,
+        valve: f64,
+    }
+
+    impl Adapter for Boiler {
+        fn device(&self) -> &str {
+            "boiler"
+        }
+        fn protocol(&self) -> &'static str {
+            "test"
+        }
+        fn points(&self) -> Vec<PointInfo> {
+            ["boiler/temp", "boiler/valve", "boiler/drain"]
+                .map(|point| PointInfo {
+                    point: point.into(),
+                    unit: Unit::Raw,
+                    writable: point != "boiler/temp",
+                })
+                .to_vec()
+        }
+        fn poll(&mut self, now_us: u64) -> Vec<Measurement> {
+            [("boiler/temp", self.temp), ("boiler/valve", self.valve)]
+                .map(|(point, value)| Measurement {
+                    point: point.into(),
+                    value,
+                    unit: Unit::Raw,
+                    quality: Quality::Good,
+                    timestamp_us: now_us,
+                    device: "boiler".into(),
+                })
+                .to_vec()
+        }
+        fn write(&mut self, point: &str, value: f64) -> Result<(), WriteError> {
+            match point {
+                "boiler/valve" => {}
+                "boiler/drain" => return Err(WriteError::DeviceError),
+                _ => return Err(WriteError::NoSuchPoint),
+            }
+            self.valve = value;
+            if value == 0.0 {
+                self.temp -= 5.0;
+            }
+            Ok(())
+        }
+    }
+
+    fn boiler_gateway(temp: f64) -> Gateway {
+        let mut gw = Gateway::new(ReplicaId(1));
+        gw.add_adapter(Box::new(Boiler { temp, valve: 1.0 }));
+        gw
+    }
+
+    fn overheat_rule() -> Rule {
+        Rule {
+            name: "overheat-protection".into(),
+            input: "boiler/temp".into(),
+            above: true,
+            threshold: 90.0,
+            output: "boiler/valve".into(),
+            command: 0.0,
+        }
+    }
+
+    #[test]
+    fn rule_predicate() {
+        let r = overheat_rule();
+        assert!(r.fires(95.0));
+        assert!(!r.fires(85.0));
+        let mut low = overheat_rule();
+        low.above = false;
+        assert!(low.fires(85.0));
+    }
+
+    #[test]
+    fn closed_loop_through_all_three_layers() {
+        let d = attached(boiler_gateway(95.0), vec![overheat_rule()]);
+        let north = d.north.as_ref().expect("attached");
+        // The first grid poll, at 0 s, sees 95 C and closes the valve,
+        // which cools the boiler below the threshold: the rule then
+        // stays quiet.
+        let fired = &north.actuations;
+        assert_eq!(fired.len(), 1, "{fired:?}");
+        assert_eq!((fired[0].at_us, fired[0].value), (0, 0.0));
+        let twin = north.twin("boiler/temp").expect("twin");
+        assert_eq!(twin.reported.get(&"value".to_owned()), Some(&90.0));
+    }
+
+    /// A device that reports once and then has nothing new.
+    struct OneShot(bool);
+
+    impl Adapter for OneShot {
+        fn device(&self) -> &str {
+            "one-shot"
+        }
+        fn protocol(&self) -> &'static str {
+            "test"
+        }
+        fn points(&self) -> Vec<PointInfo> {
+            vec![PointInfo {
+                point: "boiler/temp".into(),
+                unit: Unit::Raw,
+                writable: false,
+            }]
+        }
+        fn poll(&mut self, now_us: u64) -> Vec<Measurement> {
+            if std::mem::replace(&mut self.0, true) {
+                return Vec::new();
+            }
+            vec![Measurement {
+                point: "boiler/temp".into(),
+                value: 99.0,
+                unit: Unit::Raw,
+                quality: Quality::Good,
+                timestamp_us: now_us,
+                device: "one-shot".into(),
+            }]
+        }
+        fn write(&mut self, _: &str, _: f64) -> Result<(), WriteError> {
+            Err(WriteError::ReadOnly)
+        }
+    }
+
+    #[test]
+    fn a_gateway_acquires_only_what_its_poll_published() {
+        let mut gw = boiler_gateway(20.0);
+        gw.add_adapter(Box::new(OneShot(false)));
+        let d = attached(gw, vec![overheat_rule()]);
+        let north = d.north.as_ref().expect("attached");
+        // Thirty-one grid polls, but the one-shot reading is published,
+        // seen by the rule and logged once.
+        assert_eq!(north.actuations.len(), 1);
+        let wal = north.cloud().wal().expect("logged");
+        let hot = wal
+            .iter_from(0)
+            .filter_map(|(_, r)| decode_uplink(r))
+            .filter(|m| m.value == 99.0);
+        assert_eq!(hot.count(), 1);
+    }
+
+    #[test]
+    fn actuation_failure_not_recorded() {
+        let mut bad_rule = overheat_rule();
+        bad_rule.output = "no/such/point".into();
+        let d = attached(boiler_gateway(99.0), vec![bad_rule]);
+        assert!(d.north.as_ref().expect("attached").actuations.is_empty());
+    }
+
+    #[test]
+    fn failed_northbound_writes_are_diagnostics_not_telemetry() {
+        // A rule that would fire on any value the diagnostic carries.
+        let diagnostic = Rule {
+            name: "diagnostic".into(),
+            input: "gateway/write-failed/boiler/drain".into(),
+            above: false,
+            threshold: f64::INFINITY,
+            output: "boiler/valve".into(),
+            command: 0.0,
+        };
+        let mut d = attached(boiler_gateway(20.0), vec![diagnostic]);
+        // Accepted over CoAP, refused by the boiler at the next grid poll.
+        let mut scada: CoapEndpoint<u64> = CoapEndpoint::new(9);
+        scada.put(0, "boiler/drain", b"1".to_vec(), SimTime::ZERO);
+        deliver(&mut scada, gw(&mut d).coap_mut());
+        let failed = gw(&mut d).bus().subscribe("gateway/write-failed/");
+        d.run_for(POLL);
+        assert_eq!(failed.try_iter().count(), 1, "the gateway reported it");
+        let north = d.north.as_ref().expect("attached");
+        assert!(north.actuations.is_empty(), "no rule saw it");
+        assert_eq!(north.device("gateway/write-failed/boiler/drain"), None);
     }
 }

@@ -4,43 +4,52 @@
 //! Perspective on Industrial IoT"* (Iwanicki, ICDCS 2018). It assembles
 //! every substrate into the paper's architecture:
 //!
-//! * [`layer`] — Fig. 1's three tiers as code: a `Historian`
-//!   (data storage), a rule engine (application logic) and the
-//!   `SensingActuation` trait for the bottom
-//!   tier, closed into a loop by `LayeredSystem`;
 //! * [`deployment`] — build/run/extend simulated deployments over any
-//!   MAC (`MacChoice`), with incremental rollout, collection reporting,
-//!   and the border router as a gateway `Adapter` (`BorderAdapter`), so
-//!   wireless readings reach the same gateway, bus and cloud uplink as
-//!   wired points;
+//!   MAC (`MacChoice`), with incremental rollout and collection
+//!   reporting; with a gateway attached, a `Deployment` is all of Fig. 1
+//!   on the simulation's clock: readings flow up through the gateway and
+//!   the application rules (`Rule`) into the cloud's write-ahead log and
+//!   device twins, and the rules actuate wired points back down;
 //! * [`audit`] — the interoperability / scalability / dependability
 //!   scorecard.
 //!
-//! The substrate crates are re-exported under short names so a single
-//! dependency on `iiot-core` (or the `iiot` facade) gives access to the
-//! whole framework.
+//! The `iiot` facade re-exports it beside every substrate crate.
 //!
 //! # Examples
 //!
-//! The application-logic and data-storage tiers in isolation (see the
-//! [`layer`] module docs for the full three-tier loop):
+//! A wireless line and a Modbus PLC behind one gateway: an overheat
+//! rule closes the valve, and every reading lands in the cloud's log.
 //!
 //! ```
-//! use iiot_core::{Historian, Rule};
+//! use iiot_core::{Deployment, MacChoice, Rule};
+//! use iiot_crdt::ReplicaId;
+//! use iiot_gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
+//! use iiot_gateway::{Gateway, Unit};
+//! use iiot_sim::{SimDuration, Topology};
 //!
-//! let rule = Rule {
-//!     name: "overheat".into(),
-//!     input: "plant/boiler/temp".into(),
-//!     above: true,
-//!     threshold: 90.0,
-//!     output: "plant/boiler/valve".into(),
-//!     command: 0.0,
+//! let mut plc = ModbusDevice::new(1, 8);
+//! plc.set_register(0, 923); // 92.3 C: the boiler is running hot
+//! let map = |addr, point: &str, writable| RegisterMap {
+//!     addr, point: point.into(), unit: Unit::Raw, scale: 0.1, offset: 0.0, writable,
 //! };
-//! assert!(rule.fires(92.3) && !rule.fires(88.0));
+//! let regs = vec![map(0, "boiler/temp", false), map(1, "boiler/valve", true)];
+//! let mut gw = Gateway::new(ReplicaId(1));
+//! gw.add_adapter(Box::new(ModbusAdapter::new("plc-1", plc, regs)));
+//! let overheat = Rule { name: "overheat".into(), input: "boiler/temp".into(), above: true,
+//!                       threshold: 90.0, output: "boiler/valve".into(), command: 0.0 };
 //!
-//! let mut historian = Historian::new(1_000);
-//! historian.store("plant/boiler/temp", 0, 92.3);
-//! assert_eq!(historian.latest("plant/boiler/temp"), Some(92.3));
+//! let mut d = Deployment::builder(Topology::line(3, 20.0))
+//!     .mac(MacChoice::Csma)
+//!     .traffic(SimDuration::from_secs(5), 8, SimDuration::from_secs(10))
+//!     .build();
+//! d.attach_gateway(gw, "cell", vec![overheat]);
+//! d.run_for(SimDuration::from_secs(30));
+//!
+//! let north = d.north.as_ref().expect("attached");
+//! assert_eq!(north.actuations[0].point, "boiler/valve");
+//! assert_eq!(north.sample_to_cloud.len(), d.collected().len());
+//! let logged = north.cloud().wal().expect("write-ahead log").records();
+//! assert!(logged > d.collected().len() as u64, "wired and wireless readings");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,18 +58,8 @@
 
 pub mod audit;
 pub mod deployment;
-pub mod layer;
 
 pub use audit::Scorecard;
-pub use deployment::{BorderAdapter, CollectionReport, Deployment, DeploymentBuilder, MacChoice};
-pub use layer::{Actuation, Historian, LayeredSystem, Rule, SensingActuation};
-
-pub use iiot_aggregate as aggregate;
-pub use iiot_coap as coap;
-pub use iiot_crdt as crdt;
-pub use iiot_dependability as dependability;
-pub use iiot_gateway as gateway;
-pub use iiot_mac as mac;
-pub use iiot_routing as routing;
-pub use iiot_security as security;
-pub use iiot_sim as sim;
+pub use deployment::{
+    Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule, POLL,
+};

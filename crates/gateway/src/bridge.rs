@@ -160,8 +160,9 @@ impl Gateway {
     }
 
     /// One gateway cycle at `now_us`: apply pending northbound writes,
-    /// poll every adapter, normalize, publish, cache, and notify CoAP
-    /// observers. Returns the number of measurements processed.
+    /// then [`poll_adapter`](Self::poll_adapter) every adapter in the
+    /// order they were added. Returns the number of measurements
+    /// processed.
     pub fn poll_all(&mut self, now_us: u64) -> usize {
         // Apply accepted actuation writes.
         let pending: Vec<(String, f64)> = self.writes.take();
@@ -179,35 +180,40 @@ impl Gateway {
             }
         }
 
-        // Poll southbound.
-        let mut count = 0;
+        (0..self.adapters.len())
+            .map(|i| self.poll_adapter(i, now_us))
+            .sum()
+    }
+
+    /// One adapter's share of [`poll_all`](Self::poll_all): polls the
+    /// `index`-th adapter added, normalizes, publishes, caches and
+    /// notifies CoAP observers, without applying queued northbound
+    /// writes. Returns the number of measurements processed.
+    pub fn poll_adapter(&mut self, index: usize, now_us: u64) -> usize {
         let mut updated_points = Vec::new();
         let mut first_seen = Vec::new();
-        for a in &mut self.adapters {
-            for m in a.poll(now_us) {
-                self.bus.publish(&m);
-                if m.value.is_finite() {
-                    self.crdt_cache
-                        .insert(m.timestamp_us, self.replica, m.point.clone(), m.value);
-                }
-                updated_points.push(m.point.clone());
-                if self.cache.borrow_mut().insert(m.point.clone(), m).is_none() {
-                    first_seen.push(updated_points.len() - 1);
-                }
-                count += 1;
+        for m in self.adapters[index].poll(now_us) {
+            self.bus.publish(&m);
+            if m.value.is_finite() {
+                self.crdt_cache
+                    .insert(m.timestamp_us, self.replica, m.point.clone(), m.value);
+            }
+            updated_points.push(m.point.clone());
+            if self.cache.borrow_mut().insert(m.point.clone(), m).is_none() {
+                first_seen.push(updated_points.len() - 1);
             }
         }
         // A point no adapter declared (a node that joined after its
         // adapter was added) is served read-only from its first reading.
-        for i in first_seen {
+        for &i in &first_seen {
             self.register_point(&updated_points[i], false);
         }
         // Notify CoAP observers of fresh values.
-        for p in updated_points {
-            self.coap.notify(&p, SimTime::from_micros(now_us));
+        for p in &updated_points {
+            self.coap.notify(p, SimTime::from_micros(now_us));
         }
-        self.measurements_processed += count as u64;
-        count
+        self.measurements_processed += updated_points.len() as u64;
+        updated_points.len()
     }
 }
 

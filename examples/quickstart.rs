@@ -3,7 +3,8 @@
 //! A simulated low-power wireless deployment collects readings toward a
 //! border router; a gateway normalizes three legacy protocols and that
 //! border router into one namespace; the application-logic layer runs a
-//! safety rule; the historian retains the series; and a scorecard
+//! safety rule; the cloud logs every reading write-ahead and keeps a
+//! twin per device — all on the simulation's clock; and a scorecard
 //! summarizes the three axes (interoperability, scalability,
 //! dependability).
 //!
@@ -16,14 +17,13 @@ use iiot::gateway::tlv::{TlvAdapter, TlvSensor};
 use iiot::gateway::{Gateway, Unit};
 use iiot::security::{Key, SecLevel};
 use iiot::sim::{SimDuration, Topology};
-use iiot::{Deployment, Historian, LayeredSystem, MacChoice, Rule, Scorecard};
+use iiot::{Deployment, MacChoice, Rule, Scorecard};
 
 fn main() {
     // ------------------------------------------------------------------
-    // Sensing and actuation layer, wireless part: a 12-node grid of
-    // duty-cycled nodes self-organizes into a DODAG and reports
-    // readings to the border router (node 0), whose northbound face is
-    // a gateway adapter: one point per node, `plant/cell/n<id>`.
+    // Sensing and actuation layer, wireless part: a 12-node grid
+    // self-organizes into a DODAG and reports readings to the border
+    // router (node 0).
     // ------------------------------------------------------------------
     let mut deployment = Deployment::builder(Topology::grid(4, 3, 20.0))
         .mac(MacChoice::Csma)
@@ -35,16 +35,6 @@ fn main() {
         deployment.nodes.len(),
         deployment.mac().name()
     );
-    let border = deployment.border_adapter("plant/cell");
-    deployment.run_for(SimDuration::from_secs(120));
-    let report = deployment.report();
-    println!(
-        "wireless collection: {}/{} readings delivered ({:.1}%), mean latency {:.3}s",
-        report.delivered,
-        report.generated,
-        report.delivery_ratio * 100.0,
-        report.latency.mean
-    );
 
     // ------------------------------------------------------------------
     // Sensing and actuation layer, legacy part: one gateway integrates
@@ -52,8 +42,6 @@ fn main() {
     // the border router.
     // ------------------------------------------------------------------
     let mut gw = Gateway::new(ReplicaId(1));
-    gw.add_adapter(Box::new(border));
-
     let mut plc = ModbusDevice::new(1, 8);
     plc.set_register(0, 923); // 92.3 C: the boiler is running hot
     gw.add_adapter(Box::new(ModbusAdapter::new(
@@ -96,8 +84,11 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Application logic + data storage layers (Fig. 1): an overheat
-    // rule closes the valve; the historian retains everything. Each
-    // cycle runs on the deployment's clock, 10 s apart.
+    // rule closes the valve; the cloud logs every reading. The border
+    // router joins the gateway as one more adapter, one point per node,
+    // `plant/cell/n<id>`; from here on the deployment carries each
+    // reading up the tiers at the instant it arrives, and polls the
+    // wired devices once a second.
     // ------------------------------------------------------------------
     let rules = vec![Rule {
         name: "boiler-overheat".into(),
@@ -107,45 +98,50 @@ fn main() {
         output: "plant/boiler/valve".into(),
         command: 0.0,
     }];
-    let mut system = LayeredSystem::new(gw, rules, Historian::new(1_000));
+    deployment.attach_gateway(gw, "plant/cell", rules);
+    deployment.run_for(SimDuration::from_secs(120));
+    let report = deployment.report();
+    println!(
+        "wireless collection: {}/{} readings delivered ({:.1}%), mean latency {:.3}s",
+        report.delivered,
+        report.generated,
+        report.delivery_ratio * 100.0,
+        report.latency.mean
+    );
 
-    for cycle in 0..5 {
-        if cycle > 0 {
-            deployment.run_for(SimDuration::from_secs(10));
-        }
-        let n = system.cycle(deployment.sim.now().as_micros());
-        println!("gateway cycle {cycle}: {n} measurements through the three layers");
-    }
+    let north = deployment.north.as_ref().expect("gateway attached");
+    let wal = north.cloud().wal().expect("write-ahead log");
     println!(
-        "historian: boiler/temp latest = {:?} C over {} samples",
-        system.historian.latest("plant/boiler/temp"),
-        system.historian.samples("plant/boiler/temp").len()
+        "gateway: {} measurements normalized; cloud log: {} records, {} device twins",
+        north.gateway().measurements_processed(),
+        wal.records(),
+        north.twins.len()
     );
-    let wireless = system
-        .historian
-        .points()
-        .filter(|p| p.starts_with("plant/cell/"))
+    let wireless = (1..deployment.nodes.len())
+        .filter(|n| north.device(&format!("plant/cell/n{n}")).is_some())
         .count();
-    println!(
-        "historian: {wireless} wireless points, {} samples of plant/cell/n11",
-        system.historian.samples("plant/cell/n11").len()
-    );
     assert_eq!(
         wireless,
         deployment.nodes.len() - 1,
-        "every sensor node reached the historian through the border router"
+        "every sensor node reached the cloud"
     );
-    for a in system.actuations() {
-        println!("actuation: rule '{}' set {} = {}", a.rule, a.point, a.value);
-    }
-    assert!(
-        !system.actuations().is_empty(),
-        "the overheat rule must have fired"
+    assert_eq!(north.sample_to_cloud.len() as u64, report.delivered);
+    let fired = north
+        .actuations
+        .first()
+        .expect("the overheat rule must have fired");
+    println!(
+        "rule '{}' fired {} times, first at {} us: {} = {}",
+        fired.rule,
+        north.actuations.len(),
+        fired.at_us,
+        fired.point,
+        fired.value
     );
 
     // ------------------------------------------------------------------
     // The three-axis scorecard (§III-§V).
     // ------------------------------------------------------------------
-    let card = Scorecard::from_deployment(&deployment).with_gateway(&system.sensing);
+    let card = Scorecard::from_deployment(&deployment);
     println!("\n{card}");
 }

@@ -80,6 +80,21 @@ if grep -rn 'CsmaConfig\|TdmaConfig\|RimacConfig\|EndpointConfig\|ReliabilityCon
     exit 1
 fi
 
+# One Fig. 1 loop: a `Deployment` with a gateway attached carries its
+# readings through the gateway, the rules, the cloud log and the twins
+# on the simulation's clock. The hand-cycled scan loop it replaced stays
+# gone, and only the gateway itself, that deployment and E16d's bridge
+# (exp_cloud) build a cloud uplink.
+if grep -rn 'LayeredSystem\|SensingActuation\|Historian\|with_gateway(\|border_adapter(' crates src tests examples --include='*.rs'; then
+    echo "LayeredSystem, SensingActuation, Historian, with_gateway( or border_adapter( named in first-party source" >&2
+    exit 1
+fi
+if grep -rn 'CloudUplink::new(' crates src tests examples --include='*.rs' |
+    grep -v '^crates/gateway/src/\|^crates/core/src/deployment\.rs:\|^crates/bench/src/exp_cloud\.rs:'; then
+    echo "CloudUplink::new( outside crates/gateway/src, crates/core/src/deployment.rs and crates/bench/src/exp_cloud.rs" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do

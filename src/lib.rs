@@ -21,7 +21,7 @@
 //! | [`cloud`] | `iiot-cloud` | Fig. 1 — multi-tenant northbound platform tier |
 //! | [`stream`] | `iiot-stream` | Fig. 1/§V-B — replayable event log, admission control, windowed aggregation |
 //! | [`fleet`] | `iiot-fleet` | §V-D/§VI — fleet campaigns, digital twins, config drift |
-//! | [`core`] | `iiot-core` | Fig. 1 — layers, deployments and their border adapter, scorecard |
+//! | [`core`] | `iiot-core` | Fig. 1 — deployments carrying readings through gateway, rules, cloud log and twins on one clock; scorecard |
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! DESIGN.md for the experiment index.
@@ -29,10 +29,12 @@
 //! # Examples
 //!
 //! A minimal end-to-end run: a simulated deployment self-organizes into
-//! a DODAG and collects periodic readings at the border router.
+//! a DODAG, collects periodic readings at the border router, and —
+//! through the gateway attached to it — writes every one of them to the
+//! cloud's log.
 //!
 //! ```
-//! use iiot::sim::{SimDuration, Topology};
+//! use iiot::{crdt::ReplicaId, gateway::Gateway, sim::{SimDuration, Topology}};
 //! use iiot::{Deployment, MacChoice};
 //!
 //! let mut d = Deployment::builder(Topology::grid(3, 2, 20.0))
@@ -40,15 +42,18 @@
 //!     .seed(7)
 //!     .traffic(SimDuration::from_secs(10), 4, SimDuration::from_secs(15))
 //!     .build();
+//! d.attach_gateway(Gateway::new(ReplicaId(1)), "cell", Vec::new());
 //! d.run_for(SimDuration::from_secs(90));
 //! let report = d.report();
 //! assert!(report.generated > 0, "nodes emitted readings");
 //! assert!(report.delivered > 0, "the root collected some of them");
+//! let cloud = d.north.as_ref().expect("attached").cloud();
+//! assert_eq!(cloud.wal().expect("logged").records(), report.delivered);
 //! ```
 
 pub use iiot_core::{
-    audit, deployment, layer, Actuation, BorderAdapter, CollectionReport, Deployment,
-    DeploymentBuilder, Historian, LayeredSystem, MacChoice, Rule, Scorecard, SensingActuation,
+    audit, deployment, Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice,
+    Northbound, Rule, Scorecard, POLL,
 };
 
 pub use iiot_aggregate as aggregate;
