@@ -312,7 +312,7 @@ impl Aggregation {
             value: acc.finalize(q.agg),
             count: acc.count,
         });
-        ctx.count("epochs_finalized", 1.0);
+        ctx.count_node("epochs_finalized", 1.0);
     }
 }
 

@@ -417,7 +417,7 @@ pub fn e11_diagnosis() -> Table {
     d.run_for(window);
 
     let stats = d.sim.stats();
-    let root_receiving = stats.get("data_rx_root") > 0.0;
+    let root_receiving = stats.node_total("data_rx_root") > 0.0;
     // Expectation comes from the traffic *contract* over the window,
     // not from what the node happened to generate: a silent node is
     // exactly the symptom.

@@ -238,7 +238,7 @@ pub fn e5_size_scaling(rc: &RunConfig, sides: &[usize], secs: u64) -> Table {
                     .build();
                 w.run_for(SimDuration::from_secs(secs));
                 let gen = w.stats().node_total("data_origin");
-                let del = w.stats().get("data_rx_root");
+                let del = w.stats().node_total("data_rx_root");
 
                 vec![vec![
                     Cell::label(n.to_string()),
@@ -252,20 +252,29 @@ pub fn e5_size_scaling(rc: &RunConfig, sides: &[usize], secs: u64) -> Table {
     )
 }
 
+/// E2-ablation's base seed.
+pub const E2A_SEED: u64 = 0xE2A;
+
+/// One E2-ablation trial: the 7-node line over LPL at `wake_ms`, one
+/// reading per node every 30 s after a 60 s quiet time, run for 360 s.
+pub fn e2_wake_run(wake_ms: u64, seed: u64) -> Deployment {
+    let mut d = Deployment::builder(Topology::line(7, 20.0))
+        .mac(MacChoice::Lpl(SimDuration::from_millis(wake_ms)))
+        .seed(seed)
+        .traffic(SimDuration::from_secs(30), 10, SimDuration::from_secs(60))
+        .build();
+    d.run_for(SimDuration::from_secs(360));
+    d
+}
+
 /// E2 ablation: the LPL wake interval is the §IV-B energy/latency knob.
 pub fn e2_wake_ablation(rc: &RunConfig) -> Table {
     rc.table(
         "E2-ablation: LPL wake interval vs latency and duty cycle (7-node line, 300 s)",
         &["wake (ms)", "delivery", "mean latency (s)", "duty cycle"],
         [128u64, 256, 512, 1024].into_iter().map(|wake_ms| {
-            Trial::new(format!("e2a/wake{wake_ms}"), 0xE2A, move |seed| {
-                let mut d = Deployment::builder(Topology::line(7, 20.0))
-                    .mac(MacChoice::Lpl(SimDuration::from_millis(wake_ms)))
-                    .seed(seed)
-                    .traffic(SimDuration::from_secs(30), 10, SimDuration::from_secs(60))
-                    .build();
-                d.run_for(SimDuration::from_secs(360));
-                let r = d.report();
+            Trial::new(format!("e2a/wake{wake_ms}"), E2A_SEED, move |seed| {
+                let r = e2_wake_run(wake_ms, seed).report();
                 vec![vec![
                     Cell::label(wake_ms.to_string()),
                     Cell::pct(r.delivery_ratio),

@@ -92,12 +92,12 @@ fn tdma_line_run(
     let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     w.run_for(SimDuration::from_secs(secs));
     let gen = w.stats().node_total("data_origin");
-    let del = w.stats().get("data_rx_root");
+    let del = w.stats().node_total("data_rx_root");
     let duty = ids.iter().map(|&id| w.energy(id).duty_cycle()).sum::<f64>() / n as f64;
     TdmaRun {
         delivery: if gen == 0.0 { 1.0 } else { del / gen },
         violations: w.stats().node_total("tdma_guard_violation"),
-        beacons: w.stats().get("ftsp_tx"),
+        beacons: w.stats().node_total("ftsp_tx"),
         duty,
     }
 }

@@ -352,7 +352,7 @@ impl Deployment {
     pub fn report(&self) -> CollectionReport {
         let stats = self.sim.stats();
         let generated = stats.node_total("data_origin") as u64;
-        let delivered = stats.get("data_rx_root") as u64;
+        let delivered = stats.node_total("data_rx_root") as u64;
         let mut duty = 0.0;
         let mut non_root = 0;
         let mut orphans = 0;

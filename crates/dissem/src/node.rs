@@ -310,7 +310,6 @@ impl Dissem {
             version: meta.map_or(0, |m| m.version),
             have,
         });
-        ctx.count_node("dissem_adv_tx", 1.0);
         match &self.cfg.adv_peers {
             None => self.enqueue(mac, ctx, Dst::Broadcast, PORT_ADV, body),
             Some(peers) => {
@@ -353,7 +352,6 @@ impl Dissem {
             version: meta.version,
             page,
         });
-        ctx.count_node("dissem_req_tx", 1.0);
         self.enqueue(
             mac,
             ctx,
@@ -537,18 +535,9 @@ impl Dissem {
                 page,
                 have: self.store.have_pages(),
             });
-            ctx.count_node("dissem_page_ok", 1.0);
             if self.store.first_missing_page().is_none() {
                 let ok = self.store.finalize();
                 ctx.emit(EventKind::DissemComplete { version, ok });
-                ctx.count_node(
-                    if ok {
-                        "dissem_complete"
-                    } else {
-                        "dissem_reject"
-                    },
-                    1.0,
-                );
                 if ok && self.complete_at.is_none() {
                     self.complete_at = Some(ctx.now());
                 }

@@ -300,7 +300,6 @@ impl Icn {
                 name: name.id(),
                 version: obj.version,
             });
-            ctx.count_node("icn_cache_hit", 1.0);
             self.try_deliver(ctx, &obj);
             return;
         }
@@ -329,7 +328,6 @@ impl Icn {
             name: name.id(),
             min_version,
         });
-        ctx.count_node("icn_interest_tx", 1.0);
         self.enqueue(
             mac,
             ctx,
@@ -350,7 +348,6 @@ impl Icn {
             name: obj.name.id(),
             version: obj.version,
         });
-        ctx.count_node("icn_data_tx", 1.0);
         if self.cfg.object_sec {
             // The signature is the object arm's only extra airtime.
             ctx.count_node("icn_sec_bytes", SIG_LEN as f64);
@@ -372,7 +369,6 @@ impl Icn {
                 name: obj.name.id(),
                 cause: "stale",
             });
-            ctx.count_node("icn_verify_fail", 1.0);
             self.rejected_stale += 1;
             return false;
         }
@@ -387,7 +383,6 @@ impl Icn {
                     name: obj.name.id(),
                     cause: "forged",
                 });
-                ctx.count_node("icn_verify_fail", 1.0);
                 self.rejected_forged += 1;
                 return false;
             }
@@ -443,7 +438,6 @@ impl Icn {
                 name: name.id(),
                 version: obj.version,
             });
-            ctx.count_node("icn_cache_hit", 1.0);
             self.answer_node(mac, ctx, src, obj);
             return;
         }

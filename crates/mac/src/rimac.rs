@@ -146,7 +146,6 @@ impl Mac for RimacMac {
                             mac: "rimac",
                             state: "probe",
                         });
-                        ctx.count_node("mac_tx_probe", 1.0);
                     } else {
                         self.maybe_sleep(ctx);
                     }

@@ -509,7 +509,6 @@ impl TdmaMac {
     fn guard_violation(&mut self, ctx: &mut Ctx<'_>, cause: &'static str) {
         if self.clock_aware {
             ctx.emit(EventKind::GuardViolation { cause });
-            ctx.count_node("tdma_guard_violation", 1.0);
         }
     }
 }

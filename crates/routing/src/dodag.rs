@@ -236,7 +236,7 @@ impl Dodag {
     fn trigger_global_repair(&mut self, ctx: &mut Ctx<'_>) {
         assert!(self.is_root, "global repair starts at the root");
         self.version = self.version.wrapping_add(1);
-        ctx.count("global_repairs", 1.0);
+        ctx.count_node("global_repairs", 1.0);
         self.trickle_reset(ctx, "repair");
     }
 
@@ -262,7 +262,6 @@ impl Dodag {
         let payload = vec![self.version, (rank >> 8) as u8, (rank & 0xFF) as u8];
         if mac.send(ctx, Dst::Broadcast, PORT_DIO, payload).is_ok() {
             ctx.emit(EventKind::DioSent { rank });
-            ctx.count_node("dio_tx", 1.0);
         }
     }
 

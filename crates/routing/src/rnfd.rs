@@ -135,7 +135,6 @@ impl Rnfd {
                 target: self.config.root,
                 verdict: "dead",
             });
-            ctx.count("rnfd_verdicts", 1.0);
             ctx.record("rnfd_verdict_time_s", ctx.now().as_secs_f64());
             let _ = mac.send(ctx, Dst::Broadcast, PORT_VERDICT, vec![]);
         }
@@ -171,7 +170,6 @@ impl<M: Mac> Service<M> for Rnfd {
                         target: self.config.root,
                         verdict: "alive",
                     });
-                    ctx.count_node("rnfd_retract", 1.0);
                     self.broadcast_vote(mac, ctx, false);
                 }
             }

@@ -2,12 +2,14 @@
 //! trace capture (paper §V-D, diagnosability).
 //!
 //! Every hot path in the simulator and the protocol crates emits typed
-//! [`Event`]s through [`Ctx::emit`](crate::world::Ctx::emit). Emission
+//! [`Event`]s through [`Ctx::emit`](crate::world::Ctx::emit). Recording
 //! is **zero-cost when disabled**: the kernel holds an
 //! `Option<Box<dyn Recorder>>` and skips everything but one branch when
-//! no recorder is installed. Events carry the simulation time, the node
-//! they are attributed to and a [`SpanId`], so multi-hop deliveries and
-//! repair episodes can be stitched into causal traces after the fact.
+//! no recorder is installed; only a kind that owns a counter (see
+//! *Adding an event kind*) still bumps it. Events carry the simulation
+//! time, the node they are attributed to and a [`SpanId`], so multi-hop
+//! deliveries and repair episodes can be stitched into causal traces
+//! after the fact.
 //!
 //! Three recorders ship with the crate:
 //!
@@ -36,7 +38,11 @@
 //! `Variant = "wire_name" { field: Type, .. }`, with `field as "key"`
 //! only where the wire key differs from the field name — yields the
 //! variant, its [`EventKind::name`]/[`EventKind::NAMES`] entry and both
-//! codec directions; then give the kind a line in
+//! codec directions. `Variant = "wire_name" => "counter" { .. }` also
+//! makes the kind own the per-node [`Stats`](crate::trace::Stats)
+//! counter `counter`: [`Ctx::emit`](crate::world::Ctx::emit) bumps it
+//! by one per event whether or not a recorder is installed, and no
+//! emitter writes it by hand. Then give the kind a line in
 //! `tests/golden/events.jsonl` (the round-trip test insists) and, if it
 //! should be summarised, a line in `iiot_bench::report`.
 //!
@@ -249,15 +255,27 @@ macro_rules! wire_key {
     };
 }
 
+/// A kind's counter: `Some` only where the table names one.
+macro_rules! owned_counter {
+    () => {
+        None
+    };
+    ($counter:literal) => {
+        Some($counter)
+    };
+}
+
 /// The one table of event kinds. Each entry states the variant, its
-/// rustdoc, its wire name and its typed fields (`field as "key": Type`
-/// where the wire key differs from the field name); the enum,
-/// [`EventKind::name`], [`EventKind::NAMES`] and both directions of the
-/// JSONL codec are derived from it.
+/// rustdoc, its wire name, the per-node counter it owns if any
+/// (`=> "counter"`) and its typed fields (`field as "key": Type` where
+/// the wire key differs from the field name); the enum,
+/// [`EventKind::name`], [`EventKind::NAMES`], [`EventKind::counter`],
+/// [`EventKind::COUNTERS`] and both directions of the JSONL codec are
+/// derived from it.
 macro_rules! event_kinds {
     ($(
         $(#[$vmeta:meta])*
-        $variant:ident = $wire:literal {
+        $variant:ident = $wire:literal $(=> $counter:literal)? {
             $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )*
         }
     )*) => {
@@ -273,10 +291,24 @@ macro_rules! event_kinds {
             /// Every kind's wire name, in declaration order.
             pub const NAMES: &'static [&'static str] = &[$($wire),*];
 
+            /// Every `(kind name, counter)` pair the table declares, in
+            /// declaration order.
+            pub const COUNTERS: &'static [(&'static str, &'static str)] =
+                &[$($( ($wire, $counter), )?)*];
+
             /// Stable kind name used in JSONL dumps and counters.
             pub fn name(&self) -> &'static str {
                 match self {
                     $( EventKind::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// The per-node counter this kind owns, if any: each
+            /// emission adds one to it, recorder or not.
+            #[inline]
+            pub fn counter(&self) -> Option<&'static str> {
+                match self {
+                    $( EventKind::$variant { .. } => owned_counter!($($counter)?), )*
                 }
             }
 
@@ -344,7 +376,7 @@ event_kinds! {
         cause: &'static str,
     }
     /// A DIO control message was sent.
-    DioSent = "dio" {
+    DioSent = "dio" => "dio_tx" {
         /// The advertised rank.
         rank: u16,
     }
@@ -383,19 +415,19 @@ event_kinds! {
         peer: Option<NodeId>,
     }
     /// A data packet was created at its origin (span anchor).
-    DataOrigin = "data_origin" {
+    DataOrigin = "data_origin" => "data_origin" {
         /// Origin-assigned sequence number.
         seq: u32,
     }
     /// A data packet was forwarded one hop closer to the sink.
-    DataHop = "data_hop" {
+    DataHop = "data_hop" => "data_fwd" {
         /// The previous hop.
         from: NodeId,
         /// Hop count so far.
         hops: u8,
     }
     /// A data packet arrived at the sink (span end).
-    DataArrive = "data_arrive" {
+    DataArrive = "data_arrive" => "data_rx_root" {
         /// Total hop count.
         hops: u8,
     }
@@ -408,7 +440,7 @@ event_kinds! {
     }
     /// A time-synchronization beacon was transmitted (FTSP-style
     /// flooding).
-    SyncBeacon = "sync_beacon" {
+    SyncBeacon = "sync_beacon" => "ftsp_tx" {
         /// The reference (root) node whose timebase the beacon carries.
         root: NodeId,
         /// Flood sequence number of the beacon.
@@ -417,7 +449,7 @@ event_kinds! {
         hops: u8,
     }
     /// A node re-estimated its offset/skew against the global timebase.
-    OffsetEstimate = "offset_estimate" {
+    OffsetEstimate = "offset_estimate" => "ftsp_samples" {
         /// Estimated local-to-global offset, in microseconds.
         offset_us: i64,
         /// Estimated skew relative to the global timebase, in ppm.
@@ -426,7 +458,7 @@ event_kinds! {
     /// Slot timing discipline was violated (TDMA under clock drift):
     /// a transmission overran its slot or a frame arrived outside the
     /// receiver's slot.
-    GuardViolation = "guard_violation" {
+    GuardViolation = "guard_violation" => "tdma_guard_violation" {
         /// What went wrong (`"tx_overrun"`, `"late_frame"`,
         /// `"tx_busy"`).
         cause: &'static str,
@@ -441,7 +473,7 @@ event_kinds! {
     }
     /// A dissemination page request (`REQ`) was sent to a neighbor that
     /// advertised more pages.
-    DissemReq = "dissem_req" {
+    DissemReq = "dissem_req" => "dissem_req_tx" {
         /// The image version being fetched.
         version: u32,
         /// The page index requested.
@@ -449,7 +481,7 @@ event_kinds! {
     }
     /// A node completed reassembling one image page (all chunks held,
     /// page CRC verified).
-    DissemPage = "dissem_page" {
+    DissemPage = "dissem_page" => "dissem_page_ok" {
         /// The page index completed.
         page: u32,
         /// Number of complete pages held after this one.
@@ -566,7 +598,7 @@ event_kinds! {
     }
     /// An Interest was answered from a node-local content store
     /// instead of travelling on toward the producer.
-    IcnCacheHit = "icn_cache_hit" {
+    IcnCacheHit = "icn_cache_hit" => "icn_cache_hit" {
         /// Stable 32-bit hash of the answered name.
         name: u32,
         /// Version of the cached object served.
@@ -575,7 +607,7 @@ event_kinds! {
     /// A consumer rejected a delivered content object at verification
     /// time (content-object security validates at the consumer, not
     /// per hop).
-    IcnVerifyFail = "icn_verify_fail" {
+    IcnVerifyFail = "icn_verify_fail" => "icn_verify_fail" {
         /// Stable 32-bit hash of the rejected object's name.
         name: u32,
         /// Rejection cause (`"forged"`, `"stale"`).
@@ -926,7 +958,7 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile (`0.0 ..= 1.0`), accurate to one
-    /// quarter-decade bucket; exact at the extremes.
+    /// bucket (a fifth of a decade); exact at the extremes.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -1249,6 +1281,16 @@ mod tests {
             })
             .collect();
         assert!(unseen.is_empty(), "kinds without a golden line: {unseen:?}");
+        // `counter` and `COUNTERS` read the same table entries, and the
+        // kernel's own kinds own none.
+        for e in &parsed {
+            let name = e.kind.name();
+            let listed = EventKind::COUNTERS.iter().find(|(k, _)| *k == name);
+            assert_eq!(e.kind.counter(), listed.map(|&(_, c)| c), "{name}");
+        }
+        for kernel in ["tx_start", "tx_end", "rx_deliver", "rx_drop"] {
+            assert!(EventKind::COUNTERS.iter().all(|(k, _)| *k != kernel));
+        }
         // The bytes round-trip; spot-check that the typed values are the
         // ones the lines were written from.
         assert_eq!(

@@ -1472,8 +1472,8 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(40), 0);
             }
             fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
-                ctx.count("heard", 1.0);
-                ctx.count_node("heard", frame.payload.len() as f64);
+                ctx.count_node("heard", 1.0);
+                ctx.count_node("heard_bytes", frame.payload.len() as f64);
             }
         }
         let run = |indexed: bool| {
@@ -1487,7 +1487,8 @@ mod tests {
             (
                 w.medium().stats(),
                 w.events_dispatched(),
-                w.stats().get("heard"),
+                w.stats().node_values("heard"),
+                w.stats().node_values("heard_bytes"),
             )
         };
         assert_eq!(run(true), run(false));

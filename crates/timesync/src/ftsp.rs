@@ -241,7 +241,6 @@ impl FtspEngine {
             seq: b.seq,
             hops: b.depth,
         });
-        ctx.count("ftsp_tx", 1.0);
         Some(encode_beacon(&b))
     }
 
@@ -259,7 +258,7 @@ impl FtspEngine {
             return false;
         };
         if i64::try_from(b.global_us).is_err() {
-            ctx.count("ftsp_beacon_bad", 1.0);
+            ctx.count_node("ftsp_beacon_bad", 1.0);
             return false;
         }
         if b.root.0 > self.root.0 {
@@ -297,7 +296,6 @@ impl FtspEngine {
                 offset_us: e.offset_us(tx_local),
                 skew_ppm: e.skew_ppm(),
             });
-            ctx.count("ftsp_samples", 1.0);
         }
         true
     }

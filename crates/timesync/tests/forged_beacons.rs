@@ -81,11 +81,11 @@ fn out_of_domain_global_time_is_a_counted_drop_that_changes_nothing() {
     );
     let victim = NodeId(1);
     // Two bad beacons, each heard by the reference and the victim.
-    let bad = |sim: &Sim| sim.stats().get("ftsp_beacon_bad");
+    let bad = |sim: &Sim| sim.stats().node_total("ftsp_beacon_bad");
     assert_eq!((bad(&clean), bad(&forged)), (0.0, 4.0));
     let state = |sim: &Sim| {
         let e = sim.proto::<FtspNode>(victim).engine();
-        let samples = sim.stats().get("ftsp_samples");
+        let samples = sim.stats().node_total("ftsp_samples");
         (e.root(), e.depth(), e.clock().estimate(), samples)
     };
     assert_eq!(state(&clean), state(&forged));

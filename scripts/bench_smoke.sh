@@ -95,6 +95,26 @@ if grep -rn 'CloudUplink::new(' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
+# One fact, written once: an event kind that owns a counter (`=> "name"`
+# in the `event_kinds!` table of crates/sim/src/obs.rs) bumps it on every
+# emission, so no `count_node` writes it by hand; and every counter is
+# per node, so the global counter map and its readers stay gone.
+owned=$(sed -n 's/^ *[A-Za-z]* = "[a-z_]*" => "\([a-z_]*\)" {$/\1/p' crates/sim/src/obs.rs)
+if [ -z "$owned" ]; then
+    echo "no owned counters found in crates/sim/src/obs.rs" >&2
+    exit 1
+fi
+for counter in $owned; do
+    if grep -rn "count_node(\"$counter\"" crates src tests examples --include='*.rs'; then
+        echo "count_node(\"$counter\" writes a counter its event kind owns" >&2
+        exit 1
+    fi
+done
+if grep -rn 'ctx\.count(\|Stats::inc\>\|\.counters()\|stats()\.get(' crates src tests examples --include='*.rs'; then
+    echo "ctx.count(, Stats::inc, .counters() or stats().get( named in first-party source" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do

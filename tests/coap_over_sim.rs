@@ -40,7 +40,7 @@ impl CoapWireNode {
         for (peer, dgram) in self.ep.take_outbox() {
             // Injected backhaul loss.
             if ctx.rng().gen::<f64>() < self.loss {
-                ctx.count("coap_dgram_dropped", 1.0);
+                ctx.count_node("coap_dgram_dropped", 1.0);
                 continue;
             }
             ctx.wire_send(NodeId(peer as u32), dgram);
@@ -130,7 +130,7 @@ fn run(loss: f64, seed: u64, gets: usize) -> (usize, usize, f64) {
         .iter()
         .filter(|e| matches!(e, CoapEvent::RequestFailed { .. }))
         .count();
-    (ok, failed, w.stats().get("coap_dgram_dropped"))
+    (ok, failed, w.stats().node_total("coap_dgram_dropped"))
 }
 
 #[test]
