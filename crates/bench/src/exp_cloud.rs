@@ -14,28 +14,26 @@
 //! * **overload & shed policy** — utilization swept through 1.0 with
 //!   both [`ShedPolicy`] arms: what saturates, what sheds, and what
 //!   latency the survivors see;
-//! * **gateway bridge** — a real [`Gateway`](iiot_gateway::Gateway)
-//!   with Modbus/GATT/TLV
-//!   adapters feeding the pipeline through
-//!   [`CloudUplink`](iiot_gateway::CloudUplink), and a downlink
-//!   command written back through the gateway's CoAP surface.
+//! * **gateway bridge** — E1's Modbus/GATT/TLV gateway attached to a
+//!   root-only [`Deployment`], whose northbound path feeds the
+//!   pipeline and writes a downlink command back through the gateway's
+//!   CoAP surface.
 //!
 //! All reported quantities are virtual-time statistics — pure
 //! functions of `(plan, config, seed)` — so every table is
 //! byte-identical at any `--jobs`, like the rest of the suite. Wall
 //! clock for this tier is `benchmark/`'s `cloud_stream` workload.
 
+use crate::exp_interop::demo_gateway;
 use crate::exp_stream::{
-    capacity_per_sec, fleet, merged_latency, noisy_point, queue_config, run_streamed, TENANTS,
+    capacity_per_sec, merged_latency, noisy_point, queue_config, run_streamed, TENANTS,
 };
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
-use iiot_cloud::{
-    metrics, IngestConfig, IngestPipeline, Isolation, SessionPlan, ShedPolicy, TenantId,
-};
-use iiot_sim::obs::{Event, EventKind, SpanId};
-use iiot_sim::{NodeId, SimDuration, SimTime};
+use iiot_cloud::{metrics, Command, IngestConfig, Isolation, SessionPlan, ShedPolicy, TenantId};
+use iiot_core::{Deployment, POLL};
+use iiot_sim::{SimDuration, Topology};
 
 /// E16's base seed (experiment id, like `0xE14` for dissemination).
 const SEED: u64 = 0xE16;
@@ -186,133 +184,44 @@ pub fn e16_overload(rc: &RunConfig, rhos: &[f64], devices: u32) -> Table {
 
 // ---------------------------------------------------------------- E16d
 
-/// E16d: the full northbound stack — southbound adapters → gateway →
-/// [`CloudUplink`](iiot_gateway::CloudUplink) → registry-checked
-/// ingest → a downlink command through the gateway's CoAP surface and
-/// back out to the Modbus actuator.
+/// E16d: the full northbound stack as one root-only [`Deployment`] —
+/// E1's Modbus/GATT/TLV gateway polled on the [`POLL`] grid, carried by
+/// its [`Northbound`](iiot_core::Northbound) into registry-checked
+/// ingest, and a downlink command through the gateway's CoAP surface
+/// back out to the Modbus valve, whose setpoint the last column reads
+/// from its twin.
 pub fn e16_bridge(rc: &RunConfig) -> Table {
-    use iiot_cloud::{Command, CommandRouter, UplinkMsg};
-    use iiot_crdt::ReplicaId;
-    use iiot_gateway::gatt::{uuid, CharMap, GattAdapter, GattDevice};
-    use iiot_gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
-    use iiot_gateway::tlv::{TlvAdapter, TlvSensor};
-    use iiot_gateway::{CloudUplink, Gateway, Unit};
-
-    fn plant_gateway() -> Gateway {
-        let mut gw = Gateway::new(ReplicaId(1));
-        let mut plc = ModbusDevice::new(1, 8);
-        plc.set_register(0, 805);
-        plc.set_register(1, 700);
-        gw.add_adapter(Box::new(ModbusAdapter::new(
-            "plc-1",
-            plc,
-            vec![
-                RegisterMap {
-                    addr: 0,
-                    point: "plant/boiler/temp".into(),
-                    unit: Unit::Celsius,
-                    scale: 0.1,
-                    offset: 0.0,
-                    writable: false,
-                },
-                RegisterMap {
-                    addr: 1,
-                    point: "plant/boiler/setpoint".into(),
-                    unit: Unit::Celsius,
-                    scale: 0.1,
-                    offset: 0.0,
-                    writable: true,
-                },
-            ],
-        )));
-        let mut tag = GattDevice::new();
-        tag.add_characteristic(0x10, uuid::TEMPERATURE, vec![0, 0]);
-        tag.set_temperature(0x10, 21.25);
-        gw.add_adapter(Box::new(GattAdapter::new(
-            "tag-1",
-            tag,
-            vec![CharMap {
-                handle: 0x10,
-                point: "plant/floor/ambient".into(),
-            }],
-        )));
-        let mut mote = TlvSensor::new(7);
-        mote.set_readings(18.5, 55.0, 2900);
-        gw.add_adapter(Box::new(TlvAdapter::new("mote-7", mote, "plant/yard")));
-        gw
-    }
-
     rc.table(
         "E16d: gateway -> cloud bridge round trip (Modbus/GATT/TLV southbound, CoAP downlink command)",
         &["polls", "uplinks", "accepted", "commands ok", "setpoint after"],
         [Trial::new("e16/bridge", SEED, |s| {
-            const POLLS: u64 = 50;
-            let mut gw = plant_gateway();
-            let tenant = TenantId(0);
-            let uplink = CloudUplink::new(&gw, tenant.0, "plant/");
-            // One registry device per gateway point, mapped on first sight
-            // (poll order is deterministic).
-            let mut point_dev: std::collections::BTreeMap<String, u32> =
-                std::collections::BTreeMap::new();
-            let mut pipe = IngestPipeline::new(fleet(16, s), IngestConfig::default());
-            pipe.set_recorder(iiot_sim::obs::scope_capture(s));
-
-            for i in 0..POLLS {
-                let now_us = i * 100_000;
-                gw.poll_all(now_us);
-                for rec in uplink.drain() {
-                    let next = point_dev.len() as u32;
-                    let device = *point_dev.entry(rec.point.clone()).or_insert(next);
-                    let msg = UplinkMsg {
-                        tenant,
-                        device,
-                        token: pipe.registry().token(tenant, device).unwrap_or(0),
-                        value: rec.value,
-                        t: SimTime::from_micros(rec.timestamp_us),
-                    };
-                    pipe.drain_until(msg.t);
-                    pipe.offer(msg);
-                }
-            }
-            pipe.drain_remaining();
-
-            // Downlink: a tenant-issued setpoint write, routed through the
-            // gateway's CoAP server and applied at its next poll.
-            let mut router = CommandRouter::new(16, s);
-            router.submit(Command {
-                tenant,
-                point: "plant/boiler/setpoint".into(),
+            let mut d = Deployment::builder(Topology::line(1, 20.0)).seed(s).build();
+            d.attach_gateway(demo_gateway(), "plant/cell", Vec::new());
+            // Forty-nine grid polls, 0 to 48 s; the fiftieth applies the
+            // command queued after them.
+            d.run_for(POLL * 48);
+            let north = d.north.as_mut().expect("attached");
+            north.command(Command {
+                tenant: TenantId(0),
+                point: "plant/boiler/valve".into(),
                 value: 65.0,
             });
-            let now = SimTime::from_micros(POLLS * 100_000);
-            let outcomes = router.flush(gw.coap_mut(), now);
-            let ok = outcomes.iter().filter(|o| o.ok).count();
-            if let Some(mut rec) = pipe.take_recorder() {
-                for cmd in &outcomes {
-                    rec.record(&Event {
-                        t: now,
-                        node: NodeId(0),
-                        span: SpanId::NONE,
-                        kind: EventKind::CloudCommand {
-                            tenant: cmd.tenant.0 as u32,
-                            ok: cmd.ok,
-                        },
-                    });
-                }
-            }
-            gw.poll_all(now.as_micros() + 100_000);
-            let setpoint = gw
-                .last("plant/boiler/setpoint")
-                .map(|m| m.value)
-                .unwrap_or(f64::NAN);
+            d.run_for(POLL);
 
-            let (offered, accepted, _, _) = pipe.totals();
+            let north = d.north.as_ref().expect("attached");
+            let polls = d.sim.now().as_micros() / POLL.as_micros() + 1;
+            let (offered, accepted, _, _) = north.cloud().totals();
+            let ok = north.commands.iter().filter(|c| c.ok).count();
+            let valve = north
+                .twin("plant/boiler/valve")
+                .and_then(|twin| twin.reported.get(&"value".to_owned()).copied())
+                .unwrap_or(f64::NAN);
             vec![vec![
-                Cell::int(POLLS as f64),
+                Cell::int(polls as f64),
                 Cell::int(offered as f64),
                 Cell::pct(accepted as f64 / offered.max(1) as f64),
                 Cell::int(ok as f64),
-                Cell::f1(setpoint),
+                Cell::f1(valve),
             ]]
         })],
     )
@@ -432,6 +341,9 @@ mod tests {
         let rows = t.rows();
         assert_eq!(rows.len(), 1);
         // [polls, uplinks, accepted, commands ok, setpoint after]
+        let polls: u64 = rows[0][0].parse().expect("polls");
+        let uplinks: u64 = rows[0][1].parse().expect("uplinks");
+        assert_eq!(uplinks, polls * 6, "each poll carries the six points once");
         assert_eq!(rows[0][3], "1", "command must ack: {:?}", rows[0]);
         assert_eq!(rows[0][4], "65.0", "setpoint must apply: {:?}", rows[0]);
     }

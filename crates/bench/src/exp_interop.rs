@@ -15,7 +15,10 @@ use iiot_sim::trace::summarize;
 use iiot_sim::{SimDuration, SimTime, Topology};
 use std::time::Instant;
 
-fn demo_gateway() -> Gateway {
+/// E1's, E12's and E16d's gateway: a Modbus PLC (boiler temperature,
+/// writable valve), a BLE temperature tag and a secured 802.15.4 TLV
+/// mote — six points per poll.
+pub(crate) fn demo_gateway() -> Gateway {
     let mut gw = Gateway::new(ReplicaId(1));
     let mut plc = ModbusDevice::new(1, 8);
     plc.set_register(0, 923);

@@ -89,7 +89,6 @@ pub(crate) fn run_streamed(
     }
     pipe.set_recorder(iiot_sim::obs::scope_capture(seed_val));
     while let Some(msg) = gen.next_msg(pipe.registry()) {
-        pipe.drain_until(msg.t);
         pipe.offer(msg);
     }
     pipe.drain_remaining();

@@ -19,13 +19,14 @@
 //! observable, and bounded-memory by construction.
 //!
 //! *Drain* ([`IngestPipeline::drain_until`]) advances virtual time in
-//! fixed ticks. Each tick, every shard drains up to `drain_batch`
-//! messages per queue, in shard order. Delivery latency is measured in
-//! **virtual time** (drain-tick instant minus arrival instant), so the
-//! numbers a run reports are a pure function of workload and
-//! configuration, whatever `--jobs` value runs above them. Wall-clock
-//! throughput is measured by callers and reported separately as
-//! informational timing.
+//! fixed ticks; the front door first runs the ticks due before each
+//! arrival, so a caller only offers. Each tick, every shard drains up
+//! to `drain_batch` messages per queue, in shard order. Delivery
+//! latency is measured in **virtual time** (drain-tick instant minus
+//! arrival instant), so the numbers a run reports are a pure function
+//! of workload and configuration, whatever `--jobs` value runs above
+//! them. Wall-clock throughput is measured by callers and reported
+//! separately as informational timing.
 
 use crate::registry::DeviceRegistry;
 use crate::stream::{encode_uplink, StreamAttachment, StreamConfig};
@@ -234,8 +235,9 @@ impl IngestPipeline {
 
     /// Installs a structured-event recorder. Pass the result of
     /// [`iiot_sim::obs::scope_capture`] to land `CloudIngest` /
-    /// `CloudShed` / `CloudCommand` events in the global trace sink
-    /// under the calling trial's scope.
+    /// `CloudShed` events, and whatever is [`record`](Self::record)ed
+    /// beside them, in the global trace sink under the calling trial's
+    /// scope.
     pub fn set_recorder(&mut self, r: Option<Box<dyn Recorder>>) {
         self.recorder = r;
     }
@@ -245,15 +247,23 @@ impl IngestPipeline {
         self.recorder.take()
     }
 
-    fn emit(&mut self, shard: usize, kind: EventKind) {
+    /// Records `kind` at `t`, from `tenant`'s drain shard, when a
+    /// recorder is installed: the pipeline's own events, and those of
+    /// the tier that drives it (e.g. its downlink commands' outcomes).
+    pub fn record(&mut self, t: SimTime, tenant: TenantId, kind: EventKind) {
+        let shard = tenant.shard(self.shards.len());
         if let Some(r) = self.recorder.as_mut() {
             r.record(&Event {
-                t: self.now,
+                t,
                 node: NodeId(shard as u32),
                 span: SpanId::NONE,
                 kind,
             });
         }
+    }
+
+    fn emit(&mut self, tenant: TenantId, kind: EventKind) {
+        self.record(self.now, tenant, kind);
     }
 
     /// Which queue serves `tenant` under the configured isolation.
@@ -283,18 +293,22 @@ impl IngestPipeline {
     /// of authentication and the queues: a rate-limited message is shed
     /// at the door (`cloud_ratelimit`), untouched by any buffer.
     ///
+    /// Before its front door, `offer` runs every drain tick due up to
+    /// `msg.t`, exactly as [`drain_until`](Self::drain_until)`(msg.t)`
+    /// would, so the drain side keeps pace with arrivals that come in
+    /// time order.
+    ///
     /// `offer` never blocks; a full queue invokes the configured
     /// [`ShedPolicy`] instead. Must be called from one thread (the
     /// load generator) — determinism of both statistics and emitted
     /// events depends on arrival order.
     pub fn offer(&mut self, msg: UplinkMsg) -> bool {
-        self.now = self.now.max(msg.t);
+        self.drain_until(msg.t);
         let tenant = msg.tenant;
         if let Some(wal) = self.stream.wal.as_mut() {
             let info = wal.append(&encode_uplink(&msg));
             if let Some((segment, records)) = info.sealed {
-                let shard = tenant.shard(self.shards.len());
-                self.emit(shard, EventKind::StreamSeal { segment, records });
+                self.emit(tenant, EventKind::StreamSeal { segment, records });
             }
         }
         self.advance_windows();
@@ -312,9 +326,8 @@ impl IngestPipeline {
             if let Some(st) = self.stats.get_mut(&tenant) {
                 st.shed_ratelimit += 1;
             }
-            let shard = tenant.shard(self.shards.len());
             self.emit(
-                shard,
+                tenant,
                 EventKind::CloudRateLimit {
                     tenant: tenant.0 as u32,
                 },
@@ -359,7 +372,7 @@ impl IngestPipeline {
         st.accepted += 1;
         st.max_depth = st.max_depth.max(depth);
         self.emit(
-            s,
+            tenant,
             EventKind::CloudIngest {
                 tenant: tenant.0 as u32,
                 depth,
@@ -382,7 +395,7 @@ impl IngestPipeline {
             *counter(st) += 1;
         }
         self.emit(
-            tenant.shard(self.shards.len()),
+            tenant,
             EventKind::CloudShed {
                 tenant: tenant.0 as u32,
                 cause,
@@ -427,9 +440,8 @@ impl IngestPipeline {
 
     fn retire_windows(&mut self, closed: Vec<WindowResult>) {
         for r in &closed {
-            let shard = TenantId(r.key.tenant).shard(self.shards.len());
             self.emit(
-                shard,
+                TenantId(r.key.tenant),
                 EventKind::StreamWindow {
                     tenant: r.key.tenant as u32,
                     metric: r.key.metric,
@@ -443,9 +455,9 @@ impl IngestPipeline {
     /// Runs every drain tick scheduled up to virtual instant `until`.
     /// Ticks fire at fixed boundaries (`k · TICK`); at each, every
     /// shard drains up to `drain_batch` messages per queue and records
-    /// their queue latency at the boundary instant. Call this with the
-    /// next arrival's timestamp *before* offering it, so the drain
-    /// side keeps pace with the front door.
+    /// their queue latency at the boundary instant. [`offer`](Self::offer)
+    /// calls it with each arrival's timestamp; call it directly to
+    /// advance the drain side without an arrival.
     ///
     /// An idle tick changes nothing but [`now`](Self::now), so ticking
     /// stops once every queue is empty: a far-future `until` costs
@@ -464,7 +476,8 @@ impl IngestPipeline {
         let mut next = (self.now.as_micros() / tick)
             .saturating_add(1)
             .saturating_mul(tick);
-        let mut busy = self.queued() > 0;
+        // Compare first: an arrival with no tick due pays no queue sum.
+        let mut busy = next <= until && self.queued() > 0;
         while busy && next <= until {
             let t = SimTime::from_micros(next);
             self.now = t;

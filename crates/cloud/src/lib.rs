@@ -56,8 +56,7 @@
 //! let mut gen = SessionGen::new(&registry, SessionPlan::default(), 42);
 //! let mut cloud = IngestPipeline::new(registry, IngestConfig::default());
 //! while let Some(msg) = gen.next_msg(cloud.registry()) {
-//!     cloud.drain_until(msg.t);  // run the drain ticks due before this arrival
-//!     cloud.offer(msg);          // auth + enqueue (or shed, explicitly)
+//!     cloud.offer(msg); // the drain ticks due, then auth + enqueue (or shed)
 //! }
 //! cloud.drain_remaining();
 //!

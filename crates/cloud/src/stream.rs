@@ -10,8 +10,9 @@
 //! messages that were subsequently rate-limited, rejected for bad
 //! credentials, or shed to backpressure. [`replay`] rebuilds a fresh
 //! pipeline under the same configuration and re-offers the logged
-//! sequence through the same drive loop (`drain_until(msg.t)`, then
-//! `offer(msg)`, then `drain_remaining()`, then flush the windows).
+//! sequence through the same drive loop (`offer(msg)`, which runs the
+//! drain ticks due before each arrival, then `drain_remaining()`, then
+//! flush the windows).
 //! Because every statistic the pipeline reports is a pure function of
 //! the offer sequence and configuration, the replayed run reproduces
 //! the live run's per-tenant stats, emitted trace events, closed
@@ -162,7 +163,6 @@ pub fn replay(
     pipeline.set_recorder(recorder);
     let report = iiot_stream::walk_frames(bytes, log_config, |_, payload, _| {
         if let Some(msg) = decode_uplink(payload) {
-            pipeline.drain_until(msg.t);
             pipeline.offer(msg);
         }
     });
@@ -206,7 +206,6 @@ mod tests {
                 value: (i % 13) as f64,
                 t: SimTime::from_micros(i * 200),
             };
-            p.drain_until(msg.t);
             p.offer(msg);
         }
         p.drain_remaining();
@@ -318,7 +317,6 @@ mod tests {
         let prefix_log = recovered.wal().expect("wal").clone();
         for (_, payload) in prefix_log.iter_from(0) {
             let msg = decode_uplink(payload).expect("intact record");
-            fresh.drain_until(msg.t);
             fresh.offer(msg);
         }
         fresh.drain_remaining();

@@ -1,9 +1,11 @@
-//! Property test for `replay` over damaged logs: for any generated
-//! offer sequence, stream configuration and torn cut or single-bit flip
-//! of the write-ahead log it leaves, replaying the damaged bytes gives
-//! exactly what recovering them into a log and re-offering that log's
-//! records gives — per-tenant summaries, closed windows, the
-//! re-persisted log bytes, the recovery report and every trace event.
+//! Property tests for the front door's drive loop. `replay` over
+//! damaged logs: for any generated offer sequence, stream configuration
+//! and torn cut or single-bit flip of the write-ahead log it leaves,
+//! replaying the damaged bytes gives exactly what recovering them into
+//! a log and re-offering that log's records gives — per-tenant
+//! summaries, closed windows, the re-persisted log bytes, the recovery
+//! report and every trace event. And `offer` owns its drain: offering
+//! alone equals running `drain_until` to each arrival first.
 
 use iiot_cloud::{
     decode_uplink, metrics, replay, DeviceRegistry, IngestConfig, IngestPipeline, StreamConfig,
@@ -50,7 +52,6 @@ fn recover_then_offer(
     pipeline.set_recorder(Some(recorder));
     for (_, payload) in log.iter_from(0) {
         if let Some(msg) = decode_uplink(payload) {
-            pipeline.drain_until(msg.t);
             pipeline.offer(msg);
         }
     }
@@ -119,7 +120,6 @@ proptest! {
             let tenant = TenantId(tenant);
             let token = live.registry().token(tenant, device).unwrap_or(0) ^ forged as u64;
             let msg = UplinkMsg { tenant, device, token, value, t: SimTime::from_micros(t) };
-            live.drain_until(msg.t);
             live.offer(msg);
         }
         let mut bytes = live.wal().expect("wal attached").as_bytes().to_vec();
@@ -149,5 +149,46 @@ proptest! {
             want.wal().expect("wal").as_bytes()
         );
         prop_assert_eq!(events(&mut got), events(&mut want));
+    }
+
+    #[test]
+    fn offer_alone_equals_drain_until_then_offer(
+        offers in offers(),
+        segment_bytes in 64usize..2048,
+        admission in any::<bool>(),
+    ) {
+        let mut stream = StreamConfig::logged(LogConfig { segment_bytes })
+            .with_windows(WindowSpec::tumbling(SimDuration::from_millis(50)));
+        if admission {
+            stream = stream.with_admission(RateLimit::per_sec(2_000, 10));
+        }
+        let pipeline = || {
+            let mut p = IngestPipeline::new(registry(), config());
+            p.attach_stream(stream.clone());
+            p.set_recorder(Some(Box::new(RingRecorder::new(1 << 14))));
+            p
+        };
+        let (mut alone, mut drained) = (pipeline(), pipeline());
+        let mut t = 0u64;
+        for (tenant, device, forged, value, dt) in offers {
+            t += dt;
+            let tenant = TenantId(tenant);
+            let token = alone.registry().token(tenant, device).unwrap_or(0) ^ forged as u64;
+            let msg = UplinkMsg { tenant, device, token, value, t: SimTime::from_micros(t) };
+            alone.offer(msg);
+            drained.drain_until(msg.t);
+            drained.offer(msg);
+        }
+        for p in [&mut alone, &mut drained] {
+            p.drain_remaining();
+            p.flush_windows();
+        }
+        prop_assert_eq!(metrics::summarize(&alone), metrics::summarize(&drained));
+        prop_assert_eq!(alone.closed_windows(), drained.closed_windows());
+        prop_assert_eq!(
+            alone.wal().expect("wal").as_bytes(),
+            drained.wal().expect("wal").as_bytes()
+        );
+        prop_assert_eq!(events(&mut alone), events(&mut drained));
     }
 }

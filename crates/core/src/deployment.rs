@@ -6,8 +6,8 @@
 //! joining the gateway in the sensornet-to-IP role §IV-B gives it.
 
 use iiot_cloud::{
-    DeviceRegistry, DeviceTwin, IngestConfig, IngestPipeline, StreamConfig, TenantId, TwinStore,
-    UplinkMsg,
+    Command, CommandOutcome, CommandRouter, DeviceRegistry, DeviceTwin, IngestConfig,
+    IngestPipeline, StreamConfig, TenantId, TwinStore, UplinkMsg,
 };
 use iiot_crdt::ReplicaId;
 use iiot_gateway::{
@@ -22,6 +22,7 @@ use iiot_routing::graph;
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_routing::Collected;
 use iiot_security::Key;
+use iiot_sim::obs::{self, EventKind};
 use iiot_sim::prelude::*;
 use iiot_sim::trace::Summary;
 use std::cell::RefCell;
@@ -31,6 +32,10 @@ use std::rc::Rc;
 /// The wired poll period of an attached gateway: every adapter is
 /// polled at each whole multiple of `POLL` of simulated time.
 pub const POLL: SimDuration = SimDuration::from_secs(1);
+
+/// Most cloud commands an attached gateway's downlink queues between
+/// two grid polls; see [`Northbound::command`].
+pub const COMMAND_CAP: usize = 16;
 
 /// Which MAC the deployment runs under the collection protocol.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -152,6 +157,7 @@ impl DeploymentBuilder {
             nodes,
             mac,
             dodag: self.dodag,
+            seed: self.seed,
             north: None,
         }
     }
@@ -216,6 +222,7 @@ pub struct Deployment {
     pub north: Option<Northbound>,
     mac: MacChoice,
     dodag: DodagConfig,
+    seed: u64,
 }
 
 /// Root readings the border adapter has yet to publish.
@@ -258,14 +265,17 @@ impl Deployment {
     /// order, each reading's `received_at` merged with the wired poll
     /// grid `k ·` [`POLL`]. At an instant the border adapter takes the
     /// readings that have arrived, and the gateway polls every adapter
-    /// on a grid instant, only the border adapter otherwise. Each rule
-    /// whose input that poll published writes through
-    /// [`Gateway::write_direct`], and becomes an [`Actuation`] if the
-    /// write lands. Every measurement published is then offered to the
-    /// cloud (write-ahead logged) at that instant, its device provisioned
-    /// on first sight, and an accepted one is reported to its twin at
-    /// its own timestamp. `gateway/write-failed/*` diagnostics reach
-    /// neither the rules nor the cloud.
+    /// on a grid instant, only the border adapter otherwise; a grid
+    /// poll first plays the queued [`Northbound::command`]s against the
+    /// gateway's CoAP server, so that same poll applies what it
+    /// acknowledged. Each rule whose input a poll published writes
+    /// through [`Gateway::write_direct`], and becomes an [`Actuation`]
+    /// if the write lands. Every measurement published is then offered
+    /// to the cloud (write-ahead logged) at that instant, its device
+    /// provisioned on first sight, and an accepted one is reported to
+    /// its twin at its own timestamp. `gateway/write-failed/*`
+    /// diagnostics reach neither the rules nor the cloud. When the
+    /// deployment is traced, the cloud's events land in the trace too.
     ///
     /// # Panics
     ///
@@ -290,6 +300,7 @@ impl Deployment {
         let tenant = registry.create_tenant("deployment", Key(*b"deployment-cloud"));
         let mut cloud = IngestPipeline::new(registry, IngestConfig::default());
         cloud.attach_stream(StreamConfig::logged(Default::default()));
+        cloud.set_recorder(obs::scope_capture(self.seed));
         let poll_us = POLL.as_micros();
         let next_poll = self.sim.now().as_micros().div_ceil(poll_us) * poll_us;
         self.north = Some(Northbound {
@@ -297,6 +308,8 @@ impl Deployment {
             gateway,
             rules,
             actuations: Vec::new(),
+            router: CommandRouter::new(COMMAND_CAP, self.seed),
+            commands: Vec::new(),
             cloud,
             tenant,
             twins: TwinStore::new(),
@@ -445,6 +458,8 @@ pub struct Actuation {
 pub struct Northbound {
     /// Every actuation so far, in the order the rules fired.
     pub actuations: Vec<Actuation>,
+    /// Every cloud command's outcome so far, in submission order.
+    pub commands: Vec<CommandOutcome>,
     /// The device twins: per point, the latest accepted value.
     pub twins: TwinStore,
     /// Each wireless reading's time from its sample to the cloud's front
@@ -452,6 +467,8 @@ pub struct Northbound {
     pub sample_to_cloud: Vec<SimDuration>,
     gateway: Gateway,
     rules: Vec<Rule>,
+    /// The cloud's downlink, flushed at each grid poll.
+    router: CommandRouter,
     cloud: IngestPipeline,
     tenant: TenantId,
     /// The border adapter's index in the gateway, and its device name.
@@ -492,6 +509,15 @@ impl Northbound {
         self.twins.twin(self.tenant, self.device(point)?)
     }
 
+    /// Queues a cloud-issued write for the next grid poll, which
+    /// acknowledges it over the gateway's CoAP server and applies it;
+    /// its outcome then joins [`commands`](Northbound::commands).
+    /// Returns `false`, queueing nothing, once [`COMMAND_CAP`] are
+    /// waiting.
+    pub fn command(&mut self, cmd: Command) -> bool {
+        self.router.submit(cmd)
+    }
+
     /// Walks every northbound instant up to `now`, in time order.
     fn catch_up(&mut self, collected: &[Collected], now: SimTime) {
         loop {
@@ -506,6 +532,14 @@ impl Northbound {
             self.inbox.borrow_mut().extend_from_slice(&fresh[..arrived]);
             self.handed_over += arrived;
             if t == self.next_poll {
+                for outcome in self.router.flush(self.gateway.coap_mut(), t) {
+                    let kind = EventKind::CloudCommand {
+                        tenant: u32::from(outcome.tenant.0),
+                        ok: outcome.ok,
+                    };
+                    self.cloud.record(t, outcome.tenant, kind);
+                    self.commands.push(outcome);
+                }
                 self.gateway.poll_all(t.as_micros());
                 self.next_poll = t + POLL;
             } else {
@@ -543,7 +577,6 @@ impl Northbound {
                 self.sample_to_cloud.push(t.duration_since(sampled));
             }
             let token = cloud.registry().token(tenant, device).expect("provisioned");
-            cloud.drain_until(t);
             if cloud.offer(UplinkMsg {
                 tenant,
                 device,
@@ -1012,5 +1045,77 @@ mod tests {
         let north = d.north.as_ref().expect("attached");
         assert!(north.actuations.is_empty(), "no rule saw it");
         assert_eq!(north.device("gateway/write-failed/boiler/drain"), None);
+    }
+
+    fn command(point: &str, value: f64) -> Command {
+        Command {
+            tenant: TenantId(0),
+            point: point.into(),
+            value,
+        }
+    }
+
+    #[test]
+    fn a_cloud_command_is_acked_and_applied_at_the_next_grid_poll() {
+        let mut d = attached(boiler_gateway(20.0), Vec::new());
+        let north = d.north.as_mut().expect("attached");
+        assert!(north.command(command("boiler/valve", 0.5)));
+        // Readings arrive between grid instants; none flushes the queue.
+        d.run_for(POLL / 2);
+        assert!(d.north.as_ref().expect("attached").commands.is_empty());
+        d.run_for(POLL / 2);
+        let north = d.north.as_ref().expect("attached");
+        let acked: Vec<(&str, bool)> = north
+            .commands
+            .iter()
+            .map(|c| (c.point.as_str(), c.ok))
+            .collect();
+        assert_eq!(acked, [("boiler/valve", true)]);
+        // The 31 s poll applied it, and published the new position.
+        let valve = north.gateway().last("boiler/valve").expect("polled");
+        assert_eq!((valve.value, valve.timestamp_us), (0.5, 31_000_000));
+        let twin = north.twin("boiler/valve").expect("twin");
+        assert_eq!(twin.reported.get(&"value".to_owned()), Some(&0.5));
+        let device = north.device("boiler/valve").expect("provisioned");
+        let wal = north.cloud().wal().expect("logged");
+        let logged = wal.iter_from(0).filter_map(|(_, r)| decode_uplink(r));
+        let history: Vec<(u64, f64)> = logged
+            .filter(|m| m.device == device)
+            .map(|m| (m.t.as_micros(), m.value))
+            .skip(30)
+            .collect();
+        assert_eq!(history, [(30_000_000, 1.0), (31_000_000, 0.5)]);
+    }
+
+    #[test]
+    fn a_cloud_command_to_a_read_only_border_point_fails_and_writes_nothing() {
+        let mut d = bridged();
+        let failed = gw(&mut d).bus().subscribe("gateway/write-failed/");
+        let north = d.north.as_mut().expect("attached");
+        assert!(north.command(command("cell/n1", -1.0)));
+        d.run_for(POLL);
+        let north = d.north.as_ref().expect("attached");
+        let acked: Vec<(&str, bool)> = north
+            .commands
+            .iter()
+            .map(|c| (c.point.as_str(), c.ok))
+            .collect();
+        assert_eq!(acked, [("cell/n1", false)]);
+        // Refused at the CoAP server: no write was queued to fail.
+        assert_eq!(failed.try_iter().count(), 0);
+    }
+
+    #[test]
+    fn commands_past_the_cap_are_refused() {
+        let mut d = attached(boiler_gateway(20.0), Vec::new());
+        let north = d.north.as_mut().expect("attached");
+        for i in 0..COMMAND_CAP {
+            assert!(north.command(command("boiler/valve", i as f64)));
+        }
+        assert!(!north.command(command("boiler/valve", -1.0)));
+        d.run_for(POLL);
+        let north = d.north.as_mut().expect("attached");
+        assert_eq!(north.commands.len(), COMMAND_CAP);
+        assert!(north.command(command("boiler/valve", 1.0)), "room again");
     }
 }

@@ -61,5 +61,6 @@ pub mod deployment;
 
 pub use audit::Scorecard;
 pub use deployment::{
-    Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule, POLL,
+    Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule,
+    COMMAND_CAP, POLL,
 };

@@ -81,17 +81,32 @@ if grep -rn 'CsmaConfig\|TdmaConfig\|RimacConfig\|EndpointConfig\|ReliabilityCon
 fi
 
 # One Fig. 1 loop: a `Deployment` with a gateway attached carries its
-# readings through the gateway, the rules, the cloud log and the twins
-# on the simulation's clock. The hand-cycled scan loop it replaced stays
-# gone, and only the gateway itself, that deployment and E16d's bridge
-# (exp_cloud) build a cloud uplink.
+# readings through the gateway, the rules, the cloud log and the twins,
+# and its cloud commands back down, on the simulation's clock. The
+# hand-cycled scan loop it replaced stays gone; only the gateway itself
+# and that deployment build a cloud uplink, and only the cloud crate,
+# that deployment and the fleet harness (a partitioned gateway twin the
+# deployment does not model) build a downlink router.
 if grep -rn 'LayeredSystem\|SensingActuation\|Historian\|with_gateway(\|border_adapter(' crates src tests examples --include='*.rs'; then
     echo "LayeredSystem, SensingActuation, Historian, with_gateway( or border_adapter( named in first-party source" >&2
     exit 1
 fi
 if grep -rn 'CloudUplink::new(' crates src tests examples --include='*.rs' |
-    grep -v '^crates/gateway/src/\|^crates/core/src/deployment\.rs:\|^crates/bench/src/exp_cloud\.rs:'; then
-    echo "CloudUplink::new( outside crates/gateway/src, crates/core/src/deployment.rs and crates/bench/src/exp_cloud.rs" >&2
+    grep -v '^crates/gateway/src/\|^crates/core/src/deployment\.rs:'; then
+    echo "CloudUplink::new( outside crates/gateway/src and crates/core/src/deployment.rs" >&2
+    exit 1
+fi
+if grep -rn 'CommandRouter::new(' crates src tests examples --include='*.rs' |
+    grep -v '^crates/cloud/src/\|^crates/core/src/deployment\.rs:\|^crates/fleet/src/harness\.rs:'; then
+    echo "CommandRouter::new( outside crates/cloud/src, crates/core/src/deployment.rs and crates/fleet/src/harness.rs" >&2
+    exit 1
+fi
+
+# `offer` owns its drain: it runs the drain ticks due before each
+# arrival, so a caller outside the cloud crate never calls `drain_until`.
+if grep -rn '\.drain_until(' crates src tests examples --include='*.rs' |
+    grep -v '^crates/cloud/'; then
+    echo ".drain_until( called outside crates/cloud/" >&2
     exit 1
 fi
 
