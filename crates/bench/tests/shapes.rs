@@ -175,6 +175,43 @@ fn e10_shape_monotone_cost_ladder() {
     assert!(cell(&t, 7, 3) > cell(&t, 3, 3));
 }
 
+/// E10's "extra bytes" and "airtime +us" columns against the 802.15.4
+/// security tables: a secured frame adds the auxiliary security header
+/// — security control and frame counter, 5 octets at key-identifier
+/// mode 0 — and a MIC of 0, 4, 8 or 16 octets, each octet 32 µs at
+/// 250 kbit/s. Every secured row sits exactly one octet (32 µs) below
+/// that: this wire format spends a level byte on unsecured frames too,
+/// where 802.15.4 spends a bit of the frame-control field, so securing
+/// a frame adds only the other four header octets (DESIGN §6
+/// finding 9).
+#[test]
+fn e10_oracle_overhead_follows_the_802_15_4_security_tables() {
+    const AUX_HEADER: f64 = 5.0;
+    const LEVEL_BYTE: f64 = 1.0;
+    const US_PER_OCTET: f64 = 8.0 * 1e6 / 250_000.0;
+    let t = exp_interop::e10_security_overhead();
+    // Each level's MIC in octets; `None` sends no auxiliary header.
+    let levels = [
+        ("None", None),
+        ("Mic32", Some(4.0)),
+        ("Mic64", Some(8.0)),
+        ("Mic128", Some(16.0)),
+        ("Enc", Some(0.0)),
+        ("EncMic32", Some(4.0)),
+        ("EncMic64", Some(8.0)),
+        ("EncMic128", Some(16.0)),
+    ];
+    assert_eq!(t.rows.len(), levels.len());
+    for (row, (level, mic)) in levels.into_iter().enumerate() {
+        assert_eq!(t.rows[row][0], level);
+        let predicted = mic.map_or(0.0, |mic| AUX_HEADER + mic);
+        let offset = mic.map_or(0.0, |_| LEVEL_BYTE);
+        let extra = predicted - offset;
+        assert_eq!(cell(&t, row, 1), extra, "{level}: extra bytes");
+        assert_eq!(cell(&t, row, 2), extra * US_PER_OCTET, "{level}: airtime");
+    }
+}
+
 #[test]
 fn e12_shape_integration_fidelity() {
     let t = exp_interop::e12_interop();

@@ -9,7 +9,9 @@
 //! is an acknowledged command, anything else a failure. The gateway
 //! applies accepted writes to its southbound adapters on its next
 //! poll — the same path a local CoAP client would take, so the cloud
-//! tier adds no second write authority.
+//! tier adds no second write authority. A deployment's application
+//! rules issue their writes as commands on this one downlink too
+//! (`iiot_core::Northbound`), beside the commands a tenant submits.
 
 use crate::tenant::TenantId;
 use iiot_coap::{CoapEndpoint, CoapEvent, Code};

@@ -255,11 +255,11 @@ impl Deployment {
 
     /// Attaches `gateway`, with its wired adapters already added, as the
     /// rest of Fig. 1. The root joins it as one more adapter, protocol
-    /// `"sensornet"`: a read-only point `{prefix}/n{id}` per non-root
-    /// node (one added by [`extend`](Deployment::extend) gets its point
-    /// at its first reading), valued with the reading's sequence number
-    /// (payloads are filler; `seq` exposes gaps and duplicates) and
-    /// stamped with its `sent_at`.
+    /// `"sensornet"`: a read-only point `{prefix}/n{id}` per node it has
+    /// heard from, listed at its first reading (a node added by
+    /// [`extend`](Deployment::extend) too), valued with the reading's
+    /// sequence number (payloads are filler; `seq` exposes gaps and
+    /// duplicates) and stamped with its `sent_at`.
     ///
     /// From then on [`run_for`](Deployment::run_for) walks, in time
     /// order, each reading's `received_at` merged with the wired poll
@@ -268,13 +268,13 @@ impl Deployment {
     /// on a grid instant, only the border adapter otherwise; a grid
     /// poll first plays the queued [`Northbound::command`]s against the
     /// gateway's CoAP server, so that same poll applies what it
-    /// acknowledged. Each rule whose input a poll published writes
-    /// through [`Gateway::write_direct`], and becomes an [`Actuation`]
-    /// if the write lands. Every measurement published is then offered
-    /// to the cloud (write-ahead logged) at that instant, its device
+    /// acknowledged. Every measurement published is offered to the
+    /// cloud (write-ahead logged) at that instant, its device
     /// provisioned on first sight, and an accepted one is reported to
-    /// its twin at its own timestamp. `gateway/write-failed/*`
-    /// diagnostics reach neither the rules nor the cloud. When the
+    /// its twin at its own timestamp; then each rule it fires queues a
+    /// command on that same downlink, or, with [`COMMAND_CAP`] already
+    /// queued, is settled at once as refused. `gateway/write-failed/*`
+    /// diagnostics reach neither the cloud nor the rules. When the
     /// deployment is traced, the cloud's events land in the trace too.
     ///
     /// # Panics
@@ -283,17 +283,10 @@ impl Deployment {
     pub fn attach_gateway(&mut self, mut gateway: Gateway, prefix: &str, rules: Vec<Rule>) {
         assert!(self.north.is_none(), "a deployment has one gateway");
         let inbox = Rc::new(Inbox::default());
-        let points = (self.nodes.iter().filter(|&&n| n != self.root))
-            .map(|n| PointInfo {
-                point: format!("{prefix}/n{}", n.0),
-                unit: Unit::Raw,
-                writable: false,
-            })
-            .collect();
         let border = (gateway.inventory().len(), prefix.to_owned());
         gateway.add_adapter(Box::new(BorderAdapter {
             prefix: prefix.to_owned(),
-            points,
+            points: Vec::new(),
             inbox: Rc::clone(&inbox),
         }));
         let mut registry = DeviceRegistry::new();
@@ -307,7 +300,6 @@ impl Deployment {
             uplink: CloudUplink::new(&gateway, tenant.0, ""),
             gateway,
             rules,
-            actuations: Vec::new(),
             router: CommandRouter::new(COMMAND_CAP, self.seed),
             commands: Vec::new(),
             cloud,
@@ -412,12 +404,11 @@ fn root_collected(sim: &Sim, root: NodeId, mac: MacChoice) -> &[Collected] {
     }
 }
 
-/// A declarative rule of the application-logic tier: write `command`
-/// to `output` whenever `input` is published beyond `threshold`.
+/// A declarative rule of the cloud's application logic: whenever the
+/// cloud accepts a reading of `input` beyond `threshold`, a downlink
+/// command sets `output` to `command`.
 #[derive(Clone, Debug)]
 pub struct Rule {
-    /// Rule name (for audit trails).
-    pub name: String,
     /// The observed point.
     pub input: String,
     /// Fire when the value compares true against `threshold`.
@@ -441,24 +432,13 @@ impl Rule {
     }
 }
 
-/// A fired rule whose write landed: what the application logic did.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Actuation {
-    /// The rule that fired.
-    pub rule: String,
-    /// Target point.
-    pub point: String,
-    /// Commanded value.
-    pub value: f64,
-    /// The instant the triggering measurement was published, µs.
-    pub at_us: u64,
-}
-
 /// Fig. 1 above the border router; see [`Deployment::attach_gateway`].
 pub struct Northbound {
-    /// Every actuation so far, in the order the rules fired.
-    pub actuations: Vec<Actuation>,
-    /// Every cloud command's outcome so far, in submission order.
+    /// Every write issued above the gateway so far, [`command`]ed or a
+    /// rule's firing, in the order settled: acknowledged or not at a
+    /// grid flush, or refused at once by a full queue.
+    ///
+    /// [`command`]: Northbound::command
     pub commands: Vec<CommandOutcome>,
     /// The device twins: per point, the latest accepted value.
     pub twins: TwinStore,
@@ -532,45 +512,42 @@ impl Northbound {
             self.inbox.borrow_mut().extend_from_slice(&fresh[..arrived]);
             self.handed_over += arrived;
             if t == self.next_poll {
-                for outcome in self.router.flush(self.gateway.coap_mut(), t) {
-                    let kind = EventKind::CloudCommand {
-                        tenant: u32::from(outcome.tenant.0),
-                        ok: outcome.ok,
-                    };
-                    self.cloud.record(t, outcome.tenant, kind);
-                    self.commands.push(outcome);
-                }
+                let acked = self.router.flush(self.gateway.coap_mut(), t);
+                self.settle(t, acked);
                 self.gateway.poll_all(t.as_micros());
                 self.next_poll = t + POLL;
             } else {
                 self.gateway.poll_adapter(self.border.0, t.as_micros());
             }
-            self.carry(t);
+            let refused = self.carry(t);
+            self.settle(t, refused);
+        }
+    }
+
+    /// Keeps the outcomes of writes issued above the gateway, settled
+    /// at `t`, and traces each once, as `cloud_command`.
+    fn settle(&mut self, t: SimTime, outcomes: Vec<CommandOutcome>) {
+        for outcome in outcomes {
+            let (tenant, ok) = (u32::from(outcome.tenant.0), outcome.ok);
+            let kind = EventKind::CloudCommand { tenant, ok };
+            self.cloud.record(t, outcome.tenant, kind);
+            self.commands.push(outcome);
         }
     }
 
     /// Hands each measurement the gateway just published at `t` to the
-    /// rules, then to the cloud and its twin.
-    fn carry(&mut self, t: SimTime) {
+    /// cloud and, once accepted, to its twin and the rules. Returns the
+    /// firings the full downlink refused.
+    fn carry(&mut self, t: SimTime) -> Vec<CommandOutcome> {
         let (cloud, tenant) = (&mut self.cloud, self.tenant);
+        let mut refused = Vec::new();
         for r in self.uplink.drain() {
             if r.point.starts_with("gateway/write-failed/") {
                 continue; // a diagnostic, not telemetry
             }
-            for rule in self.rules.iter().filter(|rule| rule.input == r.point) {
-                let (point, value) = (&rule.output, rule.command);
-                if rule.fires(r.value) && self.gateway.write_direct(point, value).is_ok() {
-                    self.actuations.push(Actuation {
-                        rule: rule.name.clone(),
-                        point: point.clone(),
-                        value,
-                        at_us: t.as_micros(),
-                    });
-                }
-            }
             let devices = &mut self.devices;
             let device = *devices
-                .entry(r.point)
+                .entry(r.point.clone())
                 .or_insert_with(|| cloud.register_fleet(tenant, 1));
             if r.device == self.border.1 {
                 let sampled = SimTime::from_micros(r.timestamp_us);
@@ -587,8 +564,21 @@ impl Northbound {
                 let writer = ReplicaId(u64::from(tenant.0));
                 self.twins
                     .report(tenant, device, r.timestamp_us, writer, "value", r.value);
+                let fires = |rule: &&Rule| rule.input == r.point && rule.fires(r.value);
+                for rule in self.rules.iter().filter(fires) {
+                    let cmd = Command {
+                        tenant,
+                        point: rule.output.clone(),
+                        value: rule.command,
+                    };
+                    if !self.router.submit(cmd) {
+                        let (point, ok) = (rule.output.clone(), false);
+                        refused.push(CommandOutcome { tenant, point, ok });
+                    }
+                }
             }
         }
+        refused
     }
 }
 
@@ -615,18 +605,27 @@ impl Adapter for BorderAdapter {
     }
 
     fn poll(&mut self, _now_us: u64) -> Vec<Measurement> {
-        self.inbox
-            .take()
-            .into_iter()
-            .map(|c| Measurement {
-                point: format!("{}/n{}", self.prefix, c.origin.0),
+        let readings = self.inbox.take();
+        let mut published = Vec::with_capacity(readings.len());
+        for c in readings {
+            let point = format!("{}/n{}", self.prefix, c.origin.0);
+            if !self.points.iter().any(|p| p.point == point) {
+                self.points.push(PointInfo {
+                    point: point.clone(),
+                    unit: Unit::Raw,
+                    writable: false,
+                });
+            }
+            published.push(Measurement {
+                point,
                 value: f64::from(c.seq),
                 unit: Unit::Raw,
                 quality: Quality::Good,
                 timestamp_us: c.sent_at.as_micros(),
                 device: self.prefix.clone(),
-            })
-            .collect()
+            });
+        }
+        published
     }
 
     fn write(&mut self, point: &str, _value: f64) -> Result<(), WriteError> {
@@ -737,14 +736,20 @@ mod tests {
     }
 
     /// A three-node CSMA line with a gateway of `wired` attached,
-    /// whose border points are `cell/n1` and `cell/n2`, after 30 s.
-    fn attached(wired: Gateway, rules: Vec<Rule>) -> Deployment {
+    /// whose border points are `cell/n1` and `cell/n2`.
+    fn bridged_to(wired: Gateway, rules: Vec<Rule>) -> Deployment {
         let mut d = Deployment::builder(line(3))
             .mac(MacChoice::Csma)
             .seed(0xB0)
             .traffic(SimDuration::from_secs(5), 6, SimDuration::from_secs(10))
             .build();
         d.attach_gateway(wired, "cell", rules);
+        d
+    }
+
+    /// [`bridged_to`] after 30 s.
+    fn attached(wired: Gateway, rules: Vec<Rule>) -> Deployment {
+        let mut d = bridged_to(wired, rules);
         d.run_for(SimDuration::from_secs(30));
         d
     }
@@ -817,11 +822,23 @@ mod tests {
             north.gateway().last("cell/n3").is_some(),
             "the new node reported"
         );
+        // ... is listed in the gateway's inventory and the scorecard ...
+        let border = &north.gateway().inventory()[0];
+        let points: Vec<&str> = border.points.iter().map(|p| p.point.as_str()).collect();
+        assert_eq!(points, ["cell/n1", "cell/n2", "cell/n3"]);
+        let card = crate::audit::Scorecard::from_deployment(&d);
+        assert_eq!(card.interoperability.points, 3);
         // ... and reached the cloud's log as a device provisioned for it.
         let device = north.device("cell/n3").expect("provisioned");
         let wal = north.cloud().wal().expect("logged");
         let logged = wal.iter_from(0).filter_map(|(_, r)| decode_uplink(r));
         assert!(logged.filter(|m| m.device == device).count() >= 1);
+
+        assert_eq!(
+            gw(&mut d).write_direct("cell/n3", 1.0),
+            Err(WriteError::ReadOnly),
+            "a known, read-only point"
+        );
 
         let mut client: CoapEndpoint<u64> = CoapEndpoint::new(9);
         client.get(0, "cell/n3", SimTime::ZERO);
@@ -930,7 +947,6 @@ mod tests {
 
     fn overheat_rule() -> Rule {
         Rule {
-            name: "overheat-protection".into(),
             input: "boiler/temp".into(),
             above: true,
             threshold: 90.0,
@@ -949,16 +965,30 @@ mod tests {
         assert!(low.fires(85.0));
     }
 
+    /// `(point, ok)` of every write settled so far, in order.
+    fn settled(north: &Northbound) -> Vec<(&str, bool)> {
+        let commands = north.commands.iter();
+        commands.map(|c| (c.point.as_str(), c.ok)).collect()
+    }
+
     #[test]
     fn closed_loop_through_all_three_layers() {
         let d = attached(boiler_gateway(95.0), vec![overheat_rule()]);
         let north = d.north.as_ref().expect("attached");
-        // The first grid poll, at 0 s, sees 95 C and closes the valve,
-        // which cools the boiler below the threshold: the rule then
-        // stays quiet.
-        let fired = &north.actuations;
-        assert_eq!(fired.len(), 1, "{fired:?}");
-        assert_eq!((fired[0].at_us, fired[0].value), (0, 0.0));
+        // The first grid poll, at 0 s, sees 95 C and fires the rule; the
+        // next one, at 1 s, acks and applies its command before it
+        // polls, which cools the boiler below the threshold: the rule
+        // then stays quiet.
+        assert_eq!(settled(north), [("boiler/valve", true)]);
+        let valve = north.device("boiler/valve").expect("provisioned");
+        let wal = north.cloud().wal().expect("logged");
+        let logged = wal.iter_from(0).filter_map(|(_, r)| decode_uplink(r));
+        let history: Vec<(u64, f64)> = logged
+            .filter(|m| m.device == valve)
+            .map(|m| (m.t.as_micros(), m.value))
+            .take(2)
+            .collect();
+        assert_eq!(history, [(0, 1.0), (1_000_000, 0.0)]);
         let twin = north.twin("boiler/temp").expect("twin");
         assert_eq!(twin.reported.get(&"value".to_owned()), Some(&90.0));
     }
@@ -1006,7 +1036,7 @@ mod tests {
         let north = d.north.as_ref().expect("attached");
         // Thirty-one grid polls, but the one-shot reading is published,
         // seen by the rule and logged once.
-        assert_eq!(north.actuations.len(), 1);
+        assert_eq!(settled(north), [("boiler/valve", true)]);
         let wal = north.cloud().wal().expect("logged");
         let hot = wal
             .iter_from(0)
@@ -1019,15 +1049,24 @@ mod tests {
     fn actuation_failure_not_recorded() {
         let mut bad_rule = overheat_rule();
         bad_rule.output = "no/such/point".into();
-        let d = attached(boiler_gateway(99.0), vec![bad_rule]);
-        assert!(d.north.as_ref().expect("attached").actuations.is_empty());
+        let mut d = bridged_to(boiler_gateway(99.0), vec![bad_rule]);
+        let failed = gw(&mut d).bus().subscribe("gateway/write-failed/");
+        d.run_for(SimDuration::from_secs(30));
+        let north = d.north.as_ref().expect("attached");
+        // Fired at every grid poll, refused at every flush from 1 s to
+        // 30 s (the 30 s firing is still queued): nothing was written.
+        assert_eq!(settled(north), [("no/such/point", false); 30]);
+        assert_eq!(failed.try_iter().count(), 0, "no write was queued to fail");
+        let twin = north.twin("boiler/temp").expect("twin");
+        assert_eq!(twin.reported.get(&"value".to_owned()), Some(&99.0));
+        let valve = north.gateway().last("boiler/valve").expect("polled");
+        assert_eq!(valve.value, 1.0);
     }
 
     #[test]
     fn failed_northbound_writes_are_diagnostics_not_telemetry() {
         // A rule that would fire on any value the diagnostic carries.
         let diagnostic = Rule {
-            name: "diagnostic".into(),
             input: "gateway/write-failed/boiler/drain".into(),
             above: false,
             threshold: f64::INFINITY,
@@ -1043,7 +1082,7 @@ mod tests {
         d.run_for(POLL);
         assert_eq!(failed.try_iter().count(), 1, "the gateway reported it");
         let north = d.north.as_ref().expect("attached");
-        assert!(north.actuations.is_empty(), "no rule saw it");
+        assert!(north.commands.is_empty(), "no rule saw it");
         assert_eq!(north.device("gateway/write-failed/boiler/drain"), None);
     }
 
@@ -1103,6 +1142,45 @@ mod tests {
         assert_eq!(acked, [("cell/n1", false)]);
         // Refused at the CoAP server: no write was queued to fail.
         assert_eq!(failed.try_iter().count(), 0);
+    }
+
+    /// A rule that fires on every reading of `cell/n1`.
+    fn on_every_n1_reading() -> Rule {
+        Rule {
+            input: "cell/n1".into(),
+            above: false,
+            threshold: f64::INFINITY,
+            output: "boiler/valve".into(),
+            command: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_rule_firing_into_a_full_downlink_is_refused_and_recorded() {
+        let mut d = attached(boiler_gateway(20.0), vec![on_every_n1_reading()]);
+        // Fill the downlink at a grid instant until a window holds a
+        // reading of `cell/n1`, which arrives between grid instants.
+        for _ in 0..10 {
+            let start = d.sim.now();
+            let north = d.north.as_mut().expect("attached");
+            let before = north.commands.len();
+            for i in 0..COMMAND_CAP {
+                assert!(north.command(command("boiler/valve", i as f64)));
+            }
+            d.run_for(POLL);
+            let n1 = (d.collected().iter())
+                .filter(|c| c.origin == NodeId(1) && c.received_at > start)
+                .filter(|c| c.received_at < d.sim.now())
+                .count();
+            let north = d.north.as_ref().expect("attached");
+            let mut expected = vec![("boiler/valve", false); n1];
+            expected.extend([("boiler/valve", true); COMMAND_CAP]);
+            assert_eq!(settled(north)[before..], expected, "window at {start}");
+            if n1 > 0 {
+                return;
+            }
+        }
+        panic!("no reading of cell/n1 arrived between grid instants");
     }
 
     #[test]

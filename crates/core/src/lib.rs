@@ -8,8 +8,8 @@
 //!   MAC (`MacChoice`), with incremental rollout and collection
 //!   reporting; with a gateway attached, a `Deployment` is all of Fig. 1
 //!   on the simulation's clock: readings flow up through the gateway and
-//!   the application rules (`Rule`) into the cloud's write-ahead log and
-//!   device twins, and the rules actuate wired points back down;
+//!   into the cloud's write-ahead log and device twins, and the cloud's
+//!   rules (`Rule`) command wired points back down the gateway;
 //! * [`audit`] — the interoperability / scalability / dependability
 //!   scorecard.
 //!
@@ -35,8 +35,8 @@
 //! let regs = vec![map(0, "boiler/temp", false), map(1, "boiler/valve", true)];
 //! let mut gw = Gateway::new(ReplicaId(1));
 //! gw.add_adapter(Box::new(ModbusAdapter::new("plc-1", plc, regs)));
-//! let overheat = Rule { name: "overheat".into(), input: "boiler/temp".into(), above: true,
-//!                       threshold: 90.0, output: "boiler/valve".into(), command: 0.0 };
+//! let overheat = Rule { input: "boiler/temp".into(), above: true, threshold: 90.0,
+//!                       output: "boiler/valve".into(), command: 0.0 };
 //!
 //! let mut d = Deployment::builder(Topology::line(3, 20.0))
 //!     .mac(MacChoice::Csma)
@@ -46,7 +46,7 @@
 //! d.run_for(SimDuration::from_secs(30));
 //!
 //! let north = d.north.as_ref().expect("attached");
-//! assert_eq!(north.actuations[0].point, "boiler/valve");
+//! assert!(north.commands[0].ok && north.commands[0].point == "boiler/valve");
 //! assert_eq!(north.sample_to_cloud.len(), d.collected().len());
 //! let logged = north.cloud().wal().expect("write-ahead log").records();
 //! assert!(logged > d.collected().len() as u64, "wired and wireless readings");
@@ -61,6 +61,5 @@ pub mod deployment;
 
 pub use audit::Scorecard;
 pub use deployment::{
-    Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule,
-    COMMAND_CAP, POLL,
+    CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule, COMMAND_CAP, POLL,
 };

@@ -129,9 +129,9 @@ impl Gateway {
         self.measurements_processed
     }
 
-    /// Applies a write immediately through the adapters — the
-    /// in-process path used by the application-logic layer (northbound
-    /// CoAP writes are queued until the next poll instead).
+    /// Applies a write immediately through the adapters: how
+    /// [`poll_all`](Self::poll_all) applies the northbound CoAP writes
+    /// queued since the last poll, the gateway's one way down.
     ///
     /// # Errors
     ///

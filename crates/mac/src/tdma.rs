@@ -75,6 +75,29 @@ pub struct TdmaSchedule {
     sync_slots: usize,
 }
 
+/// Every tree edge of `parents` as `(depth, child, parent)`, deepest
+/// first, ties broken by child id for determinism.
+///
+/// # Panics
+///
+/// Panics if the parent vector contains a cycle.
+fn upward(parents: &[Option<NodeId>]) -> Vec<(usize, NodeId, NodeId)> {
+    let depth_of = |mut i: usize| -> usize {
+        let mut d = 0;
+        while let Some(p) = parents[i] {
+            i = p.index();
+            d += 1;
+            assert!(d <= parents.len(), "cycle in parent vector");
+        }
+        d
+    };
+    let mut edges: Vec<_> = (parents.iter().enumerate())
+        .filter_map(|(i, p)| p.map(|parent| (depth_of(i), NodeId(i as u32), parent)))
+        .collect();
+    edges.sort_by_key(|&(depth, child, _)| (std::cmp::Reverse(depth), child));
+    edges
+}
+
 impl TdmaSchedule {
     /// Creates a schedule from explicit slots.
     ///
@@ -127,30 +150,9 @@ impl TdmaSchedule {
     ///
     /// Panics if the parent vector contains a cycle.
     pub fn pipeline_to_root(parents: &[Option<NodeId>], slot_len: SimDuration) -> Self {
-        let depth_of = |mut i: usize| -> usize {
-            let mut d = 0;
-            let mut steps = 0;
-            while let Some(p) = parents[i] {
-                i = p.index();
-                d += 1;
-                steps += 1;
-                assert!(steps <= parents.len(), "cycle in parent vector");
-            }
-            d
-        };
-        let mut nodes: Vec<usize> = (0..parents.len())
-            .filter(|&i| parents[i].is_some())
-            .collect();
-        // Deepest first; ties broken by id for determinism.
-        nodes.sort_by_key(|&i| (std::cmp::Reverse(depth_of(i)), i));
-        let slots = nodes
-            .into_iter()
-            .map(|i| Slot {
-                sender: NodeId(i as u32),
-                receiver: parents[i].expect("filtered"),
-            })
-            .collect();
-        TdmaSchedule::new(slots, slot_len)
+        let up = upward(parents).into_iter();
+        let slots = up.map(|(_, sender, receiver)| Slot { sender, receiver });
+        TdmaSchedule::new(slots.collect(), slot_len)
     }
 
     /// Builds a bidirectional tree schedule from a parent vector: one
@@ -174,35 +176,14 @@ impl TdmaSchedule {
     /// Panics if the parent vector contains a cycle or describes no
     /// edges.
     pub fn tree_edges(parents: &[Option<NodeId>], slot_len: SimDuration) -> Self {
-        let depth_of = |mut i: usize| -> usize {
-            let mut d = 0;
-            let mut steps = 0;
-            while let Some(p) = parents[i] {
-                i = p.index();
-                d += 1;
-                steps += 1;
-                assert!(steps <= parents.len(), "cycle in parent vector");
-            }
-            d
-        };
-        let mut up: Vec<usize> = (0..parents.len())
-            .filter(|&i| parents[i].is_some())
-            .collect();
-        up.sort_by_key(|&i| (std::cmp::Reverse(depth_of(i)), i));
+        let up = upward(parents);
         let mut down = up.clone();
-        down.sort_by_key(|&i| (depth_of(i), i));
-        let slots = up
+        down.sort_by_key(|&(depth, child, _)| (depth, child));
+        let up = up
             .into_iter()
-            .map(|i| Slot {
-                sender: NodeId(i as u32),
-                receiver: parents[i].expect("filtered"),
-            })
-            .chain(down.into_iter().map(|i| Slot {
-                sender: parents[i].expect("filtered"),
-                receiver: NodeId(i as u32),
-            }))
-            .collect();
-        TdmaSchedule::new(slots, slot_len)
+            .map(|(_, sender, receiver)| Slot { sender, receiver });
+        let down = (down.into_iter()).map(|(_, receiver, sender)| Slot { sender, receiver });
+        TdmaSchedule::new(up.chain(down).collect(), slot_len)
     }
 
     /// Number of active (sender/receiver) slots per frame.
@@ -889,6 +870,42 @@ mod tests {
                 },
             ]
         );
+
+        // Both builders against the two sorts they are specified by:
+        // up by (depth desc, id), down by (depth, id).
+        let p = |i: u32| Some(NodeId(i));
+        let line = vec![None, p(0), p(1), p(2), p(3)];
+        let star = vec![p(3), p(3), p(3), None, p(3)];
+        // A 3x3 grid, ids row-major, the root in the middle of the top
+        // row, each node's parent one step nearer to it.
+        let grid = vec![p(1), None, p(1), p(0), p(1), p(2), p(3), p(4), p(5)];
+        for parents in [line, star, grid] {
+            let depth = |mut i: usize| {
+                let mut d = 0;
+                while let Some(p) = parents[i] {
+                    (i, d) = (p.index(), d + 1);
+                }
+                d
+            };
+            let mut up: Vec<usize> = (0..parents.len())
+                .filter(|&i| parents[i].is_some())
+                .collect();
+            up.sort_by_key(|&i| (std::cmp::Reverse(depth(i)), i));
+            let mut down = up.clone();
+            down.sort_by_key(|&i| (depth(i), i));
+            let edge = |i: usize| (NodeId(i as u32), parents[i].expect("has a parent"));
+            let up: Vec<Slot> = (up.into_iter().map(edge))
+                .map(|(sender, receiver)| Slot { sender, receiver })
+                .collect();
+            let down =
+                (down.into_iter().map(edge)).map(|(receiver, sender)| Slot { sender, receiver });
+            let slot = SimDuration::from_millis(10);
+            let pipeline = TdmaSchedule::pipeline_to_root(&parents, slot);
+            assert_eq!(pipeline.slots(), &up[..], "{parents:?}");
+            let both: Vec<Slot> = up.iter().copied().chain(down).collect();
+            let tree = TdmaSchedule::tree_edges(&parents, slot);
+            assert_eq!(tree.slots(), &both[..], "{parents:?}");
+        }
     }
 
     #[test]

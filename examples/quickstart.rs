@@ -2,9 +2,10 @@
 //!
 //! A simulated low-power wireless deployment collects readings toward a
 //! border router; a gateway normalizes three legacy protocols and that
-//! border router into one namespace; the application-logic layer runs a
-//! safety rule; the cloud logs every reading write-ahead and keeps a
-//! twin per device — all on the simulation's clock; and a scorecard
+//! border router into one namespace; the cloud logs every reading
+//! write-ahead, keeps a twin per device and runs a safety rule whose
+//! commands go back down the gateway's CoAP downlink — all on the
+//! simulation's clock; and a scorecard
 //! summarizes the three axes (interoperability, scalability,
 //! dependability).
 //!
@@ -83,15 +84,15 @@ fn main() {
     gw.add_adapter(Box::new(TlvAdapter::new("mote-7", mote, "plant/yard")));
 
     // ------------------------------------------------------------------
-    // Application logic + data storage layers (Fig. 1): an overheat
-    // rule closes the valve; the cloud logs every reading. The border
+    // Application logic + data storage layers (Fig. 1): the cloud logs
+    // every reading, and its overheat rule commands the valve closed
+    // through the gateway at the next wired poll. The border
     // router joins the gateway as one more adapter, one point per node,
     // `plant/cell/n<id>`; from here on the deployment carries each
     // reading up the tiers at the instant it arrives, and polls the
     // wired devices once a second.
     // ------------------------------------------------------------------
     let rules = vec![Rule {
-        name: "boiler-overheat".into(),
         input: "plant/boiler/temp".into(),
         above: true,
         threshold: 90.0,
@@ -126,17 +127,15 @@ fn main() {
         "every sensor node reached the cloud"
     );
     assert_eq!(north.sample_to_cloud.len() as u64, report.delivered);
-    let fired = north
-        .actuations
+    let first = north
+        .commands
         .first()
         .expect("the overheat rule must have fired");
+    assert!(first.ok, "the gateway acked the rule's command");
     println!(
-        "rule '{}' fired {} times, first at {} us: {} = {}",
-        fired.rule,
-        north.actuations.len(),
-        fired.at_us,
-        fired.point,
-        fired.value
+        "rule commands: {} acked over the gateway's CoAP downlink, each closing {}",
+        north.commands.iter().filter(|c| c.ok).count(),
+        first.point
     );
 
     // ------------------------------------------------------------------

@@ -102,6 +102,23 @@ if grep -rn 'CommandRouter::new(' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
+# One write authority: a rule's firing is a cloud command on the
+# deployment's downlink, which the gateway's next poll applies. Outside
+# the gateway crate no non-test code (a `tests/` file, or a file from its
+# first `#[cfg(test)]` on) writes through `write_direct`, and the second
+# record rules once kept beside the commands stays gone.
+if find crates src examples -name '*.rs' ! -path '*/tests/*' ! -path 'crates/gateway/*' |
+    xargs awk 'FNR == 1 { body = 1 } /#\[cfg\(test\)\]/ { body = 0 }
+        body && /write_direct[(]/ { print FILENAME ":" FNR ":" $0; found = 1 }
+        END { exit !found }'; then
+    echo "write_direct( called in non-test code outside crates/gateway/" >&2
+    exit 1
+fi
+if grep -rn '\<Actuation\>\|\.actuations\>' crates src tests examples --include='*.rs'; then
+    echo "Actuation or .actuations named in first-party source" >&2
+    exit 1
+fi
+
 # `offer` owns its drain: it runs the drain ticks due before each
 # arrival, so a caller outside the cloud crate never calls `drain_until`.
 if grep -rn '\.drain_until(' crates src tests examples --include='*.rs' |

@@ -52,8 +52,8 @@
 //! ```
 
 pub use iiot_core::{
-    audit, deployment, Actuation, CollectionReport, Deployment, DeploymentBuilder, MacChoice,
-    Northbound, Rule, Scorecard, POLL,
+    audit, deployment, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound,
+    Rule, Scorecard, POLL,
 };
 
 pub use iiot_aggregate as aggregate;

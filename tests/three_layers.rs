@@ -5,7 +5,7 @@
 //! observing the same points the rules act on. Every tier runs on the
 //! simulation's clock.
 
-use iiot::cloud::decode_uplink;
+use iiot::cloud::{decode_uplink, CommandOutcome};
 use iiot::coap::{CoapEndpoint, CoapEvent, Code};
 use iiot::crdt::ReplicaId;
 use iiot::gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
@@ -14,7 +14,7 @@ use iiot::gateway::{Gateway, Unit};
 use iiot::routing::Collected;
 use iiot::security::{Key, SecLevel};
 use iiot::sim::{SimDuration, SimTime, Topology};
-use iiot::{Actuation, Deployment, MacChoice, Northbound, Rule, POLL};
+use iiot::{Deployment, MacChoice, Northbound, Rule, POLL};
 use std::collections::BTreeMap;
 
 fn plant_gateway() -> Gateway {
@@ -51,7 +51,6 @@ fn plant_gateway() -> Gateway {
 
 fn purge_rule(threshold: f64) -> Rule {
     Rule {
-        name: "purge".into(),
         input: "boiler/temp".into(),
         above: true,
         threshold,
@@ -95,7 +94,7 @@ fn quiescent_rule_never_actuates() {
     let mut d = plant(vec![purge_rule(90.0)]); // boiler is at 70 C: never fires
     d.run_for(SimDuration::from_secs(4));
     let north = north(&d);
-    assert!(north.actuations.is_empty());
+    assert!(north.commands.is_empty());
     assert_eq!(twin_value(north, "boiler/temp"), Some(70.0));
     assert_eq!(twin_value(north, "boiler/valve"), Some(100.0));
     // The secured TLV mote's readings also flow through all tiers, once
@@ -113,20 +112,27 @@ fn quiescent_rule_never_actuates() {
 #[test]
 fn rule_actuation_lands_on_the_plc() {
     let mut d = plant(vec![purge_rule(60.0)]); // 70 C violates it immediately
-    d.run_for(SimDuration::from_secs(1));
-    let north = north(&d);
-    // The rule fired once per poll that published 70 C, at the instant
-    // the poll published it, and the write went through the Modbus
-    // adapter: the next poll observes the physically closed valve.
-    let at: Vec<u64> = north.actuations.iter().map(|a| a.at_us).collect();
-    assert_eq!(at, [0, 1_000_000]);
-    assert_eq!(north.actuations[0].point, "boiler/valve");
-    let temp = north.gateway().last("boiler/temp").expect("polled");
-    assert_eq!(temp.timestamp_us, north.actuations[1].at_us);
+                                               // The poll at 0 s publishes 70 C, and the cloud's rule queues its
+                                               // command on the downlink.
+    d.run_for(SimDuration::ZERO);
+    assert!(north(&d).commands.is_empty());
     assert_eq!(
-        north.gateway().last("boiler/valve").map(|m| m.value),
-        Some(0.0)
+        north(&d).gateway().last("boiler/valve").map(|m| m.value),
+        Some(100.0)
     );
+    // The next grid instant acks it over CoAP just before its poll,
+    // which applies it through the Modbus adapter and then observes the
+    // physically closed valve. The 1 s firing waits for the 2 s flush.
+    d.run_for(POLL);
+    let north = north(&d);
+    let acked: Vec<(&str, bool)> = north
+        .commands
+        .iter()
+        .map(|c| (c.point.as_str(), c.ok))
+        .collect();
+    assert_eq!(acked, [("boiler/valve", true)]);
+    let valve = north.gateway().last("boiler/valve").expect("polled");
+    assert_eq!((valve.value, valve.timestamp_us), (0.0, 1_000_000));
     assert_eq!(twin_value(north, "boiler/valve"), Some(0.0));
 }
 
@@ -228,7 +234,7 @@ fn radio_readings_flow_to_historian_and_uplink_exactly_once() {
 /// root.
 #[test]
 fn slicing_the_run_changes_nothing_above_the_root() {
-    fn sliced(slices: &[u64]) -> (Vec<u8>, Vec<Actuation>, iiot::cloud::TwinStore) {
+    fn sliced(slices: &[u64]) -> (Vec<u8>, Vec<CommandOutcome>, iiot::cloud::TwinStore) {
         let mut d = plant(vec![purge_rule(60.0)]);
         for &s in slices {
             d.run_for(SimDuration::from_secs(s));
@@ -238,7 +244,7 @@ fn slicing_the_run_changes_nothing_above_the_root() {
         let wal = north.cloud().wal().expect("write-ahead log");
         (
             wal.as_bytes().to_vec(),
-            north.actuations.to_vec(),
+            north.commands.to_vec(),
             north.twins.clone(),
         )
     }
