@@ -301,7 +301,7 @@ impl Aggregation {
         }
     }
 
-    fn on_epoch_end(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_epoch_end(&mut self) {
         let Some(q) = self.query else { return };
         let acc = match self.config.mode {
             Mode::Aggregate => self.acc,
@@ -312,7 +312,6 @@ impl Aggregation {
             value: acc.finalize(q.agg),
             count: acc.count,
         });
-        ctx.count_node("epochs_finalized", 1.0);
     }
 }
 
@@ -356,8 +355,6 @@ impl<M: Mac> Service<M> for Aggregation {
                 if let Some(p) = Partial::decode(&payload[3..]) {
                     if epoch == self.acc_epoch {
                         self.acc.merge(&p);
-                    } else {
-                        ctx.count_node("partial_late", 1.0);
                     }
                 }
             }
@@ -370,16 +367,11 @@ impl<M: Mac> Service<M> for Aggregation {
                             f64::from_be_bytes(payload[7..15].try_into().expect("checked len"));
                         if epoch == self.acc_epoch {
                             self.raw_acc.merge(&Partial::of(value));
-                        } else {
-                            ctx.count_node("raw_late", 1.0);
                         }
                     }
                 } else {
-                    ctx.count_node("raw_fwd", 1.0);
                     if self.relay.len() < 64 {
                         self.relay.push_back(payload.to_vec());
-                    } else {
-                        ctx.count_node("raw_drop", 1.0);
                     }
                     self.pump(mac, ctx);
                 }
@@ -388,12 +380,9 @@ impl<M: Mac> Service<M> for Aggregation {
         }
     }
 
-    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, handle: SendHandle, acked: bool) {
+    fn send_done(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, handle: SendHandle, _acked: bool) {
         if self.inflight == Some(handle) {
             self.inflight = None;
-            if !acked {
-                ctx.count_node("raw_send_fail", 1.0);
-            }
             self.relay.pop_front();
             self.pump(mac, ctx);
         }
@@ -410,12 +399,11 @@ impl<M: Mac> Service<M> for Aggregation {
                 let mut payload = q.encode();
                 payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
                 let _ = mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
-                ctx.count_node("query_tx", 1.0);
                 self.adopt_query(mac, ctx, q, epoch0);
             }
             TAG_SAMPLE => self.on_sample(ctx),
             TAG_SEND => self.on_send_slot(mac, ctx),
-            TAG_EPOCH_END => self.on_epoch_end(ctx),
+            TAG_EPOCH_END => self.on_epoch_end(),
             TAG_PUMP => self.pump(mac, ctx),
             _ => {}
         }

@@ -511,3 +511,35 @@ fn e2a_oracle_duty_cycle_is_sampling_plus_strobing() {
         }
     }
 }
+
+/// E5's direct-to-sink arm has an oracle in the PRR curve: every node
+/// unicasts straight to the corner sink, so delivery is the mean PRR
+/// over the sink's distances to the other n − 1 nodes. Under the
+/// default 30 m unit disk on the 20 m grid that is the 3 nodes the sink
+/// hears, 3/(n − 1): 37.5 % and 12.5 % on the 3×3 and 5×5 rows, which
+/// the pinned rows match within half a point.
+#[test]
+fn e5_oracle_direct_delivery_is_the_sinks_mean_prr() {
+    use iiot_sim::{RadioConfig, Topology};
+    const TOLERANCE: f64 = 0.5;
+    let t = exp_scale::e5_size_scaling(&RunConfig::default(), &[3, 5], 400);
+    let radio = RadioConfig::default();
+    for (r, (side, pinned)) in [(3, "37.4%"), (5, "12.4%")].into_iter().enumerate() {
+        assert_eq!(t.rows[r][4], pinned, "the table's row");
+        let grid = Topology::grid(side, side, 20.0);
+        let sink = grid.pos(0);
+        let heard: f64 = (1..grid.len())
+            .map(|i| {
+                let d = sink.distance(grid.pos(i));
+                radio.rssi_at(d).map_or(0.0, |rssi| radio.prr(d, rssi))
+            })
+            .sum();
+        assert_eq!(heard, 3.0, "the corner sink hears its 3 grid neighbours");
+        let model = 100.0 * heard / (grid.len() - 1) as f64;
+        let measured = cell(&t, r, 4);
+        assert!(
+            (measured - model).abs() <= TOLERANCE,
+            "{side}x{side}: {measured}% against {model:.1}%"
+        );
+    }
+}

@@ -1,5 +1,4 @@
-//! Replicated counters: grow-only ([`GCounter`]) and
-//! increment/decrement ([`PnCounter`]).
+//! The replicated grow-only counter ([`GCounter`]).
 
 use crate::vclock::ReplicaId;
 use crate::Crdt;
@@ -62,54 +61,6 @@ impl Crdt for GCounter {
     }
 }
 
-/// A counter supporting increments and decrements, built from two
-/// [`GCounter`]s (one for each direction).
-///
-/// # Examples
-///
-/// ```
-/// use iiot_crdt::{Crdt, PnCounter, ReplicaId};
-///
-/// let mut a = PnCounter::new();
-/// a.inc(ReplicaId(1), 10);
-/// a.dec(ReplicaId(1), 3);
-/// assert_eq!(a.value(), 7);
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct PnCounter {
-    pos: GCounter,
-    neg: GCounter,
-}
-
-impl PnCounter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` on behalf of `replica`.
-    pub fn inc(&mut self, replica: ReplicaId, n: u64) {
-        self.pos.inc(replica, n);
-    }
-
-    /// Subtracts `n` on behalf of `replica`.
-    pub fn dec(&mut self, replica: ReplicaId, n: u64) {
-        self.neg.inc(replica, n);
-    }
-
-    /// The counter value (may be negative).
-    pub fn value(&self) -> i64 {
-        self.pos.value() as i64 - self.neg.value() as i64
-    }
-}
-
-impl Crdt for PnCounter {
-    fn merge(&mut self, other: &Self) {
-        self.pos.merge(&other.pos);
-        self.neg.merge(&other.neg);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,28 +96,6 @@ mod tests {
         let mut b = GCounter::new();
         b.merge(&delta);
         assert_eq!(b.value(), 5);
-    }
-
-    #[test]
-    fn pncounter_can_go_negative() {
-        let mut c = PnCounter::new();
-        c.dec(ReplicaId(1), 4);
-        c.inc(ReplicaId(2), 1);
-        assert_eq!(c.value(), -3);
-    }
-
-    #[test]
-    fn pncounter_concurrent_converges() {
-        let mut a = PnCounter::new();
-        let mut b = PnCounter::new();
-        a.inc(ReplicaId(1), 10);
-        b.dec(ReplicaId(2), 4);
-        let mut a2 = a.clone();
-        a2.merge(&b);
-        let mut b2 = b.clone();
-        b2.merge(&a);
-        assert_eq!(a2, b2);
-        assert_eq!(a2.value(), 6);
     }
 
     fn arb_gcounter() -> impl Strategy<Value = GCounter> {

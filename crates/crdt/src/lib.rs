@@ -6,13 +6,15 @@
 //! — specifically CRDTs — as the compelling approach. This crate
 //! provides the state-based (convergent) CRDTs the framework uses:
 //!
-//! * [`GCounter`] / [`PnCounter`] — replicated event and quantity counters;
-//! * [`GSet`] / [`TwoPSet`] / [`OrSet`] — replicated device registries
-//!   (the `OrSet` is a tombstone-free add-wins observed-remove set);
-//! * [`LwwRegister`] / [`MvRegister`] — replicated configuration values
-//!   (multi-value surfaces conflicts for explicit resolution);
-//! * [`LwwMap`] — the composed telemetry store used by experiment E7;
-//! * [`vclock`] — vector clocks and dots underpinning the above.
+//! * [`LwwMap`] (a map of [`LwwRegister`]s) — the digital twins'
+//!   reported and desired point values, and the per-replica store of
+//!   experiment E7's CAP simulator;
+//! * [`OrSet`] — a twin's tags, a tombstone-free add-wins
+//!   observed-remove set;
+//! * [`GCounter`] — the grow-only counter behind E7's full-state versus
+//!   delta anti-entropy ablation;
+//! * [`vclock`] — vector clocks and dots: a twin's write clock and the
+//!   `OrSet`'s causal context.
 //!
 //! All types implement [`Crdt`]: an idempotent, commutative, associative
 //! [`merge`](Crdt::merge), verified by property-based tests.
@@ -47,9 +49,9 @@ pub mod set;
 pub mod store;
 pub mod vclock;
 
-pub use counter::{GCounter, PnCounter};
-pub use register::{LwwRegister, MvRegister};
-pub use set::{GSet, OrSet, TwoPSet};
+pub use counter::GCounter;
+pub use register::LwwRegister;
+pub use set::OrSet;
 pub use store::LwwMap;
 pub use vclock::{Dot, ReplicaId, VClock};
 

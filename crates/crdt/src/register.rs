@@ -1,8 +1,6 @@
-//! Replicated registers: last-writer-wins ([`LwwRegister`]) and
-//! multi-value ([`MvRegister`], which surfaces conflicts instead of
-//! hiding them).
+//! The replicated last-writer-wins register ([`LwwRegister`]).
 
-use crate::vclock::{ReplicaId, VClock};
+use crate::vclock::ReplicaId;
 use crate::Crdt;
 
 /// A last-writer-wins register ordered by `(timestamp, replica)`.
@@ -78,113 +76,6 @@ impl<T: Clone> Crdt for LwwRegister<T> {
     }
 }
 
-/// A multi-value register: concurrent writes are all retained and
-/// surfaced to the application for explicit conflict resolution — the
-/// "decentralized resolution of potentially conflicting updates" the
-/// paper calls for (§IV-B).
-///
-/// # Examples
-///
-/// ```
-/// use iiot_crdt::{Crdt, MvRegister, ReplicaId};
-///
-/// let mut a = MvRegister::new();
-/// a.set(ReplicaId(1), 20.0);
-/// let mut b = a.clone();
-/// a.set(ReplicaId(1), 21.5);
-/// b.set(ReplicaId(2), 19.0);
-/// a.merge(&b);
-/// let mut vals: Vec<f64> = a.values().copied().collect();
-/// vals.sort_by(f64::total_cmp);
-/// assert_eq!(vals, vec![19.0, 21.5], "both concurrent writes survive");
-/// ```
-#[derive(Clone, Debug)]
-pub struct MvRegister<T> {
-    versions: Vec<(VClock, T)>,
-}
-
-/// Equality is *semantic*: the same set of `(clock, value)` versions,
-/// regardless of the order merges happened to produce.
-impl<T: PartialEq> PartialEq for MvRegister<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.versions.len() == other.versions.len()
-            && self.versions.iter().all(|v| other.versions.contains(v))
-    }
-}
-
-impl<T> Default for MvRegister<T> {
-    fn default() -> Self {
-        MvRegister {
-            versions: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone + PartialEq> MvRegister<T> {
-    /// An empty register (no writes yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writes `value` on behalf of `replica`, superseding every version
-    /// currently visible at this replica.
-    pub fn set(&mut self, replica: ReplicaId, value: T) {
-        let mut clock = VClock::new();
-        for (c, _) in &self.versions {
-            clock.merge(c);
-        }
-        clock.increment(replica);
-        self.versions = vec![(clock, value)];
-    }
-
-    /// The current value(s): one if there is no conflict, several after
-    /// concurrent writes.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.versions.iter().map(|(_, v)| v)
-    }
-
-    /// Whether concurrent writes are currently unresolved.
-    pub fn is_conflicted(&self) -> bool {
-        self.versions.len() > 1
-    }
-
-    /// Resolves a conflict by folding all current values into one, e.g.
-    /// averaging sensor readings or taking the safest actuator command.
-    pub fn resolve(&mut self, replica: ReplicaId, f: impl FnOnce(&[T]) -> T) {
-        if self.versions.is_empty() {
-            return;
-        }
-        let vals: Vec<T> = self.versions.iter().map(|(_, v)| v.clone()).collect();
-        let winner = f(&vals);
-        self.set(replica, winner);
-    }
-
-    /// Whether no write has happened yet.
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-}
-
-impl<T: Clone + PartialEq> Crdt for MvRegister<T> {
-    fn merge(&mut self, other: &Self) {
-        let mut merged: Vec<(VClock, T)> = Vec::new();
-        let candidates = self.versions.iter().chain(other.versions.iter());
-        for (clock, value) in candidates {
-            // Keep a version unless some other candidate strictly
-            // dominates it.
-            let dominated = self
-                .versions
-                .iter()
-                .chain(other.versions.iter())
-                .any(|(c2, _)| c2.dominates(clock) && c2 != clock);
-            if !dominated && !merged.iter().any(|(c2, v2)| c2 == clock && v2 == value) {
-                merged.push((clock.clone(), value.clone()));
-            }
-        }
-        self.versions = merged;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,42 +103,6 @@ mod tests {
         assert_eq!(*b2.get(), "b");
     }
 
-    #[test]
-    fn mv_sequential_write_replaces() {
-        let mut r = MvRegister::new();
-        assert!(r.is_empty());
-        r.set(ReplicaId(1), 1);
-        r.set(ReplicaId(1), 2);
-        assert_eq!(r.values().copied().collect::<Vec<_>>(), vec![2]);
-        assert!(!r.is_conflicted());
-    }
-
-    #[test]
-    fn mv_causal_write_supersedes_across_replicas() {
-        let mut a = MvRegister::new();
-        a.set(ReplicaId(1), 1);
-        let mut b = a.clone();
-        b.set(ReplicaId(2), 2); // b saw a's write
-        a.merge(&b);
-        assert_eq!(a.values().copied().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
-    fn mv_resolve_clears_conflict() {
-        let mut a = MvRegister::new();
-        a.set(ReplicaId(1), 10.0);
-        let mut b = a.clone();
-        a.set(ReplicaId(1), 30.0);
-        b.set(ReplicaId(2), 10.0);
-        a.merge(&b);
-        assert!(a.is_conflicted());
-        a.resolve(ReplicaId(1), |vals| {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        });
-        assert!(!a.is_conflicted());
-        assert_eq!(a.values().copied().collect::<Vec<_>>(), vec![20.0]);
-    }
-
     proptest! {
         #[test]
         fn lww_merge_laws(
@@ -272,26 +127,6 @@ mod tests {
             prop_assert_eq!(&ab, &ba);
             let mut aa = a.clone(); aa.merge(&a);
             prop_assert_eq!(&aa, &a);
-        }
-
-        #[test]
-        fn mv_merge_commutes(seed_writes in proptest::collection::vec((0u64..3, 0i32..100), 0..6)) {
-            let mut a = MvRegister::new();
-            let mut b = MvRegister::new();
-            for (i, (r, v)) in seed_writes.iter().enumerate() {
-                if i % 2 == 0 {
-                    a.set(ReplicaId(*r), *v);
-                } else {
-                    b.set(ReplicaId(*r + 10), *v);
-                }
-            }
-            let mut ab = a.clone(); ab.merge(&b);
-            let mut ba = b.clone(); ba.merge(&a);
-            let mut va: Vec<i32> = ab.values().copied().collect();
-            let mut vb: Vec<i32> = ba.values().copied().collect();
-            va.sort_unstable();
-            vb.sort_unstable();
-            prop_assert_eq!(va, vb);
         }
     }
 }

@@ -1,146 +1,9 @@
-//! Replicated sets: grow-only, two-phase, and the add-wins observed-
-//! remove set ([`OrSet`], tombstone-free via a causal context).
+//! The replicated add-wins observed-remove set ([`OrSet`],
+//! tombstone-free via a causal context).
 
 use crate::vclock::{Dot, ReplicaId, VClock};
 use crate::Crdt;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A grow-only set: elements can only be added; merge is set union.
-///
-/// # Examples
-///
-/// ```
-/// use iiot_crdt::{Crdt, GSet};
-///
-/// let mut a = GSet::new();
-/// let mut b = GSet::new();
-/// a.insert("pump-1");
-/// b.insert("valve-7");
-/// a.merge(&b);
-/// assert!(a.contains(&"pump-1") && a.contains(&"valve-7"));
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GSet<T: Ord> {
-    items: BTreeSet<T>,
-}
-
-impl<T: Ord> Default for GSet<T> {
-    fn default() -> Self {
-        GSet {
-            items: BTreeSet::new(),
-        }
-    }
-}
-
-impl<T: Ord> GSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an element. Returns `true` if it was new.
-    pub fn insert(&mut self, item: T) -> bool {
-        self.items.insert(item)
-    }
-
-    /// Membership test.
-    pub fn contains(&self, item: &T) -> bool {
-        self.items.contains(item)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Iterates over elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-}
-
-impl<T: Ord + Clone> Crdt for GSet<T> {
-    fn merge(&mut self, other: &Self) {
-        self.items.extend(other.items.iter().cloned());
-    }
-}
-
-impl<T: Ord> FromIterator<T> for GSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        GSet {
-            items: iter.into_iter().collect(),
-        }
-    }
-}
-
-/// A two-phase set: removal wins permanently (an element, once removed,
-/// can never be re-added). Simple but often too blunt; see [`OrSet`] for
-/// add-wins semantics.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TwoPSet<T: Ord> {
-    added: BTreeSet<T>,
-    removed: BTreeSet<T>,
-}
-
-impl<T: Ord> Default for TwoPSet<T> {
-    fn default() -> Self {
-        TwoPSet {
-            added: BTreeSet::new(),
-            removed: BTreeSet::new(),
-        }
-    }
-}
-
-impl<T: Ord + Clone> TwoPSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an element (no effect if it was ever removed).
-    pub fn insert(&mut self, item: T) {
-        self.added.insert(item);
-    }
-
-    /// Removes an element permanently.
-    pub fn remove(&mut self, item: &T) {
-        if self.added.contains(item) {
-            self.removed.insert(item.clone());
-        }
-    }
-
-    /// Membership test: added and never removed.
-    pub fn contains(&self, item: &T) -> bool {
-        self.added.contains(item) && !self.removed.contains(item)
-    }
-
-    /// Number of live elements.
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// Whether no live elements remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over live elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.added.iter().filter(move |i| !self.removed.contains(i))
-    }
-}
-
-impl<T: Ord + Clone> Crdt for TwoPSet<T> {
-    fn merge(&mut self, other: &Self) {
-        self.added.extend(other.added.iter().cloned());
-        self.removed.extend(other.removed.iter().cloned());
-    }
-}
 
 /// An add-wins observed-remove set without tombstones (an "ORSWOT").
 ///
@@ -256,35 +119,6 @@ impl<T: Ord + Clone> Crdt for OrSet<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn gset_union() {
-        let mut a: GSet<u32> = [1, 2].into_iter().collect();
-        let b: GSet<u32> = [2, 3].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn twopset_remove_wins_forever() {
-        let mut a = TwoPSet::new();
-        a.insert(1);
-        a.remove(&1);
-        a.insert(1); // re-add has no effect
-        assert!(!a.contains(&1));
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn twopset_remove_requires_add() {
-        let mut a: TwoPSet<u32> = TwoPSet::new();
-        a.remove(&5); // not present: no tombstone recorded
-        let mut b = TwoPSet::new();
-        b.insert(5);
-        a.merge(&b);
-        assert!(a.contains(&5));
-    }
 
     #[test]
     fn orset_sequential_add_remove() {

@@ -2,10 +2,7 @@
 //! one of every CRDT, must converge to identical state under any
 //! gossip schedule that eventually connects everyone.
 
-use iiot_crdt::{
-    Crdt, GCounter, GSet, LwwMap, LwwRegister, MvRegister, OrSet, PnCounter, ReplicaId, TwoPSet,
-    VClock,
-};
+use iiot_crdt::{Crdt, GCounter, LwwMap, LwwRegister, OrSet, ReplicaId, VClock};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -14,12 +11,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, PartialEq, Debug)]
 struct PlantState {
     events: GCounter,
-    stock: PnCounter,
     devices: OrSet<u8>,
-    decommissioned: TwoPSet<u8>,
-    points: GSet<u8>,
     mode: LwwRegister<u8>,
-    setpoint: MvRegister<i32>,
     telemetry: LwwMap<u8, i64>,
     clock: VClock,
 }
@@ -28,12 +21,8 @@ impl PlantState {
     fn new() -> Self {
         PlantState {
             events: GCounter::new(),
-            stock: PnCounter::new(),
             devices: OrSet::new(),
-            decommissioned: TwoPSet::new(),
-            points: GSet::new(),
             mode: LwwRegister::new(0, ReplicaId(0), 0),
-            setpoint: MvRegister::new(),
             telemetry: LwwMap::new(),
             clock: VClock::new(),
         }
@@ -41,46 +30,24 @@ impl PlantState {
 
     fn merge(&mut self, other: &PlantState) {
         self.events.merge(&other.events);
-        self.stock.merge(&other.stock);
         self.devices.merge(&other.devices);
-        self.decommissioned.merge(&other.decommissioned);
-        self.points.merge(&other.points);
         self.mode.merge(&other.mode);
-        self.setpoint.merge(&other.setpoint);
         self.telemetry.merge(&other.telemetry);
         self.clock.merge(&other.clock);
     }
 
     /// One random local operation at logical time `t`.
     fn op(&mut self, me: ReplicaId, t: u64, rng: &mut SmallRng) {
-        match rng.gen_range(0..8) {
+        match rng.gen_range(0..5) {
             0 => {
                 self.events.inc(me, 1);
             }
-            1 => {
-                if rng.gen() {
-                    self.stock.inc(me, rng.gen_range(1..5));
-                } else {
-                    self.stock.dec(me, rng.gen_range(1..5));
-                }
-            }
-            2 => self.devices.insert(me, rng.gen_range(0..10)),
-            3 => {
+            1 => self.devices.insert(me, rng.gen_range(0..10)),
+            2 => {
                 self.devices.remove(&rng.gen_range(0..10));
             }
-            4 => {
-                let d = rng.gen_range(0..10);
-                self.decommissioned.insert(d);
-                if rng.gen() {
-                    self.decommissioned.remove(&d);
-                }
-            }
-            5 => {
-                self.points.insert(rng.gen_range(0..20));
-            }
-            6 => {
+            3 => {
                 self.mode.set(t, me, rng.gen_range(0..4));
-                self.setpoint.set(me, rng.gen_range(18..26));
             }
             _ => {
                 self.telemetry.insert(t, me, rng.gen_range(0..6), t as i64);

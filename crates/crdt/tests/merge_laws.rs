@@ -7,10 +7,7 @@
 //! never shared by two nodes) — and checks all three laws plus
 //! [`merge_all`] agreement.
 
-use iiot_crdt::{
-    merge_all, Crdt, GCounter, GSet, LwwMap, LwwRegister, MvRegister, OrSet, PnCounter, ReplicaId,
-    TwoPSet,
-};
+use iiot_crdt::{merge_all, Crdt, GCounter, LwwMap, LwwRegister, OrSet, ReplicaId};
 use proptest::prelude::*;
 use std::fmt::Debug;
 
@@ -87,21 +84,6 @@ proptest! {
     }
 
     #[test]
-    fn pncounter_satisfies_merge_laws(h in arb_ops()) {
-        laws_of(&h, |base, ops| {
-            let mut s = PnCounter::new();
-            for &(r, _, v, up) in ops {
-                if up {
-                    s.inc(rep(base, r), u64::from(v) + 1);
-                } else {
-                    s.dec(rep(base, r), u64::from(v) + 1);
-                }
-            }
-            s
-        });
-    }
-
-    #[test]
     fn lww_register_satisfies_merge_laws(h in arb_ops()) {
         laws_of(&h, |base, ops| {
             // All replicas share the same initial state, as after a
@@ -109,42 +91,6 @@ proptest! {
             let mut s = LwwRegister::new(0, ReplicaId(0), 0u8);
             for &(r, t, v, _) in ops {
                 s.set(t, rep(base, r), v);
-            }
-            s
-        });
-    }
-
-    #[test]
-    fn mv_register_satisfies_merge_laws(h in arb_ops()) {
-        laws_of(&h, |base, ops| {
-            let mut s = MvRegister::new();
-            for &(r, _, v, _) in ops {
-                s.set(rep(base, r), v);
-            }
-            s
-        });
-    }
-
-    #[test]
-    fn gset_satisfies_merge_laws(h in arb_ops()) {
-        laws_of(&h, |_, ops| {
-            let mut s = GSet::new();
-            for &(_, _, v, _) in ops {
-                s.insert(v);
-            }
-            s
-        });
-    }
-
-    #[test]
-    fn twopset_satisfies_merge_laws(h in arb_ops()) {
-        laws_of(&h, |_, ops| {
-            let mut s = TwoPSet::new();
-            for &(_, _, v, gone) in ops {
-                s.insert(v);
-                if gone {
-                    s.remove(&v);
-                }
             }
             s
         });

@@ -9,8 +9,6 @@
 //!   mechanisms with analytic success models: information (XOR-parity
 //!   erasure coding), time (deadline-bounded retries) and physical
 //!   (replicated sensors with majority voting);
-//! * [`metrics`] — MTTF/MTTR estimation and availability tracking;
-//! * [`detector`] — fixed-timeout and phi-accrual failure detectors;
 //! * [`safety`] — continuous safety: nested hard/soft envelopes,
 //!   violation accounting and the comfort/energy revenue model (§V-B);
 //! * [`hvac`] — the office-HVAC scenario: thermal zone model,
@@ -41,19 +39,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod detector;
 pub mod diagnosis;
 pub mod fault;
 pub mod hvac;
-pub mod metrics;
 pub mod redundancy;
 pub mod replica;
 pub mod safety;
 
-pub use detector::{FixedTimeoutDetector, PhiAccrualDetector};
 pub use diagnosis::{diagnose, diagnose_fleet, Cause, Finding, Symptoms};
 pub use fault::{Fault, FaultPlan};
-pub use metrics::{steady_state_availability, LifeReport, LifeTracker};
 pub use replica::{
     simulate as simulate_replicas, simulate_with as simulate_replicas_with, AvailabilityReport,
     Design, PartitionWindow,

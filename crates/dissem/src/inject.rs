@@ -62,7 +62,6 @@ impl BlockInjector {
                 BlockOpt::new(self.next, more, szx).to_bytes(),
             )
             .with_payload(bytes);
-        ctx.count_node("inject_block_tx", 1.0);
         ctx.wire_send(self.gateway, req.encode());
     }
 }
@@ -95,10 +94,7 @@ impl Proto for BlockInjector {
                     self.done = true;
                 }
             }
-            _ => {
-                self.failed = true;
-                ctx.count_node("inject_failed", 1.0);
-            }
+            _ => self.failed = true,
         }
     }
 

@@ -546,8 +546,6 @@ impl Dissem {
             }
             // New page (or verdict): neighbours behind us need to hear.
             self.reset_trickle(ctx, true);
-        } else {
-            ctx.count_node("dissem_page_bad", 1.0);
         }
     }
 }
@@ -594,8 +592,6 @@ impl<M: Mac> Service<M> for Dissem {
                 self.t_timer = TimerId::NONE;
                 if self.trickle.should_transmit() {
                     self.send_adv(mac, ctx);
-                } else {
-                    ctx.count_node("dissem_adv_suppressed", 1.0);
                 }
             }
             TAG_TRICKLE_END if timer.id == self.end_timer => {

@@ -1,5 +1,5 @@
 //! The border gateway: polls heterogeneous southbound adapters,
-//! normalizes everything onto the bus and a replicated cache, and
+//! normalizes everything onto the bus and a last-value cache, and
 //! exposes the unified namespace northbound over CoAP — the middleware
 //! integration §III-B argues for.
 
@@ -7,7 +7,7 @@ use crate::bus::{Bus, Receiver};
 use crate::model::{Adapter, DeviceInfo, Measurement, WriteError};
 use iiot_coap::resource::Response;
 use iiot_coap::{CoapEndpoint, Code};
-use iiot_crdt::{Crdt, LwwMap, ReplicaId};
+use iiot_crdt::ReplicaId;
 use iiot_sim::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -23,8 +23,6 @@ pub struct Gateway {
     replica: ReplicaId,
     adapters: Vec<Box<dyn Adapter>>,
     bus: Bus,
-    /// CRDT cache: point -> value, mergeable with a redundant gateway.
-    crdt_cache: LwwMap<String, f64>,
     /// Rich cache for northbound reads.
     cache: CacheHandle,
     writes: WriteQueue,
@@ -34,14 +32,13 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// A gateway identified as CRDT replica `replica` (each redundant
-    /// gateway instance needs a distinct id).
+    /// A gateway identified as `replica`, whose number also addresses
+    /// its CoAP endpoint.
     pub fn new(replica: ReplicaId) -> Self {
         Gateway {
             replica,
             adapters: Vec::new(),
             bus: Bus::new(),
-            crdt_cache: LwwMap::new(),
             cache: CacheHandle::default(),
             writes: WriteQueue::default(),
             coap: CoapEndpoint::new(replica.0),
@@ -148,17 +145,6 @@ impl Gateway {
         Err(last)
     }
 
-    /// The mergeable cache, for gateway redundancy.
-    pub fn crdt_cache(&self) -> &LwwMap<String, f64> {
-        &self.crdt_cache
-    }
-
-    /// Merges a redundant peer gateway's cache into ours (values with
-    /// newer timestamps win per point).
-    pub fn merge_peer_cache(&mut self, peer: &LwwMap<String, f64>) {
-        self.crdt_cache.merge(peer);
-    }
-
     /// One gateway cycle at `now_us`: apply pending northbound writes,
     /// then [`poll_adapter`](Self::poll_adapter) every adapter in the
     /// order they were added. Returns the number of measurements
@@ -194,10 +180,6 @@ impl Gateway {
         let mut first_seen = Vec::new();
         for m in self.adapters[index].poll(now_us) {
             self.bus.publish(&m);
-            if m.value.is_finite() {
-                self.crdt_cache
-                    .insert(m.timestamp_us, self.replica, m.point.clone(), m.value);
-            }
             updated_points.push(m.point.clone());
             if self.cache.borrow_mut().insert(m.point.clone(), m).is_none() {
                 first_seen.push(updated_points.len() - 1);
@@ -479,39 +461,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn redundant_gateways_merge_caches() {
-        let mut a = full_gateway();
-        a.poll_all(100);
-        // A second gateway saw a newer boiler reading.
-        let mut b = Gateway::new(ReplicaId(2));
-        let mut plc = ModbusDevice::new(1, 8);
-        plc.set_register(0, 900);
-        b.add_adapter(Box::new(ModbusAdapter::new(
-            "plc-1",
-            plc,
-            vec![RegisterMap {
-                addr: 0,
-                point: "plant/boiler/temp".into(),
-                unit: Unit::Celsius,
-                scale: 0.1,
-                offset: 0.0,
-                writable: false,
-            }],
-        )));
-        b.poll_all(200);
-        a.merge_peer_cache(b.crdt_cache());
-        assert_eq!(
-            a.crdt_cache().get(&"plant/boiler/temp".to_string()),
-            Some(&90.0)
-        );
-        // Points only A had survive the merge.
-        assert!(a
-            .crdt_cache()
-            .get(&"plant/office/temp".to_string())
-            .is_some());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   with [`iiot_security`] frame security, and its adapter;
 //! * [`bus`] — the internal publish/subscribe backbone;
 //! * [`bridge`] — the `Gateway`: polls adapters,
-//!   normalizes onto the bus and a CRDT-mergeable cache (for gateway
-//!   redundancy), and serves the unified namespace northbound over
+//!   normalizes onto the bus and a last-value cache, and serves the unified namespace northbound over
 //!   CoAP (GET/PUT/Observe).
 //!
 //! # Examples

@@ -245,7 +245,6 @@ impl Icn {
         let obj = if self.cfg.object_sec {
             let o =
                 ContentObject::signed(&self.cfg.key, name, version, self.cfg.freshness, payload);
-            ctx.count_node("icn_sign", 1.0);
             ctx.count_node(
                 "icn_crypto_uj",
                 self.cost.cpu_energy_uj(OBJECT_SEC_LEVEL, o.signed_len()),
@@ -303,7 +302,6 @@ impl Icn {
             self.try_deliver(ctx, &obj);
             return;
         }
-        ctx.count_node("icn_cache_miss", 1.0);
         if let Some(up) = self.cfg.upstream {
             // Local Interests always go out (each poll tick doubles as
             // the loss-recovery retry); only *remote* Interests are
@@ -373,7 +371,6 @@ impl Icn {
             return false;
         }
         if self.cfg.object_sec {
-            ctx.count_node("icn_verify", 1.0);
             ctx.count_node(
                 "icn_crypto_uj",
                 self.cost.cpu_energy_uj(OBJECT_SEC_LEVEL, obj.signed_len()),
@@ -398,7 +395,6 @@ impl Icn {
             at: now,
             latency: now.duration_since(since),
         });
-        ctx.count_node("icn_delivered", 1.0);
         true
     }
 
@@ -427,7 +423,6 @@ impl Icn {
             // asked for, and never let the Interest reach the producer.
             if let Some(obj) = self.store.lookup_any(&name) {
                 let obj = obj.clone();
-                ctx.count_node("icn_replay_serve", 1.0);
                 self.answer_node(mac, ctx, src, obj);
                 return;
             }
@@ -441,20 +436,16 @@ impl Icn {
             self.answer_node(mac, ctx, src, obj);
             return;
         }
-        ctx.count_node("icn_cache_miss", 1.0);
         if self.pit.add(now, &name, min_version, Requester::Node(src)) {
             if let Some(up) = self.cfg.upstream {
                 self.send_interest(mac, ctx, up, &name, min_version);
             }
             // Without an upstream this node *is* the origin: the entry
             // waits in the PIT until a matching publish (long-poll).
-        } else {
-            ctx.count_node("icn_pit_aggregated", 1.0);
         }
     }
 
     fn on_data<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, obj: ContentObject) {
-        ctx.count_node("icn_data_rx", 1.0);
         let now = ctx.now();
         let accepted_or_no_pending = self.try_deliver(ctx, &obj) || !self.has_pending(&obj.name);
         // Cache the copy: forwarders store without verifying (the
@@ -492,7 +483,6 @@ impl Icn {
             let extra = level.overhead_bytes();
             body.extend(std::iter::repeat_n(0u8, extra));
             ctx.count_node("icn_sec_bytes", extra as f64);
-            ctx.count_node("icn_link_crypto", 1.0);
             ctx.count_node("icn_crypto_uj", self.cost.cpu_energy_uj(level, body.len()));
         }
         self.outq.push_back((dst, port, body));
@@ -537,7 +527,6 @@ impl<M: Mac> Service<M> for Icn {
     fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
         if let Some(level) = self.cfg.link_sec {
             // Per-hop unprotect on every received frame.
-            ctx.count_node("icn_link_crypto", 1.0);
             ctx.count_node(
                 "icn_crypto_uj",
                 self.cost.cpu_energy_uj(level, payload.len()),

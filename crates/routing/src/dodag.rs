@@ -236,7 +236,6 @@ impl Dodag {
     fn trigger_global_repair(&mut self, ctx: &mut Ctx<'_>) {
         assert!(self.is_root, "global repair starts at the root");
         self.version = self.version.wrapping_add(1);
-        ctx.count_node("global_repairs", 1.0);
         self.trickle_reset(ctx, "repair");
     }
 
@@ -308,7 +307,6 @@ impl Dodag {
                         .expect("keep implies parent")
                         .saturating_add(RANK_INCREASE);
                     if follow > self.rank_at_attach.saturating_add(MAX_RANK_STRETCH) {
-                        ctx.count_node("rank_stretch_break", 1.0);
                         self.parent_lost(mac, ctx);
                         return;
                     }
@@ -337,7 +335,6 @@ impl Dodag {
             ctx.count_node("parent_switch", 1.0);
             if self.parent.is_none() {
                 // Freshly orphaned: poison our sub-DODAG and solicit.
-                ctx.count_node("orphaned", 1.0);
                 self.send_dio(mac, ctx, INFINITE_RANK);
                 ctx.set_timer(DIS_PERIOD, TAG_DIS);
                 self.trickle_reset(ctx, "parent_lost");
@@ -476,7 +473,6 @@ impl<M: Mac> Service<M> for Dodag {
         // A failed unicast is evidence against the parent.
         self.parent_failures = if acked { 0 } else { self.parent_failures + 1 };
         if !acked && self.parent_failures >= MAX_PARENT_FAILURES {
-            ctx.count_node("parent_evict", 1.0);
             self.parent_lost(mac, ctx);
         } else {
             self.pump(mac, ctx);
@@ -498,9 +494,7 @@ impl<M: Mac> Service<M> for Dodag {
                 self.trickle_begin(ctx);
             }
             TAG_DIS if !self.is_root && self.parent.is_none() => {
-                if mac.send(ctx, Dst::Broadcast, PORT_DIS, vec![]).is_ok() {
-                    ctx.count_node("dis_tx", 1.0);
-                }
+                let _ = mac.send(ctx, Dst::Broadcast, PORT_DIS, vec![]);
                 ctx.set_timer(DIS_PERIOD, TAG_DIS);
             }
             TAG_SWEEP => {

@@ -115,7 +115,6 @@ impl<M: Mac> RnfdNode<M> {
 impl Rnfd {
     fn broadcast_vote<M: Mac>(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, suspect: bool) {
         let _ = mac.send(ctx, Dst::Broadcast, PORT_VOTE, vec![suspect as u8]);
-        ctx.count_node("rnfd_vote_tx", 1.0);
         self.votes.insert(ctx.id(), suspect);
         self.check_quorum(mac, ctx);
     }
@@ -135,7 +134,6 @@ impl Rnfd {
                 target: self.config.root,
                 verdict: "dead",
             });
-            ctx.record("rnfd_verdict_time_s", ctx.now().as_secs_f64());
             let _ = mac.send(ctx, Dst::Broadcast, PORT_VERDICT, vec![]);
         }
     }
@@ -194,7 +192,6 @@ impl<M: Mac> Service<M> for Rnfd {
                     PORT_HEARTBEAT,
                     self.hb_seq.to_be_bytes().to_vec(),
                 );
-                ctx.count_node("rnfd_hb_tx", 1.0);
                 ctx.set_timer(self.config.heartbeat, TAG_HEARTBEAT);
             }
             TAG_CHECK => {
@@ -202,7 +199,6 @@ impl<M: Mac> Service<M> for Rnfd {
                     self.misses += 1;
                     if self.misses >= self.config.miss_threshold && !self.suspected {
                         self.suspected = true;
-                        ctx.count_node("rnfd_suspect", 1.0);
                         self.broadcast_vote(mac, ctx, true);
                     }
                 } else {

@@ -13,9 +13,6 @@
 //! * [`frame`] — frame protection at levels `MIC-32` through
 //!   `ENC-MIC-128`, with the auxiliary security header;
 //! * [`replay`] — per-source frame-counter replay protection;
-//! * [`keys`] — network key, derived pairwise link keys, key store;
-//! * [`join`] — a three-message secure-admission handshake delivering
-//!   the network key under a commissioning secret;
 //! * [`cost`] — CPU/byte/energy overhead accounting per level.
 //!
 //! # Examples
@@ -44,13 +41,9 @@
 pub mod cost;
 pub mod crypto;
 pub mod frame;
-pub mod join;
-pub mod keys;
 pub mod replay;
 
 pub use cost::CostModel;
 pub use crypto::Key;
 pub use frame::{protect, unprotect, SecError, SecLevel};
-pub use join::{Coordinator, JoinError, Joiner};
-pub use keys::KeyStore;
 pub use replay::ReplayGuard;

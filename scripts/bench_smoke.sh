@@ -147,6 +147,38 @@ if grep -rn 'ctx\.count(\|Stats::inc\>\|\.counters()\|stats()\.get(' crates src 
     exit 1
 fi
 
+# No write-only telemetry: a counter or series name passed as a literal
+# to `count_node(` or `.record(` (rustfmt may break the call before the
+# name, so the files are searched whole) must appear somewhere else in
+# first-party or benchmark/ Rust, where something reads it. A name
+# found only at its writers is printed here.
+stats_dirs="crates src tests examples benchmark"
+# shellcheck disable=SC2086
+written=$(grep -rhPzo '(\bcount_node|\.record)\(\s*"[^"]*"' $stats_dirs --include='*.rs' --exclude-dir=target |
+    tr '\0' '\n' | sed -n 's/.*"\([^"]*\)"$/\1/p' | sort | uniq -c)
+if [ -z "$written" ]; then
+    echo "no count_node( or .record( names found" >&2
+    exit 1
+fi
+unread=$(echo "$written" | while read -r writes name; do
+    # shellcheck disable=SC2086
+    total=$(grep -rhoF "\"$name\"" $stats_dirs --include='*.rs' --exclude-dir=target | wc -l)
+    [ "$total" -gt "$writes" ] || echo "$name"
+done)
+if [ -n "$unread" ]; then
+    echo "$unread"
+    echo "counters or series written but never read" >&2
+    exit 1
+fi
+
+# Every module earns its keep: the secure-join handshake, the key store,
+# both failure detectors, the MTTF tracker, the CRDTs no experiment
+# used and the gateway's write-only replicated cache stay gone.
+if grep -rn '\<\(Coordinator\|Joiner\|KeyStore\|PhiAccrualDetector\|FixedTimeoutDetector\|LifeTracker\|PnCounter\|MvRegister\|TwoPSet\|GSet\|crdt_cache\)\>' crates src tests examples --include='*.rs'; then
+    echo "a deleted security, dependability, CRDT or gateway-cache name is back in first-party source" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do
