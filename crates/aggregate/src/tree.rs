@@ -49,12 +49,14 @@ pub enum Mode {
     Raw,
 }
 
-/// Synthetic sensor: value of `attr` at `node` at time `t`.
-pub type SensorFn = fn(NodeId, SimTime, u8) -> f64;
+/// When the root starts disseminating its query, and how long after
+/// that the first epoch begins.
+pub const DISSEMINATION_DELAY: SimDuration = SimDuration::from_secs(1);
 
-/// A plausible default sensor: a node-specific offset plus a slow
-/// diurnal-ish oscillation.
-pub fn default_sensor(node: NodeId, t: SimTime, _attr: u8) -> f64 {
+/// The synthetic sensor every node samples: the value of `attr` at
+/// `node` at time `t`, a node-specific offset plus a slow diurnal-ish
+/// oscillation.
+pub fn sensor(node: NodeId, t: SimTime, _attr: u8) -> f64 {
     20.0 + node.0 as f64 * 0.1 + (t.as_secs_f64() / 300.0).sin() * 2.0
 }
 
@@ -67,13 +69,8 @@ pub struct AggConfig {
     pub parents: Vec<Option<NodeId>>,
     /// Aggregate or raw baseline.
     pub mode: Mode,
-    /// The sensor model.
-    pub sensor: SensorFn,
     /// The query the root will disseminate.
     pub query: Query,
-    /// When the root starts disseminating, and how long after that the
-    /// first epoch begins.
-    pub dissemination_delay: SimDuration,
 }
 
 impl AggConfig {
@@ -84,7 +81,6 @@ impl AggConfig {
         AggConfig {
             parents,
             mode,
-            sensor: default_sensor,
             query: Query {
                 id: 1,
                 agg: Agg::Avg,
@@ -93,7 +89,6 @@ impl AggConfig {
                 rounds,
                 max_depth,
             },
-            dissemination_delay: SimDuration::from_secs(1),
         }
     }
 
@@ -229,7 +224,7 @@ impl Aggregation {
         let epoch_ms = SimDuration::from_millis(q.epoch_ms as u64);
         let epoch = now.duration_since(self.epoch0).as_micros() / epoch_ms.as_micros();
         let me = ctx.id();
-        let value = (self.config.sensor)(me, now, q.attr);
+        let value = sensor(me, now, q.attr);
 
         self.acc = Partial::of(value);
         // The wire carries sixteen bits of it.
@@ -320,7 +315,7 @@ impl<M: Mac> Service<M> for Aggregation {
         let me = ctx.id();
         self.depth = AggConfig::depth_table(&self.config.parents)[me.index()];
         if self.is_root(me) {
-            ctx.set_timer(self.config.dissemination_delay, TAG_DISSEMINATE);
+            ctx.set_timer(DISSEMINATION_DELAY, TAG_DISSEMINATE);
         }
     }
 
@@ -347,7 +342,13 @@ impl<M: Mac> Service<M> for Aggregation {
                         ctx.count_node("query_bad", 1.0);
                         return;
                     }
-                    self.adopt_query(mac, ctx, q, SimTime::from_micros(e0));
+                    // The root originates the query: one it hears is its
+                    // own echo or forged. Adopting a forged one before its
+                    // own flood would leave that query's sample timer
+                    // armed against the epoch 0 its own flood sets later.
+                    if !self.is_root(ctx.id()) {
+                        self.adopt_query(mac, ctx, q, SimTime::from_micros(e0));
+                    }
                 }
             }
             PORT_PARTIAL if payload.len() >= 3 + Partial::WIRE_LEN => {
@@ -394,7 +395,7 @@ impl<M: Mac> Service<M> for Aggregation {
                 let q = self.config.query;
                 // First epoch starts one dissemination delay after the
                 // flood, giving it time to reach the whole network.
-                let epoch0 = ctx.now() + self.config.dissemination_delay;
+                let epoch0 = ctx.now() + DISSEMINATION_DELAY;
                 self.seen_query = false; // adopt ourselves
                 let mut payload = q.encode();
                 payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
@@ -481,13 +482,11 @@ mod tests {
         (w, ids)
     }
 
-    /// Flat-computed expectation for the default sensor at a given
+    /// Flat-computed expectation for the sensor at a given
     /// sampling time is hard to pin exactly (nodes sample at the same
     /// epoch start), so compute it from the same function.
     fn expected_avg(n: usize, at: SimTime) -> f64 {
-        let sum: f64 = (0..n)
-            .map(|i| default_sensor(NodeId(i as u32), at, 0))
-            .sum();
+        let sum: f64 = (0..n).map(|i| sensor(NodeId(i as u32), at, 0)).sum();
         sum / n as f64
     }
 
@@ -555,7 +554,7 @@ mod tests {
             let r = root.results()[0];
             assert_eq!(r.count, 4);
             let at = SimTime::from_millis(2_000);
-            let vals: Vec<f64> = (0..4).map(|i| default_sensor(NodeId(i), at, 0)).collect();
+            let vals: Vec<f64> = (0..4).map(|i| sensor(NodeId(i), at, 0)).collect();
             let expect = match agg {
                 Agg::Min => vals.iter().cloned().fold(f64::INFINITY, f64::min),
                 Agg::Max => vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
@@ -597,21 +596,19 @@ mod tests {
     }
 
     /// Hands node 1 of a two-node line a QUERY flood `query` with epoch
-    /// 0 at `epoch0`, as its MAC would, 10 s into the run; returns the
-    /// sim after another 10 s.
+    /// 0 at `epoch0`, as its MAC would, half a [`DISSEMINATION_DELAY`]
+    /// into the run: before the root's own flood, so the forged one is
+    /// the first node 1 hears. Returns the sim right after.
     fn forged_query(query: Query, epoch0: SimTime) -> Sim {
-        let mut cfg = AggConfig::new(line_parents(2), Mode::Aggregate, 4_000, 0);
-        // The honest flood never comes: the forged one is the first.
-        cfg.dissemination_delay = SimDuration::from_secs(3_000);
+        let cfg = AggConfig::new(line_parents(2), Mode::Aggregate, 4_000, 0);
         let (mut w, ids) = line_sim(3, cfg);
-        w.run_for(SimDuration::from_secs(10));
+        w.run_for(DISSEMINATION_DELAY / 2);
         w.with(ids[1], |n: &mut Node, ctx| {
             let mut payload = query.encode();
             payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
             n.agg
                 .delivered(n.stack.mac_mut(), ctx, NodeId(0), PORT_QUERY, &payload);
         });
-        w.run_for(SimDuration::from_secs(10));
         w
     }
 
@@ -640,9 +637,10 @@ mod tests {
 
     #[test]
     fn forged_query_far_in_the_past_starts_at_the_next_epoch_without_spinning() {
-        // Ten million 1 ms epochs have passed: far more than the old
-        // sixteen-bit loop counter could reach.
-        let w = forged_query(query(1), SimTime::ZERO);
+        // Five hundred 1 ms epochs have passed when node 1 hears it:
+        // the first epoch it runs is computed, not stepped to.
+        let mut w = forged_query(query(1), SimTime::ZERO);
+        w.run_for(SimDuration::from_secs(10));
         assert_eq!(w.stats().get_node(NodeId(1), "query_fwd"), 1.0);
         let sent = w.stats().get_node(NodeId(1), "agg_tx");
         assert!((9_000.0..=10_000.0).contains(&sent), "{sent} partials");

@@ -21,8 +21,7 @@ fn aggregation_over_lpl_delivers_and_sleeps() {
             }
         })
         .collect();
-    let mut cfg = AggConfig::new(parents, Mode::Aggregate, 20_000, 5);
-    cfg.dissemination_delay = SimDuration::from_secs(3);
+    let cfg = AggConfig::new(parents, Mode::Aggregate, 20_000, 5);
     let ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
     let mut w = SimBuilder::new()
         .seed(0xA99)

@@ -16,7 +16,7 @@ use iiot_dependability::hvac::{simulate as hvac_simulate, Thermostat, Zone};
 use iiot_dependability::redundancy::{
     k_of_n_prob, parity_decode, parity_encode, parity_success_prob, retry_success_prob, vote, Vote,
 };
-use iiot_dependability::safety::{RevenueModel, SafetyEnvelope};
+use iiot_dependability::safety::SafetyEnvelope;
 use iiot_dependability::{simulate_replicas_with, Design, FaultPlan, PartitionWindow};
 use iiot_mac::csma::CsmaMac;
 use iiot_routing::rnfd::{RnfdConfig, RnfdNode};
@@ -49,7 +49,6 @@ fn rnfd_star(
     };
     let cfg = RnfdConfig {
         root: NodeId(0),
-        heartbeat: SimDuration::from_secs(1),
         miss_threshold,
         sentinels: set,
     };
@@ -309,7 +308,6 @@ pub fn e8_redundancy(rc: &RunConfig) -> Table {
 /// E9: the §V-B comfort/energy trade-off — sweeping the unoccupied
 /// setback margin of the HVAC controller over a 5-day winter week.
 pub fn e9_safety_hvac() -> Table {
-    let rev = RevenueModel::default();
     let envelope = SafetyEnvelope::new(5.0, 20.0, 24.0, 32.0);
     let mut t = Table::new(
         "E9: HVAC setback margin vs energy, occupied discomfort and provider revenue (5 days, outdoor mean 4 C)",
@@ -319,7 +317,6 @@ pub fn e9_safety_hvac() -> Table {
         let r = hvac_simulate(
             Zone::default(),
             Thermostat::new(envelope, setback),
-            &rev,
             5,
             SimDuration::from_secs(60),
             4.0,

@@ -105,12 +105,7 @@ fn campaign<M: Mac>(mut w: Sim, ids: &[NodeId], img: &Image, cap_s: u64) -> Camp
         .collect();
     let completion_s = complete.iter().map(|t| t.as_secs_f64()).fold(0.0, f64::max);
     let coverage = complete.len() as f64 / ids.len() as f64;
-    let model = EnergyModel::default();
-    let energy_mj = ids
-        .iter()
-        .map(|&id| w.energy(id).energy_mj(&model))
-        .sum::<f64>()
-        / ids.len() as f64;
+    let energy_mj = ids.iter().map(|&id| w.energy(id).energy_mj()).sum::<f64>() / ids.len() as f64;
     Campaign {
         completion_s: if coverage == 1.0 {
             completion_s

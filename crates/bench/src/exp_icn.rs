@@ -189,8 +189,7 @@ fn drive_star<M: Mac>(
 /// Collects the [`Observed`] metrics from a finished star run.
 fn observe<M: Mac>(w: Sim, consumers: usize) -> Observed {
     let ids: Vec<NodeId> = (0..(consumers + 2) as u32).map(NodeId).collect();
-    let model = EnergyModel::default();
-    let radio_mj: f64 = ids.iter().map(|&id| w.energy(id).energy_mj(&model)).sum();
+    let radio_mj: f64 = ids.iter().map(|&id| w.energy(id).energy_mj()).sum();
     let duty = ids.iter().map(|&id| w.energy(id).duty_cycle()).sum::<f64>() / ids.len() as f64;
     let mut delivered = 0u64;
     let mut latency_us = 0.0f64;

@@ -4,15 +4,16 @@
 
 use crate::table::{f1, f3, pct, Table};
 use iiot_coap::{CoapEndpoint, CoapEvent};
-use iiot_core::{Deployment, MacChoice, Rule, Scorecard};
+use iiot_core::{Deployment, MacChoice, Rule};
 use iiot_crdt::ReplicaId;
 use iiot_gateway::gatt::{uuid, CharMap, GattAdapter, GattDevice};
 use iiot_gateway::modbus::{ModbusAdapter, ModbusDevice, RegisterMap};
 use iiot_gateway::tlv::{TlvAdapter, TlvSensor};
 use iiot_gateway::{Gateway, Unit};
-use iiot_security::{protect, unprotect, CostModel, Key, ReplayGuard, SecLevel};
+use iiot_security::{cost, protect, unprotect, Key, ReplayGuard, SecLevel};
 use iiot_sim::trace::summarize;
 use iiot_sim::{SimDuration, SimTime, Topology};
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// E1's, E12's and E16d's gateway: a Modbus PLC (boiler temperature,
@@ -80,7 +81,7 @@ pub fn e1_layering() -> Table {
         .build();
     d.attach_gateway(demo_gateway(), "plant/cell", rules);
     d.run_for(SimDuration::from_secs(120));
-    let (wireless, card) = (d.report(), Scorecard::from_deployment(&d));
+    let wireless = d.report();
     let north = d.north.as_ref().expect("gateway attached");
     let to_cloud: Vec<f64> = north
         .sample_to_cloud
@@ -90,7 +91,11 @@ pub fn e1_layering() -> Table {
     let s = summarize(&to_cloud);
     let delivered = format!("{} ({})", wireless.delivered, pct(wireless.delivery_ratio));
     let normalized = north.gateway().measurements_processed();
-    let protocols = card.interoperability.protocols;
+    let inventory = north.gateway().inventory();
+    let protocols = inventory
+        .iter()
+        .map(|d| d.protocol)
+        .collect::<BTreeSet<_>>();
     let to_cloud_s = format!("{} / {}", f3(s.p50), f3(s.p95));
     let acked = north.commands.iter().filter(|c| c.ok).count();
 
@@ -105,7 +110,7 @@ pub fn e1_layering() -> Table {
         ("app: rule commands acked", n(acked)),
         ("gateway->cloud: radio readings logged", n(to_cloud.len())),
         ("cloud->storage: device twins", n(north.twins.len())),
-        ("scorecard: protocols integrated", n(protocols)),
+        ("scorecard: protocols integrated", n(protocols.len())),
         ("p95 collection latency (s)", f3(wireless.latency.p95)),
         ("sample-to-cloud p50 / p95 (s)", to_cloud_s),
     ];
@@ -122,7 +127,6 @@ pub fn e1_layering() -> Table {
 /// implemented", because every level costs bytes, cycles and energy on
 /// microcontroller-class devices.
 pub fn e10_security_overhead() -> Table {
-    let model = CostModel::default();
     let key = Key(*b"network-key-0001");
     let payload = vec![0xAB; 40];
     let bitrate = 250_000u64;
@@ -155,12 +159,12 @@ pub fn e10_security_overhead() -> Table {
 
         t.row(vec![
             format!("{level:?}"),
-            model.extra_bytes(level).to_string(),
-            f1(model.extra_airtime_us(level, bitrate)),
-            f1(model.cpu_time_us(level, payload.len())),
+            cost::extra_bytes(level).to_string(),
+            f1(cost::extra_airtime_us(level, bitrate)),
+            f1(cost::cpu_time_us(level, payload.len())),
             f1(wall_ns),
-            f3(model.cpu_energy_uj(level, payload.len())),
-            pct(model.goodput(level, payload.len(), 17)),
+            f3(cost::cpu_energy_uj(level, payload.len())),
+            pct(cost::goodput(level, payload.len(), 17)),
         ]);
     }
     t

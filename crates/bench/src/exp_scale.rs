@@ -58,14 +58,10 @@ pub fn e2_latency_vs_hops(rc: &RunConfig, secs: u64) -> Table {
                     .traffic(SimDuration::from_secs(30), 10, SimDuration::from_secs(60))
                     .build();
                 d.run_for(SimDuration::from_secs(secs));
-                let lats = d.sim.stats().samples("collect_latency_s").to_vec();
-                let hops = d.sim.stats().samples("collect_hops").to_vec();
                 let mean_for = |h: u32| -> f64 {
-                    let vals: Vec<f64> = lats
-                        .iter()
-                        .zip(&hops)
-                        .filter(|(_, &hh)| hh as u32 == h)
-                        .map(|(&l, _)| l)
+                    let vals: Vec<f64> = (d.collected().iter())
+                        .filter(|c| u32::from(c.hops) == h)
+                        .map(|c| c.received_at.duration_since(c.sent_at).as_secs_f64())
                         .collect();
                     if vals.is_empty() {
                         f64::NAN

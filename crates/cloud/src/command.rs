@@ -52,7 +52,6 @@ pub struct CommandRouter {
     /// has.
     cap: usize,
     client: CoapEndpoint<u64>,
-    shed: u64,
 }
 
 impl CommandRouter {
@@ -64,7 +63,6 @@ impl CommandRouter {
             queue: VecDeque::new(),
             cap: cap.max(1),
             client: CoapEndpoint::new(seed),
-            shed: 0,
         }
     }
 
@@ -72,7 +70,6 @@ impl CommandRouter {
     /// downlink queue is full. Never blocks.
     pub fn submit(&mut self, cmd: Command) -> bool {
         if self.queue.len() >= self.cap {
-            self.shed += 1;
             return false;
         }
         self.queue.push_back(cmd);
@@ -82,11 +79,6 @@ impl CommandRouter {
     /// Commands currently queued for downlink.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Commands shed to downlink backpressure so far.
-    pub fn shed(&self) -> u64 {
-        self.shed
     }
 
     /// Plays every queued command against `gateway` (its northbound
@@ -188,7 +180,6 @@ mod tests {
         assert!(router.submit(cmd("a", 1.0)));
         assert!(router.submit(cmd("b", 2.0)));
         assert!(!router.submit(cmd("c", 3.0)), "third command must shed");
-        assert_eq!(router.shed(), 1);
         assert_eq!(router.pending(), 2);
     }
 

@@ -33,7 +33,7 @@ use crate::stream::{encode_uplink, StreamAttachment, StreamConfig};
 use crate::tenant::{Isolation, ShedPolicy, TenantId};
 use iiot_sim::obs::{Event, EventKind, Histogram, Recorder, SpanId};
 use iiot_sim::{NodeId, SimDuration, SimTime};
-use iiot_stream::{AdmissionControl, EventLog, WindowAggregator, WindowKey, WindowResult};
+use iiot_stream::{EventLog, WindowAggregator, WindowKey, WindowResult};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One northbound uplink message, as the cloud's front door sees it.
@@ -194,11 +194,6 @@ impl IngestPipeline {
     /// The write-ahead event log, when one is attached.
     pub fn wal(&self) -> Option<&EventLog> {
         self.stream.wal.as_ref()
-    }
-
-    /// The admission controller, when one is attached.
-    pub fn admission(&self) -> Option<&AdmissionControl> {
-        self.stream.admission.as_ref()
     }
 
     /// The window aggregator, when one is attached.
@@ -681,7 +676,8 @@ mod tests {
             "rate-limited messages never reached the queue"
         );
         assert_eq!(st.shed(), 8);
-        assert_eq!(p.admission().expect("attached").shed_count(0), 8);
+        let shed: u64 = p.stats().map(|(_, st)| st.shed_ratelimit).sum();
+        assert_eq!(shed, 8, "every tenant's admission sheds are counted once");
         assert_eq!(p.queued(), 2);
     }
 

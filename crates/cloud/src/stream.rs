@@ -80,8 +80,6 @@ pub struct StreamConfig {
     /// Per-tenant token-bucket admission control ahead of the queues,
     /// with this uniform contract.
     pub admission: Option<RateLimit>,
-    /// Per-tenant overrides of the uniform admission contract.
-    pub admission_overrides: Vec<(TenantId, RateLimit)>,
     /// Windowed aggregation over accepted uplinks (keyed tenant ×
     /// device), watermarked by arrival virtual time.
     pub windows: Option<WindowSpec>,
@@ -122,16 +120,9 @@ pub(crate) struct StreamAttachment {
 
 impl StreamAttachment {
     pub(crate) fn build(config: &StreamConfig) -> Self {
-        let admission = config.admission.map(|limit| {
-            let mut ac = AdmissionControl::uniform(limit);
-            for (tenant, over) in &config.admission_overrides {
-                ac.set_limit(tenant.0, *over);
-            }
-            ac
-        });
         StreamAttachment {
             wal: config.log.map(EventLog::new),
-            admission,
+            admission: config.admission.map(AdmissionControl::uniform),
             windows: config.windows.map(WindowAggregator::new),
             closed: Vec::new(),
         }

@@ -9,9 +9,7 @@
 //!   reporting; with a gateway attached, a `Deployment` is all of Fig. 1
 //!   on the simulation's clock: readings flow up through the gateway and
 //!   into the cloud's write-ahead log and device twins, and the cloud's
-//!   rules (`Rule`) command wired points back down the gateway;
-//! * [`audit`] — the interoperability / scalability / dependability
-//!   scorecard.
+//!   rules (`Rule`) command wired points back down the gateway.
 //!
 //! The `iiot` facade re-exports it beside every substrate crate.
 //!
@@ -56,10 +54,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod audit;
 pub mod deployment;
 
-pub use audit::Scorecard;
 pub use deployment::{
     CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule, COMMAND_CAP, POLL,
 };

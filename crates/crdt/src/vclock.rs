@@ -1,6 +1,5 @@
 //! Vector clocks and dots: the causality substrate for the CRDTs.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -40,9 +39,10 @@ pub struct Dot {
 /// let mut a = VClock::new();
 /// a.increment(ReplicaId(1));
 /// let mut b = a.clone();
-/// b.increment(ReplicaId(2));
-/// assert!(b.dominates(&a));
-/// assert!(!a.concurrent(&b));
+/// let dot = b.increment(ReplicaId(2));
+/// assert!(b.covers(dot) && !a.covers(dot));
+/// a.merge(&b);
+/// assert!(a.covers(dot));
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct VClock {
@@ -85,27 +85,6 @@ impl VClock {
         }
     }
 
-    /// Whether `self >= other` pointwise.
-    pub fn dominates(&self, other: &VClock) -> bool {
-        other.counts.iter().all(|(&r, &c)| self.get(r) >= c)
-    }
-
-    /// Whether neither clock dominates the other (concurrent histories).
-    pub fn concurrent(&self, other: &VClock) -> bool {
-        !self.dominates(other) && !other.dominates(self)
-    }
-
-    /// Causal comparison: `Less` means `self` happened strictly before
-    /// `other`; `None` means concurrent.
-    pub fn causal_cmp(&self, other: &VClock) -> Option<Ordering> {
-        match (self.dominates(other), other.dominates(self)) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Greater),
-            (false, true) => Some(Ordering::Less),
-            (false, false) => None,
-        }
-    }
-
     /// Replicas with at least one observed event.
     pub fn replicas(&self) -> impl Iterator<Item = ReplicaId> + '_ {
         self.counts.keys().copied()
@@ -119,12 +98,6 @@ impl VClock {
     /// Whether no events have been observed.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
-    }
-}
-
-impl PartialOrd for VClock {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        self.causal_cmp(other)
     }
 }
 
@@ -159,27 +132,6 @@ mod tests {
             replica: ReplicaId(1),
             counter: 3
         }));
-    }
-
-    #[test]
-    fn causal_relations() {
-        let mut a = VClock::new();
-        a.increment(ReplicaId(1));
-        let b = a.clone();
-        assert_eq!(a.causal_cmp(&b), Some(Ordering::Equal));
-
-        let mut c = a.clone();
-        c.increment(ReplicaId(1));
-        assert_eq!(c.causal_cmp(&a), Some(Ordering::Greater));
-        assert_eq!(a.causal_cmp(&c), Some(Ordering::Less));
-
-        let mut d = a.clone();
-        d.increment(ReplicaId(2));
-        let mut e = a.clone();
-        e.increment(ReplicaId(3));
-        assert!(d.concurrent(&e));
-        assert_eq!(d.causal_cmp(&e), None);
-        assert_eq!(d.partial_cmp(&e), None);
     }
 
     #[test]
@@ -251,8 +203,9 @@ mod tests {
         fn merge_dominates_both(a in arb_clock(), b in arb_clock()) {
             let mut m = a.clone();
             m.merge(&b);
-            prop_assert!(m.dominates(&a));
-            prop_assert!(m.dominates(&b));
+            for v in [&a, &b] {
+                prop_assert!(v.replicas().all(|r| m.get(r) >= v.get(r)));
+            }
         }
     }
 }

@@ -116,7 +116,7 @@ pub struct HvacReport {
     pub hard_events: u32,
     /// Total electrical energy, kWh.
     pub energy_kwh: f64,
-    /// Net provider revenue under the given model.
+    /// Net provider revenue under [`crate::safety::revenue`].
     pub revenue: f64,
 }
 
@@ -127,7 +127,6 @@ pub struct HvacReport {
 pub fn simulate(
     mut zone: Zone,
     mut thermostat: Thermostat,
-    revenue: &crate::safety::RevenueModel,
     days: u32,
     step: SimDuration,
     outdoor_mean_c: f64,
@@ -150,14 +149,13 @@ pub fn simulate(
         discomfort_frac: monitor.soft_violation_frac() + monitor.hard_violation_frac(),
         hard_events: monitor.hard_events(),
         energy_kwh,
-        revenue: revenue.revenue(&monitor, energy_kwh),
+        revenue: crate::safety::revenue(&monitor, energy_kwh),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safety::RevenueModel;
 
     fn envelope() -> SafetyEnvelope {
         SafetyEnvelope::new(5.0, 20.0, 24.0, 32.0)
@@ -216,12 +214,10 @@ mod tests {
 
     #[test]
     fn setback_saves_energy_at_some_comfort_cost() {
-        let rev = RevenueModel::default();
         let run = |setback: f64| {
             simulate(
                 Zone::default(),
                 Thermostat::new(envelope(), setback),
-                &rev,
                 3,
                 SimDuration::from_secs(60),
                 8.0,
@@ -245,11 +241,9 @@ mod tests {
 
     #[test]
     fn occupied_comfort_maintained_by_tight_control() {
-        let rev = RevenueModel::default();
         let r = simulate(
             Zone::default(),
             Thermostat::new(envelope(), 0.0),
-            &rev,
             2,
             SimDuration::from_secs(60),
             8.0,

@@ -52,4 +52,4 @@ pub use replica::{
     simulate as simulate_replicas, simulate_with as simulate_replicas_with, AvailabilityReport,
     Design, PartitionWindow,
 };
-pub use safety::{RevenueModel, SafetyEnvelope, SafetyMonitor, SafetyState};
+pub use safety::{SafetyEnvelope, SafetyMonitor, SafetyState};

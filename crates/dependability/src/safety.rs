@@ -163,42 +163,26 @@ impl SafetyMonitor {
     }
 }
 
-/// The provider's contract: bonuses for comfort, penalties for
-/// violations, and the electricity bill.
-#[derive(Clone, Copy, Debug)]
-pub struct RevenueModel {
-    /// Payment per hour spent in the comfort band.
-    pub comfort_bonus_per_hour: f64,
-    /// Penalty per hour of soft violation.
-    pub soft_penalty_per_hour: f64,
-    /// One-off penalty per hard-violation event.
-    pub hard_penalty: f64,
-    /// Electricity price per kWh.
-    pub energy_price_per_kwh: f64,
-}
+/// The provider's contract: payment per hour spent in the comfort band.
+pub const COMFORT_BONUS_PER_HOUR: f64 = 1.0;
+/// The provider's contract: penalty per hour of soft violation.
+pub const SOFT_PENALTY_PER_HOUR: f64 = 2.0;
+/// The provider's contract: one-off penalty per hard-violation event.
+pub const HARD_PENALTY: f64 = 500.0;
+/// Electricity price per kWh.
+pub const ENERGY_PRICE_PER_KWH: f64 = 0.25;
 
-impl Default for RevenueModel {
-    fn default() -> Self {
-        RevenueModel {
-            comfort_bonus_per_hour: 1.0,
-            soft_penalty_per_hour: 2.0,
-            hard_penalty: 500.0,
-            energy_price_per_kwh: 0.25,
-        }
-    }
-}
-
-impl RevenueModel {
-    /// Net revenue for a monitored period with `energy_kwh` consumed.
-    pub fn revenue(&self, monitor: &SafetyMonitor, energy_kwh: f64) -> f64 {
-        let hours = monitor.observed().as_secs_f64() / 3600.0;
-        let safe_h = hours * (1.0 - monitor.soft_violation_frac() - monitor.hard_violation_frac());
-        let soft_h = hours * monitor.soft_violation_frac();
-        self.comfort_bonus_per_hour * safe_h
-            - self.soft_penalty_per_hour * soft_h
-            - self.hard_penalty * monitor.hard_events() as f64
-            - self.energy_price_per_kwh * energy_kwh
-    }
+/// Net provider revenue for a monitored period with `energy_kwh`
+/// consumed: bonuses for comfort, penalties for violations, and the
+/// electricity bill.
+pub fn revenue(monitor: &SafetyMonitor, energy_kwh: f64) -> f64 {
+    let hours = monitor.observed().as_secs_f64() / 3600.0;
+    let safe_h = hours * (1.0 - monitor.soft_violation_frac() - monitor.hard_violation_frac());
+    let soft_h = hours * monitor.soft_violation_frac();
+    COMFORT_BONUS_PER_HOUR * safe_h
+        - SOFT_PENALTY_PER_HOUR * soft_h
+        - HARD_PENALTY * monitor.hard_events() as f64
+        - ENERGY_PRICE_PER_KWH * energy_kwh
 }
 
 #[cfg(test)]
@@ -264,25 +248,24 @@ mod tests {
 
     #[test]
     fn revenue_tradeoff() {
-        let model = RevenueModel::default();
         // All-safe hour with 1 kWh.
         let mut good = SafetyMonitor::new(env());
         good.observe(SimTime::from_secs(0), 22.0);
         good.observe(SimTime::from_secs(3600), 22.0);
-        let r_good = model.revenue(&good, 1.0);
+        let r_good = revenue(&good, 1.0);
         assert!((r_good - (1.0 - 0.25)).abs() < 1e-9);
 
         // Same hour in soft violation but half the energy.
         let mut cheap = SafetyMonitor::new(env());
         cheap.observe(SimTime::from_secs(0), 19.0);
         cheap.observe(SimTime::from_secs(3600), 19.0);
-        let r_cheap = model.revenue(&cheap, 0.5);
+        let r_cheap = revenue(&cheap, 0.5);
         assert!(r_cheap < r_good, "penalty outweighs the savings here");
 
         // A hard event is catastrophic for revenue.
         let mut bad = SafetyMonitor::new(env());
         bad.observe(SimTime::from_secs(0), 5.0);
         bad.observe(SimTime::from_secs(3600), 22.0);
-        assert!(model.revenue(&bad, 0.0) < -400.0);
+        assert!(revenue(&bad, 0.0) < -400.0);
     }
 }

@@ -11,7 +11,6 @@
 //! halting logic — the part whose correctness bounds the blast radius —
 //! unit-testable without a radio model.
 
-use crate::health::{HealthGate, NetworkHealth};
 use std::collections::BTreeMap;
 
 /// Identifies one network (plant segment) within the fleet.
@@ -42,8 +41,6 @@ pub struct NetworkReport {
     pub rollout_done: bool,
     /// At least one node quarantined the change (poisoned image).
     pub poisoned: bool,
-    /// The network's health rollup for the gate.
-    pub health: NetworkHealth,
 }
 
 /// What the controller wants done after a [`FleetCampaign::step`].
@@ -56,10 +53,9 @@ pub enum CampaignAction {
         /// `"canary"` for the first cohort, `"wave"` after.
         stage: &'static str,
     },
-    /// Stop fleet-wide; nothing further will be activated.
+    /// Stop fleet-wide on a poisoned verdict; nothing further will be
+    /// activated.
     Halt {
-        /// `"poisoned"` or `"health"`.
-        reason: &'static str,
         /// Networks activated before the halt — the blast radius.
         activated: u32,
     },
@@ -74,7 +70,6 @@ pub struct FleetCampaign {
     cohorts: Vec<Vec<NetworkId>>,
     next: usize,
     active: Vec<NetworkId>,
-    gate: HealthGate,
     phase: CampaignPhase,
 }
 
@@ -83,7 +78,7 @@ impl FleetCampaign {
     /// dropped and duplicate networks keep their first occurrence —
     /// the same normalization as
     /// [`RolloutPlan::new`](iiot_dissem::rollout::RolloutPlan::new).
-    pub fn new(cohorts: Vec<Vec<NetworkId>>, gate: HealthGate) -> Self {
+    pub fn new(cohorts: Vec<Vec<NetworkId>>) -> Self {
         let mut seen = std::collections::BTreeSet::new();
         let cohorts: Vec<Vec<NetworkId>> = cohorts
             .into_iter()
@@ -94,7 +89,6 @@ impl FleetCampaign {
             cohorts,
             next: 0,
             active: Vec::new(),
-            gate,
             phase: CampaignPhase::Pending,
         }
     }
@@ -103,19 +97,19 @@ impl FleetCampaign {
     /// `canaries` networks form the canary cohort, the rest are split
     /// into `waves` roughly-equal cohorts (later waves take the
     /// remainder).
-    pub fn staged(networks: u32, canaries: u32, waves: u32, gate: HealthGate) -> Self {
+    pub fn staged(networks: u32, canaries: u32, waves: u32) -> Self {
         let canaries = canaries.min(networks);
         let mut cohorts = vec![(0..canaries).map(NetworkId).collect::<Vec<_>>()];
         let rest: Vec<NetworkId> = (canaries..networks).map(NetworkId).collect();
         let waves = waves.max(1) as usize;
         let per = rest.len().div_ceil(waves).max(1);
         cohorts.extend(rest.chunks(per).map(<[NetworkId]>::to_vec));
-        FleetCampaign::new(cohorts, gate)
+        FleetCampaign::new(cohorts)
     }
 
     /// A flat campaign: every network in one cohort, no canary.
-    pub fn flat(networks: u32, gate: HealthGate) -> Self {
-        FleetCampaign::new(vec![(0..networks).map(NetworkId).collect()], gate)
+    pub fn flat(networks: u32) -> Self {
+        FleetCampaign::new(vec![(0..networks).map(NetworkId).collect()])
     }
 
     /// The current phase.
@@ -135,10 +129,10 @@ impl FleetCampaign {
 
     /// Advances the controller one check interval.
     ///
-    /// Halting dominates: a poisoned verdict or a health-gate failure
-    /// from **any activated network** stops the whole fleet before the
-    /// next cohort can start — that is what bounds the blast radius to
-    /// the cohorts already out. Otherwise the next cohort activates
+    /// Halting dominates: a poisoned verdict from **any activated
+    /// network** stops the whole fleet before the next cohort can
+    /// start — that is what bounds the blast radius to the cohorts
+    /// already out. Otherwise the next cohort activates
     /// once every active network reports `rollout_done`. Networks with
     /// no report this round (e.g. a partitioned backhaul) are treated
     /// as *not done and not poisoned*: absence of evidence pauses the
@@ -153,14 +147,9 @@ impl FleetCampaign {
             .active
             .iter()
             .any(|n| by_net.get(n).is_some_and(|r| r.poisoned));
-        let unhealthy = self
-            .active
-            .iter()
-            .any(|n| by_net.get(n).is_some_and(|r| !self.gate.ok(&r.health)));
-        if poisoned || unhealthy {
+        if poisoned {
             self.phase = CampaignPhase::Halted;
             return vec![CampaignAction::Halt {
-                reason: if poisoned { "poisoned" } else { "health" },
                 activated: self.active.len() as u32,
             }];
         }
@@ -200,13 +189,12 @@ mod tests {
             network: NetworkId(n),
             rollout_done: done,
             poisoned,
-            health: NetworkHealth::all_well(9),
         }
     }
 
     #[test]
     fn staged_splits_canary_then_waves() {
-        let c = FleetCampaign::staged(8, 2, 3, HealthGate::default());
+        let c = FleetCampaign::staged(8, 2, 3);
         assert_eq!(c.fleet_size(), 8);
         assert_eq!(c.cohorts[0], vec![NetworkId(0), NetworkId(1)]);
         assert_eq!(c.cohorts.len(), 4, "canary + 3 waves");
@@ -214,7 +202,7 @@ mod tests {
 
     #[test]
     fn clean_reports_walk_canary_to_done() {
-        let mut c = FleetCampaign::staged(4, 1, 1, HealthGate::default());
+        let mut c = FleetCampaign::staged(4, 1, 1);
         let first = c.step(&[]);
         assert_eq!(
             first,
@@ -241,16 +229,10 @@ mod tests {
 
     #[test]
     fn poisoned_canary_halts_before_the_first_wave() {
-        let mut c = FleetCampaign::staged(8, 1, 2, HealthGate::default());
+        let mut c = FleetCampaign::staged(8, 1, 2);
         c.step(&[]);
         let out = c.step(&[report(0, false, true)]);
-        assert_eq!(
-            out,
-            vec![CampaignAction::Halt {
-                reason: "poisoned",
-                activated: 1
-            }]
-        );
+        assert_eq!(out, vec![CampaignAction::Halt { activated: 1 }]);
         assert_eq!(c.phase(), CampaignPhase::Halted);
         assert_eq!(c.activated().len(), 1, "blast radius is the canary alone");
         assert!(
@@ -260,28 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn health_regression_on_a_canary_halts_too() {
-        let gate = HealthGate {
-            min_alive_pct: 90.0,
-            ..HealthGate::default()
-        };
-        let mut c = FleetCampaign::staged(4, 1, 1, gate);
-        c.step(&[]);
-        let mut r = report(0, true, false);
-        r.health.alive = 7; // 7/9 alive = 77% < 90%
-        let out = c.step(&[r]);
-        assert_eq!(
-            out,
-            vec![CampaignAction::Halt {
-                reason: "health",
-                activated: 1
-            }]
-        );
-    }
-
-    #[test]
     fn missing_reports_pause_rather_than_advance() {
-        let mut c = FleetCampaign::staged(4, 1, 1, HealthGate::default());
+        let mut c = FleetCampaign::staged(4, 1, 1);
         c.step(&[]); // canary (network 0) active
                      // Network 0 partitioned: no report. The campaign must not move.
         assert!(c.step(&[report(1, true, false)]).is_empty());
@@ -290,7 +252,7 @@ mod tests {
 
     #[test]
     fn flat_activates_everything_at_once() {
-        let mut c = FleetCampaign::flat(5, HealthGate::default());
+        let mut c = FleetCampaign::flat(5);
         let out = c.step(&[]);
         assert!(matches!(
             &out[..],
@@ -300,10 +262,11 @@ mod tests {
 
     #[test]
     fn cohorts_are_normalized_like_rollout_plans() {
-        let c = FleetCampaign::new(
-            vec![vec![], vec![NetworkId(1), NetworkId(1)], vec![NetworkId(1)]],
-            HealthGate::default(),
-        );
+        let c = FleetCampaign::new(vec![
+            vec![],
+            vec![NetworkId(1), NetworkId(1)],
+            vec![NetworkId(1)],
+        ]);
         assert_eq!(c.fleet_size(), 1);
         assert_eq!(c.cohorts, vec![vec![NetworkId(1)]]);
     }

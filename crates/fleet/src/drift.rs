@@ -2,7 +2,7 @@
 //!
 //! The control plane writes *desired* configuration into
 //! [`TwinStore`] twins; gateways report what devices actually run.
-//! [`DriftDetector::scan`] diffs the two on the converged cloud state
+//! [`scan`] diffs the two on the converged cloud state
 //! and yields one [`DriftItem`] per out-of-sync key. Remediation turns
 //! each item into a [`Command`] addressed at the owning network's
 //! config surface (`dev/<device>/<key>` on the gateway's northbound
@@ -28,39 +28,27 @@ pub struct DriftItem {
     pub reported: Option<f64>,
 }
 
-/// Desired-vs-reported scanner; see the [module docs](self).
-#[derive(Clone, Copy, Debug)]
-pub struct DriftDetector {
-    /// Absolute tolerance below which a difference is "in sync".
-    pub tolerance: f64,
-}
+/// Absolute difference below which desired and reported are in sync.
+pub const TOLERANCE: f64 = 1e-9;
 
-impl Default for DriftDetector {
-    fn default() -> Self {
-        DriftDetector { tolerance: 1e-9 }
-    }
-}
-
-impl DriftDetector {
-    /// Every out-of-sync key across the store, in `(tenant, device,
-    /// key)` order — deterministic for a deterministic store.
-    pub fn scan(&self, store: &TwinStore) -> Vec<DriftItem> {
-        store
-            .iter()
-            .flat_map(|(&(tenant, device), twin)| {
-                twin.drift(self.tolerance)
-                    .into_iter()
-                    .map(move |(key, desired, reported)| DriftItem {
-                        tenant,
-                        device,
-                        key: key.to_owned(),
-                        desired,
-                        reported,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
+/// Every out-of-sync key across the store, in `(tenant, device, key)`
+/// order — deterministic for a deterministic store.
+pub fn scan(store: &TwinStore) -> Vec<DriftItem> {
+    store
+        .iter()
+        .flat_map(|(&(tenant, device), twin)| {
+            twin.drift(TOLERANCE)
+                .into_iter()
+                .map(move |(key, desired, reported)| DriftItem {
+                    tenant,
+                    device,
+                    key: key.to_owned(),
+                    desired,
+                    reported,
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 /// The gateway config-surface path for `key` on `device`.
@@ -98,7 +86,7 @@ mod tests {
         s.desire(T, 2, 10, ReplicaId(0), "interval", 60.0);
         s.desire(T, 1, 10, ReplicaId(0), "interval", 60.0);
         s.report(T, 1, 20, ReplicaId(1), "interval", 60.0);
-        let items = DriftDetector::default().scan(&s);
+        let items = scan(&s);
         assert_eq!(
             items,
             vec![DriftItem {
@@ -132,8 +120,9 @@ mod tests {
     fn tolerance_suppresses_noise() {
         let mut s = TwinStore::new();
         s.desire(T, 0, 10, ReplicaId(0), "gain", 2.0);
-        s.report(T, 0, 20, ReplicaId(1), "gain", 2.0005);
-        assert!(DriftDetector { tolerance: 1e-2 }.scan(&s).is_empty());
-        assert_eq!(DriftDetector::default().scan(&s).len(), 1);
+        s.report(T, 0, 20, ReplicaId(1), "gain", 2.0 + TOLERANCE / 2.0);
+        assert!(scan(&s).is_empty());
+        s.report(T, 0, 30, ReplicaId(1), "gain", 2.0005);
+        assert_eq!(scan(&s).len(), 1);
     }
 }

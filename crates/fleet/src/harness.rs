@@ -26,8 +26,7 @@
 //! `--jobs` byte-identity.
 
 use crate::campaign::{CampaignAction, CampaignPhase, FleetCampaign, NetworkId, NetworkReport};
-use crate::drift::{self, DriftDetector};
-use crate::health::{HealthGate, NetworkHealth};
+use crate::drift;
 use iiot_cloud::{CommandRouter, TenantId, TwinStore};
 use iiot_coap::resource::Response;
 use iiot_coap::{CoapEndpoint, Code};
@@ -289,11 +288,10 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
         .map(|n| build_network(n, cfg, seed_val, &img))
         .collect();
     let mut campaign = if cfg.staged {
-        FleetCampaign::staged(cfg.networks, CANARIES, WAVES, HealthGate::default())
+        FleetCampaign::staged(cfg.networks, CANARIES, WAVES)
     } else {
-        FleetCampaign::flat(cfg.networks, HealthGate::default())
+        FleetCampaign::flat(cfg.networks)
     };
-    let detector = DriftDetector::default();
     let mut cloud = TwinStore::new();
 
     let mut now = SimTime::ZERO;
@@ -376,7 +374,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
         }
 
         // 5. Drift scan on the converged cloud state + remediation.
-        let items = detector.scan(&cloud);
+        let items = drift::scan(&cloud);
         if !items.is_empty() {
             had_drift = true;
             drift_cleared_at = None;
@@ -428,13 +426,12 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
             }
         }
 
-        // 6. The campaign controller reads rollups and acts.
+        // 6. The campaign controller reads each network's report and acts.
         let mut reports: Vec<NetworkReport> = Vec::new();
         for (n, net) in nets.iter_mut().enumerate() {
             if partitioned(cfg, n as u32, now) {
                 continue; // no report: the campaign pauses, never advances
             }
-            let alive = net.ids.iter().filter(|&&id| net.sim.is_alive(id)).count() as u32;
             let rollout_done = net.activated
                 && net
                     .ids
@@ -448,13 +445,6 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                 network: NetworkId(n as u32),
                 rollout_done,
                 poisoned,
-                health: NetworkHealth::from_stats(
-                    net.sim.stats(),
-                    per_net,
-                    alive,
-                    0.0,
-                    net.router.shed(),
-                ),
             });
         }
         for action in campaign.step(&reports) {
@@ -515,10 +505,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                         net.activated = true;
                     }
                 }
-                CampaignAction::Halt {
-                    reason: _,
-                    activated,
-                } => {
+                CampaignAction::Halt { activated } => {
                     emit(
                         &mut rec,
                         now,

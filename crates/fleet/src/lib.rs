@@ -9,20 +9,16 @@
 //! * **campaigns** ([`campaign`]) — [`FleetCampaign`] sequences a
 //!   change across networks (canary networks → waves → fleet) exactly
 //!   the way [`iiot_dissem::rollout`] sequences it across nodes, and
-//!   halts fleet-wide on a poisoned verdict or a health regression
-//!   from any activated network;
+//!   halts fleet-wide on a poisoned verdict from any activated network;
 //! * **digital twins** ([`iiot_cloud::twin`]) — every gateway keeps a
 //!   CRDT [`TwinStore`](iiot_cloud::TwinStore) replica of its devices'
 //!   reported state; the cloud joins the replicas whenever the
 //!   backhaul allows and converges after partitions by construction;
-//! * **config drift** ([`drift`]) — [`DriftDetector`] diffs desired
+//! * **config drift** ([`drift`]) — [`drift::scan`] diffs desired
 //!   against reported on the converged cloud state and remediates
-//!   through the same bounded CoAP downlink tenant commands use;
-//! * **health rollups** ([`health`]) — [`NetworkHealth`] folds
-//!   per-node counters into the per-network summaries the campaign's
-//!   [`HealthGate`] reads.
+//!   through the same bounded CoAP downlink tenant commands use.
 //!
-//! [`harness::run_fleet`] wires all four over N deterministic
+//! [`harness::run_fleet`] wires all three over N deterministic
 //! simulated networks; `iiot-bench` E17 prices blast radius,
 //! time-to-converge and twin lag on top of it.
 //!
@@ -31,9 +27,9 @@
 //! The controller alone, driven by hand-rolled reports:
 //!
 //! ```
-//! use iiot_fleet::{CampaignAction, FleetCampaign, HealthGate, NetworkId};
+//! use iiot_fleet::{CampaignAction, FleetCampaign, NetworkId};
 //!
-//! let mut c = FleetCampaign::staged(8, 1, 2, HealthGate::default());
+//! let mut c = FleetCampaign::staged(8, 1, 2);
 //! // First step: nothing active yet, the canary network goes out.
 //! let actions = c.step(&[]);
 //! assert_eq!(
@@ -48,9 +44,7 @@
 pub mod campaign;
 pub mod drift;
 pub mod harness;
-pub mod health;
 
 pub use campaign::{CampaignAction, CampaignPhase, FleetCampaign, NetworkId, NetworkReport};
-pub use drift::{DriftDetector, DriftItem};
+pub use drift::DriftItem;
 pub use harness::{run_fleet, FaultArm, FleetConfig, FleetOutcome, PartitionSpec};
-pub use health::{fleet_rollup, HealthGate, NetworkHealth};

@@ -6,7 +6,7 @@ use crate::object::{decode_interest, encode_interest, ContentObject, Name, SIG_L
 use crate::pit::{Pit, Requester};
 use crate::store::ContentStore;
 use iiot_mac::{Mac, MacError, SendHandle, Service, Stack};
-use iiot_security::{CostModel, Key, SecLevel};
+use iiot_security::{cost, Key, SecLevel};
 use iiot_sim::obs::EventKind;
 use iiot_sim::{
     Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TimerId, TxOutcome,
@@ -21,6 +21,8 @@ pub const PORT_DATA: u8 = 51;
 
 const TAG_POLL: u64 = 0x220;
 const TAG_PUMP: u64 = 0x221;
+/// Retry pacing when the MAC queue is full.
+pub const PUMP_PERIOD: SimDuration = SimDuration::from_millis(100);
 
 /// The crypto level content-object signatures are priced at: an 8-byte
 /// CBC-MAC is the `Mic64` rung of the channel-security ladder, so the
@@ -65,14 +67,12 @@ pub struct IcnConfig {
     pub key: Key,
     /// Channel-security arm: every frame carries this level's
     /// auxiliary header + MIC bytes and pays per-hop protect/unprotect
-    /// CPU, priced with [`CostModel`].
+    /// CPU, priced with [`iiot_security::cost`].
     pub link_sec: Option<SecLevel>,
     /// Consumer polling plan, if this node consumes.
     pub poll: Option<PollPlan>,
     /// Freshness budget stamped on locally published objects.
     pub freshness: SimDuration,
-    /// Retry pacing when the MAC queue is full.
-    pub pump_period: SimDuration,
     /// Stale-replay attacker: pin the first cached copy of each name
     /// and answer *any* Interest with it, ignoring freshness and the
     /// requested minimum version (the E15c threat model).
@@ -89,7 +89,6 @@ impl Default for IcnConfig {
             link_sec: None,
             poll: None,
             freshness: SimDuration::from_secs(60),
-            pump_period: SimDuration::from_millis(100),
             replay: false,
         }
     }
@@ -117,7 +116,6 @@ pub struct IcnNode<M: Mac> {
 /// The service: everything of an [`IcnNode`] but its MAC.
 struct Icn {
     cfg: IcnConfig,
-    cost: CostModel,
     /// Flash: the producer's authoritative objects. Survives `crashed`.
     repo: Vec<ContentObject>,
     // --- volatile (RAM) state below ---
@@ -148,7 +146,6 @@ impl<M: Mac> IcnNode<M> {
             stack: Stack::new(mac),
             icn: Icn {
                 cfg,
-                cost: CostModel::default(),
                 repo: Vec::new(),
                 store,
                 pit,
@@ -247,7 +244,7 @@ impl Icn {
                 ContentObject::signed(&self.cfg.key, name, version, self.cfg.freshness, payload);
             ctx.count_node(
                 "icn_crypto_uj",
-                self.cost.cpu_energy_uj(OBJECT_SEC_LEVEL, o.signed_len()),
+                cost::cpu_energy_uj(OBJECT_SEC_LEVEL, o.signed_len()),
             );
             o
         } else {
@@ -373,7 +370,7 @@ impl Icn {
         if self.cfg.object_sec {
             ctx.count_node(
                 "icn_crypto_uj",
-                self.cost.cpu_energy_uj(OBJECT_SEC_LEVEL, obj.signed_len()),
+                cost::cpu_energy_uj(OBJECT_SEC_LEVEL, obj.signed_len()),
             );
             if !obj.verify(&self.cfg.key) {
                 ctx.emit(EventKind::IcnVerifyFail {
@@ -483,7 +480,7 @@ impl Icn {
             let extra = level.overhead_bytes();
             body.extend(std::iter::repeat_n(0u8, extra));
             ctx.count_node("icn_sec_bytes", extra as f64);
-            ctx.count_node("icn_crypto_uj", self.cost.cpu_energy_uj(level, body.len()));
+            ctx.count_node("icn_crypto_uj", cost::cpu_energy_uj(level, body.len()));
         }
         self.outq.push_back((dst, port, body));
         self.pump(mac, ctx);
@@ -497,7 +494,7 @@ impl Icn {
                     self.outq.pop_front();
                 }
                 Err(MacError::QueueFull) => {
-                    ctx.set_timer(self.cfg.pump_period, TAG_PUMP);
+                    ctx.set_timer(PUMP_PERIOD, TAG_PUMP);
                     return;
                 }
                 Err(MacError::TooLarge) => {
@@ -527,10 +524,7 @@ impl<M: Mac> Service<M> for Icn {
     fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
         if let Some(level) = self.cfg.link_sec {
             // Per-hop unprotect on every received frame.
-            ctx.count_node(
-                "icn_crypto_uj",
-                self.cost.cpu_energy_uj(level, payload.len()),
-            );
+            ctx.count_node("icn_crypto_uj", cost::cpu_energy_uj(level, payload.len()));
         }
         match port {
             PORT_INTEREST => {

@@ -319,11 +319,15 @@ mod tests {
 
     #[test]
     fn retransmission_recovers_from_loss() {
-        let cfg = SimConfig::default().seed(7).link(LinkModel::LossyDisk {
+        let mut cfg = SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        };
+        cfg.radio.link = LinkModel::LossyDisk {
             range_m: 30.0,
             interference_range_m: 45.0,
             prr: 0.6,
-        });
+        };
         let (mut w, ids) = csma_sim(cfg, Topology::line(2, 10.0));
         let (a, b) = (ids[0], ids[1]);
         for i in 0..20u64 {

@@ -287,7 +287,10 @@ mod tests {
     type Drv = MacDriver<LplMac>;
 
     fn lpl_world(n: usize, spacing: f64, seed: u64) -> (Sim, Vec<NodeId>) {
-        let cfg = SimConfig::default().seed(seed);
+        let cfg = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
         driver_sim(cfg, Topology::line(n, spacing), LplMac::default)
     }
 
@@ -363,7 +366,10 @@ mod tests {
         // Copies of one unanswered unicast under `max_retries` retries:
         // it fails after `1 + max_retries` whole strobes.
         let copies = |max_retries| {
-            let cfg = SimConfig::default().seed(7);
+            let cfg = SimConfig {
+                seed: 7,
+                ..SimConfig::default()
+            };
             let (mut w, ids) = driver_sim(cfg, Topology::line(2, 10.0), move || {
                 LplMac::new(LplConfig {
                     max_retries,

@@ -268,7 +268,10 @@ mod tests {
     type Drv = MacDriver<RimacMac>;
 
     fn rimac_world(n: usize, spacing: f64, seed: u64) -> (Sim, Vec<NodeId>) {
-        let cfg = SimConfig::default().seed(seed);
+        let cfg = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
         driver_sim(cfg, Topology::line(n, spacing), RimacMac::default)
     }
 
@@ -351,7 +354,10 @@ mod tests {
 
     #[test]
     fn two_senders_to_one_receiver_both_succeed() {
-        let cfg = SimConfig::default().seed(15);
+        let cfg = SimConfig {
+            seed: 15,
+            ..SimConfig::default()
+        };
         // Star: receiver in the middle.
         let topo: Topology = [
             Pos::new(10.0, 10.0),

@@ -811,7 +811,10 @@ mod tests {
             })
             .collect();
         let sched = TdmaSchedule::pipeline_to_root(&parents, SimDuration::from_millis(slot_ms));
-        let cfg = SimConfig::default().seed(seed);
+        let cfg = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
         let s2 = sched.clone();
         let (w, ids) = driver_sim(cfg, Topology::line(n, 10.0), move || {
             TdmaMac::new(s2.clone())
@@ -912,7 +915,10 @@ mod tests {
     fn tree_edges_carries_traffic_both_ways() {
         let parents: Vec<Option<NodeId>> = vec![None, Some(NodeId(0)), Some(NodeId(1))];
         let sched = TdmaSchedule::tree_edges(&parents, SimDuration::from_millis(10));
-        let cfg = SimConfig::default().seed(31);
+        let cfg = SimConfig {
+            seed: 31,
+            ..SimConfig::default()
+        };
         let (mut w, ids) = driver_sim(cfg, Topology::line(3, 10.0), move || {
             TdmaMac::new(sched.clone())
         });
@@ -1113,9 +1119,11 @@ mod tests {
         let sched = TdmaSchedule::pipeline_to_root(&parents, SimDuration::from_millis(10))
             .with_sync_slots(1)
             .with_guard(SimDuration::from_micros(500));
-        let cfg = SimConfig::default()
-            .seed(seed)
-            .clock(ClockModel::drifting(ppm));
+        let cfg = SimConfig {
+            seed,
+            clock: ClockModel::drifting(ppm),
+            ..SimConfig::default()
+        };
         let (mut w, ids) = driver_sim(cfg, Topology::line(n, 10.0), move || build(sched.clone()));
         for k in 0..sends {
             w.proto_mut::<Drv>(ids[1]).push_send(

@@ -185,7 +185,10 @@ fn receive_path_is_the_same_under_every_mac() {
 
 #[test]
 fn lpl_unicast_out_of_range_reports_failure() {
-    let cfg = SimConfig::default().seed(77);
+    let cfg = SimConfig {
+        seed: 77,
+        ..SimConfig::default()
+    };
     let (a, b) = (NodeId(0), NodeId(1));
     let mut w = SimBuilder::new()
         .config(cfg)

@@ -30,6 +30,9 @@ pub const PORT_VOTE: u8 = 21;
 /// Upper-layer port of the final verdict flood.
 pub const PORT_VERDICT: u8 = 22;
 
+/// Heartbeat period of the monitored router, and the sentinels' check
+/// period.
+pub const HEARTBEAT: SimDuration = SimDuration::from_secs(1);
 const TAG_HEARTBEAT: u64 = 0x200;
 const TAG_CHECK: u64 = 0x201;
 
@@ -38,8 +41,6 @@ const TAG_CHECK: u64 = 0x201;
 pub struct RnfdConfig {
     /// The monitored border router.
     pub root: NodeId,
-    /// Heartbeat period of the router.
-    pub heartbeat: SimDuration,
     /// Consecutive missed heartbeats before a sentinel suspects the
     /// router. The solo baseline needs this large; the quorum lets it
     /// be small.
@@ -53,7 +54,6 @@ impl Default for RnfdConfig {
     fn default() -> Self {
         RnfdConfig {
             root: NodeId(0),
-            heartbeat: SimDuration::from_secs(1),
             miss_threshold: 2,
             sentinels: Vec::new(),
         }
@@ -142,15 +142,13 @@ impl Rnfd {
 impl<M: Mac> Service<M> for Rnfd {
     fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
         if ctx.id() == self.config.root {
-            ctx.set_timer(self.config.heartbeat, TAG_HEARTBEAT);
+            ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
         } else if self.config.sentinels.contains(&ctx.id()) {
             // Random phase so sentinel checks are unsynchronized, plus
             // 1.5 periods of grace for the first heartbeat.
-            let jitter = ctx.rng().gen_range(0..self.config.heartbeat.as_micros());
+            let jitter = ctx.rng().gen_range(0..HEARTBEAT.as_micros());
             ctx.set_timer(
-                self.config.heartbeat
-                    + self.config.heartbeat / 2
-                    + SimDuration::from_micros(jitter),
+                HEARTBEAT + HEARTBEAT / 2 + SimDuration::from_micros(jitter),
                 TAG_CHECK,
             );
         }
@@ -192,7 +190,7 @@ impl<M: Mac> Service<M> for Rnfd {
                     PORT_HEARTBEAT,
                     self.hb_seq.to_be_bytes().to_vec(),
                 );
-                ctx.set_timer(self.config.heartbeat, TAG_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
             }
             TAG_CHECK => {
                 if self.hb_since_check == 0 {
@@ -205,7 +203,7 @@ impl<M: Mac> Service<M> for Rnfd {
                     self.misses = 0;
                 }
                 self.hb_since_check = 0;
-                ctx.set_timer(self.config.heartbeat, TAG_CHECK);
+                ctx.set_timer(HEARTBEAT, TAG_CHECK);
             }
             _ => {}
         }
@@ -255,7 +253,10 @@ mod tests {
     /// Star: root at the center, `s` sentinels around it, all in range
     /// of each other.
     fn star(s: usize, seed: u64, prr: f64, miss_threshold: u32, solo: bool) -> (Sim, Vec<NodeId>) {
-        let mut wc = SimConfig::default().seed(seed);
+        let mut wc = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
         if prr < 1.0 {
             wc.radio.link = LinkModel::LossyDisk {
                 range_m: 30.0,
@@ -276,7 +277,6 @@ mod tests {
         };
         let config = RnfdConfig {
             root: NodeId(0),
-            heartbeat: SimDuration::from_secs(1),
             miss_threshold,
             sentinels,
         };

@@ -224,7 +224,12 @@ mod tests {
             "tdma static-tree delivery {delivered}/{generated}"
         );
         // Pipelined latency: hops complete within about one frame each.
-        let lat = w.stats().summary("collect_latency_s");
-        assert!(lat.mean < 0.3, "mean latency {}", lat.mean);
+        let collected = w.proto::<Node>(NodeId(0)).collected();
+        let lat = collected
+            .iter()
+            .map(|c| c.received_at.duration_since(c.sent_at).as_secs_f64())
+            .sum::<f64>()
+            / collected.len() as f64;
+        assert!(lat < 0.3, "mean latency {lat}");
     }
 }

@@ -43,7 +43,6 @@ pub mod crypto;
 pub mod frame;
 pub mod replay;
 
-pub use cost::CostModel;
 pub use crypto::Key;
 pub use frame::{protect, unprotect, SecError, SecLevel};
 pub use replay::ReplayGuard;

@@ -22,71 +22,47 @@ use crate::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Bound on the random-walk frequency component, as a fraction of a
+/// model's ppm: the walk is clamped to `±WALK_BOUND * ppm` around the
+/// constant offset.
+pub const WALK_BOUND: f64 = 0.05;
+/// Maximum magnitude of one random-walk step, as a fraction of a
+/// model's ppm, applied once per [`WALK_INTERVAL`].
+pub const WALK_STEP: f64 = 0.01;
+/// World-time interval between random-walk steps.
+pub const WALK_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// [`WALK_INTERVAL`] in world-time µs.
+const INTERVAL_US: u64 = WALK_INTERVAL.as_micros();
+
 /// Deployment-wide oscillator fault model. Each node draws its own
-/// constant frequency offset, initial phase and random-walk stream
-/// from the world seed.
+/// constant frequency offset and random-walk stream from the world
+/// seed.
 ///
-/// The default model is ideal: all fields zero, local clocks identical
-/// to the world clock.
-#[derive(Clone, Debug, PartialEq)]
+/// The default model is ideal: local clocks identical to the world
+/// clock.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClockModel {
     /// Maximum magnitude of the constant frequency offset, in parts
     /// per million. Each node draws uniformly from
     /// `[-offset_ppm, +offset_ppm]`.
-    pub offset_ppm: f64,
-    /// Bound on the random-walk frequency component, in ppm. The walk
-    /// is clamped to `[-walk_ppm, +walk_ppm]` around the constant
-    /// offset.
-    pub walk_ppm: f64,
-    /// Maximum magnitude of one random-walk step, in ppm, applied once
-    /// per [`ClockModel::walk_interval`].
-    pub walk_step_ppm: f64,
-    /// World-time interval between random-walk steps.
-    pub walk_interval: SimDuration,
-    /// Maximum initial phase offset; each node's clock starts uniformly
-    /// ahead of world time by up to this much.
-    pub phase: SimDuration,
-}
-
-impl Default for ClockModel {
-    fn default() -> Self {
-        ClockModel {
-            offset_ppm: 0.0,
-            walk_ppm: 0.0,
-            walk_step_ppm: 0.0,
-            walk_interval: SimDuration::from_secs(1),
-            phase: SimDuration::ZERO,
-        }
-    }
+    offset_ppm: f64,
 }
 
 impl ClockModel {
     /// A realistic drifting-crystal model scaled by `ppm`: constant
-    /// offsets up to `±ppm`, a random walk bounded at 5% of `ppm`
-    /// stepping by up to 1% of `ppm` each second, and no initial phase
-    /// error ("synced at deployment, then left to drift").
-    /// `drifting(0.0)` is the ideal model.
+    /// offsets up to `±ppm`, a random walk bounded at [`WALK_BOUND`]
+    /// of `ppm` stepping by up to [`WALK_STEP`] of `ppm` each
+    /// [`WALK_INTERVAL`], and no initial phase error ("synced at
+    /// deployment, then left to drift"). `drifting(0.0)` is the ideal
+    /// model.
     #[must_use]
     pub fn drifting(ppm: f64) -> Self {
-        ClockModel {
-            offset_ppm: ppm,
-            walk_ppm: ppm * 0.05,
-            walk_step_ppm: ppm * 0.01,
-            walk_interval: SimDuration::from_secs(1),
-            phase: SimDuration::ZERO,
-        }
-    }
-
-    /// Sets the maximum initial phase offset.
-    #[must_use]
-    pub fn phase(mut self, phase: SimDuration) -> Self {
-        self.phase = phase;
-        self
+        ClockModel { offset_ppm: ppm }
     }
 
     /// Whether this model degenerates to the perfect world clock.
     pub fn is_ideal(&self) -> bool {
-        self.offset_ppm == 0.0 && self.walk_ppm == 0.0 && self.phase.is_zero()
+        self.offset_ppm == 0.0
     }
 }
 
@@ -107,8 +83,6 @@ pub(crate) struct LocalClock {
     walk_max_ppb: i64,
     /// Max per-interval walk step in ppb.
     step_ppb: i64,
-    /// World-time µs between walk steps.
-    interval_us: u64,
     /// World time (µs) of the last interval boundary crossed.
     epoch_world_us: u64,
     /// Local clock reading at `epoch_world_us`, in nanoseconds.
@@ -119,44 +93,50 @@ pub(crate) struct LocalClock {
 }
 
 impl LocalClock {
-    /// Creates the clock for one node, drawing its constant offset and
-    /// initial phase from `seed` (a stream derived from the world seed,
-    /// disjoint from the node's protocol RNG).
+    /// Creates the clock for one node, drawing its constant offset from
+    /// `seed` (a stream derived from the world seed, disjoint from the
+    /// node's protocol RNG).
     pub(crate) fn new(model: &ClockModel, seed: u64, born_at: SimTime) -> Self {
+        let ppm = model.offset_ppm;
+        Self::oscillator(ppm, ppm * WALK_BOUND, ppm * WALK_STEP, seed, born_at)
+    }
+
+    /// A clock with a constant offset drawn from `±offset_ppm` and a
+    /// walk bounded at `bound_ppm` stepping by up to `step_ppm`.
+    fn oscillator(
+        offset_ppm: f64,
+        bound_ppm: f64,
+        step_ppm: f64,
+        seed: u64,
+        born_at: SimTime,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        if model.is_ideal() {
+        let epoch_local_ns = (born_at.as_micros() as i64) * 1000;
+        if offset_ppm == 0.0 {
             return LocalClock {
                 rate_ppb: 0,
                 walk_ppb: 0,
                 walk_max_ppb: 0,
                 step_ppb: 0,
-                interval_us: model.walk_interval.as_micros().max(1),
                 epoch_world_us: born_at.as_micros(),
-                epoch_local_ns: (born_at.as_micros() as i64) * 1000,
+                epoch_local_ns,
                 rng,
                 ideal: true,
             };
         }
-        let offset_ppb_max = (model.offset_ppm * 1000.0).round() as i64;
+        let offset_ppb_max = (offset_ppm * 1000.0).round() as i64;
         let rate_ppb = if offset_ppb_max > 0 {
             rng.gen_range(-offset_ppb_max..=offset_ppb_max)
-        } else {
-            0
-        };
-        let phase_us = model.phase.as_micros();
-        let phase_ns = if phase_us > 0 {
-            rng.gen_range(0..=phase_us) as i64 * 1000
         } else {
             0
         };
         LocalClock {
             rate_ppb,
             walk_ppb: 0,
-            walk_max_ppb: (model.walk_ppm * 1000.0).round() as i64,
-            step_ppb: (model.walk_step_ppm * 1000.0).round() as i64,
-            interval_us: model.walk_interval.as_micros().max(1),
+            walk_max_ppb: (bound_ppm * 1000.0).round() as i64,
+            step_ppb: (step_ppm * 1000.0).round() as i64,
             epoch_world_us: born_at.as_micros(),
-            epoch_local_ns: (born_at.as_micros() as i64) * 1000 + phase_ns,
+            epoch_local_ns,
             rng,
             ideal: false,
         }
@@ -171,9 +151,9 @@ impl LocalClock {
     /// Advances the epoch over every whole interval up to `world_us`,
     /// stepping the random walk once per interval.
     fn advance(&mut self, world_us: u64) {
-        while self.epoch_world_us + self.interval_us <= world_us {
-            self.epoch_local_ns += self.ticks_ns(self.interval_us as i64);
-            self.epoch_world_us += self.interval_us;
+        while self.epoch_world_us + INTERVAL_US <= world_us {
+            self.epoch_local_ns += self.ticks_ns(INTERVAL_US as i64);
+            self.epoch_world_us += INTERVAL_US;
             if self.step_ppb > 0 {
                 let step = self.rng.gen_range(-self.step_ppb..=self.step_ppb);
                 self.walk_ppb = (self.walk_ppb + step).clamp(-self.walk_max_ppb, self.walk_max_ppb);
@@ -241,11 +221,7 @@ mod tests {
     fn constant_offset_accumulates_linearly() {
         // Pure constant offset (no walk): after T seconds the error is
         // rate * T within quantization.
-        let model = ClockModel {
-            offset_ppm: 50.0,
-            ..ClockModel::default()
-        };
-        let mut c = LocalClock::new(&model, 7, SimTime::ZERO);
+        let mut c = LocalClock::oscillator(50.0, 0.0, 0.0, 7, SimTime::ZERO);
         let d10 = drift_after(&mut c, 10);
         let d100 = drift_after(&mut c, 100);
         assert!(d10.abs() <= 500, "|{d10}| <= 50ppm * 10s");
@@ -309,11 +285,7 @@ mod tests {
         // A fast clock (positive ppm) reaches N local ticks in slightly
         // less world time; the round trip world->local over that window
         // recovers the requested local delay.
-        let model = ClockModel {
-            offset_ppm: 100.0,
-            ..ClockModel::default()
-        };
-        let mut c = LocalClock::new(&model, 9, SimTime::ZERO);
+        let mut c = LocalClock::oscillator(100.0, 0.0, 0.0, 9, SimTime::ZERO);
         let now = SimTime::from_secs(100);
         let local = SimDuration::from_secs(10);
         let w = c.world_delay(now, local);

@@ -3,53 +3,27 @@
 //! Devices at the sensing and actuation layer are "constrained in their
 //! power supply" (paper §II-B); the experiments therefore track how long
 //! each node's radio spends in each power state and convert that into
-//! charge and energy using a configurable current profile. The default
-//! profile matches a classic 802.15.4 transceiver (CC2420-class).
+//! charge and energy using one current profile, that of a classic
+//! 802.15.4 transceiver (CC2420-class).
 
 use crate::radio::RadioState;
 use crate::time::{SimDuration, SimTime};
 
-/// Current draw (mA) of the radio in each state, plus supply voltage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyModel {
-    /// Current in deep sleep, mA.
-    pub sleep_ma: f64,
-    /// Current while listening / receiving, mA.
-    pub listen_ma: f64,
-    /// Current while transmitting, mA.
-    pub tx_ma: f64,
-    /// Supply voltage, V.
-    pub voltage_v: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        // CC2420-class: RX 18.8 mA, TX(0 dBm) 17.4 mA, sleep 21 uA.
-        EnergyModel {
-            sleep_ma: 0.021,
-            listen_ma: 18.8,
-            tx_ma: 17.4,
-            voltage_v: 3.0,
-        }
-    }
-}
-
-impl EnergyModel {
-    fn current_ma(&self, state: RadioState) -> f64 {
-        match state {
-            RadioState::Off => self.sleep_ma,
-            RadioState::Listening => self.listen_ma,
-            RadioState::Transmitting => self.tx_ma,
-        }
-    }
-}
+/// Radio current in deep sleep, mA (CC2420-class: 21 uA).
+pub const SLEEP_MA: f64 = 0.021;
+/// Radio current while listening / receiving, mA (CC2420-class RX).
+pub const LISTEN_MA: f64 = 18.8;
+/// Radio current while transmitting at 0 dBm, mA (CC2420-class TX).
+pub const TX_MA: f64 = 17.4;
+/// Supply voltage, V.
+pub const VOLTAGE_V: f64 = 3.0;
 
 /// Accumulated radio-state residency for one node.
 ///
 /// # Examples
 ///
 /// ```
-/// use iiot_sim::energy::{EnergyMeter, EnergyModel};
+/// use iiot_sim::energy::EnergyMeter;
 /// use iiot_sim::radio::RadioState;
 /// use iiot_sim::time::SimTime;
 ///
@@ -141,27 +115,27 @@ impl EnergyUsage {
         (self.listen.as_micros() + self.tx.as_micros()) as f64 / total as f64
     }
 
-    /// Consumed charge in millicoulombs under `model`.
-    pub fn charge_mc(&self, model: &EnergyModel) -> f64 {
-        model.current_ma(RadioState::Off) * self.sleep.as_secs_f64()
-            + model.current_ma(RadioState::Listening) * self.listen.as_secs_f64()
-            + model.current_ma(RadioState::Transmitting) * self.tx.as_secs_f64()
+    /// Consumed charge in millicoulombs.
+    pub fn charge_mc(&self) -> f64 {
+        SLEEP_MA * self.sleep.as_secs_f64()
+            + LISTEN_MA * self.listen.as_secs_f64()
+            + TX_MA * self.tx.as_secs_f64()
     }
 
-    /// Consumed energy in millijoules under `model`.
-    pub fn energy_mj(&self, model: &EnergyModel) -> f64 {
-        self.charge_mc(model) * model.voltage_v
+    /// Consumed energy in millijoules.
+    pub fn energy_mj(&self) -> f64 {
+        self.charge_mc() * VOLTAGE_V
     }
 
     /// Projected lifetime in days on a battery of `capacity_mah`
     /// milliamp-hours, assuming the measured behaviour continues.
     /// Returns `f64::INFINITY` for an empty measurement.
-    pub fn lifetime_days(&self, model: &EnergyModel, capacity_mah: f64) -> f64 {
+    pub fn lifetime_days(&self, capacity_mah: f64) -> f64 {
         let secs = self.total().as_secs_f64();
         if secs == 0.0 {
             return f64::INFINITY;
         }
-        let avg_ma = self.charge_mc(model) / secs;
+        let avg_ma = self.charge_mc() / secs;
         if avg_ma <= 0.0 {
             return f64::INFINITY;
         }
@@ -197,17 +171,15 @@ mod tests {
 
     #[test]
     fn energy_with_default_model() {
-        let model = EnergyModel::default();
         let mut m = EnergyMeter::new();
         m.transition(SimTime::ZERO, RadioState::Listening);
         let u = m.finish(SimTime::from_secs(1));
         // 18.8 mA * 1 s * 3 V = 56.4 mJ
-        assert!((u.energy_mj(&model) - 56.4).abs() < 1e-9);
+        assert!((u.energy_mj() - 56.4).abs() < 1e-9);
     }
 
     #[test]
     fn always_on_lifetime_much_shorter_than_duty_cycled() {
-        let model = EnergyModel::default();
         let mut on = EnergyMeter::new();
         on.transition(SimTime::ZERO, RadioState::Listening);
         let on = on.finish(SimTime::from_secs(1000));
@@ -218,8 +190,8 @@ mod tests {
         let dc = dc.finish(SimTime::from_secs(1000));
 
         let batt = 2600.0; // AA pair
-        let on_days = on.lifetime_days(&model, batt);
-        let dc_days = dc.lifetime_days(&model, batt);
+        let on_days = on.lifetime_days(batt);
+        let dc_days = dc.lifetime_days(batt);
         assert!(on_days < 10.0, "always-on lasts days: {on_days}");
         assert!(
             dc_days > 20.0 * on_days,
@@ -241,9 +213,6 @@ mod tests {
     fn empty_usage_edge_cases() {
         let u = EnergyUsage::default();
         assert_eq!(u.duty_cycle(), 0.0);
-        assert_eq!(
-            u.lifetime_days(&EnergyModel::default(), 1000.0),
-            f64::INFINITY
-        );
+        assert_eq!(u.lifetime_days(1000.0), f64::INFINITY);
     }
 }

@@ -26,7 +26,7 @@
 //!   dictates (lines, grids, uniform scatters, machine clusters);
 //! * fault injection (node crash/recovery, link failures, partitions)
 //!   via [`Sim::kill`](sim::Sim::kill) and friends;
-//! * [`trace`] counters and sample series for experiment reporting;
+//! * [`trace`] per-node counters, and summaries of sample slices, for experiment reporting;
 //! * structured [`obs`] events, spans and recorders: zero-cost when
 //!   disabled, and the substrate of `--trace` dumps and `trace_report`.
 //!
@@ -102,7 +102,7 @@ pub use world::{Ctx, SimConfig};
 /// Convenient glob import for building simulations.
 pub mod prelude {
     pub use crate::clock::ClockModel;
-    pub use crate::energy::{EnergyModel, EnergyUsage};
+    pub use crate::energy::EnergyUsage;
     pub use crate::ids::{NodeId, TimerId};
     pub use crate::node::{AsAny, Idle, Proto, StateLoss, Timer};
     pub use crate::obs::{Event, EventKind, Recorder, SpanId};

@@ -1477,7 +1477,10 @@ mod tests {
             }
         }
         let run = |indexed: bool| {
-            let mut w = World::new(SimConfig::default().seed(7));
+            let mut w = World::new(SimConfig {
+                seed: 7,
+                ..SimConfig::default()
+            });
             if !indexed {
                 w.medium_mut().drop_spatial_index();
             }
@@ -1529,7 +1532,12 @@ mod tests {
         // 14.8 of the 50 ms period, nobody listens when a neighbour
         // transmits, and the count is low for that reason alone.
         let visits_per_tx = |side: usize| {
-            let mut w = World::new(SimConfig::default().seed(side as u64).link(link.clone()));
+            let mut cfg = SimConfig {
+                seed: side as u64,
+                ..SimConfig::default()
+            };
+            cfg.radio.link = link.clone();
+            let mut w = World::new(cfg);
             w.add_nodes(&Topology::grid(side, side, 20.0), |_| Box::new(Blaster));
             w.run_for(SimDuration::from_secs(1));
             let m = w.medium();

@@ -1,7 +1,7 @@
 //! The composable front door of the simulator: [`SimBuilder`] → [`Sim`].
 //!
 //! [`SimBuilder`] is the one place a simulation is described —
-//! topology, radio, clocks, crash policy and observability — and
+//! topology, radio, clocks and observability — and
 //! [`SimBuilder::build`] yields a [`Sim`], the one handle that runs,
 //! inspects, grows and faults it. A `Sim` drives one serial kernel, a
 //! [`World`], on the calling thread.
@@ -92,7 +92,6 @@ type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto>>;
 pub struct SimBuilder {
     config: SimConfig,
     groups: Vec<(Topology, ProtoFactory)>,
-    state_loss: Option<StateLoss>,
     recorder: Option<Box<dyn Recorder>>,
 }
 
@@ -108,7 +107,6 @@ impl SimBuilder {
         SimBuilder {
             config: SimConfig::default(),
             groups: Vec::new(),
-            state_loss: None,
             recorder: None,
         }
     }
@@ -119,27 +117,21 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the master seed (see [`SimConfig::seed`]).
+    /// Sets the master seed; everything random derives from it.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config = self.config.seed(seed);
+        self.config.seed = seed;
         self
     }
 
-    /// Sets a unit-disk radio range in meters (see [`SimConfig::radius`]).
-    pub fn radius(mut self, range: f64) -> Self {
-        self.config = self.config.radius(range);
-        self
-    }
-
-    /// Sets the link model (see [`SimConfig::link`]).
+    /// Replaces the link model.
     pub fn link(mut self, link: LinkModel) -> Self {
-        self.config = self.config.link(link);
+        self.config.radio.link = link;
         self
     }
 
-    /// Sets the oscillator model (see [`SimConfig::clock`]).
+    /// Replaces the oscillator fault model (ideal by default).
     pub fn clock(mut self, clock: ClockModel) -> Self {
-        self.config = self.config.clock(clock);
+        self.config.clock = clock;
         self
     }
 
@@ -161,12 +153,6 @@ impl SimBuilder {
         self
     }
 
-    /// Sets what crashed nodes lose (see [`StateLoss`]).
-    pub fn state_loss(mut self, loss: StateLoss) -> Self {
-        self.state_loss = Some(loss);
-        self
-    }
-
     /// Installs a structured-event recorder on the built sim.
     pub fn recorder(mut self, recorder: Box<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -178,9 +164,6 @@ impl SimBuilder {
         let mut world = World::new(self.config);
         for (topo, make) in &self.groups {
             world.add_nodes(topo, make);
-        }
-        if let Some(loss) = self.state_loss {
-            world.set_state_loss(loss);
         }
         if let Some(r) = self.recorder {
             world.set_recorder(r);

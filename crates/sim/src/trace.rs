@@ -1,9 +1,8 @@
-//! Metric collection: counters and sample series for experiments.
+//! Metric collection: per-node counters, and summaries of sample slices.
 
 use crate::ids::NodeId;
-use std::collections::BTreeMap;
 
-/// Summary statistics over one sample series.
+/// Summary statistics over one sample slice.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     /// Number of samples.
@@ -22,11 +21,10 @@ pub struct Summary {
     pub p99: f64,
 }
 
-/// Counters and sample series collected during a simulation.
+/// Counters collected during a simulation.
 ///
 /// Every counter is per node, keyed by name: a total over nodes is
-/// [`Stats::node_total`]. Series accumulate raw samples, e.g.
-/// per-packet latencies, and can be summarized. Names are written as
+/// [`Stats::node_total`]. Names are written as
 /// `&'static str` (every writer passes a literal, so a bump allocates
 /// nothing) and read back by any `&str`. A counter an event kind owns
 /// ([`EventKind::counter`](crate::obs::EventKind::counter)) is written
@@ -45,15 +43,12 @@ pub struct Summary {
 /// let mut s = Stats::new();
 /// s.inc_node(NodeId(3), "tx", 1.0);
 /// s.inc_node(NodeId(5), "tx", 2.0);
-/// s.record("latency_s", 0.25);
 /// assert_eq!(s.get_node(NodeId(3), "tx"), 1.0);
 /// assert_eq!(s.node_total("tx"), 3.0);
-/// assert_eq!(s.summary("latency_s").count, 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     node_counters: NodeCounters,
-    series: BTreeMap<&'static str, Vec<f64>>,
 }
 
 /// The per-node counters, one column per name in first-touch order.
@@ -156,21 +151,6 @@ impl Stats {
     pub fn node_values(&self, name: &str) -> Vec<(NodeId, f64)> {
         self.per_node(name).collect()
     }
-
-    /// Appends a raw sample to the series `name`.
-    pub fn record(&mut self, name: &'static str, v: f64) {
-        self.series.entry(name).or_default().push(v);
-    }
-
-    /// The raw samples of series `name` (empty slice if absent).
-    pub fn samples(&self, name: &str) -> &[f64] {
-        self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Summary statistics of series `name`.
-    pub fn summary(&self, name: &str) -> Summary {
-        summarize(self.samples(name))
-    }
 }
 
 /// Summarizes an arbitrary sample slice.
@@ -234,11 +214,8 @@ mod tests {
 
     #[test]
     fn series_summary() {
-        let mut s = Stats::new();
-        for i in 1..=100 {
-            s.record("lat", i as f64);
-        }
-        let sum = s.summary("lat");
+        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
+        let sum = summarize(&samples);
         assert_eq!(sum.count, 100);
         assert_eq!(sum.min, 1.0);
         assert_eq!(sum.max, 100.0);
@@ -251,9 +228,6 @@ mod tests {
     #[test]
     fn empty_summary_is_zeroed() {
         assert_eq!(summarize(&[]), Summary::default());
-        let s = Stats::new();
-        assert_eq!(s.summary("none").count, 0);
-        assert!(s.samples("none").is_empty());
     }
 
     #[test]
@@ -263,14 +237,13 @@ mod tests {
         assert_eq!(sum.count, 5);
         assert_eq!((sum.min, sum.p50), (1.0, 3.0));
         assert!(sum.max.is_nan() && sum.p99.is_nan() && sum.mean.is_nan());
-        let mut s = Stats::new();
-        s.record("lat", f64::NAN);
-        assert!(s.summary("lat").p50.is_nan());
+        assert!(summarize(&[f64::NAN]).p50.is_nan());
     }
 
     mod columns_against_a_map {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeMap;
 
         /// What `Stats` kept per-node counters in before they became
         /// columns, and what they must still behave like.

@@ -7,7 +7,7 @@ use crate::node::{Proto, StateLoss, Timer};
 use crate::obs::{self, Event, EventKind, Recorder, SpanId};
 use crate::queue::{Calendar, Timed};
 use crate::radio::{
-    Dst, Frame, LinkModel, Medium, RadioConfig, RadioError, RadioState, RxEval, TxId, TxOutcome,
+    Dst, Frame, Medium, RadioConfig, RadioError, RadioState, RxEval, TxId, TxOutcome,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Pos, Topology};
@@ -38,63 +38,6 @@ impl Default for SimConfig {
             radio: RadioConfig::default(),
             clock: ClockModel::default(),
         }
-    }
-}
-
-impl SimConfig {
-    /// Sets the master seed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use iiot_sim::prelude::*;
-    ///
-    /// let cfg = SimConfig::default().seed(7).radius(30.0);
-    /// let sim = SimBuilder::new().config(cfg).build();
-    /// assert_eq!(sim.now(), SimTime::ZERO);
-    /// ```
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the communication range of disk-shaped link models,
-    /// keeping the interference range at 1.5x the communication range.
-    /// A [`LinkModel::LogDistance`] link has no sharp radius and is
-    /// left unchanged; use [`SimConfig::link`] to replace it.
-    #[must_use]
-    pub fn radius(mut self, range: f64) -> Self {
-        match &mut self.radio.link {
-            LinkModel::UnitDisk {
-                range_m,
-                interference_range_m,
-            }
-            | LinkModel::LossyDisk {
-                range_m,
-                interference_range_m,
-                ..
-            } => {
-                *range_m = range;
-                *interference_range_m = range * 1.5;
-            }
-            LinkModel::LogDistance { .. } => {}
-        }
-        self
-    }
-
-    /// Replaces the link model.
-    #[must_use]
-    pub fn link(mut self, link: LinkModel) -> Self {
-        self.radio.link = link;
-        self
-    }
-
-    /// Replaces the oscillator fault model.
-    #[must_use]
-    pub fn clock(mut self, clock: ClockModel) -> Self {
-        self.clock = clock;
-        self
     }
 }
 
@@ -992,11 +935,6 @@ impl Ctx<'_> {
         self.kernel.stats.inc_node(self.node, name, v);
     }
 
-    /// Appends a raw sample to the series `name`.
-    pub fn record(&mut self, name: &'static str, v: f64) {
-        self.kernel.stats.record(name, v);
-    }
-
     /// Read access to all statistics.
     pub fn stats(&self) -> &Stats {
         &self.kernel.stats
@@ -1033,6 +971,8 @@ mod tests {
     use super::*;
     use crate::node::Idle;
     use crate::radio::RxInfo;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Ping-pong: node A unicasts to B, B replies, A records latency.
     struct Ping {
@@ -1096,7 +1036,10 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_outcome() {
         let run = |seed: u64| {
-            let cfg = SimConfig::default().seed(seed);
+            let cfg = SimConfig {
+                seed,
+                ..SimConfig::default()
+            };
             let mut w = World::new(cfg);
             let a = w.add_node(Pos::new(0.0, 0.0), Box::new(Ping::new(NodeId(1), true)));
             w.add_node(Pos::new(10.0, 0.0), Box::new(Ping::new(NodeId(0), false)));
@@ -1112,7 +1055,10 @@ mod tests {
         // protocol outcomes and identical Stats — what a kind's counter
         // reads must not hang on whether anyone records the event.
         let run = |record: bool| {
-            let mut w = World::new(SimConfig::default().seed(3));
+            let mut w = World::new(SimConfig {
+                seed: 3,
+                ..SimConfig::default()
+            });
             let a = w.add_node(Pos::new(0.0, 0.0), Box::new(Ping::new(NodeId(1), true)));
             w.add_node(Pos::new(10.0, 0.0), Box::new(Ping::new(NodeId(0), false)));
             if record {
@@ -1378,11 +1324,13 @@ mod tests {
     fn scheduled_actions_run_in_order() {
         let mut w = World::new(SimConfig::default());
         w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-        w.schedule(SimTime::from_secs(1), |w| w.kernel.stats.record("o", 1.0));
-        w.schedule(SimTime::from_secs(2), |w| w.kernel.stats.record("o", 2.0));
-        w.schedule(SimTime::from_secs(1), |w| w.kernel.stats.record("o", 1.5));
+        let log: Rc<RefCell<Vec<f64>>> = Rc::default();
+        for (secs, v) in [(1, 1.0), (2, 2.0), (1, 1.5)] {
+            let log = Rc::clone(&log);
+            w.schedule(SimTime::from_secs(secs), move |_| log.borrow_mut().push(v));
+        }
         w.run_for(SimDuration::from_secs(3));
-        assert_eq!(w.stats().samples("o"), &[1.0, 1.5, 2.0]);
+        assert_eq!(*log.borrow(), [1.0, 1.5, 2.0]);
     }
 
     #[test]
@@ -1391,7 +1339,6 @@ mod tests {
         impl Proto for S {
             fn start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.count_node("boots", 1.0);
-                ctx.record("x", 7.0);
                 assert_eq!(ctx.stats().node_total("boots"), 1.0);
             }
         }
@@ -1399,14 +1346,13 @@ mod tests {
         let n = w.add_node(Pos::new(0.0, 0.0), Box::new(S));
         w.run_for(SimDuration::from_millis(1));
         assert_eq!(w.stats().get_node(n, "boots"), 1.0);
-        assert_eq!(w.stats().samples("x"), &[7.0]);
     }
 
-    /// Logs every callback into the `order` series: `tx_done` as 1,
-    /// `frame` as 2 at node 1 and 3 elsewhere, timers by their tag.
+    /// Logs every callback into the log all nodes share: `tx_done` as
+    /// 1, `frame` as 2 at node 1 and 3 elsewhere, timers by their tag.
     /// Node 0 transmits at 10 ms and arms timer 4 for the frame's end
     /// right after; node 1 arms the zero-delay timer 5 from `frame`.
-    struct Ordered;
+    struct Ordered(Rc<RefCell<Vec<f64>>>);
 
     impl Proto for Ordered {
         fn start(&mut self, ctx: &mut Ctx<'_>) {
@@ -1420,18 +1366,18 @@ mod tests {
                 ctx.transmit(Dst::Broadcast, 0, vec![1]).expect("tx");
                 ctx.set_timer(ctx.radio().airtime(1), 4);
             } else {
-                ctx.record("order", t.tag as f64);
+                self.0.borrow_mut().push(t.tag as f64);
             }
         }
-        fn tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: crate::radio::TxOutcome) {
-            ctx.record("order", 1.0);
+        fn tx_done(&mut self, _ctx: &mut Ctx<'_>, _outcome: crate::radio::TxOutcome) {
+            self.0.borrow_mut().push(1.0);
         }
         fn frame(&mut self, ctx: &mut Ctx<'_>, _frame: &Frame, _info: RxInfo) {
             if ctx.id() == NodeId(1) {
-                ctx.record("order", 2.0);
+                self.0.borrow_mut().push(2.0);
                 ctx.set_timer(SimDuration::ZERO, 5);
             } else {
-                ctx.record("order", 3.0);
+                self.0.borrow_mut().push(3.0);
             }
         }
     }
@@ -1448,8 +1394,9 @@ mod tests {
         let run = |kill_c: bool| {
             let mut w = World::new(SimConfig::default());
             w.set_recorder(Box::new(obs::RingRecorder::new(64)));
+            let order: Rc<RefCell<Vec<f64>>> = Rc::default();
             for x in [0.0, 10.0, 20.0] {
-                w.add_node(Pos::new(x, 0.0), Box::new(Ordered));
+                w.add_node(Pos::new(x, 0.0), Box::new(Ordered(Rc::clone(&order))));
             }
             let end = SimTime::from_millis(10) + w.medium().config().airtime(1);
             if kill_c {
@@ -1467,7 +1414,8 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            (w.stats().samples("order").to_vec(), drops)
+            let order = order.borrow().clone();
+            (order, drops)
         };
         assert_eq!(run(false), (vec![1.0, 2.0, 3.0, 4.0, 5.0], vec![]));
         assert_eq!(
@@ -1480,7 +1428,7 @@ mod tests {
     fn a_frame_is_one_queue_entry_and_one_event_per_reception() {
         let mut w = World::new(SimConfig::default());
         for x in [0.0, 10.0, 20.0, -10.0] {
-            w.add_node(Pos::new(x, 0.0), Box::new(Ordered));
+            w.add_node(Pos::new(x, 0.0), Box::new(Ordered(Rc::default())));
         }
         w.run_for(SimDuration::from_millis(1)); // radios on
         let (pushes, events) = (w.queue_pushes(), w.events_dispatched());

@@ -1,6 +1,5 @@
 //! Public-API edge cases of the simulation kernel.
 
-use iiot_sim::energy::EnergyModel;
 use iiot_sim::prelude::*;
 
 #[test]
@@ -21,28 +20,6 @@ fn radio_config_serde_round_trip() {
 /// The `Debug` form of a cloneable value.
 fn serde_json_like<T: Clone + std::fmt::Debug>(v: &T) -> String {
     format!("{v:?}")
-}
-
-#[test]
-fn custom_energy_model_changes_projection() {
-    let stingy = EnergyModel {
-        sleep_ma: 0.001,
-        listen_ma: 5.0,
-        tx_ma: 5.0,
-        voltage_v: 1.8,
-    };
-    let mut w = SimBuilder::new()
-        .nodes(Topology::line(1, 10.0), |_| Box::new(Idle))
-        .build();
-    w.run_for(SimDuration::from_secs(100));
-    let u = w.energy(NodeId(0));
-    assert_eq!(u.sleep, SimDuration::from_secs(100));
-    let days_default = u.lifetime_days(&EnergyModel::default(), 1000.0);
-    let days_stingy = u.lifetime_days(&stingy, 1000.0);
-    assert!(
-        days_stingy > days_default,
-        "lower sleep current lasts longer"
-    );
 }
 
 #[test]
@@ -120,13 +97,13 @@ fn lossy_disk_drops_roughly_at_rate() {
             ctx.set_timer(SimDuration::from_millis(10), 0);
         }
     }
-    let cfg = SimConfig::default().seed(99).link(LinkModel::LossyDisk {
-        range_m: 30.0,
-        interference_range_m: 45.0,
-        prr: 0.7,
-    });
     let mut w = SimBuilder::new()
-        .config(cfg)
+        .seed(99)
+        .link(LinkModel::LossyDisk {
+            range_m: 30.0,
+            interference_range_m: 45.0,
+            prr: 0.7,
+        })
         .nodes(Topology::line(2, 10.0), |_| Box::new(Sender))
         .build();
     w.run_for(SimDuration::from_secs(20));

@@ -91,65 +91,32 @@ impl TokenBucket {
     }
 }
 
-/// Per-tenant admission control over a uniform (or per-tenant
-/// overridden) contract; see the [module docs](self).
+/// Per-tenant admission control: every tenant gets its own bucket
+/// under one uniform contract; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct AdmissionControl {
-    default_limit: RateLimit,
-    overrides: BTreeMap<u16, RateLimit>,
+    limit: RateLimit,
     buckets: BTreeMap<u16, TokenBucket>,
-    shed: BTreeMap<u16, u64>,
 }
 
 impl AdmissionControl {
-    /// Every tenant gets `limit` unless overridden.
+    /// Every tenant gets `limit`.
     pub fn uniform(limit: RateLimit) -> Self {
         AdmissionControl {
-            default_limit: limit,
-            overrides: BTreeMap::new(),
+            limit,
             buckets: BTreeMap::new(),
-            shed: BTreeMap::new(),
         }
     }
 
-    /// Replaces `tenant`'s contract (resets its bucket to full under
-    /// the new limit).
-    pub fn set_limit(&mut self, tenant: u16, limit: RateLimit) {
-        self.overrides.insert(tenant, limit);
-        self.buckets.insert(tenant, TokenBucket::new(limit));
-    }
-
-    /// The contract `tenant` is admitted under.
-    pub fn limit(&self, tenant: u16) -> RateLimit {
-        self.overrides
-            .get(&tenant)
-            .copied()
-            .unwrap_or(self.default_limit)
-    }
-
     /// Admits or sheds one arrival from `tenant` at virtual instant
-    /// `now`. Sheds are counted per tenant ([`shed`](Self::shed_count)).
+    /// `now`.
     pub fn admit(&mut self, tenant: u16, now: SimTime) -> bool {
-        let limit = self.limit(tenant);
+        let limit = self.limit;
         let bucket = self
             .buckets
             .entry(tenant)
             .or_insert_with(|| TokenBucket::new(limit));
-        let ok = bucket.admit(now);
-        if !ok {
-            *self.shed.entry(tenant).or_insert(0) += 1;
-        }
-        ok
-    }
-
-    /// Arrivals shed for `tenant` so far.
-    pub fn shed_count(&self, tenant: u16) -> u64 {
-        self.shed.get(&tenant).copied().unwrap_or(0)
-    }
-
-    /// Total arrivals shed across tenants.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.values().sum()
+        bucket.admit(now)
     }
 }
 
@@ -192,15 +159,15 @@ mod tests {
     #[test]
     fn per_tenant_buckets_and_shed_counts() {
         let mut ac = AdmissionControl::uniform(RateLimit::per_sec(1, 1));
-        ac.set_limit(7, RateLimit::per_sec(1000, 100));
+        let mut shed = [0u32; 2];
         for i in 0..50 {
-            ac.admit(0, t(i));
-            ac.admit(7, t(i));
+            for (k, tenant) in [0, 7].into_iter().enumerate() {
+                shed[k] += u32::from(!ac.admit(tenant, t(i)));
+            }
         }
-        assert_eq!(ac.shed_count(0), 49, "tenant 0 burst of 1, then dry");
-        assert_eq!(ac.shed_count(7), 0, "tenant 7's override absorbs all 50");
-        assert_eq!(ac.shed_total(), 49);
-        assert_eq!(ac.limit(7).burst, 100);
+        // Each tenant's own bucket admits its burst of 1, then is dry:
+        // tenant 0 draining its bucket leaves tenant 7's full.
+        assert_eq!(shed, [49, 49]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Tumbling/sliding aggregation windows over uplinks, driven by
-//! virtual-time watermarks.
+//! Tumbling aggregation windows over uplinks, driven by virtual-time
+//! watermarks.
 //!
 //! A [`WindowAggregator`] folds a stream of `(tenant, metric, value,
 //! event-time)` observations into per-window statistics — count, sum,
 //! min, max and an approximate p99 (the workspace's log-scale
-//! [`Histogram`]) — keyed by tenant × metric. Windows are aligned to
-//! multiples of the slide; a *tumbling* window is the `slide == width`
-//! special case; a *sliding* window attributes each observation to
-//! every window containing its event time.
+//! [`Histogram`]) — keyed by tenant × metric. Windows are tumbling:
+//! aligned to multiples of the width, so each observation belongs to
+//! exactly one window.
 //!
 //! # Watermarks and lateness
 //!
@@ -31,11 +30,8 @@ use std::collections::{BTreeMap, HashMap};
 /// Window geometry and lateness tolerance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowSpec {
-    /// Window width.
+    /// Window width; windows start at its multiples.
     pub width: SimDuration,
-    /// Distance between consecutive window starts (`== width` for
-    /// tumbling windows; must not exceed `width`).
-    pub slide: SimDuration,
     /// How far the watermark may pass a window's end before it closes.
     pub allowed_lateness: SimDuration,
 }
@@ -45,37 +41,8 @@ impl WindowSpec {
     pub fn tumbling(width: SimDuration) -> Self {
         WindowSpec {
             width,
-            slide: width,
             allowed_lateness: SimDuration::ZERO,
         }
-    }
-
-    /// Overlapping windows of `width` starting every `slide`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slide` is zero or exceeds `width` (instants would
-    /// fall in no window).
-    pub fn sliding(width: SimDuration, slide: SimDuration) -> Self {
-        let spec = WindowSpec {
-            width,
-            slide,
-            allowed_lateness: SimDuration::ZERO,
-        };
-        spec.validate();
-        spec
-    }
-
-    /// The geometry check [`sliding`](Self::sliding) and
-    /// [`WindowAggregator::new`] share: `observe` divides by `slide`
-    /// and walks down from the highest start covering an instant, so
-    /// `0 < slide <= width` must hold.
-    fn validate(&self) {
-        assert!(self.slide.as_micros() > 0, "WindowSpec::slide is zero");
-        assert!(
-            self.slide.as_micros() <= self.width.as_micros(),
-            "WindowSpec::slide exceeds WindowSpec::width"
-        );
     }
 
     /// Same geometry with an allowed-lateness budget.
@@ -193,12 +160,9 @@ impl WindowAggregator {
     ///
     /// # Panics
     ///
-    /// Panics when `spec.slide` is zero or exceeds `spec.width` — a
-    /// geometry [`WindowSpec::sliding`] rejects but
-    /// `WindowSpec::tumbling(SimDuration::ZERO)` or a struct literal
-    /// can still express.
+    /// Panics when `spec.width` is zero: `observe` divides by it.
     pub fn new(spec: WindowSpec) -> Self {
-        spec.validate();
+        assert!(spec.width.as_micros() > 0, "WindowSpec::width is zero");
         WindowAggregator {
             spec,
             watermark: SimTime::ZERO,
@@ -250,37 +214,23 @@ impl WindowAggregator {
         close_at <= self.watermark.as_micros()
     }
 
-    /// Attributes one observation with event time `event_t` to every
+    /// Attributes one observation with event time `event_t` to the
     /// window containing it. Attribution to an already-closed window is
     /// counted late-dropped instead. The watermark is *not* advanced —
     /// event time may run ahead of or behind arrival time; call
     /// [`advance_watermark`](Self::advance_watermark) with arrival time.
     pub fn observe(&mut self, key: WindowKey, value: f64, event_t: SimTime) {
-        let t = event_t.as_micros();
-        let slide = self.spec.slide.as_micros();
         let width = self.spec.width.as_micros();
-        let mut counted = false;
-        // Highest-aligned start covering t, then every slide below it
-        // that still covers t.
-        let mut start = t / slide * slide;
-        loop {
-            if self.closed(start) {
-                *self.late.entry(key).or_insert(0) += 1;
-            } else {
-                self.open
-                    .entry(start)
-                    .or_default()
-                    .entry(key)
-                    .or_default()
-                    .observe(value);
-                counted = true;
-            }
-            if start < slide || t - start >= width - slide {
-                break;
-            }
-            start -= slide;
-        }
-        if counted {
+        let start = event_t.as_micros() / width * width;
+        if self.closed(start) {
+            *self.late.entry(key).or_insert(0) += 1;
+        } else {
+            self.open
+                .entry(start)
+                .or_default()
+                .entry(key)
+                .or_default()
+                .observe(value);
             self.observed += 1;
         }
     }
@@ -362,7 +312,7 @@ mod tests {
         // and nothing is late-dropped by a wrapped close instant.
         for spec in [
             WindowSpec::tumbling(secs(10)),
-            WindowSpec::sliding(secs(10), secs(3)).with_lateness(secs(5)),
+            WindowSpec::tumbling(secs(10)).with_lateness(secs(5)),
         ] {
             let mut w = WindowAggregator::new(spec);
             let t = SimTime::from_micros(u64::MAX - 5);
@@ -392,18 +342,6 @@ mod tests {
         assert_eq!((closed[1].start, closed[1].end), (at(10.0), at(20.0)));
         assert_eq!(w.late_total(), 0);
         assert_eq!(w.observed(), 30);
-    }
-
-    #[test]
-    fn sliding_windows_attribute_to_every_cover() {
-        // width 10, slide 5: an event at t=7 lands in [0,10) and [5,15).
-        let mut w = WindowAggregator::new(WindowSpec::sliding(secs(10), secs(5)));
-        w.observe(k(1, 2), 3.0, at(7.0));
-        let all = w.flush();
-        assert_eq!(all.len(), 2);
-        assert_eq!((all[0].start, all[0].end), (at(0.0), at(10.0)));
-        assert_eq!((all[1].start, all[1].end), (at(5.0), at(15.0)));
-        assert!(all.iter().all(|r| r.count == 1 && r.sum == 3.0));
     }
 
     #[test]
@@ -464,29 +402,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "WindowSpec::slide is zero")]
+    #[should_panic(expected = "WindowSpec::width is zero")]
     fn zero_width_tumbling_spec_is_rejected() {
         WindowAggregator::new(WindowSpec::tumbling(SimDuration::ZERO));
-    }
-
-    #[test]
-    #[should_panic(expected = "WindowSpec::slide is zero")]
-    fn zero_slide_literal_is_rejected() {
-        WindowAggregator::new(WindowSpec {
-            width: secs(10),
-            slide: SimDuration::ZERO,
-            allowed_lateness: SimDuration::ZERO,
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "WindowSpec::slide exceeds WindowSpec::width")]
-    fn slide_wider_than_width_literal_is_rejected() {
-        WindowAggregator::new(WindowSpec {
-            width: secs(5),
-            slide: secs(10),
-            allowed_lateness: SimDuration::ZERO,
-        });
     }
 
     #[test]

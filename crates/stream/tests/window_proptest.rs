@@ -1,6 +1,6 @@
 //! Property tests for the window aggregator's store: for *any*
-//! interleaving of observations and watermark advances, over tumbling,
-//! sliding and allowed-lateness geometries, the aggregator (open windows
+//! interleaving of observations and watermark advances, over tumbling
+//! geometries with and without a lateness allowance, the aggregator (open windows
 //! grouped by start in hash maps, the first observations held inline)
 //! emits exactly what a reference that keeps one full `Histogram` per
 //! `(start, key)` in a `BTreeMap` emits — every field bit for bit, in
@@ -40,24 +40,14 @@ impl Reference {
     }
 
     fn observe(&mut self, key: WindowKey, value: f64, event_t: SimTime) {
-        let t = event_t.as_micros();
-        let slide = self.spec.slide.as_micros();
         let width = self.spec.width.as_micros();
-        let mut counted = false;
-        let mut start = t / slide * slide;
-        loop {
-            if self.closed(start) {
-                *self.late.entry(key).or_insert(0) += 1;
-            } else {
-                self.open.entry((start, key)).or_default().observe(value);
-                counted = true;
-            }
-            if start < slide || start + width - slide <= t {
-                break;
-            }
-            start -= slide;
+        let start = event_t.as_micros() / width * width;
+        if self.closed(start) {
+            *self.late.entry(key).or_insert(0) += 1;
+        } else {
+            self.open.entry((start, key)).or_default().observe(value);
+            self.observed += 1;
         }
-        self.observed += counted as u64;
     }
 
     fn result(&self, start: u64, key: WindowKey, hist: &Histogram) -> WindowResult {
@@ -118,16 +108,10 @@ fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
 }
 
-/// Tumbling, sliding (width not necessarily a multiple of the slide)
-/// and either with an allowed-lateness budget.
+/// Tumbling windows, with or without an allowed-lateness budget.
 fn specs() -> impl Strategy<Value = WindowSpec> {
-    let geometry = prop_oneof![
-        (500u64..20_000).prop_map(|w| WindowSpec::tumbling(ms(w))),
-        (500u64..5_000, 0u64..15_000)
-            .prop_map(|(s, extra)| WindowSpec::sliding(ms(s + extra), ms(s))),
-    ];
-    (geometry, prop_oneof![Just(0u64), 0u64..6_000])
-        .prop_map(|(spec, late)| spec.with_lateness(ms(late)))
+    (500u64..20_000, prop_oneof![Just(0u64), 0u64..6_000])
+        .prop_map(|(width, late)| WindowSpec::tumbling(ms(width)).with_lateness(ms(late)))
 }
 
 /// Values across the histogram's range, with the awkward ones mixed in.

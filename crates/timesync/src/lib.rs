@@ -34,12 +34,10 @@
 //! use iiot_sim::prelude::*;
 //! use iiot_timesync::{FtspConfig, FtspNode};
 //!
-//! let cfg = SimConfig::default()
-//!     .seed(7)
-//!     .clock(ClockModel::drifting(50.0)); // ±50 ppm crystals
 //! let ftsp = FtspConfig::default().with_period(SimDuration::from_millis(500));
 //! let mut sim = SimBuilder::new()
-//!     .config(cfg)
+//!     .seed(7)
+//!     .clock(ClockModel::drifting(50.0)) // ±50 ppm crystals
 //!     .nodes(Topology::line(4, 25.0), move |_| Box::new(FtspNode::new(ftsp.clone())))
 //!     .build();
 //! sim.run(SimDuration::from_secs(20));

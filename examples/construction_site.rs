@@ -122,7 +122,6 @@ fn main() {
     }
     let config = RnfdConfig {
         root: NodeId(0),
-        heartbeat: SimDuration::from_secs(1),
         miss_threshold: 2,
         sentinels: (1..=6).map(NodeId).collect(),
     };

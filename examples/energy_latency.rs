@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --release --example energy_latency`
 
-use iiot::sim::energy::EnergyModel;
 use iiot::sim::{SimDuration, Topology};
 use iiot::{Deployment, MacChoice};
 
@@ -20,7 +19,6 @@ fn main() {
         MacChoice::Rimac(SimDuration::from_millis(512)),
         MacChoice::Tdma(SimDuration::from_millis(20)),
     ];
-    let model = EnergyModel::default();
     let battery_mah = 2600.0; // AA pair
 
     println!(
@@ -39,7 +37,7 @@ fn main() {
 
         // Project lifetime from the median non-root node.
         let mid = d.nodes[d.nodes.len() / 2];
-        let lifetime = d.sim.energy(mid).lifetime_days(&model, battery_mah);
+        let lifetime = d.sim.energy(mid).lifetime_days(battery_mah);
 
         println!(
             "{:>6} | {:>8.1}% | {:>9.3} s | {:>9.3} s | {:>9.2}% | {:>9.0} days",

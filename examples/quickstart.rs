@@ -5,9 +5,7 @@
 //! border router into one namespace; the cloud logs every reading
 //! write-ahead, keeps a twin per device and runs a safety rule whose
 //! commands go back down the gateway's CoAP downlink — all on the
-//! simulation's clock; and a scorecard
-//! summarizes the three axes (interoperability, scalability,
-//! dependability).
+//! simulation's clock.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -18,7 +16,7 @@ use iiot::gateway::tlv::{TlvAdapter, TlvSensor};
 use iiot::gateway::{Gateway, Unit};
 use iiot::security::{Key, SecLevel};
 use iiot::sim::{SimDuration, Topology};
-use iiot::{Deployment, MacChoice, Rule, Scorecard};
+use iiot::{Deployment, MacChoice, Rule};
 
 fn main() {
     // ------------------------------------------------------------------
@@ -137,10 +135,4 @@ fn main() {
         north.commands.iter().filter(|c| c.ok).count(),
         first.point
     );
-
-    // ------------------------------------------------------------------
-    // The three-axis scorecard (§III-§V).
-    // ------------------------------------------------------------------
-    let card = Scorecard::from_deployment(&deployment);
-    println!("\n{card}");
 }

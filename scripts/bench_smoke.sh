@@ -79,6 +79,16 @@ if grep -rn 'CsmaConfig\|TdmaConfig\|RimacConfig\|EndpointConfig\|ReliabilityCon
     echo "CsmaConfig, TdmaConfig, RimacConfig, EndpointConfig or ReliabilityConfig named in first-party source" >&2
     exit 1
 fi
+# The same for the energy, security-cost, revenue and clock-walk models,
+# the drift tolerance and the aggregation sensor; and the switches no
+# caller turned stay gone with the code behind them: the always-passing
+# fleet health gate, admission overrides, sliding windows, the builder's
+# radius and crash-policy setters, and the scorecard that re-labelled
+# the collection report.
+if grep -rn 'EnergyModel\|CostModel\|RevenueModel\|HealthGate\|NetworkHealth\|DriftDetector\|SensorFn\|walk_ppm\|admission_overrides\|set_limit(\|WindowSpec::sliding\|\.radius(\|\.state_loss(\|Scorecard' crates src tests examples --include='*.rs'; then
+    echo "a single-valued model, an unused switch or the scorecard is back in first-party source" >&2
+    exit 1
+fi
 
 # One Fig. 1 loop: a `Deployment` with a gateway attached carries its
 # readings through the gateway, the rules, the cloud log and the twins,

@@ -21,7 +21,7 @@
 //! | [`cloud`] | `iiot-cloud` | Fig. 1 — multi-tenant northbound platform tier |
 //! | [`stream`] | `iiot-stream` | Fig. 1/§V-B — replayable event log, admission control, windowed aggregation |
 //! | [`fleet`] | `iiot-fleet` | §V-D/§VI — fleet campaigns, digital twins, config drift |
-//! | [`core`] | `iiot-core` | Fig. 1 — deployments carrying readings through gateway, rules, cloud log and twins on one clock; scorecard |
+//! | [`core`] | `iiot-core` | Fig. 1 — deployments carrying readings through gateway, rules, cloud log and twins on one clock |
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! DESIGN.md for the experiment index.
@@ -52,8 +52,7 @@
 //! ```
 
 pub use iiot_core::{
-    audit, deployment, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound,
-    Rule, Scorecard, POLL,
+    deployment, CollectionReport, Deployment, DeploymentBuilder, MacChoice, Northbound, Rule, POLL,
 };
 
 pub use iiot_aggregate as aggregate;

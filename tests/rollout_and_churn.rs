@@ -1,11 +1,11 @@
 //! Integration: the paper's deployment lifecycle (§IV intro) across
 //! iiot-core, iiot-routing, iiot-mac, iiot-dependability — a pilot
 //! stage, a rollout stage that grows the network 3x, crash-recovery
-//! churn, and a final audit.
+//! churn, and a final collection report.
 
 use iiot::dependability::FaultPlan;
 use iiot::sim::prelude::*;
-use iiot::{Deployment, MacChoice, Scorecard};
+use iiot::{Deployment, MacChoice};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -67,12 +67,9 @@ fn staged_rollout_with_churn_keeps_collecting() {
         after.delivery_ratio
     );
 
-    // The audit reflects the deployment's current health.
-    let card = Scorecard::from_deployment(&d);
-    assert_eq!(card.scalability.nodes, 12);
-    assert!(card.dependability.alive_fraction > 0.7);
-    let text = card.to_string();
-    assert!(text.contains("12 nodes"));
+    // The report reflects the deployment's current health.
+    assert_eq!(d.nodes.len(), 12);
+    assert!(d.report().alive_fraction > 0.7);
 }
 
 #[test]

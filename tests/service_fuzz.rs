@@ -106,9 +106,19 @@ fn forged(ports: &'static [u8]) -> impl Strategy<Value = Vec<Forged>> {
     proptest::collection::vec((port, payload(), handle, any::<bool>()), 1..32)
 }
 
-/// Node 1 attacks; nodes 0 (the root, sink or producer) and 2 (a leaf)
-/// are `victim(index, mac)`. Returns the most events any 100 ms took.
+/// Node 1 attacks from 1.5 s on; nodes 0 (the root, sink or producer)
+/// and 2 (a leaf) are `victim(index, mac)`. Returns the most events any
+/// 100 ms took.
 fn attack(frames: &[Forged], victim: impl Fn(usize, Stray) -> Box<dyn Proto> + 'static) -> u64 {
+    attack_from(1_500, frames, victim)
+}
+
+/// [`attack`] with the first forged frame sent at `start_ms`.
+fn attack_from(
+    start_ms: u64,
+    frames: &[Forged],
+    victim: impl Fn(usize, Stray) -> Box<dyn Proto> + 'static,
+) -> u64 {
     let script: Vec<(u64, bool)> = frames.iter().map(|f| (f.2, f.3)).collect();
     let mut w = SimBuilder::new()
         .seed(frames.len() as u64)
@@ -125,7 +135,7 @@ fn attack(frames: &[Forged], victim: impl Fn(usize, Stray) -> Box<dyn Proto> + '
         .build();
     let attacker = w.proto_mut::<MacDriver<CsmaMac>>(NodeId(1));
     for (k, (port, payload, ..)) in frames.iter().enumerate() {
-        let at = SimTime::from_millis(1_500 + 100 * k as u64);
+        let at = SimTime::from_millis(start_ms + 100 * k as u64);
         attacker.push_send(at, Dst::Broadcast, *port, payload.clone());
     }
     let mut worst = 0;
@@ -174,7 +184,6 @@ proptest! {
     #[test]
     fn rnfd_survives(frames in forged(&[20, 21, 22])) {
         let cfg = RnfdConfig {
-            heartbeat: SimDuration::from_millis(300),
             sentinels: vec![NodeId(2)],
             ..RnfdConfig::default()
         };
@@ -185,10 +194,13 @@ proptest! {
     #[test]
     fn aggregation_survives(frames in forged(&[30, 31, 32]), raw in any::<bool>()) {
         let mode = if raw { Mode::Raw } else { Mode::Aggregate };
-        let mut cfg = AggConfig::new(parents(), mode, 500, 0);
-        // Half the cases let a forged query arrive before the root's.
-        cfg.dissemination_delay = SimDuration::from_secs(if raw { 1 } else { 4 });
-        let worst = attack(&frames, move |_, mac| Box::new(AggregationNode::new(mac, cfg.clone())));
+        let cfg = AggConfig::new(parents(), mode, 500, 0);
+        // Half the cases let a forged query arrive before the root's,
+        // which it floods one `DISSEMINATION_DELAY` (1 s) into the run.
+        let start_ms = if raw { 1_500 } else { 500 };
+        let worst = attack_from(start_ms, &frames, move |_, mac| {
+            Box::new(AggregationNode::new(mac, cfg.clone()))
+        });
         prop_assert!(worst < STEP_BOUND, "{worst} events in 100 ms");
     }
 
