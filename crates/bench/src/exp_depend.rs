@@ -48,7 +48,6 @@ fn rnfd_star(
         (1..=sentinels as u32).map(NodeId).collect()
     };
     let cfg = RnfdConfig {
-        root: NodeId(0),
         miss_threshold,
         sentinels: set,
     };

@@ -12,7 +12,7 @@
 //!   lets a crash-recovered node resume mid-image; E14b compares it
 //!   against a full reimage ([`StateLoss::Full`]) on the same fault;
 //! * **staged vs flat rollout** — a poisoned build under a canary-first
-//!   [`RolloutPlan`] versus
+//!   [`Rollout`](iiot_dissem::Rollout) over depth rings versus
 //!   enable-everyone; the blast radius is the number of nodes that
 //!   downloaded (and rejected) the bad image.
 //!
@@ -25,13 +25,13 @@ use crate::RunConfig;
 use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
-use iiot_dissem::rollout::{self, RolloutPlan};
+use iiot_dissem::rollout;
 use iiot_dissem::BlockInjector;
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_mac::Mac;
-use iiot_routing::graph::{depth_rings, grid_parents};
+use iiot_routing::graph::grid_parents;
 use iiot_routing::trickle::TrickleConfig;
 use iiot_sim::prelude::*;
 
@@ -338,20 +338,10 @@ pub fn e14_rollout(rc: &RunConfig, side: usize, cap_s: u64) -> Table {
                             move |_| Box::new(BlockInjector::new(gw, &inj_img, 64)),
                         )
                         .build();
-                    // Wireless cohorts by tree depth from the gateway:
-                    // disabled nodes relay nothing, so waves must grow
-                    // outward for the image to reach them at all.
-                    let plan = if staged {
-                        RolloutPlan::new(
-                            depth_rings(&grid_parents(side, side)),
-                            SimDuration::from_secs(10),
-                        )
-                    } else {
-                        RolloutPlan::flat(ids[1..].to_vec(), SimDuration::from_secs(10))
-                    };
-                    // The gateway itself (cohort zero of any rollout) is
-                    // always enabled: it holds the trusted image.
-                    rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
+                    // The gateway itself is in no cohort and always
+                    // enabled: it holds the trusted image.
+                    let cohorts = rollout::grid_cohorts(side, staged);
+                    rollout::drive::<CsmaMac>(&mut w, gw, cohorts, SimTime::from_secs(2));
                     w.run_for(SimDuration::from_secs(cap_s));
                     let poisoned = ids
                         .iter()

@@ -6,9 +6,12 @@
 //! and E13 runs reduced axes of the same sweeps.
 
 use iiot_bench::{
-    exp_cloud, exp_depend, exp_dissem, exp_interop, exp_scale, exp_stream, exp_sync, RunConfig,
+    exp_cloud, exp_depend, exp_dissem, exp_fleet, exp_interop, exp_scale, exp_stream, exp_sync,
+    RunConfig,
 };
 use iiot_cloud::IngestConfig;
+use iiot_fleet::FleetConfig;
+use iiot_routing::graph::{depth_rings, grid_parents};
 
 fn cell(t: &iiot_bench::table::Table, row: usize, col: usize) -> f64 {
     t.rows[row][col]
@@ -442,6 +445,34 @@ fn e14_shape_canary_contains_the_blast() {
     );
     assert_eq!(t.rows[0][3], "halted at canary");
     assert_eq!(t.rows[1][3], "fleet-wide");
+}
+
+/// E14c's and E17a's blast radius, exactly, on the `--quick` and the
+/// full axes of `all_experiments`. A staged rollout halts at its canary:
+/// it poisons the first depth ring of the grid's parent tree in one
+/// network. A flat one poisons every wireless node of every network it
+/// activates, which is all of them. Tolerance zero: a row that misses
+/// is a finding, not a bound to loosen.
+#[test]
+fn e14c_e17a_oracle_blast_radius_is_exact() {
+    let rc = RunConfig::default();
+    let first_ring = |side: usize| depth_rings(&grid_parents(side, side))[0].len() as f64;
+    assert_eq!(first_ring(4), 2.0, "a corner gateway has two neighbours");
+    for (side, cap_s) in [(4, 300), (7, 600)] {
+        let t = exp_dissem::e14_rollout(&rc, side, cap_s);
+        let (staged, flat) = (cell(&t, 0, 1), cell(&t, 1, 1));
+        assert_eq!(staged, first_ring(side), "E14c staged at {side}x{side}");
+        assert_eq!(flat, (side * side - 1) as f64, "E14c flat at {side}x{side}");
+    }
+    let side = FleetConfig::default().side;
+    let t = exp_fleet::e17_blast(&rc, &[4, 16, 32]);
+    for (i, networks) in [4.0, 16.0, 32.0].into_iter().enumerate() {
+        // Columns: networks, rollout, nets activated, poisoned nodes.
+        let row = |r: usize| [0, 2, 3].map(|c| cell(&t, r, c));
+        let fleet = networks * (side * side - 1) as f64;
+        assert_eq!(row(2 * i), [networks, 1.0, first_ring(side)], "E17a staged");
+        assert_eq!(row(2 * i + 1), [networks, networks, fleet], "E17a flat");
+    }
 }
 
 /// E2-ablation's duty cycle against a two-term model built from each

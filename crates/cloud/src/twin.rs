@@ -48,7 +48,7 @@
 //! cloud.merge(&west);
 //! assert_eq!(cloud.len(), 2);
 //! assert_eq!(cloud.twin(t, 1).unwrap().reported.get(&"fw".into()), Some(&2.0));
-//! assert!(cloud.twin(t, 1).unwrap().drift(1e-9).is_empty(), "in sync");
+//! assert!(cloud.twin(t, 1).unwrap().drift().is_empty(), "in sync");
 //! ```
 
 use crate::tenant::TenantId;
@@ -56,6 +56,9 @@ use iiot_crdt::{Crdt, LwwMap, OrSet, ReplicaId, VClock};
 use iiot_sim::SimTime;
 use iiot_stream::{WindowAggregator, WindowKey};
 use std::collections::BTreeMap;
+
+/// Absolute difference below which desired and reported are in sync.
+pub const TOLERANCE: f64 = 1e-9;
 
 /// One device's convergent cloud-side state; see the [module
 /// docs](self).
@@ -98,12 +101,12 @@ impl DeviceTwin {
     }
 
     /// Desired keys whose reported value is missing or differs by more
-    /// than `tolerance`: `(key, desired, reported)` in key order.
-    pub fn drift(&self, tolerance: f64) -> Vec<(&str, f64, Option<f64>)> {
+    /// than [`TOLERANCE`]: `(key, desired, reported)` in key order.
+    pub fn drift(&self) -> Vec<(&str, f64, Option<f64>)> {
         self.desired
             .iter()
             .filter_map(|(k, &want)| match self.reported.get(k) {
-                Some(&have) if (have - want).abs() <= tolerance => None,
+                Some(&have) if (have - want).abs() <= TOLERANCE => None,
                 have => Some((k.as_str(), want, have.copied())),
             })
             .collect()
@@ -188,18 +191,6 @@ impl TwinStore {
     /// Iterates over `((tenant, device), twin)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&(TenantId, u32), &DeviceTwin)> {
         self.twins.iter()
-    }
-
-    /// Devices whose twin currently drifts (desired vs reported beyond
-    /// `tolerance`), with the number of drifting keys, in key order.
-    pub fn drifted(&self, tolerance: f64) -> Vec<((TenantId, u32), u32)> {
-        self.twins
-            .iter()
-            .filter_map(|(k, twin)| {
-                let n = twin.drift(tolerance).len() as u32;
-                (n > 0).then_some((*k, n))
-            })
-            .collect()
     }
 
     /// Total writes absorbed across all twins and replicas.
@@ -310,16 +301,19 @@ mod tests {
         s.desire(T, 3, 10, CLOUD, "interval", 60.0);
         s.desire(T, 3, 10, CLOUD, "gain", 2.5);
         assert_eq!(
-            s.drifted(1e-9),
-            vec![((T, 3), 2)],
+            s.twin(T, 3).expect("twin").drift(),
+            vec![("gain", 2.5, None), ("interval", 60.0, None)],
             "unreported desired keys drift"
         );
         s.report(T, 3, 20, GW1, "interval", 60.0);
         s.report(T, 3, 20, GW1, "gain", 2.0);
         let twin = s.twin(T, 3).expect("twin");
-        assert_eq!(twin.drift(1e-9), vec![("gain", 2.5, Some(2.0))]);
+        assert_eq!(twin.drift(), vec![("gain", 2.5, Some(2.0))]);
         s.report(T, 3, 30, GW1, "gain", 2.5);
-        assert!(s.drifted(1e-9).is_empty(), "converged state has no drift");
+        assert!(
+            s.twin(T, 3).expect("twin").drift().is_empty(),
+            "converged state has no drift"
+        );
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //!   corrupted build still spreads; *containing* it is the rollout
 //!   controller's job;
 //! * the gateway ingests images from the backend over CoAP blockwise
-//!   ([`inject::BlockInjector`], Block1 PUT to `/fw`), and a
-//!   [`rollout::RolloutPlan`] activates download cohorts canary-first,
-//!   halting fleet-wide on the first quarantine.
+//!   ([`inject::BlockInjector`], Block1 PUT to `/fw`), and
+//!   [`rollout::drive`] runs the one staged-rollout controller,
+//!   [`rollout::Rollout`], over download cohorts canary-first, halting
+//!   network-wide on the first quarantine (`iiot-fleet` runs the same
+//!   controller over networks).
 //!
 //! Works over any [`iiot_mac::Mac`]. Under TDMA, schedules built with
 //! `TdmaSchedule::tree_edges` carry chunks down the tree in dedicated
@@ -85,4 +87,4 @@ pub mod rollout;
 pub use image::{crc32, Image, ImageMeta, PageStore};
 pub use inject::BlockInjector;
 pub use node::{Dissem, DissemConfig, DissemNode};
-pub use rollout::{drive, RolloutPlan};
+pub use rollout::{drive, Rollout};

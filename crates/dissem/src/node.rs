@@ -36,7 +36,7 @@ pub struct DissemConfig {
     pub trickle: TrickleConfig,
     /// Whether the node participates in downloads from boot. Staged
     /// rollouts start nodes disabled and flip them cohort by cohort
-    /// (see [`RolloutPlan`](crate::rollout::RolloutPlan)).
+    /// (see [`rollout::drive`](crate::rollout::drive)).
     pub enabled: bool,
     /// Send DATA chunks unicast to the requester instead of broadcast.
     /// Needed under schedules that fix each slot's receiver (TDMA);

@@ -5,7 +5,7 @@
 use iiot_dissem::image::Image;
 use iiot_dissem::inject::BlockInjector;
 use iiot_dissem::node::{DissemConfig, DissemNode};
-use iiot_dissem::rollout::{self, RolloutPlan};
+use iiot_dissem::rollout;
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_routing::trickle::TrickleConfig;
@@ -142,11 +142,8 @@ fn staged_rollout_halts_poison_at_canary() {
         &image(5, 400).poisoned(),
         SimTime::from_secs(1),
     );
-    let plan = RolloutPlan::new(
-        vec![vec![ids[1]], vec![ids[2]], vec![ids[3]]],
-        SimDuration::from_secs(5),
-    );
-    rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
+    let cohorts = vec![vec![ids[1]], vec![ids[2]], vec![ids[3]]];
+    rollout::drive::<CsmaMac>(&mut w, ids[0], cohorts, SimTime::from_secs(2));
     w.run_for(SimDuration::from_secs(300));
     assert!(
         w.proto::<CsmaNode>(ids[1]).poisoned(),
@@ -167,11 +164,8 @@ fn staged_rollout_halts_poison_at_canary() {
 fn staged_rollout_completes_clean_image() {
     let (mut w, ids) = csma_line(4, 16, false);
     install_at(&mut w, ids[0], &image(6, 400), SimTime::from_secs(1));
-    let plan = RolloutPlan::new(
-        vec![vec![ids[1]], vec![ids[2], ids[3]]],
-        SimDuration::from_secs(5),
-    );
-    rollout::drive::<CsmaMac>(&mut w, ids[0], plan, SimTime::from_secs(2));
+    let cohorts = vec![vec![ids[1]], vec![ids[2], ids[3]]];
+    rollout::drive::<CsmaMac>(&mut w, ids[0], cohorts, SimTime::from_secs(2));
     w.run_for(SimDuration::from_secs(400));
     for &id in &ids {
         assert!(w.proto::<CsmaNode>(id).complete_ok(), "{id:?} incomplete");

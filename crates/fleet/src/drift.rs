@@ -28,16 +28,13 @@ pub struct DriftItem {
     pub reported: Option<f64>,
 }
 
-/// Absolute difference below which desired and reported are in sync.
-pub const TOLERANCE: f64 = 1e-9;
-
 /// Every out-of-sync key across the store, in `(tenant, device, key)`
 /// order — deterministic for a deterministic store.
 pub fn scan(store: &TwinStore) -> Vec<DriftItem> {
     store
         .iter()
         .flat_map(|(&(tenant, device), twin)| {
-            twin.drift(TOLERANCE)
+            twin.drift()
                 .into_iter()
                 .map(move |(key, desired, reported)| DriftItem {
                     tenant,
@@ -76,6 +73,7 @@ pub fn remediation(item: &DriftItem) -> Command {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iiot_cloud::twin::TOLERANCE;
     use iiot_crdt::ReplicaId;
 
     const T: TenantId = TenantId(0);

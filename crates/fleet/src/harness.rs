@@ -7,9 +7,10 @@
 //! of the workspace, and runs everything in lockstep wall-of-virtual-
 //! time ticks:
 //!
-//! * firmware flows gateway-down via `iiot-dissem`, activated per
-//!   network by the [`FleetCampaign`] controller translating its
-//!   cohorts into [`RolloutPlan`]s;
+//! * firmware flows gateway-down via `iiot-dissem`: the one staged-
+//!   rollout controller, [`Rollout`], runs over network indices, and
+//!   each network it activates runs the same controller over its own
+//!   nodes ([`rollout::drive`]);
 //! * state flows device-up as CRDT twin merges: each gateway keeps a
 //!   [`TwinStore`] replica and the cloud joins them every tick the
 //!   backhaul is up — a backhaul partition simply pauses the merge and
@@ -25,7 +26,6 @@
 //! ([`FleetConfig`], seed) — the property `iiot-bench` E17 leans on for
 //! `--jobs` byte-identity.
 
-use crate::campaign::{CampaignAction, CampaignPhase, FleetCampaign, NetworkId, NetworkReport};
 use crate::drift;
 use iiot_cloud::{CommandRouter, TenantId, TwinStore};
 use iiot_coap::resource::Response;
@@ -34,9 +34,8 @@ use iiot_crdt::ReplicaId;
 use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
-use iiot_dissem::rollout::{self, RolloutPlan};
+use iiot_dissem::rollout::{self, Rollout, Transition};
 use iiot_mac::csma::CsmaMac;
-use iiot_routing::graph::{depth_rings, grid_parents};
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
 use iiot_sim::{seed, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss, Topology};
 use std::cell::RefCell;
@@ -92,6 +91,21 @@ pub struct PartitionSpec {
 pub const CANARIES: u32 = 1;
 /// Waves after the canary in a staged rollout.
 pub const WAVES: u32 = 2;
+
+/// The fleet's cohorts of network indices: staged, the first
+/// [`CANARIES`] networks, then the rest in [`WAVES`] roughly equal
+/// waves (the last takes the remainder); flat, every network at once.
+pub fn network_cohorts(networks: u32, staged: bool) -> Vec<Vec<u32>> {
+    if !staged {
+        return vec![(0..networks).collect()];
+    }
+    let canaries = CANARIES.min(networks);
+    let rest: Vec<u32> = (canaries..networks).collect();
+    let per = rest.len().div_ceil(WAVES as usize).max(1);
+    let mut cohorts = vec![(0..canaries).collect()];
+    cohorts.extend(rest.chunks(per).map(<[u32]>::to_vec));
+    cohorts
+}
 /// Lockstep slice between fleet-level control rounds.
 pub const TICK: SimDuration = SimDuration::from_secs(5);
 
@@ -181,7 +195,6 @@ struct Network {
     device_cfg: Rc<RefCell<BTreeMap<u32, f64>>>,
     /// Downlink queue for this network's remediation pushes.
     router: CommandRouter,
-    activated: bool,
     /// Last twin-reported value per (global id, key) — write-on-change.
     last_reported: BTreeMap<(u32, &'static str), f64>,
     /// When each device (global id) completed locally.
@@ -254,7 +267,6 @@ fn build_network(net: u32, cfg: &FleetConfig, seed_val: u64, img: &Image) -> Net
         cfg_server,
         device_cfg,
         router: CommandRouter::new(64, seed::derive(seed_val, 2_000 + u64::from(net))),
-        activated: false,
         last_reported: BTreeMap::new(),
         local_done: BTreeMap::new(),
     }
@@ -287,11 +299,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
     let mut nets: Vec<Network> = (0..cfg.networks)
         .map(|n| build_network(n, cfg, seed_val, &img))
         .collect();
-    let mut campaign = if cfg.staged {
-        FleetCampaign::staged(cfg.networks, CANARIES, WAVES)
-    } else {
-        FleetCampaign::flat(cfg.networks)
-    };
+    let mut campaign = Rollout::new(network_cohorts(cfg.networks, cfg.staged));
     let mut cloud = TwinStore::new();
 
     let mut now = SimTime::ZERO;
@@ -426,111 +434,95 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
             }
         }
 
-        // 6. The campaign controller reads each network's report and acts.
-        let mut reports: Vec<NetworkReport> = Vec::new();
-        for (n, net) in nets.iter_mut().enumerate() {
-            if partitioned(cfg, n as u32, now) {
-                continue; // no report: the campaign pauses, never advances
+        // 6. The campaign controller asks each activated network whether
+        // it is done or poisoned; a partitioned one is neither, so its
+        // silence pauses the campaign.
+        let transition = campaign.step(|n| {
+            let net = &nets[n as usize];
+            if partitioned(cfg, n, now) {
+                return (false, false);
             }
-            let rollout_done = net.activated
-                && net
-                    .ids
-                    .iter()
-                    .all(|&id| net.sim.proto::<DissemNode<CsmaMac>>(id).complete_ok());
-            let poisoned = net
-                .ids
-                .iter()
-                .any(|&id| net.sim.proto::<DissemNode<CsmaMac>>(id).poisoned());
-            reports.push(NetworkReport {
-                network: NetworkId(n as u32),
-                rollout_done,
-                poisoned,
-            });
-        }
-        for action in campaign.step(&reports) {
-            match action {
-                CampaignAction::Activate { networks, stage } => {
-                    emit(
-                        &mut rec,
-                        now,
-                        networks.first().map_or(0, |n| n.0),
-                        EventKind::FleetPhase {
-                            stage,
-                            networks: networks.len() as u32,
-                        },
+            let node = |id| net.sim.proto::<DissemNode<CsmaMac>>(id);
+            (
+                net.ids.iter().all(|&id| node(id).complete_ok()),
+                net.ids.iter().any(|&id| node(id).poisoned()),
+            )
+        });
+        match transition {
+            Some(Transition::Activate { stage, cohort, .. }) => {
+                emit(
+                    &mut rec,
+                    now,
+                    cohort[0],
+                    EventKind::FleetPhase {
+                        stage,
+                        networks: cohort.len() as u32,
+                    },
+                );
+                for n in cohort {
+                    let net = &mut nets[n as usize];
+                    rollout::drive::<CsmaMac>(
+                        &mut net.sim,
+                        net.ids[0],
+                        rollout::grid_cohorts(cfg.side, cfg.staged),
+                        now + SimDuration::from_millis(100),
                     );
-                    for nid in networks {
-                        let net = &mut nets[nid.0 as usize];
-                        let plan = if cfg.staged {
-                            // Within-network cohorts by tree depth: disabled
-                            // nodes relay nothing, so waves grow outward from
-                            // the gateway.
-                            RolloutPlan::new(
-                                depth_rings(&grid_parents(cfg.side, cfg.side)),
-                                SimDuration::from_secs(10),
-                            )
+                    if cfg.fault != FaultArm::None {
+                        let loss = if cfg.fault == FaultArm::Wipe {
+                            StateLoss::Full
                         } else {
-                            RolloutPlan::flat(net.ids[1..].to_vec(), SimDuration::from_secs(10))
+                            StateLoss::Ram
                         };
-                        rollout::drive::<CsmaMac>(
-                            &mut net.sim,
-                            net.ids[0],
-                            plan,
-                            now + SimDuration::from_millis(100),
-                        );
-                        if cfg.fault != FaultArm::None {
-                            let loss = if cfg.fault == FaultArm::Wipe {
-                                StateLoss::Full
-                            } else {
-                                StateLoss::Ram
-                            };
-                            // The crash must land *after* the victim's
-                            // cohort enables (a node down at its wave's
-                            // activation is skipped by the controller
-                            // and the campaign gate then waits on it
-                            // forever) but mid-download, so the outage
-                            // actually costs pages. Depth rings enable
-                            // roughly every check period (10 s); the
-                            // far corner sits in the last ring.
-                            let rings = 2 * (cfg.side as u64 - 1);
-                            let crash_after = if cfg.staged { 10 * (rings - 1) + 2 } else { 2 };
-                            let mut plan = FaultPlan::new();
-                            plan.push(Fault::CrashRecover {
-                                node: *net.ids.last().expect("non-empty grid"),
-                                at: now + SimDuration::from_secs(crash_after),
-                                down_for: SimDuration::from_secs(20),
-                            });
-                            plan.apply_with_state_loss(&mut net.sim, loss);
-                        }
-                        net.activated = true;
+                        // The crash must land *after* the victim's
+                        // cohort enables (a node down at its wave's
+                        // activation is skipped by the controller and
+                        // the campaign gate then waits on it forever)
+                        // but mid-download, so the outage actually
+                        // costs pages. Depth rings enable roughly every
+                        // check period; the far corner sits in the last
+                        // ring.
+                        let rings = 2 * (cfg.side as u64 - 1);
+                        let last_ring = if cfg.staged {
+                            rollout::CHECK_PERIOD * (rings - 1)
+                        } else {
+                            SimDuration::ZERO
+                        };
+                        let mut plan = FaultPlan::new();
+                        plan.push(Fault::CrashRecover {
+                            node: *net.ids.last().expect("non-empty grid"),
+                            at: now + last_ring + SimDuration::from_secs(2),
+                            down_for: SimDuration::from_secs(20),
+                        });
+                        plan.apply_with_state_loss(&mut net.sim, loss);
                     }
                 }
-                CampaignAction::Halt { activated } => {
-                    emit(
-                        &mut rec,
-                        now,
-                        0,
-                        EventKind::FleetPhase {
-                            stage: "halted",
-                            networks: activated,
-                        },
-                    );
-                    halted = true;
-                    done_at.get_or_insert(now);
-                }
-                CampaignAction::Done => {
-                    emit(
-                        &mut rec,
-                        now,
-                        0,
-                        EventKind::FleetPhase {
-                            stage: "done",
-                            networks: cfg.networks,
-                        },
-                    );
-                    done_at.get_or_insert(now);
-                }
             }
+            Some(Transition::Halted { activated }) => {
+                emit(
+                    &mut rec,
+                    now,
+                    0,
+                    EventKind::FleetPhase {
+                        stage: "halted",
+                        networks: activated,
+                    },
+                );
+                halted = true;
+                done_at.get_or_insert(now);
+            }
+            Some(Transition::Done { .. }) => {
+                emit(
+                    &mut rec,
+                    now,
+                    0,
+                    EventKind::FleetPhase {
+                        stage: "done",
+                        networks: cfg.networks,
+                    },
+                );
+                done_at.get_or_insert(now);
+            }
+            None => {}
         }
 
         // 7. Converged? Campaign settled, drift (if any) cleared, no
@@ -555,10 +547,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                 last_poisoned = poisoned_now;
             }
         }
-        let campaign_settled = matches!(
-            campaign.phase(),
-            CampaignPhase::Done | CampaignPhase::Halted
-        );
+        let campaign_settled = done_at.is_some();
         let drift_settled =
             cfg.desired_change.is_none() || (desired_applied && drift_cleared_at.is_some());
         let partition_over = cfg.partition.as_ref().is_none_or(|p| now >= p.until);
@@ -642,6 +631,21 @@ mod tests {
     }
 
     #[test]
+    fn staged_splits_canary_then_waves() {
+        let cohorts = network_cohorts(8, true);
+        assert_eq!(cohorts[0], vec![0], "the canary network goes first");
+        assert_eq!(cohorts.len(), 1 + WAVES as usize, "canary + waves");
+        let mut all: Vec<u32> = cohorts.concat();
+        all.sort_unstable();
+        assert_eq!(
+            all,
+            (0..8).collect::<Vec<_>>(),
+            "every network exactly once"
+        );
+        assert_eq!(network_cohorts(8, false), [(0..8).collect::<Vec<_>>()]);
+    }
+
+    #[test]
     fn a_clean_staged_campaign_converges_and_twins_follow() {
         let o = run_fleet(&small(2), 0xF1EE7);
         assert!(!o.halted, "clean image must not halt");
@@ -662,11 +666,9 @@ mod tests {
         let o = run_fleet(&cfg, 0xF1EE7);
         assert!(o.halted);
         assert_eq!(o.networks_activated, 1, "blast radius: the canary network");
-        assert!(o.nodes_poisoned > 0, "the canary downloaded the bad build");
-        assert!(
-            o.nodes_poisoned <= 3,
-            "only the canary network's nodes, got {}",
-            o.nodes_poisoned
+        assert_eq!(
+            o.nodes_poisoned, 2,
+            "only the canary network's first depth ring (nodes 1 and 2 of a 2x2 grid)"
         );
     }
 
@@ -679,11 +681,9 @@ mod tests {
         };
         let o = run_fleet(&cfg, 0xF1EE7);
         assert_eq!(o.networks_activated, 2, "flat: everyone activates at once");
-        assert!(
-            o.nodes_poisoned > o.fleet_nodes / 2,
-            "most of the fleet takes the bad build ({} of {})",
-            o.nodes_poisoned,
-            o.fleet_nodes
+        assert_eq!(
+            o.nodes_poisoned, o.fleet_nodes,
+            "every wireless node takes the bad build"
         );
     }
 

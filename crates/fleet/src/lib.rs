@@ -6,10 +6,12 @@
 //! that plane, composed from the workspace's existing tiers rather
 //! than re-implementing any of them:
 //!
-//! * **campaigns** ([`campaign`]) — [`FleetCampaign`] sequences a
-//!   change across networks (canary networks → waves → fleet) exactly
-//!   the way [`iiot_dissem::rollout`] sequences it across nodes, and
-//!   halts fleet-wide on a poisoned verdict from any activated network;
+//! * **campaigns** ([`harness`]) — [`iiot_dissem::rollout`]'s one
+//!   staged-rollout controller, run over network indices
+//!   ([`network_cohorts`]: canary network → waves → fleet) exactly as
+//!   it runs over nodes inside each network, halts fleet-wide on a
+//!   poisoned verdict from any activated network, and pauses while an
+//!   activated network is partitioned;
 //! * **digital twins** ([`iiot_cloud::twin`]) — every gateway keeps a
 //!   CRDT [`TwinStore`](iiot_cloud::TwinStore) replica of its devices'
 //!   reported state; the cloud joins the replicas whenever the
@@ -24,27 +26,32 @@
 //!
 //! # Examples
 //!
-//! The controller alone, driven by hand-rolled reports:
+//! The campaign controller alone, over network indices, driven by
+//! hand-rolled `(done, poisoned)` statuses:
 //!
 //! ```
-//! use iiot_fleet::{CampaignAction, FleetCampaign, NetworkId};
+//! use iiot_dissem::rollout::{Rollout, Transition};
+//! use iiot_fleet::network_cohorts;
 //!
-//! let mut c = FleetCampaign::staged(8, 1, 2);
+//! let mut campaign = Rollout::new(network_cohorts(8, true));
 //! // First step: nothing active yet, the canary network goes out.
-//! let actions = c.step(&[]);
 //! assert_eq!(
-//!     actions,
-//!     vec![CampaignAction::Activate { networks: vec![NetworkId(0)], stage: "canary" }]
+//!     campaign.step(|_| (false, false)),
+//!     Some(Transition::Activate { stage: "canary", index: 0, cohort: vec![0] })
+//! );
+//! // The canary network reports a poisoned image: the fleet halts with
+//! // one network activated.
+//! assert_eq!(
+//!     campaign.step(|_| (false, true)),
+//!     Some(Transition::Halted { activated: 1 })
 //! );
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign;
 pub mod drift;
 pub mod harness;
 
-pub use campaign::{CampaignAction, CampaignPhase, FleetCampaign, NetworkId, NetworkReport};
 pub use drift::DriftItem;
-pub use harness::{run_fleet, FaultArm, FleetConfig, FleetOutcome, PartitionSpec};
+pub use harness::{network_cohorts, run_fleet, FaultArm, FleetConfig, FleetOutcome, PartitionSpec};

@@ -30,6 +30,9 @@ pub const PORT_VOTE: u8 = 21;
 /// Upper-layer port of the final verdict flood.
 pub const PORT_VERDICT: u8 = 22;
 
+/// The monitored border router.
+pub const ROOT: NodeId = NodeId(0);
+
 /// Heartbeat period of the monitored router, and the sentinels' check
 /// period.
 pub const HEARTBEAT: SimDuration = SimDuration::from_secs(1);
@@ -39,8 +42,6 @@ const TAG_CHECK: u64 = 0x201;
 /// Configuration of an [`RnfdNode`].
 #[derive(Clone, Debug)]
 pub struct RnfdConfig {
-    /// The monitored border router.
-    pub root: NodeId,
     /// Consecutive missed heartbeats before a sentinel suspects the
     /// router. The solo baseline needs this large; the quorum lets it
     /// be small.
@@ -53,7 +54,6 @@ pub struct RnfdConfig {
 impl Default for RnfdConfig {
     fn default() -> Self {
         RnfdConfig {
-            root: NodeId(0),
             miss_threshold: 2,
             sentinels: Vec::new(),
         }
@@ -61,7 +61,7 @@ impl Default for RnfdConfig {
 }
 
 /// One participant of the RNFD protocol: the root (when `ctx.id() ==
-/// config.root`) emits heartbeats; sentinels run the quorum.
+/// ROOT`) emits heartbeats; sentinels run the quorum.
 pub struct RnfdNode<M: Mac> {
     stack: Stack<M>,
     rnfd: Rnfd,
@@ -131,7 +131,7 @@ impl Rnfd {
         if unanimous {
             self.verdict_at = Some(ctx.now());
             ctx.emit(EventKind::RnfdVerdict {
-                target: self.config.root,
+                target: ROOT,
                 verdict: "dead",
             });
             let _ = mac.send(ctx, Dst::Broadcast, PORT_VERDICT, vec![]);
@@ -141,7 +141,7 @@ impl Rnfd {
 
 impl<M: Mac> Service<M> for Rnfd {
     fn start(&mut self, _mac: &mut M, ctx: &mut Ctx<'_>) {
-        if ctx.id() == self.config.root {
+        if ctx.id() == ROOT {
             ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
         } else if self.config.sentinels.contains(&ctx.id()) {
             // Random phase so sentinel checks are unsynchronized, plus
@@ -163,7 +163,7 @@ impl<M: Mac> Service<M> for Rnfd {
                     // The router is alive after all: retract.
                     self.suspected = false;
                     ctx.emit(EventKind::RnfdVerdict {
-                        target: self.config.root,
+                        target: ROOT,
                         verdict: "alive",
                     });
                     self.broadcast_vote(mac, ctx, false);
@@ -276,7 +276,6 @@ mod tests {
             (1..=s as u32).map(NodeId).collect()
         };
         let config = RnfdConfig {
-            root: NodeId(0),
             miss_threshold,
             sentinels,
         };

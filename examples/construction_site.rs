@@ -121,7 +121,6 @@ fn main() {
         topo.push(Pos::new(12.0 * ang.cos(), 12.0 * ang.sin()));
     }
     let config = RnfdConfig {
-        root: NodeId(0),
         miss_threshold: 2,
         sentinels: (1..=6).map(NodeId).collect(),
     };
