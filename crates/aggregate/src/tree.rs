@@ -447,6 +447,7 @@ mod tests {
     use super::*;
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
+    use iiot_sim::{Fault, FaultPlan};
 
     type Node = AggregationNode<CsmaMac>;
 
@@ -573,7 +574,12 @@ mod tests {
         let (mut w, ids) = line_sim(20, cfg);
         // Kill node 3 after the first epoch: nodes 3 and 4 disappear
         // from subsequent epochs (static tree, no repair — by design).
-        w.kill_at(SimTime::from_secs(7), NodeId(3));
+        FaultPlan::new()
+            .push(Fault::Crash {
+                node: NodeId(3),
+                at: SimTime::from_secs(7),
+            })
+            .apply(&mut w);
         w.run_for(SimDuration::from_secs(20));
         let root = w.proto::<Node>(ids[0]);
         let counts: Vec<u32> = root.results().iter().map(|r| r.count).collect();

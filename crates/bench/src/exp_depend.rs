@@ -17,10 +17,11 @@ use iiot_dependability::redundancy::{
     k_of_n_prob, parity_decode, parity_encode, parity_success_prob, retry_success_prob, vote, Vote,
 };
 use iiot_dependability::safety::SafetyEnvelope;
-use iiot_dependability::{simulate_replicas_with, Design, FaultPlan, PartitionWindow};
+use iiot_dependability::{simulate_replicas_with, Design, PartitionWindow};
 use iiot_mac::csma::CsmaMac;
 use iiot_routing::rnfd::{RnfdConfig, RnfdNode};
 use iiot_sim::prelude::*;
+use iiot_sim::{Fault, FaultPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,7 +65,9 @@ fn rnfd_star(
         })
         .build();
     if let Some(at) = crash_at {
-        w.kill_at(at, ids[0]);
+        FaultPlan::new()
+            .push(Fault::Crash { node: ids[0], at })
+            .apply(&mut w);
     }
     w.run_for(SimDuration::from_secs(200));
     // Earliest verdict anywhere.
@@ -370,7 +373,6 @@ pub fn e11_maintainability(rc: &RunConfig) -> Table {
                         SimDuration::from_secs(30),
                         SimTime::ZERO,
                         SimTime::from_secs(550),
-                        &[],
                     );
                     plan.apply(&mut d.sim);
                 }

@@ -22,7 +22,6 @@
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
-use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout;
@@ -34,6 +33,7 @@ use iiot_mac::Mac;
 use iiot_routing::graph::grid_parents;
 use iiot_routing::trickle::TrickleConfig;
 use iiot_sim::prelude::*;
+use iiot_sim::{Fault, FaultPlan};
 
 /// The MAC arm of a dissemination campaign.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -268,8 +268,9 @@ pub fn e14_resume(rc: &RunConfig, side: usize, img_len: usize, crash_s: u64, cap
                     node: victim,
                     at: SimTime::from_secs(crash_s),
                     down_for: down,
+                    loss,
                 });
-                plan.apply_with_state_loss(&mut w, loss);
+                plan.apply(&mut w);
                 // Sample the victim's flash just before it comes back.
                 w.run_until(SimTime::from_secs(crash_s) + down - SimDuration::from_millis(1));
                 let kept = w.proto::<DissemNode<CsmaMac>>(victim).store().have_pages();

@@ -32,13 +32,13 @@
 use crate::runner::{Cell, Trial};
 use crate::table::Table;
 use crate::RunConfig;
-use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_icn::{ContentObject, IcnConfig, IcnNode, Name, PollPlan, OBJECT_SEC_LEVEL};
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::lpl::{LplConfig, LplMac};
 use iiot_mac::Mac;
 use iiot_security::{Key, SecLevel};
 use iiot_sim::prelude::*;
+use iiot_sim::{Fault, FaultPlan};
 
 /// E15's base seed (experiment id, like `0xE14` for dissemination).
 const SEED: u64 = 0xE15;

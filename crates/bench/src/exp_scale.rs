@@ -21,6 +21,7 @@ use iiot_routing::dodag::Traffic;
 use iiot_routing::graph::{line_parents, star_parents};
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_sim::prelude::*;
+use iiot_sim::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -302,14 +303,13 @@ pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
                 // The churn plan splits its own stream from the trial
                 // seed so replicas vary the fault schedule too.
                 let mut rng = SmallRng::seed_from_u64(iiot_sim::seed::derive(seed, k as u64));
-                let plan = iiot_dependability::FaultPlan::random_churn(
+                let plan = FaultPlan::random_churn(
                     &mut rng,
                     &d.nodes[1..],
                     SimDuration::from_secs(200),
                     SimDuration::from_secs(20),
                     SimTime::ZERO,
                     SimTime::from_secs(350),
-                    &[],
                 );
                 plan.apply(&mut d.sim);
                 let secs = 400u64;

@@ -10,6 +10,7 @@ use iiot_bench::report::summarize;
 use iiot_bench::{Cell, MetricRows, Runner, Trial};
 use iiot_sim::obs;
 use iiot_sim::prelude::*;
+use iiot_sim::{Fault, FaultPlan};
 
 /// A small but eventful simulation: three CSMA-less nodes ping-ponging
 /// broadcast beacons with a mid-run crash, so the trace contains
@@ -37,7 +38,12 @@ fn trial(seed: u64) -> MetricRows {
         .seed(seed)
         .nodes(Topology::line(3, 10.0), |_| Box::new(Beacon { sent: 0 }))
         .build();
-    w.kill_at(SimTime::from_millis(400), NodeId(2));
+    FaultPlan::new()
+        .push(Fault::Crash {
+            node: NodeId(2),
+            at: SimTime::from_millis(400),
+        })
+        .apply(&mut w);
     w.run_for(SimDuration::from_secs(2));
     vec![vec![Cell::int(f64::from(
         w.proto::<Beacon>(NodeId(0)).sent,

@@ -2,9 +2,6 @@
 //!
 //! The toolkit behind the paper's §V analysis, one module per facet:
 //!
-//! * [`fault`] — declarative fault-injection plans (crashes, crash-
-//!   recovery churn, link failures, partitions) applied to a simulated
-//!   world;
 //! * [`redundancy`] — the three redundancy types of §V-A as working
 //!   mechanisms with analytic success models: information (XOR-parity
 //!   erasure coding), time (deadline-bounded retries) and physical
@@ -40,14 +37,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod diagnosis;
-pub mod fault;
 pub mod hvac;
 pub mod redundancy;
 pub mod replica;
 pub mod safety;
 
 pub use diagnosis::{diagnose, diagnose_fleet, Cause, Finding, Symptoms};
-pub use fault::{Fault, FaultPlan};
 pub use replica::{
     simulate as simulate_replicas, simulate_with as simulate_replicas_with, AvailabilityReport,
     Design, PartitionWindow,

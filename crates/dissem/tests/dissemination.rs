@@ -9,7 +9,9 @@ use iiot_dissem::rollout;
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::tdma::{TdmaMac, TdmaSchedule};
 use iiot_routing::trickle::TrickleConfig;
+use iiot_sim::obs::RingRecorder;
 use iiot_sim::prelude::*;
+use iiot_sim::{Fault, FaultPlan};
 
 type CsmaNode = DissemNode<CsmaMac>;
 
@@ -77,20 +79,25 @@ fn coap_injection_reaches_the_gateway() {
     }
 }
 
-/// The satellite knob pays off: a crash-recovered node resumes from its
-/// flash page bitmap, a wiped node re-downloads everything. Both end
-/// complete; the wiped one needs every page again.
+/// What the crash loses decides the cost: a crash-recovered node
+/// resumes from its flash page bitmap, a wiped node re-downloads
+/// everything. Both end complete; the wiped one needs every page again.
 #[test]
 fn crash_resume_vs_wipe_restart() {
     let run = |loss: StateLoss| {
         let (mut w, ids) = csma_line(3, 13, true);
-        w.set_state_loss(loss);
         install_at(&mut w, ids[0], &image(3, 1200), SimTime::from_secs(1));
         let victim = ids[2];
         // Let the download get partway, then bounce the victim.
         let crash_at = SimTime::from_secs(4);
-        w.kill_at(crash_at, victim);
-        w.revive_at(crash_at + SimDuration::from_secs(2), victim);
+        FaultPlan::new()
+            .push(Fault::CrashRecover {
+                node: victim,
+                at: crash_at,
+                down_for: SimDuration::from_secs(2),
+                loss,
+            })
+            .apply(&mut w);
         w.run_until(crash_at + SimDuration::from_secs(1));
         let held_down = w.proto::<CsmaNode>(victim).store().have_pages();
         w.run_for(SimDuration::from_secs(180));
@@ -160,16 +167,42 @@ fn staged_rollout_halts_poison_at_canary() {
     }
 }
 
+/// The controller advances only after the activated cohort completes:
+/// at 8000 bytes the canary needs more than one check period, so the
+/// check one period after the canary activates must not start the wave.
 #[test]
 fn staged_rollout_completes_clean_image() {
     let (mut w, ids) = csma_line(4, 16, false);
-    install_at(&mut w, ids[0], &image(6, 400), SimTime::from_secs(1));
+    w.set_recorder(Box::new(RingRecorder::new(1 << 14)));
+    install_at(&mut w, ids[0], &image(6, 8000), SimTime::from_secs(1));
     let cohorts = vec![vec![ids[1]], vec![ids[2], ids[3]]];
-    rollout::drive::<CsmaMac>(&mut w, ids[0], cohorts, SimTime::from_secs(2));
+    let start = SimTime::from_secs(2);
+    rollout::drive::<CsmaMac>(&mut w, ids[0], cohorts, start);
     w.run_for(SimDuration::from_secs(400));
     for &id in &ids {
         assert!(w.proto::<CsmaNode>(id).complete_ok(), "{id:?} incomplete");
     }
+    let canary_done = w.proto::<CsmaNode>(ids[1]).complete_at().expect("canary");
+    assert!(
+        canary_done > start + rollout::CHECK_PERIOD,
+        "the canary must outlast one check period ({canary_done})"
+    );
+    let ring = w.recorder_as::<RingRecorder>().expect("ring");
+    assert_eq!(ring.dropped(), 0, "the ring kept every event");
+    let stages: Vec<(SimTime, &str)> = ring
+        .events()
+        .filter_map(|e| match e.kind {
+            EventKind::RolloutStage { stage, .. } => Some((e.t, stage)),
+            _ => None,
+        })
+        .collect();
+    let names: Vec<&str> = stages.iter().map(|&(_, s)| s).collect();
+    assert_eq!(names, ["canary", "wave", "done"]);
+    assert!(
+        stages[1].0 >= canary_done,
+        "the wave started at {} before the canary completed at {canary_done}",
+        stages[1].0
+    );
 }
 
 #[test]

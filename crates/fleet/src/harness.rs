@@ -31,13 +31,15 @@ use iiot_cloud::{CommandRouter, TenantId, TwinStore};
 use iiot_coap::resource::Response;
 use iiot_coap::{CoapEndpoint, Code};
 use iiot_crdt::ReplicaId;
-use iiot_dependability::fault::{Fault, FaultPlan};
 use iiot_dissem::image::Image;
 use iiot_dissem::node::{DissemConfig, DissemNode};
 use iiot_dissem::rollout::{self, Rollout, Transition};
 use iiot_mac::csma::CsmaMac;
 use iiot_sim::obs::{Event, EventKind, Recorder, SpanId};
-use iiot_sim::{seed, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss, Topology};
+use iiot_sim::{
+    seed, Fault, FaultPlan, NodeId, Proto, Sim, SimBuilder, SimDuration, SimTime, StateLoss,
+    Topology,
+};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -492,8 +494,9 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                             node: *net.ids.last().expect("non-empty grid"),
                             at: now + last_ring + SimDuration::from_secs(2),
                             down_for: SimDuration::from_secs(20),
+                            loss,
                         });
-                        plan.apply_with_state_loss(&mut net.sim, loss);
+                        plan.apply(&mut net.sim);
                     }
                 }
             }

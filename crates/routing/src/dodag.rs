@@ -575,6 +575,7 @@ mod tests {
     use crate::collect::{decode_data, encode_data, Datum};
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
+    use iiot_sim::{Fault, FaultPlan};
     use proptest::prelude::*;
 
     type Node = DodagNode<CsmaMac>;
@@ -792,8 +793,16 @@ mod tests {
         w.run_for(SimDuration::from_secs(10));
         assert!(w.proto::<Node>(ids[2]).has_route());
 
-        // Sever 1<->2: node 2 is partitioned from the root.
-        w.block_link(ids[1], ids[2]);
+        // Sever 1<->2 for 40 s: node 2 is partitioned from the root.
+        let cut = w.now();
+        FaultPlan::new()
+            .push(Fault::LinkDown {
+                a: ids[1],
+                b: ids[2],
+                at: cut,
+                heal_at: Some(cut + SimDuration::from_secs(40)),
+            })
+            .apply(&mut w);
         // It generates data while partitioned.
         for k in 0..5u64 {
             let at = w.now() + SimDuration::from_secs(2 + k * 2);
@@ -809,8 +818,7 @@ mod tests {
         assert!(n2.buffered() >= 4, "buffered {} items", n2.buffered());
         let before = w.proto::<Node>(ids[0]).collected().len();
 
-        // Heal and let solicitation + trickle re-attach the node.
-        w.unblock_link(ids[1], ids[2]);
+        // The link heals; solicitation + trickle re-attach the node.
         w.run_for(SimDuration::from_secs(40));
         let n2 = w.proto::<Node>(ids[2]);
         assert!(n2.has_route(), "reattached after heal");

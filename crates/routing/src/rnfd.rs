@@ -247,6 +247,7 @@ mod tests {
     use super::*;
     use iiot_mac::csma::CsmaMac;
     use iiot_sim::prelude::*;
+    use iiot_sim::{Fault, FaultPlan};
 
     type Node = RnfdNode<CsmaMac>;
 
@@ -289,6 +290,11 @@ mod tests {
         (w, ids)
     }
 
+    /// Crashes `node` for good at `at`.
+    fn crash(w: &mut Sim, node: NodeId, at: SimTime) {
+        FaultPlan::new().push(Fault::Crash { node, at }).apply(w);
+    }
+
     #[test]
     fn no_false_alarm_when_root_alive() {
         let (mut w, ids) = star(4, 1, 1.0, 2, false);
@@ -303,7 +309,7 @@ mod tests {
     fn collective_detects_root_crash() {
         let (mut w, ids) = star(4, 2, 1.0, 2, false);
         let crash_at = SimTime::from_secs(30);
-        w.kill_at(crash_at, ids[0]);
+        crash(&mut w, ids[0], crash_at);
         w.run_for(SimDuration::from_secs(90));
         for &id in &ids[1..] {
             let v = w
@@ -355,7 +361,7 @@ mod tests {
         // detected by most sentinels) deterministic.
         let (mut w, ids) = star(6, 7, 0.6, 2, false);
         let crash_at = SimTime::from_secs(40);
-        w.kill_at(crash_at, ids[0]);
+        crash(&mut w, ids[0], crash_at);
         w.run_for(SimDuration::from_secs(160));
         let detected = ids[1..]
             .iter()
@@ -373,9 +379,15 @@ mod tests {
         // completes everywhere; suspicion must retract on resumed
         // heartbeats for sentinels that haven't concluded.
         let (mut w, ids) = star(4, 6, 1.0, 4, false);
-        w.kill_at(SimTime::from_secs(20), ids[0]);
         // Back before any sentinel can accumulate 4 misses.
-        w.revive_at(SimTime::from_secs(22), ids[0]);
+        FaultPlan::new()
+            .push(Fault::CrashRecover {
+                node: ids[0],
+                at: SimTime::from_secs(20),
+                down_for: SimDuration::from_secs(2),
+                loss: StateLoss::Ram,
+            })
+            .apply(&mut w);
         w.run_for(SimDuration::from_secs(80));
         for &id in &ids[1..] {
             let n = w.proto::<Node>(id);

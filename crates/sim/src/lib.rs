@@ -24,15 +24,17 @@
 //!   global time, making clock drift a first-class fault model;
 //! * [`topology`] generators for the deployment shapes industrial IoT
 //!   dictates (lines, grids, uniform scatters, machine clusters);
-//! * fault injection (node crash/recovery, link failures, partitions)
-//!   via [`Sim::kill`](sim::Sim::kill) and friends;
+//! * fault injection (node crash/recovery with or without a flash
+//!   wipe, link failures, partitions) through one declarative
+//!   [`fault::FaultPlan`];
 //! * [`trace`] per-node counters, and summaries of sample slices, for experiment reporting;
 //! * structured [`obs`] events, spans and recorders: zero-cost when
 //!   disabled, and the substrate of `--trace` dumps and `trace_report`.
 //!
 //! Protocols implement [`node::Proto`] and act through [`world::Ctx`];
-//! [`sim::SimBuilder`] → [`sim::Sim`] is the only way to build, fault
-//! and drive a simulation, one serial kernel on the calling thread.
+//! [`sim::SimBuilder`] → [`sim::Sim`] is the only way to build and
+//! drive a simulation, one serial kernel on the calling thread, and a
+//! [`fault::FaultPlan`] the only way to schedule a fault on it.
 //!
 //! # Examples
 //!
@@ -77,6 +79,7 @@
 
 pub mod clock;
 pub mod energy;
+pub mod fault;
 pub mod ids;
 pub mod node;
 pub mod obs;
@@ -91,6 +94,7 @@ pub mod trace;
 pub mod world;
 
 pub use clock::ClockModel;
+pub use fault::{Fault, FaultPlan};
 pub use ids::{NodeId, TimerId};
 pub use node::{AsAny, Idle, Proto, StateLoss, Timer};
 pub use radio::{Dst, Frame, RadioConfig, RadioError, RadioState, RxInfo, TxOutcome};

@@ -115,26 +115,26 @@ pub trait Proto: AsAny {
     /// that persist state across [`crashed`](Proto::crashed) (e.g. a
     /// dissemination page store) must discard it here too. The default
     /// delegates to `crashed`, which is correct for protocols that keep
-    /// nothing in "flash". Selected per-world with
-    /// [`Sim::set_state_loss`](crate::sim::Sim::set_state_loss).
+    /// nothing in "flash". Selected per crash by the
+    /// [`Fault::CrashRecover`](crate::fault::Fault::CrashRecover) that
+    /// causes it.
     fn wiped(&mut self) {
         self.crashed();
     }
 }
 
-/// What a crashed node retains, applied by
-/// [`Sim::kill`](crate::sim::Sim::kill) when dispatching to the
-/// protocol.
+/// What a crashed node loses, carried by each
+/// [`Fault::CrashRecover`](crate::fault::Fault::CrashRecover).
 ///
 /// Real motes lose RAM on every reboot but keep external flash; a
-/// repair-by-reflash or storage fault loses both. The default — RAM
-/// loss only — matches how fielded crash-recovery behaves and how this
-/// simulator has always behaved.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// repair-by-reflash or storage fault loses both. RAM loss only
+/// matches how fielded crash-recovery behaves, and is what
+/// [`Sim::kill`](crate::sim::Sim::kill) and a permanent
+/// [`Fault::Crash`](crate::fault::Fault::Crash) do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StateLoss {
     /// RAM is lost, "flash" survives: the crash calls
-    /// [`Proto::crashed`]. This is the default.
-    #[default]
+    /// [`Proto::crashed`].
     Ram,
     /// RAM *and* flash are lost: the crash calls [`Proto::wiped`], so a
     /// revived node restarts truly from zero.

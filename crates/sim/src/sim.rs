@@ -3,7 +3,8 @@
 //! [`SimBuilder`] is the one place a simulation is described —
 //! topology, radio, clocks and observability — and
 //! [`SimBuilder::build`] yields a [`Sim`], the one handle that runs,
-//! inspects, grows and faults it. A `Sim` drives one serial kernel, a
+//! inspects and grows it; a [`FaultPlan`](crate::fault::FaultPlan)
+//! faults it. A `Sim` drives one serial kernel, a
 //! [`World`], on the calling thread.
 //!
 //! There is one way to act on a node from outside its callbacks:
@@ -87,7 +88,7 @@ impl ShardConfig {
 type ProtoFactory = Box<dyn Fn(usize) -> Box<dyn Proto>>;
 
 /// Builder for a [`Sim`]: one composable surface for topology, radio,
-/// clocks, energy, faults and observability. See the
+/// clocks and observability. See the
 /// [module docs](self) for a quickstart.
 pub struct SimBuilder {
     config: SimConfig,
@@ -174,8 +175,8 @@ impl SimBuilder {
     }
 }
 
-/// A running simulation built by [`SimBuilder`]: control, inspection
-/// and fault injection over one serial kernel.
+/// A running simulation built by [`SimBuilder`]: control and
+/// inspection over one serial kernel.
 pub struct Sim {
     // Boxed: a `World` is large, and a `Sim` moves by value through
     // builders and fan-out closures.
@@ -321,80 +322,18 @@ impl Sim {
         self.world.add_nodes(&topo, make)
     }
 
-    /// Crashes `node` immediately: radio off, pending behaviour stops,
-    /// volatile protocol state is cleared via [`Proto::crashed`] (or,
-    /// under [`StateLoss::Full`], everything via [`Proto::wiped`]).
+    /// Crashes `node` immediately, between two runs: radio off,
+    /// pending behaviour stops, volatile protocol state is cleared via
+    /// [`Proto::crashed`]. To crash at a time, or to wipe flash too,
+    /// apply a [`FaultPlan`](crate::fault::FaultPlan).
     pub fn kill(&mut self, node: NodeId) {
-        self.world.kill(node);
+        self.world.kill(node, StateLoss::Ram);
     }
 
     /// Revives a dead `node` immediately: it boots again through
     /// [`Proto::start`].
     pub fn revive(&mut self, node: NodeId) {
         self.world.revive(node);
-    }
-
-    /// Schedules a crash of `node` at `at`.
-    pub fn kill_at(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_at(at, move |w| w.kill(node));
-    }
-
-    /// Schedules a revival of `node` at `at`.
-    pub fn revive_at(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_at(at, move |w| w.revive(node));
-    }
-
-    /// Severs the bidirectional `a`–`b` link.
-    pub fn block_link(&mut self, a: NodeId, b: NodeId) {
-        self.world.block_link(a, b);
-    }
-
-    /// Restores the `a`–`b` link.
-    pub fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        self.world.unblock_link(a, b);
-    }
-
-    /// Schedules the `a`–`b` link to fail at `at`.
-    pub fn block_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.schedule_at(at, move |w| w.block_link(a, b));
-    }
-
-    /// Schedules the `a`–`b` link to heal at `at`.
-    pub fn unblock_link_at(&mut self, at: SimTime, a: NodeId, b: NodeId) {
-        self.schedule_at(at, move |w| w.unblock_link(a, b));
-    }
-
-    /// Enables or disables the administrative partition: while enabled,
-    /// nodes in different groups cannot hear each other.
-    pub fn set_partitioned(&mut self, on: bool) {
-        self.world.set_partitioned(on);
-    }
-
-    /// Assigns `node` to partition `group`.
-    pub fn set_group(&mut self, node: NodeId, group: u16) {
-        self.world.medium_mut().set_group(node, group);
-    }
-
-    /// Schedules a partition at `at`: node `i` joins `groups[i]` (nodes
-    /// beyond the list keep their group) and cross-group communication
-    /// stops until [`heal_at`](Self::heal_at).
-    pub fn partition_at(&mut self, at: SimTime, groups: Vec<u16>) {
-        self.schedule_at(at, move |w| {
-            for (i, &g) in groups.iter().enumerate() {
-                w.medium_mut().set_group(NodeId(i as u32), g);
-            }
-            w.set_partitioned(true);
-        });
-    }
-
-    /// Schedules the partition to heal at `at`.
-    pub fn heal_at(&mut self, at: SimTime) {
-        self.schedule_at(at, |w| w.set_partitioned(false));
-    }
-
-    /// Sets what crashed nodes lose (see [`StateLoss`]).
-    pub fn set_state_loss(&mut self, loss: StateLoss) {
-        self.world.set_state_loss(loss);
     }
 
     /// Installs a structured-event recorder.

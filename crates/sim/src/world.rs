@@ -244,8 +244,9 @@ impl Kernel {
 /// passed to [`Sim::schedule_at`](crate::sim::Sim::schedule_at) runs
 /// against it from inside the event loop, where it may read the clock
 /// and the roster, act on a node through [`World::with`] and
-/// [`World::schedule`] a follow-up — nothing else. Faults, recorders
-/// and the run loop belong to `Sim`.
+/// [`World::schedule`] a follow-up — nothing else. Faults belong to a
+/// [`FaultPlan`](crate::fault::FaultPlan), recorders and the run loop
+/// to `Sim`.
 ///
 /// # Examples
 ///
@@ -272,7 +273,6 @@ pub struct World {
     kernel: Kernel,
     protos: Vec<Box<dyn Proto>>,
     alive: Vec<bool>,
-    state_loss: StateLoss,
 }
 
 impl World {
@@ -306,7 +306,6 @@ impl World {
             },
             protos: Vec::new(),
             alive: Vec::new(),
-            state_loss: StateLoss::default(),
         };
         w.kernel.obs_on = w.kernel.recorder.is_some();
         w
@@ -403,7 +402,8 @@ impl World {
         &self.kernel.medium
     }
 
-    /// Mutable medium access for link fault injection and partitions.
+    /// Mutable medium access, for tests that reshape the medium.
+    #[cfg(test)]
     pub(crate) fn medium_mut(&mut self) -> &mut Medium {
         &mut self.kernel.medium
     }
@@ -501,16 +501,11 @@ impl World {
         self.kernel.push(at, Ev::Action(Box::new(Box::new(f))));
     }
 
-    /// What crashed nodes retain: RAM loss only (the default) or a full
-    /// wipe including "flash". See [`StateLoss`].
-    pub(crate) fn set_state_loss(&mut self, loss: StateLoss) {
-        self.state_loss = loss;
-    }
-
-    /// Kills `node` now: radio off, pending behaviour stops, volatile
-    /// protocol state is cleared via [`Proto::crashed`] (or, under
-    /// [`StateLoss::Full`], everything via [`Proto::wiped`]).
-    pub(crate) fn kill(&mut self, node: NodeId) {
+    /// Kills `node` now: radio off, pending behaviour stops, and the
+    /// protocol loses what `loss` says — RAM via [`Proto::crashed`], or
+    /// RAM and flash via [`Proto::wiped`]. The trace labels it `crash`
+    /// or `crash_wipe`.
+    pub(crate) fn kill(&mut self, node: NodeId, loss: StateLoss) {
         if !self.alive[node.index()] {
             return;
         }
@@ -519,17 +514,16 @@ impl World {
             node,
             SpanId::NONE,
             EventKind::Fault {
-                kind: if self.state_loss == StateLoss::Full {
-                    "crash_wipe"
-                } else {
-                    "crash"
+                kind: match loss {
+                    StateLoss::Ram => "crash",
+                    StateLoss::Full => "crash_wipe",
                 },
                 peer: None,
             },
         );
         self.kernel.medium.set_alive(node, false);
         self.kernel.sync_meter(node);
-        match self.state_loss {
+        match loss {
             StateLoss::Ram => self.protos[node.index()].crashed(),
             StateLoss::Full => self.protos[node.index()].wiped(),
         }
@@ -556,9 +550,7 @@ impl World {
     }
 
     /// Administratively severs the link between `a` and `b` (both
-    /// ways), emitting a `link_down` fault event. Prefer this over
-    /// [`Medium::block_link`] via [`World::medium_mut`] so the fault
-    /// shows up in traces.
+    /// ways), emitting a `link_down` fault event.
     pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) {
         self.kernel.emit(
             a,
@@ -585,11 +577,23 @@ impl World {
         self.kernel.medium.unblock_link(a, b);
     }
 
-    /// Enables or disables the network partition (see
-    /// [`Medium::set_partitioned`]), emitting a `partition`/`heal`
-    /// fault event. The event is attributed to node 0 because the
-    /// partition is a global condition.
-    pub(crate) fn set_partitioned(&mut self, on: bool) {
+    /// Starts a network partition (see [`Medium::set_partitioned`]):
+    /// node `i` joins `groups[i]` (nodes beyond the list keep their
+    /// group), emitting a `partition` fault event. The event is
+    /// attributed to node 0 because the partition is a global condition.
+    pub(crate) fn partition(&mut self, groups: &[u16]) {
+        for (i, &g) in groups.iter().enumerate() {
+            self.kernel.medium.set_group(NodeId(i as u32), g);
+        }
+        self.set_partitioned(true);
+    }
+
+    /// Ends the network partition, emitting a `heal` fault event.
+    pub(crate) fn heal(&mut self) {
+        self.set_partitioned(false);
+    }
+
+    fn set_partitioned(&mut self, on: bool) {
         self.kernel.emit(
             NodeId(0),
             SpanId::NONE,
@@ -1064,7 +1068,9 @@ mod tests {
             if record {
                 w.set_recorder(Box::new(obs::RingRecorder::new(256)));
             }
-            w.schedule(SimTime::from_millis(500), move |w| w.kill(NodeId(1)));
+            w.schedule(SimTime::from_millis(500), move |w| {
+                w.kill(NodeId(1), StateLoss::Ram)
+            });
             w.run_for(SimDuration::from_secs(1));
             let events = w
                 .take_recorder()
@@ -1105,7 +1111,9 @@ mod tests {
         }
         let mut w = World::new(SimConfig::default());
         let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Beacons { fired: 0 }));
-        w.schedule(SimTime::from_millis(550), move |w| w.kill(n));
+        w.schedule(SimTime::from_millis(550), move |w| {
+            w.kill(n, StateLoss::Ram)
+        });
         w.schedule(SimTime::from_secs(2), move |w| w.revive(n));
         w.run_until(SimTime::from_millis(1900));
         // 5 fires before the kill, none after, reset on crash.
@@ -1118,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn state_loss_knob_selects_crashed_or_wiped() {
+    fn kill_loss_selects_crashed_or_wiped() {
         /// Keeps a volatile counter and a "flash" checkpoint of it.
         struct Flashy {
             ram: u32,
@@ -1141,14 +1149,13 @@ mod tests {
         let mk = |loss: StateLoss| {
             let mut w = World::new(SimConfig::default());
             let n = w.add_node(Pos::new(0.0, 0.0), Box::new(Flashy { ram: 0, flash: 0 }));
-            w.set_state_loss(loss);
-            w.schedule(SimTime::from_millis(100), move |w| w.kill(n));
+            w.schedule(SimTime::from_millis(100), move |w| w.kill(n, loss));
             w.schedule(SimTime::from_millis(200), move |w| w.revive(n));
             w.run_for(SimDuration::from_secs(1));
             w.proto::<Flashy>(n).flash
         };
-        // Default RAM-only loss: the flash checkpoint survives the
-        // reboot, so the second boot increments it to 2.
+        // RAM-only loss: the flash checkpoint survives the reboot, so
+        // the second boot increments it to 2.
         assert_eq!(mk(StateLoss::Ram), 2);
         // Full wipe: the second boot starts from zero again.
         assert_eq!(mk(StateLoss::Full), 1);
@@ -1401,7 +1408,7 @@ mod tests {
             let end = SimTime::from_millis(10) + w.medium().config().airtime(1);
             if kill_c {
                 // Queued long before the transmission: first at `end`.
-                w.schedule(end, move |w| w.kill(NodeId(2)));
+                w.schedule(end, move |w| w.kill(NodeId(2), StateLoss::Ram));
             }
             w.run_for(SimDuration::from_secs(1));
             let ring = w.take_recorder().expect("installed");
@@ -1496,7 +1503,7 @@ mod tests {
             ctx.transmit(Dst::Broadcast, 0, vec![1]).expect("tx");
             refused(ctx, 8, RadioError::Busy);
         });
-        w.kill(n);
+        w.kill(n, StateLoss::Ram);
         w.with(n, |_: &mut Idle, ctx| refused(ctx, 8, RadioError::NodeDead));
     }
 

@@ -9,12 +9,12 @@
 //!
 //! Run with: `cargo run --example construction_site`
 
-use iiot::dependability::{Fault, FaultPlan};
 use iiot::mac::coex::{ChannelPlan, TenantId};
 use iiot::mac::csma::CsmaMac;
 use iiot::mac::driver::MacDriver;
 use iiot::routing::rnfd::{RnfdConfig, RnfdNode};
 use iiot::sim::prelude::*;
+use iiot::sim::{Fault, FaultPlan};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -142,7 +142,6 @@ fn main() {
         SimDuration::from_secs(5),
         SimTime::ZERO,
         SimTime::from_secs(80),
-        &[],
     );
     println!(
         "  churn plan: {} crash/recovery events on sentinels",

@@ -200,6 +200,17 @@ if grep -rlPz 'fn record\([^)]*\bstr\b' crates src tests examples --include='*.r
     exit 1
 fi
 
+# One fault vocabulary: outside the simulator's own source, a crash,
+# wipe, link cut or partition is scheduled only by applying an
+# `iiot_sim::FaultPlan`. The scheduled-fault methods `Sim` once had,
+# its world-wide crash-loss switch and the plan's old home in
+# iiot-dependability stay gone.
+if grep -rn 'kill_at(\|revive_at(\|block_link_at(\|unblock_link_at(\|partition_at(\|heal_at(\|set_state_loss(\|apply_with_state_loss(\|dependability::fault\|dependability::{Fault' crates src tests examples --include='*.rs' |
+    grep -v '^crates/sim/src/'; then
+    echo "a fault scheduled outside iiot_sim::FaultPlan, or the plan named at its old home" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do

@@ -7,7 +7,7 @@
 //!
 //! | Module | Crate | Paper section |
 //! |---|---|---|
-//! | [`sim`] | `iiot-sim` | §II-B — the deployment substrate (DES kernel) |
+//! | [`sim`] | `iiot-sim` | §II-B — the deployment substrate (DES kernel) and its fault plans |
 //! | [`mac`] | `iiot-mac` | §IV-B/§IV-C — CSMA, LPL, RI-MAC, TDMA, coexistence |
 //! | [`routing`] | `iiot-routing` | §IV/§V-D — Trickle, DODAG, RNFD, static trees |
 //! | [`coap`] | `iiot-coap` | §III-B — CoAP middleware (RFC 7252/7641/7959) |
@@ -16,7 +16,7 @@
 //! | [`crdt`] | `iiot-crdt` | §IV-B/§V-C — eventual consistency |
 //! | [`aggregate`] | `iiot-aggregate` | §IV-B — TinyDB-style in-network aggregation |
 //! | [`security`] | `iiot-security` | §V-E — frame security, secure join |
-//! | [`dependability`] | `iiot-dependability` | §V — faults, redundancy, safety, HVAC |
+//! | [`dependability`] | `iiot-dependability` | §V — redundancy, safety, HVAC, replicas, diagnosis |
 //! | [`gateway`] | `iiot-gateway` | §III — legacy-protocol integration |
 //! | [`cloud`] | `iiot-cloud` | Fig. 1 — multi-tenant northbound platform tier |
 //! | [`stream`] | `iiot-stream` | Fig. 1/§V-B — replayable event log, admission control, windowed aggregation |

@@ -3,8 +3,8 @@
 //! stage, a rollout stage that grows the network 3x, crash-recovery
 //! churn, and a final collection report.
 
-use iiot::dependability::FaultPlan;
 use iiot::sim::prelude::*;
+use iiot::sim::FaultPlan;
 use iiot::{Deployment, MacChoice};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -44,7 +44,6 @@ fn staged_rollout_with_churn_keeps_collecting() {
         SimDuration::from_secs(20),
         d.sim.now(),
         d.sim.now() + SimDuration::from_secs(250),
-        &[],
     );
     plan.apply(&mut d.sim);
     let before = d.report();
