@@ -579,7 +579,8 @@ mod tests {
                 node: NodeId(3),
                 at: SimTime::from_secs(7),
             })
-            .apply(&mut w);
+            .apply(&mut w)
+            .expect("fault plan fits the sim");
         w.run_for(SimDuration::from_secs(20));
         let root = w.proto::<Node>(ids[0]);
         let counts: Vec<u32> = root.results().iter().map(|r| r.count).collect();

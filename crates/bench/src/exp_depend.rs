@@ -67,7 +67,8 @@ fn rnfd_star(
     if let Some(at) = crash_at {
         FaultPlan::new()
             .push(Fault::Crash { node: ids[0], at })
-            .apply(&mut w);
+            .apply(&mut w)
+            .expect("fault plan fits the sim");
     }
     w.run_for(SimDuration::from_secs(200));
     // Earliest verdict anywhere.
@@ -374,7 +375,7 @@ pub fn e11_maintainability(rc: &RunConfig) -> Table {
                         SimTime::ZERO,
                         SimTime::from_secs(550),
                     );
-                    plan.apply(&mut d.sim);
+                    plan.apply(&mut d.sim).expect("fault plan fits the sim");
                 }
                 d.run_for(SimDuration::from_secs(600));
                 let r = d.report();

@@ -270,7 +270,7 @@ pub fn e14_resume(rc: &RunConfig, side: usize, img_len: usize, crash_s: u64, cap
                     down_for: down,
                     loss,
                 });
-                plan.apply(&mut w);
+                plan.apply(&mut w).expect("fault plan fits the sim");
                 // Sample the victim's flash just before it comes back.
                 w.run_until(SimTime::from_secs(crash_s) + down - SimDuration::from_millis(1));
                 let kept = w.proto::<DissemNode<CsmaMac>>(victim).store().have_pages();

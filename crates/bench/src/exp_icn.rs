@@ -596,7 +596,7 @@ pub fn e15_partition(
                         at: SimTime::from_secs(cut_s),
                         heal_at: SimTime::from_secs(heal_s),
                     });
-                    plan.apply(&mut w);
+                    plan.apply(&mut w).expect("fault plan fits the sim");
                     w.run(SimDuration::from_secs(run_s));
 
                     let cut = SimTime::from_secs(cut_s);

@@ -311,7 +311,7 @@ pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
                     SimTime::ZERO,
                     SimTime::from_secs(350),
                 );
-                plan.apply(&mut d.sim);
+                plan.apply(&mut d.sim).expect("fault plan fits the sim");
                 let secs = 400u64;
                 d.run_for(SimDuration::from_secs(secs));
                 let r = d.report();

@@ -43,7 +43,8 @@ fn trial(seed: u64) -> MetricRows {
             node: NodeId(2),
             at: SimTime::from_millis(400),
         })
-        .apply(&mut w);
+        .apply(&mut w)
+        .expect("fault plan fits the sim");
     w.run_for(SimDuration::from_secs(2));
     vec![vec![Cell::int(f64::from(
         w.proto::<Beacon>(NodeId(0)).sent,

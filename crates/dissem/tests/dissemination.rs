@@ -97,7 +97,8 @@ fn crash_resume_vs_wipe_restart() {
                 down_for: SimDuration::from_secs(2),
                 loss,
             })
-            .apply(&mut w);
+            .apply(&mut w)
+            .expect("fault plan fits the sim");
         w.run_until(crash_at + SimDuration::from_secs(1));
         let held_down = w.proto::<CsmaNode>(victim).store().have_pages();
         w.run_for(SimDuration::from_secs(180));

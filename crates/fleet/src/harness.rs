@@ -496,7 +496,7 @@ pub fn run_fleet(cfg: &FleetConfig, seed_val: u64) -> FleetOutcome {
                             down_for: SimDuration::from_secs(20),
                             loss,
                         });
-                        plan.apply(&mut net.sim);
+                        plan.apply(&mut net.sim).expect("fault plan fits the sim");
                     }
                 }
             }

@@ -802,7 +802,8 @@ mod tests {
                 at: cut,
                 heal_at: Some(cut + SimDuration::from_secs(40)),
             })
-            .apply(&mut w);
+            .apply(&mut w)
+            .expect("fault plan fits the sim");
         // It generates data while partitioned.
         for k in 0..5u64 {
             let at = w.now() + SimDuration::from_secs(2 + k * 2);

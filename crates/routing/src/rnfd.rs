@@ -292,7 +292,10 @@ mod tests {
 
     /// Crashes `node` for good at `at`.
     fn crash(w: &mut Sim, node: NodeId, at: SimTime) {
-        FaultPlan::new().push(Fault::Crash { node, at }).apply(w);
+        FaultPlan::new()
+            .push(Fault::Crash { node, at })
+            .apply(w)
+            .expect("fault plan fits the sim");
     }
 
     #[test]
@@ -387,7 +390,8 @@ mod tests {
                 down_for: SimDuration::from_secs(2),
                 loss: StateLoss::Ram,
             })
-            .apply(&mut w);
+            .apply(&mut w)
+            .expect("fault plan fits the sim");
         w.run_for(SimDuration::from_secs(80));
         for &id in &ids[1..] {
             let n = w.proto::<Node>(id);

@@ -7,6 +7,10 @@
 //! event in traces. Only [`Sim::kill`] and [`Sim::revive`] act outside
 //! a plan, immediately, between two runs.
 //!
+//! Faults that overlap nest: a node is down while any of its outages
+//! lasts, a link is cut while any of its cuts lasts, and two nodes are
+//! partitioned while any active partition separates them.
+//!
 //! # Examples
 //!
 //! One plan crashes node 1 keeping its flash and wipes node 2:
@@ -27,7 +31,7 @@
 //!         loss,
 //!     });
 //! }
-//! plan.apply(&mut sim);
+//! plan.apply(&mut sim).expect("both nodes exist");
 //! sim.run_until(SimTime::from_secs(2));
 //! assert!(!sim.is_alive(NodeId(1)) && !sim.is_alive(NodeId(2)));
 //! sim.run_until(SimTime::from_secs(3));
@@ -39,6 +43,7 @@ use crate::node::StateLoss;
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
+use std::fmt;
 
 /// One scheduled fault.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,7 +81,7 @@ pub enum Fault {
         heal_at: Option<SimTime>,
     },
     /// A network partition: node `i` joins `groups[i]` (nodes beyond
-    /// the list keep their group) and cross-group communication stops
+    /// the list join group 0) and cross-group communication stops
     /// between `at` and `heal_at`.
     Partition {
         /// Group of each node (by node index).
@@ -87,6 +92,63 @@ pub enum Fault {
         heal_at: SimTime,
     },
 }
+
+/// Why [`FaultPlan::apply`] refused a plan.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FaultError {
+    /// A fault names a node the sim does not hold.
+    NoSuchNode {
+        /// The node named.
+        node: NodeId,
+        /// Nodes the sim holds.
+        nodes: usize,
+    },
+    /// A partition assigns groups to more nodes than the sim holds.
+    TooManyGroups {
+        /// Length of the group list.
+        groups: usize,
+        /// Nodes the sim holds.
+        nodes: usize,
+    },
+    /// A fault starts before the sim's current time.
+    InThePast {
+        /// The instant.
+        at: SimTime,
+        /// The sim's current time.
+        now: SimTime,
+    },
+    /// A fault heals before it starts.
+    HealsBeforeStart {
+        /// Start.
+        at: SimTime,
+        /// Heal.
+        heal_at: SimTime,
+    },
+}
+
+impl fmt::Display for FaultError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultError::NoSuchNode { node, nodes } => {
+                write!(f, "fault names {node}, but the sim holds {nodes} nodes")
+            }
+            FaultError::TooManyGroups { groups, nodes } => {
+                write!(
+                    f,
+                    "partition groups {groups} nodes, but the sim holds {nodes}"
+                )
+            }
+            FaultError::InThePast { at, now } => {
+                write!(f, "fault at {at:?} is before the current time {now:?}")
+            }
+            FaultError::HealsBeforeStart { at, heal_at } => {
+                write!(f, "fault starting at {at:?} heals at {heal_at:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FaultError {}
 
 /// An ordered set of faults to apply to a [`Sim`].
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -160,10 +222,15 @@ impl FaultPlan {
     /// world's fault operations: each shows up once as a structured
     /// `Fault` event in traces.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any fault is scheduled before the sim's current time.
-    pub fn apply(&self, sim: &mut Sim) {
+    /// Refuses the whole plan, queuing nothing, if a fault names a node
+    /// the sim does not hold, groups more nodes than it holds, starts
+    /// or ends before its current time, or heals before it starts.
+    pub fn apply(&self, sim: &mut Sim) -> Result<(), FaultError> {
+        for f in &self.faults {
+            check(f, sim)?;
+        }
         for f in &self.faults {
             match f.clone() {
                 Fault::Crash { node, at } => {
@@ -189,11 +256,49 @@ impl FaultPlan {
                     at,
                     heal_at,
                 } => {
-                    sim.schedule_at(at, move |w| w.partition(&groups));
-                    sim.schedule_at(heal_at, |w| w.heal());
+                    let healed = groups.clone();
+                    sim.schedule_at(at, move |w| w.partition(groups));
+                    sim.schedule_at(heal_at, move |w| w.heal(&healed));
                 }
             }
         }
+        Ok(())
+    }
+}
+
+/// Checks one fault's targets and instants against `sim`.
+fn check(fault: &Fault, sim: &Sim) -> Result<(), FaultError> {
+    let nodes = sim.node_count();
+    let (named, at, heal_at): (&[NodeId], SimTime, Option<SimTime>) = match fault {
+        Fault::Crash { node, at } => (std::slice::from_ref(node), *at, None),
+        Fault::CrashRecover {
+            node, at, down_for, ..
+        } => (std::slice::from_ref(node), *at, Some(*at + *down_for)),
+        Fault::LinkDown { a, b, at, heal_at } => (&[*a, *b], *at, *heal_at),
+        Fault::Partition {
+            groups,
+            at,
+            heal_at,
+        } => {
+            if groups.len() > nodes {
+                return Err(FaultError::TooManyGroups {
+                    groups: groups.len(),
+                    nodes,
+                });
+            }
+            (&[], *at, Some(*heal_at))
+        }
+    };
+    if let Some(&node) = named.iter().find(|n| n.index() >= nodes) {
+        return Err(FaultError::NoSuchNode { node, nodes });
+    }
+    let now = sim.now();
+    if at < now {
+        return Err(FaultError::InThePast { at, now });
+    }
+    match heal_at {
+        Some(heal_at) if heal_at < at => Err(FaultError::HealsBeforeStart { at, heal_at }),
+        _ => Ok(()),
     }
 }
 
@@ -221,7 +326,7 @@ mod tests {
             down_for: SimDuration::from_secs(2),
             loss: StateLoss::Ram,
         });
-        plan.apply(&mut w);
+        plan.apply(&mut w).expect("fault plan fits the sim");
         w.run_until(SimTime::from_secs(2));
         assert!(!w.is_alive(NodeId(1)));
         w.run_until(SimTime::from_secs(4));
@@ -264,7 +369,10 @@ mod tests {
         let run = |loss| {
             let mut w = probes(1);
             let n = NodeId(0);
-            FaultPlan::new().push(bounce(n, loss)).apply(&mut w);
+            FaultPlan::new()
+                .push(bounce(n, loss))
+                .apply(&mut w)
+                .expect("fault plan fits the sim");
             w.run_until(SimTime::from_secs(3));
             let p = w.proto::<Probe>(n);
             (p.crashes, p.wipes)
@@ -280,7 +388,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.push(bounce(NodeId(0), StateLoss::Ram));
         plan.push(bounce(NodeId(1), StateLoss::Full));
-        plan.apply(&mut w);
+        plan.apply(&mut w).expect("fault plan fits the sim");
         w.run_until(SimTime::from_secs(3));
         let calls = |n| {
             let p = w.proto::<Probe>(NodeId(n));
@@ -316,7 +424,7 @@ mod tests {
             node: NodeId(0),
             at: SimTime::from_secs(1),
         });
-        plan.apply(&mut w);
+        plan.apply(&mut w).expect("fault plan fits the sim");
         w.run_until(SimTime::from_secs(10));
         assert!(!w.is_alive(NodeId(0)));
     }
@@ -331,7 +439,7 @@ mod tests {
             at: SimTime::from_secs(1),
             heal_at: SimTime::from_secs(5),
         });
-        plan.apply(&mut w);
+        plan.apply(&mut w).expect("fault plan fits the sim");
         w.run_until(SimTime::from_secs(6));
         let faults: Vec<_> = w
             .recorder_as::<RingRecorder>()
@@ -417,7 +525,9 @@ mod tests {
     #[test]
     fn plan_blocks_both_sides_and_heals() {
         let mut sim = beacon_line();
-        border_plan().apply(&mut sim);
+        border_plan()
+            .apply(&mut sim)
+            .expect("fault plan fits the sim");
         sim.run_until(SimTime::from_secs(5));
 
         // How often `at` heard `from` within [lo, hi) milliseconds.
@@ -452,7 +562,9 @@ mod tests {
     #[test]
     fn plan_on_the_serial_kernel_matches_hand_scheduled_closures() {
         let mut planned = beacon_line();
-        border_plan().apply(&mut planned);
+        border_plan()
+            .apply(&mut planned)
+            .expect("fault plan fits the sim");
         planned.run_until(SimTime::from_secs(5));
         let golden = include_str!("../tests/golden/border_plan_serial.jsonl");
         let (events, trace) = golden.split_once('\n').expect("count line");

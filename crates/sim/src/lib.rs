@@ -94,7 +94,7 @@ pub mod trace;
 pub mod world;
 
 pub use clock::ClockModel;
-pub use fault::{Fault, FaultPlan};
+pub use fault::{Fault, FaultError, FaultPlan};
 pub use ids::{NodeId, TimerId};
 pub use node::{AsAny, Idle, Proto, StateLoss, Timer};
 pub use radio::{Dst, Frame, RadioConfig, RadioError, RadioState, RxInfo, TxOutcome};

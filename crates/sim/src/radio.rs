@@ -36,7 +36,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::Pos;
 use rand::Rng;
 use std::cell::Cell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Destination of a frame at the link layer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -356,7 +356,6 @@ struct NodeRadio {
     channel: u8,
     /// When the radio last entered `Listening`.
     listen_since: SimTime,
-    group: u16,
 }
 
 #[derive(Clone, Debug)]
@@ -528,16 +527,24 @@ pub struct Medium {
     /// slack.
     history: SimDuration,
     /// Symmetric pairs of node indices whose link is administratively
-    /// severed (fault injection).
-    blocked_links: HashSet<(u32, u32)>,
-    /// When `true`, nodes in different groups cannot hear each other.
-    partitioned: bool,
+    /// severed (fault injection), with the cuts on each: a link is
+    /// blocked while it has any.
+    blocked_links: HashMap<(u32, u32), u32>,
+    /// Active partitions, each the group of every node by index (nodes
+    /// past its end are in group 0): two nodes that any of them puts in
+    /// different groups cannot hear each other.
+    partitions: Vec<Vec<u16>>,
     stats: MediumStats,
     /// Transmission records examined so far by eviction, CCA and
     /// collision checks: the medium's deterministic cost counter. Not a
     /// [`MediumStats`] field — it measures the simulator, not the
     /// simulated network. A `Cell` because CCA reads the medium.
     air_visits: Cell<u64>,
+}
+
+/// The key of the link between `a` and `b`, the same both ways.
+fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
+    (a.0.min(b.0), a.0.max(b.0))
 }
 
 /// Most payload buffers the delivery pool will hold on to.
@@ -564,8 +571,8 @@ impl Medium {
             gathered: Vec::new(),
             payload_pool: Vec::new(),
             history,
-            blocked_links: HashSet::new(),
-            partitioned: false,
+            blocked_links: HashMap::new(),
+            partitions: Vec::new(),
             stats: MediumStats::default(),
             air_visits: Cell::new(0),
         }
@@ -634,7 +641,6 @@ impl Medium {
             state: RadioState::Off,
             channel: 0,
             listen_since: SimTime::ZERO,
-            group: 0,
         });
         id
     }
@@ -672,38 +678,50 @@ impl Medium {
         self.nodes[node.index()].alive
     }
 
-    /// Administratively severs the link between `a` and `b` (both ways).
-    pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) {
-        let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        self.blocked_links.insert((x, y));
+    /// Administratively severs the link between `a` and `b` (both
+    /// ways) once more; returns whether it was open.
+    pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) -> bool {
+        let cuts = self.blocked_links.entry(link_key(a, b)).or_insert(0);
+        *cuts += 1;
+        *cuts == 1
     }
 
-    /// Restores a previously severed link.
-    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        self.blocked_links.remove(&(x, y));
+    /// Takes one cut off the link between `a` and `b`; returns whether
+    /// that opened it.
+    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) -> bool {
+        let key = link_key(a, b);
+        match self.blocked_links.get_mut(&key) {
+            Some(1) => {
+                self.blocked_links.remove(&key);
+                true
+            }
+            Some(cuts) => {
+                *cuts -= 1;
+                false
+            }
+            None => false,
+        }
     }
 
-    /// Assigns `node` to a partition group (see [`Medium::set_partitioned`]).
-    pub(crate) fn set_group(&mut self, node: NodeId, group: u16) {
-        self.nodes[node.index()].group = group;
+    /// Starts a partition: node `i` joins `groups[i]`, and nodes past
+    /// the list join group 0.
+    pub(crate) fn partition(&mut self, groups: Vec<u16>) {
+        self.partitions.push(groups);
     }
 
-    /// Enables or disables the partition: while enabled, nodes in
-    /// different groups cannot hear each other at all.
-    pub(crate) fn set_partitioned(&mut self, on: bool) {
-        self.partitioned = on;
+    /// Ends one active partition with these `groups`, if there is one.
+    pub(crate) fn heal(&mut self, groups: &[u16]) {
+        if let Some(i) = self.partitions.iter().position(|g| g == groups) {
+            self.partitions.remove(i);
+        }
     }
 
     fn link_open(&self, a: NodeId, b: NodeId) -> bool {
-        let (x, y) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if self.blocked_links.contains(&(x, y)) {
+        if self.blocked_links.contains_key(&link_key(a, b)) {
             return false;
         }
-        if self.partitioned && self.nodes[a.index()].group != self.nodes[b.index()].group {
-            return false;
-        }
-        true
+        let group = |groups: &[u16], n: NodeId| groups.get(n.index()).copied().unwrap_or(0);
+        self.partitions.iter().all(|g| group(g, a) == group(g, b))
     }
 
     pub(crate) fn radio_on(&mut self, node: NodeId, now: SimTime) -> Result<(), RadioError> {
@@ -1307,14 +1325,13 @@ mod tests {
         assert!(sched.is_empty());
         m.end_tx(tx, end);
         m.unblock_link(NodeId(0), NodeId(1));
-        m.set_group(NodeId(1), 1);
-        m.set_partitioned(true);
+        m.partition(vec![0, 1]);
         let (tx, end, sched) = m
             .start_tx(f.clone(), SimTime::from_millis(10), &mut rng)
             .unwrap();
         assert!(sched.is_empty());
         m.end_tx(tx, end);
-        m.set_partitioned(false);
+        m.heal(&[0, 1]);
         let (_, _, sched) = m.start_tx(f, SimTime::from_millis(20), &mut rng).unwrap();
         assert_eq!(sched, vec![NodeId(1)]);
     }
@@ -1719,7 +1736,6 @@ mod tests {
                 let id = m.add_node(pos);
                 m.radio_on(id, now).unwrap();
                 m.set_channel(id, (chan_mask >> (id.0 % 64) & 1) as u8, now).unwrap();
-                m.set_group(id, (group_mask >> (id.0 % 64) & 1) as u16);
             };
             let mut media: Vec<Medium> = (0..3)
                 .map(|k| {
@@ -1761,7 +1777,8 @@ mod tests {
                 now += SimDuration::from_micros(dt);
                 land(&mut media, &mut flying, now);
                 if step == steps.len() / 4 {
-                    media.iter_mut().for_each(|m| m.set_partitioned(true));
+                    let groups: Vec<u16> = (0..64).map(|i| (group_mask >> i & 1) as u16).collect();
+                    media.iter_mut().for_each(|m| m.partition(groups.clone()));
                 } else if step == steps.len() / 3 {
                     // Someone still owed a reception, if anyone is.
                     let victim = flying.iter().find_map(|f| f.2.first().copied());
@@ -1770,7 +1787,7 @@ mod tests {
                 } else if step == steps.len() / 2 {
                     media.iter_mut().for_each(|m| join(m, Pos::new(136.0, 50.0), now));
                 } else if step == 2 * steps.len() / 3 {
-                    media.iter_mut().for_each(|m| m.set_partitioned(false));
+                    media.iter_mut().for_each(|m| m.partitions.clear());
                 }
                 let n = media[0].node_count();
                 let src = NodeId(who as u32 % n as u32);

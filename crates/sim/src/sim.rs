@@ -322,18 +322,22 @@ impl Sim {
         self.world.add_nodes(&topo, make)
     }
 
-    /// Crashes `node` immediately, between two runs: radio off,
-    /// pending behaviour stops, volatile protocol state is cleared via
-    /// [`Proto::crashed`]. To crash at a time, or to wipe flash too,
-    /// apply a [`FaultPlan`](crate::fault::FaultPlan).
+    /// Crashes `node` immediately, between two runs, unless it is down
+    /// already: radio off, pending behaviour stops, volatile protocol
+    /// state is cleared via [`Proto::crashed`]. To crash at a time, or
+    /// to wipe flash too, apply a [`FaultPlan`](crate::fault::FaultPlan).
     pub fn kill(&mut self, node: NodeId) {
-        self.world.kill(node, StateLoss::Ram);
+        if self.is_alive(node) {
+            self.world.kill(node, StateLoss::Ram);
+        }
     }
 
-    /// Revives a dead `node` immediately: it boots again through
-    /// [`Proto::start`].
+    /// Revives a dead `node` immediately, ending every outage it has,
+    /// planned ones included: it boots again through [`Proto::start`].
     pub fn revive(&mut self, node: NodeId) {
-        self.world.revive(node);
+        while !self.is_alive(node) {
+            self.world.revive(node);
+        }
     }
 
     /// Installs a structured-event recorder.

@@ -272,7 +272,8 @@ impl Kernel {
 pub struct World {
     kernel: Kernel,
     protos: Vec<Box<dyn Proto>>,
-    alive: Vec<bool>,
+    /// Outages per node: a node is down while it has any.
+    outages: Vec<u32>,
 }
 
 impl World {
@@ -305,7 +306,7 @@ impl World {
                 dispatched: 0,
             },
             protos: Vec::new(),
-            alive: Vec::new(),
+            outages: Vec::new(),
         };
         w.kernel.obs_on = w.kernel.recorder.is_some();
         w
@@ -317,7 +318,7 @@ impl World {
         let id = self.kernel.medium.add_node(pos);
         debug_assert_eq!(id.index(), self.protos.len());
         self.protos.push(proto);
-        self.alive.push(true);
+        self.outages.push(0);
         let mut meter = EnergyMeter::new();
         meter.transition(self.kernel.now, RadioState::Off);
         self.kernel.meters.push(meter);
@@ -354,7 +355,7 @@ impl World {
     /// and for their `Start` events, so adding a group grows each once.
     fn reserve_nodes(&mut self, additional: usize) {
         self.protos.reserve(additional);
-        self.alive.reserve(additional);
+        self.outages.reserve(additional);
         let k = &mut self.kernel;
         k.medium.reserve_nodes(additional);
         k.meters.reserve(additional);
@@ -441,7 +442,7 @@ impl World {
 
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
+        self.outages[node.index()] == 0
     }
 
     /// Immutable access to a node's protocol, downcast to `T`.
@@ -501,108 +502,87 @@ impl World {
         self.kernel.push(at, Ev::Action(Box::new(Box::new(f))));
     }
 
-    /// Kills `node` now: radio off, pending behaviour stops, and the
-    /// protocol loses what `loss` says — RAM via [`Proto::crashed`], or
-    /// RAM and flash via [`Proto::wiped`]. The trace labels it `crash`
-    /// or `crash_wipe`.
+    /// Starts one outage of `node`; it is down while it has any. The
+    /// first takes its radio down and loses what `loss` says: RAM via
+    /// [`Proto::crashed`], or RAM and flash via [`Proto::wiped`], traced
+    /// as `crash` or `crash_wipe`. A later one that wipes flash wipes it
+    /// then (traced too); one that loses RAM only changes nothing more.
     pub(crate) fn kill(&mut self, node: NodeId, loss: StateLoss) {
-        if !self.alive[node.index()] {
+        let outages = &mut self.outages[node.index()];
+        *outages += 1;
+        let first = *outages == 1;
+        if !first && loss == StateLoss::Ram {
             return;
         }
-        self.alive[node.index()] = false;
-        self.kernel.emit(
-            node,
-            SpanId::NONE,
-            EventKind::Fault {
-                kind: match loss {
-                    StateLoss::Ram => "crash",
-                    StateLoss::Full => "crash_wipe",
-                },
-                peer: None,
-            },
-        );
-        self.kernel.medium.set_alive(node, false);
-        self.kernel.sync_meter(node);
+        let kind = match loss {
+            StateLoss::Ram => "crash",
+            StateLoss::Full => "crash_wipe",
+        };
+        self.emit_fault(node, kind, None);
+        if first {
+            self.kernel.medium.set_alive(node, false);
+            self.kernel.sync_meter(node);
+        }
         match loss {
             StateLoss::Ram => self.protos[node.index()].crashed(),
             StateLoss::Full => self.protos[node.index()].wiped(),
         }
     }
 
-    /// Revives a dead node: it boots again through [`Proto::start`].
+    /// Ends one outage of `node`, if it has any. Ending the last boots
+    /// it again through [`Proto::start`].
     pub(crate) fn revive(&mut self, node: NodeId) {
-        if self.alive[node.index()] {
+        let outages = &mut self.outages[node.index()];
+        if *outages != 1 {
+            *outages = outages.saturating_sub(1);
             return;
         }
-        self.alive[node.index()] = true;
-        self.kernel.emit(
-            node,
-            SpanId::NONE,
-            EventKind::Fault {
-                kind: "recover",
-                peer: None,
-            },
-        );
+        *outages = 0;
+        self.emit_fault(node, "recover", None);
         self.kernel.medium.set_alive(node, true);
         self.kernel.sync_meter(node);
         let now = self.kernel.now;
         self.kernel.push(now, Ev::Start { node });
     }
 
-    /// Administratively severs the link between `a` and `b` (both
-    /// ways), emitting a `link_down` fault event.
+    /// Severs the link between `a` and `b` (both ways) once more; it
+    /// stays severed until every cut is undone. Going down emits a
+    /// `link_down` fault event.
     pub(crate) fn block_link(&mut self, a: NodeId, b: NodeId) {
-        self.kernel.emit(
-            a,
-            SpanId::NONE,
-            EventKind::Fault {
-                kind: "link_down",
-                peer: Some(b),
-            },
-        );
-        self.kernel.medium.block_link(a, b);
-    }
-
-    /// Restores a previously severed link, emitting a `link_up` fault
-    /// event.
-    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        self.kernel.emit(
-            a,
-            SpanId::NONE,
-            EventKind::Fault {
-                kind: "link_up",
-                peer: Some(b),
-            },
-        );
-        self.kernel.medium.unblock_link(a, b);
-    }
-
-    /// Starts a network partition (see [`Medium::set_partitioned`]):
-    /// node `i` joins `groups[i]` (nodes beyond the list keep their
-    /// group), emitting a `partition` fault event. The event is
-    /// attributed to node 0 because the partition is a global condition.
-    pub(crate) fn partition(&mut self, groups: &[u16]) {
-        for (i, &g) in groups.iter().enumerate() {
-            self.kernel.medium.set_group(NodeId(i as u32), g);
+        if self.kernel.medium.block_link(a, b) {
+            self.emit_fault(a, "link_down", Some(b));
         }
-        self.set_partitioned(true);
     }
 
-    /// Ends the network partition, emitting a `heal` fault event.
-    pub(crate) fn heal(&mut self) {
-        self.set_partitioned(false);
+    /// Undoes one cut of the link between `a` and `b`. Coming back up
+    /// emits a `link_up` fault event.
+    pub(crate) fn unblock_link(&mut self, a: NodeId, b: NodeId) {
+        if self.kernel.medium.unblock_link(a, b) {
+            self.emit_fault(a, "link_up", Some(b));
+        }
     }
 
-    fn set_partitioned(&mut self, on: bool) {
-        self.kernel.emit(
-            NodeId(0),
-            SpanId::NONE,
-            EventKind::Fault {
-                kind: if on { "partition" } else { "heal" },
-                peer: None,
-            },
-        );
-        self.kernel.medium.set_partitioned(on);
+    /// Starts a network partition: node `i` joins `groups[i]`, nodes
+    /// past the list join group 0, and nodes in different groups cannot
+    /// hear each other until it heals. Partitions stack: two nodes are
+    /// cut off while any active partition separates them. Emits a
+    /// `partition` fault event, attributed to node 0 because a
+    /// partition is a global condition.
+    pub(crate) fn partition(&mut self, groups: Vec<u16>) {
+        self.emit_fault(NodeId(0), "partition", None);
+        self.kernel.medium.partition(groups);
+    }
+
+    /// Ends one active partition with these `groups`, emitting a `heal`
+    /// fault event.
+    pub(crate) fn heal(&mut self, groups: &[u16]) {
+        self.emit_fault(NodeId(0), "heal", None);
+        self.kernel.medium.heal(groups);
+    }
+
+    fn emit_fault(&mut self, node: NodeId, kind: &'static str, peer: Option<NodeId>) {
+        let kind = EventKind::Fault { kind, peer };
+        self.kernel.emit(node, SpanId::NONE, kind);
     }
 
     /// Runs the simulation until `deadline` (inclusive of events at the
@@ -632,13 +612,13 @@ impl World {
         match ev {
             Ev::Action(f) => f(self),
             Ev::Start { node } => {
-                if self.alive[node.index()] {
+                if self.is_alive(node) {
                     self.call(node, |p, ctx| p.start(ctx));
                 }
             }
             Ev::Timer { node, id } => {
                 if let Some(tag) = self.kernel.timers.pop(id) {
-                    if self.alive[node.index()] {
+                    if self.is_alive(node) {
                         self.call(node, |p, ctx| p.timer(ctx, Timer { id, tag }));
                     }
                 }
@@ -662,14 +642,14 @@ impl World {
                         receivers: outcome.oracle_receivers as u32,
                     },
                 );
-                if self.alive[node.index()] {
+                if self.is_alive(node) {
                     self.call(node, |p, ctx| p.tx_done(ctx, outcome));
                 }
                 self.receptions(tx);
             }
             Ev::Wire(msg) => {
                 let WireMsg { to, from, payload } = *msg;
-                if self.alive[to.index()] {
+                if self.is_alive(to) {
                     self.call(to, |p, ctx| p.wire(ctx, from, &payload));
                 }
             }
@@ -698,7 +678,7 @@ impl World {
                             port: frame.port,
                         },
                     );
-                    if self.alive[node.index()] {
+                    if self.is_alive(node) {
                         self.call(node, |p, ctx| p.frame(ctx, &frame, info));
                     }
                     // The delivered clone is dead now; hand its

@@ -22,10 +22,20 @@
 //! observation/watermark sequence, so partition-delayed uplinks land
 //! deterministically: replaying the same stream yields byte-identical
 //! window results.
+//!
+//! # Store
+//!
+//! The windows that share a start form one group, kept as the
+//! `(key, value)` pairs it accepted, in arrival order: an observation
+//! is one push, and no key is hashed. Closing a group sorts it by key
+//! with a stable sort and folds each key's run through
+//! `Histogram::observe`, so a key's values are observed in arrival
+//! order, as one histogram per window would have observed them, and the
+//! results come out in key order.
 
 use iiot_sim::obs::Histogram;
 use iiot_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Window geometry and lateness tolerance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,71 +94,15 @@ pub struct WindowResult {
     pub p99: f64,
 }
 
-/// Observations a window holds inline before it spills to a full
-/// [`Histogram`]. Telemetry windows hold a handful of readings each
-/// (5.3 on the benchmark's cloud workload), and a `Histogram` is 544
-/// bytes of mostly empty buckets.
-const INLINE_OBS: usize = 8;
-
-/// One open window's observations. Statistics are only ever read
-/// through [`into_histogram`](Self::into_histogram), which feeds the
-/// inline values through `Histogram::observe` in arrival order — the
-/// same calls, in the same order, an always-spilled window would have
-/// made — so results do not depend on [`INLINE_OBS`].
-#[derive(Clone, Debug)]
-enum Accum {
-    Inline { len: u8, vals: [f64; INLINE_OBS] },
-    Spilled(Box<Histogram>),
-}
-
-impl Default for Accum {
-    fn default() -> Self {
-        Accum::Inline {
-            len: 0,
-            vals: [0.0; INLINE_OBS],
-        }
-    }
-}
-
-impl Accum {
-    fn observe(&mut self, value: f64) {
-        match self {
-            Accum::Inline { len, vals } if (*len as usize) < INLINE_OBS => {
-                vals[*len as usize] = value;
-                *len += 1;
-            }
-            Accum::Inline { .. } => {
-                let mut hist = Box::new(std::mem::take(self).into_histogram());
-                hist.observe(value);
-                *self = Accum::Spilled(hist);
-            }
-            Accum::Spilled(hist) => hist.observe(value),
-        }
-    }
-
-    fn into_histogram(self) -> Histogram {
-        match self {
-            Accum::Inline { len, vals } => {
-                let mut hist = Histogram::new();
-                for &v in &vals[..len as usize] {
-                    hist.observe(v);
-                }
-                hist
-            }
-            Accum::Spilled(hist) => *hist,
-        }
-    }
-}
-
 /// The watermark-driven aggregator; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct WindowAggregator {
     spec: WindowSpec,
     watermark: SimTime,
     /// Open windows grouped by start µs, so closing is one pop from the
-    /// front. A closing group's results are sorted by key before they
-    /// are returned: hash order never reaches an output.
-    open: BTreeMap<u64, HashMap<WindowKey, Accum>>,
+    /// front. A group is its accepted observations in arrival order;
+    /// closing it sorts them by key.
+    open: BTreeMap<u64, Vec<(WindowKey, f64)>>,
     /// Window-attributions dropped for arriving after their window
     /// closed, per key.
     late: BTreeMap<WindowKey, u64>,
@@ -198,9 +152,18 @@ impl WindowAggregator {
         self.late.values().sum()
     }
 
-    /// Open (not yet closed) windows.
+    /// Open (not yet closed) windows: distinct keys per open start.
     pub fn open_windows(&self) -> usize {
-        self.open.values().map(HashMap::len).sum()
+        self.open
+            .values()
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|&(key, _)| key)
+                    .collect::<BTreeSet<_>>()
+                    .len()
+            })
+            .sum()
     }
 
     /// Whether the window starting at `start_us` has already closed
@@ -225,12 +188,7 @@ impl WindowAggregator {
         if self.closed(start) {
             *self.late.entry(key).or_insert(0) += 1;
         } else {
-            self.open
-                .entry(start)
-                .or_default()
-                .entry(key)
-                .or_default()
-                .observe(value);
+            self.open.entry(start).or_default().push((key, value));
             self.observed += 1;
         }
     }
@@ -263,29 +221,34 @@ impl WindowAggregator {
     }
 
     /// Appends the results of every window starting at `start_us`, in
-    /// key order.
+    /// key order. The sort is stable, so each key's values reach
+    /// `Histogram::observe` in arrival order.
     fn close_group(
         &self,
         start_us: u64,
-        group: HashMap<WindowKey, Accum>,
+        mut group: Vec<(WindowKey, f64)>,
         out: &mut Vec<WindowResult>,
     ) {
-        let first = out.len();
-        out.extend(group.into_iter().map(|(key, acc)| {
-            let hist = acc.into_histogram();
-            WindowResult {
-                key,
-                start: SimTime::from_micros(start_us),
-                end: SimTime::from_micros(start_us.saturating_add(self.spec.width.as_micros())),
+        // `WindowKey`'s order, `(tenant, metric)`, as one integer.
+        group.sort_by_key(|&(key, _)| (u64::from(key.tenant) << 32) | u64::from(key.metric));
+        let start = SimTime::from_micros(start_us);
+        let end = SimTime::from_micros(start_us.saturating_add(self.spec.width.as_micros()));
+        for run in group.chunk_by(|a, b| a.0 == b.0) {
+            let mut hist = Histogram::new();
+            for &(_, value) in run {
+                hist.observe(value);
+            }
+            out.push(WindowResult {
+                key: run[0].0,
+                start,
+                end,
                 count: hist.count(),
                 sum: hist.sum(),
                 min: hist.min(),
                 max: hist.max(),
                 p99: hist.quantile(0.99),
-            }
-        }));
-        // The group arrived in hash order; keys are unique within it.
-        out[first..].sort_unstable_by_key(|r| r.key);
+            });
+        }
     }
 }
 
@@ -405,11 +368,5 @@ mod tests {
     #[should_panic(expected = "WindowSpec::width is zero")]
     fn zero_width_tumbling_spec_is_rejected() {
         WindowAggregator::new(WindowSpec::tumbling(SimDuration::ZERO));
-    }
-
-    #[test]
-    fn open_window_state_is_a_cache_line_and_a_bit() {
-        assert_eq!(std::mem::size_of::<Accum>(), 72);
-        assert!(std::mem::size_of::<Histogram>() > 500);
     }
 }

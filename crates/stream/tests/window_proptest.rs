@@ -1,8 +1,8 @@
 //! Property tests for the window aggregator's store: for *any*
 //! interleaving of observations and watermark advances, over tumbling
 //! geometries with and without a lateness allowance, the aggregator (open windows
-//! grouped by start in hash maps, the first observations held inline)
-//! emits exactly what a reference that keeps one full `Histogram` per
+//! grouped by start, each group its observations in arrival order,
+//! sorted by key when it closes) emits exactly what a reference that keeps one full `Histogram` per
 //! `(start, key)` in a `BTreeMap` emits — every field bit for bit, in
 //! the same order — and agrees on `late_count`, `observed` and
 //! `open_windows` at every step.
@@ -150,8 +150,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Six keys over up to a minute of arrivals: windows hold anything
-    /// from one observation to a few dozen, so both sides of the
-    /// inline/spill boundary and the boundary itself are exercised.
+    /// from one observation to a few dozen, their keys interleaved in
+    /// arrival order.
     #[test]
     fn store_is_indistinguishable_from_one_histogram_per_window(spec in specs(), steps in steps()) {
         let mut agg = WindowAggregator::new(spec);
@@ -186,9 +186,8 @@ proptest! {
     }
 }
 
-/// Every per-window count from 1 to 20 — below, at (8) and just past
-/// (9) the inline capacity — on many keys at once, so a closing group
-/// is also large enough for hash order to differ from key order.
+/// Every per-window count from 1 to 20 on 1,000 keys sharing one
+/// start: a closing group whose keys arrived out of key order.
 #[test]
 fn every_count_around_the_spill_boundary_matches() {
     let spec = WindowSpec::tumbling(SimDuration::from_secs(10));
@@ -217,4 +216,90 @@ fn every_count_around_the_spill_boundary_matches() {
     }
     assert_same(&got, &reference.advance_watermark(t), "advance");
     assert_same(&agg.flush(), &reference.flush(), "flush");
+}
+
+/// Feeds `obs` (key, value, event time in ms) to both stores and
+/// compares every result at one mid-stream advance and at the flush.
+fn check_against_reference(obs: impl IntoIterator<Item = (WindowKey, f64, u64)>) {
+    let spec = WindowSpec::tumbling(SimDuration::from_secs(10));
+    let mut agg = WindowAggregator::new(spec);
+    let mut reference = Reference::new(spec);
+    for (key, value, ms) in obs {
+        let t = SimTime::from_micros(ms * 1000);
+        agg.observe(key, value, t);
+        reference.observe(key, value, t);
+    }
+    assert_eq!(agg.open_windows(), reference.open.len());
+    let t = SimTime::from_micros(10_000_000);
+    assert_same(
+        &agg.advance_watermark(t),
+        &reference.advance_watermark(t),
+        "advance",
+    );
+    assert_same(&agg.flush(), &reference.flush(), "flush");
+}
+
+/// Keys at both ends of each field's range, mixed with small ones: a
+/// sort key that lets a large tenant overlap the metric bits, orders by
+/// metric first or narrows either field emits in the wrong order.
+#[test]
+fn keys_at_the_ends_of_their_ranges_close_in_key_order() {
+    let tenants = [0, 1, 2, 0x7fff, 0x8000, u16::MAX - 1, u16::MAX];
+    let metrics = [
+        0,
+        1,
+        2,
+        0xffff,
+        0x1_0000,
+        0x8000_0000,
+        u32::MAX - 1,
+        u32::MAX,
+    ];
+    let keys: Vec<WindowKey> = tenants
+        .iter()
+        .flat_map(|&tenant| {
+            metrics
+                .iter()
+                .map(move |&metric| WindowKey { tenant, metric })
+        })
+        .collect();
+    // A stride coprime to the key count scrambles arrival order; event
+    // times span two windows.
+    let n = keys.len();
+    check_against_reference((0..4 * n).map(|i| {
+        let key = keys[i * 13 % n];
+        (key, i as f64 * 0.75 - 20.0, (i as u64 * 37) % 20_000)
+    }));
+}
+
+/// Thousands of observations on one key over nine windows, interleaved
+/// with a few other keys and laced with NaN, ±inf and −0.0. The windows
+/// without NaN or ±inf have a float sum that depends on the order of
+/// their values, so an unstable sort shows.
+#[test]
+fn thousands_of_awkward_values_on_one_key_match_bit_for_bit() {
+    let hot = WindowKey {
+        tenant: 3,
+        metric: 7,
+    };
+    check_against_reference((0..5_000u64).map(|i| {
+        let ms = i * 17 % 90_000;
+        let value = match (i % 97, ms / 10_000) {
+            (13, 1) => f64::NAN,
+            (29, 2 | 4) => f64::INFINITY,
+            (31, 3 | 4) => f64::NEG_INFINITY,
+            (41 | 42, _) => -0.0,
+            (43, _) => 0.0,
+            (r, _) => (r as f64 - 48.0) * 10f64.powi((i % 11) as i32 - 5),
+        };
+        let key = if i % 5 == 4 {
+            WindowKey {
+                tenant: (i % 3) as u16,
+                metric: (i % 4) as u32 * 5,
+            }
+        } else {
+            hot
+        };
+        (key, value, ms)
+    }));
 }

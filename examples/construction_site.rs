@@ -147,13 +147,13 @@ fn main() {
         "  churn plan: {} crash/recovery events on sentinels",
         plan.len()
     );
-    plan.apply(&mut w);
+    plan.apply(&mut w).expect("fault plan fits the sim");
     let mut killer = FaultPlan::new();
     killer.push(Fault::Crash {
         node: ids[0],
         at: SimTime::from_secs(90),
     });
-    killer.apply(&mut w);
+    killer.apply(&mut w).expect("fault plan fits the sim");
     w.run_for(SimDuration::from_secs(150));
 
     let mut detections = 0;

@@ -211,6 +211,16 @@ if grep -rn 'kill_at(\|revive_at(\|block_link_at(\|unblock_link_at(\|partition_a
     exit 1
 fi
 
+# Windows without a hash table: an open window group is the readings
+# it accepted, in arrival order, sorted by key when it closes, so no
+# tenant-chosen key is hashed. A hash map, hash set or hasher back in
+# the store (above its tests) is printed here.
+if awk '/^mod tests/ { exit } /HashMap|HashSet|RandomState/ { print FILENAME ":" FNR ":" $0; found = 1 }
+    END { exit !found }' crates/stream/src/window.rs; then
+    echo "HashMap, HashSet or RandomState in crates/stream/src/window.rs" >&2
+    exit 1
+fi
+
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
 for example in quickstart construction_site partition_drill energy_latency; do

@@ -45,7 +45,7 @@ fn staged_rollout_with_churn_keeps_collecting() {
         d.sim.now(),
         d.sim.now() + SimDuration::from_secs(250),
     );
-    plan.apply(&mut d.sim);
+    plan.apply(&mut d.sim).expect("fault plan fits the sim");
     let before = d.report();
     d.run_for(SimDuration::from_secs(300));
     let after = d.report();
