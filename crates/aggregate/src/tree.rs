@@ -19,6 +19,7 @@
 use crate::partial::Partial;
 use crate::query::{Agg, Query};
 use iiot_mac::{Mac, SendHandle, Service, Stack};
+use iiot_sim::obs::EventKind;
 use iiot_sim::{Ctx, Dst, Frame, NodeId, Proto, RxInfo, SimDuration, SimTime, Timer, TxOutcome};
 use std::collections::VecDeque;
 
@@ -207,7 +208,7 @@ impl Aggregation {
             let mut payload = q.encode();
             payload.extend_from_slice(&epoch0.as_micros().to_be_bytes());
             let _ = mac.send(ctx, Dst::Broadcast, PORT_QUERY, payload);
-            ctx.count_node("query_fwd", 1.0);
+            ctx.emit(EventKind::AggSend { msg: "query" });
         }
         // First epoch at or after now.
         let behind = ctx.now().as_micros().saturating_sub(epoch0.as_micros());
@@ -270,7 +271,7 @@ impl Aggregation {
                 payload.extend_from_slice(&self.acc_epoch.to_be_bytes());
                 payload.extend_from_slice(&self.acc.encode());
                 let _ = mac.send(ctx, Dst::Unicast(parent), PORT_PARTIAL, payload);
-                ctx.count_node("agg_tx", 1.0);
+                ctx.emit(EventKind::AggSend { msg: "partial" });
             }
             Mode::Raw => self.pump(mac, ctx),
         }
@@ -288,7 +289,7 @@ impl Aggregation {
         match mac.send(ctx, Dst::Unicast(parent), PORT_RAW, head) {
             Ok(h) => {
                 self.inflight = Some(h);
-                ctx.count_node("raw_tx", 1.0);
+                ctx.emit(EventKind::AggSend { msg: "raw" });
             }
             Err(_) => {
                 ctx.set_timer(SimDuration::from_millis(50), TAG_PUMP);
@@ -339,7 +340,7 @@ impl<M: Mac> Service<M> for Aggregation {
                     // zero, a far-future epoch 0 overflows `SimTime`.
                     let horizon = (ctx.now() + EPOCH0_HORIZON).as_micros();
                     if q.epoch_ms == 0 || e0 > horizon {
-                        ctx.count_node("query_bad", 1.0);
+                        ctx.emit(EventKind::BadInput { msg: "query" });
                         return;
                     }
                     // The root originates the query: one it hears is its
@@ -446,8 +447,10 @@ impl<M: Mac> Proto for AggregationNode<M> {
 mod tests {
     use super::*;
     use iiot_mac::csma::CsmaMac;
+    use iiot_sim::obs::RingRecorder;
     use iiot_sim::prelude::*;
     use iiot_sim::{Fault, FaultPlan};
+    use std::collections::BTreeMap;
 
     type Node = AggregationNode<CsmaMac>;
 
@@ -465,14 +468,21 @@ mod tests {
 
     /// CSMA aggregation nodes on a 20 m line; ids in position order.
     fn line_sim(seed: u64, cfg: AggConfig) -> (Sim, Vec<NodeId>) {
+        recorded_line_sim(seed, cfg, false)
+    }
+
+    /// [`line_sim`], with a ring recorder if `record`.
+    fn recorded_line_sim(seed: u64, cfg: AggConfig, record: bool) -> (Sim, Vec<NodeId>) {
         let n = cfg.parents.len();
-        let w = SimBuilder::new()
+        let mut b = SimBuilder::new()
             .seed(seed)
             .nodes(Topology::line(n, 20.0), move |_| {
                 Box::new(AggregationNode::new(CsmaMac::default(), cfg.clone()))
-            })
-            .build();
-        (w, (0..n as u32).map(NodeId).collect())
+            });
+        if record {
+            b = b.recorder(Box::new(RingRecorder::new(1 << 16)));
+        }
+        (b.build(), (0..n as u32).map(NodeId).collect())
     }
 
     fn run(n: usize, mode: Mode, epoch_ms: u32, rounds: u16, seed: u64) -> (Sim, Vec<NodeId>) {
@@ -607,8 +617,13 @@ mod tests {
     /// into the run: before the root's own flood, so the forged one is
     /// the first node 1 hears. Returns the sim right after.
     fn forged_query(query: Query, epoch0: SimTime) -> Sim {
+        recorded_forged_query(query, epoch0, false)
+    }
+
+    /// [`forged_query`], with a ring recorder if `record`.
+    fn recorded_forged_query(query: Query, epoch0: SimTime, record: bool) -> Sim {
         let cfg = AggConfig::new(line_parents(2), Mode::Aggregate, 4_000, 0);
-        let (mut w, ids) = line_sim(3, cfg);
+        let (mut w, ids) = recorded_line_sim(3, cfg, record);
         w.run_for(DISSEMINATION_DELAY / 2);
         w.with(ids[1], |n: &mut Node, ctx| {
             let mut payload = query.encode();
@@ -651,5 +666,40 @@ mod tests {
         assert_eq!(w.stats().get_node(NodeId(1), "query_fwd"), 1.0);
         let sent = w.stats().get_node(NodeId(1), "agg_tx");
         assert!((9_000.0..=10_000.0).contains(&sent), "{sent} partials");
+    }
+
+    /// Each aggregation counter equals its kind's trace count per node,
+    /// and recording changes none of them: raw and aggregate rounds
+    /// for the three sends, a forged query for `query_bad`.
+    #[test]
+    fn counters_equal_their_trace_recorder_on_or_off() {
+        let round = |mode| {
+            move |record| {
+                let cfg = AggConfig::new(line_parents(4), mode, 4_000, 2);
+                let (mut w, _) = recorded_line_sim(5, cfg, record);
+                w.run_for(SimDuration::from_secs(14));
+                w
+            }
+        };
+        let forged = |record| recorded_forged_query(query(0), SimTime::from_secs(1), record);
+        let worlds: [(&dyn Fn(bool) -> Sim, &str); 4] = [
+            (&round(Mode::Raw), "raw_tx"),
+            (&round(Mode::Aggregate), "agg_tx"),
+            (&round(Mode::Raw), "query_fwd"),
+            (&forged, "query_bad"),
+        ];
+        for (world, counter) in worlds {
+            let (plain, traced) = (world(false), world(true));
+            let ring = traced.recorder_as::<RingRecorder>().expect("ring");
+            assert_eq!(ring.dropped(), 0);
+            let mut events = BTreeMap::new();
+            for e in ring.events().filter(|e| e.kind.counter() == Some(counter)) {
+                *events.entry(e.node).or_insert(0.0) += 1.0;
+            }
+            let values = traced.stats().node_values(counter);
+            assert!(!values.is_empty(), "{counter} never happened");
+            assert_eq!(values, events.into_iter().collect::<Vec<_>>(), "{counter}");
+            assert_eq!(plain.stats().node_values(counter), values, "{counter}");
+        }
     }
 }

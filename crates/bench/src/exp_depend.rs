@@ -19,6 +19,7 @@ use iiot_dependability::redundancy::{
 use iiot_dependability::safety::SafetyEnvelope;
 use iiot_dependability::{simulate_replicas_with, Design, PartitionWindow};
 use iiot_mac::csma::CsmaMac;
+use iiot_routing::dodag::DodagNode;
 use iiot_routing::rnfd::{RnfdConfig, RnfdNode};
 use iiot_sim::prelude::*;
 use iiot_sim::{Fault, FaultPlan};
@@ -379,7 +380,8 @@ pub fn e11_maintainability(rc: &RunConfig) -> Table {
                 }
                 d.run_for(SimDuration::from_secs(600));
                 let r = d.report();
-                let switches = d.sim.stats().node_total("parent_switch");
+                let dodag = |&n| d.sim.proto::<DodagNode<CsmaMac>>(n).parent_switches();
+                let switches = d.nodes.iter().map(dodag).sum::<u64>() as f64;
                 let drops = d.sim.stats().node_total("data_drop_retries")
                     + d.sim.stats().node_total("data_drop_queue");
                 vec![vec![

@@ -194,6 +194,9 @@ fn observe<M: Mac>(w: Sim, consumers: usize) -> Observed {
     let mut delivered = 0u64;
     let mut latency_us = 0.0f64;
     let mut min_latest = u32::MAX;
+    let cost = |&id: &NodeId| w.proto::<IcnNode<M>>(id).security_cost();
+    let sum = |(b, e): (f64, f64), (nb, ne): (u64, f64)| (b + nb as f64, e + ne);
+    let (sec_bytes, crypto_uj) = ids.iter().map(cost).fold((0.0, 0.0), sum);
     for &id in &ids[2..] {
         let node = w.proto::<IcnNode<M>>(id);
         delivered += node.deliveries().len() as u64;
@@ -207,8 +210,8 @@ fn observe<M: Mac>(w: Sim, consumers: usize) -> Observed {
     let s = w.stats();
     Observed {
         radio_mj,
-        crypto_mj: s.node_total("icn_crypto_uj") / 1000.0,
-        sec_bytes: s.node_total("icn_sec_bytes"),
+        crypto_mj: crypto_uj / 1000.0,
+        sec_bytes,
         delivered,
         latency_ms: latency_us / delivered.max(1) as f64 / 1000.0,
         fwd_hits: s.get_node(NodeId(1), "icn_cache_hit"),

@@ -17,7 +17,7 @@ use iiot_core::{Deployment, MacChoice};
 use iiot_mac::coex::{ChannelPlan, TenantId};
 use iiot_mac::csma::CsmaMac;
 use iiot_mac::driver::MacDriver;
-use iiot_routing::dodag::Traffic;
+use iiot_routing::dodag::{DodagNode, Traffic};
 use iiot_routing::graph::{line_parents, star_parents};
 use iiot_routing::statictree::{StaticCollection, StaticConfig};
 use iiot_sim::prelude::*;
@@ -316,11 +316,13 @@ pub fn e11_trickle_ablation(rc: &RunConfig) -> Table {
                 d.run_for(SimDuration::from_secs(secs));
                 let r = d.report();
                 let dio_rate = d.sim.stats().node_total("dio_tx") / 25.0 / (secs as f64 / 60.0);
+                let dodag = |&n| d.sim.proto::<DodagNode<CsmaMac>>(n).parent_switches();
+                let switches = d.nodes.iter().map(dodag).sum::<u64>() as f64;
                 vec![vec![
                     Cell::label(k.to_string()),
                     Cell::f1(dio_rate),
                     Cell::pct(r.delivery_ratio),
-                    Cell::f1(d.sim.stats().node_total("parent_switch")),
+                    Cell::f1(switches),
                 ]]
             })
         }),

@@ -169,6 +169,7 @@ impl Report {
         match ev.kind {
             EventKind::TxStart { .. } => bump(&mut self.talkers, ev.node.0),
             EventKind::RxDrop { cause, .. } => bump(&mut self.drops, cause),
+            EventKind::DataDrop { cause } => bump(&mut self.drops, cause),
             EventKind::DataOrigin { .. } => {
                 self.spans.open.insert(ev.span.0, ev.t);
             }
@@ -537,5 +538,29 @@ mod tests {
         }
         let err = summarize(&b"\xff\xfe\n"[..]).expect_err("not UTF-8");
         assert!(err.starts_with("line 1: "), "{err}");
+    }
+
+    /// The medium's and the data plane's losses share one section, and
+    /// no data-plane cause is named like a medium one.
+    #[test]
+    fn data_plane_drops_are_drop_causes_apart_from_the_medium() {
+        use iiot_sim::radio::DropReason::*;
+        let medium = [Prr, Collision, RadioMoved, Filtered, Dead, Expired].map(|r| r.name());
+        let data = ["queue", "size", "retries", "ttl", "malformed", "dup"];
+        let span = SpanId::packet(NodeId(3), 7);
+        let rx = medium.map(|cause| EventKind::RxDrop { cause, src: None });
+        let events = rx
+            .into_iter()
+            .chain(data.map(|cause| EventKind::DataDrop { cause }));
+        let text = fold(&[trace("t", events.map(|k| ev(1, 3, span, k)).collect())]);
+        let section = text.split("\n== drop causes ==\n").nth(1).expect("section");
+        let lines: Vec<&str> = section.lines().take_while(|l| !l.is_empty()).collect();
+        assert_eq!(lines.len(), medium.len() + data.len(), "{text}");
+        for cause in medium.iter().chain(&data) {
+            assert!(
+                lines.contains(&format!("  {cause:<14} 1").as_str()),
+                "{cause}"
+            );
+        }
     }
 }

@@ -382,7 +382,7 @@ impl Dissem {
             match mac.send(ctx, dst, port, body) {
                 Ok(_) => {
                     if port == PORT_DATA {
-                        ctx.count_node("dissem_data_tx", 1.0);
+                        ctx.emit(EventKind::DissemData {});
                     }
                     self.outq.pop_front();
                 }
@@ -421,7 +421,7 @@ impl Dissem {
         } else if meta.version > my_v {
             if self.enabled {
                 if !self.store.begin(meta) {
-                    ctx.count_node("dissem_adv_oversize", 1.0);
+                    ctx.emit(EventKind::BadInput { msg: "dissem_adv" });
                     return;
                 }
                 self.fetch = None;

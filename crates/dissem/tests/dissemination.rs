@@ -269,26 +269,40 @@ fn tdma_tree_schedule_carries_the_image() {
 #[test]
 fn forged_adv_larger_than_flash_is_dropped_without_state_change() {
     use iiot_mac::driver::MacDriver;
-    let mut w = SimBuilder::new()
-        .seed(5)
-        .nodes(Topology::line(2, 20.0), |i| match i {
-            0 => Box::new(MacDriver::new(CsmaMac::default())),
-            _ => Box::new(DissemNode::new(CsmaMac::default(), DissemConfig::default())),
-        })
-        .build();
-    // version 9 > 0, len 4 GiB - 1, 30-byte chunks, 4 per page, have 1.
-    let mut adv = vec![0, 0, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 30, 4];
-    adv.extend_from_slice(&[0xAA; 4]);
-    adv.extend_from_slice(&[0, 1]);
-    w.proto_mut::<MacDriver<CsmaMac>>(NodeId(0)).push_send(
-        SimTime::from_secs(1),
-        Dst::Broadcast,
-        iiot_dissem::node::PORT_ADV,
-        adv,
-    );
-    w.run_for(SimDuration::from_secs(5));
-    let victim = w.proto::<CsmaNode>(NodeId(1));
-    assert_eq!(w.stats().get_node(NodeId(1), "dissem_adv_oversize"), 1.0);
-    assert!(victim.store().meta().is_none(), "no download began");
-    assert_eq!(w.stats().get_node(NodeId(1), "dissem_req_tx"), 0.0);
+    use iiot_sim::obs::RingRecorder;
+    for record in [false, true] {
+        let mut b = SimBuilder::new()
+            .seed(5)
+            .nodes(Topology::line(2, 20.0), |i| match i {
+                0 => Box::new(MacDriver::new(CsmaMac::default())),
+                _ => Box::new(DissemNode::new(CsmaMac::default(), DissemConfig::default())),
+            });
+        if record {
+            b = b.recorder(Box::new(RingRecorder::new(1 << 12)));
+        }
+        let mut w = b.build();
+        // version 9 > 0, len 4 GiB - 1, 30-byte chunks, 4 per page, have 1.
+        let mut adv = vec![0, 0, 0, 9, 0xFF, 0xFF, 0xFF, 0xFF, 30, 4];
+        adv.extend_from_slice(&[0xAA; 4]);
+        adv.extend_from_slice(&[0, 1]);
+        w.proto_mut::<MacDriver<CsmaMac>>(NodeId(0)).push_send(
+            SimTime::from_secs(1),
+            Dst::Broadcast,
+            iiot_dissem::node::PORT_ADV,
+            adv,
+        );
+        w.run_for(SimDuration::from_secs(5));
+        let victim = w.proto::<CsmaNode>(NodeId(1));
+        let oversize = w.stats().node_values("dissem_adv_oversize");
+        assert_eq!(oversize, [(NodeId(1), 1.0)]);
+        assert!(victim.store().meta().is_none(), "no download began");
+        assert_eq!(w.stats().get_node(NodeId(1), "dissem_req_tx"), 0.0);
+        if let Some(ring) = w.recorder_as::<RingRecorder>() {
+            let events = ring
+                .events()
+                .filter(|e| e.kind.counter() == Some("dissem_adv_oversize"));
+            let nodes: Vec<(NodeId, f64)> = events.map(|e| (e.node, 1.0)).collect();
+            assert_eq!((nodes, ring.dropped()), (oversize, 0));
+        }
+    }
 }

@@ -135,6 +135,9 @@ struct Icn {
     deliveries: Vec<Delivery>,
     rejected_forged: u32,
     rejected_stale: u32,
+    /// Security overhead bytes sent and crypto CPU energy spent, µJ.
+    sec_bytes: u64,
+    crypto_uj: f64,
 }
 
 impl<M: Mac> IcnNode<M> {
@@ -157,6 +160,8 @@ impl<M: Mac> IcnNode<M> {
                 deliveries: Vec::new(),
                 rejected_forged: 0,
                 rejected_stale: 0,
+                sec_bytes: 0,
+                crypto_uj: 0.0,
             },
         }
     }
@@ -184,6 +189,11 @@ impl<M: Mac> IcnNode<M> {
     /// Objects rejected at verification: `(forged, stale)`.
     pub fn rejected(&self) -> (u32, u32) {
         (self.icn.rejected_forged, self.icn.rejected_stale)
+    }
+
+    /// Security overhead: `(bytes sent, crypto CPU energy in µJ)`.
+    pub fn security_cost(&self) -> (u64, f64) {
+        (self.icn.sec_bytes, self.icn.crypto_uj)
     }
 
     /// Highest verified version of `name` this node accepted, if any.
@@ -242,10 +252,7 @@ impl Icn {
         let obj = if self.cfg.object_sec {
             let o =
                 ContentObject::signed(&self.cfg.key, name, version, self.cfg.freshness, payload);
-            ctx.count_node(
-                "icn_crypto_uj",
-                cost::cpu_energy_uj(OBJECT_SEC_LEVEL, o.signed_len()),
-            );
+            self.crypto_uj += cost::cpu_energy_uj(OBJECT_SEC_LEVEL, o.signed_len());
             o
         } else {
             ContentObject::unsigned(name, version, self.cfg.freshness, payload)
@@ -345,7 +352,7 @@ impl Icn {
         });
         if self.cfg.object_sec {
             // The signature is the object arm's only extra airtime.
-            ctx.count_node("icn_sec_bytes", SIG_LEN as f64);
+            self.sec_bytes += SIG_LEN as u64;
         }
         self.enqueue(mac, ctx, Dst::Unicast(dst), PORT_DATA, obj.encode());
     }
@@ -368,10 +375,7 @@ impl Icn {
             return false;
         }
         if self.cfg.object_sec {
-            ctx.count_node(
-                "icn_crypto_uj",
-                cost::cpu_energy_uj(OBJECT_SEC_LEVEL, obj.signed_len()),
-            );
+            self.crypto_uj += cost::cpu_energy_uj(OBJECT_SEC_LEVEL, obj.signed_len());
             if !obj.verify(&self.cfg.key) {
                 ctx.emit(EventKind::IcnVerifyFail {
                     name: obj.name.id(),
@@ -403,7 +407,7 @@ impl Icn {
         name: Name,
         min_version: u32,
     ) {
-        ctx.count_node("icn_interest_rx", 1.0);
+        ctx.emit(EventKind::IcnInterestRx { name: name.id() });
         let now = ctx.now();
         if let Some(obj) = self
             .repo
@@ -411,7 +415,7 @@ impl Icn {
             .find(|o| o.name == name && o.version >= min_version)
         {
             let obj = obj.clone();
-            ctx.count_node("icn_repo_serve", 1.0);
+            ctx.emit(EventKind::IcnRepoServe { name: name.id() });
             self.answer_node(mac, ctx, src, obj);
             return;
         }
@@ -479,8 +483,8 @@ impl Icn {
             // every frame, and the sender pays the per-hop protect.
             let extra = level.overhead_bytes();
             body.extend(std::iter::repeat_n(0u8, extra));
-            ctx.count_node("icn_sec_bytes", extra as f64);
-            ctx.count_node("icn_crypto_uj", cost::cpu_energy_uj(level, body.len()));
+            self.sec_bytes += extra as u64;
+            self.crypto_uj += cost::cpu_energy_uj(level, body.len());
         }
         self.outq.push_back((dst, port, body));
         self.pump(mac, ctx);
@@ -524,7 +528,7 @@ impl<M: Mac> Service<M> for Icn {
     fn delivered(&mut self, mac: &mut M, ctx: &mut Ctx<'_>, src: NodeId, port: u8, payload: &[u8]) {
         if let Some(level) = self.cfg.link_sec {
             // Per-hop unprotect on every received frame.
-            ctx.count_node("icn_crypto_uj", cost::cpu_energy_uj(level, payload.len()));
+            self.crypto_uj += cost::cpu_energy_uj(level, payload.len());
         }
         match port {
             PORT_INTEREST => {

@@ -179,7 +179,7 @@ impl Mac for CsmaMac {
                 attempt.backoffs += 1;
                 attempt.be = (attempt.be + 1).min(MAX_BE);
                 if attempt.backoffs > MAX_BACKOFFS {
-                    ctx.count_node("mac_cca_fail", 1.0);
+                    ctx.emit(EventKind::MacTx { outcome: "busy" });
                     self.set_state(ctx, TxState::Idle);
                     // Channel-access failure counts as one retry.
                     self.fail_head(ctx, out);
@@ -190,7 +190,7 @@ impl Mac for CsmaMac {
             }
             TAG_ACK_TIMEOUT => {
                 if self.state == TxState::WaitAck {
-                    ctx.count_node("mac_ack_timeout", 1.0);
+                    ctx.emit(EventKind::MacTx { outcome: "timeout" });
                     self.fail_head(ctx, out);
                 }
                 true

@@ -235,7 +235,7 @@ impl<A, const PORT: u8> Link<A, PORT> {
     }
 
     /// Retires the head into [`MacEvent::SendDone`]; a send that was
-    /// not `acked` also counts `mac_tx_fail`.
+    /// not `acked` is also a `"fail"` [`EventKind::MacTx`].
     pub(crate) fn complete(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<MacEvent>, acked: bool) {
         let Some(head) = self.queue.pop_front() else {
             return;
@@ -245,7 +245,7 @@ impl<A, const PORT: u8> Link<A, PORT> {
             acked,
         });
         if !acked {
-            ctx.count_node("mac_tx_fail", 1.0);
+            ctx.emit(EventKind::MacTx { outcome: "fail" });
         }
     }
 
@@ -259,7 +259,7 @@ impl<A, const PORT: u8> Link<A, PORT> {
         ctx.transmit(dst, PORT, bytes).is_ok()
     }
 
-    /// Puts the head's data frame on the air, counting `mac_tx_data`;
+    /// Puts the head's data frame on the air as a `"data"` `mac_tx`;
     /// `false` if the radio refused it or the queue is empty.
     pub(crate) fn transmit_head(&self, ctx: &mut Ctx<'_>) -> bool {
         let Some(head) = self.queue.front() else {
@@ -272,7 +272,7 @@ impl<A, const PORT: u8> Link<A, PORT> {
         };
         let sent = Self::transmit(ctx, head.dst, header, &head.payload);
         if sent {
-            ctx.count_node("mac_tx_data", 1.0);
+            ctx.emit(EventKind::MacTx { outcome: "data" });
         }
         sent
     }

@@ -232,3 +232,53 @@ fn csma_distinct_payloads_not_confused_by_dedup() {
     let ports: Vec<u8> = d.iter().map(|x| x.upper_port).collect();
     assert_eq!(ports, vec![0, 1, 2, 3, 4], "demux ports preserved in order");
 }
+
+/// Beside a jammer that keeps the channel busy, CSMA gives up on every
+/// channel access: each is a `"busy"` [`EventKind::MacTx`], and its
+/// counter equals those events, recorder or not.
+#[test]
+fn csma_beside_a_jammer_counts_every_channel_access_failure() {
+    use iiot_sim::obs::RingRecorder;
+    struct Jammer;
+    impl Proto for Jammer {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.radio_on().expect("radio");
+            ctx.transmit(Dst::Broadcast, 0, vec![0; MAX_PAYLOAD])
+                .expect("tx");
+        }
+        fn tx_done(&mut self, ctx: &mut Ctx<'_>, _outcome: TxOutcome) {
+            ctx.transmit(Dst::Broadcast, 0, vec![0; MAX_PAYLOAD])
+                .expect("tx");
+        }
+    }
+    let run = |record: bool| {
+        let mut b = SimBuilder::new().nodes(Topology::line(2, 10.0), |i| match i {
+            0 => Box::new(Jammer),
+            _ => Box::new(MacDriver::new(CsmaMac::default())),
+        });
+        if record {
+            b = b.recorder(Box::new(RingRecorder::new(1 << 16)));
+        }
+        let mut w = b.build();
+        let at = SimTime::from_millis(100);
+        let csma = w.proto_mut::<MacDriver<CsmaMac>>(NodeId(1));
+        csma.push_send(at, Dst::Unicast(NodeId(0)), 9, vec![1, 2, 3]);
+        w.run_for(SimDuration::from_secs(2));
+        w
+    };
+    let (plain, traced) = (run(false), run(true));
+    let fails = traced.stats().node_values("mac_cca_fail");
+    assert!(
+        matches!(fails[..], [(NodeId(1), n)] if n > 0.0),
+        "{fails:?}"
+    );
+    assert_eq!(plain.stats().node_values("mac_cca_fail"), fails);
+    assert_eq!(traced.stats().get_node(NodeId(1), "mac_tx_data"), 0.0);
+    let ring = traced.recorder_as::<RingRecorder>().expect("ring");
+    let events = ring
+        .events()
+        .filter(|e| e.kind == EventKind::MacTx { outcome: "busy" });
+    let events: Vec<NodeId> = events.map(|e| e.node).collect();
+    assert_eq!(events, vec![NodeId(1); fails[0].1 as usize]);
+    assert_eq!(ring.dropped(), 0);
+}

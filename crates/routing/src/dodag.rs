@@ -332,7 +332,6 @@ impl Dodag {
         }
         if self.parent != old {
             self.parent_switches += 1;
-            ctx.count_node("parent_switch", 1.0);
             if self.parent.is_none() {
                 // Freshly orphaned: poison our sub-DODAG and solicit.
                 self.send_dio(mac, ctx, INFINITE_RANK);

@@ -10,7 +10,9 @@
 //! it is asked to send, and refuses a payload over `LIMIT` bytes as too
 //! large. So every step's outcome is decided by the data plane alone,
 //! and the model predicts it exactly: the per-node counters, the root's
-//! collected list, and every frame handed to the MAC.
+//! collected list, and every frame handed to the MAC. Each case runs
+//! twice, with a recorder and without: the counters must not change,
+//! and with one each counter equals its kind's events at that node.
 
 use iiot_mac::{Mac, MacError, MacEvent, SendHandle};
 use iiot_routing::dodag::{MAX_ATTEMPTS, PORT_DATA, QUEUE_CAP};
@@ -43,6 +45,22 @@ const COUNTERS: [&str; 10] = [
 ];
 
 type Log = Rc<RefCell<Vec<Vec<u8>>>>;
+
+/// Counts events per owned counter and node; a drop must carry the
+/// dropped packet's span.
+#[derive(Default)]
+struct Counted(BTreeMap<(&'static str, NodeId), f64>);
+
+impl Recorder for Counted {
+    fn record(&mut self, ev: &Event) {
+        if let EventKind::DataDrop { .. } = ev.kind {
+            assert!(ev.span.is_packet(), "{ev:?}");
+        }
+        if let Some(counter) = ev.kind.counter() {
+            *self.0.entry((counter, ev.node)).or_default() += 1.0;
+        }
+    }
+}
 
 struct Script {
     log: Log,
@@ -293,19 +311,21 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn run(ops: &[Op]) {
+fn run(ops: &[Op], record: bool) {
     let logs: Vec<Log> = vec![Log::default(), Log::default()];
     let macs = logs.clone();
     let cfg = StaticConfig::new(vec![None, Some(NodeId(0))]);
-    let mut w = SimBuilder::new()
-        .nodes(Topology::line(2, 10.0), move |i| {
-            let mac = Script {
-                log: macs[i].clone(),
-                last: 0,
-            };
-            Box::new(Node::new(mac, cfg.clone()))
-        })
-        .build();
+    let mut b = SimBuilder::new().nodes(Topology::line(2, 10.0), move |i| {
+        let mac = Script {
+            log: macs[i].clone(),
+            last: 0,
+        };
+        Box::new(Node::new(mac, cfg.clone()))
+    });
+    if record {
+        b = b.recorder(Box::<Counted>::default());
+    }
+    let mut w = b.build();
     let mut model = [Plane::default(), Plane::default()];
     let mut fed: Vec<Fed> = Vec::new();
     let mut fill_seq = 0u16;
@@ -374,6 +394,14 @@ fn run(ops: &[Op]) {
                 let want = m.counts.get(c).copied().unwrap_or(0.0);
                 let got = w.stats().get_node(NodeId(id as u32), c);
                 assert_eq!(got, want, "{c} at {id} after {op:?}");
+                if let Some(rec) = w.recorder_as::<Counted>() {
+                    let traced = rec.0.get(&(c, NodeId(id as u32))).copied();
+                    assert_eq!(
+                        traced.unwrap_or(0.0),
+                        got,
+                        "{c} events at {id} after {op:?}"
+                    );
+                }
             }
             assert_eq!(
                 *logs[id].borrow(),
@@ -444,6 +472,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn data_plane_matches_its_model(ops in proptest::collection::vec(op(), 1..600)) {
-        run(&ops);
+        run(&ops, false);
+        run(&ops, true);
     }
 }

@@ -38,13 +38,15 @@
 //! `Variant = "wire_name" { field: Type, .. }`, with `field as "key"`
 //! only where the wire key differs from the field name — yields the
 //! variant, its [`EventKind::name`]/[`EventKind::NAMES`] entry and both
-//! codec directions. `Variant = "wire_name" => "counter" { .. }` also
-//! makes the kind own the per-node [`Stats`](crate::trace::Stats)
-//! counter `counter`: [`Ctx::emit`](crate::world::Ctx::emit) bumps it
-//! by one per event whether or not a recorder is installed, and no
-//! emitter writes it by hand. Then give the kind a line in
-//! `tests/golden/events.jsonl` (the round-trip test insists) and, if it
-//! should be summarised, a line in `iiot_bench::report`.
+//! codec directions. `=> "counter"` after the wire name makes the kind
+//! own that per-node [`Stats`](crate::trace::Stats) counter, and
+//! `match field { "value" => "counter", .. }` one counter per declared
+//! value of a `&'static str` field: [`Ctx::emit`](crate::world::Ctx::emit)
+//! bumps it by one per event, recorder or not, and nothing else writes
+//! a counter. Then give the kind a line in `tests/golden/events.jsonl`
+//! (the round-trip test insists), each counter a reader
+//! (`scripts/bench_smoke.sh` insists) and, if it should be summarised,
+//! a line in `iiot_bench::report`.
 //!
 //! # Examples
 //!
@@ -56,7 +58,7 @@
 //! impl Proto for Chirp {
 //!     fn start(&mut self, ctx: &mut Ctx<'_>) {
 //!         ctx.radio_on().unwrap();
-//!         ctx.emit(EventKind::Custom { name: "boot", value: 1.0 });
+//!         ctx.emit(EventKind::MacTx { outcome: "data" });
 //!         ctx.transmit(Dst::Broadcast, 7, vec![1, 2, 3]).unwrap();
 //!     }
 //! }
@@ -69,7 +71,8 @@
 //!
 //! let ring = sim.recorder_as::<RingRecorder>().unwrap();
 //! let kinds: Vec<&str> = ring.events().map(|e| e.kind.name()).collect();
-//! assert_eq!(kinds, ["custom", "tx_start", "tx_end"]);
+//! assert_eq!(kinds, ["mac_tx", "tx_start", "tx_end"]);
+//! assert_eq!(sim.stats().node_total("mac_tx_data"), 1.0);
 //! ```
 
 use crate::ids::NodeId;
@@ -255,27 +258,31 @@ macro_rules! wire_key {
     };
 }
 
-/// A kind's counter: `Some` only where the table names one.
+/// A kind's counter: `Some` only where the table names one; for a kind
+/// that counts by a field, the one the field's value names.
 macro_rules! owned_counter {
-    () => {
-        None
-    };
-    ($counter:literal) => {
-        Some($counter)
+    () => { None };
+    ($counter:literal) => { Some($counter) };
+    ($wire:literal, $field:ident, $($value:literal => $counter:literal),*) => {
+        match *$field {
+            $( $value => Some($counter), )*
+            other => panic!("{} has no counter for {:?}", $wire, other),
+        }
     };
 }
 
 /// The one table of event kinds. Each entry states the variant, its
-/// rustdoc, its wire name, the per-node counter it owns if any
-/// (`=> "counter"`) and its typed fields (`field as "key": Type` where
-/// the wire key differs from the field name); the enum,
-/// [`EventKind::name`], [`EventKind::NAMES`], [`EventKind::counter`],
-/// [`EventKind::COUNTERS`] and both directions of the JSONL codec are
-/// derived from it.
+/// rustdoc, its wire name, the per-node counter(s) it owns if any
+/// (`=> "counter"`, or `match field { "value" => "counter", .. }`) and
+/// its typed fields (`field as "key": Type` where the wire key differs
+/// from the field name); the enum, [`EventKind::name`],
+/// [`EventKind::NAMES`], [`EventKind::counter`], [`EventKind::COUNTERS`]
+/// and both directions of the JSONL codec are derived from it.
 macro_rules! event_kinds {
     ($(
         $(#[$vmeta:meta])*
-        $variant:ident = $wire:literal $(=> $counter:literal)? {
+        $variant:ident = $wire:literal $(=> $counter:literal)?
+            $(match $by:ident { $($value:literal => $by_counter:literal,)* })? {
             $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )*
         }
     )*) => {
@@ -294,7 +301,7 @@ macro_rules! event_kinds {
             /// Every `(kind name, counter)` pair the table declares, in
             /// declaration order.
             pub const COUNTERS: &'static [(&'static str, &'static str)] =
-                &[$($( ($wire, $counter), )?)*];
+                &[$($( ($wire, $counter), )? $($( ($wire, $by_counter), )*)?)*];
 
             /// Stable kind name used in JSONL dumps and counters.
             pub fn name(&self) -> &'static str {
@@ -303,12 +310,14 @@ macro_rules! event_kinds {
                 }
             }
 
-            /// The per-node counter this kind owns, if any: each
-            /// emission adds one to it, recorder or not.
-            #[inline]
+            /// The per-node counter this kind owns, if any: each emission
+            /// adds one to it, recorder or not. Panics on a value of a
+            /// counting field that the table does not declare.
+            #[inline(always)]
             pub fn counter(&self) -> Option<&'static str> {
                 match self {
-                    $( EventKind::$variant { .. } => owned_counter!($($counter)?), )*
+                    $( EventKind::$variant { $($by,)? .. } =>
+                        owned_counter!($($counter)? $($wire, $by, $($value => $by_counter),*)?), )*
                 }
             }
 
@@ -349,6 +358,10 @@ event_kinds! {
         /// Oracle count of candidates that actually received the frame.
         receivers: u32,
     }
+    /// A transmission's record aged out of the medium before its end,
+    /// which then found no reception to evaluate (the node is the
+    /// sender; the medium's `lost_expired` counts them all).
+    TxExpired = "tx_expired" => "expired_txid" {}
     /// A frame was delivered to the node's protocol stack.
     RxDeliver = "rx_deliver" {
         /// Link-layer source of the frame.
@@ -369,6 +382,17 @@ event_kinds! {
         mac: &'static str,
         /// The state entered.
         state: &'static str,
+    }
+    /// A MAC transmit attempt's outcome.
+    MacTx = "mac_tx" match outcome {
+        "data" => "mac_tx_data",
+        "fail" => "mac_tx_fail",
+        "busy" => "mac_cca_fail",
+        "timeout" => "mac_ack_timeout",
+    } {
+        /// `"data"` (on the air), `"fail"` (retired unacknowledged),
+        /// `"busy"` (channel access failed) or `"timeout"` (no ACK).
+        outcome: &'static str,
     }
     /// A Trickle timer was reset to its minimum interval.
     TrickleReset = "trickle_reset" {
@@ -431,6 +455,28 @@ event_kinds! {
         /// Total hop count.
         hops: u8,
     }
+    /// The collection data plane dropped a data packet (stamped with
+    /// the packet's span).
+    DataDrop = "data_drop" match cause {
+        "queue" => "data_drop_queue",
+        "size" => "data_drop_size",
+        "retries" => "data_drop_retries",
+        "ttl" => "data_drop_ttl",
+        "malformed" => "data_drop_malformed",
+        "dup" => "data_dup",
+    } {
+        /// `"queue"` (buffer full), `"size"` (too large for the MAC),
+        /// `"retries"` (attempts spent), `"ttl"` (hop limit),
+        /// `"malformed"` (stamped in the future) or `"dup"` (a copy
+        /// already handled).
+        cause: &'static str,
+    }
+    /// A data packet came back through another neighbour (a transient
+    /// loop) and is forwarded again.
+    DataLoop = "data_loop" => "data_looped" {
+        /// The neighbour it came back from.
+        from: NodeId,
+    }
     /// A queue depth sample (taken on enqueue).
     QueueDepth = "queue_depth" {
         /// Which queue (`"mac"`, `"dodag"`).
@@ -479,6 +525,8 @@ event_kinds! {
         /// The page index requested.
         page: u32,
     }
+    /// A dissemination data chunk was handed to the MAC.
+    DissemData = "dissem_data" => "dissem_data_tx" {}
     /// A node completed reassembling one image page (all chunks held,
     /// page CRC verified).
     DissemPage = "dissem_page" => "dissem_page_ok" {
@@ -588,6 +636,16 @@ event_kinds! {
         /// Minimum acceptable content version (`0` accepts any).
         min_version: u32,
     }
+    /// An ICN Interest arrived from a neighbour.
+    IcnInterestRx = "icn_interest_rx" => "icn_interest_rx" {
+        /// Stable 32-bit hash of the requested name.
+        name: u32,
+    }
+    /// A producer answered an Interest from its own repository.
+    IcnRepoServe = "icn_repo_serve" => "icn_repo_serve" {
+        /// Stable 32-bit hash of the served name.
+        name: u32,
+    }
     /// A signed content object was sent — a producer answer, a cache
     /// answer, or a PIT fan-out hop back toward the requesters.
     IcnData = "icn_data" {
@@ -613,12 +671,26 @@ event_kinds! {
         /// Rejection cause (`"forged"`, `"stale"`).
         cause: &'static str,
     }
-    /// Escape hatch for one-off instrumentation.
-    Custom = "custom" {
-        /// Metric name.
-        name: &'static str,
-        /// Metric value.
-        value: f64,
+    /// An in-network aggregation message was handed to the MAC.
+    AggSend = "agg_send" match msg {
+        "query" => "query_fwd",
+        "partial" => "agg_tx",
+        "raw" => "raw_tx",
+    } {
+        /// `"query"` (re-flooded query), `"partial"` (an epoch's
+        /// partial aggregate) or `"raw"` (one relayed raw reading).
+        msg: &'static str,
+    }
+    /// Input off the wire was refused without changing any state.
+    BadInput = "bad_input" match msg {
+        "query" => "query_bad",
+        "ftsp_beacon" => "ftsp_beacon_bad",
+        "dissem_adv" => "dissem_adv_oversize",
+    } {
+        /// `"query"` (zero period or far-future epoch), `"ftsp_beacon"`
+        /// (global time past `i64`) or `"dissem_adv"` (image too large
+        /// for the store).
+        msg: &'static str,
     }
 }
 
@@ -816,11 +888,6 @@ impl CountingRecorder {
     /// Total events seen.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// All per-kind counters, sorted by kind name.
-    pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.by_kind.iter().map(|(k, v)| (*k, *v))
     }
 }
 
@@ -1285,10 +1352,18 @@ mod tests {
         // kernel's own kinds own none.
         for e in &parsed {
             let name = e.kind.name();
-            let listed = EventKind::COUNTERS.iter().find(|(k, _)| *k == name);
-            assert_eq!(e.kind.counter(), listed.map(|&(_, c)| c), "{name}");
+            let mut listed = EventKind::COUNTERS.iter().filter(|(k, _)| *k == name);
+            match e.kind.counter() {
+                Some(c) => assert!(listed.any(|&(_, l)| l == c), "{name} -> {c}"),
+                None => assert_eq!(listed.next(), None, "{name}"),
+            }
         }
-        for kernel in ["tx_start", "tx_end", "rx_deliver", "rx_drop"] {
+        let mut counters: Vec<&str> = EventKind::COUNTERS.iter().map(|&(_, c)| c).collect();
+        counters.sort_unstable();
+        let n = counters.len();
+        counters.dedup();
+        assert_eq!(counters.len(), n, "a counter owned twice");
+        for kernel in ["tx_start", "tx_end", "rx_deliver", "rx_drop", "fault"] {
             assert!(EventKind::COUNTERS.iter().all(|(k, _)| *k != kernel));
         }
         // The bytes round-trip; spot-check that the typed values are the
@@ -1375,9 +1450,7 @@ mod tests {
         while let Some(at) = line[from..].find("\":") {
             let start = from + at + 2;
             from = start;
-            let key_is_float = ["\"skew_ppm", "\"value"]
-                .iter()
-                .any(|k| line[..start - 2].ends_with(k));
+            let key_is_float = line[..start - 2].ends_with("\"skew_ppm");
             let len = line[start..]
                 .find(|c: char| c != '-' && !c.is_ascii_digit())
                 .unwrap_or(line.len() - start);
@@ -1443,9 +1516,8 @@ mod tests {
         let e = ev(
             1,
             2,
-            EventKind::Custom {
-                name: "a_metric_not_in_the_known_list",
-                value: 2.0,
+            EventKind::TrickleReset {
+                cause: "a_cause_not_in_the_known_list",
             },
         );
         let back = Event::from_json(&e.to_json()).expect("parse");

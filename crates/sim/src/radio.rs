@@ -1476,7 +1476,9 @@ mod tests {
         use crate::topology::Topology;
         use crate::world::{Ctx, SimConfig, World};
 
-        struct Gossip;
+        /// Frames and payload bytes heard.
+        #[derive(Default)]
+        struct Gossip(u64, u64);
         impl Proto for Gossip {
             fn start(&mut self, ctx: &mut Ctx<'_>) {
                 ctx.radio_on().expect("on");
@@ -1488,9 +1490,9 @@ mod tests {
                     .ok();
                 ctx.set_timer(SimDuration::from_millis(40), 0);
             }
-            fn frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
-                ctx.count_node("heard", 1.0);
-                ctx.count_node("heard_bytes", frame.payload.len() as f64);
+            fn frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame, _info: RxInfo) {
+                self.0 += 1;
+                self.1 += frame.payload.len() as u64;
             }
         }
         let run = |indexed: bool| {
@@ -1501,14 +1503,16 @@ mod tests {
             if !indexed {
                 w.medium_mut().drop_spatial_index();
             }
-            w.add_nodes(&Topology::grid(6, 6, 20.0), |_| Box::new(Gossip));
+            w.add_nodes(&Topology::grid(6, 6, 20.0), |_| Box::<Gossip>::default());
             assert_eq!(w.medium().grid.cell_count() > 1, indexed);
             w.run_for(SimDuration::from_secs(5));
             (
                 w.medium().stats(),
                 w.events_dispatched(),
-                w.stats().node_values("heard"),
-                w.stats().node_values("heard_bytes"),
+                (0..36)
+                    .map(|n| w.proto::<Gossip>(NodeId(n)))
+                    .map(|g| (g.0, g.1))
+                    .collect::<Vec<_>>(),
             )
         };
         assert_eq!(run(true), run(false));

@@ -24,11 +24,11 @@ pub struct Summary {
 /// Counters collected during a simulation.
 ///
 /// Every counter is per node, keyed by name: a total over nodes is
-/// [`Stats::node_total`]. Names are written as
-/// `&'static str` (every writer passes a literal, so a bump allocates
-/// nothing) and read back by any `&str`. A counter an event kind owns
-/// ([`EventKind::counter`](crate::obs::EventKind::counter)) is written
-/// by emitting that kind, not by hand.
+/// [`Stats::node_total`]. Every counter is owned by an event kind
+/// ([`EventKind::COUNTERS`](crate::obs::EventKind::COUNTERS)) and
+/// written only by emitting it, so a counter equals its kind's trace
+/// count. Names are `&'static str` (a bump allocates nothing) and are
+/// read back by any `&str`.
 ///
 /// Counters are stored as one column per name, indexed by node id, so
 /// a bump finds its name in a short list and its node by index; a
@@ -37,14 +37,14 @@ pub struct Summary {
 /// # Examples
 ///
 /// ```
-/// use iiot_sim::trace::Stats;
-/// use iiot_sim::NodeId;
+/// use iiot_sim::prelude::*;
 ///
-/// let mut s = Stats::new();
-/// s.inc_node(NodeId(3), "tx", 1.0);
-/// s.inc_node(NodeId(5), "tx", 2.0);
-/// assert_eq!(s.get_node(NodeId(3), "tx"), 1.0);
-/// assert_eq!(s.node_total("tx"), 3.0);
+/// let mut sim = SimBuilder::new().nodes(Topology::line(3, 10.0), |_| Box::new(Idle)).build();
+/// let late = EventKind::MacTx { outcome: "timeout" };
+/// sim.schedule_at(SimTime::ZERO, move |w| w.with(NodeId(1), |_: &mut Idle, ctx| ctx.emit(late)));
+/// sim.run(SimDuration::from_millis(1));
+/// assert_eq!(sim.stats().get_node(NodeId(1), "mac_ack_timeout"), 1.0);
+/// assert_eq!(sim.stats().node_total("mac_ack_timeout"), 1.0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
@@ -99,13 +99,8 @@ impl std::fmt::Debug for NodeCounters {
 }
 
 impl Stats {
-    /// An empty collection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `v` to the per-node counter `name` for `node`.
-    pub fn inc_node(&mut self, node: NodeId, name: &'static str, v: f64) {
+    pub(crate) fn inc_node(&mut self, node: NodeId, name: &'static str, v: f64) {
         let values = self.node_counters.column_mut(name);
         let i = node.index();
         if i >= values.len() {
@@ -139,14 +134,13 @@ impl Stats {
     /// # Examples
     ///
     /// ```
-    /// use iiot_sim::trace::Stats;
-    /// use iiot_sim::NodeId;
-    ///
-    /// let mut s = Stats::new();
-    /// s.inc_node(NodeId(4), "rx", 5.0);
-    /// s.inc_node(NodeId(1), "rx", 2.0);
-    /// assert_eq!(s.node_values("rx"), vec![(NodeId(1), 2.0), (NodeId(4), 5.0)]);
-    /// assert!(s.node_values("tx").is_empty());
+    /// # use iiot_sim::prelude::*;
+    /// let mut sim = SimBuilder::new().nodes(Topology::line(3, 10.0), |_| Box::new(Idle)).build();
+    /// let late = EventKind::MacTx { outcome: "timeout" };
+    /// sim.schedule_at(SimTime::ZERO, move |w| w.with(NodeId(2), |_: &mut Idle, ctx| ctx.emit(late)));
+    /// sim.run(SimDuration::from_millis(1));
+    /// assert_eq!(sim.stats().node_values("mac_ack_timeout"), [(NodeId(2), 1.0)]);
+    /// assert!(sim.stats().node_values("mac_tx_fail").is_empty());
     /// ```
     pub fn node_values(&self, name: &str) -> Vec<(NodeId, f64)> {
         self.per_node(name).collect()
@@ -183,7 +177,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut s = Stats::new();
+        let mut s = Stats::default();
         s.inc_node(NodeId(2), "a", 1.0);
         s.inc_node(NodeId(2), "a", 2.0);
         assert_eq!(s.get_node(NodeId(2), "a"), 3.0);
@@ -195,7 +189,7 @@ mod tests {
 
     #[test]
     fn node_counters() {
-        let mut s = Stats::new();
+        let mut s = Stats::default();
         s.inc_node(NodeId(0), "fwd", 2.0);
         s.inc_node(NodeId(1), "fwd", 3.0);
         s.inc_node(NodeId(1), "other", 9.0);
@@ -273,7 +267,7 @@ mod tests {
         }
 
         fn apply(bumps: &[(usize, NodeId, f64)]) -> (Stats, Model) {
-            let (mut stats, mut model) = (Stats::new(), Model::new());
+            let (mut stats, mut model) = (Stats::default(), Model::new());
             for &(name, node, v) in bumps {
                 stats.inc_node(node, NAMES[name], v);
                 *model.entry((NAMES[name], node)).or_insert(0.0) += v;

@@ -213,7 +213,8 @@ impl Kernel {
 
     /// Hot-path wrapper: a pointer test when no recorder is installed,
     /// with all event construction kept out of line so instrumented
-    /// loops stay tight in the common (disabled) case.
+    /// loops stay tight in the common (disabled) case. A kind that owns
+    /// a counter comes through [`Ctx::emit`], which bumps it first.
     #[inline]
     fn emit(&mut self, node: NodeId, span: SpanId, kind: EventKind) {
         if self.obs_on {
@@ -291,7 +292,7 @@ impl World {
                 medium: Medium::new(config.radio),
                 meters: Vec::new(),
                 rngs: Vec::new(),
-                stats: Stats::new(),
+                stats: Stats::default(),
                 timers: TimerSlab::default(),
                 seed: config.seed,
                 // The oscillators draw from their own seed stream so
@@ -580,6 +581,15 @@ impl World {
         self.kernel.medium.heal(groups);
     }
 
+    /// Counts, against its sender, a transmission whose record aged out
+    /// (out of line: the frame-end path stays as tight as without it).
+    #[cold]
+    #[inline(never)]
+    fn tx_expired(&mut self, node: NodeId) {
+        let kernel = &mut self.kernel;
+        Ctx { kernel, node }.emit(EventKind::TxExpired {});
+    }
+
     fn emit_fault(&mut self, node: NodeId, kind: &'static str, peer: Option<NodeId>) {
         let kind = EventKind::Fault { kind, peer };
         self.kernel.emit(node, SpanId::NONE, kind);
@@ -629,7 +639,7 @@ impl World {
                     // The record was pruned before its own TxEnd — the
                     // global `lost_expired` bump alone cannot say *whose*
                     // transmission aged out.
-                    self.kernel.stats.inc_node(node, "expired_txid", 1.0);
+                    self.tx_expired(node);
                     TxOutcome {
                         oracle_receivers: 0,
                     }
@@ -913,17 +923,6 @@ impl Ctx<'_> {
         self.kernel.push(at, Ev::Wire(Box::new(msg)));
     }
 
-    /// Adds `v` to this node's counter `name`. A counter an event kind
-    /// owns ([`EventKind::counter`]) is bumped by [`Ctx::emit`] instead.
-    pub fn count_node(&mut self, name: &'static str, v: f64) {
-        self.kernel.stats.inc_node(self.node, name, v);
-    }
-
-    /// Read access to all statistics.
-    pub fn stats(&self) -> &Stats {
-        &self.kernel.stats
-    }
-
     /// Whether a structured-event recorder is installed. Protocols may
     /// use this to skip *computing* expensive event payloads; plain
     /// [`Ctx::emit`] calls are already a single branch when disabled.
@@ -935,13 +934,15 @@ impl Ctx<'_> {
     /// Emits a structured event attributed to this node, outside any
     /// span: bumps the counter the kind owns, if any, and records the
     /// event if a recorder is installed.
-    #[inline]
+    #[inline(always)]
     pub fn emit(&mut self, kind: EventKind) {
         self.emit_span(SpanId::NONE, kind);
     }
 
     /// Emits a structured event stitched into `span` (see [`SpanId`]).
-    #[inline]
+    /// Always inlined, so an emitter's constant kind folds the counter
+    /// lookup to its one name.
+    #[inline(always)]
     pub fn emit_span(&mut self, span: SpanId, kind: EventKind) {
         if let Some(counter) = kind.counter() {
             self.kernel.stats.inc_node(self.node, counter, 1.0);
@@ -1320,21 +1321,6 @@ mod tests {
         assert_eq!(*log.borrow(), [1.0, 1.5, 2.0]);
     }
 
-    #[test]
-    fn stats_via_ctx() {
-        struct S;
-        impl Proto for S {
-            fn start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.count_node("boots", 1.0);
-                assert_eq!(ctx.stats().node_total("boots"), 1.0);
-            }
-        }
-        let mut w = World::new(SimConfig::default());
-        let n = w.add_node(Pos::new(0.0, 0.0), Box::new(S));
-        w.run_for(SimDuration::from_millis(1));
-        assert_eq!(w.stats().get_node(n, "boots"), 1.0);
-    }
-
     /// Logs every callback into the log all nodes share: `tx_done` as
     /// 1, `frame` as 2 at node 1 and 3 elsewhere, timers by their tag.
     /// Node 0 transmits at 10 ms and arms timer 4 for the frame's end
@@ -1491,20 +1477,34 @@ mod tests {
     fn expired_txid_drop_counts_per_node() {
         // A frame end whose transmission record aged out of the slab
         // is counted — the global medium stat says how many, the
-        // per-node counter says whose — and finds no reception to
-        // evaluate.
-        let mut w = World::new(SimConfig::default());
-        let _a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
-        let b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
-        w.run_for(SimDuration::from_millis(1));
-        // A TxId no slab record ever matched (generation 7 of slot 0).
-        let stale = crate::radio::TxId(7u64 << 32);
-        let at = w.now() + SimDuration::from_millis(1);
-        w.kernel.push(at, Ev::TxEnd { node: b, tx: stale });
-        let before = w.events_dispatched();
-        w.run_for(SimDuration::from_millis(2));
-        assert_eq!(w.events_dispatched(), before + 1, "the TxEnd alone");
-        assert_eq!(w.medium().stats().lost_expired, 1);
-        assert_eq!(w.stats().get_node(b, "expired_txid"), 1.0);
+        // per-node counter and its `tx_expired` event say whose — and
+        // finds no reception to evaluate, recorder or not.
+        for record in [false, true] {
+            let mut w = World::new(SimConfig::default());
+            if record {
+                w.set_recorder(Box::new(crate::obs::RingRecorder::new(8)));
+            }
+            let _a = w.add_node(Pos::new(0.0, 0.0), Box::new(Idle));
+            let b = w.add_node(Pos::new(10.0, 0.0), Box::new(Idle));
+            w.run_for(SimDuration::from_millis(1));
+            // A TxId no slab record ever matched (generation 7 of slot 0).
+            let stale = crate::radio::TxId(7u64 << 32);
+            let at = w.now() + SimDuration::from_millis(1);
+            w.kernel.push(at, Ev::TxEnd { node: b, tx: stale });
+            let before = w.events_dispatched();
+            w.run_for(SimDuration::from_millis(2));
+            assert_eq!(w.events_dispatched(), before + 1, "the TxEnd alone");
+            assert_eq!(w.medium().stats().lost_expired, 1);
+            assert_eq!(w.stats().get_node(b, "expired_txid"), 1.0);
+            if let Some(r) = w.kernel.recorder.as_deref() {
+                let ring = r.as_any().downcast_ref::<crate::obs::RingRecorder>();
+                let events = ring
+                    .expect("ring")
+                    .events()
+                    .map(|e| (e.node, e.kind.name()));
+                let expired: Vec<_> = events.filter(|&(_, k)| k == "tx_expired").collect();
+                assert_eq!(expired, [(b, "tx_expired")]);
+            }
+        }
     }
 }

@@ -252,13 +252,13 @@ impl FtspEngine {
     ///
     /// A beacon whose global time does not fit the estimator's `i64`
     /// microseconds (past 2^63 µs, ~292,000 years) can only be forged or
-    /// corrupt: it is counted as `ftsp_beacon_bad` and changes no state.
+    /// corrupt: it is a `bad_input` event and changes no state.
     pub fn on_beacon(&mut self, ctx: &mut Ctx<'_>, payload: &[u8], radio_len: usize) -> bool {
         let Some(b) = decode_beacon(payload) else {
             return false;
         };
         if i64::try_from(b.global_us).is_err() {
-            ctx.count_node("ftsp_beacon_bad", 1.0);
+            ctx.emit(EventKind::BadInput { msg: "ftsp_beacon" });
             return false;
         }
         if b.root.0 > self.root.0 {

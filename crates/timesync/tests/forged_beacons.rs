@@ -3,6 +3,7 @@
 //! receiver drops or absorbs it — it never panics, and a global time
 //! outside the estimator's `i64` domain is a counted drop.
 
+use iiot_sim::obs::RingRecorder;
 use iiot_sim::prelude::*;
 use iiot_timesync::{encode_beacon, Beacon, FtspConfig, FtspNode, FTSP_PORT};
 use proptest::prelude::*;
@@ -31,8 +32,13 @@ impl Proto for Forger {
 /// reference dynamically (node 1) and the forger (node 2), all in
 /// range of each other.
 fn run(script: Vec<(SimDuration, Beacon)>, secs: u64) -> Sim {
+    recorded_run(script, secs, false)
+}
+
+/// [`run`], with a ring recorder if `record`.
+fn recorded_run(script: Vec<(SimDuration, Beacon)>, secs: u64, record: bool) -> Sim {
     let period = SimDuration::from_secs(1);
-    let mut sim = SimBuilder::new()
+    let mut b = SimBuilder::new()
         .seed(0xF75)
         .clock(ClockModel::drifting(50.0))
         .nodes(Topology::line(2, 10.0), move |id| {
@@ -51,8 +57,11 @@ fn run(script: Vec<(SimDuration, Beacon)>, secs: u64) -> Sim {
                     script: script.clone(),
                 })
             },
-        )
-        .build();
+        );
+    if record {
+        b = b.recorder(Box::new(RingRecorder::new(1 << 12)));
+    }
+    let mut sim = b.build();
     sim.run(SimDuration::from_secs(secs));
     sim
 }
@@ -71,18 +80,28 @@ fn out_of_domain_global_time_is_a_counted_drop_that_changes_nothing() {
     // leaves it.
     let good = (at(100), beacon(1000, 100_000));
     let clean = run(vec![good], 2);
-    let forged = run(
-        vec![
-            good,
-            (at(300), beacon(1001, 1 << 63)),
-            (at(500), beacon(1002, u64::MAX)),
-        ],
-        2,
-    );
+    let script = vec![
+        good,
+        (at(300), beacon(1001, 1 << 63)),
+        (at(500), beacon(1002, u64::MAX)),
+    ];
+    let forged = run(script.clone(), 2);
     let victim = NodeId(1);
     // Two bad beacons, each heard by the reference and the victim.
-    let bad = |sim: &Sim| sim.stats().node_total("ftsp_beacon_bad");
-    assert_eq!((bad(&clean), bad(&forged)), (0.0, 4.0));
+    let bad = |sim: &Sim| sim.stats().node_values("ftsp_beacon_bad");
+    let two_each = vec![(NodeId(0), 2.0), (victim, 2.0)];
+    assert_eq!((bad(&clean), bad(&forged)), (vec![], two_each.clone()));
+    // Recorded, each is a `bad_input` event, and the count is the same.
+    let recorded = recorded_run(script, 2, true);
+    assert_eq!(bad(&recorded), two_each);
+    let ring = recorded.recorder_as::<RingRecorder>().expect("ring");
+    let events = ring
+        .events()
+        .filter(|e| e.kind.counter() == Some("ftsp_beacon_bad"));
+    let mut nodes: Vec<NodeId> = events.map(|e| e.node).collect();
+    nodes.sort();
+    let two_each = vec![NodeId(0), NodeId(0), victim, victim];
+    assert_eq!((nodes, ring.dropped()), (two_each, 0));
     let state = |sim: &Sim| {
         let e = sim.proto::<FtspNode>(victim).engine();
         let samples = sim.stats().node_total("ftsp_samples");

@@ -137,47 +137,42 @@ if grep -rn '\.drain_until(' crates src tests examples --include='*.rs' |
     exit 1
 fi
 
-# One fact, written once: an event kind that owns a counter (`=> "name"`
-# in the `event_kinds!` table of crates/sim/src/obs.rs) bumps it on every
-# emission, so no `count_node` writes it by hand; and every counter is
-# per node, so the global counter map and its readers stay gone.
-owned=$(sed -n 's/^ *[A-Za-z]* = "[a-z_]*" => "\([a-z_]*\)" {$/\1/p' crates/sim/src/obs.rs)
-if [ -z "$owned" ]; then
-    echo "no owned counters found in crates/sim/src/obs.rs" >&2
+# One telemetry path: every per-node counter belongs to an event kind
+# (`=> "name"`, or `"value" => "name"` under a `match field`, in the
+# `event_kinds!` table of crates/sim/src/obs.rs) and is written only by
+# emitting that kind, so `count_node` stays gone and `inc_node(`, the
+# kernel's own column bump, is called only inside crates/sim/src; the
+# global counter map and its readers stay gone too.
+if grep -rn 'count_node' crates src tests examples benchmark --include='*.rs'; then
+    echo "count_node named in first-party source" >&2
     exit 1
 fi
-for counter in $owned; do
-    if grep -rn "count_node(\"$counter\"" crates src tests examples --include='*.rs'; then
-        echo "count_node(\"$counter\" writes a counter its event kind owns" >&2
-        exit 1
-    fi
-done
+if grep -rn 'inc_node(' crates src tests examples benchmark --include='*.rs' |
+    grep -v '^crates/sim/src/'; then
+    echo "inc_node( called outside crates/sim/src" >&2
+    exit 1
+fi
 if grep -rn 'ctx\.count(\|Stats::inc\>\|\.counters()\|stats()\.get(' crates src tests examples --include='*.rs'; then
     echo "ctx.count(, Stats::inc, .counters() or stats().get( named in first-party source" >&2
     exit 1
 fi
 
-# No write-only telemetry: a counter name passed as a literal to
-# `count_node(` (rustfmt may break the call before the name, so the
-# files are searched whole) must appear somewhere else in first-party
-# or benchmark/ Rust, where something reads it. A name found only at
-# its writers is printed here.
-stats_dirs="crates src tests examples benchmark"
-# shellcheck disable=SC2086
-written=$(grep -rhPzo '\bcount_node\(\s*"[^"]*"' $stats_dirs --include='*.rs' --exclude-dir=target |
-    tr '\0' '\n' | sed -n 's/.*"\([^"]*\)"$/\1/p' | sort | uniq -c)
-if [ -z "$written" ]; then
-    echo "no count_node( names found" >&2
+# No write-only telemetry: every counter the table declares is read
+# somewhere outside obs.rs (an experiment, a test, benchmark/).
+owned=$(awk '/^#\[cfg\(test\)\]/ { exit } /^ *\/\// { next }
+    { while (match($0, /=> "[a-z_]+"/)) { print substr($0, RSTART + 4, RLENGTH - 5); $0 = substr($0, RSTART + RLENGTH) } }' \
+    crates/sim/src/obs.rs)
+if [ -z "$owned" ]; then
+    echo "no owned counters found in crates/sim/src/obs.rs" >&2
     exit 1
 fi
-unread=$(echo "$written" | while read -r writes name; do
-    # shellcheck disable=SC2086
-    total=$(grep -rhoF "\"$name\"" $stats_dirs --include='*.rs' --exclude-dir=target | wc -l)
-    [ "$total" -gt "$writes" ] || echo "$name"
+unread=$(for counter in $owned; do
+    grep -rqF "\"$counter\"" crates src tests examples benchmark --include='*.rs' \
+        --exclude-dir=target --exclude=obs.rs || echo "$counter"
 done)
 if [ -n "$unread" ]; then
     echo "$unread"
-    echo "counters written but never read" >&2
+    echo "counters declared in the event_kinds! table but read nowhere" >&2
     exit 1
 fi
 

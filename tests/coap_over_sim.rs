@@ -20,6 +20,8 @@ struct CoapWireNode {
     /// Script: at (time, peer, path) issue a GET.
     gets: Vec<(SimTime, NodeId, &'static str)>,
     next_get: usize,
+    /// Datagrams the injected backhaul loss dropped.
+    dropped: u32,
 }
 
 impl CoapWireNode {
@@ -30,6 +32,7 @@ impl CoapWireNode {
             events: Vec::new(),
             gets: Vec::new(),
             next_get: 0,
+            dropped: 0,
         }
     }
 
@@ -40,7 +43,7 @@ impl CoapWireNode {
         for (peer, dgram) in self.ep.take_outbox() {
             // Injected backhaul loss.
             if ctx.rng().gen::<f64>() < self.loss {
-                ctx.count_node("coap_dgram_dropped", 1.0);
+                self.dropped += 1;
                 continue;
             }
             ctx.wire_send(NodeId(peer as u32), dgram);
@@ -130,7 +133,8 @@ fn run(loss: f64, seed: u64, gets: usize) -> (usize, usize, f64) {
         .iter()
         .filter(|e| matches!(e, CoapEvent::RequestFailed { .. }))
         .count();
-    (ok, failed, w.stats().node_total("coap_dgram_dropped"))
+    let dropped = [client_id, server_id].map(|n| w.proto::<CoapWireNode>(n).dropped);
+    (ok, failed, f64::from(dropped[0] + dropped[1]))
 }
 
 #[test]

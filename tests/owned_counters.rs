@@ -1,10 +1,12 @@
-//! Integration: an event kind that owns a counter writes it on every
-//! emission, so the counter equals the kind's trace count, and it
-//! writes it whether or not a recorder is installed. Five planes share
-//! one world, each out of radio range of the others: TDMA collection
-//! under free-running drifting clocks (guard violations), an FTSP flood,
-//! DODAG collection over LPL, an ICN tree whose producer publishes
-//! forged versions, and a dissemination line.
+//! Integration: every counter belongs to an event kind and is written
+//! on every emission, so the counter equals the kind's trace count, per
+//! node, and it is written whether or not a recorder is installed. Five
+//! planes share one world, each out of radio range of the others: TDMA
+//! collection under free-running drifting clocks (guard violations), an
+//! FTSP flood, DODAG collection over LPL, an ICN tree whose producer
+//! publishes forged versions, and a dissemination line. The counters
+//! this world cannot reach are checked the same way by the tests listed
+//! in [`ELSEWHERE`].
 
 use iiot::dissem::image::Image;
 use iiot::dissem::node::{DissemConfig, DissemNode};
@@ -16,9 +18,10 @@ use iiot::routing::dodag::{DodagConfig, DodagNode, Traffic};
 use iiot::routing::graph::line_parents;
 use iiot::routing::statictree::{StaticCollection, StaticConfig};
 use iiot::security::Key;
-use iiot::sim::obs::{CountingRecorder, EventKind};
+use iiot::sim::obs::EventKind;
 use iiot::sim::prelude::*;
 use iiot_timesync::{FtspConfig, FtspNode};
+use std::collections::BTreeMap;
 
 const TDMA: u32 = 0; // ids 0..4
 const FTSP: u32 = 4; // ids 4..8
@@ -26,6 +29,47 @@ const DODAG: u32 = 8; // ids 8..13
 const ICN: u32 = 13; // ids 13..20
 const DISSEM: u32 = 20; // ids 20..24
 const NODES: u32 = 24;
+
+/// Where the data-plane and aggregation counters are checked.
+const MODEL: &str = "crates/routing/tests/data_plane_model.rs";
+const TREE: &str = "iiot-aggregate tree::tests::counters_equal_their_trace_recorder_on_or_off";
+
+/// The counters this world never bumps, each with the test that
+/// reaches it and checks it against its trace, recorder on and off.
+const ELSEWHERE: [(&str, &str); 13] = [
+    (
+        "expired_txid",
+        "iiot-sim world::tests::expired_txid_drop_counts_per_node",
+    ),
+    ("mac_cca_fail", "crates/mac/tests/edge.rs"),
+    ("data_drop_queue", MODEL),
+    ("data_drop_size", MODEL),
+    ("data_drop_ttl", MODEL),
+    ("data_drop_malformed", MODEL),
+    ("data_looped", MODEL),
+    ("query_fwd", TREE),
+    ("agg_tx", TREE),
+    ("raw_tx", TREE),
+    ("query_bad", TREE),
+    ("ftsp_beacon_bad", "crates/timesync/tests/forged_beacons.rs"),
+    (
+        "dissem_adv_oversize",
+        "crates/dissem/tests/dissemination.rs",
+    ),
+];
+
+/// Counts emissions per owned counter and node, as the kernel bumps
+/// the counters.
+#[derive(Default)]
+struct ByCounter(BTreeMap<(&'static str, NodeId), f64>);
+
+impl Recorder for ByCounter {
+    fn record(&mut self, ev: &Event) {
+        if let Some(counter) = ev.kind.counter() {
+            *self.0.entry((counter, ev.node)).or_default() += 1.0;
+        }
+    }
+}
 
 fn traffic() -> Option<Traffic> {
     Some(Traffic {
@@ -109,14 +153,15 @@ fn node(id: u32) -> Box<dyn Proto> {
     }
 }
 
-/// Runs the world for 40 s, with a counting recorder or without one.
+/// Runs the world for 40 s, with a [`ByCounter`] recorder or without
+/// one.
 fn run(record: bool) -> Sim {
     let mut b = SimBuilder::new()
         .seed(0xC0)
         .clock(ClockModel::drifting(500.0))
         .nodes(topology(), |i| node(i as u32));
     if record {
-        b = b.recorder(Box::new(CountingRecorder::new()));
+        b = b.recorder(Box::<ByCounter>::default());
     }
     let mut sim = b.build();
     let producer = NodeId(ICN);
@@ -149,17 +194,25 @@ fn run(record: bool) -> Sim {
 fn a_kind_counter_equals_its_trace_and_ignores_the_recorder() {
     let traced = run(true);
     let plain = run(false);
-    let rec = traced
-        .recorder_as::<CountingRecorder>()
-        .expect("counting recorder");
-    assert_eq!(EventKind::COUNTERS.len(), 11);
-    for &(kind, counter) in EventKind::COUNTERS {
-        let total = traced.stats().node_total(counter);
+    let rec = traced.recorder_as::<ByCounter>().expect("recorder");
+    assert_eq!(EventKind::COUNTERS.len(), 32);
+    for (counter, _) in ELSEWHERE {
         assert!(
-            total > 0.0,
-            "{kind} never happened: the world does not test it"
+            EventKind::COUNTERS.iter().any(|&(_, c)| c == counter),
+            "{counter}"
         );
-        assert_eq!(rec.count(kind) as f64, total, "{kind} vs {counter}");
+    }
+    for &(kind, counter) in EventKind::COUNTERS {
+        let reached = traced.stats().node_total(counter) > 0.0;
+        let elsewhere = ELSEWHERE.iter().any(|&(c, _)| c == counter);
+        assert_ne!(
+            reached, elsewhere,
+            "{kind} -> {counter}: reached here iff not listed"
+        );
+        let events = rec.0.iter().filter(|((c, _), _)| *c == counter);
+        let events: Vec<(NodeId, f64)> = events.map(|(&(_, n), &v)| (n, v)).collect();
+        let values = traced.stats().node_values(counter);
+        assert_eq!(values, events, "{kind} -> {counter} vs its trace");
         let bits = |s: &Sim| -> Vec<(NodeId, u64)> {
             let values = s.stats().node_values(counter).into_iter();
             values.map(|(n, v)| (n, v.to_bits())).collect()
