@@ -137,7 +137,7 @@ pub struct IngestPipeline {
     recorder: Option<Box<dyn Recorder>>,
     /// Stream-plane attachment: write-ahead log, admission control,
     /// aggregation windows (all optional; see [`StreamConfig`]).
-    stream: StreamAttachment,
+    pub(crate) stream: StreamAttachment,
     now: SimTime,
 }
 
@@ -299,12 +299,18 @@ impl IngestPipeline {
     /// events depends on arrival order.
     pub fn offer(&mut self, msg: UplinkMsg) -> bool {
         self.drain_until(msg.t);
+        let wal = self.stream.wal.as_mut();
+        let sealed = wal.and_then(|wal| wal.append(&encode_uplink(&msg)).sealed);
+        self.front_door(msg, sealed)
+    }
+
+    /// `offer` past its drain ticks and its log append, whose seal (if
+    /// any) it emits first; [`replay`](crate::stream::replay) enters
+    /// here with the log it recovered.
+    pub(crate) fn front_door(&mut self, msg: UplinkMsg, sealed: Option<(u32, u32)>) -> bool {
         let tenant = msg.tenant;
-        if let Some(wal) = self.stream.wal.as_mut() {
-            let info = wal.append(&encode_uplink(&msg));
-            if let Some((segment, records)) = info.sealed {
-                self.emit(tenant, EventKind::StreamSeal { segment, records });
-            }
+        if let Some((segment, records)) = sealed {
+            self.emit(tenant, EventKind::StreamSeal { segment, records });
         }
         self.advance_windows();
         if let Some(st) = self.stats.get_mut(&tenant) {

@@ -10,13 +10,20 @@
 //! messages that were subsequently rate-limited, rejected for bad
 //! credentials, or shed to backpressure. [`replay`] rebuilds a fresh
 //! pipeline under the same configuration and re-offers the logged
-//! sequence through the same drive loop (`offer(msg)`, which runs the
-//! drain ticks due before each arrival, then `drain_remaining()`, then
+//! sequence through the same drive loop (the drain ticks due before
+//! each arrival, then the front door, then `drain_remaining()`, then
 //! flush the windows).
 //! Because every statistic the pipeline reports is a pure function of
 //! the offer sequence and configuration, the replayed run reproduces
-//! the live run's per-tenant stats, emitted trace events, closed
-//! windows, and even its own write-ahead log bytes, exactly.
+//! the live run's per-tenant stats, emitted trace events and closed
+//! windows exactly.
+//!
+//! The log is adopted, not re-persisted: one walk CRC-checks each
+//! frame, files it as [`EventLog::recover`] does and offers its uplink,
+//! and the verified prefix becomes the replayed pipeline's write-ahead
+//! log, so no record is encoded or appended twice. A frame that does not
+//! decode as an uplink stays in the log and offers nothing, not even its
+//! segment's `StreamSeal`; the pipeline writes only uplink frames.
 //!
 //! # Wire format
 //!
@@ -129,15 +136,11 @@ impl StreamAttachment {
     }
 }
 
-/// Replays a persisted uplink log, walked where it lies by
-/// [`walk_frames`](iiot_stream::walk_frames), through a fresh pipeline
-/// under the same configuration; see the [module docs](self). Returns
-/// the drained pipeline and the log recovery report.
-///
-/// The replayed pipeline runs with its own stream attachment built
-/// from the same `stream` config, so its write-ahead log re-persists
-/// the offer sequence — byte-identical to the recovered input when the
-/// input was not truncated.
+/// Replays a persisted uplink log through a fresh pipeline under the
+/// same configuration, which adopts the verified prefix as its
+/// write-ahead log (a frame that is not an uplink stays in it and offers
+/// nothing); see the [module docs](self). Returns the drained pipeline
+/// and the log recovery report.
 pub fn replay(
     bytes: &[u8],
     registry: DeviceRegistry,
@@ -148,15 +151,17 @@ pub fn replay(
     let log_config = stream.log.unwrap_or_default();
     let mut pipeline = IngestPipeline::new(registry, config);
     pipeline.attach_stream(StreamConfig {
-        log: Some(log_config),
+        log: None,
         ..stream
     });
     pipeline.set_recorder(recorder);
-    let report = iiot_stream::walk_frames(bytes, log_config, |_, payload, _| {
+    let (log, report) = EventLog::recover_with(bytes, log_config, |payload, sealed| {
         if let Some(msg) = decode_uplink(payload) {
-            pipeline.offer(msg);
+            pipeline.drain_until(msg.t);
+            pipeline.front_door(msg, sealed);
         }
     });
+    pipeline.stream.wal = Some(log);
     pipeline.drain_remaining();
     pipeline.flush_windows();
     (pipeline, report)
@@ -255,7 +260,7 @@ mod tests {
         assert_eq!(
             replayed.wal().expect("wal").as_bytes(),
             wal.as_slice(),
-            "the replayed pipeline re-persists a byte-identical log"
+            "the replayed pipeline adopts a byte-identical log"
         );
         assert_eq!(
             events_of(&mut replayed),
@@ -347,6 +352,40 @@ mod tests {
         assert_eq!(p.now(), far);
         assert_eq!(p.totals(), (2, 1, 1, 1), "offered, accepted, shed, drained");
         assert_eq!(p.wal().expect("wal").as_bytes(), wal.as_bytes());
+    }
+
+    #[test]
+    fn a_foreign_frame_stays_in_the_adopted_log_and_offers_nothing() {
+        let reg = registry();
+        let config = LogConfig { segment_bytes: 256 };
+        let mut wal = EventLog::new(config);
+        for i in 0..40u64 {
+            if i == 20 {
+                wal.append(b"not an uplink");
+            }
+            wal.append(&encode_uplink(&UplinkMsg {
+                tenant: TenantId(0),
+                device: (i % 20) as u32,
+                token: reg.token(TenantId(0), (i % 20) as u32).unwrap(),
+                value: i as f64,
+                t: SimTime::from_millis(i),
+            }));
+        }
+        assert!(wal.sealed_segments() >= 2);
+        let (p, report) = replay(
+            wal.as_bytes(),
+            reg,
+            IngestConfig::default(),
+            StreamConfig::logged(config),
+            None,
+        );
+        assert_eq!((report.records, report.truncated_bytes), (41, 0));
+        assert_eq!(p.wal(), Some(&EventLog::recover(wal.as_bytes(), config).0));
+        assert_eq!(
+            p.totals(),
+            (40, 40, 0, 40),
+            "offered, accepted, shed, drained"
+        );
     }
 
     #[test]

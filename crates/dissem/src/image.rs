@@ -62,7 +62,18 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ TABLES[1][c[6] as usize]
             ^ TABLES[0][c[7] as usize];
     }
-    for &b in chunks.remainder() {
+    let mut rest = chunks.remainder();
+    if let [b0, b1, b2, b3, ref more @ ..] = *rest {
+        // One shorter step: the register folds into the first four of the
+        // bytes left, and byte `j` is followed by `rest.len() - 1 - j` more.
+        let lo = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = 0;
+        for (j, &b) in lo.iter().chain(more).enumerate() {
+            crc ^= TABLES[rest.len() - 1 - j][b as usize];
+        }
+        rest = &[];
+    }
+    for &b in rest {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -471,6 +482,15 @@ mod tests {
                 crc32_bitwise(&bytes[len..]),
                 "tail from {len}"
             );
+        }
+        // Every length to 64 from eight starting offsets: each 0..=7-byte
+        // tail, the 4..=7 that fold in one step among them, after every
+        // body of up to eight chunks.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "{len} from {start}");
+            }
         }
     }
 

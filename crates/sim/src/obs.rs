@@ -936,11 +936,73 @@ impl<W: Write + 'static> Recorder for JsonlRecorder<W> {
 /// allocation-free, so protocols can feed it from hot paths.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    exact: Moments,
     buckets: [u64; 64],
+}
+
+/// The exact statistics a [`Histogram`] keeps beside its buckets, on
+/// their own: a fold that needs no buckets (or keeps its own, see
+/// [`Moments::quantile_of`]) makes exactly the histogram's operations.
+#[derive(Clone, Copy, Debug)]
+pub struct Moments {
+    /// Observations.
+    pub count: u64,
+    /// Their sum, added in observation order.
+    pub sum: f64,
+    /// The smallest, `+inf` when there is none but NaN.
+    pub min: f64,
+    /// The largest, `-inf` when there is none but NaN.
+    pub max: f64,
+}
+
+impl Moments {
+    /// No observations.
+    pub const EMPTY: Moments = Moments {
+        count: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// Records one observation, as [`Histogram::observe`] does.
+    pub fn observe(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// [`Histogram::quantile`] of a histogram with these statistics
+    /// whose observations' [`bucket`](Histogram::bucket)s are `buckets`,
+    /// bit for bit: the ⌈q·n⌉-th smallest bucket, found by one selection
+    /// that reorders `buckets` rather than by a walk of 64 counters.
+    pub fn quantile_of(&self, buckets: &mut [u8], q: f64) -> f64 {
+        self.quantile(q, |target| {
+            *buckets.select_nth_unstable(target - 1).1 as usize
+        })
+    }
+
+    /// The `q`-quantile whose bucket `nth(⌈q·count⌉)` finds: what both
+    /// quantile paths share around the search.
+    fn quantile(&self, q: f64, nth: impl FnOnce(usize) -> usize) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        if q <= 0.0 {
+            return self.min;
+        }
+        if q >= 1.0 {
+            return self.max;
+        }
+        if self.min > self.max {
+            // Every observation was NaN (`f64::min`/`max` skip NaN, so
+            // the bounds never left their empty values): so is any
+            // quantile, and `clamp` below would panic on the bounds.
+            return f64::NAN;
+        }
+        let target = (q * self.count as f64).ceil() as usize;
+        Histogram::bucket_value(nth(target)).clamp(self.min, self.max)
+    }
 }
 
 impl Default for Histogram {
@@ -953,15 +1015,13 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            exact: Moments::EMPTY,
             buckets: [0; 64],
         }
     }
 
-    fn bucket(v: f64) -> usize {
+    /// The bucket `observe` files `v` under, `0 ..= 63`.
+    pub fn bucket(v: f64) -> usize {
         if v <= 0.0 {
             return 0;
         }
@@ -980,85 +1040,69 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        self.exact.observe(v);
         self.buckets[Self::bucket(v)] += 1;
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.exact.count
     }
 
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
-        self.sum
+        self.exact.sum
     }
 
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.exact.count == 0 {
             0.0
         } else {
-            self.sum / self.count as f64
+            self.exact.sum / self.exact.count as f64
         }
     }
 
     /// Smallest observation (0 when empty).
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
+        if self.exact.count == 0 {
             0.0
         } else {
-            self.min
+            self.exact.min
         }
     }
 
     /// Largest observation (0 when empty).
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
+        if self.exact.count == 0 {
             0.0
         } else {
-            self.max
+            self.exact.max
         }
     }
 
     /// Approximate `q`-quantile (`0.0 ..= 1.0`), accurate to one
     /// bucket (a fifth of a decade); exact at the extremes.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if q <= 0.0 {
-            return self.min();
-        }
-        if q >= 1.0 {
-            return self.max();
-        }
-        if self.min > self.max {
-            // Every observation was NaN (`f64::min`/`max` skip NaN, so
-            // the bounds never left their empty values): so is any
-            // quantile, and `clamp` below would panic on the bounds.
-            return f64::NAN;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Self::bucket_value(i).clamp(self.min, self.max);
-            }
-        }
-        self.max()
+        self.exact.quantile(q, |target| {
+            let mut seen = 0;
+            let reached = |&b: &u64| {
+                seen += b;
+                seen >= target as u64
+            };
+            self.buckets
+                .iter()
+                .position(reached)
+                .expect("⌈q·count⌉ ≤ count")
+        })
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.exact.count += other.exact.count;
+        self.exact.sum += other.exact.sum;
+        self.exact.min = self.exact.min.min(other.exact.min);
+        self.exact.max = self.exact.max.max(other.exact.max);
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }

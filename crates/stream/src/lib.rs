@@ -76,7 +76,6 @@ pub mod window;
 
 pub use admission::{AdmissionControl, RateLimit, TokenBucket};
 pub use log::{
-    walk_frames, AppendInfo, EventLog, LogConfig, LogCursor, RecoveryReport, SegmentInfo,
-    FRAME_HEADER,
+    AppendInfo, EventLog, LogConfig, LogCursor, RecoveryReport, SegmentInfo, FRAME_HEADER,
 };
 pub use window::{WindowAggregator, WindowKey, WindowResult, WindowSpec};

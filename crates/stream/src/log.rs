@@ -32,8 +32,9 @@
 //! and an append after recovery resumes exactly where the surviving
 //! prefix ends. The [`RecoveryReport`] says what was dropped and
 //! whether the damage reached into sealed territory (which indicates
-//! storage corruption rather than a torn write). The scan is
-//! [`walk_frames`], which a reader of the records alone can drive.
+//! storage corruption rather than a torn write).
+//! [`EventLog::recover_with`] hands each verified record to a reader as
+//! the scan reaches it, so recovering and consuming are one pass.
 //!
 //! # Cursors
 //!
@@ -294,58 +295,54 @@ impl EventLog {
     /// reproduces the original's segment boundaries for the surviving
     /// prefix (sealing is deterministic in the record sizes).
     pub fn recover(bytes: &[u8], config: LogConfig) -> (EventLog, RecoveryReport) {
+        Self::recover_with(bytes, config, |_, _| {})
+    }
+
+    /// [`recover`](Self::recover), handing each surviving record to
+    /// `visit(payload, sealed)` as the scan verifies it, with the seal
+    /// notification [`append`](Self::append) gave for it.
+    pub fn recover_with(
+        bytes: &[u8],
+        config: LogConfig,
+        mut visit: impl FnMut(&[u8], Option<(u32, u32)>),
+    ) -> (EventLog, RecoveryReport) {
         let mut log = EventLog::new(config);
-        let report = walk_frames(bytes, config, |offset, payload, sealed| {
-            log.frames.push(offset);
+        let (mut pos, mut seg_start) = (0usize, 0usize);
+        while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
+            let len = u16::from_le_bytes([header[0], header[1]]) as usize;
+            let crc = u32::from_le_bytes([header[2], header[3], header[4], header[5]]);
+            let end = pos + FRAME_HEADER + len;
+            let payload = match bytes.get(pos + FRAME_HEADER..end) {
+                Some(payload) if crc32(payload) == crc => payload,
+                _ => break, // short payload (torn tail) or corrupt record
+            };
+            log.frames.push(pos as u64);
             log.tail_records += 1;
-            if sealed {
-                log.seals
-                    .push(offset + (FRAME_HEADER + payload.len()) as u64);
+            // Filed exactly as `append` seals, from the bytes walked.
+            let sealed = (end - seg_start >= config.segment_bytes).then(|| {
+                seg_start = end;
+                let seal = (log.seals.len() as u32, log.tail_records);
+                log.seals.push(end as u64);
                 log.seal_records.push(log.tail_records);
                 log.tail_records = 0;
-            }
-        });
-        log.bytes.extend_from_slice(&bytes[..report.bytes as usize]);
-        (log, report)
-    }
-}
-
-/// Walks the CRC-verified frames of a persisted byte stream in order
-/// and reports what [`EventLog::recover`] would keep, without building
-/// a log. The walk stops where recovery truncates: at a short header, a
-/// short payload or a CRC mismatch. `visit(offset, payload, sealed)`
-/// gets each frame's byte offset, its verified payload and whether the
-/// segment seals after it, exactly as [`EventLog::append`] sealed it.
-pub fn walk_frames(
-    bytes: &[u8],
-    config: LogConfig,
-    mut visit: impl FnMut(u64, &[u8], bool),
-) -> RecoveryReport {
-    let (mut pos, mut seg_start, mut records) = (0usize, 0usize, 0u64);
-    while let Some(header) = bytes.get(pos..pos + FRAME_HEADER) {
-        let len = u16::from_le_bytes([header[0], header[1]]) as usize;
-        let crc = u32::from_le_bytes([header[2], header[3], header[4], header[5]]);
-        let end = pos + FRAME_HEADER + len;
-        let payload = match bytes.get(pos + FRAME_HEADER..end) {
-            Some(payload) if crc32(payload) == crc => payload,
-            _ => break, // short payload (torn tail) or corrupt record
+                seal
+            });
+            visit(payload, sealed);
+            pos = end;
+        }
+        log.bytes.extend_from_slice(&bytes[..pos]);
+        // Sealing fires once a segment's fill reaches `segment_bytes`, so
+        // if the damaged stream extends a full segment's worth past the
+        // surviving tail's start, the original must have sealed over the
+        // damaged span: that is storage corruption, not a torn tail write.
+        let report = RecoveryReport {
+            records: log.records(),
+            bytes: pos as u64,
+            truncated_bytes: (bytes.len() - pos) as u64,
+            corrupt_sealed: bytes.len() > pos
+                && bytes.len() >= seg_start + config.segment_bytes + FRAME_HEADER,
         };
-        let sealed = end - seg_start >= config.segment_bytes;
-        seg_start = if sealed { end } else { seg_start };
-        visit(pos as u64, payload, sealed);
-        records += 1;
-        pos = end;
-    }
-    // Sealing fires once a segment's fill reaches `segment_bytes`, so if
-    // the damaged stream extends a full segment's worth past the
-    // surviving tail's start, the original must have sealed over the
-    // damaged span: that is storage corruption, not a torn tail write.
-    RecoveryReport {
-        records,
-        bytes: pos as u64,
-        truncated_bytes: (bytes.len() - pos) as u64,
-        corrupt_sealed: bytes.len() > pos
-            && bytes.len() >= seg_start + config.segment_bytes + FRAME_HEADER,
+        (log, report)
     }
 }
 

@@ -28,12 +28,14 @@
 //! The windows that share a start form one group, kept as the
 //! `(key, value)` pairs it accepted, in arrival order: an observation
 //! is one push, and no key is hashed. Closing a group sorts it by key
-//! with a stable sort and folds each key's run through
-//! `Histogram::observe`, so a key's values are observed in arrival
-//! order, as one histogram per window would have observed them, and the
-//! results come out in key order.
+//! with a stable LSD radix sort, in linear time, and folds each key's
+//! run once: count, sum, min and max by [`Moments::observe`] (what
+//! `Histogram::observe` runs) in arrival order, and p99 as an order
+//! statistic of the run's bucket indices ([`Moments::quantile_of`]).
+//! Every field is what one histogram per window would have reported,
+//! bit for bit, and the results come out in key order.
 
-use iiot_sim::obs::Histogram;
+use iiot_sim::obs::{Histogram, Moments};
 use iiot_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -101,7 +103,7 @@ pub struct WindowAggregator {
     watermark: SimTime,
     /// Open windows grouped by start µs, so closing is one pop from the
     /// front. A group is its accepted observations in arrival order;
-    /// closing it sorts them by key.
+    /// closing it radix-sorts them by key.
     open: BTreeMap<u64, Vec<(WindowKey, f64)>>,
     /// Window-attributions dropped for arriving after their window
     /// closed, per key.
@@ -221,35 +223,70 @@ impl WindowAggregator {
     }
 
     /// Appends the results of every window starting at `start_us`, in
-    /// key order. The sort is stable, so each key's values reach
-    /// `Histogram::observe` in arrival order.
+    /// key order. The sort is stable, so each key's run is folded in
+    /// arrival order.
     fn close_group(
         &self,
         start_us: u64,
-        mut group: Vec<(WindowKey, f64)>,
+        group: Vec<(WindowKey, f64)>,
         out: &mut Vec<WindowResult>,
     ) {
-        // `WindowKey`'s order, `(tenant, metric)`, as one integer.
-        group.sort_by_key(|&(key, _)| (u64::from(key.tenant) << 32) | u64::from(key.metric));
+        let group = radix_sort(group);
         let start = SimTime::from_micros(start_us);
         let end = SimTime::from_micros(start_us.saturating_add(self.spec.width.as_micros()));
+        let mut buckets = Vec::new();
         for run in group.chunk_by(|a, b| a.0 == b.0) {
-            let mut hist = Histogram::new();
+            let mut exact = Moments::EMPTY;
+            buckets.clear();
             for &(_, value) in run {
-                hist.observe(value);
+                exact.observe(value);
+                buckets.push(Histogram::bucket(value) as u8);
             }
             out.push(WindowResult {
                 key: run[0].0,
                 start,
                 end,
-                count: hist.count(),
-                sum: hist.sum(),
-                min: hist.min(),
-                max: hist.max(),
-                p99: hist.quantile(0.99),
+                count: exact.count,
+                sum: exact.sum,
+                min: exact.min,
+                max: exact.max,
+                p99: exact.quantile_of(&mut buckets, 0.99),
             });
         }
     }
+}
+
+/// Sorts a group by key, stably: an LSD radix sort over the six bytes of
+/// `(tenant, metric)` packed into one integer, counted in one pass, that
+/// scatters only on the bytes in which the keys differ.
+fn radix_sort(mut group: Vec<(WindowKey, f64)>) -> Vec<(WindowKey, f64)> {
+    let packed = |key: WindowKey| (u64::from(key.tenant) << 32) | u64::from(key.metric);
+    let mut counts = [[0usize; 256]; 6];
+    for &(key, _) in &group {
+        for (digit, c) in counts.iter_mut().enumerate() {
+            c[(packed(key) >> (8 * digit)) as usize & 0xFF] += 1;
+        }
+    }
+    let mut scratch = Vec::new();
+    for (digit, c) in counts.iter_mut().enumerate() {
+        let byte = |key| (packed(key) >> (8 * digit)) as usize & 0xFF;
+        // A group holds at least the reading that opened it.
+        if c[byte(group[0].0)] == group.len() {
+            continue; // every key shares this byte
+        }
+        let mut next = 0; // each byte's first slot: an exclusive prefix sum
+        for slot in c.iter_mut() {
+            (*slot, next) = (next, next + *slot);
+        }
+        scratch.resize(group.len(), group[0]);
+        for &item in &group {
+            let slot = &mut c[byte(item.0)];
+            scratch[*slot] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut group, &mut scratch);
+    }
+    group
 }
 
 #[cfg(test)]

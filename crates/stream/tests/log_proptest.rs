@@ -2,11 +2,11 @@
 //! payload sequence, segment size, torn-tail truncation point or
 //! single-bit corruption, recovery keeps only CRC-verified records,
 //! the surviving prefix is byte-identical to what was written,
-//! recovery and the bare frame walk agree with a frame-by-frame
+//! recovery and its visiting form agree with a frame-by-frame
 //! reference, and consumer cursors never regress a committed offset.
 
 use iiot_dissem::crc32;
-use iiot_stream::{walk_frames, EventLog, LogConfig, LogCursor, RecoveryReport, FRAME_HEADER};
+use iiot_stream::{EventLog, LogConfig, LogCursor, RecoveryReport, FRAME_HEADER};
 use proptest::prelude::*;
 
 /// Random payload batch: 1..40 records of 0..64 bytes each.
@@ -53,7 +53,7 @@ fn assert_recovered_prefix(recovered: &EventLog, originals: &[Vec<u8>]) {
 
 /// Recovery as a frame-by-frame scan that re-appends every verified
 /// payload to a fresh log: the oracle `EventLog::recover` and
-/// `walk_frames` must agree with.
+/// `EventLog::recover_with` must agree with.
 fn reference_recover(bytes: &[u8], config: LogConfig) -> (EventLog, RecoveryReport) {
     let mut log = EventLog::new(config);
     let mut pos = 0usize;
@@ -88,34 +88,25 @@ fn reference_recover(bytes: &[u8], config: LogConfig) -> (EventLog, RecoveryRepo
 }
 
 /// `recover` equals the reference in every field of the log and the
-/// report, and the bare walk reports the same and visits exactly the
-/// recovered payloads, offsets and seals, in order.
+/// report, and `recover_with` returns the same and visits exactly the
+/// recovered payloads, each with the seal notification the reference's
+/// append of it gave, in order.
 fn assert_walk_and_recover_agree(bytes: &[u8], config: LogConfig) {
     let (recovered, report) = EventLog::recover(bytes, config);
     let (reference, want) = reference_recover(bytes, config);
     assert_eq!(report, want, "recover's report");
     assert_eq!(recovered, reference, "recover's log");
     let mut visited = Vec::new();
-    let walked = walk_frames(bytes, config, |offset, payload, sealed| {
-        visited.push((offset, payload.to_vec(), sealed));
+    let walked = EventLog::recover_with(bytes, config, |payload, sealed| {
+        visited.push((payload.to_vec(), sealed));
     });
-    assert_eq!(walked, report, "the walk's report");
-    // Record by record: its offset, its payload, and whether the
-    // reference sealed its segment right after it.
-    let seals = reference
-        .segments()
-        .into_iter()
-        .flat_map(|s| (1..=s.records).map(move |i| s.sealed && i == s.records));
+    assert_eq!(walked, (recovered, report), "recover_with's log and report");
+    let mut again = EventLog::new(config);
     let want: Vec<_> = reference
         .iter_from(0)
-        .zip(seals)
-        .scan(0u64, |pos, ((_, payload), sealed)| {
-            let offset = *pos;
-            *pos += (FRAME_HEADER + payload.len()) as u64;
-            Some((offset, payload.to_vec(), sealed))
-        })
+        .map(|(_, payload)| (payload.to_vec(), again.append(payload).sealed))
         .collect();
-    assert_eq!(visited, want, "the walk's frames");
+    assert_eq!(visited, want, "the visited records");
 }
 
 proptest! {

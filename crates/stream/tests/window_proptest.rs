@@ -2,7 +2,7 @@
 //! interleaving of observations and watermark advances, over tumbling
 //! geometries with and without a lateness allowance, the aggregator (open windows
 //! grouped by start, each group its observations in arrival order,
-//! sorted by key when it closes) emits exactly what a reference that keeps one full `Histogram` per
+//! radix-sorted by key when it closes and folded once per key) emits exactly what a reference that keeps one full `Histogram` per
 //! `(start, key)` in a `BTreeMap` emits — every field bit for bit, in
 //! the same order — and agrees on `late_count`, `observed` and
 //! `open_windows` at every step.
@@ -302,4 +302,113 @@ fn thousands_of_awkward_values_on_one_key_match_bit_for_bit() {
         };
         (key, value, ms)
     }));
+}
+
+/// For each of the packed key's six bytes, keys that differ in that
+/// byte alone, arriving scrambled: a radix pass skipped on the one
+/// byte that varies leaves them in arrival order.
+#[test]
+fn keys_that_differ_in_one_byte_close_in_key_order() {
+    for byte in 0..6 {
+        let base = 0x0102_0304_0506u64 & !(0xFF << (8 * byte));
+        let keys: Vec<WindowKey> = (0..=255u64)
+            .map(|b| {
+                let packed = base | b << (8 * byte);
+                WindowKey {
+                    tenant: (packed >> 32) as u16,
+                    metric: packed as u32,
+                }
+            })
+            .collect();
+        check_against_reference((0..3 * 256).map(|i| {
+            let key = keys[i * 97 % 256];
+            (key, i as f64 - 100.0, (i as u64 * 41) % 20_000)
+        }));
+    }
+}
+
+/// A window group of one reading, and one of a single key seen many
+/// times: the sort has nothing to move, the fold one run.
+#[test]
+fn a_lone_reading_and_a_lone_key_match() {
+    let key = WindowKey {
+        tenant: 9,
+        metric: 0x00ab_cdef,
+    };
+    check_against_reference([(key, 2.5, 1234)]);
+    check_against_reference((0..1_000u64).map(|i| {
+        let value = [f64::NAN, -0.0, 1e-310, 7.0][(i % 4) as usize] * (i as f64 - 500.0);
+        (key, value, i * 9)
+    }));
+}
+
+/// Finite values spread over fourteen decades of either sign, with
+/// subnormals and the powers 10^(k/5) on which bucket boundaries fall:
+/// a run of them seldom has its top two in one bucket.
+fn finite_values() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-1.0f64..1.0, -8.0f64..6.0).prop_map(|(m, e)| m * 10f64.powf(e)),
+        (-45i32..35).prop_map(|k| 10f64.powf(k as f64 / 5.0)),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+    ]
+}
+
+/// The same with NaN, ±inf and ±0.0, which `Histogram::observe` files
+/// and sums in ways the fold must copy exactly.
+fn awkward_values() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        finite_values(),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(0.0),
+        Just(-0.0),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Two keys' runs in one window equal, each bit for bit, a
+    /// `Histogram` that observed the run and its getters. From 100
+    /// readings on, ⌈0.99·n⌉ < n, so p99 need not be the top bucket.
+    #[test]
+    fn each_run_folds_to_what_one_histogram_reports(
+        runs in proptest::collection::vec(
+            prop_oneof![
+                proptest::collection::vec(finite_values(), 1..=300),
+                proptest::collection::vec(awkward_values(), 1..=300),
+            ],
+            2,
+        )
+    ) {
+        // The higher key arrives first, and the two runs interleave.
+        let keys = [WindowKey { tenant: 1, metric: 5 }, WindowKey { tenant: 1, metric: 3 }];
+        let mut agg = WindowAggregator::new(WindowSpec::tumbling(SimDuration::from_secs(10)));
+        for i in 0..300 {
+            for (key, values) in keys.iter().zip(&runs) {
+                if let Some(&v) = values.get(i) {
+                    agg.observe(*key, v, SimTime::from_micros(i as u64));
+                }
+            }
+        }
+        let got: Vec<_> = agg
+            .flush()
+            .iter()
+            .map(|r| (r.key, r.count, [r.sum, r.min, r.max, r.p99].map(f64::to_bits)))
+            .collect();
+        let want: Vec<_> = keys
+            .iter()
+            .zip(&runs)
+            .rev()
+            .map(|(key, values)| {
+                let mut h = Histogram::new();
+                for &v in values {
+                    h.observe(v);
+                }
+                (*key, h.count(), [h.sum(), h.min(), h.max(), h.quantile(0.99)].map(f64::to_bits))
+            })
+            .collect();
+        prop_assert_eq!(got, want);
+    }
 }

@@ -215,6 +215,23 @@ if awk '/^mod tests/ { exit } /HashMap|HashSet|RandomState/ { print FILENAME ":"
     echo "HashMap, HashSet or RandomState in crates/stream/src/window.rs" >&2
     exit 1
 fi
+# A group closes in linear time: one stable radix pass orders it, so no
+# comparison sort is called in the store (above its tests).
+if awk '/^mod tests/ { exit } /sort_by|sort_unstable|[.]sort[(]/ { print FILENAME ":" FNR ":" $0; found = 1 }
+    END { exit !found }' crates/stream/src/window.rs; then
+    echo "sort_by, sort_by_key, sort_unstable or sort( in crates/stream/src/window.rs" >&2
+    exit 1
+fi
+
+# Replay adopts the log it has just verified: `replay` enters each
+# record at the pipeline's front door past the log append, so it neither
+# offers through `offer` nor encodes an uplink again.
+if awk '/^pub fn replay[(]/ { body = 1 }
+    body && /[.]offer[(]|encode_uplink/ { print FILENAME ":" FNR ":" $0; found = 1 }
+    body && /^}/ { body = 0 } END { exit !found }' crates/cloud/src/stream.rs; then
+    echo "replay in crates/cloud/src/stream.rs calls .offer( or encode_uplink" >&2
+    exit 1
+fi
 
 # The examples are runnable documentation whose `assert!`s no test
 # executes: each must run to a zero exit.
